@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The full gate: formatting, clippy deny-wall, the repo-specific lint
 # wall, the workspace analyzer (drift + parallel-readiness rules), build
-# + tests, then the benchmark artifact gates: schema validation, the
+# + tests, the protocol benchmark package's own tests and --quick
+# correctness gate, then the benchmark artifact gates: schema validation, the
 # bench-diff regression comparison of a fresh deterministic --quick run
 # against the committed baselines, and the continuous self-profiling
 # gates (overhead bound, snapshot determinism, profile/v1 schema).
@@ -66,6 +67,15 @@ if ! SIMNET_THREADS=4 cargo test -q --workspace; then
     fi
     exit 1
 fi
+
+echo "== benchmark package (unit tests + --quick correctness gate)"
+# benchmark/ is its own workspace building against crates/* by path, so an
+# API change can break it without the passes above noticing. Its tests and
+# a tenth-size run (payload-verified gate, exact-counter checks between
+# samples) catch that here rather than in the benchmark pipeline. No
+# wall-clock threshold: timings on a CI box are not evidence.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh run --quick >/dev/null
 
 echo "== fault soak (ctrl + data-plane + tenant-isolation + breaker matrix)"
 # Bounded fixed-seed soak across ten suites, all through the

@@ -122,6 +122,10 @@ struct ReqSlot {
 
 struct HostState {
     reqs: Vec<ReqSlot>,
+    /// Slots of `reqs` with `done == false`, kept so the per-message
+    /// wakeup classification never rescans the (untrimmed) slot list. A
+    /// failed request is never `done`, so it stays counted.
+    pending: usize,
     /// Monotone per-rank sequence feeding `msg_id` allocation (basic
     /// requests and group wire entries share the namespace).
     next_msg_seq: u64,
@@ -175,8 +179,8 @@ pub struct Offload {
 
 impl Offload {
     /// `Init_Offload()`: attach this rank to the framework. The cluster
-    /// must have been built with proxies running
-    /// [`crate::proxy::proxy_main`] and the *same* [`OffloadConfig`].
+    /// must have been built with proxies from [`crate::proxy_fn`] and the
+    /// *same* [`OffloadConfig`].
     ///
     /// The GVMI-ID exchange the paper performs here (once per protection
     /// domain) is modelled by the fabric assigning each proxy its GVMI at
@@ -191,7 +195,7 @@ impl Offload {
     ) -> Offload {
         assert!(
             cluster.proxies_per_dpu() > 0,
-            "offload requires DPU proxies; build the cluster with proxy_main"
+            "offload requires DPU proxies; build the cluster with proxy_fn"
         );
         let chan = inbox.channel(|m| match m {
             NetMsg::Packet(p) => p.body.is::<CtrlMsg>(),
@@ -232,6 +236,7 @@ impl Offload {
             chan,
             st: RefCell::new(HostState {
                 reqs: Vec::new(),
+                pending: 0,
                 next_msg_seq: 0,
                 gvmi_cache: if cache_budget > 0 {
                     RankAddrCache::with_capacity(n_proxies, cache_budget)
@@ -772,6 +777,14 @@ impl Offload {
             .emit(&ProtoEvent::HostFinalized { rank: self.rank });
     }
 
+    /// The pending-slot counter next to what it stands for: the number
+    /// of slots a scan finds not `done`.
+    #[cfg(test)]
+    pub(crate) fn pending_and_scan(&self) -> (usize, usize) {
+        let st = self.st.borrow();
+        (st.pending, st.reqs.iter().filter(|r| !r.done).count())
+    }
+
     // ---- Group primitives ----
 
     /// `Group_Offload_start`: begin recording a communication graph.
@@ -948,6 +961,7 @@ impl Offload {
         let mut st = self.st.borrow_mut();
         st.next_msg_seq += 1;
         st.live_basic += 1;
+        st.pending += 1;
         let msg_id = ((self.rank as u64) << 32) | st.next_msg_seq;
         st.reqs.push(ReqSlot {
             done: false,
@@ -1385,6 +1399,7 @@ impl Offload {
                         slot.replay = None;
                         slot.post = None;
                         finished_msg = Some(slot.msg_id);
+                        st.pending -= 1;
                         st.live_basic = st.live_basic.saturating_sub(1);
                     }
                     None => {
@@ -1508,7 +1523,7 @@ impl Offload {
         // terminal completion notice is a plain wakeup.
         let outstanding = {
             let st = self.st.borrow();
-            st.reqs.iter().any(|r| !r.done) || st.groups.iter().any(|g| g.fin_gen < g.gen)
+            st.pending > 0 || st.groups.iter().any(|g| g.fin_gen < g.gen)
         };
         self.ctx.stat_incr("offload.host.wakeups", 1);
         if outstanding {

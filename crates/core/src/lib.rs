@@ -92,7 +92,7 @@ pub use metrics::{
     WindowMetrics,
 };
 pub use profile::{ProfileReport, ScopeAgg};
-pub use proxy::{proxy_fn, proxy_main};
+pub use proxy::proxy_fn;
 pub use reg_cache::RankAddrCache;
 pub use reliable::OffloadError;
 pub use shmem::{Shmem, SymAddr};

@@ -2,7 +2,9 @@
 //!
 //! One proxy serves every host rank mapped to it via the paper's formula
 //! `proxy_local_rank = host_rank % num_proxies_per_dpu`. It is a pure
-//! event loop — the "progress engine" of paper Algorithm 1 — that:
+//! event loop — the "progress engine" of paper Algorithm 1 — and runs as
+//! an inline reactor ([`proxy_fn`]): the simulation kernel calls it once
+//! per control message or completion and it never blocks mid-step. It:
 //!
 //! * matches Basic-primitive RTS/RTR control messages in send/receive
 //!   queues keyed by `(src, dst, tag)` (paper Fig. 8), then moves the data
@@ -24,10 +26,11 @@
 //! traffic is modelled, but a missing counter cannot wedge a pattern whose
 //! source side recorded no barrier.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rdma::{ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
-use simnet::{Payload, Pid, ProcessCtx};
+use rdma::{ClusterCtx, EpId, MrKey, NetMsg, VAddr};
+use simnet::{Payload, Pid, ProcessCtx, Reactor};
 
 use crate::config::{DataPath, OffloadConfig, TenantId};
 use crate::events::{CacheSide, CtrlKind, HealthPath, PathKind, ProtoEvent};
@@ -179,9 +182,28 @@ struct Instance {
 /// group instance generation.
 type ArrivalSets = BTreeMap<(usize, u64), BTreeSet<u64>>;
 
+/// Matching-queue key: `(src_rank, dst_rank, tag)`.
+type MatchKey = (usize, usize, u64);
+
+/// Pop the oldest descriptor queued under `key`. The key goes with its
+/// last descriptor: applications use fresh tags every round, and the
+/// duplicate check walks every deque in the map.
+fn pop_queued<T>(q: &mut BTreeMap<MatchKey, VecDeque<T>>, key: MatchKey) -> Option<T> {
+    let Entry::Occupied(mut slot) = q.entry(key) else {
+        return None;
+    };
+    let item = slot.get_mut().pop_front();
+    if slot.get().is_empty() {
+        slot.remove();
+    }
+    item
+}
+
 struct ProxyState {
-    send_q: BTreeMap<(usize, usize, u64), VecDeque<RtsInfo>>,
-    recv_q: BTreeMap<(usize, usize, u64), VecDeque<RtrInfo>>,
+    /// Unmatched RTS descriptors. Never holds an empty deque (see
+    /// [`pop_queued`]); `recv_q` likewise.
+    send_q: BTreeMap<MatchKey, VecDeque<RtsInfo>>,
+    recv_q: BTreeMap<MatchKey, VecDeque<RtrInfo>>,
     /// Staging-buffer assignment per `(src_rank, addr, len)`.
     stage_assign: BTreeMap<(usize, u64, u64), (VAddr, MrKey)>,
     inflight: BTreeMap<u64, Completion>,
@@ -264,90 +286,140 @@ struct ProxyState {
     health: HealthEngine,
 }
 
-/// Build a proxy closure suitable for [`rdma::ClusterBuilder::run`]'s
+/// Build the proxy reactor builder for [`rdma::ClusterBuilder::run`]'s
 /// `proxy_fn`, running the framework with `cfg`.
 pub fn proxy_fn(
     cfg: OffloadConfig,
-) -> impl Fn(usize, usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static {
-    move |node, idx, ctx, cluster| proxy_main(node, idx, ctx, cluster, cfg.clone())
+) -> impl Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static {
+    move |node, idx, ctx, cluster| {
+        let mut proc = ProxyProc::new(node, idx, ctx, cluster, cfg.clone());
+        if proc.finished() {
+            return None; // no rank maps to this proxy
+        }
+        Some(Box::new(move |payload| proc.on_message(payload)))
+    }
 }
 
-/// The proxy process body. Runs until every mapped host rank sends
+/// One proxy process: its handles, and the state it keeps from one
+/// message to the next. It serves until every mapped host rank has sent
 /// `Shutdown` and all in-flight work has drained.
-pub fn proxy_main(
-    node: usize,
-    idx: usize,
+struct ProxyProc {
     ctx: ProcessCtx,
     cluster: ClusterCtx,
     cfg: OffloadConfig,
-) {
-    let spec = cluster.spec().clone();
-    let mapped_hosts = (0..spec.ppn)
-        .filter(|l| (node * spec.ppn + l) % spec.proxies_per_dpu == idx)
-        .count();
-    let my_ep = cluster.proxy_ep(node, idx);
-    let inbox = Inbox::new();
-    let chan = inbox.channel(|_| true);
-    let mut st = ProxyState {
-        send_q: BTreeMap::new(),
-        recv_q: BTreeMap::new(),
-        stage_assign: BTreeMap::new(),
-        inflight: BTreeMap::new(),
-        next_wr: 0,
-        // Tenant 0 always exists so a run that never cross-registers
-        // still drains the same (zero) cache stats it always has.
-        cross_caches: BTreeMap::from([(0, fresh_cross_cache(&cfg, spec.world_size()))]),
-        groups: BTreeMap::new(),
-        instances: Vec::new(),
-        arrivals: BTreeMap::new(),
-        group_staged: BTreeSet::new(),
-        stage_read_posted: BTreeSet::new(),
-        shutdowns: BTreeSet::new(),
-        fin_dropped: false,
-        rel: ReliableLink::new(
-            cfg.fault,
-            cfg.ctrl_knobs(false),
-            cfg.ctrl_bytes,
-            true,
+    my_ep: EpId,
+    /// Host ranks mapped to this proxy.
+    mapped_hosts: usize,
+    st: ProxyState,
+}
+
+impl ProxyProc {
+    /// Proxy `idx` of `node`, before its first message.
+    fn new(
+        node: usize,
+        idx: usize,
+        ctx: ProcessCtx,
+        cluster: ClusterCtx,
+        cfg: OffloadConfig,
+    ) -> ProxyProc {
+        let spec = cluster.spec().clone();
+        let mapped_hosts = (0..spec.ppn)
+            .filter(|l| (node * spec.ppn + l) % spec.proxies_per_dpu == idx)
+            .count();
+        let my_ep = cluster.proxy_ep(node, idx);
+        let st = ProxyState::new(&cfg, spec.world_size(), my_ep);
+        ProxyProc {
+            ctx,
+            cluster,
+            cfg,
             my_ep,
-        ),
-        xreg_rng: FaultRng::new(cfg.fault.seed, my_ep.index() as u64 + 0x1000),
-        completed_msgs: BTreeMap::new(),
-        fin_gens: BTreeMap::new(),
-        steps: 0,
-        crashed: false,
-        send_q_len: 0,
-        recv_q_len: 0,
-        tenant_q_len: BTreeMap::new(),
-        stalled: BTreeSet::new(),
-        inflight_ctx: BTreeMap::new(),
-        data_retx: BTreeMap::new(),
-        next_retx_token: 0,
-        cancelled: BTreeSet::new(),
-        stage_free: BTreeMap::new(),
-        ack_horizons: BTreeMap::new(),
-        health: HealthEngine::new(cfg.health, cfg.fault.seed, my_ep.index() as u64 + 0x2000),
-    };
-    let p = Proxy {
-        ctx: &ctx,
-        cluster: &cluster,
-        cfg: &cfg,
-        my_ep,
-    };
-    loop {
-        if st.shutdowns.len() == mapped_hosts && p.quiescent(&st) {
-            break;
+            mapped_hosts,
+            st,
         }
-        let msg = chan.next_blocking(&ctx);
-        p.handle(&mut st, msg);
-        p.advance_all(&mut st);
     }
-    for cache in st.cross_caches.values() {
-        let (h, m, s) = cache.stats();
-        ctx.stat_incr("offload.gvmi_cache.dpu.hit", h);
-        ctx.stat_incr("offload.gvmi_cache.dpu.miss", m);
-        ctx.stat_incr("offload.gvmi_cache.dpu.stale", s);
-        ctx.stat_incr("offload.gvmi_cache.dpu.evict", cache.evictions());
+
+    /// The borrowed view the protocol code is written against, beside
+    /// the state it works on.
+    fn parts(&mut self) -> (Proxy<'_>, &mut ProxyState) {
+        let proxy = Proxy {
+            ctx: &self.ctx,
+            cluster: &self.cluster,
+            cfg: &self.cfg,
+            my_ep: self.my_ep,
+        };
+        (proxy, &mut self.st)
+    }
+
+    /// The exit check, made at start-up and after every handled message:
+    /// true once every mapped host has shut down and the proxy is
+    /// quiescent. Reports the cross-registration cache stats when it
+    /// fires, so they are counted exactly once.
+    fn finished(&mut self) -> bool {
+        let mapped_hosts = self.mapped_hosts;
+        let (proxy, st) = self.parts();
+        if st.shutdowns.len() != mapped_hosts || !proxy.quiescent(st) {
+            return false;
+        }
+        proxy.report_cache_stats(st);
+        true
+    }
+
+    /// Handle one mailbox message and progress every group instance;
+    /// `false` once the proxy has finished.
+    fn on_message(&mut self, payload: Payload) -> bool {
+        // Anything that is not fabric traffic is not for the proxy.
+        let Ok(msg) = payload.downcast::<NetMsg>() else {
+            return true;
+        };
+        let (proxy, st) = self.parts();
+        proxy.handle(st, *msg);
+        proxy.advance_all(st);
+        !self.finished()
+    }
+}
+
+impl ProxyState {
+    fn new(cfg: &OffloadConfig, world: usize, my_ep: EpId) -> ProxyState {
+        ProxyState {
+            send_q: BTreeMap::new(),
+            recv_q: BTreeMap::new(),
+            stage_assign: BTreeMap::new(),
+            inflight: BTreeMap::new(),
+            next_wr: 0,
+            // Tenant 0 always exists so a run that never cross-registers
+            // still drains the same (zero) cache stats it always has.
+            cross_caches: BTreeMap::from([(0, fresh_cross_cache(cfg, world))]),
+            groups: BTreeMap::new(),
+            instances: Vec::new(),
+            arrivals: BTreeMap::new(),
+            group_staged: BTreeSet::new(),
+            stage_read_posted: BTreeSet::new(),
+            shutdowns: BTreeSet::new(),
+            fin_dropped: false,
+            rel: ReliableLink::new(
+                cfg.fault,
+                cfg.ctrl_knobs(false),
+                cfg.ctrl_bytes,
+                true,
+                my_ep,
+            ),
+            xreg_rng: FaultRng::new(cfg.fault.seed, my_ep.index() as u64 + 0x1000),
+            completed_msgs: BTreeMap::new(),
+            fin_gens: BTreeMap::new(),
+            steps: 0,
+            crashed: false,
+            send_q_len: 0,
+            recv_q_len: 0,
+            tenant_q_len: BTreeMap::new(),
+            stalled: BTreeSet::new(),
+            inflight_ctx: BTreeMap::new(),
+            data_retx: BTreeMap::new(),
+            next_retx_token: 0,
+            cancelled: BTreeSet::new(),
+            stage_free: BTreeMap::new(),
+            ack_horizons: BTreeMap::new(),
+            health: HealthEngine::new(cfg.health, cfg.fault.seed, my_ep.index() as u64 + 0x2000),
+        }
     }
 }
 
@@ -359,11 +431,24 @@ struct Proxy<'a> {
 }
 
 impl Proxy<'_> {
+    /// Fold the cross-registration caches' counters into the run's stats;
+    /// called when the caches die (proxy exit, crash-restart).
+    fn report_cache_stats(&self, st: &ProxyState) {
+        for cache in st.cross_caches.values() {
+            let (h, m, s) = cache.stats();
+            self.ctx.stat_incr("offload.gvmi_cache.dpu.hit", h);
+            self.ctx.stat_incr("offload.gvmi_cache.dpu.miss", m);
+            self.ctx.stat_incr("offload.gvmi_cache.dpu.stale", s);
+            self.ctx
+                .stat_incr("offload.gvmi_cache.dpu.evict", cache.evictions());
+        }
+    }
+
     fn quiescent(&self, st: &ProxyState) -> bool {
         st.inflight.is_empty()
             && st.instances.iter().all(|i| i.done)
-            && st.send_q.values().all(|q| q.is_empty())
-            && st.recv_q.values().all(|q| q.is_empty())
+            && st.send_q_len == 0
+            && st.recv_q_len == 0
             && st.data_retx.is_empty()
             && !st.rel.has_pending()
     }
@@ -468,7 +553,7 @@ impl Proxy<'_> {
                 }
                 self.note_horizon(st, src_rank, ack_horizon);
                 let key = (src_rank, dst_rank, tag);
-                let would_match = st.recv_q.get(&key).is_some_and(|q| !q.is_empty());
+                let would_match = st.recv_q.contains_key(&key);
                 if !would_match && self.admission_refused(st, msg_id, tenant) {
                     self.send_ctrl(
                         st,
@@ -503,7 +588,7 @@ impl Proxy<'_> {
                     crc,
                     tenant,
                 };
-                if let Some(rtr) = st.recv_q.get_mut(&key).and_then(|q| q.pop_front()) {
+                if let Some(rtr) = pop_queued(&mut st.recv_q, key) {
                     st.recv_q_len -= 1;
                     self.tenant_q_decr(st, rtr.tenant);
                     self.pair_matched(st, rts, rtr);
@@ -543,7 +628,7 @@ impl Proxy<'_> {
                 }
                 self.note_horizon(st, dst_rank, ack_horizon);
                 let key = (src_rank, dst_rank, tag);
-                let would_match = st.send_q.get(&key).is_some_and(|q| !q.is_empty());
+                let would_match = st.send_q.contains_key(&key);
                 if !would_match && self.admission_refused(st, msg_id, tenant) {
                     self.send_ctrl(
                         st,
@@ -575,7 +660,7 @@ impl Proxy<'_> {
                     msg_id,
                     tenant,
                 };
-                if let Some(rts) = st.send_q.get_mut(&key).and_then(|q| q.pop_front()) {
+                if let Some(rts) = pop_queued(&mut st.send_q, key) {
                     st.send_q_len -= 1;
                     self.tenant_q_decr(st, rts.tenant);
                     self.pair_matched(st, rts, rtr);
@@ -804,6 +889,7 @@ impl Proxy<'_> {
                         false
                     });
                 }
+                st.send_q.retain(|_, q| !q.is_empty());
                 st.send_q_len -= reaped;
                 let mut rreaped = 0usize;
                 for q in st.recv_q.values_mut() {
@@ -816,6 +902,7 @@ impl Proxy<'_> {
                         false
                     });
                 }
+                st.recv_q.retain(|_, q| !q.is_empty());
                 st.recv_q_len -= rreaped;
                 for t in reaped_tenants {
                     self.tenant_q_decr(st, t);
@@ -1124,14 +1211,7 @@ impl Proxy<'_> {
     /// epoch is announced to every host so they invalidate DPU-dependent
     /// cached state and replay in-flight requests.
     fn crash_restart(&self, st: &mut ProxyState) {
-        for cache in st.cross_caches.values() {
-            let (h, m, s) = cache.stats();
-            self.ctx.stat_incr("offload.gvmi_cache.dpu.hit", h);
-            self.ctx.stat_incr("offload.gvmi_cache.dpu.miss", m);
-            self.ctx.stat_incr("offload.gvmi_cache.dpu.stale", s);
-            self.ctx
-                .stat_incr("offload.gvmi_cache.dpu.evict", cache.evictions());
-        }
+        self.report_cache_stats(st);
         st.send_q.clear();
         st.recv_q.clear();
         st.send_q_len = 0;
@@ -2536,5 +2616,83 @@ impl Proxy<'_> {
         needed
             .iter()
             .all(|(k, need)| got.and_then(|m| m.get(k)).map_or(0, |s| s.len() as u64) >= *need)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Offload;
+    use rdma::{ClusterBuilder, ClusterSpec, Inbox};
+    use std::sync::{Arc, Mutex};
+
+    /// A stencil uses fresh tags every round. Neither end may keep
+    /// per-request residue that a per-message path then walks: the
+    /// proxy's matching maps must hold live tags only, and the host's
+    /// pending counter must stand for exactly the slots a scan finds.
+    #[test]
+    fn a_long_stencil_leaves_no_per_request_residue() {
+        const ROUNDS: u64 = 200;
+        const FACE: u64 = 256;
+        let cfg = OffloadConfig::proposed();
+        let (host_cfg, proxy_cfg) = (cfg.clone(), cfg);
+        // Per proxy: (most keys the maps ever held, keys left at exit).
+        let keys = Arc::new(Mutex::new(Vec::new()));
+        let keys2 = Arc::clone(&keys);
+        ClusterBuilder::new(ClusterSpec::new(2, 2).without_byte_movement(), 5)
+            .run(
+                move |rank, ctx, cluster| {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, host_cfg.clone());
+                    let fab = off.cluster().fabric().clone();
+                    let ep = off.cluster().host_ep(rank);
+                    let p = off.size();
+                    let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+                    let sbuf = fab.alloc(ep, FACE);
+                    let rbuf = fab.alloc(ep, FACE);
+                    for round in 0..ROUNDS {
+                        let reqs = [
+                            off.send_offload(sbuf, FACE, right, round),
+                            off.recv_offload(rbuf, FACE, left, round),
+                        ];
+                        off.wait_all(&reqs);
+                    }
+                    // One receive nobody answers, cancelled: the proxy
+                    // reaps its queued descriptor, and the failed slot is
+                    // never `done`, so it stays pending to the end.
+                    let orphan = off.recv_offload(rbuf, FACE, left, u64::MAX);
+                    off.cancel(orphan);
+                    assert!(off.req_error(orphan).is_some());
+                    assert_eq!(off.pending_and_scan(), (1, 1));
+                    off.finalize();
+                    assert_eq!(off.pending_and_scan(), (1, 1));
+                },
+                Some(
+                    move |node: usize, idx: usize, ctx: ProcessCtx, cluster: ClusterCtx| {
+                        let mut proc = ProxyProc::new(node, idx, ctx, cluster, proxy_cfg.clone());
+                        let keys = Arc::clone(&keys2);
+                        let mut most = 0;
+                        let handler: Reactor = Box::new(move |payload| {
+                            let more = proc.on_message(payload);
+                            let held = proc.st.send_q.len() + proc.st.recv_q.len();
+                            most = most.max(held);
+                            if !more {
+                                keys.lock().expect("keys lock").push((most, held));
+                            }
+                            more
+                        });
+                        Some(handler)
+                    },
+                ),
+            )
+            .expect("clean run");
+        let keys = keys.lock().expect("keys lock");
+        assert_eq!(keys.len(), 2, "one entry per proxy");
+        for &(most, left) in keys.iter() {
+            assert_eq!(left, 0, "matching maps must be empty at exit");
+            // Two ranks per proxy, each a round ahead at most, two
+            // descriptors per rank and round.
+            assert!((1..=8).contains(&most), "held {most} keys at once");
+        }
     }
 }

@@ -4,10 +4,15 @@
 //! boilerplate: a [`Simulation`], a [`Fabric`], one host process per rank,
 //! and optionally proxy processes on each DPU. [`ClusterBuilder`] wires
 //! that up and hands every process a [`ClusterCtx`] with the full roster.
+//! Host ranks are closures on threads; proxies are inline reactors (see
+//! [`simnet::Simulation::spawn_reactor`]) — a DPU worker polls and reacts,
+//! it never blocks mid-step, so it needs no thread of its own.
 
 use std::sync::{Arc, OnceLock};
 
-use simnet::{EventSink, Pid, ProcessCtx, Report, SimDelta, SimError, SimTime, Simulation};
+use simnet::{
+    EventSink, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation,
+};
 
 use crate::fabric::Fabric;
 use crate::model::{ClusterSpec, DeviceClass};
@@ -22,13 +27,33 @@ pub struct ClusterCtx {
 struct Roster {
     spec: ClusterSpec,
     fabric: Fabric,
-    host_pids: Vec<Pid>,
-    host_eps: Vec<EpId>,
-    proxy_pids: Vec<Vec<Pid>>,
-    proxy_eps: Vec<Vec<EpId>>,
+    /// `hosts[rank]`: the rank's pid and fabric endpoint.
+    hosts: Vec<(Pid, EpId)>,
+    /// `proxies[node][idx]`, likewise.
+    proxies: Vec<Vec<(Pid, EpId)>>,
 }
 
 impl ClusterCtx {
+    /// Assemble a roster by hand, for a caller that wires its own
+    /// [`Simulation`] and [`Fabric`] instead of going through
+    /// [`ClusterBuilder`]: `hosts[rank]` and `proxies[node][idx]` are each
+    /// process's pid and fabric endpoint.
+    pub fn new(
+        spec: ClusterSpec,
+        fabric: Fabric,
+        hosts: Vec<(Pid, EpId)>,
+        proxies: Vec<Vec<(Pid, EpId)>>,
+    ) -> ClusterCtx {
+        ClusterCtx {
+            inner: Arc::new(Roster {
+                spec,
+                fabric,
+                hosts,
+                proxies,
+            }),
+        }
+    }
+
     /// The fabric handle.
     pub fn fabric(&self) -> &Fabric {
         &self.inner.fabric
@@ -41,32 +66,32 @@ impl ClusterCtx {
 
     /// Number of host ranks.
     pub fn world_size(&self) -> usize {
-        self.inner.host_eps.len()
+        self.inner.hosts.len()
     }
 
     /// Endpoint of host `rank`.
     pub fn host_ep(&self, rank: usize) -> EpId {
-        self.inner.host_eps[rank]
+        self.inner.hosts[rank].1
     }
 
     /// Pid of host `rank`.
     pub fn host_pid(&self, rank: usize) -> Pid {
-        self.inner.host_pids[rank]
+        self.inner.hosts[rank].0
     }
 
     /// Number of proxies per DPU that were spawned (zero if none).
     pub fn proxies_per_dpu(&self) -> usize {
-        self.inner.proxy_eps.first().map_or(0, |v| v.len())
+        self.inner.proxies.first().map_or(0, |v| v.len())
     }
 
     /// Endpoint of proxy `idx` on `node`.
     pub fn proxy_ep(&self, node: usize, idx: usize) -> EpId {
-        self.inner.proxy_eps[node][idx]
+        self.inner.proxies[node][idx].1
     }
 
     /// Pid of proxy `idx` on `node`.
     pub fn proxy_pid(&self, node: usize, idx: usize) -> Pid {
-        self.inner.proxy_pids[node][idx]
+        self.inner.proxies[node][idx].0
     }
 
     /// The proxy endpoint serving `rank`, using the paper's mapping
@@ -158,12 +183,16 @@ impl ClusterBuilder {
 
     /// Spawn `nodes × ppn` host processes running `host_fn(rank, ctx,
     /// cluster)`, and — if `proxy_fn` is given — `proxies_per_dpu` proxy
-    /// processes per node running `proxy_fn(node, idx, ctx, cluster)`.
+    /// reactors per node. `proxy_fn(node, idx, ctx, cluster)` runs at the
+    /// proxy's first activation and returns its message handler, called
+    /// once per mailbox message until it returns `false` (`None`: the
+    /// proxy has nothing to serve and finishes at once). A proxy may not
+    /// block: no `sleep`/`compute`/`recv`/`yield_now` on its `ctx`.
     /// Returns the simulation report.
     pub fn run<H, P>(self, host_fn: H, proxy_fn: Option<P>) -> Result<Report, SimError>
     where
         H: Fn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
-        P: Fn(usize, usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
+        P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
     {
         let threads = self
             .threads
@@ -221,14 +250,14 @@ impl ClusterBuilder {
                 for idx in 0..self.spec.proxies_per_dpu {
                     let roster2 = Arc::clone(&roster);
                     let proxy_fn2 = Arc::clone(&proxy_fn);
-                    let body = move |ctx| {
+                    let init = move |ctx| {
                         let cluster = roster2.get().expect("roster set before run").clone();
-                        proxy_fn2(node, idx, ctx, cluster);
+                        proxy_fn2(node, idx, ctx, cluster)
                     };
                     node_pids.push(if threads > 1 {
-                        sim.spawn_on(0, format!("proxy{node}.{idx}"), body)
+                        sim.spawn_reactor_on(0, format!("proxy{node}.{idx}"), init)
                     } else {
-                        sim.spawn(format!("proxy{node}.{idx}"), body)
+                        sim.spawn_reactor(format!("proxy{node}.{idx}"), init)
                     });
                 }
             }
@@ -238,31 +267,24 @@ impl ClusterBuilder {
         if let Some(jitter) = self.delivery_jitter {
             fabric.set_delivery_jitter(jitter);
         }
-        let mut host_eps = Vec::new();
-        for (rank, &pid) in host_pids.iter().enumerate() {
-            host_eps.push(fabric.add_endpoint(
-                pid,
-                self.spec.node_of_rank(rank),
-                DeviceClass::Host,
-            ));
-        }
-        let mut proxy_eps = vec![Vec::new(); self.spec.nodes];
-        for (node, pids) in proxy_pids.iter().enumerate() {
-            for &pid in pids {
-                proxy_eps[node].push(fabric.add_endpoint(pid, node, DeviceClass::Dpu));
-            }
-        }
-
-        let ctx = ClusterCtx {
-            inner: Arc::new(Roster {
-                spec: self.spec,
-                fabric,
-                host_pids,
-                host_eps,
-                proxy_pids,
-                proxy_eps,
-            }),
-        };
+        let hosts = host_pids
+            .into_iter()
+            .enumerate()
+            .map(|(rank, pid)| {
+                let node = self.spec.node_of_rank(rank);
+                (pid, fabric.add_endpoint(pid, node, DeviceClass::Host))
+            })
+            .collect();
+        let proxies = proxy_pids
+            .into_iter()
+            .enumerate()
+            .map(|(node, pids)| {
+                pids.into_iter()
+                    .map(|pid| (pid, fabric.add_endpoint(pid, node, DeviceClass::Dpu)))
+                    .collect()
+            })
+            .collect();
+        let ctx = ClusterCtx::new(self.spec, fabric, hosts, proxies);
         roster.set(ctx).ok().expect("roster set exactly once");
         sim.run()
     }
@@ -272,7 +294,10 @@ impl ClusterBuilder {
     where
         H: Fn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
     {
-        self.run(host_fn, None::<fn(usize, usize, ProcessCtx, ClusterCtx)>)
+        self.run(
+            host_fn,
+            None::<fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor>>,
+        )
     }
 }
 
@@ -298,6 +323,7 @@ mod tests {
                 Some(
                     move |_node: usize, _idx: usize, _ctx: ProcessCtx, _cluster: ClusterCtx| {
                         p2.fetch_add(1, Ordering::SeqCst);
+                        None
                     },
                 ),
             )
@@ -317,7 +343,7 @@ mod tests {
                     let expected = cluster.proxy_ep(node, rank % 4);
                     assert_eq!(ep, expected);
                 },
-                Some(|_n: usize, _i: usize, _c: ProcessCtx, _cl: ClusterCtx| {}),
+                Some(|_n: usize, _i: usize, _c: ProcessCtx, _cl: ClusterCtx| None),
             )
             .unwrap();
     }

@@ -5,7 +5,10 @@
 //! ordinary Rust closures running on dedicated OS threads. A per-process
 //! baton guarantees that at most one thread executes at a time, so simulated
 //! code can use natural blocking control flow while the engine keeps a
-//! virtual clock in integer picoseconds.
+//! virtual clock in integer picoseconds. A process that only ever reacts to
+//! messages can instead be an inline [`Reactor`]
+//! ([`Simulation::spawn_reactor`]): no thread, called by the scheduler
+//! once per message.
 //!
 //! The crates above this one model an HPC cluster: `rdma` adds verbs-style
 //! NICs, memory registration and GVMI keys; `minimpi` adds an MPI-like
@@ -42,7 +45,7 @@ mod stats;
 mod time;
 mod trace;
 
-pub use process::{BlockReason, Payload, Pid, ProcStatus};
+pub use process::{BlockReason, Payload, Pid, ProcStatus, Reactor};
 pub use resource::ResourceId;
 pub use rng::SimRng;
 pub use shard::{

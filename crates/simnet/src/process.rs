@@ -1,16 +1,25 @@
 //! Simulated processes.
 //!
-//! Each simulated process is an OS thread running a user closure against a
-//! [`ProcessCtx`]. Execution is strictly sequential: a single "baton" per
-//! process is passed between the scheduler thread and the process thread, so
-//! at any moment at most one thread in the whole simulation is running. That
-//! makes the engine deterministic and lets user code use ordinary Rust
-//! control flow (loops, recursion, panics) instead of hand-written state
-//! machines.
+//! A simulated process comes in two kinds. A **thread-backed** process is
+//! an OS thread running a user closure against a [`ProcessCtx`]. Execution
+//! is strictly sequential: a single "baton" per process is passed between
+//! the scheduler thread and the process thread, so at any moment at most
+//! one thread in the whole simulation is running. That makes the engine
+//! deterministic and lets user code use ordinary Rust control flow (loops,
+//! recursion, panics) instead of hand-written state machines.
+//!
+//! An **inline reactor** is a message handler with no thread, stack or
+//! baton: the scheduler calls it on its own thread, once per mailbox
+//! message, and it runs to completion every time. It has a pid, a name, a
+//! mailbox and a report entry like any process, but it may never block —
+//! the fit for a poll-mode worker that only ever reacts to messages.
+//!
+//! [`ProcessCtx`]: crate::ProcessCtx
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -66,7 +75,8 @@ pub enum BlockReason {
 pub enum ProcStatus {
     /// Eligible to run at the current instant.
     Ready,
-    /// Currently holding the baton.
+    /// Currently executing (a thread holding its baton, or a reactor
+    /// being called).
     Running,
     /// Blocked; see the reason.
     Blocked(BlockReason),
@@ -138,14 +148,77 @@ impl Baton {
     }
 }
 
+/// An inline reactor's message handler: called once per mailbox message
+/// by whichever thread runs the scheduler loop. Returning `false`
+/// finishes the process.
+pub type Reactor = Box<dyn FnMut(Payload) -> bool + Send>;
+
+/// A reactor between activations: not yet initialised, or waiting for
+/// its next message.
+pub(crate) enum ReactorBody {
+    /// The `init` closure (its `ProcessCtx` already bound), run at the
+    /// first activation. `None` from it means "finished at once".
+    Init(Box<dyn FnOnce() -> Option<Reactor> + Send>),
+    Live(Reactor),
+}
+
+/// Run one activation of a reactor: initialise it if this is its first,
+/// then feed it `next()` until that runs dry (`Ok(Some(handler))`: park
+/// it) or the handler returns `false` (`Ok(None)`: finished). A panic in
+/// `init` or the handler comes back as its message.
+pub(crate) fn drive_reactor(
+    body: ReactorBody,
+    mut next: impl FnMut() -> Option<Payload>,
+) -> Result<Option<Reactor>, String> {
+    catch_unwind(AssertUnwindSafe(move || {
+        let mut handler = match body {
+            ReactorBody::Init(init) => init()?,
+            ReactorBody::Live(handler) => handler,
+        };
+        while let Some(msg) = next() {
+            if !handler(msg) {
+                return None;
+            }
+        }
+        Some(handler)
+    }))
+    .map_err(|payload| panic_message(&*payload))
+}
+
+/// Take every parked reactor's body out of `slots`, for the caller to
+/// drop once it has released the state lock: a handler holds a
+/// `ProcessCtx`, which points back at the state that owns its slot, so a
+/// run that ends with reactors still waiting would otherwise never free
+/// either.
+pub(crate) fn take_parked_reactors(slots: &mut [ProcSlot]) -> Vec<ReactorBody> {
+    slots
+        .iter_mut()
+        .filter_map(|slot| match &mut slot.kind {
+            ProcKind::Thread { .. } => None,
+            ProcKind::Reactor(body) => body.take(),
+        })
+        .collect()
+}
+
+/// What executes a process.
+pub(crate) enum ProcKind {
+    /// An OS thread parked on `baton` whenever it is not running.
+    Thread {
+        baton: Arc<Baton>,
+        join: Option<std::thread::JoinHandle<()>>,
+    },
+    /// An inline reactor. `None` while an activation has the body out,
+    /// and for good once the reactor has finished.
+    Reactor(Option<ReactorBody>),
+}
+
 /// Scheduler-side bookkeeping for one process.
 pub(crate) struct ProcSlot {
     pub(crate) name: String,
     pub(crate) status: ProcStatus,
     pub(crate) mailbox: VecDeque<Payload>,
-    pub(crate) baton: Arc<Baton>,
-    pub(crate) join: Option<std::thread::JoinHandle<()>>,
-    /// Panic payload captured from the process closure, if any.
+    pub(crate) kind: ProcKind,
+    /// Panic payload captured from a thread-backed process closure, if any.
     pub(crate) panic: Option<String>,
     /// Total virtual time this process spent in `compute()`.
     pub(crate) compute_time: SimDelta,
@@ -154,16 +227,55 @@ pub(crate) struct ProcSlot {
 }
 
 impl ProcSlot {
-    pub(crate) fn new(name: String, baton: Arc<Baton>) -> Self {
+    pub(crate) fn new(name: String, kind: ProcKind) -> Self {
         ProcSlot {
             name,
             status: ProcStatus::Ready,
             mailbox: VecDeque::new(),
-            baton,
-            join: None,
+            kind,
             panic: None,
             compute_time: SimDelta::ZERO,
             finished_at: None,
+        }
+    }
+
+    /// The process is done (returned, finished as a reactor, or panicked).
+    pub(crate) fn finish(&mut self, now: SimTime) {
+        self.status = ProcStatus::Finished;
+        self.finished_at = Some(now);
+    }
+
+    /// The thread to join, if this process has one that was not joined yet.
+    pub(crate) fn take_join(&mut self) -> Option<std::thread::JoinHandle<()>> {
+        match &mut self.kind {
+            ProcKind::Thread { join, .. } => join.take(),
+            ProcKind::Reactor(_) => None,
+        }
+    }
+
+    /// Record how a reactor activation ended (see [`drive_reactor`]):
+    /// park the handler for the next message, or finish. Returns the
+    /// message to re-raise if the reactor panicked.
+    pub(crate) fn settle_reactor(
+        &mut self,
+        now: SimTime,
+        outcome: Result<Option<Reactor>, String>,
+    ) -> Option<String> {
+        match outcome {
+            Ok(Some(handler)) => {
+                debug_assert!(self.mailbox.is_empty(), "reactor parked with mail");
+                self.kind = ProcKind::Reactor(Some(ReactorBody::Live(handler)));
+                self.status = ProcStatus::Blocked(BlockReason::WaitMessage);
+                None
+            }
+            Ok(None) => {
+                self.finish(now);
+                None
+            }
+            Err(msg) => {
+                self.finish(now);
+                Some(format!("simulated process '{}' panicked: {msg}", self.name))
+            }
         }
     }
 }

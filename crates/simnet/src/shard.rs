@@ -55,7 +55,10 @@ use std::sync::{Arc, OnceLock, RwLock};
 use parking_lot::{Condvar, Mutex};
 
 use crate::event::{EventKind, EventQueue};
-use crate::process::{panic_message, Baton, BlockReason, Payload, Pid, ProcSlot, ProcStatus};
+use crate::process::{
+    drive_reactor, panic_message, take_parked_reactors, Baton, BlockReason, Payload, Pid, ProcKind,
+    ProcSlot, ProcStatus, Reactor, ReactorBody,
+};
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::sim::{EventSink, ProcReport, ProcessCtx, Report, Route, SimError, LIVELOCK_LIMIT};
@@ -391,20 +394,96 @@ pub(crate) fn spawn_on_shard<F>(
 where
     F: FnOnce(ProcessCtx) + Send + 'static,
 {
+    let baton = Baton::new();
+    let kind = ProcKind::Thread {
+        baton: Arc::clone(&baton),
+        join: None,
+    };
+    let (cell, idx, pid) = register_process(rt, shard, name.clone(), kind);
+    let ctx = ProcessCtx {
+        route: Route::Sharded {
+            rt: Arc::clone(rt),
+            cell: Arc::clone(&cell),
+            idx,
+        },
+        pid,
+        baton: Some(Arc::clone(&baton)),
+        stack_size,
+    };
+    let tcell = Arc::clone(&cell);
+    let handle = std::thread::Builder::new()
+        .name(name)
+        .stack_size(stack_size)
+        .spawn(move || {
+            baton.wait_for_start();
+            let result = catch_unwind(AssertUnwindSafe(move || f(ctx)));
+            let mut st = tcell.state.lock();
+            let now = st.now;
+            let slot = &mut st.slots[idx as usize];
+            slot.finish(now);
+            if let Err(payload) = result {
+                slot.panic = Some(panic_message(&*payload));
+            }
+            drop(st);
+            baton.finish();
+        })
+        .expect("failed to spawn process thread");
+    if let ProcKind::Thread { join, .. } = &mut cell.state.lock().slots[idx as usize].kind {
+        *join = Some(handle);
+    }
+    pid
+}
+
+/// Spawn an inline reactor onto `shard` (see
+/// [`crate::Simulation::spawn_reactor`]). Build-phase only, like
+/// [`spawn_on_shard`].
+pub(crate) fn spawn_reactor_on_shard<I>(
+    rt: &Arc<ShardedRt>,
+    stack_size: usize,
+    shard: usize,
+    name: String,
+    init: I,
+) -> Pid
+where
+    I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
+{
+    let (cell, idx, pid) = register_process(rt, shard, name, ProcKind::Reactor(None));
+    let ctx = ProcessCtx {
+        route: Route::Sharded {
+            rt: Arc::clone(rt),
+            cell: Arc::clone(&cell),
+            idx,
+        },
+        pid,
+        baton: None,
+        stack_size,
+    };
+    let body = ReactorBody::Init(Box::new(move || init(ctx)));
+    cell.state.lock().slots[idx as usize].kind = ProcKind::Reactor(Some(body));
+    pid
+}
+
+/// Give a new process of `kind` its pid and its slot on `shard`, ready
+/// to run at time zero. Returns the shard cell, the local slot index and
+/// the pid.
+fn register_process(
+    rt: &ShardedRt,
+    shard: usize,
+    name: String,
+    kind: ProcKind,
+) -> (Arc<ShardCell>, u32, Pid) {
     assert!(
         rt.sealed.get().is_none(),
         "dynamic spawn is not supported by the sharded engine; \
          spawn every process before run()"
     );
     let cell = cell_of(rt, shard);
-    let baton = Baton::new();
     let pid = Pid(rt.dir.read().expect("pid directory poisoned").len() as u32);
     let idx;
     {
         let mut st = cell.state.lock();
         idx = st.slots.len() as u32;
-        st.slots
-            .push(ProcSlot::new(name.clone(), Arc::clone(&baton)));
+        st.slots.push(ProcSlot::new(name, kind));
         st.pids.push(pid);
         st.local.insert(pid.0, idx);
         st.ready.push_back(idx);
@@ -416,41 +495,7 @@ where
             shard: shard as u32,
             idx,
         });
-    let ctx = ProcessCtx {
-        route: Route::Sharded {
-            rt: Arc::clone(rt),
-            cell: Arc::clone(&cell),
-            idx,
-        },
-        pid,
-        baton: Arc::clone(&baton),
-        stack_size,
-    };
-    let tcell = Arc::clone(&cell);
-    let handle = std::thread::Builder::new()
-        .name(name)
-        .stack_size(stack_size)
-        .spawn(move || {
-            ctx.baton.wait_for_start();
-            let ctx2 = ctx.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || f(ctx2)));
-            let mut st = tcell.state.lock();
-            let now = st.now;
-            let slot = &mut st.slots[idx as usize];
-            slot.status = ProcStatus::Finished;
-            slot.finished_at = Some(now);
-            if let Err(payload) = result {
-                slot.panic = Some(panic_message(&*payload));
-            }
-            drop(st);
-            ctx.baton.finish();
-        })
-        .expect("failed to spawn process thread");
-    {
-        let mut st = cell.state.lock();
-        st.slots[idx as usize].join = Some(handle);
-    }
-    pid
+    (cell, idx, pid)
 }
 
 /// Create a resource on `shard` from outside the simulation
@@ -595,6 +640,11 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         }
     };
     stop_pool(&mut pool);
+    // The run is over either way: free what still-waiting reactors hold.
+    for cell in &shards {
+        let parked = take_parked_reactors(&mut cell.state.lock().slots);
+        drop(parked);
+    }
     outcome?;
 
     // Termination: everything must have finished.
@@ -645,11 +695,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
                 },
             ));
         }
-        for slot in st.slots.iter_mut() {
-            if let Some(h) = slot.join.take() {
-                handles.push(h);
-            }
-        }
+        handles.extend(st.slots.iter_mut().filter_map(ProcSlot::take_join));
         stats.merge(&st.stats);
         events += st.events;
         for r in &st.resources {
@@ -1049,7 +1095,14 @@ fn run_one_local(cell: &Arc<ShardCell>, idx: u32) -> bool {
         let slot = &mut st.slots[idx as usize];
         debug_assert_eq!(slot.status, ProcStatus::Ready);
         slot.status = ProcStatus::Running;
-        Arc::clone(&slot.baton)
+        match &mut slot.kind {
+            ProcKind::Thread { baton, .. } => Arc::clone(baton),
+            ProcKind::Reactor(body) => {
+                let body = body.take().expect("a ready reactor has its body");
+                drop(st);
+                return run_reactor_local(cell, idx, body);
+            }
+        }
     };
     baton.resume_process();
     let mut st = cell.state.lock();
@@ -1061,7 +1114,7 @@ fn run_one_local(cell: &Arc<ShardCell>, idx: u32) -> bool {
     );
     if let Some(msg) = slot.panic.take() {
         let name = slot.name.clone();
-        let join = slot.join.take();
+        let join = slot.take_join();
         st.fatal = Some(FatalPanic {
             msg: format!("simulated process '{name}' panicked: {msg}"),
             join,
@@ -1069,6 +1122,25 @@ fn run_one_local(cell: &Arc<ShardCell>, idx: u32) -> bool {
         return false;
     }
     true
+}
+
+/// One activation of the reactor at local slot `idx`, on the calling
+/// worker's thread: no baton changes hands. Only this worker touches the
+/// shard during a window, so no delivery can slip in between the mailbox
+/// running dry and the reactor being parked. Returns `false` when the
+/// reactor panicked (parked as a fatal).
+fn run_reactor_local(cell: &ShardCell, idx: u32, body: ReactorBody) -> bool {
+    let i = idx as usize;
+    let outcome = drive_reactor(body, || cell.state.lock().slots[i].mailbox.pop_front());
+    let mut st = cell.state.lock();
+    let now = st.now;
+    match st.slots[i].settle_reactor(now, outcome) {
+        Some(msg) => {
+            st.fatal = Some(FatalPanic { msg, join: None });
+            false
+        }
+        None => true,
+    }
 }
 
 // ---------------------------------------------------------------------

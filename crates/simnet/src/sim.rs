@@ -5,9 +5,12 @@
 //!
 //! At most one thread runs at a time: either the scheduler (inside
 //! [`Simulation::run`]) or exactly one process thread. Control is handed
-//! over through per-process batons. The scheduler:
+//! over through per-process batons; an inline reactor
+//! ([`Simulation::spawn_reactor`]) has no thread and is simply called by
+//! the scheduler. The scheduler:
 //!
-//! 1. runs every `Ready` process until it blocks,
+//! 1. runs every `Ready` process until it blocks (a reactor: until its
+//!    mailbox is empty),
 //! 2. pops the earliest pending event, advances the clock, and handles it
 //!    (which may make processes `Ready` again),
 //! 3. repeats until no events remain.
@@ -33,7 +36,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::event::{EventKind, EventQueue};
-use crate::process::{panic_message, Baton, BlockReason, Payload, Pid, ProcSlot, ProcStatus};
+use crate::process::{
+    drive_reactor, panic_message, take_parked_reactors, Baton, BlockReason, Payload, Pid, ProcKind,
+    ProcSlot, ProcStatus, Reactor, ReactorBody,
+};
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::shard;
@@ -139,7 +145,8 @@ pub struct ProcReport {
     pub name: String,
     /// Total virtual time spent in `compute()`.
     pub compute_time: SimDelta,
-    /// When the process closure returned.
+    /// When the process closure returned (an inline reactor: when its
+    /// handler returned `false`, or `init` returned `None`).
     pub finished_at: SimTime,
 }
 
@@ -152,7 +159,9 @@ pub struct Report {
     pub stats: Stats,
     /// Trace records, if tracing was enabled.
     pub trace: Option<Trace>,
-    /// Per-process summaries, in pid order.
+    /// Per-process summaries, in pid order — every simulated process,
+    /// thread-backed or inline reactor (so its length counts processes,
+    /// not OS threads).
     pub procs: Vec<ProcReport>,
     /// Number of events handled.
     pub events: u64,
@@ -257,7 +266,8 @@ pub(crate) enum Route {
 pub struct ProcessCtx {
     pub(crate) route: Route,
     pub(crate) pid: Pid,
-    pub(crate) baton: Arc<Baton>,
+    /// `None` for an inline reactor, which has no thread to park.
+    pub(crate) baton: Option<Arc<Baton>>,
     pub(crate) stack_size: usize,
 }
 
@@ -343,20 +353,57 @@ impl Simulation {
     where
         F: FnOnce(ProcessCtx) + Send + 'static,
     {
+        let stack_size = self.stack_size;
+        shard::spawn_on_shard(self.sharded_rt(), stack_size, shard_id, name.into(), f)
+    }
+
+    /// Spawn an **inline reactor**: a process with a pid, a name, a
+    /// mailbox and a [`ProcReport`] entry like any other, but no thread.
+    /// `init` runs at the process's first activation (where a thread's
+    /// first instructions would) and returns the message handler, or
+    /// `None` to finish at once. The scheduler then calls the handler on
+    /// its own thread once per mailbox message; when the mailbox is empty
+    /// the reactor waits for the next delivery, and when the handler
+    /// returns `false` the process has finished.
+    ///
+    /// A reactor runs to completion every time: calling a blocking
+    /// [`ProcessCtx`] operation (`sleep`, `compute`, `recv`, `yield_now`)
+    /// from `init` or the handler panics. Everything else — `deliver`,
+    /// `try_recv`, `reserve`, `emit`, stats, RNG — works as in a thread.
+    /// In a sharded simulation the reactor lands on shard 0.
+    pub fn spawn_reactor<I>(&mut self, name: impl Into<String>, init: I) -> Pid
+    where
+        I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
+    {
+        if let Some(rt) = &self.sharded {
+            return shard::spawn_reactor_on_shard(rt, self.stack_size, 0, name.into(), init);
+        }
+        spawn_reactor_process(&self.inner, self.stack_size, name.into(), init)
+    }
+
+    /// [`spawn_reactor`](Self::spawn_reactor) onto `shard`, with
+    /// [`spawn_on`](Self::spawn_on)'s rules.
+    pub fn spawn_reactor_on<I>(&mut self, shard_id: usize, name: impl Into<String>, init: I) -> Pid
+    where
+        I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
+    {
+        let stack_size = self.stack_size;
+        shard::spawn_reactor_on_shard(self.sharded_rt(), stack_size, shard_id, name.into(), init)
+    }
+
+    /// The sharded runtime, switching the simulation over to it on first
+    /// use.
+    fn sharded_rt(&mut self) -> &Arc<shard::ShardedRt> {
         if self.sharded.is_none() {
-            let classic = {
-                let st = self.inner.state.lock();
-                st.procs.len()
-            };
+            let classic = self.inner.state.lock().procs.len();
             assert_eq!(
                 classic, 0,
                 "spawn_on must come before any plain spawn ({classic} processes \
                  were already spawned on the classic engine)"
             );
-            self.sharded = Some(Arc::new(shard::ShardedRt::new()));
         }
-        let rt = self.sharded.as_ref().expect("just initialized");
-        shard::spawn_on_shard(rt, self.stack_size, shard_id, name.into(), f)
+        self.sharded
+            .get_or_insert_with(|| Arc::new(shard::ShardedRt::new()))
     }
 
     /// Default per-link lookahead for the sharded engine: the minimum
@@ -451,63 +498,11 @@ impl Simulation {
             return Ok(report);
         }
         let inner = self.inner;
-        let mut executions_since_advance: u64 = 0;
-        loop {
-            // Phase 1: drain ready processes.
-            loop {
-                let next = {
-                    let mut st = inner.state.lock();
-                    st.ready.pop_front()
-                };
-                let Some(pid) = next else { break };
-                run_one(&inner, pid);
-                executions_since_advance += 1;
-                if executions_since_advance > LIVELOCK_LIMIT {
-                    let now = inner.state.lock().now;
-                    return Err(SimError::Livelock { now });
-                }
-            }
-            // Phase 2: advance to the next event.
-            let popped = {
-                let mut st = inner.state.lock();
-                st.queue.pop()
-            };
-            let Some(ev) = popped else { break };
-            {
-                let mut st = inner.state.lock();
-                debug_assert!(ev.at >= st.now, "event in the past");
-                if let Some(limit) = st.time_limit {
-                    if ev.at > limit {
-                        return Err(SimError::TimeLimitExceeded { limit });
-                    }
-                }
-                if ev.at > st.now {
-                    st.now = ev.at;
-                    executions_since_advance = 0;
-                }
-                st.events += 1;
-                match ev.kind {
-                    EventKind::Wake(pid) => {
-                        let slot = &mut st.procs[pid.index()];
-                        debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
-                        slot.status = ProcStatus::Ready;
-                        st.ready.push_back(pid);
-                    }
-                    EventKind::Deliver(pid, payload) => {
-                        let slot = &mut st.procs[pid.index()];
-                        if slot.status == ProcStatus::Finished {
-                            st.stats.incr("simnet.deliver_to_finished", 1);
-                        } else {
-                            slot.mailbox.push_back(payload);
-                            if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {
-                                slot.status = ProcStatus::Ready;
-                                st.ready.push_back(pid);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let outcome = run_classic(&inner);
+        // The run is over either way: free what still-waiting reactors hold.
+        let parked = take_parked_reactors(&mut inner.state.lock().procs);
+        drop(parked);
+        outcome?;
 
         // Termination: everything must have finished.
         let mut st = inner.state.lock();
@@ -524,7 +519,11 @@ impl Simulation {
             return Err(SimError::Deadlock { now, blocked });
         }
         // Join finished threads so nothing lingers.
-        let handles: Vec<_> = st.procs.iter_mut().filter_map(|p| p.join.take()).collect();
+        let handles: Vec<_> = st
+            .procs
+            .iter_mut()
+            .filter_map(ProcSlot::take_join)
+            .collect();
         let report = Report {
             end_time: st.now,
             stats: st.stats.clone(),
@@ -555,6 +554,68 @@ impl Simulation {
     }
 }
 
+/// The classic engine's two-phase loop, until no event is left.
+fn run_classic(inner: &Arc<SimInner>) -> Result<(), SimError> {
+    let mut executions_since_advance: u64 = 0;
+    loop {
+        // Phase 1: drain ready processes.
+        loop {
+            let next = {
+                let mut st = inner.state.lock();
+                st.ready.pop_front()
+            };
+            let Some(pid) = next else { break };
+            run_one(inner, pid);
+            executions_since_advance += 1;
+            if executions_since_advance > LIVELOCK_LIMIT {
+                let now = inner.state.lock().now;
+                return Err(SimError::Livelock { now });
+            }
+        }
+        // Phase 2: advance to the next event.
+        let popped = {
+            let mut st = inner.state.lock();
+            st.queue.pop()
+        };
+        let Some(ev) = popped else { break };
+        {
+            let mut st = inner.state.lock();
+            debug_assert!(ev.at >= st.now, "event in the past");
+            if let Some(limit) = st.time_limit {
+                if ev.at > limit {
+                    return Err(SimError::TimeLimitExceeded { limit });
+                }
+            }
+            if ev.at > st.now {
+                st.now = ev.at;
+                executions_since_advance = 0;
+            }
+            st.events += 1;
+            match ev.kind {
+                EventKind::Wake(pid) => {
+                    let slot = &mut st.procs[pid.index()];
+                    debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
+                    slot.status = ProcStatus::Ready;
+                    st.ready.push_back(pid);
+                }
+                EventKind::Deliver(pid, payload) => {
+                    let slot = &mut st.procs[pid.index()];
+                    if slot.status == ProcStatus::Finished {
+                        st.stats.incr("simnet.deliver_to_finished", 1);
+                    } else {
+                        slot.mailbox.push_back(payload);
+                        if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {
+                            slot.status = ProcStatus::Ready;
+                            st.ready.push_back(pid);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Run process `pid` until it blocks or finishes; propagate its panic.
 fn run_one(inner: &Arc<SimInner>, pid: Pid) {
     let baton = {
@@ -562,7 +623,14 @@ fn run_one(inner: &Arc<SimInner>, pid: Pid) {
         let slot = &mut st.procs[pid.index()];
         debug_assert_eq!(slot.status, ProcStatus::Ready);
         slot.status = ProcStatus::Running;
-        Arc::clone(&slot.baton)
+        match &mut slot.kind {
+            ProcKind::Thread { baton, .. } => Arc::clone(baton),
+            ProcKind::Reactor(body) => {
+                let body = body.take().expect("a ready reactor has its body");
+                drop(st);
+                return run_reactor(inner, pid, body);
+            }
+        }
     };
     baton.resume_process();
     let mut st = inner.state.lock();
@@ -575,12 +643,26 @@ fn run_one(inner: &Arc<SimInner>, pid: Pid) {
     if let Some(msg) = slot.panic.take() {
         let name = slot.name.clone();
         // Join the dead thread before re-raising.
-        let join = slot.join.take();
+        let join = slot.take_join();
         drop(st);
         if let Some(h) = join {
             let _ = h.join();
         }
         panic!("simulated process '{name}' panicked: {msg}");
+    }
+}
+
+/// One activation of the reactor at `pid`, on the calling thread: no
+/// baton changes hands. Nothing else runs meanwhile, so no delivery can
+/// slip in between the mailbox running dry and the reactor being parked.
+fn run_reactor(inner: &Arc<SimInner>, pid: Pid, body: ReactorBody) {
+    let i = pid.index();
+    let outcome = drive_reactor(body, || inner.state.lock().procs[i].mailbox.pop_front());
+    let mut st = inner.state.lock();
+    let now = st.now;
+    if let Some(msg) = st.procs[i].settle_reactor(now, outcome) {
+        drop(st);
+        panic!("{msg}");
     }
 }
 
@@ -592,15 +674,18 @@ where
     let pid = {
         let mut st = inner.state.lock();
         let pid = Pid(st.procs.len() as u32);
-        st.procs
-            .push(ProcSlot::new(name.clone(), Arc::clone(&baton)));
+        let kind = ProcKind::Thread {
+            baton: Arc::clone(&baton),
+            join: None,
+        };
+        st.procs.push(ProcSlot::new(name.clone(), kind));
         st.ready.push_back(pid);
         pid
     };
     let ctx = ProcessCtx {
         route: Route::Classic(Arc::clone(inner)),
         pid,
-        baton: Arc::clone(&baton),
+        baton: Some(Arc::clone(&baton)),
         stack_size,
     };
     let tinner = Arc::clone(inner);
@@ -608,23 +693,41 @@ where
         .name(name)
         .stack_size(stack_size)
         .spawn(move || {
-            ctx.baton.wait_for_start();
-            let pid = ctx.pid;
-            let ctx2 = ctx.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || f(ctx2)));
+            baton.wait_for_start();
+            let result = catch_unwind(AssertUnwindSafe(move || f(ctx)));
             let mut st = tinner.state.lock();
             let now = st.now;
             let slot = &mut st.procs[pid.index()];
-            slot.status = ProcStatus::Finished;
-            slot.finished_at = Some(now);
+            slot.finish(now);
             if let Err(payload) = result {
                 slot.panic = Some(panic_message(&*payload));
             }
             drop(st);
-            ctx.baton.finish();
+            baton.finish();
         })
         .expect("failed to spawn process thread");
-    inner.state.lock().procs[pid.index()].join = Some(handle);
+    if let ProcKind::Thread { join, .. } = &mut inner.state.lock().procs[pid.index()].kind {
+        *join = Some(handle);
+    }
+    pid
+}
+
+fn spawn_reactor_process<I>(inner: &Arc<SimInner>, stack_size: usize, name: String, init: I) -> Pid
+where
+    I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
+{
+    let mut st = inner.state.lock();
+    let pid = Pid(st.procs.len() as u32);
+    let ctx = ProcessCtx {
+        route: Route::Classic(Arc::clone(inner)),
+        pid,
+        baton: None,
+        stack_size,
+    };
+    let body = ReactorBody::Init(Box::new(move || init(ctx)));
+    st.procs
+        .push(ProcSlot::new(name, ProcKind::Reactor(Some(body))));
+    st.ready.push_back(pid);
     pid
 }
 
@@ -663,11 +766,25 @@ impl ProcessCtx {
         self.block_for(d, true);
     }
 
+    /// The baton a blocking call parks this process's thread on. A
+    /// reactor has neither, so `call` is a bug in it: panic before any
+    /// state is touched.
+    fn thread_baton(&self, call: &str) -> &Baton {
+        self.baton.as_deref().unwrap_or_else(|| {
+            panic!(
+                "blocking ProcessCtx::{call} called from inline reactor '{}': a reactor \
+                 runs to completion on the scheduler's thread and has no thread to park",
+                self.name()
+            )
+        })
+    }
+
     fn block_for(&self, d: SimDelta, is_compute: bool) {
+        let baton = self.thread_baton(if is_compute { "compute" } else { "sleep" });
         let inner = match &self.route {
             Route::Classic(inner) => inner,
             Route::Sharded { cell, idx, .. } => {
-                shard::ctx_block_for(cell, &self.baton, *idx, self.pid, d, is_compute);
+                shard::ctx_block_for(cell, baton, *idx, self.pid, d, is_compute);
                 return;
             }
         };
@@ -682,7 +799,7 @@ impl ProcessCtx {
             }
             (is_compute && st.trace.is_some()).then_some(st.now)
         };
-        self.baton.yield_to_scheduler();
+        baton.yield_to_scheduler();
         if let Some(start) = span_start {
             let mut st = inner.state.lock();
             let end = st.now;
@@ -698,10 +815,11 @@ impl ProcessCtx {
     /// other" means this shard's processes; other shards run their own
     /// schedules.)
     pub fn yield_now(&self) {
+        let baton = self.thread_baton("yield_now");
         let inner = match &self.route {
             Route::Classic(inner) => inner,
             Route::Sharded { cell, idx, .. } => {
-                shard::ctx_yield(cell, &self.baton, *idx);
+                shard::ctx_yield(cell, baton, *idx);
                 return;
             }
         };
@@ -711,15 +829,16 @@ impl ProcessCtx {
             st.procs[pid.index()].status = ProcStatus::Ready;
             st.ready.push_back(pid);
         }
-        self.baton.yield_to_scheduler();
+        baton.yield_to_scheduler();
     }
 
     /// Blocking receive: the next mailbox message, waiting if necessary.
     pub fn recv(&self) -> Payload {
+        let baton = self.thread_baton("recv");
         let inner = match &self.route {
             Route::Classic(inner) => inner,
             Route::Sharded { cell, idx, .. } => {
-                return shard::ctx_recv(cell, &self.baton, *idx);
+                return shard::ctx_recv(cell, baton, *idx);
             }
         };
         loop {
@@ -730,7 +849,7 @@ impl ProcessCtx {
                 }
                 st.procs[self.pid.index()].status = ProcStatus::Blocked(BlockReason::WaitMessage);
             }
-            self.baton.yield_to_scheduler();
+            baton.yield_to_scheduler();
         }
     }
 

@@ -18,9 +18,15 @@ impl Stats {
         Stats::default()
     }
 
-    /// Add `n` to counter `name` (creating it at zero).
+    /// Add `n` to counter `name` (creating it at zero). The key is
+    /// allocated on first use only: this runs several times per message.
     pub fn incr(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Read counter `name` (zero if never written).
@@ -30,7 +36,12 @@ impl Stats {
 
     /// Accumulate virtual time under `name`.
     pub fn add_time(&mut self, name: &str, d: SimDelta) {
-        *self.times.entry(name.to_string()).or_insert(SimDelta::ZERO) += d;
+        match self.times.get_mut(name) {
+            Some(t) => *t += d,
+            None => {
+                self.times.insert(name.to_string(), d);
+            }
+        }
     }
 
     /// Read accumulated time under `name`.
