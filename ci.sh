@@ -68,6 +68,13 @@ if ! SIMNET_THREADS=4 cargo test -q --workspace; then
     exit 1
 fi
 
+echo "== livelock bound (release, ignored in tier-1)"
+# The one hand-off case tier-1 skips: the livelock bound is a constant
+# (50 M executions without the clock moving), which a lone yielding
+# process reaches in ~3 s per loop in a release build and a minute in a
+# debug one.
+cargo test --release -q -p simnet --test handoff -- --ignored
+
 echo "== benchmark package (unit tests + --quick correctness gate)"
 # benchmark/ is its own workspace building against crates/* by path, so an
 # API change can break it without the passes above noticing. Its tests and
@@ -121,8 +128,17 @@ if ! SOAK_LONG="${SOAK_LONG:-}" SIMNET_THREADS=4 \
     exit 1
 fi
 
+# The two steps below that read wall clock on a single-worker run (the
+# engine_speed artifact, the profiling-overhead gate) want a settled box.
+# Measured here (EXPERIMENTS.md, "Thread hand-off"): for 10-15 s after
+# anything that kept both vCPUs busy - the soak, a 4-worker run - waking
+# a thread onto the other, idle vCPU costs ~15 us instead of ~1, and an
+# unpinned 7 ms sample reads 70-110 ms.
+settle() { sleep 15; }
+
 echo "== bench artifacts (fresh --quick run into target/bench-scratch)"
 rm -rf target/bench-scratch
+settle
 for bin in engine_speed ext_allgather ext_bluefield3 ext_proxy_count \
     ext_scale_alltoall ext_scale_stencil \
     fig02_rdma_latency fig03_rdma_bandwidth fig04_pingpong_staging \
@@ -166,6 +182,7 @@ echo "== continuous self-profiling (BENCH_PROFILE=1, overhead gate)"
 # unprofiled and profiled repetitions; the binary exits nonzero if the
 # profiled best-of-N exceeds the unprofiled one by more than the gate.
 rm -rf target/profile target/profile-run
+settle
 BENCH_OUT_DIR=target/profile-run BENCH_PROFILE=1 BENCH_PROFILE_GATE_PCT=5 \
     cargo run --release --quiet -p bench-harness --bin engine_speed -- --quick \
     >/dev/null

@@ -18,8 +18,8 @@
 //!   acquisition orders form no cycles; and the proxy/host hot paths
 //!   hold no unbaselined panic sites (`unwrap`/`expect`/indexing).
 //!
-//! The legacy lint wall (`hash-iteration-order`, `wall-clock`,
-//! `decode-unwrap`) also runs on this engine now ([`rules::lint`]).
+//! The lint wall (`hash-iteration-order`, `wall-clock`, `decode-unwrap`,
+//! `notify-under-lock`) runs on this engine too ([`rules::lint`]).
 //!
 //! Escapes: a `lint:allow(rule)` or `analyzer:allow(rule)` comment on
 //! the offending line waives that rule for the line; the panic-path
@@ -285,8 +285,8 @@ pub fn analyze(tree: &Tree, cfg: &Config, baseline_text: &str) -> Analysis {
     }
 }
 
-/// Run the lint wall (the legacy three rules on the token engine) over
-/// `tree`. Returns findings ordered by (rule, file, line).
+/// Run the lint wall (see [`rules::lint`]) over `tree`. Returns findings
+/// ordered by (rule, file, line).
 pub fn lint(tree: &Tree) -> Vec<Finding> {
     let set = SourceSet::build(tree);
     let mut findings = rules::lint::run(&set);

@@ -131,17 +131,20 @@ fn banned_sync_finding(file: &FileScan, line: u32, name: &str) -> Finding {
 }
 
 /// One tracked lock acquisition within a file.
-struct Acq {
+pub(crate) struct Acq {
     /// Lock identity: `file§receiver`.
     id: String,
     /// Display name (receiver text).
-    name: String,
+    pub(crate) name: String,
+    /// Name of the `let` binding holding the guard; `None` for a
+    /// temporary that dies with its statement.
+    pub(crate) guard: Option<String>,
     /// Token index of the `.lock()` call.
-    start: usize,
+    pub(crate) start: usize,
     /// Token index at which the guard provably dies.
-    end: usize,
+    pub(crate) end: usize,
     /// Source line of the acquisition.
-    line: u32,
+    pub(crate) line: u32,
 }
 
 /// Identifier path text walking backwards from token `i` (exclusive):
@@ -164,6 +167,107 @@ fn receiver_text(file: &FileScan, i: usize) -> (String, usize) {
     (text, start)
 }
 
+/// Every live `X.lock()` in `file` with a plain-path receiver, each with
+/// the token span over which its guard is provably alive.
+pub(crate) fn acquisitions(file: &FileScan) -> Vec<Acq> {
+    let toks = &file.lexed.toks;
+    // Matching close brace for each open brace index.
+    let mut close_of: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut stack = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_punct("{") {
+            stack.push(i);
+        } else if t.is_punct("}") {
+            if let Some(open) = stack.pop() {
+                close_of.insert(open, i);
+            }
+        }
+    }
+    let mut acqs: Vec<Acq> = Vec::new();
+    let mut block_stack: Vec<usize> = Vec::new();
+    for i in 0..toks.len() {
+        if toks[i].is_punct("{") {
+            block_stack.push(i);
+        } else if toks[i].is_punct("}") {
+            block_stack.pop();
+        }
+        if !(toks[i].is_punct(".")
+            && toks.get(i + 1).is_some_and(|t| t.is_ident("lock"))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct("(")))
+        {
+            continue;
+        }
+        if !file.live(i) {
+            continue;
+        }
+        let (recv, recv_start) = receiver_text(file, i);
+        if recv.is_empty() {
+            continue;
+        }
+        let line = toks[i].line;
+        // Named guard? `let [mut] g = recv.lock()…`
+        let mut guard: Option<String> = None;
+        if recv_start >= 2 && toks[recv_start - 1].is_punct("=") {
+            let mut j = recv_start - 2;
+            if toks[j].kind == TokKind::Ident && !toks[j].is_ident("mut") {
+                let name = toks[j].text.clone();
+                if j >= 1 && toks[j - 1].is_ident("mut") {
+                    j -= 1;
+                }
+                if j >= 1 && toks[j - 1].is_ident("let") {
+                    guard = Some(name);
+                }
+            }
+        }
+        let end = match &guard {
+            Some(name) => {
+                let block_end = block_stack
+                    .last()
+                    .and_then(|open| close_of.get(open).copied())
+                    .unwrap_or(toks.len());
+                // An explicit `drop(name)` ends the guard early.
+                (i..block_end)
+                    .find(|&j| {
+                        toks[j].is_ident("drop")
+                            && toks.get(j + 1).is_some_and(|t| t.is_punct("("))
+                            && toks.get(j + 2).is_some_and(|t| t.is_ident(name))
+                            && toks.get(j + 3).is_some_and(|t| t.is_punct(")"))
+                    })
+                    .unwrap_or(block_end)
+            }
+            None => {
+                // Temporary: guard dies at the end of the statement.
+                let mut depth = 0i32;
+                let mut end = toks.len();
+                for (j, t) in toks.iter().enumerate().skip(i) {
+                    if t.is_punct("(") || t.is_punct("{") || t.is_punct("[") {
+                        depth += 1;
+                    } else if t.is_punct(")") || t.is_punct("}") || t.is_punct("]") {
+                        depth -= 1;
+                        if depth < 0 {
+                            end = j;
+                            break;
+                        }
+                    } else if t.is_punct(";") && depth == 0 {
+                        end = j;
+                        break;
+                    }
+                }
+                end
+            }
+        };
+        acqs.push(Acq {
+            id: format!("{}\u{a7}{recv}", file.path),
+            name: recv,
+            guard,
+            start: i,
+            end,
+            line,
+        });
+    }
+    acqs
+}
+
 /// Build the per-file acquisitions, then the global acquisition-order
 /// graph, and report cycles.
 pub fn lock_order(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
@@ -171,100 +275,7 @@ pub fn lock_order(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
     // edge (from_id, to_id) -> (from_name, to_name, file, line)
     let mut edges: BTreeMap<(String, String), (String, String, String, u32)> = BTreeMap::new();
     for file in set.under(&cfg.lock_roots) {
-        let toks = &file.lexed.toks;
-        // Matching close brace for each open brace index.
-        let mut close_of: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut stack = Vec::new();
-        for (i, t) in toks.iter().enumerate() {
-            if t.is_punct("{") {
-                stack.push(i);
-            } else if t.is_punct("}") {
-                if let Some(open) = stack.pop() {
-                    close_of.insert(open, i);
-                }
-            }
-        }
-        let mut acqs: Vec<Acq> = Vec::new();
-        let mut block_stack: Vec<usize> = Vec::new();
-        for i in 0..toks.len() {
-            if toks[i].is_punct("{") {
-                block_stack.push(i);
-            } else if toks[i].is_punct("}") {
-                block_stack.pop();
-            }
-            if !(toks[i].is_punct(".")
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("lock"))
-                && toks.get(i + 2).is_some_and(|t| t.is_punct("(")))
-            {
-                continue;
-            }
-            if !file.live(i) {
-                continue;
-            }
-            let (recv, recv_start) = receiver_text(file, i);
-            if recv.is_empty() {
-                continue;
-            }
-            let line = toks[i].line;
-            // Named guard? `let [mut] g = recv.lock()…`
-            let mut guard: Option<String> = None;
-            if recv_start >= 2 && toks[recv_start - 1].is_punct("=") {
-                let mut j = recv_start - 2;
-                if toks[j].kind == TokKind::Ident && !toks[j].is_ident("mut") {
-                    let name = toks[j].text.clone();
-                    if j >= 1 && toks[j - 1].is_ident("mut") {
-                        j -= 1;
-                    }
-                    if j >= 1 && toks[j - 1].is_ident("let") {
-                        guard = Some(name);
-                    }
-                }
-            }
-            let end = match &guard {
-                Some(name) => {
-                    let block_end = block_stack
-                        .last()
-                        .and_then(|open| close_of.get(open).copied())
-                        .unwrap_or(toks.len());
-                    // An explicit `drop(name)` ends the guard early.
-                    (i..block_end)
-                        .find(|&j| {
-                            toks[j].is_ident("drop")
-                                && toks.get(j + 1).is_some_and(|t| t.is_punct("("))
-                                && toks.get(j + 2).is_some_and(|t| t.is_ident(name))
-                                && toks.get(j + 3).is_some_and(|t| t.is_punct(")"))
-                        })
-                        .unwrap_or(block_end)
-                }
-                None => {
-                    // Temporary: guard dies at the end of the statement.
-                    let mut depth = 0i32;
-                    let mut end = toks.len();
-                    for (j, t) in toks.iter().enumerate().skip(i) {
-                        if t.is_punct("(") || t.is_punct("{") || t.is_punct("[") {
-                            depth += 1;
-                        } else if t.is_punct(")") || t.is_punct("}") || t.is_punct("]") {
-                            depth -= 1;
-                            if depth < 0 {
-                                end = j;
-                                break;
-                            }
-                        } else if t.is_punct(";") && depth == 0 {
-                            end = j;
-                            break;
-                        }
-                    }
-                    end
-                }
-            };
-            acqs.push(Acq {
-                id: format!("{}\u{a7}{recv}", file.path),
-                name: recv,
-                start: i,
-                end,
-                line,
-            });
-        }
+        let acqs = acquisitions(file);
         // Overlaps: B acquired while A's guard is alive.
         for a in &acqs {
             for b in &acqs {

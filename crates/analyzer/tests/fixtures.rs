@@ -119,6 +119,31 @@ fn panic_path_fixtures() {
 }
 
 #[test]
+fn notify_under_lock_fixtures() {
+    // The lint wall patrols `crates/`, so these trees are rooted there.
+    let load = |variant: &str| {
+        let base = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("fixtures/notify-under-lock")
+            .join(variant);
+        let t = Tree::load(&base, &["crates"]).expect("fixture tree loads");
+        assert!(
+            !t.is_empty(),
+            "fixture notify-under-lock/{variant} has files"
+        );
+        SourceSet::build(&t)
+    };
+    assert_eq!(lint::run(&load("clean")), vec![]);
+    let findings = lint::run(&load("bad"));
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, lint::NOTIFY_UNDER_LOCK);
+    assert_eq!(findings[0].line, 14);
+    assert!(
+        findings[0].msg.contains("guard `round` of `self.round`"),
+        "the held guard must be named: {findings:?}"
+    );
+}
+
+#[test]
 fn lint_rules_fire_on_fixture_paths() {
     // The lint wall carries its own roots (crates/...); a tree keyed
     // with a patrolled path exercises them without touching disk state.

@@ -2,14 +2,20 @@
 //!
 //! A simulated process comes in two kinds. A **thread-backed** process is
 //! an OS thread running a user closure against a [`ProcessCtx`]. Execution
-//! is strictly sequential: a single "baton" per process is passed between
-//! the scheduler thread and the process thread, so at any moment at most
-//! one thread in the whole simulation is running. That makes the engine
+//! is strictly sequential: every thread has a [`Baton`] to park on, and
+//! control moves by waking exactly one parked thread, so at any moment at
+//! most one thread of a loop is running. That makes the engine
 //! deterministic and lets user code use ordinary Rust control flow (loops,
 //! recursion, panics) instead of hand-written state machines.
 //!
+//! The loop itself (pop a ready process, else pop an event) has an
+//! **owner** — the thread that called `run()`, or a shard's worker — but
+//! a process thread that blocks or exits takes the next step itself and
+//! wakes its successor directly ([`hand_off`]); the owner sleeps until a
+//! step needs it ([`drive`]).
+//!
 //! An **inline reactor** is a message handler with no thread, stack or
-//! baton: the scheduler calls it on its own thread, once per mailbox
+//! baton: the loop's owner calls it on its own thread, once per mailbox
 //! message, and it runs to completion every time. It has a pid, a name, a
 //! mailbox and a report entry like any process, but it may never block —
 //! the fit for a poll-mode worker that only ever reacts to messages.
@@ -17,14 +23,22 @@
 //! [`ProcessCtx`]: crate::ProcessCtx
 
 use std::any::Any;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::event::{EventKind, EventQueue};
+use crate::sim::SimError;
+use crate::stats::Stats;
 use crate::time::{SimDelta, SimTime};
+
+/// Maximum process executions without the clock advancing before the engine
+/// declares a livelock. Generous: legitimate same-instant cascades (e.g. a
+/// 512-rank barrier release) touch each process a handful of times.
+pub(crate) const LIVELOCK_LIMIT: u64 = 50_000_000;
 
 /// Identifier of a simulated process. Indexes into the simulation's process
 /// table; never reused within one simulation.
@@ -84,67 +98,237 @@ pub enum ProcStatus {
     Finished,
 }
 
-/// Which side currently holds a process's baton.
+/// What a parked thread finds posted on its [`Baton`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BatonHolder {
-    Scheduler,
-    Process,
+enum Signal {
+    /// Nothing yet: stay parked.
+    None,
+    /// Control of the loop is yours.
+    Go,
+    /// The run is over and this process never finished: unwind.
+    Cancel,
 }
 
-/// Per-process handshake used to transfer control between the scheduler
-/// thread and the process thread.
+/// Payload a cancelled process thread unwinds with; [`process_thread`]
+/// swallows it.
+struct Cancelled;
+
+/// One thread's parking spot. Every thread-backed process has one, and so
+/// does the thread that owns a loop (`run()`'s caller on the classic
+/// engine, the shard's worker on the sharded one). Control moves by
+/// posting [`Signal::Go`] on the next thread's baton and parking on one's
+/// own; a signal posted before its thread has parked is found waiting.
 pub(crate) struct Baton {
-    holder: Mutex<BatonHolder>,
+    signal: Mutex<Signal>,
     cv: Condvar,
 }
 
 impl Baton {
-    pub(crate) fn new() -> Arc<Baton> {
-        Arc::new(Baton {
-            holder: Mutex::new(BatonHolder::Scheduler),
+    pub(crate) fn new() -> Baton {
+        Baton {
+            signal: Mutex::new(Signal::None),
             cv: Condvar::new(),
+        }
+    }
+
+    /// Post `signal` and wake the parked thread. The mutex is released
+    /// before the notify: this `Condvar` does not requeue, so a thread
+    /// woken under the lock would block on it straight away — a second
+    /// context switch per hand-off.
+    fn post(&self, signal: Signal) {
+        *self.signal.lock() = signal;
+        self.cv.notify_one();
+    }
+
+    /// Hand control to the thread parked (or about to park) here.
+    pub(crate) fn wake(&self) {
+        self.post(Signal::Go);
+    }
+
+    /// Park the calling thread until it is handed control. A cancelled
+    /// process thread does not return: it unwinds its closure. The
+    /// cancellation stays posted, so a blocking call made while unwinding
+    /// cannot park again.
+    pub(crate) fn park(&self) {
+        let mut signal = self.signal.lock();
+        while *signal == Signal::None {
+            self.cv.wait(&mut signal);
+        }
+        if *signal == Signal::Cancel {
+            drop(signal);
+            resume_unwind(Box::new(Cancelled));
+        }
+        *signal = Signal::None;
+    }
+}
+
+/// What the loop's next step ([`LoopState::step`]: pop ready, else pop an
+/// event) turned up.
+pub(crate) enum Step {
+    /// A thread-backed process, already marked `Running`: give it control.
+    Process(Arc<Baton>),
+    /// A reactor activation (slot key, body). Only the owner is ever
+    /// handed one, so handlers always run on the owner's thread.
+    Reactor(u32, ReactorBody),
+    /// Only the owner can go on: a reactor is next, the window or the run
+    /// is over, or an error or a panic is pending.
+    Owner,
+}
+
+/// What a step reads and writes, borrowed from the engine's own state
+/// (`sim::SimState`, one shard's `shard::ShardState`) under its lock.
+pub(crate) struct LoopState<'a> {
+    pub(crate) now: &'a mut SimTime,
+    pub(crate) queue: &'a mut EventQueue,
+    pub(crate) slots: &'a mut [ProcSlot],
+    /// Slot indexes ready to run at `now`.
+    pub(crate) ready: &'a mut VecDeque<u32>,
+    pub(crate) stats: &'a mut Stats,
+    pub(crate) events: &'a mut u64,
+    /// Process executions since the clock last advanced (livelock guard).
+    pub(crate) execs: &'a mut u64,
+    /// Why the loop stopped early, if it did.
+    pub(crate) error: &'a mut Option<SimError>,
+    /// A process panic is waiting to be re-raised.
+    pub(crate) panicked: bool,
+    pub(crate) time_limit: Option<SimTime>,
+    /// End of the shard's window: events at or after it wait. `None` on
+    /// the classic loop, which has no windows.
+    pub(crate) w_end: Option<SimTime>,
+    /// Pid (raw) -> slot index on a shard; `None` where they are equal.
+    pub(crate) local: Option<&'a BTreeMap<u32, u32>>,
+}
+
+impl LoopState<'_> {
+    fn slot_of(&self, pid: Pid) -> u32 {
+        self.local.map_or(pid.0, |local| {
+            *local.get(&pid.0).expect("event routed to the wrong shard")
         })
     }
 
-    /// Called by the scheduler: hand the baton to the process and wait until
-    /// the process yields it back (by blocking or finishing).
-    pub(crate) fn resume_process(&self) {
-        let mut holder = self.holder.lock();
-        debug_assert_eq!(*holder, BatonHolder::Scheduler);
-        *holder = BatonHolder::Process;
-        self.cv.notify_all();
-        while *holder != BatonHolder::Scheduler {
-            self.cv.wait(&mut holder);
+    /// The loop's next step, taken by whichever thread has control: the
+    /// first ready process, else events until one readies a process. Only
+    /// the `owner` pops a reactor; a process thread leaves it queued and
+    /// says [`Step::Owner`].
+    pub(crate) fn step(self, owner: bool) -> Step {
+        if self.panicked || self.error.is_some() {
+            return Step::Owner;
+        }
+        if *self.execs > LIVELOCK_LIMIT {
+            *self.error = Some(SimError::Livelock { now: *self.now });
+            return Step::Owner;
+        }
+        loop {
+            // Phase 1: the next ready process.
+            if let Some(&key) = self.ready.front() {
+                let slot = &mut self.slots[key as usize];
+                debug_assert_eq!(slot.status, ProcStatus::Ready);
+                let next = match &mut slot.kind {
+                    ProcKind::Thread { baton, .. } => Step::Process(Arc::clone(baton)),
+                    ProcKind::Reactor(_) if !owner => return Step::Owner,
+                    ProcKind::Reactor(body) => {
+                        Step::Reactor(key, body.take().expect("a ready reactor has its body"))
+                    }
+                };
+                slot.status = ProcStatus::Running;
+                self.ready.pop_front();
+                *self.execs += 1;
+                return next;
+            }
+            // Phase 2: advance to the next event (inside the window).
+            let Some(at) = self.queue.peek_at() else {
+                return Step::Owner;
+            };
+            debug_assert!(at >= *self.now, "event in the past");
+            if self.w_end.is_some_and(|w_end| at >= w_end) {
+                return Step::Owner;
+            }
+            if let Some(limit) = self.time_limit.filter(|&limit| at > limit) {
+                *self.error = Some(SimError::TimeLimitExceeded { limit });
+                return Step::Owner;
+            }
+            let ev = self.queue.pop().expect("peeked event");
+            if ev.at > *self.now {
+                *self.now = ev.at;
+                *self.execs = 0;
+            }
+            *self.events += 1;
+            match ev.kind {
+                EventKind::Wake(pid) => {
+                    let key = self.slot_of(pid);
+                    let slot = &mut self.slots[key as usize];
+                    debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
+                    slot.status = ProcStatus::Ready;
+                    self.ready.push_back(key);
+                }
+                EventKind::Deliver(pid, payload) => {
+                    let key = self.slot_of(pid);
+                    let slot = &mut self.slots[key as usize];
+                    if slot.status == ProcStatus::Finished {
+                        self.stats.incr("simnet.deliver_to_finished", 1);
+                    } else {
+                        slot.mailbox.push_back(payload);
+                        if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {
+                            slot.status = ProcStatus::Ready;
+                            self.ready.push_back(key);
+                        }
+                    }
+                }
+            }
         }
     }
+}
 
-    /// Called by the process thread: hand the baton back to the scheduler
-    /// and wait until the scheduler resumes this process.
-    pub(crate) fn yield_to_scheduler(&self) {
-        let mut holder = self.holder.lock();
-        debug_assert_eq!(*holder, BatonHolder::Process);
-        *holder = BatonHolder::Scheduler;
-        self.cv.notify_all();
-        while *holder != BatonHolder::Process {
-            self.cv.wait(&mut holder);
+/// The loop owner's side: take steps until one says [`Step::Owner`].
+/// While thread-backed processes follow each other the owner stays
+/// parked — they pass control among themselves (see [`hand_off`]).
+pub(crate) fn drive(
+    owner: &Baton,
+    mut step: impl FnMut() -> Step,
+    mut react: impl FnMut(u32, ReactorBody),
+) {
+    loop {
+        match step() {
+            Step::Process(next) => {
+                next.wake();
+                owner.park();
+            }
+            Step::Reactor(key, body) => react(key, body),
+            Step::Owner => return,
         }
     }
+}
 
-    /// Called by the process thread on exit: release the baton for good.
-    pub(crate) fn finish(&self) {
-        let mut holder = self.holder.lock();
-        debug_assert_eq!(*holder, BatonHolder::Process);
-        *holder = BatonHolder::Scheduler;
-        self.cv.notify_all();
+/// A process thread's side: its process has just blocked (`me`) or exited
+/// (`None`), and it has taken the loop's next step itself. Its own
+/// process next: carry on, no switch. Another thread's: wake it directly
+/// and park — one switch where a trip through the owner costs two.
+/// Anything else is the owner's business.
+pub(crate) fn hand_off(me: Option<&Baton>, owner: &Baton, next: Step) {
+    match next {
+        Step::Process(next) if me.is_some_and(|me| std::ptr::eq(me, &*next)) => return,
+        Step::Process(next) => next.wake(),
+        Step::Owner => owner.wake(),
+        Step::Reactor(..) => unreachable!("a reactor was handed to a process thread"),
     }
+    if let Some(me) = me {
+        me.park();
+    }
+}
 
-    /// Called by the process thread before its first instruction: wait for
-    /// the scheduler to start it.
-    pub(crate) fn wait_for_start(&self) {
-        let mut holder = self.holder.lock();
-        while *holder != BatonHolder::Process {
-            self.cv.wait(&mut holder);
-        }
+/// Body of a process thread: wait to be started, run `f`, then report how
+/// it ended (`None`, or the panic message) through `exit`, which marks
+/// the slot finished and hands control on. A thread cancelled while
+/// parked — before its first instruction or inside a blocking call —
+/// touches nothing and just ends: the run is already over.
+pub(crate) fn process_thread(baton: &Baton, f: impl FnOnce(), exit: impl FnOnce(Option<String>)) {
+    match catch_unwind(AssertUnwindSafe(|| {
+        baton.park();
+        f();
+    })) {
+        Ok(()) => exit(None),
+        Err(payload) if payload.is::<Cancelled>() => {}
+        Err(payload) => exit(Some(panic_message(&*payload))),
     }
 }
 
@@ -185,19 +369,52 @@ pub(crate) fn drive_reactor(
     .map_err(|payload| panic_message(&*payload))
 }
 
-/// Take every parked reactor's body out of `slots`, for the caller to
-/// drop once it has released the state lock: a handler holds a
-/// `ProcessCtx`, which points back at the state that owns its slot, so a
-/// run that ends with reactors still waiting would otherwise never free
-/// either.
-pub(crate) fn take_parked_reactors(slots: &mut [ProcSlot]) -> Vec<ReactorBody> {
-    slots
-        .iter_mut()
-        .filter_map(|slot| match &mut slot.kind {
-            ProcKind::Thread { .. } => None,
-            ProcKind::Reactor(body) => body.take(),
-        })
-        .collect()
+/// What a run that is over, however it ended, still has lying about: the
+/// bodies of reactors left waiting, and process threads to be joined.
+pub(crate) struct Leftovers {
+    /// A handler holds a `ProcessCtx`, which points back at the state
+    /// that owns its slot: unless dropped here, neither is ever freed.
+    reactors: Vec<ReactorBody>,
+    /// Each with its baton if the process never finished: that thread is
+    /// parked, and must be cancelled to end.
+    threads: Vec<(Option<Arc<Baton>>, std::thread::JoinHandle<()>)>,
+}
+
+/// Take them out of `slots`, for the caller to [`Leftovers::release`]
+/// once it has let go of the state lock: a dropped handler and an
+/// unwinding closure may both still make non-blocking ctx calls.
+pub(crate) fn take_leftovers(slots: &mut [ProcSlot]) -> Leftovers {
+    let mut left = Leftovers {
+        reactors: Vec::new(),
+        threads: Vec::new(),
+    };
+    for slot in slots {
+        let parked = slot.status != ProcStatus::Finished;
+        match &mut slot.kind {
+            ProcKind::Thread { baton, join } => {
+                if let Some(handle) = join.take() {
+                    let cancel = parked.then(|| Arc::clone(baton));
+                    left.threads.push((cancel, handle));
+                }
+            }
+            ProcKind::Reactor(body) => left.reactors.extend(body.take()),
+        }
+    }
+    left
+}
+
+impl Leftovers {
+    /// Drop the handlers, cancel the threads still parked and join them
+    /// all, one at a time: nothing outlives `run()`.
+    pub(crate) fn release(self) {
+        drop(self.reactors);
+        for (cancel, handle) in self.threads {
+            if let Some(baton) = cancel {
+                baton.post(Signal::Cancel);
+            }
+            let _ = handle.join();
+        }
+    }
 }
 
 /// What executes a process.
@@ -218,8 +435,6 @@ pub(crate) struct ProcSlot {
     pub(crate) status: ProcStatus,
     pub(crate) mailbox: VecDeque<Payload>,
     pub(crate) kind: ProcKind,
-    /// Panic payload captured from a thread-backed process closure, if any.
-    pub(crate) panic: Option<String>,
     /// Total virtual time this process spent in `compute()`.
     pub(crate) compute_time: SimDelta,
     /// Instant the process finished, if it has.
@@ -231,25 +446,16 @@ impl ProcSlot {
         ProcSlot {
             name,
             status: ProcStatus::Ready,
-            mailbox: VecDeque::new(),
+            // Room for the first messages, taken now, on the spawning
+            // thread. The first delivery is often made by a process thread
+            // carrying the loop, and that one small block in its malloc
+            // arena is enough to split a free chunk the arena was keeping
+            // for the process's next buffer (EXPERIMENTS.md, "Thread
+            // hand-off": `bulk_crc` peak RSS).
+            mailbox: VecDeque::with_capacity(4),
             kind,
-            panic: None,
             compute_time: SimDelta::ZERO,
             finished_at: None,
-        }
-    }
-
-    /// The process is done (returned, finished as a reactor, or panicked).
-    pub(crate) fn finish(&mut self, now: SimTime) {
-        self.status = ProcStatus::Finished;
-        self.finished_at = Some(now);
-    }
-
-    /// The thread to join, if this process has one that was not joined yet.
-    pub(crate) fn take_join(&mut self) -> Option<std::thread::JoinHandle<()>> {
-        match &mut self.kind {
-            ProcKind::Thread { join, .. } => join.take(),
-            ProcKind::Reactor(_) => None,
         }
     }
 
@@ -268,15 +474,18 @@ impl ProcSlot {
                 self.status = ProcStatus::Blocked(BlockReason::WaitMessage);
                 None
             }
-            Ok(None) => {
-                self.finish(now);
-                None
-            }
-            Err(msg) => {
-                self.finish(now);
-                Some(format!("simulated process '{}' panicked: {msg}", self.name))
-            }
+            Ok(None) => self.exited(now, None),
+            Err(msg) => self.exited(now, Some(msg)),
         }
+    }
+
+    /// The process's closure or handler is done at `now` (returned, or
+    /// panicked). Returns the message to re-raise on `run()`'s caller if
+    /// it panicked.
+    pub(crate) fn exited(&mut self, now: SimTime, panic: Option<String>) -> Option<String> {
+        self.status = ProcStatus::Finished;
+        self.finished_at = Some(now);
+        panic.map(|msg| format!("simulated process '{}' panicked: {msg}", self.name))
     }
 }
 

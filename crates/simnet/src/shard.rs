@@ -49,19 +49,18 @@
 //! [`Simulation::run`]: crate::Simulation::run
 
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use parking_lot::{Condvar, Mutex};
 
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
-    drive_reactor, panic_message, take_parked_reactors, Baton, BlockReason, Payload, Pid, ProcKind,
-    ProcSlot, ProcStatus, Reactor, ReactorBody,
+    drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState,
+    Payload, Pid, ProcKind, ProcSlot, ProcStatus, Reactor, ReactorBody, Step,
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
-use crate::sim::{EventSink, ProcReport, ProcessCtx, Report, Route, SimError, LIVELOCK_LIMIT};
+use crate::sim::{EventSink, ProcReport, ProcessCtx, Report, Route, SimError};
 use crate::stats::Stats;
 use crate::time::{SimDelta, SimTime};
 use crate::trace::Trace;
@@ -120,13 +119,6 @@ struct EmitRec {
     pid: Pid,
     seq: u64,
     payload: Payload,
-}
-
-/// A process panic captured inside a window, re-raised by the
-/// coordinator with the classic engine's message format.
-struct FatalPanic {
-    msg: String,
-    join: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Profile bucket name: wall-clock time spent executing events inside
@@ -219,8 +211,9 @@ impl EngineProfile {
 }
 
 /// Everything one shard owns. Exactly one thread touches this at a time:
-/// a worker (or the coordinator) during a window, the coordinator
-/// between windows, or a running process via its `ProcessCtx`.
+/// whoever carries the shard's loop during a window (its worker, or one
+/// of its process threads), the coordinator between windows, or a
+/// running process via its `ProcessCtx`.
 struct ShardState {
     now: SimTime,
     queue: EventQueue,
@@ -242,7 +235,17 @@ struct ShardState {
     emits: Vec<EmitRec>,
     events: u64,
     error: Option<SimError>,
-    fatal: Option<FatalPanic>,
+    /// Message of a process panic captured inside a window, re-raised by
+    /// the coordinator with the classic engine's message format.
+    fatal: Option<String>,
+    /// End of the window being run: events at or after it wait.
+    w_end: SimTime,
+    time_limit: Option<SimTime>,
+    /// Process executions this window since the clock last advanced
+    /// (livelock guard).
+    execs: u64,
+    /// Yield-injection shim (`SIMNET_CHAOS`, multi-worker runs only).
+    chaos: Option<SimRng>,
     /// Windows dispatched to this shard (profiled runs only).
     prof_windows: u64,
     /// Wall-clock ns spent executing windows (profiled runs only).
@@ -256,6 +259,9 @@ struct ShardState {
 pub(crate) struct ShardCell {
     pub(crate) id: u32,
     state: Mutex<ShardState>,
+    /// Where the shard's worker parks while process threads carry the
+    /// window's loop.
+    owner: Baton,
 }
 
 impl ShardCell {
@@ -279,10 +285,15 @@ impl ShardCell {
                 events: 0,
                 error: None,
                 fatal: None,
+                w_end: SimTime::ZERO,
+                time_limit: None,
+                execs: 0,
+                chaos: None,
                 prof_windows: 0,
                 prof_exec_ns: 0,
                 prof_barrier_ns: 0,
             }),
+            owner: Baton::new(),
         }
     }
 }
@@ -394,7 +405,7 @@ pub(crate) fn spawn_on_shard<F>(
 where
     F: FnOnce(ProcessCtx) + Send + 'static,
 {
-    let baton = Baton::new();
+    let baton = Arc::new(Baton::new());
     let kind = ProcKind::Thread {
         baton: Arc::clone(&baton),
         join: None,
@@ -415,17 +426,19 @@ where
         .name(name)
         .stack_size(stack_size)
         .spawn(move || {
-            baton.wait_for_start();
-            let result = catch_unwind(AssertUnwindSafe(move || f(ctx)));
-            let mut st = tcell.state.lock();
-            let now = st.now;
-            let slot = &mut st.slots[idx as usize];
-            slot.finish(now);
-            if let Err(payload) = result {
-                slot.panic = Some(panic_message(&*payload));
-            }
-            drop(st);
-            baton.finish();
+            process_thread(
+                &baton,
+                move || f(ctx),
+                |panic| {
+                    let mut st = tcell.state.lock();
+                    let now = st.now;
+                    if let Some(msg) = st.slots[idx as usize].exited(now, panic) {
+                        st.fatal = Some(msg);
+                    }
+                    drop(st);
+                    carry(&tcell, None);
+                },
+            )
         })
         .expect("failed to spawn process thread");
     if let ProcKind::Thread { join, .. } = &mut cell.state.lock().slots[idx as usize].kind {
@@ -563,6 +576,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
     {
         panic!("a sharded simulation can only run once");
     }
+    let workers = opts.threads.max(1).min(n);
     // Seed per-shard RNG streams and trace buffers.
     for cell in &shards {
         let mut st = cell.state.lock();
@@ -570,18 +584,20 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         if opts.trace {
             st.trace = Some(Trace::default());
         }
+        st.time_limit = opts.time_limit;
+        if workers > 1 {
+            st.chaos = opts.chaos.map(|c| SimRng::new(shard_seed(c, cell.id + 1)));
+        }
     }
-    let workers = opts.threads.max(1).min(n);
     let prof = opts.profile;
-    let mut pool =
-        (workers > 1).then(|| Pool::start(&shards, workers, opts.time_limit, opts.chaos, prof));
+    let mut pool = (workers > 1).then(|| Pool::start(&shards, workers, prof));
 
     let mut window_end = SimTime::ZERO;
     let mut windows: u64 = 0;
     let mut xshard: u64 = 0;
     let mut emit_merge_ns: u64 = 0;
     let mut coordinator_ns: u64 = 0;
-    let outcome: Result<(), SimError> = loop {
+    let outcome: Result<(), Stop> = loop {
         // 1. Flush the previous window's cross-shard traffic and emits.
         let t0 = prof.then(std::time::Instant::now); // lint:allow(wall-clock)
         flush_cross_shard(&shards, rt, window_end, &mut xshard);
@@ -590,15 +606,11 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         }
         // 2. Resolve panics/errors from the previous window, in shard
         //    order (deterministic regardless of which worker hit them).
-        if let Some(f) = take_fatal(&shards) {
-            stop_pool(&mut pool);
-            if let Some(h) = f.join {
-                let _ = h.join();
-            }
-            panic!("{}", f.msg);
+        if let Some(msg) = take_fatal(&shards) {
+            break Err(Stop::Panic(msg));
         }
         if let Some(err) = take_error(&shards) {
-            break Err(err);
+            break Err(Stop::Error(err));
         }
         // 3. Compute the conservative window end.
         let t0 = prof.then(std::time::Instant::now); // lint:allow(wall-clock)
@@ -634,18 +646,23 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
             Some(p) => p.run_round(w),
             None => {
                 for cell in &shards {
-                    run_window(cell, w, opts.time_limit, None, prof);
+                    run_window(cell, w, prof);
                 }
             }
         }
     };
     stop_pool(&mut pool);
-    // The run is over either way: free what still-waiting reactors hold.
+    // The run is over, however it ended: free what still-waiting reactors
+    // hold, and let no thread outlive it.
     for cell in &shards {
-        let parked = take_parked_reactors(&mut cell.state.lock().slots);
-        drop(parked);
+        let left = take_leftovers(&mut cell.state.lock().slots);
+        left.release();
     }
-    outcome?;
+    match outcome {
+        Ok(()) => {}
+        Err(Stop::Panic(msg)) => panic!("{msg}"),
+        Err(Stop::Error(err)) => return Err(err),
+    }
 
     // Termination: everything must have finished.
     let mut end_time = SimTime::ZERO;
@@ -672,7 +689,6 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
     let mut events: u64 = 0;
     let mut resources: Vec<(String, SimDelta, u64)> = Vec::new();
     let mut traces: Vec<Trace> = Vec::new();
-    let mut handles = Vec::new();
     let mut shard_stats: Vec<ShardStats> = Vec::new();
     for cell in &shards {
         let mut st = cell.state.lock();
@@ -695,7 +711,6 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
                 },
             ));
         }
-        handles.extend(st.slots.iter_mut().filter_map(ProcSlot::take_join));
         stats.merge(&st.stats);
         events += st.events;
         for r in &st.resources {
@@ -724,9 +739,6 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
             threads: workers,
         }),
     };
-    for h in handles {
-        let _ = h.join();
-    }
     Ok(report)
 }
 
@@ -784,8 +796,14 @@ fn flush_cross_shard(
     }
 }
 
+/// Why the window loop ended early.
+enum Stop {
+    Panic(String),
+    Error(SimError),
+}
+
 /// First captured process panic in shard order, if any.
-fn take_fatal(shards: &[Arc<ShardCell>]) -> Option<FatalPanic> {
+fn take_fatal(shards: &[Arc<ShardCell>]) -> Option<String> {
     for cell in shards {
         let mut st = cell.state.lock();
         if let Some(f) = st.fatal.take() {
@@ -835,13 +853,7 @@ struct Pool {
 }
 
 impl Pool {
-    fn start(
-        shards: &[Arc<ShardCell>],
-        workers: usize,
-        limit: Option<SimTime>,
-        chaos: Option<u64>,
-        prof: bool,
-    ) -> Pool {
+    fn start(shards: &[Arc<ShardCell>], workers: usize, prof: bool) -> Pool {
         let gate = Arc::new(Gate {
             m: Mutex::new(GateState {
                 round: 0,
@@ -864,7 +876,7 @@ impl Pool {
             let gate2 = Arc::clone(&gate);
             let handle = std::thread::Builder::new()
                 .name(format!("simnet-worker{w}"))
-                .spawn(move || worker_loop(gate2, mine, limit, chaos, w as u64, prof))
+                .spawn(move || worker_loop(gate2, mine, prof))
                 .expect("failed to spawn shard worker");
             handles.push(handle);
         }
@@ -882,41 +894,24 @@ impl Pool {
             g.round += 1;
             g.window = window;
             g.done = 0;
-            self.gate.cv.notify_all();
         }
-        {
-            let mut g = self.gate.m.lock();
-            while g.done < self.workers {
-                self.gate.cv.wait(&mut g);
-            }
+        self.gate.cv.notify_all();
+        let mut g = self.gate.m.lock();
+        while g.done < self.workers {
+            self.gate.cv.wait(&mut g);
         }
     }
 
     fn shutdown(mut self) {
-        {
-            let mut g = self.gate.m.lock();
-            g.shutdown = true;
-            self.gate.cv.notify_all();
-        }
+        self.gate.m.lock().shutdown = true;
+        self.gate.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn worker_loop(
-    gate: Arc<Gate>,
-    shards: Vec<Arc<ShardCell>>,
-    limit: Option<SimTime>,
-    chaos: Option<u64>,
-    worker: u64,
-    prof: bool,
-) {
-    let mut chaos_rng = chaos.map(|c| {
-        let mut z = c ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(worker + 1);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        SimRng::new(z)
-    });
+fn worker_loop(gate: Arc<Gate>, shards: Vec<Arc<ShardCell>>, prof: bool) {
     let mut seen = 0u64;
     let mut wait_ns: u64 = 0;
     loop {
@@ -946,13 +941,10 @@ fn worker_loop(
             window = g.window;
         }
         for cell in &shards {
-            run_window(cell, window, limit, chaos_rng.as_mut(), prof);
+            run_window(cell, window, prof);
         }
-        {
-            let mut g = gate.m.lock();
-            g.done += 1;
-            gate.cv.notify_all();
-        }
+        gate.m.lock().done += 1;
+        gate.cv.notify_all();
     }
 }
 
@@ -979,167 +971,83 @@ fn distribute_gate_wait(shards: &[Arc<ShardCell>], wait_ns: u64) {
 /// window into the shard's `exec_ns` bucket on profiled runs. The timer
 /// reads wall clock strictly *outside* the execution path it measures,
 /// so profiling can never perturb virtual-time results.
-fn run_window(
-    cell: &Arc<ShardCell>,
-    w_end: SimTime,
-    limit: Option<SimTime>,
-    chaos: Option<&mut SimRng>,
-    prof: bool,
-) {
+fn run_window(cell: &ShardCell, w_end: SimTime, prof: bool) {
     if !prof {
-        run_window_inner(cell, w_end, limit, chaos);
+        run_window_inner(cell, w_end);
         return;
     }
     let t0 = std::time::Instant::now(); // lint:allow(wall-clock)
-    run_window_inner(cell, w_end, limit, chaos);
+    run_window_inner(cell, w_end);
     let dt = t0.elapsed().as_nanos() as u64;
     let mut st = cell.state.lock();
     st.prof_exec_ns += dt;
     st.prof_windows += 1;
 }
 
-/// Process one shard's events strictly before `w_end`. Errors and
-/// process panics are parked in the shard state for the coordinator to
-/// resolve deterministically after the round.
-fn run_window_inner(
-    cell: &Arc<ShardCell>,
-    w_end: SimTime,
-    limit: Option<SimTime>,
-    mut chaos: Option<&mut SimRng>,
-) {
-    let mut execs: u64 = 0;
-    loop {
-        // Phase 1: drain ready processes.
-        loop {
-            let next = {
-                let mut st = cell.state.lock();
-                st.ready.pop_front()
-            };
-            let Some(idx) = next else { break };
-            if let Some(rng) = chaos.as_deref_mut() {
-                // Yield-injection shim: perturb OS scheduling, which
-                // must never perturb results.
-                if rng.gen_range(4) == 0 {
-                    std::thread::yield_now();
-                }
-            }
-            if !run_one_local(cell, idx) {
-                return;
-            }
-            execs += 1;
-            if execs > LIVELOCK_LIMIT {
-                let mut st = cell.state.lock();
-                let now = st.now;
-                st.error = Some(SimError::Livelock { now });
-                return;
-            }
-        }
-        // Phase 2: advance to the next event inside the window.
+/// Process one shard's events strictly before `w_end`, as the loop's
+/// owner. Errors and process panics are parked in the shard state for
+/// the coordinator to resolve deterministically after the round.
+fn run_window_inner(cell: &ShardCell, w_end: SimTime) {
+    {
         let mut st = cell.state.lock();
-        let Some(head) = st.queue.peek_at() else {
-            return;
-        };
-        if head >= w_end {
-            return;
-        }
-        if let Some(l) = limit {
-            if head > l {
-                st.error = Some(SimError::TimeLimitExceeded { limit: l });
-                return;
-            }
-        }
-        let ev = st.queue.pop().expect("event vanished under the shard lock");
-        debug_assert!(ev.at >= st.now, "event in the past");
-        if ev.at > st.now {
-            st.now = ev.at;
-            execs = 0;
-        }
-        st.events += 1;
-        match ev.kind {
-            EventKind::Wake(pid) => {
-                let idx = *st
-                    .local
-                    .get(&pid.0)
-                    .expect("wake routed to the wrong shard");
-                let slot = &mut st.slots[idx as usize];
-                debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
-                slot.status = ProcStatus::Ready;
-                st.ready.push_back(idx);
-            }
-            EventKind::Deliver(pid, payload) => {
-                let idx = *st
-                    .local
-                    .get(&pid.0)
-                    .expect("delivery routed to the wrong shard");
-                let slot = &mut st.slots[idx as usize];
-                if slot.status == ProcStatus::Finished {
-                    st.stats.incr("simnet.deliver_to_finished", 1);
-                } else {
-                    slot.mailbox.push_back(payload);
-                    if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {
-                        slot.status = ProcStatus::Ready;
-                        st.ready.push_back(idx);
-                    }
-                }
-            }
-        }
-        drop(st);
+        st.w_end = w_end;
+        st.execs = 0;
     }
-}
-
-/// Run the process at local slot `idx` until it blocks or finishes.
-/// Returns `false` when the process panicked (parked as a fatal).
-fn run_one_local(cell: &Arc<ShardCell>, idx: u32) -> bool {
-    let baton = {
-        let mut st = cell.state.lock();
-        let slot = &mut st.slots[idx as usize];
-        debug_assert_eq!(slot.status, ProcStatus::Ready);
-        slot.status = ProcStatus::Running;
-        match &mut slot.kind {
-            ProcKind::Thread { baton, .. } => Arc::clone(baton),
-            ProcKind::Reactor(body) => {
-                let body = body.take().expect("a ready reactor has its body");
-                drop(st);
-                return run_reactor_local(cell, idx, body);
-            }
-        }
-    };
-    baton.resume_process();
-    let mut st = cell.state.lock();
-    let slot = &mut st.slots[idx as usize];
-    debug_assert_ne!(
-        slot.status,
-        ProcStatus::Running,
-        "process yielded without blocking"
+    drive(
+        &cell.owner,
+        || step(cell, true),
+        |key, body| run_reactor_local(cell, key, body),
     );
-    if let Some(msg) = slot.panic.take() {
-        let name = slot.name.clone();
-        let join = slot.take_join();
-        st.fatal = Some(FatalPanic {
-            msg: format!("simulated process '{name}' panicked: {msg}"),
-            join,
-        });
-        return false;
-    }
-    true
 }
 
-/// One activation of the reactor at local slot `idx`, on the calling
-/// worker's thread: no baton changes hands. Only this worker touches the
-/// shard during a window, so no delivery can slip in between the mailbox
-/// running dry and the reactor being parked. Returns `false` when the
-/// reactor panicked (parked as a fatal).
-fn run_reactor_local(cell: &ShardCell, idx: u32, body: ReactorBody) -> bool {
+/// The shard loop's next step inside the current window
+/// ([`LoopState::step`]).
+fn step(cell: &ShardCell, owner: bool) -> Step {
+    let mut guard = cell.state.lock();
+    let st = &mut *guard;
+    let view = LoopState {
+        now: &mut st.now,
+        queue: &mut st.queue,
+        slots: &mut st.slots,
+        ready: &mut st.ready,
+        stats: &mut st.stats,
+        events: &mut st.events,
+        execs: &mut st.execs,
+        error: &mut st.error,
+        panicked: st.fatal.is_some(),
+        time_limit: st.time_limit,
+        w_end: Some(st.w_end),
+        local: Some(&st.local),
+    };
+    let next = view.step(owner);
+    // Yield-injection shim, once per activation: perturb OS scheduling,
+    // which must never perturb results.
+    let inject =
+        !matches!(next, Step::Owner) && st.chaos.as_mut().is_some_and(|rng| rng.gen_range(4) == 0);
+    drop(guard);
+    if inject {
+        std::thread::yield_now();
+    }
+    next
+}
+
+/// A process thread whose process has just blocked (`me`) or exited
+/// (`None`) carries its shard's loop on from here.
+fn carry(cell: &ShardCell, me: Option<&Baton>) {
+    hand_off(me, &cell.owner, step(cell, false));
+}
+
+/// One activation of the reactor at local slot `idx`, on the shard
+/// owner's thread: no baton changes hands. Nothing else touches the
+/// shard meanwhile, so no delivery can slip in between the mailbox
+/// running dry and the reactor being parked.
+fn run_reactor_local(cell: &ShardCell, idx: u32, body: ReactorBody) {
     let i = idx as usize;
     let outcome = drive_reactor(body, || cell.state.lock().slots[i].mailbox.pop_front());
     let mut st = cell.state.lock();
     let now = st.now;
-    match st.slots[i].settle_reactor(now, outcome) {
-        Some(msg) => {
-            st.fatal = Some(FatalPanic { msg, join: None });
-            false
-        }
-        None => true,
+    if let Some(msg) = st.slots[i].settle_reactor(now, outcome) {
+        st.fatal = Some(msg);
     }
 }
 
@@ -1177,7 +1085,7 @@ pub(crate) fn ctx_block_for(
         }
         (is_compute && st.trace.is_some()).then_some(st.now)
     };
-    baton.yield_to_scheduler();
+    carry(cell, Some(baton));
     if let Some(start) = span_start {
         let mut st = cell.state.lock();
         let end = st.now;
@@ -1193,7 +1101,7 @@ pub(crate) fn ctx_yield(cell: &ShardCell, baton: &Baton, idx: u32) {
         st.slots[idx as usize].status = ProcStatus::Ready;
         st.ready.push_back(idx);
     }
-    baton.yield_to_scheduler();
+    carry(cell, Some(baton));
 }
 
 pub(crate) fn ctx_recv(cell: &ShardCell, baton: &Baton, idx: u32) -> Payload {
@@ -1205,7 +1113,7 @@ pub(crate) fn ctx_recv(cell: &ShardCell, baton: &Baton, idx: u32) -> Payload {
             }
             st.slots[idx as usize].status = ProcStatus::Blocked(BlockReason::WaitMessage);
         }
-        baton.yield_to_scheduler();
+        carry(cell, Some(baton));
     }
 }
 

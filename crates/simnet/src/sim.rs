@@ -3,17 +3,21 @@
 //!
 //! # Execution model
 //!
-//! At most one thread runs at a time: either the scheduler (inside
+//! At most one thread runs at a time: the loop's owner (the caller of
 //! [`Simulation::run`]) or exactly one process thread. Control is handed
-//! over through per-process batons; an inline reactor
+//! over through per-thread batons; an inline reactor
 //! ([`Simulation::spawn_reactor`]) has no thread and is simply called by
-//! the scheduler. The scheduler:
+//! the owner. The loop:
 //!
 //! 1. runs every `Ready` process until it blocks (a reactor: until its
 //!    mailbox is empty),
 //! 2. pops the earliest pending event, advances the clock, and handles it
 //!    (which may make processes `Ready` again),
 //! 3. repeats until no events remain.
+//!
+//! A process thread that blocks takes the loop's next step itself and
+//! wakes its successor directly; the owner sleeps until a step needs it
+//! (a reactor is next, the run is over, something failed).
 //!
 //! If processes are still blocked when the queue drains, the run reports a
 //! **deadlock** naming them. If the clock stops advancing while processes
@@ -29,7 +33,6 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,8 +40,8 @@ use parking_lot::Mutex;
 
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
-    drive_reactor, panic_message, take_parked_reactors, Baton, BlockReason, Payload, Pid, ProcKind,
-    ProcSlot, ProcStatus, Reactor, ReactorBody,
+    drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState,
+    Payload, Pid, ProcKind, ProcSlot, ProcStatus, Reactor, ReactorBody, Step,
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
@@ -46,11 +49,6 @@ use crate::shard;
 use crate::stats::Stats;
 use crate::time::{SimDelta, SimTime};
 use crate::trace::Trace;
-
-/// Maximum process executions without the clock advancing before the engine
-/// declares a livelock. Generous: legitimate same-instant cascades (e.g. a
-/// 512-rank barrier release) touch each process a handful of times.
-pub(crate) const LIVELOCK_LIMIT: u64 = 50_000_000;
 
 /// Process-global count of simulated events handled by completed runs,
 /// on either engine. The engine self-benchmarks read this to report
@@ -187,7 +185,8 @@ pub(crate) struct SimState {
     now: SimTime,
     queue: EventQueue,
     procs: Vec<ProcSlot>,
-    ready: VecDeque<Pid>,
+    /// Slot indexes (raw pids) ready to run at `now`.
+    ready: VecDeque<u32>,
     resources: Vec<ResourceState>,
     stats: Stats,
     trace: Option<Trace>,
@@ -195,10 +194,18 @@ pub(crate) struct SimState {
     time_limit: Option<SimTime>,
     events: u64,
     sink: Option<EventSink>,
+    /// Process executions since the clock last advanced (livelock guard).
+    execs: u64,
+    /// Why the loop stopped early, if it did.
+    error: Option<SimError>,
+    /// Message of a process panic, to re-raise on `run()`'s caller.
+    fatal: Option<String>,
 }
 
 pub(crate) struct SimInner {
     state: Mutex<SimState>,
+    /// Where `run()`'s caller parks while process threads carry the loop.
+    owner: Baton,
 }
 
 /// A deterministic discrete-event simulation.
@@ -288,7 +295,11 @@ impl Simulation {
                     time_limit: None,
                     events: 0,
                     sink: None,
+                    execs: 0,
+                    error: None,
+                    fatal: None,
                 }),
+                owner: Baton::new(),
             }),
             stack_size: 1 << 20,
             seed,
@@ -474,7 +485,8 @@ impl Simulation {
         if let Some(rt) = &self.sharded {
             let (time_limit, trace, sink) = {
                 let mut st = self.inner.state.lock();
-                (st.time_limit, st.trace.is_some(), st.sink.take())
+                let trace = st.trace.is_some();
+                (st.time_limit, trace, st.sink.take())
             };
             let threads = self
                 .threads
@@ -498,14 +510,25 @@ impl Simulation {
             return Ok(report);
         }
         let inner = self.inner;
-        let outcome = run_classic(&inner);
-        // The run is over either way: free what still-waiting reactors hold.
-        let parked = take_parked_reactors(&mut inner.state.lock().procs);
-        drop(parked);
-        outcome?;
+        drive(
+            &inner.owner,
+            || step(&inner, true),
+            |key, body| run_reactor(&inner, key, body),
+        );
+        // The run is over, however it ended: free what still-waiting
+        // reactors hold, and let no thread outlive it.
+        let left = take_leftovers(&mut inner.state.lock().procs);
+        left.release();
+        let mut st = inner.state.lock();
+        if let Some(msg) = st.fatal.take() {
+            drop(st);
+            panic!("{msg}");
+        }
+        if let Some(err) = st.error.take() {
+            return Err(err);
+        }
 
         // Termination: everything must have finished.
-        let mut st = inner.state.lock();
         let blocked: Vec<(String, BlockReason)> = st
             .procs
             .iter()
@@ -518,12 +541,6 @@ impl Simulation {
             let now = st.now;
             return Err(SimError::Deadlock { now, blocked });
         }
-        // Join finished threads so nothing lingers.
-        let handles: Vec<_> = st
-            .procs
-            .iter_mut()
-            .filter_map(ProcSlot::take_join)
-            .collect();
         let report = Report {
             end_time: st.now,
             stats: st.stats.clone(),
@@ -546,123 +563,48 @@ impl Simulation {
             profile: None,
         };
         drop(st);
-        for h in handles {
-            let _ = h.join();
-        }
         record_engine_events(report.events);
         Ok(report)
     }
 }
 
-/// The classic engine's two-phase loop, until no event is left.
-fn run_classic(inner: &Arc<SimInner>) -> Result<(), SimError> {
-    let mut executions_since_advance: u64 = 0;
-    loop {
-        // Phase 1: drain ready processes.
-        loop {
-            let next = {
-                let mut st = inner.state.lock();
-                st.ready.pop_front()
-            };
-            let Some(pid) = next else { break };
-            run_one(inner, pid);
-            executions_since_advance += 1;
-            if executions_since_advance > LIVELOCK_LIMIT {
-                let now = inner.state.lock().now;
-                return Err(SimError::Livelock { now });
-            }
-        }
-        // Phase 2: advance to the next event.
-        let popped = {
-            let mut st = inner.state.lock();
-            st.queue.pop()
-        };
-        let Some(ev) = popped else { break };
-        {
-            let mut st = inner.state.lock();
-            debug_assert!(ev.at >= st.now, "event in the past");
-            if let Some(limit) = st.time_limit {
-                if ev.at > limit {
-                    return Err(SimError::TimeLimitExceeded { limit });
-                }
-            }
-            if ev.at > st.now {
-                st.now = ev.at;
-                executions_since_advance = 0;
-            }
-            st.events += 1;
-            match ev.kind {
-                EventKind::Wake(pid) => {
-                    let slot = &mut st.procs[pid.index()];
-                    debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
-                    slot.status = ProcStatus::Ready;
-                    st.ready.push_back(pid);
-                }
-                EventKind::Deliver(pid, payload) => {
-                    let slot = &mut st.procs[pid.index()];
-                    if slot.status == ProcStatus::Finished {
-                        st.stats.incr("simnet.deliver_to_finished", 1);
-                    } else {
-                        slot.mailbox.push_back(payload);
-                        if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {
-                            slot.status = ProcStatus::Ready;
-                            st.ready.push_back(pid);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Run process `pid` until it blocks or finishes; propagate its panic.
-fn run_one(inner: &Arc<SimInner>, pid: Pid) {
-    let baton = {
-        let mut st = inner.state.lock();
-        let slot = &mut st.procs[pid.index()];
-        debug_assert_eq!(slot.status, ProcStatus::Ready);
-        slot.status = ProcStatus::Running;
-        match &mut slot.kind {
-            ProcKind::Thread { baton, .. } => Arc::clone(baton),
-            ProcKind::Reactor(body) => {
-                let body = body.take().expect("a ready reactor has its body");
-                drop(st);
-                return run_reactor(inner, pid, body);
-            }
-        }
+/// The classic loop's next step ([`LoopState::step`], with no window).
+fn step(inner: &SimInner, owner: bool) -> Step {
+    let mut guard = inner.state.lock();
+    let st = &mut *guard;
+    let view = LoopState {
+        now: &mut st.now,
+        queue: &mut st.queue,
+        slots: &mut st.procs,
+        ready: &mut st.ready,
+        stats: &mut st.stats,
+        events: &mut st.events,
+        execs: &mut st.execs,
+        error: &mut st.error,
+        panicked: st.fatal.is_some(),
+        time_limit: st.time_limit,
+        w_end: None,
+        local: None,
     };
-    baton.resume_process();
-    let mut st = inner.state.lock();
-    let slot = &mut st.procs[pid.index()];
-    debug_assert_ne!(
-        slot.status,
-        ProcStatus::Running,
-        "process yielded without blocking"
-    );
-    if let Some(msg) = slot.panic.take() {
-        let name = slot.name.clone();
-        // Join the dead thread before re-raising.
-        let join = slot.take_join();
-        drop(st);
-        if let Some(h) = join {
-            let _ = h.join();
-        }
-        panic!("simulated process '{name}' panicked: {msg}");
-    }
+    view.step(owner)
 }
 
-/// One activation of the reactor at `pid`, on the calling thread: no
+/// A process thread whose process has just blocked (`me`) or exited
+/// (`None`) carries the loop on from here.
+fn carry(inner: &SimInner, me: Option<&Baton>) {
+    hand_off(me, &inner.owner, step(inner, false));
+}
+
+/// One activation of the reactor at slot `key`, on the owner's thread: no
 /// baton changes hands. Nothing else runs meanwhile, so no delivery can
 /// slip in between the mailbox running dry and the reactor being parked.
-fn run_reactor(inner: &Arc<SimInner>, pid: Pid, body: ReactorBody) {
-    let i = pid.index();
+fn run_reactor(inner: &SimInner, key: u32, body: ReactorBody) {
+    let i = key as usize;
     let outcome = drive_reactor(body, || inner.state.lock().procs[i].mailbox.pop_front());
     let mut st = inner.state.lock();
     let now = st.now;
     if let Some(msg) = st.procs[i].settle_reactor(now, outcome) {
-        drop(st);
-        panic!("{msg}");
+        st.fatal = Some(msg);
     }
 }
 
@@ -670,7 +612,7 @@ fn spawn_process<F>(inner: &Arc<SimInner>, stack_size: usize, name: String, f: F
 where
     F: FnOnce(ProcessCtx) + Send + 'static,
 {
-    let baton = Baton::new();
+    let baton = Arc::new(Baton::new());
     let pid = {
         let mut st = inner.state.lock();
         let pid = Pid(st.procs.len() as u32);
@@ -679,7 +621,7 @@ where
             join: None,
         };
         st.procs.push(ProcSlot::new(name.clone(), kind));
-        st.ready.push_back(pid);
+        st.ready.push_back(pid.0);
         pid
     };
     let ctx = ProcessCtx {
@@ -693,17 +635,19 @@ where
         .name(name)
         .stack_size(stack_size)
         .spawn(move || {
-            baton.wait_for_start();
-            let result = catch_unwind(AssertUnwindSafe(move || f(ctx)));
-            let mut st = tinner.state.lock();
-            let now = st.now;
-            let slot = &mut st.procs[pid.index()];
-            slot.finish(now);
-            if let Err(payload) = result {
-                slot.panic = Some(panic_message(&*payload));
-            }
-            drop(st);
-            baton.finish();
+            process_thread(
+                &baton,
+                move || f(ctx),
+                |panic| {
+                    let mut st = tinner.state.lock();
+                    let now = st.now;
+                    if let Some(msg) = st.procs[pid.index()].exited(now, panic) {
+                        st.fatal = Some(msg);
+                    }
+                    drop(st);
+                    carry(&tinner, None);
+                },
+            )
         })
         .expect("failed to spawn process thread");
     if let ProcKind::Thread { join, .. } = &mut inner.state.lock().procs[pid.index()].kind {
@@ -727,7 +671,7 @@ where
     let body = ReactorBody::Init(Box::new(move || init(ctx)));
     st.procs
         .push(ProcSlot::new(name, ProcKind::Reactor(Some(body))));
-    st.ready.push_back(pid);
+    st.ready.push_back(pid.0);
     pid
 }
 
@@ -799,7 +743,7 @@ impl ProcessCtx {
             }
             (is_compute && st.trace.is_some()).then_some(st.now)
         };
-        baton.yield_to_scheduler();
+        carry(inner, Some(baton));
         if let Some(start) = span_start {
             let mut st = inner.state.lock();
             let end = st.now;
@@ -827,9 +771,9 @@ impl ProcessCtx {
             let mut st = inner.state.lock();
             let pid = self.pid;
             st.procs[pid.index()].status = ProcStatus::Ready;
-            st.ready.push_back(pid);
+            st.ready.push_back(pid.0);
         }
-        baton.yield_to_scheduler();
+        carry(inner, Some(baton));
     }
 
     /// Blocking receive: the next mailbox message, waiting if necessary.
@@ -849,7 +793,7 @@ impl ProcessCtx {
                 }
                 st.procs[self.pid.index()].status = ProcStatus::Blocked(BlockReason::WaitMessage);
             }
-            baton.yield_to_scheduler();
+            carry(inner, Some(baton));
         }
     }
 
@@ -1198,6 +1142,22 @@ mod tests {
         match sim.run() {
             Err(SimError::TimeLimitExceeded { .. }) => {}
             other => panic!("expected time limit error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_livelock_is_detected_by_a_carrying_process_thread() {
+        let mut sim = Simulation::new(0);
+        // Alone in the loop, the spinner is always its own successor: its
+        // thread takes every step and the owner only hears of the error.
+        sim.spawn("spinner", |ctx| loop {
+            ctx.yield_now();
+        });
+        // Wind the guard forward: the real bound takes seconds to reach.
+        sim.inner.state.lock().execs = crate::process::LIVELOCK_LIMIT - 1000;
+        match sim.run() {
+            Err(SimError::Livelock { now }) => assert_eq!(now, SimTime::ZERO),
+            other => panic!("expected a livelock, got {other:?}"),
         }
     }
 

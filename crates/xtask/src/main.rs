@@ -1,8 +1,8 @@
 //! Workspace automation, run as `cargo xtask <cmd>` (see
 //! `.cargo/config.toml` for the alias) and from `ci.sh`:
 //!
-//! * `lint` — the determinism lint wall (`hash-iteration-order`,
-//!   `wall-clock`, `decode-unwrap`), running on the [`analyzer`]
+//! * `lint` — the lint wall (`hash-iteration-order`, `wall-clock`,
+//!   `decode-unwrap`, `notify-under-lock`), running on the [`analyzer`]
 //!   crate's comment/string-aware token engine. See
 //!   [`analyzer::rules::lint`] for the rules and their rationale.
 //! * `analyze` — the cross-layer drift and parallel-readiness gates
@@ -46,7 +46,7 @@ fn load_tree(repo: &Path) -> Result<Tree, String> {
     Tree::load(repo, &["crates"]).map_err(|e| format!("loading workspace sources: {e}"))
 }
 
-/// `cargo xtask lint`: the determinism wall. Prints findings as
+/// `cargo xtask lint`: the lint wall. Prints findings as
 /// `file:line: [rule] text`; nonzero exit on any finding.
 fn cmd_lint() -> ExitCode {
     let tree = match load_tree(&repo_root()) {

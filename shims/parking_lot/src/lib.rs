@@ -7,6 +7,15 @@
 //! [`Condvar`] whose `wait` borrows the guard mutably instead of consuming
 //! it. Semantics match `parking_lot` for that subset; performance
 //! characteristics are those of `std::sync`.
+//!
+//! One of those characteristics matters to callers: upstream
+//! `parking_lot` requeues a notified waiter onto the mutex when the
+//! notifier still holds it; this [`Condvar`] — `std::sync::Condvar` —
+//! does **not**. Notify under the lock and the woken thread is scheduled,
+//! blocks on the mutex at once and is switched out again: two context
+//! switches where one would do. Release the guard first, then notify
+//! (`cargo xtask lint`'s `notify-under-lock` rule enforces this under
+//! `crates/`).
 
 #![warn(missing_docs)]
 
@@ -98,7 +107,9 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 }
 
 /// A condition variable whose `wait` takes the guard by `&mut`, matching
-/// `parking_lot`'s API.
+/// `parking_lot`'s API. Unlike upstream it does not requeue waiters onto
+/// the mutex: call `notify_*` only after the guard is dropped (see the
+/// crate docs).
 pub struct Condvar(std::sync::Condvar);
 
 impl Condvar {
