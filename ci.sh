@@ -75,6 +75,15 @@ echo "== livelock bound (release, ignored in tier-1)"
 # debug one.
 cargo test --release -q -p simnet --test handoff -- --ignored
 
+echo "== rdma byte kernels (release, ignored in tier-1)"
+# kernels_are_table_speed times crc32 and pattern fill/verify against
+# their reference loops on 1 MiB in one process and wants 4x and 1.5x
+# (measured: ~20x and ~3.5x) - relative, so it holds on a noisy box, and
+# a refactor cannot quietly fall back to a byte loop. The other ignored
+# case hashes a 1 GiB virtual region (twice over: most of a minute unoptimized) and
+# checks that the process never held its zeros.
+cargo test --release -q -p rdma --lib -- --ignored
+
 echo "== benchmark package (unit tests + --quick correctness gate)"
 # benchmark/ is its own workspace building against crates/* by path, so an
 # API change can break it without the passes above noticing. Its tests and

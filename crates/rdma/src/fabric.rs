@@ -87,10 +87,16 @@ struct World {
     /// *after* jitter, so packet reorderings stay protocol-legal.
     delivery_jitter: SimDelta,
     /// Data-plane fault injection (bit flips, torn writes, payload drops).
-    payload_faults: PayloadFaultPlan,
+    payload: PayloadFaults,
+}
+
+/// The armed payload-fault plan and its stream: a field of its own so a
+/// transfer can roll it while both endpoints' memory is borrowed.
+struct PayloadFaults {
+    plan: PayloadFaultPlan,
     /// Dedicated splitmix64 stream for payload faults; advanced only when
     /// the plan is armed, so clean runs never consume randomness.
-    payload_rng: u64,
+    rng: u64,
 }
 
 /// Data-plane fault plan: corruptions applied to the payload of RDMA
@@ -193,8 +199,7 @@ impl Fabric {
                 next_gvmi: 1,
                 pair_order: BTreeMap::new(),
                 delivery_jitter: SimDelta::ZERO,
-                payload_faults: PayloadFaultPlan::default(),
-                payload_rng: 0,
+                payload: PayloadFaults::new(PayloadFaultPlan::default()),
             })),
         }
     }
@@ -241,12 +246,10 @@ impl Fabric {
             return;
         }
         let mut w = self.inner.lock();
-        if w.payload_faults.armed() {
+        if w.payload.plan.armed() {
             return;
         }
-        w.payload_faults = plan;
-        // splitmix64 init, offset so seed 0 still produces a live stream.
-        w.payload_rng = plan.seed ^ 0x9E37_79B9_7F4A_7C15;
+        w.payload = PayloadFaults::new(plan);
     }
 
     /// The cluster spec this fabric was built with.
@@ -715,11 +718,19 @@ impl Fabric {
     }
 }
 
-impl World {
+impl PayloadFaults {
+    fn new(plan: PayloadFaultPlan) -> PayloadFaults {
+        PayloadFaults {
+            plan,
+            // splitmix64 init, offset so seed 0 still produces a live stream.
+            rng: plan.seed ^ 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
     /// Next draw of the payload-fault stream (splitmix64).
-    fn payload_next(&mut self) -> u64 {
-        self.payload_rng = self.payload_rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.payload_rng;
+    fn next(&mut self) -> u64 {
+        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.rng;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
@@ -727,56 +738,71 @@ impl World {
 
     /// Roll a permille chance; a rate of 0 consumes no randomness (so
     /// arming one fault class leaves the others' streams untouched).
-    fn payload_chance(&mut self, pm: u16) -> bool {
-        pm > 0 && self.payload_next() % 1000 < pm as u64
+    fn chance(&mut self, pm: u16) -> bool {
+        pm > 0 && self.next() % 1000 < pm as u64
     }
 
     /// Decide the fault (if any) for one payload of `len` bytes.
-    fn payload_roll(&mut self, len: u64) -> PayloadFault {
-        if !self.payload_faults.armed() || len == 0 {
+    fn roll(&mut self, len: u64) -> PayloadFault {
+        if !self.plan.armed() || len == 0 {
             return PayloadFault::None;
         }
-        let plan = self.payload_faults;
-        if self.payload_chance(plan.drop_pm) {
+        let plan = self.plan;
+        if self.chance(plan.drop_pm) {
             PayloadFault::Drop
-        } else if self.payload_chance(plan.torn_pm) {
-            PayloadFault::Torn(self.payload_next() % len)
-        } else if self.payload_chance(plan.flip_pm) {
-            PayloadFault::Flip(self.payload_next() % len)
+        } else if self.chance(plan.torn_pm) {
+            PayloadFault::Torn(self.next() % len)
+        } else if self.chance(plan.flip_pm) {
+            PayloadFault::Flip(self.next() % len)
         } else {
             PayloadFault::None
         }
     }
+}
 
+impl World {
     /// Move one payload from `src` to `dst`, applying the rolled fault.
     /// Returns true when a fault fired (for stats). Both ranges are
     /// validated even on the faulted paths, so a drop never masks a
-    /// protocol-level addressing bug.
+    /// protocol-level addressing bug. The bytes go region to region; a
+    /// virtual source reads as zeros, a virtual destination takes nothing.
     fn move_payload(
         &mut self,
         src: (EpId, VAddr),
         dst: (EpId, VAddr),
         len: u64,
     ) -> Result<bool, crate::mem::MemError> {
-        let mut data = self.eps[src.0.index()].mem.read(src.1, len)?;
-        self.eps[dst.0.index()].mem.check_range(dst.1, len)?;
-        match self.payload_roll(len) {
-            PayloadFault::None => {
-                self.eps[dst.0.index()].mem.write(dst.1, &data)?;
-                Ok(false)
+        let (si, di) = (src.0.index(), dst.0.index());
+        // One address space cannot lend a source and a destination at
+        // once: a move within an endpoint copies its source out first.
+        let staged;
+        let (from, to) = if si == di {
+            let mem = &mut self.eps[si].mem;
+            staged = mem.span(src.1, len)?.map(<[u8]>::to_vec);
+            (staged.as_deref(), mem.span_mut(dst.1, len)?)
+        } else {
+            let [s, d] = self
+                .eps
+                .get_disjoint_mut([si, di])
+                .expect("two endpoints of this fabric");
+            (s.mem.span(src.1, len)?, d.mem.span_mut(dst.1, len)?)
+        };
+        let fault = self.payload.roll(len);
+        let landed = match fault {
+            PayloadFault::None | PayloadFault::Flip(_) => len,
+            PayloadFault::Torn(prefix) => prefix,
+            PayloadFault::Drop => 0,
+        } as usize;
+        if let Some(to) = to {
+            match from {
+                Some(from) => to[..landed].copy_from_slice(&from[..landed]),
+                None => to[..landed].fill(0),
             }
-            PayloadFault::Drop => Ok(true),
-            PayloadFault::Torn(prefix) => {
-                data.truncate(prefix as usize);
-                self.eps[dst.0.index()].mem.write(dst.1, &data)?;
-                Ok(true)
-            }
-            PayloadFault::Flip(off) => {
-                data[off as usize] ^= 0x40;
-                self.eps[dst.0.index()].mem.write(dst.1, &data)?;
-                Ok(true)
+            if let PayloadFault::Flip(off) = fault {
+                to[off as usize] ^= 0x40;
             }
         }
+        Ok(!matches!(fault, PayloadFault::None))
     }
 
     /// Charge `dur` of CPU time to `ep`, chaining after any prior charge.
@@ -949,6 +975,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::MemError;
     use crate::model::NicModel;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1244,6 +1271,204 @@ mod tests {
             assert!(!fab.verify_pattern(h1, dst, 512, 7).unwrap());
             assert_ne!(fab.crc32(h1, dst, 512).unwrap(), want);
         });
+    }
+
+    /// Run `f` on the world under `plan`, with two host endpoints and a
+    /// fresh copy of the fault stream to predict the world's rolls from.
+    fn with_world<F>(plan: PayloadFaultPlan, f: F)
+    where
+        F: FnOnce(&mut World, PayloadFaults, EpId, EpId) + Send + 'static,
+    {
+        with_driver(move |_ctx, fab, eps| {
+            fab.set_payload_faults(plan);
+            f(
+                &mut fab.inner.lock(),
+                PayloadFaults::new(plan),
+                eps[0],
+                eps[1],
+            );
+        });
+    }
+
+    /// A region of `ep` holding `seed`'s pattern.
+    fn patterned(w: &mut World, ep: EpId, len: u64, seed: u64) -> VAddr {
+        let mem = &mut w.eps[ep.index()].mem;
+        let a = mem.alloc(len);
+        mem.fill_pattern(a, len, seed).unwrap();
+        a
+    }
+
+    fn bytes(w: &World, ep: EpId, addr: VAddr, len: u64) -> Vec<u8> {
+        w.eps[ep.index()].mem.read(addr, len).unwrap()
+    }
+
+    const LEN: u64 = 3000;
+
+    #[test]
+    fn flip_changes_exactly_one_destination_byte() {
+        let plan = PayloadFaultPlan {
+            flip_pm: 1000,
+            seed: 21,
+            ..Default::default()
+        };
+        with_world(plan, |w, mut rolls, a, b| {
+            let PayloadFault::Flip(at) = rolls.roll(LEN) else {
+                panic!("a certain flip");
+            };
+            let (src, dst) = (patterned(w, a, LEN, 1), patterned(w, b, LEN, 2));
+            assert!(w.move_payload((a, src), (b, dst), LEN).unwrap());
+            let mut want = bytes(w, a, src, LEN);
+            assert!(w.eps[a.index()].mem.verify_pattern(src, LEN, 1).unwrap());
+            want[at as usize] ^= 0x40;
+            assert!(bytes(w, b, dst, LEN) == want);
+        });
+    }
+
+    #[test]
+    fn torn_write_lands_a_prefix_and_nothing_else() {
+        let plan = PayloadFaultPlan {
+            torn_pm: 1000,
+            seed: 22,
+            ..Default::default()
+        };
+        with_world(plan, |w, mut rolls, a, b| {
+            let PayloadFault::Torn(prefix) = rolls.roll(LEN) else {
+                panic!("a certain tear");
+            };
+            let (src, dst) = (patterned(w, a, LEN, 1), patterned(w, b, LEN, 2));
+            let mut want = bytes(w, b, dst, LEN);
+            want[..prefix as usize].copy_from_slice(&bytes(w, a, src, prefix));
+            assert!(w.move_payload((a, src), (b, dst), LEN).unwrap());
+            assert!(bytes(w, b, dst, LEN) == want);
+        });
+    }
+
+    #[test]
+    fn drop_keeps_the_destination_but_not_a_bad_address() {
+        let plan = PayloadFaultPlan {
+            drop_pm: 1000,
+            ..Default::default()
+        };
+        with_world(plan, |w, _, a, b| {
+            let (src, dst) = (patterned(w, a, LEN, 1), patterned(w, b, LEN, 2));
+            assert!(w.move_payload((a, src), (b, dst), LEN).unwrap());
+            assert!(w.eps[b.index()].mem.verify_pattern(dst, LEN, 2).unwrap());
+            let past = dst.offset(1);
+            assert_eq!(
+                w.move_payload((a, src), (b, past), LEN),
+                Err(MemError::OutOfBounds {
+                    addr: past,
+                    len: LEN
+                })
+            );
+            let nowhere = dst.offset(LEN);
+            assert_eq!(
+                w.move_payload((a, src), (b, nowhere), LEN),
+                Err(MemError::Unmapped { addr: nowhere })
+            );
+            // The source's error is reported ahead of the destination's.
+            let bad_src = src.offset(LEN);
+            assert_eq!(
+                w.move_payload((a, bad_src), (b, nowhere), LEN),
+                Err(MemError::Unmapped { addr: bad_src })
+            );
+        });
+    }
+
+    #[test]
+    fn a_move_draws_once_and_only_after_both_range_checks() {
+        let plan = PayloadFaultPlan {
+            torn_pm: 1000,
+            seed: 23,
+            ..Default::default()
+        };
+        with_world(plan, |w, mut rolls, a, b| {
+            let (src, dst) = (patterned(w, a, LEN, 1), patterned(w, b, LEN, 2));
+            w.move_payload((a, src), (b, dst.offset(1)), LEN)
+                .unwrap_err();
+            w.move_payload((a, src.offset(1)), (b, dst), LEN)
+                .unwrap_err();
+            // Empty payloads never roll.
+            assert!(!w.move_payload((a, src), (b, dst), 0).unwrap());
+            for _ in 0..3 {
+                let PayloadFault::Torn(prefix) = rolls.roll(LEN) else {
+                    panic!("a certain tear");
+                };
+                w.eps[b.index()].mem.fill_pattern(dst, LEN, 2).unwrap();
+                let mut want = bytes(w, b, dst, LEN);
+                want[..prefix as usize].copy_from_slice(&bytes(w, a, src, prefix));
+                assert!(w.move_payload((a, src), (b, dst), LEN).unwrap());
+                assert!(bytes(w, b, dst, LEN) == want);
+            }
+        });
+    }
+
+    #[test]
+    fn moves_within_one_endpoint() {
+        with_world(PayloadFaultPlan::default(), |w, _, a, _| {
+            // Neighbouring regions of one address space.
+            let (src, dst) = (patterned(w, a, LEN, 1), patterned(w, a, LEN, 2));
+            assert!(!w.move_payload((a, src), (a, dst), LEN).unwrap());
+            let mem = &w.eps[a.index()].mem;
+            assert!(mem.verify_pattern(src, LEN, 1).unwrap());
+            assert!(mem.verify_pattern(dst, LEN, 1).unwrap());
+            // Neighbouring, then overlapping, halves of one region.
+            let half = LEN / 2;
+            assert!(!w
+                .move_payload((a, src), (a, src.offset(half)), half)
+                .unwrap());
+            assert!(bytes(w, a, src, half) == bytes(w, a, src.offset(half), half));
+            let before = bytes(w, a, dst, half);
+            assert!(!w.move_payload((a, dst), (a, dst.offset(7)), half).unwrap());
+            assert!(bytes(w, a, dst.offset(7), half) == before);
+        });
+    }
+
+    #[test]
+    fn a_virtual_source_lands_as_zeros() {
+        let plan = PayloadFaultPlan {
+            flip_pm: 1000,
+            seed: 24,
+            ..Default::default()
+        };
+        with_world(plan, |w, mut rolls, a, b| {
+            let PayloadFault::Flip(at) = rolls.roll(LEN) else {
+                panic!("a certain flip");
+            };
+            let src = w.eps[a.index()].mem.alloc_virtual(LEN);
+            let dst = patterned(w, b, LEN, 2);
+            assert!(w.move_payload((a, src), (b, dst), LEN).unwrap());
+            let mut want = vec![0; LEN as usize];
+            want[at as usize] = 0x40;
+            assert!(bytes(w, b, dst, LEN) == want);
+            // And a virtual destination takes nothing, fault or not.
+            assert!(w.move_payload((b, dst), (a, src), LEN).unwrap());
+        });
+    }
+
+    #[test]
+    fn every_faulted_transfer_is_counted_once() {
+        let report = with_driver(|ctx, fab, eps| {
+            let (h0, h1) = (eps[0], eps[1]);
+            fab.set_payload_faults(PayloadFaultPlan {
+                drop_pm: 1000,
+                ..Default::default()
+            });
+            let src = fab.alloc(h0, 512);
+            let dst = fab.alloc(h1, 512);
+            let lkey = fab.reg_mr(&ctx, h0, src, 512).unwrap();
+            let rkey = fab.reg_mr(&ctx, h1, dst, 512).unwrap();
+            for _ in 0..2 {
+                fab.rdma_write(&ctx, h0, (h0, src, lkey), (h1, dst, rkey), 512, None, None)
+                    .unwrap();
+            }
+            fab.rdma_read(&ctx, h0, (h0, src, lkey), (h1, dst, rkey), 512, None)
+                .unwrap();
+            // A transfer refused for its addresses is not a payload fault.
+            fab.rdma_write(&ctx, h0, (h0, src, lkey), (h1, dst, rkey), 513, None, None)
+                .unwrap_err();
+        });
+        assert_eq!(report.stats.counter("rdma.fault.payload"), 3);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property-based tests of the RDMA layer: the address space against a
-//! model map, registration/key invariants, and transfer-timing sanity.
+//! model map, the byte kernels through the public accessors (the
+//! comparisons against their reference implementations are unit tests in
+//! `mem.rs`, where the references live), registration/key invariants, and
+//! transfer-timing sanity.
 
 use proptest::prelude::*;
 use rdma::{AddressSpace, ClusterSpec, DeviceClass, Fabric, MemError, NetMsg, VAddr};
@@ -82,6 +85,62 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn region_crc_is_the_crc_of_its_bytes(
+        len in 0u64..70_000,
+        off in 0u64..64,
+        seed in any::<u64>(),
+    ) {
+        // In place at any alignment == over a copy; one flipped bit shows.
+        let mut asp = AddressSpace::new();
+        let a = asp.alloc(off + len);
+        asp.fill_pattern(a, off + len, seed).unwrap();
+        let at = a.offset(off);
+        let mut bytes = asp.read(at, len).unwrap();
+        let crc = asp.crc32(at, len).unwrap();
+        prop_assert_eq!(crc, rdma::crc32(&bytes));
+        if len > 0 {
+            let i = (seed % len) as usize;
+            bytes[i] ^= 1 << (seed % 8);
+            prop_assert_ne!(crc, rdma::crc32(&bytes));
+        }
+    }
+
+    #[test]
+    fn pattern_stream_does_not_depend_on_the_length_asked_for(
+        short in 0u64..5_000,
+        extra in 0u64..40_000,
+        seed in any::<u64>(),
+    ) {
+        // Short fills take the serial loop, long ones the lanes: the
+        // same stream either way, so one is a prefix of the other.
+        let mut asp = AddressSpace::new();
+        let (a, b) = (asp.alloc(short), asp.alloc(short + extra));
+        asp.fill_pattern(a, short, seed).unwrap();
+        asp.fill_pattern(b, short + extra, seed).unwrap();
+        prop_assert!(asp.read(a, short).unwrap() == asp.read(b, short).unwrap());
+        prop_assert!(asp.verify_pattern(b, short, seed).unwrap());
+    }
+
+    #[test]
+    fn verify_pattern_accepts_its_fill_and_nothing_else(
+        len in 1u64..40_000,
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let mut asp = AddressSpace::new();
+        let a = asp.alloc(len);
+        asp.fill_pattern(a, len, seed).unwrap();
+        prop_assert!(asp.verify_pattern(a, len, seed).unwrap());
+        // (A one-byte run of another stream can match by chance.)
+        prop_assert!(len < 8 || !asp.verify_pattern(a, len, seed ^ 2).unwrap());
+        let hit = a.offset(at % len);
+        let byte = asp.read(hit, 1).unwrap()[0];
+        asp.write(hit, &[byte ^ (1 << bit)]).unwrap();
+        prop_assert!(!asp.verify_pattern(a, len, seed).unwrap());
     }
 
     #[test]
