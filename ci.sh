@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The full gate: formatting, clippy deny-wall, the repo-specific lint
-# wall, the workspace analyzer (drift + parallel-readiness rules), build
+# wall, the workspace analyzer (scope/error drift + parallel-readiness
+# rules; event and metrics-key coverage is rustc's and clippy's job), build
 # + tests, the protocol benchmark package's own tests and --quick
 # correctness gate, then the benchmark artifact gates: schema validation, the
 # bench-diff regression comparison of a fresh deterministic --quick run
@@ -19,7 +20,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo xtask lint"
 cargo xtask lint
 
-echo "== cargo xtask analyze (drift + parallel-readiness gates)"
+echo "== cargo xtask analyze (scope/error drift + parallel-readiness gates)"
 # Writes the bluefield-offload/analyzer/v1 report as a side effect;
 # archived next to the bench artifacts at the end of the run.
 cargo xtask analyze

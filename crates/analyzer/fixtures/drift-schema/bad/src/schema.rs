@@ -1,2 +1,2 @@
-// Fixture schema: engine_stops has no producer (seeded drift).
-pub const KEYS: &[&str] = &["engine_starts", "engine_stops"];
+// Fixture schema: engine_stop has no producer (seeded drift).
+pub const SCOPES: &[&str] = &["engine_start", "engine_stop"];

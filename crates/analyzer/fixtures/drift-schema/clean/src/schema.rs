@@ -1,2 +1,2 @@
-// Fixture schema: two declared counter keys.
-pub const KEYS: &[&str] = &["engine_starts", "engine_stops"];
+// Fixture schema: two declared profile scopes.
+pub const SCOPES: &[&str] = &["engine_start", "engine_stop"];

@@ -4,13 +4,13 @@
 //! [`lex`]) instead of line regexes, so neither comments, string
 //! literals, nor inline `#[cfg(test)]` modules can confuse them:
 //!
-//! * **Cross-layer drift** ([`rules::drift`]) — the protocol is encoded
-//!   in four places (the [`ProtoEvent`] enum, the conformance checker,
-//!   the metrics aggregation, the flight-recorder round-trip) plus the
-//!   `metrics/v1` schema and the typed `OffloadError` surface. These
-//!   rules prove the encodings stay in sync: every event variant is
-//!   handled in every layer, every schema counter has a producer, every
-//!   error variant is both constructed and asserted.
+//! * **Cross-layer drift** ([`rules::drift`]) — two contracts are
+//!   spelled in several places with no type tying them together: the
+//!   `profile/v1` scope list against its `profile_scope!` call sites,
+//!   and the typed `OffloadError` surface. These rules prove they stay
+//!   in sync: every declared scope has a producer, every error variant
+//!   is both constructed and asserted. (Protocol events and metrics
+//!   counters are declared once in `core` and enforced by rustc.)
 //! * **Parallel readiness** ([`rules::parallel`]) — ROADMAP items 1/5
 //!   (sharded simnet, hot-path rework) need the engine free of ambient
 //!   concurrency: no `std::sync` locking primitives outside `simnet`,
@@ -24,8 +24,6 @@
 //! Escapes: a `lint:allow(rule)` or `analyzer:allow(rule)` comment on
 //! the offending line waives that rule for the line; the panic-path
 //! audit additionally accepts a committed baseline (see [`baseline`]).
-//!
-//! [`ProtoEvent`]: https://crates/core/src/events.rs
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -154,24 +152,10 @@ impl SourceSet {
 /// workspace; tests build custom configs over fixture trees.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// File declaring the protocol event enum.
-    pub events_file: String,
-    /// Name of the protocol event enum.
-    pub proto_enum: String,
-    /// Files that must handle every event variant as a
-    /// `ProtoEvent::Variant` path in non-test code.
-    pub proto_handlers: Vec<String>,
-    /// Files that must additionally mention every variant name as a
-    /// string literal (the flight recorder's parse side).
-    pub proto_str_handlers: Vec<String>,
-    /// File declaring the metrics schema key lists.
+    /// File declaring the `profile/v1` scope list.
     pub schema_file: String,
-    /// `const NAME: &[&str]` arrays in that file holding counter keys.
-    pub schema_consts: Vec<String>,
-    /// Roots whose non-test code must produce every schema counter.
-    pub counter_roots: Vec<String>,
-    /// `const NAME: &[&str]` arrays in the schema file holding
-    /// `profile/v1` scope names.
+    /// `const NAME: &[&str]` arrays in that file holding `profile/v1`
+    /// scope names.
     pub profile_consts: Vec<String>,
     /// Roots whose non-test code must enter every profile scope — a
     /// `profile_scope!("name")` string literal or an engine scope
@@ -202,17 +186,7 @@ impl Config {
     pub fn repo() -> Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         Config {
-            events_file: "crates/core/src/events.rs".into(),
-            proto_enum: "ProtoEvent".into(),
-            proto_handlers: s(&[
-                "crates/checker/src/conformance.rs",
-                "crates/core/src/metrics.rs",
-                "crates/core/src/flight.rs",
-            ]),
-            proto_str_handlers: s(&["crates/core/src/flight.rs"]),
             schema_file: "crates/obs/src/schema.rs".into(),
-            schema_consts: s(&["TOTAL_KEYS", "CACHE_KEYS", "TENANT_KEYS", "HEALTH_KEYS"]),
-            counter_roots: s(&["crates/core/src"]),
             profile_consts: s(&["PROFILE_SCOPES"]),
             profile_roots: s(&["crates/core/src", "crates/simnet/src"]),
             errors_file: "crates/core/src/reliable.rs".into(),
@@ -267,7 +241,6 @@ impl Analysis {
 pub fn analyze(tree: &Tree, cfg: &Config, baseline_text: &str) -> Analysis {
     let set = SourceSet::build(tree);
     let mut findings = Vec::new();
-    findings.extend(rules::drift::proto_drift(&set, cfg));
     findings.extend(rules::drift::schema_drift(&set, cfg));
     findings.extend(rules::drift::error_drift(&set, cfg));
     findings.extend(rules::parallel::concurrency_ban(&set, cfg));

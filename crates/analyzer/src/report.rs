@@ -27,7 +27,6 @@ pub const SCHEMA_ID: &str = "bluefield-offload/analyzer/v1";
 
 /// Every rule the analyzer runs, for the report's `rules` list.
 pub const RULES: &[&str] = &[
-    crate::rules::drift::PROTO_DRIFT,
     crate::rules::drift::SCHEMA_DRIFT,
     crate::rules::drift::ERROR_DRIFT,
     crate::rules::parallel::CONCURRENCY_BAN,

@@ -1,26 +1,29 @@
 //! Cross-layer drift detection.
 //!
-//! The protocol's correctness story is encoded several times over —
-//! the [`ProtoEvent`] enum, the conformance invariants, the metrics
-//! aggregation, the flight-recorder dump/parse round-trip, the
-//! `metrics/v1` schema, the typed error surface — and PRs 1–5 kept
-//! those encodings in sync by hand. These rules make the sync
-//! machine-checked: adding a `ProtoEvent` variant, a schema counter, or
-//! an `OffloadError` variant without teaching every layer about it is a
+//! Two contracts in this workspace are spelled in more than one place
+//! with no type tying the spellings together: the `profile/v1` scope
+//! list (a `const` of names in `obs`, string literals at the
+//! `profile_scope!` call sites) and the typed error surface (declared
+//! in one file, constructed in others, asserted in tests). These rules
+//! make that sync machine-checked: a scope nothing enters, or an
+//! `OffloadError` variant nothing constructs or no test asserts, is a
 //! gate failure with a `file:line` pointing at the declaration.
+//!
+//! Protocol events and metrics counters need no rule: `ProtoEvent` and
+//! its flight codec expand from one table (`core/src/events.rs`), the
+//! hand-written consumers match it without a wildcard arm, and the
+//! `metrics/v1` key lists expand from the structs they name
+//! (`core/src/metrics.rs`), so rustc rejects an unhandled variant or an
+//! unproduced counter.
 //!
 //! Waivers: an `analyzer:allow(<rule>)` comment on the *declaration*
 //! line (the enum variant or the schema key) waives that item
 //! everywhere — the declaration is the one place a reviewer will look.
-//!
-//! [`ProtoEvent`]: crate::Config::proto_enum
 
 use crate::scan;
 use crate::{Config, FileScan, Finding, SourceSet};
 
-/// Rule name: every protocol event variant handled in every layer.
-pub const PROTO_DRIFT: &str = "proto-drift";
-/// Rule name: every schema counter produced somewhere in core.
+/// Rule name: every declared profile scope entered by a producer.
 pub const SCHEMA_DRIFT: &str = "schema-drift";
 /// Rule name: every typed error variant constructed and asserted.
 pub const ERROR_DRIFT: &str = "error-drift";
@@ -46,90 +49,12 @@ fn has_live_ident_or_str(file: &FileScan, name: &str) -> bool {
     })
 }
 
-/// Every variant of the protocol event enum must be handled — as a
-/// `Enum::Variant` path in non-test code — in each handler file
-/// (conformance checker, metrics aggregation, flight-recorder dump),
-/// and additionally as a string literal in the flight recorder (its
-/// parse side matches on the variant *name*).
-pub fn proto_drift(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let Some(events) = set.get(&cfg.events_file) else {
-        return vec![Finding {
-            rule: PROTO_DRIFT,
-            path: cfg.events_file.clone(),
-            line: 1,
-            msg: format!(
-                "events file not found in tree (looking for enum {})",
-                cfg.proto_enum
-            ),
-        }];
-    };
-    let variants = scan::enum_variants(&events.lexed, &cfg.proto_enum);
-    if variants.is_empty() {
-        return vec![Finding {
-            rule: PROTO_DRIFT,
-            path: cfg.events_file.clone(),
-            line: 1,
-            msg: format!("enum {} not found or has no variants", cfg.proto_enum),
-        }];
-    }
-    for handler in cfg.proto_handlers.iter().chain(&cfg.proto_str_handlers) {
-        if set.get(handler).is_none() {
-            out.push(Finding {
-                rule: PROTO_DRIFT,
-                path: handler.clone(),
-                line: 1,
-                msg: "handler file not found in tree".into(),
-            });
-        }
-    }
-    for (variant, line) in &variants {
-        if events.allowed(PROTO_DRIFT, *line) {
-            continue;
-        }
-        for handler in &cfg.proto_handlers {
-            let Some(h) = set.get(handler) else { continue };
-            if !has_live_path(h, &cfg.proto_enum, variant) {
-                out.push(Finding {
-                    rule: PROTO_DRIFT,
-                    path: cfg.events_file.clone(),
-                    line: *line,
-                    msg: format!(
-                        "{}::{variant} has no handler arm in {handler}; add one or waive \
-                         with `analyzer:allow({PROTO_DRIFT})` on the variant",
-                        cfg.proto_enum
-                    ),
-                });
-            }
-        }
-        for handler in &cfg.proto_str_handlers {
-            let Some(h) = set.get(handler) else { continue };
-            if scan::str_lines(&h.lexed, variant).is_empty() {
-                out.push(Finding {
-                    rule: PROTO_DRIFT,
-                    path: cfg.events_file.clone(),
-                    line: *line,
-                    msg: format!(
-                        "{}::{variant} is not parsed back (no \"{variant}\" string) in {handler}; \
-                         the flight-recorder round-trip would drop it",
-                        cfg.proto_enum
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Every counter key declared in the schema's `const` key lists must be
-/// produced by non-test code under the counter roots: the key has to
-/// occur as an identifier (a struct field being incremented) or a
-/// string literal (the JSON emitter writing it). A schema key nothing
-/// in core mentions is a counter that can never move — classic drift
-/// between the contract and the engine. The `profile/v1` scope list is
-/// held to the same bar against its own roots: every declared scope
-/// name must appear in a producer (a `profile_scope!("name")` literal
-/// in core or an engine scope const in simnet).
+/// Every name in the schema file's `profile/v1` scope lists must be
+/// entered by non-test code under the profile roots: it has to occur as
+/// a string literal (a `profile_scope!("name")` in core) or an
+/// identifier (an engine scope const in simnet). A declared scope
+/// nothing enters is a profiler row that can never appear — drift
+/// between the contract and the engine.
 pub fn schema_drift(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     let Some(schema) = set.get(&cfg.schema_file) else {
@@ -140,43 +65,38 @@ pub fn schema_drift(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
             msg: "schema file not found in tree".into(),
         }];
     };
-    let groups: [(&[String], &[String]); 2] = [
-        (&cfg.schema_consts, &cfg.counter_roots),
-        (&cfg.profile_consts, &cfg.profile_roots),
-    ];
-    for (consts, roots) in groups {
-        // The declaring file never counts as a producer, even when the
-        // roots cover it — the const array itself mentions every key.
-        let producers: Vec<&FileScan> = set
-            .under(roots)
-            .filter(|f| f.path != cfg.schema_file)
-            .collect();
-        for const_name in consts {
-            let keys = scan::const_str_array(&schema.lexed, const_name);
-            if keys.is_empty() {
+    // The declaring file never counts as a producer, even when the
+    // roots cover it — the const array itself mentions every name.
+    let producers: Vec<&FileScan> = set
+        .under(&cfg.profile_roots)
+        .filter(|f| f.path != cfg.schema_file)
+        .collect();
+    for const_name in &cfg.profile_consts {
+        let names = scan::const_str_array(&schema.lexed, const_name);
+        if names.is_empty() {
+            out.push(Finding {
+                rule: SCHEMA_DRIFT,
+                path: cfg.schema_file.clone(),
+                line: 1,
+                msg: format!("const {const_name} not found or empty in schema file"),
+            });
+            continue;
+        }
+        for (name, line) in names {
+            if schema.allowed(SCHEMA_DRIFT, line) {
+                continue;
+            }
+            if !producers.iter().any(|f| has_live_ident_or_str(f, &name)) {
                 out.push(Finding {
                     rule: SCHEMA_DRIFT,
                     path: cfg.schema_file.clone(),
-                    line: 1,
-                    msg: format!("const {const_name} not found or empty in schema file"),
+                    line,
+                    msg: format!(
+                        "profile scope \"{name}\" ({const_name}) is entered nowhere under \
+                         {:?}; wire it up or waive with `analyzer:allow({SCHEMA_DRIFT})`",
+                        cfg.profile_roots
+                    ),
                 });
-                continue;
-            }
-            for (key, line) in keys {
-                if schema.allowed(SCHEMA_DRIFT, line) {
-                    continue;
-                }
-                if !producers.iter().any(|f| has_live_ident_or_str(f, &key)) {
-                    out.push(Finding {
-                        rule: SCHEMA_DRIFT,
-                        path: cfg.schema_file.clone(),
-                        line,
-                        msg: format!(
-                            "schema counter \"{key}\" ({const_name}) is produced nowhere under \
-                             {roots:?}; wire it up or waive with `analyzer:allow({SCHEMA_DRIFT})`"
-                        ),
-                    });
-                }
             }
         }
     }

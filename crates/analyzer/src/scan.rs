@@ -202,16 +202,6 @@ pub fn path2_lines(lexed: &Lexed, a: &str, b: &str) -> Vec<u32> {
         .collect()
 }
 
-/// Lines on which the string literal `s` occurs.
-pub fn str_lines(lexed: &Lexed, s: &str) -> Vec<u32> {
-    lexed
-        .toks
-        .iter()
-        .filter(|t| t.kind == TokKind::Str && t.text == s)
-        .map(|t| t.line)
-        .collect()
-}
-
 /// Lines on which the identifier `s` occurs.
 pub fn ident_lines(lexed: &Lexed, s: &str) -> Vec<u32> {
     lexed
@@ -281,10 +271,9 @@ mod tests {
     }
 
     #[test]
-    fn path_and_str_lookup() {
+    fn path_lookup() {
         let lexed = lex("use a::b;\nmatch x { Foo::Bar => 1, _ => 2 }\nlet s = \"Bar\";");
         assert_eq!(path2_lines(&lexed, "Foo", "Bar"), [2]);
-        assert_eq!(str_lines(&lexed, "Bar"), [3]);
         assert!(path2_lines(&lexed, "Foo", "Baz").is_empty());
     }
 }

@@ -25,14 +25,8 @@ fn tree(name: &str, variant: &str) -> Tree {
 fn cfg() -> Config {
     let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     Config {
-        events_file: "src/events.rs".into(),
-        proto_enum: "Ev".into(),
-        proto_handlers: s(&["src/handle.rs"]),
-        proto_str_handlers: s(&["src/handle.rs"]),
         schema_file: "src/schema.rs".into(),
-        schema_consts: s(&["KEYS"]),
-        counter_roots: s(&["src"]),
-        profile_consts: s(&[]),
+        profile_consts: s(&["SCOPES"]),
         profile_roots: s(&["src"]),
         errors_file: "src/errors.rs".into(),
         error_enum: "Fail".into(),
@@ -45,27 +39,13 @@ fn cfg() -> Config {
 }
 
 #[test]
-fn proto_drift_fixtures() {
-    let clean = SourceSet::build(&tree("drift-proto", "clean"));
-    assert!(drift::proto_drift(&clean, &cfg()).is_empty());
-    let bad = SourceSet::build(&tree("drift-proto", "bad"));
-    let findings = drift::proto_drift(&bad, &cfg());
-    assert!(
-        findings.iter().any(|f| f.msg.contains("Ev::Finished")),
-        "seeded missing handler must be named: {findings:?}"
-    );
-    // The finding anchors at the variant's declaration, not the handler.
-    assert!(findings.iter().all(|f| f.path == "src/events.rs"));
-}
-
-#[test]
 fn schema_drift_fixtures() {
     let clean = SourceSet::build(&tree("drift-schema", "clean"));
     assert!(drift::schema_drift(&clean, &cfg()).is_empty());
     let bad = SourceSet::build(&tree("drift-schema", "bad"));
     let findings = drift::schema_drift(&bad, &cfg());
     assert_eq!(findings.len(), 1, "exactly the seeded orphan: {findings:?}");
-    assert!(findings[0].msg.contains("engine_stops"));
+    assert!(findings[0].msg.contains("engine_stop"));
 }
 
 #[test]

@@ -11,93 +11,191 @@
 //! The events deliberately use plain field types (`usize`, `u64`,
 //! [`rdma::MrKey`], [`rdma::VAddr`]) so observers outside this crate can
 //! consume them without access to crate-private protocol structures.
+//!
+//! Every event and every small field enum is declared exactly once, in
+//! the `proto_events!` and `flight_enums!` tables below; the enum
+//! definitions and their flight-dump text codec (see [`crate::flight`])
+//! are both expansions of those tables, so a new variant or field is
+//! rendered, parsed and round-trip-sampled without touching `flight.rs`.
+//! The hand-written consumers (`metrics.rs`, the checker's
+//! `conformance.rs`) match `ProtoEvent` without a wildcard arm, so the
+//! compiler rejects a variant they do not handle.
 
 use rdma::{MrKey, VAddr};
 
-/// Which FIN message a proxy sent for a completed transfer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FinKind {
-    /// `FinSend` — completion notice to the sending rank.
-    Send,
-    /// `FinRecv` — completion notice to the receiving rank.
-    Recv,
-    /// `GroupFin` — completion notice for a whole group generation.
-    Group,
+use crate::flight::{Fields, FlightField};
+
+/// Declares the field-less enums events carry, plus each one's
+/// [`FlightField`] codec: a value is written as its variant identifier
+/// and parsed back by the same identifier.
+macro_rules! flight_enums {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $Name:ident {
+            $( $(#[$vmeta:meta])* $Variant:ident ),* $(,)?
+        }
+    )*) => {$(
+        $(#[$meta])*
+        pub enum $Name {
+            $( $(#[$vmeta])* $Variant ),*
+        }
+
+        impl FlightField for $Name {
+            const WHAT: &'static str = stringify!($Name);
+            const SAMPLES: &'static [$Name] = &[$($Name::$Variant),*];
+
+            fn put(self, out: &mut String) {
+                out.push_str(match self {
+                    $($Name::$Variant => stringify!($Variant)),*
+                });
+            }
+
+            fn get(text: &str) -> Option<$Name> {
+                match text {
+                    $(stringify!($Variant) => Some($Name::$Variant),)*
+                    _ => None,
+                }
+            }
+        }
+    )*};
 }
 
-/// Outcome of a registration-cache lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CacheOutcome {
-    /// A valid entry for exactly `(rank, addr, len)` was found.
-    Hit,
-    /// No entry was found.
-    Miss,
-    /// An entry was found but failed validation and was evicted.
-    Stale,
-}
+flight_enums! {
+    /// Which FIN message a proxy sent for a completed transfer.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum FinKind {
+        /// `FinSend` — completion notice to the sending rank.
+        Send,
+        /// `FinRecv` — completion notice to the receiving rank.
+        Recv,
+        /// `GroupFin` — completion notice for a whole group generation.
+        Group,
+    }
 
-/// Which leg of a data transfer an RDMA work request implements.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PathKind {
-    /// Direct host-to-host write through a cross-GVMI mkey2.
-    CrossGvmi,
-    /// Staging path, first hop: RDMA read from the source host into the
-    /// proxy's staging buffer.
-    StagingHop1,
-    /// Staging path, second hop: RDMA write from the staging buffer to
-    /// the destination host.
-    StagingHop2,
-}
+    /// Outcome of a registration-cache lookup.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum CacheOutcome {
+        /// A valid entry for exactly `(rank, addr, len)` was found.
+        Hit,
+        /// No entry was found.
+        Miss,
+        /// An entry was found but failed validation and was evicted.
+        Stale,
+    }
 
-/// Direction of a host-posted basic request, as seen by the posting rank.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReqDir {
-    /// `Send_offload` — the rank is the data source.
-    Send,
-    /// `Recv_offload` — the rank is the data destination.
-    Recv,
-    /// A one-sided put/get posted through the SHMEM facade.
-    OneSided,
-}
+    /// Which leg of a data transfer an RDMA work request implements.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum PathKind {
+        /// Direct host-to-host write through a cross-GVMI mkey2.
+        CrossGvmi,
+        /// Staging path, first hop: RDMA read from the source host into the
+        /// proxy's staging buffer.
+        StagingHop1,
+        /// Staging path, second hop: RDMA write from the staging buffer to
+        /// the destination host.
+        StagingHop2,
+    }
 
-/// Which host-side registration cache a lookup touched.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum HostCacheKind {
-    /// The per-proxy GVMI registration cache (mkey for offloaded sends).
-    Gvmi,
-    /// The plain IB registration cache (lkey/rkey for host verbs).
-    Ib,
-}
+    /// Direction of a host-posted basic request, as seen by the posting rank.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum ReqDir {
+        /// `Send_offload` — the rank is the data source.
+        Send,
+        /// `Recv_offload` — the rank is the data destination.
+        Recv,
+        /// A one-sided put/get posted through the SHMEM facade.
+        OneSided,
+    }
 
-/// Which cache an eviction came from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CacheSide {
-    /// Host-side GVMI registration cache.
-    HostGvmi,
-    /// Host-side IB registration cache.
-    HostIb,
-    /// DPU-side cross-registration cache.
-    DpuCross,
-}
+    /// Which host-side registration cache a lookup touched.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum HostCacheKind {
+        /// The per-proxy GVMI registration cache (mkey for offloaded sends).
+        Gvmi,
+        /// The plain IB registration cache (lkey/rkey for host verbs).
+        Ib,
+    }
 
-/// Path class a health-engine breaker or retry budget governs
-/// (DESIGN.md §19). Coarser than [`PathKind`]: both staging hops share
-/// one breaker, and the ctrl plane gets its own class.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum HealthPath {
-    /// The direct cross-GVMI data path (registration + host-to-host
-    /// write). Tripped: posts reroute to staging without probing.
-    CrossGvmi,
-    /// The staging store-and-forward data path. Tripped: posts degrade
-    /// to a host-direct write where the registration material allows.
-    Staging,
-    /// The reliable ctrl plane (retry budgets only; ctrl has no
-    /// alternate route to break to).
-    Ctrl,
+    /// Which cache an eviction came from.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum CacheSide {
+        /// Host-side GVMI registration cache.
+        HostGvmi,
+        /// Host-side IB registration cache.
+        HostIb,
+        /// DPU-side cross-registration cache.
+        DpuCross,
+    }
+
+    /// Path class a health-engine breaker or retry budget governs
+    /// (DESIGN.md §19). Coarser than [`PathKind`]: both staging hops share
+    /// one breaker, and the ctrl plane gets its own class.
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+    pub enum HealthPath {
+        /// The direct cross-GVMI data path (registration + host-to-host
+        /// write). Tripped: posts reroute to staging without probing.
+        CrossGvmi,
+        /// The staging store-and-forward data path. Tripped: posts degrade
+        /// to a host-direct write where the registration material allows.
+        Staging,
+        /// The reliable ctrl plane (retry budgets only; ctrl has no
+        /// alternate route to break to).
+        Ctrl,
+    }
+
+    /// Kind of a ctrl-plane message, for drop/retransmit attribution in
+    /// lifecycle timelines (the wire enum itself is crate-private).
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum CtrlKind {
+        /// Ready-to-send.
+        Rts,
+        /// Ready-to-receive.
+        Rtr,
+        /// Send-side completion.
+        FinSend,
+        /// Receive-side completion.
+        FinRecv,
+        /// Host→host receive metadata.
+        RecvMeta,
+        /// Full group metadata packet.
+        GroupPacket,
+        /// Cached group execution doorbell.
+        GroupExec,
+        /// Group completion.
+        GroupFin,
+        /// Proxy→proxy barrier counter write.
+        BarrierCntr,
+        /// Data-write arrival marker.
+        GroupArrival,
+        /// One-sided put.
+        Put,
+        /// One-sided get.
+        Get,
+        /// Symmetric-heap handshake.
+        ShmemHello,
+        /// Rank shutdown notice.
+        Shutdown,
+        /// Reliability envelope.
+        Seq,
+        /// Reliability acknowledgement.
+        Ack,
+        /// Retransmission timer tick.
+        RetxTick,
+        /// Proxy restart notice.
+        ProxyRestarted,
+        /// Admission-control nack: the proxy's bounded queues were full.
+        QueueFull,
+        /// Host-initiated cancellation of an in-flight request.
+        Cancel,
+        /// Data-path retransmission budget exhausted for a transfer.
+        DataError,
+        /// Undecodable or foreign message.
+        Unknown,
+    }
 }
 
 impl HealthPath {
-    /// Stable lowercase name for reports and flight records.
+    /// Stable lowercase name for reports.
     pub fn name(self) -> &'static str {
         match self {
             HealthPath::CrossGvmi => "cross_gvmi",
@@ -107,60 +205,75 @@ impl HealthPath {
     }
 }
 
-/// Kind of a ctrl-plane message, for drop/retransmit attribution in
-/// lifecycle timelines (the wire enum itself is crate-private).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CtrlKind {
-    /// Ready-to-send.
-    Rts,
-    /// Ready-to-receive.
-    Rtr,
-    /// Send-side completion.
-    FinSend,
-    /// Receive-side completion.
-    FinRecv,
-    /// Host→host receive metadata.
-    RecvMeta,
-    /// Full group metadata packet.
-    GroupPacket,
-    /// Cached group execution doorbell.
-    GroupExec,
-    /// Group completion.
-    GroupFin,
-    /// Proxy→proxy barrier counter write.
-    BarrierCntr,
-    /// Data-write arrival marker.
-    GroupArrival,
-    /// One-sided put.
-    Put,
-    /// One-sided get.
-    Get,
-    /// Symmetric-heap handshake.
-    ShmemHello,
-    /// Rank shutdown notice.
-    Shutdown,
-    /// Reliability envelope.
-    Seq,
-    /// Reliability acknowledgement.
-    Ack,
-    /// Retransmission timer tick.
-    RetxTick,
-    /// Proxy restart notice.
-    ProxyRestarted,
-    /// Admission-control nack: the proxy's bounded queues were full.
-    QueueFull,
-    /// Host-initiated cancellation of an in-flight request.
-    Cancel,
-    /// Data-path retransmission budget exhausted for a transfer.
-    DataError,
-    /// Undecodable or foreign message.
-    Unknown,
+/// Declares [`ProtoEvent`] and derives its flight-dump codec from the
+/// declaration: a record renders as `ev=<Variant> <field>=<value>…` in
+/// declaration order, each value through its type's [`FlightField`].
+macro_rules! proto_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $Variant:ident {
+            $( $(#[$fmeta:meta])* $field:ident: $ty:ty ),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// One structured protocol event. Emitted by the host engine, the DPU
+        /// proxy, and the SHMEM facade at every protocol transition.
+        #[derive(Clone, Debug)]
+        pub enum ProtoEvent {
+            $(
+                $(#[$vmeta])*
+                $Variant {
+                    $( $(#[$fmeta])* $field: $ty ),*
+                }
+            ),*
+        }
+
+        impl ProtoEvent {
+            /// Append this event's flight-dump text to `out`.
+            pub(crate) fn put_flight(&self, out: &mut String) {
+                match *self {
+                    $(ProtoEvent::$Variant { $($field),* } => {
+                        out.push_str(concat!("ev=", stringify!($Variant)));
+                        $(
+                            out.push_str(concat!(" ", stringify!($field), "="));
+                            $field.put(out);
+                        )*
+                    })*
+                }
+            }
+
+            /// Decode the event of one dump line, consuming `ev` and the
+            /// fields of the variant it names.
+            pub(crate) fn get_flight(f: &mut Fields<'_>) -> Result<ProtoEvent, String> {
+                match f.raw("ev")? {
+                    $(stringify!($Variant) => Ok(ProtoEvent::$Variant {
+                        $($field: f.take(stringify!($field))?),*
+                    }),)*
+                    other => Err(f.err(format_args!("unknown event {other:?}"))),
+                }
+            }
+
+            /// At least one instance of every variant, the fields cycling
+            /// through their types' edge values (`0`, `MAX`, `None`, every
+            /// variant of every small enum) — the input of the golden
+            /// flight dump and of every test that must cover all variants.
+            pub fn samples() -> Vec<ProtoEvent> {
+                fn pick<T: FlightField>(row: usize) -> T {
+                    T::SAMPLES[row % T::SAMPLES.len()]
+                }
+                let mut out = Vec::new();
+                $(
+                    let rows = [$(<$ty>::SAMPLES.len()),*].into_iter().max().unwrap_or(0);
+                    out.extend((0..rows).map(|row| ProtoEvent::$Variant {
+                        $($field: pick::<$ty>(row)),*
+                    }));
+                )*
+                out
+            }
+        }
+    };
 }
 
-/// One structured protocol event. Emitted by the host engine, the DPU
-/// proxy, and the SHMEM facade at every protocol transition.
-#[derive(Clone, Debug)]
-pub enum ProtoEvent {
+proto_events! {
     /// A host posted a basic-primitive request (`Send_offload`,
     /// `Recv_offload`, or a one-sided put/get). Opens the causal timeline
     /// for `msg_id`.

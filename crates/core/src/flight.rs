@@ -19,23 +19,26 @@
 //! ```
 //!
 //! Lines starting with `#` are comments (the checker prepends scenario
-//! metadata); blank lines are skipped. Field order within a line is
-//! fixed by the writer but the parser is keyed, so hand-edited dumps
-//! stay readable.
+//! metadata); blank lines are skipped. A line is `at_ps`, `pid`, `ev`,
+//! then the variant's fields in declaration order; what each variant
+//! carries is read off the `proto_events!` table in `events.rs`, and this
+//! module only knows how one *field type* is written (`FlightField`).
+//! The parser is keyed, so fields may come in any order, but strict: a
+//! dump is outside input (hand-edited, or from another build), so a
+//! field the variant does not have, a field given twice, or a value out
+//! of its type's range is an error naming the line, never a silently
+//! different event.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rdma::{MrKey, VAddr};
 use simnet::{EventSink, Pid, SimTime};
 
-use crate::events::{
-    CacheOutcome, CacheSide, CtrlKind, FinKind, HealthPath, HostCacheKind, PathKind, ProtoEvent,
-    ReqDir,
-};
+use crate::events::ProtoEvent;
 
 /// One recorded emission: when, by whom, what.
 #[derive(Clone, Debug)]
@@ -151,591 +154,163 @@ impl FlightRecorder {
             dropped
         );
         for r in &records {
-            out.push_str(&render_record(r));
+            let _ = write!(out, "at_ps={} pid={} ", r.at.as_ps(), r.pid.index());
+            r.event.put_flight(&mut out);
             out.push('\n');
         }
         out
     }
 }
 
-fn path_name(p: PathKind) -> &'static str {
-    match p {
-        PathKind::CrossGvmi => "CrossGvmi",
-        PathKind::StagingHop1 => "StagingHop1",
-        PathKind::StagingHop2 => "StagingHop2",
+/// The text form of one [`ProtoEvent`] field type in a dump line.
+/// Implemented once per type — here for the plain ones, by
+/// `flight_enums!` in `events.rs` for the small enums — and composed per
+/// variant by the `proto_events!` table.
+pub(crate) trait FlightField: Copy + 'static {
+    /// What a malformed value is reported as not being.
+    const WHAT: &'static str;
+    /// Edge values [`ProtoEvent::samples`] cycles the type through.
+    const SAMPLES: &'static [Self];
+    /// Append the value's text form.
+    fn put(self, out: &mut String);
+    /// Parse the text form; `None` when malformed or out of range.
+    fn get(text: &str) -> Option<Self>;
+}
+
+macro_rules! int_flight_field {
+    ($($t:ident)*) => {$(
+        impl FlightField for $t {
+            const WHAT: &'static str = stringify!($t);
+            const SAMPLES: &'static [$t] = &[1, 0, $t::MAX];
+
+            fn put(self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn get(text: &str) -> Option<$t> {
+                text.parse().ok()
+            }
+        }
+    )*};
+}
+int_flight_field!(u64 usize u32);
+
+impl FlightField for bool {
+    const WHAT: &'static str = "bool";
+    const SAMPLES: &'static [bool] = &[true, false];
+
+    fn put(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+
+    fn get(text: &str) -> Option<bool> {
+        match text {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
     }
 }
 
-fn health_path_name(p: HealthPath) -> &'static str {
-    match p {
-        HealthPath::CrossGvmi => "CrossGvmi",
-        HealthPath::Staging => "Staging",
-        HealthPath::Ctrl => "Ctrl",
+impl FlightField for MrKey {
+    const WHAT: &'static str = "u64";
+    const SAMPLES: &'static [MrKey] = &[MrKey::from_raw(17), MrKey::from_raw(u64::MAX)];
+
+    fn put(self, out: &mut String) {
+        self.raw().put(out);
+    }
+
+    fn get(text: &str) -> Option<MrKey> {
+        u64::get(text).map(MrKey::from_raw)
     }
 }
 
-/// Parse table for [`HealthPath`] fields, mirroring [`health_path_name`].
-const HEALTH_PATHS: &[(&str, HealthPath)] = &[
-    ("CrossGvmi", HealthPath::CrossGvmi),
-    ("Staging", HealthPath::Staging),
-    ("Ctrl", HealthPath::Ctrl),
-];
+/// An absent key is written `-`.
+impl FlightField for Option<MrKey> {
+    const WHAT: &'static str = "u64 or `-`";
+    const SAMPLES: &'static [Option<MrKey>] = &[Some(MrKey::from_raw(33)), None];
 
-fn fin_name(k: FinKind) -> &'static str {
-    match k {
-        FinKind::Send => "Send",
-        FinKind::Recv => "Recv",
-        FinKind::Group => "Group",
+    fn put(self, out: &mut String) {
+        match self {
+            Some(k) => k.put(out),
+            None => out.push('-'),
+        }
+    }
+
+    fn get(text: &str) -> Option<Option<MrKey>> {
+        match text {
+            "-" => Some(None),
+            _ => MrKey::get(text).map(Some),
+        }
     }
 }
 
-fn outcome_name(o: CacheOutcome) -> &'static str {
-    match o {
-        CacheOutcome::Hit => "Hit",
-        CacheOutcome::Miss => "Miss",
-        CacheOutcome::Stale => "Stale",
+impl FlightField for VAddr {
+    const WHAT: &'static str = "u64";
+    const SAMPLES: &'static [VAddr] = &[VAddr(0x1000), VAddr(0), VAddr(u64::MAX)];
+
+    fn put(self, out: &mut String) {
+        self.0.put(out);
+    }
+
+    fn get(text: &str) -> Option<VAddr> {
+        u64::get(text).map(VAddr)
     }
 }
 
-fn host_cache_name(c: HostCacheKind) -> &'static str {
-    match c {
-        HostCacheKind::Gvmi => "Gvmi",
-        HostCacheKind::Ib => "Ib",
-    }
-}
-
-fn side_name(s: CacheSide) -> &'static str {
-    match s {
-        CacheSide::HostGvmi => "HostGvmi",
-        CacheSide::HostIb => "HostIb",
-        CacheSide::DpuCross => "DpuCross",
-    }
-}
-
-fn dir_name(d: ReqDir) -> &'static str {
-    match d {
-        ReqDir::Send => "Send",
-        ReqDir::Recv => "Recv",
-        ReqDir::OneSided => "OneSided",
-    }
-}
-
-/// Name table for [`CtrlKind`], shared by the writer and the parser so
-/// the two cannot drift apart.
-const CTRL_KINDS: &[(&str, CtrlKind)] = &[
-    ("Rts", CtrlKind::Rts),
-    ("Rtr", CtrlKind::Rtr),
-    ("FinSend", CtrlKind::FinSend),
-    ("FinRecv", CtrlKind::FinRecv),
-    ("RecvMeta", CtrlKind::RecvMeta),
-    ("GroupPacket", CtrlKind::GroupPacket),
-    ("GroupExec", CtrlKind::GroupExec),
-    ("GroupFin", CtrlKind::GroupFin),
-    ("BarrierCntr", CtrlKind::BarrierCntr),
-    ("GroupArrival", CtrlKind::GroupArrival),
-    ("Put", CtrlKind::Put),
-    ("Get", CtrlKind::Get),
-    ("ShmemHello", CtrlKind::ShmemHello),
-    ("Shutdown", CtrlKind::Shutdown),
-    ("Seq", CtrlKind::Seq),
-    ("Ack", CtrlKind::Ack),
-    ("RetxTick", CtrlKind::RetxTick),
-    ("ProxyRestarted", CtrlKind::ProxyRestarted),
-    ("QueueFull", CtrlKind::QueueFull),
-    ("Cancel", CtrlKind::Cancel),
-    ("DataError", CtrlKind::DataError),
-    ("Unknown", CtrlKind::Unknown),
-];
-
-fn ctrl_kind_name(k: CtrlKind) -> &'static str {
-    CTRL_KINDS
-        .iter()
-        .find(|&&(_, v)| v == k)
-        .map(|&(name, _)| name)
-        .expect("every CtrlKind is in the table")
-}
-
-fn opt_key(k: Option<MrKey>) -> String {
-    match k {
-        Some(k) => k.raw().to_string(),
-        None => "-".into(),
-    }
-}
-
-/// One line per record; see the module docs for the format.
-fn render_record(r: &FlightRecord) -> String {
-    let mut s = format!("at_ps={} pid={} ", r.at.as_ps(), r.pid.index());
-    match &r.event {
-        ProtoEvent::HostReqPosted {
-            rank,
-            msg_id,
-            peer,
-            tag,
-            bytes,
-            dir,
-        } => {
-            let _ = write!(
-                s,
-                "ev=HostReqPosted rank={rank} msg_id={msg_id} peer={peer} tag={tag} bytes={bytes} dir={}",
-                dir_name(*dir)
-            );
-        }
-        ProtoEvent::HostReqDone {
-            rank,
-            msg_id,
-            more_outstanding,
-        } => {
-            let _ = write!(
-                s,
-                "ev=HostReqDone rank={rank} msg_id={msg_id} more_outstanding={more_outstanding}"
-            );
-        }
-        ProtoEvent::RtsAtProxy {
-            src_rank,
-            dst_rank,
-            tag,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=RtsAtProxy src_rank={src_rank} dst_rank={dst_rank} tag={tag} msg_id={msg_id}"
-            );
-        }
-        ProtoEvent::RtrAtProxy {
-            src_rank,
-            dst_rank,
-            tag,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=RtrAtProxy src_rank={src_rank} dst_rank={dst_rank} tag={tag} msg_id={msg_id}"
-            );
-        }
-        ProtoEvent::PairMatched {
-            src_rank,
-            dst_rank,
-            tag,
-            send_msg_id,
-            recv_msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=PairMatched src_rank={src_rank} dst_rank={dst_rank} tag={tag} send_msg_id={send_msg_id} recv_msg_id={recv_msg_id}"
-            );
-        }
-        ProtoEvent::WritePosted {
-            wrid,
-            bytes,
-            path,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=WritePosted wrid={wrid} bytes={bytes} path={} msg_id={msg_id}",
-                path_name(*path)
-            );
-        }
-        ProtoEvent::WriteCompleted { wrid } => {
-            let _ = write!(s, "ev=WriteCompleted wrid={wrid}");
-        }
-        ProtoEvent::FinSent {
-            rank,
-            req,
-            wrid,
-            kind,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=FinSent rank={rank} req={req} wrid={wrid} kind={} msg_id={msg_id}",
-                fin_name(*kind)
-            );
-        }
-        ProtoEvent::CrossReg {
-            host_rank,
-            addr,
-            len,
-            mkey,
-            mkey2,
-        } => {
-            let _ = write!(
-                s,
-                "ev=CrossReg host_rank={host_rank} addr={} len={len} mkey={} mkey2={}",
-                addr.0,
-                mkey.raw(),
-                mkey2.raw()
-            );
-        }
-        ProtoEvent::CrossRegCacheLookup {
-            host_rank,
-            addr,
-            len,
-            outcome,
-            mkey,
-            mkey2,
-        } => {
-            let _ = write!(
-                s,
-                "ev=CrossRegCacheLookup host_rank={host_rank} addr={} len={len} outcome={} mkey={} mkey2={}",
-                addr.0,
-                outcome_name(*outcome),
-                opt_key(*mkey),
-                opt_key(*mkey2)
-            );
-        }
-        ProtoEvent::Mkey2Used { mkey2 } => {
-            let _ = write!(s, "ev=Mkey2Used mkey2={}", mkey2.raw());
-        }
-        ProtoEvent::RecvMetaSent {
-            from_rank,
-            to_rank,
-            req_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=RecvMetaSent from_rank={from_rank} to_rank={to_rank} req_id={req_id}"
-            );
-        }
-        ProtoEvent::GroupPacketSent { host_rank, req_id } => {
-            let _ = write!(
-                s,
-                "ev=GroupPacketSent host_rank={host_rank} req_id={req_id}"
-            );
-        }
-        ProtoEvent::BarrierCntr {
-            src_rank,
-            dst_host_rank,
-            dst_req_id,
-            gen,
-            value,
-        } => {
-            let _ = write!(
-                s,
-                "ev=BarrierCntr src_rank={src_rank} dst_host_rank={dst_host_rank} dst_req_id={dst_req_id} gen={gen} value={value}"
-            );
-        }
-        ProtoEvent::HostCacheLookup {
-            rank,
-            cache,
-            outcome,
-        } => {
-            let _ = write!(
-                s,
-                "ev=HostCacheLookup rank={rank} cache={} outcome={}",
-                host_cache_name(*cache),
-                outcome_name(*outcome)
-            );
-        }
-        ProtoEvent::CacheEvicted { rank, side } => {
-            let _ = write!(s, "ev=CacheEvicted rank={rank} side={}", side_name(*side));
-        }
-        ProtoEvent::CtrlDropped {
-            at_proxy,
-            kind,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=CtrlDropped at_proxy={at_proxy} kind={} msg_id={msg_id}",
-                ctrl_kind_name(*kind)
-            );
-        }
-        ProtoEvent::CtrlRetransmit {
-            at_proxy,
-            kind,
-            msg_id,
-            attempt,
-        } => {
-            let _ = write!(
-                s,
-                "ev=CtrlRetransmit at_proxy={at_proxy} kind={} msg_id={msg_id} attempt={attempt}",
-                ctrl_kind_name(*kind)
-            );
-        }
-        ProtoEvent::CtrlDuplicateDropped {
-            at_proxy,
-            kind,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=CtrlDuplicateDropped at_proxy={at_proxy} kind={} msg_id={msg_id}",
-                ctrl_kind_name(*kind)
-            );
-        }
-        ProtoEvent::CtrlAbandoned {
-            at_proxy,
-            kind,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=CtrlAbandoned at_proxy={at_proxy} kind={} msg_id={msg_id}",
-                ctrl_kind_name(*kind)
-            );
-        }
-        ProtoEvent::FallbackToStaging {
-            src_rank,
-            dst_rank,
-            tag,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=FallbackToStaging src_rank={src_rank} dst_rank={dst_rank} tag={tag} msg_id={msg_id}"
-            );
-        }
-        ProtoEvent::ProxyRestarted { epoch } => {
-            let _ = write!(s, "ev=ProxyRestarted epoch={epoch}");
-        }
-        ProtoEvent::ReqReplayed { rank, msg_id } => {
-            let _ = write!(s, "ev=ReqReplayed rank={rank} msg_id={msg_id}");
-        }
-        ProtoEvent::ReqFailed {
-            rank,
-            msg_id,
-            attempts,
-        } => {
-            let _ = write!(
-                s,
-                "ev=ReqFailed rank={rank} msg_id={msg_id} attempts={attempts}"
-            );
-        }
-        ProtoEvent::StaleCqe { wrid } => {
-            let _ = write!(s, "ev=StaleCqe wrid={wrid}");
-        }
-        ProtoEvent::HostWakeup { rank, intervention } => {
-            let _ = write!(s, "ev=HostWakeup rank={rank} intervention={intervention}");
-        }
-        ProtoEvent::GroupCallReturned {
-            host_rank,
-            req_id,
-            gen,
-        } => {
-            let _ = write!(
-                s,
-                "ev=GroupCallReturned host_rank={host_rank} req_id={req_id} gen={gen}"
-            );
-        }
-        ProtoEvent::GroupWaitDone {
-            host_rank,
-            req_id,
-            gen,
-        } => {
-            let _ = write!(
-                s,
-                "ev=GroupWaitDone host_rank={host_rank} req_id={req_id} gen={gen}"
-            );
-        }
-        ProtoEvent::GroupExecSent {
-            host_rank,
-            req_id,
-            gen,
-        } => {
-            let _ = write!(
-                s,
-                "ev=GroupExecSent host_rank={host_rank} req_id={req_id} gen={gen}"
-            );
-        }
-        ProtoEvent::BarrierStall {
-            host_rank,
-            req_id,
-            gen,
-        } => {
-            let _ = write!(
-                s,
-                "ev=BarrierStall host_rank={host_rank} req_id={req_id} gen={gen}"
-            );
-        }
-        ProtoEvent::ProxyQueueDepth {
-            send_depth,
-            recv_depth,
-        } => {
-            let _ = write!(
-                s,
-                "ev=ProxyQueueDepth send_depth={send_depth} recv_depth={recv_depth}"
-            );
-        }
-        ProtoEvent::HostFinalized { rank } => {
-            let _ = write!(s, "ev=HostFinalized rank={rank}");
-        }
-        ProtoEvent::PayloadCorrupt { msg_id, attempt } => {
-            let _ = write!(s, "ev=PayloadCorrupt msg_id={msg_id} attempt={attempt}");
-        }
-        ProtoEvent::PayloadRecovered { msg_id, attempts } => {
-            let _ = write!(s, "ev=PayloadRecovered msg_id={msg_id} attempts={attempts}");
-        }
-        ProtoEvent::DataIntegrityFailed { msg_id, attempts } => {
-            let _ = write!(
-                s,
-                "ev=DataIntegrityFailed msg_id={msg_id} attempts={attempts}"
-            );
-        }
-        ProtoEvent::QueueFullNack { msg_id } => {
-            let _ = write!(s, "ev=QueueFullNack msg_id={msg_id}");
-        }
-        ProtoEvent::CreditDeferred { rank, msg_id } => {
-            let _ = write!(s, "ev=CreditDeferred rank={rank} msg_id={msg_id}");
-        }
-        ProtoEvent::QuotaShed {
-            tenant,
-            rank,
-            msg_id,
-        } => {
-            let _ = write!(
-                s,
-                "ev=QuotaShed tenant={tenant} rank={rank} msg_id={msg_id}"
-            );
-        }
-        ProtoEvent::DrrGrant {
-            tenant,
-            rank,
-            msg_id,
-        } => {
-            let _ = write!(s, "ev=DrrGrant tenant={tenant} rank={rank} msg_id={msg_id}");
-        }
-        ProtoEvent::StagingReclaimed { len } => {
-            let _ = write!(s, "ev=StagingReclaimed len={len}");
-        }
-        ProtoEvent::ReqCancelled { rank, msg_id } => {
-            let _ = write!(s, "ev=ReqCancelled rank={rank} msg_id={msg_id}");
-        }
-        ProtoEvent::ReqReaped { msg_id } => {
-            let _ = write!(s, "ev=ReqReaped msg_id={msg_id}");
-        }
-        ProtoEvent::GroupFailed {
-            host_rank,
-            req_id,
-            gen,
-        } => {
-            let _ = write!(
-                s,
-                "ev=GroupFailed host_rank={host_rank} req_id={req_id} gen={gen}"
-            );
-        }
-        ProtoEvent::JournalTruncated { dropped } => {
-            let _ = write!(s, "ev=JournalTruncated dropped={dropped}");
-        }
-        ProtoEvent::JournalSize { len } => {
-            let _ = write!(s, "ev=JournalSize len={len}");
-        }
-        ProtoEvent::BreakerTripped { peer, path } => {
-            let _ = write!(
-                s,
-                "ev=BreakerTripped peer={peer} path={}",
-                health_path_name(*path)
-            );
-        }
-        ProtoEvent::BreakerHalfOpen { peer, path } => {
-            let _ = write!(
-                s,
-                "ev=BreakerHalfOpen peer={peer} path={}",
-                health_path_name(*path)
-            );
-        }
-        ProtoEvent::BreakerClosed { peer, path } => {
-            let _ = write!(
-                s,
-                "ev=BreakerClosed peer={peer} path={}",
-                health_path_name(*path)
-            );
-        }
-        ProtoEvent::BreakerProbe { peer, path, msg_id } => {
-            let _ = write!(
-                s,
-                "ev=BreakerProbe peer={peer} path={} msg_id={msg_id}",
-                health_path_name(*path)
-            );
-        }
-        ProtoEvent::BreakerFastPath { peer, path, msg_id } => {
-            let _ = write!(
-                s,
-                "ev=BreakerFastPath peer={peer} path={} msg_id={msg_id}",
-                health_path_name(*path)
-            );
-        }
-        ProtoEvent::RetryBudgetExhausted { rank, msg_id, path } => {
-            let _ = write!(
-                s,
-                "ev=RetryBudgetExhausted rank={rank} msg_id={msg_id} path={}",
-                health_path_name(*path)
-            );
-        }
-    }
-    s
-}
-
-/// Keyed access to one dump line's `k=v` fields.
-struct Fields<'a> {
+/// The `key=value` tokens of one dump line. Every field is taken out
+/// exactly once, so what is left after the event has been decoded is
+/// what the event does not have.
+pub(crate) struct Fields<'a> {
     line_no: usize,
-    kv: BTreeMap<&'a str, &'a str>,
+    kv: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Fields<'a> {
     fn parse(line_no: usize, line: &'a str) -> Result<Fields<'a>, String> {
-        let mut kv = BTreeMap::new();
+        let mut f = Fields {
+            line_no,
+            kv: Vec::new(),
+        };
         for tok in line.split_ascii_whitespace() {
             let Some((k, v)) = tok.split_once('=') else {
-                return Err(format!("line {line_no}: bare token {tok:?}"));
+                return Err(f.err(format_args!("bare token {tok:?}")));
             };
-            kv.insert(k, v);
+            if f.kv.iter().any(|&(seen, _)| seen == k) {
+                return Err(f.err(format_args!("field {k:?} given twice")));
+            }
+            f.kv.push((k, v));
         }
-        Ok(Fields { line_no, kv })
+        Ok(f)
     }
 
-    fn raw(&self, key: &str) -> Result<&'a str, String> {
-        self.kv
-            .get(key)
-            .copied()
-            .ok_or_else(|| format!("line {}: missing field {key:?}", self.line_no))
+    /// `line N: <what>` — every parse error names its line.
+    pub(crate) fn err(&self, what: fmt::Arguments<'_>) -> String {
+        format!("line {}: {what}", self.line_no)
     }
 
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        let v = self.raw(key)?;
-        v.parse()
-            .map_err(|_| format!("line {}: field {key}={v:?} is not a u64", self.line_no))
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        let v = self.raw(key)?;
-        v.parse()
-            .map_err(|_| format!("line {}: field {key}={v:?} is not a usize", self.line_no))
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        match self.raw(key)? {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            v => Err(format!(
-                "line {}: field {key}={v:?} is not a bool",
-                self.line_no
-            )),
+    /// Take field `key` out of the line as raw text.
+    pub(crate) fn raw(&mut self, key: &str) -> Result<&'a str, String> {
+        match self.kv.iter().position(|&(k, _)| k == key) {
+            Some(i) => Ok(self.kv.remove(i).1),
+            None => Err(self.err(format_args!("missing field {key:?}"))),
         }
     }
 
-    fn key(&self, key: &str) -> Result<MrKey, String> {
-        Ok(MrKey::from_raw(self.u64(key)?))
-    }
-
-    fn opt_key(&self, key: &str) -> Result<Option<MrKey>, String> {
-        match self.raw(key)? {
-            "-" => Ok(None),
-            _ => Ok(Some(self.key(key)?)),
-        }
-    }
-
-    fn addr(&self, key: &str) -> Result<VAddr, String> {
-        Ok(VAddr(self.u64(key)?))
-    }
-
-    fn variant<T: Copy>(&self, key: &str, table: &[(&str, T)]) -> Result<T, String> {
+    /// Take field `key` out of the line, decoded.
+    pub(crate) fn take<T: FlightField>(&mut self, key: &str) -> Result<T, String> {
         let v = self.raw(key)?;
-        table
-            .iter()
-            .find(|(name, _)| *name == v)
-            .map(|&(_, t)| t)
-            .ok_or_else(|| format!("line {}: unknown {key} variant {v:?}", self.line_no))
+        T::get(v).ok_or_else(|| self.err(format_args!("field {key}={v:?} is not a {}", T::WHAT)))
+    }
+
+    /// The line must have been consumed in full.
+    fn finish(self) -> Result<(), String> {
+        match self.kv.first() {
+            None => Ok(()),
+            Some((k, _)) => {
+                Err(self.err(format_args!("field {k:?} does not belong to this event")))
+            }
+        }
     }
 }
 
@@ -745,299 +320,16 @@ impl<'a> Fields<'a> {
 pub fn parse_flight_dump(dump: &str) -> Result<Vec<FlightRecord>, String> {
     let mut out = Vec::new();
     for (i, line) in dump.lines().enumerate() {
-        let line_no = i + 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let f = Fields::parse(line_no, trimmed)?;
-        let at = SimTime::from_ps(f.u64("at_ps")?);
-        let pid = Pid::from_index(f.usize("pid")?);
-        let event = match f.raw("ev")? {
-            "HostReqPosted" => ProtoEvent::HostReqPosted {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-                peer: f.usize("peer")?,
-                tag: f.u64("tag")?,
-                bytes: f.u64("bytes")?,
-                dir: f.variant(
-                    "dir",
-                    &[
-                        ("Send", ReqDir::Send),
-                        ("Recv", ReqDir::Recv),
-                        ("OneSided", ReqDir::OneSided),
-                    ],
-                )?,
-            },
-            "HostReqDone" => ProtoEvent::HostReqDone {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-                more_outstanding: f.bool("more_outstanding")?,
-            },
-            "RtsAtProxy" => ProtoEvent::RtsAtProxy {
-                src_rank: f.usize("src_rank")?,
-                dst_rank: f.usize("dst_rank")?,
-                tag: f.u64("tag")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "RtrAtProxy" => ProtoEvent::RtrAtProxy {
-                src_rank: f.usize("src_rank")?,
-                dst_rank: f.usize("dst_rank")?,
-                tag: f.u64("tag")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "PairMatched" => ProtoEvent::PairMatched {
-                src_rank: f.usize("src_rank")?,
-                dst_rank: f.usize("dst_rank")?,
-                tag: f.u64("tag")?,
-                send_msg_id: f.u64("send_msg_id")?,
-                recv_msg_id: f.u64("recv_msg_id")?,
-            },
-            "WritePosted" => ProtoEvent::WritePosted {
-                wrid: f.u64("wrid")?,
-                bytes: f.u64("bytes")?,
-                path: f.variant(
-                    "path",
-                    &[
-                        ("CrossGvmi", PathKind::CrossGvmi),
-                        ("StagingHop1", PathKind::StagingHop1),
-                        ("StagingHop2", PathKind::StagingHop2),
-                    ],
-                )?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "WriteCompleted" => ProtoEvent::WriteCompleted {
-                wrid: f.u64("wrid")?,
-            },
-            "FinSent" => ProtoEvent::FinSent {
-                rank: f.usize("rank")?,
-                req: f.usize("req")?,
-                wrid: f.u64("wrid")?,
-                kind: f.variant(
-                    "kind",
-                    &[
-                        ("Send", FinKind::Send),
-                        ("Recv", FinKind::Recv),
-                        ("Group", FinKind::Group),
-                    ],
-                )?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "CrossReg" => ProtoEvent::CrossReg {
-                host_rank: f.usize("host_rank")?,
-                addr: f.addr("addr")?,
-                len: f.u64("len")?,
-                mkey: f.key("mkey")?,
-                mkey2: f.key("mkey2")?,
-            },
-            "CrossRegCacheLookup" => ProtoEvent::CrossRegCacheLookup {
-                host_rank: f.usize("host_rank")?,
-                addr: f.addr("addr")?,
-                len: f.u64("len")?,
-                outcome: f.variant(
-                    "outcome",
-                    &[
-                        ("Hit", CacheOutcome::Hit),
-                        ("Miss", CacheOutcome::Miss),
-                        ("Stale", CacheOutcome::Stale),
-                    ],
-                )?,
-                mkey: f.opt_key("mkey")?,
-                mkey2: f.opt_key("mkey2")?,
-            },
-            "Mkey2Used" => ProtoEvent::Mkey2Used {
-                mkey2: f.key("mkey2")?,
-            },
-            "RecvMetaSent" => ProtoEvent::RecvMetaSent {
-                from_rank: f.usize("from_rank")?,
-                to_rank: f.usize("to_rank")?,
-                req_id: f.usize("req_id")?,
-            },
-            "GroupPacketSent" => ProtoEvent::GroupPacketSent {
-                host_rank: f.usize("host_rank")?,
-                req_id: f.usize("req_id")?,
-            },
-            "BarrierCntr" => ProtoEvent::BarrierCntr {
-                src_rank: f.usize("src_rank")?,
-                dst_host_rank: f.usize("dst_host_rank")?,
-                dst_req_id: f.usize("dst_req_id")?,
-                gen: f.u64("gen")?,
-                value: f.u64("value")?,
-            },
-            "HostCacheLookup" => ProtoEvent::HostCacheLookup {
-                rank: f.usize("rank")?,
-                cache: f.variant(
-                    "cache",
-                    &[("Gvmi", HostCacheKind::Gvmi), ("Ib", HostCacheKind::Ib)],
-                )?,
-                outcome: f.variant(
-                    "outcome",
-                    &[
-                        ("Hit", CacheOutcome::Hit),
-                        ("Miss", CacheOutcome::Miss),
-                        ("Stale", CacheOutcome::Stale),
-                    ],
-                )?,
-            },
-            "CacheEvicted" => ProtoEvent::CacheEvicted {
-                rank: f.usize("rank")?,
-                side: f.variant(
-                    "side",
-                    &[
-                        ("HostGvmi", CacheSide::HostGvmi),
-                        ("HostIb", CacheSide::HostIb),
-                        ("DpuCross", CacheSide::DpuCross),
-                    ],
-                )?,
-            },
-            "CtrlDropped" => ProtoEvent::CtrlDropped {
-                at_proxy: f.bool("at_proxy")?,
-                kind: f.variant("kind", CTRL_KINDS)?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "CtrlRetransmit" => ProtoEvent::CtrlRetransmit {
-                at_proxy: f.bool("at_proxy")?,
-                kind: f.variant("kind", CTRL_KINDS)?,
-                msg_id: f.u64("msg_id")?,
-                attempt: f.u64("attempt")? as u32,
-            },
-            "CtrlDuplicateDropped" => ProtoEvent::CtrlDuplicateDropped {
-                at_proxy: f.bool("at_proxy")?,
-                kind: f.variant("kind", CTRL_KINDS)?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "CtrlAbandoned" => ProtoEvent::CtrlAbandoned {
-                at_proxy: f.bool("at_proxy")?,
-                kind: f.variant("kind", CTRL_KINDS)?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "FallbackToStaging" => ProtoEvent::FallbackToStaging {
-                src_rank: f.usize("src_rank")?,
-                dst_rank: f.usize("dst_rank")?,
-                tag: f.u64("tag")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "ProxyRestarted" => ProtoEvent::ProxyRestarted {
-                epoch: f.u64("epoch")?,
-            },
-            "ReqReplayed" => ProtoEvent::ReqReplayed {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "ReqFailed" => ProtoEvent::ReqFailed {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-                attempts: f.u64("attempts")? as u32,
-            },
-            "StaleCqe" => ProtoEvent::StaleCqe {
-                wrid: f.u64("wrid")?,
-            },
-            "HostWakeup" => ProtoEvent::HostWakeup {
-                rank: f.usize("rank")?,
-                intervention: f.bool("intervention")?,
-            },
-            "GroupCallReturned" => ProtoEvent::GroupCallReturned {
-                host_rank: f.usize("host_rank")?,
-                req_id: f.usize("req_id")?,
-                gen: f.u64("gen")?,
-            },
-            "GroupWaitDone" => ProtoEvent::GroupWaitDone {
-                host_rank: f.usize("host_rank")?,
-                req_id: f.usize("req_id")?,
-                gen: f.u64("gen")?,
-            },
-            "GroupExecSent" => ProtoEvent::GroupExecSent {
-                host_rank: f.usize("host_rank")?,
-                req_id: f.usize("req_id")?,
-                gen: f.u64("gen")?,
-            },
-            "BarrierStall" => ProtoEvent::BarrierStall {
-                host_rank: f.usize("host_rank")?,
-                req_id: f.usize("req_id")?,
-                gen: f.u64("gen")?,
-            },
-            "ProxyQueueDepth" => ProtoEvent::ProxyQueueDepth {
-                send_depth: f.usize("send_depth")?,
-                recv_depth: f.usize("recv_depth")?,
-            },
-            "HostFinalized" => ProtoEvent::HostFinalized {
-                rank: f.usize("rank")?,
-            },
-            "PayloadCorrupt" => ProtoEvent::PayloadCorrupt {
-                msg_id: f.u64("msg_id")?,
-                attempt: f.u64("attempt")? as u32,
-            },
-            "PayloadRecovered" => ProtoEvent::PayloadRecovered {
-                msg_id: f.u64("msg_id")?,
-                attempts: f.u64("attempts")? as u32,
-            },
-            "DataIntegrityFailed" => ProtoEvent::DataIntegrityFailed {
-                msg_id: f.u64("msg_id")?,
-                attempts: f.u64("attempts")? as u32,
-            },
-            "QueueFullNack" => ProtoEvent::QueueFullNack {
-                msg_id: f.u64("msg_id")?,
-            },
-            "CreditDeferred" => ProtoEvent::CreditDeferred {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "QuotaShed" => ProtoEvent::QuotaShed {
-                tenant: f.usize("tenant")?,
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "DrrGrant" => ProtoEvent::DrrGrant {
-                tenant: f.usize("tenant")?,
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "StagingReclaimed" => ProtoEvent::StagingReclaimed { len: f.u64("len")? },
-            "ReqCancelled" => ProtoEvent::ReqCancelled {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "ReqReaped" => ProtoEvent::ReqReaped {
-                msg_id: f.u64("msg_id")?,
-            },
-            "GroupFailed" => ProtoEvent::GroupFailed {
-                host_rank: f.usize("host_rank")?,
-                req_id: f.usize("req_id")?,
-                gen: f.u64("gen")?,
-            },
-            "JournalTruncated" => ProtoEvent::JournalTruncated {
-                dropped: f.u64("dropped")?,
-            },
-            "JournalSize" => ProtoEvent::JournalSize { len: f.u64("len")? },
-            "BreakerTripped" => ProtoEvent::BreakerTripped {
-                peer: f.usize("peer")?,
-                path: f.variant("path", HEALTH_PATHS)?,
-            },
-            "BreakerHalfOpen" => ProtoEvent::BreakerHalfOpen {
-                peer: f.usize("peer")?,
-                path: f.variant("path", HEALTH_PATHS)?,
-            },
-            "BreakerClosed" => ProtoEvent::BreakerClosed {
-                peer: f.usize("peer")?,
-                path: f.variant("path", HEALTH_PATHS)?,
-            },
-            "BreakerProbe" => ProtoEvent::BreakerProbe {
-                peer: f.usize("peer")?,
-                path: f.variant("path", HEALTH_PATHS)?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "BreakerFastPath" => ProtoEvent::BreakerFastPath {
-                peer: f.usize("peer")?,
-                path: f.variant("path", HEALTH_PATHS)?,
-                msg_id: f.u64("msg_id")?,
-            },
-            "RetryBudgetExhausted" => ProtoEvent::RetryBudgetExhausted {
-                rank: f.usize("rank")?,
-                msg_id: f.u64("msg_id")?,
-                path: f.variant("path", HEALTH_PATHS)?,
-            },
-            other => return Err(format!("line {line_no}: unknown event {other:?}")),
-        };
+        let mut f = Fields::parse(i + 1, trimmed)?;
+        let at = SimTime::from_ps(f.take("at_ps")?);
+        // A pid is 32 bits wide; `Pid::from_index` would truncate.
+        let pid = Pid::from_index(f.take::<u32>("pid")? as usize);
+        let event = ProtoEvent::get_flight(&mut f)?;
+        f.finish()?;
         out.push(FlightRecord { at, pid, event });
     }
     Ok(out)
@@ -1056,256 +348,17 @@ pub fn replay_into(records: &[FlightRecord], sink: &EventSink) {
 mod tests {
     use super::*;
 
-    fn record(seq_pid: usize, ev: ProtoEvent) -> FlightRecord {
-        FlightRecord {
-            at: SimTime::from_ps(1000 + seq_pid as u64),
-            pid: Pid::from_index(seq_pid),
-            event: ev,
-        }
-    }
-
-    fn sample_events() -> Vec<FlightRecord> {
-        vec![
-            record(
-                0,
-                ProtoEvent::HostReqPosted {
-                    rank: 0,
-                    msg_id: 1,
-                    peer: 1,
-                    tag: 7,
-                    bytes: 4096,
-                    dir: ReqDir::Send,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::RtsAtProxy {
-                    src_rank: 0,
-                    dst_rank: 1,
-                    tag: 7,
-                    msg_id: 1,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::CrossRegCacheLookup {
-                    host_rank: 0,
-                    addr: VAddr(0x1000),
-                    len: 4096,
-                    outcome: CacheOutcome::Miss,
-                    mkey: None,
-                    mkey2: None,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::CrossReg {
-                    host_rank: 0,
-                    addr: VAddr(0x1000),
-                    len: 4096,
-                    mkey: MrKey::from_raw(17),
-                    mkey2: MrKey::from_raw(33),
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::WritePosted {
-                    wrid: 42,
-                    bytes: 4096,
-                    path: PathKind::CrossGvmi,
-                    msg_id: 1,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::FinSent {
-                    rank: 0,
-                    req: 0,
-                    wrid: 42,
-                    kind: FinKind::Send,
-                    msg_id: 1,
-                },
-            ),
-            record(
-                0,
-                ProtoEvent::HostReqDone {
-                    rank: 0,
-                    msg_id: 1,
-                    more_outstanding: false,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::CtrlDropped {
-                    at_proxy: true,
-                    kind: CtrlKind::Rts,
-                    msg_id: 1,
-                },
-            ),
-            record(
-                0,
-                ProtoEvent::CtrlRetransmit {
-                    at_proxy: false,
-                    kind: CtrlKind::Rts,
-                    msg_id: 1,
-                    attempt: 2,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::CtrlDuplicateDropped {
-                    at_proxy: true,
-                    kind: CtrlKind::Rtr,
-                    msg_id: 4294967297,
-                },
-            ),
-            record(
-                0,
-                ProtoEvent::CtrlAbandoned {
-                    at_proxy: false,
-                    kind: CtrlKind::FinRecv,
-                    msg_id: 3,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::FallbackToStaging {
-                    src_rank: 0,
-                    dst_rank: 1,
-                    tag: 7,
-                    msg_id: 1,
-                },
-            ),
-            record(2, ProtoEvent::ProxyRestarted { epoch: 1 }),
-            record(0, ProtoEvent::ReqReplayed { rank: 0, msg_id: 1 }),
-            record(
-                0,
-                ProtoEvent::ReqFailed {
-                    rank: 0,
-                    msg_id: 9,
-                    attempts: 12,
-                },
-            ),
-            record(2, ProtoEvent::StaleCqe { wrid: 43 }),
-            record(
-                2,
-                ProtoEvent::PayloadCorrupt {
-                    msg_id: 1,
-                    attempt: 1,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::PayloadRecovered {
-                    msg_id: 1,
-                    attempts: 2,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::DataIntegrityFailed {
-                    msg_id: 9,
-                    attempts: 8,
-                },
-            ),
-            record(2, ProtoEvent::QueueFullNack { msg_id: 5 }),
-            record(0, ProtoEvent::CreditDeferred { rank: 0, msg_id: 6 }),
-            record(
-                0,
-                ProtoEvent::QuotaShed {
-                    tenant: 1,
-                    rank: 3,
-                    msg_id: 12884901890,
-                },
-            ),
-            record(
-                0,
-                ProtoEvent::DrrGrant {
-                    tenant: 0,
-                    rank: 0,
-                    msg_id: 6,
-                },
-            ),
-            record(2, ProtoEvent::StagingReclaimed { len: 4096 }),
-            record(0, ProtoEvent::ReqCancelled { rank: 0, msg_id: 7 }),
-            record(2, ProtoEvent::ReqReaped { msg_id: 7 }),
-            record(
-                0,
-                ProtoEvent::GroupFailed {
-                    host_rank: 0,
-                    req_id: 0,
-                    gen: 3,
-                },
-            ),
-            record(2, ProtoEvent::JournalTruncated { dropped: 64 }),
-            record(2, ProtoEvent::JournalSize { len: 12 }),
-            record(
-                2,
-                ProtoEvent::BreakerTripped {
-                    peer: 1,
-                    path: HealthPath::CrossGvmi,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::BreakerHalfOpen {
-                    peer: 1,
-                    path: HealthPath::CrossGvmi,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::BreakerProbe {
-                    peer: 1,
-                    path: HealthPath::CrossGvmi,
-                    msg_id: 9,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::BreakerClosed {
-                    peer: 1,
-                    path: HealthPath::CrossGvmi,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::BreakerFastPath {
-                    peer: 1,
-                    path: HealthPath::Staging,
-                    msg_id: 10,
-                },
-            ),
-            record(
-                0,
-                ProtoEvent::RetryBudgetExhausted {
-                    rank: 0,
-                    msg_id: 11,
-                    path: HealthPath::Ctrl,
-                },
-            ),
-            record(
-                2,
-                ProtoEvent::CtrlDropped {
-                    at_proxy: true,
-                    kind: CtrlKind::QueueFull,
-                    msg_id: 5,
-                },
-            ),
-        ]
-    }
-
     #[test]
-    fn dump_round_trips_every_sampled_variant() {
-        let rec = FlightRecorder::new();
+    fn dump_round_trips_every_variant() {
+        let rec = FlightRecorder::with_capacity(usize::MAX);
         let sink = rec.sink();
-        for r in sample_events() {
-            sink(r.at, r.pid, &r.event);
+        for (i, ev) in ProtoEvent::samples().iter().enumerate() {
+            sink(SimTime::from_ps(i as u64), Pid::from_index(i % 3), ev);
         }
         let dump = rec.dump();
         let parsed = parse_flight_dump(&dump).expect("parse own dump");
         let again = {
-            let rec2 = FlightRecorder::new();
+            let rec2 = FlightRecorder::with_capacity(usize::MAX);
             let sink2 = rec2.sink();
             replay_into(&parsed, &sink2);
             rec2.dump()
@@ -1346,9 +399,19 @@ mod tests {
 
     #[test]
     fn parser_reports_malformed_lines() {
-        assert!(parse_flight_dump("at_ps=1 pid=0 ev=Nonsense").is_err());
-        assert!(parse_flight_dump("at_ps=1 pid=0 ev=WriteCompleted").is_err());
-        assert!(parse_flight_dump("at_ps=x pid=0 ev=WriteCompleted wrid=1").is_err());
+        let err = |line: &str| parse_flight_dump(line).expect_err(line);
+        err("at_ps=1 pid=0 ev=Nonsense");
+        err("at_ps=1 pid=0 ev=WriteCompleted");
+        err("at_ps=x pid=0 ev=WriteCompleted wrid=1");
+        // A repeated key used to be last-wins.
+        assert!(
+            err("at_ps=1 at_ps=2 pid=0 ev=WriteCompleted wrid=1").contains("\"at_ps\" given twice")
+        );
+        // A key the variant does not have (here a typo) used to be ignored.
+        assert!(err("at_ps=1 pid=0 ev=WriteCompleted wrid=1 wird=7").contains("\"wird\""));
+        // A pid past 32 bits used to be truncated (this one to pid 3).
+        assert!(err("at_ps=1 pid=4294967299 ev=WriteCompleted wrid=1").contains("pid="));
+        assert!(err("\nat_ps=1 pid=0 ev=StaleCqe").starts_with("line 2: "));
         assert!(parse_flight_dump("# comment only\n\n")
             .expect("ok")
             .is_empty());

@@ -89,7 +89,7 @@ pub use health::{BreakerState, HealthConfig};
 pub use host::{GroupRequest, Offload, OffloadReq};
 pub use metrics::{
     CacheCounters, HealthMetrics, Metrics, MetricsReport, ProxyMetrics, RankMetrics, TenantMetrics,
-    WindowMetrics,
+    WindowMetrics, CACHE_KEYS, HEALTH_KEYS, TENANT_KEYS, TOTAL_KEYS,
 };
 pub use profile::{ProfileReport, ScopeAgg};
 pub use proxy::proxy_fn;

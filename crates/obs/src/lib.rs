@@ -33,5 +33,6 @@ pub use lifecycle::{
 pub use profile::{render_profile, ProfileDoc};
 pub use schema::{
     validate_metrics, validate_profile, HEALTH_KEYS, PROFILE_SCHEMA_ID, PROFILE_SCOPES, SCHEMA_ID,
+    TENANT_KEYS,
 };
 pub use telemetry::{TelemetryBus, TelemetrySink, TelemetrySnapshot};

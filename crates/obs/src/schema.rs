@@ -7,93 +7,19 @@
 
 use crate::json::{parse, Json};
 
+// The counter key lists are not restated here: each is generated, with
+// the struct whose fields it names, by `offload`'s `keyed_counters!`
+// tables — `TOTAL_KEYS` (`MetricsReport::totals`), `CACHE_KEYS`
+// (`CacheCounters`), `TENANT_KEYS` (rows of the optional `tenants`
+// array, multi-tenant runs only) and `HEALTH_KEYS` (the optional
+// `health` object, present only when the health engine acted).
+use offload::{CACHE_KEYS, TOTAL_KEYS};
+pub use offload::{HEALTH_KEYS, TENANT_KEYS};
+
 /// Schema identifier every conforming document carries.
 pub const SCHEMA_ID: &str = "bluefield-offload/metrics/v1";
 
-const TOTAL_KEYS: &[&str] = &[
-    "events",
-    "rts",
-    "rtr",
-    "pairs_matched",
-    "fin_send",
-    "fin_recv",
-    "fin_group",
-    "writes_posted",
-    "writes_completed",
-    "bytes_cross_gvmi",
-    "bytes_staging_hop1",
-    "bytes_staging_hop2",
-    "cross_regs",
-    "ctrl_dropped_host",
-    "ctrl_dropped_proxy",
-    "host_wakeups",
-    "host_interventions",
-    "window_interventions",
-    "warm_window_interventions",
-    "barrier_stalls",
-    "send_q_hwm",
-    "recv_q_hwm",
-    "recv_meta_total",
-    "recv_meta_max_per_pair",
-    "group_packets_total",
-    "group_packets_max_per_req",
-    "group_execs",
-    "ctrl_retransmits",
-    "ctrl_dups_dropped",
-    "ctrl_abandoned",
-    "fallback_staging",
-    "proxy_restarts",
-    "reqs_replayed",
-    "req_failures",
-    "stale_cqes",
-    "payload_corrupt",
-    "payload_recovered",
-    "data_integrity_failures",
-    "queue_full_nacks",
-    "credit_deferrals",
-    "quota_sheds",
-    "drr_grants",
-    "staging_reclaimed",
-    "reqs_cancelled",
-    "reqs_reaped",
-    "group_failures",
-    "journal_truncations",
-    "journal_hwm",
-    "finalized_ranks",
-];
-
-const CACHE_KEYS: &[&str] = &["hits", "misses", "stale", "evictions"];
 const CACHES: &[&str] = &["host_gvmi", "host_ib", "dpu_cross"];
-
-/// Keys of each row in the optional `tenants` array — present only in
-/// documents from multi-tenant runs (single-tenant documents omit the
-/// section entirely, keeping them byte-identical to pre-tenant
-/// baselines). Mirrors `offload::TenantMetrics`.
-pub const TENANT_KEYS: &[&str] = &[
-    "tenant",
-    "ranks",
-    "wakeups",
-    "interventions",
-    "fin_send",
-    "fin_recv",
-    "fin_group",
-    "credit_deferrals",
-    "quota_sheds",
-    "drr_grants",
-];
-
-/// Keys of the optional `health` object — present only in documents
-/// from runs where the fabric health engine acted (breakers default
-/// off, so clean-run documents omit the section and stay byte-identical
-/// to pre-health baselines). Mirrors `offload::HealthMetrics::kv`.
-pub const HEALTH_KEYS: &[&str] = &[
-    "breaker_trips",
-    "breaker_half_opens",
-    "breaker_closes",
-    "breaker_probes",
-    "breaker_fastpaths",
-    "retry_budget_sheds",
-];
 
 /// Optional extension sections: flat all-numeric objects appended by
 /// the scale benches (`"engine"` carries the self-benchmark counters,
@@ -106,11 +32,11 @@ const EXT_SECTIONS: &[&str] = &["engine", "scale", "profile"];
 /// Schema identifier of self-profiling reports (`profile/v1`).
 pub const PROFILE_SCHEMA_ID: &str = "bluefield-offload/profile/v1";
 
-/// Every scope name a `profile/v1` report may carry. The analyzer's
-/// schema-drift rule holds this list and the `profile_scope!` /
-/// engine-accounting producers in `core`/`simnet` in sync: a name
-/// listed here with no producer (or vice versa) fails `cargo xtask
-/// analyze`.
+/// Every scope name a `profile/v1` report may carry. Scope names are
+/// string literals at their `profile_scope!` / engine-accounting call
+/// sites in `core`/`simnet`, which no type ties to this list, so the
+/// analyzer's schema-drift rule does: a name listed here that no
+/// producer enters fails `cargo xtask analyze`.
 pub const PROFILE_SCOPES: &[&str] = &[
     "ctrl_encode",
     "ctrl_decode",

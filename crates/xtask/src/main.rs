@@ -5,8 +5,10 @@
 //!   `decode-unwrap`, `notify-under-lock`), running on the [`analyzer`]
 //!   crate's comment/string-aware token engine. See
 //!   [`analyzer::rules::lint`] for the rules and their rationale.
-//! * `analyze` — the cross-layer drift and parallel-readiness gates
-//!   ([`analyzer::rules::drift`], [`analyzer::rules::parallel`]).
+//! * `analyze` — the profile-scope / typed-error drift and
+//!   parallel-readiness gates ([`analyzer::rules::drift`],
+//!   [`analyzer::rules::parallel`]); protocol events and metrics keys
+//!   are declared once in `core` and need no gate.
 //!   Writes a `bluefield-offload/analyzer/v1` report to
 //!   `target/analyze/report.json`; `--json` prints it to stdout;
 //!   `--update-baseline` refreshes the committed panic-path baseline.
@@ -78,8 +80,8 @@ fn cmd_lint() -> ExitCode {
     }
 }
 
-/// `cargo xtask analyze [--json] [--update-baseline]`: drift +
-/// parallel-readiness gates.
+/// `cargo xtask analyze [--json] [--update-baseline]`: scope/error
+/// drift + parallel-readiness gates.
 fn cmd_analyze(args: &[String]) -> ExitCode {
     let json = args.iter().any(|a| a == "--json");
     let update = args.iter().any(|a| a == "--update-baseline");

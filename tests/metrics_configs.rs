@@ -67,7 +67,7 @@ fn zero_byte_and_unaligned_sizes_complete() {
         let r = m.report();
         assert_eq!(r.finalized_ranks, 4, "group size {size}");
         assert_eq!(r.writes_posted, r.writes_completed, "group size {size}");
-        assert_eq!(r.warm_window_interventions(), 0, "group size {size}");
+        assert_eq!(r.warm_window_interventions, 0, "group size {size}");
     }
 }
 

@@ -37,8 +37,7 @@ fn warm_group_windows_need_no_host_intervention() {
     let warm = r.windows.iter().filter(|w| w.gen >= 2).count();
     assert_eq!(warm, 4 * 2, "generations 2 and 3 are warm on every rank");
     assert_eq!(
-        r.warm_window_interventions(),
-        0,
+        r.warm_window_interventions, 0,
         "a warm group replay must never wake the host CPU with work \
          outstanding (paper Figs. 12/14): {:?}",
         r.windows
