@@ -8,7 +8,7 @@
 //! failure writes a replayable dump to `target/failure-dumps/` (or
 //! `$BF_FAILURE_DUMP_DIR`) and exits nonzero.
 //!
-//! Beyond the ctrl-plane matrix, five additional suites always run:
+//! Beyond the ctrl-plane matrix, these suites always run:
 //!
 //! * **payload** — flip/torn/silent-drop corruption on the verified
 //!   stencil: every run must end byte-correct after bounded data-path
@@ -37,7 +37,11 @@
 //!   checker's breaker invariants (16/17) intact;
 //! * **brownout** — a total data-plane brownout with budgets armed:
 //!   both ends shed with a typed `RetryBudgetExhausted`, each shed
-//!   pairing with a `ReqFailed` (invariant 18).
+//!   pairing with a `ReqFailed` (invariant 18);
+//! * **all-armed** — two tenants, credits, bounded staging/journal/
+//!   caches and the health engine in one run, under ctrl faults,
+//!   registration failure, payload corruption and a proxy crash: every
+//!   payload intact, queue depths within the cap.
 //!
 //! `SOAK_LONG=1` additionally soaks a **flapping link** — registration
 //! failure stacked on ctrl drops and a mid-window proxy crash, so
@@ -56,10 +60,11 @@
 //! stacks) for nightly-style runs; the default stays CI-fast.
 
 use checker::{
-    alltoall_workload, armed_verified_stencil_workload, breaker_recovery_workload,
-    brownout_workload, doomed_group_workload, noisy_victim_p99, quota_retry_workload,
-    run_scenario_with_dump, starved_flood_workload, verified_stencil_workload, ConformanceConfig,
-    Scenario, Workload, BREAKER_XREG_PM, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR,
+    all_armed_workload, alltoall_workload, armed_verified_stencil_workload,
+    breaker_recovery_workload, brownout_workload, doomed_group_workload, noisy_victim_p99,
+    quota_retry_workload, run_scenario_with_dump, starved_flood_workload,
+    verified_stencil_workload, ConformanceConfig, Scenario, Workload, ALL_ARMED_PLAN,
+    ALL_ARMED_QUEUE_CAP, BREAKER_XREG_PM, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR,
     STARVED_QUEUE_CAP,
 };
 use offload::FaultPlan;
@@ -375,6 +380,25 @@ fn main() {
         for seed in 0..seeds {
             let scenario = Scenario::baseline(seed).with_fault(brownout_plan.with_seed(seed * 19));
             tally.record("brownout", &brownout, &scenario, cfg);
+        }
+
+        // Interaction: every off-by-default branch armed at once under
+        // every fault class; the checker enforces the admission cap.
+        let all_armed = all_armed_workload();
+        let all_armed_cfg = ConformanceConfig {
+            queue_cap: ALL_ARMED_QUEUE_CAP,
+            ..cfg
+        };
+        for seed in 0..seeds {
+            for proxies in [1usize, 2] {
+                let scenario = Scenario {
+                    seed,
+                    jitter_ns: [0, 2_000][(seed % 2) as usize],
+                    proxies_per_dpu: proxies,
+                    fault: ALL_ARMED_PLAN.with_seed(seed * 89 + proxies as u64),
+                };
+                tally.record("all-armed", &all_armed, &scenario, all_armed_cfg);
+            }
         }
 
         // Flapping link (nightly): registration failure stacked on

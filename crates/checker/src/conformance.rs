@@ -68,8 +68,10 @@
 //!     on fallback events rather than `CrossReg` because the
 //!     infallible `cross_reg_cached` path (one-sided gets, host-direct
 //!     degrades) legitimately registers regardless of breaker state —
-//!     a documented exemption. Conversely, a `BreakerFastPath` while
-//!     the breaker is *not* open is a violation.
+//!     a documented exemption. Conversely, a `BreakerFastPath` is a
+//!     violation unless the breaker is open, or half-open with its one
+//!     probe already admitted (a staging probe's verdict waits for its
+//!     read to land, and posts in between keep the rerouted path).
 //! 17. **Half-open admits exactly one probe** — between a
 //!     `BreakerHalfOpen` and the next `BreakerTripped`/`BreakerClosed`
 //!     of that `(proxy, peer, path)`, at most one `BreakerProbe` may
@@ -659,7 +661,16 @@ impl State {
                 self.breaker_fallback_grace.remove(&(src, peer));
             }
             ProtoEvent::BreakerFastPath { peer, path, msg_id } => {
-                if self.breakers.get(&(src, peer, path)) != Some(&BreakerObs::Open) {
+                // Open, or half-open with its one probe already admitted
+                // (a staging probe stays in flight until its read lands).
+                let rerouting = match self.breakers.get(&(src, peer, path)) {
+                    Some(BreakerObs::Open) => true,
+                    Some(BreakerObs::HalfOpen) => {
+                        self.probes_since_half_open.get(&(src, peer, path)) == Some(&1)
+                    }
+                    None => false,
+                };
+                if !rerouting {
                     self.violate(
                         at,
                         pid,

@@ -35,8 +35,9 @@ pub struct Scenario {
     /// Proxy processes per DPU.
     pub proxies_per_dpu: usize,
     /// Fault plan applied to the run (probabilistic drop/dup/delay,
-    /// proxy crash, registration failure — or a legacy one-shot
-    /// [`offload::FaultInjection`], which converts losslessly).
+    /// proxy crash, registration failure, payload corruption — or a
+    /// one-shot [`FaultPlan::drop_first_fin`] /
+    /// [`FaultPlan::skip_cross_reg`]).
     pub fault: FaultPlan,
 }
 
@@ -51,10 +52,9 @@ impl Scenario {
         }
     }
 
-    /// The same scenario with `fault` injected. Accepts a [`FaultPlan`]
-    /// or a legacy [`offload::FaultInjection`] variant.
-    pub fn with_fault(mut self, fault: impl Into<FaultPlan>) -> Scenario {
-        self.fault = fault.into();
+    /// The same scenario with `fault` injected.
+    pub fn with_fault(mut self, fault: FaultPlan) -> Scenario {
+        self.fault = fault;
         self
     }
 }
@@ -314,6 +314,49 @@ pub fn armed_verified_stencil_workload() -> Workload {
     })
 }
 
+/// Admission cap of the all-armed interaction suite: small enough that
+/// the stencil's four posts per rank and round defer and nack.
+pub const ALL_ARMED_QUEUE_CAP: usize = 3;
+
+/// The all-armed suite's fault plan: ctrl drop/dup/delay, registration
+/// failure, every payload corruption mode and a mid-run proxy crash.
+/// Payload rates stay below what the armed data retry budget sheds.
+pub const ALL_ARMED_PLAN: FaultPlan = FaultPlan {
+    drop_pm: 50,
+    dup_pm: 30,
+    delay_pm: 30,
+    delay_ns: 5_000,
+    xreg_fail_pm: 200,
+    flip_pm: 20,
+    torn_pm: 20,
+    data_drop_pm: 10,
+    crash_at_step: 12,
+    ..FaultPlan::none()
+};
+
+/// The payload-verifying stencil with every off-by-default branch armed
+/// at once: two tenants, the admission cap, bounded staging pool, FIN
+/// journal and registration caches, and the health engine. Pair it with
+/// [`ALL_ARMED_PLAN`] and [`ConformanceConfig::queue_cap`] =
+/// [`ALL_ARMED_QUEUE_CAP`]: the interaction gate for the admission and
+/// path policies, which are otherwise soaked one at a time.
+pub fn all_armed_workload() -> Workload {
+    Arc::new(|scenario: &Scenario, sink: EventSink| {
+        let mut run = check_run(scenario, sink);
+        run.move_bytes = true;
+        run.cfg = run
+            .cfg
+            .clone()
+            .with_tenants(vec![TenantSpec::inherit(), TenantSpec::inherit()])
+            .with_queue_cap(ALL_ARMED_QUEUE_CAP)
+            .with_staging_cap(2)
+            .with_journal_cap(8)
+            .with_cache_budget(4)
+            .with_health(HealthConfig::armed());
+        drive_verified_stencil(&run, 2048, 3)
+    })
+}
+
 /// The group-abandonment workload (see
 /// [`workloads::drive_group_abandon`]): meant to run under a plan with
 /// `drop_group_packets`, where `Group_Wait` must surface a typed error.
@@ -489,8 +532,7 @@ pub fn explore(
 /// A standard sweep: `seeds` baseline scenarios with schedule knobs
 /// varied deterministically per seed (jitter 0/2/10 microseconds, one or
 /// two proxies per DPU).
-pub fn sweep(seeds: std::ops::Range<u64>, fault: impl Into<FaultPlan>) -> Vec<Scenario> {
-    let fault = fault.into();
+pub fn sweep(seeds: std::ops::Range<u64>, fault: FaultPlan) -> Vec<Scenario> {
     seeds
         .map(|seed| Scenario {
             seed,

@@ -15,8 +15,9 @@
 //!   deadlock, livelock, time-limit, panic), and shrink failures to a
 //!   minimal reproducer.
 //!
-//! The engine's [`offload::FaultInjection`] knob exists so this crate
-//! can prove it detects real bugs: dropping a FIN must be reported as a
+//! The one-shot [`offload::FaultPlan::drop_first_fin`] and
+//! [`offload::FaultPlan::skip_cross_reg`] plans exist so this crate can
+//! prove it detects real bugs: dropping a FIN must be reported as a
 //! deadlock, skipping cross-registration as an invariant violation.
 //! The probabilistic [`offload::FaultPlan`] points the same machinery
 //! the other way: under seeded drop/dup/delay/crash plans the reliable
@@ -31,24 +32,25 @@ mod explore;
 
 pub use conformance::{Conformance, ConformanceConfig, Violation};
 pub use explore::{
-    alltoall_workload, armed_verified_stencil_workload, breaker_recovery_workload,
-    brownout_workload, deadline_workload, doomed_group_workload, explore, failure_dump_dir,
-    noisy_neighbor_workload, noisy_victim_p99, quota_retry_workload, replay_dump, run_scenario,
-    run_scenario_recorded, run_scenario_with_dump, shrink, starved_flood_workload,
-    stencil_workload, sweep, verified_stencil_workload, write_failure_dump, Outcome, Scenario,
-    Workload, BREAKER_RECOVERY_ROUNDS, BREAKER_XREG_PM, FLOOD_BURST, NOISY_FLOOD_BURST,
-    NOISY_P99_BOUND_FACTOR, NOISY_QUEUE_CAP, QUOTA_RETRY_HARD, STARVED_QUEUE_CAP,
+    all_armed_workload, alltoall_workload, armed_verified_stencil_workload,
+    breaker_recovery_workload, brownout_workload, deadline_workload, doomed_group_workload,
+    explore, failure_dump_dir, noisy_neighbor_workload, noisy_victim_p99, quota_retry_workload,
+    replay_dump, run_scenario, run_scenario_recorded, run_scenario_with_dump, shrink,
+    starved_flood_workload, stencil_workload, sweep, verified_stencil_workload, write_failure_dump,
+    Outcome, Scenario, Workload, ALL_ARMED_PLAN, ALL_ARMED_QUEUE_CAP, BREAKER_RECOVERY_ROUNDS,
+    BREAKER_XREG_PM, FLOOD_BURST, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR, NOISY_QUEUE_CAP,
+    QUOTA_RETRY_HARD, STARVED_QUEUE_CAP,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use offload::{FaultInjection, FaultPlan, Metrics};
+    use offload::{FaultPlan, Metrics};
 
     fn assert_sweep_clean(workload: &Workload, what: &str) {
         let failures = explore(
             workload,
-            sweep(0..32, FaultInjection::None),
+            sweep(0..32, FaultPlan::none()),
             ConformanceConfig::default(),
         );
         assert!(
@@ -81,7 +83,7 @@ mod tests {
 
     #[test]
     fn dropped_fin_is_reported_as_deadlock() {
-        let scenario = Scenario::baseline(3).with_fault(FaultInjection::DropFirstFin);
+        let scenario = Scenario::baseline(3).with_fault(FaultPlan::drop_first_fin());
         let outcome = run_scenario(&stencil_workload(), &scenario, ConformanceConfig::default());
         assert!(
             matches!(outcome, Outcome::Deadlock(_)),
@@ -95,7 +97,7 @@ mod tests {
         // and replaying that dump through a fresh checker must reach the
         // same conformance verdict as the live run: no during-run
         // violations — the deadlock is the event that never happened.
-        let scenario = Scenario::baseline(3).with_fault(FaultInjection::DropFirstFin);
+        let scenario = Scenario::baseline(3).with_fault(FaultPlan::drop_first_fin());
         let (outcome, path) = run_scenario_with_dump(
             "test-dropped-fin",
             &stencil_workload(),
@@ -120,7 +122,7 @@ mod tests {
     fn skipped_crossreg_dump_replays_the_violation() {
         // A run that breaks an invariant mid-flight must reproduce the
         // same violation when its dump is replayed offline.
-        let scenario = Scenario::baseline(0).with_fault(FaultInjection::SkipCrossReg);
+        let scenario = Scenario::baseline(0).with_fault(FaultPlan::skip_cross_reg());
         let (outcome, recorder) =
             run_scenario_recorded(&stencil_workload(), &scenario, ConformanceConfig::default());
         let live = match outcome {
@@ -455,6 +457,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn all_armed_interaction_is_conformant_and_lossless() {
+        // Tenants x credits x bounded pools x breakers x ctrl and payload
+        // faults x proxy crash, in one run: every payload lands intact,
+        // queue depths stay within the cap, every invariant holds.
+        let workload = all_armed_workload();
+        let cfg = ConformanceConfig {
+            queue_cap: ALL_ARMED_QUEUE_CAP,
+            ..ConformanceConfig::default()
+        };
+        let scenarios = || {
+            (0..3u64).flat_map(|seed| {
+                [1usize, 2].map(|proxies| Scenario {
+                    seed,
+                    jitter_ns: 0,
+                    proxies_per_dpu: proxies,
+                    fault: ALL_ARMED_PLAN.with_seed(seed * 89 + proxies as u64),
+                })
+            })
+        };
+        for scenario in scenarios() {
+            let (outcome, dump) = run_scenario_with_dump("all-armed", &workload, &scenario, cfg);
+            assert!(
+                outcome.is_ok(),
+                "{scenario:?}: {outcome:?} (dump: {dump:?})"
+            );
+        }
+        // The same runs, counted: each armed branch actually fired.
+        let metrics = Metrics::new();
+        for scenario in scenarios() {
+            workload(&scenario, metrics.sink()).expect("all-armed run");
+        }
+        let report = metrics.report();
+        let fired = [
+            ("credit deferrals", report.credit_deferrals),
+            ("queue-full nacks", report.queue_full_nacks),
+            ("drr grants", report.drr_grants),
+            ("staging fallbacks", report.fallback_staging),
+            ("staging reclaims", report.staging_reclaimed),
+            ("breaker trips", report.health.breaker_trips),
+            ("journal truncations", report.journal_truncations),
+            ("ctrl retransmits", report.ctrl_retransmits),
+            ("proxy restarts", report.proxy_restarts),
+            ("payloads healed", report.payload_recovered),
+        ];
+        for (what, n) in fired {
+            assert!(n > 0, "no {what} across the all-armed runs: {report:?}");
+        }
+        assert_eq!(report.req_failures, 0, "the armed policies lose nothing");
     }
 
     #[test]
@@ -986,7 +1039,7 @@ mod tests {
     fn skipped_crossreg_is_caught_and_shrunk() {
         let workload = stencil_workload();
         let cfg = ConformanceConfig::default();
-        let failures = explore(&workload, sweep(17..21, FaultInjection::SkipCrossReg), cfg);
+        let failures = explore(&workload, sweep(17..21, FaultPlan::skip_cross_reg()), cfg);
         assert_eq!(failures.len(), 4, "every faulty scenario must fail");
         let (first, _) = failures[0].clone();
         let (min, outcome) = shrink(&workload, first, cfg);

@@ -78,29 +78,6 @@ pub enum DataPath {
     Staging,
 }
 
-/// Deliberate protocol faults for checker validation. Each variant makes
-/// the engine violate exactly one invariant so the conformance checker
-/// and schedule explorer can prove they detect it. `None` in all real
-/// runs.
-///
-/// Deprecated alias: new code should build a [`FaultPlan`] instead. Every
-/// variant converts losslessly via `FaultPlan::from`, and the legacy
-/// behaviour (an unrecovered drop / a skipped cross-registration) is
-/// preserved so the checker's detection proofs keep holding.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FaultInjection {
-    /// No fault: the engine follows the protocol.
-    #[default]
-    None,
-    /// The proxy drops the first `FinRecv` it would send. The receiving
-    /// rank waits forever, which the explorer reports as a deadlock.
-    DropFirstFin,
-    /// The proxy skips cross-registration and fabricates `mkey2 = mkey`.
-    /// The conformance checker reports an `Mkey2Used`-before-`CrossReg`
-    /// violation.
-    SkipCrossReg,
-}
-
 /// Seeded probabilistic fault plan for the ctrl plane (DESIGN.md §13).
 ///
 /// Rates are in permille (parts per thousand) so plans stay `Eq`/`Copy`
@@ -142,9 +119,11 @@ pub struct FaultPlan {
     pub drop_group_packets: bool,
     /// Seed for the fault RNG (independent of the schedule seed).
     pub seed: u64,
-    /// Legacy one-shot fault: drop the first FIN, never retransmit.
+    /// One-shot fault: drop the first FIN, never retransmit (see
+    /// [`FaultPlan::drop_first_fin`]).
     pub drop_first_fin: bool,
-    /// Legacy one-shot fault: skip cross-registration, use mkey as mkey2.
+    /// One-shot fault: skip cross-registration, use mkey as mkey2 (see
+    /// [`FaultPlan::skip_cross_reg`]).
     pub skip_cross_reg: bool,
 }
 
@@ -168,9 +147,29 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the seq/ack reliability machinery is armed. The legacy
-    /// one-shot faults deliberately do *not* arm it: they exist to prove
-    /// the checker still detects unrecovered faults.
+    /// Checker validation: the proxy drops the first `FinRecv` it would
+    /// send and never retransmits it. The receiving rank waits forever,
+    /// which the explorer reports as a deadlock.
+    pub const fn drop_first_fin() -> FaultPlan {
+        FaultPlan {
+            drop_first_fin: true,
+            ..FaultPlan::none()
+        }
+    }
+
+    /// Checker validation: the proxy skips cross-registration and
+    /// fabricates `mkey2 = mkey`. The conformance checker reports an
+    /// `Mkey2Used`-before-`CrossReg` violation.
+    pub const fn skip_cross_reg() -> FaultPlan {
+        FaultPlan {
+            skip_cross_reg: true,
+            ..FaultPlan::none()
+        }
+    }
+
+    /// Whether the seq/ack reliability machinery is armed. The one-shot
+    /// checker-validation faults deliberately do *not* arm it: they
+    /// exist to prove the checker still detects unrecovered faults.
     pub fn reliable(&self) -> bool {
         self.drop_pm > 0
             || self.dup_pm > 0
@@ -248,22 +247,6 @@ impl FaultPlan {
         match std::env::var("FAULT_PLAN") {
             Ok(v) if !v.trim().is_empty() => FaultPlan::parse(&v),
             _ => Ok(FaultPlan::none()),
-        }
-    }
-}
-
-impl From<FaultInjection> for FaultPlan {
-    fn from(fault: FaultInjection) -> FaultPlan {
-        match fault {
-            FaultInjection::None => FaultPlan::none(),
-            FaultInjection::DropFirstFin => FaultPlan {
-                drop_first_fin: true,
-                ..FaultPlan::none()
-            },
-            FaultInjection::SkipCrossReg => FaultPlan {
-                skip_cross_reg: true,
-                ..FaultPlan::none()
-            },
         }
     }
 }
@@ -425,9 +408,8 @@ impl OffloadConfig {
     }
 
     /// Inject a fault plan (checker validation and fault-soak only).
-    /// Accepts a [`FaultPlan`] or a legacy [`FaultInjection`] variant.
-    pub fn with_fault<F: Into<FaultPlan>>(mut self, fault: F) -> Self {
-        self.fault = fault.into();
+    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
+        self.fault = fault;
         self
     }
 
@@ -587,10 +569,11 @@ mod tests {
     fn fault_plan_arming_rules() {
         assert!(!FaultPlan::none().reliable());
         assert!(FaultPlan::none().is_none());
-        // Legacy one-shot faults must NOT arm the reliability layer: the
+        // One-shot faults must NOT arm the reliability layer: the
         // checker proves they stay detectable (deadlock / violation).
-        assert!(!FaultPlan::from(FaultInjection::DropFirstFin).reliable());
-        assert!(!FaultPlan::from(FaultInjection::SkipCrossReg).reliable());
+        assert!(!FaultPlan::drop_first_fin().reliable());
+        assert!(!FaultPlan::skip_cross_reg().reliable());
+        assert!(FaultPlan::skip_cross_reg().skip_cross_reg);
         let lossy = FaultPlan {
             drop_pm: 100,
             ..FaultPlan::none()
@@ -625,8 +608,8 @@ mod tests {
             .expect("parses");
         let names = [
             format!("{:?}", FaultPlan::none()),
-            format!("{:?}", FaultPlan::from(FaultInjection::DropFirstFin)),
-            format!("{:?}", FaultPlan::from(FaultInjection::SkipCrossReg)),
+            format!("{:?}", FaultPlan::drop_first_fin()),
+            format!("{:?}", FaultPlan::skip_cross_reg()),
             format!("{plan:?}"),
         ];
         assert_eq!(names[0], "none");
@@ -754,16 +737,5 @@ mod tests {
                 .tenant_share(1),
             0
         );
-    }
-
-    #[test]
-    fn with_fault_accepts_both_forms() {
-        let legacy = OffloadConfig::proposed().with_fault(FaultInjection::SkipCrossReg);
-        assert!(legacy.fault.skip_cross_reg);
-        let plan = OffloadConfig::proposed().with_fault(FaultPlan {
-            drop_pm: 100,
-            ..FaultPlan::none()
-        });
-        assert!(plan.fault.reliable());
     }
 }

@@ -110,7 +110,7 @@ struct ReqSlot {
     target: Option<EpId>,
     /// Original post kept for deferred admission and `QueueFull`
     /// re-posts. Populated only when the queue cap is armed.
-    post: Option<(EpId, u64, CtrlMsg)>,
+    post: Option<(EpId, CtrlMsg)>,
     /// Endpoint index currently charged one credit for this request.
     window_ep: Option<usize>,
     /// Backpressure re-post attempts (paces the retry backoff).
@@ -372,78 +372,86 @@ impl Offload {
 
     /// Post a basic request through the admission policy: shed
     /// immediately when the tenant is over its hard quota, deferred to
-    /// the DRR scheduler when the target endpoint (or the tenant soft
-    /// quota) is out of credit, admitted otherwise.
-    fn post_basic(&self, req: usize, to: EpId, bytes: u64, msg: CtrlMsg) {
-        if self.cfg.multi_tenant() {
-            let hard = self.cfg.tenant_hard_quota(self.tenant);
-            if hard > 0 {
-                let (over, msg_id) = {
-                    let st = self.st.borrow();
-                    // `live_basic` already counts this request's slot.
-                    (st.live_basic > hard, st.reqs[req].msg_id)
-                };
-                if over {
-                    self.ctx.stat_incr("offload.quota.sheds", 1);
-                    self.ctx.emit(&ProtoEvent::QuotaShed {
-                        tenant: self.tenant,
-                        rank: self.rank,
-                        msg_id,
-                    });
-                    self.fail_basic(
-                        req,
-                        OffloadError::QuotaExceeded {
-                            tenant: self.tenant,
-                            msg_id,
-                        },
-                        0,
-                    );
-                    return;
-                }
-            }
-        }
-        if self.credit_armed() {
-            let soft = self.soft_quota();
-            let (defer, msg_id) = {
-                let mut st = self.st.borrow_mut();
-                st.reqs[req].post = Some((to, bytes, msg.clone()));
-                let used = st.window.get(&to.index()).copied().unwrap_or(0);
-                let ep_full = self.cfg.queue_cap > 0 && used >= self.cfg.queue_cap;
-                let quota_full = soft > 0 && st.window.values().sum::<usize>() >= soft;
-                (ep_full || quota_full, st.reqs[req].msg_id)
-            };
-            if defer {
-                self.st.borrow_mut().deferred.push(self.tenant, req);
-                self.ctx.stat_incr("offload.credit.deferrals", 1);
-                self.ctx.emit(&ProtoEvent::CreditDeferred {
-                    rank: self.rank,
+    /// the DRR scheduler when the post is [`Self::blocked`], admitted
+    /// otherwise.
+    fn post_basic(&self, req: usize, msg_id: u64, to: EpId, mut msg: CtrlMsg) {
+        let hard = self.cfg.tenant_hard_quota(self.tenant);
+        // `live_basic` already counts this request's slot.
+        if self.cfg.multi_tenant() && hard > 0 && self.st.borrow().live_basic > hard {
+            self.ctx.stat_incr("offload.quota.sheds", 1);
+            self.ctx.emit(&ProtoEvent::QuotaShed {
+                tenant: self.tenant,
+                rank: self.rank,
+                msg_id,
+            });
+            self.fail_basic(
+                req,
+                OffloadError::QuotaExceeded {
+                    tenant: self.tenant,
                     msg_id,
-                });
-                return;
-            }
-        }
-        self.admit_post(req, to, bytes, msg);
-    }
-
-    /// Charge a credit (when capped) and actually ship the post.
-    fn admit_post(&self, req: usize, to: EpId, bytes: u64, mut msg: CtrlMsg) {
-        crate::profile_scope!("credit_admission");
-        // A deferred post may have waited through many completions:
-        // refresh the piggybacked completion horizon so the proxy's
-        // journal truncation tracks reality, not the build instant.
-        // (With the journal cap unarmed, horizon() is 0 — no change.)
-        if let CtrlMsg::Rts { ack_horizon, .. } | CtrlMsg::Rtr { ack_horizon, .. } = &mut msg {
-            *ack_horizon = self.horizon();
+                },
+                0,
+            );
+            return;
         }
         {
             let mut st = self.st.borrow_mut();
             if self.credit_armed() {
-                *st.window.entry(to.index()).or_insert(0) += 1;
-                st.reqs[req].window_ep = Some(to.index());
+                if let Some(slot) = st.reqs.get_mut(req) {
+                    slot.post = Some((to, msg.clone()));
+                }
+                if self.blocked(&st.window, to) {
+                    st.deferred.push(self.tenant, req);
+                    drop(st);
+                    self.ctx.stat_incr("offload.credit.deferrals", 1);
+                    self.ctx.emit(&ProtoEvent::CreditDeferred {
+                        rank: self.rank,
+                        msg_id,
+                    });
+                    return;
+                }
             }
-            st.reqs[req].target = Some(to);
+            self.admit(&mut st, req, to, &mut msg);
         }
-        self.post_ctrl(to, bytes, msg, ReqOrigin::Basic(req));
+        self.ship(req, to, msg);
+    }
+
+    /// The one admission check: would a post to `to` bust the target's
+    /// credit window (the queue cap) or this rank's tenant soft quota?
+    fn blocked(&self, window: &BTreeMap<usize, usize>, to: EpId) -> bool {
+        let used = window.get(&to.index()).copied().unwrap_or(0);
+        let soft = self.soft_quota();
+        (self.cfg.queue_cap > 0 && used >= self.cfg.queue_cap)
+            || (soft > 0 && window.values().sum::<usize>() >= soft)
+    }
+
+    /// Admit one basic post: refresh the completion horizon it
+    /// piggybacks (a deferred post may have waited through many
+    /// completions, and the proxy's journal truncation must track
+    /// reality, not the build instant), charge the target a credit when
+    /// admission is armed, and record the target for cancel routing.
+    fn admit(&self, st: &mut HostState, req: usize, to: EpId, msg: &mut CtrlMsg) {
+        if self.cfg.journal_cap > 0 {
+            if let CtrlMsg::Rts { ack_horizon, .. } | CtrlMsg::Rtr { ack_horizon, .. } = msg {
+                *ack_horizon = st.ack_horizon;
+            }
+        }
+        let armed = self.credit_armed();
+        if armed {
+            *st.window.entry(to.index()).or_insert(0) += 1;
+        }
+        if let Some(slot) = st.reqs.get_mut(req) {
+            if armed {
+                slot.window_ep = Some(to.index());
+            }
+            slot.target = Some(to);
+        }
+    }
+
+    /// Ship an admitted basic post.
+    fn ship(&self, req: usize, to: EpId, msg: CtrlMsg) {
+        crate::profile_scope!("credit_admission");
+        self.post_ctrl(to, self.cfg.ctrl_bytes, msg, ReqOrigin::Basic(req));
         self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
     }
 
@@ -459,69 +467,43 @@ impl Offload {
 
     /// Admit up to `limit` deferred posts through the DRR scheduler.
     /// Within a tenant the queue is served FIFO and stops at the first
-    /// head whose target still has no credit; across tenants a blocked
+    /// head that is still [`Self::blocked`]; across tenants a blocked
     /// head only yields that tenant's turn. With one tenant armed this
     /// is exactly the PR-5 FIFO flush.
     fn flush_deferred(&self, limit: usize) {
         if !self.credit_armed() {
             return;
         }
-        let queue_cap = self.cfg.queue_cap;
-        let soft = self.soft_quota();
-        // Admission bookkeeping happens inside the scheduler callback
-        // (under one state borrow, so the endpoint cap sees each earlier
-        // grant); the granted posts themselves ship after it ends —
-        // post_ctrl re-borrows state for replay and the reliable link.
-        let mut granted: Vec<(usize, u64, EpId, u64, CtrlMsg)> = Vec::new();
+        // Admission happens inside the scheduler callback (under one
+        // state borrow, so the credit check sees each earlier grant); the
+        // granted posts ship after it ends — post_ctrl re-borrows state
+        // for replay and the reliable link.
+        let mut granted: Vec<(usize, u64, EpId, CtrlMsg)> = Vec::new();
         {
-            let mut st = self.st.borrow_mut();
-            let horizon = if self.cfg.journal_cap == 0 {
-                0
-            } else {
-                st.ack_horizon
-            };
-            let HostState {
-                reqs,
-                window,
-                deferred,
-                ..
-            } = &mut *st;
+            let mut guard = self.st.borrow_mut();
+            let st = &mut *guard;
+            let mut deferred = std::mem::take(&mut st.deferred);
             deferred.flush(
                 limit,
                 |t| self.cfg.tenant_weight(t) as u64,
                 |req| {
-                    let slot = &mut reqs[req];
-                    if slot.done || slot.error.is_some() {
-                        return Deferred::Dead;
-                    }
-                    let Some((to, bytes, mut msg)) = slot.post.clone() else {
+                    let live = st.reqs.get(req).filter(|s| !s.done && s.error.is_none());
+                    let Some((msg_id, (to, mut msg))) =
+                        live.and_then(|s| Some((s.msg_id, s.post.clone()?)))
+                    else {
                         return Deferred::Dead;
                     };
-                    let used = window.get(&to.index()).copied().unwrap_or(0);
-                    if queue_cap > 0 && used >= queue_cap {
+                    if self.blocked(&st.window, to) {
                         return Deferred::Blocked;
                     }
-                    if soft > 0 && window.values().sum::<usize>() >= soft {
-                        return Deferred::Blocked;
-                    }
-                    // Mirrors admit_post: refresh the piggybacked
-                    // completion horizon, charge the credit, record the
-                    // target for cancel routing.
-                    if let CtrlMsg::Rts { ack_horizon, .. } | CtrlMsg::Rtr { ack_horizon, .. } =
-                        &mut msg
-                    {
-                        *ack_horizon = horizon;
-                    }
-                    *window.entry(to.index()).or_insert(0) += 1;
-                    slot.window_ep = Some(to.index());
-                    slot.target = Some(to);
-                    granted.push((req, slot.msg_id, to, bytes, msg));
+                    self.admit(st, req, to, &mut msg);
+                    granted.push((req, msg_id, to, msg));
                     Deferred::Admitted
                 },
             );
+            st.deferred = deferred;
         }
-        for (req, msg_id, to, bytes, msg) in granted {
-            crate::profile_scope!("credit_admission");
+        for (req, msg_id, to, msg) in granted {
             if self.cfg.multi_tenant() {
                 self.ctx.stat_incr("offload.credit.drr_grants", 1);
                 self.ctx.emit(&ProtoEvent::DrrGrant {
@@ -530,8 +512,7 @@ impl Offload {
                     msg_id,
                 });
             }
-            self.post_ctrl(to, bytes, msg, ReqOrigin::Basic(req));
-            self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+            self.ship(req, to, msg);
         }
     }
 
@@ -619,7 +600,7 @@ impl Offload {
             ack_horizon: self.horizon(),
             tenant: self.tenant,
         };
-        self.post_basic(req, self.proxy_ep, self.cfg.ctrl_bytes, msg);
+        self.post_basic(req, msg_id, self.proxy_ep, msg);
         OffloadReq(req)
     }
 
@@ -652,7 +633,7 @@ impl Offload {
             ack_horizon: self.horizon(),
             tenant: self.tenant,
         };
-        self.post_basic(req, src_proxy, self.cfg.ctrl_bytes, msg);
+        self.post_basic(req, msg_id, src_proxy, msg);
         OffloadReq(req)
     }
 

@@ -79,7 +79,7 @@ mod reg_cache;
 mod reliable;
 mod shmem;
 
-pub use config::{DataPath, FaultInjection, FaultPlan, OffloadConfig, TenantId, TenantSpec};
+pub use config::{DataPath, FaultPlan, OffloadConfig, TenantId, TenantSpec};
 pub use events::{
     CacheOutcome, CacheSide, CtrlKind, FinKind, HealthPath, HostCacheKind, PathKind, ProtoEvent,
     ReqDir,

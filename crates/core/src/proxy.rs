@@ -33,7 +33,7 @@ use rdma::{ClusterCtx, EpId, MrKey, NetMsg, VAddr};
 use simnet::{Payload, Pid, ProcessCtx, Reactor};
 
 use crate::config::{DataPath, OffloadConfig, TenantId};
-use crate::events::{CacheSide, CtrlKind, HealthPath, PathKind, ProtoEvent};
+use crate::events::{CacheSide, CtrlKind, FinKind, HealthPath, PathKind, ProtoEvent};
 use crate::health::{BreakerEvent, HealthEngine, Route};
 use crate::messages::{CtrlMsg, GroupKey, WireEntry, WRID_OFF_PROXY};
 use crate::reg_cache::RankAddrCache;
@@ -58,7 +58,6 @@ fn fresh_cross_cache(cfg: &OffloadConfig, world: usize) -> RankAddrCache<(MrKey,
     }
 }
 
-#[allow(dead_code)] // tag/src_pid mirror the wire format
 struct RtsInfo {
     src_rank: usize,
     tag: u64,
@@ -67,7 +66,6 @@ struct RtsInfo {
     mkey: Option<MrKey>,
     src_rkey: Option<MrKey>,
     src_req: usize,
-    src_pid: Pid,
     msg_id: u64,
     /// Sender-computed payload CRC32 (present only on payload-fault
     /// plans; carried through so every hop can be verified).
@@ -77,37 +75,69 @@ struct RtsInfo {
     tenant: TenantId,
 }
 
-#[allow(dead_code)] // dst_pid mirrors the wire format
 struct RtrInfo {
     dst_rank: usize,
     addr: VAddr,
     len: u64,
     rkey: MrKey,
     dst_req: usize,
-    dst_pid: Pid,
     msg_id: u64,
     /// Tenant the posting rank belongs to (see [`RtsInfo::tenant`]).
     tenant: TenantId,
 }
 
+impl RtsInfo {
+    fn end(&self) -> End {
+        End {
+            rank: self.src_rank,
+            req: self.src_req,
+            msg_id: self.msg_id,
+        }
+    }
+}
+
+impl RtrInfo {
+    /// `None` for a one-sided put, which has no receive request.
+    fn end(&self) -> Option<End> {
+        (self.dst_req != usize::MAX).then_some(End {
+            rank: self.dst_rank,
+            req: self.dst_req,
+            msg_id: self.msg_id,
+        })
+    }
+}
+
+/// One host end of a basic transfer: the rank, its request slot and
+/// the transfer id that end knows the transfer by.
+#[derive(Clone, Copy)]
+struct End {
+    rank: usize,
+    req: usize,
+    msg_id: u64,
+}
+
+/// What the proxy tells one host end about its transfer.
+enum Notice {
+    /// The data landed (completed by `wrid`).
+    Fin { kind: FinKind, wrid: u64 },
+    /// Permanent data-plane failure after `attempts` deliveries; `shed`
+    /// names the path whose retry budget shed it.
+    Failed {
+        attempts: u32,
+        shed: Option<HealthPath>,
+    },
+}
+
 enum Completion {
-    BasicPair {
-        src_rank: usize,
-        src_req: usize,
-        dst_rank: usize,
-        dst_req: usize,
-        src_msg_id: u64,
-        dst_msg_id: u64,
+    /// Basic data movement: FIN both ends once it lands. `dst` is `None`
+    /// for one-sided operations — only the origin gets a FIN.
+    Basic {
+        src: End,
+        dst: Option<End>,
         /// Staging buffer `(addr, key, alloc len)` to release into the
         /// bounded free pool once the transfer settles (`None` on the
         /// GVMI path and in unbounded staging mode).
         staged: Option<(VAddr, MrKey, u64)>,
-    },
-    /// One-sided operation: only the origin gets a FIN.
-    OneSided {
-        src_rank: usize,
-        src_req: usize,
-        msg_id: u64,
     },
     /// Staging path, hop 1 done: the payload has been pulled into DPU
     /// memory; forward it. The buffer rides along so hop 2 (and the
@@ -128,36 +158,97 @@ enum Completion {
     },
 }
 
-/// Everything needed to verify one posted RDMA operation end-to-end and
-/// re-post it if the landed bytes fail the CRC check. Tracked per wrid
-/// only on payload-fault plans — clean runs never allocate one.
-struct WriteCtx {
-    /// Expected CRC32 of the payload, computed by the owning host at
-    /// post (or wire-build) time.
-    crc: u32,
-    /// Transfer id the operation belongs to (event attribution).
-    msg_id: u64,
-    /// Data path of the original post (re-used verbatim on re-post).
+/// `(endpoint, address, key)` of one side of an RDMA operation.
+type Region = (EpId, VAddr, MrKey);
+
+/// One RDMA operation as [`Proxy::post`] issues it. On payload-fault
+/// plans it is also kept per wrid, to verify the landed bytes at the
+/// CQE and re-post them if the CRC check fails; clean runs keep none.
+struct DataOp {
+    /// Data path (event attribution; re-used verbatim on re-post).
     path: PathKind,
     /// RDMA READ (verify the local side) vs WRITE (verify the remote).
     is_read: bool,
-    local: (EpId, VAddr, MrKey),
-    remote: (EpId, VAddr, MrKey),
+    local: Region,
+    remote: Region,
     len: u64,
+    /// Transfer id the operation belongs to (event attribution).
+    msg_id: u64,
+    /// Expected CRC32 of the payload, computed by the owning host at
+    /// post (or wire-build) time; `None` posts the operation unverified.
+    crc: Option<u32>,
     /// Delivery attempts so far (1 = the original post).
     attempt: u32,
-    /// Arrival notification re-delivered with each re-post (group data
-    /// writes; the receiver dedups by msg_id).
+    /// Arrival notification delivered with a write, and again with each
+    /// re-post (group data writes; the receiver dedups by msg_id).
     notify: Option<(Pid, CtrlMsg)>,
 }
 
+impl DataOp {
+    /// A first attempt with no arrival notification.
+    fn new(
+        path: PathKind,
+        is_read: bool,
+        local: Region,
+        remote: Region,
+        len: u64,
+        msg_id: u64,
+        crc: Option<u32>,
+    ) -> DataOp {
+        DataOp {
+            path,
+            is_read,
+            local,
+            remote,
+            len,
+            msg_id,
+            crc,
+            attempt: 1,
+            notify: None,
+        }
+    }
+}
+
+/// Where a transfer's payload moves: the verdict of
+/// [`Proxy::choose_path`].
+enum Path {
+    /// The source cross-registered (`mkey2`), written host to host.
+    CrossGvmi(MrKey),
+    /// Pulled into a DPU staging buffer, then forwarded.
+    Staging,
+    /// The staging breaker is open: cross-registered through the cache
+    /// and written host to host, skipping DPU memory (DESIGN.md §19).
+    HostDirect(MrKey),
+}
+
+/// The transfer a path decision is made for.
+struct PathReq {
+    /// Breaker peer and cross-registration owner.
+    src_rank: usize,
+    dst_rank: usize,
+    tag: u64,
+    msg_id: u64,
+    addr: VAddr,
+    len: u64,
+    /// GVMI key of the source buffer; cross-GVMI needs one.
+    mkey: Option<MrKey>,
+    /// The source carries an rkey, so it can be staged.
+    stageable: bool,
+}
+
+/// Where a cached group send entry's payload comes from, decided once
+/// at install.
+#[derive(Clone, Copy)]
+enum Source {
+    /// The owning host's buffer, cross-registered (`mkey2`).
+    Host(MrKey),
+    /// A DPU staging buffer each generation is read into first.
+    Staged(VAddr, MrKey),
+}
+
 struct CachedGroup {
-    entries: Vec<WireEntry>,
-    /// Cross-registered mkey2 per entry (GVMI path sends).
-    mkey2: Vec<Option<MrKey>>,
-    /// Staging buffer per entry (staging path sends).
-    staging: Vec<Option<(VAddr, MrKey)>>,
-    host_pid: Pid,
+    /// The wire entries; each send carries its resolved source.
+    entries: Vec<(WireEntry, Option<Source>)>,
 }
 
 struct Instance {
@@ -262,11 +353,11 @@ struct ProxyState {
     /// Barrier points `(key, gen, cursor)` whose first stall was already
     /// reported, so polling does not inflate the stall count.
     stalled: BTreeSet<(GroupKey, u64, usize)>,
-    /// Integrity context per in-flight wrid (payload-fault plans only).
-    inflight_ctx: BTreeMap<u64, WriteCtx>,
+    /// Verified operations per in-flight wrid (payload-fault plans only).
+    inflight_ctx: BTreeMap<u64, DataOp>,
     /// Corrupt operations awaiting their backoff timer, keyed by retx
     /// token.
-    data_retx: BTreeMap<u64, (WriteCtx, Completion)>,
+    data_retx: BTreeMap<u64, (DataOp, Completion)>,
     next_retx_token: u64,
     /// Transfer ids cancelled by their host (deadline expiry or explicit
     /// cancel). Survives a crash — a cancelled request must never
@@ -529,52 +620,12 @@ impl Proxy<'_> {
                 mkey,
                 src_rkey,
                 src_req,
-                src_pid,
                 msg_id,
                 crc,
                 ack_horizon,
                 tenant,
+                ..
             } => {
-                if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
-                    // Replayed send whose data write completed in a
-                    // previous life: only the FIN can have been lost.
-                    self.resend_fin(
-                        st,
-                        src_rank,
-                        src_req,
-                        wrid,
-                        crate::events::FinKind::Send,
-                        msg_id,
-                    );
-                    return;
-                }
-                if self.reaped(st, msg_id) || self.dup_basic(st, CtrlKind::Rts, msg_id) {
-                    return;
-                }
-                self.note_horizon(st, src_rank, ack_horizon);
-                let key = (src_rank, dst_rank, tag);
-                let would_match = st.recv_q.contains_key(&key);
-                if !would_match && self.admission_refused(st, msg_id, tenant) {
-                    self.send_ctrl(
-                        st,
-                        self.cluster.host_ep(src_rank),
-                        CtrlMsg::QueueFull { msg_id },
-                    );
-                    self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-                    return;
-                }
-                let _ = self.cluster.fabric().charge_cpu(
-                    self.ctx,
-                    self.my_ep,
-                    self.cfg.proxy_entry_overhead,
-                );
-                self.ctx.stat_incr("offload.proxy.rts", 1);
-                self.ctx.emit(&ProtoEvent::RtsAtProxy {
-                    src_rank,
-                    dst_rank,
-                    tag,
-                    msg_id,
-                });
                 let rts = RtsInfo {
                     src_rank,
                     tag,
@@ -583,11 +634,26 @@ impl Proxy<'_> {
                     mkey,
                     src_rkey,
                     src_req,
-                    src_pid,
                     msg_id,
                     crc,
                     tenant,
                 };
+                if self.stale_basic(st, rts.end(), FinKind::Send, CtrlKind::Rts) {
+                    return;
+                }
+                self.note_horizon(st, src_rank, ack_horizon);
+                let key = (src_rank, dst_rank, tag);
+                if !st.recv_q.contains_key(&key) && self.refuse(st, src_rank, msg_id, tenant) {
+                    return;
+                }
+                self.charge_entries(1);
+                self.ctx.stat_incr("offload.proxy.rts", 1);
+                self.ctx.emit(&ProtoEvent::RtsAtProxy {
+                    src_rank,
+                    dst_rank,
+                    tag,
+                    msg_id,
+                });
                 if let Some(rtr) = pop_queued(&mut st.recv_q, key) {
                     st.recv_q_len -= 1;
                     self.tenant_q_decr(st, rtr.tenant);
@@ -607,42 +673,25 @@ impl Proxy<'_> {
                 len,
                 rkey,
                 dst_req,
-                dst_pid,
                 msg_id,
                 ack_horizon,
                 tenant,
+                ..
             } => {
-                if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
-                    self.resend_fin(
-                        st,
-                        dst_rank,
-                        dst_req,
-                        wrid,
-                        crate::events::FinKind::Recv,
-                        msg_id,
-                    );
-                    return;
-                }
-                if self.reaped(st, msg_id) || self.dup_basic(st, CtrlKind::Rtr, msg_id) {
+                let end = End {
+                    rank: dst_rank,
+                    req: dst_req,
+                    msg_id,
+                };
+                if self.stale_basic(st, end, FinKind::Recv, CtrlKind::Rtr) {
                     return;
                 }
                 self.note_horizon(st, dst_rank, ack_horizon);
                 let key = (src_rank, dst_rank, tag);
-                let would_match = st.send_q.contains_key(&key);
-                if !would_match && self.admission_refused(st, msg_id, tenant) {
-                    self.send_ctrl(
-                        st,
-                        self.cluster.host_ep(dst_rank),
-                        CtrlMsg::QueueFull { msg_id },
-                    );
-                    self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+                if !st.send_q.contains_key(&key) && self.refuse(st, dst_rank, msg_id, tenant) {
                     return;
                 }
-                let _ = self.cluster.fabric().charge_cpu(
-                    self.ctx,
-                    self.my_ep,
-                    self.cfg.proxy_entry_overhead,
-                );
+                self.charge_entries(1);
                 self.ctx.stat_incr("offload.proxy.rtr", 1);
                 self.ctx.emit(&ProtoEvent::RtrAtProxy {
                     src_rank,
@@ -656,7 +705,6 @@ impl Proxy<'_> {
                     len,
                     rkey,
                     dst_req,
-                    dst_pid,
                     msg_id,
                     tenant,
                 };
@@ -672,13 +720,10 @@ impl Proxy<'_> {
                 }
             }
             CtrlMsg::GroupPacket {
-                key,
-                gen,
-                entries,
-                host_pid,
+                key, gen, entries, ..
             } => {
                 self.ctx.stat_incr("offload.proxy.group_packets", 1);
-                self.install_group(st, key, entries, host_pid);
+                self.install_group(st, key, entries);
                 self.start_instance(st, key, gen);
             }
             CtrlMsg::GroupExec { key, gen } => {
@@ -690,11 +735,7 @@ impl Proxy<'_> {
                     self.ctx.stat_incr("offload.proxy.stale_exec", 1);
                     return;
                 }
-                let _ = self.cluster.fabric().charge_cpu(
-                    self.ctx,
-                    self.my_ep,
-                    self.cfg.proxy_entry_overhead,
-                );
+                self.charge_entries(1);
                 self.ctx.stat_incr("offload.proxy.group_execs", 1);
                 self.start_instance(st, key, gen);
             }
@@ -727,28 +768,28 @@ impl Proxy<'_> {
                 dst_addr,
                 dst_rkey,
                 src_req,
-                src_pid,
                 msg_id,
+                ..
             } => {
-                if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
-                    self.resend_fin(
-                        st,
-                        src_rank,
-                        src_req,
-                        wrid,
-                        crate::events::FinKind::Send,
-                        msg_id,
-                    );
+                let rts = RtsInfo {
+                    src_rank,
+                    tag: 0,
+                    addr,
+                    len,
+                    mkey,
+                    src_rkey,
+                    src_req,
+                    msg_id,
+                    // One-sided operations are exempt from end-to-end
+                    // integrity (documented relaxation: no receive side
+                    // exists to re-derive the expected CRC from).
+                    crc: None,
+                    tenant: self.cfg.tenant_of(src_rank),
+                };
+                if self.stale_basic(st, rts.end(), FinKind::Send, CtrlKind::Put) {
                     return;
                 }
-                if self.reaped(st, msg_id) || self.dup_basic(st, CtrlKind::Put, msg_id) {
-                    return;
-                }
-                let _ = self.cluster.fabric().charge_cpu(
-                    self.ctx,
-                    self.my_ep,
-                    self.cfg.proxy_entry_overhead,
-                );
+                self.charge_entries(1);
                 self.ctx.stat_incr("offload.proxy.puts", 1);
                 // A put is a pre-matched pair: synthesize the RTS/RTR and
                 // run the normal data movement (either path). The checker
@@ -767,29 +808,12 @@ impl Proxy<'_> {
                     tag: 0,
                     msg_id,
                 });
-                let rts = RtsInfo {
-                    src_rank,
-                    tag: 0,
-                    addr,
-                    len,
-                    mkey,
-                    src_rkey,
-                    src_req,
-                    src_pid,
-                    msg_id,
-                    // One-sided operations are exempt from end-to-end
-                    // integrity (documented relaxation: no receive side
-                    // exists to re-derive the expected CRC from).
-                    crc: None,
-                    tenant: self.cfg.tenant_of(src_rank),
-                };
                 let rtr = RtrInfo {
                     dst_rank,
                     addr: dst_addr,
                     len,
                     rkey: dst_rkey,
                     dst_req: usize::MAX, // no receive-side request
-                    dst_pid: src_pid,
                     msg_id,
                     tenant: self.cfg.tenant_of(dst_rank),
                 };
@@ -807,25 +831,15 @@ impl Proxy<'_> {
                 msg_id,
                 ..
             } => {
-                if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
-                    self.resend_fin(
-                        st,
-                        src_rank,
-                        src_req,
-                        wrid,
-                        crate::events::FinKind::Send,
-                        msg_id,
-                    );
+                let origin = End {
+                    rank: src_rank,
+                    req: src_req,
+                    msg_id,
+                };
+                if self.stale_basic(st, origin, FinKind::Send, CtrlKind::Get) {
                     return;
                 }
-                if self.reaped(st, msg_id) || self.dup_basic(st, CtrlKind::Get, msg_id) {
-                    return;
-                }
-                let _ = self.cluster.fabric().charge_cpu(
-                    self.ctx,
-                    self.my_ep,
-                    self.cfg.proxy_entry_overhead,
-                );
+                self.charge_entries(1);
                 self.ctx.stat_incr("offload.proxy.gets", 1);
                 assert_eq!(
                     self.cfg.data_path,
@@ -835,33 +849,22 @@ impl Proxy<'_> {
                 // Cross-register the origin's destination buffer, then pull
                 // the remote symmetric memory straight into it.
                 let mkey2 = self.cross_reg_cached(st, src_rank, local_addr, len, local_mkey);
-                let wr = self.next_wrid(st);
                 self.ctx.emit(&ProtoEvent::Mkey2Used { mkey2 });
-                self.ctx.emit(&ProtoEvent::WritePosted {
-                    wrid: wr,
-                    bytes: len,
-                    path: PathKind::CrossGvmi,
+                let op = DataOp::new(
+                    PathKind::CrossGvmi,
+                    true,
+                    (self.cluster.host_ep(src_rank), local_addr, mkey2),
+                    (self.cluster.host_ep(remote_rank), remote_addr, remote_rkey),
+                    len,
                     msg_id,
-                });
-                st.inflight.insert(
-                    wr,
-                    Completion::OneSided {
-                        src_rank,
-                        src_req,
-                        msg_id,
-                    },
+                    None,
                 );
-                self.cluster
-                    .fabric()
-                    .rdma_read(
-                        self.ctx,
-                        self.my_ep,
-                        (self.cluster.host_ep(src_rank), local_addr, mkey2),
-                        (self.cluster.host_ep(remote_rank), remote_addr, remote_rkey),
-                        len,
-                        Some(wr),
-                    )
-                    .expect("one-sided get read");
+                let completion = Completion::Basic {
+                    src: origin,
+                    dst: None,
+                    staged: None,
+                };
+                self.post(st, op, completion);
             }
             CtrlMsg::BarrierCntr { .. } => {
                 // Synchronization traffic modelled on the wire; ordering is
@@ -917,8 +920,8 @@ impl Proxy<'_> {
                 // Backoff expired for a corrupt payload: re-post it. A
                 // missing token means a crash wiped the retx table; the
                 // host's post-restart replay re-drives the transfer.
-                if let Some((wctx, completion)) = st.data_retx.remove(&token) {
-                    self.repost(st, wctx, completion);
+                if let Some((op, completion)) = st.data_retx.remove(&token) {
+                    self.post(st, op, completion);
                 }
             }
             other => panic!("unexpected control message at proxy: {other:?}"),
@@ -947,68 +950,25 @@ impl Proxy<'_> {
         }
     }
 
-    /// Journal hit: a replayed request whose data movement completed in a
-    /// previous life. The payload is already placed — only the FIN can
-    /// have been lost — so resend it without re-running the transfer (and
-    /// without re-emitting Rts/Rtr protocol events, keeping the checker's
-    /// flow accounting balanced).
-    fn resend_fin(
-        &self,
-        st: &mut ProxyState,
-        rank: usize,
-        req: usize,
-        wrid: u64,
-        kind: crate::events::FinKind,
-        msg_id: u64,
-    ) {
-        let credit = self.fin_credit(st, rank);
-        let msg = match kind {
-            crate::events::FinKind::Recv => CtrlMsg::FinRecv {
-                req,
-                msg_id,
-                credit,
-            },
-            _ => CtrlMsg::FinSend {
-                req,
-                msg_id,
-                credit,
-            },
-        };
-        self.send_ctrl(st, self.cluster.host_ep(rank), msg);
-        self.ctx.emit(&ProtoEvent::FinSent {
-            rank,
-            req,
-            wrid,
-            kind,
-            msg_id,
-        });
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-        self.ctx.stat_incr("offload.reliable.fin_resends", 1);
-    }
-
-    /// Is a basic transfer with this msg_id already queued or in flight?
-    /// Guards against a retransmitted Rts/Rtr racing the host's
-    /// post-restart replay of the same request.
-    fn basic_active(&self, st: &ProxyState, msg_id: u64) -> bool {
-        st.send_q.values().flatten().any(|r| r.msg_id == msg_id)
-            || st.recv_q.values().flatten().any(|r| r.msg_id == msg_id)
-            || st.inflight.values().any(|c| match c {
-                Completion::BasicPair {
-                    src_msg_id,
-                    dst_msg_id,
-                    ..
-                } => *src_msg_id == msg_id || *dst_msg_id == msg_id,
-                Completion::OneSided { msg_id: m, .. } => *m == msg_id,
-                Completion::StagingRead { pair, .. } => {
-                    pair.0.msg_id == msg_id || pair.1.msg_id == msg_id
-                }
-                _ => false,
-            })
-    }
-
-    /// Duplicate-drop bookkeeping around [`Self::basic_active`]: true
-    /// means the message was a duplicate and has been counted.
-    fn dup_basic(&self, st: &ProxyState, kind: CtrlKind, msg_id: u64) -> bool {
+    /// Screen a basic descriptor before acting on it; true means it is
+    /// handled. A replay of a transfer that completed in a previous life
+    /// is answered with a FIN resend — the payload is placed, only the
+    /// FIN can have been lost — without re-running the transfer or
+    /// re-emitting Rts/Rtr events (keeping the checker's flow accounting
+    /// balanced). A descriptor of a transfer its host cancelled, or a
+    /// duplicate of one queued or in flight, is counted and dropped.
+    fn stale_basic(&self, st: &mut ProxyState, end: End, fin: FinKind, kind: CtrlKind) -> bool {
+        let msg_id = end.msg_id;
+        if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
+            self.notify_end(st, end, Notice::Fin { kind: fin, wrid });
+            self.ctx.stat_incr("offload.reliable.fin_resends", 1);
+            return true;
+        }
+        if st.cancelled.contains(&msg_id) {
+            self.ctx.stat_incr("offload.cancel.reaped", 1);
+            self.ctx.emit(&ProtoEvent::ReqReaped { msg_id });
+            return true;
+        }
         if !self.basic_active(st, msg_id) {
             return false;
         }
@@ -1021,15 +981,69 @@ impl Proxy<'_> {
         true
     }
 
-    /// Suppress (and count) a descriptor for a transfer its host already
-    /// cancelled.
-    fn reaped(&self, st: &ProxyState, msg_id: u64) -> bool {
-        if !st.cancelled.contains(&msg_id) {
-            return false;
+    /// Tell one host end how its transfer ended: a FIN (carrying the
+    /// free-slot credit) or a typed `DataError`.
+    fn notify_end(&self, st: &mut ProxyState, end: End, notice: Notice) {
+        let End { rank, req, msg_id } = end;
+        let to = self.cluster.host_ep(rank);
+        match notice {
+            Notice::Fin { kind, wrid } => {
+                let credit = self.fin_credit(st, rank);
+                let msg = match kind {
+                    FinKind::Recv => CtrlMsg::FinRecv {
+                        req,
+                        msg_id,
+                        credit,
+                    },
+                    _ => CtrlMsg::FinSend {
+                        req,
+                        msg_id,
+                        credit,
+                    },
+                };
+                self.send_ctrl(st, to, msg);
+                self.ctx.emit(&ProtoEvent::FinSent {
+                    rank,
+                    req,
+                    wrid,
+                    kind,
+                    msg_id,
+                });
+            }
+            Notice::Failed { attempts, shed } => {
+                if let Some(path) = shed {
+                    self.ctx
+                        .emit(&ProtoEvent::RetryBudgetExhausted { rank, msg_id, path });
+                }
+                let msg = CtrlMsg::DataError {
+                    req,
+                    msg_id,
+                    attempts,
+                    shed: shed.is_some(),
+                };
+                self.send_ctrl(st, to, msg);
+            }
         }
-        self.ctx.stat_incr("offload.cancel.reaped", 1);
-        self.ctx.emit(&ProtoEvent::ReqReaped { msg_id });
-        true
+        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+    }
+
+    /// Is a basic transfer with this msg_id already queued or in flight
+    /// (posted, or parked for a payload retransmission)? Guards against a
+    /// retransmitted Rts/Rtr racing the host's post-restart replay of the
+    /// same request.
+    fn basic_active(&self, st: &ProxyState, msg_id: u64) -> bool {
+        let parked = st.data_retx.values().map(|(_, c)| c);
+        st.send_q.values().flatten().any(|r| r.msg_id == msg_id)
+            || st.recv_q.values().flatten().any(|r| r.msg_id == msg_id)
+            || st.inflight.values().chain(parked).any(|c| match c {
+                Completion::Basic { src, dst, .. } => {
+                    src.msg_id == msg_id || dst.is_some_and(|d| d.msg_id == msg_id)
+                }
+                Completion::StagingRead { pair, .. } => {
+                    pair.0.msg_id == msg_id || pair.1.msg_id == msg_id
+                }
+                _ => false,
+            })
     }
 
     /// Record the completion horizon a host piggybacked on its ctrl
@@ -1063,15 +1077,14 @@ impl Proxy<'_> {
         st.tenant_q_len.get(&tenant).copied().unwrap_or(0)
     }
 
-    /// Would admitting one more queued descriptor bust the configured
-    /// cap? Counts both queues against one budget — the paper's worker
-    /// owns a single descriptor pool. Under a multi-tenant roster the
-    /// pool is additionally partitioned into weighted per-tenant shares
+    /// Refuse a descriptor that would bust the configured cap by
+    /// queueing: count it and nack its host (`rank`) with `QueueFull`.
+    /// Both queues count against one budget — the paper's worker owns a
+    /// single descriptor pool. Under a multi-tenant roster the pool is
+    /// additionally partitioned into weighted per-tenant shares
     /// ([`OffloadConfig::tenant_share`]), so a flooding tenant fills
     /// only its own share and well-behaved tenants keep admission.
-    /// Emits the refusal events; the caller sends the `QueueFull` nack
-    /// (destination differs per side).
-    fn admission_refused(&self, st: &ProxyState, msg_id: u64, tenant: TenantId) -> bool {
+    fn refuse(&self, st: &mut ProxyState, rank: usize, msg_id: u64, tenant: TenantId) -> bool {
         if self.cfg.queue_cap == 0 {
             return false;
         }
@@ -1083,6 +1096,9 @@ impl Proxy<'_> {
         }
         self.ctx.stat_incr("offload.credit.queue_full", 1);
         self.ctx.emit(&ProtoEvent::QueueFullNack { msg_id });
+        let host = self.cluster.host_ep(rank);
+        self.send_ctrl(st, host, CtrlMsg::QueueFull { msg_id });
+        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
         true
     }
 
@@ -1137,59 +1153,43 @@ impl Proxy<'_> {
         }
     }
 
-    /// Bound the durable FIN journal: once it exceeds the cap, drop every
-    /// entry at or below its owning host's advertised completion horizon
-    /// (those transfers can never be replayed — the host saw their FINs).
-    /// Emits a size sample per settle so tests can track the high-water
-    /// mark. No-op unless the cap is armed.
+    /// Bound the durable FIN journal: once a tenant's share of it
+    /// exceeds the cap, drop every entry of that tenant at or below its
+    /// owning host's advertised completion horizon (those transfers can
+    /// never be replayed — the host saw their FINs). Emits a size sample
+    /// per settle so tests can track the high-water mark. No-op unless
+    /// the cap is armed.
     ///
-    /// Under a multi-tenant roster the cap is applied per tenant
-    /// (`msg_id >> 32` names the owning rank, hence its tenant): a
-    /// flooding tenant triggers truncation of only its own entries, and
-    /// a quiet tenant's journal is never scanned on the flooder's
-    /// account. Truncation only ever drops entries the owning host has
-    /// acknowledged, so cross-tenant recovery safety is unconditional.
+    /// `msg_id >> 32` names the owning rank, hence its tenant: a
+    /// flooding tenant triggers truncation of only its own entries (a
+    /// single-tenant roster is the one-tenant case). Truncation only
+    /// ever drops entries the owning host has acknowledged, so
+    /// cross-tenant recovery safety is unconditional.
     fn truncate_journal(&self, st: &mut ProxyState) {
-        if self.cfg.journal_cap == 0 {
+        let cap = self.cfg.journal_cap;
+        if cap == 0 {
             return;
         }
         crate::profile_scope!("journal_truncate");
-        if self.cfg.multi_tenant() {
+        // No tenant's share can exceed the cap while the whole journal fits.
+        if st.completed_msgs.len() > cap {
+            let owner = |mid: &u64| (mid >> 32) as usize;
             let mut per_tenant: BTreeMap<TenantId, usize> = BTreeMap::new();
             for mid in st.completed_msgs.keys() {
-                let tenant = self.cfg.tenant_of((mid >> 32) as usize);
+                let tenant = self.cfg.tenant_of(owner(mid));
                 *per_tenant.entry(tenant).or_insert(0) += 1;
             }
             let over: BTreeSet<TenantId> = per_tenant
                 .into_iter()
-                .filter(|&(_, n)| n > self.cfg.journal_cap)
+                .filter(|&(_, n)| n > cap)
                 .map(|(t, _)| t)
                 .collect();
-            if !over.is_empty() {
-                let horizons = &st.ack_horizons;
-                let cfg = self.cfg;
-                let before = st.completed_msgs.len();
-                st.completed_msgs.retain(|mid, _| {
-                    let rank = (mid >> 32) as usize;
-                    if !over.contains(&cfg.tenant_of(rank)) {
-                        return true;
-                    }
-                    let seq = mid & 0xFFFF_FFFF;
-                    seq > horizons.get(&rank).copied().unwrap_or(0)
-                });
-                let dropped = (before - st.completed_msgs.len()) as u64;
-                if dropped > 0 {
-                    self.ctx.stat_incr("offload.journal.truncations", 1);
-                    self.ctx.emit(&ProtoEvent::JournalTruncated { dropped });
-                }
-            }
-        } else if st.completed_msgs.len() > self.cfg.journal_cap {
             let horizons = &st.ack_horizons;
             let before = st.completed_msgs.len();
             st.completed_msgs.retain(|mid, _| {
-                let rank = (mid >> 32) as usize;
-                let seq = mid & 0xFFFF_FFFF;
-                seq > horizons.get(&rank).copied().unwrap_or(0)
+                let rank = owner(mid);
+                !over.contains(&self.cfg.tenant_of(rank))
+                    || (mid & 0xFFFF_FFFF) > horizons.get(&rank).copied().unwrap_or(0)
             });
             let dropped = (before - st.completed_msgs.len()) as u64;
             if dropped > 0 {
@@ -1274,7 +1274,7 @@ impl Proxy<'_> {
         addr: VAddr,
         len: u64,
     ) -> (VAddr, MrKey) {
-        let fab = self.cluster.fabric();
+        let akey = (src_rank, addr.0, len);
         if self.cfg.staging_cap > 0 {
             let tenant = self.cfg.tenant_of(src_rank);
             if let Some(b) = st.stage_free.get_mut(&(tenant, len)).and_then(|p| p.pop()) {
@@ -1282,23 +1282,25 @@ impl Proxy<'_> {
                 self.ctx.emit(&ProtoEvent::StagingReclaimed { len });
                 return b;
             }
-            let buf = fab.alloc(self.my_ep, len);
-            let key = fab
-                .reg_mr(self.ctx, self.my_ep, buf, len)
-                .expect("staging buffer registration");
-            self.ctx.stat_incr("offload.proxy.staging_buffers", 1);
-            return (buf, key);
-        }
-        let akey = (src_rank, addr.0, len);
-        if let Some(&b) = st.stage_assign.get(&akey) {
+        } else if let Some(&b) = st.stage_assign.get(&akey) {
             return b;
         }
+        let b = self.fresh_staging(len);
+        if self.cfg.staging_cap == 0 {
+            st.stage_assign.insert(akey, b);
+        }
+        self.ctx.stat_incr("offload.proxy.staging_buffers", 1);
+        b
+    }
+
+    /// Allocate and register a DPU staging buffer — the one place the
+    /// proxy creates staging memory.
+    fn fresh_staging(&self, len: u64) -> (VAddr, MrKey) {
+        let fab = self.cluster.fabric();
         let buf = fab.alloc(self.my_ep, len);
         let key = fab
             .reg_mr(self.ctx, self.my_ep, buf, len)
             .expect("staging buffer registration");
-        st.stage_assign.insert(akey, (buf, key));
-        self.ctx.stat_incr("offload.proxy.staging_buffers", 1);
         (buf, key)
     }
 
@@ -1310,23 +1312,102 @@ impl Proxy<'_> {
             send_msg_id: rts.msg_id,
             recv_msg_id: rtr.msg_id,
         });
-        match self.cfg.data_path {
-            DataPath::Gvmi => self.post_gvmi_pair(st, rts, rtr),
-            DataPath::Staging => self.post_staging_read(st, rts, rtr),
-        }
+        let req = PathReq {
+            src_rank: rts.src_rank,
+            dst_rank: rtr.dst_rank,
+            tag: rts.tag,
+            msg_id: rts.msg_id,
+            addr: rts.addr,
+            len: rts.len,
+            mkey: rts.mkey,
+            stageable: rts.src_rkey.is_some(),
+        };
+        let (mkey2, stat) = match self.choose_path(st, self.cfg.data_path, &req, true) {
+            Path::CrossGvmi(mkey2) => (mkey2, "offload.proxy.gvmi_writes"),
+            Path::HostDirect(mkey2) => (mkey2, "offload.health.host_direct_writes"),
+            Path::Staging => return self.post_staging_read(st, rts, rtr),
+        };
+        // Paper Fig. 6, GVMI path: write straight from the source host's
+        // memory to the destination host.
+        self.ctx.emit(&ProtoEvent::Mkey2Used { mkey2 });
+        let local = (self.cluster.host_ep(rts.src_rank), rts.addr, mkey2);
+        self.post_pair_write(st, &rts, &rtr, PathKind::CrossGvmi, local, None);
+        self.ctx.stat_incr(stat, 1);
     }
 
-    /// One per-transfer fallback from cross-GVMI to the staging path:
-    /// the count and event every downgrade site shares (and the single
-    /// place the breaker fast-path hooks around).
-    fn note_fallback(&self, src_rank: usize, dst_rank: usize, tag: u64, msg_id: u64) {
-        self.ctx.stat_incr("offload.fallback.staging", 1);
-        self.ctx.emit(&ProtoEvent::FallbackToStaging {
-            src_rank,
-            dst_rank,
-            tag,
-            msg_id,
-        });
+    /// The proxy's one data-path decision (DESIGN.md §14, §19). With
+    /// `primary` cross-GVMI and an mkey to register, try cross-GVMI: an
+    /// open breaker for the source rank routes a stageable transfer
+    /// straight to staging without a registration attempt, and a failed
+    /// registration (`FaultPlan::xreg_fail_pm`) downgrades this one
+    /// transfer to staging instead of failing it. A staged transfer then
+    /// consults the staging breaker when `guard_staging` (basic pairs):
+    /// open, it degrades to a host-direct write if the source has an
+    /// mkey. Group entries stage at exec time and have no host-direct
+    /// alternative, so they never consult it. Emits every breaker and
+    /// fallback event of the decision, in order.
+    fn choose_path(
+        &self,
+        st: &mut ProxyState,
+        primary: DataPath,
+        req: &PathReq,
+        guard_staging: bool,
+    ) -> Path {
+        let peer = req.src_rank;
+        if let (DataPath::Gvmi, Some(mkey)) = (primary, req.mkey) {
+            let fast = match st.health.route(peer, HealthPath::CrossGvmi) {
+                Route::FastPath => req.stageable,
+                Route::Probe => {
+                    self.note_probe(peer, HealthPath::CrossGvmi, req.msg_id);
+                    false
+                }
+                Route::Primary => false,
+            };
+            if fast {
+                self.note_fastpath(peer, HealthPath::CrossGvmi, req.msg_id);
+            } else {
+                let reg = self.try_cross_reg(st, peer, req.addr, req.len, mkey);
+                // The registration result is the breaker's (and the
+                // probe's) verdict; a successful probe has just rebuilt
+                // the reg-cache entry, so closing the breaker resumes
+                // with warm state.
+                self.note_breaker(st, peer, HealthPath::CrossGvmi, reg.is_some());
+                if let Some(mkey2) = reg {
+                    return Path::CrossGvmi(mkey2);
+                }
+                self.ctx.stat_incr("offload.fallback.staging", 1);
+                self.ctx.emit(&ProtoEvent::FallbackToStaging {
+                    src_rank: peer,
+                    dst_rank: req.dst_rank,
+                    tag: req.tag,
+                    msg_id: req.msg_id,
+                });
+            }
+        }
+        if !guard_staging {
+            return Path::Staging;
+        }
+        match st.health.route(peer, HealthPath::Staging) {
+            Route::FastPath => {
+                if let Some(mkey) = req.mkey {
+                    self.note_fastpath(peer, HealthPath::Staging, req.msg_id);
+                    // The sick resource is the staging hop, not
+                    // registration: use the infallible path.
+                    let mkey2 = self.cross_reg_cached(st, peer, req.addr, req.len, mkey);
+                    return Path::HostDirect(mkey2);
+                }
+            }
+            Route::Probe => self.note_probe(peer, HealthPath::Staging, req.msg_id),
+            Route::Primary => {}
+        }
+        Path::Staging
+    }
+
+    /// An open breaker rerouted `msg_id` without consulting the sick path.
+    fn note_fastpath(&self, peer: usize, path: HealthPath, msg_id: u64) {
+        self.ctx.stat_incr("offload.health.fastpaths", 1);
+        self.ctx
+            .emit(&ProtoEvent::BreakerFastPath { peer, path, msg_id });
     }
 
     /// Feed one `(peer, path)` outcome into the health engine and emit
@@ -1355,291 +1436,96 @@ impl Proxy<'_> {
             .emit(&ProtoEvent::BreakerProbe { peer, path, msg_id });
     }
 
-    /// Cross-register (through the DPU GVMI cache) and write straight from
-    /// the source host's memory to the destination host (paper Fig. 6,
-    /// GVMI path). A failed cross-GVMI registration (injected via
-    /// `FaultPlan::xreg_fail_pm`) downgrades this one transfer to the
-    /// staging path instead of failing it. With the health engine armed,
-    /// an open cross-GVMI breaker for the source rank routes straight to
-    /// staging — no registration attempt, no per-message fallback
-    /// round-trip (DESIGN.md §19).
-    fn post_gvmi_pair(&self, st: &mut ProxyState, rts: RtsInfo, rtr: RtrInfo) {
-        let peer = rts.src_rank;
-        match st.health.route(peer, HealthPath::CrossGvmi) {
-            // Fast-path needs the rkey the host carries on fallback-armed
-            // plans; without one the post must take the primary path.
-            Route::FastPath if rts.src_rkey.is_some() => {
-                self.ctx.stat_incr("offload.health.fastpaths", 1);
-                self.ctx.emit(&ProtoEvent::BreakerFastPath {
-                    peer,
-                    path: HealthPath::CrossGvmi,
-                    msg_id: rts.msg_id,
-                });
-                self.post_staging_read(st, rts, rtr);
-                return;
-            }
-            Route::Probe => self.note_probe(peer, HealthPath::CrossGvmi, rts.msg_id),
-            _ => {}
-        }
-        let mkey = rts.mkey.expect("GVMI RTS carries an mkey");
-        let reg = self.try_cross_reg(st, peer, rts.addr, rts.len, mkey);
-        // The registration result is the breaker's (and the probe's)
-        // verdict; a successful probe has just rebuilt the reg-cache
-        // entry, so closing the breaker resumes with warm state.
-        self.note_breaker(st, peer, HealthPath::CrossGvmi, reg.is_some());
-        let Some(mkey2) = reg else {
-            self.note_fallback(rts.src_rank, rtr.dst_rank, rts.tag, rts.msg_id);
-            self.post_staging_read(st, rts, rtr);
-            return;
-        };
-        let wr = self.next_wrid(st);
-        let len = rts.len.min(rtr.len);
-        self.ctx.emit(&ProtoEvent::Mkey2Used { mkey2 });
-        self.ctx.emit(&ProtoEvent::WritePosted {
-            wrid: wr,
-            bytes: len,
-            path: PathKind::CrossGvmi,
-            msg_id: rts.msg_id,
-        });
-        // End-to-end integrity: the host's CRC covers exactly rts.len
-        // bytes, so a truncating match (shorter receive) is exempt.
-        if let Some(crc) = rts.crc.filter(|_| len == rts.len) {
-            st.inflight_ctx.insert(
-                wr,
-                WriteCtx {
-                    crc,
-                    msg_id: rts.msg_id,
-                    path: PathKind::CrossGvmi,
-                    is_read: false,
-                    local: (self.cluster.host_ep(rts.src_rank), rts.addr, mkey2),
-                    remote: (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
-                    len,
-                    attempt: 1,
-                    notify: None,
-                },
-            );
-        }
-        st.inflight.insert(
-            wr,
-            Completion::BasicPair {
-                src_rank: rts.src_rank,
-                src_req: rts.src_req,
-                dst_rank: rtr.dst_rank,
-                dst_req: rtr.dst_req,
-                src_msg_id: rts.msg_id,
-                dst_msg_id: rtr.msg_id,
-                staged: None,
-            },
-        );
-        self.cluster
-            .fabric()
-            .rdma_write(
-                self.ctx,
-                self.my_ep,
-                (self.cluster.host_ep(rts.src_rank), rts.addr, mkey2),
-                (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
-                len,
-                Some(wr),
-                None,
-            )
-            .expect("GVMI data write");
-        self.ctx.stat_incr("offload.proxy.gvmi_writes", 1);
-    }
-
     /// Staging hop 1: pull the payload out of the source host's memory
     /// into DPU staging with an RDMA READ (the BluesMPI worker-read).
-    /// With the health engine armed, an open staging breaker for the
-    /// source rank degrades the transfer to a host-direct write (no DPU
-    /// hop) when the RTS carries an mkey to cross-register with.
     fn post_staging_read(&self, st: &mut ProxyState, rts: RtsInfo, rtr: RtrInfo) {
-        let peer = rts.src_rank;
-        match st.health.route(peer, HealthPath::Staging) {
-            Route::FastPath if rts.mkey.is_some() => {
-                self.ctx.stat_incr("offload.health.fastpaths", 1);
-                self.ctx.emit(&ProtoEvent::BreakerFastPath {
-                    peer,
-                    path: HealthPath::Staging,
-                    msg_id: rts.msg_id,
-                });
-                self.post_host_direct(st, rts, rtr);
-                return;
-            }
-            Route::Probe => self.note_probe(peer, HealthPath::Staging, rts.msg_id),
-            _ => {}
-        }
         let (buf, key) = self.staging_buffer_for(st, rts.src_rank, rts.addr, rts.len);
         let src_rkey = rts.src_rkey.expect("staging RTS carries an rkey");
-        let wr = self.next_wrid(st);
         let len = rts.len.min(rtr.len);
-        let src_ep = self.cluster.host_ep(rts.src_rank);
-        let src_addr = rts.addr;
-        self.ctx.emit(&ProtoEvent::WritePosted {
-            wrid: wr,
-            bytes: len,
-            path: PathKind::StagingHop1,
-            msg_id: rts.msg_id,
-        });
+        let src = (self.cluster.host_ep(rts.src_rank), rts.addr, src_rkey);
         // Verify the staged copy too: a corruption healed on hop 1 keeps
-        // hop 2's retransmissions meaningful (re-sending a corrupt
-        // staged image could never converge).
-        if let Some(crc) = rts.crc.filter(|_| len == rts.len) {
-            st.inflight_ctx.insert(
-                wr,
-                WriteCtx {
-                    crc,
-                    msg_id: rts.msg_id,
-                    path: PathKind::StagingHop1,
-                    is_read: true,
-                    local: (self.my_ep, buf, key),
-                    remote: (src_ep, src_addr, src_rkey),
-                    len,
-                    attempt: 1,
-                    notify: None,
-                },
-            );
-        }
-        st.inflight.insert(
-            wr,
-            Completion::StagingRead {
-                pair: Box::new((rts, rtr)),
-                buf: (buf, key),
-            },
+        // hop 2's retransmissions meaningful (re-sending a corrupt staged
+        // image could never converge).
+        let crc = rts.crc.filter(|_| len == rts.len);
+        let op = DataOp::new(
+            PathKind::StagingHop1,
+            true,
+            (self.my_ep, buf, key),
+            src,
+            len,
+            rts.msg_id,
+            crc,
         );
-        self.cluster
-            .fabric()
-            .rdma_read(
-                self.ctx,
-                self.my_ep,
-                (self.my_ep, buf, key),
-                (src_ep, src_addr, src_rkey),
-                len,
-                Some(wr),
-            )
-            .expect("staging read");
+        let completion = Completion::StagingRead {
+            pair: Box::new((rts, rtr)),
+            buf: (buf, key),
+        };
+        self.post(st, op, completion);
         self.ctx.stat_incr("offload.proxy.staging_reads", 1);
     }
 
-    /// Staging hop 2: forward the staged payload from DPU memory to the
-    /// destination host (paper Fig. 6 — the extra hop). `buf` is the
-    /// staging buffer hop 1 read into (rode along in the completion).
-    fn post_staged_pair(
+    /// Write a matched pair's payload from `local` into the receive
+    /// buffer; both ends get their FIN once it lands.
+    fn post_pair_write(
         &self,
         st: &mut ProxyState,
-        rts: RtsInfo,
-        rtr: RtrInfo,
-        buf: (VAddr, MrKey),
+        rts: &RtsInfo,
+        rtr: &RtrInfo,
+        path: PathKind,
+        local: Region,
+        staged: Option<(VAddr, MrKey, u64)>,
     ) {
-        let (buf, key) = buf;
-        let wr = self.next_wrid(st);
         let len = rts.len.min(rtr.len);
-        self.ctx.emit(&ProtoEvent::WritePosted {
-            wrid: wr,
-            bytes: len,
-            path: PathKind::StagingHop2,
-            msg_id: rts.msg_id,
-        });
-        if let Some(crc) = rts.crc.filter(|_| len == rts.len) {
-            st.inflight_ctx.insert(
-                wr,
-                WriteCtx {
-                    crc,
-                    msg_id: rts.msg_id,
-                    path: PathKind::StagingHop2,
-                    is_read: false,
-                    local: (self.my_ep, buf, key),
-                    remote: (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
-                    len,
-                    attempt: 1,
-                    notify: None,
-                },
-            );
-        }
-        let staged = (self.cfg.staging_cap > 0).then_some((buf, key, rts.len));
-        st.inflight.insert(
-            wr,
-            Completion::BasicPair {
-                src_rank: rts.src_rank,
-                src_req: rts.src_req,
-                dst_rank: rtr.dst_rank,
-                dst_req: rtr.dst_req,
-                src_msg_id: rts.msg_id,
-                dst_msg_id: rtr.msg_id,
-                staged,
-            },
-        );
-        self.cluster
-            .fabric()
-            .rdma_write(
-                self.ctx,
-                self.my_ep,
-                (self.my_ep, buf, key),
-                (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
-                len,
-                Some(wr),
-                None,
-            )
-            .expect("staging forward write");
-        self.ctx.stat_incr("offload.proxy.staging_forwards", 1);
+        let remote = (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey);
+        // End-to-end integrity: the host's CRC covers exactly rts.len
+        // bytes, so a truncating match (shorter receive) is exempt.
+        let crc = rts.crc.filter(|_| len == rts.len);
+        let op = DataOp::new(path, false, local, remote, len, rts.msg_id, crc);
+        let completion = Completion::Basic {
+            src: rts.end(),
+            dst: rtr.end(),
+            staged,
+        };
+        self.post(st, op, completion);
     }
 
-    /// Degraded-mode data movement while a peer's staging breaker is
-    /// open (DESIGN.md §19): cross-register through the cache — the sick
-    /// resource is the staging hop, not registration, so this uses the
-    /// infallible path — and write host-to-host directly, skipping DPU
-    /// memory entirely.
-    fn post_host_direct(&self, st: &mut ProxyState, rts: RtsInfo, rtr: RtrInfo) {
-        let mkey = rts.mkey.expect("host-direct degrade requires an mkey");
-        let mkey2 = self.cross_reg_cached(st, rts.src_rank, rts.addr, rts.len, mkey);
-        let wr = self.next_wrid(st);
-        let len = rts.len.min(rtr.len);
-        self.ctx.emit(&ProtoEvent::Mkey2Used { mkey2 });
+    /// Post one RDMA operation and track its completion: the one place
+    /// proxy data moves (every path, both staging hops, group entries,
+    /// one-sided gets and re-posts). On payload-fault plans the op is
+    /// kept per wrid so its CQE can verify the landed bytes.
+    fn post(&self, st: &mut ProxyState, mut op: DataOp, completion: Completion) {
+        let wrid = self.next_wrid(st);
         self.ctx.emit(&ProtoEvent::WritePosted {
-            wrid: wr,
-            bytes: len,
-            path: PathKind::CrossGvmi,
-            msg_id: rts.msg_id,
+            wrid,
+            bytes: op.len,
+            path: op.path,
+            msg_id: op.msg_id,
         });
-        if let Some(crc) = rts.crc.filter(|_| len == rts.len) {
-            st.inflight_ctx.insert(
-                wr,
-                WriteCtx {
-                    crc,
-                    msg_id: rts.msg_id,
-                    path: PathKind::CrossGvmi,
-                    is_read: false,
-                    local: (self.cluster.host_ep(rts.src_rank), rts.addr, mkey2),
-                    remote: (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
-                    len,
-                    attempt: 1,
-                    notify: None,
-                },
+        let (fab, ctx, me) = (self.cluster.fabric(), self.ctx, self.my_ep);
+        let posted = if op.is_read {
+            fab.rdma_read(ctx, me, op.local, op.remote, op.len, Some(wrid))
+        } else {
+            // A verified op keeps its notification for re-posts.
+            let notify = match op.crc {
+                Some(_) => op.notify.clone(),
+                None => op.notify.take(),
+            };
+            let notify = notify.map(|(pid, msg)| (pid, Box::new(msg) as Payload));
+            fab.rdma_write(ctx, me, op.local, op.remote, op.len, Some(wrid), notify)
+        };
+        if let Err(e) = posted {
+            // A refused post (bad key or range) is a protocol bug, not a
+            // fault to recover from: the `skip_cross_reg` checker fault
+            // provokes exactly this, and the run must stop here.
+            panic!(
+                "proxy {:?} post of transfer {:#x} refused: {e:?}",
+                op.path, op.msg_id
             );
         }
-        st.inflight.insert(
-            wr,
-            Completion::BasicPair {
-                src_rank: rts.src_rank,
-                src_req: rts.src_req,
-                dst_rank: rtr.dst_rank,
-                dst_req: rtr.dst_req,
-                src_msg_id: rts.msg_id,
-                dst_msg_id: rtr.msg_id,
-                staged: None,
-            },
-        );
-        self.cluster
-            .fabric()
-            .rdma_write(
-                self.ctx,
-                self.my_ep,
-                (self.cluster.host_ep(rts.src_rank), rts.addr, mkey2),
-                (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
-                len,
-                Some(wr),
-                None,
-            )
-            .expect("host-direct degraded write");
-        self.ctx.stat_incr("offload.health.host_direct_writes", 1);
+        st.inflight.insert(wrid, completion);
+        if op.crc.is_some() {
+            st.inflight_ctx.insert(wrid, op);
+        }
     }
 
     /// Infallible cross-registration (one-sided gets, which have no
@@ -1765,6 +1651,15 @@ impl Proxy<'_> {
         }
     }
 
+    /// Charge the ARM time of interpreting `n` queue/packet entries.
+    fn charge_entries(&self, n: u64) {
+        let _ = self.cluster.fabric().charge_cpu(
+            self.ctx,
+            self.my_ep,
+            self.cfg.proxy_entry_overhead * n,
+        );
+    }
+
     fn next_wrid(&self, st: &mut ProxyState) -> u64 {
         st.next_wr += 1;
         WRID_OFF_PROXY | st.next_wr
@@ -1787,27 +1682,23 @@ impl Proxy<'_> {
         // the landed bytes against the sender's CRC before acting on the
         // completion. A mismatch schedules a bounded retransmission
         // instead — no FIN, no staging forward, no barrier progress.
-        if let Some(wctx) = st.inflight_ctx.remove(&wrid) {
+        if let Some(op) = st.inflight_ctx.remove(&wrid) {
             crate::profile_scope!("crc_verify");
-            let (ep, addr, _) = if wctx.is_read {
-                wctx.local
-            } else {
-                wctx.remote
-            };
+            let (ep, addr, _) = if op.is_read { op.local } else { op.remote };
             let got = self
                 .cluster
                 .fabric()
-                .crc32(ep, addr, wctx.len)
+                .crc32(ep, addr, op.len)
                 .expect("CRC of a landed payload");
-            if got != wctx.crc {
-                self.on_corrupt(st, wctx, completion);
+            if Some(got) != op.crc {
+                self.on_corrupt(st, op, completion);
                 return;
             }
-            if wctx.attempt > 1 {
+            if op.attempt > 1 {
                 self.ctx.stat_incr("offload.integrity.recovered", 1);
                 self.ctx.emit(&ProtoEvent::PayloadRecovered {
-                    msg_id: wctx.msg_id,
-                    attempts: wctx.attempt,
+                    msg_id: op.msg_id,
+                    attempts: op.attempt,
                 });
                 // A retried payload made it through: the peer earns its
                 // data retry-budget tokens back.
@@ -1821,97 +1712,29 @@ impl Proxy<'_> {
     /// Act on a (verified) completed operation.
     fn complete(&self, st: &mut ProxyState, wrid: u64, completion: Completion) {
         match completion {
-            Completion::BasicPair {
-                src_rank,
-                src_req,
-                dst_rank,
-                dst_req,
-                src_msg_id,
-                dst_msg_id,
-                staged,
-            } => {
-                self.release_staged(st, self.cfg.tenant_of(src_rank), staged);
+            Completion::Basic { src, dst, staged } => {
+                self.release_staged(st, self.cfg.tenant_of(src.rank), staged);
                 // FIN packets to both hosts (paper Fig. 8, §VIII-C: two of
-                // the four per-transfer control messages). One-sided puts
-                // ride this path with no receive request: only the origin
-                // is notified. The journal write precedes the (losable)
-                // FIN sends: write-ahead, so a replay after a crash at any
-                // point from here on resolves to a FIN resend.
-                st.completed_msgs.insert(src_msg_id, wrid);
-                if dst_req != usize::MAX {
-                    st.completed_msgs.insert(dst_msg_id, wrid);
+                // the four per-transfer control messages); one-sided
+                // operations notify only the origin. The journal write
+                // precedes the (losable) FIN sends: write-ahead, so a
+                // replay after a crash at any point from here on resolves
+                // to a FIN resend.
+                st.completed_msgs.insert(src.msg_id, wrid);
+                if let Some(dst) = dst {
+                    st.completed_msgs.insert(dst.msg_id, wrid);
                 }
                 self.truncate_journal(st);
-                let credit = self.fin_credit(st, src_rank);
-                self.send_ctrl(
-                    st,
-                    self.cluster.host_ep(src_rank),
-                    CtrlMsg::FinSend {
-                        req: src_req,
-                        msg_id: src_msg_id,
-                        credit,
-                    },
-                );
-                self.ctx.emit(&ProtoEvent::FinSent {
-                    rank: src_rank,
-                    req: src_req,
-                    wrid,
-                    kind: crate::events::FinKind::Send,
-                    msg_id: src_msg_id,
-                });
-                self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-                if dst_req != usize::MAX {
-                    if self.cfg.fault.drop_first_fin && !st.fin_dropped {
-                        // Deliberate fault: lose this FinRecv. The waiting
-                        // receiver never completes, so the run deadlocks.
-                        st.fin_dropped = true;
-                        return;
-                    }
-                    let credit = self.fin_credit(st, dst_rank);
-                    self.send_ctrl(
-                        st,
-                        self.cluster.host_ep(dst_rank),
-                        CtrlMsg::FinRecv {
-                            req: dst_req,
-                            msg_id: dst_msg_id,
-                            credit,
-                        },
-                    );
-                    self.ctx.emit(&ProtoEvent::FinSent {
-                        rank: dst_rank,
-                        req: dst_req,
-                        wrid,
-                        kind: crate::events::FinKind::Recv,
-                        msg_id: dst_msg_id,
-                    });
-                    self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+                let fin = |kind| Notice::Fin { kind, wrid };
+                self.notify_end(st, src, fin(FinKind::Send));
+                let Some(dst) = dst else { return };
+                if self.cfg.fault.drop_first_fin && !st.fin_dropped {
+                    // Deliberate fault: lose this FinRecv. The waiting
+                    // receiver never completes, so the run deadlocks.
+                    st.fin_dropped = true;
+                    return;
                 }
-            }
-            Completion::OneSided {
-                src_rank,
-                src_req,
-                msg_id,
-            } => {
-                st.completed_msgs.insert(msg_id, wrid);
-                self.truncate_journal(st);
-                let credit = self.fin_credit(st, src_rank);
-                self.send_ctrl(
-                    st,
-                    self.cluster.host_ep(src_rank),
-                    CtrlMsg::FinSend {
-                        req: src_req,
-                        msg_id,
-                        credit,
-                    },
-                );
-                self.ctx.emit(&ProtoEvent::FinSent {
-                    rank: src_rank,
-                    req: src_req,
-                    wrid,
-                    kind: crate::events::FinKind::Send,
-                    msg_id,
-                });
-                self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+                self.notify_end(st, dst, fin(FinKind::Recv));
             }
             Completion::StagingRead { pair, buf } => {
                 let (rts, rtr) = *pair;
@@ -1919,7 +1742,12 @@ impl Proxy<'_> {
                 // window (and the verdict of a staging probe, if this
                 // read was one).
                 self.note_breaker(st, rts.src_rank, HealthPath::Staging, true);
-                self.post_staged_pair(st, rts, rtr, buf);
+                // Hop 2: forward the staged payload from DPU memory to the
+                // destination host (paper Fig. 6 — the extra hop).
+                let local = (self.my_ep, buf.0, buf.1);
+                let staged = (self.cfg.staging_cap > 0).then_some((buf.0, buf.1, rts.len));
+                self.post_pair_write(st, &rts, &rtr, PathKind::StagingHop2, local, staged);
+                self.ctx.stat_incr("offload.proxy.staging_forwards", 1);
             }
             Completion::GroupSend { key, gen } => {
                 if let Some(inst) = st
@@ -1944,9 +1772,7 @@ impl Proxy<'_> {
     /// movement is charged to (the transfer's source side).
     fn completion_src_rank(completion: &Completion) -> usize {
         match completion {
-            Completion::BasicPair { src_rank, .. } | Completion::OneSided { src_rank, .. } => {
-                *src_rank
-            }
+            Completion::Basic { src, .. } => src.rank,
             Completion::StagingRead { pair, .. } => pair.0.src_rank,
             Completion::GroupSend { key, .. } | Completion::GroupStageRead { key, .. } => {
                 key.host_rank
@@ -1955,86 +1781,45 @@ impl Proxy<'_> {
     }
 
     /// A landed payload failed CRC verification. Within budget: arm a
-    /// backoff timer and park the operation for re-posting. Attempt
-    /// bound hit, or the peer's data retry budget dry: surface a typed
-    /// data-plane failure to the owning host(s) — never a FIN, never a
-    /// hang.
-    fn on_corrupt(&self, st: &mut ProxyState, mut wctx: WriteCtx, completion: Completion) {
+    /// backoff timer and park the operation for re-posting (fresh wrid,
+    /// same path, same arrival notification). Attempt bound hit, or the
+    /// peer's data retry budget dry: surface a typed data-plane failure
+    /// to the owning host(s) — never a FIN, never a hang.
+    fn on_corrupt(&self, st: &mut ProxyState, mut op: DataOp, completion: Completion) {
         self.ctx.stat_incr("offload.integrity.corrupt", 1);
         self.ctx.emit(&ProtoEvent::PayloadCorrupt {
-            msg_id: wctx.msg_id,
-            attempt: wctx.attempt,
+            msg_id: op.msg_id,
+            attempt: op.attempt,
         });
         let peer = Self::completion_src_rank(&completion);
-        let path_class = match wctx.path {
+        let path_class = match op.path {
             PathKind::CrossGvmi => HealthPath::CrossGvmi,
             _ => HealthPath::Staging,
         };
         self.note_breaker(st, peer, path_class, false);
-        if wctx.attempt >= self.cfg.data_retx_max {
+        if op.attempt >= self.cfg.data_retx_max {
             self.ctx.stat_incr("offload.integrity.failures", 1);
             self.ctx.emit(&ProtoEvent::DataIntegrityFailed {
-                msg_id: wctx.msg_id,
-                attempts: wctx.attempt,
+                msg_id: op.msg_id,
+                attempts: op.attempt,
             });
-            self.fail_transfer(st, completion, wctx.attempt, None);
+            self.fail_transfer(st, completion, op.attempt, None);
             return;
         }
         if !st.health.try_spend_data(peer) {
-            self.fail_transfer(st, completion, wctx.attempt, Some(path_class));
+            self.fail_transfer(st, completion, op.attempt, Some(path_class));
             return;
         }
-        let delay = backoff_delay_from(self.cfg.retx_base, self.cfg.retx_cap, wctx.attempt);
-        wctx.attempt += 1;
+        let delay = backoff_delay_from(self.cfg.retx_base, self.cfg.retx_cap, op.attempt);
+        op.attempt += 1;
         st.next_retx_token += 1;
         let token = st.next_retx_token;
-        st.data_retx.insert(token, (wctx, completion));
+        st.data_retx.insert(token, (op, completion));
         self.ctx.stat_incr("offload.integrity.retransmits", 1);
         self.ctx.deliver_self(
             delay,
             Box::new(NetMsg::Notify(Box::new(CtrlMsg::DataRetxTick { token }))),
         );
-    }
-
-    /// Re-post a corrupt operation after its backoff (fresh wrid, same
-    /// path, same arrival notification — receivers dedup by msg_id).
-    fn repost(&self, st: &mut ProxyState, wctx: WriteCtx, completion: Completion) {
-        let wr = self.next_wrid(st);
-        self.ctx.emit(&ProtoEvent::WritePosted {
-            wrid: wr,
-            bytes: wctx.len,
-            path: wctx.path,
-            msg_id: wctx.msg_id,
-        });
-        let fab = self.cluster.fabric();
-        if wctx.is_read {
-            fab.rdma_read(
-                self.ctx,
-                self.my_ep,
-                wctx.local,
-                wctx.remote,
-                wctx.len,
-                Some(wr),
-            )
-            .expect("data retransmit read");
-        } else {
-            let notify = wctx
-                .notify
-                .clone()
-                .map(|(pid, msg)| (pid, Box::new(msg) as Payload));
-            fab.rdma_write(
-                self.ctx,
-                self.my_ep,
-                wctx.local,
-                wctx.remote,
-                wctx.len,
-                Some(wr),
-                notify,
-            )
-            .expect("data retransmit write");
-        }
-        st.inflight.insert(wr, completion);
-        st.inflight_ctx.insert(wr, wctx);
     }
 
     /// Permanent data-plane failure: tell every host waiting on this
@@ -2056,101 +1841,14 @@ impl Proxy<'_> {
         attempts: u32,
         shed: Option<HealthPath>,
     ) {
-        let is_shed = shed.is_some();
-        if is_shed {
+        if shed.is_some() {
             self.ctx.stat_incr("offload.health.retry_budget_sheds", 1);
         }
-        let note_shed = |rank: usize, msg_id: u64| {
-            if let Some(path) = shed {
-                self.ctx
-                    .emit(&ProtoEvent::RetryBudgetExhausted { rank, msg_id, path });
-            }
-        };
-        match completion {
-            Completion::BasicPair {
-                src_rank,
-                src_req,
-                dst_rank,
-                dst_req,
-                src_msg_id,
-                dst_msg_id,
-                staged,
-            } => {
-                self.release_staged(st, self.cfg.tenant_of(src_rank), staged);
-                note_shed(src_rank, src_msg_id);
-                self.send_ctrl(
-                    st,
-                    self.cluster.host_ep(src_rank),
-                    CtrlMsg::DataError {
-                        req: src_req,
-                        msg_id: src_msg_id,
-                        attempts,
-                        shed: is_shed,
-                    },
-                );
-                self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-                if dst_req != usize::MAX {
-                    note_shed(dst_rank, dst_msg_id);
-                    self.send_ctrl(
-                        st,
-                        self.cluster.host_ep(dst_rank),
-                        CtrlMsg::DataError {
-                            req: dst_req,
-                            msg_id: dst_msg_id,
-                            attempts,
-                            shed: is_shed,
-                        },
-                    );
-                    self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-                }
-            }
-            Completion::OneSided {
-                src_rank,
-                src_req,
-                msg_id,
-            } => {
-                note_shed(src_rank, msg_id);
-                self.send_ctrl(
-                    st,
-                    self.cluster.host_ep(src_rank),
-                    CtrlMsg::DataError {
-                        req: src_req,
-                        msg_id,
-                        attempts,
-                        shed: is_shed,
-                    },
-                );
-                self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-            }
+        let (src, dst, staged) = match completion {
+            Completion::Basic { src, dst, staged } => (src, dst, staged),
             Completion::StagingRead { pair, buf } => {
                 let (rts, rtr) = *pair;
-                self.release_staged(st, rts.tenant, Some((buf.0, buf.1, rts.len)));
-                note_shed(rts.src_rank, rts.msg_id);
-                self.send_ctrl(
-                    st,
-                    self.cluster.host_ep(rts.src_rank),
-                    CtrlMsg::DataError {
-                        req: rts.src_req,
-                        msg_id: rts.msg_id,
-                        attempts,
-                        shed: is_shed,
-                    },
-                );
-                self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-                if rtr.dst_req != usize::MAX {
-                    note_shed(rtr.dst_rank, rtr.msg_id);
-                    self.send_ctrl(
-                        st,
-                        self.cluster.host_ep(rtr.dst_rank),
-                        CtrlMsg::DataError {
-                            req: rtr.dst_req,
-                            msg_id: rtr.msg_id,
-                            attempts,
-                            shed: is_shed,
-                        },
-                    );
-                    self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-                }
+                (rts.end(), rtr.end(), Some((buf.0, buf.1, rts.len)))
             }
             Completion::GroupSend { key, gen } | Completion::GroupStageRead { key, gen, .. } => {
                 self.send_ctrl(
@@ -2175,97 +1873,58 @@ impl Proxy<'_> {
                 st.group_staged.retain(|&(k, g, _)| !(k == key && g == gen));
                 st.stage_read_posted
                     .retain(|&(k, g, _)| !(k == key && g == gen));
+                return;
             }
+        };
+        self.release_staged(st, self.cfg.tenant_of(src.rank), staged);
+        for end in std::iter::once(src).chain(dst) {
+            self.notify_end(st, end, Notice::Failed { attempts, shed });
         }
     }
 
     // ---- Group primitives (Algorithm 1) ----
 
-    fn install_group(
-        &self,
-        st: &mut ProxyState,
-        key: GroupKey,
-        entries: Vec<WireEntry>,
-        host_pid: Pid,
-    ) {
-        let want_staging = self.cfg.data_path == DataPath::Staging;
+    fn install_group(&self, st: &mut ProxyState, key: GroupKey, entries: Vec<WireEntry>) {
         // Interpret every entry once (ARM time).
-        let _ = self.cluster.fabric().charge_cpu(
-            self.ctx,
-            self.my_ep,
-            self.cfg.proxy_entry_overhead * entries.len().max(1) as u64,
-        );
-        let mut mkey2 = vec![None; entries.len()];
-        let mut staging = vec![None; entries.len()];
-        let fab = self.cluster.fabric();
-        for (i, e) in entries.iter().enumerate() {
-            if let WireEntry::Send {
-                addr,
-                len,
-                mkey,
-                dst_rank,
-                tag,
-                msg_id,
-                ..
-            } = e
-            {
-                if want_staging {
-                    let buf = fab.alloc(self.my_ep, *len);
-                    let k = fab
-                        .reg_mr(self.ctx, self.my_ep, buf, *len)
-                        .expect("group staging registration");
-                    staging[i] = Some((buf, k));
-                } else {
-                    // Cross-registration now, stored with the entry, so
-                    // execution never searches the GVMI cache (paper
-                    // §VII-D). A failed cross-GVMI registration demotes
-                    // just this entry to a staging buffer; an open
-                    // breaker demotes it without consulting the sick
-                    // path at all.
-                    let peer = key.host_rank;
-                    match st.health.route(peer, HealthPath::CrossGvmi) {
-                        Route::FastPath => {
-                            self.ctx.stat_incr("offload.health.fastpaths", 1);
-                            self.ctx.emit(&ProtoEvent::BreakerFastPath {
-                                peer,
-                                path: HealthPath::CrossGvmi,
-                                msg_id: *msg_id,
-                            });
-                            let buf = fab.alloc(self.my_ep, *len);
-                            let k = fab
-                                .reg_mr(self.ctx, self.my_ep, buf, *len)
-                                .expect("fallback staging registration");
-                            staging[i] = Some((buf, k));
-                            continue;
+        self.charge_entries(entries.len().max(1) as u64);
+        let mut cached = Vec::with_capacity(entries.len());
+        for entry in entries {
+            // Each send's path is decided now and stored with the entry,
+            // so execution never searches the GVMI cache (paper §VII-D).
+            let source = match entry {
+                WireEntry::Send {
+                    addr,
+                    len,
+                    mkey,
+                    dst_rank,
+                    tag,
+                    msg_id,
+                    ..
+                } => {
+                    let req = PathReq {
+                        src_rank: key.host_rank,
+                        dst_rank,
+                        tag,
+                        msg_id,
+                        addr,
+                        len,
+                        mkey: Some(mkey),
+                        stageable: true,
+                    };
+                    let path = self.choose_path(st, self.cfg.data_path, &req, false);
+                    Some(match path {
+                        Path::CrossGvmi(mkey2) | Path::HostDirect(mkey2) => Source::Host(mkey2),
+                        Path::Staging => {
+                            let (buf, bkey) = self.fresh_staging(len);
+                            Source::Staged(buf, bkey)
                         }
-                        Route::Probe => self.note_probe(peer, HealthPath::CrossGvmi, *msg_id),
-                        _ => {}
-                    }
-                    let reg = self.try_cross_reg(st, peer, *addr, *len, *mkey);
-                    self.note_breaker(st, peer, HealthPath::CrossGvmi, reg.is_some());
-                    match reg {
-                        Some(m2) => mkey2[i] = Some(m2),
-                        None => {
-                            self.note_fallback(key.host_rank, *dst_rank, *tag, *msg_id);
-                            let buf = fab.alloc(self.my_ep, *len);
-                            let k = fab
-                                .reg_mr(self.ctx, self.my_ep, buf, *len)
-                                .expect("fallback staging registration");
-                            staging[i] = Some((buf, k));
-                        }
-                    }
+                    })
                 }
-            }
+                WireEntry::Recv { .. } | WireEntry::Barrier => None,
+            };
+            cached.push((entry, source));
         }
-        st.groups.insert(
-            key,
-            CachedGroup {
-                entries,
-                mkey2,
-                staging,
-                host_pid,
-            },
-        );
+        st.groups.insert(key, CachedGroup { entries: cached });
     }
 
     fn start_instance(&self, st: &mut ProxyState, key: GroupKey, gen: u64) {
@@ -2324,7 +1983,7 @@ impl Proxy<'_> {
             rank: key.host_rank,
             req: key.req_id,
             wrid: fin_id,
-            kind: crate::events::FinKind::Group,
+            kind: FinKind::Group,
             msg_id: 0,
         });
         self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
@@ -2342,11 +2001,8 @@ impl Proxy<'_> {
     /// Run one instance forward until it blocks or completes — the
     /// `PostCachedEntryOps` loop of Algorithm 1.
     fn advance_instance(&self, st: &mut ProxyState, idx: usize) {
-        loop {
-            let (key, gen, cursor) = {
-                let inst = &st.instances[idx];
-                (inst.key, inst.gen, inst.cursor)
-            };
+        while let Some(inst) = st.instances.get(idx) {
+            let (key, gen, cursor) = (inst.key, inst.gen, inst.cursor);
             let n_entries = st.groups[&key].entries.len();
             if cursor >= n_entries {
                 // End of the queue: completion needs all sends CQE'd and
@@ -2363,8 +2019,6 @@ impl Proxy<'_> {
                         .trace(format!("proxy.wait_arrivals.r{}", key.host_rank));
                     return;
                 }
-                let host_pid = st.groups[&key].host_pid;
-                let _ = host_pid;
                 // Journal the finished generation (write-ahead of the
                 // losable FIN), then ship the FIN.
                 let fin_gen = st.fin_gens.entry(key).or_insert(0);
@@ -2379,93 +2033,61 @@ impl Proxy<'_> {
             }
             let entry = st.groups[&key].entries[cursor].clone();
             match entry {
-                WireEntry::Send {
-                    addr,
-                    len,
-                    dst_rank,
-                    tag,
-                    dst_addr,
-                    dst_rkey,
-                    dst_req_id,
-                    msg_id,
-                    crc,
-                    ..
-                } => {
-                    let staging = st.groups[&key].staging[cursor];
-                    let mkey2 = st.groups[&key].mkey2[cursor];
-                    if let Some((buf, bkey)) = staging {
-                        if !st.group_staged.remove(&(key, gen, cursor)) {
-                            // Staging hop 1: pull the (current generation's)
-                            // payload from host memory, once per entry/gen.
-                            if st.stage_read_posted.insert((key, gen, cursor)) {
-                                let entry_src_rkey = match &st.groups[&key].entries[cursor] {
-                                    WireEntry::Send { src_rkey, .. } => *src_rkey,
-                                    _ => unreachable!("send entry"),
-                                };
-                                let _ = self.cluster.fabric().charge_cpu(
-                                    self.ctx,
-                                    self.my_ep,
-                                    self.cfg.proxy_entry_overhead,
-                                );
-                                let wr = self.next_wrid(st);
-                                self.ctx.emit(&ProtoEvent::WritePosted {
-                                    wrid: wr,
-                                    bytes: len,
-                                    path: PathKind::StagingHop1,
-                                    msg_id,
-                                });
-                                if let Some(c) = crc {
-                                    st.inflight_ctx.insert(
-                                        wr,
-                                        WriteCtx {
-                                            crc: c,
-                                            msg_id,
-                                            path: PathKind::StagingHop1,
-                                            is_read: true,
-                                            local: (self.my_ep, buf, bkey),
-                                            remote: (
-                                                self.cluster.host_ep(key.host_rank),
-                                                addr,
-                                                entry_src_rkey,
-                                            ),
-                                            len,
-                                            attempt: 1,
-                                            notify: None,
-                                        },
+                (
+                    WireEntry::Send {
+                        addr,
+                        len,
+                        src_rkey,
+                        dst_rank,
+                        tag,
+                        dst_addr,
+                        dst_rkey,
+                        dst_req_id,
+                        msg_id,
+                        crc,
+                        ..
+                    },
+                    Some(source),
+                ) => {
+                    let src_ep = self.cluster.host_ep(key.host_rank);
+                    let (local, path) = match source {
+                        Source::Host(mkey2) => ((src_ep, addr, mkey2), PathKind::CrossGvmi),
+                        Source::Staged(buf, bkey) => {
+                            if !st.group_staged.remove(&(key, gen, cursor)) {
+                                // Staging hop 1: pull the (current
+                                // generation's) payload from host memory,
+                                // once per entry/gen.
+                                if st.stage_read_posted.insert((key, gen, cursor)) {
+                                    self.charge_entries(1);
+                                    let staged = (self.my_ep, buf, bkey);
+                                    let src = (src_ep, addr, src_rkey);
+                                    let op = DataOp::new(
+                                        PathKind::StagingHop1,
+                                        true,
+                                        staged,
+                                        src,
+                                        len,
+                                        msg_id,
+                                        crc,
                                     );
-                                }
-                                st.inflight.insert(
-                                    wr,
-                                    Completion::GroupStageRead {
+                                    let completion = Completion::GroupStageRead {
                                         key,
                                         gen,
                                         entry_idx: cursor,
-                                    },
-                                );
-                                self.cluster
-                                    .fabric()
-                                    .rdma_read(
-                                        self.ctx,
-                                        self.my_ep,
-                                        (self.my_ep, buf, bkey),
-                                        (self.cluster.host_ep(key.host_rank), addr, entry_src_rkey),
-                                        len,
-                                        Some(wr),
-                                    )
-                                    .expect("group staging read");
-                                self.ctx.stat_incr("offload.proxy.staging_reads", 1);
+                                    };
+                                    self.post(st, op, completion);
+                                    self.ctx.stat_incr("offload.proxy.staging_reads", 1);
+                                }
+                                return; // payload not in DPU memory yet
                             }
-                            return; // payload not in DPU memory yet
+                            st.stage_read_posted.remove(&(key, gen, cursor));
+                            ((self.my_ep, buf, bkey), PathKind::StagingHop2)
                         }
-                        st.stage_read_posted.remove(&(key, gen, cursor));
+                    };
+                    self.charge_entries(1);
+                    if let Source::Host(mkey2) = source {
+                        self.ctx.emit(&ProtoEvent::Mkey2Used { mkey2 });
                     }
-                    let _ = self.cluster.fabric().charge_cpu(
-                        self.ctx,
-                        self.my_ep,
-                        self.cfg.proxy_entry_overhead,
-                    );
-                    let wr = self.next_wrid(st);
-                    st.inflight.insert(wr, Completion::GroupSend { key, gen });
                     let dst_proxy_pid = self
                         .cluster
                         .fabric()
@@ -2480,70 +2102,25 @@ impl Proxy<'_> {
                         gen,
                         msg_id,
                     };
-                    let local = match staging {
-                        Some((buf, k)) => (self.my_ep, buf, k),
-                        None => {
-                            let m2 = mkey2.expect("GVMI entries are cross-registered");
-                            self.ctx.emit(&ProtoEvent::Mkey2Used { mkey2: m2 });
-                            (self.cluster.host_ep(key.host_rank), addr, m2)
-                        }
-                    };
-                    self.ctx.emit(&ProtoEvent::WritePosted {
-                        wrid: wr,
-                        bytes: len,
-                        path: if staging.is_some() {
-                            PathKind::StagingHop2
-                        } else {
-                            PathKind::CrossGvmi
-                        },
-                        msg_id,
-                    });
+                    let remote = (self.cluster.host_ep(dst_rank), dst_addr, dst_rkey);
                     // Group integrity: the CRC is a wire-build-time
                     // snapshot (documented relaxation — a host that
                     // rewrites a send buffer between generations must
                     // rebuild the group).
-                    if let Some(c) = crc {
-                        st.inflight_ctx.insert(
-                            wr,
-                            WriteCtx {
-                                crc: c,
-                                msg_id,
-                                path: if staging.is_some() {
-                                    PathKind::StagingHop2
-                                } else {
-                                    PathKind::CrossGvmi
-                                },
-                                is_read: false,
-                                local,
-                                remote: (self.cluster.host_ep(dst_rank), dst_addr, dst_rkey),
-                                len,
-                                attempt: 1,
-                                notify: Some((dst_proxy_pid, arrival.clone())),
-                            },
-                        );
-                    }
-                    self.cluster
-                        .fabric()
-                        .rdma_write(
-                            self.ctx,
-                            self.my_ep,
-                            local,
-                            (self.cluster.host_ep(dst_rank), dst_addr, dst_rkey),
-                            len,
-                            Some(wr),
-                            Some((dst_proxy_pid, Box::new(arrival))),
-                        )
-                        .expect("group data write");
+                    let mut op = DataOp::new(path, false, local, remote, len, msg_id, crc);
+                    op.notify = Some((dst_proxy_pid, arrival));
+                    self.post(st, op, Completion::GroupSend { key, gen });
                     self.ctx.stat_incr("offload.proxy.group_writes", 1);
                     let inst = &mut st.instances[idx];
                     inst.outstanding += 1;
                     inst.send_set.insert((dst_rank, dst_req_id));
                     inst.cursor += 1;
                 }
-                WireEntry::Recv { .. } => {
+                (WireEntry::Send { .. }, None) => unreachable!("install resolves every send"),
+                (WireEntry::Recv { .. }, _) => {
                     st.instances[idx].cursor += 1;
                 }
-                WireEntry::Barrier => {
+                (WireEntry::Barrier, _) => {
                     if st.instances[idx].outstanding > 0 {
                         self.note_barrier_stall(st, key, gen, cursor);
                         return; // wait for send completions
@@ -2604,7 +2181,7 @@ impl Proxy<'_> {
     fn recvs_arrived(&self, st: &ProxyState, key: GroupKey, gen: u64, upto: usize) -> bool {
         let entries = &st.groups[&key].entries;
         let mut needed: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-        for e in entries.iter().take(upto) {
+        for (e, _) in entries.iter().take(upto) {
             if let WireEntry::Recv { src_rank, tag } = e {
                 *needed.entry((*src_rank, *tag)).or_insert(0) += 1;
             }
