@@ -85,6 +85,14 @@ echo "== rdma byte kernels (release, ignored in tier-1)"
 # checks that the process never held its zeros.
 cargo test --release -q -p rdma --lib -- --ignored
 
+echo "== observer memory (release, ignored in tier-1)"
+# observer_state_is_bounded drives a 4 000-round basic_short-shaped stencil
+# (~576 k events) with the metrics, lifecycle, flight and conformance sinks
+# fanned out and wants peak RSS at most 16 MiB above the same run with no
+# sink (measured: ~11 MiB; a lifecycle recorder that logged every event
+# needed ~60). Alone in its test binary, so nothing else moves its VmHWM.
+cargo test --release -q --test observer_memory -- --ignored
+
 echo "== benchmark package (unit tests + --quick correctness gate)"
 # benchmark/ is its own workspace building against crates/* by path, so an
 # API change can break it without the passes above noticing. Its tests and

@@ -100,6 +100,8 @@ use parking_lot::Mutex;
 use rdma::MrKey;
 use simnet::{EventSink, Pid, SimTime};
 
+use crate::idset::IdSet;
+
 /// What the checker needs to know about the run it observes.
 #[derive(Clone, Copy, Debug)]
 pub struct ConformanceConfig {
@@ -174,8 +176,8 @@ struct State {
     flows: BTreeMap<(usize, usize, u64), FlowState>,
     /// Work requests posted / completed, per emitting proxy (wrid spaces
     /// are per-proxy counters, so the pid is part of the key).
-    posted: BTreeSet<(Pid, u64)>,
-    completed: BTreeSet<(Pid, u64)>,
+    posted: IdSet<(Pid, u64)>,
+    completed: IdSet<(Pid, u64)>,
     /// Every mkey2 a CrossReg produced, keyed by the registering proxy
     /// so a restart invalidates exactly that proxy's keys.
     registered: BTreeSet<(Pid, MrKey)>,
@@ -203,25 +205,25 @@ struct State {
     barrier_last: BTreeMap<(Pid, usize, usize, usize), (u64, u64)>,
     /// Group FIN wrids per proxy — must be fresh ids, never reused (the
     /// wr namespace is durable, so this survives restarts).
-    group_fin_wrids: BTreeSet<(Pid, u64)>,
+    group_fin_wrids: IdSet<(Pid, u64)>,
     /// Transfer ids introduced by `HostReqPosted`.
-    req_ids_posted: BTreeSet<u64>,
+    req_ids_posted: IdSet<u64>,
     /// Transfer ids a `HostReqDone` completed toward the app.
-    done_ids: BTreeSet<u64>,
+    done_ids: IdSet<u64>,
     /// Transfer ids surfaced to the app as a typed failure.
-    failed_ids: BTreeSet<u64>,
+    failed_ids: IdSet<u64>,
     /// Transfer ids the host cancelled (deadline or explicit).
-    cancelled_ids: BTreeSet<u64>,
+    cancelled_ids: IdSet<u64>,
     /// Transfer ids shed at admission over a tenant hard quota — each
     /// must surface as a `ReqFailed` by end of run.
-    quota_shed_ids: BTreeSet<u64>,
+    quota_shed_ids: IdSet<u64>,
     /// Transfers whose last delivery attempt failed CRC verification at
     /// the keyed proxy, with no recovery seen yet (volatile per proxy:
     /// a restart replays the write from scratch).
-    corrupt_outstanding: BTreeSet<(Pid, u64)>,
+    corrupt_outstanding: IdSet<(Pid, u64)>,
     /// Transfers whose data-path retransmission budget is exhausted —
     /// terminal, so any later FIN for them is a violation.
-    integrity_failed: BTreeSet<(Pid, u64)>,
+    integrity_failed: IdSet<(Pid, u64)>,
     /// Host-side abandonments of group ctrl messages; they demand a
     /// resolution — a `GroupFailed`, or a successful `GroupWaitDone`
     /// (restart replay can complete a collective whose original install
@@ -286,12 +288,24 @@ impl State {
                 send_msg_id,
                 recv_msg_id,
             } => {
-                let f = self.flows.entry((src_rank, dst_rank, tag)).or_default();
+                let key = (src_rank, dst_rank, tag);
+                let f = self.flows.entry(key).or_default();
                 f.owner.get_or_insert(src);
                 let send_known = f.rts_ids.contains(&send_msg_id);
                 let recv_known = f.rtr_ids.contains(&recv_msg_id);
-                if f.matched + 1 > f.rts.min(f.rtr) {
-                    let (rts, rtr, matched) = (f.rts, f.rtr, f.matched);
+                let overmatched = f.matched + 1 > f.rts.min(f.rtr);
+                if !overmatched {
+                    f.matched += 1;
+                }
+                let (rts, rtr, matched) = (f.rts, f.rtr, f.matched);
+                // Settled — every RTS and RTR matched, by known ids — so
+                // the flow is dropped and the table holds only what is in
+                // flight. A later match on the key finds a fresh flow with
+                // nothing to match, which is still `match-without-rts-rtr`.
+                if send_known && recv_known && rts == matched && rtr == matched {
+                    self.flows.remove(&key);
+                }
+                if overmatched {
                     self.violate(
                         at,
                         pid,
@@ -302,8 +316,6 @@ impl State {
                             matched + 1
                         ),
                     );
-                } else {
-                    f.matched += 1;
                 }
                 if !send_known || !recv_known {
                     self.violate(
@@ -325,7 +337,7 @@ impl State {
                         "duplicate-wrid",
                         format!("work request {wrid:#x} posted twice"),
                     );
-                } else if self.group_fin_wrids.contains(&(src, wrid)) {
+                } else if self.group_fin_wrids.contains((src, wrid)) {
                     self.violate(
                         at,
                         pid,
@@ -335,7 +347,7 @@ impl State {
                 }
             }
             ProtoEvent::WriteCompleted { wrid } => {
-                if !self.posted.contains(&(src, wrid)) {
+                if !self.posted.contains((src, wrid)) {
                     self.violate(
                         at,
                         pid,
@@ -353,7 +365,7 @@ impl State {
                 msg_id,
             } => {
                 if kind != FinKind::Group && msg_id != 0 {
-                    if self.corrupt_outstanding.contains(&(src, msg_id)) {
+                    if self.corrupt_outstanding.contains((src, msg_id)) {
                         self.violate(
                             at,
                             pid,
@@ -364,7 +376,7 @@ impl State {
                             ),
                         );
                     }
-                    if self.integrity_failed.contains(&(src, msg_id)) {
+                    if self.integrity_failed.contains((src, msg_id)) {
                         self.violate(
                             at,
                             pid,
@@ -387,7 +399,7 @@ impl State {
                                  wrid 0 sentinel instead of a real work request id"
                             ),
                         );
-                    } else if self.posted.contains(&(src, wrid)) {
+                    } else if self.posted.contains((src, wrid)) {
                         self.violate(
                             at,
                             pid,
@@ -408,7 +420,7 @@ impl State {
                             ),
                         );
                     }
-                } else if !self.completed.contains(&(src, wrid)) {
+                } else if !self.completed.contains((src, wrid)) {
                     self.violate(
                         at,
                         pid,
@@ -538,7 +550,7 @@ impl State {
                 self.req_ids_posted.insert(msg_id);
             }
             ProtoEvent::HostReqDone { rank, msg_id, .. } => {
-                if !self.req_ids_posted.contains(&msg_id) {
+                if !self.req_ids_posted.contains(msg_id) {
                     self.violate(
                         at,
                         pid,
@@ -560,7 +572,7 @@ impl State {
                         ),
                     );
                 }
-                if self.cancelled_ids.contains(&msg_id) {
+                if self.cancelled_ids.contains(msg_id) {
                     self.violate(
                         at,
                         pid,
@@ -583,7 +595,7 @@ impl State {
                 rank,
                 msg_id,
             } => {
-                if !self.req_ids_posted.contains(&msg_id) {
+                if !self.req_ids_posted.contains(msg_id) {
                     self.violate(
                         at,
                         pid,
@@ -601,7 +613,7 @@ impl State {
                 rank,
                 msg_id,
             } => {
-                if !self.req_ids_posted.contains(&msg_id) {
+                if !self.req_ids_posted.contains(msg_id) {
                     self.violate(
                         at,
                         pid,
@@ -708,14 +720,14 @@ impl State {
                 // retransmission, so neither a recovery nor a
                 // DataIntegrityFailed will follow — and any later FIN
                 // for the shed transfer is a violation.
-                self.corrupt_outstanding.remove(&(src, msg_id));
+                self.corrupt_outstanding.remove((src, msg_id));
                 self.integrity_failed.insert((src, msg_id));
             }
             ProtoEvent::PayloadCorrupt { msg_id, .. } => {
                 self.corrupt_outstanding.insert((src, msg_id));
             }
             ProtoEvent::PayloadRecovered { msg_id, attempts } => {
-                if !self.corrupt_outstanding.remove(&(src, msg_id)) {
+                if !self.corrupt_outstanding.remove((src, msg_id)) {
                     self.violate(
                         at,
                         pid,
@@ -728,7 +740,7 @@ impl State {
                 }
             }
             ProtoEvent::DataIntegrityFailed { msg_id, .. } => {
-                self.corrupt_outstanding.remove(&(src, msg_id));
+                self.corrupt_outstanding.remove((src, msg_id));
                 self.integrity_failed.insert((src, msg_id));
             }
             ProtoEvent::ProxyQueueDepth {
@@ -775,14 +787,7 @@ impl State {
                 // registration and barrier state so the replay is judged
                 // as a fresh run. Completions and group-FIN wrids are
                 // durable (journaled / namespace-monotone) and stay.
-                for f in self.flows.values_mut() {
-                    if f.owner == Some(src) {
-                        *f = FlowState {
-                            owner: Some(src),
-                            ..FlowState::default()
-                        };
-                    }
-                }
+                self.flows.retain(|_, f| f.owner != Some(src));
                 let completed = &self.completed;
                 self.posted.retain(|e| e.0 != src || completed.contains(e));
                 self.registered.retain(|e| e.0 != src);
@@ -874,56 +879,50 @@ impl Conformance {
 
     /// End-of-run verdict: everything recorded during the run plus the
     /// completeness checks that only make sense once the run is over
-    /// (every RTS/RTR matched, every posted write completed).
+    /// (every RTS/RTR matched, every posted write completed). Reads the
+    /// state without changing it, so calling it again returns the same
+    /// findings (plus whatever events arrived in between).
     pub fn finish(&self) -> Vec<Violation> {
-        let mut st = self.inner.lock();
-        let end = SimTime::ZERO;
-        let cancelled = st.cancelled_ids.clone();
-        let flows: Vec<_> = st
-            .flows
-            .iter()
-            .filter(|(_, f)| !(f.rts == f.rtr && f.rtr == f.matched))
+        let st = self.inner.lock();
+        let mut out = st.violations.clone();
+        let mut end = |pid: Option<Pid>, invariant: &'static str, detail: String| {
+            out.push(Violation {
+                invariant,
+                detail,
+                at: SimTime::ZERO,
+                pid,
+            });
+        };
+        for (&(src, dst, tag), f) in &st.flows {
+            let (rts, rtr, matched) = (f.rts, f.rtr, f.matched);
             // A flow whose every transfer the host cancelled legitimately
             // ends unmatched: the descriptors were reaped on purpose.
-            .filter(|(_, f)| {
-                f.rts_ids.union(&f.rtr_ids).count() == 0
-                    || !f.rts_ids.union(&f.rtr_ids).all(|id| cancelled.contains(id))
-            })
-            .map(|(&k, f)| (k, f.rts, f.rtr, f.matched))
-            .collect();
-        for ((src, dst, tag), rts, rtr, matched) in flows {
-            st.violate(
-                end,
-                None,
-                "unmatched-flow",
-                format!(
-                    "flow ({src}->{dst}, tag {tag}) ended with {rts} RTS, {rtr} RTR, \
-                     {matched} matches"
-                ),
-            );
+            let mut ids = f.rts_ids.iter().chain(&f.rtr_ids).peekable();
+            let reaped = ids.peek().is_some() && ids.all(|&id| st.cancelled_ids.contains(id));
+            let settled = rts == rtr && rtr == matched;
+            if !settled && !reaped {
+                end(
+                    None,
+                    "unmatched-flow",
+                    format!(
+                        "flow ({src}->{dst}, tag {tag}) ended with {rts} RTS, {rtr} RTR, \
+                         {matched} matches"
+                    ),
+                );
+            }
         }
-        let unfinished: Vec<_> = st.posted.difference(&st.completed).copied().collect();
-        for (pid, wrid) in unfinished {
-            st.violate(
-                end,
+        for (pid, wrid) in st.posted.iter().filter(|&k| !st.completed.contains(k)) {
+            end(
                 Some(pid),
                 "write-never-completed",
                 format!("work request {wrid:#x} posted but no completion observed"),
             );
         }
-        let unresolved: Vec<u64> = st
-            .req_ids_posted
-            .iter()
-            .copied()
-            .filter(|id| {
-                !st.done_ids.contains(id)
-                    && !st.failed_ids.contains(id)
-                    && !st.cancelled_ids.contains(id)
-            })
-            .collect();
-        for id in unresolved {
-            st.violate(
-                end,
+        let resolved = |id| {
+            st.done_ids.contains(id) || st.failed_ids.contains(id) || st.cancelled_ids.contains(id)
+        };
+        for id in st.req_ids_posted.iter().filter(|&id| !resolved(id)) {
+            end(
                 None,
                 "posted-never-done",
                 format!(
@@ -932,10 +931,8 @@ impl Conformance {
                 ),
             );
         }
-        let stuck: Vec<(Pid, u64)> = st.corrupt_outstanding.iter().copied().collect();
-        for (pid, id) in stuck {
-            st.violate(
-                end,
+        for (pid, id) in st.corrupt_outstanding.iter() {
+            end(
                 Some(pid),
                 "corrupt-never-resolved",
                 format!(
@@ -944,15 +941,12 @@ impl Conformance {
                 ),
             );
         }
-        let unshed: Vec<u64> = st
+        for id in st
             .quota_shed_ids
             .iter()
-            .copied()
-            .filter(|id| !st.failed_ids.contains(id))
-            .collect();
-        for id in unshed {
-            st.violate(
-                end,
+            .filter(|&id| !st.failed_ids.contains(id))
+        {
+            end(
                 None,
                 "quota-shed-unsurfaced",
                 format!(
@@ -961,15 +955,12 @@ impl Conformance {
                 ),
             );
         }
-        let budget_unshed: Vec<(usize, u64)> = st
+        for &(rank, id) in st
             .budget_shed
             .iter()
-            .copied()
-            .filter(|(_, id)| !st.failed_ids.contains(id))
-            .collect();
-        for (rank, id) in budget_unshed {
-            st.violate(
-                end,
+            .filter(|(_, id)| !st.failed_ids.contains(*id))
+        {
+            end(
                 None,
                 "budget-shed-unsurfaced",
                 format!(
@@ -984,8 +975,7 @@ impl Conformance {
         // successful group wait also counts as a resolution.
         if st.group_ctrl_abandoned > 0 && st.group_failures_seen == 0 && st.group_waits_done == 0 {
             let n = st.group_ctrl_abandoned;
-            st.violate(
-                end,
+            end(
                 None,
                 "group-abandon-unsurfaced",
                 format!(
@@ -994,6 +984,102 @@ impl Conformance {
                 ),
             );
         }
-        st.violations.clone()
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use offload::{PathKind, ReqDir};
+
+    fn feed(checker: &Conformance, events: &[ProtoEvent]) {
+        let sink = checker.sink();
+        for (i, ev) in events.iter().enumerate() {
+            sink(SimTime::from_ps(i as u64), Pid::from_index(4), ev);
+        }
+    }
+
+    fn invariants(vs: &[Violation]) -> Vec<&'static str> {
+        vs.iter().map(|v| v.invariant).collect()
+    }
+
+    #[test]
+    fn finish_is_idempotent() {
+        let checker = Conformance::new(ConformanceConfig::default());
+        // An RTS that is never matched, a write that never completes and
+        // a request that never resolves: one end-of-run finding each.
+        feed(
+            &checker,
+            &[
+                ProtoEvent::HostReqPosted {
+                    rank: 0,
+                    msg_id: 1,
+                    peer: 1,
+                    tag: 7,
+                    bytes: 64,
+                    dir: ReqDir::Send,
+                },
+                ProtoEvent::RtsAtProxy {
+                    src_rank: 0,
+                    dst_rank: 1,
+                    tag: 7,
+                    msg_id: 1,
+                },
+                ProtoEvent::WritePosted {
+                    wrid: 9,
+                    bytes: 64,
+                    path: PathKind::CrossGvmi,
+                    msg_id: 1,
+                },
+            ],
+        );
+        let first = checker.finish();
+        assert_eq!(
+            invariants(&first),
+            [
+                "unmatched-flow",
+                "write-never-completed",
+                "posted-never-done"
+            ]
+        );
+        let again = checker.finish();
+        assert_eq!(
+            first.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+            again.iter().map(|v| v.to_string()).collect::<Vec<_>>(),
+        );
+        assert!(checker.violations().is_empty(), "finish records nothing");
+    }
+
+    #[test]
+    fn a_match_past_a_settled_flow_is_still_reported() {
+        let checker = Conformance::new(ConformanceConfig::default());
+        let rts = ProtoEvent::RtsAtProxy {
+            src_rank: 0,
+            dst_rank: 1,
+            tag: 7,
+            msg_id: 1,
+        };
+        let rtr = ProtoEvent::RtrAtProxy {
+            src_rank: 0,
+            dst_rank: 1,
+            tag: 7,
+            msg_id: 1 << 32 | 1,
+        };
+        let matched = ProtoEvent::PairMatched {
+            src_rank: 0,
+            dst_rank: 1,
+            tag: 7,
+            send_msg_id: 1,
+            recv_msg_id: 1 << 32 | 1,
+        };
+        feed(&checker, &[rts, rtr, matched.clone()]);
+        assert!(checker.finish().is_empty(), "one RTS, one RTR, one match");
+        feed(&checker, &[matched]);
+        assert!(
+            invariants(&checker.violations()).contains(&"match-without-rts-rtr"),
+            "{:?}",
+            checker.violations()
+        );
     }
 }

@@ -29,6 +29,7 @@
 
 mod conformance;
 mod explore;
+mod idset;
 
 pub use conformance::{Conformance, ConformanceConfig, Violation};
 pub use explore::{

@@ -2,7 +2,9 @@
 //!
 //! A [`FlightRecorder`] is an [`EventSink`] that keeps the most recent
 //! events *per emitting process* (rank or proxy) in fixed-size ring
-//! buffers — cheap enough to leave on for every checker run, yet enough
+//! buffers — one per pid, of plain `(seq, time, event)` records that a
+//! full ring overwrites in place, with text produced only on dump —
+//! cheap enough to leave on for every checker run, yet enough
 //! context to reconstruct what the protocol was doing when a schedule
 //! exploration shrinks a failure. The `checker` crate installs one next
 //! to its conformance sink and writes [`FlightRecorder::dump`] into
@@ -30,7 +32,6 @@
 //! different event.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
@@ -51,13 +52,66 @@ pub struct FlightRecord {
     pub event: ProtoEvent,
 }
 
+/// The retained tail of one pid's emissions. Records are appended until
+/// the ring holds `cap` of them, then overwritten in place, oldest first;
+/// the buffer grows with use, so a huge `cap` costs nothing up front.
+#[derive(Default)]
+struct Ring {
+    /// `(seq, at, event)`; the pid is the ring's index.
+    buf: Vec<(u64, SimTime, ProtoEvent)>,
+    /// Oldest record once the ring is full.
+    head: usize,
+}
+
+impl Ring {
+    /// Record one emission; `true` if it overwrote the oldest record.
+    fn push(&mut self, cap: usize, rec: (u64, SimTime, ProtoEvent)) -> bool {
+        if self.buf.len() < cap {
+            self.buf.push(rec);
+            false
+        } else {
+            self.buf[self.head] = rec;
+            self.head = (self.head + 1) % cap;
+            true
+        }
+    }
+
+    /// Records oldest first.
+    fn iter(&self) -> impl Iterator<Item = &(u64, SimTime, ProtoEvent)> {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer)
+    }
+}
+
 struct FlightInner {
     cap: usize,
     seq: u64,
-    /// Ring per emitting pid. `BTreeMap` so merged dumps are ordered
-    /// deterministically (hash-iteration order is banned in this crate).
-    rings: BTreeMap<usize, VecDeque<(u64, FlightRecord)>>,
+    /// Ring per emitting pid, indexed by pid (pids are dense per run).
+    rings: Vec<Ring>,
     dropped: u64,
+}
+
+impl FlightInner {
+    /// All retained records, merged across processes in emission order.
+    fn records(&self) -> Vec<FlightRecord> {
+        let mut all: Vec<(u64, FlightRecord)> = self
+            .rings
+            .iter()
+            .enumerate()
+            .flat_map(|(pid, ring)| {
+                ring.iter().map(move |(seq, at, event)| {
+                    let rec = FlightRecord {
+                        at: *at,
+                        pid: Pid::from_index(pid),
+                        event: event.clone(),
+                    };
+                    (*seq, rec)
+                })
+            })
+            .collect();
+        all.sort_unstable_by_key(|&(seq, _)| seq);
+        all.into_iter().map(|(_, r)| r).collect()
+    }
 }
 
 /// Bounded per-process ring buffer of recent [`ProtoEvent`]s.
@@ -88,7 +142,7 @@ impl FlightRecorder {
             inner: Arc::new(Mutex::new(FlightInner {
                 cap: cap.max(1),
                 seq: 0,
-                rings: BTreeMap::new(),
+                rings: Vec::new(),
                 dropped: 0,
             })),
         }
@@ -101,26 +155,13 @@ impl FlightRecorder {
         Arc::new(move |at: SimTime, pid: Pid, ev: &dyn Any| {
             if let Some(ev) = ev.downcast_ref::<ProtoEvent>() {
                 let mut f = inner.lock();
+                let f = &mut *f;
                 f.seq += 1;
-                let seq = f.seq;
-                let cap = f.cap;
-                let mut evicted = false;
-                {
-                    let ring = f.rings.entry(pid.index()).or_default();
-                    if ring.len() == cap {
-                        ring.pop_front();
-                        evicted = true;
-                    }
-                    ring.push_back((
-                        seq,
-                        FlightRecord {
-                            at,
-                            pid,
-                            event: ev.clone(),
-                        },
-                    ));
+                let i = pid.index();
+                if i >= f.rings.len() {
+                    f.rings.resize_with(i + 1, Ring::default);
                 }
-                if evicted {
+                if f.rings[i].push(f.cap, (f.seq, at, ev.clone())) {
                     f.dropped += 1;
                 }
             }
@@ -135,17 +176,17 @@ impl FlightRecorder {
 
     /// All retained records, merged across processes in emission order.
     pub fn records(&self) -> Vec<FlightRecord> {
-        let f = self.inner.lock();
-        let mut all: Vec<(u64, FlightRecord)> =
-            f.rings.values().flat_map(|r| r.iter().cloned()).collect();
-        all.sort_by_key(|&(seq, _)| seq);
-        all.into_iter().map(|(_, r)| r).collect()
+        self.inner.lock().records()
     }
 
     /// Render the retained events as the round-trippable text format.
+    /// Header and body are read under one lock, so a dump of a live
+    /// recorder is a consistent snapshot.
     pub fn dump(&self) -> String {
-        let records = self.records();
-        let dropped = self.dropped();
+        let (records, dropped) = {
+            let f = self.inner.lock();
+            (f.records(), f.dropped)
+        };
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -395,6 +436,34 @@ mod tests {
             })
             .collect();
         assert_eq!(wrids, vec![6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn wrapped_rings_merge_in_emission_order() {
+        let rec = FlightRecorder::with_capacity(3);
+        let sink = rec.sink();
+        // Pid 1 emits six events (three overwritten), pid 0 exactly its
+        // capacity, pid 2 one.
+        for (i, pid) in [1, 0, 1, 1, 0, 1, 2, 1, 0, 1].into_iter().enumerate() {
+            sink(
+                SimTime::from_ps(i as u64),
+                Pid::from_index(pid),
+                &ProtoEvent::WriteCompleted { wrid: i as u64 },
+            );
+        }
+        let wrids: Vec<u64> = rec
+            .records()
+            .iter()
+            .map(|r| match r.event {
+                ProtoEvent::WriteCompleted { wrid } => wrid,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(wrids, vec![1, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(rec.dropped(), 3);
+        assert!(rec
+            .dump()
+            .starts_with("# flight-recorder dump: 7 events retained, 3 evicted\n"));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! transfer id (`msg_id`) from the moment a host posts a request
 //! (`HostReqPosted`) through proxy matching, RDMA writes and FIN
 //! delivery back to the host (`HostReqDone`). A [`LifecycleRecorder`]
-//! captures that stream; [`reconstruct`] turns it into:
+//! folds that stream as it arrives — one slot per transfer and per
+//! window, never a log of events — and [`reconstruct`] runs the same fold
+//! over a captured slice. Either yields:
 //!
 //! * [`MsgTimeline`]s — one per transfer, decomposed into the phase
 //!   chain between observed milestones (control delivery, match wait,
@@ -526,13 +528,15 @@ fn breaker_state_name(s: offload::BreakerState) -> &'static str {
     }
 }
 
-/// An [`EventSink`] that captures the full `(time, pid, event)` stream
-/// for lifecycle reconstruction. Unlike `offload::FlightRecorder`, this
-/// keeps everything — it is an analysis tool, not an always-on black
-/// box.
+/// An [`EventSink`] that folds the `(time, pid, event)` stream into
+/// lifecycle state as it arrives. It keeps one slot per transfer and one
+/// per window, never the events themselves, so its memory follows the
+/// number of messages rather than the number of events; unlike
+/// `offload::FlightRecorder` it forgets nothing a report needs, which
+/// makes it an analysis tool, not an always-on black box.
 #[derive(Clone, Default)]
 pub struct LifecycleRecorder {
-    inner: Arc<Mutex<Vec<(SimTime, Pid, ProtoEvent)>>>,
+    inner: Arc<Mutex<Fold>>,
 }
 
 impl LifecycleRecorder {
@@ -547,30 +551,96 @@ impl LifecycleRecorder {
         let inner = Arc::clone(&self.inner);
         Arc::new(move |at, pid, any| {
             if let Some(ev) = any.downcast_ref::<ProtoEvent>() {
-                let mut v = inner.lock();
-                v.push((at, pid, ev.clone()));
+                inner.lock().on_event(at, pid, ev);
             }
         })
     }
 
-    /// Number of events captured so far.
+    /// Number of events folded so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().events
     }
 
-    /// Whether nothing was captured.
+    /// Whether nothing was folded.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Reconstruct timelines and window paths from the captured stream.
+    /// Timelines and window paths of the stream so far; may be called
+    /// any number of times, mid-run included.
     pub fn report(&self) -> LifecycleReport {
-        let events = self.inner.lock();
-        reconstruct(&events)
+        self.inner.lock().report()
     }
 }
 
-#[derive(Clone)]
+/// Reconstruct per-message timelines and group window paths from a
+/// captured event stream: the recorder's fold, run over a slice. The
+/// stream must be in emission order (which any [`EventSink`] sees);
+/// events are never reordered.
+pub fn reconstruct(events: &[(SimTime, Pid, ProtoEvent)]) -> LifecycleReport {
+    let mut fold = Fold::default();
+    for (at, pid, ev) in events {
+        fold.on_event(*at, *pid, ev);
+    }
+    fold.report()
+}
+
+/// Slots per page of a [`Pages`] table.
+const PAGE_BITS: u32 = 9;
+
+/// A table indexed densely by `(prefix, id)` for ids a counter hands
+/// out: transfer ids `rank << 32 | seq` (prefix 0) and per-proxy work
+/// request ids (prefix = the proxy's pid). Pages of `1 << PAGE_BITS`
+/// slots are allocated on first write, so a stray id costs one page, and
+/// iteration runs in ascending `(prefix, id)` order.
+struct Pages<T> {
+    pages: BTreeMap<(u64, u64), Box<[Option<T>]>>,
+}
+
+impl<T> Default for Pages<T> {
+    fn default() -> Self {
+        Pages {
+            pages: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T> Pages<T> {
+    fn split(prefix: u64, id: u64) -> ((u64, u64), usize) {
+        let slot = (id % (1 << PAGE_BITS)) as usize;
+        ((prefix, id >> PAGE_BITS), slot)
+    }
+
+    fn get(&self, prefix: u64, id: u64) -> Option<&T> {
+        let (page, slot) = Self::split(prefix, id);
+        self.pages.get(&page)?[slot].as_ref()
+    }
+
+    fn get_mut(&mut self, prefix: u64, id: u64) -> Option<&mut T> {
+        let (page, slot) = Self::split(prefix, id);
+        self.pages.get_mut(&page)?[slot].as_mut()
+    }
+
+    /// The slot of `(prefix, id)`, allocating its page if needed.
+    fn slot(&mut self, prefix: u64, id: u64) -> &mut Option<T> {
+        let (page, slot) = Self::split(prefix, id);
+        &mut self.pages.entry(page).or_insert_with(|| {
+            std::iter::repeat_with(|| None)
+                .take(1 << PAGE_BITS)
+                .collect()
+        })[slot]
+    }
+
+    /// `(id, value)` of every filled slot, ascending.
+    fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.pages.iter().flat_map(|(&(_, hi), page)| {
+            page.iter()
+                .enumerate()
+                .filter_map(move |(i, t)| Some(((hi << PAGE_BITS) | i as u64, t.as_ref()?)))
+        })
+    }
+}
+
 struct MsgState {
     rank: usize,
     peer: usize,
@@ -595,39 +665,53 @@ struct WinState {
     interventions: u64,
 }
 
-/// Reconstruct per-message timelines and group window paths from a
-/// captured event stream. The stream must be in emission order (which
-/// any [`EventSink`] sees); events are never reordered.
-pub fn reconstruct(events: &[(SimTime, Pid, ProtoEvent)]) -> LifecycleReport {
-    let mut msgs: BTreeMap<u64, MsgState> = BTreeMap::new();
-    // (proxy pid, wrid) → transfer, for completion → posted joins.
-    let mut wrid_msg: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-    let mut windows: BTreeMap<(usize, usize, u64), WinState> = BTreeMap::new();
-    // Open windows per rank, mirroring `offload::Metrics`.
-    let mut open: BTreeMap<usize, Vec<(usize, u64)>> = BTreeMap::new();
-    let mut wrid_window: BTreeMap<(usize, u64), (usize, usize, u64)> = BTreeMap::new();
-    // (pid, peer, path) → breaker state transitions.
-    let mut breakers: BTreeMap<
-        (usize, usize, offload::HealthPath),
-        Vec<(SimTime, offload::BreakerState)>,
-    > = BTreeMap::new();
-
-    for &(at, pid, ref ev) in events {
-        match *ev {
-            ProtoEvent::BreakerTripped { peer, path } => breakers
-                .entry((pid.index(), peer, path))
-                .or_default()
-                .push((at, offload::BreakerState::Open)),
-            ProtoEvent::BreakerHalfOpen { peer, path } => breakers
-                .entry((pid.index(), peer, path))
-                .or_default()
-                .push((at, offload::BreakerState::HalfOpen)),
-            ProtoEvent::BreakerClosed { peer, path } => breakers
-                .entry((pid.index(), peer, path))
-                .or_default()
-                .push((at, offload::BreakerState::Closed)),
-            _ => {}
+impl WinState {
+    fn open(at: SimTime) -> WinState {
+        WinState {
+            t_open: at,
+            t_first_write: None,
+            t_last_complete: None,
+            t_fin: None,
+            t_close: None,
+            interventions: 0,
         }
+    }
+}
+
+/// What a posted work request's completion belongs to.
+#[derive(Clone, Copy)]
+enum Join {
+    /// A basic (or one-sided) transfer's data write.
+    Msg(u64),
+    /// A group wire entry, by index into [`Fold::windows`].
+    Window(usize),
+}
+
+/// The lifecycle fold: per-transfer and per-window state, updated in
+/// place by each event.
+#[derive(Default)]
+struct Fold {
+    events: usize,
+    msgs: Pages<MsgState>,
+    /// `(proxy pid, wrid)` → what its completion closes.
+    joins: Pages<Join>,
+    windows: Vec<WinState>,
+    /// `(rank, req, gen)` → index into `windows`.
+    window_ids: BTreeMap<(usize, usize, u64), usize>,
+    /// Open windows per rank as `(req, gen, index)`, oldest first,
+    /// mirroring `offload::Metrics`.
+    open: BTreeMap<usize, Vec<(usize, u64, usize)>>,
+    /// (pid, peer, path) → breaker state transitions.
+    breakers: BTreeMap<(usize, usize, offload::HealthPath), Vec<(SimTime, offload::BreakerState)>>,
+}
+
+impl Fold {
+    fn msg(&mut self, msg_id: u64) -> Option<&mut MsgState> {
+        self.msgs.get_mut(0, msg_id)
+    }
+
+    fn on_event(&mut self, at: SimTime, pid: Pid, ev: &ProtoEvent) {
+        self.events += 1;
         match *ev {
             ProtoEvent::HostReqPosted {
                 rank,
@@ -637,26 +721,23 @@ pub fn reconstruct(events: &[(SimTime, Pid, ProtoEvent)]) -> LifecycleReport {
                 bytes,
                 dir,
             } => {
-                msgs.insert(
-                    msg_id,
-                    MsgState {
-                        rank,
-                        peer,
-                        tag,
-                        bytes,
-                        dir,
-                        t_post: at,
-                        t_ctrl: None,
-                        t_match: None,
-                        t_first_write: None,
-                        t_last_complete: None,
-                        t_fin: None,
-                        t_done: None,
-                    },
-                );
+                *self.msgs.slot(0, msg_id) = Some(MsgState {
+                    rank,
+                    peer,
+                    tag,
+                    bytes,
+                    dir,
+                    t_post: at,
+                    t_ctrl: None,
+                    t_match: None,
+                    t_first_write: None,
+                    t_last_complete: None,
+                    t_fin: None,
+                    t_done: None,
+                });
             }
             ProtoEvent::RtsAtProxy { msg_id, .. } | ProtoEvent::RtrAtProxy { msg_id, .. } => {
-                if let Some(m) = msgs.get_mut(&msg_id) {
+                if let Some(m) = self.msg(msg_id) {
                     m.t_ctrl.get_or_insert(at);
                 }
             }
@@ -666,40 +747,40 @@ pub fn reconstruct(events: &[(SimTime, Pid, ProtoEvent)]) -> LifecycleReport {
                 ..
             } => {
                 for id in [send_msg_id, recv_msg_id] {
-                    if let Some(m) = msgs.get_mut(&id) {
+                    if let Some(m) = self.msg(id) {
                         m.t_match.get_or_insert(at);
                     }
                 }
             }
             ProtoEvent::WritePosted { wrid, msg_id, .. } => {
-                if let Some(m) = msgs.get_mut(&msg_id) {
-                    // A basic (or one-sided) transfer's data write.
+                let proxy = pid.index() as u64;
+                if let Some(m) = self.msg(msg_id) {
                     m.t_first_write.get_or_insert(at);
-                    wrid_msg.insert((pid.index(), wrid), msg_id);
+                    *self.joins.slot(proxy, wrid) = Some(Join::Msg(msg_id));
                 } else {
                     // A group wire entry: its id was allocated by the
                     // owning host without a `HostReqPosted`. Attribute
                     // it to that rank's oldest open window.
                     let owner = (msg_id >> 32) as usize;
-                    if let Some(&(req, gen)) = open.get(&owner).and_then(|v| v.first()) {
-                        let w = windows
-                            .get_mut(&(owner, req, gen))
-                            .expect("open window has state");
-                        w.t_first_write.get_or_insert(at);
-                        wrid_window.insert((pid.index(), wrid), (owner, req, gen));
+                    if let Some(&(_, _, w)) = self.open.get(&owner).and_then(|v| v.first()) {
+                        self.windows[w].t_first_write.get_or_insert(at);
+                        let join = self.joins.slot(proxy, wrid);
+                        // A transfer's claim on a wrid outranks a window's.
+                        if !matches!(join, Some(Join::Msg(_))) {
+                            *join = Some(Join::Window(w));
+                        }
                     }
                 }
             }
             ProtoEvent::WriteCompleted { wrid } => {
-                let key = (pid.index(), wrid);
-                if let Some(&msg_id) = wrid_msg.get(&key) {
-                    if let Some(m) = msgs.get_mut(&msg_id) {
-                        m.t_last_complete = Some(at);
+                match self.joins.get(pid.index() as u64, wrid).copied() {
+                    Some(Join::Msg(msg_id)) => {
+                        if let Some(m) = self.msg(msg_id) {
+                            m.t_last_complete = Some(at);
+                        }
                     }
-                } else if let Some(&win) = wrid_window.get(&key) {
-                    if let Some(w) = windows.get_mut(&win) {
-                        w.t_last_complete = Some(at);
-                    }
+                    Some(Join::Window(w)) => self.windows[w].t_last_complete = Some(at),
+                    None => {}
                 }
             }
             ProtoEvent::FinSent {
@@ -710,29 +791,26 @@ pub fn reconstruct(events: &[(SimTime, Pid, ProtoEvent)]) -> LifecycleReport {
                 ..
             } => {
                 if kind == offload::FinKind::Group {
-                    if let Some(&(req_id, gen)) = open
+                    if let Some(&(_, _, w)) = self
+                        .open
                         .get(&rank)
-                        .and_then(|v| v.iter().find(|&&(r, _)| r == req))
+                        .and_then(|v| v.iter().find(|&&(r, _, _)| r == req))
                     {
-                        if let Some(w) = windows.get_mut(&(rank, req_id, gen)) {
-                            w.t_fin = Some(at);
-                        }
+                        self.windows[w].t_fin = Some(at);
                     }
-                } else if let Some(m) = msgs.get_mut(&msg_id) {
+                } else if let Some(m) = self.msg(msg_id) {
                     m.t_fin = Some(at);
                 }
             }
             ProtoEvent::HostReqDone { msg_id, .. } => {
-                if let Some(m) = msgs.get_mut(&msg_id) {
+                if let Some(m) = self.msg(msg_id) {
                     m.t_done = Some(at);
                 }
             }
             ProtoEvent::HostWakeup { rank, intervention } if intervention => {
-                if let Some(v) = open.get(&rank) {
-                    for &(req, gen) in v {
-                        if let Some(w) = windows.get_mut(&(rank, req, gen)) {
-                            w.interventions += 1;
-                        }
+                if let Some(v) = self.open.get(&rank) {
+                    for &(_, _, w) in v {
+                        self.windows[w].interventions += 1;
                     }
                 }
             }
@@ -741,124 +819,155 @@ pub fn reconstruct(events: &[(SimTime, Pid, ProtoEvent)]) -> LifecycleReport {
                 req_id,
                 gen,
             } => {
-                windows.insert(
-                    (host_rank, req_id, gen),
-                    WinState {
-                        t_open: at,
-                        t_first_write: None,
-                        t_last_complete: None,
-                        t_fin: None,
-                        t_close: None,
-                        interventions: 0,
-                    },
-                );
-                open.entry(host_rank).or_default().push((req_id, gen));
+                let next = self.windows.len();
+                let w = *self
+                    .window_ids
+                    .entry((host_rank, req_id, gen))
+                    .or_insert(next);
+                if w == next {
+                    self.windows.push(WinState::open(at));
+                } else {
+                    self.windows[w] = WinState::open(at);
+                }
+                self.open
+                    .entry(host_rank)
+                    .or_default()
+                    .push((req_id, gen, w));
             }
             ProtoEvent::GroupWaitDone {
                 host_rank,
                 req_id,
                 gen,
             } => {
-                if let Some(w) = windows.get_mut(&(host_rank, req_id, gen)) {
-                    w.t_close = Some(at);
+                if let Some(&w) = self.window_ids.get(&(host_rank, req_id, gen)) {
+                    self.windows[w].t_close = Some(at);
                 }
-                if let Some(v) = open.get_mut(&host_rank) {
-                    v.retain(|&(r, g)| !(r == req_id && g == gen));
+                if let Some(v) = self.open.get_mut(&host_rank) {
+                    v.retain(|&(r, g, _)| !(r == req_id && g == gen));
                 }
+            }
+            ProtoEvent::BreakerTripped { peer, path } => {
+                self.transition(at, pid, peer, path, offload::BreakerState::Open)
+            }
+            ProtoEvent::BreakerHalfOpen { peer, path } => {
+                self.transition(at, pid, peer, path, offload::BreakerState::HalfOpen)
+            }
+            ProtoEvent::BreakerClosed { peer, path } => {
+                self.transition(at, pid, peer, path, offload::BreakerState::Closed)
             }
             _ => {}
         }
     }
 
-    let timelines = msgs
-        .iter()
-        .map(|(&msg_id, m)| {
-            let mut phases = Vec::new();
-            let mut prev = m.t_post;
-            let milestones: [(Option<SimTime>, Phase); 6] = [
-                (m.t_ctrl, Phase::CtrlDelivery),
-                (m.t_match, Phase::MatchWait),
-                (m.t_first_write, Phase::QueueWait),
-                (m.t_last_complete, Phase::WireTime),
-                (m.t_fin, Phase::DpuFin),
-                (m.t_done, Phase::FinDelivery),
-            ];
-            for (t, phase) in milestones {
-                if let Some(t) = t {
-                    phases.push((phase, t.saturating_since(prev)));
-                    prev = t;
-                }
-            }
-            MsgTimeline {
-                msg_id,
-                rank: m.rank,
-                peer: m.peer,
-                tag: m.tag,
-                bytes: m.bytes,
-                dir: m.dir,
-                phases,
-                completed: m.t_done.is_some(),
-                total: m.t_done.map(|t| t.saturating_since(m.t_post)),
-            }
-        })
-        .collect();
+    fn transition(
+        &mut self,
+        at: SimTime,
+        pid: Pid,
+        peer: usize,
+        path: offload::HealthPath,
+        state: offload::BreakerState,
+    ) {
+        self.breakers
+            .entry((pid.index(), peer, path))
+            .or_default()
+            .push((at, state));
+    }
 
-    let window_paths = windows
-        .iter()
-        .map(|(&(rank, req_id, gen), w)| {
-            let mut segments = Vec::new();
-            let mut prev = w.t_open;
-            let milestones: [(Option<SimTime>, &'static str, Residence); 4] = [
-                (w.t_first_write, "dispatch", Residence::Dpu),
-                (w.t_last_complete, "wire", Residence::Wire),
-                (w.t_fin, "dpu_fin", Residence::Dpu),
-                (w.t_close, "wait_close", Residence::Dpu),
-            ];
-            for (t, label, residence) in milestones {
-                if let Some(t) = t {
-                    segments.push(Segment {
-                        label,
-                        residence,
-                        dur: t.saturating_since(prev),
-                    });
-                    prev = t;
-                }
-            }
-            for _ in 0..w.interventions {
-                segments.push(Segment {
-                    label: "host_intervention",
-                    residence: Residence::Host,
-                    dur: SimDelta::from_ps(0),
-                });
-            }
-            WindowPath {
-                rank,
-                req_id,
-                gen,
-                segments,
-                closed: w.t_close.is_some(),
-                total: w
-                    .t_close
-                    .map(|t| t.saturating_since(w.t_open))
-                    .unwrap_or(SimDelta::from_ps(0)),
-            }
-        })
-        .collect();
+    fn report(&self) -> LifecycleReport {
+        let timelines = self
+            .msgs
+            .iter()
+            .map(|(msg_id, m)| timeline(msg_id, m))
+            .collect();
+        let windows = self
+            .window_ids
+            .iter()
+            .map(|(&key, &w)| window_path(key, &self.windows[w]))
+            .collect();
+        let breakers = self
+            .breakers
+            .iter()
+            .map(|(&(pid, peer, path), transitions)| BreakerTimeline {
+                pid,
+                peer,
+                path,
+                transitions: transitions.clone(),
+            })
+            .collect();
+        LifecycleReport {
+            timelines,
+            windows,
+            breakers,
+        }
+    }
+}
 
-    let breaker_timelines = breakers
-        .into_iter()
-        .map(|((pid, peer, path), transitions)| BreakerTimeline {
-            pid,
-            peer,
-            path,
-            transitions,
-        })
-        .collect();
+fn timeline(msg_id: u64, m: &MsgState) -> MsgTimeline {
+    let mut phases = Vec::new();
+    let mut prev = m.t_post;
+    let milestones: [(Option<SimTime>, Phase); 6] = [
+        (m.t_ctrl, Phase::CtrlDelivery),
+        (m.t_match, Phase::MatchWait),
+        (m.t_first_write, Phase::QueueWait),
+        (m.t_last_complete, Phase::WireTime),
+        (m.t_fin, Phase::DpuFin),
+        (m.t_done, Phase::FinDelivery),
+    ];
+    for (t, phase) in milestones {
+        if let Some(t) = t {
+            phases.push((phase, t.saturating_since(prev)));
+            prev = t;
+        }
+    }
+    MsgTimeline {
+        msg_id,
+        rank: m.rank,
+        peer: m.peer,
+        tag: m.tag,
+        bytes: m.bytes,
+        dir: m.dir,
+        phases,
+        completed: m.t_done.is_some(),
+        total: m.t_done.map(|t| t.saturating_since(m.t_post)),
+    }
+}
 
-    LifecycleReport {
-        timelines,
-        windows: window_paths,
-        breakers: breaker_timelines,
+fn window_path((rank, req_id, gen): (usize, usize, u64), w: &WinState) -> WindowPath {
+    let mut segments = Vec::new();
+    let mut prev = w.t_open;
+    let milestones: [(Option<SimTime>, &'static str, Residence); 4] = [
+        (w.t_first_write, "dispatch", Residence::Dpu),
+        (w.t_last_complete, "wire", Residence::Wire),
+        (w.t_fin, "dpu_fin", Residence::Dpu),
+        (w.t_close, "wait_close", Residence::Dpu),
+    ];
+    for (t, label, residence) in milestones {
+        if let Some(t) = t {
+            segments.push(Segment {
+                label,
+                residence,
+                dur: t.saturating_since(prev),
+            });
+            prev = t;
+        }
+    }
+    for _ in 0..w.interventions {
+        segments.push(Segment {
+            label: "host_intervention",
+            residence: Residence::Host,
+            dur: SimDelta::from_ps(0),
+        });
+    }
+    WindowPath {
+        rank,
+        req_id,
+        gen,
+        segments,
+        closed: w.t_close.is_some(),
+        total: w
+            .t_close
+            .map(|t| t.saturating_since(w.t_open))
+            .unwrap_or(SimDelta::from_ps(0)),
     }
 }
 
