@@ -93,6 +93,13 @@ echo "== observer memory (release, ignored in tier-1)"
 # needed ~60). Alone in its test binary, so nothing else moves its VmHWM.
 cargo test --release -q --test observer_memory -- --ignored
 
+echo "== observer overhead (release, ignored in tier-1; prints, gates nothing)"
+# sinks_cost_in_situ runs the basic_short shape with no sink, each of the
+# four observer sinks alone and all four, interleaved, and prints µs per
+# transfer for each (EXPERIMENTS.md, "Batched event delivery"). Wall
+# clock on a CI box is not evidence, so no number here fails the build.
+cargo test --release -q --test observer_overhead -- --ignored --nocapture
+
 echo "== benchmark package (unit tests + --quick correctness gate)"
 # benchmark/ is its own workspace building against crates/* by path, so an
 # API change can break it without the passes above noticing. Its tests and

@@ -858,13 +858,11 @@ impl Conformance {
     /// payloads are ignored, so it can share the sink with other
     /// observers' event types.
     pub fn sink(&self) -> EventSink {
-        let inner = Arc::clone(&self.inner);
         let cfg = self.cfg;
-        Arc::new(move |at, pid, any| {
-            if let Some(ev) = any.downcast_ref::<ProtoEvent>() {
-                inner.lock().on_event(at, pid, ev, &cfg);
-            }
-        })
+        offload::proto_sink(
+            Arc::clone(&self.inner),
+            move |st: &mut State, at, pid, ev| st.on_event(at, pid, ev, &cfg),
+        )
     }
 
     /// Violations recorded so far (cheap; does not run end-of-run checks).
@@ -994,10 +992,16 @@ mod tests {
     use offload::{PathKind, ReqDir};
 
     fn feed(checker: &Conformance, events: &[ProtoEvent]) {
-        let sink = checker.sink();
-        for (i, ev) in events.iter().enumerate() {
-            sink(SimTime::from_ps(i as u64), Pid::from_index(4), ev);
-        }
+        let batch: Vec<simnet::Emitted<'_>> = events
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| simnet::Emitted {
+                at: SimTime::from_ps(i as u64),
+                pid: Pid::from_index(4),
+                event: ev,
+            })
+            .collect();
+        checker.sink()(&batch);
     }
 
     fn invariants(vs: &[Violation]) -> Vec<&'static str> {
@@ -1073,7 +1077,7 @@ mod tests {
             send_msg_id: 1,
             recv_msg_id: 1 << 32 | 1,
         };
-        feed(&checker, &[rts, rtr, matched.clone()]);
+        feed(&checker, &[rts, rtr, matched]);
         assert!(checker.finish().is_empty(), "one RTS, one RTR, one match");
         feed(&checker, &[matched]);
         assert!(

@@ -518,82 +518,67 @@ mod tests {
         // on its canonical violation and stay quiet on the legal
         // sequences in between.
         use offload::{HealthPath, ProtoEvent};
-        use simnet::{Pid, SimTime};
+        use simnet::{Emitted, Pid, SimTime};
         let checker = Conformance::new(ConformanceConfig::default());
-        let sink = checker.sink();
-        let pid = Pid::from_index(0);
-        let at = SimTime::ZERO;
         let path = HealthPath::CrossGvmi;
-        // Fast-path citing a breaker that is not open.
-        sink(
-            at,
-            pid,
-            &ProtoEvent::BreakerFastPath {
-                peer: 1,
-                path,
-                msg_id: 1,
-            },
-        );
-        // Probe without a half-open transition.
-        sink(
-            at,
-            pid,
-            &ProtoEvent::BreakerProbe {
-                peer: 1,
-                path,
-                msg_id: 2,
-            },
-        );
-        // Trip: the tripping post's own fallback is exempt (grace), the
-        // next one over the still-open breaker is the violation.
-        sink(at, pid, &ProtoEvent::BreakerTripped { peer: 1, path });
         let fb = |msg_id: u64| ProtoEvent::FallbackToStaging {
             src_rank: 1,
             dst_rank: 0,
             tag: 0,
             msg_id,
         };
-        sink(at, pid, &fb(3)); // grace: legal
-        sink(at, pid, &fb(4)); // post-over-open-breaker
-                               // Legal fast-path while open, then half-open admitting two probes.
-        sink(
-            at,
-            pid,
-            &ProtoEvent::BreakerFastPath {
+        let events = [
+            // Fast-path citing a breaker that is not open.
+            ProtoEvent::BreakerFastPath {
+                peer: 1,
+                path,
+                msg_id: 1,
+            },
+            // Probe without a half-open transition.
+            ProtoEvent::BreakerProbe {
+                peer: 1,
+                path,
+                msg_id: 2,
+            },
+            // Trip: the tripping post's own fallback is exempt (grace),
+            // the next one over the still-open breaker is the violation.
+            ProtoEvent::BreakerTripped { peer: 1, path },
+            fb(3), // grace: legal
+            fb(4), // post-over-open-breaker
+            // Legal fast-path while open, then half-open admitting two
+            // probes.
+            ProtoEvent::BreakerFastPath {
                 peer: 1,
                 path,
                 msg_id: 5,
             },
-        );
-        sink(at, pid, &ProtoEvent::BreakerHalfOpen { peer: 1, path });
-        sink(
-            at,
-            pid,
-            &ProtoEvent::BreakerProbe {
+            ProtoEvent::BreakerHalfOpen { peer: 1, path },
+            ProtoEvent::BreakerProbe {
                 peer: 1,
                 path,
                 msg_id: 6,
             },
-        );
-        sink(
-            at,
-            pid,
-            &ProtoEvent::BreakerProbe {
+            ProtoEvent::BreakerProbe {
                 peer: 1,
                 path,
                 msg_id: 7,
             },
-        );
-        // A budget shed that never surfaces as a ReqFailed.
-        sink(
-            at,
-            pid,
-            &ProtoEvent::RetryBudgetExhausted {
+            // A budget shed that never surfaces as a ReqFailed.
+            ProtoEvent::RetryBudgetExhausted {
                 rank: 0,
                 msg_id: 8,
                 path: HealthPath::Ctrl,
             },
-        );
+        ];
+        let batch: Vec<Emitted<'_>> = events
+            .iter()
+            .map(|ev| Emitted {
+                at: SimTime::ZERO,
+                pid: Pid::from_index(0),
+                event: ev,
+            })
+            .collect();
+        checker.sink()(&batch);
         let vs = checker.finish();
         let count = |name: &str| vs.iter().filter(|v| v.invariant == name).count();
         assert_eq!(count("fastpath-without-open-breaker"), 1, "{vs:?}");
@@ -844,18 +829,17 @@ mod tests {
         // where a host abandons a GroupPacket and no GroupFailed ever
         // follows must trip group-abandon-unsurfaced at end of run.
         use offload::CtrlKind;
-        use simnet::{Pid, SimTime};
+        use simnet::{Emitted, Pid, SimTime};
         let checker = Conformance::new(ConformanceConfig::default());
-        let sink = checker.sink();
-        sink(
-            SimTime::ZERO,
-            Pid::from_index(0),
-            &offload::ProtoEvent::CtrlAbandoned {
+        checker.sink()(&[Emitted {
+            at: SimTime::ZERO,
+            pid: Pid::from_index(0),
+            event: &offload::ProtoEvent::CtrlAbandoned {
                 at_proxy: false,
                 kind: CtrlKind::GroupPacket,
                 msg_id: 0,
             },
-        );
+        }]);
         let violations = checker.finish();
         assert!(
             violations

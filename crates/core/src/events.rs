@@ -21,7 +21,11 @@
 //! `conformance.rs`) match `ProtoEvent` without a wildcard arm, so the
 //! compiler rejects a variant they do not handle.
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use rdma::{MrKey, VAddr};
+use simnet::{Emitted, EventSink, Pid, SimTime};
 
 use crate::flight::{Fields, FlightField};
 
@@ -217,7 +221,7 @@ macro_rules! proto_events {
     ),* $(,)?) => {
         /// One structured protocol event. Emitted by the host engine, the DPU
         /// proxy, and the SHMEM facade at every protocol transition.
-        #[derive(Clone, Debug)]
+        #[derive(Clone, Copy, Debug)]
         pub enum ProtoEvent {
             $(
                 $(#[$vmeta])*
@@ -776,4 +780,22 @@ proto_events! {
         /// retransmits, a data class for payload retransmits).
         path: HealthPath,
     },
+}
+
+/// The [`EventSink`] of an observer whose state is `state`: each slice
+/// the engine delivers takes the lock once and folds its [`ProtoEvent`]s
+/// into the state in emission order. Emissions of other types are
+/// skipped, so observers of different event types can share one stream.
+pub fn proto_sink<T: Send + 'static>(
+    state: Arc<Mutex<T>>,
+    fold: impl Fn(&mut T, SimTime, Pid, &ProtoEvent) + Send + Sync + 'static,
+) -> EventSink {
+    Arc::new(move |batch: &[Emitted<'_>]| {
+        let mut st = state.lock();
+        for e in batch {
+            if let Some(ev) = e.event.downcast_ref::<ProtoEvent>() {
+                fold(&mut st, e.at, e.pid, ev);
+            }
+        }
+    })
 }

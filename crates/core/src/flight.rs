@@ -31,15 +31,14 @@
 //! of its type's range is an error naming the line, never a silently
 //! different event.
 
-use std::any::Any;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rdma::{MrKey, VAddr};
-use simnet::{EventSink, Pid, SimTime};
+use simnet::{deliver_batched, Emitted, EventSink, Pid, SimTime};
 
-use crate::events::ProtoEvent;
+use crate::events::{proto_sink, ProtoEvent};
 
 /// One recorded emission: when, by whom, what.
 #[derive(Clone, Debug)]
@@ -71,7 +70,10 @@ impl Ring {
             false
         } else {
             self.buf[self.head] = rec;
-            self.head = (self.head + 1) % cap;
+            self.head += 1;
+            if self.head == cap {
+                self.head = 0;
+            }
             true
         }
     }
@@ -92,6 +94,17 @@ struct FlightInner {
 }
 
 impl FlightInner {
+    fn record(&mut self, at: SimTime, pid: Pid, ev: &ProtoEvent) {
+        self.seq += 1;
+        let i = pid.index();
+        if i >= self.rings.len() {
+            self.rings.resize_with(i + 1, Ring::default);
+        }
+        if self.rings[i].push(self.cap, (self.seq, at, *ev)) {
+            self.dropped += 1;
+        }
+    }
+
     /// All retained records, merged across processes in emission order.
     fn records(&self) -> Vec<FlightRecord> {
         let mut all: Vec<(u64, FlightRecord)> = self
@@ -103,7 +116,7 @@ impl FlightInner {
                     let rec = FlightRecord {
                         at: *at,
                         pid: Pid::from_index(pid),
-                        event: event.clone(),
+                        event: *event,
                     };
                     (*seq, rec)
                 })
@@ -151,21 +164,7 @@ impl FlightRecorder {
     /// The sink to install on a simulation (compose with other sinks via
     /// `workloads::fanout`). Non-`ProtoEvent` emissions are ignored.
     pub fn sink(&self) -> EventSink {
-        let inner = Arc::clone(&self.inner);
-        Arc::new(move |at: SimTime, pid: Pid, ev: &dyn Any| {
-            if let Some(ev) = ev.downcast_ref::<ProtoEvent>() {
-                let mut f = inner.lock();
-                let f = &mut *f;
-                f.seq += 1;
-                let i = pid.index();
-                if i >= f.rings.len() {
-                    f.rings.resize_with(i + 1, Ring::default);
-                }
-                if f.rings[i].push(f.cap, (f.seq, at, ev.clone())) {
-                    f.dropped += 1;
-                }
-            }
-        })
+        proto_sink(Arc::clone(&self.inner), FlightInner::record)
     }
 
     /// Events evicted from full rings so far (0 means the dump is the
@@ -378,24 +377,41 @@ pub fn parse_flight_dump(dump: &str) -> Result<Vec<FlightRecord>, String> {
 
 /// Feed recorded events into a sink, e.g. a fresh conformance checker.
 /// The replay preserves timestamps and emitting pids, so any verdict a
-/// sink reaches on the live stream it reaches again on the dump.
+/// sink reaches on the live stream it reaches again on the dump. It
+/// delivers in slices of `simnet::EMIT_BATCH`, as a run does.
 pub fn replay_into(records: &[FlightRecord], sink: &EventSink) {
-    for r in records {
-        sink(r.at, r.pid, &r.event);
-    }
+    deliver_batched(sink, records, |r| Emitted {
+        at: r.at,
+        pid: r.pid,
+        event: &r.event,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Records of `(pid, event)` emitted one picosecond apart.
+    fn stream(evs: impl IntoIterator<Item = (usize, ProtoEvent)>) -> Vec<FlightRecord> {
+        evs.into_iter()
+            .enumerate()
+            .map(|(i, (pid, event))| FlightRecord {
+                at: SimTime::from_ps(i as u64),
+                pid: Pid::from_index(pid),
+                event,
+            })
+            .collect()
+    }
+
+    fn completion(wrid: u64) -> ProtoEvent {
+        ProtoEvent::WriteCompleted { wrid }
+    }
+
     #[test]
     fn dump_round_trips_every_variant() {
         let rec = FlightRecorder::with_capacity(usize::MAX);
-        let sink = rec.sink();
-        for (i, ev) in ProtoEvent::samples().iter().enumerate() {
-            sink(SimTime::from_ps(i as u64), Pid::from_index(i % 3), ev);
-        }
+        let samples = ProtoEvent::samples().into_iter().enumerate();
+        replay_into(&stream(samples.map(|(i, ev)| (i % 3, ev))), &rec.sink());
         let dump = rec.dump();
         let parsed = parse_flight_dump(&dump).expect("parse own dump");
         let again = {
@@ -410,19 +426,8 @@ mod tests {
     #[test]
     fn ring_is_bounded_per_pid_and_counts_evictions() {
         let rec = FlightRecorder::with_capacity(4);
-        let sink = rec.sink();
-        for i in 0..10u64 {
-            sink(
-                SimTime::from_ps(i),
-                Pid::from_index(1),
-                &ProtoEvent::WriteCompleted { wrid: i },
-            );
-        }
-        sink(
-            SimTime::from_ps(99),
-            Pid::from_index(2),
-            &ProtoEvent::WriteCompleted { wrid: 99 },
-        );
+        let evs = (0..10).map(|i| (1, completion(i)));
+        replay_into(&stream(evs.chain([(2, completion(99))])), &rec.sink());
         let records = rec.records();
         assert_eq!(records.len(), 5, "4 retained on pid 1 + 1 on pid 2");
         assert_eq!(rec.dropped(), 6);
@@ -441,16 +446,13 @@ mod tests {
     #[test]
     fn wrapped_rings_merge_in_emission_order() {
         let rec = FlightRecorder::with_capacity(3);
-        let sink = rec.sink();
         // Pid 1 emits six events (three overwritten), pid 0 exactly its
         // capacity, pid 2 one.
-        for (i, pid) in [1, 0, 1, 1, 0, 1, 2, 1, 0, 1].into_iter().enumerate() {
-            sink(
-                SimTime::from_ps(i as u64),
-                Pid::from_index(pid),
-                &ProtoEvent::WriteCompleted { wrid: i as u64 },
-            );
-        }
+        let pids = [1, 0, 1, 1, 0, 1, 2, 1, 0, 1].into_iter().enumerate();
+        replay_into(
+            &stream(pids.map(|(i, pid)| (pid, completion(i as u64)))),
+            &rec.sink(),
+        );
         let wrids: Vec<u64> = rec
             .records()
             .iter()

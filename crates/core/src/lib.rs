@@ -81,8 +81,8 @@ mod shmem;
 
 pub use config::{DataPath, FaultPlan, OffloadConfig, TenantId, TenantSpec};
 pub use events::{
-    CacheOutcome, CacheSide, CtrlKind, FinKind, HealthPath, HostCacheKind, PathKind, ProtoEvent,
-    ReqDir,
+    proto_sink, CacheOutcome, CacheSide, CtrlKind, FinKind, HealthPath, HostCacheKind, PathKind,
+    ProtoEvent, ReqDir,
 };
 pub use flight::{parse_flight_dump, replay_into, FlightRecord, FlightRecorder};
 pub use health::{BreakerState, HealthConfig};

@@ -16,7 +16,6 @@
 //! two same-seed runs serialize to byte-identical JSON (asserted in
 //! `tests/determinism.rs`).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -24,7 +23,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simnet::{EventSink, Pid, SimTime};
 
-use crate::events::{CacheOutcome, CacheSide, FinKind, HostCacheKind, PathKind, ProtoEvent};
+use crate::events::{
+    proto_sink, CacheOutcome, CacheSide, FinKind, HostCacheKind, PathKind, ProtoEvent,
+};
 
 /// Declares a report struct whose leading fields are one section of the
 /// `bluefield-offload/metrics/v1` document. The fields, the section's key
@@ -481,12 +482,7 @@ impl Metrics {
     /// The sink to install on a simulation. Non-`ProtoEvent` emissions
     /// are ignored.
     pub fn sink(&self) -> EventSink {
-        let inner = Arc::clone(&self.inner);
-        Arc::new(move |at: SimTime, pid: Pid, ev: &dyn Any| {
-            if let Some(ev) = ev.downcast_ref::<ProtoEvent>() {
-                inner.lock().on_event(at, pid, ev);
-            }
-        })
+        proto_sink(Arc::clone(&self.inner), Inner::on_event)
     }
 
     /// Install the rank→tenant map used to fold per-tenant counters.
@@ -504,7 +500,8 @@ impl Metrics {
     /// Snapshot the accumulated counters. Meaningful once every rank has
     /// reached `Finalize_Offload` (check
     /// [`MetricsReport::finalized_ranks`]); safe to call at any point for
-    /// a running tally.
+    /// a running tally, which mid-run lags the run by the events of the
+    /// engine's batch not yet delivered (fewer than `simnet::EMIT_BATCH`).
     pub fn report(&self) -> MetricsReport {
         let inner = self.inner.lock();
         let proxies: Vec<ProxyMetrics> = inner.proxies.values().cloned().collect();
@@ -849,8 +846,11 @@ mod tests {
     use super::*;
 
     fn feed(m: &Metrics, pid: usize, ev: ProtoEvent) {
-        let sink = m.sink();
-        sink(SimTime::ZERO, Pid::from_index(pid), &ev);
+        m.sink()(&[simnet::Emitted {
+            at: SimTime::ZERO,
+            pid: Pid::from_index(pid),
+            event: &ev,
+        }]);
     }
 
     #[test]

@@ -548,12 +548,7 @@ impl LifecycleRecorder {
     /// The sink to install on a simulation (compose with other sinks
     /// via `workloads::fanout`). Non-`ProtoEvent` payloads are ignored.
     pub fn sink(&self) -> EventSink {
-        let inner = Arc::clone(&self.inner);
-        Arc::new(move |at, pid, any| {
-            if let Some(ev) = any.downcast_ref::<ProtoEvent>() {
-                inner.lock().on_event(at, pid, ev);
-            }
-        })
+        offload::proto_sink(Arc::clone(&self.inner), Fold::on_event)
     }
 
     /// Number of events folded so far.
@@ -567,7 +562,9 @@ impl LifecycleRecorder {
     }
 
     /// Timelines and window paths of the stream so far; may be called
-    /// any number of times, mid-run included.
+    /// any number of times, mid-run included, where "so far" lags the run
+    /// by the events of the engine's batch not yet delivered (fewer than
+    /// `simnet::EMIT_BATCH`).
     pub fn report(&self) -> LifecycleReport {
         self.inner.lock().report()
     }
@@ -641,6 +638,32 @@ impl<T> Pages<T> {
     }
 }
 
+/// When a transfer reached one of its phase boundaries, if it has: half
+/// the size of an `Option<SimTime>`, which matters at one slot per
+/// transfer. No run reaches `u64::MAX` ps (213 days), which stands for
+/// "not yet".
+#[derive(Clone, Copy)]
+struct Mark(u64);
+
+impl Mark {
+    const UNSET: Mark = Mark(u64::MAX);
+
+    fn get(self) -> Option<SimTime> {
+        (self.0 != u64::MAX).then(|| SimTime::from_ps(self.0))
+    }
+
+    fn set(&mut self, at: SimTime) {
+        self.0 = at.as_ps();
+    }
+
+    /// Set unless already set: the first time wins.
+    fn set_first(&mut self, at: SimTime) {
+        if self.0 == u64::MAX {
+            self.set(at);
+        }
+    }
+}
+
 struct MsgState {
     rank: usize,
     peer: usize,
@@ -648,12 +671,12 @@ struct MsgState {
     bytes: u64,
     dir: offload::ReqDir,
     t_post: SimTime,
-    t_ctrl: Option<SimTime>,
-    t_match: Option<SimTime>,
-    t_first_write: Option<SimTime>,
-    t_last_complete: Option<SimTime>,
-    t_fin: Option<SimTime>,
-    t_done: Option<SimTime>,
+    t_ctrl: Mark,
+    t_match: Mark,
+    t_first_write: Mark,
+    t_last_complete: Mark,
+    t_fin: Mark,
+    t_done: Mark,
 }
 
 struct WinState {
@@ -728,17 +751,17 @@ impl Fold {
                     bytes,
                     dir,
                     t_post: at,
-                    t_ctrl: None,
-                    t_match: None,
-                    t_first_write: None,
-                    t_last_complete: None,
-                    t_fin: None,
-                    t_done: None,
+                    t_ctrl: Mark::UNSET,
+                    t_match: Mark::UNSET,
+                    t_first_write: Mark::UNSET,
+                    t_last_complete: Mark::UNSET,
+                    t_fin: Mark::UNSET,
+                    t_done: Mark::UNSET,
                 });
             }
             ProtoEvent::RtsAtProxy { msg_id, .. } | ProtoEvent::RtrAtProxy { msg_id, .. } => {
                 if let Some(m) = self.msg(msg_id) {
-                    m.t_ctrl.get_or_insert(at);
+                    m.t_ctrl.set_first(at);
                 }
             }
             ProtoEvent::PairMatched {
@@ -748,14 +771,14 @@ impl Fold {
             } => {
                 for id in [send_msg_id, recv_msg_id] {
                     if let Some(m) = self.msg(id) {
-                        m.t_match.get_or_insert(at);
+                        m.t_match.set_first(at);
                     }
                 }
             }
             ProtoEvent::WritePosted { wrid, msg_id, .. } => {
                 let proxy = pid.index() as u64;
                 if let Some(m) = self.msg(msg_id) {
-                    m.t_first_write.get_or_insert(at);
+                    m.t_first_write.set_first(at);
                     *self.joins.slot(proxy, wrid) = Some(Join::Msg(msg_id));
                 } else {
                     // A group wire entry: its id was allocated by the
@@ -776,7 +799,7 @@ impl Fold {
                 match self.joins.get(pid.index() as u64, wrid).copied() {
                     Some(Join::Msg(msg_id)) => {
                         if let Some(m) = self.msg(msg_id) {
-                            m.t_last_complete = Some(at);
+                            m.t_last_complete.set(at);
                         }
                     }
                     Some(Join::Window(w)) => self.windows[w].t_last_complete = Some(at),
@@ -799,12 +822,12 @@ impl Fold {
                         self.windows[w].t_fin = Some(at);
                     }
                 } else if let Some(m) = self.msg(msg_id) {
-                    m.t_fin = Some(at);
+                    m.t_fin.set(at);
                 }
             }
             ProtoEvent::HostReqDone { msg_id, .. } => {
                 if let Some(m) = self.msg(msg_id) {
-                    m.t_done = Some(at);
+                    m.t_done.set(at);
                 }
             }
             ProtoEvent::HostWakeup { rank, intervention } if intervention => {
@@ -906,12 +929,12 @@ fn timeline(msg_id: u64, m: &MsgState) -> MsgTimeline {
     let mut phases = Vec::new();
     let mut prev = m.t_post;
     let milestones: [(Option<SimTime>, Phase); 6] = [
-        (m.t_ctrl, Phase::CtrlDelivery),
-        (m.t_match, Phase::MatchWait),
-        (m.t_first_write, Phase::QueueWait),
-        (m.t_last_complete, Phase::WireTime),
-        (m.t_fin, Phase::DpuFin),
-        (m.t_done, Phase::FinDelivery),
+        (m.t_ctrl.get(), Phase::CtrlDelivery),
+        (m.t_match.get(), Phase::MatchWait),
+        (m.t_first_write.get(), Phase::QueueWait),
+        (m.t_last_complete.get(), Phase::WireTime),
+        (m.t_fin.get(), Phase::DpuFin),
+        (m.t_done.get(), Phase::FinDelivery),
     ];
     for (t, phase) in milestones {
         if let Some(t) = t {
@@ -927,8 +950,8 @@ fn timeline(msg_id: u64, m: &MsgState) -> MsgTimeline {
         bytes: m.bytes,
         dir: m.dir,
         phases,
-        completed: m.t_done.is_some(),
-        total: m.t_done.map(|t| t.saturating_since(m.t_post)),
+        completed: m.t_done.get().is_some(),
+        total: m.t_done.get().map(|t| t.saturating_since(m.t_post)),
     }
 }
 

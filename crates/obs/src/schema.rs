@@ -360,19 +360,19 @@ mod tests {
     #[test]
     fn tenants_section_validates_when_present() {
         use offload::{Metrics, ProtoEvent};
-        use simnet::{Pid, SimTime};
+        use simnet::{Emitted, Pid, SimTime};
         let m = Metrics::new();
         let sink = m.sink();
         for (tenant, rank) in [(0usize, 0usize), (1, 1)] {
-            sink(
-                SimTime::ZERO,
-                Pid::from_index(rank),
-                &ProtoEvent::QuotaShed {
+            sink(&[Emitted {
+                at: SimTime::ZERO,
+                pid: Pid::from_index(rank),
+                event: &ProtoEvent::QuotaShed {
                     tenant,
                     rank,
                     msg_id: rank as u64,
                 },
-            );
+            }]);
         }
         m.set_tenant_map([(0, 0), (1, 1)].into_iter().collect());
         let doc = m.report().to_json("unit");
@@ -400,10 +400,16 @@ mod tests {
     #[test]
     fn health_section_validates_when_present() {
         use offload::{HealthPath, Metrics, ProtoEvent};
-        use simnet::{Pid, SimTime};
+        use simnet::{Emitted, Pid, SimTime};
         let m = Metrics::new();
         let sink = m.sink();
-        let feed = |ev: &ProtoEvent| sink(SimTime::ZERO, Pid::from_index(2), ev);
+        let feed = |ev: &ProtoEvent| {
+            sink(&[Emitted {
+                at: SimTime::ZERO,
+                pid: Pid::from_index(2),
+                event: ev,
+            }])
+        };
         feed(&ProtoEvent::BreakerTripped {
             peer: 1,
             path: HealthPath::CrossGvmi,

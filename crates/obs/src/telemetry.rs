@@ -25,16 +25,19 @@
 //! folded into the global registry (exited threads) plus the snapshot
 //! thread's own tree are visible — cross-thread visibility is
 //! best-effort and the totals only settle once the run's threads have
-//! exited. They are advisory for policy consumers, excluded from the
-//! determinism contract, and off by default.
+//! exited. The snapshot thread is whichever engine thread delivers the
+//! batch holding the first event past a boundary, up to
+//! `simnet::EMIT_BATCH` events after that event was emitted, so the
+//! counts may also include work done just past the boundary. They are
+//! advisory for policy consumers, excluded from the determinism
+//! contract, and off by default.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use offload::{Metrics, MetricsReport};
 use parking_lot::Mutex;
-use simnet::{EventSink, Pid, SimTime};
+use simnet::{Emitted, EventSink};
 
 /// Default bound on the snapshot ring: old snapshots fall off the back
 /// once this many are retained (consumers attached as sinks still see
@@ -58,8 +61,10 @@ pub struct TelemetrySnapshot {
 }
 
 /// Consumer interface of the bus — the hook a future adaptive offload
-/// policy engine plugs into. Called synchronously while the simulation
-/// runs, in snapshot order.
+/// policy engine plugs into. Called while the simulation runs, in
+/// snapshot order, when the engine delivers the batch of events that
+/// closes a window (so up to `simnet::EMIT_BATCH` events after the
+/// boundary, in emission count).
 pub trait TelemetrySink: Send {
     /// Observe one published snapshot.
     fn on_snapshot(&mut self, snap: &TelemetrySnapshot);
@@ -194,7 +199,7 @@ impl TelemetryBus {
     }
 
     /// Attach a consumer; it sees every snapshot published after this
-    /// call, synchronously and in order.
+    /// call, in order.
     pub fn attach(&self, sink: Box<dyn TelemetrySink>) {
         self.inner.lock().sinks.push(sink);
     }
@@ -203,24 +208,34 @@ impl TelemetryBus {
     /// event to the internal metrics accumulator, publishing a snapshot
     /// whenever an event's timestamp crosses the next window boundary
     /// (quiet windows collapse into the next active one, so snapshot
-    /// count stays bounded by event count).
+    /// count stays bounded by event count). A delivered slice is split at
+    /// the boundaries it spans, so each snapshot folds exactly the events
+    /// before its boundary.
     pub fn sink(&self) -> EventSink {
         let inner = Arc::clone(&self.inner);
-        Arc::new(move |at: SimTime, pid: Pid, ev: &dyn Any| {
+        Arc::new(move |batch: &[Emitted<'_>]| {
             let mut bus = inner.lock();
-            let t = at.as_ps();
-            if t >= bus.next_boundary {
-                // Publish one window covering everything since the last
-                // publication, up to the interval-grid boundary at or
-                // below `t` (quiet intermediate windows collapse).
-                let floor = t - (t % bus.interval_ps);
-                bus.publish(floor);
-                bus.next_boundary = floor + bus.interval_ps;
+            let mut from = 0;
+            for (i, e) in batch.iter().enumerate() {
+                let t = e.at.as_ps();
+                if t >= bus.next_boundary {
+                    if i > from {
+                        (bus.forward)(&batch[from..i]);
+                        from = i;
+                    }
+                    // Publish one window covering everything since the
+                    // last publication, up to the interval-grid boundary
+                    // at or below `t` (quiet intermediate windows
+                    // collapse).
+                    let floor = t - (t % bus.interval_ps);
+                    bus.publish(floor);
+                    bus.next_boundary = floor + bus.interval_ps;
+                }
+                bus.events_seen += 1;
             }
-            bus.events_seen += 1;
-            let forward = Arc::clone(&bus.forward);
-            drop(bus);
-            forward(at, pid, ev);
+            if batch.len() > from {
+                (bus.forward)(&batch[from..]);
+            }
         })
     }
 
@@ -247,8 +262,14 @@ mod tests {
     use super::*;
     use offload::ProtoEvent;
 
+    use simnet::{Pid, SimTime};
+
     fn tick(sink: &EventSink, ps: u64, ev: &ProtoEvent) {
-        sink(SimTime::from_ps(ps), Pid::from_index(0), ev);
+        sink(&[Emitted {
+            at: SimTime::from_ps(ps),
+            pid: Pid::from_index(0),
+            event: ev,
+        }]);
     }
 
     #[test]
@@ -330,6 +351,36 @@ mod tests {
         assert!(bus.published() > 3);
         // The ring keeps the most recent snapshots.
         assert_eq!(snaps.last().unwrap().seq, bus.published());
+    }
+
+    #[test]
+    fn a_slice_spanning_boundaries_publishes_as_one_event_at_a_time() {
+        let ev = |i: u64| ProtoEvent::HostWakeup {
+            rank: 0,
+            intervention: i.is_multiple_of(3),
+        };
+        let one_by_one = TelemetryBus::new(1_000);
+        let sink = one_by_one.sink();
+        for i in 0..20u64 {
+            tick(&sink, i * 450, &ev(i));
+        }
+        let evs: Vec<ProtoEvent> = (0..20).map(ev).collect();
+        let sliced = TelemetryBus::new(1_000);
+        let batch: Vec<Emitted<'_>> = evs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| Emitted {
+                at: SimTime::from_ps(i as u64 * 450),
+                pid: Pid::from_index(0),
+                event: e,
+            })
+            .collect();
+        sliced.sink()(&batch);
+        let (report, snaps) = sliced.finish();
+        let (want_report, want_snaps) = one_by_one.finish();
+        assert_eq!(snaps, want_snaps);
+        assert_eq!(report.totals(), want_report.totals());
+        assert!(snaps.len() > 5, "the slice spans several boundaries");
     }
 
     #[test]

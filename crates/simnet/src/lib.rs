@@ -35,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+mod emit;
 mod event;
 mod process;
 mod resource;
@@ -45,6 +46,7 @@ mod stats;
 mod time;
 mod trace;
 
+pub use emit::{deliver_batched, Emitted, EventSink, EMIT_BATCH};
 pub use process::{BlockReason, Payload, Pid, ProcStatus, Reactor};
 pub use resource::ResourceId;
 pub use rng::SimRng;
@@ -53,7 +55,7 @@ pub use shard::{
     SCOPE_ENGINE_EMIT_MERGE, SCOPE_ENGINE_EXEC,
 };
 pub use sim::{
-    engine_events, EventSink, OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation,
+    engine_events, OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation,
     SIMNET_CHAOS_ENV, SIMNET_THREADS_ENV,
 };
 pub use stats::Stats;

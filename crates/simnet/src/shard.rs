@@ -53,6 +53,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::emit::{deliver_batched, Emitted, EventSink};
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
     drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState,
@@ -60,7 +61,7 @@ use crate::process::{
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
-use crate::sim::{EventSink, ProcReport, ProcessCtx, Report, Route, SimError};
+use crate::sim::{ProcReport, ProcessCtx, Report, Route, SimError};
 use crate::stats::Stats;
 use crate::time::{SimDelta, SimTime};
 use crate::trace::Trace;
@@ -742,10 +743,10 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
     Ok(report)
 }
 
-/// Move every outbox event into its destination queue and hand buffered
-/// emits to the sink in canonical order. Asserts the conservative
-/// invariant: nothing generated inside the last window may land before
-/// that window's end.
+/// Move every outbox event into its destination queue and hand the
+/// window's buffered emits to the sink in canonical order. Asserts the
+/// conservative invariant: nothing generated inside the last window may
+/// land before that window's end.
 fn flush_cross_shard(
     shards: &[Arc<ShardCell>],
     rt: &ShardedRt,
@@ -790,9 +791,11 @@ fn flush_cross_shard(
     // Canonical emit order: (virtual time, shard, shard-local seq).
     emits.sort_by_key(|a| (a.1.at, a.0, a.1.seq));
     if let Some(sink) = &sealed.sink {
-        for (_, e) in emits {
-            sink(e.at, e.pid, &*e.payload);
-        }
+        deliver_batched(sink, &emits, |(_, e)| Emitted {
+            at: e.at,
+            pid: e.pid,
+            event: &*e.payload,
+        });
     }
 }
 

@@ -34,10 +34,11 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
+use crate::emit::{EmitBuffer, EventSink};
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
     drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState,
@@ -79,15 +80,6 @@ pub const SIMNET_CHAOS_ENV: &str = "SIMNET_CHAOS";
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
-
-/// Observer for structured events published with [`ProcessCtx::emit`].
-///
-/// The engine stays protocol-agnostic: upper layers define their own event
-/// types and the sink downcasts the `&dyn Any`. The sink runs synchronously
-/// on the emitting process's thread with the simulation state **unlocked**,
-/// so it may read the clock via the captured `SimTime` but must not call
-/// back into blocking [`ProcessCtx`] operations.
-pub type EventSink = Arc<dyn Fn(SimTime, Pid, &dyn Any) + Send + Sync>;
 
 /// Errors surfaced by [`Simulation::run`].
 #[derive(Debug)]
@@ -193,7 +185,8 @@ pub(crate) struct SimState {
     rng: SimRng,
     time_limit: Option<SimTime>,
     events: u64,
-    sink: Option<EventSink>,
+    /// Emissions not yet handed to the sink.
+    emits: EmitBuffer,
     /// Process executions since the clock last advanced (livelock guard).
     execs: u64,
     /// Why the loop stopped early, if it did.
@@ -206,6 +199,9 @@ pub(crate) struct SimInner {
     state: Mutex<SimState>,
     /// Where `run()`'s caller parks while process threads carry the loop.
     owner: Baton,
+    /// The event sink, sealed when `run()` starts; unset means none, so
+    /// an emit without a sink takes no lock.
+    sink: OnceLock<EventSink>,
 }
 
 /// A deterministic discrete-event simulation.
@@ -239,6 +235,9 @@ pub struct Simulation {
     /// Collect [`shard::EngineProfile`] wall-clock buckets (sharded
     /// engine only; off by default).
     profile: bool,
+    /// Installed by [`set_event_sink`](Self::set_event_sink); sealed into
+    /// the engine by `run()`.
+    sink: Option<EventSink>,
 }
 
 /// A typed span opened by [`ProcessCtx::span_begin`] and not yet closed.
@@ -294,12 +293,13 @@ impl Simulation {
                     rng: SimRng::new(seed),
                     time_limit: None,
                     events: 0,
-                    sink: None,
+                    emits: EmitBuffer::default(),
                     execs: 0,
                     error: None,
                     fatal: None,
                 }),
                 owner: Baton::new(),
+                sink: OnceLock::new(),
             }),
             stack_size: 1 << 20,
             seed,
@@ -308,6 +308,7 @@ impl Simulation {
             lookahead: shard::LookaheadCfg::new(SimDelta::from_us(1)),
             sharded: None,
             profile: false,
+            sink: None,
         }
     }
 
@@ -330,7 +331,7 @@ impl Simulation {
     /// Install an observer for [`ProcessCtx::emit`] events (e.g. a protocol
     /// conformance checker). At most one sink; later calls replace it.
     pub fn set_event_sink(&mut self, sink: EventSink) {
-        self.inner.state.lock().sink = Some(sink);
+        self.sink = Some(sink);
     }
 
     /// Spawn a simulated process. It becomes runnable at time zero (or, when
@@ -483,10 +484,9 @@ impl Simulation {
     /// simulated process are re-raised here with the process name attached.
     pub fn run(self) -> Result<Report, SimError> {
         if let Some(rt) = &self.sharded {
-            let (time_limit, trace, sink) = {
-                let mut st = self.inner.state.lock();
-                let trace = st.trace.is_some();
-                (st.time_limit, trace, st.sink.take())
+            let (time_limit, trace) = {
+                let st = self.inner.state.lock();
+                (st.time_limit, st.trace.is_some())
             };
             let threads = self
                 .threads
@@ -500,7 +500,7 @@ impl Simulation {
                     threads,
                     time_limit,
                     trace,
-                    sink,
+                    sink: self.sink.clone(),
                     lookahead: self.lookahead.clone(),
                     chaos,
                     profile: self.profile,
@@ -510,15 +510,21 @@ impl Simulation {
             return Ok(report);
         }
         let inner = self.inner;
+        if let Some(sink) = self.sink {
+            // `run` consumes the simulation: this is the only seal.
+            let _ = inner.sink.set(sink);
+        }
         drive(
             &inner.owner,
             || step(&inner, true),
             |key, body| run_reactor(&inner, key, body),
         );
         // The run is over, however it ended: free what still-waiting
-        // reactors hold, and let no thread outlive it.
+        // reactors hold, and let no thread outlive it. Then the sink gets
+        // what is still buffered, before any error or panic surfaces.
         let left = take_leftovers(&mut inner.state.lock().procs);
         left.release();
+        flush_emits(&inner);
         let mut st = inner.state.lock();
         if let Some(msg) = st.fatal.take() {
             drop(st);
@@ -565,6 +571,15 @@ impl Simulation {
         drop(st);
         record_engine_events(report.events);
         Ok(report)
+    }
+}
+
+/// Hand the sink the batch still buffered when a run ends.
+fn flush_emits(inner: &SimInner) {
+    let Some(sink) = inner.sink.get() else { return };
+    let open = inner.state.lock().emits.take();
+    if let Some(mut batch) = open {
+        batch.deliver(sink);
     }
 }
 
@@ -964,12 +979,16 @@ impl ProcessCtx {
 
     /// Publish a structured event to the installed [`EventSink`], if any.
     ///
-    /// On the classic engine the sink runs on this thread with the
-    /// simulation state unlocked, so emitting from protocol code can never
-    /// deadlock the scheduler. On the sharded engine the event is cloned
-    /// into a buffer and the sink runs on the coordinator thread between
-    /// windows, in canonical `(time, shard, sequence)` order — identical
-    /// at every thread count.
+    /// Delivery is batched, in emission order, and complete by the time
+    /// `run()` returns. Without a sink an emit is a no-op that takes no
+    /// lock. On the classic engine the event is cloned into a buffer in
+    /// the simulation state; a batch goes to the sink, with the state
+    /// unlocked, when it holds [`EMIT_BATCH`](crate::EMIT_BATCH) events,
+    /// when an event of another type arrives, and at the end of the run.
+    /// On the sharded engine the event is boxed into the shard's buffer
+    /// and the sink runs on the coordinator thread between windows, in
+    /// canonical `(time, shard, sequence)` order — identical at every
+    /// thread count.
     pub fn emit<E: Any + Clone + Send>(&self, event: &E) {
         let inner = match &self.route {
             Route::Classic(inner) => inner,
@@ -980,14 +999,16 @@ impl ProcessCtx {
                 return;
             }
         };
-        let (now, sink) = {
-            let st = inner.state.lock();
-            match st.sink.as_ref() {
-                Some(s) => (st.now, Arc::clone(s)),
-                None => return,
-            }
+        let Some(sink) = inner.sink.get() else { return };
+        let full = {
+            let mut st = inner.state.lock();
+            let now = st.now;
+            st.emits.push(now, self.pid, event)
         };
-        sink(now, self.pid, event);
+        if let Some(mut batch) = full {
+            batch.deliver(sink);
+            inner.state.lock().emits.recycle(batch);
+        }
     }
 
     /// Increment a named counter.
@@ -1285,9 +1306,11 @@ mod tests {
         let mut sim = Simulation::new(0);
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
-        sim.set_event_sink(Arc::new(move |now, pid, ev| {
-            if let Some(v) = ev.downcast_ref::<u64>() {
-                seen2.lock().push((now, pid, *v));
+        sim.set_event_sink(Arc::new(move |batch| {
+            for e in batch {
+                if let Some(v) = e.event.downcast_ref::<u64>() {
+                    seen2.lock().push((e.at, e.pid, *v));
+                }
             }
         }));
         let p = sim.spawn("emitter", |ctx| {

@@ -291,9 +291,14 @@ fn emits_reach_the_sink_in_canonical_order_at_any_thread_count() {
         sim.set_lookahead(SimDelta::from_us(1));
         let seen: Arc<Mutex<Vec<(u64, usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = Arc::clone(&seen);
-        sim.set_event_sink(Arc::new(move |now, pid, ev| {
-            if let Some(v) = ev.downcast_ref::<u64>() {
-                seen2.lock().unwrap().push((now.as_ps(), pid.index(), *v));
+        sim.set_event_sink(Arc::new(move |batch| {
+            for e in batch {
+                if let Some(v) = e.event.downcast_ref::<u64>() {
+                    seen2
+                        .lock()
+                        .unwrap()
+                        .push((e.at.as_ps(), e.pid.index(), *v));
+                }
             }
         }));
         for s in 0..4u64 {

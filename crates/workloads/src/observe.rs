@@ -83,13 +83,14 @@ pub fn with_tenant_metrics<T>(
     (out, metrics.report())
 }
 
-/// Combine several event sinks into one that forwards every emission to
-/// each, in order. Lets a run feed e.g. [`offload::Metrics`], a
-/// conformance checker and a flight recorder from a single stream.
+/// Combine several event sinks into one that hands every delivered slice
+/// to each, in order. Lets a run feed e.g. [`offload::Metrics`], a
+/// conformance checker and a flight recorder from a single stream, each
+/// sink taking its lock once per slice.
 pub fn fanout(sinks: Vec<EventSink>) -> EventSink {
-    std::sync::Arc::new(move |at, pid, ev| {
+    std::sync::Arc::new(move |batch| {
         for s in &sinks {
-            s(at, pid, ev);
+            s(batch);
         }
     })
 }

@@ -11,7 +11,7 @@
 //! over the file.
 
 use bluefield_offload::dpu::{parse_flight_dump, replay_into, FlightRecorder, Metrics, ProtoEvent};
-use bluefield_offload::sim::{Pid, SimTime};
+use bluefield_offload::sim::{Emitted, Pid, SimTime};
 use checker::{Conformance, ConformanceConfig};
 
 const GOLDEN: &str = include_str!("golden/flight_all_variants.txt");
@@ -24,11 +24,11 @@ fn sample_dump() -> String {
     let rec = recorder();
     let sink = rec.sink();
     for (i, ev) in ProtoEvent::samples().iter().enumerate() {
-        sink(
-            SimTime::from_ps(i as u64 * 1_000),
-            Pid::from_index(i % 4),
-            ev,
-        );
+        sink(&[Emitted {
+            at: SimTime::from_ps(i as u64 * 1_000),
+            pid: Pid::from_index(i % 4),
+            event: ev,
+        }]);
     }
     rec.dump()
 }
@@ -57,11 +57,11 @@ fn hand_written_sinks_accept_every_variant() {
     let conformance = Conformance::new(ConformanceConfig::default());
     for sink in [metrics.sink(), conformance.sink()] {
         for (i, ev) in samples.iter().enumerate() {
-            sink(
-                SimTime::from_ps(i as u64 * 1_000),
-                Pid::from_index(i % 4),
-                ev,
-            );
+            sink(&[Emitted {
+                at: SimTime::from_ps(i as u64 * 1_000),
+                pid: Pid::from_index(i % 4),
+                event: ev,
+            }]);
         }
     }
     assert_eq!(metrics.report().events, samples.len() as u64);
