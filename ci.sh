@@ -60,7 +60,8 @@ echo "== cargo test (sharded engine, SIMNET_THREADS=4)"
 # conservative-lookahead runtime: worker threads are a pure speed knob,
 # so both passes must be green with identical verdicts (the equivalence
 # suite in tests/engine_equivalence.rs additionally byte-compares the
-# artifacts the two engines produce).
+# artifacts the two engines produce, and the fingerprint slice in
+# tests/fingerprints.rs holds each engine's runs to the committed golden).
 if ! SIMNET_THREADS=4 cargo test -q --workspace; then
     if ls target/failure-dumps/*.flight.txt >/dev/null 2>&1; then
         echo "flight-recorder dumps from failing runs:"
@@ -99,6 +100,18 @@ echo "== observer overhead (release, ignored in tier-1; prints, gates nothing)"
 # transfer for each (EXPERIMENTS.md, "Batched event delivery"). Wall
 # clock on a CI box is not evidence, so no number here fails the build.
 cargo test --release -q --test observer_overhead -- --ignored --nocapture
+
+echo "== fingerprints (release, ignored in tier-1; whole matrix at 1 and 4 threads)"
+# Every checker scenario (driver x config overlay x fault plan x 1/2
+# proxies x 2 seeds, ~1 900 rows) reduced to one line and compared with
+# tests/golden/fingerprints.tsv: verdict, end time, event count, and
+# hashes of the event stream and of the run's stats (DESIGN.md section 16).
+# Both engines must reproduce every row. A mismatch prints only the moved
+# rows, old -> new, and the command that regenerates the file; success
+# prints the row count and the wall time (~4 s per pass).
+for t in 1 4; do
+    SIMNET_THREADS="$t" cargo test --release -q --test fingerprints -- --ignored
+done
 
 echo "== benchmark package (unit tests + --quick correctness gate)"
 # benchmark/ is its own workspace building against crates/* by path, so an
@@ -143,7 +156,8 @@ echo "== fault soak (ctrl + data-plane + tenant-isolation + breaker matrix)"
 # leave replayable flight-recorder dumps in
 # target/failure-dumps/. The soak runs on the sharded engine
 # (SIMNET_THREADS=4): recovery under faults must not depend on the
-# engine, and the =1 behaviour is pinned by the equivalence suite.
+# engine, and the fingerprints step above pins the checker scenarios
+# on both engines.
 if ! SOAK_LONG="${SOAK_LONG:-}" SIMNET_THREADS=4 \
     cargo run --release --quiet -p checker --bin fault_soak; then
     if ls target/failure-dumps/*.flight.txt >/dev/null 2>&1; then

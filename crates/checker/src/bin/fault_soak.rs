@@ -60,82 +60,13 @@
 //! stacks) for nightly-style runs; the default stays CI-fast.
 
 use checker::{
-    all_armed_workload, alltoall_workload, armed_verified_stencil_workload,
-    breaker_recovery_workload, brownout_workload, doomed_group_workload, noisy_victim_p99,
-    quota_retry_workload, run_scenario_with_dump, starved_flood_workload,
-    verified_stencil_workload, ConformanceConfig, Scenario, Workload, ALL_ARMED_PLAN,
-    ALL_ARMED_QUEUE_CAP, BREAKER_XREG_PM, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR,
-    STARVED_QUEUE_CAP,
+    all_armed_workload, alltoall_workload, breaker_recovery_workload, brownout_workload,
+    doomed_group_workload, noisy_victim_p99, payload_plans, quota_retry_workload,
+    run_scenario_with_dump, soak_plans, starved_flood_workload, verified_stencil_workload,
+    ConformanceConfig, Overlay, Scenario, Workload, ALL_ARMED_PLAN, ALL_ARMED_QUEUE_CAP,
+    BREAKER_XREG_PM, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR, STARVED_QUEUE_CAP,
 };
 use offload::FaultPlan;
-
-fn default_plans() -> Vec<FaultPlan> {
-    let none = FaultPlan::none();
-    vec![
-        // Each mechanism alone, then the combined acceptance plan:
-        // 10% drop + 5% dup + delays + a mid-window proxy crash.
-        FaultPlan {
-            drop_pm: 100,
-            ..none
-        },
-        FaultPlan { dup_pm: 50, ..none },
-        FaultPlan {
-            delay_pm: 100,
-            delay_ns: 30_000,
-            ..none
-        },
-        FaultPlan {
-            xreg_fail_pm: 300,
-            ..none
-        },
-        FaultPlan {
-            drop_pm: 100,
-            dup_pm: 50,
-            delay_pm: 50,
-            delay_ns: 10_000,
-            crash_at_step: 12,
-            ..none
-        },
-    ]
-}
-
-/// Data-plane corruption plans: each mode alone, then everything
-/// stacked on a lossy ctrl plane (the data-integrity acceptance plan).
-fn payload_plans(long: bool) -> Vec<FaultPlan> {
-    let none = FaultPlan::none();
-    let mut plans = vec![
-        FaultPlan {
-            flip_pm: 60,
-            ..none
-        },
-        FaultPlan {
-            torn_pm: 60,
-            ..none
-        },
-        FaultPlan {
-            data_drop_pm: 40,
-            ..none
-        },
-        FaultPlan {
-            flip_pm: 40,
-            torn_pm: 40,
-            data_drop_pm: 20,
-            drop_pm: 50,
-            ..none
-        },
-    ];
-    if long {
-        plans.push(FaultPlan {
-            flip_pm: 150,
-            torn_pm: 100,
-            data_drop_pm: 60,
-            drop_pm: 80,
-            dup_pm: 40,
-            ..none
-        });
-    }
-    plans
-}
 
 /// Fault plans for the noisy-neighbor isolation suite: clean, then the
 /// armed chaos plan (drops + dups + a mid-window proxy crash, forcing
@@ -206,7 +137,7 @@ fn main() {
         }
     };
     let plans = if env_plan.is_none() {
-        default_plans()
+        soak_plans()
     } else {
         vec![env_plan]
     };
@@ -222,12 +153,10 @@ fn main() {
         for (name, workload) in &workloads {
             for seed in 0..seeds {
                 for proxies in [1usize, 2, 4] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: [0, 2_000][(seed % 2) as usize],
-                        proxies_per_dpu: proxies,
-                        fault: plan.with_seed(seed * 97 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_jitter([0, 2_000][(seed % 2) as usize])
+                        .with_proxies(proxies)
+                        .with_fault(plan.with_seed(seed * 97 + proxies as u64));
                     tally.record(name, workload, &scenario, cfg);
                 }
             }
@@ -241,12 +170,9 @@ fn main() {
         for plan in payload_plans(long) {
             for seed in 0..seeds {
                 for proxies in [1usize, 2, 4] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: 0,
-                        proxies_per_dpu: proxies,
-                        fault: plan.with_seed(seed * 131 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_fault(plan.with_seed(seed * 131 + proxies as u64));
                     tally.record("payload", &payload, &scenario, cfg);
                 }
             }
@@ -261,12 +187,9 @@ fn main() {
         };
         for seed in 0..seeds {
             for proxies in [1usize, 2, 4] {
-                let scenario = Scenario {
-                    seed,
-                    jitter_ns: [0, 2_000][(seed % 2) as usize],
-                    proxies_per_dpu: proxies,
-                    fault: FaultPlan::none(),
-                };
+                let scenario = Scenario::baseline(seed)
+                    .with_jitter([0, 2_000][(seed % 2) as usize])
+                    .with_proxies(proxies);
                 tally.record("starved", &starved, &scenario, starved_cfg);
             }
         }
@@ -279,12 +202,9 @@ fn main() {
         for plan in noisy_plans(long) {
             for seed in 0..if long { 4u64 } else { 2 } {
                 for proxies in [2usize, 4] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: 0,
-                        proxies_per_dpu: proxies,
-                        fault: plan.with_seed(seed * 53 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_fault(plan.with_seed(seed * 53 + proxies as u64));
                     let label = format!(
                         "noisy-neighbor plan={:?} seed={seed} proxies={proxies}",
                         scenario.fault
@@ -332,18 +252,16 @@ fn main() {
         // Health regression: breakers and budgets armed under the
         // classic matrix — clean, drop-heavy and proxy-crash plans
         // included — must leave every payload-verified run lossless.
-        let armed = armed_verified_stencil_workload();
+        let armed = verified_stencil_workload();
         let mut health_plans = vec![FaultPlan::none()];
-        health_plans.extend(default_plans());
+        health_plans.extend(soak_plans());
         for plan in &health_plans {
             for seed in 0..if long { 4u64 } else { 2 } {
                 for proxies in [1usize, 2] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: 0,
-                        proxies_per_dpu: proxies,
-                        fault: plan.with_seed(seed * 61 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_overlay(Overlay::Health)
+                        .with_fault(plan.with_seed(seed * 61 + proxies as u64));
                     tally.record("armed-health", &armed, &scenario, cfg);
                 }
             }
@@ -359,12 +277,10 @@ fn main() {
         };
         for seed in 0..seeds {
             for proxies in [1usize, 2] {
-                let scenario = Scenario {
-                    seed,
-                    jitter_ns: [0, 2_000][(seed % 2) as usize],
-                    proxies_per_dpu: proxies,
-                    fault: recovery_plan.with_seed(seed * 41 + proxies as u64),
-                };
+                let scenario = Scenario::baseline(seed)
+                    .with_jitter([0, 2_000][(seed % 2) as usize])
+                    .with_proxies(proxies)
+                    .with_fault(recovery_plan.with_seed(seed * 41 + proxies as u64));
                 tally.record("breaker-recovery", &recovery, &scenario, cfg);
             }
         }
@@ -391,12 +307,10 @@ fn main() {
         };
         for seed in 0..seeds {
             for proxies in [1usize, 2] {
-                let scenario = Scenario {
-                    seed,
-                    jitter_ns: [0, 2_000][(seed % 2) as usize],
-                    proxies_per_dpu: proxies,
-                    fault: ALL_ARMED_PLAN.with_seed(seed * 89 + proxies as u64),
-                };
+                let scenario = Scenario::baseline(seed)
+                    .with_jitter([0, 2_000][(seed % 2) as usize])
+                    .with_proxies(proxies)
+                    .with_fault(ALL_ARMED_PLAN.with_seed(seed * 89 + proxies as u64));
                 tally.record("all-armed", &all_armed, &scenario, all_armed_cfg);
             }
         }
@@ -413,12 +327,9 @@ fn main() {
             };
             for seed in 0..seeds {
                 for proxies in [1usize, 2] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: 0,
-                        proxies_per_dpu: proxies,
-                        fault: flapping.with_seed(seed * 73 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_fault(flapping.with_seed(seed * 73 + proxies as u64));
                     tally.record("flapping-link", &recovery, &scenario, cfg);
                 }
             }

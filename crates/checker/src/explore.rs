@@ -12,20 +12,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use offload::{
-    parse_flight_dump, replay_into, FaultPlan, FlightRecorder, HealthConfig, OffloadConfig,
-    TenantSpec,
+    parse_flight_dump, replay_into, DataPath, FaultPlan, FlightRecorder, HealthConfig,
+    OffloadConfig, TenantSpec,
 };
 use simnet::{EventSink, Report, SimDelta, SimError, SimTime};
 use workloads::{
-    drive_alltoall, drive_breaker_recovery, drive_brownout, drive_deadline, drive_flood,
-    drive_group_abandon, drive_noisy_neighbor, drive_quota_retry, drive_stencil,
-    drive_verified_stencil, fanout, CheckRun,
+    drive_alltoall, drive_breaker_recovery, drive_brownout, drive_ctrl_undeliverable,
+    drive_data_integrity, drive_deadline, drive_flood, drive_group_abandon, drive_noisy_neighbor,
+    drive_quota_retry, drive_stencil, drive_verified_stencil, fanout, CheckRun,
 };
 
 use crate::conformance::{Conformance, ConformanceConfig, Violation};
 
-/// One point in the exploration space: a seed plus the schedule and
-/// fault knobs applied to the run.
+/// One point in the exploration space: a seed plus the schedule, config
+/// and fault knobs applied to the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scenario {
     /// Simulation RNG seed.
@@ -39,6 +39,11 @@ pub struct Scenario {
     /// one-shot [`FaultPlan::drop_first_fin`] /
     /// [`FaultPlan::skip_cross_reg`]).
     pub fault: FaultPlan,
+    /// Off-by-default policies armed under the workload's own knobs.
+    pub overlay: Overlay,
+    /// Simulation worker threads; `None` inherits `SIMNET_THREADS`
+    /// (see [`CheckRun::threads`]).
+    pub threads: Option<usize>,
 }
 
 impl Scenario {
@@ -49,6 +54,8 @@ impl Scenario {
             jitter_ns: 0,
             proxies_per_dpu: 1,
             fault: FaultPlan::none(),
+            overlay: Overlay::Default,
+            threads: None,
         }
     }
 
@@ -56,6 +63,116 @@ impl Scenario {
     pub fn with_fault(mut self, fault: FaultPlan) -> Scenario {
         self.fault = fault;
         self
+    }
+
+    /// The same scenario with `proxies` proxy processes per DPU.
+    pub fn with_proxies(mut self, proxies: usize) -> Scenario {
+        self.proxies_per_dpu = proxies;
+        self
+    }
+
+    /// The same scenario with up to `jitter_ns` of delivery jitter.
+    pub fn with_jitter(mut self, jitter_ns: u64) -> Scenario {
+        self.jitter_ns = jitter_ns;
+        self
+    }
+
+    /// The same scenario under `overlay`.
+    pub fn with_overlay(mut self, overlay: Overlay) -> Scenario {
+        self.overlay = overlay;
+        self
+    }
+}
+
+/// Admission cap the [`Overlay::Credits`] overlay arms.
+const OVERLAY_QUEUE_CAP: usize = 4;
+
+/// A config overlay: off-by-default policies armed on the paper's
+/// proposed configuration *before* a workload's constructor applies its
+/// own knobs, so an overlay never removes what a workload sets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Overlay {
+    /// Nothing armed.
+    Default,
+    /// The staging data path instead of cross-GVMI.
+    Staging,
+    /// Both registration caches off (the paper's ablations).
+    NoCache,
+    /// Credit-based admission under a 4-deep queue cap.
+    Credits,
+    /// Two inherit-everything tenants.
+    Tenants,
+    /// The fabric health engine (breakers and retry budgets).
+    Health,
+    /// Everything at once: the [`all_armed_workload`] config.
+    AllArmed,
+}
+
+impl Overlay {
+    /// Every overlay, in the order the fingerprint matrix runs them.
+    pub const ALL: [Overlay; 7] = [
+        Overlay::Default,
+        Overlay::Staging,
+        Overlay::NoCache,
+        Overlay::Credits,
+        Overlay::Tenants,
+        Overlay::Health,
+        Overlay::AllArmed,
+    ];
+
+    /// Short stable name for scenario ids and dump headers.
+    pub fn label(self) -> &'static str {
+        match self {
+            Overlay::Default => "default",
+            Overlay::Staging => "staging",
+            Overlay::NoCache => "no-cache",
+            Overlay::Credits => "credits",
+            Overlay::Tenants => "tenants",
+            Overlay::Health => "health",
+            Overlay::AllArmed => "all-armed",
+        }
+    }
+
+    /// `cfg` with this overlay's policies armed.
+    fn apply(self, cfg: OffloadConfig) -> OffloadConfig {
+        let two_tenants = || vec![TenantSpec::inherit(), TenantSpec::inherit()];
+        match self {
+            Overlay::Default => cfg,
+            Overlay::Staging => OffloadConfig {
+                data_path: DataPath::Staging,
+                ..cfg
+            },
+            Overlay::NoCache => cfg.without_gvmi_cache().without_group_cache(),
+            Overlay::Credits => cfg.with_queue_cap(OVERLAY_QUEUE_CAP),
+            Overlay::Tenants => cfg.with_tenants(two_tenants()),
+            Overlay::Health => cfg.with_health(HealthConfig::armed()),
+            Overlay::AllArmed => cfg
+                .with_tenants(two_tenants())
+                .with_queue_cap(ALL_ARMED_QUEUE_CAP)
+                .with_staging_cap(2)
+                .with_journal_cap(8)
+                .with_cache_budget(4)
+                .with_health(HealthConfig::armed()),
+        }
+    }
+
+    /// The checker config matching a run under this overlay: the group
+    /// cache as the overlay leaves it, and the overlay's admission cap
+    /// unless the workload enforces its own (`cfg.queue_cap != 0`).
+    pub fn checked(self, cfg: ConformanceConfig) -> ConformanceConfig {
+        let cap = match self {
+            Overlay::Credits => OVERLAY_QUEUE_CAP,
+            Overlay::AllArmed => ALL_ARMED_QUEUE_CAP,
+            _ => 0,
+        };
+        ConformanceConfig {
+            group_cache_enabled: cfg.group_cache_enabled && self != Overlay::NoCache,
+            queue_cap: if cfg.queue_cap == 0 {
+                cap
+            } else {
+                cfg.queue_cap
+            },
+        }
     }
 }
 
@@ -106,8 +223,12 @@ fn check_run(scenario: &Scenario, sink: EventSink) -> CheckRun {
     // Generous virtual-time budget: these workloads finish in
     // milliseconds; ten seconds only trips on genuine no-progress loops.
     run.time_limit = Some(SimTime::ZERO + SimDelta::from_secs(10));
-    run.cfg = OffloadConfig::proposed().with_fault(scenario.fault);
+    run.cfg = scenario
+        .overlay
+        .apply(OffloadConfig::proposed())
+        .with_fault(scenario.fault);
     run.sink = Some(sink);
+    run.threads = scenario.threads;
     run
 }
 
@@ -126,10 +247,16 @@ pub fn stencil_workload() -> Workload {
 /// fault-soak workload — under a lossy [`FaultPlan`] it proves that
 /// retransmission and restart replay deliver every payload intact.
 pub fn verified_stencil_workload() -> Workload {
-    Arc::new(|scenario: &Scenario, sink: EventSink| {
+    verified_stencil_sized(2048, 2)
+}
+
+/// [`verified_stencil_workload`] with `rounds` rounds of `face_bytes`
+/// faces.
+pub fn verified_stencil_sized(face_bytes: u64, rounds: u64) -> Workload {
+    Arc::new(move |scenario: &Scenario, sink: EventSink| {
         let mut run = check_run(scenario, sink);
         run.move_bytes = true;
-        drive_verified_stencil(&run, 2048, 2)
+        drive_verified_stencil(&run, face_bytes, rounds)
     })
 }
 
@@ -238,17 +365,13 @@ pub fn quota_retry_workload() -> Workload {
 /// for the solo baseline and once with the flood armed, then hold the
 /// noisy p99 to [`NOISY_P99_BOUND_FACTOR`] times the solo p99.
 pub fn noisy_victim_p99(scenario: &Scenario, burst: u64) -> (u64, Outcome) {
-    let checker = Conformance::new(ConformanceConfig {
+    let cfg = ConformanceConfig {
         queue_cap: NOISY_QUEUE_CAP,
         ..ConformanceConfig::default()
-    });
+    };
     let lifecycle = obs::LifecycleRecorder::new();
-    let sink = fanout(vec![checker.sink(), lifecycle.sink()]);
     let workload = noisy_neighbor_workload(burst);
-    let outcome = classify(
-        catch_unwind(AssertUnwindSafe(|| workload(scenario, sink))),
-        &checker,
-    );
+    let (outcome, ..) = run_scenario_recorded(&workload, scenario, cfg, Some(lifecycle.sink()));
     // The victim ring is the even ranks of the 2×2 world (tenant 0 of
     // the two-tenant round-robin roster noisy_run installs).
     let tenant_of = (0..4).map(|r| (r, r % 2)).collect();
@@ -299,19 +422,74 @@ pub fn brownout_workload() -> Workload {
     })
 }
 
-/// The payload-verifying stencil with the health engine armed (see
-/// [`verified_stencil_workload`]): the chaos-matrix soak that proves
-/// breakers and budgets never get in the way of recovery the reliable
-/// layers already guarantee — under lossy/crashy plans whose failure
-/// rates sit below the budget thresholds, every payload still lands
-/// intact and every run classifies `Ok`.
-pub fn armed_verified_stencil_workload() -> Workload {
-    Arc::new(|scenario: &Scenario, sink: EventSink| {
-        let mut run = check_run(scenario, sink);
-        run.move_bytes = true;
-        run.cfg = run.cfg.clone().with_health(HealthConfig::armed());
-        drive_verified_stencil(&run, 2048, 2)
-    })
+/// The ctrl-plane soak plans: each recovery mechanism alone, then the
+/// combined acceptance plan (10% drop + 5% dup + delays + a mid-window
+/// proxy crash), last.
+pub fn soak_plans() -> Vec<FaultPlan> {
+    let none = FaultPlan::none();
+    vec![
+        FaultPlan {
+            drop_pm: 100,
+            ..none
+        },
+        FaultPlan { dup_pm: 50, ..none },
+        FaultPlan {
+            delay_pm: 100,
+            delay_ns: 30_000,
+            ..none
+        },
+        FaultPlan {
+            xreg_fail_pm: 300,
+            ..none
+        },
+        FaultPlan {
+            drop_pm: 100,
+            dup_pm: 50,
+            delay_pm: 50,
+            delay_ns: 10_000,
+            crash_at_step: 12,
+            ..none
+        },
+    ]
+}
+
+/// Data-plane corruption plans: each mode alone, then everything
+/// stacked on a lossy ctrl plane (the data-integrity acceptance plan);
+/// `long` adds a deeper stack.
+pub fn payload_plans(long: bool) -> Vec<FaultPlan> {
+    let none = FaultPlan::none();
+    let mut plans = vec![
+        FaultPlan {
+            flip_pm: 60,
+            ..none
+        },
+        FaultPlan {
+            torn_pm: 60,
+            ..none
+        },
+        FaultPlan {
+            data_drop_pm: 40,
+            ..none
+        },
+        FaultPlan {
+            flip_pm: 40,
+            torn_pm: 40,
+            data_drop_pm: 20,
+            drop_pm: 50,
+            ..none
+        },
+    ];
+    if long {
+        plans.push(FaultPlan {
+            flip_pm: 150,
+            torn_pm: 100,
+            data_drop_pm: 60,
+            drop_pm: 80,
+            dup_pm: 40,
+            ..none
+        });
+    }
+    plans
 }
 
 /// Admission cap of the all-armed interaction suite: small enough that
@@ -335,25 +513,40 @@ pub const ALL_ARMED_PLAN: FaultPlan = FaultPlan {
 };
 
 /// The payload-verifying stencil with every off-by-default branch armed
-/// at once: two tenants, the admission cap, bounded staging pool, FIN
-/// journal and registration caches, and the health engine. Pair it with
-/// [`ALL_ARMED_PLAN`] and [`ConformanceConfig::queue_cap`] =
-/// [`ALL_ARMED_QUEUE_CAP`]: the interaction gate for the admission and
-/// path policies, which are otherwise soaked one at a time.
+/// at once ([`Overlay::AllArmed`]): two tenants, the admission cap,
+/// bounded staging pool, FIN journal and registration caches, and the
+/// health engine. Pair it with [`ALL_ARMED_PLAN`] and
+/// [`ConformanceConfig::queue_cap`] = [`ALL_ARMED_QUEUE_CAP`]: the
+/// interaction gate for the admission and path policies, which are
+/// otherwise soaked one at a time.
 pub fn all_armed_workload() -> Workload {
     Arc::new(|scenario: &Scenario, sink: EventSink| {
         let mut run = check_run(scenario, sink);
         run.move_bytes = true;
-        run.cfg = run
-            .cfg
-            .clone()
-            .with_tenants(vec![TenantSpec::inherit(), TenantSpec::inherit()])
-            .with_queue_cap(ALL_ARMED_QUEUE_CAP)
-            .with_staging_cap(2)
-            .with_journal_cap(8)
-            .with_cache_budget(4)
-            .with_health(HealthConfig::armed());
+        run.cfg = Overlay::AllArmed.apply(run.cfg.clone());
         drive_verified_stencil(&run, 2048, 3)
+    })
+}
+
+/// A fully dark ctrl plane (see [`workloads::drive_ctrl_undeliverable`]):
+/// meant to run under `drop_pm: 1000`, where the orphan send must fail
+/// with a typed `CtrlUndeliverable`. The run itself ends in a deadlock
+/// of the shutdown-starved proxies.
+pub fn ctrl_undeliverable_workload() -> Workload {
+    Arc::new(|scenario: &Scenario, sink: EventSink| {
+        drive_ctrl_undeliverable(&check_run(scenario, sink), 4096)
+    })
+}
+
+/// A data plane that drops every payload (see
+/// [`workloads::drive_data_integrity`]): meant to run under
+/// `data_drop_pm: 1000`, where both ends must fail with a typed
+/// `DataIntegrity`.
+pub fn data_integrity_workload() -> Workload {
+    Arc::new(|scenario: &Scenario, sink: EventSink| {
+        let mut run = check_run(scenario, sink);
+        run.move_bytes = true;
+        drive_data_integrity(&run, 4096)
     })
 }
 
@@ -384,36 +577,43 @@ pub fn deadline_workload() -> Workload {
 /// on cleanly completed runs — a deadlocked run trivially leaves flows
 /// unmatched, which would drown the real diagnosis in noise.
 pub fn run_scenario(workload: &Workload, scenario: &Scenario, cfg: ConformanceConfig) -> Outcome {
-    run_scenario_recorded(workload, scenario, cfg).0
+    run_scenario_recorded(workload, scenario, cfg, None).0
 }
 
 /// Like [`run_scenario`], but with the always-on flight recorder
-/// installed next to the conformance sink. Returns the recorder so the
-/// caller can dump the event tail of a failed run (see
-/// [`write_failure_dump`]).
+/// installed next to the conformance sink, and `tap` (if any) next to
+/// both. Returns the recorder, so the caller can dump the event tail of a
+/// failed run (see [`write_failure_dump`]), and the report of a run that
+/// completed (`None` if it deadlocked, timed out or panicked).
 pub fn run_scenario_recorded(
     workload: &Workload,
     scenario: &Scenario,
     cfg: ConformanceConfig,
-) -> (Outcome, FlightRecorder) {
+    tap: Option<EventSink>,
+) -> (Outcome, FlightRecorder, Option<Report>) {
     let checker = Conformance::new(cfg);
     let recorder = FlightRecorder::new();
-    let sink = fanout(vec![checker.sink(), recorder.sink()]);
-    let outcome = classify(
+    let sink = fanout(
+        [checker.sink(), recorder.sink()]
+            .into_iter()
+            .chain(tap)
+            .collect(),
+    );
+    let (outcome, report) = classify(
         catch_unwind(AssertUnwindSafe(|| workload(scenario, sink))),
         &checker,
     );
-    (outcome, recorder)
+    (outcome, recorder, report)
 }
 
 fn classify(
     // The `catch_unwind` result alias, not actual threading. analyzer:allow(concurrency-ban)
     result: std::thread::Result<Result<Report, SimError>>,
     checker: &Conformance,
-) -> Outcome {
+) -> (Outcome, Option<Report>) {
     let during = checker.violations();
-    match result {
-        Ok(Ok(_report)) => {
+    let outcome = match &result {
+        Ok(Ok(_)) => {
             let all = checker.finish();
             if all.is_empty() {
                 Outcome::Ok
@@ -433,7 +633,8 @@ fn classify(
                 .unwrap_or_else(|| "non-string panic payload".to_string());
             Outcome::Panic(msg)
         }
-    }
+    };
+    (outcome, result.ok().and_then(Result::ok))
 }
 
 /// Directory failure dumps are written to: `$BF_FAILURE_DUMP_DIR` if
@@ -458,12 +659,13 @@ pub fn write_failure_dump(
 ) -> std::io::Result<PathBuf> {
     let dir = failure_dump_dir();
     std::fs::create_dir_all(&dir)?;
+    let overlay = scenario.overlay.label();
     let path = dir.join(format!(
-        "{name}-seed{}-j{}ns-p{}-{:?}.flight.txt",
+        "{name}-seed{}-j{}ns-p{}-{:?}-{overlay}.flight.txt",
         scenario.seed, scenario.jitter_ns, scenario.proxies_per_dpu, scenario.fault
     ));
     let mut text = format!(
-        "# workload={name} outcome={}\n# scenario seed={} jitter_ns={} proxies_per_dpu={} fault={:?}\n",
+        "# workload={name} outcome={}\n# scenario seed={} jitter_ns={} proxies_per_dpu={} fault={:?} overlay={overlay}\n",
         outcome.label(),
         scenario.seed,
         scenario.jitter_ns,
@@ -484,7 +686,7 @@ pub fn run_scenario_with_dump(
     scenario: &Scenario,
     cfg: ConformanceConfig,
 ) -> (Outcome, Option<PathBuf>) {
-    let (outcome, recorder) = run_scenario_recorded(workload, scenario, cfg);
+    let (outcome, recorder, _) = run_scenario_recorded(workload, scenario, cfg, None);
     if outcome.is_ok() {
         return (outcome, None);
     }
@@ -534,11 +736,11 @@ pub fn explore(
 /// two proxies per DPU).
 pub fn sweep(seeds: std::ops::Range<u64>, fault: FaultPlan) -> Vec<Scenario> {
     seeds
-        .map(|seed| Scenario {
-            seed,
-            jitter_ns: [0, 2_000, 10_000][(seed % 3) as usize],
-            proxies_per_dpu: 1 + (seed % 2) as usize,
-            fault,
+        .map(|seed| {
+            Scenario::baseline(seed)
+                .with_jitter([0, 2_000, 10_000][(seed % 3) as usize])
+                .with_proxies(1 + (seed % 2) as usize)
+                .with_fault(fault)
         })
         .collect()
 }

@@ -33,14 +33,15 @@ mod idset;
 
 pub use conformance::{Conformance, ConformanceConfig, Violation};
 pub use explore::{
-    all_armed_workload, alltoall_workload, armed_verified_stencil_workload,
-    breaker_recovery_workload, brownout_workload, deadline_workload, doomed_group_workload,
-    explore, failure_dump_dir, noisy_neighbor_workload, noisy_victim_p99, quota_retry_workload,
-    replay_dump, run_scenario, run_scenario_recorded, run_scenario_with_dump, shrink,
-    starved_flood_workload, stencil_workload, sweep, verified_stencil_workload, write_failure_dump,
-    Outcome, Scenario, Workload, ALL_ARMED_PLAN, ALL_ARMED_QUEUE_CAP, BREAKER_RECOVERY_ROUNDS,
-    BREAKER_XREG_PM, FLOOD_BURST, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR, NOISY_QUEUE_CAP,
-    QUOTA_RETRY_HARD, STARVED_QUEUE_CAP,
+    all_armed_workload, alltoall_workload, breaker_recovery_workload, brownout_workload,
+    ctrl_undeliverable_workload, data_integrity_workload, deadline_workload, doomed_group_workload,
+    explore, failure_dump_dir, noisy_neighbor_workload, noisy_victim_p99, payload_plans,
+    quota_retry_workload, replay_dump, run_scenario, run_scenario_recorded, run_scenario_with_dump,
+    shrink, soak_plans, starved_flood_workload, stencil_workload, sweep, verified_stencil_sized,
+    verified_stencil_workload, write_failure_dump, Outcome, Overlay, Scenario, Workload,
+    ALL_ARMED_PLAN, ALL_ARMED_QUEUE_CAP, BREAKER_RECOVERY_ROUNDS, BREAKER_XREG_PM, FLOOD_BURST,
+    NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR, NOISY_QUEUE_CAP, QUOTA_RETRY_HARD,
+    STARVED_QUEUE_CAP,
 };
 
 #[cfg(test)]
@@ -124,8 +125,12 @@ mod tests {
         // A run that breaks an invariant mid-flight must reproduce the
         // same violation when its dump is replayed offline.
         let scenario = Scenario::baseline(0).with_fault(FaultPlan::skip_cross_reg());
-        let (outcome, recorder) =
-            run_scenario_recorded(&stencil_workload(), &scenario, ConformanceConfig::default());
+        let (outcome, recorder, _) = run_scenario_recorded(
+            &stencil_workload(),
+            &scenario,
+            ConformanceConfig::default(),
+            None,
+        );
         let live = match outcome {
             Outcome::Violations(vs) => vs,
             other => panic!("expected violations, got {other:?}"),
@@ -151,33 +156,6 @@ mod tests {
         );
     }
 
-    /// The fault-soak plan matrix: each entry exercises one recovery
-    /// mechanism in isolation, the last combines them with a mid-window
-    /// proxy crash (10% drop + 5% dup + crash, the acceptance scenario).
-    fn soak_plans() -> Vec<FaultPlan> {
-        let none = FaultPlan::none();
-        vec![
-            FaultPlan {
-                drop_pm: 100,
-                ..none
-            },
-            FaultPlan { dup_pm: 50, ..none },
-            FaultPlan {
-                delay_pm: 100,
-                delay_ns: 30_000,
-                ..none
-            },
-            FaultPlan {
-                drop_pm: 100,
-                dup_pm: 50,
-                delay_pm: 50,
-                delay_ns: 10_000,
-                crash_at_step: 12,
-                ..none
-            },
-        ]
-    }
-
     #[test]
     fn fault_soak_stencil_delivers_every_payload() {
         // Seeds x plans x proxy counts, with real byte movement and
@@ -190,12 +168,9 @@ mod tests {
         for plan in soak_plans() {
             for seed in 0..4u64 {
                 for proxies in [1usize, 2, 4] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: 0,
-                        proxies_per_dpu: proxies,
-                        fault: plan.with_seed(seed * 97 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_fault(plan.with_seed(seed * 97 + proxies as u64));
                     let (outcome, dump) =
                         run_scenario_with_dump("fault-soak-stencil", &workload, &scenario, cfg);
                     assert!(
@@ -440,16 +415,14 @@ mod tests {
         // failure rates sit far below the budget thresholds — must not
         // convert any previously-recovered run into a shed or a breaker
         // detour that loses data. Every payload still lands intact.
-        let workload = armed_verified_stencil_workload();
+        let workload = verified_stencil_workload();
         let cfg = ConformanceConfig::default();
         for plan in soak_plans() {
             for seed in 0..2u64 {
-                let scenario = Scenario {
-                    seed,
-                    jitter_ns: 0,
-                    proxies_per_dpu: 1 + (seed as usize % 2),
-                    fault: plan.with_seed(seed * 61 + 7),
-                };
+                let scenario = Scenario::baseline(seed)
+                    .with_proxies(1 + (seed as usize % 2))
+                    .with_overlay(Overlay::Health)
+                    .with_fault(plan.with_seed(seed * 61 + 7));
                 let (outcome, dump) =
                     run_scenario_with_dump("armed-health-soak", &workload, &scenario, cfg);
                 assert!(
@@ -472,11 +445,10 @@ mod tests {
         };
         let scenarios = || {
             (0..3u64).flat_map(|seed| {
-                [1usize, 2].map(|proxies| Scenario {
-                    seed,
-                    jitter_ns: 0,
-                    proxies_per_dpu: proxies,
-                    fault: ALL_ARMED_PLAN.with_seed(seed * 89 + proxies as u64),
+                [1usize, 2].map(|proxies| {
+                    Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_fault(ALL_ARMED_PLAN.with_seed(seed * 89 + proxies as u64))
                 })
             })
         };
@@ -590,22 +562,25 @@ mod tests {
 
     #[test]
     fn lossy_runs_record_retransmissions_and_crashes_record_restarts() {
-        let metrics = Metrics::new();
-        let checker = Conformance::new(ConformanceConfig::default());
-        let mut run = workloads::CheckRun::baseline(9);
-        run.sink = Some(workloads::fanout(vec![metrics.sink(), checker.sink()]));
-        run.cfg = run.cfg.clone().with_fault(FaultPlan {
-            drop_pm: 150,
-            crash_at_step: 12,
-            seed: 3,
-            ..FaultPlan::none()
-        });
-        workloads::drive_stencil(&run, 1024, 2).expect("recovered run");
-        assert!(
-            checker.finish().is_empty(),
-            "recovery must not break invariants"
-        );
-        let report = metrics.report();
+        let run_with = |crash_at_step| {
+            let metrics = Metrics::new();
+            let checker = Conformance::new(ConformanceConfig::default());
+            let mut run = workloads::CheckRun::baseline(9);
+            run.sink = Some(workloads::fanout(vec![metrics.sink(), checker.sink()]));
+            run.cfg = run.cfg.clone().with_fault(FaultPlan {
+                drop_pm: 150,
+                crash_at_step,
+                seed: 3,
+                ..FaultPlan::none()
+            });
+            workloads::drive_stencil(&run, 1024, 2).expect("recovered run");
+            assert!(
+                checker.finish().is_empty(),
+                "recovery must not break invariants"
+            );
+            metrics.report()
+        };
+        let report = run_with(12);
         assert!(
             report.ctrl_retransmits > 0,
             "a 15% drop rate must force retransmissions"
@@ -618,6 +593,10 @@ mod tests {
             report.reqs_replayed > 0,
             "hosts must replay in-flight work into the restarted proxy"
         );
+        // Only the planned crash restarts a proxy: loss alone never does.
+        let report = run_with(0);
+        assert!(report.ctrl_retransmits > 0);
+        assert_eq!(report.proxy_restarts, 0, "no crash planned, no restart");
     }
 
     #[test]
@@ -641,33 +620,6 @@ mod tests {
         assert_eq!(report.ctrl_retransmits, 0, "fallback alone arms no retx");
     }
 
-    /// Data-plane fault plans for the payload soaks: each corruption
-    /// mode alone, then all three stacked on a lossy ctrl plane.
-    fn payload_plans() -> Vec<FaultPlan> {
-        let none = FaultPlan::none();
-        vec![
-            FaultPlan {
-                flip_pm: 60,
-                ..none
-            },
-            FaultPlan {
-                torn_pm: 60,
-                ..none
-            },
-            FaultPlan {
-                data_drop_pm: 40,
-                ..none
-            },
-            FaultPlan {
-                flip_pm: 40,
-                torn_pm: 40,
-                data_drop_pm: 20,
-                drop_pm: 50,
-                ..none
-            },
-        ]
-    }
-
     #[test]
     fn payload_faults_recover_byte_correct() {
         // Corrupted, torn or silently dropped payloads must be caught by
@@ -677,15 +629,12 @@ mod tests {
         // conformance invariant (including fin-after-corrupt) intact.
         let workload = verified_stencil_workload();
         let cfg = ConformanceConfig::default();
-        for plan in payload_plans() {
+        for plan in payload_plans(false) {
             for seed in 0..3u64 {
                 for proxies in [1usize, 2] {
-                    let scenario = Scenario {
-                        seed,
-                        jitter_ns: 0,
-                        proxies_per_dpu: proxies,
-                        fault: plan.with_seed(seed * 131 + proxies as u64),
-                    };
+                    let scenario = Scenario::baseline(seed)
+                        .with_proxies(proxies)
+                        .with_fault(plan.with_seed(seed * 131 + proxies as u64));
                     let (outcome, dump) =
                         run_scenario_with_dump("payload-soak", &workload, &scenario, cfg);
                     assert!(
@@ -744,12 +693,7 @@ mod tests {
         };
         for seed in 0..3u64 {
             for proxies in [1usize, 2] {
-                let scenario = Scenario {
-                    seed,
-                    jitter_ns: 0,
-                    proxies_per_dpu: proxies,
-                    fault: FaultPlan::none(),
-                };
+                let scenario = Scenario::baseline(seed).with_proxies(proxies);
                 let (outcome, dump) =
                     run_scenario_with_dump("credit-starved", &workload, &scenario, cfg);
                 assert!(
@@ -889,12 +833,7 @@ mod tests {
         // histograms, with every conformance invariant intact in both
         // runs.
         for proxies in [2usize, 4] {
-            let scenario = Scenario {
-                seed: 1,
-                jitter_ns: 0,
-                proxies_per_dpu: proxies,
-                fault: FaultPlan::none(),
-            };
+            let scenario = Scenario::baseline(1).with_proxies(proxies);
             let (solo_p99, solo) = noisy_victim_p99(&scenario, 0);
             assert!(solo.is_ok(), "proxies {proxies} solo: {solo:?}");
             assert!(solo_p99 > 0, "solo run must close victim windows");

@@ -207,32 +207,49 @@ impl FaultPlan {
     /// Parse a comma-separated `key=value` list, e.g.
     /// `drop=100,dup=50,delay=20:5000,crash=40,xreg=80,seed=7` or the
     /// data-plane knobs `flip=5,torn=5,ddrop=3`.
-    /// `delay` takes `permille:nanoseconds`. Unknown keys are an error.
+    /// `delay` takes `permille:nanoseconds`. The plan is outside input, so
+    /// an unknown key, a key given twice, a rate over 1000 permille or a
+    /// crash step past `u32` is an error naming the key, never a silently
+    /// different plan.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none();
+        let mut seen = Vec::new();
         for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault plan: `{part}` is not key=value"))?;
+            if seen.contains(&key) {
+                return Err(format!("fault plan: `{key}` given twice"));
+            }
+            seen.push(key);
             let num = |v: &str| -> Result<u64, String> {
                 v.parse::<u64>()
                     .map_err(|_| format!("fault plan: `{v}` is not a number in `{part}`"))
             };
+            let pm = |v: &str| -> Result<u16, String> {
+                u16::try_from(num(v)?)
+                    .ok()
+                    .filter(|&n| n <= 1000)
+                    .ok_or_else(|| format!("fault plan: `{key}={v}` is over 1000 permille"))
+            };
             match key {
-                "drop" => plan.drop_pm = num(value)? as u16,
-                "dup" => plan.dup_pm = num(value)? as u16,
+                "drop" => plan.drop_pm = pm(value)?,
+                "dup" => plan.dup_pm = pm(value)?,
                 "delay" => {
-                    let (pm, ns) = value
+                    let (rate, ns) = value
                         .split_once(':')
                         .ok_or_else(|| format!("fault plan: delay wants pm:ns, got `{value}`"))?;
-                    plan.delay_pm = num(pm)? as u16;
+                    plan.delay_pm = pm(rate)?;
                     plan.delay_ns = num(ns)?;
                 }
-                "crash" => plan.crash_at_step = num(value)? as u32,
-                "xreg" => plan.xreg_fail_pm = num(value)? as u16,
-                "flip" => plan.flip_pm = num(value)? as u16,
-                "torn" => plan.torn_pm = num(value)? as u16,
-                "ddrop" => plan.data_drop_pm = num(value)? as u16,
+                "crash" => {
+                    plan.crash_at_step = u32::try_from(num(value)?)
+                        .map_err(|_| format!("fault plan: `crash={value}` is past u32"))?;
+                }
+                "xreg" => plan.xreg_fail_pm = pm(value)?,
+                "flip" => plan.flip_pm = pm(value)?,
+                "torn" => plan.torn_pm = pm(value)?,
+                "ddrop" => plan.data_drop_pm = pm(value)?,
                 "seed" => plan.seed = num(value)?,
                 other => return Err(format!("fault plan: unknown key `{other}`")),
             }
@@ -600,6 +617,23 @@ mod tests {
         assert_eq!(FaultPlan::parse("").expect("empty ok"), FaultPlan::none());
         assert!(FaultPlan::parse("bogus=1").is_err());
         assert!(FaultPlan::parse("drop").is_err());
+    }
+
+    #[test]
+    fn fault_plan_parse_rejects_what_it_used_to_change() {
+        for (input, key) in [
+            ("drop=70000", "drop"),           // was 4 464 permille
+            ("drop=65636", "drop"),           // was 100 permille
+            ("flip=1001", "flip"),            // was accepted past certainty
+            ("delay=2000:5", "delay"),        // likewise
+            ("crash=4294967296", "crash"),    // was 0: no crash at all
+            ("drop=5,seed=1,drop=7", "drop"), // was last-wins
+        ] {
+            let err = FaultPlan::parse(input).expect_err(input);
+            assert!(err.contains(&format!("`{key}")), "{input}: {err}");
+        }
+        let edge = FaultPlan::parse("drop=1000,crash=4294967295").expect("bounds parse");
+        assert_eq!((edge.drop_pm, edge.crash_at_step), (1000, u32::MAX));
     }
 
     #[test]

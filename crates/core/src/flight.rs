@@ -51,6 +51,14 @@ pub struct FlightRecord {
     pub event: ProtoEvent,
 }
 
+impl FlightRecord {
+    /// Append this record's dump line, without the newline.
+    pub fn put_line(&self, out: &mut String) {
+        let _ = write!(out, "at_ps={} pid={} ", self.at.as_ps(), self.pid.index());
+        self.event.put_flight(out);
+    }
+}
+
 /// The retained tail of one pid's emissions. Records are appended until
 /// the ring holds `cap` of them, then overwritten in place, oldest first;
 /// the buffer grows with use, so a huge `cap` costs nothing up front.
@@ -194,8 +202,7 @@ impl FlightRecorder {
             dropped
         );
         for r in &records {
-            let _ = write!(out, "at_ps={} pid={} ", r.at.as_ps(), r.pid.index());
-            r.event.put_flight(&mut out);
+            r.put_line(&mut out);
             out.push('\n');
         }
         out

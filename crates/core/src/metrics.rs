@@ -14,7 +14,8 @@
 //!
 //! The aggregation is deterministic: every container is a `BTreeMap`, so
 //! two same-seed runs serialize to byte-identical JSON (asserted in
-//! `tests/determinism.rs`).
+//! `tests/determinism.rs`; it is what lets `bench-diff` hold a fresh run
+//! to the committed `bench_results/`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

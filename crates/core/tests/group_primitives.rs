@@ -119,19 +119,29 @@ fn repeated_calls_reuse_metadata() {
 
 #[test]
 fn group_cache_ablation_resends_packets() {
-    let cfg = OffloadConfig::proposed().without_group_cache();
-    let report = run_offload(2, 1, cfg, |off| {
-        let fab = off.cluster().fabric().clone();
-        let ep = off.cluster().host_ep(off.rank());
-        let buf = fab.alloc(ep, 4096);
-        let g = record_ring(off, buf, 4096, 0);
-        for _ in 0..3 {
-            off.group_call(g);
-            off.group_wait(g).expect("group offload failed");
-        }
-    });
+    let run = |cfg| {
+        run_offload(2, 1, cfg, |off| {
+            let fab = off.cluster().fabric().clone();
+            let ep = off.cluster().host_ep(off.rank());
+            let buf = fab.alloc(ep, 4096);
+            let g = record_ring(off, buf, 4096, 0);
+            for _ in 0..3 {
+                off.group_call(g);
+                off.group_wait(g).expect("group offload failed");
+            }
+        })
+    };
+    let cached = run(OffloadConfig::proposed());
+    let report = run(OffloadConfig::proposed().without_group_cache());
     assert_eq!(report.stats.counter("offload.group.packets"), 2 * 3);
     assert_eq!(report.stats.counter("offload.group.execs"), 0);
+    // Ablation 3: resending the full packet costs virtual time.
+    assert!(
+        report.end_time > cached.end_time,
+        "cache off {} vs on {}",
+        report.end_time,
+        cached.end_time
+    );
 }
 
 #[test]
