@@ -21,7 +21,7 @@ use std::collections::HashMap;
 
 use offload::{GroupRequest, Offload, OffloadConfig};
 use rdma::{ClusterCtx, Inbox, VAddr};
-use simnet::{ProcessCtx, SimDelta};
+use simnet::{ProcessCtx, SimDelta, StatKey};
 
 /// Cold-start model parameters.
 #[derive(Clone, Debug)]
@@ -134,7 +134,8 @@ impl BluesMpi {
         };
         let cold = calls <= self.cfg.cold_start_calls;
         if cold {
-            self.off.ctx().stat_incr("bluesmpi.cold_calls", 1);
+            static COLD_CALLS: StatKey = StatKey::new("bluesmpi.cold_calls");
+            self.off.ctx().stat_incr(&COLD_CALLS, 1);
             self.off.ctx().sleep(self.cfg.cold_start_penalty);
         }
         cold

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
-use simnet::{ProcessCtx, SimDelta};
+use simnet::{ProcessCtx, SimDelta, StatKey};
 
 use crate::config::{DataPath, OffloadConfig, TenantId};
 use crate::drr::{Deferred, DrrScheduler};
@@ -120,7 +120,17 @@ struct ReqSlot {
     pin: Option<(usize, u64, u64)>,
 }
 
+/// The slot of `msg_id` if that request is still open (neither done nor
+/// failed). `new_req` appends slots in strictly increasing `msg_id`
+/// order and the list is never trimmed, so a binary search finds it.
+fn open_slot(reqs: &[ReqSlot], msg_id: u64) -> Option<usize> {
+    let i = reqs.binary_search_by_key(&msg_id, |s| s.msg_id).ok()?;
+    let s = reqs.get(i)?;
+    (!s.done && s.error.is_none()).then_some(i)
+}
+
 struct HostState {
+    /// In strictly increasing `msg_id` order (see [`open_slot`]).
     reqs: Vec<ReqSlot>,
     /// Slots of `reqs` with `done == false`, kept so the per-message
     /// wakeup classification never rescans the (untrimmed) slot list. A
@@ -304,7 +314,8 @@ impl Offload {
             None => ReqOrigin::Free,
         };
         self.post_ctrl(self.proxy_ep, self.cfg.ctrl_bytes, msg, origin);
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Ship one ctrl message: through the reliable link when the fault
@@ -378,7 +389,8 @@ impl Offload {
         let hard = self.cfg.tenant_hard_quota(self.tenant);
         // `live_basic` already counts this request's slot.
         if self.cfg.multi_tenant() && hard > 0 && self.st.borrow().live_basic > hard {
-            self.ctx.stat_incr("offload.quota.sheds", 1);
+            static SHEDS: StatKey = StatKey::new("offload.quota.sheds");
+            self.ctx.stat_incr(&SHEDS, 1);
             self.ctx.emit(&ProtoEvent::QuotaShed {
                 tenant: self.tenant,
                 rank: self.rank,
@@ -403,7 +415,8 @@ impl Offload {
                 if self.blocked(&st.window, to) {
                     st.deferred.push(self.tenant, req);
                     drop(st);
-                    self.ctx.stat_incr("offload.credit.deferrals", 1);
+                    static DEFERRALS: StatKey = StatKey::new("offload.credit.deferrals");
+                    self.ctx.stat_incr(&DEFERRALS, 1);
                     self.ctx.emit(&ProtoEvent::CreditDeferred {
                         rank: self.rank,
                         msg_id,
@@ -452,7 +465,8 @@ impl Offload {
     fn ship(&self, req: usize, to: EpId, msg: CtrlMsg) {
         crate::profile_scope!("credit_admission");
         self.post_ctrl(to, self.cfg.ctrl_bytes, msg, ReqOrigin::Basic(req));
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Return the credit a finished/refused request held, if any.
@@ -505,7 +519,8 @@ impl Offload {
         }
         for (req, msg_id, to, msg) in granted {
             if self.cfg.multi_tenant() {
-                self.ctx.stat_incr("offload.credit.drr_grants", 1);
+                static DRR_GRANTS: StatKey = StatKey::new("offload.credit.drr_grants");
+                self.ctx.stat_incr(&DRR_GRANTS, 1);
                 self.ctx.emit(&ProtoEvent::DrrGrant {
                     tenant: self.tenant,
                     rank: self.rank,
@@ -987,10 +1002,12 @@ impl Offload {
                 },
             });
             if let Some(k) = hit {
-                self.ctx.stat_incr("offload.gvmi_cache.host.hit", 1);
+                static HOST_HIT: StatKey = StatKey::new("offload.gvmi_cache.host.hit");
+                self.ctx.stat_incr(&HOST_HIT, 1);
                 return k;
             }
-            self.ctx.stat_incr("offload.gvmi_cache.host.miss", 1);
+            static HOST_MISS: StatKey = StatKey::new("offload.gvmi_cache.host.miss");
+            self.ctx.stat_incr(&HOST_MISS, 1);
         }
         let mkey = fab
             .reg_mr_gvmi(&self.ctx, self.ep, addr, len, gvmi)
@@ -1025,10 +1042,12 @@ impl Offload {
                 },
             });
             if let Some(k) = hit {
-                self.ctx.stat_incr("offload.ib_cache.host.hit", 1);
+                static HOST_HIT: StatKey = StatKey::new("offload.ib_cache.host.hit");
+                self.ctx.stat_incr(&HOST_HIT, 1);
                 return k;
             }
-            self.ctx.stat_incr("offload.ib_cache.host.miss", 1);
+            static HOST_MISS: StatKey = StatKey::new("offload.ib_cache.host.miss");
+            self.ctx.stat_incr(&HOST_MISS, 1);
         }
         let key = self
             .cluster
@@ -1211,8 +1230,10 @@ impl Offload {
             host_rank: self.rank,
             req_id: req.0,
         });
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-        self.ctx.stat_incr("offload.group.packets", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        static GROUP_PACKETS: StatKey = StatKey::new("offload.group.packets");
+        self.ctx.stat_incr(&HOST_DPU, 1);
+        self.ctx.stat_incr(&GROUP_PACKETS, 1);
     }
 
     fn send_group_exec(&self, req: GroupRequest, gen: u64) {
@@ -1233,8 +1254,10 @@ impl Offload {
             req_id: req.0,
             gen,
         });
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
-        self.ctx.stat_incr("offload.group.execs", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        static GROUP_EXECS: StatKey = StatKey::new("offload.group.execs");
+        self.ctx.stat_incr(&HOST_DPU, 1);
+        self.ctx.stat_incr(&GROUP_EXECS, 1);
     }
 
     /// Drain pending completions without blocking.
@@ -1253,7 +1276,8 @@ impl Offload {
         let Some(body) = decoded else {
             // Not a control message despite the channel predicate: count
             // and drop rather than crashing the rank.
-            self.ctx.stat_incr("offload.host.bad_ctrl", 1);
+            static BAD_CTRL: StatKey = StatKey::new("offload.host.bad_ctrl");
+            self.ctx.stat_incr(&BAD_CTRL, 1);
             self.ctx.emit(&ProtoEvent::CtrlDropped {
                 at_proxy: false,
                 kind: CtrlKind::Unknown,
@@ -1304,7 +1328,9 @@ impl Offload {
                         attempts,
                         origin,
                     } => {
-                        self.ctx.stat_incr("offload.health.retry_budget_sheds", 1);
+                        static RETRY_BUDGET_SHEDS: StatKey =
+                            StatKey::new("offload.health.retry_budget_sheds");
+                        self.ctx.stat_incr(&RETRY_BUDGET_SHEDS, 1);
                         match origin {
                             ReqOrigin::Free => {}
                             ReqOrigin::Basic(req) => {
@@ -1364,7 +1390,8 @@ impl Offload {
                     // not re-complete it or re-emit `HostReqDone`.
                     Some(slot) if slot.done => {
                         drop(st);
-                        self.ctx.stat_incr("offload.reliable.dup_fins", 1);
+                        static DUP_FINS: StatKey = StatKey::new("offload.reliable.dup_fins");
+                        self.ctx.stat_incr(&DUP_FINS, 1);
                         return;
                     }
                     // A cancelled (or otherwise failed) request never
@@ -1372,7 +1399,8 @@ impl Offload {
                     // slot's typed error authoritative.
                     Some(slot) if slot.error.is_some() => {
                         drop(st);
-                        self.ctx.stat_incr("offload.host.late_fins", 1);
+                        static LATE_FINS: StatKey = StatKey::new("offload.host.late_fins");
+                        self.ctx.stat_incr(&LATE_FINS, 1);
                         return;
                     }
                     Some(slot) => {
@@ -1385,7 +1413,8 @@ impl Offload {
                     }
                     None => {
                         drop(st);
-                        self.ctx.stat_incr("offload.host.bad_ctrl", 1);
+                        static BAD_CTRL: StatKey = StatKey::new("offload.host.bad_ctrl");
+                        self.ctx.stat_incr(&BAD_CTRL, 1);
                         return;
                     }
                 }
@@ -1449,12 +1478,7 @@ impl Offload {
             // credit, park the request on the deferred queue, and retry
             // after an exponential backoff.
             CtrlMsg::QueueFull { msg_id } => {
-                let req = {
-                    let st = self.st.borrow();
-                    st.reqs
-                        .iter()
-                        .position(|s| s.msg_id == msg_id && !s.done && s.error.is_none())
-                };
+                let req = open_slot(&self.st.borrow().reqs, msg_id);
                 if let Some(req) = req {
                     self.release_window(req);
                     let attempt = {
@@ -1464,7 +1488,8 @@ impl Offload {
                         st.deferred.push(self.tenant, req);
                         st.reqs[req].attempts
                     };
-                    self.ctx.stat_incr("offload.credit.nacks", 1);
+                    static NACKS: StatKey = StatKey::new("offload.credit.nacks");
+                    self.ctx.stat_incr(&NACKS, 1);
                     self.ctx.deliver_self(
                         backoff_delay_from(self.cfg.retx_base, self.cfg.retx_cap, attempt),
                         Box::new(NetMsg::Notify(Box::new(CtrlMsg::BackpressureTick))),
@@ -1506,9 +1531,11 @@ impl Offload {
             let st = self.st.borrow();
             st.pending > 0 || st.groups.iter().any(|g| g.fin_gen < g.gen)
         };
-        self.ctx.stat_incr("offload.host.wakeups", 1);
+        static WAKEUPS: StatKey = StatKey::new("offload.host.wakeups");
+        self.ctx.stat_incr(&WAKEUPS, 1);
         if outstanding {
-            self.ctx.stat_incr("offload.host.interventions", 1);
+            static INTERVENTIONS: StatKey = StatKey::new("offload.host.interventions");
+            self.ctx.stat_incr(&INTERVENTIONS, 1);
         }
         self.ctx.emit(&ProtoEvent::HostWakeup {
             rank: self.rank,
@@ -1565,7 +1592,8 @@ impl Offload {
         self.release_window(req);
         self.unpin_gvmi(req);
         self.note_settled(msg_id);
-        self.ctx.stat_incr("offload.reliable.req_failures", 1);
+        static REQ_FAILURES: StatKey = StatKey::new("offload.reliable.req_failures");
+        self.ctx.stat_incr(&REQ_FAILURES, 1);
         self.ctx.emit(&ProtoEvent::ReqFailed {
             rank: self.rank,
             msg_id,
@@ -1588,7 +1616,8 @@ impl Offload {
             g.error = Some(OffloadError::GroupFailed { req_id, gen: g.gen });
             g.gen
         };
-        self.ctx.stat_incr("offload.group.failures", 1);
+        static GROUP_FAILURES: StatKey = StatKey::new("offload.group.failures");
+        self.ctx.stat_incr(&GROUP_FAILURES, 1);
         self.ctx.emit(&ProtoEvent::GroupFailed {
             host_rank: self.rank,
             req_id,
@@ -1616,7 +1645,8 @@ impl Offload {
         self.release_window(req);
         self.unpin_gvmi(req);
         self.note_settled(msg_id);
-        self.ctx.stat_incr("offload.cancel.requests", 1);
+        static CANCEL_REQUESTS: StatKey = StatKey::new("offload.cancel.requests");
+        self.ctx.stat_incr(&CANCEL_REQUESTS, 1);
         self.ctx.emit(&ProtoEvent::ReqCancelled {
             rank: self.rank,
             msg_id,
@@ -1630,7 +1660,8 @@ impl Offload {
                 CtrlMsg::Cancel { msg_id },
                 ReqOrigin::Free,
             );
-            self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+            static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+            self.ctx.stat_incr(&HOST_DPU, 1);
         }
         self.flush_deferred(1);
     }
@@ -1648,7 +1679,8 @@ impl Offload {
                 }
                 g.gen
             };
-            self.ctx.stat_incr("offload.deadline.expired", 1);
+            static EXPIRED: StatKey = StatKey::new("offload.deadline.expired");
+            self.ctx.stat_incr(&EXPIRED, 1);
             self.fail_group(req_id, gen);
             return;
         }
@@ -1660,7 +1692,8 @@ impl Offload {
                 .map(|s| s.msg_id)
         };
         if let Some(msg_id) = pending {
-            self.ctx.stat_incr("offload.deadline.expired", 1);
+            static EXPIRED: StatKey = StatKey::new("offload.deadline.expired");
+            self.ctx.stat_incr(&EXPIRED, 1);
             self.cancel_req(req, OffloadError::DeadlineExceeded { msg_id });
         }
     }
@@ -1683,7 +1716,8 @@ impl Offload {
             // Start the fresh epoch with a full bucket.
             st.rel.reset_budget_for(proxy);
         }
-        self.ctx.stat_incr("offload.reliable.restarts_seen", 1);
+        static RESTARTS_SEEN: StatKey = StatKey::new("offload.reliable.restarts_seen");
+        self.ctx.stat_incr(&RESTARTS_SEEN, 1);
         if proxy == self.proxy_ep {
             let n_proxies = self.cluster.proxies_per_dpu();
             let mut st = self.st.borrow_mut();
@@ -1708,7 +1742,8 @@ impl Offload {
         };
         for (req, to, msg) in replays {
             let msg_id = self.st.borrow().reqs[req].msg_id;
-            self.ctx.stat_incr("offload.reliable.replays", 1);
+            static REPLAYS: StatKey = StatKey::new("offload.reliable.replays");
+            self.ctx.stat_incr(&REPLAYS, 1);
             self.ctx.emit(&ProtoEvent::ReqReplayed {
                 rank: self.rank,
                 msg_id,
@@ -1729,7 +1764,8 @@ impl Offload {
                     .collect()
             };
             for (req_id, gen) in inflight {
-                self.ctx.stat_incr("offload.reliable.replays", 1);
+                static REPLAYS: StatKey = StatKey::new("offload.reliable.replays");
+                self.ctx.stat_incr(&REPLAYS, 1);
                 self.ctx.emit(&ProtoEvent::ReqReplayed {
                     rank: self.rank,
                     msg_id: 0,
@@ -1738,5 +1774,44 @@ impl Offload {
                 self.st.borrow_mut().groups[req_id].proxy_cached = true;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn slot(msg_id: u64) -> ReqSlot {
+        ReqSlot {
+            done: false,
+            msg_id,
+            error: None,
+            replay: None,
+            target: None,
+            post: None,
+            window_ep: None,
+            attempts: 0,
+            pin: None,
+        }
+    }
+
+    #[test]
+    fn a_nack_finds_its_open_slot_among_thousands() {
+        // Rank 3's ids, as `new_req` allocates them: every other sequence
+        // number went to a group wire entry.
+        let mut reqs: Vec<ReqSlot> = (1..=8_000u64).map(|i| slot((3 << 32) | (2 * i))).collect();
+        reqs[10].done = true;
+        reqs[11].error = Some(OffloadError::Cancelled {
+            msg_id: reqs[11].msg_id,
+        });
+        assert_eq!(open_slot(&reqs, reqs[0].msg_id), Some(0));
+        assert_eq!(open_slot(&reqs, reqs[12].msg_id), Some(12));
+        assert_eq!(open_slot(&reqs, reqs[7_999].msg_id), Some(7_999));
+        // Settled, failed and unknown ids are ignored.
+        assert_eq!(open_slot(&reqs, reqs[10].msg_id), None);
+        assert_eq!(open_slot(&reqs, reqs[11].msg_id), None);
+        assert_eq!(open_slot(&reqs, (3 << 32) | 3), None);
+        assert_eq!(open_slot(&reqs, (4 << 32) | 2), None);
+        assert_eq!(open_slot(&[], 1), None);
     }
 }

@@ -30,7 +30,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rdma::{ClusterCtx, EpId, MrKey, NetMsg, VAddr};
-use simnet::{Payload, Pid, ProcessCtx, Reactor};
+use simnet::{Payload, Pid, ProcessCtx, Reactor, StatKey};
 
 use crate::config::{DataPath, OffloadConfig, TenantId};
 use crate::events::{CacheSide, CtrlKind, FinKind, HealthPath, PathKind, ProtoEvent};
@@ -527,11 +527,14 @@ impl Proxy<'_> {
     fn report_cache_stats(&self, st: &ProxyState) {
         for cache in st.cross_caches.values() {
             let (h, m, s) = cache.stats();
-            self.ctx.stat_incr("offload.gvmi_cache.dpu.hit", h);
-            self.ctx.stat_incr("offload.gvmi_cache.dpu.miss", m);
-            self.ctx.stat_incr("offload.gvmi_cache.dpu.stale", s);
-            self.ctx
-                .stat_incr("offload.gvmi_cache.dpu.evict", cache.evictions());
+            static DPU_HIT: StatKey = StatKey::new("offload.gvmi_cache.dpu.hit");
+            static DPU_MISS: StatKey = StatKey::new("offload.gvmi_cache.dpu.miss");
+            static DPU_STALE: StatKey = StatKey::new("offload.gvmi_cache.dpu.stale");
+            static DPU_EVICT: StatKey = StatKey::new("offload.gvmi_cache.dpu.evict");
+            self.ctx.stat_incr(&DPU_HIT, h);
+            self.ctx.stat_incr(&DPU_MISS, m);
+            self.ctx.stat_incr(&DPU_STALE, s);
+            self.ctx.stat_incr(&DPU_EVICT, cache.evictions());
         }
     }
 
@@ -557,7 +560,8 @@ impl Proxy<'_> {
         let Some(body) = decoded else {
             // Cross-rank payload that is not a control message: count it
             // and move on rather than crashing the proxy.
-            self.ctx.stat_incr("offload.proxy.bad_ctrl", 1);
+            static BAD_CTRL: StatKey = StatKey::new("offload.proxy.bad_ctrl");
+            self.ctx.stat_incr(&BAD_CTRL, 1);
             self.ctx.emit(&ProtoEvent::CtrlDropped {
                 at_proxy: true,
                 kind: CtrlKind::Unknown,
@@ -647,7 +651,8 @@ impl Proxy<'_> {
                     return;
                 }
                 self.charge_entries(1);
-                self.ctx.stat_incr("offload.proxy.rts", 1);
+                static RTS: StatKey = StatKey::new("offload.proxy.rts");
+                self.ctx.stat_incr(&RTS, 1);
                 self.ctx.emit(&ProtoEvent::RtsAtProxy {
                     src_rank,
                     dst_rank,
@@ -692,7 +697,8 @@ impl Proxy<'_> {
                     return;
                 }
                 self.charge_entries(1);
-                self.ctx.stat_incr("offload.proxy.rtr", 1);
+                static RTR: StatKey = StatKey::new("offload.proxy.rtr");
+                self.ctx.stat_incr(&RTR, 1);
                 self.ctx.emit(&ProtoEvent::RtrAtProxy {
                     src_rank,
                     dst_rank,
@@ -722,7 +728,8 @@ impl Proxy<'_> {
             CtrlMsg::GroupPacket {
                 key, gen, entries, ..
             } => {
-                self.ctx.stat_incr("offload.proxy.group_packets", 1);
+                static GROUP_PACKETS: StatKey = StatKey::new("offload.proxy.group_packets");
+                self.ctx.stat_incr(&GROUP_PACKETS, 1);
                 self.install_group(st, key, entries);
                 self.start_instance(st, key, gen);
             }
@@ -732,11 +739,13 @@ impl Proxy<'_> {
                     // group metadata died with the old life. The restart
                     // notice makes the host replay the full GroupPacket,
                     // so this stale exec is safe to drop.
-                    self.ctx.stat_incr("offload.proxy.stale_exec", 1);
+                    static STALE_EXEC: StatKey = StatKey::new("offload.proxy.stale_exec");
+                    self.ctx.stat_incr(&STALE_EXEC, 1);
                     return;
                 }
                 self.charge_entries(1);
-                self.ctx.stat_incr("offload.proxy.group_execs", 1);
+                static GROUP_EXECS: StatKey = StatKey::new("offload.proxy.group_execs");
+                self.ctx.stat_incr(&GROUP_EXECS, 1);
                 self.start_instance(st, key, gen);
             }
             CtrlMsg::GroupArrival {
@@ -790,7 +799,8 @@ impl Proxy<'_> {
                     return;
                 }
                 self.charge_entries(1);
-                self.ctx.stat_incr("offload.proxy.puts", 1);
+                static PUTS: StatKey = StatKey::new("offload.proxy.puts");
+                self.ctx.stat_incr(&PUTS, 1);
                 // A put is a pre-matched pair: synthesize the RTS/RTR and
                 // run the normal data movement (either path). The checker
                 // sees the synthesized pair too, keeping the matching
@@ -840,7 +850,8 @@ impl Proxy<'_> {
                     return;
                 }
                 self.charge_entries(1);
-                self.ctx.stat_incr("offload.proxy.gets", 1);
+                static GETS: StatKey = StatKey::new("offload.proxy.gets");
+                self.ctx.stat_incr(&GETS, 1);
                 assert_eq!(
                     self.cfg.data_path,
                     DataPath::Gvmi,
@@ -869,7 +880,8 @@ impl Proxy<'_> {
             CtrlMsg::BarrierCntr { .. } => {
                 // Synchronization traffic modelled on the wire; ordering is
                 // enforced by arrivals (see module docs).
-                self.ctx.stat_incr("offload.proxy.barrier_cntr", 1);
+                static BARRIER_CNTR: StatKey = StatKey::new("offload.proxy.barrier_cntr");
+                self.ctx.stat_incr(&BARRIER_CNTR, 1);
             }
             CtrlMsg::Shutdown { rank } => {
                 st.shutdowns.insert(rank);
@@ -911,8 +923,8 @@ impl Proxy<'_> {
                     self.tenant_q_decr(st, t);
                 }
                 if reaped + rreaped > 0 {
-                    self.ctx
-                        .stat_incr("offload.cancel.reaped", (reaped + rreaped) as u64);
+                    static REAPED: StatKey = StatKey::new("offload.cancel.reaped");
+                    self.ctx.stat_incr(&REAPED, (reaped + rreaped) as u64);
                     self.ctx.emit(&ProtoEvent::ReqReaped { msg_id });
                 }
             }
@@ -961,18 +973,21 @@ impl Proxy<'_> {
         let msg_id = end.msg_id;
         if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
             self.notify_end(st, end, Notice::Fin { kind: fin, wrid });
-            self.ctx.stat_incr("offload.reliable.fin_resends", 1);
+            static FIN_RESENDS: StatKey = StatKey::new("offload.reliable.fin_resends");
+            self.ctx.stat_incr(&FIN_RESENDS, 1);
             return true;
         }
         if st.cancelled.contains(&msg_id) {
-            self.ctx.stat_incr("offload.cancel.reaped", 1);
+            static REAPED: StatKey = StatKey::new("offload.cancel.reaped");
+            self.ctx.stat_incr(&REAPED, 1);
             self.ctx.emit(&ProtoEvent::ReqReaped { msg_id });
             return true;
         }
         if !self.basic_active(st, msg_id) {
             return false;
         }
-        self.ctx.stat_incr("offload.reliable.dups_dropped", 1);
+        static DUPS_DROPPED: StatKey = StatKey::new("offload.reliable.dups_dropped");
+        self.ctx.stat_incr(&DUPS_DROPPED, 1);
         self.ctx.emit(&ProtoEvent::CtrlDuplicateDropped {
             at_proxy: true,
             kind,
@@ -1024,7 +1039,8 @@ impl Proxy<'_> {
                 self.send_ctrl(st, to, msg);
             }
         }
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Is a basic transfer with this msg_id already queued or in flight
@@ -1094,11 +1110,13 @@ impl Proxy<'_> {
         if !global_full && !share_full {
             return false;
         }
-        self.ctx.stat_incr("offload.credit.queue_full", 1);
+        static QUEUE_FULL: StatKey = StatKey::new("offload.credit.queue_full");
+        self.ctx.stat_incr(&QUEUE_FULL, 1);
         self.ctx.emit(&ProtoEvent::QueueFullNack { msg_id });
         let host = self.cluster.host_ep(rank);
         self.send_ctrl(st, host, CtrlMsg::QueueFull { msg_id });
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        self.ctx.stat_incr(&HOST_DPU, 1);
         true
     }
 
@@ -1149,7 +1167,8 @@ impl Proxy<'_> {
         if pool.len() < self.cfg.staging_cap {
             pool.push((buf, key));
         } else {
-            self.ctx.stat_incr("offload.staging.dropped", 1);
+            static STAGING_DROPPED: StatKey = StatKey::new("offload.staging.dropped");
+            self.ctx.stat_incr(&STAGING_DROPPED, 1);
         }
     }
 
@@ -1193,7 +1212,8 @@ impl Proxy<'_> {
             });
             let dropped = (before - st.completed_msgs.len()) as u64;
             if dropped > 0 {
-                self.ctx.stat_incr("offload.journal.truncations", 1);
+                static TRUNCATIONS: StatKey = StatKey::new("offload.journal.truncations");
+                self.ctx.stat_incr(&TRUNCATIONS, 1);
                 self.ctx.emit(&ProtoEvent::JournalTruncated { dropped });
             }
         }
@@ -1241,7 +1261,8 @@ impl Proxy<'_> {
             st.health.reset_half_open();
         }
         let epoch = st.rel.epoch();
-        self.ctx.stat_incr("offload.reliable.proxy_restarts", 1);
+        static PROXY_RESTARTS: StatKey = StatKey::new("offload.reliable.proxy_restarts");
+        self.ctx.stat_incr(&PROXY_RESTARTS, 1);
         self.ctx.emit(&ProtoEvent::ProxyRestarted { epoch });
         for rank in 0..self.cluster.world_size() {
             st.rel.send(
@@ -1278,7 +1299,8 @@ impl Proxy<'_> {
         if self.cfg.staging_cap > 0 {
             let tenant = self.cfg.tenant_of(src_rank);
             if let Some(b) = st.stage_free.get_mut(&(tenant, len)).and_then(|p| p.pop()) {
-                self.ctx.stat_incr("offload.staging.reclaimed", 1);
+                static RECLAIMED: StatKey = StatKey::new("offload.staging.reclaimed");
+                self.ctx.stat_incr(&RECLAIMED, 1);
                 self.ctx.emit(&ProtoEvent::StagingReclaimed { len });
                 return b;
             }
@@ -1289,7 +1311,8 @@ impl Proxy<'_> {
         if self.cfg.staging_cap == 0 {
             st.stage_assign.insert(akey, b);
         }
-        self.ctx.stat_incr("offload.proxy.staging_buffers", 1);
+        static STAGING_BUFFERS: StatKey = StatKey::new("offload.proxy.staging_buffers");
+        self.ctx.stat_incr(&STAGING_BUFFERS, 1);
         b
     }
 
@@ -1322,9 +1345,11 @@ impl Proxy<'_> {
             mkey: rts.mkey,
             stageable: rts.src_rkey.is_some(),
         };
+        static GVMI_WRITES: StatKey = StatKey::new("offload.proxy.gvmi_writes");
+        static HOST_DIRECT_WRITES: StatKey = StatKey::new("offload.health.host_direct_writes");
         let (mkey2, stat) = match self.choose_path(st, self.cfg.data_path, &req, true) {
-            Path::CrossGvmi(mkey2) => (mkey2, "offload.proxy.gvmi_writes"),
-            Path::HostDirect(mkey2) => (mkey2, "offload.health.host_direct_writes"),
+            Path::CrossGvmi(mkey2) => (mkey2, &GVMI_WRITES),
+            Path::HostDirect(mkey2) => (mkey2, &HOST_DIRECT_WRITES),
             Path::Staging => return self.post_staging_read(st, rts, rtr),
         };
         // Paper Fig. 6, GVMI path: write straight from the source host's
@@ -1375,7 +1400,8 @@ impl Proxy<'_> {
                 if let Some(mkey2) = reg {
                     return Path::CrossGvmi(mkey2);
                 }
-                self.ctx.stat_incr("offload.fallback.staging", 1);
+                static STAGING_FALLBACKS: StatKey = StatKey::new("offload.fallback.staging");
+                self.ctx.stat_incr(&STAGING_FALLBACKS, 1);
                 self.ctx.emit(&ProtoEvent::FallbackToStaging {
                     src_rank: peer,
                     dst_rank: req.dst_rank,
@@ -1405,7 +1431,8 @@ impl Proxy<'_> {
 
     /// An open breaker rerouted `msg_id` without consulting the sick path.
     fn note_fastpath(&self, peer: usize, path: HealthPath, msg_id: u64) {
-        self.ctx.stat_incr("offload.health.fastpaths", 1);
+        static FASTPATHS: StatKey = StatKey::new("offload.health.fastpaths");
+        self.ctx.stat_incr(&FASTPATHS, 1);
         self.ctx
             .emit(&ProtoEvent::BreakerFastPath { peer, path, msg_id });
     }
@@ -1415,11 +1442,13 @@ impl Proxy<'_> {
     fn note_breaker(&self, st: &mut ProxyState, peer: usize, path: HealthPath, ok: bool) {
         match st.health.on_outcome(peer, path, ok) {
             Some(BreakerEvent::Tripped) => {
-                self.ctx.stat_incr("offload.health.breaker_trips", 1);
+                static BREAKER_TRIPS: StatKey = StatKey::new("offload.health.breaker_trips");
+                self.ctx.stat_incr(&BREAKER_TRIPS, 1);
                 self.ctx.emit(&ProtoEvent::BreakerTripped { peer, path });
             }
             Some(BreakerEvent::Closed) => {
-                self.ctx.stat_incr("offload.health.breaker_closes", 1);
+                static BREAKER_CLOSES: StatKey = StatKey::new("offload.health.breaker_closes");
+                self.ctx.stat_incr(&BREAKER_CLOSES, 1);
                 self.ctx.emit(&ProtoEvent::BreakerClosed { peer, path });
             }
             None => {}
@@ -1429,9 +1458,11 @@ impl Proxy<'_> {
     /// A breaker just half-opened and admitted `msg_id` as its probe:
     /// emit the transition pair the timeline reconstructs states from.
     fn note_probe(&self, peer: usize, path: HealthPath, msg_id: u64) {
-        self.ctx.stat_incr("offload.health.half_opens", 1);
+        static HALF_OPENS: StatKey = StatKey::new("offload.health.half_opens");
+        self.ctx.stat_incr(&HALF_OPENS, 1);
         self.ctx.emit(&ProtoEvent::BreakerHalfOpen { peer, path });
-        self.ctx.stat_incr("offload.health.probes", 1);
+        static PROBES: StatKey = StatKey::new("offload.health.probes");
+        self.ctx.stat_incr(&PROBES, 1);
         self.ctx
             .emit(&ProtoEvent::BreakerProbe { peer, path, msg_id });
     }
@@ -1461,7 +1492,8 @@ impl Proxy<'_> {
             buf: (buf, key),
         };
         self.post(st, op, completion);
-        self.ctx.stat_incr("offload.proxy.staging_reads", 1);
+        static STAGING_READS: StatKey = StatKey::new("offload.proxy.staging_reads");
+        self.ctx.stat_incr(&STAGING_READS, 1);
     }
 
     /// Write a matched pair's payload from `local` into the receive
@@ -1642,7 +1674,8 @@ impl Proxy<'_> {
     /// repeat polls of the same blocked barrier are not new stalls.
     fn note_barrier_stall(&self, st: &mut ProxyState, key: GroupKey, gen: u64, cursor: usize) {
         if st.stalled.insert((key, gen, cursor)) {
-            self.ctx.stat_incr("offload.proxy.barrier_stalls", 1);
+            static BARRIER_STALLS: StatKey = StatKey::new("offload.proxy.barrier_stalls");
+            self.ctx.stat_incr(&BARRIER_STALLS, 1);
             self.ctx.emit(&ProtoEvent::BarrierStall {
                 host_rank: key.host_rank,
                 req_id: key.req_id,
@@ -1673,7 +1706,8 @@ impl Proxy<'_> {
             // host's post-restart replay, so just account for it. (No
             // WriteCompleted event either — the restart wiped the posted
             // side from the checker's books.)
-            self.ctx.stat_incr("offload.proxy.stale_cqe", 1);
+            static STALE_CQE: StatKey = StatKey::new("offload.proxy.stale_cqe");
+            self.ctx.stat_incr(&STALE_CQE, 1);
             self.ctx.emit(&ProtoEvent::StaleCqe { wrid });
             return;
         };
@@ -1695,7 +1729,8 @@ impl Proxy<'_> {
                 return;
             }
             if op.attempt > 1 {
-                self.ctx.stat_incr("offload.integrity.recovered", 1);
+                static RECOVERED: StatKey = StatKey::new("offload.integrity.recovered");
+                self.ctx.stat_incr(&RECOVERED, 1);
                 self.ctx.emit(&ProtoEvent::PayloadRecovered {
                     msg_id: op.msg_id,
                     attempts: op.attempt,
@@ -1747,7 +1782,8 @@ impl Proxy<'_> {
                 let local = (self.my_ep, buf.0, buf.1);
                 let staged = (self.cfg.staging_cap > 0).then_some((buf.0, buf.1, rts.len));
                 self.post_pair_write(st, &rts, &rtr, PathKind::StagingHop2, local, staged);
-                self.ctx.stat_incr("offload.proxy.staging_forwards", 1);
+                static STAGING_FORWARDS: StatKey = StatKey::new("offload.proxy.staging_forwards");
+                self.ctx.stat_incr(&STAGING_FORWARDS, 1);
             }
             Completion::GroupSend { key, gen } => {
                 if let Some(inst) = st
@@ -1786,7 +1822,8 @@ impl Proxy<'_> {
     /// peer's data retry budget dry: surface a typed data-plane failure
     /// to the owning host(s) — never a FIN, never a hang.
     fn on_corrupt(&self, st: &mut ProxyState, mut op: DataOp, completion: Completion) {
-        self.ctx.stat_incr("offload.integrity.corrupt", 1);
+        static CORRUPT: StatKey = StatKey::new("offload.integrity.corrupt");
+        self.ctx.stat_incr(&CORRUPT, 1);
         self.ctx.emit(&ProtoEvent::PayloadCorrupt {
             msg_id: op.msg_id,
             attempt: op.attempt,
@@ -1798,7 +1835,8 @@ impl Proxy<'_> {
         };
         self.note_breaker(st, peer, path_class, false);
         if op.attempt >= self.cfg.data_retx_max {
-            self.ctx.stat_incr("offload.integrity.failures", 1);
+            static INTEGRITY_FAILURES: StatKey = StatKey::new("offload.integrity.failures");
+            self.ctx.stat_incr(&INTEGRITY_FAILURES, 1);
             self.ctx.emit(&ProtoEvent::DataIntegrityFailed {
                 msg_id: op.msg_id,
                 attempts: op.attempt,
@@ -1815,7 +1853,8 @@ impl Proxy<'_> {
         st.next_retx_token += 1;
         let token = st.next_retx_token;
         st.data_retx.insert(token, (op, completion));
-        self.ctx.stat_incr("offload.integrity.retransmits", 1);
+        static INTEGRITY_RETRANSMITS: StatKey = StatKey::new("offload.integrity.retransmits");
+        self.ctx.stat_incr(&INTEGRITY_RETRANSMITS, 1);
         self.ctx.deliver_self(
             delay,
             Box::new(NetMsg::Notify(Box::new(CtrlMsg::DataRetxTick { token }))),
@@ -1842,7 +1881,8 @@ impl Proxy<'_> {
         shed: Option<HealthPath>,
     ) {
         if shed.is_some() {
-            self.ctx.stat_incr("offload.health.retry_budget_sheds", 1);
+            static RETRY_BUDGET_SHEDS: StatKey = StatKey::new("offload.health.retry_budget_sheds");
+            self.ctx.stat_incr(&RETRY_BUDGET_SHEDS, 1);
         }
         let (src, dst, staged) = match completion {
             Completion::Basic { src, dst, staged } => (src, dst, staged),
@@ -1860,7 +1900,8 @@ impl Proxy<'_> {
                         attempts,
                     },
                 );
-                self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+                static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+                self.ctx.stat_incr(&HOST_DPU, 1);
                 for inst in st
                     .instances
                     .iter_mut()
@@ -1935,14 +1976,16 @@ impl Proxy<'_> {
         if st.fin_gens.get(&key).copied().unwrap_or(0) >= gen {
             // This generation finished in a previous life; only the FIN
             // can have been lost. Resend it instead of re-executing.
-            self.ctx.stat_incr("offload.reliable.fin_resends", 1);
+            static FIN_RESENDS: StatKey = StatKey::new("offload.reliable.fin_resends");
+            self.ctx.stat_incr(&FIN_RESENDS, 1);
             self.post_group_fin(st, key, gen);
             return;
         }
         if st.instances.iter().any(|i| i.key == key && i.gen == gen) {
             // Duplicate exec (a retransmit racing the host's replay):
             // at most one instance per (group, generation).
-            self.ctx.stat_incr("offload.reliable.dups_dropped", 1);
+            static DUPS_DROPPED: StatKey = StatKey::new("offload.reliable.dups_dropped");
+            self.ctx.stat_incr(&DUPS_DROPPED, 1);
             self.ctx.emit(&ProtoEvent::CtrlDuplicateDropped {
                 at_proxy: true,
                 kind: CtrlKind::GroupExec,
@@ -1986,7 +2029,8 @@ impl Proxy<'_> {
             kind: FinKind::Group,
             msg_id: 0,
         });
-        self.ctx.stat_incr("offload.ctrl.host_dpu", 1);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     fn advance_all(&self, st: &mut ProxyState) {
@@ -2008,7 +2052,7 @@ impl Proxy<'_> {
                 // End of the queue: completion needs all sends CQE'd and
                 // all recv payloads arrived.
                 if st.instances[idx].outstanding > 0 {
-                    self.ctx.trace(format!(
+                    self.ctx.trace(format_args!(
                         "proxy.wait_cqes.r{}.out{}",
                         key.host_rank, st.instances[idx].outstanding
                     ));
@@ -2016,7 +2060,7 @@ impl Proxy<'_> {
                 }
                 if !self.recvs_arrived(st, key, gen, n_entries) {
                     self.ctx
-                        .trace(format!("proxy.wait_arrivals.r{}", key.host_rank));
+                        .trace(format_args!("proxy.wait_arrivals.r{}", key.host_rank));
                     return;
                 }
                 // Journal the finished generation (write-ahead of the
@@ -2025,7 +2069,7 @@ impl Proxy<'_> {
                 *fin_gen = (*fin_gen).max(gen);
                 self.post_group_fin(st, key, gen);
                 self.ctx
-                    .trace(format!("proxy.group_fin.r{}.g{gen}", key.host_rank));
+                    .trace(format_args!("proxy.group_fin.r{}.g{gen}", key.host_rank));
                 st.arrivals.remove(&(key, gen));
                 st.stalled.retain(|&(k, g, _)| !(k == key && g == gen));
                 st.instances[idx].done = true;
@@ -2076,7 +2120,9 @@ impl Proxy<'_> {
                                         entry_idx: cursor,
                                     };
                                     self.post(st, op, completion);
-                                    self.ctx.stat_incr("offload.proxy.staging_reads", 1);
+                                    static STAGING_READS: StatKey =
+                                        StatKey::new("offload.proxy.staging_reads");
+                                    self.ctx.stat_incr(&STAGING_READS, 1);
                                 }
                                 return; // payload not in DPU memory yet
                             }
@@ -2110,7 +2156,8 @@ impl Proxy<'_> {
                     let mut op = DataOp::new(path, false, local, remote, len, msg_id, crc);
                     op.notify = Some((dst_proxy_pid, arrival));
                     self.post(st, op, Completion::GroupSend { key, gen });
-                    self.ctx.stat_incr("offload.proxy.group_writes", 1);
+                    static GROUP_WRITES: StatKey = StatKey::new("offload.proxy.group_writes");
+                    self.ctx.stat_incr(&GROUP_WRITES, 1);
                     let inst = &mut st.instances[idx];
                     inst.outstanding += 1;
                     inst.send_set.insert((dst_rank, dst_req_id));

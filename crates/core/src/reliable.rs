@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use rdma::{EpId, Fabric, NetMsg, Packet};
-use simnet::{Pid, ProcessCtx, SimDelta};
+use simnet::{Pid, ProcessCtx, SimDelta, StatKey};
 
 use crate::config::FaultPlan;
 use crate::events::{CtrlKind, ProtoEvent};
@@ -381,7 +381,8 @@ impl ReliableLink {
         let group_eaten = self.plan.drop_group_packets
             && matches!(kind, CtrlKind::GroupPacket | CtrlKind::GroupExec);
         if group_eaten || self.rng.chance(self.plan.drop_pm) {
-            ctx.stat_incr("offload.reliable.injected_drops", 1);
+            static INJECTED_DROPS: StatKey = StatKey::new("offload.reliable.injected_drops");
+            ctx.stat_incr(&INJECTED_DROPS, 1);
             ctx.emit(&ProtoEvent::CtrlDropped {
                 at_proxy: self.at_proxy,
                 kind,
@@ -390,7 +391,8 @@ impl ReliableLink {
         } else if self.rng.chance(self.plan.delay_pm) {
             // Late delivery: bypass the fabric's send path and deposit
             // the packet into the destination mailbox after `delay_ns`.
-            ctx.stat_incr("offload.reliable.injected_delays", 1);
+            static INJECTED_DELAYS: StatKey = StatKey::new("offload.reliable.injected_delays");
+            ctx.stat_incr(&INJECTED_DELAYS, 1);
             ctx.deliver(
                 fab.pid_of(to),
                 SimDelta::from_ns(self.plan.delay_ns),
@@ -404,7 +406,8 @@ impl ReliableLink {
             fab.send_packet(ctx, self.from_ep, to, bytes, Box::new(envelope()))
                 .expect("reliable ctrl send");
             if self.rng.chance(self.plan.dup_pm) {
-                ctx.stat_incr("offload.reliable.injected_dups", 1);
+                static INJECTED_DUPS: StatKey = StatKey::new("offload.reliable.injected_dups");
+                ctx.stat_incr(&INJECTED_DUPS, 1);
                 fab.send_packet(ctx, self.from_ep, to, bytes, Box::new(envelope()))
                     .expect("reliable ctrl dup send");
             }
@@ -423,7 +426,8 @@ impl ReliableLink {
         if p.attempts >= self.knobs.max_attempts {
             let p = self.pending.remove(&seq).expect("entry just found");
             let (kind, msg_id) = (p.msg.kind(), p.msg.msg_id_hint());
-            ctx.stat_incr("offload.reliable.abandoned", 1);
+            static ABANDONED: StatKey = StatKey::new("offload.reliable.abandoned");
+            ctx.stat_incr(&ABANDONED, 1);
             ctx.emit(&ProtoEvent::CtrlAbandoned {
                 at_proxy: self.at_proxy,
                 kind,
@@ -446,7 +450,8 @@ impl ReliableLink {
                 .or_insert_with(|| TokenBucket::new(cap, refill));
             if !bucket.try_spend() {
                 let shed = self.pending.remove(&seq).expect("entry just found");
-                ctx.stat_incr("offload.reliable.budget_sheds", 1);
+                static BUDGET_SHEDS: StatKey = StatKey::new("offload.reliable.budget_sheds");
+                ctx.stat_incr(&BUDGET_SHEDS, 1);
                 return TickOutcome::BudgetShed {
                     msg_id: shed.msg.msg_id_hint(),
                     attempts: shed.attempts,
@@ -459,7 +464,8 @@ impl ReliableLink {
         let attempt = p.attempts - 1;
         p.backoff = (p.backoff * 2).min(self.knobs.cap);
         let (kind, msg_id) = (p.msg.kind(), p.msg.msg_id_hint());
-        ctx.stat_incr("offload.reliable.retransmits", 1);
+        static RETRANSMITS: StatKey = StatKey::new("offload.reliable.retransmits");
+        ctx.stat_incr(&RETRANSMITS, 1);
         ctx.emit(&ProtoEvent::CtrlRetransmit {
             at_proxy: self.at_proxy,
             kind,
@@ -503,7 +509,8 @@ impl ReliableLink {
         inner: CtrlMsg,
     ) -> Option<CtrlMsg> {
         if self.rng.chance(self.plan.drop_pm) {
-            ctx.stat_incr("offload.reliable.injected_drops", 1);
+            static INJECTED_DROPS: StatKey = StatKey::new("offload.reliable.injected_drops");
+            ctx.stat_incr(&INJECTED_DROPS, 1);
             ctx.emit(&ProtoEvent::CtrlDropped {
                 at_proxy: self.at_proxy,
                 kind: CtrlKind::Ack,
@@ -522,7 +529,8 @@ impl ReliableLink {
         if self.dedup.accept(from, epoch, seq) {
             Some(inner)
         } else {
-            ctx.stat_incr("offload.reliable.dups_dropped", 1);
+            static DUPS_DROPPED: StatKey = StatKey::new("offload.reliable.dups_dropped");
+            ctx.stat_incr(&DUPS_DROPPED, 1);
             ctx.emit(&ProtoEvent::CtrlDuplicateDropped {
                 at_proxy: self.at_proxy,
                 kind: inner.kind(),

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 
 use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
-use simnet::{Pid, ProcessCtx};
+use simnet::{Pid, ProcessCtx, StatKey};
 
 use crate::config::MpiConfig;
 
@@ -318,7 +318,8 @@ impl Mpi {
             .expect("eager send");
             // Buffered semantics: the send buffer is reusable immediately.
             self.st.borrow_mut().reqs[req] = true;
-            self.ctx.stat_incr("mpi.send.eager", 1);
+            static EAGER: StatKey = StatKey::new("mpi.send.eager");
+            self.ctx.stat_incr(&EAGER, 1);
         } else {
             self.st
                 .borrow_mut()
@@ -337,7 +338,8 @@ impl Mpi {
                 }),
             )
             .expect("rts send");
-            self.ctx.stat_incr("mpi.send.rndv", 1);
+            static RNDV: StatKey = StatKey::new("mpi.send.rndv");
+            self.ctx.stat_incr(&RNDV, 1);
         }
         Req(req)
     }
@@ -470,10 +472,12 @@ impl Mpi {
     pub(crate) fn cached_reg(&self, addr: VAddr, len: u64) -> MrKey {
         let hit = self.st.borrow().regcache.get(&(addr.0, len)).copied();
         if let Some(k) = hit {
-            self.ctx.stat_incr("mpi.regcache.hit", 1);
+            static REGCACHE_HIT: StatKey = StatKey::new("mpi.regcache.hit");
+            self.ctx.stat_incr(&REGCACHE_HIT, 1);
             return k;
         }
-        self.ctx.stat_incr("mpi.regcache.miss", 1);
+        static REGCACHE_MISS: StatKey = StatKey::new("mpi.regcache.miss");
+        self.ctx.stat_incr(&REGCACHE_MISS, 1);
         let key = self
             .cluster
             .fabric()
@@ -484,7 +488,7 @@ impl Mpi {
     }
 
     fn reply_cts(&self, recv_req: usize, addr: VAddr, len: u64, src_rank: usize, send_req: usize) {
-        self.ctx.trace(format!("mpi.reply_cts.to{src_rank}"));
+        self.ctx.trace(format_args!("mpi.reply_cts.to{src_rank}"));
         let rkey = self.cached_reg(addr, len);
         self.cluster
             .fabric()
@@ -540,7 +544,8 @@ impl Mpi {
                         len,
                         send_req,
                     } => {
-                        self.ctx.trace(format!("mpi.rts.from{src_rank}.tag{tag}"));
+                        self.ctx
+                            .trace(format_args!("mpi.rts.from{src_rank}.tag{tag}"));
                         let matched = self.st.borrow_mut().match_posted(src_rank, tag);
                         match matched {
                             Some(posted) => {
@@ -570,7 +575,7 @@ impl Mpi {
                         send_req,
                         recv_req,
                     } => {
-                        self.ctx.trace(format!("mpi.cts.from{recv_rank}"));
+                        self.ctx.trace(format_args!("mpi.cts.from{recv_rank}"));
                         let ps = self
                             .st
                             .borrow_mut()
@@ -599,7 +604,7 @@ impl Mpi {
                 let body = *body.downcast::<MpiMsg>().expect("channel predicate");
                 match body {
                     MpiMsg::Fin { recv_req } => {
-                        self.ctx.trace(format!("mpi.fin.req{recv_req}"));
+                        self.ctx.trace(format_args!("mpi.fin.req{recv_req}"));
                         self.st.borrow_mut().reqs[recv_req] = true;
                     }
                     _ => unreachable!("only Fin rides Notify"),

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simnet::{Payload, Pid, ProcessCtx, ResourceId, SimDelta, SimTime, Simulation};
+use simnet::{Payload, Pid, ProcessCtx, ResourceId, SimDelta, SimTime, Simulation, StatKey};
 
 use crate::mem::{AddressSpace, VAddr};
 use crate::model::{ClusterSpec, DeviceClass};
@@ -376,8 +376,10 @@ impl Fabric {
             w.charge_cpu(ep, ctx.now(), cost);
             (key, cost)
         };
-        ctx.stat_incr("rdma.reg.ib", 1);
-        ctx.stat_time("rdma.reg.time", cost);
+        static REG_IB: StatKey = StatKey::new("rdma.reg.ib");
+        static REG_TIME: StatKey = StatKey::new("rdma.reg.time");
+        ctx.stat_incr(&REG_IB, 1);
+        ctx.stat_time(&REG_TIME, cost);
         Ok(key)
     }
 
@@ -409,8 +411,10 @@ impl Fabric {
             w.charge_cpu(ep, ctx.now(), cost);
             (key, cost)
         };
-        ctx.stat_incr("rdma.reg.gvmi", 1);
-        ctx.stat_time("rdma.reg.gvmi.time", cost);
+        static REG_GVMI: StatKey = StatKey::new("rdma.reg.gvmi");
+        static GVMI_TIME: StatKey = StatKey::new("rdma.reg.gvmi.time");
+        ctx.stat_incr(&REG_GVMI, 1);
+        ctx.stat_time(&GVMI_TIME, cost);
         Ok(key)
     }
 
@@ -472,8 +476,10 @@ impl Fabric {
             w.charge_cpu(dpu_ep, ctx.now(), cost);
             (key, cost)
         };
-        ctx.stat_incr("rdma.reg.cross", 1);
-        ctx.stat_time("rdma.reg.cross.time", cost);
+        static REG_CROSS: StatKey = StatKey::new("rdma.reg.cross");
+        static CROSS_TIME: StatKey = StatKey::new("rdma.reg.cross.time");
+        ctx.stat_incr(&REG_CROSS, 1);
+        ctx.stat_time(&CROSS_TIME, cost);
         Ok(key)
     }
 
@@ -518,7 +524,7 @@ impl Fabric {
     ) -> Result<SimTime, RdmaError> {
         let (local_ep, local_addr, lkey) = local;
         let (remote_ep, remote_addr, rkey) = remote;
-        let (plan, post_end, poster_pid, ack, faulted) = {
+        let (plan, post_end, poster_pid, ack, jitter, faulted) = {
             let mut w = self.inner.lock();
             if w.eps[poster.index()].pid != ctx.pid() {
                 return Err(RdmaError::WrongProcess(poster));
@@ -541,15 +547,19 @@ impl Fabric {
                 post_end,
                 w.eps[poster.index()].pid,
                 w.spec.model.ack_latency,
+                w.delivery_jitter,
                 faulted,
             )
         };
         if faulted {
-            ctx.stat_incr("rdma.fault.payload", 1);
+            static PAYLOAD_FAULTS: StatKey = StatKey::new("rdma.fault.payload");
+            ctx.stat_incr(&PAYLOAD_FAULTS, 1);
         }
-        ctx.stat_incr("rdma.write.count", 1);
-        ctx.stat_incr("rdma.write.bytes", len);
-        let deliver = self.execute_plan(ctx, &plan, post_end);
+        static WRITE_COUNT: StatKey = StatKey::new("rdma.write.count");
+        static WRITE_BYTES: StatKey = StatKey::new("rdma.write.bytes");
+        ctx.stat_incr(&WRITE_COUNT, 1);
+        ctx.stat_incr(&WRITE_BYTES, len);
+        let deliver = execute_plan(ctx, &plan, post_end, jitter);
         if let Some((pid, payload)) = notify {
             ctx.deliver_at(pid, deliver, Box::new(NetMsg::Notify(payload)));
         }
@@ -577,7 +587,7 @@ impl Fabric {
     ) -> Result<SimTime, RdmaError> {
         let (local_ep, local_addr, lkey) = local;
         let (remote_ep, remote_addr, rkey) = remote;
-        let (plan, start, poster_pid, faulted) = {
+        let (plan, start, poster_pid, jitter, faulted) = {
             let mut w = self.inner.lock();
             if w.eps[poster.index()].pid != ctx.pid() {
                 return Err(RdmaError::WrongProcess(poster));
@@ -598,14 +608,18 @@ impl Fabric {
             let post = w.spec.model.post_overhead(w.eps[poster.index()].class);
             let post_end = w.charge_cpu(poster, ctx.now(), post);
             let start = post_end + plan.latency;
-            (plan, start, w.eps[poster.index()].pid, faulted)
+            let pid = w.eps[poster.index()].pid;
+            (plan, start, pid, w.delivery_jitter, faulted)
         };
         if faulted {
-            ctx.stat_incr("rdma.fault.payload", 1);
+            static PAYLOAD_FAULTS: StatKey = StatKey::new("rdma.fault.payload");
+            ctx.stat_incr(&PAYLOAD_FAULTS, 1);
         }
-        ctx.stat_incr("rdma.read.count", 1);
-        ctx.stat_incr("rdma.read.bytes", len);
-        let deliver = self.execute_plan(ctx, &plan, start);
+        static READ_COUNT: StatKey = StatKey::new("rdma.read.count");
+        static READ_BYTES: StatKey = StatKey::new("rdma.read.bytes");
+        ctx.stat_incr(&READ_COUNT, 1);
+        ctx.stat_incr(&READ_BYTES, len);
+        let deliver = execute_plan(ctx, &plan, start, jitter);
         if let Some(wrid) = signal {
             ctx.deliver_at(poster_pid, deliver, Box::new(NetMsg::Cqe(Cqe { wrid })));
         }
@@ -623,7 +637,7 @@ impl Fabric {
         bytes: u64,
         body: Payload,
     ) -> Result<SimTime, RdmaError> {
-        let (plan, post_end, to_pid) = {
+        let (deliver, to_pid) = {
             let mut w = self.inner.lock();
             if w.eps[from.index()].pid != ctx.pid() {
                 return Err(RdmaError::WrongProcess(from));
@@ -631,21 +645,20 @@ impl Fabric {
             let plan = w.plan_path(from, from, to, bytes);
             let post = w.spec.model.post_overhead(w.eps[from.index()].class);
             let post_end = w.charge_cpu(from, ctx.now(), post);
-            (plan, post_end, w.eps[to.index()].pid)
-        };
-        ctx.stat_incr("rdma.packet.count", 1);
-        ctx.stat_incr("rdma.packet.bytes", bytes);
-        let mut deliver = self.execute_plan(ctx, &plan, post_end);
-        {
+            let mut deliver = execute_plan(ctx, &plan, post_end, w.delivery_jitter);
             // Same-QP FIFO: a later packet between the same endpoints can
             // never arrive before an earlier one.
-            let mut w = self.inner.lock();
             let last = w.pair_order.entry((from, to)).or_insert(SimTime::ZERO);
             if deliver <= *last {
                 deliver = *last + SimDelta::from_ps(1);
             }
             *last = deliver;
-        }
+            (deliver, w.eps[to.index()].pid)
+        };
+        static PACKET_COUNT: StatKey = StatKey::new("rdma.packet.count");
+        static PACKET_BYTES: StatKey = StatKey::new("rdma.packet.bytes");
+        ctx.stat_incr(&PACKET_COUNT, 1);
+        ctx.stat_incr(&PACKET_BYTES, bytes);
         ctx.deliver_at(
             to_pid,
             deliver,
@@ -656,44 +669,6 @@ impl Fabric {
             })),
         );
         Ok(deliver)
-    }
-
-    /// Reserve the planned resources, starting no earlier than `earliest`
-    /// (the end of the poster's CPU work), and return the delivery time.
-    /// Small messages skip the FIFOs (see [`SMALL_MSG_BYPASS`]).
-    fn execute_plan(&self, ctx: &ProcessCtx, plan: &PathPlan, earliest: SimTime) -> SimTime {
-        let jitter = self.inner.lock().delivery_jitter;
-        let earliest = if jitter > SimDelta::ZERO {
-            earliest + SimDelta::from_ps(ctx.gen_range(jitter.as_ps() + 1))
-        } else {
-            earliest
-        };
-        if plan.small {
-            // Small messages arbitrate on the control lane: they pay their
-            // own serialization and per-message handling there (so a
-            // stream of them is still wire/handler rate-limited) but never
-            // wait behind bulk transfers.
-            let arrive = earliest + plan.latency;
-            return match plan.ctrl_lane {
-                Some(lane) => {
-                    ctx.reserve_from(lane, arrive, plan.serialize + plan.rx_overhead)
-                        .1
-                }
-                None => arrive + plan.serialize + plan.rx_overhead,
-            };
-        }
-        let tx_start = match plan.tx {
-            Some(tx) => ctx.reserve_from(tx, earliest, plan.serialize).0,
-            None => earliest,
-        };
-        let arrive = tx_start + plan.latency;
-        match plan.rx {
-            Some(rx) => {
-                let (_, rx_end) = ctx.reserve_from(rx, arrive, plan.serialize + plan.rx_overhead);
-                rx_end
-            }
-            None => arrive + plan.serialize + plan.rx_overhead,
-        }
     }
 
     /// Charge protocol-handling CPU time to `ep`'s timeline (e.g. the ARM
@@ -715,6 +690,44 @@ impl Fabric {
     /// The instant `ep`'s CPU timeline becomes free (diagnostics/tests).
     pub fn cpu_available(&self, ep: EpId) -> SimTime {
         self.inner.lock().eps[ep.index()].cpu_busy
+    }
+}
+
+/// Reserve the planned resources, starting no earlier than `earliest`
+/// (the end of the poster's CPU work), and return the delivery time.
+/// Small messages skip the FIFOs (see [`SMALL_MSG_BYPASS`]). `jitter` is
+/// the fabric's delivery jitter, read under the caller's `World` guard.
+fn execute_plan(ctx: &ProcessCtx, plan: &PathPlan, earliest: SimTime, jitter: SimDelta) -> SimTime {
+    let earliest = if jitter > SimDelta::ZERO {
+        earliest + SimDelta::from_ps(ctx.gen_range(jitter.as_ps() + 1))
+    } else {
+        earliest
+    };
+    if plan.small {
+        // Small messages arbitrate on the control lane: they pay their
+        // own serialization and per-message handling there (so a
+        // stream of them is still wire/handler rate-limited) but never
+        // wait behind bulk transfers.
+        let arrive = earliest + plan.latency;
+        return match plan.ctrl_lane {
+            Some(lane) => {
+                ctx.reserve_from(lane, arrive, plan.serialize + plan.rx_overhead)
+                    .1
+            }
+            None => arrive + plan.serialize + plan.rx_overhead,
+        };
+    }
+    let tx_start = match plan.tx {
+        Some(tx) => ctx.reserve_from(tx, earliest, plan.serialize).0,
+        None => earliest,
+    };
+    let arrive = tx_start + plan.latency;
+    match plan.rx {
+        Some(rx) => {
+            let (_, rx_end) = ctx.reserve_from(rx, arrive, plan.serialize + plan.rx_overhead);
+            rx_end
+        }
+        None => arrive + plan.serialize + plan.rx_overhead,
     }
 }
 

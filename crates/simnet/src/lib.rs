@@ -58,6 +58,6 @@ pub use sim::{
     engine_events, OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation,
     SIMNET_CHAOS_ENV, SIMNET_THREADS_ENV,
 };
-pub use stats::Stats;
+pub use stats::{StatKey, Stats};
 pub use time::{SimDelta, SimTime};
 pub use trace::{SpanRecord, Trace, TraceRecord};

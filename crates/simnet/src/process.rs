@@ -32,8 +32,8 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::event::{EventKind, EventQueue};
 use crate::sim::SimError;
-use crate::stats::Stats;
-use crate::time::{SimDelta, SimTime};
+use crate::stats::{StatKey, StatTable};
+use crate::time::{Clock, SimDelta, SimTime};
 
 /// Maximum process executions without the clock advancing before the engine
 /// declares a livelock. Generous: legitimate same-instant cascades (e.g. a
@@ -178,12 +178,12 @@ pub(crate) enum Step {
 /// What a step reads and writes, borrowed from the engine's own state
 /// (`sim::SimState`, one shard's `shard::ShardState`) under its lock.
 pub(crate) struct LoopState<'a> {
-    pub(crate) now: &'a mut SimTime,
+    pub(crate) clock: &'a Clock,
     pub(crate) queue: &'a mut EventQueue,
     pub(crate) slots: &'a mut [ProcSlot],
     /// Slot indexes ready to run at `now`.
     pub(crate) ready: &'a mut VecDeque<u32>,
-    pub(crate) stats: &'a mut Stats,
+    pub(crate) stats: &'a StatTable,
     pub(crate) events: &'a mut u64,
     /// Process executions since the clock last advanced (livelock guard).
     pub(crate) execs: &'a mut u64,
@@ -215,7 +215,9 @@ impl LoopState<'_> {
             return Step::Owner;
         }
         if *self.execs > LIVELOCK_LIMIT {
-            *self.error = Some(SimError::Livelock { now: *self.now });
+            *self.error = Some(SimError::Livelock {
+                now: self.clock.get(),
+            });
             return Step::Owner;
         }
         loop {
@@ -239,7 +241,7 @@ impl LoopState<'_> {
             let Some(at) = self.queue.peek_at() else {
                 return Step::Owner;
             };
-            debug_assert!(at >= *self.now, "event in the past");
+            debug_assert!(at >= self.clock.get(), "event in the past");
             if self.w_end.is_some_and(|w_end| at >= w_end) {
                 return Step::Owner;
             }
@@ -248,8 +250,8 @@ impl LoopState<'_> {
                 return Step::Owner;
             }
             let ev = self.queue.pop().expect("peeked event");
-            if ev.at > *self.now {
-                *self.now = ev.at;
+            if ev.at > self.clock.get() {
+                self.clock.set(ev.at);
                 *self.execs = 0;
             }
             *self.events += 1;
@@ -265,7 +267,9 @@ impl LoopState<'_> {
                     let key = self.slot_of(pid);
                     let slot = &mut self.slots[key as usize];
                     if slot.status == ProcStatus::Finished {
-                        self.stats.incr("simnet.deliver_to_finished", 1);
+                        static DELIVER_TO_FINISHED: StatKey =
+                            StatKey::new("simnet.deliver_to_finished");
+                        self.stats.incr(&DELIVER_TO_FINISHED, 1);
                     } else {
                         slot.mailbox.push_back(payload);
                         if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {

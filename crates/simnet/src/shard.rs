@@ -2,9 +2,10 @@
 //!
 //! Processes spawned with [`Simulation::spawn_on`] are partitioned into
 //! **shards** (one per model node, typically). Each shard owns a private
-//! event queue, clock, RNG stream, stats, trace buffer and resource
-//! table, all behind a single mutex, so shards never contend on shared
-//! state while running.
+//! event queue, RNG stream, trace buffer and resource table behind a
+//! single mutex, plus a clock and a counter table its processes read and
+//! bump without that mutex, so shards never contend on shared state
+//! while running.
 //!
 //! # Synchronization protocol (barrier windows)
 //!
@@ -62,8 +63,8 @@ use crate::process::{
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::sim::{ProcReport, ProcessCtx, Report, Route, SimError};
-use crate::stats::Stats;
-use crate::time::{SimDelta, SimTime};
+use crate::stats::{StatTable, Stats};
+use crate::time::{Clock, SimDelta, SimTime};
 use crate::trace::Trace;
 
 /// Hard cap on shard count: resource ids reserve 8 bits for the shard.
@@ -216,7 +217,6 @@ impl EngineProfile {
 /// of its process threads), the coordinator between windows, or a
 /// running process via its `ProcessCtx`.
 struct ShardState {
-    now: SimTime,
     queue: EventQueue,
     slots: Vec<ProcSlot>,
     /// Local slot index -> global pid.
@@ -226,7 +226,6 @@ struct ShardState {
     /// Local slot indexes ready to run at `now`.
     ready: VecDeque<u32>,
     resources: Vec<ResourceState>,
-    stats: Stats,
     trace: Option<Trace>,
     rng: SimRng,
     /// Shard-private monotone counter stamping every queue push, outbox
@@ -256,10 +255,16 @@ struct ShardState {
     prof_barrier_ns: u64,
 }
 
-/// One shard: an id plus its mutex-guarded state.
+/// One shard: an id, its mutex-guarded state, and the clock and counters
+/// that its processes read and bump without that mutex.
 pub(crate) struct ShardCell {
     pub(crate) id: u32,
     state: Mutex<ShardState>,
+    /// The shard's clock: set by its loop's step, read without the lock.
+    pub(crate) clock: Clock,
+    /// The shard's counters, bumped without the lock and merged in
+    /// shard order when the run ends.
+    pub(crate) stats: StatTable,
     /// Where the shard's worker parks while process threads carry the
     /// window's loop.
     owner: Baton,
@@ -270,14 +275,12 @@ impl ShardCell {
         ShardCell {
             id,
             state: Mutex::new(ShardState {
-                now: SimTime::ZERO,
                 queue: EventQueue::new(),
                 slots: Vec::new(),
                 pids: Vec::new(),
                 local: BTreeMap::new(),
                 ready: VecDeque::new(),
                 resources: Vec::new(),
-                stats: Stats::new(),
                 trace: None,
                 rng: SimRng::new(0),
                 next_seq: 0,
@@ -294,6 +297,8 @@ impl ShardCell {
                 prof_exec_ns: 0,
                 prof_barrier_ns: 0,
             }),
+            clock: Clock::new(),
+            stats: StatTable::new(),
             owner: Baton::new(),
         }
     }
@@ -303,6 +308,7 @@ impl ShardCell {
 struct Sealed {
     la: LookaheadCfg,
     sink: Option<EventSink>,
+    trace: bool,
 }
 
 /// The shared runtime of a sharded simulation.
@@ -431,8 +437,8 @@ where
                 &baton,
                 move || f(ctx),
                 |panic| {
+                    let now = tcell.clock.get();
                     let mut st = tcell.state.lock();
-                    let now = st.now;
                     if let Some(msg) = st.slots[idx as usize].exited(now, panic) {
                         st.fatal = Some(msg);
                     }
@@ -572,6 +578,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         .set(Sealed {
             la: opts.lookahead.clone(),
             sink: opts.sink.clone(),
+            trace: opts.trace,
         })
         .is_err()
     {
@@ -623,7 +630,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
                 if st.ready.is_empty() {
                     st.queue.peek_at()
                 } else {
-                    Some(st.now)
+                    Some(cell.clock.get())
                 }
             };
             if let Some(h) = head {
@@ -669,8 +676,8 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
     let mut end_time = SimTime::ZERO;
     let mut blocked: Vec<(u32, String, BlockReason)> = Vec::new();
     for cell in &shards {
+        end_time = end_time.max(cell.clock.get());
         let st = cell.state.lock();
-        end_time = end_time.max(st.now);
         for (i, slot) in st.slots.iter().enumerate() {
             if let ProcStatus::Blocked(r) = slot.status {
                 blocked.push((st.pids[i].0, slot.name.clone(), r));
@@ -712,7 +719,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
                 },
             ));
         }
-        stats.merge(&st.stats);
+        cell.stats.fold_into(&mut stats);
         events += st.events;
         for r in &st.resources {
             resources.push((r.name.clone(), r.busy_total, r.reservations));
@@ -1009,11 +1016,11 @@ fn step(cell: &ShardCell, owner: bool) -> Step {
     let mut guard = cell.state.lock();
     let st = &mut *guard;
     let view = LoopState {
-        now: &mut st.now,
+        clock: &cell.clock,
         queue: &mut st.queue,
         slots: &mut st.slots,
         ready: &mut st.ready,
-        stats: &mut st.stats,
+        stats: &cell.stats,
         events: &mut st.events,
         execs: &mut st.execs,
         error: &mut st.error,
@@ -1047,8 +1054,8 @@ fn carry(cell: &ShardCell, me: Option<&Baton>) {
 fn run_reactor_local(cell: &ShardCell, idx: u32, body: ReactorBody) {
     let i = idx as usize;
     let outcome = drive_reactor(body, || cell.state.lock().slots[i].mailbox.pop_front());
+    let now = cell.clock.get();
     let mut st = cell.state.lock();
-    let now = st.now;
     if let Some(msg) = st.slots[i].settle_reactor(now, outcome) {
         st.fatal = Some(msg);
     }
@@ -1058,10 +1065,6 @@ fn run_reactor_local(cell: &ShardCell, idx: u32, body: ReactorBody) {
 // ProcessCtx operations, sharded side. Each locks only the caller's own
 // shard; the pid directory is read (never locked for writing) first.
 // ---------------------------------------------------------------------
-
-pub(crate) fn ctx_now(cell: &ShardCell) -> SimTime {
-    cell.state.lock().now
-}
 
 pub(crate) fn ctx_name(cell: &ShardCell, idx: u32) -> String {
     cell.state.lock().slots[idx as usize].name.clone()
@@ -1075,24 +1078,24 @@ pub(crate) fn ctx_block_for(
     d: SimDelta,
     is_compute: bool,
 ) {
-    let span_start = {
+    let start = cell.clock.get();
+    let traced = {
         let mut st = cell.state.lock();
-        let at = st.now + d;
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.queue.push_keyed(at, cell.id, seq, EventKind::Wake(pid));
+        st.queue
+            .push_keyed(start + d, cell.id, seq, EventKind::Wake(pid));
         let slot = &mut st.slots[idx as usize];
         slot.status = ProcStatus::Blocked(BlockReason::Sleep);
         if is_compute {
             slot.compute_time += d;
         }
-        (is_compute && st.trace.is_some()).then_some(st.now)
+        is_compute && st.trace.is_some()
     };
     carry(cell, Some(baton));
-    if let Some(start) = span_start {
-        let mut st = cell.state.lock();
-        let end = st.now;
-        if let Some(trace) = st.trace.as_mut() {
+    if traced {
+        let end = cell.clock.get();
+        if let Some(trace) = cell.state.lock().trace.as_mut() {
             trace.push_span(start, end, pid, "compute".into(), "compute".into());
         }
     }
@@ -1138,8 +1141,8 @@ pub(crate) fn ctx_deliver(
     let dest = loc_of(rt, to).shard;
     let sealed = rt.sealed.get().expect("sharded runtime not sealed");
     let src = cell.id;
+    let at = cell.clock.get() + delay;
     let mut st = cell.state.lock();
-    let at = st.now + delay;
     let seq = st.next_seq;
     st.next_seq += 1;
     if dest == src {
@@ -1175,8 +1178,9 @@ pub(crate) fn ctx_deliver_at(
     let dest = loc_of(rt, to).shard;
     let sealed = rt.sealed.get().expect("sharded runtime not sealed");
     let src = cell.id;
+    let now = cell.clock.get();
+    let at = at.max(now);
     let mut st = cell.state.lock();
-    let at = at.max(st.now);
     let seq = st.next_seq;
     st.next_seq += 1;
     if dest == src {
@@ -1185,11 +1189,11 @@ pub(crate) fn ctx_deliver_at(
     } else {
         let la = sealed.la.of(src, dest);
         assert!(
-            at >= st.now + la,
+            at >= now + la,
             "cross-shard delivery from shard {src} to shard {dest} at {} is \
              inside the lookahead window ending {} (lookahead {}ps)",
             at,
-            st.now + la,
+            now + la,
             la.as_ps()
         );
         st.outbox.push(OutEvent {
@@ -1220,34 +1224,28 @@ pub(crate) fn ctx_reserve(
         shard, cell.id,
         "cross-shard resource reservation is not supported by the sharded engine"
     );
-    let mut st = cell.state.lock();
-    let from = match earliest {
-        Some(e) => e.max(st.now),
-        None => st.now,
-    };
-    st.resources[idx as usize].reserve(from, dur)
+    let now = cell.clock.get();
+    let from = earliest.map_or(now, |e| e.max(now));
+    cell.state.lock().resources[idx as usize].reserve(from, dur)
 }
 
 pub(crate) fn ctx_trace(cell: &ShardCell, pid: Pid, label: String) {
-    let mut st = cell.state.lock();
-    let now = st.now;
-    if let Some(trace) = st.trace.as_mut() {
+    let now = cell.clock.get();
+    if let Some(trace) = cell.state.lock().trace.as_mut() {
         trace.push(now, pid, label);
     }
 }
 
-/// Span-open half: the current instant if tracing is on.
-pub(crate) fn ctx_span_start(cell: &ShardCell) -> Option<SimTime> {
-    let st = cell.state.lock();
-    st.trace.is_some().then_some(st.now)
-}
-
 pub(crate) fn ctx_span_end(cell: &ShardCell, pid: Pid, start: SimTime, cat: String, name: String) {
-    let mut st = cell.state.lock();
-    let end = st.now;
-    if let Some(trace) = st.trace.as_mut() {
+    let end = cell.clock.get();
+    if let Some(trace) = cell.state.lock().trace.as_mut() {
         trace.push_span(start, end, pid, cat, name);
     }
+}
+
+/// `true` when the run records a trace (fixed when it starts).
+pub(crate) fn tracing(rt: &ShardedRt) -> bool {
+    rt.sealed.get().is_some_and(|s| s.trace)
 }
 
 /// `true` when an event sink is installed (so `emit` can skip boxing).
@@ -1258,8 +1256,8 @@ pub(crate) fn sink_installed(rt: &ShardedRt) -> bool {
 /// Buffer an emitted event; the coordinator delivers it to the sink in
 /// canonical `(time, shard, seq)` order at the next flush.
 pub(crate) fn ctx_emit(cell: &ShardCell, pid: Pid, payload: Payload) {
+    let at = cell.clock.get();
     let mut st = cell.state.lock();
-    let at = st.now;
     let seq = st.next_seq;
     st.next_seq += 1;
     st.emits.push(EmitRec {
@@ -1268,18 +1266,6 @@ pub(crate) fn ctx_emit(cell: &ShardCell, pid: Pid, payload: Payload) {
         seq,
         payload,
     });
-}
-
-pub(crate) fn ctx_stat_incr(cell: &ShardCell, name: &str, n: u64) {
-    cell.state.lock().stats.incr(name, n);
-}
-
-pub(crate) fn ctx_stat_time(cell: &ShardCell, name: &str, d: SimDelta) {
-    cell.state.lock().stats.add_time(name, d);
-}
-
-pub(crate) fn ctx_stat_counter(cell: &ShardCell, name: &str) -> u64 {
-    cell.state.lock().stats.counter(name)
 }
 
 pub(crate) fn ctx_gen_range(cell: &ShardCell, bound: u64) -> u64 {

@@ -33,7 +33,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -47,8 +47,8 @@ use crate::process::{
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::shard;
-use crate::stats::Stats;
-use crate::time::{SimDelta, SimTime};
+use crate::stats::{StatKey, StatTable, Stats};
+use crate::time::{Clock, SimDelta, SimTime};
 use crate::trace::Trace;
 
 /// Process-global count of simulated events handled by completed runs,
@@ -174,13 +174,11 @@ impl Report {
 }
 
 pub(crate) struct SimState {
-    now: SimTime,
     queue: EventQueue,
     procs: Vec<ProcSlot>,
     /// Slot indexes (raw pids) ready to run at `now`.
     ready: VecDeque<u32>,
     resources: Vec<ResourceState>,
-    stats: Stats,
     trace: Option<Trace>,
     rng: SimRng,
     time_limit: Option<SimTime>,
@@ -197,6 +195,13 @@ pub(crate) struct SimState {
 
 pub(crate) struct SimInner {
     state: Mutex<SimState>,
+    /// The clock: set by the loop's step, read without the lock.
+    clock: Clock,
+    /// Counters, bumped without the lock.
+    stats: StatTable,
+    /// Tracing is on. Set before `run()` starts and never after, so an
+    /// untraced run checks it without the lock.
+    traced: AtomicBool,
     /// Where `run()`'s caller parks while process threads carry the loop.
     owner: Baton,
     /// The event sink, sealed when `run()` starts; unset means none, so
@@ -283,12 +288,10 @@ impl Simulation {
         Simulation {
             inner: Arc::new(SimInner {
                 state: Mutex::new(SimState {
-                    now: SimTime::ZERO,
                     queue: EventQueue::new(),
                     procs: Vec::new(),
                     ready: VecDeque::new(),
                     resources: Vec::new(),
-                    stats: Stats::new(),
                     trace: None,
                     rng: SimRng::new(seed),
                     time_limit: None,
@@ -298,6 +301,9 @@ impl Simulation {
                     error: None,
                     fatal: None,
                 }),
+                clock: Clock::new(),
+                stats: StatTable::new(),
+                traced: AtomicBool::new(false),
                 owner: Baton::new(),
                 sink: OnceLock::new(),
             }),
@@ -315,6 +321,7 @@ impl Simulation {
     /// Enable trace collection (off by default; it allocates per record).
     pub fn enable_trace(&mut self) {
         self.inner.state.lock().trace = Some(Trace::default());
+        self.inner.traced.store(true, Ordering::Relaxed);
     }
 
     /// Abort the run with [`SimError::TimeLimitExceeded`] if the clock would
@@ -484,10 +491,8 @@ impl Simulation {
     /// simulated process are re-raised here with the process name attached.
     pub fn run(self) -> Result<Report, SimError> {
         if let Some(rt) = &self.sharded {
-            let (time_limit, trace) = {
-                let st = self.inner.state.lock();
-                (st.time_limit, st.trace.is_some())
-            };
+            let time_limit = self.inner.state.lock().time_limit;
+            let trace = self.inner.traced.load(Ordering::Relaxed);
             let threads = self
                 .threads
                 .or_else(|| env_u64(SIMNET_THREADS_ENV).map(|n| n as usize))
@@ -543,13 +548,15 @@ impl Simulation {
                 _ => None,
             })
             .collect();
+        let now = inner.clock.get();
         if !blocked.is_empty() {
-            let now = st.now;
             return Err(SimError::Deadlock { now, blocked });
         }
+        let mut stats = Stats::new();
+        inner.stats.fold_into(&mut stats);
         let report = Report {
-            end_time: st.now,
-            stats: st.stats.clone(),
+            end_time: now,
+            stats,
             trace: st.trace.take(),
             procs: st
                 .procs
@@ -557,7 +564,7 @@ impl Simulation {
                 .map(|p| ProcReport {
                     name: p.name.clone(),
                     compute_time: p.compute_time,
-                    finished_at: p.finished_at.unwrap_or(st.now),
+                    finished_at: p.finished_at.unwrap_or(now),
                 })
                 .collect(),
             events: st.events,
@@ -588,11 +595,11 @@ fn step(inner: &SimInner, owner: bool) -> Step {
     let mut guard = inner.state.lock();
     let st = &mut *guard;
     let view = LoopState {
-        now: &mut st.now,
+        clock: &inner.clock,
         queue: &mut st.queue,
         slots: &mut st.procs,
         ready: &mut st.ready,
-        stats: &mut st.stats,
+        stats: &inner.stats,
         events: &mut st.events,
         execs: &mut st.execs,
         error: &mut st.error,
@@ -616,8 +623,8 @@ fn carry(inner: &SimInner, me: Option<&Baton>) {
 fn run_reactor(inner: &SimInner, key: u32, body: ReactorBody) {
     let i = key as usize;
     let outcome = drive_reactor(body, || inner.state.lock().procs[i].mailbox.pop_front());
+    let now = inner.clock.get();
     let mut st = inner.state.lock();
-    let now = st.now;
     if let Some(msg) = st.procs[i].settle_reactor(now, outcome) {
         st.fatal = Some(msg);
     }
@@ -654,8 +661,8 @@ where
                 &baton,
                 move || f(ctx),
                 |panic| {
+                    let now = tinner.clock.get();
                     let mut st = tinner.state.lock();
-                    let now = st.now;
                     if let Some(msg) = st.procs[pid.index()].exited(now, panic) {
                         st.fatal = Some(msg);
                     }
@@ -701,8 +708,16 @@ impl ProcessCtx {
     /// window).
     pub fn now(&self) -> SimTime {
         match &self.route {
-            Route::Classic(inner) => inner.state.lock().now,
-            Route::Sharded { cell, .. } => shard::ctx_now(cell),
+            Route::Classic(inner) => inner.clock.get(),
+            Route::Sharded { cell, .. } => cell.clock.get(),
+        }
+    }
+
+    /// Whether this run records a trace (fixed before `run()` starts).
+    fn tracing(&self) -> bool {
+        match &self.route {
+            Route::Classic(inner) => inner.traced.load(Ordering::Relaxed),
+            Route::Sharded { rt, .. } => shard::tracing(rt),
         }
     }
 
@@ -747,24 +762,21 @@ impl ProcessCtx {
                 return;
             }
         };
-        let span_start = {
+        let start = inner.clock.get();
+        {
             let mut st = inner.state.lock();
-            let at = st.now + d;
-            st.queue.push(at, EventKind::Wake(self.pid));
+            st.queue.push(start + d, EventKind::Wake(self.pid));
             let slot = &mut st.procs[self.pid.index()];
             slot.status = ProcStatus::Blocked(BlockReason::Sleep);
             if is_compute {
                 slot.compute_time += d;
             }
-            (is_compute && st.trace.is_some()).then_some(st.now)
-        };
+        }
         carry(inner, Some(baton));
-        if let Some(start) = span_start {
-            let mut st = inner.state.lock();
-            let end = st.now;
-            let pid = self.pid;
-            if let Some(trace) = st.trace.as_mut() {
-                trace.push_span(start, end, pid, "compute".into(), "compute".into());
+        if is_compute && self.tracing() {
+            let end = inner.clock.get();
+            if let Some(trace) = inner.state.lock().trace.as_mut() {
+                trace.push_span(start, end, self.pid, "compute".into(), "compute".into());
             }
         }
     }
@@ -844,9 +856,12 @@ impl ProcessCtx {
                 return;
             }
         };
-        let mut st = inner.state.lock();
-        let at = st.now + delay;
-        st.queue.push(at, EventKind::Deliver(to, payload));
+        let at = inner.clock.get() + delay;
+        inner
+            .state
+            .lock()
+            .queue
+            .push(at, EventKind::Deliver(to, payload));
     }
 
     /// Deliver `payload` back to the calling process after `delay` of
@@ -868,9 +883,12 @@ impl ProcessCtx {
                 return;
             }
         };
-        let mut st = inner.state.lock();
-        let at = at.max(st.now);
-        st.queue.push(at, EventKind::Deliver(to, payload));
+        let at = at.max(inner.clock.get());
+        inner
+            .state
+            .lock()
+            .queue
+            .push(at, EventKind::Deliver(to, payload));
     }
 
     /// Create a FIFO resource at runtime. On the sharded engine the
@@ -898,9 +916,8 @@ impl ProcessCtx {
                 return shard::ctx_reserve(cell, res, None, dur);
             }
         };
-        let mut st = inner.state.lock();
-        let now = st.now;
-        st.resources[res.0 as usize].reserve(now, dur)
+        let now = inner.clock.get();
+        inner.state.lock().resources[res.0 as usize].reserve(now, dur)
     }
 
     /// Reserve `res` for `dur`, starting no earlier than `earliest` (which
@@ -917,25 +934,27 @@ impl ProcessCtx {
                 return shard::ctx_reserve(cell, res, Some(earliest), dur);
             }
         };
-        let mut st = inner.state.lock();
-        let from = earliest.max(st.now);
-        st.resources[res.0 as usize].reserve(from, dur)
+        let from = earliest.max(inner.clock.get());
+        inner.state.lock().resources[res.0 as usize].reserve(from, dur)
     }
 
-    /// Append a trace record (no-op unless tracing is enabled).
-    pub fn trace(&self, label: impl Into<String>) {
+    /// Append a trace record (no-op unless tracing is enabled). The
+    /// label is rendered only on a traced run, so a caller can pass
+    /// `format_args!(..)` and pay nothing for it otherwise.
+    pub fn trace(&self, label: impl std::fmt::Display) {
+        if !self.tracing() {
+            return;
+        }
         let inner = match &self.route {
             Route::Classic(inner) => inner,
             Route::Sharded { cell, .. } => {
-                shard::ctx_trace(cell, self.pid, label.into());
+                shard::ctx_trace(cell, self.pid, label.to_string());
                 return;
             }
         };
-        let mut st = inner.state.lock();
-        let now = st.now;
-        let pid = self.pid;
-        if let Some(trace) = st.trace.as_mut() {
-            trace.push(now, pid, label.into());
+        let now = inner.clock.get();
+        if let Some(trace) = inner.state.lock().trace.as_mut() {
+            trace.push(now, self.pid, label.to_string());
         }
     }
 
@@ -943,15 +962,8 @@ impl ProcessCtx {
     /// enabled). Close it with [`span_end`](Self::span_end); the span is
     /// recorded only then, covering the virtual time in between.
     pub fn span_begin(&self, cat: impl Into<String>, name: impl Into<String>) -> OpenSpan {
-        let start = match &self.route {
-            Route::Classic(inner) => {
-                let st = inner.state.lock();
-                st.trace.is_some().then_some(st.now)
-            }
-            Route::Sharded { cell, .. } => shard::ctx_span_start(cell),
-        };
         OpenSpan {
-            start,
+            start: self.tracing().then(|| self.now()),
             cat: cat.into(),
             name: name.into(),
         }
@@ -969,11 +981,9 @@ impl ProcessCtx {
                 return;
             }
         };
-        let mut st = inner.state.lock();
-        let end = st.now;
-        let pid = self.pid;
-        if let Some(trace) = st.trace.as_mut() {
-            trace.push_span(start, end, pid, span.cat, span.name);
+        let end = inner.clock.get();
+        if let Some(trace) = inner.state.lock().trace.as_mut() {
+            trace.push_span(start, end, self.pid, span.cat, span.name);
         }
     }
 
@@ -1000,9 +1010,9 @@ impl ProcessCtx {
             }
         };
         let Some(sink) = inner.sink.get() else { return };
+        let now = inner.clock.get();
         let full = {
             let mut st = inner.state.lock();
-            let now = st.now;
             st.emits.push(now, self.pid, event)
         };
         if let Some(mut batch) = full {
@@ -1011,29 +1021,30 @@ impl ProcessCtx {
         }
     }
 
-    /// Increment a named counter.
-    pub fn stat_incr(&self, name: &str, n: u64) {
+    /// The run's counter table (this shard's, on the sharded engine).
+    fn stats(&self) -> &StatTable {
         match &self.route {
-            Route::Classic(inner) => inner.state.lock().stats.incr(name, n),
-            Route::Sharded { cell, .. } => shard::ctx_stat_incr(cell, name, n),
+            Route::Classic(inner) => &inner.stats,
+            Route::Sharded { cell, .. } => &cell.stats,
         }
     }
 
-    /// Accumulate virtual time under a named stat.
-    pub fn stat_time(&self, name: &str, d: SimDelta) {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().stats.add_time(name, d),
-            Route::Sharded { cell, .. } => shard::ctx_stat_time(cell, name, d),
-        }
+    /// Add `n` to `key`'s counter. Takes no lock: the report's
+    /// [`Stats`] are assembled from the run's counter table when the run
+    /// ends, and a key bumped only by zero still appears there.
+    pub fn stat_incr(&self, key: &StatKey, n: u64) {
+        self.stats().incr(key, n);
     }
 
-    /// Read a counter (mainly for tests). Sharded engine: reads this
-    /// shard's slice of the counter only.
-    pub fn stat_counter(&self, name: &str) -> u64 {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().stats.counter(name),
-            Route::Sharded { cell, .. } => shard::ctx_stat_counter(cell, name),
-        }
+    /// Accumulate virtual time under `key`.
+    pub fn stat_time(&self, key: &StatKey, d: SimDelta) {
+        self.stats().add_time(key, d);
+    }
+
+    /// Read `key`'s counter so far (mainly for tests). Sharded engine:
+    /// reads this shard's slice of the counter only.
+    pub fn stat_counter(&self, key: &StatKey) -> u64 {
+        self.stats().counter(key)
     }
 
     /// Uniform random value in `[0, bound)` from the simulation's RNG
@@ -1281,8 +1292,10 @@ mod tests {
     fn stats_visible_in_report() {
         let mut sim = Simulation::new(0);
         sim.spawn("p", |ctx| {
-            ctx.stat_incr("my.counter", 3);
-            ctx.stat_time("my.time", SimDelta::from_us(2));
+            static COUNTER: StatKey = StatKey::new("my.counter");
+            static TIME: StatKey = StatKey::new("my.time");
+            ctx.stat_incr(&COUNTER, 3);
+            ctx.stat_time(&TIME, SimDelta::from_us(2));
         });
         let report = sim.run().unwrap();
         assert_eq!(report.stats.counter("my.counter"), 3);

@@ -9,6 +9,7 @@
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Picoseconds in one nanosecond.
 const PS_PER_NS: u64 = 1_000;
@@ -70,6 +71,32 @@ impl SimTime {
     /// Saturating difference: zero if `earlier` is actually later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDelta {
         SimDelta(self.0.saturating_sub(earlier.0))
+    }
+}
+
+/// An engine's clock (the classic loop's, or one shard's), kept outside
+/// its locked state so that [`ProcessCtx::now`](crate::ProcessCtx::now)
+/// is one load.
+///
+/// Relaxed is enough. Only the thread that has control of the loop sets
+/// the clock (in the loop's step, under the state lock) or reads it, and
+/// control only changes hands through a mutex: a baton, the shard gate,
+/// or the state lock itself. That hand-off orders every earlier set
+/// before every later read.
+pub(crate) struct Clock(AtomicU64);
+
+impl Clock {
+    pub(crate) fn new() -> Clock {
+        Clock(AtomicU64::new(0))
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> SimTime {
+        SimTime(self.0.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn set(&self, t: SimTime) {
+        self.0.store(t.0, Ordering::Relaxed);
     }
 }
 

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use simnet::{
-    BlockReason, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation,
+    BlockReason, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation, StatKey,
 };
 
 /// Which scheduler loop a case runs on.
@@ -167,7 +167,8 @@ fn mixed_ring(on: Loop) -> (Report, Seen) {
         // Members learn the ring from this list once it is complete.
         let ring: Arc<Mutex<Vec<Pid>>> = Arc::new(Mutex::new(Vec::new()));
         let forward = |ctx: &ProcessCtx, ring: &Mutex<Vec<Pid>>, me: usize, lap: u64| {
-            ctx.stat_incr("ring.hops", 1);
+            static HOPS: StatKey = StatKey::new("ring.hops");
+            ctx.stat_incr(&HOPS, 1);
             let next = ring.lock().unwrap()[(me + 1) % 4];
             ctx.deliver(next, us(1), Box::new(lap));
         };

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use simnet::{
-    BlockReason, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation,
+    BlockReason, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation, StatKey,
 };
 
 /// Which scheduler loop a case runs on.
@@ -226,7 +226,8 @@ fn mixed_ring(threads: usize) -> Report {
     let ring: Arc<Mutex<Vec<Pid>>> = Arc::new(Mutex::new(Vec::new()));
     let hop = |ctx: &ProcessCtx, ring: &Mutex<Vec<Pid>>, me: usize, lap: u64| {
         let jitter = ctx.gen_range(500);
-        ctx.stat_incr("ring.hops", 1);
+        static HOPS: StatKey = StatKey::new("ring.hops");
+        ctx.stat_incr(&HOPS, 1);
         ctx.trace(format!("hop.{me}.{lap}"));
         let next = ring.lock().unwrap()[(me + 1) % MEMBERS];
         ctx.deliver(next, us(1) + SimDelta::from_ns(jitter), Box::new(lap));

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use simnet::{Pid, Report, SimDelta, SimError, SimTime, Simulation};
+use simnet::{Pid, Report, SimDelta, SimError, SimTime, Simulation, StatKey};
 
 /// Per-receiver message log: receiver rank -> [(recv time ps, sender, k)].
 /// Each receiver appends only to its own entry, so the contents are
@@ -98,7 +98,8 @@ fn one_shard_sharded_run_matches_the_classic_engine() {
         let jitter = ctx.gen_range(1000);
         ctx.sleep(SimDelta::from_ns(jitter));
         ctx.compute(SimDelta::from_us(i + 1));
-        ctx.stat_incr("w.done", 1);
+        static DONE: StatKey = StatKey::new("w.done");
+        ctx.stat_incr(&DONE, 1);
         ctx.trace(format!("done.{i}"));
     }
     let classic = {

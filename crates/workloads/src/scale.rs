@@ -13,7 +13,7 @@
 //! different order — changes the fingerprint, so comparing fingerprints
 //! across worker thread counts is a whole-run equivalence check.
 
-use simnet::{EngineProfile, EventSink, Pid, SimDelta, Simulation};
+use simnet::{EngineProfile, EventSink, Pid, SimDelta, Simulation, StatKey};
 
 use crate::stencil::dims3;
 
@@ -185,7 +185,8 @@ pub fn scale_alltoall_with(
                     ctx.emit(&(r, round));
                 }
             }
-            ctx.stat_incr("scale.fingerprint", acc & 0xFFFF_FFFF);
+            static FINGERPRINT: StatKey = StatKey::new("scale.fingerprint");
+            ctx.stat_incr(&FINGERPRINT, acc & 0xFFFF_FFFF);
         });
     }
     let report = sim.run().expect("scale alltoall cannot deadlock");
@@ -253,7 +254,8 @@ pub fn scale_stencil_with(
                     ctx.emit(&(r, round));
                 }
             }
-            ctx.stat_incr("scale.fingerprint", acc & 0xFFFF_FFFF);
+            static FINGERPRINT: StatKey = StatKey::new("scale.fingerprint");
+            ctx.stat_incr(&FINGERPRINT, acc & 0xFFFF_FFFF);
         });
     }
     let report = sim.run().expect("scale stencil cannot deadlock");

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use rdma::ClusterSpec;
-use simnet::SimDelta;
+use simnet::{SimDelta, StatKey};
 
 use crate::harness::{collect, collector, run_workload, take, Harness, Runtime};
 use crate::overlap::OverlapResult;
@@ -121,11 +121,13 @@ fn wait_faces(h: &Harness, reqs: Vec<FaceReq>) {
         match r {
             FaceReq::Mpi(r) => {
                 h.mpi.wait(r);
-                h.ctx().stat_time("stencil.wait.mpi", h.ctx().now() - t0);
+                static WAIT_MPI: StatKey = StatKey::new("stencil.wait.mpi");
+                h.ctx().stat_time(&WAIT_MPI, h.ctx().now() - t0);
             }
             FaceReq::Off(r) => {
                 h.off.as_ref().expect("offload req").wait(r);
-                h.ctx().stat_time("stencil.wait.off", h.ctx().now() - t0);
+                static WAIT_OFF: StatKey = StatKey::new("stencil.wait.off");
+                h.ctx().stat_time(&WAIT_OFF, h.ctx().now() - t0);
             }
         }
     }
