@@ -17,6 +17,20 @@
 //!   the paper's deadlock-avoidance rule ("break from the function to the
 //!   progress engine").
 //!
+//! **The group engine is wake-driven.** A suspended instance is advanced
+//! again only when a message changed one of its inputs: a `GroupSend`
+//! CQE (`outstanding` drops), a `GroupStageRead` CQE (a staged payload
+//! landed), a `GroupArrival` for its `(group, gen)`, or a `GroupPacket`
+//! that reinstalls its group (a replay after a proxy restart can switch
+//! a send from staged to host). Woken instances advance after the
+//! message is handled, in instance order — exactly the ones a poll of
+//! every instance would have moved, in the same order. A new instance
+//! advances at once. What a barrier or the end of the queue waits for is
+//! counted once per group at install ([`RecvGates`]); each instance keeps
+//! dense arrival counts beside its msg-id dedupe set, so a check walks
+//! two slices. Staged reads, stall reports and arrivals belong to the
+//! instance and die with it.
+//!
 //! **Ordering deviation from Algorithm 1, documented:** the paper orders
 //! post-barrier entries by polling *barrier counters* written by peer
 //! proxies. We deliver a per-write arrival notification to the destination
@@ -28,6 +42,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use rdma::{ClusterCtx, EpId, MrKey, NetMsg, VAddr};
 use simnet::{Payload, Pid, ProcessCtx, Reactor, StatKey};
@@ -249,11 +264,130 @@ enum Source {
 struct CachedGroup {
     /// The wire entries; each send carries its resolved source.
     entries: Vec<(WireEntry, Option<Source>)>,
+    /// What its barriers and its end wait for.
+    gates: RecvGates,
 }
 
+/// A cached group's receive gates, precomputed at install: the distinct
+/// `(src_rank, tag)` senders of its `Recv` entries and, at each barrier
+/// and at the end of the queue, how many arrivals each sender must have
+/// delivered (its `Recv` entries before that position). Checking a gate
+/// is a walk over two slices: no allocation, no tree.
+struct RecvGates {
+    /// Distinct senders, sorted; a sender's position is its dense id.
+    senders: Vec<(usize, u64)>,
+    /// Entry index of each gate (every barrier, then `entries.len()`),
+    /// ascending.
+    at: Vec<usize>,
+    /// Per gate, one need per sender: `senders.len()` counts each.
+    needs: Vec<u32>,
+}
+
+impl RecvGates {
+    fn new(entries: &[WireEntry]) -> RecvGates {
+        let mut senders: Vec<(usize, u64)> = entries
+            .iter()
+            .filter_map(|e| match e {
+                WireEntry::Recv { src_rank, tag } => Some((*src_rank, *tag)),
+                _ => None,
+            })
+            .collect();
+        senders.sort_unstable();
+        senders.dedup();
+        let mut gates = RecvGates {
+            senders,
+            at: Vec::new(),
+            needs: Vec::new(),
+        };
+        let mut running = vec![0u32; gates.senders.len()];
+        for (i, e) in entries.iter().enumerate() {
+            match e {
+                WireEntry::Recv { src_rank, tag } => gates.bump(&mut running, *src_rank, *tag),
+                WireEntry::Barrier => {
+                    gates.at.push(i);
+                    gates.needs.extend_from_slice(&running);
+                }
+                WireEntry::Send { .. } => {}
+            }
+        }
+        gates.at.push(entries.len());
+        gates.needs.extend_from_slice(&running);
+        gates
+    }
+
+    /// Count one arrival from `(src_rank, tag)` into per-sender
+    /// `counts`; a sender the group does not receive from counts nowhere.
+    fn bump(&self, counts: &mut [u32], src_rank: usize, tag: u64) {
+        let sender = self.senders.binary_search(&(src_rank, tag)).ok();
+        if let Some(c) = sender.and_then(|s| counts.get_mut(s)) {
+            *c += 1;
+        }
+    }
+
+    /// The per-sender needs of the gate at entry index `cursor`; empty
+    /// where there is no gate or nothing to wait for.
+    fn needs_at(&self, cursor: usize) -> &[u32] {
+        let k = self.senders.len();
+        match self.at.binary_search(&cursor) {
+            Ok(g) if k > 0 => self.needs.chunks_exact(k).nth(g).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+
+    /// Has every sender delivered what the gate at `cursor` needs?
+    fn passed(&self, cursor: usize, arrived: &Arrivals) -> bool {
+        let needs = self.needs_at(cursor);
+        needs.len() <= arrived.counts.len()
+            && needs
+                .iter()
+                .zip(&arrived.counts)
+                .all(|(need, got)| got >= need)
+    }
+}
+
+/// Wire msg-ids that arrived for one group generation, as
+/// `(src_rank, tag, msg_id)`.
+type ArrivalSet = BTreeSet<(usize, u64, u64)>;
+
+/// One group instance's arrivals: every counted msg-id, so a replayed
+/// data write (proxy-restart recovery) cannot count twice and release a
+/// barrier early, and per sender of its [`RecvGates`] how many landed.
+struct Arrivals {
+    seen: ArrivalSet,
+    /// Distinct arrivals per dense sender id.
+    counts: Vec<u32>,
+}
+
+impl Arrivals {
+    /// Count `seen` against `gates`: the arrivals that landed before the
+    /// instance existed, or all of them when a reinstall replaced its
+    /// group.
+    fn new(gates: &RecvGates, seen: ArrivalSet) -> Arrivals {
+        let mut counts = vec![0; gates.senders.len()];
+        for &(src_rank, tag, _) in &seen {
+            gates.bump(&mut counts, src_rank, tag);
+        }
+        Arrivals { seen, counts }
+    }
+
+    /// Count one arrival; false for a msg-id already counted.
+    fn record(&mut self, gates: &RecvGates, src_rank: usize, tag: u64, msg_id: u64) -> bool {
+        if !self.seen.insert((src_rank, tag, msg_id)) {
+            return false;
+        }
+        gates.bump(&mut self.counts, src_rank, tag);
+        true
+    }
+}
+
+/// One running generation of a cached group. Everything it waits on is
+/// its own: it dies with the instance, so finishing or failing one
+/// leaves nothing behind.
 struct Instance {
     key: GroupKey,
     gen: u64,
+    /// The installed group it runs (replaced when a reinstall does).
+    group: Arc<CachedGroup>,
     cursor: usize,
     outstanding: usize,
     barriers: u64,
@@ -261,17 +395,34 @@ struct Instance {
     send_set: BTreeSet<(usize, usize)>,
     /// Barrier counters already written for the barrier at `cursor`.
     barrier_written: bool,
+    /// The barrier at `cursor` already reported its stall, so a repeat
+    /// wake while it stays blocked is not a new stall.
+    stall_noted: bool,
+    /// Staging reads posted, by entry index: `true` once the payload
+    /// landed in DPU memory.
+    stage_reads: BTreeMap<usize, bool>,
+    arrivals: Arrivals,
     done: bool,
 }
 
-/// Proxy bookkeeping. Every container here is order-stable (`BTreeMap` /
-/// `BTreeSet`): the event loop iterates some of them, and hash-order
-/// iteration would make message-matching order depend on the hasher —
-/// the exact nondeterminism the schedule explorer exists to rule out
-/// (and that `xtask lint` bans from these paths).
-/// Arrived wire-entry msg-ids per sender `(src_rank, tag)` within one
-/// group instance generation.
-type ArrivalSets = BTreeMap<(usize, u64), BTreeSet<u64>>;
+impl Instance {
+    fn new(key: GroupKey, gen: u64, group: Arc<CachedGroup>, seen: ArrivalSet) -> Instance {
+        Instance {
+            key,
+            gen,
+            arrivals: Arrivals::new(&group.gates, seen),
+            group,
+            cursor: 0,
+            outstanding: 0,
+            barriers: 0,
+            send_set: BTreeSet::new(),
+            barrier_written: false,
+            stall_noted: false,
+            stage_reads: BTreeMap::new(),
+            done: false,
+        }
+    }
+}
 
 /// Matching-queue key: `(src_rank, dst_rank, tag)`.
 type MatchKey = (usize, usize, u64);
@@ -290,6 +441,11 @@ fn pop_queued<T>(q: &mut BTreeMap<MatchKey, VecDeque<T>>, key: MatchKey) -> Opti
     item
 }
 
+/// Proxy bookkeeping. Every container here is order-stable (`BTreeMap` /
+/// `BTreeSet`): the event loop iterates some of them, and hash-order
+/// iteration would make message-matching order depend on the hasher —
+/// the exact nondeterminism the schedule explorer exists to rule out
+/// (and that `xtask lint` bans from these paths).
 struct ProxyState {
     /// Unmatched RTS descriptors. Never holds an empty deque (see
     /// [`pop_queued`]); `recv_q` likewise.
@@ -305,17 +461,15 @@ struct ProxyState {
     /// cache budget each namespace is budgeted independently, so one
     /// tenant's working set can never evict another's registrations.
     cross_caches: BTreeMap<TenantId, RankAddrCache<(MrKey, MrKey)>>,
-    groups: BTreeMap<GroupKey, CachedGroup>,
+    groups: BTreeMap<GroupKey, Arc<CachedGroup>>,
     instances: Vec<Instance>,
-    /// Data arrivals per `(group instance, gen)`, keyed inside by
-    /// `(src_rank, tag)`. The inner sets hold the wire-entry msg_ids that
-    /// arrived, so a replayed data write (proxy-restart recovery) cannot
-    /// inflate the count and release a barrier early.
-    arrivals: BTreeMap<(GroupKey, u64), ArrivalSets>,
-    /// Staged group send entries: `(key, gen, entry index)`.
-    group_staged: BTreeSet<(GroupKey, u64, usize)>,
-    /// Staging reads already posted: `(key, gen, entry index)`.
-    stage_read_posted: BTreeSet<(GroupKey, u64, usize)>,
+    /// Indices into `instances` whose inputs the current message
+    /// changed; drained by [`Proxy::advance_woken`].
+    woken: Vec<usize>,
+    /// Data arrivals for a `(group, gen)` with no instance: one not
+    /// started yet, or one a crash wiped (arrivals are durable, the
+    /// instance is not). A starting instance takes its set.
+    arrivals: BTreeMap<(GroupKey, u64), ArrivalSet>,
     /// Host ranks that sent `Shutdown`. A set (not a counter) so a
     /// deduplicated retransmit or a post-restart replay cannot double
     /// count one rank; survives a crash (the rank *is* done).
@@ -350,9 +504,6 @@ struct ProxyState {
     /// (descriptor-share admission; maintained only on multi-tenant
     /// rosters, empty otherwise).
     tenant_q_len: BTreeMap<TenantId, usize>,
-    /// Barrier points `(key, gen, cursor)` whose first stall was already
-    /// reported, so polling does not inflate the stall count.
-    stalled: BTreeSet<(GroupKey, u64, usize)>,
     /// Verified operations per in-flight wrid (payload-fault plans only).
     inflight_ctx: BTreeMap<u64, DataOp>,
     /// Corrupt operations awaiting their backoff timer, keyed by retx
@@ -455,8 +606,8 @@ impl ProxyProc {
         true
     }
 
-    /// Handle one mailbox message and progress every group instance;
-    /// `false` once the proxy has finished.
+    /// Handle one mailbox message and advance the group instances it
+    /// woke; `false` once the proxy has finished.
     fn on_message(&mut self, payload: Payload) -> bool {
         // Anything that is not fabric traffic is not for the proxy.
         let Ok(msg) = payload.downcast::<NetMsg>() else {
@@ -464,7 +615,7 @@ impl ProxyProc {
         };
         let (proxy, st) = self.parts();
         proxy.handle(st, *msg);
-        proxy.advance_all(st);
+        proxy.advance_woken(st);
         !self.finished()
     }
 }
@@ -482,9 +633,8 @@ impl ProxyState {
             cross_caches: BTreeMap::from([(0, fresh_cross_cache(cfg, world))]),
             groups: BTreeMap::new(),
             instances: Vec::new(),
+            woken: Vec::new(),
             arrivals: BTreeMap::new(),
-            group_staged: BTreeSet::new(),
-            stage_read_posted: BTreeSet::new(),
             shutdowns: BTreeSet::new(),
             fin_dropped: false,
             rel: ReliableLink::new(
@@ -502,7 +652,6 @@ impl ProxyState {
             send_q_len: 0,
             recv_q_len: 0,
             tenant_q_len: BTreeMap::new(),
-            stalled: BTreeSet::new(),
             inflight_ctx: BTreeMap::new(),
             data_retx: BTreeMap::new(),
             next_retx_token: 0,
@@ -511,6 +660,14 @@ impl ProxyState {
             ack_horizons: BTreeMap::new(),
             health: HealthEngine::new(cfg.health, cfg.fault.seed, my_ep.index() as u64 + 0x2000),
         }
+    }
+
+    /// The instance running generation `gen` of `key`, with its index.
+    fn instance_mut(&mut self, key: GroupKey, gen: u64) -> Option<(usize, &mut Instance)> {
+        self.instances
+            .iter_mut()
+            .enumerate()
+            .find(|(_, i)| i.key == key && i.gen == gen)
     }
 }
 
@@ -760,12 +917,22 @@ impl Proxy<'_> {
                     // already finished; recording it would only leak.
                     return;
                 }
-                st.arrivals
-                    .entry((dst_key, gen))
-                    .or_default()
-                    .entry((src_rank, tag))
-                    .or_default()
-                    .insert(msg_id);
+                match st.instance_mut(dst_key, gen) {
+                    Some((idx, inst)) => {
+                        if inst
+                            .arrivals
+                            .record(&inst.group.gates, src_rank, tag, msg_id)
+                        {
+                            st.woken.push(idx);
+                        }
+                    }
+                    None => {
+                        st.arrivals
+                            .entry((dst_key, gen))
+                            .or_default()
+                            .insert((src_rank, tag, msg_id));
+                    }
+                }
             }
             CtrlMsg::Put {
                 src_rank,
@@ -1242,10 +1409,11 @@ impl Proxy<'_> {
         st.cross_caches =
             BTreeMap::from([(0, fresh_cross_cache(self.cfg, self.cluster.world_size()))]);
         st.groups.clear();
-        st.instances.clear();
-        st.group_staged.clear();
-        st.stage_read_posted.clear();
-        st.stalled.clear();
+        // Running instances die; the arrivals they counted are durable.
+        for inst in st.instances.drain(..) {
+            st.arrivals.insert((inst.key, inst.gen), inst.arrivals.seen);
+        }
+        st.woken.clear();
         // The retx table and staging pool are volatile; the cancelled
         // set and advertised horizons are durable (a cancelled request
         // must stay dead across a restart, and a stale horizon only
@@ -1670,16 +1838,17 @@ impl Proxy<'_> {
         });
     }
 
-    /// Record the first stall at a barrier crossing `(key, gen, cursor)`;
-    /// repeat polls of the same blocked barrier are not new stalls.
-    fn note_barrier_stall(&self, st: &mut ProxyState, key: GroupKey, gen: u64, cursor: usize) {
-        if st.stalled.insert((key, gen, cursor)) {
+    /// Record the first stall at the barrier an instance is blocked on;
+    /// repeat wakes of the same blocked barrier are not new stalls.
+    fn note_barrier_stall(&self, inst: &mut Instance) {
+        if !inst.stall_noted {
+            inst.stall_noted = true;
             static BARRIER_STALLS: StatKey = StatKey::new("offload.proxy.barrier_stalls");
             self.ctx.stat_incr(&BARRIER_STALLS, 1);
             self.ctx.emit(&ProtoEvent::BarrierStall {
-                host_rank: key.host_rank,
-                req_id: key.req_id,
-                gen,
+                host_rank: inst.key.host_rank,
+                req_id: inst.key.req_id,
+                gen: inst.gen,
             });
         }
     }
@@ -1786,12 +1955,9 @@ impl Proxy<'_> {
                 self.ctx.stat_incr(&STAGING_FORWARDS, 1);
             }
             Completion::GroupSend { key, gen } => {
-                if let Some(inst) = st
-                    .instances
-                    .iter_mut()
-                    .find(|i| i.key == key && i.gen == gen)
-                {
+                if let Some((idx, inst)) = st.instance_mut(key, gen) {
                     inst.outstanding -= 1;
+                    st.woken.push(idx);
                 }
             }
             Completion::GroupStageRead {
@@ -1799,7 +1965,10 @@ impl Proxy<'_> {
                 gen,
                 entry_idx,
             } => {
-                st.group_staged.insert((key, gen, entry_idx));
+                if let Some((idx, inst)) = st.instance_mut(key, gen) {
+                    inst.stage_reads.insert(entry_idx, true);
+                    st.woken.push(idx);
+                }
             }
         }
     }
@@ -1910,10 +2079,6 @@ impl Proxy<'_> {
                     inst.done = true;
                 }
                 st.arrivals.remove(&(key, gen));
-                st.stalled.retain(|&(k, g, _)| !(k == key && g == gen));
-                st.group_staged.retain(|&(k, g, _)| !(k == key && g == gen));
-                st.stage_read_posted
-                    .retain(|&(k, g, _)| !(k == key && g == gen));
                 return;
             }
         };
@@ -1928,6 +2093,7 @@ impl Proxy<'_> {
     fn install_group(&self, st: &mut ProxyState, key: GroupKey, entries: Vec<WireEntry>) {
         // Interpret every entry once (ARM time).
         self.charge_entries(entries.len().max(1) as u64);
+        let gates = RecvGates::new(&entries);
         let mut cached = Vec::with_capacity(entries.len());
         for entry in entries {
             // Each send's path is decided now and stored with the entry,
@@ -1965,14 +2131,28 @@ impl Proxy<'_> {
             };
             cached.push((entry, source));
         }
-        st.groups.insert(key, CachedGroup { entries: cached });
+        let group = Arc::new(CachedGroup {
+            entries: cached,
+            gates,
+        });
+        // A live instance runs the replacement from here on: a replayed
+        // packet may have switched a send between staged and host, so
+        // wake it even though nothing else it waits on changed.
+        for (idx, inst) in st.instances.iter_mut().enumerate() {
+            if inst.key == key && !inst.done {
+                let seen = std::mem::take(&mut inst.arrivals.seen);
+                inst.arrivals = Arrivals::new(&group.gates, seen);
+                inst.group = Arc::clone(&group);
+                st.woken.push(idx);
+            }
+        }
+        st.groups.insert(key, group);
     }
 
     fn start_instance(&self, st: &mut ProxyState, key: GroupKey, gen: u64) {
-        assert!(
-            st.groups.contains_key(&key),
-            "exec for unknown group {key:?}"
-        );
+        let Some(group) = st.groups.get(&key).map(Arc::clone) else {
+            panic!("exec for unknown group {key:?}");
+        };
         if st.fin_gens.get(&key).copied().unwrap_or(0) >= gen {
             // This generation finished in a previous life; only the FIN
             // can have been lost. Resend it instead of re-executing.
@@ -1993,18 +2173,10 @@ impl Proxy<'_> {
             });
             return;
         }
-        st.instances.push(Instance {
-            key,
-            gen,
-            cursor: 0,
-            outstanding: 0,
-            barriers: 0,
-            send_set: BTreeSet::new(),
-            barrier_written: false,
-            done: false,
-        });
-        let idx = st.instances.len() - 1;
-        self.advance_instance(st, idx);
+        let seen = st.arrivals.remove(&(key, gen)).unwrap_or_default();
+        let mut inst = Instance::new(key, gen, group, seen);
+        self.advance_instance(st, &mut inst);
+        st.instances.push(inst);
     }
 
     /// Ship a generation's completion to the owning host. Group FINs
@@ -2033,32 +2205,49 @@ impl Proxy<'_> {
         self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
-    fn advance_all(&self, st: &mut ProxyState) {
-        for i in 0..st.instances.len() {
-            if !st.instances[i].done {
-                self.advance_instance(st, i);
+    /// Advance every instance the last message woke, in instance order,
+    /// then drop the finished ones. An instance that was not woken has
+    /// nothing new to act on (its CQEs, staged reads, arrivals and
+    /// entries are unchanged), so this moves exactly what advancing every
+    /// instance would, in the same order.
+    fn advance_woken(&self, st: &mut ProxyState) {
+        if !st.woken.is_empty() {
+            let mut woken = std::mem::take(&mut st.woken);
+            woken.sort_unstable();
+            woken.dedup();
+            // Advancing posts work and sends ctrl but wakes nothing: every
+            // wake source is a later message.
+            let mut instances = std::mem::take(&mut st.instances);
+            for &idx in &woken {
+                if let Some(inst) = instances.get_mut(idx).filter(|i| !i.done) {
+                    self.advance_instance(st, inst);
+                }
             }
+            st.instances = instances;
+            woken.clear();
+            st.woken = woken;
         }
         st.instances.retain(|i| !i.done);
     }
 
     /// Run one instance forward until it blocks or completes — the
     /// `PostCachedEntryOps` loop of Algorithm 1.
-    fn advance_instance(&self, st: &mut ProxyState, idx: usize) {
-        while let Some(inst) = st.instances.get(idx) {
-            let (key, gen, cursor) = (inst.key, inst.gen, inst.cursor);
-            let n_entries = st.groups[&key].entries.len();
-            if cursor >= n_entries {
+    fn advance_instance(&self, st: &mut ProxyState, inst: &mut Instance) {
+        let group = Arc::clone(&inst.group);
+        let (key, gen) = (inst.key, inst.gen);
+        loop {
+            let cursor = inst.cursor;
+            let Some(entry) = group.entries.get(cursor) else {
                 // End of the queue: completion needs all sends CQE'd and
                 // all recv payloads arrived.
-                if st.instances[idx].outstanding > 0 {
+                if inst.outstanding > 0 {
                     self.ctx.trace(format_args!(
                         "proxy.wait_cqes.r{}.out{}",
-                        key.host_rank, st.instances[idx].outstanding
+                        key.host_rank, inst.outstanding
                     ));
                     return;
                 }
-                if !self.recvs_arrived(st, key, gen, n_entries) {
+                if !group.gates.passed(cursor, &inst.arrivals) {
                     self.ctx
                         .trace(format_args!("proxy.wait_arrivals.r{}", key.host_rank));
                     return;
@@ -2070,13 +2259,10 @@ impl Proxy<'_> {
                 self.post_group_fin(st, key, gen);
                 self.ctx
                     .trace(format_args!("proxy.group_fin.r{}.g{gen}", key.host_rank));
-                st.arrivals.remove(&(key, gen));
-                st.stalled.retain(|&(k, g, _)| !(k == key && g == gen));
-                st.instances[idx].done = true;
+                inst.done = true;
                 return;
-            }
-            let entry = st.groups[&key].entries[cursor].clone();
-            match entry {
+            };
+            match *entry {
                 (
                     WireEntry::Send {
                         addr,
@@ -2097,11 +2283,16 @@ impl Proxy<'_> {
                     let (local, path) = match source {
                         Source::Host(mkey2) => ((src_ep, addr, mkey2), PathKind::CrossGvmi),
                         Source::Staged(buf, bkey) => {
-                            if !st.group_staged.remove(&(key, gen, cursor)) {
-                                // Staging hop 1: pull the (current
-                                // generation's) payload from host memory,
-                                // once per entry/gen.
-                                if st.stage_read_posted.insert((key, gen, cursor)) {
+                            match inst.stage_reads.get(&cursor) {
+                                Some(true) => {
+                                    inst.stage_reads.remove(&cursor);
+                                }
+                                Some(false) => return, // hop 1 still in flight
+                                None => {
+                                    // Staging hop 1: pull the (current
+                                    // generation's) payload from host
+                                    // memory, once per entry/gen.
+                                    inst.stage_reads.insert(cursor, false);
                                     self.charge_entries(1);
                                     let staged = (self.my_ep, buf, bkey);
                                     let src = (src_ep, addr, src_rkey);
@@ -2123,10 +2314,9 @@ impl Proxy<'_> {
                                     static STAGING_READS: StatKey =
                                         StatKey::new("offload.proxy.staging_reads");
                                     self.ctx.stat_incr(&STAGING_READS, 1);
+                                    return; // payload not in DPU memory yet
                                 }
-                                return; // payload not in DPU memory yet
                             }
-                            st.stage_read_posted.remove(&(key, gen, cursor));
                             ((self.my_ep, buf, bkey), PathKind::StagingHop2)
                         }
                     };
@@ -2158,31 +2348,23 @@ impl Proxy<'_> {
                     self.post(st, op, Completion::GroupSend { key, gen });
                     static GROUP_WRITES: StatKey = StatKey::new("offload.proxy.group_writes");
                     self.ctx.stat_incr(&GROUP_WRITES, 1);
-                    let inst = &mut st.instances[idx];
                     inst.outstanding += 1;
                     inst.send_set.insert((dst_rank, dst_req_id));
                     inst.cursor += 1;
                 }
                 (WireEntry::Send { .. }, None) => unreachable!("install resolves every send"),
-                (WireEntry::Recv { .. }, _) => {
-                    st.instances[idx].cursor += 1;
-                }
+                (WireEntry::Recv { .. }, _) => inst.cursor += 1,
                 (WireEntry::Barrier, _) => {
-                    if st.instances[idx].outstanding > 0 {
-                        self.note_barrier_stall(st, key, gen, cursor);
+                    if inst.outstanding > 0 {
+                        self.note_barrier_stall(inst);
                         return; // wait for send completions
                     }
-                    if !st.instances[idx].barrier_written {
+                    if !inst.barrier_written {
                         // writeRemoteBarrierCntr(sendRankSet) — Algorithm 1.
-                        let (value, targets) = {
-                            let inst = &mut st.instances[idx];
-                            inst.barriers += 1;
-                            inst.barrier_written = true;
-                            let t: Vec<_> = inst.send_set.iter().copied().collect();
-                            inst.send_set.clear();
-                            (inst.barriers, t)
-                        };
-                        for (dst_rank, dst_req_id) in targets {
+                        inst.barriers += 1;
+                        inst.barrier_written = true;
+                        let value = inst.barriers;
+                        for (dst_rank, dst_req_id) in std::mem::take(&mut inst.send_set) {
                             let dst_proxy = self.cluster.proxy_for_rank(dst_rank);
                             self.cluster
                                 .fabric()
@@ -2212,34 +2394,16 @@ impl Proxy<'_> {
                         }
                     }
                     // Gate on pre-barrier receive arrivals.
-                    if !self.recvs_arrived(st, key, gen, cursor) {
-                        self.note_barrier_stall(st, key, gen, cursor);
+                    if !group.gates.passed(cursor, &inst.arrivals) {
+                        self.note_barrier_stall(inst);
                         return;
                     }
-                    let inst = &mut st.instances[idx];
                     inst.barrier_written = false;
+                    inst.stall_noted = false;
                     inst.cursor += 1;
                 }
             }
         }
-    }
-
-    /// Have all `Recv` entries with index `< upto` received their payload?
-    fn recvs_arrived(&self, st: &ProxyState, key: GroupKey, gen: u64, upto: usize) -> bool {
-        let entries = &st.groups[&key].entries;
-        let mut needed: BTreeMap<(usize, u64), u64> = BTreeMap::new();
-        for (e, _) in entries.iter().take(upto) {
-            if let WireEntry::Recv { src_rank, tag } = e {
-                *needed.entry((*src_rank, *tag)).or_insert(0) += 1;
-            }
-        }
-        if needed.is_empty() {
-            return true;
-        }
-        let got = st.arrivals.get(&(key, gen));
-        needed
-            .iter()
-            .all(|(k, need)| got.and_then(|m| m.get(k)).map_or(0, |s| s.len() as u64) >= *need)
     }
 }
 
@@ -2248,7 +2412,140 @@ mod tests {
     use super::*;
     use crate::Offload;
     use rdma::{ClusterBuilder, ClusterSpec, Inbox};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Mutex;
+
+    fn recv(src_rank: usize, tag: u64) -> WireEntry {
+        WireEntry::Recv { src_rank, tag }
+    }
+
+    fn send(dst_rank: usize) -> WireEntry {
+        WireEntry::Send {
+            addr: VAddr(0),
+            len: 8,
+            mkey: MrKey::invalid(),
+            src_rkey: MrKey::invalid(),
+            dst_rank,
+            tag: 0,
+            dst_addr: VAddr(0),
+            dst_rkey: MrKey::invalid(),
+            dst_req_id: 0,
+            msg_id: 0,
+            crc: None,
+        }
+    }
+
+    /// Per `(src_rank, tag)`, the `Recv` entries before `cursor`,
+    /// counted by brute force.
+    fn brute_needs(entries: &[WireEntry], cursor: usize) -> BTreeMap<(usize, u64), u32> {
+        let mut needs = BTreeMap::new();
+        for e in entries.iter().take(cursor) {
+            if let WireEntry::Recv { src_rank, tag } = e {
+                *needs.entry((*src_rank, *tag)).or_insert(0) += 1;
+            }
+        }
+        needs
+    }
+
+    #[test]
+    fn gate_needs_match_a_brute_force_count() {
+        // A fixed LCG draws queues of sends, receives from a few senders
+        // and barriers, including empty queues and back-to-back barriers.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut draw = |n: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 33) % n
+        };
+        for _ in 0..200 {
+            let len = draw(24) as usize;
+            let entries: Vec<WireEntry> = (0..len)
+                .map(|_| match draw(4) {
+                    0 => send(draw(4) as usize),
+                    1 => WireEntry::Barrier,
+                    _ => recv(draw(3) as usize, draw(2)),
+                })
+                .collect();
+            let gates = RecvGates::new(&entries);
+            let gated: Vec<usize> = (0..=len)
+                .filter(|&c| c == len || matches!(entries[c], WireEntry::Barrier))
+                .collect();
+            assert_eq!(gates.at, gated);
+            for cursor in 0..=len {
+                let got = gates.needs_at(cursor);
+                if !gated.contains(&cursor) {
+                    assert!(got.is_empty(), "needs at a non-gate {cursor}");
+                    continue;
+                }
+                let mut want = brute_needs(&entries, cursor);
+                for (&sender, &need) in gates.senders.iter().zip(got) {
+                    assert_eq!(
+                        want.remove(&sender).unwrap_or(0),
+                        need,
+                        "{sender:?}@{cursor}"
+                    );
+                }
+                assert!(want.is_empty(), "senders missing from the table: {want:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_duplicate_msg_id_does_not_count() {
+        let entries = [recv(1, 0), recv(1, 0)];
+        let gates = RecvGates::new(&entries);
+        let mut a = Arrivals::new(&gates, ArrivalSet::new());
+        assert!(a.record(&gates, 1, 0, 10));
+        // A replayed data write after a proxy restart.
+        assert!(!a.record(&gates, 1, 0, 10));
+        assert!(!gates.passed(2, &a), "one distinct arrival of two");
+        assert!(a.record(&gates, 1, 0, 11));
+        assert!(gates.passed(2, &a));
+    }
+
+    #[test]
+    fn an_arrival_before_the_instance_is_honoured() {
+        let entries = [recv(2, 5), WireEntry::Barrier, send(2)];
+        let gates = RecvGates::new(&entries);
+        // Landed while the group was not installed yet.
+        let early = ArrivalSet::from([(2, 5, 7)]);
+        let mut a = Arrivals::new(&gates, early);
+        assert!(gates.passed(1, &a));
+        assert!(
+            !a.record(&gates, 2, 5, 7),
+            "the early arrival is already counted"
+        );
+        // An arrival from a sender the group never receives from counts
+        // nowhere, and does not disturb the ones it does.
+        assert!(a.record(&gates, 3, 5, 8));
+        assert_eq!(a.counts, vec![1]);
+    }
+
+    #[test]
+    fn a_sender_over_two_barriers_releases_each_at_its_count() {
+        let entries = [
+            recv(0, 1),
+            send(0),
+            WireEntry::Barrier,
+            recv(0, 1),
+            recv(0, 1),
+            recv(4, 1),
+            WireEntry::Barrier,
+            send(4),
+        ];
+        let gates = RecvGates::new(&entries);
+        let mut a = Arrivals::new(&gates, ArrivalSet::new());
+        let passes = |a: &Arrivals| (gates.passed(2, a), gates.passed(6, a), gates.passed(8, a));
+        assert_eq!(passes(&a), (false, false, false));
+        a.record(&gates, 0, 1, 100);
+        assert_eq!(passes(&a), (true, false, false));
+        a.record(&gates, 4, 1, 400);
+        a.record(&gates, 0, 1, 101);
+        assert_eq!(passes(&a), (true, false, false), "sender 0 has 2 of 3");
+        a.record(&gates, 0, 1, 102);
+        assert_eq!(passes(&a), (true, true, true));
+        // A reinstall recounts the same arrivals against the new table.
+        let a = Arrivals::new(&RecvGates::new(&entries), a.seen);
+        assert_eq!(passes(&a), (true, true, true));
+    }
 
     /// A stencil uses fresh tags every round. Neither end may keep
     /// per-request residue that a per-message path then walks: the

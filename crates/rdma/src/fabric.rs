@@ -55,6 +55,11 @@ struct MrEntry {
     valid: bool,
 }
 
+/// `World::mrs` slot of `key`; none for key 0.
+fn mr_slot(key: MrKey) -> Option<usize> {
+    usize::try_from(key.0).ok()?.checked_sub(1)
+}
+
 struct NodeRes {
     host_tx: ResourceId,
     host_rx: ResourceId,
@@ -74,8 +79,10 @@ struct World {
     spec: ClusterSpec,
     eps: Vec<Endpoint>,
     nodes: Vec<NodeRes>,
-    mrs: BTreeMap<u64, MrEntry>,
-    next_key: u64,
+    /// Every key ever issued, key `k` at slot `k - 1`: keys are handed
+    /// out densely from 1 and never removed (`dereg` only clears
+    /// `valid`).
+    mrs: Vec<MrEntry>,
     next_gvmi: u32,
     /// Latest packet delivery per `(from, to)` endpoint pair. Two-sided
     /// packets between one pair share a QP and must never overtake each
@@ -194,8 +201,7 @@ impl Fabric {
                 spec,
                 eps: Vec::new(),
                 nodes,
-                mrs: BTreeMap::new(),
-                next_key: 1,
+                mrs: Vec::new(),
                 next_gvmi: 1,
                 pair_order: BTreeMap::new(),
                 delivery_jitter: SimDelta::ZERO,
@@ -445,11 +451,7 @@ impl Fabric {
                     got: gvmi,
                 });
             }
-            let entry = w
-                .mrs
-                .get(&mkey.0)
-                .filter(|m| m.valid)
-                .ok_or(RdmaError::BadKey(mkey))?;
+            let entry = w.mr(mkey)?;
             let MrKind::Gvmi { gvmi: key_gvmi } = entry.kind else {
                 return Err(RdmaError::NotGvmiKey(mkey));
             };
@@ -486,10 +488,10 @@ impl Fabric {
     /// Invalidate a key.
     pub fn dereg(&self, key: MrKey) -> Result<(), RdmaError> {
         let mut w = self.inner.lock();
-        let entry = w.mrs.get_mut(&key.0).ok_or(RdmaError::BadKey(key))?;
-        if !entry.valid {
-            return Err(RdmaError::BadKey(key));
-        }
+        let entry = mr_slot(key)
+            .and_then(|i| w.mrs.get_mut(i))
+            .filter(|m| m.valid)
+            .ok_or(RdmaError::BadKey(key))?;
         entry.valid = false;
         Ok(())
     }
@@ -828,19 +830,22 @@ impl World {
     }
 
     fn insert_mr(&mut self, ep: EpId, addr: VAddr, len: u64, kind: MrKind) -> MrKey {
-        let key = MrKey(self.next_key);
-        self.next_key += 1;
-        self.mrs.insert(
-            key.0,
-            MrEntry {
-                ep,
-                addr,
-                len,
-                kind,
-                valid: true,
-            },
-        );
-        key
+        self.mrs.push(MrEntry {
+            ep,
+            addr,
+            len,
+            kind,
+            valid: true,
+        });
+        MrKey(self.mrs.len() as u64)
+    }
+
+    /// The registration behind a valid key.
+    fn mr(&self, key: MrKey) -> Result<&MrEntry, RdmaError> {
+        mr_slot(key)
+            .and_then(|i| self.mrs.get(i))
+            .filter(|m| m.valid)
+            .ok_or(RdmaError::BadKey(key))
     }
 
     fn check_local_key(
@@ -851,11 +856,7 @@ impl World {
         key: MrKey,
         len: u64,
     ) -> Result<(), RdmaError> {
-        let entry = self
-            .mrs
-            .get(&key.0)
-            .filter(|m| m.valid)
-            .ok_or(RdmaError::BadKey(key))?;
+        let entry = self.mr(key)?;
         if entry.ep != local_ep {
             return Err(RdmaError::KeyEndpointMismatch(key));
         }
@@ -888,11 +889,7 @@ impl World {
         key: MrKey,
         len: u64,
     ) -> Result<(), RdmaError> {
-        let entry = self
-            .mrs
-            .get(&key.0)
-            .filter(|m| m.valid)
-            .ok_or(RdmaError::BadKey(key))?;
+        let entry = self.mr(key)?;
         if entry.ep != remote_ep {
             return Err(RdmaError::KeyEndpointMismatch(key));
         }
@@ -1149,6 +1146,39 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, RdmaError::BadKey(_)), "{err}");
             assert!(matches!(fab.dereg(lkey).unwrap_err(), RdmaError::BadKey(_)));
+        });
+    }
+
+    #[test]
+    fn only_issued_live_keys_resolve() {
+        with_driver(|ctx, fab, eps| {
+            let (h0, h1) = (eps[0], eps[1]);
+            let src = fab.alloc(h0, 64);
+            let dst = fab.alloc(h1, 64);
+            let lkey = fab.reg_mr(&ctx, h0, src, 64).unwrap();
+            let dead = fab.reg_mr(&ctx, h1, dst, 64).unwrap();
+            let rkey = fab.reg_mr(&ctx, h1, dst, 64).unwrap();
+            fab.dereg(dead).unwrap();
+            let never = MrKey(rkey.0 + 1);
+            for bad in [MrKey::invalid(), never, dead] {
+                let local =
+                    fab.rdma_write(&ctx, h0, (h0, src, bad), (h1, dst, rkey), 64, None, None);
+                let remote =
+                    fab.rdma_write(&ctx, h0, (h0, src, lkey), (h1, dst, bad), 64, None, None);
+                for err in [
+                    local.unwrap_err(),
+                    remote.unwrap_err(),
+                    fab.dereg(bad).unwrap_err(),
+                ] {
+                    assert!(
+                        matches!(err, RdmaError::BadKey(k) if k == bad),
+                        "{bad:?}: {err}"
+                    );
+                }
+            }
+            // Deregistering a key leaves its neighbours in the table live.
+            fab.rdma_write(&ctx, h0, (h0, src, lkey), (h1, dst, rkey), 64, None, None)
+                .unwrap();
         });
     }
 

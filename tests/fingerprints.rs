@@ -80,7 +80,7 @@ const SEEDS: [(u64, u64); 2] = [(1, 0), (2, 2_000)];
 
 /// The rows tier-1 runs: every driver, overlay and plan at least once,
 /// and the long payload-faulted stencil.
-const SLICE: [&str; 18] = [
+const SLICE: [&str; 19] = [
     "stencil/default/clean/p1/s1",
     "stencil/tenants/skip-cross-reg/p2/s1",
     "stencil/staging/drop-first-fin/p1/s2",
@@ -98,6 +98,9 @@ const SLICE: [&str; 18] = [
     "doomed-group/tenants/own/p1/s1",
     "ctrl-undeliverable/default/own/p1/s1",
     "data-integrity/no-cache/own/p2/s2",
+    // A post-restart GroupPacket replay reinstalls a group under a live
+    // instance and switches a staged send to the host path.
+    "noisy-solo/no-cache/all-armed/p1/s1",
     // Its stats pin the byte kernels' stream, checksums and fault roll
     // order (DESIGN.md section 9).
     "verified-stencil-5200x150/default/flip5-torn5-ddrop3/p1/s31",
