@@ -44,25 +44,10 @@ done
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test (classic engine, SIMNET_THREADS=1)"
-if ! SIMNET_THREADS=1 cargo test -q --workspace; then
+echo "== cargo test"
+if ! cargo test -q --workspace; then
     # The checker explorer drops flight-recorder dumps next to failing
     # schedules; surface them so the trace travels with the CI log.
-    if ls target/failure-dumps/*.flight.txt >/dev/null 2>&1; then
-        echo "flight-recorder dumps from failing runs:"
-        ls -l target/failure-dumps/
-    fi
-    exit 1
-fi
-
-echo "== cargo test (sharded engine, SIMNET_THREADS=4)"
-# The same tier-1 suite with every cluster routed through the sharded
-# conservative-lookahead runtime: worker threads are a pure speed knob,
-# so both passes must be green with identical verdicts (the equivalence
-# suite in tests/engine_equivalence.rs additionally byte-compares the
-# artifacts the two engines produce, and the fingerprint slice in
-# tests/fingerprints.rs holds each engine's runs to the committed golden).
-if ! SIMNET_THREADS=4 cargo test -q --workspace; then
     if ls target/failure-dumps/*.flight.txt >/dev/null 2>&1; then
         echo "flight-recorder dumps from failing runs:"
         ls -l target/failure-dumps/
@@ -101,17 +86,15 @@ echo "== observer overhead (release, ignored in tier-1; prints, gates nothing)"
 # clock on a CI box is not evidence, so no number here fails the build.
 cargo test --release -q --test observer_overhead -- --ignored --nocapture
 
-echo "== fingerprints (release, ignored in tier-1; whole matrix at 1 and 4 threads)"
+echo "== fingerprints (release, ignored in tier-1; the whole matrix)"
 # Every checker scenario (driver x config overlay x fault plan x 1/2
 # proxies x 2 seeds, ~1 900 rows) reduced to one line and compared with
 # tests/golden/fingerprints.tsv: verdict, end time, event count, and
 # hashes of the event stream and of the run's stats (DESIGN.md section 16).
-# Both engines must reproduce every row. A mismatch prints only the moved
-# rows, old -> new, and the command that regenerates the file; success
-# prints the row count and the wall time (~4 s per pass).
-for t in 1 4; do
-    SIMNET_THREADS="$t" cargo test --release -q --test fingerprints -- --ignored
-done
+# A mismatch prints only the moved rows, old -> new, and the command that
+# regenerates the file; success prints the row count and the wall time
+# (~4 s).
+cargo test --release -q --test fingerprints -- --ignored
 
 echo "== benchmark package (unit tests + --quick correctness gate)"
 # benchmark/ is its own workspace building against crates/* by path, so an
@@ -154,11 +137,8 @@ echo "== fault soak (ctrl + data-plane + tenant-isolation + breaker matrix)"
 # SOAK_LONG=1 widens the matrix (8 seeds, deeper corruption stacks, the
 # delay-heavy noisy-neighbor plan) for nightly-style runs; failures
 # leave replayable flight-recorder dumps in
-# target/failure-dumps/. The soak runs on the sharded engine
-# (SIMNET_THREADS=4): recovery under faults must not depend on the
-# engine, and the fingerprints step above pins the checker scenarios
-# on both engines.
-if ! SOAK_LONG="${SOAK_LONG:-}" SIMNET_THREADS=4 \
+# target/failure-dumps/.
+if ! SOAK_LONG="${SOAK_LONG:-}" \
     cargo run --release --quiet -p checker --bin fault_soak; then
     if ls target/failure-dumps/*.flight.txt >/dev/null 2>&1; then
         echo "flight-recorder dumps from failing soak scenarios:"
@@ -170,7 +150,7 @@ fi
 # The two steps below that read wall clock on a single-worker run (the
 # engine_speed artifact, the profiling-overhead gate) want a settled box.
 # Measured here (EXPERIMENTS.md, "Thread hand-off"): for 10-15 s after
-# anything that kept both vCPUs busy - the soak, a 4-worker run - waking
+# anything that kept both vCPUs busy - a build, a 4-worker run - waking
 # a thread onto the other, idle vCPU costs ~15 us instead of ~1, and an
 # unpinned 7 ms sample reads 70-110 ms.
 settle() { sleep 15; }
@@ -190,8 +170,8 @@ for bin in engine_speed ext_allgather ext_bluefield3 ext_proxy_count \
 done
 
 echo "== sharded-engine byte equivalence (threads 1 vs 4, --quick)"
-# The acceptance property at CI scale: the scale benches rerun at 1 and
-# 4 worker threads with wall-clock keys suppressed (BENCH_NO_WALL=1)
+# The sharded runtime's acceptance property at CI scale: the scale
+# benches, its only users, rerun at 1 and 4 worker threads with wall-clock keys suppressed (BENCH_NO_WALL=1)
 # must write byte-identical metrics documents. SCALE_LONG=1 repeats the
 # check at the full 1024-rank shape (minutes on one CPU).
 rm -rf target/equiv-t1 target/equiv-t4

@@ -41,9 +41,6 @@ pub struct Scenario {
     pub fault: FaultPlan,
     /// Off-by-default policies armed under the workload's own knobs.
     pub overlay: Overlay,
-    /// Simulation worker threads; `None` inherits `SIMNET_THREADS`
-    /// (see [`CheckRun::threads`]).
-    pub threads: Option<usize>,
 }
 
 impl Scenario {
@@ -55,7 +52,6 @@ impl Scenario {
             proxies_per_dpu: 1,
             fault: FaultPlan::none(),
             overlay: Overlay::Default,
-            threads: None,
         }
     }
 
@@ -228,7 +224,6 @@ fn check_run(scenario: &Scenario, sink: EventSink) -> CheckRun {
         .apply(OffloadConfig::proposed())
         .with_fault(scenario.fault);
     run.sink = Some(sink);
-    run.threads = scenario.threads;
     run
 }
 

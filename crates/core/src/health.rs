@@ -32,7 +32,7 @@
 //! The engine consumes no wall-clock time: the open-state cooldown is
 //! counted in rerouted posts and its jitter comes from the same
 //! splitmix64 [`FaultRng`] family as fault injection, salted per proxy,
-//! so runs are byte-identical across `SIMNET_THREADS`.
+//! so runs are byte-identical from run to run.
 //! [`HealthConfig::default`] is *disabled*: every hook collapses to the
 //! pre-health behavior, no event is emitted, and fault-free runs stay
 //! counter-identical to the committed bench baselines (the same gating

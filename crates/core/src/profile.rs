@@ -26,9 +26,9 @@
 //!
 //! # Lifecycle
 //!
-//! Each thread accumulates into its own tree. When a thread exits (the
-//! sharded engine joins its process and worker threads before `run()`
-//! returns), the tree is folded into a process-global registry;
+//! Each thread accumulates into its own tree. When a thread exits (both
+//! simnet engines join their threads before `run()` returns), the tree
+//! is folded into a process-global registry;
 //! [`take_report`] merges the calling thread's data with the registry
 //! and drains both. Export as collapsed-stack text
 //! ([`ProfileReport::collapsed_stack`], flamegraph-compatible) or as a
@@ -342,8 +342,8 @@ impl ProfileReport {
 /// Drain everything collected so far — the calling thread's tree plus
 /// every exited thread's contribution in the global registry — into one
 /// merged report. Scopes still open on other live threads appear once
-/// those threads exit (the sharded engine joins its threads before
-/// `run()` returns, so bench callers see complete data).
+/// those threads exit (simnet joins its threads before `run()`
+/// returns, so bench callers see complete data).
 pub fn take_report() -> ProfileReport {
     TLS.with(|slot| merge_into_registry(&mut slot.0.borrow_mut()));
     let scopes = std::mem::take(&mut *REGISTRY.lock());

@@ -10,10 +10,10 @@
 //! Wall-clock quantities (every `*_ns` field and the engine section)
 //! are emitted only when `wall` is set; with it off — the
 //! `BENCH_NO_WALL=1` regime — the document is a pure function of the
-//! deterministic event stream and scope-entry counts, so two runs at
-//! different `SIMNET_THREADS` render byte-identical reports (the
-//! engine section is per-shard and shard topology follows the thread
-//! count, which is why it sits behind the gate too).
+//! deterministic event stream and scope-entry counts, so two runs of a
+//! scale bench at different worker-thread counts render byte-identical
+//! reports (the engine section is per-shard and shard topology follows
+//! the thread count, which is why it sits behind the gate too).
 
 use offload::ProfileReport;
 use simnet::EngineProfile;

@@ -7,6 +7,11 @@
 //! Host ranks are closures on threads; proxies are inline reactors (see
 //! [`simnet::Simulation::spawn_reactor`]) — a DPU worker polls and reacts,
 //! it never blocks mid-step, so it needs no thread of its own.
+//!
+//! A cluster runs on simnet's classic loop. It cannot be split by node:
+//! the fabric arbitrates same-QP FIFO order, per-endpoint CPU timelines
+//! and the payload-fault RNG under one lock. The sharded runtime runs the
+//! scale workloads (`workloads::scale_alltoall` / `scale_stencil`).
 
 use std::sync::{Arc, OnceLock};
 
@@ -113,7 +118,6 @@ pub struct ClusterBuilder {
     stack_size: Option<usize>,
     event_sink: Option<EventSink>,
     delivery_jitter: Option<SimDelta>,
-    threads: Option<usize>,
 }
 
 impl ClusterBuilder {
@@ -127,7 +131,6 @@ impl ClusterBuilder {
             stack_size: None,
             event_sink: None,
             delivery_jitter: None,
-            threads: None,
         }
     }
 
@@ -163,21 +166,17 @@ impl ClusterBuilder {
         self
     }
 
-    /// Worker threads for the simulation engine, overriding the
-    /// `SIMNET_THREADS` environment variable (default 1).
-    ///
-    /// `1` runs the classic single-threaded event loop, byte-for-byte as
-    /// before. Anything larger routes the whole cluster through the
-    /// sharded conservative-lookahead runtime — pinned to a single
-    /// shard, because the fabric arbitrates global state (same-QP FIFO
-    /// order, per-endpoint CPU timelines, the payload-fault RNG) under
-    /// one lock and reserves receive-side FIFOs from the sender's
-    /// context, none of which survives a by-node split. Results are
-    /// identical either way; see DESIGN.md §16 for what each engine
-    /// does and does not parallelize.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = Some(threads);
+    /// Accepts only `1` and changes nothing: a cluster runs on the
+    /// classic loop (see the module docs). Kept as a signature because the
+    /// benchmark package names it; it goes with that package's re-base
+    /// (ROADMAP item 6).
+    pub fn with_threads(self, threads: usize) -> Self {
+        assert_eq!(
+            threads, 1,
+            "ClusterBuilder::with_threads accepts only 1: a cluster runs on the classic \
+             loop; worker threads are for the scale workloads (workloads::scale_alltoall / \
+             scale_stencil)"
+        );
         self
     }
 
@@ -194,15 +193,6 @@ impl ClusterBuilder {
         H: Fn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
         P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
     {
-        let threads = self
-            .threads
-            .or_else(|| {
-                std::env::var(simnet::SIMNET_THREADS_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
-            .filter(|&n| n >= 1)
-            .unwrap_or(1);
         let mut sim = Simulation::new(self.seed);
         if self.trace {
             sim.enable_trace();
@@ -216,18 +206,9 @@ impl ClusterBuilder {
         if let Some(sink) = self.event_sink {
             sim.set_event_sink(sink);
         }
-        if threads > 1 {
-            sim.set_threads(threads);
-        }
         let roster: Arc<OnceLock<ClusterCtx>> = Arc::new(OnceLock::new());
         let host_fn = Arc::new(host_fn);
 
-        // Spawn every process before creating the fabric: the first spawn
-        // fixes the engine, and with worker threads the whole cluster
-        // lands on shard 0 of the sharded runtime — the fabric's per-node
-        // FIFO resources must be created afterwards so they live on the
-        // shard every process runs on. Pid and endpoint numbering are
-        // independent, so the classic path is unchanged by the reorder.
         let mut host_pids = Vec::new();
         for rank in 0..self.spec.world_size() {
             let roster2 = Arc::clone(&roster);
@@ -236,11 +217,7 @@ impl ClusterBuilder {
                 let cluster = roster2.get().expect("roster set before run").clone();
                 host_fn2(rank, ctx, cluster);
             };
-            host_pids.push(if threads > 1 {
-                sim.spawn_on(0, format!("rank{rank}"), body)
-            } else {
-                sim.spawn(format!("rank{rank}"), body)
-            });
+            host_pids.push(sim.spawn(format!("rank{rank}"), body));
         }
 
         let mut proxy_pids = vec![Vec::new(); self.spec.nodes];
@@ -254,11 +231,7 @@ impl ClusterBuilder {
                         let cluster = roster2.get().expect("roster set before run").clone();
                         proxy_fn2(node, idx, ctx, cluster)
                     };
-                    node_pids.push(if threads > 1 {
-                        sim.spawn_reactor_on(0, format!("proxy{node}.{idx}"), init)
-                    } else {
-                        sim.spawn_reactor(format!("proxy{node}.{idx}"), init)
-                    });
+                    node_pids.push(sim.spawn_reactor(format!("proxy{node}.{idx}"), init));
                 }
             }
         }
@@ -349,43 +322,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_are_not_observable() {
-        // The same cluster at 1 (classic engine) and 4 (sharded runtime)
-        // worker threads: end time, event count, trace and every
-        // non-engine counter must match exactly.
-        let run = |threads| {
-            let spec = ClusterSpec::new(2, 2);
-            ClusterBuilder::new(spec, 21)
-                .with_threads(threads)
-                .with_trace()
-                .run_hosts(|rank, ctx, cluster| {
-                    let fab = cluster.fabric().clone();
-                    let ep = cluster.host_ep(rank);
-                    let p = cluster.world_size();
-                    let peer = (rank + 1) % p;
-                    fab.send_packet(&ctx, ep, cluster.host_ep(peer), 256, Box::new(rank))
-                        .unwrap();
-                    let _ = ctx.recv();
-                    ctx.trace(format!("done.{rank}"));
-                })
-                .unwrap()
-        };
-        let classic = run(1);
-        let sharded = run(4);
-        assert_eq!(classic.end_time, sharded.end_time);
-        assert_eq!(classic.events, sharded.events);
-        assert_eq!(
-            classic.trace.as_ref().unwrap().render(),
-            sharded.trace.as_ref().unwrap().render()
-        );
-        let counters = |r: &Report| {
-            r.stats
-                .counters()
-                .filter(|(k, _)| !k.starts_with("simnet.sharded."))
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(counters(&classic), counters(&sharded));
+    #[should_panic(expected = "ClusterBuilder::with_threads accepts only 1")]
+    fn more_than_one_worker_thread_is_refused() {
+        let _ = ClusterBuilder::new(ClusterSpec::new(2, 1), 1).with_threads(2);
     }
 
     #[test]

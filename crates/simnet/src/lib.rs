@@ -56,7 +56,7 @@ pub use shard::{
 };
 pub use sim::{
     engine_events, OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation,
-    SIMNET_CHAOS_ENV, SIMNET_THREADS_ENV,
+    SIMNET_THREADS_ENV,
 };
 pub use stats::{StatKey, Stats};
 pub use time::{SimDelta, SimTime};

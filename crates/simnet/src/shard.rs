@@ -2,10 +2,14 @@
 //!
 //! Processes spawned with [`Simulation::spawn_on`] are partitioned into
 //! **shards** (one per model node, typically). Each shard owns a private
-//! event queue, RNG stream, trace buffer and resource table behind a
-//! single mutex, plus a clock and a counter table its processes read and
-//! bump without that mutex, so shards never contend on shared state
-//! while running.
+//! event queue and RNG stream behind a single mutex, plus a clock and a
+//! counter table its processes read and bump without that mutex, so
+//! shards never contend on shared state while running.
+//!
+//! This engine runs the scale workloads (`workloads::scale_alltoall` /
+//! `scale_stencil`), and only what they use: thread-backed processes,
+//! deliveries, emits, stats and RNG. Inline reactors, FIFO resources and
+//! tracing are the classic loop's; [`Simulation`] refuses them here.
 //!
 //! # Synchronization protocol (barrier windows)
 //!
@@ -46,6 +50,7 @@
 //! No code path holds two shard locks at once, so the engine adds no
 //! edges to the analyzer's lock-order graph.
 //!
+//! [`Simulation`]: crate::Simulation
 //! [`Simulation::spawn_on`]: crate::Simulation::spawn_on
 //! [`Simulation::run`]: crate::Simulation::run
 
@@ -57,21 +62,13 @@ use parking_lot::{Condvar, Mutex};
 use crate::emit::{deliver_batched, Emitted, EventSink};
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
-    drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState,
-    Payload, Pid, ProcKind, ProcSlot, ProcStatus, Reactor, ReactorBody, Step,
+    drive, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState, Payload, Pid,
+    ProcKind, ProcSlot, ProcStatus, Step,
 };
-use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::sim::{ProcReport, ProcessCtx, Report, Route, SimError};
 use crate::stats::{StatTable, Stats};
 use crate::time::{Clock, SimDelta, SimTime};
-use crate::trace::Trace;
-
-/// Hard cap on shard count: resource ids reserve 8 bits for the shard.
-pub(crate) const MAX_SHARDS: usize = 256;
-
-/// Bit position of the shard id inside a sharded [`ResourceId`].
-const RESOURCE_SHARD_SHIFT: u32 = 24;
 
 /// Per-link lookahead map: the minimum cross-shard delivery latency the
 /// model guarantees, per `(from, to)` pair, with a default for
@@ -225,8 +222,6 @@ struct ShardState {
     local: BTreeMap<u32, u32>,
     /// Local slot indexes ready to run at `now`.
     ready: VecDeque<u32>,
-    resources: Vec<ResourceState>,
-    trace: Option<Trace>,
     rng: SimRng,
     /// Shard-private monotone counter stamping every queue push, outbox
     /// entry and emit — the `seq` half of the canonical event key.
@@ -244,7 +239,7 @@ struct ShardState {
     /// Process executions this window since the clock last advanced
     /// (livelock guard).
     execs: u64,
-    /// Yield-injection shim (`SIMNET_CHAOS`, multi-worker runs only).
+    /// Yield-injection shim (`set_chaos`, multi-worker runs only).
     chaos: Option<SimRng>,
     /// Windows dispatched to this shard (profiled runs only).
     prof_windows: u64,
@@ -280,8 +275,6 @@ impl ShardCell {
                 pids: Vec::new(),
                 local: BTreeMap::new(),
                 ready: VecDeque::new(),
-                resources: Vec::new(),
-                trace: None,
                 rng: SimRng::new(0),
                 next_seq: 0,
                 outbox: Vec::new(),
@@ -308,7 +301,6 @@ impl ShardCell {
 struct Sealed {
     la: LookaheadCfg,
     sink: Option<EventSink>,
-    trace: bool,
 }
 
 /// The shared runtime of a sharded simulation.
@@ -337,7 +329,6 @@ pub(crate) struct RunOpts {
     pub(crate) seed: u64,
     pub(crate) threads: usize,
     pub(crate) time_limit: Option<SimTime>,
-    pub(crate) trace: bool,
     pub(crate) sink: Option<EventSink>,
     pub(crate) lookahead: LookaheadCfg,
     /// Seed for the OS-level yield-injection shim (tests only): workers
@@ -348,9 +339,9 @@ pub(crate) struct RunOpts {
     pub(crate) profile: bool,
 }
 
-/// Deterministic per-shard RNG stream. Shard 0 gets the raw seed (so a
-/// one-shard sharded sim draws the same stream as the classic engine);
-/// other shards get a SplitMix-scrambled derivative.
+/// Deterministic per-shard RNG stream. Shard 0 gets the raw seed and
+/// other shards a SplitMix-scrambled derivative; the committed
+/// `ext_scale_*` artifacts pin both, so neither may change.
 fn shard_seed(seed: u64, shard: u32) -> u64 {
     if shard == 0 {
         return seed;
@@ -361,29 +352,9 @@ fn shard_seed(seed: u64, shard: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-fn encode_resource(shard: u32, idx: u32) -> ResourceId {
-    assert!(
-        idx < (1 << RESOURCE_SHARD_SHIFT),
-        "too many resources on shard {shard}"
-    );
-    ResourceId((shard << RESOURCE_SHARD_SHIFT) | idx)
-}
-
-fn decode_resource(res: ResourceId) -> (u32, u32) {
-    (
-        res.0 >> RESOURCE_SHARD_SHIFT,
-        res.0 & ((1 << RESOURCE_SHARD_SHIFT) - 1),
-    )
-}
-
 /// The shard cell for `shard`, growing the shard list as needed.
 /// Build-phase only (single-threaded).
 fn cell_of(rt: &ShardedRt, shard: usize) -> Arc<ShardCell> {
-    assert!(
-        shard < MAX_SHARDS,
-        "shard id {shard} out of range (max {})",
-        MAX_SHARDS - 1
-    );
     let mut g = rt.shards.write().expect("shard list poisoned");
     while g.len() <= shard {
         let id = g.len() as u32;
@@ -413,11 +384,7 @@ where
     F: FnOnce(ProcessCtx) + Send + 'static,
 {
     let baton = Arc::new(Baton::new());
-    let kind = ProcKind::Thread {
-        baton: Arc::clone(&baton),
-        join: None,
-    };
-    let (cell, idx, pid) = register_process(rt, shard, name.clone(), kind);
+    let (cell, idx, pid) = register_process(rt, shard, name.clone(), Arc::clone(&baton));
     let ctx = ProcessCtx {
         route: Route::Sharded {
             rt: Arc::clone(rt),
@@ -454,44 +421,16 @@ where
     pid
 }
 
-/// Spawn an inline reactor onto `shard` (see
-/// [`crate::Simulation::spawn_reactor`]). Build-phase only, like
-/// [`spawn_on_shard`].
-pub(crate) fn spawn_reactor_on_shard<I>(
-    rt: &Arc<ShardedRt>,
-    stack_size: usize,
-    shard: usize,
-    name: String,
-    init: I,
-) -> Pid
-where
-    I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
-{
-    let (cell, idx, pid) = register_process(rt, shard, name, ProcKind::Reactor(None));
-    let ctx = ProcessCtx {
-        route: Route::Sharded {
-            rt: Arc::clone(rt),
-            cell: Arc::clone(&cell),
-            idx,
-        },
-        pid,
-        baton: None,
-        stack_size,
-    };
-    let body = ReactorBody::Init(Box::new(move || init(ctx)));
-    cell.state.lock().slots[idx as usize].kind = ProcKind::Reactor(Some(body));
-    pid
-}
-
-/// Give a new process of `kind` its pid and its slot on `shard`, ready
-/// to run at time zero. Returns the shard cell, the local slot index and
-/// the pid.
+/// Give a new thread-backed process parked on `baton` its pid and its
+/// slot on `shard`, ready to run at time zero. Returns the shard cell,
+/// the local slot index and the pid.
 fn register_process(
     rt: &ShardedRt,
     shard: usize,
     name: String,
-    kind: ProcKind,
+    baton: Arc<Baton>,
 ) -> (Arc<ShardCell>, u32, Pid) {
+    let kind = ProcKind::Thread { baton, join: None };
     assert!(
         rt.sealed.get().is_none(),
         "dynamic spawn is not supported by the sharded engine; \
@@ -518,16 +457,6 @@ fn register_process(
     (cell, idx, pid)
 }
 
-/// Create a resource on `shard` from outside the simulation
-/// (build-phase `Simulation::create_resource`).
-pub(crate) fn create_resource_on(rt: &ShardedRt, shard: usize, name: String) -> ResourceId {
-    let cell = cell_of(rt, shard);
-    let mut st = cell.state.lock();
-    let idx = st.resources.len() as u32;
-    st.resources.push(ResourceState::new(name));
-    encode_resource(cell.id, idx)
-}
-
 // ---------------------------------------------------------------------
 // The coordinator: window loop, flush, horizon computation, reporting.
 // ---------------------------------------------------------------------
@@ -545,7 +474,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         return Ok(Report {
             end_time: SimTime::ZERO,
             stats: Stats::new(),
-            trace: opts.trace.then(Trace::default),
+            trace: None,
             procs: Vec::new(),
             events: 0,
             resources: Vec::new(),
@@ -578,20 +507,16 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         .set(Sealed {
             la: opts.lookahead.clone(),
             sink: opts.sink.clone(),
-            trace: opts.trace,
         })
         .is_err()
     {
         panic!("a sharded simulation can only run once");
     }
     let workers = opts.threads.max(1).min(n);
-    // Seed per-shard RNG streams and trace buffers.
+    // Seed per-shard RNG streams.
     for cell in &shards {
         let mut st = cell.state.lock();
         st.rng = SimRng::new(shard_seed(opts.seed, cell.id));
-        if opts.trace {
-            st.trace = Some(Trace::default());
-        }
         st.time_limit = opts.time_limit;
         if workers > 1 {
             st.chaos = opts.chaos.map(|c| SimRng::new(shard_seed(c, cell.id + 1)));
@@ -660,8 +585,7 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         }
     };
     stop_pool(&mut pool);
-    // The run is over, however it ended: free what still-waiting reactors
-    // hold, and let no thread outlive it.
+    // The run is over, however it ended: let no thread outlive it.
     for cell in &shards {
         let left = take_leftovers(&mut cell.state.lock().slots);
         left.release();
@@ -695,11 +619,9 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
     let mut procs: Vec<(u32, ProcReport)> = Vec::new();
     let mut stats = Stats::new();
     let mut events: u64 = 0;
-    let mut resources: Vec<(String, SimDelta, u64)> = Vec::new();
-    let mut traces: Vec<Trace> = Vec::new();
     let mut shard_stats: Vec<ShardStats> = Vec::new();
     for cell in &shards {
-        let mut st = cell.state.lock();
+        let st = cell.state.lock();
         if prof {
             shard_stats.push(ShardStats {
                 shard: cell.id,
@@ -721,12 +643,6 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
         }
         cell.stats.fold_into(&mut stats);
         events += st.events;
-        for r in &st.resources {
-            resources.push((r.name.clone(), r.busy_total, r.reservations));
-        }
-        if let Some(t) = st.trace.take() {
-            traces.push(t);
-        }
     }
     procs.sort_by_key(|(pid, _)| *pid);
     stats.incr("simnet.sharded.shards", n as u64);
@@ -735,10 +651,10 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
     let report = Report {
         end_time,
         stats,
-        trace: opts.trace.then(|| Trace::merge_parts(traces)),
+        trace: None,
         procs: procs.into_iter().map(|(_, p)| p).collect(),
         events,
-        resources,
+        resources: Vec::new(),
         profile: prof.then_some(EngineProfile {
             shards: shard_stats,
             emit_merge_ns,
@@ -1006,7 +922,7 @@ fn run_window_inner(cell: &ShardCell, w_end: SimTime) {
     drive(
         &cell.owner,
         || step(cell, true),
-        |key, body| run_reactor_local(cell, key, body),
+        |_, _| unreachable!("a shard holds no inline reactor"),
     );
 }
 
@@ -1047,20 +963,6 @@ fn carry(cell: &ShardCell, me: Option<&Baton>) {
     hand_off(me, &cell.owner, step(cell, false));
 }
 
-/// One activation of the reactor at local slot `idx`, on the shard
-/// owner's thread: no baton changes hands. Nothing else touches the
-/// shard meanwhile, so no delivery can slip in between the mailbox
-/// running dry and the reactor being parked.
-fn run_reactor_local(cell: &ShardCell, idx: u32, body: ReactorBody) {
-    let i = idx as usize;
-    let outcome = drive_reactor(body, || cell.state.lock().slots[i].mailbox.pop_front());
-    let now = cell.clock.get();
-    let mut st = cell.state.lock();
-    if let Some(msg) = st.slots[i].settle_reactor(now, outcome) {
-        st.fatal = Some(msg);
-    }
-}
-
 // ---------------------------------------------------------------------
 // ProcessCtx operations, sharded side. Each locks only the caller's own
 // shard; the pid directory is read (never locked for writing) first.
@@ -1078,27 +980,19 @@ pub(crate) fn ctx_block_for(
     d: SimDelta,
     is_compute: bool,
 ) {
-    let start = cell.clock.get();
-    let traced = {
+    {
         let mut st = cell.state.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
         st.queue
-            .push_keyed(start + d, cell.id, seq, EventKind::Wake(pid));
+            .push_keyed(cell.clock.get() + d, cell.id, seq, EventKind::Wake(pid));
         let slot = &mut st.slots[idx as usize];
         slot.status = ProcStatus::Blocked(BlockReason::Sleep);
         if is_compute {
             slot.compute_time += d;
         }
-        is_compute && st.trace.is_some()
-    };
-    carry(cell, Some(baton));
-    if traced {
-        let end = cell.clock.get();
-        if let Some(trace) = cell.state.lock().trace.as_mut() {
-            trace.push_span(start, end, pid, "compute".into(), "compute".into());
-        }
     }
+    carry(cell, Some(baton));
 }
 
 pub(crate) fn ctx_yield(cell: &ShardCell, baton: &Baton, idx: u32) {
@@ -1206,48 +1100,6 @@ pub(crate) fn ctx_deliver_at(
     }
 }
 
-pub(crate) fn ctx_create_resource(cell: &ShardCell, name: String) -> ResourceId {
-    let mut st = cell.state.lock();
-    let idx = st.resources.len() as u32;
-    st.resources.push(ResourceState::new(name));
-    encode_resource(cell.id, idx)
-}
-
-pub(crate) fn ctx_reserve(
-    cell: &ShardCell,
-    res: ResourceId,
-    earliest: Option<SimTime>,
-    dur: SimDelta,
-) -> (SimTime, SimTime) {
-    let (shard, idx) = decode_resource(res);
-    assert_eq!(
-        shard, cell.id,
-        "cross-shard resource reservation is not supported by the sharded engine"
-    );
-    let now = cell.clock.get();
-    let from = earliest.map_or(now, |e| e.max(now));
-    cell.state.lock().resources[idx as usize].reserve(from, dur)
-}
-
-pub(crate) fn ctx_trace(cell: &ShardCell, pid: Pid, label: String) {
-    let now = cell.clock.get();
-    if let Some(trace) = cell.state.lock().trace.as_mut() {
-        trace.push(now, pid, label);
-    }
-}
-
-pub(crate) fn ctx_span_end(cell: &ShardCell, pid: Pid, start: SimTime, cat: String, name: String) {
-    let end = cell.clock.get();
-    if let Some(trace) = cell.state.lock().trace.as_mut() {
-        trace.push_span(start, end, pid, cat, name);
-    }
-}
-
-/// `true` when the run records a trace (fixed when it starts).
-pub(crate) fn tracing(rt: &ShardedRt) -> bool {
-    rt.sealed.get().is_some_and(|s| s.trace)
-}
-
 /// `true` when an event sink is installed (so `emit` can skip boxing).
 pub(crate) fn sink_installed(rt: &ShardedRt) -> bool {
     rt.sealed.get().is_some_and(|s| s.sink.is_some())
@@ -1287,14 +1139,6 @@ mod tests {
         assert_eq!(la.of(0, 1), SimDelta::from_ns(200));
         assert_eq!(la.of(1, 0), SimDelta::from_us(1));
         assert_eq!(la.of(2, 3), SimDelta::from_us(1));
-    }
-
-    #[test]
-    fn resource_ids_round_trip_shard_and_index() {
-        let id = encode_resource(7, 42);
-        assert_eq!(decode_resource(id), (7, 42));
-        let id0 = encode_resource(0, 3);
-        assert_eq!(id0.0, 3, "shard 0 encodes like the classic engine");
     }
 
     #[test]

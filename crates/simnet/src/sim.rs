@@ -67,18 +67,21 @@ fn record_engine_events(n: u64) {
     ENGINE_EVENTS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Environment knob naming the sharded engine's worker-thread count
-/// (default 1). Results are bit-identical at any value; only wall-clock
-/// speed changes. [`Simulation::set_threads`] overrides it.
+/// Name of the environment variable the scale benches read for their
+/// worker-thread count (`bench-harness`'s `--threads` fallback). The
+/// engine itself reads no environment: [`Simulation::set_threads`] is
+/// the only way to set a sharded simulation's worker count.
 pub const SIMNET_THREADS_ENV: &str = "SIMNET_THREADS";
 
-/// Environment knob seeding the sharded engine's yield-injection shim
-/// (tests only): workers randomly yield the OS thread between events to
-/// stress thread-interleaving independence.
-pub const SIMNET_CHAOS_ENV: &str = "SIMNET_CHAOS";
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+/// Refuse `call`, which only the classic loop supports. The sharded
+/// runtime runs the scale workloads (`workloads::scale_alltoall` /
+/// `scale_stencil`): thread-backed processes, deliveries, emits, stats
+/// and RNG, nothing more.
+fn sharded_refuses(call: &str) -> ! {
+    panic!(
+        "{call} is not supported by the sharded engine, which runs only the scale \
+         workloads; build this simulation with spawn() on the classic loop"
+    )
 }
 
 /// Errors surfaced by [`Simulation::run`].
@@ -227,10 +230,9 @@ pub struct Simulation {
     inner: Arc<SimInner>,
     stack_size: usize,
     seed: u64,
-    /// Worker-thread override for the sharded engine (else
-    /// `SIMNET_THREADS`, else 1).
-    threads: Option<usize>,
-    /// Yield-injection seed override (else `SIMNET_CHAOS`, else off).
+    /// Worker threads for the sharded engine.
+    threads: usize,
+    /// Yield-injection seed for the sharded engine (off when `None`).
     chaos: Option<u64>,
     /// Lookahead map used when the simulation is sharded.
     lookahead: shard::LookaheadCfg,
@@ -309,7 +311,7 @@ impl Simulation {
             }),
             stack_size: 1 << 20,
             seed,
-            threads: None,
+            threads: 1,
             chaos: None,
             lookahead: shard::LookaheadCfg::new(SimDelta::from_us(1)),
             sharded: None,
@@ -319,7 +321,11 @@ impl Simulation {
     }
 
     /// Enable trace collection (off by default; it allocates per record).
+    /// Classic loop only: a sharded simulation refuses it.
     pub fn enable_trace(&mut self) {
+        if self.sharded.is_some() {
+            sharded_refuses("Simulation::enable_trace");
+        }
         self.inner.state.lock().trace = Some(Trace::default());
         self.inner.traced.store(true, Ordering::Relaxed);
     }
@@ -368,6 +374,8 @@ impl Simulation {
     /// (later plain spawns land on shard 0), and all processes must be
     /// spawned before [`run`](Self::run) — the sharded engine rejects
     /// dynamic spawns so pid assignment can never depend on thread timing.
+    /// The engine runs the scale workloads and refuses what they do not
+    /// use: inline reactors, FIFO resources and tracing.
     pub fn spawn_on<F>(&mut self, shard_id: usize, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(ProcessCtx) + Send + 'static,
@@ -389,31 +397,24 @@ impl Simulation {
     /// [`ProcessCtx`] operation (`sleep`, `compute`, `recv`, `yield_now`)
     /// from `init` or the handler panics. Everything else — `deliver`,
     /// `try_recv`, `reserve`, `emit`, stats, RNG — works as in a thread.
-    /// In a sharded simulation the reactor lands on shard 0.
+    /// Classic loop only: a sharded simulation refuses it.
     pub fn spawn_reactor<I>(&mut self, name: impl Into<String>, init: I) -> Pid
     where
         I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
     {
-        if let Some(rt) = &self.sharded {
-            return shard::spawn_reactor_on_shard(rt, self.stack_size, 0, name.into(), init);
+        if self.sharded.is_some() {
+            sharded_refuses("Simulation::spawn_reactor");
         }
         spawn_reactor_process(&self.inner, self.stack_size, name.into(), init)
-    }
-
-    /// [`spawn_reactor`](Self::spawn_reactor) onto `shard`, with
-    /// [`spawn_on`](Self::spawn_on)'s rules.
-    pub fn spawn_reactor_on<I>(&mut self, shard_id: usize, name: impl Into<String>, init: I) -> Pid
-    where
-        I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
-    {
-        let stack_size = self.stack_size;
-        shard::spawn_reactor_on_shard(self.sharded_rt(), stack_size, shard_id, name.into(), init)
     }
 
     /// The sharded runtime, switching the simulation over to it on first
     /// use.
     fn sharded_rt(&mut self) -> &Arc<shard::ShardedRt> {
         if self.sharded.is_none() {
+            if self.inner.traced.load(Ordering::Relaxed) {
+                sharded_refuses("Simulation::enable_trace");
+            }
             let classic = self.inner.state.lock().procs.len();
             assert_eq!(
                 classic, 0,
@@ -441,18 +442,16 @@ impl Simulation {
         self.lookahead.links.insert((from as u32, to as u32), la);
     }
 
-    /// Worker threads for the sharded engine (overrides the
-    /// `SIMNET_THREADS` environment variable; default 1). Purely a
+    /// Worker threads for the sharded engine (default 1). Purely a
     /// speed knob: results are identical at any value.
     pub fn set_threads(&mut self, threads: usize) {
         assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = Some(threads);
+        self.threads = threads;
     }
 
-    /// Seed the sharded engine's OS-level yield-injection shim
-    /// (overrides `SIMNET_CHAOS`; tests only). Workers randomly yield
-    /// between events to stress that thread interleaving cannot affect
-    /// results.
+    /// Seed the sharded engine's OS-level yield-injection shim (tests
+    /// only). Workers randomly yield between events to stress that
+    /// thread interleaving cannot affect results.
     pub fn set_chaos(&mut self, seed: u64) {
         self.chaos = Some(seed);
     }
@@ -472,18 +471,13 @@ impl Simulation {
         self.sharded.as_ref().map_or(0, |rt| rt.num_shards())
     }
 
-    /// Create a FIFO resource (see [`crate::ResourceId`]). In a sharded
-    /// simulation the resource lives on shard 0 and only shard-0
-    /// processes may reserve it; runtime code creates node-local
-    /// resources via [`ProcessCtx::create_resource`] instead.
+    /// Create a FIFO resource (see [`crate::ResourceId`]). Classic loop
+    /// only: a sharded simulation refuses it.
     pub fn create_resource(&mut self, name: impl Into<String>) -> ResourceId {
-        if let Some(rt) = &self.sharded {
-            return shard::create_resource_on(rt, 0, name.into());
+        if self.sharded.is_some() {
+            sharded_refuses("Simulation::create_resource");
         }
-        let mut st = self.inner.state.lock();
-        let id = ResourceId(st.resources.len() as u32);
-        st.resources.push(ResourceState::new(name.into()));
-        id
+        new_resource(&self.inner, name.into())
     }
 
     /// Run to completion. Returns the report, or an error describing a
@@ -492,22 +486,15 @@ impl Simulation {
     pub fn run(self) -> Result<Report, SimError> {
         if let Some(rt) = &self.sharded {
             let time_limit = self.inner.state.lock().time_limit;
-            let trace = self.inner.traced.load(Ordering::Relaxed);
-            let threads = self
-                .threads
-                .or_else(|| env_u64(SIMNET_THREADS_ENV).map(|n| n as usize))
-                .unwrap_or(1);
-            let chaos = self.chaos.or_else(|| env_u64(SIMNET_CHAOS_ENV));
             let report = shard::run_sharded(
                 rt,
                 shard::RunOpts {
                     seed: self.seed,
-                    threads,
+                    threads: self.threads,
                     time_limit,
-                    trace,
                     sink: self.sink.clone(),
                     lookahead: self.lookahead.clone(),
-                    chaos,
+                    chaos: self.chaos,
                     profile: self.profile,
                 },
             )?;
@@ -697,6 +684,14 @@ where
     pid
 }
 
+/// A new FIFO resource on the classic engine.
+fn new_resource(inner: &SimInner, name: String) -> ResourceId {
+    let mut st = inner.state.lock();
+    let id = ResourceId(st.resources.len() as u32);
+    st.resources.push(ResourceState::new(name));
+    id
+}
+
 impl ProcessCtx {
     /// This process's pid.
     pub fn pid(&self) -> Pid {
@@ -713,11 +708,21 @@ impl ProcessCtx {
         }
     }
 
-    /// Whether this run records a trace (fixed before `run()` starts).
-    fn tracing(&self) -> bool {
+    /// The classic engine behind this context, for `call`, which only
+    /// the classic loop supports: a sharded process panics here.
+    fn classic(&self, call: &str) -> &Arc<SimInner> {
         match &self.route {
-            Route::Classic(inner) => inner.traced.load(Ordering::Relaxed),
-            Route::Sharded { rt, .. } => shard::tracing(rt),
+            Route::Classic(inner) => inner,
+            Route::Sharded { .. } => sharded_refuses(call),
+        }
+    }
+
+    /// The classic engine behind this context if this run records a
+    /// trace (fixed before `run()` starts; a sharded run never does).
+    fn traced(&self) -> Option<&SimInner> {
+        match &self.route {
+            Route::Classic(inner) => inner.traced.load(Ordering::Relaxed).then_some(&**inner),
+            Route::Sharded { .. } => None,
         }
     }
 
@@ -773,7 +778,7 @@ impl ProcessCtx {
             }
         }
         carry(inner, Some(baton));
-        if is_compute && self.tracing() {
+        if is_compute && self.traced().is_some() {
             let end = inner.clock.get();
             if let Some(trace) = inner.state.lock().trace.as_mut() {
                 trace.push_span(start, end, self.pid, "compute".into(), "compute".into());
@@ -891,31 +896,16 @@ impl ProcessCtx {
             .push(at, EventKind::Deliver(to, payload));
     }
 
-    /// Create a FIFO resource at runtime. On the sharded engine the
-    /// resource belongs to this process's shard; only same-shard
-    /// processes may reserve it.
+    /// Create a FIFO resource at runtime. Classic loop only: a process
+    /// on the sharded engine panics here.
     pub fn create_resource(&self, name: impl Into<String>) -> ResourceId {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, .. } => {
-                return shard::ctx_create_resource(cell, name.into());
-            }
-        };
-        let mut st = inner.state.lock();
-        let id = ResourceId(st.resources.len() as u32);
-        st.resources.push(ResourceState::new(name.into()));
-        id
+        new_resource(self.classic("ProcessCtx::create_resource"), name.into())
     }
 
     /// Reserve `res` for `dur`, starting no earlier than now. Returns the
     /// granted `(start, end)` window. Does not block the caller.
     pub fn reserve(&self, res: ResourceId, dur: SimDelta) -> (SimTime, SimTime) {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, .. } => {
-                return shard::ctx_reserve(cell, res, None, dur);
-            }
-        };
+        let inner = self.classic("ProcessCtx::reserve");
         let now = inner.clock.get();
         inner.state.lock().resources[res.0 as usize].reserve(now, dur)
     }
@@ -928,12 +918,7 @@ impl ProcessCtx {
         earliest: SimTime,
         dur: SimDelta,
     ) -> (SimTime, SimTime) {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, .. } => {
-                return shard::ctx_reserve(cell, res, Some(earliest), dur);
-            }
-        };
+        let inner = self.classic("ProcessCtx::reserve_from");
         let from = earliest.max(inner.clock.get());
         inner.state.lock().resources[res.0 as usize].reserve(from, dur)
     }
@@ -942,16 +927,7 @@ impl ProcessCtx {
     /// label is rendered only on a traced run, so a caller can pass
     /// `format_args!(..)` and pay nothing for it otherwise.
     pub fn trace(&self, label: impl std::fmt::Display) {
-        if !self.tracing() {
-            return;
-        }
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, .. } => {
-                shard::ctx_trace(cell, self.pid, label.to_string());
-                return;
-            }
-        };
+        let Some(inner) = self.traced() else { return };
         let now = inner.clock.get();
         if let Some(trace) = inner.state.lock().trace.as_mut() {
             trace.push(now, self.pid, label.to_string());
@@ -963,7 +939,7 @@ impl ProcessCtx {
     /// recorded only then, covering the virtual time in between.
     pub fn span_begin(&self, cat: impl Into<String>, name: impl Into<String>) -> OpenSpan {
         OpenSpan {
-            start: self.tracing().then(|| self.now()),
+            start: self.traced().map(|inner| inner.clock.get()),
             cat: cat.into(),
             name: name.into(),
         }
@@ -974,13 +950,7 @@ impl ProcessCtx {
     /// dropped silently.
     pub fn span_end(&self, span: OpenSpan) {
         let Some(start) = span.start else { return };
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, .. } => {
-                shard::ctx_span_end(cell, self.pid, start, span.cat, span.name);
-                return;
-            }
-        };
+        let Some(inner) = self.traced() else { return };
         let end = inner.clock.get();
         if let Some(trace) = inner.state.lock().trace.as_mut() {
             trace.push_span(start, end, self.pid, span.cat, span.name);

@@ -67,21 +67,6 @@ impl Trace {
         });
     }
 
-    /// Merge per-shard traces into one canonical trace: records sorted
-    /// by time, spans by close time, ties broken by shard id (the order
-    /// of `parts`) via stable sort — thread-count independent.
-    pub(crate) fn merge_parts(parts: Vec<Trace>) -> Trace {
-        let mut records = Vec::new();
-        let mut spans = Vec::new();
-        for p in parts {
-            records.extend(p.records);
-            spans.extend(p.spans);
-        }
-        records.sort_by_key(|r| r.at);
-        spans.sort_by_key(|s| s.end);
-        Trace { records, spans }
-    }
-
     /// All records in chronological (execution) order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records

@@ -172,6 +172,7 @@ fn sharded_windows_deliver_in_slices_and_flush_before_a_panic() {
     let rec = Recorder::default();
     let mut sim = Simulation::new(0);
     sim.set_event_sink(rec.sink());
+    sim.set_threads(2);
     sim.set_lookahead(SimDelta::from_us(1));
     // More than a batch inside one window, then a second window.
     let burst = EMIT_BATCH as u64 + 3;

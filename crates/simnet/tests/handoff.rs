@@ -4,12 +4,14 @@
 //! when a reactor is next, the window or the run is over, or something
 //! failed.
 //!
-//! None of that may be visible in a result. Every case runs on the
-//! classic loop and on the sharded one at 1 and 4 workers, the latter
-//! once more under the `SIMNET_CHAOS` yield-injection shim. A case is
-//! built as independent *lanes*: all in the one loop on the classic
-//! engine (so threads of different lanes follow each other directly),
-//! one shard each on the sharded engine (so four workers have work).
+//! None of that may be visible in a result. Every case of thread-backed
+//! processes runs on the classic loop and on the sharded one at 1 and 4
+//! workers, the latter once more under the `set_chaos` yield-injection
+//! shim. A case is built as independent *lanes*: all in the one loop on
+//! the classic engine (so threads of different lanes follow each other
+//! directly), one shard each on the sharded engine (so four workers have
+//! work). Cases with a reactor run on the classic loop, the only one that
+//! has reactors.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 use simnet::{
-    BlockReason, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation, StatKey,
+    BlockReason, Pid, ProcessCtx, Report, SimDelta, SimError, SimTime, Simulation, StatKey,
 };
 
 /// Which scheduler loop a case runs on.
@@ -69,19 +71,6 @@ fn spawn_thread(
     }
 }
 
-fn spawn_reactor(
-    sim: &mut Simulation,
-    on: Loop,
-    lane: usize,
-    name: String,
-    init: impl FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
-) -> Pid {
-    match on {
-        Loop::Classic => sim.spawn_reactor(name, init),
-        Loop::Sharded { .. } => sim.spawn_reactor_on(lane, name, init),
-    }
-}
-
 fn ns(n: u64) -> SimDelta {
     SimDelta::from_ns(n)
 }
@@ -100,15 +89,6 @@ fn panic_text(f: impl FnOnce()) -> String {
             .map(|s| s.to_string())
             .unwrap_or_default(),
     }
-}
-
-/// Engine counters, without the sharded engine's own bookkeeping.
-fn counters(r: &Report) -> Vec<(String, u64)> {
-    r.stats
-        .counters()
-        .filter(|(name, _)| !name.starts_with("simnet.sharded."))
-        .map(|(name, n)| (name.to_string(), n))
-        .collect()
 }
 
 #[test]
@@ -155,13 +135,14 @@ struct Seen {
     reactor_threads: HashSet<ThreadId>,
 }
 
-/// Per lane, a token ring thread → thread → reactor → thread: `t0` starts
-/// the token, `t1` computes before forwarding it, the reactor reserves a
-/// resource, `t3` yields once. Every hand-off shape occurs: thread to
-/// thread, thread to owner (the reactor), owner to thread.
-fn mixed_ring(on: Loop) -> (Report, Seen) {
+/// Per lane, a token ring thread → thread → reactor → thread on the
+/// classic loop: `t0` starts the token, `t1` computes before forwarding
+/// it, the reactor reserves a resource, `t3` yields once. Every hand-off
+/// shape occurs: thread to thread, thread to owner (the reactor), owner
+/// to thread.
+fn mixed_ring() -> (Report, Seen) {
     const LAPS: u64 = 5;
-    let mut sim = new_sim(on);
+    let mut sim = Simulation::new(3);
     let seen = Arc::new(Mutex::new(Seen::default()));
     for lane in 0..LANES {
         // Members learn the ring from this list once it is complete.
@@ -176,7 +157,7 @@ fn mixed_ring(on: Loop) -> (Report, Seen) {
             let (ring2, seen2) = (Arc::clone(&ring), Arc::clone(&seen));
             let name = format!("lane{lane}.m{me}");
             let pid = if me == 2 {
-                spawn_reactor(&mut sim, on, lane, name, move |ctx| {
+                sim.spawn_reactor(name, move |ctx| {
                     let nic = ctx.create_resource(format!("nic{lane}"));
                     let mut laps = 0;
                     Some(Box::new(move |msg| {
@@ -189,7 +170,7 @@ fn mixed_ring(on: Loop) -> (Report, Seen) {
                     }))
                 })
             } else {
-                spawn_thread(&mut sim, on, lane, name, move |ctx| {
+                sim.spawn(name, move |ctx| {
                     let id = std::thread::current().id();
                     seen2.lock().unwrap().process_threads.insert(id);
                     if me == 0 {
@@ -221,50 +202,28 @@ fn mixed_ring(on: Loop) -> (Report, Seen) {
 }
 
 #[test]
-fn a_mixed_ring_ends_the_same_on_every_loop() {
-    let procs = |r: &Report| {
-        r.procs
-            .iter()
-            .map(|p| (p.name.clone(), p.compute_time, p.finished_at))
-            .collect::<Vec<_>>()
-    };
-    let (classic, _) = mixed_ring(Loop::Classic);
+fn a_mixed_ring_ends_at_its_known_time() {
+    let (report, _) = mixed_ring();
     // 5 laps of 4 one-microsecond hops and one 500 ns compute.
-    assert_eq!(classic.end_time, SimTime::ZERO + ns(22_500));
-    assert_eq!(classic.events, 25 * LANES as u64);
-    assert_eq!(counters(&classic), vec![("ring.hops".to_string(), 80)]);
-    for on in LOOPS {
-        let (report, _) = mixed_ring(on);
-        assert_eq!(report.end_time, classic.end_time, "{on:?}");
-        assert_eq!(report.events, classic.events, "{on:?}");
-        assert_eq!(counters(&report), counters(&classic), "{on:?}");
-        assert_eq!(procs(&report), procs(&classic), "{on:?}");
-        assert_eq!(report.resources, classic.resources, "{on:?}");
-    }
+    assert_eq!(report.end_time, SimTime::ZERO + ns(22_500));
+    assert_eq!(report.events, 25 * LANES as u64);
+    let counters: Vec<(&str, u64)> = report.stats.counters().collect();
+    assert_eq!(counters, vec![("ring.hops", 80)]);
+    assert_eq!(report.resources.len(), LANES);
+    assert!(report.resources.iter().all(|r| r.2 == 5));
 }
 
 #[test]
 fn a_reactor_is_never_entered_on_a_process_thread() {
+    let (_, seen) = mixed_ring();
+    assert_eq!(seen.process_threads.len(), 3 * LANES);
+    assert!(
+        seen.reactor_threads.is_disjoint(&seen.process_threads),
+        "a handler ran on a process thread"
+    );
+    // The owner is run()'s caller.
     let caller = std::thread::current().id();
-    for on in LOOPS {
-        let (_, seen) = mixed_ring(on);
-        assert_eq!(seen.process_threads.len(), 3 * LANES, "{on:?}");
-        assert!(
-            seen.reactor_threads.is_disjoint(&seen.process_threads),
-            "{on:?}: a handler ran on a process thread"
-        );
-        match on {
-            // The owner is run()'s caller.
-            Loop::Classic | Loop::Sharded { workers: 1, .. } => {
-                assert_eq!(seen.reactor_threads, HashSet::from([caller]), "{on:?}");
-            }
-            // The owners are the pool's workers, one per shard here.
-            Loop::Sharded { .. } => {
-                assert!(!seen.reactor_threads.contains(&caller), "{on:?}");
-                assert_eq!(seen.reactor_threads.len(), LANES, "{on:?}");
-            }
-        }
-    }
+    assert_eq!(seen.reactor_threads, HashSet::from([caller]));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Tests of the sharded conservative-lookahead engine.
 //!
-//! Three families:
+//! Four families:
 //!
 //! 1. behavioral parity — a one-shard sharded run reproduces the classic
 //!    engine bit-for-bit; errors and panics keep the classic shapes;
@@ -9,9 +9,12 @@
 //! 3. determinism properties — random topologies, latency maps and
 //!    message schedules produce byte-identical results at every worker
 //!    thread count, including under the seeded yield-injection shim
-//!    (`set_chaos`) that randomly perturbs OS scheduling.
+//!    (`set_chaos`) that randomly perturbs OS scheduling;
+//! 4. refusals — what only the classic loop has (inline reactors, FIFO
+//!    resources, tracing) panics with the call's name.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -94,17 +97,14 @@ fn counters_without_engine(report: &Report) -> Vec<(String, u64)> {
 #[test]
 fn one_shard_sharded_run_matches_the_classic_engine() {
     fn workload(ctx: &simnet::ProcessCtx, i: u64) {
-        ctx.trace(format!("start.{i}"));
         let jitter = ctx.gen_range(1000);
         ctx.sleep(SimDelta::from_ns(jitter));
         ctx.compute(SimDelta::from_us(i + 1));
         static DONE: StatKey = StatKey::new("w.done");
         ctx.stat_incr(&DONE, 1);
-        ctx.trace(format!("done.{i}"));
     }
     let classic = {
         let mut sim = Simulation::new(7);
-        sim.enable_trace();
         for i in 0..4 {
             sim.spawn(format!("p{i}"), move |ctx| workload(&ctx, i));
         }
@@ -112,7 +112,6 @@ fn one_shard_sharded_run_matches_the_classic_engine() {
     };
     let sharded = {
         let mut sim = Simulation::new(7);
-        sim.enable_trace();
         for i in 0..4 {
             sim.spawn_on(0, format!("p{i}"), move |ctx| workload(&ctx, i));
         }
@@ -120,11 +119,6 @@ fn one_shard_sharded_run_matches_the_classic_engine() {
     };
     assert_eq!(classic.end_time, sharded.end_time);
     assert_eq!(classic.events, sharded.events);
-    assert_eq!(
-        classic.trace.as_ref().unwrap().render(),
-        sharded.trace.as_ref().unwrap().render(),
-        "single-shard sharded trace must be byte-identical to classic"
-    );
     assert_eq!(
         counters_without_engine(&classic),
         counters_without_engine(&sharded)
@@ -190,6 +184,7 @@ fn profiled_run_accounts_every_event_without_perturbing_results() {
 #[test]
 fn cross_shard_messages_arrive_exactly_on_time() {
     let mut sim = Simulation::new(0);
+    sim.set_threads(2);
     sim.set_lookahead(SimDelta::from_ns(500));
     let rx = sim.spawn_on(1, "rx", |ctx| {
         let msg = ctx.recv();
@@ -209,6 +204,7 @@ fn cross_shard_messages_arrive_exactly_on_time() {
 #[should_panic(expected = "below the link lookahead")]
 fn cross_shard_delivery_below_lookahead_is_rejected() {
     let mut sim = Simulation::new(0);
+    sim.set_threads(2);
     sim.set_lookahead(SimDelta::from_us(1));
     let rx = sim.spawn_on(1, "rx", |ctx| {
         let _ = ctx.recv();
@@ -222,6 +218,7 @@ fn cross_shard_delivery_below_lookahead_is_rejected() {
 #[test]
 fn per_link_lookahead_overrides_allow_tighter_delays() {
     let mut sim = Simulation::new(0);
+    sim.set_threads(2);
     sim.set_lookahead(SimDelta::from_us(1));
     sim.set_link_lookahead(0, 1, SimDelta::from_ns(100));
     let rx = sim.spawn_on(1, "rx", |ctx| {
@@ -237,6 +234,7 @@ fn per_link_lookahead_overrides_allow_tighter_delays() {
 #[should_panic(expected = "simulated process 'boom' panicked: bang")]
 fn sharded_process_panic_keeps_the_classic_message() {
     let mut sim = Simulation::new(0);
+    sim.set_threads(2);
     sim.spawn_on(0, "ok", |ctx| ctx.sleep(SimDelta::from_us(1)));
     sim.spawn_on(1, "boom", |_ctx| panic!("bang"));
     let _ = sim.run();
@@ -253,8 +251,43 @@ fn sharded_dynamic_spawn_is_rejected() {
 }
 
 #[test]
+fn the_sharded_engine_refuses_what_only_the_classic_loop_has() {
+    type Build = fn(Simulation);
+    let cases: [(&str, Build); 4] = [
+        ("Simulation::spawn_reactor", |mut sim| {
+            sim.spawn_on(0, "p", |_| {});
+            sim.spawn_reactor("r", |_| None);
+        }),
+        ("Simulation::create_resource", |mut sim| {
+            sim.spawn_on(0, "p", |_| {});
+            sim.create_resource("nic");
+        }),
+        ("ProcessCtx::create_resource", |mut sim| {
+            sim.spawn_on(0, "p", |ctx| {
+                ctx.create_resource("nic");
+            });
+            let _ = sim.run();
+        }),
+        ("Simulation::enable_trace", |mut sim| {
+            sim.enable_trace();
+            sim.spawn_on(0, "p", |_| {});
+        }),
+    ];
+    for (call, build) in cases {
+        let payload = catch_unwind(AssertUnwindSafe(|| build(Simulation::new(0))))
+            .expect_err("the sharded engine must refuse the call");
+        let text = payload.downcast::<String>().map(|s| *s).unwrap_or_default();
+        assert!(
+            text.contains(&format!("{call} is not supported by the sharded engine")),
+            "{call}: {text}"
+        );
+    }
+}
+
+#[test]
 fn sharded_deadlock_names_processes_in_pid_order() {
     let mut sim = Simulation::new(0);
+    sim.set_threads(2);
     sim.spawn_on(0, "stuck-a", |ctx| {
         let _ = ctx.recv();
     });
@@ -273,6 +306,7 @@ fn sharded_deadlock_names_processes_in_pid_order() {
 #[test]
 fn sharded_time_limit_is_enforced() {
     let mut sim = Simulation::new(0);
+    sim.set_threads(2);
     sim.set_time_limit(SimTime::ZERO + SimDelta::from_us(3));
     sim.spawn_on(0, "fast", |ctx| ctx.sleep(SimDelta::from_us(1)));
     sim.spawn_on(1, "slow", |ctx| ctx.sleep(SimDelta::from_ms(5)));

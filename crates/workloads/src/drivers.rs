@@ -39,11 +39,10 @@ pub struct CheckRun {
     /// Move real bytes through the fabric so drivers can fill and verify
     /// payload patterns (default: timing-only, no byte movement).
     pub move_bytes: bool,
-    /// Simulation worker threads: `Some(1)` pins the classic engine,
-    /// `Some(n > 1)` the sharded runtime, `None` (the default) inherits
-    /// `SIMNET_THREADS` so a whole test tier can be swept onto the
-    /// sharded engine from the environment. Never observable in results
-    /// (see [`rdma::ClusterBuilder::with_threads`]).
+    /// `None` or `Some(1)`: a cluster runs on the classic loop, and
+    /// anything else panics (see [`rdma::ClusterBuilder::with_threads`]).
+    /// Kept as a field because the benchmark package sets it; it goes
+    /// with that package's re-base (ROADMAP item 6).
     pub threads: Option<usize>,
 }
 

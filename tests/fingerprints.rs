@@ -11,12 +11,11 @@
 //! its flight-dump line, time and pid included: the text
 //! `tests/flight_golden.rs` pins, not `{:?}`, and not `std::hash`, whose
 //! algorithm Rust does not fix across releases. `stats_fnv1a` hashes
-//! `Report.stats` without the sharded engine's own `simnet.sharded.*`
-//! counters. A run that ends without a report has `-` in those columns.
+//! `Report.stats`. A run that ends without a report has `-` in those
+//! columns.
 //!
-//! Tier-1 runs [`SLICE`] in debug, on the classic loop and on four worker
-//! threads. The whole matrix is one `#[ignore]`d release test, which
-//! `ci.sh` runs at `SIMNET_THREADS=1` and `=4`:
+//! Tier-1 runs [`SLICE`] in debug. The whole matrix is one `#[ignore]`d
+//! release test, which `ci.sh` runs:
 //!
 //! ```text
 //! cargo test --release -q --test fingerprints -- --ignored
@@ -42,7 +41,7 @@ use checker::{
     NOISY_FLOOD_BURST, NOISY_QUEUE_CAP, STARVED_QUEUE_CAP,
 };
 use offload::{parse_flight_dump, replay_into, FaultPlan, FlightRecord, ProtoEvent};
-use simnet::{EventSink, Pid, SimDelta, SimTime, Stats};
+use simnet::{EventSink, Pid, SimTime, Stats};
 
 const GOLDEN: &str = "tests/golden/fingerprints.tsv";
 
@@ -261,30 +260,24 @@ fn stream_sink(hash: Arc<Mutex<Fnv>>) -> EventSink {
     })
 }
 
-/// Counters, then times, as `name value` lines, except `simnet.sharded.*`.
+/// Counters, then times, as `name value` lines.
 fn stats_hash(stats: &Stats) -> u64 {
     let mut hash = Fnv::default();
-    let kept = |name: &str| !name.starts_with("simnet.sharded.");
-    for (name, n) in stats.counters().filter(|&(name, _)| kept(name)) {
+    for (name, n) in stats.counters() {
         hash.write(format!("{name} {n}\n").as_bytes());
     }
-    for (name, t) in stats.times().filter(|&(name, _)| kept(name)) {
+    for (name, t) in stats.times() {
         hash.write(format!("{name} {}ps\n", t.as_ps()).as_bytes());
     }
     hash.0
 }
 
-/// Run `row` on `threads` workers (`None`: `SIMNET_THREADS`) and reduce
-/// it to its golden line.
-fn fingerprint(row: &Row, threads: Option<usize>) -> String {
+/// Run `row` and reduce it to its golden line.
+fn fingerprint(row: &Row) -> String {
     let hash = Arc::new(Mutex::new(Fnv::default()));
-    let scenario = Scenario {
-        threads,
-        ..row.scenario
-    };
     let tap = stream_sink(Arc::clone(&hash));
     let (outcome, _, report) =
-        run_scenario_recorded(&row.workload, &scenario, row.checked, Some(tap));
+        run_scenario_recorded(&row.workload, &row.scenario, row.checked, Some(tap));
     let stream = hash.lock().expect("hash lock").0;
     let (id, verdict) = (&row.id, outcome.label());
     match report {
@@ -323,43 +316,34 @@ fn moved(golden: &str, lines: &[String]) -> Vec<String> {
         .collect()
 }
 
-fn check_slice(threads: usize) {
+#[test]
+fn slice_matches_the_golden_on_the_classic_loop() {
     let golden = std::fs::read_to_string(golden_path()).expect("golden file");
     let lines: Vec<String> = matrix()
         .iter()
         .filter(|row| SLICE.contains(&row.id.as_str()))
-        .map(|row| fingerprint(row, Some(threads)))
+        .map(fingerprint)
         .collect();
     assert_eq!(lines.len(), SLICE.len(), "every slice id names a row");
     let moved = moved(&golden, &lines);
     assert!(
         moved.is_empty(),
-        "{} slice rows moved at {threads} threads, old → new:\n{}\nrerun the whole \
-         matrix, and regenerate if intended: {REGENERATE}",
+        "{} slice rows moved, old → new:\n{}\nrerun the whole matrix, and \
+         regenerate if intended: {REGENERATE}",
         moved.len(),
         moved.join("\n")
     );
 }
 
 #[test]
-fn slice_matches_the_golden_on_the_classic_loop() {
-    check_slice(1);
-}
-
-#[test]
-fn slice_matches_the_golden_on_four_worker_threads() {
-    check_slice(4);
-}
-
-#[test]
-#[ignore = "release-only: the whole matrix; ci.sh runs it at SIMNET_THREADS=1 and =4"]
+#[ignore = "release-only: the whole matrix; ci.sh runs it"]
 fn full_matrix_matches_the_golden() {
     let start = Instant::now();
     // A row's panics are its verdict: keep their messages out of a
     // mismatch report, which lists only the rows that moved.
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let lines: Vec<String> = matrix().iter().map(|row| fingerprint(row, None)).collect();
+    let lines: Vec<String> = matrix().iter().map(fingerprint).collect();
     std::panic::set_hook(hook);
     let doc: String = std::iter::once(HEADER.to_string())
         .chain(lines.iter().map(|line| format!("{line}\n")))
@@ -454,19 +438,4 @@ fn the_stream_hash_sees_every_time_pid_and_field() {
             );
         }
     }
-}
-
-#[test]
-fn the_stats_hash_ignores_only_the_sharded_engines_bookkeeping() {
-    let mut stats = Stats::new();
-    stats.incr("offload.fin.sent", 3);
-    stats.add_time("offload.wait", SimDelta::from_ns(5));
-    let before = stats_hash(&stats);
-    stats.incr("simnet.sharded.windows", 7);
-    assert_eq!(stats_hash(&stats), before, "engine bookkeeping is left out");
-    stats.incr("offload.fin.sent", 1);
-    let counted = stats_hash(&stats);
-    assert_ne!(counted, before, "a counter moved");
-    stats.add_time("offload.wait", SimDelta::from_ns(1));
-    assert_ne!(stats_hash(&stats), counted, "a time moved");
 }

@@ -6,9 +6,7 @@
 //! their state online (the lifecycle recorder used to log every event and
 //! rebuild everything in `report()`; the checker kept every flow and every
 //! id for the whole run). How an observer stores its state may change;
-//! what it concludes from a stream may not. The runs inherit
-//! `SIMNET_THREADS`, so both engines must reproduce the same files.
-//! Regenerate (only for a deliberate change of a report) with
+//! what it concludes from a stream may not. Regenerate (only for a deliberate change of a report) with
 //! `UPDATE_GOLDEN=1 cargo test --test observer_goldens`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -35,7 +35,6 @@ fn peak_rss_kib() -> u64 {
 fn run(sink: Option<EventSink>) {
     let mut run = CheckRun::baseline(5);
     run.move_bytes = true;
-    run.threads = Some(1);
     run.sink = sink;
     let report = drive_stencil(&run, 256, ROUNDS).expect("clean run");
     assert_eq!(report.stats.counter("rdma.write.count"), 8 * ROUNDS);

@@ -30,11 +30,10 @@ const FACE: u64 = 256;
 /// Transfers per round: four ranks, each sending a face each way.
 const MSGS_PER_ROUND: u64 = 8;
 
-/// One `basic_short`-shaped run on the classic engine; wall seconds.
+/// One `basic_short`-shaped run; wall seconds.
 fn run(sink: Option<EventSink>, rounds: u64) -> f64 {
     let mut run = CheckRun::baseline(5);
     run.move_bytes = true;
-    run.threads = Some(1);
     run.sink = sink;
     let start = Instant::now();
     let report = drive_stencil(&run, FACE, rounds).expect("clean run");
@@ -55,7 +54,6 @@ fn a_sink_is_called_once_per_batch() {
         c.fetch_add(1, Ordering::Relaxed);
         e.fetch_add(batch.len() as u64, Ordering::Relaxed);
     });
-    // Inherits SIMNET_THREADS: both engines must batch.
     let mut run = CheckRun::baseline(5);
     run.sink = Some(counting);
     drive_stencil(&run, FACE, 20).expect("clean run");

@@ -16,8 +16,6 @@ use workloads::{drive_verified_stencil, CheckRun};
 fn faulted_stencil_stats_match_the_snapshot() {
     let mut run = CheckRun::baseline(31);
     run.move_bytes = true;
-    // Pinned to the classic engine, like the other byte-compared goldens.
-    run.threads = Some(1);
     run.cfg.fault = FaultPlan::parse("flip=5,torn=5,ddrop=3,seed=31").expect("plan parses");
     // 5200 B faces: one round of pattern lanes plus a serial tail.
     let report = drive_verified_stencil(&run, 5200, 150).expect("faults heal");

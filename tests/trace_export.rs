@@ -10,12 +10,8 @@ use bluefield_offload::sim::Report;
 use std::path::PathBuf;
 
 /// One offloaded 4 KiB ping-pong between two single-rank nodes, traced.
-/// `threads` picks the engine (1 = classic loop, >1 = sharded runtime)
-/// and overrides `SIMNET_THREADS`, so each test states its engine
-/// explicitly instead of drifting with the environment.
-fn traced_pingpong(seed: u64, threads: usize) -> Report {
+fn traced_pingpong(seed: u64) -> Report {
     ClusterBuilder::new(ClusterSpec::new(2, 1), seed)
-        .with_threads(threads)
         .with_trace()
         .run(
             |rank, ctx, cluster| {
@@ -54,12 +50,7 @@ fn golden_path() -> PathBuf {
 
 #[test]
 fn chrome_trace_matches_golden_snapshot() {
-    // The golden byte-compare is pinned to the classic single-threaded
-    // engine: the snapshot documents *that* engine's timeline, and the
-    // sharded runtime's agreement with it is asserted separately by
-    // `chrome_trace_is_thread_count_invariant` (so a divergence shows up
-    // as an engine bug, not a stale fixture).
-    let doc = obs::chrome_trace(&traced_pingpong(7, 1)).expect("tracing enabled");
+    let doc = obs::chrome_trace(&traced_pingpong(7)).expect("tracing enabled");
     let path = golden_path();
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().expect("parent dir")).expect("mkdir golden");
@@ -81,7 +72,7 @@ fn chrome_trace_matches_golden_snapshot() {
 
 #[test]
 fn chrome_trace_is_well_formed() {
-    let report = traced_pingpong(8, 1);
+    let report = traced_pingpong(8);
     let doc = obs::chrome_trace(&report).expect("tracing enabled");
     let v = obs::parse(&doc).expect("valid JSON");
     let events = v
@@ -113,22 +104,7 @@ fn chrome_trace_is_well_formed() {
 
 #[test]
 fn same_seed_runs_export_identical_traces() {
-    let a = obs::chrome_trace(&traced_pingpong(9, 1)).expect("trace");
-    let b = obs::chrome_trace(&traced_pingpong(9, 1)).expect("trace");
+    let a = obs::chrome_trace(&traced_pingpong(9)).expect("trace");
+    let b = obs::chrome_trace(&traced_pingpong(9)).expect("trace");
     assert_eq!(a, b, "trace export must be deterministic");
-}
-
-#[test]
-fn chrome_trace_is_thread_count_invariant() {
-    // The exported timeline must not betray the engine that produced
-    // it: the sharded runtime at 2 and 4 worker threads exports the
-    // same bytes as the classic loop.
-    let classic = obs::chrome_trace(&traced_pingpong(7, 1)).expect("trace");
-    for threads in [2, 4] {
-        let sharded = obs::chrome_trace(&traced_pingpong(7, threads)).expect("trace");
-        assert_eq!(
-            classic, sharded,
-            "chrome export differs at {threads} worker threads"
-        );
-    }
 }
