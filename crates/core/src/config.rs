@@ -65,6 +65,21 @@ impl TenantSpec {
     }
 }
 
+/// One tenant's effective limits: its [`TenantSpec`] resolved against
+/// the roster by [`OffloadConfig::quota`]. A 0 limit is unarmed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TenantQuota {
+    /// Credit window: admitted-unfinished basic posts per rank before
+    /// further posts are deferred.
+    pub soft: usize,
+    /// Live basic posts per rank before new posts are shed.
+    pub hard: usize,
+    /// Deficit-round-robin quantum (at least 1).
+    pub weight: usize,
+    /// Slots of the proxy descriptor pool the tenant may hold.
+    pub share: usize,
+}
+
 /// Which mechanism moves the payload (paper Fig. 6).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DataPath {
@@ -510,55 +525,46 @@ impl OffloadConfig {
     /// The tenant a rank belongs to: round-robin over the roster, and
     /// tenant 0 for everyone in a single-tenant run.
     pub fn tenant_of(&self, rank: usize) -> TenantId {
-        if self.tenants.len() > 1 {
+        if self.multi_tenant() {
             rank % self.tenants.len()
         } else {
             0
         }
     }
 
-    /// The spec of `tenant` ([`TenantSpec::inherit`] when the roster
-    /// does not cover it).
-    pub fn tenant_spec(&self, tenant: TenantId) -> TenantSpec {
-        self.tenants
-            .get(tenant)
-            .copied()
-            .unwrap_or(TenantSpec::inherit())
-    }
-
-    /// Effective soft quota (credit window) of `tenant`: its spec, or
-    /// the global `queue_cap` when the spec inherits (0 = unbounded,
-    /// exactly like a disarmed `queue_cap`).
-    pub fn tenant_soft_quota(&self, tenant: TenantId) -> usize {
-        let q = self.tenant_spec(tenant).soft_quota;
-        if q == 0 {
-            self.queue_cap
-        } else {
-            q
+    /// What `tenant` may hold, with the roster rules applied here and
+    /// nowhere else. A roster of zero or one specs is the one-tenant
+    /// quota: no soft or hard quota, weight 1, and the whole descriptor
+    /// pool. In a roster of two or more, a spec field of 0 inherits: the
+    /// soft quota becomes `queue_cap`, the hard quota stays unbounded
+    /// and the weight becomes 1; `queue_cap` is split by weight into
+    /// shares of at least one slot. A tenant outside the roster
+    /// inherits everything.
+    pub fn quota(&self, tenant: TenantId) -> TenantQuota {
+        let cap = self.queue_cap;
+        if !self.multi_tenant() {
+            return TenantQuota {
+                soft: 0,
+                hard: 0,
+                weight: 1,
+                share: cap,
+            };
         }
-    }
-
-    /// Effective hard quota of `tenant` (0 = never shed).
-    pub fn tenant_hard_quota(&self, tenant: TenantId) -> usize {
-        self.tenant_spec(tenant).hard_quota
-    }
-
-    /// Effective DRR weight of `tenant` (at least 1).
-    pub fn tenant_weight(&self, tenant: TenantId) -> usize {
-        self.tenant_spec(tenant).weight.max(1)
-    }
-
-    /// The tenant's reserved share of the proxy descriptor pool:
-    /// `queue_cap` split proportionally to the DRR weights, each
-    /// tenant's slice at least 1 slot so no tenant can be starved
-    /// outright. Meaningful only when both the queue cap and the
-    /// multi-tenant roster are armed; otherwise the whole pool.
-    pub fn tenant_share(&self, tenant: TenantId) -> usize {
-        if !self.multi_tenant() || self.queue_cap == 0 {
-            return self.queue_cap;
+        let spec = |t: TenantId| self.tenants.get(t).copied().unwrap_or_default();
+        let weight = |t: TenantId| spec(t).weight.max(1);
+        let total: usize = (0..self.tenants.len()).map(weight).sum();
+        let (own, weight) = (spec(tenant), weight(tenant));
+        TenantQuota {
+            soft: if own.soft_quota == 0 {
+                cap
+            } else {
+                own.soft_quota
+            },
+            hard: own.hard_quota,
+            weight,
+            // `min` keeps an unarmed pool at no share.
+            share: (cap * weight / total).max(1).min(cap),
         }
-        let total: usize = (0..self.tenants.len()).map(|t| self.tenant_weight(t)).sum();
-        (self.queue_cap * self.tenant_weight(tenant) / total.max(1)).max(1)
     }
 }
 
@@ -700,20 +706,14 @@ mod tests {
     }
 
     #[test]
-    fn single_tenant_default_is_disarmed() {
+    fn tenant_mapping_is_round_robin() {
+        // No roster, or one spec, is single-tenant: everyone is tenant 0.
         let c = OffloadConfig::proposed();
         assert!(!c.multi_tenant());
-        assert_eq!(c.tenant_of(0), 0);
-        assert_eq!(c.tenant_of(7), 0);
-        // One spec is still single-tenant: the roster must hold at
-        // least two tenants to change anything.
+        assert_eq!((c.tenant_of(0), c.tenant_of(7)), (0, 0));
         let c = OffloadConfig::proposed().with_tenants(vec![TenantSpec::inherit()]);
         assert!(!c.multi_tenant());
         assert_eq!(c.tenant_of(5), 0);
-    }
-
-    #[test]
-    fn tenant_mapping_is_round_robin() {
         let c = OffloadConfig::proposed()
             .with_tenants(vec![TenantSpec::inherit(), TenantSpec::inherit()]);
         assert!(c.multi_tenant());
@@ -724,52 +724,71 @@ mod tests {
     }
 
     #[test]
-    fn tenant_quota_zero_inherits_global() {
-        let c = OffloadConfig::proposed()
-            .with_queue_cap(6)
-            .with_tenants(vec![
-                TenantSpec::inherit(),
-                TenantSpec::inherit().with_soft_quota(2).with_hard_quota(4),
-            ]);
-        // Spec 0 inherits: soft quota = global queue_cap, hard = off.
-        assert_eq!(c.tenant_soft_quota(0), 6);
-        assert_eq!(c.tenant_hard_quota(0), 0);
-        // Spec 1 overrides both.
-        assert_eq!(c.tenant_soft_quota(1), 2);
-        assert_eq!(c.tenant_hard_quota(1), 4);
-        // Out-of-roster tenants inherit everything.
-        assert_eq!(c.tenant_soft_quota(9), 6);
-        assert_eq!(c.tenant_weight(9), 1);
-    }
-
-    #[test]
-    fn tenant_shares_split_the_pool_by_weight() {
-        let c = OffloadConfig::proposed()
-            .with_queue_cap(8)
-            .with_tenants(vec![
-                TenantSpec::inherit().with_weight(3),
-                TenantSpec::inherit(),
-            ]);
-        assert_eq!(c.tenant_share(0), 6);
-        assert_eq!(c.tenant_share(1), 2);
-        // Even a zero-weight rounding victim keeps one slot.
-        let c = OffloadConfig::proposed()
-            .with_queue_cap(4)
-            .with_tenants(vec![
-                TenantSpec::inherit().with_weight(100),
-                TenantSpec::inherit(),
-            ]);
-        assert_eq!(c.tenant_share(1), 1);
-        // Single-tenant or uncapped: the whole pool.
-        assert_eq!(
-            OffloadConfig::proposed().with_queue_cap(4).tenant_share(0),
-            4
-        );
-        assert_eq!(
+    fn quotas_apply_the_roster_rules() {
+        let roster = |cap: usize, specs: &[TenantSpec]| {
             OffloadConfig::proposed()
-                .with_tenants(vec![TenantSpec::inherit(), TenantSpec::inherit()])
-                .tenant_share(1),
-            0
-        );
+                .with_queue_cap(cap)
+                .with_tenants(specs.to_vec())
+        };
+        let q = |soft, hard, weight, share| TenantQuota {
+            soft,
+            hard,
+            weight,
+            share,
+        };
+        let inherit = TenantSpec::inherit();
+        let overrides = [inherit, inherit.with_soft_quota(2).with_hard_quota(4)];
+        let weighted = [inherit.with_weight(3), inherit];
+        let lopsided = [inherit.with_weight(100), inherit];
+        let rows = [
+            ("no roster", roster(0, &[]), 0, q(0, 0, 1, 0)),
+            ("no roster, capped", roster(4, &[]), 0, q(0, 0, 1, 4)),
+            (
+                "a single spec is ignored",
+                roster(6, &[inherit.with_soft_quota(2).with_hard_quota(1)]),
+                0,
+                q(0, 0, 1, 6),
+            ),
+            (
+                "a zero field inherits",
+                roster(6, &overrides),
+                0,
+                q(6, 0, 1, 3),
+            ),
+            (
+                "set fields override",
+                roster(6, &overrides),
+                1,
+                q(2, 4, 1, 3),
+            ),
+            (
+                "outside the roster",
+                roster(6, &overrides),
+                9,
+                q(6, 0, 1, 3),
+            ),
+            (
+                "shares follow weight",
+                roster(8, &weighted),
+                0,
+                q(8, 0, 3, 6),
+            ),
+            (
+                "shares follow weight",
+                roster(8, &weighted),
+                1,
+                q(8, 0, 1, 2),
+            ),
+            (
+                "a share keeps one slot",
+                roster(4, &lopsided),
+                1,
+                q(4, 0, 1, 1),
+            ),
+            ("uncapped, no pool", roster(0, &overrides), 1, q(2, 4, 1, 0)),
+        ];
+        for (what, cfg, tenant, want) in rows {
+            assert_eq!(cfg.quota(tenant), want, "{what}: tenant {tenant}");
+        }
     }
 }

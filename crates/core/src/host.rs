@@ -23,14 +23,16 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
 use simnet::{ProcessCtx, SimDelta, StatKey};
 
-use crate::config::{DataPath, OffloadConfig, TenantId};
+use crate::config::{DataPath, OffloadConfig, TenantId, TenantQuota};
 use crate::drr::{Deferred, DrrScheduler};
 use crate::events::{
     CacheOutcome, CacheSide, CtrlKind, HealthPath, HostCacheKind, ProtoEvent, ReqDir,
 };
 use crate::messages::{CtrlMsg, GroupKey, WireEntry, WRID_MASK, WRID_OFF_HOST};
 use crate::reg_cache::RankAddrCache;
-use crate::reliable::{backoff_delay_from, OffloadError, ReliableLink, ReqOrigin, TickOutcome};
+use crate::reliable::{
+    backoff_delay_from, Inbound, OffloadError, ReliableLink, ReqOrigin, TickOutcome,
+};
 
 /// Handle of a Basic-primitive transfer (`OffloadRequest` in the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -120,13 +122,19 @@ struct ReqSlot {
     pin: Option<(usize, u64, u64)>,
 }
 
-/// The slot of `msg_id` if that request is still open (neither done nor
-/// failed). `new_req` appends slots in strictly increasing `msg_id`
-/// order and the list is never trimmed, so a binary search finds it.
+impl ReqSlot {
+    /// Neither done nor failed.
+    fn open(&self) -> bool {
+        !self.done && self.error.is_none()
+    }
+}
+
+/// The slot of `msg_id` if that request is still open. `new_req`
+/// appends slots in strictly increasing `msg_id` order and the list is
+/// never trimmed, so a binary search finds it.
 fn open_slot(reqs: &[ReqSlot], msg_id: u64) -> Option<usize> {
     let i = reqs.binary_search_by_key(&msg_id, |s| s.msg_id).ok()?;
-    let s = reqs.get(i)?;
-    (!s.done && s.error.is_none()).then_some(i)
+    reqs.get(i)?.open().then_some(i)
 }
 
 struct HostState {
@@ -173,12 +181,42 @@ struct HostState {
     ack_horizon: u64,
 }
 
+impl HostState {
+    /// How basic request `req` ended: `None` while it is open.
+    fn outcome(&self, req: OffloadReq) -> Option<Result<(), OffloadError>> {
+        let slot = &self.reqs[req.0];
+        if slot.done {
+            Some(Ok(()))
+        } else {
+            slot.error.map(Err)
+        }
+    }
+
+    /// Return the credit `req` holds, if any.
+    fn release_window(&mut self, req: usize) {
+        let ep = self.reqs.get_mut(req).and_then(|s| s.window_ep.take());
+        if let Some(w) = ep.and_then(|ep| self.window.get_mut(&ep)) {
+            *w = w.saturating_sub(1);
+        }
+    }
+
+    /// The GVMI or IB registration cache.
+    fn cache(&mut self, kind: HostCacheKind) -> &mut RankAddrCache<MrKey> {
+        match kind {
+            HostCacheKind::Gvmi => &mut self.gvmi_cache,
+            HostCacheKind::Ib => &mut self.ib_cache,
+        }
+    }
+}
+
 /// Host-side engine of the offload framework. One per application rank.
 pub struct Offload {
     ctx: ProcessCtx,
     cluster: ClusterCtx,
     rank: usize,
     tenant: TenantId,
+    /// This rank's tenant limits, resolved once at init.
+    quota: TenantQuota,
     ep: EpId,
     proxy_ep: EpId,
     proxy_idx: usize,
@@ -239,6 +277,7 @@ impl Offload {
             cluster,
             rank,
             tenant,
+            quota: cfg.quota(tenant),
             ep,
             proxy_ep,
             proxy_idx,
@@ -305,40 +344,31 @@ impl Offload {
         (OffloadReq(req), msg_id)
     }
 
-    /// Ship a control message to this rank's mapped proxy
-    /// (crate-internal extensions). `req` ties the message to a basic
-    /// request slot for replay-after-restart and abandonment errors.
-    pub(crate) fn send_ctrl_to_proxy(&self, msg: CtrlMsg, req: Option<usize>) {
-        let origin = match req {
-            Some(r) => ReqOrigin::Basic(r),
-            None => ReqOrigin::Free,
-        };
+    /// Ship a control message for basic request slot `req` to this
+    /// rank's mapped proxy (crate-internal extensions); the slot is what
+    /// a proxy restart replays and an abandonment fails.
+    pub(crate) fn send_ctrl_to_proxy(&self, msg: CtrlMsg, req: usize) {
+        let origin = ReqOrigin::Basic(req);
         self.post_ctrl(self.proxy_ep, self.cfg.ctrl_bytes, msg, origin);
         static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
         self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
-    /// Ship one ctrl message: through the reliable link when the fault
-    /// plan arms it, as a bare packet otherwise (byte-identical to the
-    /// pre-reliability protocol on clean runs). When proxies can crash,
-    /// a basic-origin message is also stored on its slot for replay.
+    /// Ship one ctrl message through the link, which sends it bare on a
+    /// plan that does not arm reliability. When proxies can crash, a
+    /// basic-origin message is also stored on its slot for replay.
     fn post_ctrl(&self, to: EpId, bytes: u64, msg: CtrlMsg, origin: ReqOrigin) {
         crate::profile_scope!("ctrl_encode");
+        let mut st = self.st.borrow_mut();
         if let ReqOrigin::Basic(r) = origin {
             if self.cfg.fault.crash_at_step > 0 {
-                self.st.borrow_mut().reqs[r].replay = Some((to, msg.clone()));
+                if let Some(slot) = st.reqs.get_mut(r) {
+                    slot.replay = Some((to, msg.clone()));
+                }
             }
         }
         let fab = self.cluster.fabric();
-        if self.cfg.fault.reliable() {
-            self.st
-                .borrow_mut()
-                .rel
-                .send(&self.ctx, fab, to, bytes, msg, origin);
-        } else {
-            fab.send_packet(&self.ctx, self.ep, to, bytes, Box::new(msg))
-                .expect("control message send");
-        }
+        st.rel.send(&self.ctx, fab, to, bytes, msg, origin);
     }
 
     /// CRC32 of a posted payload, computed only when the run injects
@@ -363,22 +393,10 @@ impl Offload {
     }
 
     /// Whether host-side admission control is live: the global queue
-    /// cap, or this rank's tenant soft quota under a multi-tenant
-    /// roster. Off on single-tenant uncapped runs (byte-identical to
-    /// the pre-credit engine).
+    /// cap, or this rank's tenant soft quota. Off on uncapped runs
+    /// without one (byte-identical to the pre-credit engine).
     fn credit_armed(&self) -> bool {
-        self.cfg.queue_cap > 0
-            || (self.cfg.multi_tenant() && self.cfg.tenant_soft_quota(self.tenant) > 0)
-    }
-
-    /// This rank's tenant soft quota on admitted-unfinished posts
-    /// (0 = unarmed; only a multi-tenant roster arms it).
-    fn soft_quota(&self) -> usize {
-        if self.cfg.multi_tenant() {
-            self.cfg.tenant_soft_quota(self.tenant)
-        } else {
-            0
-        }
+        self.cfg.queue_cap > 0 || self.quota.soft > 0
     }
 
     /// Post a basic request through the admission policy: shed
@@ -386,9 +404,9 @@ impl Offload {
     /// the DRR scheduler when the post is [`Self::blocked`], admitted
     /// otherwise.
     fn post_basic(&self, req: usize, msg_id: u64, to: EpId, mut msg: CtrlMsg) {
-        let hard = self.cfg.tenant_hard_quota(self.tenant);
+        let hard = self.quota.hard;
         // `live_basic` already counts this request's slot.
-        if self.cfg.multi_tenant() && hard > 0 && self.st.borrow().live_basic > hard {
+        if hard > 0 && self.st.borrow().live_basic > hard {
             static SHEDS: StatKey = StatKey::new("offload.quota.sheds");
             self.ctx.stat_incr(&SHEDS, 1);
             self.ctx.emit(&ProtoEvent::QuotaShed {
@@ -433,7 +451,7 @@ impl Offload {
     /// credit window (the queue cap) or this rank's tenant soft quota?
     fn blocked(&self, window: &BTreeMap<usize, usize>, to: EpId) -> bool {
         let used = window.get(&to.index()).copied().unwrap_or(0);
-        let soft = self.soft_quota();
+        let soft = self.quota.soft;
         (self.cfg.queue_cap > 0 && used >= self.cfg.queue_cap)
             || (soft > 0 && window.values().sum::<usize>() >= soft)
     }
@@ -469,16 +487,6 @@ impl Offload {
         self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
-    /// Return the credit a finished/refused request held, if any.
-    fn release_window(&self, req: usize) {
-        let mut st = self.st.borrow_mut();
-        if let Some(ep) = st.reqs[req].window_ep.take() {
-            if let Some(w) = st.window.get_mut(&ep) {
-                *w = w.saturating_sub(1);
-            }
-        }
-    }
-
     /// Admit up to `limit` deferred posts through the DRR scheduler.
     /// Within a tenant the queue is served FIFO and stops at the first
     /// head that is still [`Self::blocked`]; across tenants a blocked
@@ -499,9 +507,10 @@ impl Offload {
             let mut deferred = std::mem::take(&mut st.deferred);
             deferred.flush(
                 limit,
-                |t| self.cfg.tenant_weight(t) as u64,
+                // Every post this rank defers is its own tenant's.
+                |_| self.quota.weight as u64,
                 |req| {
-                    let live = st.reqs.get(req).filter(|s| !s.done && s.error.is_none());
+                    let live = st.reqs.get(req).filter(|s| s.open());
                     let Some((msg_id, (to, mut msg))) =
                         live.and_then(|s| Some((s.msg_id, s.post.clone()?)))
                     else {
@@ -543,14 +552,6 @@ impl Offload {
         }
     }
 
-    /// Drop a request's cache pin (completion or terminal failure).
-    fn unpin_gvmi(&self, req: usize) {
-        let mut st = self.st.borrow_mut();
-        if let Some((rank, addr, len)) = st.reqs[req].pin.take() {
-            st.gvmi_cache.unpin(rank, addr, len);
-        }
-    }
-
     /// Fold a terminally-settled transfer id into the ack horizon
     /// (journal-truncation tracking; no-op unless the cap is armed).
     fn note_settled(&self, msg_id: u64) {
@@ -585,18 +586,7 @@ impl Offload {
             bytes: len,
             dir: ReqDir::Send,
         });
-        let (mkey, src_rkey) = match self.cfg.data_path {
-            // With registration failure armed, carry both keys so the
-            // proxy can fall back to the staging path per message.
-            DataPath::Gvmi if self.cfg.fault.fallback_enabled() => (
-                Some(self.cached_gvmi_reg(addr, len)),
-                Some(self.cached_ib_reg(addr, len)),
-            ),
-            DataPath::Gvmi => (Some(self.cached_gvmi_reg(addr, len)), None),
-            // Staging: the proxy pulls the payload with an RDMA READ
-            // through a plain rkey (BluesMPI-style worker read).
-            DataPath::Staging => (None, Some(self.cached_ib_reg(addr, len))),
-        };
+        let (mkey, src_rkey) = self.send_keys(addr, len);
         if mkey.is_some() {
             self.pin_gvmi(req, addr, len);
         }
@@ -633,7 +623,7 @@ impl Offload {
             bytes: len,
             dir: ReqDir::Recv,
         });
-        let rkey = self.cached_ib_reg(addr, len);
+        let rkey = self.cached_reg(HostCacheKind::Ib, addr, len);
         let src_proxy = self.cluster.proxy_for_rank(src);
         let msg = CtrlMsg::Rtr {
             src_rank: src,
@@ -655,31 +645,21 @@ impl Offload {
     /// Has the request completed? Drains pending completions.
     pub fn test(&self, req: OffloadReq) -> bool {
         self.drain();
-        self.st.borrow().reqs[req.0].done
+        self.st.borrow().outcome(req) == Some(Ok(()))
     }
 
     /// `Wait`: block until `req` completes — or fails permanently, which
     /// only a fault plan can cause; check [`Offload::req_error`] then.
     pub fn wait(&self, req: OffloadReq) {
         self.drain();
-        loop {
-            {
-                let st = self.st.borrow();
-                let slot = &st.reqs[req.0];
-                if slot.done || slot.error.is_some() {
-                    break;
-                }
-            }
-            let msg = self.chan.next_blocking(&self.ctx);
-            self.handle(msg);
-        }
+        self.block_until(|st| st.outcome(req).map(drop));
     }
 
     /// Terminal failure of a request, if any: set when its ctrl message
     /// exhausted the reliability layer's retransmission budget. Always
     /// `None` on clean runs.
     pub fn req_error(&self, req: OffloadReq) -> Option<OffloadError> {
-        self.st.borrow().reqs[req.0].error
+        self.st.borrow().outcome(req)?.err()
     }
 
     /// `Wait` with a deadline: block until `req` completes, fails, or
@@ -689,15 +669,8 @@ impl Offload {
     /// request never completes afterwards.
     pub fn wait_timeout(&self, req: OffloadReq, timeout: SimDelta) -> Result<(), OffloadError> {
         self.drain();
-        {
-            let st = self.st.borrow();
-            let slot = &st.reqs[req.0];
-            if slot.done {
-                return Ok(());
-            }
-            if let Some(e) = slot.error {
-                return Err(e);
-            }
+        if let Some(outcome) = self.st.borrow().outcome(req) {
+            return outcome;
         }
         self.ctx.deliver_self(
             timeout,
@@ -705,20 +678,7 @@ impl Offload {
                 req: req.0,
             }))),
         );
-        loop {
-            {
-                let st = self.st.borrow();
-                let slot = &st.reqs[req.0];
-                if slot.done {
-                    return Ok(());
-                }
-                if let Some(e) = slot.error {
-                    return Err(e);
-                }
-            }
-            let msg = self.chan.next_blocking(&self.ctx);
-            self.handle(msg);
-        }
+        self.block_until(|st| st.outcome(req))
     }
 
     /// Cancel an in-flight request. The slot fails with
@@ -764,11 +724,8 @@ impl Offload {
         // Under a lossy plan the shutdown itself needs acking (and the
         // proxy won't quiesce while we hold unacked messages): pump the
         // ctrl plane until the pending table drains. Abandonment bounds
-        // this loop even against a dead peer.
-        while self.st.borrow().rel.has_pending() {
-            let msg = self.chan.next_blocking(&self.ctx);
-            self.handle(msg);
-        }
+        // this wait even against a dead peer.
+        self.block_until(|st| (!st.rel.has_pending()).then_some(()));
         self.ctx
             .emit(&ProtoEvent::HostFinalized { rank: self.rank });
     }
@@ -890,20 +847,14 @@ impl Offload {
     /// stalling forever. Always `Ok` on clean runs.
     pub fn group_wait(&self, req: GroupRequest) -> Result<(), OffloadError> {
         self.drain();
-        let gen = loop {
-            {
-                let st = self.st.borrow();
-                let g = &st.groups[req.0];
-                if g.fin_gen >= g.gen {
-                    break g.gen;
-                }
-                if let Some(e) = g.error {
-                    return Err(e);
-                }
+        let gen = self.block_until(|st| {
+            let g = &st.groups[req.0];
+            if g.fin_gen >= g.gen {
+                Some(Ok(g.gen))
+            } else {
+                g.error.map(Err)
             }
-            let msg = self.chan.next_blocking(&self.ctx);
-            self.handle(msg);
-        };
+        })?;
         self.ctx.emit(&ProtoEvent::GroupWaitDone {
             host_rank: self.rank,
             req_id: req.0,
@@ -954,11 +905,10 @@ impl Offload {
     // ---- internals ----
 
     fn new_req(&self) -> (usize, u64) {
+        let msg_id = self.alloc_msg_id();
         let mut st = self.st.borrow_mut();
-        st.next_msg_seq += 1;
         st.live_basic += 1;
         st.pending += 1;
-        let msg_id = ((self.rank as u64) << 32) | st.next_msg_seq;
         st.reqs.push(ReqSlot {
             done: false,
             msg_id,
@@ -981,20 +931,47 @@ impl Offload {
         ((self.rank as u64) << 32) | st.next_msg_seq
     }
 
-    /// Host-side GVMI registration through the array-of-BSTs cache.
-    fn cached_gvmi_reg(&self, addr: VAddr, len: u64) -> MrKey {
-        let fab = self.cluster.fabric();
-        let gvmi = fab.gvmi_of(self.proxy_ep).expect("proxy has a GVMI");
-        if self.cfg.use_gvmi_cache {
+    /// The keys a send of `addr..+len` carries to the proxy, registered
+    /// through the caches: the GVMI mkey the proxy cross-registers, and
+    /// the plain rkey the staging path reads through (BluesMPI-style
+    /// worker read). With registration failure armed a GVMI send
+    /// carries both, so the proxy can fall back to staging per message.
+    fn send_keys(&self, addr: VAddr, len: u64) -> (Option<MrKey>, Option<MrKey>) {
+        let gvmi = self.cfg.data_path == DataPath::Gvmi;
+        let mkey = gvmi.then(|| self.cached_reg(HostCacheKind::Gvmi, addr, len));
+        let staged = !gvmi || self.cfg.fault.fallback_enabled();
+        (
+            mkey,
+            staged.then(|| self.cached_reg(HostCacheKind::Ib, addr, len)),
+        )
+    }
+
+    /// Register a buffer through one of the host's array-of-BSTs caches:
+    /// GVMI (an mkey the mapped proxy can cross-register) or IB (a plain
+    /// rkey). A hit returns the cached key; a miss registers and caches
+    /// it. With the caches off, every call registers.
+    fn cached_reg(&self, kind: HostCacheKind, addr: VAddr, len: u64) -> MrKey {
+        static GVMI_HIT: StatKey = StatKey::new("offload.gvmi_cache.host.hit");
+        static GVMI_MISS: StatKey = StatKey::new("offload.gvmi_cache.host.miss");
+        static IB_HIT: StatKey = StatKey::new("offload.ib_cache.host.hit");
+        static IB_MISS: StatKey = StatKey::new("offload.ib_cache.host.miss");
+        // The GVMI cache is indexed by the mapped proxy, the IB cache has
+        // one row.
+        let (row, hit_stat, miss_stat, side) = match kind {
+            HostCacheKind::Gvmi => (self.proxy_idx, &GVMI_HIT, &GVMI_MISS, CacheSide::HostGvmi),
+            HostCacheKind::Ib => (0, &IB_HIT, &IB_MISS, CacheSide::HostIb),
+        };
+        let cached = self.cfg.use_gvmi_cache;
+        if cached {
             let hit = self
                 .st
                 .borrow_mut()
-                .gvmi_cache
-                .get(self.proxy_idx, addr.0, len)
+                .cache(kind)
+                .get(row, addr.0, len)
                 .copied();
             self.ctx.emit(&ProtoEvent::HostCacheLookup {
                 rank: self.rank,
-                cache: HostCacheKind::Gvmi,
+                cache: kind,
                 outcome: if hit.is_some() {
                     CacheOutcome::Hit
                 } else {
@@ -1002,64 +979,30 @@ impl Offload {
                 },
             });
             if let Some(k) = hit {
-                static HOST_HIT: StatKey = StatKey::new("offload.gvmi_cache.host.hit");
-                self.ctx.stat_incr(&HOST_HIT, 1);
+                self.ctx.stat_incr(hit_stat, 1);
                 return k;
             }
-            static HOST_MISS: StatKey = StatKey::new("offload.gvmi_cache.host.miss");
-            self.ctx.stat_incr(&HOST_MISS, 1);
+            self.ctx.stat_incr(miss_stat, 1);
         }
-        let mkey = fab
-            .reg_mr_gvmi(&self.ctx, self.ep, addr, len, gvmi)
-            .expect("GVMI registration of a valid buffer");
-        if self.cfg.use_gvmi_cache {
+        let fab = self.cluster.fabric();
+        let key = match kind {
+            HostCacheKind::Gvmi => {
+                let gvmi = fab.gvmi_of(self.proxy_ep).expect("proxy has a GVMI");
+                fab.reg_mr_gvmi(&self.ctx, self.ep, addr, len, gvmi)
+            }
+            HostCacheKind::Ib => fab.reg_mr(&self.ctx, self.ep, addr, len),
+        }
+        .expect("registration of a valid buffer");
+        if cached {
             let evicted = self
                 .st
                 .borrow_mut()
-                .gvmi_cache
-                .insert(self.proxy_idx, addr.0, len, mkey);
+                .cache(kind)
+                .insert(row, addr.0, len, key);
             if evicted.is_some() {
                 self.ctx.emit(&ProtoEvent::CacheEvicted {
                     rank: self.rank,
-                    side: CacheSide::HostGvmi,
-                });
-            }
-        }
-        mkey
-    }
-
-    /// Host-side IB registration through the cache.
-    fn cached_ib_reg(&self, addr: VAddr, len: u64) -> MrKey {
-        if self.cfg.use_gvmi_cache {
-            let hit = self.st.borrow_mut().ib_cache.get(0, addr.0, len).copied();
-            self.ctx.emit(&ProtoEvent::HostCacheLookup {
-                rank: self.rank,
-                cache: HostCacheKind::Ib,
-                outcome: if hit.is_some() {
-                    CacheOutcome::Hit
-                } else {
-                    CacheOutcome::Miss
-                },
-            });
-            if let Some(k) = hit {
-                static HOST_HIT: StatKey = StatKey::new("offload.ib_cache.host.hit");
-                self.ctx.stat_incr(&HOST_HIT, 1);
-                return k;
-            }
-            static HOST_MISS: StatKey = StatKey::new("offload.ib_cache.host.miss");
-            self.ctx.stat_incr(&HOST_MISS, 1);
-        }
-        let key = self
-            .cluster
-            .fabric()
-            .reg_mr(&self.ctx, self.ep, addr, len)
-            .expect("IB registration of a valid buffer");
-        if self.cfg.use_gvmi_cache {
-            let evicted = self.st.borrow_mut().ib_cache.insert(0, addr.0, len, key);
-            if evicted.is_some() {
-                self.ctx.emit(&ProtoEvent::CacheEvicted {
-                    rank: self.rank,
-                    side: CacheSide::HostIb,
+                    side,
                 });
             }
         }
@@ -1076,24 +1019,9 @@ impl Offload {
         let mut recv_keys = Vec::new();
         for op in &ops {
             match op {
-                GroupOp::Send { addr, len, .. } => match self.cfg.data_path {
-                    DataPath::Gvmi => {
-                        let mkey = Some(self.cached_gvmi_reg(*addr, *len));
-                        // With registration failure armed, also carry an
-                        // rkey so the proxy can stage this entry instead.
-                        let rkey = self
-                            .cfg
-                            .fault
-                            .fallback_enabled()
-                            .then(|| self.cached_ib_reg(*addr, *len));
-                        send_keys.push((mkey, rkey))
-                    }
-                    DataPath::Staging => {
-                        send_keys.push((None, Some(self.cached_ib_reg(*addr, *len))))
-                    }
-                },
+                GroupOp::Send { addr, len, .. } => send_keys.push(self.send_keys(*addr, *len)),
                 GroupOp::Recv { addr, len, .. } => {
-                    recv_keys.push(self.cached_ib_reg(*addr, *len));
+                    recv_keys.push(self.cached_reg(HostCacheKind::Ib, *addr, *len));
                     send_keys.push((None, None));
                 }
                 GroupOp::Barrier => send_keys.push((None, None)),
@@ -1142,25 +1070,16 @@ impl Offload {
         }
         let mut metas: BTreeMap<usize, (usize, VecDeque<MetaEntry>)> = BTreeMap::new();
         for (&dst, &cnt) in &needed {
-            loop {
-                let got = {
-                    let mut st = self.st.borrow_mut();
-                    st.metas_from
-                        .get_mut(&dst)
-                        .and_then(|q| q.queue.pop_front())
-                };
-                if let Some((dst_req_id, entries)) = got {
-                    assert!(
-                        entries.len() >= cnt,
-                        "peer {dst} granted {} buffers, need {cnt}",
-                        entries.len()
-                    );
-                    metas.insert(dst, (dst_req_id, entries.into_iter().collect()));
-                    break;
-                }
-                let msg = self.chan.next_blocking(&self.ctx);
-                self.handle(msg);
-            }
+            let (dst_req_id, entries) = self.block_until(|st| {
+                let q = st.metas_from.get_mut(&dst)?;
+                q.queue.pop_front()
+            });
+            assert!(
+                entries.len() >= cnt,
+                "peer {dst} granted {} buffers, need {cnt}",
+                entries.len()
+            );
+            metas.insert(dst, (dst_req_id, entries.into_iter().collect()));
         }
         // Match each send with the destination's next receive entry of the
         // same tag (paper: "matched ... based on destination rank, tag").
@@ -1260,6 +1179,18 @@ impl Offload {
         self.ctx.stat_incr(&GROUP_EXECS, 1);
     }
 
+    /// Handle ctrl messages, blocking for each, until `ready` yields a
+    /// value from the state.
+    fn block_until<T>(&self, mut ready: impl FnMut(&mut HostState) -> Option<T>) -> T {
+        loop {
+            if let Some(v) = ready(&mut self.st.borrow_mut()) {
+                return v;
+            }
+            let msg = self.chan.next_blocking(&self.ctx);
+            self.handle(msg);
+        }
+    }
+
     /// Drain pending completions without blocking.
     fn drain(&self) {
         while let Some(msg) = self.chan.try_next(&self.ctx) {
@@ -1288,141 +1219,58 @@ impl Offload {
         // Reliability plumbing first: unwrap envelopes (ack + dedup),
         // retire acks, service retransmission timers. None of these count
         // as host wakeups — they exist only under a fault plan.
-        let body = match body {
-            CtrlMsg::Seq {
-                seq,
-                from,
-                from_ep,
-                epoch,
-                inner,
-            } => {
-                let fab = self.cluster.fabric();
-                let accepted = self
-                    .st
-                    .borrow_mut()
-                    .rel
-                    .on_seq(&self.ctx, fab, seq, from, from_ep, epoch, *inner);
-                match accepted {
-                    Some(inner) => inner,
-                    None => return, // duplicate
-                }
+        let fab = self.cluster.fabric();
+        let inbound = self.st.borrow_mut().rel.receive(&self.ctx, fab, body);
+        let body = match inbound {
+            Inbound::Msg(body) => body,
+            Inbound::Tick(TickOutcome::Abandoned {
+                msg_id,
+                attempts,
+                origin,
+            }) => {
+                let err = OffloadError::CtrlUndeliverable { msg_id, attempts };
+                return self.fail_origin(origin, err, attempts);
             }
-            CtrlMsg::Ack { seq } => {
-                self.st.borrow_mut().rel.on_ack(seq);
-                return;
+            // Ctrl retry budget exhausted for this peer: shed the message
+            // and surface a typed failure instead of hammering a degraded
+            // link (DESIGN.md §19).
+            Inbound::Tick(TickOutcome::BudgetShed {
+                msg_id,
+                attempts,
+                origin,
+            }) => {
+                static RETRY_BUDGET_SHEDS: StatKey =
+                    StatKey::new("offload.health.retry_budget_sheds");
+                self.ctx.stat_incr(&RETRY_BUDGET_SHEDS, 1);
+                let err = OffloadError::RetryBudgetExhausted { msg_id, attempts };
+                return self.fail_origin(origin, err, attempts);
             }
-            CtrlMsg::RetxTick { seq } => {
-                let fab = self.cluster.fabric();
-                let outcome = self.st.borrow_mut().rel.on_tick(&self.ctx, fab, seq);
-                match outcome {
-                    TickOutcome::Abandoned {
-                        msg_id,
-                        attempts,
-                        origin,
-                    } => self.fail_origin(origin, msg_id, attempts),
-                    // Ctrl retry budget exhausted for this peer: shed the
-                    // message and surface a typed failure instead of
-                    // hammering a degraded link (DESIGN.md §19).
-                    TickOutcome::BudgetShed {
-                        msg_id,
-                        attempts,
-                        origin,
-                    } => {
-                        static RETRY_BUDGET_SHEDS: StatKey =
-                            StatKey::new("offload.health.retry_budget_sheds");
-                        self.ctx.stat_incr(&RETRY_BUDGET_SHEDS, 1);
-                        match origin {
-                            ReqOrigin::Free => {}
-                            ReqOrigin::Basic(req) => {
-                                // The event pairs 1:1 with the `ReqFailed`
-                                // that `fail_basic` emits (group sheds
-                                // surface through `GroupFailed` instead).
-                                // Shedding the retransmit stream of an
-                                // already-settled request — the message
-                                // landed but its ack kept getting dropped
-                                // — is harmless and surfaces nothing.
-                                let live = {
-                                    let st = self.st.borrow();
-                                    st.reqs
-                                        .get(req)
-                                        .is_some_and(|s| !s.done && s.error.is_none())
-                                };
-                                if live {
-                                    self.ctx.emit(&ProtoEvent::RetryBudgetExhausted {
-                                        rank: self.rank,
-                                        msg_id,
-                                        path: HealthPath::Ctrl,
-                                    });
-                                    self.fail_basic(
-                                        req,
-                                        OffloadError::RetryBudgetExhausted { msg_id, attempts },
-                                        attempts,
-                                    );
-                                }
-                            }
-                            ReqOrigin::Group(req_id) => {
-                                let gen = self.st.borrow().groups[req_id].gen;
-                                self.fail_group(req_id, gen);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-                return;
-            }
-            CtrlMsg::BackpressureTick => {
-                self.flush_deferred(self.cfg.queue_cap.max(1));
-                return;
-            }
-            CtrlMsg::DeadlineTick { req } => {
-                self.on_deadline(req);
-                return;
-            }
-            other => other,
+            Inbound::Tick(_) | Inbound::Absorbed => return,
         };
         let mut finished_msg = None;
         match body {
+            // Host-side timers: no wakeup either.
+            CtrlMsg::BackpressureTick => return self.flush_deferred(self.cfg.queue_cap.max(1)),
+            CtrlMsg::DeadlineTick { req } => return self.on_deadline(req),
             CtrlMsg::FinSend { req, credit, .. } | CtrlMsg::FinRecv { req, credit, .. } => {
-                let mut st = self.st.borrow_mut();
-                match st.reqs.get_mut(req) {
+                finished_msg = self.settle(req, Ok(())).map(|(msg_id, _)| msg_id);
+                if finished_msg.is_none() {
                     // Exactly-once completion: a FIN for an already-done
                     // request (replayed work after a proxy restart) must
-                    // not re-complete it or re-emit `HostReqDone`.
-                    Some(slot) if slot.done => {
-                        drop(st);
-                        static DUP_FINS: StatKey = StatKey::new("offload.reliable.dup_fins");
-                        self.ctx.stat_incr(&DUP_FINS, 1);
-                        return;
-                    }
-                    // A cancelled (or otherwise failed) request never
+                    // not re-complete it or re-emit `HostReqDone`. A
+                    // cancelled (or otherwise failed) request never
                     // completes: a late FIN is dropped, keeping the
                     // slot's typed error authoritative.
-                    Some(slot) if slot.error.is_some() => {
-                        drop(st);
-                        static LATE_FINS: StatKey = StatKey::new("offload.host.late_fins");
-                        self.ctx.stat_incr(&LATE_FINS, 1);
-                        return;
-                    }
-                    Some(slot) => {
-                        slot.done = true;
-                        slot.replay = None;
-                        slot.post = None;
-                        finished_msg = Some(slot.msg_id);
-                        st.pending -= 1;
-                        st.live_basic = st.live_basic.saturating_sub(1);
-                    }
-                    None => {
-                        drop(st);
-                        static BAD_CTRL: StatKey = StatKey::new("offload.host.bad_ctrl");
-                        self.ctx.stat_incr(&BAD_CTRL, 1);
-                        return;
-                    }
-                }
-                drop(st);
-                self.release_window(req);
-                self.unpin_gvmi(req);
-                if let Some(msg_id) = finished_msg {
-                    self.note_settled(msg_id);
+                    static DUP_FINS: StatKey = StatKey::new("offload.reliable.dup_fins");
+                    static LATE_FINS: StatKey = StatKey::new("offload.host.late_fins");
+                    static BAD_CTRL: StatKey = StatKey::new("offload.host.bad_ctrl");
+                    let stat = match self.st.borrow().reqs.get(req) {
+                        Some(slot) if slot.done => &DUP_FINS,
+                        Some(_) => &LATE_FINS,
+                        None => &BAD_CTRL,
+                    };
+                    self.ctx.stat_incr(stat, 1);
+                    return;
                 }
                 // The FIN's credit piggyback reports free proxy slots;
                 // admit at least one deferred post (our own completion
@@ -1478,16 +1326,19 @@ impl Offload {
             // credit, park the request on the deferred queue, and retry
             // after an exponential backoff.
             CtrlMsg::QueueFull { msg_id } => {
-                let req = open_slot(&self.st.borrow().reqs, msg_id);
-                if let Some(req) = req {
-                    self.release_window(req);
-                    let attempt = {
-                        let mut st = self.st.borrow_mut();
-                        st.reqs[req].target = None;
-                        st.reqs[req].attempts += 1;
+                let attempt = {
+                    let mut guard = self.st.borrow_mut();
+                    let st = &mut *guard;
+                    open_slot(&st.reqs, msg_id).and_then(|req| {
+                        st.release_window(req);
                         st.deferred.push(self.tenant, req);
-                        st.reqs[req].attempts
-                    };
+                        let slot = st.reqs.get_mut(req)?;
+                        slot.target = None;
+                        slot.attempts += 1;
+                        Some(slot.attempts)
+                    })
+                };
+                if let Some(attempt) = attempt {
                     static NACKS: StatKey = StatKey::new("offload.credit.nacks");
                     self.ctx.stat_incr(&NACKS, 1);
                     self.ctx.deliver_self(
@@ -1554,16 +1405,26 @@ impl Offload {
     }
 
     /// Surface a permanent ctrl-plane failure on whatever the abandoned
-    /// message was working for.
-    fn fail_origin(&self, origin: ReqOrigin, msg_id: u64, attempts: u32) {
+    /// or shed message was working for.
+    fn fail_origin(&self, origin: ReqOrigin, err: OffloadError, attempts: u32) {
         match origin {
             ReqOrigin::Free => {}
             ReqOrigin::Basic(req) => {
-                self.fail_basic(
-                    req,
-                    OffloadError::CtrlUndeliverable { msg_id, attempts },
-                    attempts,
-                );
+                // A ctrl shed's event pairs 1:1 with the `ReqFailed` that
+                // `fail_basic` emits (group sheds surface through
+                // `GroupFailed` instead). Shedding the retransmit stream
+                // of an already-settled request (the message landed but
+                // its ack kept getting dropped) surfaces nothing.
+                if let OffloadError::RetryBudgetExhausted { msg_id, .. } = err {
+                    if self.st.borrow().reqs.get(req).is_some_and(ReqSlot::open) {
+                        self.ctx.emit(&ProtoEvent::RetryBudgetExhausted {
+                            rank: self.rank,
+                            msg_id,
+                            path: HealthPath::Ctrl,
+                        });
+                    }
+                }
+                self.fail_basic(req, err, attempts);
             }
             ReqOrigin::Group(req_id) => {
                 let gen = self.st.borrow().groups[req_id].gen;
@@ -1572,26 +1433,43 @@ impl Offload {
         }
     }
 
-    /// Fail a basic request slot with a typed error (idempotent).
-    fn fail_basic(&self, req: usize, err: OffloadError, attempts: u32) {
-        let msg_id = {
-            let mut st = self.st.borrow_mut();
-            let Some(slot) = st.reqs.get_mut(req) else {
-                return;
-            };
-            if slot.done || slot.error.is_some() {
-                return;
+    /// Settle basic request `req` as completed (`Ok`) or failed: mark
+    /// the slot, drop its replay and post copies, return its credit,
+    /// unpin its cache entry and fold it into the ack horizon. Its
+    /// `(msg_id, target)`; `None`, changing nothing, when the slot is
+    /// unknown or already settled.
+    fn settle(&self, req: usize, outcome: Result<(), OffloadError>) -> Option<(u64, Option<EpId>)> {
+        let settled = {
+            let mut guard = self.st.borrow_mut();
+            let st = &mut *guard;
+            let slot = st.reqs.get_mut(req).filter(|s| s.open())?;
+            match outcome {
+                Ok(()) => {
+                    slot.done = true;
+                    st.pending -= 1;
+                }
+                Err(e) => slot.error = Some(e),
             }
-            slot.error = Some(err);
             slot.replay = None;
             slot.post = None;
-            let msg_id = slot.msg_id;
+            let settled = (slot.msg_id, slot.target);
+            let pin = slot.pin.take();
             st.live_basic = st.live_basic.saturating_sub(1);
-            msg_id
+            st.release_window(req);
+            if let Some((rank, addr, len)) = pin {
+                st.gvmi_cache.unpin(rank, addr, len);
+            }
+            settled
         };
-        self.release_window(req);
-        self.unpin_gvmi(req);
-        self.note_settled(msg_id);
+        self.note_settled(settled.0);
+        Some(settled)
+    }
+
+    /// Fail a basic request slot with a typed error (idempotent).
+    fn fail_basic(&self, req: usize, err: OffloadError, attempts: u32) {
+        let Some((msg_id, _)) = self.settle(req, Err(err)) else {
+            return;
+        };
         static REQ_FAILURES: StatKey = StatKey::new("offload.reliable.req_failures");
         self.ctx.stat_incr(&REQ_FAILURES, 1);
         self.ctx.emit(&ProtoEvent::ReqFailed {
@@ -1602,16 +1480,16 @@ impl Offload {
         self.flush_deferred(1);
     }
 
-    /// Fail the in-flight generation of a group request (idempotent;
-    /// stale failures for an older generation are ignored).
-    fn fail_group(&self, req_id: usize, gen: u64) {
+    /// Fail the in-flight generation of a group request; false, changing
+    /// nothing, when it already settled or `gen` is an older generation.
+    fn fail_group(&self, req_id: usize, gen: u64) -> bool {
         let gen = {
             let mut st = self.st.borrow_mut();
             let Some(g) = st.groups.get_mut(req_id) else {
-                return;
+                return false;
             };
             if gen < g.gen || g.fin_gen >= g.gen || g.error.is_some() {
-                return;
+                return false;
             }
             g.error = Some(OffloadError::GroupFailed { req_id, gen: g.gen });
             g.gen
@@ -1623,28 +1501,15 @@ impl Offload {
             req_id,
             gen,
         });
+        true
     }
 
     /// Cancel a request slot: typed error, proxy reap notice, credit and
     /// pin release (idempotent).
     fn cancel_req(&self, req: usize, err: OffloadError) {
-        let settle = {
-            let mut st = self.st.borrow_mut();
-            let slot = &mut st.reqs[req];
-            if slot.done || slot.error.is_some() {
-                return;
-            }
-            slot.error = Some(err);
-            slot.replay = None;
-            slot.post = None;
-            let settled = (slot.msg_id, slot.target);
-            st.live_basic = st.live_basic.saturating_sub(1);
-            settled
+        let Some((msg_id, target)) = self.settle(req, Err(err)) else {
+            return;
         };
-        let (msg_id, target) = settle;
-        self.release_window(req);
-        self.unpin_gvmi(req);
-        self.note_settled(msg_id);
         static CANCEL_REQUESTS: StatKey = StatKey::new("offload.cancel.requests");
         self.ctx.stat_incr(&CANCEL_REQUESTS, 1);
         self.ctx.emit(&ProtoEvent::ReqCancelled {
@@ -1669,30 +1534,22 @@ impl Offload {
     /// A deadline timer fired: cancel the request (or fail the group
     /// generation) if it still has not settled.
     fn on_deadline(&self, req: usize) {
-        if req >= GROUP_DEADLINE_BASE {
-            let req_id = req - GROUP_DEADLINE_BASE;
-            let gen = {
-                let st = self.st.borrow();
-                let g = &st.groups[req_id];
-                if g.fin_gen >= g.gen || g.error.is_some() {
-                    return;
-                }
-                g.gen
-            };
-            static EXPIRED: StatKey = StatKey::new("offload.deadline.expired");
-            self.ctx.stat_incr(&EXPIRED, 1);
-            self.fail_group(req_id, gen);
+        static EXPIRED: StatKey = StatKey::new("offload.deadline.expired");
+        if let Some(req_id) = req.checked_sub(GROUP_DEADLINE_BASE) {
+            let gen = self.st.borrow().groups[req_id].gen;
+            if self.fail_group(req_id, gen) {
+                self.ctx.stat_incr(&EXPIRED, 1);
+            }
             return;
         }
-        let pending = {
-            let st = self.st.borrow();
-            st.reqs
-                .get(req)
-                .filter(|s| !s.done && s.error.is_none())
-                .map(|s| s.msg_id)
-        };
-        if let Some(msg_id) = pending {
-            static EXPIRED: StatKey = StatKey::new("offload.deadline.expired");
+        let open = self
+            .st
+            .borrow()
+            .reqs
+            .get(req)
+            .filter(|s| s.open())
+            .map(|s| s.msg_id);
+        if let Some(msg_id) = open {
             self.ctx.stat_incr(&EXPIRED, 1);
             self.cancel_req(req, OffloadError::DeadlineExceeded { msg_id });
         }
@@ -1730,25 +1587,23 @@ impl Offload {
         // proxy. The proxy's completion journal survives the crash, so a
         // request whose FIN raced the crash is answered directly instead
         // of re-executed.
-        let replays: Vec<(usize, EpId, CtrlMsg)> = {
+        let replays: Vec<(usize, u64, CtrlMsg)> = {
             let st = self.st.borrow();
-            st.reqs
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.done && s.error.is_none())
-                .filter_map(|(i, s)| s.replay.as_ref().map(|(to, m)| (i, *to, m.clone())))
-                .filter(|(_, to, _)| *to == proxy)
-                .collect()
+            let open = st.reqs.iter().enumerate().filter(|(_, s)| s.open());
+            open.filter_map(|(i, s)| match &s.replay {
+                Some((to, m)) if *to == proxy => Some((i, s.msg_id, m.clone())),
+                _ => None,
+            })
+            .collect()
         };
-        for (req, to, msg) in replays {
-            let msg_id = self.st.borrow().reqs[req].msg_id;
+        for (req, msg_id, msg) in replays {
             static REPLAYS: StatKey = StatKey::new("offload.reliable.replays");
             self.ctx.stat_incr(&REPLAYS, 1);
             self.ctx.emit(&ProtoEvent::ReqReplayed {
                 rank: self.rank,
                 msg_id,
             });
-            self.post_ctrl(to, self.cfg.ctrl_bytes, msg, ReqOrigin::Basic(req));
+            self.post_ctrl(proxy, self.cfg.ctrl_bytes, msg, ReqOrigin::Basic(req));
         }
         // Re-ship in-flight group generations: the proxy's instances and
         // metadata cache died with it, so send the full packet again

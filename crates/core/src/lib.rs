@@ -79,7 +79,7 @@ mod reg_cache;
 mod reliable;
 mod shmem;
 
-pub use config::{DataPath, FaultPlan, OffloadConfig, TenantId, TenantSpec};
+pub use config::{DataPath, FaultPlan, OffloadConfig, TenantId, TenantQuota, TenantSpec};
 pub use events::{
     proto_sink, CacheOutcome, CacheSide, CtrlKind, FinKind, HealthPath, HostCacheKind, PathKind,
     ProtoEvent, ReqDir,

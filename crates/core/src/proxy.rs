@@ -6,8 +6,8 @@
 //! an inline reactor ([`proxy_fn`]): the simulation kernel calls it once
 //! per control message or completion and it never blocks mid-step. It:
 //!
-//! * matches Basic-primitive RTS/RTR control messages in send/receive
-//!   queues keyed by `(src, dst, tag)` (paper Fig. 8), then moves the data
+//! * matches Basic-primitive RTS/RTR control messages in one descriptor
+//!   table keyed by `(src, dst, tag)` (paper Fig. 8), then moves the data
 //!   either via cross-GVMI (direct host→host RDMA on behalf of the host)
 //!   or via its staging buffers;
 //! * caches cross-registrations in the DPU-side array-of-BSTs cache;
@@ -16,6 +16,13 @@
 //!   resuming from the progress engine when completions/arrivals land —
 //!   the paper's deadlock-avoidance rule ("break from the function to the
 //!   progress engine").
+//!
+//! **One descriptor table, one descriptor routine.** [`Descriptors`]
+//! owns both sides of the pool and keeps its counts. An RTS and an RTR
+//! take one path, `on_descriptor`: screen it, note the host's horizon,
+//! refuse it with `QueueFull` past the pool or its tenant's share
+//! ([`crate::OffloadConfig::quota`]; one tenant's share is the whole
+//! pool), then match the oldest partner or queue it.
 //!
 //! **The group engine is wake-driven.** A suspended instance is advanced
 //! again only when a message changed one of its inputs: a `GroupSend`
@@ -52,7 +59,7 @@ use crate::events::{CacheSide, CtrlKind, FinKind, HealthPath, PathKind, ProtoEve
 use crate::health::{BreakerEvent, HealthEngine, Route};
 use crate::messages::{CtrlMsg, GroupKey, WireEntry, WRID_OFF_PROXY};
 use crate::reg_cache::RankAddrCache;
-use crate::reliable::{backoff_delay_from, FaultRng, ReliableLink, ReqOrigin};
+use crate::reliable::{backoff_delay_from, FaultRng, Inbound, ReliableLink, ReqOrigin};
 
 /// Decode a control-message payload without panicking: a malformed or
 /// foreign message is surfaced as `None` so the caller can count and skip
@@ -424,21 +431,168 @@ impl Instance {
     }
 }
 
-/// Matching-queue key: `(src_rank, dst_rank, tag)`.
+/// Matching key: `(src_rank, dst_rank, tag)`.
 type MatchKey = (usize, usize, u64);
 
-/// Pop the oldest descriptor queued under `key`. The key goes with its
-/// last descriptor: applications use fresh tags every round, and the
-/// duplicate check walks every deque in the map.
-fn pop_queued<T>(q: &mut BTreeMap<MatchKey, VecDeque<T>>, key: MatchKey) -> Option<T> {
-    let Entry::Occupied(mut slot) = q.entry(key) else {
-        return None;
-    };
-    let item = slot.get_mut().pop_front();
-    if slot.get().is_empty() {
-        slot.remove();
+/// One unmatched basic descriptor: the send or the receive side of a
+/// transfer.
+enum Desc {
+    Rts(RtsInfo),
+    Rtr(RtrInfo),
+}
+
+impl Desc {
+    fn is_rts(&self) -> bool {
+        matches!(self, Desc::Rts(_))
     }
-    item
+
+    /// The host end that posted it, and that end's tenant.
+    fn owner(&self) -> (End, TenantId) {
+        match self {
+            Desc::Rts(r) => (r.end(), r.tenant),
+            Desc::Rtr(r) => {
+                let (rank, req, msg_id) = (r.dst_rank, r.dst_req, r.msg_id);
+                (End { rank, req, msg_id }, r.tenant)
+            }
+        }
+    }
+}
+
+/// The event of a descriptor (`rts`, else an RTR) reaching the proxy.
+fn at_proxy(key: MatchKey, msg_id: u64, rts: bool) -> ProtoEvent {
+    let (src_rank, dst_rank, tag) = key;
+    if rts {
+        ProtoEvent::RtsAtProxy {
+            src_rank,
+            dst_rank,
+            tag,
+            msg_id,
+        }
+    } else {
+        ProtoEvent::RtrAtProxy {
+            src_rank,
+            dst_rank,
+            tag,
+            msg_id,
+        }
+    }
+}
+
+/// The proxy's one descriptor pool (paper Fig. 8): unmatched RTS and
+/// RTR descriptors, FIFO per [`MatchKey`], with their counts. A key
+/// holds one side only, since a descriptor whose partner is queued
+/// matches instead of queueing, and a key goes with its last
+/// descriptor: applications use fresh tags every round, and the
+/// duplicate check walks every queue. The counts always equal the
+/// contents; tenant ids are [`OffloadConfig::tenant_of`] values, so
+/// always inside the roster the table was sized for.
+struct Descriptors {
+    queues: BTreeMap<MatchKey, VecDeque<Desc>>,
+    /// Queued RTS and RTR descriptors.
+    depths: (usize, usize),
+    /// Queued descriptors per tenant.
+    per_tenant: Vec<usize>,
+}
+
+impl Descriptors {
+    fn new(tenants: usize) -> Descriptors {
+        Descriptors {
+            queues: BTreeMap::new(),
+            depths: (0, 0),
+            per_tenant: vec![0; tenants.max(1)],
+        }
+    }
+
+    /// Would a descriptor of this side (`rts`) match a queued partner
+    /// rather than queue itself?
+    fn pairs(&self, key: MatchKey, rts: bool) -> bool {
+        let front = self.queues.get(&key).and_then(VecDeque::front);
+        front.map(Desc::is_rts) == Some(!rts)
+    }
+
+    /// Match `d` against the oldest partner queued under `key`, or queue
+    /// it; the matched pair, if any.
+    fn offer(&mut self, key: MatchKey, d: Desc) -> Option<(RtsInfo, RtrInfo)> {
+        let partner = self.take_partner(key, d.is_rts());
+        match (d, partner) {
+            (Desc::Rts(rts), Some(Desc::Rtr(rtr))) | (Desc::Rtr(rtr), Some(Desc::Rts(rts))) => {
+                Some((rts, rtr))
+            }
+            (d, _) => {
+                self.count(&d, true);
+                // Fresh tags every round: a key rarely queues a second
+                // descriptor, so room for one is the right first size.
+                let q = self.queues.entry(key);
+                q.or_insert_with(|| VecDeque::with_capacity(1)).push_back(d);
+                None
+            }
+        }
+    }
+
+    /// Pop the oldest descriptor under `key` if it is the other side.
+    fn take_partner(&mut self, key: MatchKey, rts: bool) -> Option<Desc> {
+        let Entry::Occupied(mut slot) = self.queues.entry(key) else {
+            return None;
+        };
+        if slot.get().front().map(Desc::is_rts) != Some(!rts) {
+            return None;
+        }
+        let partner = slot.get_mut().pop_front();
+        if slot.get().is_empty() {
+            slot.remove();
+        }
+        if let Some(p) = &partner {
+            self.count(p, false);
+        }
+        partner
+    }
+
+    /// Drop every descriptor of transfer `msg_id`, from both sides; how
+    /// many there were.
+    fn reap(&mut self, msg_id: u64) -> usize {
+        let mut reaped = Vec::new();
+        for q in self.queues.values_mut() {
+            let (gone, kept): (VecDeque<Desc>, _) =
+                q.drain(..).partition(|d| d.owner().0.msg_id == msg_id);
+            *q = kept;
+            reaped.extend(gone);
+        }
+        self.queues.retain(|_, q| !q.is_empty());
+        for d in &reaped {
+            self.count(d, false);
+        }
+        reaped.len()
+    }
+
+    /// Is a descriptor of transfer `msg_id` queued?
+    fn holds(&self, msg_id: u64) -> bool {
+        let mut queued = self.queues.values().flatten();
+        queued.any(|d| d.owner().0.msg_id == msg_id)
+    }
+
+    fn len(&self) -> usize {
+        self.depths.0 + self.depths.1
+    }
+
+    fn tenant_len(&self, tenant: TenantId) -> usize {
+        self.per_tenant.get(tenant).copied().unwrap_or(0)
+    }
+
+    fn clear(&mut self) {
+        *self = Descriptors::new(self.per_tenant.len());
+    }
+
+    /// Count `d` in (`add`) or out.
+    fn count(&mut self, d: &Desc, add: bool) {
+        let side = if d.is_rts() {
+            &mut self.depths.0
+        } else {
+            &mut self.depths.1
+        };
+        for n in std::iter::once(side).chain(self.per_tenant.get_mut(d.owner().1)) {
+            *n = if add { *n + 1 } else { *n - 1 };
+        }
+    }
 }
 
 /// Proxy bookkeeping. Every container here is order-stable (`BTreeMap` /
@@ -447,10 +601,9 @@ fn pop_queued<T>(q: &mut BTreeMap<MatchKey, VecDeque<T>>, key: MatchKey) -> Opti
 /// the exact nondeterminism the schedule explorer exists to rule out
 /// (and that `xtask lint` bans from these paths).
 struct ProxyState {
-    /// Unmatched RTS descriptors. Never holds an empty deque (see
-    /// [`pop_queued`]); `recv_q` likewise.
-    send_q: BTreeMap<MatchKey, VecDeque<RtsInfo>>,
-    recv_q: BTreeMap<MatchKey, VecDeque<RtrInfo>>,
+    /// Unmatched RTS and RTR descriptors: the one pool that queue-cap
+    /// admission and the descriptor shares count against.
+    descriptors: Descriptors,
     /// Staging-buffer assignment per `(src_rank, addr, len)`.
     stage_assign: BTreeMap<(usize, u64, u64), (VAddr, MrKey)>,
     inflight: BTreeMap<u64, Completion>,
@@ -495,15 +648,6 @@ struct ProxyState {
     steps: u32,
     /// The plan's crash already fired on this proxy.
     crashed: bool,
-    /// Entries currently queued across `send_q` (incremental, so depth
-    /// reporting never walks the maps).
-    send_q_len: usize,
-    /// Entries currently queued across `recv_q`.
-    recv_q_len: usize,
-    /// Entries currently queued per tenant across both queues
-    /// (descriptor-share admission; maintained only on multi-tenant
-    /// rosters, empty otherwise).
-    tenant_q_len: BTreeMap<TenantId, usize>,
     /// Verified operations per in-flight wrid (payload-fault plans only).
     inflight_ctx: BTreeMap<u64, DataOp>,
     /// Corrupt operations awaiting their backoff timer, keyed by retx
@@ -623,8 +767,7 @@ impl ProxyProc {
 impl ProxyState {
     fn new(cfg: &OffloadConfig, world: usize, my_ep: EpId) -> ProxyState {
         ProxyState {
-            send_q: BTreeMap::new(),
-            recv_q: BTreeMap::new(),
+            descriptors: Descriptors::new(cfg.tenants.len()),
             stage_assign: BTreeMap::new(),
             inflight: BTreeMap::new(),
             next_wr: 0,
@@ -649,9 +792,6 @@ impl ProxyState {
             fin_gens: BTreeMap::new(),
             steps: 0,
             crashed: false,
-            send_q_len: 0,
-            recv_q_len: 0,
-            tenant_q_len: BTreeMap::new(),
             inflight_ctx: BTreeMap::new(),
             data_retx: BTreeMap::new(),
             next_retx_token: 0,
@@ -698,8 +838,7 @@ impl Proxy<'_> {
     fn quiescent(&self, st: &ProxyState) -> bool {
         st.inflight.is_empty()
             && st.instances.iter().all(|i| i.done)
-            && st.send_q_len == 0
-            && st.recv_q_len == 0
+            && st.descriptors.len() == 0
             && st.data_retx.is_empty()
             && !st.rel.has_pending()
     }
@@ -740,36 +879,12 @@ impl Proxy<'_> {
                 self.crash_restart(st);
             }
         }
-        // Reliability envelopes (present only on armed fault plans).
-        let body = match body {
-            CtrlMsg::Seq {
-                seq,
-                from,
-                from_ep,
-                epoch,
-                inner,
-            } => {
-                let fab = self.cluster.fabric();
-                match st
-                    .rel
-                    .on_seq(self.ctx, fab, seq, from, from_ep, epoch, *inner)
-                {
-                    Some(m) => m,
-                    None => return, // duplicate delivery
-                }
-            }
-            CtrlMsg::Ack { seq } => {
-                st.rel.on_ack(seq);
-                return;
-            }
-            CtrlMsg::RetxTick { seq } => {
-                // Proxy-originated ctrl (FINs, restart notices) has no
-                // request slot to fail; abandonment is counted and
-                // emitted by the link itself.
-                let _ = st.rel.on_tick(self.ctx, self.cluster.fabric(), seq);
-                return;
-            }
-            other => other,
+        // Reliability envelopes, acks and timers (armed fault plans
+        // only). Proxy-originated ctrl (FINs, restart notices) has no
+        // request slot to fail; abandonment is counted and emitted by the
+        // link itself.
+        let Inbound::Msg(body) = st.rel.receive(self.ctx, self.cluster.fabric(), body) else {
+            return;
         };
         match body {
             CtrlMsg::Rts {
@@ -799,33 +914,8 @@ impl Proxy<'_> {
                     crc,
                     tenant,
                 };
-                if self.stale_basic(st, rts.end(), FinKind::Send, CtrlKind::Rts) {
-                    return;
-                }
-                self.note_horizon(st, src_rank, ack_horizon);
                 let key = (src_rank, dst_rank, tag);
-                if !st.recv_q.contains_key(&key) && self.refuse(st, src_rank, msg_id, tenant) {
-                    return;
-                }
-                self.charge_entries(1);
-                static RTS: StatKey = StatKey::new("offload.proxy.rts");
-                self.ctx.stat_incr(&RTS, 1);
-                self.ctx.emit(&ProtoEvent::RtsAtProxy {
-                    src_rank,
-                    dst_rank,
-                    tag,
-                    msg_id,
-                });
-                if let Some(rtr) = pop_queued(&mut st.recv_q, key) {
-                    st.recv_q_len -= 1;
-                    self.tenant_q_decr(st, rtr.tenant);
-                    self.pair_matched(st, rts, rtr);
-                } else {
-                    st.send_q.entry(key).or_default().push_back(rts);
-                    st.send_q_len += 1;
-                    self.tenant_q_incr(st, tenant);
-                    self.emit_queue_depth(st);
-                }
+                self.on_descriptor(st, key, Desc::Rts(rts), ack_horizon);
             }
             CtrlMsg::Rtr {
                 src_rank,
@@ -840,28 +930,6 @@ impl Proxy<'_> {
                 tenant,
                 ..
             } => {
-                let end = End {
-                    rank: dst_rank,
-                    req: dst_req,
-                    msg_id,
-                };
-                if self.stale_basic(st, end, FinKind::Recv, CtrlKind::Rtr) {
-                    return;
-                }
-                self.note_horizon(st, dst_rank, ack_horizon);
-                let key = (src_rank, dst_rank, tag);
-                if !st.send_q.contains_key(&key) && self.refuse(st, dst_rank, msg_id, tenant) {
-                    return;
-                }
-                self.charge_entries(1);
-                static RTR: StatKey = StatKey::new("offload.proxy.rtr");
-                self.ctx.stat_incr(&RTR, 1);
-                self.ctx.emit(&ProtoEvent::RtrAtProxy {
-                    src_rank,
-                    dst_rank,
-                    tag,
-                    msg_id,
-                });
                 let rtr = RtrInfo {
                     dst_rank,
                     addr,
@@ -871,16 +939,8 @@ impl Proxy<'_> {
                     msg_id,
                     tenant,
                 };
-                if let Some(rts) = pop_queued(&mut st.send_q, key) {
-                    st.send_q_len -= 1;
-                    self.tenant_q_decr(st, rts.tenant);
-                    self.pair_matched(st, rts, rtr);
-                } else {
-                    st.recv_q.entry(key).or_default().push_back(rtr);
-                    st.recv_q_len += 1;
-                    self.tenant_q_incr(st, tenant);
-                    self.emit_queue_depth(st);
-                }
+                let key = (src_rank, dst_rank, tag);
+                self.on_descriptor(st, key, Desc::Rtr(rtr), ack_horizon);
             }
             CtrlMsg::GroupPacket {
                 key, gen, entries, ..
@@ -973,18 +1033,10 @@ impl Proxy<'_> {
                 // sees the synthesized pair too, keeping the matching
                 // invariant uniform across two-sided and one-sided paths.
                 // Both synthetic sides carry the put's transfer id.
-                self.ctx.emit(&ProtoEvent::RtsAtProxy {
-                    src_rank,
-                    dst_rank,
-                    tag: 0,
-                    msg_id,
-                });
-                self.ctx.emit(&ProtoEvent::RtrAtProxy {
-                    src_rank,
-                    dst_rank,
-                    tag: 0,
-                    msg_id,
-                });
+                for rts in [true, false] {
+                    self.ctx
+                        .emit(&at_proxy((src_rank, dst_rank, 0), msg_id, rts));
+                }
                 let rtr = RtrInfo {
                     dst_rank,
                     addr: dst_addr,
@@ -1059,39 +1111,10 @@ impl Proxy<'_> {
                 // already failed the request; completing it now would
                 // hand bytes to a caller that gave up on them.
                 st.cancelled.insert(msg_id);
-                let mut reaped = 0usize;
-                let mut reaped_tenants = Vec::new();
-                for q in st.send_q.values_mut() {
-                    q.retain(|r| {
-                        if r.msg_id != msg_id {
-                            return true;
-                        }
-                        reaped += 1;
-                        reaped_tenants.push(r.tenant);
-                        false
-                    });
-                }
-                st.send_q.retain(|_, q| !q.is_empty());
-                st.send_q_len -= reaped;
-                let mut rreaped = 0usize;
-                for q in st.recv_q.values_mut() {
-                    q.retain(|r| {
-                        if r.msg_id != msg_id {
-                            return true;
-                        }
-                        rreaped += 1;
-                        reaped_tenants.push(r.tenant);
-                        false
-                    });
-                }
-                st.recv_q.retain(|_, q| !q.is_empty());
-                st.recv_q_len -= rreaped;
-                for t in reaped_tenants {
-                    self.tenant_q_decr(st, t);
-                }
-                if reaped + rreaped > 0 {
+                let reaped = st.descriptors.reap(msg_id);
+                if reaped > 0 {
                     static REAPED: StatKey = StatKey::new("offload.cancel.reaped");
-                    self.ctx.stat_incr(&REAPED, (reaped + rreaped) as u64);
+                    self.ctx.stat_incr(&REAPED, reaped as u64);
                     self.ctx.emit(&ProtoEvent::ReqReaped { msg_id });
                 }
             }
@@ -1107,26 +1130,50 @@ impl Proxy<'_> {
         }
     }
 
-    /// Send a ctrl message to `to`, through the reliable link when the
-    /// run's fault plan arms it. On a fault-free plan this is the exact
-    /// pre-reliability direct send, so clean baselines do not move.
+    /// Act on one basic descriptor (an RTS or RTR) queued under `key`:
+    /// screen it, note its host's completion horizon, refuse it if it
+    /// would queue past its share, then match it or queue it.
+    fn on_descriptor(&self, st: &mut ProxyState, key: MatchKey, d: Desc, ack_horizon: u64) {
+        static RTS: StatKey = StatKey::new("offload.proxy.rts");
+        static RTR: StatKey = StatKey::new("offload.proxy.rtr");
+        let (end, tenant) = d.owner();
+        let (fin, kind, stat) = match d {
+            Desc::Rts(_) => (FinKind::Send, CtrlKind::Rts, &RTS),
+            Desc::Rtr(_) => (FinKind::Recv, CtrlKind::Rtr, &RTR),
+        };
+        if self.stale_basic(st, end, fin, kind) {
+            return;
+        }
+        self.note_horizon(st, end.rank, ack_horizon);
+        if !st.descriptors.pairs(key, d.is_rts()) && self.refuse(st, end.rank, end.msg_id, tenant) {
+            return;
+        }
+        self.charge_entries(1);
+        self.ctx.stat_incr(stat, 1);
+        self.ctx.emit(&at_proxy(key, end.msg_id, d.is_rts()));
+        match st.descriptors.offer(key, d) {
+            Some((rts, rtr)) => self.pair_matched(st, rts, rtr),
+            // Right after an enqueue, so a sink tracking high-water
+            // marks sees every local maximum.
+            None => {
+                let (send_depth, recv_depth) = st.descriptors.depths;
+                self.ctx.emit(&ProtoEvent::ProxyQueueDepth {
+                    send_depth,
+                    recv_depth,
+                });
+            }
+        }
+    }
+
+    /// Send a ctrl message to host endpoint `to` through the link, which
+    /// sends it bare on a plan that does not arm reliability.
     fn send_ctrl(&self, st: &mut ProxyState, to: EpId, msg: CtrlMsg) {
         crate::profile_scope!("ctrl_encode");
-        if self.cfg.fault.reliable() {
-            st.rel.send(
-                self.ctx,
-                self.cluster.fabric(),
-                to,
-                self.cfg.ctrl_bytes,
-                msg,
-                ReqOrigin::Free,
-            );
-        } else {
-            self.cluster
-                .fabric()
-                .send_packet(self.ctx, self.my_ep, to, self.cfg.ctrl_bytes, Box::new(msg))
-                .expect("proxy ctrl send");
-        }
+        let fab = self.cluster.fabric();
+        st.rel
+            .send(self.ctx, fab, to, self.cfg.ctrl_bytes, msg, ReqOrigin::Free);
+        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
+        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Screen a basic descriptor before acting on it; true means it is
@@ -1170,7 +1217,7 @@ impl Proxy<'_> {
         let to = self.cluster.host_ep(rank);
         match notice {
             Notice::Fin { kind, wrid } => {
-                let credit = self.fin_credit(st, rank);
+                let credit = self.free_slots(st, self.cfg.tenant_of(rank)) as u32;
                 let msg = match kind {
                     FinKind::Recv => CtrlMsg::FinRecv {
                         req,
@@ -1206,8 +1253,6 @@ impl Proxy<'_> {
                 self.send_ctrl(st, to, msg);
             }
         }
-        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
-        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Is a basic transfer with this msg_id already queued or in flight
@@ -1216,8 +1261,7 @@ impl Proxy<'_> {
     /// same request.
     fn basic_active(&self, st: &ProxyState, msg_id: u64) -> bool {
         let parked = st.data_retx.values().map(|(_, c)| c);
-        st.send_q.values().flatten().any(|r| r.msg_id == msg_id)
-            || st.recv_q.values().flatten().any(|r| r.msg_id == msg_id)
+        st.descriptors.holds(msg_id)
             || st.inflight.values().chain(parked).any(|c| match c {
                 Completion::Basic { src, dst, .. } => {
                     src.msg_id == msg_id || dst.is_some_and(|d| d.msg_id == msg_id)
@@ -1239,42 +1283,10 @@ impl Proxy<'_> {
         *h = (*h).max(ack_horizon);
     }
 
-    /// Track per-tenant queued-descriptor counts (multi-tenant rosters
-    /// only; single-tenant runs never touch the map).
-    fn tenant_q_incr(&self, st: &mut ProxyState, tenant: TenantId) {
-        if self.cfg.multi_tenant() {
-            *st.tenant_q_len.entry(tenant).or_insert(0) += 1;
-        }
-    }
-
-    fn tenant_q_decr(&self, st: &mut ProxyState, tenant: TenantId) {
-        if self.cfg.multi_tenant() {
-            if let Some(n) = st.tenant_q_len.get_mut(&tenant) {
-                *n = n.saturating_sub(1);
-            }
-        }
-    }
-
-    /// Queued descriptors currently charged to `tenant`.
-    fn tenant_q(&self, st: &ProxyState, tenant: TenantId) -> usize {
-        st.tenant_q_len.get(&tenant).copied().unwrap_or(0)
-    }
-
     /// Refuse a descriptor that would bust the configured cap by
     /// queueing: count it and nack its host (`rank`) with `QueueFull`.
-    /// Both queues count against one budget — the paper's worker owns a
-    /// single descriptor pool. Under a multi-tenant roster the pool is
-    /// additionally partitioned into weighted per-tenant shares
-    /// ([`OffloadConfig::tenant_share`]), so a flooding tenant fills
-    /// only its own share and well-behaved tenants keep admission.
     fn refuse(&self, st: &mut ProxyState, rank: usize, msg_id: u64, tenant: TenantId) -> bool {
-        if self.cfg.queue_cap == 0 {
-            return false;
-        }
-        let global_full = st.send_q_len + st.recv_q_len >= self.cfg.queue_cap;
-        let share_full =
-            self.cfg.multi_tenant() && self.tenant_q(st, tenant) >= self.cfg.tenant_share(tenant);
-        if !global_full && !share_full {
+        if self.cfg.queue_cap == 0 || self.free_slots(st, tenant) > 0 {
             return false;
         }
         static QUEUE_FULL: StatKey = StatKey::new("offload.credit.queue_full");
@@ -1282,34 +1294,22 @@ impl Proxy<'_> {
         self.ctx.emit(&ProtoEvent::QueueFullNack { msg_id });
         let host = self.cluster.host_ep(rank);
         self.send_ctrl(st, host, CtrlMsg::QueueFull { msg_id });
-        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
-        self.ctx.stat_incr(&HOST_DPU, 1);
         true
     }
 
-    /// Free descriptor-queue slots to piggyback on an outgoing FIN
-    /// (always 0 when the cap is unarmed, keeping clean wires
-    /// identical). Per-tenant on multi-tenant rosters: the credit a
-    /// host sees never exceeds what its own tenant's share could
-    /// actually admit, so one tenant's free slots cannot tempt another
-    /// tenant's host into a burst of doomed re-posts.
-    fn fin_credit(&self, st: &ProxyState, rank: usize) -> u32 {
-        if self.cfg.queue_cap == 0 {
-            return 0;
-        }
-        let global = self
-            .cfg
-            .queue_cap
-            .saturating_sub(st.send_q_len + st.recv_q_len);
-        if !self.cfg.multi_tenant() {
-            return global as u32;
-        }
-        let tenant = self.cfg.tenant_of(rank);
-        let share_free = self
-            .cfg
-            .tenant_share(tenant)
-            .saturating_sub(self.tenant_q(st, tenant));
-        global.min(share_free) as u32
+    /// Descriptors `tenant` may still queue: both sides count against
+    /// one pool, the paper's worker's single descriptor pool, and each
+    /// tenant against its weighted share of it
+    /// ([`OffloadConfig::quota`]; one tenant's share is the whole pool),
+    /// so a flooding tenant fills only its own share. Piggybacked on
+    /// FINs as the host's credit, so one tenant's free slots never
+    /// tempt another tenant's host into a burst of doomed re-posts; 0
+    /// while the cap is unarmed, keeping clean wires identical.
+    fn free_slots(&self, st: &ProxyState, tenant: TenantId) -> usize {
+        let table = &st.descriptors;
+        let pool = self.cfg.queue_cap.saturating_sub(table.len());
+        let share = self.cfg.quota(tenant).share;
+        pool.min(share.saturating_sub(table.tenant_len(tenant)))
     }
 
     /// Return a settled transfer's staging buffer to the bounded free
@@ -1399,11 +1399,7 @@ impl Proxy<'_> {
     /// cached state and replay in-flight requests.
     fn crash_restart(&self, st: &mut ProxyState) {
         self.report_cache_stats(st);
-        st.send_q.clear();
-        st.recv_q.clear();
-        st.send_q_len = 0;
-        st.recv_q_len = 0;
-        st.tenant_q_len.clear();
+        st.descriptors.clear();
         st.stage_assign.clear();
         st.inflight.clear();
         st.cross_caches =
@@ -1559,7 +1555,7 @@ impl Proxy<'_> {
             if fast {
                 self.note_fastpath(peer, HealthPath::CrossGvmi, req.msg_id);
             } else {
-                let reg = self.try_cross_reg(st, peer, req.addr, req.len, mkey);
+                let reg = self.cross_reg(st, peer, req.addr, req.len, mkey, true);
                 // The registration result is the breaker's (and the
                 // probe's) verdict; a successful probe has just rebuilt
                 // the reg-cache entry, so closing the breaker resumes
@@ -1738,25 +1734,15 @@ impl Proxy<'_> {
         len: u64,
         mkey: MrKey,
     ) -> MrKey {
-        self.cross_reg_inner(st, src_rank, addr, len, mkey, false)
+        self.cross_reg(st, src_rank, addr, len, mkey, false)
             .expect("infallible cross registration")
     }
 
-    /// Cross-registration that may fail per the fault plan's
-    /// `xreg_fail_pm`; `None` tells the caller to fall back to staging.
-    /// A cache hit never fails: no fresh registration call is made.
-    fn try_cross_reg(
-        &self,
-        st: &mut ProxyState,
-        src_rank: usize,
-        addr: VAddr,
-        len: u64,
-        mkey: MrKey,
-    ) -> Option<MrKey> {
-        self.cross_reg_inner(st, src_rank, addr, len, mkey, true)
-    }
-
-    fn cross_reg_inner(
+    /// Cross-register a host buffer through the owning tenant's cache.
+    /// With `may_fail`, a fresh registration fails per the fault plan's
+    /// `xreg_fail_pm`, and `None` tells the caller to fall back to
+    /// staging; a cache hit never fails.
+    fn cross_reg(
         &self,
         st: &mut ProxyState,
         src_rank: usize,
@@ -1771,16 +1757,15 @@ impl Proxy<'_> {
         // other's entries.
         let tenant = self.cfg.tenant_of(src_rank);
         let world = self.cluster.world_size();
-        if self.cfg.use_gvmi_cache {
-            let (hit, outcome) = {
-                let cache = st
-                    .cross_caches
-                    .entry(tenant)
-                    .or_insert_with(|| fresh_cross_cache(self.cfg, world));
-                let (v, outcome) =
-                    cache.get_validated_outcome(src_rank, addr.0, len, |(m, _)| *m == mkey);
-                (v.copied(), outcome)
-            };
+        let mut cache = self.cfg.use_gvmi_cache.then(|| {
+            st.cross_caches
+                .entry(tenant)
+                .or_insert_with(|| fresh_cross_cache(self.cfg, world))
+        });
+        if let Some(cache) = cache.as_mut() {
+            let (v, outcome) =
+                cache.get_validated_outcome(src_rank, addr.0, len, |(m, _)| *m == mkey);
+            let hit = v.copied();
             self.ctx.emit(&ProtoEvent::CrossRegCacheLookup {
                 host_rank: src_rank,
                 addr,
@@ -1813,29 +1798,14 @@ impl Proxy<'_> {
             mkey,
             mkey2,
         });
-        if self.cfg.use_gvmi_cache {
-            let cache = st
-                .cross_caches
-                .entry(tenant)
-                .or_insert_with(|| fresh_cross_cache(self.cfg, world));
-            let evicted = cache.insert(src_rank, addr.0, len, (mkey, mkey2));
-            if evicted.is_some() {
-                self.ctx.emit(&ProtoEvent::CacheEvicted {
-                    rank: src_rank,
-                    side: CacheSide::DpuCross,
-                });
-            }
+        let evicted = cache.and_then(|c| c.insert(src_rank, addr.0, len, (mkey, mkey2)));
+        if evicted.is_some() {
+            self.ctx.emit(&ProtoEvent::CacheEvicted {
+                rank: src_rank,
+                side: CacheSide::DpuCross,
+            });
         }
         Some(mkey2)
-    }
-
-    /// Report queue depths right after an enqueue, so a sink tracking
-    /// high-water marks sees every local maximum.
-    fn emit_queue_depth(&self, st: &ProxyState) {
-        self.ctx.emit(&ProtoEvent::ProxyQueueDepth {
-            send_depth: st.send_q_len,
-            recv_depth: st.recv_q_len,
-        });
     }
 
     /// Record the first stall at the barrier an instance is blocked on;
@@ -2069,8 +2039,6 @@ impl Proxy<'_> {
                         attempts,
                     },
                 );
-                static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
-                self.ctx.stat_incr(&HOST_DPU, 1);
                 for inst in st
                     .instances
                     .iter_mut()
@@ -2201,8 +2169,6 @@ impl Proxy<'_> {
             kind: FinKind::Group,
             msg_id: 0,
         });
-        static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
-        self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Advance every instance the last message woke, in instance order,
@@ -2547,19 +2513,103 @@ mod tests {
         assert_eq!(passes(&a), (true, true, true));
     }
 
+    fn rts(src_rank: usize, msg_id: u64, tenant: TenantId) -> Desc {
+        Desc::Rts(RtsInfo {
+            src_rank,
+            tag: 0,
+            addr: VAddr(0),
+            len: 8,
+            mkey: None,
+            src_rkey: None,
+            src_req: 0,
+            msg_id,
+            crc: None,
+            tenant,
+        })
+    }
+
+    fn rtr(dst_rank: usize, msg_id: u64, tenant: TenantId) -> Desc {
+        Desc::Rtr(RtrInfo {
+            dst_rank,
+            addr: VAddr(0),
+            len: 8,
+            rkey: MrKey::invalid(),
+            dst_req: 0,
+            msg_id,
+            tenant,
+        })
+    }
+
+    enum Op {
+        /// Offer a descriptor; the `(rts, rtr)` msg-ids it should match.
+        Offer(MatchKey, Desc, Option<(u64, u64)>),
+        /// Reap a transfer; how many descriptors should go.
+        Reap(u64, usize),
+        Clear,
+    }
+
+    #[test]
+    fn descriptor_counts_always_equal_the_contents() {
+        use Op::{Clear, Offer, Reap};
+        let (a, b, c) = ((0, 1, 7), (1, 0, 7), (0, 1, 8));
+        let steps = [
+            Offer(a, rts(0, 1, 0), None),
+            Offer(a, rts(0, 2, 0), None),
+            Offer(b, rtr(0, 3, 1), None),
+            // The oldest partner matches, FIFO.
+            Offer(a, rtr(1, 4, 1), Some((1, 4))),
+            Reap(2, 1),
+            // Key `a` went with its last descriptor: an RTR now queues.
+            Offer(a, rtr(1, 5, 1), None),
+            Reap(99, 0),
+            Offer(b, rts(1, 6, 0), Some((6, 3))),
+            // One transfer id on both sides goes in one reap.
+            Offer(c, rts(0, 8, 1), None),
+            Offer(b, rtr(0, 8, 0), None),
+            Reap(8, 2),
+            Offer(c, rtr(1, 9, 0), None),
+            Clear,
+            Offer(c, rts(0, 10, 1), None),
+            Offer(c, rtr(1, 11, 0), Some((10, 11))),
+        ];
+        let mut table = Descriptors::new(2);
+        for (i, op) in steps.into_iter().enumerate() {
+            match op {
+                Offer(key, d, want) => {
+                    let got = table.offer(key, d).map(|(s, r)| (s.msg_id, r.msg_id));
+                    assert_eq!(got, want, "step {i}: offer");
+                }
+                Reap(msg_id, want) => assert_eq!(table.reap(msg_id), want, "step {i}: reap"),
+                Clear => table.clear(),
+            }
+            let queued: Vec<&Desc> = table.queues.values().flatten().collect();
+            assert!(table.queues.values().all(|q| !q.is_empty()), "step {i}");
+            let sends = queued.iter().filter(|d| d.is_rts()).count();
+            assert_eq!(table.depths, (sends, queued.len() - sends), "step {i}");
+            assert_eq!(table.len(), queued.len(), "step {i}");
+            for t in 0..2 {
+                let n = queued.iter().filter(|d| d.owner().1 == t).count();
+                assert_eq!(table.tenant_len(t), n, "step {i}: tenant {t}");
+            }
+        }
+        assert_eq!(table.len(), 0);
+    }
+
     /// A stencil uses fresh tags every round. Neither end may keep
     /// per-request residue that a per-message path then walks: the
-    /// proxy's matching maps must hold live tags only, and the host's
-    /// pending counter must stand for exactly the slots a scan finds.
+    /// proxy's descriptor table must hold live descriptors only, and the
+    /// host's pending counter must stand for exactly the slots a scan
+    /// finds.
     #[test]
     fn a_long_stencil_leaves_no_per_request_residue() {
         const ROUNDS: u64 = 200;
         const FACE: u64 = 256;
         let cfg = OffloadConfig::proposed();
         let (host_cfg, proxy_cfg) = (cfg.clone(), cfg);
-        // Per proxy: (most keys the maps ever held, keys left at exit).
-        let keys = Arc::new(Mutex::new(Vec::new()));
-        let keys2 = Arc::clone(&keys);
+        // Per proxy: (most descriptors the table ever held, descriptors
+        // left at exit).
+        let peaks = Arc::new(Mutex::new(Vec::new()));
+        let peaks2 = Arc::clone(&peaks);
         ClusterBuilder::new(ClusterSpec::new(2, 2).without_byte_movement(), 5)
             .run(
                 move |rank, ctx, cluster| {
@@ -2591,14 +2641,14 @@ mod tests {
                 Some(
                     move |node: usize, idx: usize, ctx: ProcessCtx, cluster: ClusterCtx| {
                         let mut proc = ProxyProc::new(node, idx, ctx, cluster, proxy_cfg.clone());
-                        let keys = Arc::clone(&keys2);
+                        let peaks = Arc::clone(&peaks2);
                         let mut most = 0;
                         let handler: Reactor = Box::new(move |payload| {
                             let more = proc.on_message(payload);
-                            let held = proc.st.send_q.len() + proc.st.recv_q.len();
+                            let held = proc.st.descriptors.len();
                             most = most.max(held);
                             if !more {
-                                keys.lock().expect("keys lock").push((most, held));
+                                peaks.lock().expect("peaks lock").push((most, held));
                             }
                             more
                         });
@@ -2607,13 +2657,13 @@ mod tests {
                 ),
             )
             .expect("clean run");
-        let keys = keys.lock().expect("keys lock");
-        assert_eq!(keys.len(), 2, "one entry per proxy");
-        for &(most, left) in keys.iter() {
-            assert_eq!(left, 0, "matching maps must be empty at exit");
+        let peaks = peaks.lock().expect("peaks lock");
+        assert_eq!(peaks.len(), 2, "one entry per proxy");
+        for &(most, left) in peaks.iter() {
+            assert_eq!(left, 0, "the descriptor table must be empty at exit");
             // Two ranks per proxy, each a round ahead at most, two
             // descriptors per rank and round.
-            assert!((1..=8).contains(&most), "held {most} keys at once");
+            assert!((1..=8).contains(&most), "held {most} descriptors at once");
         }
     }
 }

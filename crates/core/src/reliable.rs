@@ -239,6 +239,16 @@ struct Pending {
     origin: ReqOrigin,
 }
 
+/// What [`ReliableLink::receive`] leaves for the protocol to act on.
+pub(crate) enum Inbound {
+    /// A message: unwrapped from its envelope, or sent bare.
+    Msg(CtrlMsg),
+    /// A retransmission timer fired.
+    Tick(TickOutcome),
+    /// An ack or a duplicate delivery: nothing.
+    Absorbed,
+}
+
 /// What a retransmission-timer tick did.
 pub(crate) enum TickOutcome {
     /// The message was already acked (or this side restarted); no-op.
@@ -332,8 +342,11 @@ impl ReliableLink {
         !self.pending.is_empty()
     }
 
-    /// Send `msg` reliably: envelope, pending entry, retransmission
-    /// timer. `origin` names what to fail on abandonment.
+    /// The one way host and proxy send a ctrl message. On a plan that
+    /// arms reliability: envelope, pending entry, retransmission timer,
+    /// with `origin` naming what to fail on abandonment. Otherwise a
+    /// bare packet, so clean runs stay byte-identical to the protocol
+    /// without the link.
     pub(crate) fn send(
         &mut self,
         ctx: &ProcessCtx,
@@ -343,6 +356,11 @@ impl ReliableLink {
         msg: CtrlMsg,
         origin: ReqOrigin,
     ) {
+        if !self.plan.reliable() {
+            fab.send_packet(ctx, self.from_ep, to, bytes, Box::new(msg))
+                .expect("ctrl send");
+            return;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.insert(
@@ -418,8 +436,67 @@ impl ReliableLink {
         );
     }
 
+    /// The one way host and proxy take in a ctrl message. An envelope
+    /// is acked (acks share the lossy plane: a lost ack is healed by
+    /// retransmit, dedup and re-ack) and unwrapped, or absorbed as a
+    /// duplicate. An ack retires its pending entry (idempotent) and
+    /// refills the destination's retry budget: a responsive peer earns
+    /// its tokens back, so budgets only bite during sustained
+    /// brownouts. A retransmission timer is serviced. Anything else
+    /// passes through.
+    pub(crate) fn receive(&mut self, ctx: &ProcessCtx, fab: &Fabric, msg: CtrlMsg) -> Inbound {
+        let (seq, from, from_ep, epoch, inner) = match msg {
+            CtrlMsg::Seq {
+                seq,
+                from,
+                from_ep,
+                epoch,
+                inner,
+            } => (seq, from, from_ep, epoch, *inner),
+            CtrlMsg::Ack { seq } => {
+                if let Some(p) = self.pending.remove(&seq) {
+                    if let Some(bucket) = self.buckets.get_mut(&(p.to.index() as u64)) {
+                        bucket.credit();
+                    }
+                }
+                return Inbound::Absorbed;
+            }
+            CtrlMsg::RetxTick { seq } => return Inbound::Tick(self.on_tick(ctx, fab, seq)),
+            other => return Inbound::Msg(other),
+        };
+        if self.rng.chance(self.plan.drop_pm) {
+            static INJECTED_DROPS: StatKey = StatKey::new("offload.reliable.injected_drops");
+            ctx.stat_incr(&INJECTED_DROPS, 1);
+            ctx.emit(&ProtoEvent::CtrlDropped {
+                at_proxy: self.at_proxy,
+                kind: CtrlKind::Ack,
+                msg_id: 0,
+            });
+        } else {
+            fab.send_packet(
+                ctx,
+                self.from_ep,
+                from_ep,
+                self.ctrl_bytes,
+                Box::new(CtrlMsg::Ack { seq }),
+            )
+            .expect("reliable ctrl ack");
+        }
+        if self.dedup.accept(from, epoch, seq) {
+            return Inbound::Msg(inner);
+        }
+        static DUPS_DROPPED: StatKey = StatKey::new("offload.reliable.dups_dropped");
+        ctx.stat_incr(&DUPS_DROPPED, 1);
+        ctx.emit(&ProtoEvent::CtrlDuplicateDropped {
+            at_proxy: self.at_proxy,
+            kind: inner.kind(),
+            msg_id: inner.msg_id_hint(),
+        });
+        Inbound::Absorbed
+    }
+
     /// A retransmission timer fired.
-    pub(crate) fn on_tick(&mut self, ctx: &ProcessCtx, fab: &Fabric, seq: u64) -> TickOutcome {
+    fn on_tick(&mut self, ctx: &ProcessCtx, fab: &Fabric, seq: u64) -> TickOutcome {
         let Some(p) = self.pending.get_mut(&seq) else {
             return TickOutcome::Idle;
         };
@@ -476,68 +553,11 @@ impl ReliableLink {
         TickOutcome::Retransmitted
     }
 
-    /// An ack arrived: retire the pending entry (idempotent) and refill
-    /// the destination's retry budget — a responsive peer earns its
-    /// tokens back, so budgets only bite during sustained brownouts.
-    pub(crate) fn on_ack(&mut self, seq: u64) {
-        if let Some(p) = self.pending.remove(&seq) {
-            if let Some(bucket) = self.buckets.get_mut(&(p.to.index() as u64)) {
-                bucket.credit();
-            }
-        }
-    }
-
     /// Forget the retry-budget history for `to` (refilled lazily at full
     /// capacity on next use). Called when that peer restarts: the fresh
     /// process deserves a fresh budget.
     pub(crate) fn reset_budget_for(&mut self, to: EpId) {
         self.buckets.remove(&(to.index() as u64));
-    }
-
-    /// An envelope arrived: ack it (acks share the lossy plane — a lost
-    /// ack is healed by retransmit → dedup → re-ack) and deduplicate.
-    /// Returns the inner message on first delivery, `None` on duplicates.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_seq(
-        &mut self,
-        ctx: &ProcessCtx,
-        fab: &Fabric,
-        seq: u64,
-        from: Pid,
-        from_ep: EpId,
-        epoch: u64,
-        inner: CtrlMsg,
-    ) -> Option<CtrlMsg> {
-        if self.rng.chance(self.plan.drop_pm) {
-            static INJECTED_DROPS: StatKey = StatKey::new("offload.reliable.injected_drops");
-            ctx.stat_incr(&INJECTED_DROPS, 1);
-            ctx.emit(&ProtoEvent::CtrlDropped {
-                at_proxy: self.at_proxy,
-                kind: CtrlKind::Ack,
-                msg_id: 0,
-            });
-        } else {
-            fab.send_packet(
-                ctx,
-                self.from_ep,
-                from_ep,
-                self.ctrl_bytes,
-                Box::new(CtrlMsg::Ack { seq }),
-            )
-            .expect("reliable ctrl ack");
-        }
-        if self.dedup.accept(from, epoch, seq) {
-            Some(inner)
-        } else {
-            static DUPS_DROPPED: StatKey = StatKey::new("offload.reliable.dups_dropped");
-            ctx.stat_incr(&DUPS_DROPPED, 1);
-            ctx.emit(&ProtoEvent::CtrlDuplicateDropped {
-                at_proxy: self.at_proxy,
-                kind: inner.kind(),
-                msg_id: inner.msg_id_hint(),
-            });
-            None
-        }
     }
 
     /// Crash recovery: forget all sender and receiver state and start a

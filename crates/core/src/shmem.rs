@@ -333,7 +333,7 @@ impl Offload {
             bytes,
             dir: crate::events::ReqDir::OneSided,
         });
-        self.send_ctrl_to_proxy(msg, Some(req.index()));
+        self.send_ctrl_to_proxy(msg, req.index());
         req
     }
 }

@@ -252,7 +252,7 @@ pub fn drive_tenant_flood(
         // and stall the run; the flood exercises deferral (soft quota /
         // credit window), never the hard-shed path.
         assert_eq!(
-            cfg.tenant_hard_quota(tenant),
+            cfg.quota(tenant).hard,
             0,
             "drive_tenant_flood floods without retry; use drive_quota_retry for hard quotas"
         );
@@ -336,7 +336,7 @@ pub fn drive_noisy_neighbor(
                 return;
             }
             assert_eq!(
-                cfg.tenant_hard_quota(t),
+                cfg.quota(t).hard,
                 0,
                 "the aggressor floods without retry; arm soft quotas, not hard ones"
             );
@@ -365,7 +365,7 @@ pub fn drive_quota_retry(run: &CheckRun, bytes: u64) -> Result<Report, SimError>
         run.cfg.multi_tenant(),
         "drive_quota_retry needs a multi-tenant roster with a hard quota on tenant 1"
     );
-    let hard = run.cfg.tenant_hard_quota(1);
+    let hard = run.cfg.quota(1).hard;
     assert!(hard > 0, "drive_quota_retry needs a hard quota on tenant 1");
     let cfg = run.cfg.clone();
     run.run_offload(move |off| {
@@ -373,7 +373,7 @@ pub fn drive_quota_retry(run: &CheckRun, bytes: u64) -> Result<Report, SimError>
         if ring.len() < 2 {
             return;
         }
-        let hard = cfg.tenant_hard_quota(1) as u64;
+        let hard = cfg.quota(1).hard as u64;
         let me = off.rank();
         let sender = ring[0];
         let receiver = ring[1];
