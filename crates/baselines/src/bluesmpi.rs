@@ -122,7 +122,7 @@ impl BluesMpi {
 
     /// Shut the library down.
     pub fn finalize(&self) {
-        self.off.finalize();
+        self.off.ctx().block_on(self.off.finalize());
     }
 
     fn charge_cold_start(&self, kind: &'static str) -> bool {
@@ -178,7 +178,7 @@ impl BluesMpi {
             fab.write_bytes(ep, recvbuf.offset(me * block), &data)
                 .expect("self block");
         }
-        self.off.group_call(g);
+        self.off.ctx().block_on(self.off.group_call(g));
         BluesReq(g)
     }
 
@@ -208,7 +208,7 @@ impl BluesMpi {
             off.record_bcast_binomial(members, root_pos, addr, len, 0)
         });
         self.charge_cold_start("bcast");
-        self.off.group_call(g);
+        self.off.ctx().block_on(self.off.group_call(g));
         BluesReq(g)
     }
 
@@ -217,13 +217,16 @@ impl BluesMpi {
         let key = PatternKey::Allgather { buf: buf.0, block };
         let g = self.cached_pattern(key, |off| off.record_allgather_ring(buf, block));
         self.charge_cold_start("allgather");
-        self.off.group_call(g);
+        self.off.ctx().block_on(self.off.group_call(g));
         BluesReq(g)
     }
 
     /// Wait for a collective to finish.
     pub fn wait(&self, r: BluesReq) {
-        self.off.group_wait(r.0).expect("group offload failed");
+        self.off
+            .ctx()
+            .block_on(self.off.group_wait(r.0))
+            .expect("group offload failed");
     }
 
     /// Non-blocking completion check.

@@ -301,8 +301,8 @@ pub const NOISY_QUEUE_CAP: usize = 4;
 /// the [`NOISY_QUEUE_CAP`]-deep pool.
 pub const NOISY_FLOOD_BURST: u64 = 24;
 
-/// The committed isolation bound: with per-tenant credit windows, DRR
-/// scheduling and share-partitioned proxy admission, the flooding
+/// The committed isolation bound: with per-tenant credit windows and
+/// share-partitioned proxy admission, the flooding
 /// tenant may not inflate the victim tenant's p99 group-window latency
 /// beyond this factor of its solo-run p99. The noisy-neighbor gates
 /// (tier-1 and the fault-soak chaos matrix) assert it from the

@@ -12,11 +12,11 @@ use crate::reliable::RetryKnobs;
 /// implicit identity of every rank in a single-tenant run.
 pub type TenantId = usize;
 
-/// Per-tenant overload policy and scheduling weight (DESIGN.md §18).
+/// Per-tenant overload policy and pool-share weight (DESIGN.md §18).
 ///
 /// All-zero (the [`Default`]) means "inherit the global knobs": soft
 /// quota falls back to [`OffloadConfig::queue_cap`], the hard quota is
-/// unbounded, and the DRR weight is 1. A config whose `tenants` list
+/// unbounded, and the weight is 1. A config whose `tenants` list
 /// holds zero or one specs behaves byte-identically to the
 /// pre-multi-tenant engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -30,9 +30,8 @@ pub struct TenantSpec {
     /// of this tenant may hold before new posts are shed with a typed
     /// [`crate::OffloadError::QuotaExceeded`]. 0 = never shed.
     pub hard_quota: usize,
-    /// Deficit-round-robin weight (quantum) of this tenant's deferred
-    /// queue, and its proportional share of the proxy descriptor pool.
-    /// 0 = weight 1.
+    /// The tenant's weight in the split of the proxy descriptor pool
+    /// (its share is proportional). 0 = weight 1.
     pub weight: usize,
 }
 
@@ -58,7 +57,7 @@ impl TenantSpec {
         self
     }
 
-    /// Builder: set the DRR weight.
+    /// Builder: set the pool-share weight.
     pub const fn with_weight(mut self, w: usize) -> TenantSpec {
         self.weight = w;
         self
@@ -74,8 +73,6 @@ pub struct TenantQuota {
     pub soft: usize,
     /// Live basic posts per rank before new posts are shed.
     pub hard: usize,
-    /// Deficit-round-robin quantum (at least 1).
-    pub weight: usize,
     /// Slots of the proxy descriptor pool the tenant may hold.
     pub share: usize,
 }
@@ -367,8 +364,7 @@ pub struct OffloadConfig {
     /// round-robin, each tenant gets its own GVMI cross-registration
     /// namespace, staging pool and journal partition at the proxy, a
     /// weighted share of the proxy descriptor pool, and the host
-    /// schedules deferred posts by deficit round-robin and enforces the
-    /// per-tenant soft/hard quotas.
+    /// enforces the per-tenant soft/hard quotas.
     pub tenants: Vec<TenantSpec>,
     /// Fault plan (checker validation and fault-soak only).
     pub fault: FaultPlan,
@@ -534,8 +530,7 @@ impl OffloadConfig {
 
     /// What `tenant` may hold, with the roster rules applied here and
     /// nowhere else. A roster of zero or one specs is the one-tenant
-    /// quota: no soft or hard quota, weight 1, and the whole descriptor
-    /// pool. In a roster of two or more, a spec field of 0 inherits: the
+    /// quota: no soft or hard quota, and the whole descriptor pool. In a roster of two or more, a spec field of 0 inherits: the
     /// soft quota becomes `queue_cap`, the hard quota stays unbounded
     /// and the weight becomes 1; `queue_cap` is split by weight into
     /// shares of at least one slot. A tenant outside the roster
@@ -546,7 +541,6 @@ impl OffloadConfig {
             return TenantQuota {
                 soft: 0,
                 hard: 0,
-                weight: 1,
                 share: cap,
             };
         }
@@ -561,7 +555,6 @@ impl OffloadConfig {
                 own.soft_quota
             },
             hard: own.hard_quota,
-            weight,
             // `min` keeps an unarmed pool at no share.
             share: (cap * weight / total).max(1).min(cap),
         }
@@ -730,62 +723,37 @@ mod tests {
                 .with_queue_cap(cap)
                 .with_tenants(specs.to_vec())
         };
-        let q = |soft, hard, weight, share| TenantQuota {
-            soft,
-            hard,
-            weight,
-            share,
-        };
+        let q = |soft, hard, share| TenantQuota { soft, hard, share };
         let inherit = TenantSpec::inherit();
         let overrides = [inherit, inherit.with_soft_quota(2).with_hard_quota(4)];
         let weighted = [inherit.with_weight(3), inherit];
         let lopsided = [inherit.with_weight(100), inherit];
         let rows = [
-            ("no roster", roster(0, &[]), 0, q(0, 0, 1, 0)),
-            ("no roster, capped", roster(4, &[]), 0, q(0, 0, 1, 4)),
+            ("no roster", roster(0, &[]), 0, q(0, 0, 0)),
+            ("no roster, capped", roster(4, &[]), 0, q(0, 0, 4)),
             (
                 "a single spec is ignored",
                 roster(6, &[inherit.with_soft_quota(2).with_hard_quota(1)]),
                 0,
-                q(0, 0, 1, 6),
+                q(0, 0, 6),
             ),
             (
                 "a zero field inherits",
                 roster(6, &overrides),
                 0,
-                q(6, 0, 1, 3),
+                q(6, 0, 3),
             ),
-            (
-                "set fields override",
-                roster(6, &overrides),
-                1,
-                q(2, 4, 1, 3),
-            ),
-            (
-                "outside the roster",
-                roster(6, &overrides),
-                9,
-                q(6, 0, 1, 3),
-            ),
-            (
-                "shares follow weight",
-                roster(8, &weighted),
-                0,
-                q(8, 0, 3, 6),
-            ),
-            (
-                "shares follow weight",
-                roster(8, &weighted),
-                1,
-                q(8, 0, 1, 2),
-            ),
+            ("set fields override", roster(6, &overrides), 1, q(2, 4, 3)),
+            ("outside the roster", roster(6, &overrides), 9, q(6, 0, 3)),
+            ("shares follow weight", roster(8, &weighted), 0, q(8, 0, 6)),
+            ("shares follow weight", roster(8, &weighted), 1, q(8, 0, 2)),
             (
                 "a share keeps one slot",
                 roster(4, &lopsided),
                 1,
-                q(4, 0, 1, 1),
+                q(4, 0, 1),
             ),
-            ("uncapped, no pool", roster(0, &overrides), 1, q(2, 4, 1, 0)),
+            ("uncapped, no pool", roster(0, &overrides), 1, q(2, 4, 0)),
         ];
         for (what, cfg, tenant, want) in rows {
             assert_eq!(cfg.quota(tenant), want, "{what}: tenant {tenant}");

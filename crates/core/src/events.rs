@@ -662,9 +662,8 @@ proto_events! {
         /// Transfer id of the shed request.
         msg_id: u64,
     },
-    /// The host's deficit-round-robin scheduler admitted a previously
-    /// deferred post (multi-tenant runs only; the single-tenant flush
-    /// path is the PR-5 FIFO and emits nothing).
+    /// The host admitted a previously deferred post from its credit FIFO
+    /// (multi-tenant runs only; a single-tenant flush emits nothing).
     DrrGrant {
         /// Tenant whose deferred queue was served.
         tenant: usize,

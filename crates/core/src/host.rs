@@ -5,17 +5,23 @@
 //! Init_Offload()            -> Offload::init
 //! Send_Offload(...)         -> Offload::send_offload
 //! Recv_Offload(...)         -> Offload::recv_offload
-//! Wait(&req)                -> Offload::wait
-//! Finalize_Offload()        -> Offload::finalize
+//! Wait(&req)                -> Offload::wait          (async)
+//! Finalize_Offload()        -> Offload::finalize      (async)
 //!
 //! Group_Offload_start(&req) -> Offload::group_start
 //! Send_Goffload(...)        -> GroupRequest::send  (via Offload::group_send)
 //! Recv_Goffload(...)        -> Offload::group_recv
 //! Local_barrier_Goffload    -> Offload::group_barrier
 //! Group_Offload_end         -> Offload::group_end
-//! Group_Offload_call        -> Offload::group_call
-//! Group_Wait                -> Offload::group_wait
+//! Group_Offload_call        -> Offload::group_call    (async)
+//! Group_Wait                -> Offload::group_wait    (async)
 //! ```
+//!
+//! Every call that can wait for the proxy is an `async fn`: the one
+//! thing a rank waits for is its next control message
+//! ([`rdma::Channel::next`]). A future rank awaits them; a thread-backed
+//! rank (one that also blocks in `minimpi`) runs them with
+//! `ctx.block_on(..)`.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -24,7 +30,6 @@ use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
 use simnet::{ProcessCtx, SimDelta, StatKey};
 
 use crate::config::{DataPath, OffloadConfig, TenantId, TenantQuota};
-use crate::drr::{Deferred, DrrScheduler};
 use crate::events::{
     CacheOutcome, CacheSide, CtrlKind, HealthPath, HostCacheKind, ProtoEvent, ReqDir,
 };
@@ -129,21 +134,42 @@ impl ReqSlot {
     }
 }
 
-/// The slot of `msg_id` if that request is still open. `new_req`
-/// appends slots in strictly increasing `msg_id` order and the list is
-/// never trimmed, so a binary search finds it.
-fn open_slot(reqs: &[ReqSlot], msg_id: u64) -> Option<usize> {
-    let i = reqs.binary_search_by_key(&msg_id, |s| s.msg_id).ok()?;
-    reqs.get(i)?.open().then_some(i)
+/// A rank's basic-request slots, by request index. Settling clears a
+/// slot down to `done`, so completed slots at the front are retired:
+/// memory follows the requests in flight, not the requests posted, and
+/// the table is empty exactly when no slot is pending. A failed slot is
+/// never `done`; it keeps its error, and the span behind it.
+#[derive(Default)]
+struct ReqTable {
+    /// Request index of `slots[0]`, which is never `done`; every
+    /// request below it is.
+    base: usize,
+    /// In strictly increasing `msg_id` order.
+    slots: VecDeque<ReqSlot>,
+}
+
+impl ReqTable {
+    fn get(&self, req: usize) -> Option<&ReqSlot> {
+        self.slots.get(req.checked_sub(self.base)?)
+    }
+
+    fn get_mut(&mut self, req: usize) -> Option<&mut ReqSlot> {
+        self.slots.get_mut(req.checked_sub(self.base)?)
+    }
+
+    /// The request index of `msg_id` if that request is still open: ids
+    /// only grow along the table, so a binary search finds it.
+    fn open_slot(&self, msg_id: u64) -> Option<usize> {
+        let i = self
+            .slots
+            .binary_search_by_key(&msg_id, |s| s.msg_id)
+            .ok()?;
+        self.slots.get(i)?.open().then_some(self.base + i)
+    }
 }
 
 struct HostState {
-    /// In strictly increasing `msg_id` order (see [`open_slot`]).
-    reqs: Vec<ReqSlot>,
-    /// Slots of `reqs` with `done == false`, kept so the per-message
-    /// wakeup classification never rescans the (untrimmed) slot list. A
-    /// failed request is never `done`, so it stays counted.
-    pending: usize,
+    reqs: ReqTable,
     /// Monotone per-rank sequence feeding `msg_id` allocation (basic
     /// requests and group wire entries share the namespace).
     next_msg_seq: u64,
@@ -165,9 +191,9 @@ struct HostState {
     /// (credit window; maintained when the queue cap or this rank's
     /// tenant soft quota is armed).
     window: BTreeMap<usize, usize>,
-    /// Request slots waiting for a credit, deficit-round-robin across
-    /// tenants (exactly the PR-5 FIFO when a single tenant is armed).
-    deferred: DrrScheduler,
+    /// Request slots waiting for a credit, oldest first. A rank defers
+    /// only its own tenant's posts, so one FIFO is the whole schedule.
+    deferred: VecDeque<usize>,
     /// Basic requests posted and not yet terminally settled (hard-quota
     /// accounting; cheap enough to maintain unconditionally).
     live_basic: usize,
@@ -184,11 +210,10 @@ struct HostState {
 impl HostState {
     /// How basic request `req` ended: `None` while it is open.
     fn outcome(&self, req: OffloadReq) -> Option<Result<(), OffloadError>> {
-        let slot = &self.reqs[req.0];
-        if slot.done {
-            Some(Ok(()))
-        } else {
-            slot.error.map(Err)
+        match self.reqs.get(req.0) {
+            Some(slot) if !slot.done => slot.error.map(Err),
+            None if req.0 >= self.reqs.base => panic!("unknown request {}", req.0),
+            _ => Some(Ok(())),
         }
     }
 
@@ -284,8 +309,7 @@ impl Offload {
             cfg,
             chan,
             st: RefCell::new(HostState {
-                reqs: Vec::new(),
-                pending: 0,
+                reqs: ReqTable::default(),
                 next_msg_seq: 0,
                 gvmi_cache: if cache_budget > 0 {
                     RankAddrCache::with_capacity(n_proxies, cache_budget)
@@ -298,7 +322,7 @@ impl Offload {
                 rel: ReliableLink::new(fault, knobs, ctrl_bytes, false, ep),
                 proxy_epochs: BTreeMap::new(),
                 window: BTreeMap::new(),
-                deferred: DrrScheduler::default(),
+                deferred: VecDeque::new(),
                 live_basic: 0,
                 completed_seqs: BTreeSet::new(),
                 ack_horizon: 0,
@@ -401,7 +425,7 @@ impl Offload {
 
     /// Post a basic request through the admission policy: shed
     /// immediately when the tenant is over its hard quota, deferred to
-    /// the DRR scheduler when the post is [`Self::blocked`], admitted
+    /// the back of the FIFO when the post is [`Self::blocked`], admitted
     /// otherwise.
     fn post_basic(&self, req: usize, msg_id: u64, to: EpId, mut msg: CtrlMsg) {
         let hard = self.quota.hard;
@@ -431,7 +455,7 @@ impl Offload {
                     slot.post = Some((to, msg.clone()));
                 }
                 if self.blocked(&st.window, to) {
-                    st.deferred.push(self.tenant, req);
+                    st.deferred.push_back(req);
                     drop(st);
                     static DEFERRALS: StatKey = StatKey::new("offload.credit.deferrals");
                     self.ctx.stat_incr(&DEFERRALS, 1);
@@ -487,44 +511,37 @@ impl Offload {
         self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
-    /// Admit up to `limit` deferred posts through the DRR scheduler.
-    /// Within a tenant the queue is served FIFO and stops at the first
-    /// head that is still [`Self::blocked`]; across tenants a blocked
-    /// head only yields that tenant's turn. With one tenant armed this
-    /// is exactly the PR-5 FIFO flush.
+    /// Admit up to `limit` deferred posts, oldest first: a settled head
+    /// is dropped for free, and a head that is still [`Self::blocked`]
+    /// stops the flush. On a multi-tenant run each admission also emits
+    /// a `DrrGrant`.
     fn flush_deferred(&self, limit: usize) {
         if !self.credit_armed() {
             return;
         }
-        // Admission happens inside the scheduler callback (under one
-        // state borrow, so the credit check sees each earlier grant); the
-        // granted posts ship after it ends — post_ctrl re-borrows state
-        // for replay and the reliable link.
+        // Admission happens under one state borrow, so the credit check
+        // sees each earlier grant; the granted posts ship after it ends —
+        // post_ctrl re-borrows state for replay and the reliable link.
         let mut granted: Vec<(usize, u64, EpId, CtrlMsg)> = Vec::new();
         {
             let mut guard = self.st.borrow_mut();
             let st = &mut *guard;
-            let mut deferred = std::mem::take(&mut st.deferred);
-            deferred.flush(
-                limit,
-                // Every post this rank defers is its own tenant's.
-                |_| self.quota.weight as u64,
-                |req| {
-                    let live = st.reqs.get(req).filter(|s| s.open());
-                    let Some((msg_id, (to, mut msg))) =
-                        live.and_then(|s| Some((s.msg_id, s.post.clone()?)))
-                    else {
-                        return Deferred::Dead;
-                    };
+            while granted.len() < limit {
+                let Some(&req) = st.deferred.front() else {
+                    break;
+                };
+                let live = st.reqs.get(req).filter(|s| s.open());
+                if let Some((msg_id, (to, mut msg))) =
+                    live.and_then(|s| Some((s.msg_id, s.post.clone()?)))
+                {
                     if self.blocked(&st.window, to) {
-                        return Deferred::Blocked;
+                        break;
                     }
                     self.admit(st, req, to, &mut msg);
                     granted.push((req, msg_id, to, msg));
-                    Deferred::Admitted
-                },
-            );
-            st.deferred = deferred;
+                }
+                st.deferred.pop_front();
+            }
         }
         for (req, msg_id, to, msg) in granted {
             if self.cfg.multi_tenant() {
@@ -548,7 +565,9 @@ impl Offload {
         }
         let mut st = self.st.borrow_mut();
         if st.gvmi_cache.pin(self.proxy_idx, addr.0, len) {
-            st.reqs[req].pin = Some((self.proxy_idx, addr.0, len));
+            if let Some(slot) = st.reqs.get_mut(req) {
+                slot.pin = Some((self.proxy_idx, addr.0, len));
+            }
         }
     }
 
@@ -648,11 +667,11 @@ impl Offload {
         self.st.borrow().outcome(req) == Some(Ok(()))
     }
 
-    /// `Wait`: block until `req` completes — or fails permanently, which
-    /// only a fault plan can cause; check [`Offload::req_error`] then.
-    pub fn wait(&self, req: OffloadReq) {
+    /// `Wait`: until `req` completes — or fails permanently, which only
+    /// a fault plan can cause; check [`Offload::req_error`] then.
+    pub async fn wait(&self, req: OffloadReq) {
         self.drain();
-        self.block_until(|st| st.outcome(req).map(drop));
+        self.block_until(|st| st.outcome(req).map(drop)).await;
     }
 
     /// Terminal failure of a request, if any: set when its ctrl message
@@ -662,12 +681,16 @@ impl Offload {
         self.st.borrow().outcome(req)?.err()
     }
 
-    /// `Wait` with a deadline: block until `req` completes, fails, or
+    /// `Wait` with a deadline: until `req` completes, fails, or
     /// `timeout` simulated time elapses. On expiry the request is
     /// cancelled (the proxy is told to reap it) and
     /// [`OffloadError::DeadlineExceeded`] is returned; a cancelled
     /// request never completes afterwards.
-    pub fn wait_timeout(&self, req: OffloadReq, timeout: SimDelta) -> Result<(), OffloadError> {
+    pub async fn wait_timeout(
+        &self,
+        req: OffloadReq,
+        timeout: SimDelta,
+    ) -> Result<(), OffloadError> {
         self.drain();
         if let Some(outcome) = self.st.borrow().outcome(req) {
             return outcome;
@@ -678,7 +701,7 @@ impl Offload {
                 req: req.0,
             }))),
         );
-        self.block_until(|st| st.outcome(req))
+        self.block_until(|st| st.outcome(req)).await
     }
 
     /// Cancel an in-flight request. The slot fails with
@@ -686,26 +709,29 @@ impl Offload {
     /// descriptors; a no-op when the request has already settled.
     pub fn cancel(&self, req: OffloadReq) {
         self.drain();
-        let msg_id = self.st.borrow().reqs[req.0].msg_id;
-        self.cancel_req(req.0, OffloadError::Cancelled { msg_id });
+        // A retired request has settled: there is nothing to cancel.
+        let msg_id = self.st.borrow().reqs.get(req.0).map(|s| s.msg_id);
+        if let Some(msg_id) = msg_id {
+            self.cancel_req(req.0, OffloadError::Cancelled { msg_id });
+        }
     }
 
     /// Wait for every request in `reqs`.
-    pub fn wait_all(&self, reqs: &[OffloadReq]) {
+    pub async fn wait_all(&self, reqs: &[OffloadReq]) {
         for &r in reqs {
-            self.wait(r);
+            self.wait(r).await;
         }
     }
 
     /// `Finalize_Offload`: tell the mapped proxy this rank is done. All
     /// outstanding requests must have completed (or failed with a typed
     /// [`OffloadError`] under a fault plan).
-    pub fn finalize(&self) {
+    pub async fn finalize(&self) {
         self.drain();
         {
             let st = self.st.borrow();
             assert!(
-                st.reqs.iter().all(|r| r.done || r.error.is_some()),
+                st.reqs.slots.iter().all(|r| r.done || r.error.is_some()),
                 "finalize with incomplete basic requests"
             );
             assert!(
@@ -725,17 +751,16 @@ impl Offload {
         // proxy won't quiesce while we hold unacked messages): pump the
         // ctrl plane until the pending table drains. Abandonment bounds
         // this wait even against a dead peer.
-        self.block_until(|st| (!st.rel.has_pending()).then_some(()));
+        self.block_until(|st| (!st.rel.has_pending()).then_some(()))
+            .await;
         self.ctx
             .emit(&ProtoEvent::HostFinalized { rank: self.rank });
     }
 
-    /// The pending-slot counter next to what it stands for: the number
-    /// of slots a scan finds not `done`.
+    /// Basic-request slots still held: pending, or failed.
     #[cfg(test)]
-    pub(crate) fn pending_and_scan(&self) -> (usize, usize) {
-        let st = self.st.borrow();
-        (st.pending, st.reqs.iter().filter(|r| !r.done).count())
+    pub(crate) fn held_slots(&self) -> usize {
+        self.st.borrow().reqs.slots.len()
     }
 
     // ---- Group primitives ----
@@ -804,7 +829,7 @@ impl Offload {
     /// from the destination hosts, and ships the full packet; later calls
     /// hit the caches and send a single small execute message (paper
     /// §VII-D).
-    pub fn group_call(&self, req: GroupRequest) {
+    pub async fn group_call(&self, req: GroupRequest) {
         assert!(
             self.st.borrow().groups[req.0].ended,
             "group_call before group_end"
@@ -821,7 +846,7 @@ impl Offload {
         };
         let need_build = self.st.borrow().groups[req.0].wire.is_none();
         if need_build {
-            self.build_wire(req);
+            self.build_wire(req).await;
         }
         let use_cache = self.cfg.use_group_cache;
         let cached = self.st.borrow().groups[req.0].proxy_cached;
@@ -840,21 +865,23 @@ impl Offload {
         });
     }
 
-    /// `Group_Wait`: block until generation `gen` (the latest call) of
+    /// `Group_Wait`: until generation `gen` (the latest call) of
     /// the group request completes on the DPU — or fails permanently
     /// (group ctrl abandonment, data-integrity exhaustion, or a group
     /// deadline), in which case the typed error is returned instead of
     /// stalling forever. Always `Ok` on clean runs.
-    pub fn group_wait(&self, req: GroupRequest) -> Result<(), OffloadError> {
+    pub async fn group_wait(&self, req: GroupRequest) -> Result<(), OffloadError> {
         self.drain();
-        let gen = self.block_until(|st| {
-            let g = &st.groups[req.0];
-            if g.fin_gen >= g.gen {
-                Some(Ok(g.gen))
-            } else {
-                g.error.map(Err)
-            }
-        })?;
+        let gen = self
+            .block_until(|st| {
+                let g = &st.groups[req.0];
+                if g.fin_gen >= g.gen {
+                    Some(Ok(g.gen))
+                } else {
+                    g.error.map(Err)
+                }
+            })
+            .await?;
         self.ctx.emit(&ProtoEvent::GroupWaitDone {
             host_rank: self.rank,
             req_id: req.0,
@@ -866,7 +893,7 @@ impl Offload {
     /// `Group_Wait` with a deadline: like [`Offload::group_wait`], but
     /// the in-flight generation is failed (and the error returned) if it
     /// has not finished after `timeout` simulated time.
-    pub fn group_wait_timeout(
+    pub async fn group_wait_timeout(
         &self,
         req: GroupRequest,
         timeout: SimDelta,
@@ -885,7 +912,7 @@ impl Offload {
                 }))),
             );
         }
-        self.group_wait(req)
+        self.group_wait(req).await
     }
 
     /// Terminal failure of the latest group generation, if any.
@@ -908,8 +935,7 @@ impl Offload {
         let msg_id = self.alloc_msg_id();
         let mut st = self.st.borrow_mut();
         st.live_basic += 1;
-        st.pending += 1;
-        st.reqs.push(ReqSlot {
+        st.reqs.slots.push_back(ReqSlot {
             done: false,
             msg_id,
             error: None,
@@ -920,7 +946,7 @@ impl Offload {
             attempts: 0,
             pin: None,
         });
-        (st.reqs.len() - 1, msg_id)
+        (st.reqs.base + st.reqs.slots.len() - 1, msg_id)
     }
 
     /// Allocate a transfer id outside a request slot (group wire entries
@@ -1012,7 +1038,7 @@ impl Offload {
     /// First-call phase of a group request: register everything, gather
     /// receive metadata from the peers my sends target, and build the wire
     /// entries (paper Fig. 9).
-    fn build_wire(&self, req: GroupRequest) {
+    async fn build_wire(&self, req: GroupRequest) {
         let ops = self.st.borrow().groups[req.0].ops.clone();
         // Register send buffers (GVMI cache) and receive buffers (IB cache).
         let mut send_keys = Vec::new();
@@ -1070,10 +1096,12 @@ impl Offload {
         }
         let mut metas: BTreeMap<usize, (usize, VecDeque<MetaEntry>)> = BTreeMap::new();
         for (&dst, &cnt) in &needed {
-            let (dst_req_id, entries) = self.block_until(|st| {
-                let q = st.metas_from.get_mut(&dst)?;
-                q.queue.pop_front()
-            });
+            let (dst_req_id, entries) = self
+                .block_until(|st| {
+                    let q = st.metas_from.get_mut(&dst)?;
+                    q.queue.pop_front()
+                })
+                .await;
             assert!(
                 entries.len() >= cnt,
                 "peer {dst} granted {} buffers, need {cnt}",
@@ -1179,14 +1207,15 @@ impl Offload {
         self.ctx.stat_incr(&GROUP_EXECS, 1);
     }
 
-    /// Handle ctrl messages, blocking for each, until `ready` yields a
-    /// value from the state.
-    fn block_until<T>(&self, mut ready: impl FnMut(&mut HostState) -> Option<T>) -> T {
+    /// Handle ctrl messages, waiting for each, until `ready` yields a
+    /// value from the state. The rank's one wait: no state borrow (and
+    /// no profile scope) is held across its `.await`.
+    async fn block_until<T>(&self, mut ready: impl FnMut(&mut HostState) -> Option<T>) -> T {
         loop {
             if let Some(v) = ready(&mut self.st.borrow_mut()) {
                 return v;
             }
-            let msg = self.chan.next_blocking(&self.ctx);
+            let msg = self.chan.next(&self.ctx).await;
             self.handle(msg);
         }
     }
@@ -1264,11 +1293,14 @@ impl Offload {
                     static DUP_FINS: StatKey = StatKey::new("offload.reliable.dup_fins");
                     static LATE_FINS: StatKey = StatKey::new("offload.host.late_fins");
                     static BAD_CTRL: StatKey = StatKey::new("offload.host.bad_ctrl");
-                    let stat = match self.st.borrow().reqs.get(req) {
+                    let st = self.st.borrow();
+                    let stat = match st.reqs.get(req) {
                         Some(slot) if slot.done => &DUP_FINS,
                         Some(_) => &LATE_FINS,
+                        None if req < st.reqs.base => &DUP_FINS,
                         None => &BAD_CTRL,
                     };
+                    drop(st);
                     self.ctx.stat_incr(stat, 1);
                     return;
                 }
@@ -1329,9 +1361,9 @@ impl Offload {
                 let attempt = {
                     let mut guard = self.st.borrow_mut();
                     let st = &mut *guard;
-                    open_slot(&st.reqs, msg_id).and_then(|req| {
+                    st.reqs.open_slot(msg_id).and_then(|req| {
                         st.release_window(req);
-                        st.deferred.push(self.tenant, req);
+                        st.deferred.push_back(req);
                         let slot = st.reqs.get_mut(req)?;
                         slot.target = None;
                         slot.attempts += 1;
@@ -1380,7 +1412,7 @@ impl Offload {
         // terminal completion notice is a plain wakeup.
         let outstanding = {
             let st = self.st.borrow();
-            st.pending > 0 || st.groups.iter().any(|g| g.fin_gen < g.gen)
+            !st.reqs.slots.is_empty() || st.groups.iter().any(|g| g.fin_gen < g.gen)
         };
         static WAKEUPS: StatKey = StatKey::new("offload.host.wakeups");
         self.ctx.stat_incr(&WAKEUPS, 1);
@@ -1444,10 +1476,7 @@ impl Offload {
             let st = &mut *guard;
             let slot = st.reqs.get_mut(req).filter(|s| s.open())?;
             match outcome {
-                Ok(()) => {
-                    slot.done = true;
-                    st.pending -= 1;
-                }
+                Ok(()) => slot.done = true,
                 Err(e) => slot.error = Some(e),
             }
             slot.replay = None;
@@ -1458,6 +1487,10 @@ impl Offload {
             st.release_window(req);
             if let Some((rank, addr, len)) = pin {
                 st.gvmi_cache.unpin(rank, addr, len);
+            }
+            while st.reqs.slots.front().is_some_and(|s| s.done) {
+                st.reqs.slots.pop_front();
+                st.reqs.base += 1;
             }
             settled
         };
@@ -1589,7 +1622,8 @@ impl Offload {
         // of re-executed.
         let replays: Vec<(usize, u64, CtrlMsg)> = {
             let st = self.st.borrow();
-            let open = st.reqs.iter().enumerate().filter(|(_, s)| s.open());
+            let slots = (st.reqs.base..).zip(&st.reqs.slots);
+            let open = slots.filter(|(_, s)| s.open());
             open.filter_map(|(i, s)| match &s.replay {
                 Some((to, m)) if *to == proxy => Some((i, s.msg_id, m.clone())),
                 _ => None,
@@ -1654,19 +1688,28 @@ mod tests {
     fn a_nack_finds_its_open_slot_among_thousands() {
         // Rank 3's ids, as `new_req` allocates them: every other sequence
         // number went to a group wire entry.
-        let mut reqs: Vec<ReqSlot> = (1..=8_000u64).map(|i| slot((3 << 32) | (2 * i))).collect();
-        reqs[10].done = true;
-        reqs[11].error = Some(OffloadError::Cancelled {
-            msg_id: reqs[11].msg_id,
-        });
-        assert_eq!(open_slot(&reqs, reqs[0].msg_id), Some(0));
-        assert_eq!(open_slot(&reqs, reqs[12].msg_id), Some(12));
-        assert_eq!(open_slot(&reqs, reqs[7_999].msg_id), Some(7_999));
+        let id = |i: u64| (3 << 32) | (2 * (i + 1));
+        let mut reqs = ReqTable {
+            base: 0,
+            slots: (0..8_000).map(|i| slot(id(i))).collect(),
+        };
+        reqs.slots[10].done = true;
+        reqs.slots[11].error = Some(OffloadError::Cancelled { msg_id: id(11) });
+        assert_eq!(reqs.open_slot(id(0)), Some(0));
+        assert_eq!(reqs.open_slot(id(12)), Some(12));
+        assert_eq!(reqs.open_slot(id(7_999)), Some(7_999));
         // Settled, failed and unknown ids are ignored.
-        assert_eq!(open_slot(&reqs, reqs[10].msg_id), None);
-        assert_eq!(open_slot(&reqs, reqs[11].msg_id), None);
-        assert_eq!(open_slot(&reqs, (3 << 32) | 3), None);
-        assert_eq!(open_slot(&reqs, (4 << 32) | 2), None);
-        assert_eq!(open_slot(&[], 1), None);
+        assert_eq!(reqs.open_slot(id(10)), None);
+        assert_eq!(reqs.open_slot(id(11)), None);
+        assert_eq!(reqs.open_slot((3 << 32) | 3), None);
+        assert_eq!(reqs.open_slot((4 << 32) | 2), None);
+        assert_eq!(ReqTable::default().open_slot(1), None);
+        // With a retired front, indices stay where they were.
+        reqs.slots.drain(..11);
+        reqs.base = 11;
+        assert!(reqs.get(10).is_none());
+        assert_eq!(reqs.get(11).map(|s| s.msg_id), Some(id(11)));
+        assert_eq!(reqs.open_slot(id(12)), Some(12));
+        assert_eq!(reqs.open_slot(id(0)), None);
     }
 }

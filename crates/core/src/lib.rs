@@ -16,8 +16,8 @@
 //! use simnet::SimDelta;
 //!
 //! ClusterBuilder::new(ClusterSpec::new(2, 1), 1)
-//!     .run(
-//!         |rank, ctx, cluster| {
+//!     .run_async(
+//!         |rank, ctx, cluster| async move {
 //!             let inbox = Inbox::new();
 //!             let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
 //!             let fab = off.cluster().fabric().clone();
@@ -28,14 +28,20 @@
 //!             } else {
 //!                 off.recv_offload(buf, 1024, 0, 7)
 //!             };
-//!             off.ctx().compute(SimDelta::from_us(100)); // DPU progresses meanwhile
-//!             off.wait(req);
-//!             off.finalize();
+//!             off.ctx().compute_async(SimDelta::from_us(100)).await; // DPU progresses meanwhile
+//!             off.wait(req).await;
+//!             off.finalize().await;
 //!         },
 //!         Some(offload::proxy_fn(OffloadConfig::proposed())),
 //!     )
 //!     .unwrap();
 //! ```
+//!
+//! Each rank is a future process ([`rdma::ClusterBuilder::run_async`]):
+//! every call that can wait for the proxy is an `async fn`, and the
+//! whole cluster is polled on the calling thread. A thread-backed rank
+//! (one that also blocks in `minimpi`) runs the same calls through
+//! `ctx.block_on(off.wait(req))`.
 //!
 //! **Group primitives** (paper Listing 4) record an entire communication
 //! graph — including ordering via `group_barrier` — and ship it to the DPU
@@ -48,9 +54,9 @@
 //! off.group_barrier(g);
 //! off.group_send(g, buf, n, right, tag);
 //! off.group_end(g);
-//! off.group_call(g);
-//! do_compute();
-//! off.group_wait(g);
+//! off.group_call(g).await;
+//! do_compute().await;
+//! off.group_wait(g).await;
 //! ```
 //!
 //! ## The two mechanisms
@@ -65,7 +71,6 @@
 #![warn(missing_docs)]
 
 mod config;
-mod drr;
 mod events;
 mod flight;
 mod health;

@@ -165,7 +165,7 @@ keyed_counters! {
         /// Posts shed at admission because the tenant was over its hard
         /// quota.
         pub quota_sheds: u64,
-        /// Deferred posts the DRR scheduler admitted for this tenant.
+        /// Deferred posts the credit FIFO flush admitted for this tenant.
         pub drr_grants: u64,
     }
 }
@@ -259,7 +259,7 @@ struct Inner {
     deferrals_by_rank: BTreeMap<usize, u64>,
     /// Hard-quota sheds per tenant.
     tenant_quota_sheds: BTreeMap<usize, u64>,
-    /// DRR grants per tenant.
+    /// `DrrGrant`s (deferred-post admissions) per tenant.
     tenant_drr_grants: BTreeMap<usize, u64>,
 }
 
@@ -680,7 +680,7 @@ keyed_counters! {
         /// Posts shed at admission because the posting tenant was over its
         /// hard quota (multi-tenant runs only; zero otherwise).
         pub quota_sheds: u64,
-        /// Deferred posts admitted by the deficit-round-robin scheduler
+        /// Deferred posts admitted by the hosts' credit FIFO flush
         /// (multi-tenant runs only; zero otherwise).
         pub drr_grants: u64,
         /// Staging buffers recycled from the bounded free pool.

@@ -170,15 +170,22 @@ mod tests {
     // crates; here we only check recording-side invariants.
     use crate::{Offload, OffloadConfig};
     use rdma::{ClusterBuilder, ClusterSpec, Inbox};
+    use std::ops::AsyncFn;
+    use std::sync::Arc;
 
-    fn on_pair(f: impl Fn(&Offload) + Send + Sync + 'static) {
+    fn on_pair(f: impl AsyncFn(&Offload) + Send + Sync + 'static) {
+        let f = Arc::new(f);
         ClusterBuilder::new(ClusterSpec::new(2, 1), 1)
-            .run(
+            .run_async(
                 move |rank, ctx, cluster| {
-                    let inbox = Inbox::new();
-                    let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
-                    f(&off);
-                    off.finalize();
+                    let f = Arc::clone(&f);
+                    async move {
+                        let inbox = Inbox::new();
+                        let off =
+                            Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
+                        f(&off).await;
+                        off.finalize().await;
+                    }
                 },
                 Some(crate::proxy_fn(OffloadConfig::proposed())),
             )
@@ -187,7 +194,7 @@ mod tests {
 
     #[test]
     fn alltoall_pattern_executes_and_caches() {
-        on_pair(|off| {
+        on_pair(async |off| {
             let fab = off.cluster().fabric().clone();
             let ep = off.cluster().host_ep(off.rank());
             let p = off.size() as u64;
@@ -195,15 +202,15 @@ mod tests {
             let recvbuf = fab.alloc(ep, 1024 * p);
             let g = off.record_alltoall(sendbuf, recvbuf, 1024);
             for _ in 0..3 {
-                off.group_call(g);
-                off.group_wait(g).expect("group offload failed");
+                off.group_call(g).await;
+                off.group_wait(g).await.expect("group offload failed");
             }
         });
     }
 
     #[test]
     fn bcast_builders_deliver() {
-        on_pair(|off| {
+        on_pair(async |off| {
             let fab = off.cluster().fabric().clone();
             let ep = off.cluster().host_ep(off.rank());
             let buf = fab.alloc(ep, 2048);
@@ -212,8 +219,8 @@ mod tests {
             }
             let members: Vec<usize> = (0..off.size()).collect();
             let g = off.record_bcast_binomial(&members, 0, buf, 2048, 0);
-            off.group_call(g);
-            off.group_wait(g).expect("group offload failed");
+            off.group_call(g).await;
+            off.group_wait(g).await.expect("group offload failed");
             assert!(fab.verify_pattern(ep, buf, 2048, 5).unwrap());
             // Ring variant with a different buffer region.
             let buf2 = fab.alloc(ep, 512);
@@ -221,8 +228,8 @@ mod tests {
                 fab.fill_pattern(ep, buf2, 512, 9).unwrap();
             }
             let g2 = off.record_bcast_ring(&members, 0, buf2, 512, 1);
-            off.group_call(g2);
-            off.group_wait(g2).expect("group offload failed");
+            off.group_call(g2).await;
+            off.group_wait(g2).await.expect("group offload failed");
             assert!(fab.verify_pattern(ep, buf2, 512, 9).unwrap());
         });
     }
@@ -230,8 +237,8 @@ mod tests {
     #[test]
     fn allgather_ring_circulates_blocks() {
         ClusterBuilder::new(ClusterSpec::new(2, 2), 1)
-            .run(
-                |rank, ctx, cluster| {
+            .run_async(
+                |rank, ctx, cluster| async move {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank,
@@ -247,14 +254,14 @@ mod tests {
                     fab.fill_pattern(ep, buf.offset(rank as u64 * 4096), 4096, rank as u64 + 40)
                         .unwrap();
                     let g = off.record_allgather_ring(buf, 4096);
-                    off.group_call(g);
-                    off.group_wait(g).expect("group offload failed");
+                    off.group_call(g).await;
+                    off.group_wait(g).await.expect("group offload failed");
                     for s in 0..p {
                         assert!(fab
                             .verify_pattern(ep, buf.offset(s * 4096), 4096, s + 40)
                             .unwrap());
                     }
-                    off.finalize();
+                    off.finalize().await;
                 },
                 Some(crate::proxy_fn(OffloadConfig::proposed())),
             )

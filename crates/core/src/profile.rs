@@ -28,7 +28,10 @@
 //!
 //! Each thread accumulates into its own tree. When a thread exits (both
 //! simnet engines join their threads before `run()` returns), the tree
-//! is folded into a process-global registry;
+//! is folded into a process-global registry; future ranks and proxy
+//! reactors sample into the tree of the thread that called `run()`.
+//! Because many ranks share that thread, a scope must never stay open
+//! across an `.await` ([`balanced`] checks it in debug builds);
 //! [`take_report`] merges the calling thread's data with the registry
 //! and drains both. Export as collapsed-stack text
 //! ([`ProfileReport::collapsed_stack`], flamegraph-compatible) or as a
@@ -36,6 +39,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::future::{poll_fn, Future};
 
 use parking_lot::Mutex;
 
@@ -262,6 +266,25 @@ macro_rules! profile_scope {
     };
 }
 
+/// Wrap a rank's body so that, in debug builds, every poll must leave
+/// the thread's scope stack at the depth it found it: future ranks take
+/// turns on one thread, and a scope held across an `.await` would file
+/// the next rank's scopes under it.
+pub fn balanced<F: Future>(fut: F) -> impl Future<Output = F::Output> {
+    let depth = || TLS.with(|slot| slot.0.borrow().stack.len());
+    let mut fut = Box::pin(fut);
+    poll_fn(move |cx| {
+        let before = cfg!(debug_assertions).then(depth);
+        let out = fut.as_mut().poll(cx);
+        debug_assert_eq!(
+            before.map(|_| depth()),
+            before,
+            "a profile scope spans an .await"
+        );
+        out
+    })
+}
+
 /// Aggregated samples for one scope path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScopeAgg {
@@ -429,6 +452,51 @@ mod tests {
         let report = take_report();
         set_enabled(false);
         assert!(report.scopes.contains_key("thread_exit_scope"));
+    }
+
+    /// Poll `fut` twice on this thread, as the scheduler would: the
+    /// first poll is pending once (a rank's wait), the second completes.
+    fn poll_twice(scope_across_await: bool) {
+        let mut waited = false;
+        let wait = std::future::poll_fn(move |_| {
+            let first = !std::mem::replace(&mut waited, true);
+            if first {
+                std::task::Poll::Pending
+            } else {
+                std::task::Poll::Ready(())
+            }
+        });
+        let mut fut = std::pin::pin!(balanced(async move {
+            if scope_across_await {
+                crate::profile_scope!("held_scope");
+                wait.await;
+            } else {
+                {
+                    crate::profile_scope!("closed_scope");
+                }
+                wait.await;
+            }
+        }));
+        let mut cx = std::task::Context::from_waker(std::task::Waker::noop());
+        set_enabled(true);
+        let polls = [fut.as_mut().poll(&mut cx), fut.as_mut().poll(&mut cx)];
+        set_enabled(false);
+        assert_eq!(
+            polls,
+            [std::task::Poll::Pending, std::task::Poll::Ready(())]
+        );
+    }
+
+    #[test]
+    fn a_balanced_rank_closes_its_scopes_before_awaiting() {
+        poll_twice(false);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a profile scope spans an .await")]
+    fn a_scope_held_across_an_await_is_caught() {
+        poll_twice(true);
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl Shmem {
     /// `heap_len`. Allocates and registers the symmetric heap and
     /// exchanges `(base, rkey)` with every peer. The offload
     /// configuration must use the GVMI data path for `get` support.
-    pub fn init(
+    pub async fn init(
         rank: usize,
         ctx: ProcessCtx,
         cluster: ClusterCtx,
@@ -113,7 +113,7 @@ impl Shmem {
         });
         let mut missing = p - 1;
         while missing > 0 {
-            let msg = chan.next_blocking(off.ctx());
+            let msg = chan.next(off.ctx()).await;
             let NetMsg::Packet(pkt) = msg else {
                 unreachable!("hello channel only claims packets")
             };
@@ -253,21 +253,21 @@ impl Shmem {
     }
 
     /// Wait for one operation.
-    pub fn wait(&self, req: OffloadReq) {
-        self.off.wait(req);
+    pub async fn wait(&self, req: OffloadReq) {
+        self.off.wait(req).await;
     }
 
-    /// `shmem_quiet`: block until every outstanding put/get issued by this
-    /// rank has completed remotely.
-    pub fn quiet(&self) {
+    /// `shmem_quiet`: until every outstanding put/get issued by this rank
+    /// has completed remotely.
+    pub async fn quiet(&self) {
         let reqs = std::mem::take(&mut self.st.borrow_mut().outstanding);
-        self.off.wait_all(&reqs);
+        self.off.wait_all(&reqs).await;
     }
 
     /// Tear down (all operations must be complete).
-    pub fn finalize(&self) {
-        self.quiet();
-        self.off.finalize();
+    pub async fn finalize(&self) {
+        self.quiet().await;
+        self.off.finalize().await;
         // Keep the hello channel alive until the end (unused afterwards).
         let _ = &self.chan;
     }
@@ -342,22 +342,22 @@ impl Offload {
 mod tests {
     use super::*;
     use rdma::{ClusterBuilder, ClusterSpec};
+    use std::ops::AsyncFn;
+    use std::sync::Arc;
 
-    fn run_shmem(nodes: usize, ppn: usize, f: impl Fn(&Shmem) + Send + Sync + 'static) {
+    fn run_shmem(nodes: usize, ppn: usize, f: impl AsyncFn(&Shmem) + Send + Sync + 'static) {
+        let f = Arc::new(f);
         ClusterBuilder::new(ClusterSpec::new(nodes, ppn), 7)
-            .run(
+            .run_async(
                 move |rank, ctx, cluster| {
-                    let inbox = Inbox::new();
-                    let shm = Shmem::init(
-                        rank,
-                        ctx,
-                        cluster,
-                        &inbox,
-                        OffloadConfig::proposed(),
-                        1 << 20,
-                    );
-                    f(&shm);
-                    shm.finalize();
+                    let f = Arc::clone(&f);
+                    async move {
+                        let inbox = Inbox::new();
+                        let cfg = OffloadConfig::proposed();
+                        let shm = Shmem::init(rank, ctx, cluster, &inbox, cfg, 1 << 20).await;
+                        f(&shm).await;
+                        shm.finalize().await;
+                    }
                 },
                 Some(crate::proxy_fn(OffloadConfig::proposed())),
             )
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn put_delivers_one_sided() {
-        run_shmem(2, 1, |shm| {
+        run_shmem(2, 1, async |shm| {
             let fab = shm.offload().cluster().fabric().clone();
             let a = shm.sym_alloc(4096);
             let b = shm.sym_alloc(4096);
@@ -374,7 +374,7 @@ mod tests {
                 fab.fill_pattern(shm.endpoint(), shm.local_addr(a), 4096, 77)
                     .unwrap();
                 shm.put(1, b, a, 4096);
-                shm.quiet();
+                shm.quiet().await;
             } else {
                 // The target does nothing at all: spin on the payload via
                 // simulated time until the proxy wrote it.
@@ -383,7 +383,10 @@ mod tests {
                     .verify_pattern(shm.endpoint(), shm.local_addr(b), 4096, 77)
                     .unwrap()
                 {
-                    shm.offload().ctx().compute(simnet::SimDelta::from_us(10));
+                    shm.offload()
+                        .ctx()
+                        .compute_async(simnet::SimDelta::from_us(10))
+                        .await;
                     spins += 1;
                     assert!(spins < 10_000, "put never landed");
                 }
@@ -393,7 +396,7 @@ mod tests {
 
     #[test]
     fn get_pulls_remote_heap() {
-        run_shmem(2, 1, |shm| {
+        run_shmem(2, 1, async |shm| {
             let fab = shm.offload().cluster().fabric().clone();
             let src = shm.sym_alloc(8192);
             let dst = shm.sym_alloc(8192);
@@ -405,10 +408,13 @@ mod tests {
             )
             .unwrap();
             // Give both sides a moment so the data exists before the get.
-            shm.offload().ctx().compute(simnet::SimDelta::from_us(50));
+            shm.offload()
+                .ctx()
+                .compute_async(simnet::SimDelta::from_us(50))
+                .await;
             let peer = 1 - shm.rank();
             let r = shm.get(peer, dst, src, 8192);
-            shm.wait(r);
+            shm.wait(r).await;
             assert!(fab
                 .verify_pattern(shm.endpoint(), shm.local_addr(dst), 8192, 100 + peer as u64)
                 .unwrap());
@@ -417,7 +423,7 @@ mod tests {
 
     #[test]
     fn symmetric_alloc_is_consistent() {
-        run_shmem(2, 2, |shm| {
+        run_shmem(2, 2, async |shm| {
             let a = shm.sym_alloc(100);
             let b = shm.sym_alloc(100);
             assert_eq!(a, SymAddr(0));
@@ -429,7 +435,7 @@ mod tests {
 
     #[test]
     fn quiet_flushes_many_puts() {
-        run_shmem(2, 2, |shm| {
+        run_shmem(2, 2, async |shm| {
             let fab = shm.offload().cluster().fabric().clone();
             let slots: Vec<_> = (0..8).map(|_| shm.sym_alloc(1024)).collect();
             let me = shm.rank();
@@ -444,9 +450,12 @@ mod tests {
                 .unwrap();
                 shm.put(peer, slots[4 + i], s, 1024);
             }
-            shm.quiet();
+            shm.quiet().await;
             // Let the peer's puts land too before verifying.
-            shm.offload().ctx().compute(simnet::SimDelta::from_ms(1));
+            shm.offload()
+                .ctx()
+                .compute_async(simnet::SimDelta::from_ms(1))
+                .await;
             let src = (me + shm.n_pes() - 1) % shm.n_pes();
             for i in 0..4usize {
                 assert!(fab

@@ -4,29 +4,35 @@
 use offload::{Offload, OffloadConfig};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 use simnet::SimDelta;
+use std::ops::AsyncFn;
+use std::sync::Arc;
 
 fn run_offload(
     nodes: usize,
     ppn: usize,
     cfg: OffloadConfig,
-    f: impl Fn(&Offload) + Send + Sync + 'static,
+    f: impl AsyncFn(&Offload) + Send + Sync + 'static,
 ) -> simnet::Report {
     let spec = ClusterSpec::new(nodes, ppn);
     let pcfg = cfg.clone();
+    let f = Arc::new(f);
     ClusterBuilder::new(spec, 11)
-        .run(
+        .run_async(
             move |rank, ctx, cluster| {
-                let inbox = Inbox::new();
-                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
-                f(&off);
-                off.finalize();
+                let (cfg, f) = (cfg.clone(), Arc::clone(&f));
+                async move {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
+                    f(&off).await;
+                    off.finalize().await;
+                }
             },
             Some(offload::proxy_fn(pcfg)),
         )
         .unwrap()
 }
 
-fn pingpong_body(off: &Offload, len: u64) {
+async fn pingpong_body(off: &Offload, len: u64) {
     let fab = off.cluster().fabric().clone();
     let ep = off.cluster().host_ep(off.rank());
     let sbuf = fab.alloc(ep, len);
@@ -35,30 +41,30 @@ fn pingpong_body(off: &Offload, len: u64) {
         fab.fill_pattern(ep, sbuf, len, 10).unwrap();
         let s = off.send_offload(sbuf, len, 1, 7);
         let r = off.recv_offload(rbuf, len, 1, 8);
-        off.wait(s);
-        off.wait(r);
+        off.wait(s).await;
+        off.wait(r).await;
         assert!(fab.verify_pattern(ep, rbuf, len, 20).unwrap());
     } else {
         fab.fill_pattern(ep, sbuf, len, 20).unwrap();
         let r = off.recv_offload(rbuf, len, 0, 7);
         let s = off.send_offload(sbuf, len, 0, 8);
-        off.wait(r);
-        off.wait(s);
+        off.wait(r).await;
+        off.wait(s).await;
         assert!(fab.verify_pattern(ep, rbuf, len, 10).unwrap());
     }
 }
 
 #[test]
 fn gvmi_pingpong_moves_data() {
-    run_offload(2, 1, OffloadConfig::proposed(), |off| {
-        pingpong_body(off, 64 * 1024)
+    run_offload(2, 1, OffloadConfig::proposed(), async |off| {
+        pingpong_body(off, 64 * 1024).await
     });
 }
 
 #[test]
 fn staging_pingpong_moves_data() {
-    run_offload(2, 1, OffloadConfig::staging(), |off| {
-        pingpong_body(off, 64 * 1024)
+    run_offload(2, 1, OffloadConfig::staging(), async |off| {
+        pingpong_body(off, 64 * 1024).await
     });
 }
 
@@ -70,7 +76,7 @@ fn gvmi_beats_staging_latency() {
         use std::sync::Arc;
         let total = Arc::new(AtomicU64::new(0));
         let t2 = Arc::clone(&total);
-        run_offload(2, 1, cfg, move |off| {
+        run_offload(2, 1, cfg, async move |off| {
             let fab = off.cluster().fabric().clone();
             let ep = off.cluster().host_ep(off.rank());
             let len = 256 * 1024;
@@ -79,11 +85,11 @@ fn gvmi_beats_staging_latency() {
             for warm in 0..2 {
                 let t0 = off.ctx().now();
                 if off.rank() == 0 {
-                    off.wait(off.send_offload(buf, len, 1, warm));
-                    off.wait(off.recv_offload(buf, len, 1, 100 + warm));
+                    off.wait(off.send_offload(buf, len, 1, warm)).await;
+                    off.wait(off.recv_offload(buf, len, 1, 100 + warm)).await;
                 } else {
-                    off.wait(off.recv_offload(buf, len, 0, warm));
-                    off.wait(off.send_offload(buf, len, 0, 100 + warm));
+                    off.wait(off.recv_offload(buf, len, 0, warm)).await;
+                    off.wait(off.send_offload(buf, len, 0, 100 + warm)).await;
                 }
                 if warm == 1 && off.rank() == 0 {
                     t2.store((off.ctx().now() - t0).as_ps(), Ordering::SeqCst);
@@ -105,7 +111,7 @@ fn transfer_progresses_while_host_computes() {
     // The whole point of the framework: the DPU completes the exchange
     // while both hosts are busy. When they finally call wait, the FIN is
     // already in the mailbox, so wait returns without advancing time.
-    run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 1 << 20;
@@ -115,9 +121,9 @@ fn transfer_progresses_while_host_computes() {
         } else {
             off.recv_offload(buf, len, 0, 1)
         };
-        off.ctx().compute(SimDelta::from_ms(10));
+        off.ctx().compute_async(SimDelta::from_ms(10)).await;
         let t0 = off.ctx().now();
-        off.wait(req);
+        off.wait(req).await;
         let wait_time = (off.ctx().now() - t0).as_us_f64();
         assert!(
             wait_time < 1.0,
@@ -128,7 +134,7 @@ fn transfer_progresses_while_host_computes() {
 
 #[test]
 fn many_outstanding_transfers_match_by_tag() {
-    run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let n = 8u64;
@@ -144,14 +150,14 @@ fn many_outstanding_transfers_match_by_tag() {
                     off.send_offload(b, len, 1, (n - 1 - i as u64) * 3)
                 })
                 .collect();
-            off.wait_all(&reqs);
+            off.wait_all(&reqs).await;
         } else {
             let reqs: Vec<_> = bufs
                 .iter()
                 .enumerate()
                 .map(|(i, &b)| off.recv_offload(b, len, 0, i as u64 * 3))
                 .collect();
-            off.wait_all(&reqs);
+            off.wait_all(&reqs).await;
             for (i, &b) in bufs.iter().enumerate() {
                 // Tag i*3 was sent from buffer n-1-i.
                 assert!(
@@ -166,16 +172,16 @@ fn many_outstanding_transfers_match_by_tag() {
 
 #[test]
 fn gvmi_caches_hit_on_reuse() {
-    let report = run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    let report = run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 64 * 1024;
         let buf = fab.alloc(ep, len);
         for i in 0..6u64 {
             if off.rank() == 0 {
-                off.wait(off.send_offload(buf, len, 1, i));
+                off.wait(off.send_offload(buf, len, 1, i)).await;
             } else {
-                off.wait(off.recv_offload(buf, len, 0, i));
+                off.wait(off.recv_offload(buf, len, 0, i)).await;
             }
         }
     });
@@ -190,16 +196,16 @@ fn gvmi_caches_hit_on_reuse() {
 #[test]
 fn cache_ablation_registers_every_time() {
     let cfg = OffloadConfig::proposed().without_gvmi_cache();
-    let report = run_offload(2, 1, cfg, |off| {
+    let report = run_offload(2, 1, cfg, async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 64 * 1024;
         let buf = fab.alloc(ep, len);
         for i in 0..4u64 {
             if off.rank() == 0 {
-                off.wait(off.send_offload(buf, len, 1, i));
+                off.wait(off.send_offload(buf, len, 1, i)).await;
             } else {
-                off.wait(off.recv_offload(buf, len, 0, i));
+                off.wait(off.recv_offload(buf, len, 0, i)).await;
             }
         }
     });
@@ -210,16 +216,16 @@ fn cache_ablation_registers_every_time() {
 #[test]
 fn cache_ablation_costs_time() {
     fn end_time(cfg: OffloadConfig) -> f64 {
-        run_offload(2, 1, cfg, |off| {
+        run_offload(2, 1, cfg, async |off| {
             let fab = off.cluster().fabric().clone();
             let ep = off.cluster().host_ep(off.rank());
             let len = 1 << 20;
             let buf = fab.alloc(ep, len);
             for i in 0..10u64 {
                 if off.rank() == 0 {
-                    off.wait(off.send_offload(buf, len, 1, i));
+                    off.wait(off.send_offload(buf, len, 1, i)).await;
                 } else {
-                    off.wait(off.recv_offload(buf, len, 0, i));
+                    off.wait(off.recv_offload(buf, len, 0, i)).await;
                 }
             }
         })
@@ -236,16 +242,16 @@ fn cache_ablation_costs_time() {
 
 #[test]
 fn staging_reuses_buffers_and_registrations() {
-    let report = run_offload(2, 1, OffloadConfig::staging(), |off| {
+    let report = run_offload(2, 1, OffloadConfig::staging(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 32 * 1024;
         let buf = fab.alloc(ep, len);
         for i in 0..5u64 {
             if off.rank() == 0 {
-                off.wait(off.send_offload(buf, len, 1, i));
+                off.wait(off.send_offload(buf, len, 1, i)).await;
             } else {
-                off.wait(off.recv_offload(buf, len, 0, i));
+                off.wait(off.recv_offload(buf, len, 0, i)).await;
             }
         }
     });
@@ -262,15 +268,15 @@ fn staging_reuses_buffers_and_registrations() {
 #[test]
 fn four_control_messages_per_basic_transfer() {
     // Paper §VIII-C: RTS + RTR + two FINs per send/recv pair.
-    let report = run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    let report = run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let buf = fab.alloc(ep, 4096);
         for i in 0..3u64 {
             if off.rank() == 0 {
-                off.wait(off.send_offload(buf, 4096, 1, i));
+                off.wait(off.send_offload(buf, 4096, 1, i)).await;
             } else {
-                off.wait(off.recv_offload(buf, 4096, 0, i));
+                off.wait(off.recv_offload(buf, 4096, 0, i)).await;
             }
         }
     });
@@ -279,7 +285,7 @@ fn four_control_messages_per_basic_transfer() {
 
 #[test]
 fn multiple_ranks_per_node_share_proxies() {
-    let report = run_offload(2, 4, OffloadConfig::proposed(), |off| {
+    let report = run_offload(2, 4, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let me = off.rank();
         let p = off.size();
@@ -292,8 +298,8 @@ fn multiple_ranks_per_node_share_proxies() {
         let src = (me + p - 1) % p;
         let s = off.send_offload(sbuf, len, dst, 9);
         let r = off.recv_offload(rbuf, len, src, 9);
-        off.wait(s);
-        off.wait(r);
+        off.wait(s).await;
+        off.wait(r).await;
         assert!(fab.verify_pattern(ep, rbuf, len, src as u64).unwrap());
     });
     assert!(report.stats.counter("offload.proxy.gvmi_writes") == 8);
@@ -303,15 +309,15 @@ fn multiple_ranks_per_node_share_proxies() {
 fn intra_node_offload_works() {
     // Both ranks on one node: data path goes through shared memory but the
     // control protocol is identical.
-    run_offload(1, 2, OffloadConfig::proposed(), |off| {
+    run_offload(1, 2, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let buf = fab.alloc(ep, 2048);
         if off.rank() == 0 {
             fab.fill_pattern(ep, buf, 2048, 3).unwrap();
-            off.wait(off.send_offload(buf, 2048, 1, 0));
+            off.wait(off.send_offload(buf, 2048, 1, 0)).await;
         } else {
-            off.wait(off.recv_offload(buf, 2048, 0, 0));
+            off.wait(off.recv_offload(buf, 2048, 0, 0)).await;
             assert!(fab.verify_pattern(ep, buf, 2048, 3).unwrap());
         }
     });

@@ -5,22 +5,28 @@
 use offload::{GroupRequest, Offload, OffloadConfig};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 use simnet::SimDelta;
+use std::ops::AsyncFn;
+use std::sync::Arc;
 
 fn run_offload(
     nodes: usize,
     ppn: usize,
     cfg: OffloadConfig,
-    f: impl Fn(&Offload) + Send + Sync + 'static,
+    f: impl AsyncFn(&Offload) + Send + Sync + 'static,
 ) -> simnet::Report {
     let spec = ClusterSpec::new(nodes, ppn);
     let pcfg = cfg.clone();
+    let f = Arc::new(f);
     ClusterBuilder::new(spec, 23)
-        .run(
+        .run_async(
             move |rank, ctx, cluster| {
-                let inbox = Inbox::new();
-                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
-                f(&off);
-                off.finalize();
+                let (cfg, f) = (cfg.clone(), Arc::clone(&f));
+                async move {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
+                    f(&off).await;
+                    off.finalize().await;
+                }
             },
             Some(offload::proxy_fn(pcfg)),
         )
@@ -50,7 +56,7 @@ fn record_ring(off: &Offload, buf: rdma::VAddr, len: u64, root: usize) -> GroupR
 
 #[test]
 fn ring_broadcast_delivers_to_all() {
-    run_offload(3, 1, OffloadConfig::proposed(), |off| {
+    run_offload(3, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 32 * 1024;
@@ -59,8 +65,8 @@ fn ring_broadcast_delivers_to_all() {
             fab.fill_pattern(ep, buf, len, 42).unwrap();
         }
         let g = record_ring(off, buf, len, 0);
-        off.group_call(g);
-        off.group_wait(g).expect("group offload failed");
+        off.group_call(g).await;
+        off.group_wait(g).await.expect("group offload failed");
         assert!(
             fab.verify_pattern(ep, buf, len, 42).unwrap(),
             "rank {} has the ring data",
@@ -73,7 +79,7 @@ fn ring_broadcast_delivers_to_all() {
 fn ring_progresses_without_cpu_intervention() {
     // The Fig. 1 case (3): every rank offloads its whole pattern, then
     // computes. The ring completes during the compute phase.
-    run_offload(4, 1, OffloadConfig::proposed(), |off| {
+    run_offload(4, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 64 * 1024;
@@ -82,10 +88,10 @@ fn ring_progresses_without_cpu_intervention() {
             fab.fill_pattern(ep, buf, len, 5).unwrap();
         }
         let g = record_ring(off, buf, len, 0);
-        off.group_call(g);
-        off.ctx().compute(SimDelta::from_ms(20));
+        off.group_call(g).await;
+        off.ctx().compute_async(SimDelta::from_ms(20)).await;
         let t0 = off.ctx().now();
-        off.group_wait(g).expect("group offload failed");
+        off.group_wait(g).await.expect("group offload failed");
         let wait = (off.ctx().now() - t0).as_us_f64();
         assert!(
             wait < 1.0,
@@ -97,7 +103,7 @@ fn ring_progresses_without_cpu_intervention() {
 
 #[test]
 fn repeated_calls_reuse_metadata() {
-    let report = run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    let report = run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 16 * 1024;
@@ -107,8 +113,8 @@ fn repeated_calls_reuse_metadata() {
         }
         let g = record_ring(off, buf, len, 0);
         for _ in 0..5 {
-            off.group_call(g);
-            off.group_wait(g).expect("group offload failed");
+            off.group_call(g).await;
+            off.group_wait(g).await.expect("group offload failed");
         }
         assert!(fab.verify_pattern(ep, buf, len, 1).unwrap());
     });
@@ -120,14 +126,14 @@ fn repeated_calls_reuse_metadata() {
 #[test]
 fn group_cache_ablation_resends_packets() {
     let run = |cfg| {
-        run_offload(2, 1, cfg, |off| {
+        run_offload(2, 1, cfg, async |off| {
             let fab = off.cluster().fabric().clone();
             let ep = off.cluster().host_ep(off.rank());
             let buf = fab.alloc(ep, 4096);
             let g = record_ring(off, buf, 4096, 0);
             for _ in 0..3 {
-                off.group_call(g);
-                off.group_wait(g).expect("group offload failed");
+                off.group_call(g).await;
+                off.group_wait(g).await.expect("group offload failed");
             }
         })
     };
@@ -146,7 +152,7 @@ fn group_cache_ablation_resends_packets() {
 
 #[test]
 fn group_alltoall_exchanges_blocks() {
-    run_offload(2, 2, OffloadConfig::proposed(), |off| {
+    run_offload(2, 2, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let p = off.size();
         let me = off.rank();
@@ -178,8 +184,8 @@ fn group_alltoall_exchanges_blocks() {
             off.group_recv(g, recvbuf.offset(src as u64 * block), block, src, me as u64);
         }
         off.group_end(g);
-        off.group_call(g);
-        off.group_wait(g).expect("group offload failed");
+        off.group_call(g).await;
+        off.group_wait(g).await.expect("group offload failed");
         // Local block copied by the app itself.
         for s in 0..p {
             if s == me {
@@ -201,7 +207,7 @@ fn group_alltoall_exchanges_blocks() {
 
 #[test]
 fn staging_group_ring_works() {
-    run_offload(3, 1, OffloadConfig::staging(), |off| {
+    run_offload(3, 1, OffloadConfig::staging(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 32 * 1024;
@@ -210,8 +216,8 @@ fn staging_group_ring_works() {
             fab.fill_pattern(ep, buf, len, 8).unwrap();
         }
         let g = record_ring(off, buf, len, 0);
-        off.group_call(g);
-        off.group_wait(g).expect("group offload failed");
+        off.group_call(g).await;
+        off.group_wait(g).await.expect("group offload failed");
         assert!(fab.verify_pattern(ep, buf, len, 8).unwrap());
     });
 }
@@ -220,7 +226,7 @@ fn staging_group_ring_works() {
 fn staging_group_repeated_calls_restage_data() {
     // Each generation ships fresh payload bytes through the staging
     // buffers: changing the source must change what arrives.
-    run_offload(2, 1, OffloadConfig::staging(), |off| {
+    run_offload(2, 1, OffloadConfig::staging(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 4096;
@@ -230,8 +236,8 @@ fn staging_group_repeated_calls_restage_data() {
             if off.rank() == 0 {
                 fab.fill_pattern(ep, buf, len, 100 + round).unwrap();
             }
-            off.group_call(g);
-            off.group_wait(g).expect("group offload failed");
+            off.group_call(g).await;
+            off.group_wait(g).await.expect("group offload failed");
             assert!(
                 fab.verify_pattern(ep, buf, len, 100 + round).unwrap(),
                 "round {round} payload"
@@ -246,7 +252,7 @@ fn barrier_orders_dependent_steps() {
     // filled from the received one... simplified: rank 1 forwards the same
     // buffer it received into; without the barrier the forward could race
     // the receive. With the barrier, rank 2 must see rank 0's data.
-    run_offload(3, 1, OffloadConfig::proposed(), |off| {
+    run_offload(3, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let len = 16 * 1024;
@@ -267,8 +273,8 @@ fn barrier_orders_dependent_steps() {
             _ => off.group_recv(g, buf, len, 1, 1),
         }
         off.group_end(g);
-        off.group_call(g);
-        off.group_wait(g).expect("group offload failed");
+        off.group_call(g).await;
+        off.group_wait(g).await.expect("group offload failed");
         if off.rank() == 2 {
             assert!(
                 fab.verify_pattern(ep, buf, len, 55).unwrap(),
@@ -280,7 +286,7 @@ fn barrier_orders_dependent_steps() {
 
 #[test]
 fn multiple_groups_coexist() {
-    run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let a = fab.alloc(ep, 1024);
@@ -291,10 +297,10 @@ fn multiple_groups_coexist() {
         }
         let g1 = record_ring(off, a, 1024, 0);
         let g2 = record_ring(off, b, 1024, 0);
-        off.group_call(g1);
-        off.group_call(g2);
-        off.group_wait(g1).expect("group offload failed");
-        off.group_wait(g2).expect("group offload failed");
+        off.group_call(g1).await;
+        off.group_call(g2).await;
+        off.group_wait(g1).await.expect("group offload failed");
+        off.group_wait(g2).await.expect("group offload failed");
         assert!(fab.verify_pattern(ep, a, 1024, 1).unwrap());
         assert!(fab.verify_pattern(ep, b, 1024, 2).unwrap());
     });
@@ -302,7 +308,7 @@ fn multiple_groups_coexist() {
 
 #[test]
 fn group_test_is_nonblocking() {
-    run_offload(2, 1, OffloadConfig::proposed(), |off| {
+    run_offload(2, 1, OffloadConfig::proposed(), async |off| {
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
         let buf = fab.alloc(ep, 256 * 1024);
@@ -310,11 +316,11 @@ fn group_test_is_nonblocking() {
             fab.fill_pattern(ep, buf, 256 * 1024, 9).unwrap();
         }
         let g = record_ring(off, buf, 256 * 1024, 0);
-        off.group_call(g);
+        off.group_call(g).await;
         // Poll until done, Listing-1 style but against group_test.
         let mut polls = 0;
         while !off.group_test(g) {
-            off.ctx().compute(SimDelta::from_us(20));
+            off.ctx().compute_async(SimDelta::from_us(20)).await;
             polls += 1;
             assert!(polls < 100_000, "group never completed");
         }

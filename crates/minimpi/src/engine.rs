@@ -409,7 +409,7 @@ impl Mpi {
     pub fn wait(&self, req: Req) {
         self.progress();
         while !self.st.borrow().reqs[req.0] {
-            let msg = self.chan.next_blocking(&self.ctx);
+            let msg = self.ctx.block_on(self.chan.next(&self.ctx));
             self.handle(msg);
             self.progress();
         }

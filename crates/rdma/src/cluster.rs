@@ -4,7 +4,9 @@
 //! boilerplate: a [`Simulation`], a [`Fabric`], one host process per rank,
 //! and optionally proxy processes on each DPU. [`ClusterBuilder`] wires
 //! that up and hands every process a [`ClusterCtx`] with the full roster.
-//! Host ranks are closures on threads; proxies are inline reactors (see
+//! Host ranks are closures on threads ([`ClusterBuilder::run`]) or
+//! futures ([`ClusterBuilder::run_async`], see
+//! [`simnet::Simulation::spawn_future`]); proxies are inline reactors (see
 //! [`simnet::Simulation::spawn_reactor`]) — a DPU worker polls and reacts,
 //! it never blocks mid-step, so it needs no thread of its own.
 //!
@@ -13,6 +15,7 @@
 //! and the payload-fault RNG under one lock. The sharded runtime runs the
 //! scale workloads (`workloads::scale_alltoall` / `scale_stencil`).
 
+use std::future::Future;
 use std::sync::{Arc, OnceLock};
 
 use simnet::{
@@ -109,6 +112,12 @@ impl ClusterCtx {
     }
 }
 
+/// The roster a process reads at its first activation, when `run` has
+/// long since set it.
+fn roster_of(roster: &OnceLock<ClusterCtx>) -> ClusterCtx {
+    roster.get().expect("roster set before run").clone()
+}
+
 /// Builds and runs a simulated cluster.
 pub struct ClusterBuilder {
     spec: ClusterSpec,
@@ -193,6 +202,51 @@ impl ClusterBuilder {
         H: Fn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
         P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
     {
+        let host_fn = Arc::new(host_fn);
+        self.launch(
+            move |sim, rank, roster| {
+                let host_fn = Arc::clone(&host_fn);
+                sim.spawn(format!("rank{rank}"), move |ctx| {
+                    host_fn(rank, ctx, roster_of(&roster));
+                })
+            },
+            proxy_fn,
+        )
+    }
+
+    /// [`run`](Self::run) with future host ranks: `host_fn(rank, ctx,
+    /// cluster)` returns the rank's body, which the scheduler polls on
+    /// the thread calling `run_async` (no OS thread per rank). The body
+    /// waits by awaiting `ctx`'s `*_async` waits.
+    pub fn run_async<H, F, P>(self, host_fn: H, proxy_fn: Option<P>) -> Result<Report, SimError>
+    where
+        H: Fn(usize, ProcessCtx, ClusterCtx) -> F + Send + Sync + 'static,
+        F: Future<Output = ()> + 'static,
+        P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
+    {
+        let host_fn = Arc::new(host_fn);
+        self.launch(
+            move |sim, rank, roster| {
+                let host_fn = Arc::clone(&host_fn);
+                sim.spawn_future(format!("rank{rank}"), move |ctx| {
+                    host_fn(rank, ctx, roster_of(&roster))
+                })
+            },
+            proxy_fn,
+        )
+    }
+
+    /// Build the simulation, spawn each host rank with `spawn_host(sim,
+    /// rank, roster)` and the proxies from `proxy_fn`, wire the fabric and
+    /// the roster, and run.
+    fn launch<P>(
+        self,
+        mut spawn_host: impl FnMut(&mut Simulation, usize, Arc<OnceLock<ClusterCtx>>) -> Pid,
+        proxy_fn: Option<P>,
+    ) -> Result<Report, SimError>
+    where
+        P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
+    {
         let mut sim = Simulation::new(self.seed);
         if self.trace {
             sim.enable_trace();
@@ -207,18 +261,10 @@ impl ClusterBuilder {
             sim.set_event_sink(sink);
         }
         let roster: Arc<OnceLock<ClusterCtx>> = Arc::new(OnceLock::new());
-        let host_fn = Arc::new(host_fn);
 
-        let mut host_pids = Vec::new();
-        for rank in 0..self.spec.world_size() {
-            let roster2 = Arc::clone(&roster);
-            let host_fn2 = Arc::clone(&host_fn);
-            let body = move |ctx| {
-                let cluster = roster2.get().expect("roster set before run").clone();
-                host_fn2(rank, ctx, cluster);
-            };
-            host_pids.push(sim.spawn(format!("rank{rank}"), body));
-        }
+        let host_pids: Vec<Pid> = (0..self.spec.world_size())
+            .map(|rank| spawn_host(&mut sim, rank, Arc::clone(&roster)))
+            .collect();
 
         let mut proxy_pids = vec![Vec::new(); self.spec.nodes];
         if let Some(proxy_fn) = proxy_fn {
@@ -227,10 +273,7 @@ impl ClusterBuilder {
                 for idx in 0..self.spec.proxies_per_dpu {
                     let roster2 = Arc::clone(&roster);
                     let proxy_fn2 = Arc::clone(&proxy_fn);
-                    let init = move |ctx| {
-                        let cluster = roster2.get().expect("roster set before run").clone();
-                        proxy_fn2(node, idx, ctx, cluster)
-                    };
+                    let init = move |ctx| proxy_fn2(node, idx, ctx, roster_of(&roster2));
                     node_pids.push(sim.spawn_reactor(format!("proxy{node}.{idx}"), init));
                 }
             }

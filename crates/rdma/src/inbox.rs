@@ -4,11 +4,11 @@
 //! protocol engines at once (e.g. the mini-MPI library *and* the offload
 //! framework in the same application rank). [`Inbox`] demultiplexes
 //! incoming [`NetMsg`]s into per-engine [`Channel`]s using registered
-//! predicates, so one engine's blocking wait never swallows another
-//! engine's completions.
+//! predicates, so one engine's wait never swallows another engine's
+//! completions.
 //!
-//! `Inbox` is process-local (it lives on the process thread and is not
-//! `Send`); create it inside the process closure.
+//! `Inbox` is process-local (it lives with the process body and is not
+//! `Send`); create it inside the process closure or future.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -113,15 +113,16 @@ impl Channel {
             .pop_front()
     }
 
-    /// Blocking: wait until this channel has a message. Messages for other
+    /// Wait until this channel has a message. Messages for other
     /// channels arriving in the meantime are queued for them, not lost.
-    pub fn next_blocking(&self, ctx: &ProcessCtx) -> NetMsg {
+    /// A thread-backed process runs it with `ctx.block_on`.
+    pub async fn next(&self, ctx: &ProcessCtx) -> NetMsg {
         loop {
             if let Some(m) = self.try_next(ctx) {
                 return m;
             }
-            // Block for one raw message and route it; it may be ours.
-            let p = ctx.recv();
+            // Wait for one raw message and route it; it may be ours.
+            let p = ctx.recv_async().await;
             self.inbox.route(p);
         }
     }
@@ -160,7 +161,7 @@ mod tests {
             let low = inbox.channel(|m| matches!(m, NetMsg::Cqe(c) if c.wrid < 100));
             let high = inbox.channel(|m| matches!(m, NetMsg::Cqe(c) if c.wrid >= 100));
             // Wait on `high` even though a `low` message arrives first.
-            let m = high.next_blocking(&ctx);
+            let m = ctx.block_on(high.next(&ctx));
             assert!(matches!(m, NetMsg::Cqe(Cqe { wrid: 150 })));
             // The low message was preserved.
             let m = low.try_next(&ctx).expect("low message kept");

@@ -1,14 +1,15 @@
 //! # simnet — deterministic discrete-event simulation engine
 //!
 //! `simnet` is the substrate under the whole repository: a sequential,
-//! bit-for-bit reproducible discrete-event simulator whose "processes" are
-//! ordinary Rust closures running on dedicated OS threads. A per-process
-//! baton guarantees that at most one thread executes at a time, so simulated
-//! code can use natural blocking control flow while the engine keeps a
-//! virtual clock in integer picoseconds. A process that only ever reacts to
-//! messages can instead be an inline [`Reactor`]
-//! ([`Simulation::spawn_reactor`]): no thread, called by the scheduler
-//! once per message.
+//! bit-for-bit reproducible discrete-event simulator with a virtual clock
+//! in integer picoseconds. A "process" comes in three kinds: an `async`
+//! body the scheduler polls on its own thread
+//! ([`Simulation::spawn_future`]); an ordinary Rust closure on a dedicated
+//! OS thread ([`Simulation::spawn`]), where a per-process baton guarantees
+//! that at most one thread executes at a time, so simulated code can use
+//! natural blocking control flow; or, for a process that only ever reacts
+//! to messages, an inline [`Reactor`] ([`Simulation::spawn_reactor`]): no
+//! thread, called by the scheduler once per message.
 //!
 //! The crates above this one model an HPC cluster: `rdma` adds verbs-style
 //! NICs, memory registration and GVMI keys; `minimpi` adds an MPI-like

@@ -1,32 +1,43 @@
 //! Simulated processes.
 //!
-//! A simulated process comes in two kinds. A **thread-backed** process is
-//! an OS thread running a user closure against a [`ProcessCtx`]. Execution
-//! is strictly sequential: every thread has a [`Baton`] to park on, and
-//! control moves by waking exactly one parked thread, so at any moment at
-//! most one thread of a loop is running. That makes the engine
-//! deterministic and lets user code use ordinary Rust control flow (loops,
-//! recursion, panics) instead of hand-written state machines.
+//! A simulated process comes in three kinds. All three have a pid, a
+//! name, a mailbox and a report entry, and all three are scheduled by the
+//! same loop (pop a ready process, else pop an event), which has an
+//! **owner**: the thread that called `run()`, or a shard's worker.
 //!
-//! The loop itself (pop a ready process, else pop an event) has an
-//! **owner** — the thread that called `run()`, or a shard's worker — but
-//! a process thread that blocks or exits takes the next step itself and
-//! wakes its successor directly ([`hand_off`]); the owner sleeps until a
-//! step needs it ([`drive`]).
+//! * A **thread-backed** process is an OS thread running a user closure
+//!   against a [`ProcessCtx`]. Execution is strictly sequential: every
+//!   thread has a [`Baton`] to park on, and control moves by waking
+//!   exactly one parked thread, so at any moment at most one thread of a
+//!   loop is running. A process thread that blocks or exits takes the
+//!   next step itself and wakes its successor directly ([`hand_off`]);
+//!   the owner sleeps until a step needs it ([`drive`]). The only kind
+//!   the sharded engine runs, and the kind for code that blocks in plain
+//!   calls (`minimpi`, the scale workloads).
+//! * A **future** process is an `async` body with no thread, stack or
+//!   baton: where a thread would be handed the baton, the owner polls it
+//!   instead, and it runs until its next `.await` on a [`ProcessCtx`]
+//!   wait (`recv_async`, `sleep_async`, `compute_async`, `yield_async`).
+//!   The kind for offload ranks, whose one wait is their next control
+//!   message. A thread's blocking calls are `block_on` of the same waits.
+//! * An **inline reactor** is a message handler with no thread, stack or
+//!   baton: the owner calls it once per mailbox message, and it runs to
+//!   completion every time — the fit for a poll-mode worker that only
+//!   ever reacts to messages (the DPU proxies).
 //!
-//! An **inline reactor** is a message handler with no thread, stack or
-//! baton: the loop's owner calls it on its own thread, once per mailbox
-//! message, and it runs to completion every time. It has a pid, a name, a
-//! mailbox and a report entry like any process, but it may never block —
-//! the fit for a poll-mode worker that only ever reacts to messages.
+//! A thread carrying the loop leaves a future's or a reactor's step to
+//! the owner ([`Step::Owner`]).
 //!
 //! [`ProcessCtx`]: crate::ProcessCtx
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::future::Future;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -89,12 +100,12 @@ pub enum BlockReason {
 pub enum ProcStatus {
     /// Eligible to run at the current instant.
     Ready,
-    /// Currently executing (a thread holding its baton, or a reactor
-    /// being called).
+    /// Currently executing (a thread holding its baton, a future being
+    /// polled, or a reactor being called).
     Running,
     /// Blocked; see the reason.
     Blocked(BlockReason),
-    /// The closure returned (or panicked).
+    /// The closure or future returned (or panicked).
     Finished,
 }
 
@@ -170,8 +181,11 @@ pub(crate) enum Step {
     /// A reactor activation (slot key, body). Only the owner is ever
     /// handed one, so handlers always run on the owner's thread.
     Reactor(u32, ReactorBody),
-    /// Only the owner can go on: a reactor is next, the window or the run
-    /// is over, or an error or a panic is pending.
+    /// Poll the future process at slot key, building it first from the
+    /// init closure on its first activation. Owner only, like a reactor.
+    Poll(u32, Option<FutureInit>),
+    /// Only the owner can go on: a reactor or a future is next, the
+    /// window or the run is over, or an error or a panic is pending.
     Owner,
 }
 
@@ -208,8 +222,8 @@ impl LoopState<'_> {
 
     /// The loop's next step, taken by whichever thread has control: the
     /// first ready process, else events until one readies a process. Only
-    /// the `owner` pops a reactor; a process thread leaves it queued and
-    /// says [`Step::Owner`].
+    /// the `owner` pops a reactor or a future; a process thread leaves it
+    /// queued and says [`Step::Owner`].
     pub(crate) fn step(self, owner: bool) -> Step {
         if self.panicked || self.error.is_some() {
             return Step::Owner;
@@ -227,10 +241,11 @@ impl LoopState<'_> {
                 debug_assert_eq!(slot.status, ProcStatus::Ready);
                 let next = match &mut slot.kind {
                     ProcKind::Thread { baton, .. } => Step::Process(Arc::clone(baton)),
-                    ProcKind::Reactor(_) if !owner => return Step::Owner,
+                    ProcKind::Reactor(_) | ProcKind::Future(_) if !owner => return Step::Owner,
                     ProcKind::Reactor(body) => {
                         Step::Reactor(key, body.take().expect("a ready reactor has its body"))
                     }
+                    ProcKind::Future(init) => Step::Poll(key, init.take()),
                 };
                 slot.status = ProcStatus::Running;
                 self.ready.pop_front();
@@ -283,22 +298,19 @@ impl LoopState<'_> {
     }
 }
 
-/// The loop owner's side: take steps until one says [`Step::Owner`].
-/// While thread-backed processes follow each other the owner stays
-/// parked — they pass control among themselves (see [`hand_off`]).
-pub(crate) fn drive(
-    owner: &Baton,
-    mut step: impl FnMut() -> Step,
-    mut react: impl FnMut(u32, ReactorBody),
-) {
+/// The loop owner's side: take steps until one says [`Step::Owner`],
+/// running reactor and future steps itself (`inline`). While
+/// thread-backed processes follow each other the owner stays parked —
+/// they pass control among themselves (see [`hand_off`]).
+pub(crate) fn drive(owner: &Baton, mut step: impl FnMut() -> Step, mut inline: impl FnMut(Step)) {
     loop {
         match step() {
             Step::Process(next) => {
                 next.wake();
                 owner.park();
             }
-            Step::Reactor(key, body) => react(key, body),
             Step::Owner => return,
+            next => inline(next),
         }
     }
 }
@@ -313,7 +325,7 @@ pub(crate) fn hand_off(me: Option<&Baton>, owner: &Baton, next: Step) {
         Step::Process(next) if me.is_some_and(|me| std::ptr::eq(me, &*next)) => return,
         Step::Process(next) => next.wake(),
         Step::Owner => owner.wake(),
-        Step::Reactor(..) => unreachable!("a reactor was handed to a process thread"),
+        Step::Reactor(..) | Step::Poll(..) => unreachable!("an owner's step went to a thread"),
     }
     if let Some(me) = me {
         me.park();
@@ -373,12 +385,58 @@ pub(crate) fn drive_reactor(
     .map_err(|payload| panic_message(&*payload))
 }
 
+/// A started future process's body. Not `Send`, so never in the shared
+/// process slot: the loop's owner keeps it in its [`Futures`].
+pub(crate) type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A future process before its first poll: the `Send` closure (its
+/// `ProcessCtx` already bound) that builds the body on the owner's thread.
+pub(crate) type FutureInit = Box<dyn FnOnce() -> LocalFuture + Send>;
+
+/// Started future bodies by slot key, owned by the thread running the
+/// loop and dropped when the run ends.
+#[derive(Default)]
+pub(crate) struct Futures(Vec<Option<LocalFuture>>);
+
+impl Futures {
+    /// Poll the future at slot `key` once, building it from `init` first
+    /// on its first activation. `Ready(Err)` carries its panic message. A
+    /// body that returned or panicked is dropped here, before the caller
+    /// marks the slot finished — as a thread's locals are gone before it
+    /// exits.
+    pub(crate) fn poll(&mut self, key: u32, init: Option<FutureInit>) -> Poll<Result<(), String>> {
+        let i = key as usize;
+        if self.0.len() <= i {
+            self.0.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.0[i];
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            let body = match init {
+                Some(init) => slot.insert(init()),
+                None => slot
+                    .as_mut()
+                    .expect("a started future process keeps its body"),
+            };
+            body.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+        }));
+        if let Ok(Poll::Pending) = polled {
+            return Poll::Pending;
+        }
+        drop(slot.take());
+        Poll::Ready(polled.map(drop).map_err(|payload| panic_message(&*payload)))
+    }
+}
+
 /// What a run that is over, however it ended, still has lying about: the
-/// bodies of reactors left waiting, and process threads to be joined.
+/// bodies of reactors and future processes left waiting, and process
+/// threads to be joined.
 pub(crate) struct Leftovers {
     /// A handler holds a `ProcessCtx`, which points back at the state
     /// that owns its slot: unless dropped here, neither is ever freed.
     reactors: Vec<ReactorBody>,
+    /// Future processes never polled: their init closures hold a
+    /// `ProcessCtx` just the same.
+    futures: Vec<FutureInit>,
     /// Each with its baton if the process never finished: that thread is
     /// parked, and must be cancelled to end.
     threads: Vec<(Option<Arc<Baton>>, std::thread::JoinHandle<()>)>,
@@ -390,6 +448,7 @@ pub(crate) struct Leftovers {
 pub(crate) fn take_leftovers(slots: &mut [ProcSlot]) -> Leftovers {
     let mut left = Leftovers {
         reactors: Vec::new(),
+        futures: Vec::new(),
         threads: Vec::new(),
     };
     for slot in slots {
@@ -402,16 +461,18 @@ pub(crate) fn take_leftovers(slots: &mut [ProcSlot]) -> Leftovers {
                 }
             }
             ProcKind::Reactor(body) => left.reactors.extend(body.take()),
+            ProcKind::Future(init) => left.futures.extend(init.take()),
         }
     }
     left
 }
 
 impl Leftovers {
-    /// Drop the handlers, cancel the threads still parked and join them
-    /// all, one at a time: nothing outlives `run()`.
+    /// Drop the handlers and unstarted futures, cancel the threads still
+    /// parked and join them all, one at a time: nothing outlives `run()`.
     pub(crate) fn release(self) {
         drop(self.reactors);
+        drop(self.futures);
         for (cancel, handle) in self.threads {
             if let Some(baton) = cancel {
                 baton.post(Signal::Cancel);
@@ -431,6 +492,9 @@ pub(crate) enum ProcKind {
     /// An inline reactor. `None` while an activation has the body out,
     /// and for good once the reactor has finished.
     Reactor(Option<ReactorBody>),
+    /// A future process: its init closure until the first poll takes it
+    /// (the body itself is in the owner's [`Futures`]).
+    Future(Option<FutureInit>),
 }
 
 /// Scheduler-side bookkeeping for one process.

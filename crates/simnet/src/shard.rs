@@ -56,6 +56,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock, RwLock};
+use std::task::Poll;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -392,7 +393,7 @@ where
             idx,
         },
         pid,
-        baton: Some(Arc::clone(&baton)),
+        baton: Ok(Arc::clone(&baton)),
         stack_size,
     };
     let tcell = Arc::clone(&cell);
@@ -922,7 +923,7 @@ fn run_window_inner(cell: &ShardCell, w_end: SimTime) {
     drive(
         &cell.owner,
         || step(cell, true),
-        |_, _| unreachable!("a shard holds no inline reactor"),
+        |_| unreachable!("a shard holds no reactor or future process"),
     );
 }
 
@@ -959,7 +960,7 @@ fn step(cell: &ShardCell, owner: bool) -> Step {
 
 /// A process thread whose process has just blocked (`me`) or exited
 /// (`None`) carries its shard's loop on from here.
-fn carry(cell: &ShardCell, me: Option<&Baton>) {
+pub(crate) fn carry(cell: &ShardCell, me: Option<&Baton>) {
     hand_off(me, &cell.owner, step(cell, false));
 }
 
@@ -972,48 +973,39 @@ pub(crate) fn ctx_name(cell: &ShardCell, idx: u32) -> String {
     cell.state.lock().slots[idx as usize].name.clone()
 }
 
-pub(crate) fn ctx_block_for(
-    cell: &ShardCell,
-    baton: &Baton,
-    idx: u32,
-    pid: Pid,
-    d: SimDelta,
-    is_compute: bool,
-) {
-    {
-        let mut st = cell.state.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue
-            .push_keyed(cell.clock.get() + d, cell.id, seq, EventKind::Wake(pid));
-        let slot = &mut st.slots[idx as usize];
-        slot.status = ProcStatus::Blocked(BlockReason::Sleep);
-        if is_compute {
-            slot.compute_time += d;
-        }
+/// Arm a sleep (or compute) of `d`: the wake-up event and the blocked
+/// status. The caller parks ([`carry`]).
+pub(crate) fn ctx_arm_wake(cell: &ShardCell, idx: u32, pid: Pid, d: SimDelta, is_compute: bool) {
+    let mut st = cell.state.lock();
+    let seq = st.next_seq;
+    st.next_seq += 1;
+    st.queue
+        .push_keyed(cell.clock.get() + d, cell.id, seq, EventKind::Wake(pid));
+    let slot = &mut st.slots[idx as usize];
+    slot.status = ProcStatus::Blocked(BlockReason::Sleep);
+    if is_compute {
+        slot.compute_time += d;
     }
-    carry(cell, Some(baton));
 }
 
-pub(crate) fn ctx_yield(cell: &ShardCell, baton: &Baton, idx: u32) {
-    {
-        let mut st = cell.state.lock();
-        st.slots[idx as usize].status = ProcStatus::Ready;
-        st.ready.push_back(idx);
-    }
-    carry(cell, Some(baton));
+/// Put a yielding process back at the end of the ready queue.
+pub(crate) fn ctx_ready_again(cell: &ShardCell, idx: u32) {
+    let mut st = cell.state.lock();
+    st.slots[idx as usize].status = ProcStatus::Ready;
+    st.ready.push_back(idx);
 }
 
-pub(crate) fn ctx_recv(cell: &ShardCell, baton: &Baton, idx: u32) -> Payload {
-    loop {
-        {
-            let mut st = cell.state.lock();
-            if let Some(msg) = st.slots[idx as usize].mailbox.pop_front() {
-                return msg;
-            }
-            st.slots[idx as usize].status = ProcStatus::Blocked(BlockReason::WaitMessage);
+/// The next mailbox message, or `Pending` with the process blocked on
+/// its mailbox.
+pub(crate) fn ctx_poll_recv(cell: &ShardCell, idx: u32) -> Poll<Payload> {
+    let mut st = cell.state.lock();
+    let slot = &mut st.slots[idx as usize];
+    match slot.mailbox.pop_front() {
+        Some(msg) => Poll::Ready(msg),
+        None => {
+            slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
+            Poll::Pending
         }
-        carry(cell, Some(baton));
     }
 }
 

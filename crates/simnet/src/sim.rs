@@ -5,12 +5,13 @@
 //!
 //! At most one thread runs at a time: the loop's owner (the caller of
 //! [`Simulation::run`]) or exactly one process thread. Control is handed
-//! over through per-thread batons; an inline reactor
-//! ([`Simulation::spawn_reactor`]) has no thread and is simply called by
-//! the owner. The loop:
+//! over through per-thread batons; a future process
+//! ([`Simulation::spawn_future`]) and an inline reactor
+//! ([`Simulation::spawn_reactor`]) have no thread: the owner polls or
+//! calls them. The loop:
 //!
-//! 1. runs every `Ready` process until it blocks (a reactor: until its
-//!    mailbox is empty),
+//! 1. runs every `Ready` process until it blocks (a future: until it is
+//!    pending; a reactor: until its mailbox is empty),
 //! 2. pops the earliest pending event, advances the clock, and handles it
 //!    (which may make processes `Ready` again),
 //! 3. repeats until no events remain.
@@ -27,22 +28,27 @@
 //!
 //! Simulated code often shares state through an `Arc<Mutex<World>>`. Never
 //! hold such a lock across a blocking [`ProcessCtx`] call (`sleep`,
-//! `compute`, `recv`, `yield_now`): the next process to run would block on
-//! the mutex while the scheduler waits for it to yield, wedging the whole
-//! simulation (a real deadlock of OS threads, not a simulated one).
+//! `compute`, `recv`, `yield_now`, `block_on`) or an `.await`: the next
+//! process to run would block on the mutex while the scheduler waits for
+//! it to yield, wedging the whole simulation (a real deadlock of OS
+//! threads, not a simulated one).
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::future::{poll_fn, Future};
+use std::pin::pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::{Context, Poll, Waker};
 
 use parking_lot::Mutex;
 
 use crate::emit::{EmitBuffer, EventSink};
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
-    drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, LoopState,
-    Payload, Pid, ProcKind, ProcSlot, ProcStatus, Reactor, ReactorBody, Step,
+    drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, FutureInit,
+    Futures, LocalFuture, LoopState, Payload, Pid, ProcKind, ProcSlot, ProcStatus, Reactor,
+    ReactorBody, Step,
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
@@ -279,8 +285,10 @@ pub(crate) enum Route {
 pub struct ProcessCtx {
     pub(crate) route: Route,
     pub(crate) pid: Pid,
-    /// `None` for an inline reactor, which has no thread to park.
-    pub(crate) baton: Option<Arc<Baton>>,
+    /// The baton a thread-backed process parks on; for a future process
+    /// or an inline reactor, which run on the loop owner's thread and
+    /// have none, the name of their kind.
+    pub(crate) baton: Result<Arc<Baton>, &'static str>,
     pub(crate) stack_size: usize,
 }
 
@@ -405,7 +413,38 @@ impl Simulation {
         if self.sharded.is_some() {
             sharded_refuses("Simulation::spawn_reactor");
         }
-        spawn_reactor_process(&self.inner, self.stack_size, name.into(), init)
+        spawn_inline(
+            &self.inner,
+            self.stack_size,
+            name.into(),
+            "inline reactor",
+            |ctx| ProcKind::Reactor(Some(ReactorBody::Init(Box::new(move || init(ctx))))),
+        )
+    }
+
+    /// Spawn a **future process**: a pid, a name, a mailbox and a
+    /// [`ProcReport`] entry like any other, but no thread. `f` runs at the
+    /// first activation, on [`run`](Self::run)'s thread, and returns the
+    /// (not necessarily `Send`) body, which the scheduler then polls
+    /// wherever it would hand a thread the baton. The body waits only by
+    /// awaiting the `ProcessCtx` `*_async` waits (pending on anything
+    /// else is reported as a panic of the process); the blocking calls
+    /// panic. Classic loop only: a sharded simulation refuses it.
+    pub fn spawn_future<I, F>(&mut self, name: impl Into<String>, f: I) -> Pid
+    where
+        I: FnOnce(ProcessCtx) -> F + Send + 'static,
+        F: Future<Output = ()> + 'static,
+    {
+        if self.sharded.is_some() {
+            sharded_refuses("Simulation::spawn_future");
+        }
+        spawn_inline(
+            &self.inner,
+            self.stack_size,
+            name.into(),
+            "future process",
+            |ctx| ProcKind::Future(Some(Box::new(move || Box::pin(f(ctx)) as LocalFuture))),
+        )
     }
 
     /// The sharded runtime, switching the simulation over to it on first
@@ -506,15 +545,22 @@ impl Simulation {
             // `run` consumes the simulation: this is the only seal.
             let _ = inner.sink.set(sink);
         }
+        let mut futures = Futures::default();
         drive(
             &inner.owner,
             || step(&inner, true),
-            |key, body| run_reactor(&inner, key, body),
+            |next| match next {
+                Step::Reactor(key, body) => run_reactor(&inner, key, body),
+                Step::Poll(key, init) => poll_future(&inner, &mut futures, key, init),
+                Step::Process(_) | Step::Owner => unreachable!("drive runs these itself"),
+            },
         );
         // The run is over, however it ended: free what still-waiting
-        // reactors hold, and let no thread outlive it. Then the sink gets
-        // what is still buffered, before any error or panic surfaces.
+        // reactors and futures hold, and let no thread outlive it. Then
+        // the sink gets what is still buffered, before any error or panic
+        // surfaces.
         let left = take_leftovers(&mut inner.state.lock().procs);
+        drop(futures);
         left.release();
         flush_emits(&inner);
         let mut st = inner.state.lock();
@@ -617,6 +663,28 @@ fn run_reactor(inner: &SimInner, key: u32, body: ReactorBody) {
     }
 }
 
+/// Poll the future process at slot `key`, on the owner's thread. A body
+/// left pending must have set its process's status through a
+/// `ProcessCtx` wait; one that returned or panicked finishes the
+/// process.
+fn poll_future(inner: &SimInner, futures: &mut Futures, key: u32, init: Option<FutureInit>) {
+    let i = key as usize;
+    let panic = match futures.poll(key, init) {
+        Poll::Pending if inner.state.lock().procs[i].status != ProcStatus::Running => return,
+        Poll::Pending => Some(
+            "its future is pending on something other than a ProcessCtx wait \
+             (recv_async, sleep_async, compute_async, yield_async)"
+                .to_string(),
+        ),
+        Poll::Ready(end) => end.err(),
+    };
+    let now = inner.clock.get();
+    let mut st = inner.state.lock();
+    if let Some(msg) = st.procs[i].exited(now, panic) {
+        st.fatal = Some(msg);
+    }
+}
+
 fn spawn_process<F>(inner: &Arc<SimInner>, stack_size: usize, name: String, f: F) -> Pid
 where
     F: FnOnce(ProcessCtx) + Send + 'static,
@@ -636,7 +704,7 @@ where
     let ctx = ProcessCtx {
         route: Route::Classic(Arc::clone(inner)),
         pid,
-        baton: Some(Arc::clone(&baton)),
+        baton: Ok(Arc::clone(&baton)),
         stack_size,
     };
     let tinner = Arc::clone(inner);
@@ -665,21 +733,24 @@ where
     pid
 }
 
-fn spawn_reactor_process<I>(inner: &Arc<SimInner>, stack_size: usize, name: String, init: I) -> Pid
-where
-    I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
-{
+/// Spawn a process the loop's owner runs itself (a reactor or a future,
+/// by `kind`), with a context whose blocking calls name that kind.
+fn spawn_inline(
+    inner: &Arc<SimInner>,
+    stack_size: usize,
+    name: String,
+    kind: &'static str,
+    body: impl FnOnce(ProcessCtx) -> ProcKind,
+) -> Pid {
     let mut st = inner.state.lock();
     let pid = Pid(st.procs.len() as u32);
     let ctx = ProcessCtx {
         route: Route::Classic(Arc::clone(inner)),
         pid,
-        baton: None,
+        baton: Err(kind),
         stack_size,
     };
-    let body = ReactorBody::Init(Box::new(move || init(ctx)));
-    st.procs
-        .push(ProcSlot::new(name, ProcKind::Reactor(Some(body))));
+    st.procs.push(ProcSlot::new(name, body(ctx)));
     st.ready.push_back(pid.0);
     pid
 }
@@ -736,54 +807,13 @@ impl ProcessCtx {
 
     /// Block for `d` of virtual time.
     pub fn sleep(&self, d: SimDelta) {
-        self.block_for(d, false);
+        self.blocking("sleep", self.sleep_async(d));
     }
 
     /// Model computation for `d`: identical to [`sleep`](Self::sleep) but
     /// accounted in the process's `compute_time` (used by overlap metrics).
     pub fn compute(&self, d: SimDelta) {
-        self.block_for(d, true);
-    }
-
-    /// The baton a blocking call parks this process's thread on. A
-    /// reactor has neither, so `call` is a bug in it: panic before any
-    /// state is touched.
-    fn thread_baton(&self, call: &str) -> &Baton {
-        self.baton.as_deref().unwrap_or_else(|| {
-            panic!(
-                "blocking ProcessCtx::{call} called from inline reactor '{}': a reactor \
-                 runs to completion on the scheduler's thread and has no thread to park",
-                self.name()
-            )
-        })
-    }
-
-    fn block_for(&self, d: SimDelta, is_compute: bool) {
-        let baton = self.thread_baton(if is_compute { "compute" } else { "sleep" });
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, idx, .. } => {
-                shard::ctx_block_for(cell, baton, *idx, self.pid, d, is_compute);
-                return;
-            }
-        };
-        let start = inner.clock.get();
-        {
-            let mut st = inner.state.lock();
-            st.queue.push(start + d, EventKind::Wake(self.pid));
-            let slot = &mut st.procs[self.pid.index()];
-            slot.status = ProcStatus::Blocked(BlockReason::Sleep);
-            if is_compute {
-                slot.compute_time += d;
-            }
-        }
-        carry(inner, Some(baton));
-        if is_compute && self.traced().is_some() {
-            let end = inner.clock.get();
-            if let Some(trace) = inner.state.lock().trace.as_mut() {
-                trace.push_span(start, end, self.pid, "compute".into(), "compute".into());
-            }
-        }
+        self.blocking("compute", self.compute_async(d));
     }
 
     /// Let every other ready process and same-instant event run, then
@@ -791,41 +821,136 @@ impl ProcessCtx {
     /// other" means this shard's processes; other shards run their own
     /// schedules.)
     pub fn yield_now(&self) {
-        let baton = self.thread_baton("yield_now");
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, idx, .. } => {
-                shard::ctx_yield(cell, baton, *idx);
-                return;
-            }
-        };
-        {
-            let mut st = inner.state.lock();
-            let pid = self.pid;
-            st.procs[pid.index()].status = ProcStatus::Ready;
-            st.ready.push_back(pid.0);
-        }
-        carry(inner, Some(baton));
+        self.blocking("yield_now", self.yield_async());
     }
 
     /// Blocking receive: the next mailbox message, waiting if necessary.
     pub fn recv(&self) -> Payload {
-        let baton = self.thread_baton("recv");
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { cell, idx, .. } => {
-                return shard::ctx_recv(cell, baton, *idx);
+        self.blocking("recv", self.recv_async())
+    }
+
+    /// Run `fut` to completion on this process's thread: poll it, and
+    /// each time it is pending (it awaited one of this context's waits),
+    /// park until the process is ready again. The bridge from
+    /// thread-backed code to an `async` API; a future process awaits
+    /// instead, and calling this from one (or from a reactor) panics.
+    pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
+        self.blocking("block_on", fut)
+    }
+
+    /// [`sleep`](Self::sleep), for a future process: the wait is armed at
+    /// the first poll and completes `d` later.
+    pub fn sleep_async(&self, d: SimDelta) -> impl Future<Output = ()> + '_ {
+        self.wait_for(d, false)
+    }
+
+    /// [`compute`](Self::compute), for a future process.
+    pub fn compute_async(&self, d: SimDelta) -> impl Future<Output = ()> + '_ {
+        self.wait_for(d, true)
+    }
+
+    /// [`yield_now`](Self::yield_now), for a future process.
+    pub fn yield_async(&self) -> impl Future<Output = ()> + '_ {
+        let mut yielded = false;
+        poll_fn(move |_| {
+            if yielded {
+                return Poll::Ready(());
             }
-        };
-        loop {
-            {
-                let mut st = inner.state.lock();
-                if let Some(msg) = st.procs[self.pid.index()].mailbox.pop_front() {
-                    return msg;
+            yielded = true;
+            match &self.route {
+                Route::Classic(inner) => {
+                    let mut st = inner.state.lock();
+                    st.procs[self.pid.index()].status = ProcStatus::Ready;
+                    st.ready.push_back(self.pid.0);
                 }
-                st.procs[self.pid.index()].status = ProcStatus::Blocked(BlockReason::WaitMessage);
+                Route::Sharded { cell, idx, .. } => shard::ctx_ready_again(cell, *idx),
             }
-            carry(inner, Some(baton));
+            Poll::Pending
+        })
+    }
+
+    /// [`recv`](Self::recv), for a future process: the next mailbox
+    /// message.
+    pub fn recv_async(&self) -> impl Future<Output = Payload> + '_ {
+        poll_fn(move |_| match &self.route {
+            Route::Classic(inner) => {
+                let mut st = inner.state.lock();
+                let slot = &mut st.procs[self.pid.index()];
+                match slot.mailbox.pop_front() {
+                    Some(msg) => Poll::Ready(msg),
+                    None => {
+                        slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
+                        Poll::Pending
+                    }
+                }
+            }
+            Route::Sharded { cell, idx, .. } => shard::ctx_poll_recv(cell, *idx),
+        })
+    }
+
+    /// Sleep or compute for `d`: the first poll schedules the wake-up
+    /// (and books compute time), the poll it readies completes.
+    fn wait_for(&self, d: SimDelta, is_compute: bool) -> impl Future<Output = ()> + '_ {
+        let mut start = None;
+        poll_fn(move |_| {
+            let Some(start) = start else {
+                let now = self.now();
+                start = Some(now);
+                match &self.route {
+                    Route::Classic(inner) => {
+                        let mut st = inner.state.lock();
+                        st.queue.push(now + d, EventKind::Wake(self.pid));
+                        let slot = &mut st.procs[self.pid.index()];
+                        slot.status = ProcStatus::Blocked(BlockReason::Sleep);
+                        if is_compute {
+                            slot.compute_time += d;
+                        }
+                    }
+                    Route::Sharded { cell, idx, .. } => {
+                        shard::ctx_arm_wake(cell, *idx, self.pid, d, is_compute)
+                    }
+                }
+                return Poll::Pending;
+            };
+            if let Some(inner) = self.traced().filter(|_| is_compute) {
+                let end = inner.clock.get();
+                if let Some(trace) = inner.state.lock().trace.as_mut() {
+                    trace.push_span(start, end, self.pid, "compute".into(), "compute".into());
+                }
+            }
+            Poll::Ready(())
+        })
+    }
+
+    /// The one check every blocking call makes before it touches any
+    /// state: only a thread has somewhere to park. Then poll `fut`,
+    /// parking the thread — and carrying the loop on — each time it is
+    /// pending.
+    fn blocking<F: Future>(&self, call: &str, fut: F) -> F::Output {
+        let baton = self.baton.as_ref().unwrap_or_else(|kind| {
+            panic!(
+                "blocking ProcessCtx::{call} called from {kind} '{}': it runs on the \
+                 scheduler's thread and has no thread to park",
+                self.name()
+            )
+        });
+        let mut fut = pin!(fut);
+        let mut cx = Context::from_waker(Waker::noop());
+        loop {
+            if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
+                return out;
+            }
+            match &self.route {
+                Route::Classic(inner) => {
+                    debug_assert_ne!(
+                        inner.state.lock().procs[self.pid.index()].status,
+                        ProcStatus::Running,
+                        "ProcessCtx::{call}: pending on something other than a ProcessCtx wait"
+                    );
+                    carry(inner, Some(baton));
+                }
+                Route::Sharded { cell, .. } => shard::carry(cell, Some(baton)),
+            }
         }
     }
 

@@ -253,10 +253,14 @@ fn sharded_dynamic_spawn_is_rejected() {
 #[test]
 fn the_sharded_engine_refuses_what_only_the_classic_loop_has() {
     type Build = fn(Simulation);
-    let cases: [(&str, Build); 4] = [
+    let cases: [(&str, Build); 5] = [
         ("Simulation::spawn_reactor", |mut sim| {
             sim.spawn_on(0, "p", |_| {});
             sim.spawn_reactor("r", |_| None);
+        }),
+        ("Simulation::spawn_future", |mut sim| {
+            sim.spawn_on(0, "p", |_| {});
+            sim.spawn_future("f", async |_| {});
         }),
         ("Simulation::create_resource", |mut sim| {
             sim.spawn_on(0, "p", |_| {});

@@ -50,7 +50,7 @@ impl<'a> A2aDriver<'a> {
     fn start(&self) -> A2aReq {
         if let Some(off) = &self.h.off {
             let g = self.group.expect("group recorded");
-            off.group_call(g);
+            off.ctx().block_on(off.group_call(g));
             A2aReq::Proposed(g)
         } else if let Some(blues) = &self.h.blues {
             A2aReq::Blues(blues.ialltoall(self.sendbuf, self.recvbuf, self.block))
@@ -63,13 +63,12 @@ impl<'a> A2aDriver<'a> {
         match r {
             A2aReq::Intel(r) => self.h.mpi.wait(r),
             A2aReq::Blues(r) => self.h.blues.as_ref().expect("blues").wait(r),
-            A2aReq::Proposed(g) => self
-                .h
-                .off
-                .as_ref()
-                .expect("off")
-                .group_wait(g)
-                .expect("group offload failed"),
+            A2aReq::Proposed(g) => {
+                let off = self.h.off.as_ref().expect("off");
+                off.ctx()
+                    .block_on(off.group_wait(g))
+                    .expect("group offload failed")
+            }
         }
     }
 }
@@ -192,8 +191,10 @@ pub fn scatter_dest_time(
         };
         let one_round = || match group {
             Some(g) => {
-                off.group_call(g);
-                off.group_wait(g).expect("group offload failed");
+                off.ctx().block_on(off.group_call(g));
+                off.ctx()
+                    .block_on(off.group_wait(g))
+                    .expect("group offload failed");
             }
             None => {
                 let mut reqs = Vec::with_capacity(2 * (p - 1));
@@ -213,7 +214,7 @@ pub fn scatter_dest_time(
                         me as u64,
                     ));
                 }
-                off.wait_all(&reqs);
+                off.ctx().block_on(off.wait_all(&reqs));
             }
         };
         for _ in 0..warmup {
@@ -313,8 +314,10 @@ pub fn iallgather_overlap(
         let run_once = |h: &Harness| {
             if let Some(g) = group {
                 let off = h.off.as_ref().expect("proposed");
-                off.group_call(g);
-                off.group_wait(g).expect("group offload failed");
+                off.ctx().block_on(off.group_call(g));
+                off.ctx()
+                    .block_on(off.group_wait(g))
+                    .expect("group offload failed");
             } else if let Some(blues) = &h.blues {
                 let r = blues.iallgather(buf, block);
                 blues.wait(r);
@@ -341,9 +344,11 @@ pub fn iallgather_overlap(
             let t0 = h.ctx().now();
             if let Some(g) = group {
                 let off = h.off.as_ref().expect("proposed");
-                off.group_call(g);
+                off.ctx().block_on(off.group_call(g));
                 h.ctx().compute(compute);
-                off.group_wait(g).expect("group offload failed");
+                off.ctx()
+                    .block_on(off.group_wait(g))
+                    .expect("group offload failed");
             } else if let Some(blues) = &h.blues {
                 let r = blues.iallgather(buf, block);
                 h.ctx().compute(compute);

@@ -9,6 +9,9 @@
 //!   jitter, proxy count, time limit — plus an [`EventSink`] that
 //!   receives the engine's structured [`offload::ProtoEvent`] stream.
 
+use std::ops::AsyncFn;
+use std::sync::Arc;
+
 use offload::{Offload, OffloadConfig, OffloadError, TenantId};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 use simnet::{EventSink, Report, SimDelta, SimError, SimTime};
@@ -90,19 +93,25 @@ impl CheckRun {
     }
 
     /// Run `body` on every rank with an [`Offload`] engine attached and
-    /// proxies running, returning the simulation's verdict.
+    /// proxies running, returning the simulation's verdict. Ranks are
+    /// future processes: the whole run, proxies included, is polled on
+    /// the calling thread.
     pub fn run_offload(
         &self,
-        body: impl Fn(&Offload) + Send + Sync + 'static,
+        body: impl AsyncFn(&Offload) + Send + Sync + 'static,
     ) -> Result<Report, SimError> {
         let cfg = self.cfg.clone();
         let proxy_cfg = cfg.clone();
-        self.builder().run(
+        let body = Arc::new(body);
+        self.builder().run_async(
             move |rank, ctx, cluster| {
-                let inbox = Inbox::new();
-                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
-                body(&off);
-                off.finalize();
+                let (cfg, body) = (cfg.clone(), Arc::clone(&body));
+                offload::profile::balanced(async move {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
+                    body(&off).await;
+                    off.finalize().await;
+                })
             },
             Some(offload::proxy_fn(proxy_cfg)),
         )
@@ -114,7 +123,7 @@ impl CheckRun {
 /// iterations. Exercises RTS/RTR matching, cross-registration, the GVMI
 /// caches and FIN delivery on both intra- and inter-node paths.
 pub fn drive_stencil(run: &CheckRun, face_bytes: u64, rounds: u64) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let p = off.size();
         if p < 2 {
             return;
@@ -138,8 +147,8 @@ pub fn drive_stencil(run: &CheckRun, face_bytes: u64, rounds: u64) -> Result<Rep
                 off.recv_offload(rbuf_l, face_bytes, left, t_right),
                 off.recv_offload(rbuf_r, face_bytes, right, t_left),
             ];
-            off.ctx().compute(SimDelta::from_us(5));
-            off.wait_all(&reqs);
+            off.ctx().compute_async(SimDelta::from_us(5)).await;
+            off.wait_all(&reqs).await;
         }
     })
 }
@@ -161,7 +170,7 @@ pub fn drive_verified_stencil(
         run.move_bytes,
         "drive_verified_stencil needs move_bytes: timing-only runs carry no payloads"
     );
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let p = off.size();
         if p < 2 {
             return;
@@ -191,8 +200,8 @@ pub fn drive_verified_stencil(
                 off.recv_offload(rbuf_l, face_bytes, left, t_right),
                 off.recv_offload(rbuf_r, face_bytes, right, t_left),
             ];
-            off.ctx().compute(SimDelta::from_us(5));
-            off.wait_all(&reqs);
+            off.ctx().compute_async(SimDelta::from_us(5)).await;
+            off.wait_all(&reqs).await;
             // My left neighbour sent its "right" face; my right
             // neighbour sent its "left" face.
             let ok_l = fab
@@ -243,7 +252,7 @@ pub fn drive_tenant_flood(
     tenant: TenantId,
 ) -> Result<Report, SimError> {
     let cfg = run.cfg.clone();
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let ring = tenant_ring(&cfg, off.size(), tenant);
         if ring.len() < 2 || off.tenant() != tenant {
             return;
@@ -272,8 +281,8 @@ pub fn drive_tenant_flood(
             reqs.push(off.send_offload(sbuf, bytes, right, tag));
             reqs.push(off.recv_offload(rbuf, bytes, left, tag));
         }
-        off.ctx().compute(SimDelta::from_us(5));
-        off.wait_all(&reqs);
+        off.ctx().compute_async(SimDelta::from_us(5)).await;
+        off.wait_all(&reqs).await;
     })
 }
 
@@ -297,7 +306,7 @@ pub fn drive_noisy_neighbor(
         "drive_noisy_neighbor needs a multi-tenant roster (tenant 0 victim, tenant 1 aggressor)"
     );
     let cfg = run.cfg.clone();
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let t = off.tenant();
         let ring = tenant_ring(&cfg, off.size(), t);
         if ring.len() < 2 {
@@ -327,9 +336,11 @@ pub fn drive_noisy_neighbor(
             off.group_barrier(g);
             off.group_end(g);
             for _ in 0..rounds {
-                off.group_call(g);
-                off.ctx().compute(SimDelta::from_us(5));
-                off.group_wait(g).expect("victim group offload failed");
+                off.group_call(g).await;
+                off.ctx().compute_async(SimDelta::from_us(5)).await;
+                off.group_wait(g)
+                    .await
+                    .expect("victim group offload failed");
             }
         } else {
             if burst == 0 {
@@ -347,7 +358,7 @@ pub fn drive_noisy_neighbor(
                 reqs.push(off.send_offload(sbuf, flood_bytes, right, tag));
                 reqs.push(off.recv_offload(rbuf, flood_bytes, left, tag));
             }
-            off.wait_all(&reqs);
+            off.wait_all(&reqs).await;
         }
     })
 }
@@ -368,7 +379,7 @@ pub fn drive_quota_retry(run: &CheckRun, bytes: u64) -> Result<Report, SimError>
     let hard = run.cfg.quota(1).hard;
     assert!(hard > 0, "drive_quota_retry needs a hard quota on tenant 1");
     let cfg = run.cfg.clone();
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let ring = tenant_ring(&cfg, off.size(), 1);
         if ring.len() < 2 {
             return;
@@ -398,9 +409,9 @@ pub fn drive_quota_retry(run: &CheckRun, bytes: u64) -> Result<Report, SimError>
                 "expected QuotaExceeded, got {err:?}"
             );
             // Drain the window, then the bounded retry must succeed.
-            off.wait_all(&reqs);
+            off.wait_all(&reqs).await;
             let retry = off.send_offload(doomed_buf, bytes, receiver, 777);
-            off.wait(retry);
+            off.wait(retry).await;
             assert!(
                 off.req_error(retry).is_none(),
                 "retry after draining the quota must be admitted and complete"
@@ -414,10 +425,10 @@ pub fn drive_quota_retry(run: &CheckRun, bytes: u64) -> Result<Report, SimError>
                 let buf = fab.alloc(ep, bytes);
                 reqs.push(off.recv_offload(buf, bytes, sender, tag));
             }
-            off.wait_all(&reqs);
+            off.wait_all(&reqs).await;
             let buf = fab.alloc(ep, bytes);
             let retry = off.recv_offload(buf, bytes, sender, 777);
-            off.wait(retry);
+            off.wait(retry).await;
             assert!(off.req_error(retry).is_none(), "retried recv must complete");
         }
     })
@@ -430,7 +441,7 @@ pub fn drive_quota_retry(run: &CheckRun, bytes: u64) -> Result<Report, SimError>
 /// [`OffloadError::GroupFailed`] once the reliability layer abandons the
 /// packet — stalling forever is the bug this driver exists to catch.
 pub fn drive_group_abandon(run: &CheckRun, block: u64) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let p = off.size() as u64;
         if p < 2 {
             return;
@@ -440,9 +451,10 @@ pub fn drive_group_abandon(run: &CheckRun, block: u64) -> Result<Report, SimErro
         let sendbuf = fab.alloc(ep, block * p);
         let recvbuf = fab.alloc(ep, block * p);
         let a2a = off.record_alltoall(sendbuf, recvbuf, block);
-        off.group_call(a2a);
+        off.group_call(a2a).await;
         let err = off
             .group_wait(a2a)
+            .await
             .expect_err("doomed group must fail with a typed error, not stall");
         assert!(
             matches!(err, OffloadError::GroupFailed { .. }),
@@ -457,7 +469,7 @@ pub fn drive_group_abandon(run: &CheckRun, block: u64) -> Result<Report, SimErro
 /// explicitly and must surface [`OffloadError::Cancelled`]. A matched
 /// exchange alongside proves cancellation reaps only its own transfer.
 pub fn drive_deadline(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let p = off.size();
         if p < 2 {
             return;
@@ -470,6 +482,7 @@ pub fn drive_deadline(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
             let orphan = off.send_offload(orphan_buf, bytes, 1, 900);
             let err = off
                 .wait_timeout(orphan, SimDelta::from_us(2_000))
+                .await
                 .expect_err("an orphan send must hit its deadline");
             assert!(
                 matches!(err, OffloadError::DeadlineExceeded { .. }),
@@ -492,8 +505,10 @@ pub fn drive_deadline(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
         let s = off.send_offload(sbuf, bytes, right, 7);
         let r = off.recv_offload(rbuf, bytes, left, 7);
         off.wait_timeout(s, SimDelta::from_secs(1))
+            .await
             .expect("matched send completes within its deadline");
         off.wait_timeout(r, SimDelta::from_secs(1))
+            .await
             .expect("matched recv completes within its deadline");
     })
 }
@@ -505,7 +520,7 @@ pub fn drive_deadline(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
 /// rank 0 posts (an orphan — with the ctrl plane dark no peer could
 /// ever match it anyway).
 pub fn drive_ctrl_undeliverable(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         if off.size() < 2 || off.rank() != 0 {
             return;
         }
@@ -515,6 +530,7 @@ pub fn drive_ctrl_undeliverable(run: &CheckRun, bytes: u64) -> Result<Report, Si
         let req = off.send_offload(buf, bytes, 1, 40);
         let err = off
             .wait_timeout(req, SimDelta::from_secs(1))
+            .await
             .expect_err("a send on a fully dark ctrl plane must fail, not stall");
         assert!(
             matches!(err, OffloadError::CtrlUndeliverable { .. }),
@@ -529,7 +545,7 @@ pub fn drive_ctrl_undeliverable(run: &CheckRun, bytes: u64) -> Result<Report, Si
 /// *both* ends of the matched pair must come back with a typed
 /// [`OffloadError::DataIntegrity`].
 pub fn drive_data_integrity(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         if off.size() < 2 {
             return;
         }
@@ -555,6 +571,7 @@ pub fn drive_data_integrity(run: &CheckRun, bytes: u64) -> Result<Report, SimErr
         };
         let err = off
             .wait_timeout(req, SimDelta::from_secs(1))
+            .await
             .expect_err("a transfer whose every payload is dropped must fail, not stall");
         assert!(
             matches!(err, OffloadError::DataIntegrity { .. }),
@@ -589,7 +606,7 @@ pub fn drive_brownout(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
         run.cfg.health.data_budget < run.cfg.data_retx_max,
         "the budget must be the binding limit, or the shed degenerates to DataIntegrity"
     );
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         if off.size() < 2 {
             return;
         }
@@ -614,6 +631,7 @@ pub fn drive_brownout(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
         };
         let err = off
             .wait_timeout(req, SimDelta::from_secs(1))
+            .await
             .expect_err("a browned-out transfer must shed, not stall");
         assert!(
             matches!(err, OffloadError::RetryBudgetExhausted { .. }),
@@ -642,7 +660,7 @@ pub fn drive_breaker_recovery(run: &CheckRun, bytes: u64, rounds: u64) -> Result
         "xreg_fail_pm must be probabilistic (0 < pm < 1000): high enough to trip \
          the breaker, below certainty so a half-open probe can eventually succeed"
     );
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         if off.size() < 2 {
             return;
         }
@@ -659,7 +677,7 @@ pub fn drive_breaker_recovery(run: &CheckRun, bytes: u64, rounds: u64) -> Result
                 // would stop feeding the breaker after the first success.
                 let buf = fab.alloc(ep, bytes);
                 let req = off.send_offload(buf, bytes, peer, tag);
-                off.wait(req);
+                off.wait(req).await;
                 assert!(
                     off.req_error(req).is_none(),
                     "round {tag}: a degraded-mode send must still complete"
@@ -669,7 +687,7 @@ pub fn drive_breaker_recovery(run: &CheckRun, bytes: u64, rounds: u64) -> Result
             for tag in 0..rounds {
                 let buf = fab.alloc(ep, bytes);
                 let req = off.recv_offload(buf, bytes, 0, tag);
-                off.wait(req);
+                off.wait(req).await;
                 assert!(
                     off.req_error(req).is_none(),
                     "round {tag}: a degraded-mode recv must still complete"
@@ -684,7 +702,7 @@ pub fn drive_breaker_recovery(run: &CheckRun, bytes: u64, rounds: u64) -> Result
 /// (`RecvMeta`), the group packet/exec cache, cross-registration at
 /// install time, and barrier-counter writes.
 pub fn drive_alltoall(run: &CheckRun, block: u64, calls: u64) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let p = off.size() as u64;
         if p < 2 {
             return;
@@ -697,11 +715,11 @@ pub fn drive_alltoall(run: &CheckRun, block: u64, calls: u64) -> Result<Report, 
         let agbuf = fab.alloc(ep, block * p);
         let ring = off.record_allgather_ring(agbuf, block);
         for _ in 0..calls {
-            off.group_call(a2a);
-            off.ctx().compute(SimDelta::from_us(2));
-            off.group_wait(a2a).expect("group offload failed");
-            off.group_call(ring);
-            off.group_wait(ring).expect("group offload failed");
+            off.group_call(a2a).await;
+            off.ctx().compute_async(SimDelta::from_us(2)).await;
+            off.group_wait(a2a).await.expect("group offload failed");
+            off.group_call(ring).await;
+            off.group_wait(ring).await.expect("group offload failed");
         }
     })
 }
@@ -717,7 +735,7 @@ pub fn drive_group_stencil(
     face_bytes: u64,
     rounds: u64,
 ) -> Result<Report, SimError> {
-    run.run_offload(move |off| {
+    run.run_offload(async move |off| {
         let p = off.size();
         if p < 2 {
             return;
@@ -739,9 +757,9 @@ pub fn drive_group_stencil(
         off.group_barrier(g);
         off.group_end(g);
         for _ in 0..rounds {
-            off.group_call(g);
-            off.ctx().compute(SimDelta::from_us(5));
-            off.group_wait(g).expect("group offload failed");
+            off.group_call(g).await;
+            off.ctx().compute_async(SimDelta::from_us(5)).await;
+            off.group_wait(g).await.expect("group offload failed");
         }
     })
 }

@@ -168,7 +168,8 @@ pub fn run_workload(
                             blues: None,
                         };
                         body(&h);
-                        h.off.as_ref().expect("offload present").finalize();
+                        let off = h.off.as_ref().expect("offload present");
+                        off.ctx().block_on(off.finalize());
                     },
                     Some(offload::proxy_fn(proxy_cfg)),
                 )

@@ -153,7 +153,7 @@ fn start_bcast(
                 }
             }
             off.group_end(g);
-            off.group_call(g);
+            off.ctx().block_on(off.group_call(g));
             Bcast::Group(g)
         }
     }
@@ -180,12 +180,12 @@ fn wait_bcast(h: &Harness, bcast: Bcast) {
     match bcast {
         Bcast::Mpi(r) => h.mpi.wait(r),
         Bcast::Blues(r) => h.blues.as_ref().expect("blues").wait(r),
-        Bcast::Group(g) => h
-            .off
-            .as_ref()
-            .expect("proposed")
-            .group_wait(g)
-            .expect("group offload failed"),
+        Bcast::Group(g) => {
+            let off = h.off.as_ref().expect("proposed");
+            off.ctx()
+                .block_on(off.group_wait(g))
+                .expect("group offload failed")
+        }
         Bcast::Done => {}
     }
 }

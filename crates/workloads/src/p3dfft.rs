@@ -70,7 +70,7 @@ impl TransposeSet {
     fn start(&self, h: &Harness) -> A2a {
         if let Some(off) = &h.off {
             let g = self.group.expect("recorded");
-            off.group_call(g);
+            off.ctx().block_on(off.group_call(g));
             A2a::Prop(g)
         } else if let Some(blues) = &h.blues {
             A2a::Blues(blues.ialltoall(self.sendbuf, self.recvbuf, self.block))
@@ -83,12 +83,12 @@ impl TransposeSet {
         match r {
             A2a::Intel(r) => h.mpi.wait(r),
             A2a::Blues(r) => h.blues.as_ref().expect("blues").wait(r),
-            A2a::Prop(g) => h
-                .off
-                .as_ref()
-                .expect("off")
-                .group_wait(g)
-                .expect("group offload failed"),
+            A2a::Prop(g) => {
+                let off = h.off.as_ref().expect("off");
+                off.ctx()
+                    .block_on(off.group_wait(g))
+                    .expect("group offload failed")
+            }
         }
     }
 }

@@ -96,7 +96,7 @@ pub fn nonblocking_pingpong_us(
                 Some(off) => {
                     let s = off.send_offload(sbuf, size, peer, tag);
                     let r = off.recv_offload(rbuf, size, peer, tag);
-                    off.wait_all(&[s, r]);
+                    off.ctx().block_on(off.wait_all(&[s, r]));
                 }
             }
             let us = (ctx.now() - t0).as_us_f64();
@@ -106,7 +106,7 @@ pub fn nonblocking_pingpong_us(
         }
         if let Some(off) = &off {
             // Quiesce before finalize: every request already waited.
-            off.finalize();
+            off.ctx().block_on(off.finalize());
         }
         if rank == 0 {
             collect(&out2, total_us / iters as f64);

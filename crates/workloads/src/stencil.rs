@@ -125,7 +125,8 @@ fn wait_faces(h: &Harness, reqs: Vec<FaceReq>) {
                 h.ctx().stat_time(&WAIT_MPI, h.ctx().now() - t0);
             }
             FaceReq::Off(r) => {
-                h.off.as_ref().expect("offload req").wait(r);
+                let off = h.off.as_ref().expect("offload req");
+                off.ctx().block_on(off.wait(r));
                 static WAIT_OFF: StatKey = StatKey::new("stencil.wait.off");
                 h.ctx().stat_time(&WAIT_OFF, h.ctx().now() - t0);
             }

@@ -16,8 +16,8 @@ use bluefield_offload::sim::SimDelta;
 fn main() {
     let spec = ClusterSpec::new(2, 1); // two nodes, one rank each
     let report = ClusterBuilder::new(spec, 42)
-        .run(
-            |rank, ctx, cluster| {
+        .run_async(
+            |rank, ctx, cluster| async move {
                 // Init_Offload()
                 let inbox = Inbox::new();
                 let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
@@ -37,12 +37,12 @@ fn main() {
                 let rreq = off.recv_offload(rbuf, size, peer, 3);
 
                 // Overlap: the DPU progresses the exchange while we compute.
-                off.ctx().compute(SimDelta::from_us(500));
+                off.ctx().compute_async(SimDelta::from_us(500)).await;
 
                 // Wait(&req);
                 let t0 = off.ctx().now();
-                off.wait(sreq);
-                off.wait(rreq);
+                off.wait(sreq).await;
+                off.wait(rreq).await;
                 let wait_us = (off.ctx().now() - t0).as_us_f64();
 
                 assert!(
@@ -55,7 +55,7 @@ fn main() {
                 );
 
                 // Finalize_Offload();
-                off.finalize();
+                off.finalize().await;
             },
             Some(bluefield_offload::dpu::proxy_fn(OffloadConfig::proposed())),
         )

@@ -68,39 +68,42 @@ fn run_offload(path: DataPath) -> (Vec<f64>, f64) {
     let arrivals = Arc::new(Mutex::new(vec![0.0f64; RANKS]));
     let a2 = Arc::clone(&arrivals);
     let report = ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 7)
-        .run(
+        .run_async(
             move |rank, ctx, cluster| {
-                let inbox = Inbox::new();
-                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
-                let fab = off.cluster().fabric().clone();
-                let ep = off.cluster().host_ep(rank);
-                let buf = fab.alloc(ep, LEN);
-                if rank == 0 {
-                    fab.fill_pattern(ep, buf, LEN, 9).unwrap();
-                }
-                let left = (rank + RANKS - 1) % RANKS;
-                let right = (rank + 1) % RANKS;
-                // Listing 5: record the whole pattern, then offload it.
-                let g = off.group_start();
-                if rank == 0 {
-                    off.group_send(g, buf, LEN, right, 4);
-                } else {
-                    off.group_recv(g, buf, LEN, left, 4);
-                    off.group_barrier(g);
-                    if right != 0 {
-                        off.group_send(g, buf, LEN, right, 4);
+                let (cfg, a2) = (cfg.clone(), Arc::clone(&a2));
+                async move {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
+                    let fab = off.cluster().fabric().clone();
+                    let ep = off.cluster().host_ep(rank);
+                    let buf = fab.alloc(ep, LEN);
+                    if rank == 0 {
+                        fab.fill_pattern(ep, buf, LEN, 9).unwrap();
                     }
+                    let left = (rank + RANKS - 1) % RANKS;
+                    let right = (rank + 1) % RANKS;
+                    // Listing 5: record the whole pattern, then offload it.
+                    let g = off.group_start();
+                    if rank == 0 {
+                        off.group_send(g, buf, LEN, right, 4);
+                    } else {
+                        off.group_recv(g, buf, LEN, left, 4);
+                        off.group_barrier(g);
+                        if right != 0 {
+                            off.group_send(g, buf, LEN, right, 4);
+                        }
+                    }
+                    off.group_end(g);
+                    off.group_call(g).await;
+                    // Overlap with compute — zero CPU intervention needed.
+                    off.ctx().compute_async(SimDelta::from_ms(COMPUTE_MS)).await;
+                    off.group_wait(g).await.expect("group offload failed");
+                    if rank != 0 {
+                        a2.lock().unwrap()[rank] = off.ctx().now().as_us_f64();
+                    }
+                    assert!(fab.verify_pattern(ep, buf, LEN, 9).unwrap());
+                    off.finalize().await;
                 }
-                off.group_end(g);
-                off.group_call(g);
-                // Overlap with compute — zero CPU intervention needed.
-                off.ctx().compute(SimDelta::from_ms(COMPUTE_MS));
-                off.group_wait(g).expect("group offload failed");
-                if rank != 0 {
-                    a2.lock().unwrap()[rank] = off.ctx().now().as_us_f64();
-                }
-                assert!(fab.verify_pattern(ep, buf, LEN, 9).unwrap());
-                off.finalize();
             },
             Some(bluefield_offload::dpu::proxy_fn(proxy_cfg)),
         )

@@ -17,8 +17,8 @@ use bluefield_offload::sim::SimDelta;
 fn main() {
     let spec = ClusterSpec::new(2, 2);
     let report = ClusterBuilder::new(spec, 21)
-        .run(
-            |rank, ctx, cluster| {
+        .run_async(
+            |rank, ctx, cluster| async move {
                 let inbox = Inbox::new();
                 let shm = Shmem::init(
                     rank,
@@ -27,7 +27,8 @@ fn main() {
                     &inbox,
                     OffloadConfig::proposed(),
                     1 << 20,
-                );
+                )
+                .await;
                 let fab = shm.offload().cluster().fabric().clone();
                 let n = shm.n_pes();
                 let me = shm.rank();
@@ -42,14 +43,17 @@ fn main() {
 
                 // One-sided put to the right neighbour; it never calls in.
                 shm.put((me + 1) % n, inbox_slot, outbox, 64 * 1024);
-                shm.quiet();
+                shm.quiet().await;
 
                 // Give every PE's put time to land, then pull the left
                 // neighbour's outbox with a one-sided get.
-                shm.offload().ctx().compute(SimDelta::from_us(200));
+                shm.offload()
+                    .ctx()
+                    .compute_async(SimDelta::from_us(200))
+                    .await;
                 let left = (me + n - 1) % n;
                 let r = shm.get(left, pulled, outbox, 64 * 1024);
-                shm.wait(r);
+                shm.wait(r).await;
 
                 assert!(fab
                     .verify_pattern(
@@ -68,7 +72,7 @@ fn main() {
                     )
                     .unwrap());
                 println!("PE {me}: put+get verified (neighbour {left}'s pattern received twice)");
-                shm.finalize();
+                shm.finalize().await;
             },
             Some(bluefield_offload::dpu::proxy_fn(OffloadConfig::proposed())),
         )

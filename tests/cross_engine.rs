@@ -59,8 +59,8 @@ fn run_shift_exchange(engine: Engine, nodes: usize, ppn: usize, len: u64) -> f64
                     reqs.push(off.send_offload(sbufs[i], len, dst, k as u64));
                     reqs.push(off.recv_offload(rbufs[i], len, src, k as u64));
                 }
-                off.wait_all(&reqs);
-                off.finalize();
+                off.ctx().block_on(off.wait_all(&reqs));
+                off.ctx().block_on(off.finalize());
             }
         }
         for (i, &k) in shifts.iter().enumerate() {
@@ -158,8 +158,10 @@ fn group_and_basic_primitives_agree() {
                             );
                         }
                         off.group_end(g);
-                        off.group_call(g);
-                        off.group_wait(g).expect("group offload failed");
+                        off.ctx().block_on(off.group_call(g));
+                        off.ctx()
+                            .block_on(off.group_wait(g))
+                            .expect("group offload failed");
                     } else {
                         let mut reqs = Vec::new();
                         for k in 1..p {
@@ -178,7 +180,7 @@ fn group_and_basic_primitives_agree() {
                                 rank as u64,
                             ));
                         }
-                        off.wait_all(&reqs);
+                        off.ctx().block_on(off.wait_all(&reqs));
                     }
                     for s in 0..p {
                         if s == rank {
@@ -195,7 +197,7 @@ fn group_and_basic_primitives_agree() {
                             "group={use_group} rank {rank} from {s}"
                         );
                     }
-                    off.finalize();
+                    off.ctx().block_on(off.finalize());
                 },
                 Some(offload::proxy_fn(OffloadConfig::proposed())),
             )

@@ -39,9 +39,10 @@ fn unmatched_offload_send_reports_deadlock() {
             let buf = fab.alloc(ep, 64);
             if rank == 0 {
                 // The matching recv_offload never happens.
-                off.wait(off.send_offload(buf, 64, 1, 5));
+                off.ctx()
+                    .block_on(off.wait(off.send_offload(buf, 64, 1, 5)));
             }
-            off.finalize();
+            off.ctx().block_on(off.finalize());
         },
         Some(offload::proxy_fn(OffloadConfig::proposed())),
     );
@@ -79,9 +80,11 @@ fn mismatched_ring_barrier_pattern_deadlocks_not_hangs() {
                 _ => off.group_recv(g, buf, 1024, 1, 0),
             }
             off.group_end(g);
-            off.group_call(g);
-            off.group_wait(g).expect("group offload failed");
-            off.finalize();
+            off.ctx().block_on(off.group_call(g));
+            off.ctx()
+                .block_on(off.group_wait(g))
+                .expect("group offload failed");
+            off.ctx().block_on(off.finalize());
         },
         Some(offload::proxy_fn(OffloadConfig::proposed())),
     );
@@ -113,7 +116,7 @@ fn bad_destination_rank_panics() {
                 if rank == 0 {
                     let _ = off.send_offload(buf, 64, 99, 0); // rank 99 does not exist
                 }
-                off.finalize();
+                off.ctx().block_on(off.finalize());
             },
             Some(offload::proxy_fn(OffloadConfig::proposed())),
         );

@@ -96,7 +96,7 @@ fn offload_ring_completion(path: DataPath) -> f64 {
                     }
                 }
                 off.group_end(g);
-                off.group_call(g);
+                off.ctx().block_on(off.group_call(g));
                 // Observe completion with fine-grained polling so the
                 // arrival time is visible (the DPU needs none of this).
                 let mut remaining = COMPUTE;
@@ -105,7 +105,9 @@ fn offload_ring_completion(path: DataPath) -> f64 {
                     off.ctx().compute(slice);
                     remaining = remaining.saturating_sub(slice);
                 }
-                off.group_wait(g).expect("group offload failed");
+                off.ctx()
+                    .block_on(off.group_wait(g))
+                    .expect("group offload failed");
                 if rank == RANKS - 1 {
                     *la.lock().unwrap() = off.ctx().now().as_us_f64();
                 }
@@ -113,7 +115,7 @@ fn offload_ring_completion(path: DataPath) -> f64 {
                     off.ctx().compute(remaining);
                 }
                 assert!(fab.verify_pattern(ep, buf, LEN, 1).unwrap());
-                off.finalize();
+                off.ctx().block_on(off.finalize());
             },
             Some(offload::proxy_fn(proxy_cfg)),
         )

@@ -110,8 +110,8 @@ fn malformed_ctrl_at_proxy_is_counted_not_fatal() {
     let m = Metrics::new();
     let report = ClusterBuilder::new(ClusterSpec::new(2, 1), 33)
         .with_event_sink(m.sink())
-        .run(
-            |rank, ctx, cluster| {
+        .run_async(
+            |rank, ctx, cluster| async move {
                 let inbox = Inbox::new();
                 let off = Offload::init(
                     rank,
@@ -140,8 +140,8 @@ fn malformed_ctrl_at_proxy_is_counted_not_fatal() {
                 } else {
                     off.recv_offload(buf, 4096, 0, 7)
                 };
-                off.wait(req);
-                off.finalize();
+                off.wait(req).await;
+                off.finalize().await;
             },
             Some(offload::proxy_fn(OffloadConfig::proposed())),
         )

@@ -8,6 +8,7 @@
 use bluefield_offload::dpu::{DataPath, Metrics, MetricsReport, Offload, OffloadConfig};
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One randomly generated edge of a communication graph.
 #[derive(Clone, Debug)]
@@ -82,51 +83,54 @@ fn execute_graph(edges: Vec<Edge>, ranks: usize, path: DataPath) {
         .filter(|&r| edges.iter().any(|e| e.src == r || e.dst == r))
         .count() as u64;
     let metrics = Metrics::new();
-    let edges = std::sync::Arc::new(edges);
+    let edges = Arc::new(edges);
     let spec = ClusterSpec::new(2, ranks.div_ceil(2));
     ClusterBuilder::new(spec, 1234)
         .with_event_sink(metrics.sink())
-        .run(
+        .run_async(
             move |rank, ctx, cluster| {
-                let inbox = Inbox::new();
-                let off = Offload::init(rank, ctx, cluster.clone(), &inbox, cfg.clone());
-                let fab = cluster.fabric().clone();
-                let ep = cluster.host_ep(rank);
-                // Rank indices above `ranks` idle (world is padded to fill
-                // nodes evenly).
-                let mut sends = Vec::new();
-                let mut recvs = Vec::new();
-                for (tag, e) in edges.iter().enumerate() {
-                    if e.src == rank {
-                        let buf = fab.alloc(ep, e.len);
-                        fab.fill_pattern(ep, buf, e.len, tag as u64 * 31 + 7)
-                            .unwrap();
-                        sends.push((tag as u64, buf, e.len, e.dst));
+                let (cfg, edges) = (cfg.clone(), Arc::clone(&edges));
+                async move {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster.clone(), &inbox, cfg);
+                    let fab = cluster.fabric().clone();
+                    let ep = cluster.host_ep(rank);
+                    // Rank indices above `ranks` idle (world is padded to fill
+                    // nodes evenly).
+                    let mut sends = Vec::new();
+                    let mut recvs = Vec::new();
+                    for (tag, e) in edges.iter().enumerate() {
+                        if e.src == rank {
+                            let buf = fab.alloc(ep, e.len);
+                            fab.fill_pattern(ep, buf, e.len, tag as u64 * 31 + 7)
+                                .unwrap();
+                            sends.push((tag as u64, buf, e.len, e.dst));
+                        }
+                        if e.dst == rank {
+                            let buf = fab.alloc(ep, e.len);
+                            recvs.push((tag as u64, buf, e.len, e.src));
+                        }
                     }
-                    if e.dst == rank {
-                        let buf = fab.alloc(ep, e.len);
-                        recvs.push((tag as u64, buf, e.len, e.src));
+                    if !sends.is_empty() || !recvs.is_empty() {
+                        let g = off.group_start();
+                        for &(tag, buf, len, dst) in &sends {
+                            off.group_send(g, buf, len, dst, tag);
+                        }
+                        for &(tag, buf, len, src) in &recvs {
+                            off.group_recv(g, buf, len, src, tag);
+                        }
+                        off.group_end(g);
+                        off.group_call(g).await;
+                        off.group_wait(g).await.expect("group offload failed");
                     }
+                    for &(tag, buf, len, _src) in &recvs {
+                        assert!(
+                            fab.verify_pattern(ep, buf, len, tag * 31 + 7).unwrap(),
+                            "edge {tag} payload corrupt at rank {rank} ({path:?})"
+                        );
+                    }
+                    off.finalize().await;
                 }
-                if !sends.is_empty() || !recvs.is_empty() {
-                    let g = off.group_start();
-                    for &(tag, buf, len, dst) in &sends {
-                        off.group_send(g, buf, len, dst, tag);
-                    }
-                    for &(tag, buf, len, src) in &recvs {
-                        off.group_recv(g, buf, len, src, tag);
-                    }
-                    off.group_end(g);
-                    off.group_call(g);
-                    off.group_wait(g).expect("group offload failed");
-                }
-                for &(tag, buf, len, _src) in &recvs {
-                    assert!(
-                        fab.verify_pattern(ep, buf, len, tag * 31 + 7).unwrap(),
-                        "edge {tag} payload corrupt at rank {rank} ({path:?})"
-                    );
-                }
-                off.finalize();
             },
             Some(offload::proxy_fn(proxy_cfg)),
         )
@@ -177,11 +181,13 @@ proptest! {
         let n = edges.len() as u64;
         let total: u64 = edges.iter().map(|e| e.len).sum();
         let metrics = Metrics::new();
-        let edges = std::sync::Arc::new(edges);
+        let edges = Arc::new(edges);
         ClusterBuilder::new(ClusterSpec::new(2, 2), 777)
             .with_event_sink(metrics.sink())
-            .run(
+            .run_async(
                 move |rank, ctx, cluster| {
+let edges = Arc::clone(&edges);
+async move {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank, ctx, cluster.clone(), &inbox, OffloadConfig::proposed(),
@@ -199,9 +205,10 @@ proptest! {
                             reqs.push(off.recv_offload(buf, e.len, e.src, tag as u64));
                         }
                     }
-                    off.wait_all(&reqs);
-                    off.finalize();
-                },
+                    off.wait_all(&reqs).await;
+                    off.finalize().await;
+                }
+},
                 Some(offload::proxy_fn(OffloadConfig::proposed())),
             )
             .unwrap();
@@ -232,11 +239,13 @@ proptest! {
         }
         // Forward one buffer along the path with Local_barrier ordering;
         // the last rank must see the origin's pattern.
-        let path = std::sync::Arc::new(path_ranks);
+        let path = Arc::new(path_ranks);
         let spec = ClusterSpec::new(2, 2);
         ClusterBuilder::new(spec, 9)
-            .run(
+            .run_async(
                 move |rank, ctx, cluster| {
+let path = Arc::clone(&path);
+async move {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank, ctx, cluster.clone(), &inbox, OffloadConfig::proposed(),
@@ -267,8 +276,8 @@ proptest! {
                     }
                     off.group_end(g);
                     if used {
-                        off.group_call(g);
-                        off.group_wait(g).expect("group offload failed");
+                        off.group_call(g).await;
+                        off.group_wait(g).await.expect("group offload failed");
                         if rank == *path.last().expect("nonempty") {
                             assert!(
                                 fab.verify_pattern(ep, buf, len, 555).unwrap(),
@@ -276,8 +285,9 @@ proptest! {
                             );
                         }
                     }
-                    off.finalize();
-                },
+                    off.finalize().await;
+                }
+},
                 Some(offload::proxy_fn(OffloadConfig::proposed())),
             )
             .unwrap();

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 fn traced_pingpong(seed: u64) -> Report {
     ClusterBuilder::new(ClusterSpec::new(2, 1), seed)
         .with_trace()
-        .run(
-            |rank, ctx, cluster| {
+        .run_async(
+            |rank, ctx, cluster| async move {
                 let inbox = Inbox::new();
                 let off = Offload::init(
                     rank,
@@ -34,10 +34,11 @@ fn traced_pingpong(seed: u64) -> Report {
                 ];
                 // Overlap a compute slice so the exported timeline shows
                 // the paper's compute/communication picture.
-                ctx.compute(bluefield_offload::sim::SimDelta::from_us(10));
-                off.wait_all(&reqs);
+                ctx.compute_async(bluefield_offload::sim::SimDelta::from_us(10))
+                    .await;
+                off.wait_all(&reqs).await;
                 ctx.trace(format!("pingpong.done.{rank}"));
-                off.finalize();
+                off.finalize().await;
             },
             Some(offload::proxy_fn(OffloadConfig::proposed())),
         )
