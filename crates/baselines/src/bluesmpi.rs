@@ -121,11 +121,11 @@ impl BluesMpi {
     }
 
     /// Shut the library down.
-    pub fn finalize(&self) {
-        self.off.ctx().block_on(self.off.finalize());
+    pub async fn finalize(&self) {
+        self.off.finalize().await;
     }
 
-    fn charge_cold_start(&self, kind: &'static str) -> bool {
+    async fn charge_cold_start(&self, kind: &'static str) -> bool {
         let calls = {
             let mut k = self.kind_calls.borrow_mut();
             let c = k.entry(kind).or_insert(0);
@@ -136,7 +136,10 @@ impl BluesMpi {
         if cold {
             static COLD_CALLS: StatKey = StatKey::new("bluesmpi.cold_calls");
             self.off.ctx().stat_incr(&COLD_CALLS, 1);
-            self.off.ctx().sleep(self.cfg.cold_start_penalty);
+            self.off
+                .ctx()
+                .sleep_async(self.cfg.cold_start_penalty)
+                .await;
         }
         cold
     }
@@ -159,14 +162,14 @@ impl BluesMpi {
 
     /// `MPI_Ialltoall` offloaded with staging (the collective BluesMPI
     /// \[8\] supports). The caller's self-block is copied locally at call time.
-    pub fn ialltoall(&self, sendbuf: VAddr, recvbuf: VAddr, block: u64) -> BluesReq {
+    pub async fn ialltoall(&self, sendbuf: VAddr, recvbuf: VAddr, block: u64) -> BluesReq {
         let key = PatternKey::Alltoall {
             sendbuf: sendbuf.0,
             recvbuf: recvbuf.0,
             block,
         };
         let g = self.cached_pattern(key, |off| off.record_alltoall(sendbuf, recvbuf, block));
-        self.charge_cold_start("alltoall");
+        self.charge_cold_start("alltoall").await;
         // Self block.
         let fab = self.off.cluster().fabric().clone();
         if fab.moves_bytes() {
@@ -178,20 +181,20 @@ impl BluesMpi {
             fab.write_bytes(ep, recvbuf.offset(me * block), &data)
                 .expect("self block");
         }
-        self.off.ctx().block_on(self.off.group_call(g));
+        self.off.group_call(g).await;
         BluesReq(g)
     }
 
     /// `MPI_Ibcast` offloaded with staging (binomial tree of ordered group
     /// steps — the reference \[9\] large-message offload).
-    pub fn ibcast(&self, root: usize, addr: VAddr, len: u64) -> BluesReq {
+    pub async fn ibcast(&self, root: usize, addr: VAddr, len: u64) -> BluesReq {
         let members: Vec<usize> = (0..self.off.size()).collect();
-        self.ibcast_among(&members, root, addr, len)
+        self.ibcast_among(&members, root, addr, len).await
     }
 
     /// `MPI_Ibcast` over a sub-communicator (`members`, root at position
     /// `root_pos`), e.g. an HPL process row.
-    pub fn ibcast_among(
+    pub async fn ibcast_among(
         &self,
         members: &[usize],
         root_pos: usize,
@@ -207,25 +210,25 @@ impl BluesMpi {
         let g = self.cached_pattern(key, |off| {
             off.record_bcast_binomial(members, root_pos, addr, len, 0)
         });
-        self.charge_cold_start("bcast");
-        self.off.ctx().block_on(self.off.group_call(g));
+        self.charge_cold_start("bcast").await;
+        self.off.group_call(g).await;
         BluesReq(g)
     }
 
     /// `MPI_Iallgather` offloaded with staging (ring of ordered steps).
-    pub fn iallgather(&self, buf: VAddr, block: u64) -> BluesReq {
+    pub async fn iallgather(&self, buf: VAddr, block: u64) -> BluesReq {
         let key = PatternKey::Allgather { buf: buf.0, block };
         let g = self.cached_pattern(key, |off| off.record_allgather_ring(buf, block));
-        self.charge_cold_start("allgather");
-        self.off.ctx().block_on(self.off.group_call(g));
+        self.charge_cold_start("allgather").await;
+        self.off.group_call(g).await;
         BluesReq(g)
     }
 
     /// Wait for a collective to finish.
-    pub fn wait(&self, r: BluesReq) {
+    pub async fn wait(&self, r: BluesReq) {
         self.off
-            .ctx()
-            .block_on(self.off.group_wait(r.0))
+            .group_wait(r.0)
+            .await
             .expect("group offload failed");
     }
 

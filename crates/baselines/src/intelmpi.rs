@@ -54,8 +54,8 @@ impl IntelMpi {
     }
 
     /// Wait on a request.
-    pub fn wait(&self, r: Req) {
-        self.mpi.wait(r);
+    pub async fn wait(&self, r: Req) {
+        self.mpi.wait(r).await;
     }
 
     /// Test a request (drives host progress — the Listing 1 pattern).

@@ -1,23 +1,23 @@
 //! Baseline correctness and characteristic behaviour.
 
 use baselines::{bluesmpi_proxy_config, BluesConfig, BluesMpi, IntelMpi};
-use rdma::{ClusterBuilder, ClusterSpec, Inbox};
+use rdma::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use simnet::SimDelta;
 
 fn run_blues(
     nodes: usize,
     ppn: usize,
     cfg: BluesConfig,
-    f: impl Fn(&BluesMpi) + Send + Sync + 'static,
+    f: impl AsyncFn(&BluesMpi) + Send + Sync + 'static,
 ) -> simnet::Report {
     let spec = ClusterSpec::new(nodes, ppn);
     ClusterBuilder::new(spec, 31)
-        .run(
-            move |rank, ctx, cluster| {
+        .run_async(
+            async move |rank, ctx, cluster| {
                 let inbox = Inbox::new();
                 let blues = BluesMpi::attach(rank, ctx, cluster, &inbox, cfg.clone());
-                f(&blues);
-                blues.finalize();
+                f(&blues).await;
+                blues.finalize().await;
             },
             Some(offload::proxy_fn(bluesmpi_proxy_config())),
         )
@@ -26,7 +26,7 @@ fn run_blues(
 
 #[test]
 fn bluesmpi_ialltoall_is_correct() {
-    run_blues(2, 2, BluesConfig::default(), |blues| {
+    run_blues(2, 2, BluesConfig::default(), async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -44,8 +44,8 @@ fn bluesmpi_ialltoall_is_correct() {
             )
             .unwrap();
         }
-        let r = blues.ialltoall(sendbuf, recvbuf, block);
-        blues.wait(r);
+        let r = blues.ialltoall(sendbuf, recvbuf, block).await;
+        blues.wait(r).await;
         for s in 0..p {
             assert!(
                 fab.verify_pattern(
@@ -63,7 +63,7 @@ fn bluesmpi_ialltoall_is_correct() {
 
 #[test]
 fn bluesmpi_ibcast_is_correct() {
-    run_blues(3, 1, BluesConfig::default(), |blues| {
+    run_blues(3, 1, BluesConfig::default(), async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
@@ -72,15 +72,15 @@ fn bluesmpi_ibcast_is_correct() {
         if off.rank() == 1 {
             fab.fill_pattern(ep, buf, len, 3).unwrap();
         }
-        let r = blues.ibcast(1, buf, len);
-        blues.wait(r);
+        let r = blues.ibcast(1, buf, len).await;
+        blues.wait(r).await;
         assert!(fab.verify_pattern(ep, buf, len, 3).unwrap());
     });
 }
 
 #[test]
 fn bluesmpi_iallgather_is_correct() {
-    run_blues(2, 2, BluesConfig::default(), |blues| {
+    run_blues(2, 2, BluesConfig::default(), async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -90,8 +90,8 @@ fn bluesmpi_iallgather_is_correct() {
         let buf = fab.alloc(ep, block * p as u64);
         fab.fill_pattern(ep, buf.offset(me as u64 * block), block, me as u64 + 70)
             .unwrap();
-        let r = blues.iallgather(buf, block);
-        blues.wait(r);
+        let r = blues.iallgather(buf, block).await;
+        blues.wait(r).await;
         for s in 0..p {
             assert!(fab
                 .verify_pattern(ep, buf.offset(s as u64 * block), block, s as u64 + 70)
@@ -106,7 +106,7 @@ fn bluesmpi_cold_start_fades_with_warmup() {
     use std::sync::Mutex;
     let times: std::sync::Arc<Mutex<Vec<f64>>> = Default::default();
     let t2 = std::sync::Arc::clone(&times);
-    let report = run_blues(2, 1, BluesConfig::default(), move |blues| {
+    let report = run_blues(2, 1, BluesConfig::default(), async move |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -116,8 +116,8 @@ fn bluesmpi_cold_start_fades_with_warmup() {
         let recvbuf = fab.alloc(ep, block * p as u64);
         for i in 0..6 {
             let t0 = off.ctx().now();
-            let r = blues.ialltoall(sendbuf, recvbuf, block);
-            blues.wait(r);
+            let r = blues.ialltoall(sendbuf, recvbuf, block).await;
+            blues.wait(r).await;
             if off.rank() == 0 {
                 t2.lock().unwrap().push((off.ctx().now() - t0).as_us_f64());
                 let _ = i;
@@ -138,7 +138,7 @@ fn bluesmpi_cold_start_fades_with_warmup() {
 
 #[test]
 fn bluesmpi_uses_staging_mechanism() {
-    let report = run_blues(2, 1, BluesConfig::default(), |blues| {
+    let report = run_blues(2, 1, BluesConfig::default(), async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -146,8 +146,8 @@ fn bluesmpi_uses_staging_mechanism() {
         let block = 32 * 1024u64;
         let sendbuf = fab.alloc(ep, block * p as u64);
         let recvbuf = fab.alloc(ep, block * p as u64);
-        let r = blues.ialltoall(sendbuf, recvbuf, block);
-        blues.wait(r);
+        let r = blues.ialltoall(sendbuf, recvbuf, block).await;
+        blues.wait(r).await;
     });
     // Group sends each pull into staging (read) then forward (write).
     assert!(report.stats.counter("offload.proxy.staging_reads") > 0);
@@ -167,21 +167,24 @@ fn bluesmpi_uses_staging_mechanism() {
 fn intelmpi_collectives_delegate_correctly() {
     let spec = ClusterSpec::new(2, 2);
     ClusterBuilder::new(spec, 33)
-        .run_hosts(|rank, ctx, cluster| {
-            let impi = IntelMpi::new(rank, ctx, cluster.clone());
-            let fab = cluster.fabric().clone();
-            let ep = cluster.host_ep(rank);
-            let len = 16 * 1024;
-            let buf = fab.alloc(ep, len);
-            if rank == 0 {
-                fab.fill_pattern(ep, buf, len, 12).unwrap();
-            }
-            let r = impi.ibcast(0, buf, len);
-            // Poll with compute slices, Listing-1 style.
-            while !impi.test(r) {
-                impi.mpi().ctx().compute(SimDelta::from_us(5));
-            }
-            assert!(fab.verify_pattern(ep, buf, len, 12).unwrap());
-        })
+        .run_async(
+            async |rank, ctx, cluster| {
+                let impi = IntelMpi::new(rank, ctx, cluster.clone());
+                let fab = cluster.fabric().clone();
+                let ep = cluster.host_ep(rank);
+                let len = 16 * 1024;
+                let buf = fab.alloc(ep, len);
+                if rank == 0 {
+                    fab.fill_pattern(ep, buf, len, 12).unwrap();
+                }
+                let r = impi.ibcast(0, buf, len);
+                // Poll with compute slices, Listing-1 style.
+                while !impi.test(r) {
+                    impi.mpi().ctx().compute_async(SimDelta::from_us(5)).await;
+                }
+                assert!(fab.verify_pattern(ep, buf, len, 12).unwrap());
+            },
+            NO_PROXIES,
+        )
         .unwrap();
 }

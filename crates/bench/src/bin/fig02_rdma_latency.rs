@@ -16,7 +16,7 @@ fn one_way_latency_us(dst_is_dpu: bool, size: u64, iters: u32) -> f64 {
     let out = Arc::new(Mutex::new(0.0f64));
     let out2 = Arc::clone(&out);
     let fab = fabric.clone();
-    sim.spawn("driver", move |ctx| {
+    sim.spawn_future("driver", async move |ctx| {
         let src = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
         let dst = fab.add_endpoint(
             ctx.pid(),
@@ -46,7 +46,10 @@ fn one_way_latency_us(dst_is_dpu: bool, size: u64, iters: u32) -> f64 {
             .unwrap();
             // Wait for the completion, then count only the one-way part.
             loop {
-                if matches!(*ctx.recv().downcast::<NetMsg>().unwrap(), NetMsg::Cqe(_)) {
+                if matches!(
+                    *ctx.recv_async().await.downcast::<NetMsg>().unwrap(),
+                    NetMsg::Cqe(_)
+                ) {
                     break;
                 }
             }

@@ -19,7 +19,7 @@ fn bandwidth_gbs(dst_is_dpu: bool, size: u64, windows: u32) -> f64 {
     let out = Arc::new(Mutex::new(0.0f64));
     let out2 = Arc::clone(&out);
     let fab = fabric.clone();
-    sim.spawn("driver", move |ctx| {
+    sim.spawn_future("driver", async move |ctx| {
         let src = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
         let dst = fab.add_endpoint(
             ctx.pid(),
@@ -56,7 +56,10 @@ fn bandwidth_gbs(dst_is_dpu: bool, size: u64, windows: u32) -> f64 {
                 sent += size;
             }
             loop {
-                if matches!(*ctx.recv().downcast::<NetMsg>().unwrap(), NetMsg::Cqe(_)) {
+                if matches!(
+                    *ctx.recv_async().await.downcast::<NetMsg>().unwrap(),
+                    NetMsg::Cqe(_)
+                ) {
                     break;
                 }
             }

@@ -14,7 +14,7 @@ fn reg_costs_us(size: u64) -> (f64, f64) {
     let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
     let out2 = Arc::clone(&out);
     let fab = fabric.clone();
-    sim.spawn("driver", move |ctx| {
+    sim.spawn_future("driver", async move |ctx| {
         let host = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
         let dpu = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Dpu);
         let gvmi = fab.gvmi_of(dpu).unwrap();

@@ -19,9 +19,8 @@
 //!
 //! Every call that can wait for the proxy is an `async fn`: the one
 //! thing a rank waits for is its next control message
-//! ([`rdma::Channel::next`]). A future rank awaits them; a thread-backed
-//! rank (one that also blocks in `minimpi`) runs them with
-//! `ctx.block_on(..)`.
+//! ([`rdma::Channel::next`]), and a rank is a future process that awaits
+//! it.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -17,7 +17,7 @@
 //!
 //! ClusterBuilder::new(ClusterSpec::new(2, 1), 1)
 //!     .run_async(
-//!         |rank, ctx, cluster| async move {
+//!         async |rank, ctx, cluster| {
 //!             let inbox = Inbox::new();
 //!             let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
 //!             let fab = off.cluster().fabric().clone();
@@ -37,11 +37,11 @@
 //!     .unwrap();
 //! ```
 //!
-//! Each rank is a future process ([`rdma::ClusterBuilder::run_async`]):
-//! every call that can wait for the proxy is an `async fn`, and the
-//! whole cluster is polled on the calling thread. A thread-backed rank
-//! (one that also blocks in `minimpi`) runs the same calls through
-//! `ctx.block_on(off.wait(req))`.
+//! Each rank and each proxy is a future process
+//! ([`rdma::ClusterBuilder::run_async`]): every call that can wait for
+//! the proxy is an `async fn` (and so is every waiting `minimpi` call a
+//! rank makes beside it), and the whole cluster is polled on the calling
+//! thread.
 //!
 //! **Group primitives** (paper Listing 4) record an entire communication
 //! graph — including ordering via `group_barrier` — and ship it to the DPU

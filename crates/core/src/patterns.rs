@@ -171,21 +171,15 @@ mod tests {
     use crate::{Offload, OffloadConfig};
     use rdma::{ClusterBuilder, ClusterSpec, Inbox};
     use std::ops::AsyncFn;
-    use std::sync::Arc;
 
     fn on_pair(f: impl AsyncFn(&Offload) + Send + Sync + 'static) {
-        let f = Arc::new(f);
         ClusterBuilder::new(ClusterSpec::new(2, 1), 1)
             .run_async(
-                move |rank, ctx, cluster| {
-                    let f = Arc::clone(&f);
-                    async move {
-                        let inbox = Inbox::new();
-                        let off =
-                            Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
-                        f(&off).await;
-                        off.finalize().await;
-                    }
+                async move |rank, ctx, cluster| {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
+                    f(&off).await;
+                    off.finalize().await;
                 },
                 Some(crate::proxy_fn(OffloadConfig::proposed())),
             )
@@ -238,7 +232,7 @@ mod tests {
     fn allgather_ring_circulates_blocks() {
         ClusterBuilder::new(ClusterSpec::new(2, 2), 1)
             .run_async(
-                |rank, ctx, cluster| async move {
+                async |rank, ctx, cluster| {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank,

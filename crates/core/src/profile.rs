@@ -28,8 +28,8 @@
 //!
 //! Each thread accumulates into its own tree. When a thread exits (both
 //! simnet engines join their threads before `run()` returns), the tree
-//! is folded into a process-global registry; future ranks and proxy
-//! reactors sample into the tree of the thread that called `run()`.
+//! is folded into a process-global registry; future ranks and proxies
+//! sample into the tree of the thread that called `run()`.
 //! Because many ranks share that thread, a scope must never stay open
 //! across an `.await` ([`balanced`] checks it in debug builds);
 //! [`take_report`] merges the calling thread's data with the registry

@@ -3,8 +3,8 @@
 //! One proxy serves every host rank mapped to it via the paper's formula
 //! `proxy_local_rank = host_rank % num_proxies_per_dpu`. It is a pure
 //! event loop — the "progress engine" of paper Algorithm 1 — and runs as
-//! an inline reactor ([`proxy_fn`]): the simulation kernel calls it once
-//! per control message or completion and it never blocks mid-step. It:
+//! a future process ([`proxy_fn`]) that loops on its next control message
+//! or completion and never waits mid-step. It:
 //!
 //! * matches Basic-primitive RTS/RTR control messages in one descriptor
 //!   table keyed by `(src, dst, tag)` (paper Fig. 8), then moves the data
@@ -49,10 +49,11 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::AsyncFn;
 use std::sync::Arc;
 
 use rdma::{ClusterCtx, EpId, MrKey, NetMsg, VAddr};
-use simnet::{Payload, Pid, ProcessCtx, Reactor, StatKey};
+use simnet::{Payload, Pid, ProcessCtx, StatKey};
 
 use crate::config::{DataPath, OffloadConfig, TenantId};
 use crate::events::{CacheSide, CtrlKind, FinKind, HealthPath, PathKind, ProtoEvent};
@@ -672,17 +673,18 @@ struct ProxyState {
     health: HealthEngine,
 }
 
-/// Build the proxy reactor builder for [`rdma::ClusterBuilder::run`]'s
-/// `proxy_fn`, running the framework with `cfg`.
+/// Build the proxy body builder for [`rdma::ClusterBuilder::run_async`]'s
+/// `proxy_fn`, running the framework with `cfg`: a loop that handles
+/// each mailbox message as it arrives until the proxy has finished.
 pub fn proxy_fn(
     cfg: OffloadConfig,
-) -> impl Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static {
-    move |node, idx, ctx, cluster| {
-        let mut proc = ProxyProc::new(node, idx, ctx, cluster, cfg.clone());
+) -> impl AsyncFn(usize, usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static {
+    async move |node, idx, ctx: ProcessCtx, cluster| {
+        let mut proc = ProxyProc::new(node, idx, ctx.clone(), cluster, cfg.clone());
         if proc.finished() {
-            return None; // no rank maps to this proxy
+            return; // no rank maps to this proxy
         }
-        Some(Box::new(move |payload| proc.on_message(payload)))
+        while proc.on_message(ctx.recv_async().await) {}
     }
 }
 
@@ -2611,50 +2613,45 @@ mod tests {
         let peaks2 = Arc::clone(&peaks);
         ClusterBuilder::new(ClusterSpec::new(2, 2).without_byte_movement(), 5)
             .run_async(
-                move |rank, ctx, cluster| {
-                    let host_cfg = host_cfg.clone();
-                    async move {
-                        let inbox = Inbox::new();
-                        let off = Offload::init(rank, ctx, cluster, &inbox, host_cfg);
-                        let fab = off.cluster().fabric().clone();
-                        let ep = off.cluster().host_ep(rank);
-                        let p = off.size();
-                        let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
-                        let sbuf = fab.alloc(ep, FACE);
-                        let rbuf = fab.alloc(ep, FACE);
-                        for round in 0..ROUNDS {
-                            let reqs = [
-                                off.send_offload(sbuf, FACE, right, round),
-                                off.recv_offload(rbuf, FACE, left, round),
-                            ];
-                            off.wait_all(&reqs).await;
-                        }
-                        // One receive nobody answers, cancelled: the proxy
-                        // reaps its queued descriptor, and the failed slot is
-                        // never `done`, so it stays held to the end.
-                        let orphan = off.recv_offload(rbuf, FACE, left, u64::MAX);
-                        off.cancel(orphan);
-                        assert!(off.req_error(orphan).is_some());
-                        assert_eq!(off.held_slots(), 1);
-                        off.finalize().await;
-                        assert_eq!(off.held_slots(), 1);
+                async move |rank, ctx, cluster| {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, host_cfg.clone());
+                    let fab = off.cluster().fabric().clone();
+                    let ep = off.cluster().host_ep(rank);
+                    let p = off.size();
+                    let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+                    let sbuf = fab.alloc(ep, FACE);
+                    let rbuf = fab.alloc(ep, FACE);
+                    for round in 0..ROUNDS {
+                        let reqs = [
+                            off.send_offload(sbuf, FACE, right, round),
+                            off.recv_offload(rbuf, FACE, left, round),
+                        ];
+                        off.wait_all(&reqs).await;
                     }
+                    // One receive nobody answers, cancelled: the proxy
+                    // reaps its queued descriptor, and the failed slot is
+                    // never `done`, so it stays held to the end.
+                    let orphan = off.recv_offload(rbuf, FACE, left, u64::MAX);
+                    off.cancel(orphan);
+                    assert!(off.req_error(orphan).is_some());
+                    assert_eq!(off.held_slots(), 1);
+                    off.finalize().await;
+                    assert_eq!(off.held_slots(), 1);
                 },
                 Some(
-                    move |node: usize, idx: usize, ctx: ProcessCtx, cluster: ClusterCtx| {
-                        let mut proc = ProxyProc::new(node, idx, ctx, cluster, proxy_cfg.clone());
-                        let peaks = Arc::clone(&peaks2);
+                    async move |node: usize, idx: usize, ctx: ProcessCtx, cluster: ClusterCtx| {
+                        let cfg = proxy_cfg.clone();
+                        let mut proc = ProxyProc::new(node, idx, ctx.clone(), cluster, cfg);
                         let mut most = 0;
-                        let handler: Reactor = Box::new(move |payload| {
-                            let more = proc.on_message(payload);
-                            let held = proc.st.descriptors.len();
-                            most = most.max(held);
-                            if !more {
-                                peaks.lock().expect("peaks lock").push((most, held));
-                            }
-                            more
-                        });
-                        Some(handler)
+                        while proc.on_message(ctx.recv_async().await) {
+                            most = most.max(proc.st.descriptors.len());
+                        }
+                        let held = proc.st.descriptors.len();
+                        peaks2
+                            .lock()
+                            .expect("peaks lock")
+                            .push((most.max(held), held));
                     },
                 ),
             )

@@ -343,21 +343,16 @@ mod tests {
     use super::*;
     use rdma::{ClusterBuilder, ClusterSpec};
     use std::ops::AsyncFn;
-    use std::sync::Arc;
 
     fn run_shmem(nodes: usize, ppn: usize, f: impl AsyncFn(&Shmem) + Send + Sync + 'static) {
-        let f = Arc::new(f);
         ClusterBuilder::new(ClusterSpec::new(nodes, ppn), 7)
             .run_async(
-                move |rank, ctx, cluster| {
-                    let f = Arc::clone(&f);
-                    async move {
-                        let inbox = Inbox::new();
-                        let cfg = OffloadConfig::proposed();
-                        let shm = Shmem::init(rank, ctx, cluster, &inbox, cfg, 1 << 20).await;
-                        f(&shm).await;
-                        shm.finalize().await;
-                    }
+                async move |rank, ctx, cluster| {
+                    let inbox = Inbox::new();
+                    let cfg = OffloadConfig::proposed();
+                    let shm = Shmem::init(rank, ctx, cluster, &inbox, cfg, 1 << 20).await;
+                    f(&shm).await;
+                    shm.finalize().await;
                 },
                 Some(crate::proxy_fn(OffloadConfig::proposed())),
             )

@@ -6,7 +6,6 @@ use offload::{GroupRequest, Offload, OffloadConfig};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 use simnet::SimDelta;
 use std::ops::AsyncFn;
-use std::sync::Arc;
 
 fn run_offload(
     nodes: usize,
@@ -16,17 +15,13 @@ fn run_offload(
 ) -> simnet::Report {
     let spec = ClusterSpec::new(nodes, ppn);
     let pcfg = cfg.clone();
-    let f = Arc::new(f);
     ClusterBuilder::new(spec, 23)
         .run_async(
-            move |rank, ctx, cluster| {
-                let (cfg, f) = (cfg.clone(), Arc::clone(&f));
-                async move {
-                    let inbox = Inbox::new();
-                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
-                    f(&off).await;
-                    off.finalize().await;
-                }
+            async move |rank, ctx, cluster| {
+                let inbox = Inbox::new();
+                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
+                f(&off).await;
+                off.finalize().await;
             },
             Some(offload::proxy_fn(pcfg)),
         )

@@ -19,7 +19,7 @@ fn coll_tag(comm: u64, seq: u64, step: u64) -> u64 {
 
 impl Mpi {
     /// Blocking barrier (dissemination algorithm, zero-byte eager messages).
-    pub fn barrier(&self) {
+    pub async fn barrier(&self) {
         let p = self.size();
         if p == 1 {
             return;
@@ -36,17 +36,17 @@ impl Mpi {
             let tag = coll_tag(comm, seq, step);
             let s = self.isend(scratch, 0, to, tag);
             let r = self.irecv(scratch, 0, from, tag);
-            self.wait(s);
-            self.wait(r);
+            self.wait(s).await;
+            self.wait(r).await;
             dist <<= 1;
             step += 1;
         }
     }
 
     /// Blocking binomial-tree broadcast of `[addr, addr+len)` from `root`.
-    pub fn bcast(&self, root: usize, addr: VAddr, len: u64) {
+    pub async fn bcast(&self, root: usize, addr: VAddr, len: u64) {
         let r = self.ibcast(root, addr, len);
-        self.wait(r);
+        self.wait(r).await;
     }
 
     /// Non-blocking binomial broadcast; progressed by `test`/`wait`.
@@ -112,9 +112,9 @@ impl Mpi {
     /// Blocking ring broadcast (the HPL "1ring" algorithm): root sends to
     /// its right neighbour; every other rank receives from the left, then
     /// forwards right. Dependent steps, so host progress serializes it.
-    pub fn ring_bcast(&self, root: usize, addr: VAddr, len: u64) {
+    pub async fn ring_bcast(&self, root: usize, addr: VAddr, len: u64) {
         let r = self.iring_bcast(root, addr, len);
-        self.wait(r);
+        self.wait(r).await;
     }
 
     /// Non-blocking ring broadcast schedule (receive stage, then forward
@@ -176,9 +176,9 @@ impl Mpi {
 
     /// Blocking personalized all-to-all. `sendbuf`/`recvbuf` hold
     /// `size()` contiguous blocks of `block_len` bytes.
-    pub fn alltoall(&self, sendbuf: VAddr, recvbuf: VAddr, block_len: u64) {
+    pub async fn alltoall(&self, sendbuf: VAddr, recvbuf: VAddr, block_len: u64) {
         let r = self.ialltoall(sendbuf, recvbuf, block_len);
-        self.wait(r);
+        self.wait(r).await;
     }
 
     /// Non-blocking all-to-all, scatter-destination algorithm: every block
@@ -217,9 +217,9 @@ impl Mpi {
 
     /// Blocking ring all-gather: `buf` holds `size()` blocks of
     /// `block_len`; each rank contributes the block at its own index.
-    pub fn allgather(&self, buf: VAddr, block_len: u64) {
+    pub async fn allgather(&self, buf: VAddr, block_len: u64) {
         let r = self.iallgather(buf, block_len);
-        self.wait(r);
+        self.wait(r).await;
     }
 
     /// Non-blocking ring all-gather: `size()-1` dependent stages.
@@ -255,16 +255,16 @@ impl Mpi {
 
     /// All-reduce a single `f64` with max (binomial reduce + broadcast).
     /// Used by benchmark harnesses to agree on per-iteration times.
-    pub fn allreduce_max_f64(&self, value: f64) -> f64 {
-        self.allreduce_f64(value, f64::max)
+    pub async fn allreduce_max_f64(&self, value: f64) -> f64 {
+        self.allreduce_f64(value, f64::max).await
     }
 
     /// All-reduce a single `f64` with sum.
-    pub fn allreduce_sum_f64(&self, value: f64) -> f64 {
-        self.allreduce_f64(value, |a, b| a + b)
+    pub async fn allreduce_sum_f64(&self, value: f64) -> f64 {
+        self.allreduce_f64(value, |a, b| a + b).await
     }
 
-    fn allreduce_f64(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    async fn allreduce_f64(&self, value: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         let p = self.size();
         if p == 1 {
             return value;
@@ -286,12 +286,12 @@ impl Mpi {
             if me & mask != 0 {
                 fab.write_bytes(ep, buf, &acc.to_le_bytes())
                     .expect("scratch");
-                self.send(buf, 8, me - mask, tag);
+                self.send(buf, 8, me - mask, tag).await;
                 break;
             }
             let peer = me | mask;
             if peer < p {
-                self.recv(tmp, 8, peer, tag);
+                self.recv(tmp, 8, peer, tag).await;
                 let bytes = fab.read_bytes(ep, tmp, 8).expect("scratch");
                 acc = op(acc, f64::from_le_bytes(bytes.try_into().expect("8 bytes")));
             }
@@ -300,29 +300,19 @@ impl Mpi {
         // Broadcast the result.
         fab.write_bytes(ep, buf, &acc.to_le_bytes())
             .expect("scratch");
-        self.bcast(0, buf, 8);
+        self.bcast(0, buf, 8).await;
         let bytes = fab.read_bytes(ep, buf, 8).expect("scratch");
         f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
     }
 
     /// Lazily allocated zero-length scratch buffer for zero-byte messages.
     fn scratch0(&self) -> VAddr {
-        use std::cell::Cell;
-        thread_local! {
-            static SCRATCH: Cell<Option<(usize, VAddr)>> = const { Cell::new(None) };
+        if let Some(addr) = self.scratch0.get() {
+            return addr;
         }
-        SCRATCH.with(|s| {
-            if let Some((rank, addr)) = s.get() {
-                if rank == self.rank() {
-                    return addr;
-                }
-            }
-            let addr = self
-                .cluster()
-                .fabric()
-                .alloc(self.cluster().host_ep(self.rank()), 0);
-            s.set(Some((self.rank(), addr)));
-            addr
-        })
+        let fab = self.cluster().fabric();
+        let addr = fab.alloc(self.cluster().host_ep(self.rank()), 0);
+        self.scratch0.set(Some(addr));
+        addr
     }
 }

@@ -7,7 +7,7 @@
 //! on: a rendezvous or a dependent collective step stalls while the
 //! application computes.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
@@ -226,7 +226,10 @@ pub struct Mpi {
     /// Reentrancy guard: posting ops from inside `advance_nbcs` re-enters
     /// `progress`, which must not recurse into `advance_nbcs` while a stage
     /// is half-posted.
-    in_advance: std::cell::Cell<bool>,
+    in_advance: Cell<bool>,
+    /// Zero-length buffer for zero-byte messages, allocated at the first
+    /// barrier.
+    pub(crate) scratch0: Cell<Option<VAddr>>,
 }
 
 impl Mpi {
@@ -253,7 +256,8 @@ impl Mpi {
             cfg,
             chan,
             st: RefCell::new(Engine::new()),
-            in_advance: std::cell::Cell::new(false),
+            in_advance: Cell::new(false),
+            scratch0: Cell::new(None),
         }
     }
 
@@ -285,8 +289,8 @@ impl Mpi {
     }
 
     /// Model application computation (no MPI progress happens meanwhile).
-    pub fn compute(&self, d: simnet::SimDelta) {
-        self.ctx.compute(d);
+    pub async fn compute(&self, d: simnet::SimDelta) {
+        self.ctx.compute_async(d).await;
     }
 
     // ---- point-to-point ----
@@ -405,33 +409,33 @@ impl Mpi {
         reqs.iter().all(|r| st.reqs[r.0])
     }
 
-    /// Block until `req` completes (like `MPI_Wait`).
-    pub fn wait(&self, req: Req) {
+    /// Wait until `req` completes (like `MPI_Wait`).
+    pub async fn wait(&self, req: Req) {
         self.progress();
         while !self.st.borrow().reqs[req.0] {
-            let msg = self.ctx.block_on(self.chan.next(&self.ctx));
+            let msg = self.chan.next(&self.ctx).await;
             self.handle(msg);
             self.progress();
         }
     }
 
-    /// Block until all of `reqs` complete.
-    pub fn wait_all(&self, reqs: &[Req]) {
+    /// Wait until all of `reqs` complete.
+    pub async fn wait_all(&self, reqs: &[Req]) {
         for &r in reqs {
-            self.wait(r);
+            self.wait(r).await;
         }
     }
 
     /// Blocking standard send.
-    pub fn send(&self, addr: VAddr, len: u64, dst: usize, tag: u64) {
+    pub async fn send(&self, addr: VAddr, len: u64, dst: usize, tag: u64) {
         let r = self.isend(addr, len, dst, tag);
-        self.wait(r);
+        self.wait(r).await;
     }
 
     /// Blocking receive.
-    pub fn recv(&self, addr: VAddr, len: u64, src: usize, tag: u64) {
+    pub async fn recv(&self, addr: VAddr, len: u64, src: usize, tag: u64) {
         let r = self.irecv(addr, len, src, tag);
-        self.wait(r);
+        self.wait(r).await;
     }
 
     /// Drain and handle every pending incoming message, then advance any
@@ -447,11 +451,16 @@ impl Mpi {
     /// Listing-1 pattern (`do_compute(); MPI_Test(...)`). Returns once the
     /// compute budget is spent; query `test`/`wait` afterwards for the
     /// request's completion state.
-    pub fn compute_with_test(&self, total: simnet::SimDelta, slice: simnet::SimDelta, req: Req) {
+    pub async fn compute_with_test(
+        &self,
+        total: simnet::SimDelta,
+        slice: simnet::SimDelta,
+        req: Req,
+    ) {
         let mut remaining = total;
         while remaining > simnet::SimDelta::ZERO {
             let step = remaining.min(slice);
-            self.ctx.compute(step);
+            self.ctx.compute_async(step).await;
             remaining = remaining.saturating_sub(step);
             let _ = self.test(req);
         }
@@ -739,7 +748,7 @@ impl Mpi {
 }
 
 /// Clears the `in_advance` flag even if a stage op panics.
-struct ResetGuard<'a>(&'a std::cell::Cell<bool>);
+struct ResetGuard<'a>(&'a Cell<bool>);
 
 impl Drop for ResetGuard<'_> {
     fn drop(&mut self) {

@@ -16,6 +16,10 @@
 //!   benchmark bookkeeping.
 //! * A classic registration cache for rendezvous buffers.
 //!
+//! A rank is a future process ([`rdma::ClusterBuilder::run_async`]), so
+//! every call that waits (`wait`, `wait_all`, `send`, `recv`, `compute`,
+//! `compute_with_test` and the blocking collectives) is an `async fn`.
+//!
 //! The "IntelMPI" baseline in the `baselines` crate is this library used
 //! directly; the offload framework in the `offload` crate replaces its
 //! transport with DPU proxies.

@@ -1,27 +1,30 @@
 //! Collective correctness across odd/even sizes and multi-node layouts.
 
 use minimpi::{Mpi, MpiConfig};
-use rdma::{ClusterBuilder, ClusterSpec};
+use rdma::{ClusterBuilder, ClusterSpec, NO_PROXIES};
 
-fn run_world(nodes: usize, ppn: usize, f: impl Fn(&Mpi) + Send + Sync + 'static) {
+fn run_world(nodes: usize, ppn: usize, f: impl AsyncFn(&Mpi) + Send + Sync + 'static) {
     let spec = ClusterSpec::new(nodes, ppn);
     ClusterBuilder::new(spec, 99)
-        .run_hosts(move |rank, ctx, cluster| {
-            let mpi = Mpi::new(rank, ctx, cluster, MpiConfig::default());
-            f(&mpi);
-        })
+        .run_async(
+            async move |rank, ctx, cluster| {
+                let mpi = Mpi::new(rank, ctx, cluster, MpiConfig::default());
+                f(&mpi).await;
+            },
+            NO_PROXIES,
+        )
         .unwrap();
 }
 
 #[test]
 fn barrier_synchronizes() {
-    run_world(2, 3, |mpi| {
+    run_world(2, 3, async |mpi| {
         // Rank 0 is late; everyone must leave the barrier after it arrives.
         if mpi.rank() == 0 {
-            mpi.ctx().compute(simnet::SimDelta::from_ms(1));
+            mpi.ctx().compute_async(simnet::SimDelta::from_ms(1)).await;
         }
         let t0 = mpi.ctx().now();
-        mpi.barrier();
+        mpi.barrier().await;
         assert!(mpi.ctx().now() >= t0, "barrier exit after entry");
         assert!(
             mpi.ctx().now().as_us_f64() >= 1_000.0,
@@ -33,25 +36,28 @@ fn barrier_synchronizes() {
 fn check_bcast(nodes: usize, ppn: usize, len: u64, ring: bool) {
     let spec = ClusterSpec::new(nodes, ppn);
     ClusterBuilder::new(spec, 5)
-        .run_hosts(move |rank, ctx, cluster| {
-            let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
-            let fab = cluster.fabric().clone();
-            let ep = cluster.host_ep(rank);
-            let buf = fab.alloc(ep, len);
-            let root = 1 % mpi.size();
-            if rank == root {
-                fab.fill_pattern(ep, buf, len, 77).unwrap();
-            }
-            if ring {
-                mpi.ring_bcast(root, buf, len);
-            } else {
-                mpi.bcast(root, buf, len);
-            }
-            assert!(
-                fab.verify_pattern(ep, buf, len, 77).unwrap(),
-                "rank {rank} has the broadcast data"
-            );
-        })
+        .run_async(
+            async move |rank, ctx, cluster| {
+                let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+                let fab = cluster.fabric().clone();
+                let ep = cluster.host_ep(rank);
+                let buf = fab.alloc(ep, len);
+                let root = 1 % mpi.size();
+                if rank == root {
+                    fab.fill_pattern(ep, buf, len, 77).unwrap();
+                }
+                if ring {
+                    mpi.ring_bcast(root, buf, len).await;
+                } else {
+                    mpi.bcast(root, buf, len).await;
+                }
+                assert!(
+                    fab.verify_pattern(ep, buf, len, 77).unwrap(),
+                    "rank {rank} has the broadcast data"
+                );
+            },
+            NO_PROXIES,
+        )
         .unwrap();
 }
 
@@ -72,7 +78,7 @@ fn ring_bcast_delivers_everywhere() {
 
 #[test]
 fn alltoall_exchanges_all_blocks() {
-    run_world(2, 3, |mpi| {
+    run_world(2, 3, async |mpi| {
         let p = mpi.size();
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
@@ -90,7 +96,7 @@ fn alltoall_exchanges_all_blocks() {
             )
             .unwrap();
         }
-        mpi.alltoall(sendbuf, recvbuf, block);
+        mpi.alltoall(sendbuf, recvbuf, block).await;
         for s in 0..p {
             assert!(
                 fab.verify_pattern(
@@ -109,7 +115,7 @@ fn alltoall_exchanges_all_blocks() {
 #[test]
 fn alltoall_rendezvous_blocks() {
     // Above the eager threshold, so the rendezvous path carries blocks.
-    run_world(2, 2, |mpi| {
+    run_world(2, 2, async |mpi| {
         let p = mpi.size();
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
@@ -126,7 +132,7 @@ fn alltoall_rendezvous_blocks() {
             )
             .unwrap();
         }
-        mpi.alltoall(sendbuf, recvbuf, block);
+        mpi.alltoall(sendbuf, recvbuf, block).await;
         for s in 0..p {
             assert!(fab
                 .verify_pattern(
@@ -142,7 +148,7 @@ fn alltoall_rendezvous_blocks() {
 
 #[test]
 fn allgather_collects_all_blocks() {
-    run_world(3, 2, |mpi| {
+    run_world(3, 2, async |mpi| {
         let p = mpi.size();
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
@@ -151,7 +157,7 @@ fn allgather_collects_all_blocks() {
         let buf = fab.alloc(ep, block * p as u64);
         fab.fill_pattern(ep, buf.offset(me as u64 * block), block, me as u64 + 500)
             .unwrap();
-        mpi.allgather(buf, block);
+        mpi.allgather(buf, block).await;
         for s in 0..p {
             assert!(
                 fab.verify_pattern(ep, buf.offset(s as u64 * block), block, s as u64 + 500)
@@ -164,7 +170,7 @@ fn allgather_collects_all_blocks() {
 
 #[test]
 fn ialltoall_overlaps_with_compute() {
-    run_world(2, 2, |mpi| {
+    run_world(2, 2, async |mpi| {
         let p = mpi.size();
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
@@ -186,8 +192,9 @@ fn ialltoall_overlaps_with_compute() {
             simnet::SimDelta::from_us(200),
             simnet::SimDelta::from_us(10),
             req,
-        );
-        mpi.wait(req);
+        )
+        .await;
+        mpi.wait(req).await;
         for s in 0..p {
             assert!(fab
                 .verify_pattern(
@@ -203,19 +210,19 @@ fn ialltoall_overlaps_with_compute() {
 
 #[test]
 fn allreduce_scalars() {
-    run_world(2, 3, |mpi| {
+    run_world(2, 3, async |mpi| {
         let me = mpi.rank() as f64;
         let p = mpi.size() as f64;
-        let max = mpi.allreduce_max_f64(me * 2.0);
+        let max = mpi.allreduce_max_f64(me * 2.0).await;
         assert_eq!(max, (p - 1.0) * 2.0);
-        let sum = mpi.allreduce_sum_f64(1.5);
+        let sum = mpi.allreduce_sum_f64(1.5).await;
         assert!((sum - 1.5 * p).abs() < 1e-9);
     });
 }
 
 #[test]
 fn successive_collectives_do_not_cross_talk() {
-    run_world(2, 2, |mpi| {
+    run_world(2, 2, async |mpi| {
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
         let ep = mpi.cluster().host_ep(me);
@@ -224,7 +231,7 @@ fn successive_collectives_do_not_cross_talk() {
             if me == 0 {
                 fab.fill_pattern(ep, buf, 256, round).unwrap();
             }
-            mpi.bcast(0, buf, 256);
+            mpi.bcast(0, buf, 256).await;
             assert!(
                 fab.verify_pattern(ep, buf, 256, round).unwrap(),
                 "round {round}"
@@ -235,17 +242,17 @@ fn successive_collectives_do_not_cross_talk() {
 
 #[test]
 fn single_rank_world_collectives_are_noops() {
-    run_world(1, 1, |mpi| {
+    run_world(1, 1, async |mpi| {
         let fab = mpi.cluster().fabric().clone();
         let ep = mpi.cluster().host_ep(0);
         let buf = fab.alloc(ep, 64);
         fab.fill_pattern(ep, buf, 64, 4).unwrap();
-        mpi.barrier();
-        mpi.bcast(0, buf, 64);
+        mpi.barrier().await;
+        mpi.bcast(0, buf, 64).await;
         let r = fab.alloc(ep, 64);
-        mpi.alltoall(buf, r, 64);
+        mpi.alltoall(buf, r, 64).await;
         assert!(fab.verify_pattern(ep, r, 64, 4).unwrap());
-        assert_eq!(mpi.allreduce_max_f64(3.25), 3.25);
+        assert_eq!(mpi.allreduce_max_f64(3.25).await, 3.25);
     });
 }
 
@@ -253,7 +260,7 @@ fn single_rank_world_collectives_are_noops() {
 fn subset_bcast_binomial_and_ring() {
     // Row-scoped broadcasts (as HPL uses): two disjoint rows broadcast
     // concurrently without cross-talk.
-    run_world(2, 2, |mpi| {
+    run_world(2, 2, async |mpi| {
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
         let ep = mpi.cluster().host_ep(me);
@@ -264,7 +271,7 @@ fn subset_bcast_binomial_and_ring() {
             fab.fill_pattern(ep, buf, 8192, 700 + row_id).unwrap();
         }
         let r = mpi.ibcast_among(&row, 0, buf, 8192);
-        mpi.wait(r);
+        mpi.wait(r).await;
         assert!(fab.verify_pattern(ep, buf, 8192, 700 + row_id).unwrap());
         // Ring variant, rooted at position 1 this time.
         let buf2 = fab.alloc(ep, 4096);
@@ -272,23 +279,23 @@ fn subset_bcast_binomial_and_ring() {
             fab.fill_pattern(ep, buf2, 4096, 800 + row_id).unwrap();
         }
         let r = mpi.iring_bcast_among(&row, 1, buf2, 4096);
-        mpi.wait(r);
+        mpi.wait(r).await;
         assert!(fab.verify_pattern(ep, buf2, 4096, 800 + row_id).unwrap());
     });
 }
 
 #[test]
 fn subset_bcast_single_member_is_noop() {
-    run_world(2, 1, |mpi| {
+    run_world(2, 1, async |mpi| {
         let fab = mpi.cluster().fabric().clone();
         let ep = mpi.cluster().host_ep(mpi.rank());
         let buf = fab.alloc(ep, 64);
         fab.fill_pattern(ep, buf, 64, mpi.rank() as u64).unwrap();
         let members = [mpi.rank()];
         let r = mpi.ibcast_among(&members, 0, buf, 64);
-        mpi.wait(r);
+        mpi.wait(r).await;
         let r = mpi.iring_bcast_among(&members, 0, buf, 64);
-        mpi.wait(r);
+        mpi.wait(r).await;
         assert!(fab.verify_pattern(ep, buf, 64, mpi.rank() as u64).unwrap());
     });
 }
@@ -299,7 +306,7 @@ fn uneven_subset_usage_does_not_desync_world_collectives() {
     // that ran different numbers of sub-communicator broadcasts would
     // disagree on the next world tag and deadlock. Sequences are now
     // per-communicator.
-    run_world(2, 2, |mpi| {
+    run_world(2, 2, async |mpi| {
         let me = mpi.rank();
         let fab = mpi.cluster().fabric().clone();
         let ep = mpi.cluster().host_ep(me);
@@ -312,14 +319,14 @@ fn uneven_subset_usage_does_not_desync_world_collectives() {
                 fab.fill_pattern(ep, buf, 1024, 50 + r).unwrap();
             }
             let req = mpi.ibcast_among(&row, 0, buf, 1024);
-            mpi.wait(req);
+            mpi.wait(req).await;
         }
         // A world collective must still match across all ranks.
         if me == 0 {
             fab.fill_pattern(ep, buf, 1024, 999).unwrap();
         }
-        mpi.bcast(0, buf, 1024);
+        mpi.bcast(0, buf, 1024).await;
         assert!(fab.verify_pattern(ep, buf, 1024, 999).unwrap());
-        mpi.barrier();
+        mpi.barrier().await;
     });
 }

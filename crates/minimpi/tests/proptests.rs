@@ -4,7 +4,7 @@
 
 use minimpi::{Mpi, MpiConfig};
 use proptest::prelude::*;
-use rdma::{ClusterBuilder, ClusterSpec};
+use rdma::{ClusterBuilder, ClusterSpec, NO_PROXIES};
 use std::sync::Arc;
 
 /// A randomly generated message: which pair exchanges it, its tag class
@@ -44,39 +44,42 @@ fn run_schedule(msgs: Vec<Msg>, ranks: usize) {
     let msgs = Arc::new(msgs);
     let spec = ClusterSpec::new(2, ranks.div_ceil(2));
     ClusterBuilder::new(spec, 2024)
-        .run_hosts(move |rank, ctx, cluster| {
-            let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
-            let fab = cluster.fabric().clone();
-            let ep = cluster.host_ep(rank);
-            let mut reqs = Vec::new();
-            let mut recvs = Vec::new();
-            // Post everything non-blocking, interleaved: sends in schedule
-            // order, receives in schedule order (per-pair-and-tag streams
-            // must not overtake).
-            for (i, m) in msgs.iter().enumerate() {
-                if m.src == rank {
-                    let buf = fab.alloc(ep, m.len);
-                    fab.fill_pattern(ep, buf, m.len, i as u64).unwrap();
-                    reqs.push(mpi.isend(buf, m.len, m.dst, m.tag));
+        .run_async(
+            async move |rank, ctx, cluster| {
+                let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+                let fab = cluster.fabric().clone();
+                let ep = cluster.host_ep(rank);
+                let mut reqs = Vec::new();
+                let mut recvs = Vec::new();
+                // Post everything non-blocking, interleaved: sends in schedule
+                // order, receives in schedule order (per-pair-and-tag streams
+                // must not overtake).
+                for (i, m) in msgs.iter().enumerate() {
+                    if m.src == rank {
+                        let buf = fab.alloc(ep, m.len);
+                        fab.fill_pattern(ep, buf, m.len, i as u64).unwrap();
+                        reqs.push(mpi.isend(buf, m.len, m.dst, m.tag));
+                    }
+                    if m.dst == rank {
+                        let buf = fab.alloc(ep, m.len);
+                        recvs.push((i, buf, m.len));
+                        reqs.push(mpi.irecv(buf, m.len, m.src, m.tag));
+                    }
                 }
-                if m.dst == rank {
-                    let buf = fab.alloc(ep, m.len);
-                    recvs.push((i, buf, m.len));
-                    reqs.push(mpi.irecv(buf, m.len, m.src, m.tag));
+                mpi.wait_all(&reqs).await;
+                // Every receive slot must hold its message's pattern... but two
+                // same-(src,dst,tag) messages may map to each other's slots
+                // only in posted order — which matches schedule order on both
+                // sides, so slot i always gets message i.
+                for (i, buf, len) in recvs {
+                    assert!(
+                        fab.verify_pattern(ep, buf, len, i as u64).unwrap(),
+                        "rank {rank}: message {i} corrupted or misrouted"
+                    );
                 }
-            }
-            mpi.wait_all(&reqs);
-            // Every receive slot must hold its message's pattern... but two
-            // same-(src,dst,tag) messages may map to each other's slots
-            // only in posted order — which matches schedule order on both
-            // sides, so slot i always gets message i.
-            for (i, buf, len) in recvs {
-                assert!(
-                    fab.verify_pattern(ep, buf, len, i as u64).unwrap(),
-                    "rank {rank}: message {i} corrupted or misrouted"
-                );
-            }
-        })
+            },
+            NO_PROXIES,
+        )
         .unwrap();
 }
 
@@ -101,7 +104,7 @@ proptest! {
         let msgs = Arc::new(msgs);
         let spec = ClusterSpec::new(3, 1);
         ClusterBuilder::new(spec, 11)
-            .run_hosts(move |rank, ctx, cluster| {
+            .run_async(async move |rank, ctx, cluster| {
                 let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
@@ -119,12 +122,12 @@ proptest! {
                         reqs.push(mpi.irecv(buf, m.len, m.src, m.tag));
                     }
                 }
-                ctx.compute(simnet::SimDelta::from_us(compute_us));
-                mpi.wait_all(&reqs);
+                ctx.compute_async(simnet::SimDelta::from_us(compute_us)).await;
+                mpi.wait_all(&reqs).await;
                 for (i, buf, len) in recvs {
                     assert!(fab.verify_pattern(ep, buf, len, i as u64).unwrap());
                 }
-            })
+            }, NO_PROXIES)
             .unwrap();
     }
 
@@ -134,21 +137,21 @@ proptest! {
         let ops = Arc::new(ops);
         let spec = ClusterSpec::new(2, 2);
         ClusterBuilder::new(spec, 5)
-            .run_hosts(move |rank, ctx, cluster| {
+            .run_async(async move |rank, ctx, cluster| {
                 let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let p = cluster.world_size();
                 for (round, op) in ops.iter().enumerate() {
                     match op {
-                        0 => mpi.barrier(),
+                        0 => mpi.barrier().await,
                         1 => {
                             let buf = fab.alloc(ep, 2048);
                             let root = round % p;
                             if rank == root {
                                 fab.fill_pattern(ep, buf, 2048, round as u64).unwrap();
                             }
-                            mpi.bcast(root, buf, 2048);
+                            mpi.bcast(root, buf, 2048).await;
                             assert!(fab.verify_pattern(ep, buf, 2048, round as u64).unwrap());
                         }
                         _ => {
@@ -158,7 +161,7 @@ proptest! {
                                 fab.fill_pattern(ep, s.offset(d as u64 * 1024), 1024,
                                     (round * 100 + rank * 10 + d) as u64).unwrap();
                             }
-                            mpi.alltoall(s, r, 1024);
+                            mpi.alltoall(s, r, 1024).await;
                             for src in 0..p {
                                 assert!(fab.verify_pattern(ep, r.offset(src as u64 * 1024), 1024,
                                     (round * 100 + src * 10 + rank) as u64).unwrap());
@@ -166,7 +169,7 @@ proptest! {
                         }
                     }
                 }
-            })
+            }, NO_PROXIES)
             .unwrap();
     }
 }

@@ -74,11 +74,11 @@ mod tests {
     fn exports_spans_and_instants() {
         let mut sim = Simulation::new(7);
         sim.enable_trace();
-        sim.spawn("worker", |ctx| {
+        sim.spawn_future("worker", async |ctx| {
             ctx.trace("start");
-            ctx.compute(SimDelta::from_us(3));
+            ctx.compute_async(SimDelta::from_us(3)).await;
             let sp = ctx.span_begin("phase", "wrapup");
-            ctx.sleep(SimDelta::from_us(1));
+            ctx.sleep_async(SimDelta::from_us(1)).await;
             ctx.span_end(sp);
         });
         let report = sim.run().unwrap();
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn untraced_run_exports_nothing() {
         let mut sim = Simulation::new(7);
-        sim.spawn("w", |ctx| ctx.sleep(SimDelta::from_us(1)));
+        sim.spawn_future("w", async |ctx| ctx.sleep_async(SimDelta::from_us(1)).await);
         let report = sim.run().unwrap();
         assert!(chrome_trace(&report).is_none());
     }

@@ -4,23 +4,23 @@
 //! boilerplate: a [`Simulation`], a [`Fabric`], one host process per rank,
 //! and optionally proxy processes on each DPU. [`ClusterBuilder`] wires
 //! that up and hands every process a [`ClusterCtx`] with the full roster.
-//! Host ranks are closures on threads ([`ClusterBuilder::run`]) or
-//! futures ([`ClusterBuilder::run_async`], see
-//! [`simnet::Simulation::spawn_future`]); proxies are inline reactors (see
-//! [`simnet::Simulation::spawn_reactor`]) — a DPU worker polls and reacts,
-//! it never blocks mid-step, so it needs no thread of its own.
+//! Host ranks and proxies are future processes
+//! ([`ClusterBuilder::run_async`], see
+//! [`simnet::Simulation::spawn_future`]), polled on the thread that runs
+//! the cluster: a host rank only ever waits for its next message, and a
+//! DPU proxy is a loop on its next message, so neither needs a thread of
+//! its own.
 //!
 //! A cluster runs on simnet's classic loop. It cannot be split by node:
 //! the fabric arbitrates same-QP FIFO order, per-endpoint CPU timelines
 //! and the payload-fault RNG under one lock. The sharded runtime runs the
 //! scale workloads (`workloads::scale_alltoall` / `scale_stencil`).
 
-use std::future::Future;
+use std::future::Ready;
+use std::ops::AsyncFn;
 use std::sync::{Arc, OnceLock};
 
-use simnet::{
-    EventSink, Pid, ProcessCtx, Reactor, Report, SimDelta, SimError, SimTime, Simulation,
-};
+use simnet::{EventSink, Pid, ProcessCtx, Report, SimDelta, SimError, SimTime, Simulation};
 
 use crate::fabric::Fabric;
 use crate::model::{ClusterSpec, DeviceClass};
@@ -112,7 +112,14 @@ impl ClusterCtx {
     }
 }
 
-/// The roster a process reads at its first activation, when `run` has
+/// A proxy body that finishes at once: the type of [`NO_PROXIES`].
+type NoProxy = fn(usize, usize, ProcessCtx, ClusterCtx) -> Ready<()>;
+
+/// Pass as [`ClusterBuilder::run_async`]'s `proxy_fn` to run host ranks
+/// only.
+pub const NO_PROXIES: Option<NoProxy> = None;
+
+/// The roster a process reads at its first activation, when `launch` has
 /// long since set it.
 fn roster_of(roster: &OnceLock<ClusterCtx>) -> ClusterCtx {
     roster.get().expect("roster set before run").clone()
@@ -124,7 +131,6 @@ pub struct ClusterBuilder {
     seed: u64,
     trace: bool,
     time_limit: Option<SimTime>,
-    stack_size: Option<usize>,
     event_sink: Option<EventSink>,
     delivery_jitter: Option<SimDelta>,
 }
@@ -137,7 +143,6 @@ impl ClusterBuilder {
             seed,
             trace: false,
             time_limit: None,
-            stack_size: None,
             event_sink: None,
             delivery_jitter: None,
         }
@@ -152,12 +157,6 @@ impl ClusterBuilder {
     /// Abort if virtual time exceeds `limit`.
     pub fn with_time_limit(mut self, limit: SimTime) -> Self {
         self.time_limit = Some(limit);
-        self
-    }
-
-    /// Override the per-process stack size.
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = Some(bytes);
         self
     }
 
@@ -189,18 +188,38 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawn `nodes × ppn` host processes running `host_fn(rank, ctx,
-    /// cluster)`, and — if `proxy_fn` is given — `proxies_per_dpu` proxy
-    /// reactors per node. `proxy_fn(node, idx, ctx, cluster)` runs at the
-    /// proxy's first activation and returns its message handler, called
-    /// once per mailbox message until it returns `false` (`None`: the
-    /// proxy has nothing to serve and finishes at once). A proxy may not
-    /// block: no `sleep`/`compute`/`recv`/`yield_now` on its `ctx`.
-    /// Returns the simulation report.
-    pub fn run<H, P>(self, host_fn: H, proxy_fn: Option<P>) -> Result<Report, SimError>
+    /// Spawn `nodes × ppn` host ranks and — if `proxy_fn` is given —
+    /// `proxies_per_dpu` proxies per node, all future processes polled on
+    /// the thread calling `run_async` (no OS thread per process), and run.
+    /// `host_fn(rank, ctx, cluster)` is the rank's body and
+    /// `proxy_fn(node, idx, ctx, cluster)` the proxy's; a body waits by
+    /// awaiting `ctx`'s `*_async` waits. Pass [`NO_PROXIES`] for a
+    /// cluster of host ranks only. Returns the simulation report.
+    pub fn run_async<H, P>(self, host_fn: H, proxy_fn: Option<P>) -> Result<Report, SimError>
+    where
+        H: AsyncFn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
+        P: AsyncFn(usize, usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
+    {
+        let host_fn = Arc::new(host_fn);
+        self.launch(
+            move |sim, rank, roster| {
+                let host_fn = Arc::clone(&host_fn);
+                sim.spawn_future(format!("rank{rank}"), async move |ctx| {
+                    host_fn(rank, ctx, roster_of(&roster)).await
+                })
+            },
+            proxy_fn,
+        )
+    }
+
+    /// Host ranks only, each a closure on an OS thread of its own that
+    /// waits in blocking `ctx` calls. Kept as a signature because the
+    /// benchmark package names it (its L1 `rdma_writes` rung); it goes
+    /// with that package's re-base (ROADMAP item 6). Everything else
+    /// runs its ranks as futures with [`run_async`](Self::run_async).
+    pub fn run_hosts<H>(self, host_fn: H) -> Result<Report, SimError>
     where
         H: Fn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
-        P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
     {
         let host_fn = Arc::new(host_fn);
         self.launch(
@@ -210,29 +229,7 @@ impl ClusterBuilder {
                     host_fn(rank, ctx, roster_of(&roster));
                 })
             },
-            proxy_fn,
-        )
-    }
-
-    /// [`run`](Self::run) with future host ranks: `host_fn(rank, ctx,
-    /// cluster)` returns the rank's body, which the scheduler polls on
-    /// the thread calling `run_async` (no OS thread per rank). The body
-    /// waits by awaiting `ctx`'s `*_async` waits.
-    pub fn run_async<H, F, P>(self, host_fn: H, proxy_fn: Option<P>) -> Result<Report, SimError>
-    where
-        H: Fn(usize, ProcessCtx, ClusterCtx) -> F + Send + Sync + 'static,
-        F: Future<Output = ()> + 'static,
-        P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
-    {
-        let host_fn = Arc::new(host_fn);
-        self.launch(
-            move |sim, rank, roster| {
-                let host_fn = Arc::clone(&host_fn);
-                sim.spawn_future(format!("rank{rank}"), move |ctx| {
-                    host_fn(rank, ctx, roster_of(&roster))
-                })
-            },
-            proxy_fn,
+            NO_PROXIES,
         )
     }
 
@@ -245,7 +242,7 @@ impl ClusterBuilder {
         proxy_fn: Option<P>,
     ) -> Result<Report, SimError>
     where
-        P: Fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor> + Send + Sync + 'static,
+        P: AsyncFn(usize, usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
     {
         let mut sim = Simulation::new(self.seed);
         if self.trace {
@@ -253,9 +250,6 @@ impl ClusterBuilder {
         }
         if let Some(limit) = self.time_limit {
             sim.set_time_limit(limit);
-        }
-        if let Some(bytes) = self.stack_size {
-            sim.set_stack_size(bytes);
         }
         if let Some(sink) = self.event_sink {
             sim.set_event_sink(sink);
@@ -273,8 +267,9 @@ impl ClusterBuilder {
                 for idx in 0..self.spec.proxies_per_dpu {
                     let roster2 = Arc::clone(&roster);
                     let proxy_fn2 = Arc::clone(&proxy_fn);
-                    let init = move |ctx| proxy_fn2(node, idx, ctx, roster_of(&roster2));
-                    node_pids.push(sim.spawn_reactor(format!("proxy{node}.{idx}"), init));
+                    let body =
+                        async move |ctx| proxy_fn2(node, idx, ctx, roster_of(&roster2)).await;
+                    node_pids.push(sim.spawn_future(format!("proxy{node}.{idx}"), body));
                 }
             }
         }
@@ -304,17 +299,6 @@ impl ClusterBuilder {
         roster.set(ctx).ok().expect("roster set exactly once");
         sim.run()
     }
-
-    /// Convenience: run with host processes only.
-    pub fn run_hosts<H>(self, host_fn: H) -> Result<Report, SimError>
-    where
-        H: Fn(usize, ProcessCtx, ClusterCtx) + Send + Sync + 'static,
-    {
-        self.run(
-            host_fn,
-            None::<fn(usize, usize, ProcessCtx, ClusterCtx) -> Option<Reactor>>,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -331,17 +315,14 @@ mod tests {
         let r2 = Arc::clone(&ranks);
         let p2 = Arc::clone(&proxies);
         ClusterBuilder::new(spec, 1)
-            .run(
-                move |rank, _ctx, cluster| {
+            .run_async(
+                async move |rank, _ctx, cluster| {
                     assert!(rank < cluster.world_size());
                     r2.fetch_add(1, Ordering::SeqCst);
                 },
-                Some(
-                    move |_node: usize, _idx: usize, _ctx: ProcessCtx, _cluster: ClusterCtx| {
-                        p2.fetch_add(1, Ordering::SeqCst);
-                        None
-                    },
-                ),
+                Some(async move |_node, _idx, _ctx, _cluster| {
+                    p2.fetch_add(1, Ordering::SeqCst);
+                }),
             )
             .unwrap();
         assert_eq!(ranks.load(Ordering::SeqCst), 8);
@@ -352,14 +333,14 @@ mod tests {
     fn proxy_mapping_follows_paper_formula() {
         let spec = ClusterSpec::new(2, 8).with_proxies(4);
         ClusterBuilder::new(spec, 1)
-            .run(
-                |rank, _ctx, cluster| {
+            .run_async(
+                async |rank, _ctx, cluster| {
                     let ep = cluster.proxy_for_rank(rank);
                     let node = cluster.spec().node_of_rank(rank);
                     let expected = cluster.proxy_ep(node, rank % 4);
                     assert_eq!(ep, expected);
                 },
-                Some(|_n: usize, _i: usize, _c: ProcessCtx, _cl: ClusterCtx| None),
+                Some(async |_n: usize, _i: usize, _c: ProcessCtx, _cl: ClusterCtx| {}),
             )
             .unwrap();
     }
@@ -374,28 +355,35 @@ mod tests {
     fn ranks_can_exchange_packets() {
         let spec = ClusterSpec::new(2, 1);
         let report = ClusterBuilder::new(spec, 7)
-            .run_hosts(|rank, ctx, cluster| {
-                let fab = cluster.fabric();
-                if rank == 0 {
-                    fab.send_packet(
-                        &ctx,
-                        cluster.host_ep(0),
-                        cluster.host_ep(1),
-                        128,
-                        Box::new(3u32),
-                    )
-                    .unwrap();
-                } else {
-                    let msg = ctx.recv().downcast::<crate::types::NetMsg>().unwrap();
-                    match *msg {
-                        crate::types::NetMsg::Packet(p) => {
-                            assert_eq!(*p.body.downcast::<u32>().unwrap(), 3)
+            .run_async(
+                async |rank, ctx, cluster| {
+                    let fab = cluster.fabric();
+                    if rank == 0 {
+                        fab.send_packet(
+                            &ctx,
+                            cluster.host_ep(0),
+                            cluster.host_ep(1),
+                            128,
+                            Box::new(3u32),
+                        )
+                        .unwrap();
+                    } else {
+                        let msg = ctx
+                            .recv_async()
+                            .await
+                            .downcast::<crate::types::NetMsg>()
+                            .unwrap();
+                        match *msg {
+                            crate::types::NetMsg::Packet(p) => {
+                                assert_eq!(*p.body.downcast::<u32>().unwrap(), 3)
+                            }
+                            other => panic!("unexpected {other:?}"),
                         }
-                        other => panic!("unexpected {other:?}"),
+                        assert!(ctx.now() > SimTime::ZERO + SimDelta::from_ns(100));
                     }
-                    assert!(ctx.now() > SimTime::ZERO + SimDelta::from_ns(100));
-                }
-            })
+                },
+                NO_PROXIES,
+            )
             .unwrap();
         assert!(report.end_time > SimTime::ZERO);
     }

@@ -993,25 +993,25 @@ mod tests {
     /// that owns every endpoint (fine for fabric-level unit tests).
     fn with_driver<F>(f: F) -> simnet::Report
     where
-        F: FnOnce(ProcessCtx, Fabric, Vec<EpId>) + Send + 'static,
+        F: AsyncFnOnce(ProcessCtx, Fabric, Vec<EpId>) + Send + 'static,
     {
         let spec = ClusterSpec::new(2, 1);
         let mut sim = Simulation::new(1);
         let fabric = Fabric::new(&mut sim, spec);
         let f2 = fabric.clone();
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_future("driver", async move |ctx| {
             let h0 = f2.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
             let h1 = f2.add_endpoint(ctx.pid(), 1, DeviceClass::Host);
             let d0 = f2.add_endpoint(ctx.pid(), 0, DeviceClass::Dpu);
             let d1 = f2.add_endpoint(ctx.pid(), 1, DeviceClass::Dpu);
-            f(ctx, f2, vec![h0, h1, d0, d1]);
+            f(ctx, f2, vec![h0, h1, d0, d1]).await;
         });
         sim.run().unwrap()
     }
 
     #[test]
     fn rdma_write_moves_bytes_and_completes() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let src = fab.alloc(h0, 1024);
             let dst = fab.alloc(h1, 1024);
@@ -1029,7 +1029,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            let msg = ctx.recv();
+            let msg = ctx.recv_async().await;
             let net = msg.downcast::<NetMsg>().unwrap();
             match *net {
                 NetMsg::Cqe(Cqe { wrid }) => assert_eq!(wrid, 99),
@@ -1047,7 +1047,7 @@ mod tests {
 
     #[test]
     fn gvmi_cross_registration_data_path() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1, d0) = (eps[0], eps[1], eps[2]);
             let gvmi = fab.gvmi_of(d0).unwrap();
             let src = fab.alloc(h0, 4096);
@@ -1073,14 +1073,14 @@ mod tests {
                 None,
             )
             .unwrap();
-            let _ = ctx.recv();
+            let _ = ctx.recv_async().await;
             assert!(fab.verify_pattern(h1, dst, 4096, 11).unwrap());
         });
     }
 
     #[test]
     fn cross_reg_validates_gvmi_and_owner() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, d0, d1) = (eps[0], eps[2], eps[3]);
             let g0 = fab.gvmi_of(d0).unwrap();
             let g1 = fab.gvmi_of(d1).unwrap();
@@ -1103,7 +1103,7 @@ mod tests {
 
     #[test]
     fn lkey_is_owner_only() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let a0 = fab.alloc(h0, 64);
             let a1 = fab.alloc(h1, 64);
@@ -1119,7 +1119,7 @@ mod tests {
 
     #[test]
     fn key_range_is_enforced() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let src = fab.alloc(h0, 128);
             let dst = fab.alloc(h1, 128);
@@ -1134,7 +1134,7 @@ mod tests {
 
     #[test]
     fn dereg_invalidates_key() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let src = fab.alloc(h0, 64);
             let dst = fab.alloc(h1, 64);
@@ -1151,7 +1151,7 @@ mod tests {
 
     #[test]
     fn only_issued_live_keys_resolve() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let src = fab.alloc(h0, 64);
             let dst = fab.alloc(h1, 64);
@@ -1192,10 +1192,10 @@ mod tests {
         let f_rx = fabric.clone();
         let rx_ep_slot = Arc::new(Mutex::new(None));
         let rx_slot2 = Arc::clone(&rx_ep_slot);
-        let rx_pid = sim.spawn("rx", move |ctx| {
+        let rx_pid = sim.spawn_future("rx", async move |ctx| {
             let ep = f_rx.add_endpoint(ctx.pid(), 1, DeviceClass::Host);
             *rx_slot2.lock() = Some(ep);
-            let msg = ctx.recv().downcast::<NetMsg>().unwrap();
+            let msg = ctx.recv_async().await.downcast::<NetMsg>().unwrap();
             match *msg {
                 NetMsg::Packet(p) => {
                     assert_eq!(p.bytes, 256);
@@ -1205,10 +1205,10 @@ mod tests {
             }
         });
         let f_tx = fabric.clone();
-        sim.spawn("tx", move |ctx| {
+        sim.spawn_future("tx", async move |ctx| {
             let ep = f_tx.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
             // Let the receiver register its endpoint first.
-            ctx.yield_now();
+            ctx.yield_async().await;
             let to = rx_ep_slot.lock().expect("rx registered");
             assert_eq!(f_tx.pid_of(to), rx_pid);
             f_tx.send_packet(&ctx, ep, to, 256, Box::new(4242u64))
@@ -1228,7 +1228,7 @@ mod tests {
             let f2 = fabric.clone();
             let elapsed = Arc::new(Mutex::new(0.0f64));
             let e2 = Arc::clone(&elapsed);
-            sim.spawn("driver", move |ctx| {
+            sim.spawn_future("driver", async move |ctx| {
                 let src = f2.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
                 let dst = f2.add_endpoint(
                     ctx.pid(),
@@ -1259,7 +1259,7 @@ mod tests {
                     .unwrap();
                 }
                 loop {
-                    let msg = ctx.recv().downcast::<NetMsg>().unwrap();
+                    let msg = ctx.recv_async().await.downcast::<NetMsg>().unwrap();
                     if matches!(*msg, NetMsg::Cqe(_)) {
                         break;
                     }
@@ -1281,7 +1281,7 @@ mod tests {
 
     #[test]
     fn payload_faults_corrupt_writes_and_crc_detects() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             // Drop every payload: destination keeps its old bytes while
             // the operation still "completes" — silent loss by design.
@@ -1310,7 +1310,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            let _ = ctx.recv();
+            let _ = ctx.recv_async().await;
             assert!(!fab.verify_pattern(h1, dst, 512, 7).unwrap());
             assert_ne!(fab.crc32(h1, dst, 512).unwrap(), want);
         });
@@ -1322,7 +1322,7 @@ mod tests {
     where
         F: FnOnce(&mut World, PayloadFaults, EpId, EpId) + Send + 'static,
     {
-        with_driver(move |_ctx, fab, eps| {
+        with_driver(async move |_ctx, fab, eps| {
             fab.set_payload_faults(plan);
             f(
                 &mut fab.inner.lock(),
@@ -1491,7 +1491,7 @@ mod tests {
 
     #[test]
     fn every_faulted_transfer_is_counted_once() {
-        let report = with_driver(|ctx, fab, eps| {
+        let report = with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             fab.set_payload_faults(PayloadFaultPlan {
                 drop_pm: 1000,
@@ -1516,7 +1516,7 @@ mod tests {
 
     #[test]
     fn unarmed_payload_plan_is_inert() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             fab.set_payload_faults(PayloadFaultPlan::default());
             let src = fab.alloc(h0, 256);
@@ -1534,7 +1534,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            let _ = ctx.recv();
+            let _ = ctx.recv_async().await;
             assert!(fab.verify_pattern(h1, dst, 256, 9).unwrap());
             assert_eq!(
                 fab.crc32(h1, dst, 256).unwrap(),
@@ -1545,7 +1545,7 @@ mod tests {
 
     #[test]
     fn rdma_read_pulls_bytes() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let remote = fab.alloc(h1, 512);
             let local = fab.alloc(h0, 512);
@@ -1561,7 +1561,7 @@ mod tests {
                 Some(5),
             )
             .unwrap();
-            let msg = ctx.recv().downcast::<NetMsg>().unwrap();
+            let msg = ctx.recv_async().await.downcast::<NetMsg>().unwrap();
             assert!(matches!(*msg, NetMsg::Cqe(Cqe { wrid: 5 })));
             assert!(fab.verify_pattern(h0, local, 512, 21).unwrap());
         });
@@ -1569,7 +1569,7 @@ mod tests {
 
     #[test]
     fn notify_arrives_at_delivery_time() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let src = fab.alloc(h0, 64);
             let dst = fab.alloc(h1, 64);
@@ -1587,7 +1587,7 @@ mod tests {
                     Some((me, Box::new("arrived"))),
                 )
                 .unwrap();
-            let msg = ctx.recv().downcast::<NetMsg>().unwrap();
+            let msg = ctx.recv_async().await.downcast::<NetMsg>().unwrap();
             match *msg {
                 NetMsg::Notify(p) => assert_eq!(*p.downcast::<&str>().unwrap(), "arrived"),
                 other => panic!("unexpected {other:?}"),
@@ -1600,7 +1600,7 @@ mod tests {
     fn registration_cost_scales_with_size() {
         // Registration charges the endpoint's CPU timeline; a big buffer
         // occupies it for much longer than a small one.
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let h0 = eps[0];
             let small = fab.alloc(h0, 4096);
             let big = fab.alloc(h0, 1 << 20);
@@ -1615,7 +1615,7 @@ mod tests {
 
     #[test]
     fn cpu_charges_delay_subsequent_transfers() {
-        with_driver(|ctx, fab, eps| {
+        with_driver(async |ctx, fab, eps| {
             let (h0, h1) = (eps[0], eps[1]);
             let src = fab.alloc(h0, 64);
             let dst = fab.alloc(h1, 64);
@@ -1645,15 +1645,15 @@ mod tests {
         let f1 = fabric.clone();
         let ep_slot = Arc::new(Mutex::new(None));
         let slot2 = Arc::clone(&ep_slot);
-        sim.spawn("owner", move |ctx| {
+        sim.spawn_future("owner", async move |ctx| {
             let ep = f1.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
             f1.alloc(ep, 64);
             *slot2.lock() = Some(ep);
-            ctx.sleep(SimDelta::from_us(10));
+            ctx.sleep_async(SimDelta::from_us(10)).await;
         });
         let f2 = fabric.clone();
-        sim.spawn("intruder", move |ctx| {
-            ctx.yield_now();
+        sim.spawn_future("intruder", async move |ctx| {
+            ctx.yield_async().await;
             let ep = ep_slot.lock().expect("owner registered");
             let addr = f2.alloc(ep, 64);
             let err = f2.reg_mr(&ctx, ep, addr, 64).unwrap_err();

@@ -115,7 +115,6 @@ impl Channel {
 
     /// Wait until this channel has a message. Messages for other
     /// channels arriving in the meantime are queued for them, not lost.
-    /// A thread-backed process runs it with `ctx.block_on`.
     pub async fn next(&self, ctx: &ProcessCtx) -> NetMsg {
         loop {
             if let Some(m) = self.try_next(ctx) {
@@ -156,19 +155,19 @@ mod tests {
         let mut sim = Simulation::new(0);
         let seen = Arc::new(AtomicU64::new(0));
         let seen2 = Arc::clone(&seen);
-        let rx = sim.spawn("rx", move |ctx| {
+        let rx = sim.spawn_future("rx", async move |ctx| {
             let inbox = Inbox::new();
             let low = inbox.channel(|m| matches!(m, NetMsg::Cqe(c) if c.wrid < 100));
             let high = inbox.channel(|m| matches!(m, NetMsg::Cqe(c) if c.wrid >= 100));
             // Wait on `high` even though a `low` message arrives first.
-            let m = ctx.block_on(high.next(&ctx));
+            let m = high.next(&ctx).await;
             assert!(matches!(m, NetMsg::Cqe(Cqe { wrid: 150 })));
             // The low message was preserved.
             let m = low.try_next(&ctx).expect("low message kept");
             assert!(matches!(m, NetMsg::Cqe(Cqe { wrid: 1 })));
             seen2.store(1, Ordering::SeqCst);
         });
-        sim.spawn("tx", move |ctx| {
+        sim.spawn_future("tx", async move |ctx| {
             ctx.deliver(rx, SimDelta::from_ns(10), cqe(1));
             ctx.deliver(rx, SimDelta::from_ns(20), cqe(150));
         });
@@ -179,14 +178,14 @@ mod tests {
     #[test]
     fn unmatched_messages_are_counted() {
         let mut sim = Simulation::new(0);
-        let rx = sim.spawn("rx", move |ctx| {
+        let rx = sim.spawn_future("rx", async move |ctx| {
             let inbox = Inbox::new();
             let ch = inbox.channel(|_| false); // claims nothing
-            ctx.sleep(SimDelta::from_ns(100));
+            ctx.sleep_async(SimDelta::from_ns(100)).await;
             assert!(ch.try_next(&ctx).is_none());
             assert_eq!(inbox.dropped(), 1);
         });
-        sim.spawn("tx", move |ctx| {
+        sim.spawn_future("tx", async move |ctx| {
             ctx.deliver(rx, SimDelta::from_ns(10), cqe(7));
         });
         sim.run().unwrap();
@@ -195,15 +194,15 @@ mod tests {
     #[test]
     fn first_matching_channel_wins() {
         let mut sim = Simulation::new(0);
-        let rx = sim.spawn("rx", move |ctx| {
+        let rx = sim.spawn_future("rx", async move |ctx| {
             let inbox = Inbox::new();
             let a = inbox.channel(|_| true);
             let b = inbox.channel(|_| true);
-            ctx.sleep(SimDelta::from_ns(100));
+            ctx.sleep_async(SimDelta::from_ns(100)).await;
             assert!(a.try_next(&ctx).is_some());
             assert!(b.try_next(&ctx).is_none());
         });
-        sim.spawn("tx", move |ctx| {
+        sim.spawn_future("tx", async move |ctx| {
             ctx.deliver(rx, SimDelta::from_ns(10), cqe(7));
         });
         sim.run().unwrap();

@@ -30,7 +30,7 @@ mod mem;
 mod model;
 mod types;
 
-pub use cluster::{ClusterBuilder, ClusterCtx};
+pub use cluster::{ClusterBuilder, ClusterCtx, NO_PROXIES};
 pub use fabric::{Fabric, PayloadFaultPlan};
 pub use inbox::{Channel, Inbox};
 pub use mem::{crc32, AddressSpace, MemError, VAddr, PAGE_SIZE};

@@ -159,7 +159,7 @@ proptest! {
         let fab = fabric.clone();
         let ok = Arc::new(Mutex::new(true));
         let ok2 = Arc::clone(&ok);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_future("driver", async move |ctx| {
             let a = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
             let b = fab.add_endpoint(ctx.pid(), 1, DeviceClass::Host);
             let src = fab.alloc(a, buf_len);
@@ -175,7 +175,7 @@ proptest! {
             let fits = off + len <= buf_len;
             *ok2.lock().unwrap() = res.is_ok() == fits;
             if fits {
-                let msg = ctx.recv().downcast::<NetMsg>().unwrap();
+                let msg = ctx.recv_async().await.downcast::<NetMsg>().unwrap();
                 assert!(matches!(*msg, NetMsg::Cqe(_)));
             }
         });
@@ -196,7 +196,7 @@ proptest! {
         let fab = fabric.clone();
         let out = Arc::new(Mutex::new((0u64, 0u64)));
         let out2 = Arc::clone(&out);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_future("driver", async move |ctx| {
             let a = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
             let b = fab.add_endpoint(ctx.pid(), 1, DeviceClass::Host);
             let src = fab.alloc(a, large);
@@ -205,14 +205,14 @@ proptest! {
             let rkey = fab.reg_mr(&ctx, b, dst, large).unwrap();
             // Let the registration work drain off the CPU timelines so
             // both measurements start from a quiet fabric.
-            ctx.sleep(simnet::SimDelta::from_ms(100));
+            ctx.sleep_async(simnet::SimDelta::from_ms(100)).await;
             let t0 = ctx.now();
             let d_small = fab
                 .rdma_write(&ctx, a, (a, src, lkey), (b, dst, rkey), small, None, None)
                 .unwrap();
             // Fresh sim state per size would be cleaner, but the fabric is
             // idle again far in the future; measure from a quiet point.
-            ctx.sleep(simnet::SimDelta::from_ms(100));
+            ctx.sleep_async(simnet::SimDelta::from_ms(100)).await;
             let t1 = ctx.now();
             let d_large = fab
                 .rdma_write(&ctx, a, (a, src, lkey), (b, dst, rkey), large, None, None)
@@ -236,7 +236,7 @@ proptest! {
         let fab = fabric.clone();
         let ok = Arc::new(Mutex::new(true));
         let ok2 = Arc::clone(&ok);
-        sim.spawn("driver", move |ctx| {
+        sim.spawn_future("driver", async move |ctx| {
             let host = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Host);
             let dpu = fab.add_endpoint(ctx.pid(), 0, DeviceClass::Dpu);
             let gvmi = fab.gvmi_of(dpu).unwrap();

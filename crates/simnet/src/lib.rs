@@ -2,14 +2,14 @@
 //!
 //! `simnet` is the substrate under the whole repository: a sequential,
 //! bit-for-bit reproducible discrete-event simulator with a virtual clock
-//! in integer picoseconds. A "process" comes in three kinds: an `async`
+//! in integer picoseconds. A "process" comes in two kinds: an `async`
 //! body the scheduler polls on its own thread
-//! ([`Simulation::spawn_future`]); an ordinary Rust closure on a dedicated
-//! OS thread ([`Simulation::spawn`]), where a per-process baton guarantees
+//! ([`Simulation::spawn_future`]), which is what every process of a
+//! simulated cluster is; or an ordinary Rust closure on a dedicated OS
+//! thread ([`Simulation::spawn`]), where a per-process baton guarantees
 //! that at most one thread executes at a time, so simulated code can use
-//! natural blocking control flow; or, for a process that only ever reacts
-//! to messages, an inline [`Reactor`] ([`Simulation::spawn_reactor`]): no
-//! thread, called by the scheduler once per message.
+//! natural blocking control flow (the scale workloads on the sharded
+//! engine).
 //!
 //! The crates above this one model an HPC cluster: `rdma` adds verbs-style
 //! NICs, memory registration and GVMI keys; `minimpi` adds an MPI-like
@@ -22,12 +22,12 @@
 //! use simnet::{Simulation, SimDelta};
 //!
 //! let mut sim = Simulation::new(1);
-//! let rx = sim.spawn("receiver", |ctx| {
-//!     let msg = ctx.recv();
+//! let rx = sim.spawn_future("receiver", async |ctx| {
+//!     let msg = ctx.recv_async().await;
 //!     assert_eq!(*msg.downcast::<&str>().unwrap(), "ping");
 //! });
-//! sim.spawn("sender", move |ctx| {
-//!     ctx.compute(SimDelta::from_us(2));
+//! sim.spawn_future("sender", async move |ctx| {
+//!     ctx.compute_async(SimDelta::from_us(2)).await;
 //!     ctx.deliver(rx, SimDelta::from_ns(900), Box::new("ping"));
 //! });
 //! let report = sim.run().unwrap();
@@ -48,7 +48,7 @@ mod time;
 mod trace;
 
 pub use emit::{deliver_batched, Emitted, EventSink, EMIT_BATCH};
-pub use process::{BlockReason, Payload, Pid, ProcStatus, Reactor};
+pub use process::{BlockReason, Payload, Pid, ProcStatus};
 pub use resource::ResourceId;
 pub use rng::SimRng;
 pub use shard::{

@@ -1,10 +1,16 @@
 //! Simulated processes.
 //!
-//! A simulated process comes in three kinds. All three have a pid, a
-//! name, a mailbox and a report entry, and all three are scheduled by the
-//! same loop (pop a ready process, else pop an event), which has an
-//! **owner**: the thread that called `run()`, or a shard's worker.
+//! A simulated process comes in two kinds. Both have a pid, a name, a
+//! mailbox and a report entry, and both are scheduled by the same loop
+//! (pop a ready process, else pop an event), which has an **owner**: the
+//! thread that called `run()`, or a shard's worker.
 //!
+//! * A **future** process is an `async` body with no thread, stack or
+//!   baton: where a thread would be handed the baton, the owner polls it
+//!   instead, and it runs until its next `.await` on a [`ProcessCtx`]
+//!   wait (`recv_async`, `sleep_async`, `compute_async`, `yield_async`).
+//!   The kind for every process of a cluster: host ranks, whose one wait
+//!   is their next message, and DPU proxies, which loop on `recv_async`.
 //! * A **thread-backed** process is an OS thread running a user closure
 //!   against a [`ProcessCtx`]. Execution is strictly sequential: every
 //!   thread has a [`Baton`] to park on, and control moves by waking
@@ -12,21 +18,11 @@
 //!   loop is running. A process thread that blocks or exits takes the
 //!   next step itself and wakes its successor directly ([`hand_off`]);
 //!   the owner sleeps until a step needs it ([`drive`]). The only kind
-//!   the sharded engine runs, and the kind for code that blocks in plain
-//!   calls (`minimpi`, the scale workloads).
-//! * A **future** process is an `async` body with no thread, stack or
-//!   baton: where a thread would be handed the baton, the owner polls it
-//!   instead, and it runs until its next `.await` on a [`ProcessCtx`]
-//!   wait (`recv_async`, `sleep_async`, `compute_async`, `yield_async`).
-//!   The kind for offload ranks, whose one wait is their next control
-//!   message. A thread's blocking calls are `block_on` of the same waits.
-//! * An **inline reactor** is a message handler with no thread, stack or
-//!   baton: the owner calls it once per mailbox message, and it runs to
-//!   completion every time — the fit for a poll-mode worker that only
-//!   ever reacts to messages (the DPU proxies).
+//!   the sharded engine runs (the scale workloads). Its blocking calls
+//!   are the future kind's waits, polled on its own thread.
 //!
-//! A thread carrying the loop leaves a future's or a reactor's step to
-//! the owner ([`Step::Owner`]).
+//! A thread carrying the loop leaves a future's step to the owner
+//! ([`Step::Owner`]).
 //!
 //! [`ProcessCtx`]: crate::ProcessCtx
 
@@ -100,8 +96,8 @@ pub enum BlockReason {
 pub enum ProcStatus {
     /// Eligible to run at the current instant.
     Ready,
-    /// Currently executing (a thread holding its baton, a future being
-    /// polled, or a reactor being called).
+    /// Currently executing (a thread holding its baton, or a future
+    /// being polled).
     Running,
     /// Blocked; see the reason.
     Blocked(BlockReason),
@@ -178,14 +174,12 @@ impl Baton {
 pub(crate) enum Step {
     /// A thread-backed process, already marked `Running`: give it control.
     Process(Arc<Baton>),
-    /// A reactor activation (slot key, body). Only the owner is ever
-    /// handed one, so handlers always run on the owner's thread.
-    Reactor(u32, ReactorBody),
     /// Poll the future process at slot key, building it first from the
-    /// init closure on its first activation. Owner only, like a reactor.
+    /// init closure on its first activation. Only the owner is ever
+    /// handed one, so future bodies always run on the owner's thread.
     Poll(u32, Option<FutureInit>),
-    /// Only the owner can go on: a reactor or a future is next, the
-    /// window or the run is over, or an error or a panic is pending.
+    /// Only the owner can go on: a future is next, the window or the run
+    /// is over, or an error or a panic is pending.
     Owner,
 }
 
@@ -222,8 +216,8 @@ impl LoopState<'_> {
 
     /// The loop's next step, taken by whichever thread has control: the
     /// first ready process, else events until one readies a process. Only
-    /// the `owner` pops a reactor or a future; a process thread leaves it
-    /// queued and says [`Step::Owner`].
+    /// the `owner` pops a future; a process thread leaves it queued and
+    /// says [`Step::Owner`].
     pub(crate) fn step(self, owner: bool) -> Step {
         if self.panicked || self.error.is_some() {
             return Step::Owner;
@@ -241,10 +235,7 @@ impl LoopState<'_> {
                 debug_assert_eq!(slot.status, ProcStatus::Ready);
                 let next = match &mut slot.kind {
                     ProcKind::Thread { baton, .. } => Step::Process(Arc::clone(baton)),
-                    ProcKind::Reactor(_) | ProcKind::Future(_) if !owner => return Step::Owner,
-                    ProcKind::Reactor(body) => {
-                        Step::Reactor(key, body.take().expect("a ready reactor has its body"))
-                    }
+                    ProcKind::Future(_) if !owner => return Step::Owner,
                     ProcKind::Future(init) => Step::Poll(key, init.take()),
                 };
                 slot.status = ProcStatus::Running;
@@ -299,9 +290,9 @@ impl LoopState<'_> {
 }
 
 /// The loop owner's side: take steps until one says [`Step::Owner`],
-/// running reactor and future steps itself (`inline`). While
-/// thread-backed processes follow each other the owner stays parked —
-/// they pass control among themselves (see [`hand_off`]).
+/// polling futures itself (`inline`). While thread-backed processes
+/// follow each other the owner stays parked — they pass control among
+/// themselves (see [`hand_off`]).
 pub(crate) fn drive(owner: &Baton, mut step: impl FnMut() -> Step, mut inline: impl FnMut(Step)) {
     loop {
         match step() {
@@ -325,7 +316,7 @@ pub(crate) fn hand_off(me: Option<&Baton>, owner: &Baton, next: Step) {
         Step::Process(next) if me.is_some_and(|me| std::ptr::eq(me, &*next)) => return,
         Step::Process(next) => next.wake(),
         Step::Owner => owner.wake(),
-        Step::Reactor(..) | Step::Poll(..) => unreachable!("an owner's step went to a thread"),
+        Step::Poll(..) => unreachable!("an owner's step went to a thread"),
     }
     if let Some(me) = me {
         me.park();
@@ -346,43 +337,6 @@ pub(crate) fn process_thread(baton: &Baton, f: impl FnOnce(), exit: impl FnOnce(
         Err(payload) if payload.is::<Cancelled>() => {}
         Err(payload) => exit(Some(panic_message(&*payload))),
     }
-}
-
-/// An inline reactor's message handler: called once per mailbox message
-/// by whichever thread runs the scheduler loop. Returning `false`
-/// finishes the process.
-pub type Reactor = Box<dyn FnMut(Payload) -> bool + Send>;
-
-/// A reactor between activations: not yet initialised, or waiting for
-/// its next message.
-pub(crate) enum ReactorBody {
-    /// The `init` closure (its `ProcessCtx` already bound), run at the
-    /// first activation. `None` from it means "finished at once".
-    Init(Box<dyn FnOnce() -> Option<Reactor> + Send>),
-    Live(Reactor),
-}
-
-/// Run one activation of a reactor: initialise it if this is its first,
-/// then feed it `next()` until that runs dry (`Ok(Some(handler))`: park
-/// it) or the handler returns `false` (`Ok(None)`: finished). A panic in
-/// `init` or the handler comes back as its message.
-pub(crate) fn drive_reactor(
-    body: ReactorBody,
-    mut next: impl FnMut() -> Option<Payload>,
-) -> Result<Option<Reactor>, String> {
-    catch_unwind(AssertUnwindSafe(move || {
-        let mut handler = match body {
-            ReactorBody::Init(init) => init()?,
-            ReactorBody::Live(handler) => handler,
-        };
-        while let Some(msg) = next() {
-            if !handler(msg) {
-                return None;
-            }
-        }
-        Some(handler)
-    }))
-    .map_err(|payload| panic_message(&*payload))
 }
 
 /// A started future process's body. Not `Send`, so never in the shared
@@ -427,15 +381,12 @@ impl Futures {
     }
 }
 
-/// What a run that is over, however it ended, still has lying about: the
-/// bodies of reactors and future processes left waiting, and process
-/// threads to be joined.
+/// What a run that is over, however it ended, still has lying about:
+/// future processes never polled, and process threads to be joined.
 pub(crate) struct Leftovers {
-    /// A handler holds a `ProcessCtx`, which points back at the state
-    /// that owns its slot: unless dropped here, neither is ever freed.
-    reactors: Vec<ReactorBody>,
-    /// Future processes never polled: their init closures hold a
-    /// `ProcessCtx` just the same.
+    /// An init closure holds a `ProcessCtx`, which points back at the
+    /// state that owns its slot: unless dropped here, neither is ever
+    /// freed. (Started bodies are in the owner's [`Futures`].)
     futures: Vec<FutureInit>,
     /// Each with its baton if the process never finished: that thread is
     /// parked, and must be cancelled to end.
@@ -443,11 +394,10 @@ pub(crate) struct Leftovers {
 }
 
 /// Take them out of `slots`, for the caller to [`Leftovers::release`]
-/// once it has let go of the state lock: a dropped handler and an
+/// once it has let go of the state lock: a dropped body and an
 /// unwinding closure may both still make non-blocking ctx calls.
 pub(crate) fn take_leftovers(slots: &mut [ProcSlot]) -> Leftovers {
     let mut left = Leftovers {
-        reactors: Vec::new(),
         futures: Vec::new(),
         threads: Vec::new(),
     };
@@ -460,7 +410,6 @@ pub(crate) fn take_leftovers(slots: &mut [ProcSlot]) -> Leftovers {
                     left.threads.push((cancel, handle));
                 }
             }
-            ProcKind::Reactor(body) => left.reactors.extend(body.take()),
             ProcKind::Future(init) => left.futures.extend(init.take()),
         }
     }
@@ -468,10 +417,9 @@ pub(crate) fn take_leftovers(slots: &mut [ProcSlot]) -> Leftovers {
 }
 
 impl Leftovers {
-    /// Drop the handlers and unstarted futures, cancel the threads still
-    /// parked and join them all, one at a time: nothing outlives `run()`.
+    /// Drop the unstarted futures, cancel the threads still parked and
+    /// join them all, one at a time: nothing outlives `run()`.
     pub(crate) fn release(self) {
-        drop(self.reactors);
         drop(self.futures);
         for (cancel, handle) in self.threads {
             if let Some(baton) = cancel {
@@ -489,9 +437,6 @@ pub(crate) enum ProcKind {
         baton: Arc<Baton>,
         join: Option<std::thread::JoinHandle<()>>,
     },
-    /// An inline reactor. `None` while an activation has the body out,
-    /// and for good once the reactor has finished.
-    Reactor(Option<ReactorBody>),
     /// A future process: its init closure until the first poll takes it
     /// (the body itself is in the owner's [`Futures`]).
     Future(Option<FutureInit>),
@@ -527,27 +472,7 @@ impl ProcSlot {
         }
     }
 
-    /// Record how a reactor activation ended (see [`drive_reactor`]):
-    /// park the handler for the next message, or finish. Returns the
-    /// message to re-raise if the reactor panicked.
-    pub(crate) fn settle_reactor(
-        &mut self,
-        now: SimTime,
-        outcome: Result<Option<Reactor>, String>,
-    ) -> Option<String> {
-        match outcome {
-            Ok(Some(handler)) => {
-                debug_assert!(self.mailbox.is_empty(), "reactor parked with mail");
-                self.kind = ProcKind::Reactor(Some(ReactorBody::Live(handler)));
-                self.status = ProcStatus::Blocked(BlockReason::WaitMessage);
-                None
-            }
-            Ok(None) => self.exited(now, None),
-            Err(msg) => self.exited(now, Some(msg)),
-        }
-    }
-
-    /// The process's closure or handler is done at `now` (returned, or
+    /// The process's closure or body is done at `now` (returned, or
     /// panicked). Returns the message to re-raise on `run()`'s caller if
     /// it panicked.
     pub(crate) fn exited(&mut self, now: SimTime, panic: Option<String>) -> Option<String> {

@@ -8,8 +8,8 @@
 //!
 //! This engine runs the scale workloads (`workloads::scale_alltoall` /
 //! `scale_stencil`), and only what they use: thread-backed processes,
-//! deliveries, emits, stats and RNG. Inline reactors, FIFO resources and
-//! tracing are the classic loop's; [`Simulation`] refuses them here.
+//! deliveries, emits, stats and RNG. Future processes, FIFO resources
+//! and tracing are the classic loop's; [`Simulation`] refuses them here.
 //!
 //! # Synchronization protocol (barrier windows)
 //!
@@ -371,9 +371,8 @@ fn loc_of(rt: &ShardedRt, pid: Pid) -> ProcLoc {
         .unwrap_or_else(|| panic!("delivery to unknown {pid:?}"))
 }
 
-/// Spawn a process onto `shard`. Build-phase only: the sharded engine
-/// fixes the process population before `run()` so pid assignment can
-/// never depend on thread timing.
+/// Spawn a process onto `shard`, before `run()` (which consumes the
+/// simulation): pid assignment can never depend on thread timing.
 pub(crate) fn spawn_on_shard<F>(
     rt: &Arc<ShardedRt>,
     stack_size: usize,
@@ -393,8 +392,7 @@ where
             idx,
         },
         pid,
-        baton: Ok(Arc::clone(&baton)),
-        stack_size,
+        baton: Some(Arc::clone(&baton)),
     };
     let tcell = Arc::clone(&cell);
     let handle = std::thread::Builder::new()
@@ -432,11 +430,6 @@ fn register_process(
     baton: Arc<Baton>,
 ) -> (Arc<ShardCell>, u32, Pid) {
     let kind = ProcKind::Thread { baton, join: None };
-    assert!(
-        rt.sealed.get().is_none(),
-        "dynamic spawn is not supported by the sharded engine; \
-         spawn every process before run()"
-    );
     let cell = cell_of(rt, shard);
     let pid = Pid(rt.dir.read().expect("pid directory poisoned").len() as u32);
     let idx;
@@ -923,7 +916,7 @@ fn run_window_inner(cell: &ShardCell, w_end: SimTime) {
     drive(
         &cell.owner,
         || step(cell, true),
-        |_| unreachable!("a shard holds no reactor or future process"),
+        |_| unreachable!("a shard holds no future process"),
     );
 }
 

@@ -4,21 +4,20 @@
 //! # Execution model
 //!
 //! At most one thread runs at a time: the loop's owner (the caller of
-//! [`Simulation::run`]) or exactly one process thread. Control is handed
-//! over through per-thread batons; a future process
-//! ([`Simulation::spawn_future`]) and an inline reactor
-//! ([`Simulation::spawn_reactor`]) have no thread: the owner polls or
-//! calls them. The loop:
+//! [`Simulation::run`]) or exactly one process thread. A future process
+//! ([`Simulation::spawn_future`]) has no thread: the owner polls it.
+//! Control is handed to a thread-backed process ([`Simulation::spawn`])
+//! through per-thread batons. The loop:
 //!
 //! 1. runs every `Ready` process until it blocks (a future: until it is
-//!    pending; a reactor: until its mailbox is empty),
+//!    pending),
 //! 2. pops the earliest pending event, advances the clock, and handles it
 //!    (which may make processes `Ready` again),
 //! 3. repeats until no events remain.
 //!
 //! A process thread that blocks takes the loop's next step itself and
 //! wakes its successor directly; the owner sleeps until a step needs it
-//! (a reactor is next, the run is over, something failed).
+//! (a future is next, the run is over, something failed).
 //!
 //! If processes are still blocked when the queue drains, the run reports a
 //! **deadlock** naming them. If the clock stops advancing while processes
@@ -28,7 +27,7 @@
 //!
 //! Simulated code often shares state through an `Arc<Mutex<World>>`. Never
 //! hold such a lock across a blocking [`ProcessCtx`] call (`sleep`,
-//! `compute`, `recv`, `yield_now`, `block_on`) or an `.await`: the next
+//! `compute`, `recv`, `yield_now`) or an `.await`: the next
 //! process to run would block on the mutex while the scheduler waits for
 //! it to yield, wedging the whole simulation (a real deadlock of OS
 //! threads, not a simulated one).
@@ -46,9 +45,8 @@ use parking_lot::Mutex;
 use crate::emit::{EmitBuffer, EventSink};
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
-    drive, drive_reactor, hand_off, process_thread, take_leftovers, Baton, BlockReason, FutureInit,
-    Futures, LocalFuture, LoopState, Payload, Pid, ProcKind, ProcSlot, ProcStatus, Reactor,
-    ReactorBody, Step,
+    drive, hand_off, process_thread, take_leftovers, Baton, BlockReason, FutureInit, Futures,
+    LocalFuture, LoopState, Payload, Pid, ProcKind, ProcSlot, ProcStatus, Step,
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
@@ -144,8 +142,7 @@ pub struct ProcReport {
     pub name: String,
     /// Total virtual time spent in `compute()`.
     pub compute_time: SimDelta,
-    /// When the process closure returned (an inline reactor: when its
-    /// handler returned `false`, or `init` returned `None`).
+    /// When the process closure or future body returned.
     pub finished_at: SimTime,
 }
 
@@ -159,8 +156,8 @@ pub struct Report {
     /// Trace records, if tracing was enabled.
     pub trace: Option<Trace>,
     /// Per-process summaries, in pid order — every simulated process,
-    /// thread-backed or inline reactor (so its length counts processes,
-    /// not OS threads).
+    /// future or thread-backed (so its length counts processes, not OS
+    /// threads).
     pub procs: Vec<ProcReport>,
     /// Number of events handled.
     pub events: u64,
@@ -226,8 +223,8 @@ pub(crate) struct SimInner {
 /// use simnet::{Simulation, SimDelta};
 ///
 /// let mut sim = Simulation::new(42);
-/// sim.spawn("worker", |ctx| {
-///     ctx.compute(SimDelta::from_us(5));
+/// sim.spawn_future("worker", async |ctx| {
+///     ctx.compute_async(SimDelta::from_us(5)).await;
 /// });
 /// let report = sim.run().unwrap();
 /// assert_eq!(report.end_time, simnet::SimTime::ZERO + SimDelta::from_us(5));
@@ -285,11 +282,9 @@ pub(crate) enum Route {
 pub struct ProcessCtx {
     pub(crate) route: Route,
     pub(crate) pid: Pid,
-    /// The baton a thread-backed process parks on; for a future process
-    /// or an inline reactor, which run on the loop owner's thread and
-    /// have none, the name of their kind.
-    pub(crate) baton: Result<Arc<Baton>, &'static str>,
-    pub(crate) stack_size: usize,
+    /// The baton a thread-backed process parks on; `None` for a future
+    /// process, which runs on the loop owner's thread.
+    pub(crate) baton: Option<Arc<Baton>>,
 }
 
 impl Simulation {
@@ -355,10 +350,10 @@ impl Simulation {
         self.sink = Some(sink);
     }
 
-    /// Spawn a simulated process. It becomes runnable at time zero (or, when
-    /// spawned from a running process, at the current instant). In a sharded
-    /// simulation (one where [`spawn_on`](Self::spawn_on) has been used),
-    /// the process lands on shard 0.
+    /// Spawn a thread-backed process: `f` runs on an OS thread of its own
+    /// and waits in blocking calls. It becomes runnable at time zero. In
+    /// a sharded simulation (one where [`spawn_on`](Self::spawn_on) has
+    /// been used), the process lands on shard 0.
     pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(ProcessCtx) + Send + 'static,
@@ -379,47 +374,15 @@ impl Simulation {
     /// bit-for-bit identical at every worker-thread count.
     ///
     /// The first `spawn_on` must come before any plain [`spawn`](Self::spawn)
-    /// (later plain spawns land on shard 0), and all processes must be
-    /// spawned before [`run`](Self::run) — the sharded engine rejects
-    /// dynamic spawns so pid assignment can never depend on thread timing.
+    /// (later plain spawns land on shard 0).
     /// The engine runs the scale workloads and refuses what they do not
-    /// use: inline reactors, FIFO resources and tracing.
+    /// use: future processes, FIFO resources and tracing.
     pub fn spawn_on<F>(&mut self, shard_id: usize, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(ProcessCtx) + Send + 'static,
     {
         let stack_size = self.stack_size;
         shard::spawn_on_shard(self.sharded_rt(), stack_size, shard_id, name.into(), f)
-    }
-
-    /// Spawn an **inline reactor**: a process with a pid, a name, a
-    /// mailbox and a [`ProcReport`] entry like any other, but no thread.
-    /// `init` runs at the process's first activation (where a thread's
-    /// first instructions would) and returns the message handler, or
-    /// `None` to finish at once. The scheduler then calls the handler on
-    /// its own thread once per mailbox message; when the mailbox is empty
-    /// the reactor waits for the next delivery, and when the handler
-    /// returns `false` the process has finished.
-    ///
-    /// A reactor runs to completion every time: calling a blocking
-    /// [`ProcessCtx`] operation (`sleep`, `compute`, `recv`, `yield_now`)
-    /// from `init` or the handler panics. Everything else — `deliver`,
-    /// `try_recv`, `reserve`, `emit`, stats, RNG — works as in a thread.
-    /// Classic loop only: a sharded simulation refuses it.
-    pub fn spawn_reactor<I>(&mut self, name: impl Into<String>, init: I) -> Pid
-    where
-        I: FnOnce(ProcessCtx) -> Option<Reactor> + Send + 'static,
-    {
-        if self.sharded.is_some() {
-            sharded_refuses("Simulation::spawn_reactor");
-        }
-        spawn_inline(
-            &self.inner,
-            self.stack_size,
-            name.into(),
-            "inline reactor",
-            |ctx| ProcKind::Reactor(Some(ReactorBody::Init(Box::new(move || init(ctx))))),
-        )
     }
 
     /// Spawn a **future process**: a pid, a name, a mailbox and a
@@ -438,13 +401,18 @@ impl Simulation {
         if self.sharded.is_some() {
             sharded_refuses("Simulation::spawn_future");
         }
-        spawn_inline(
-            &self.inner,
-            self.stack_size,
-            name.into(),
-            "future process",
-            |ctx| ProcKind::Future(Some(Box::new(move || Box::pin(f(ctx)) as LocalFuture))),
-        )
+        let mut st = self.inner.state.lock();
+        let pid = Pid(st.procs.len() as u32);
+        let ctx = ProcessCtx {
+            route: Route::Classic(Arc::clone(&self.inner)),
+            pid,
+            baton: None,
+        };
+        let init: FutureInit = Box::new(move || Box::pin(f(ctx)) as LocalFuture);
+        st.procs
+            .push(ProcSlot::new(name.into(), ProcKind::Future(Some(init))));
+        st.ready.push_back(pid.0);
+        pid
     }
 
     /// The sharded runtime, switching the simulation over to it on first
@@ -550,13 +518,12 @@ impl Simulation {
             &inner.owner,
             || step(&inner, true),
             |next| match next {
-                Step::Reactor(key, body) => run_reactor(&inner, key, body),
                 Step::Poll(key, init) => poll_future(&inner, &mut futures, key, init),
                 Step::Process(_) | Step::Owner => unreachable!("drive runs these itself"),
             },
         );
         // The run is over, however it ended: free what still-waiting
-        // reactors and futures hold, and let no thread outlive it. Then
+        // futures hold, and let no thread outlive it. Then
         // the sink gets what is still buffered, before any error or panic
         // surfaces.
         let left = take_leftovers(&mut inner.state.lock().procs);
@@ -650,19 +617,6 @@ fn carry(inner: &SimInner, me: Option<&Baton>) {
     hand_off(me, &inner.owner, step(inner, false));
 }
 
-/// One activation of the reactor at slot `key`, on the owner's thread: no
-/// baton changes hands. Nothing else runs meanwhile, so no delivery can
-/// slip in between the mailbox running dry and the reactor being parked.
-fn run_reactor(inner: &SimInner, key: u32, body: ReactorBody) {
-    let i = key as usize;
-    let outcome = drive_reactor(body, || inner.state.lock().procs[i].mailbox.pop_front());
-    let now = inner.clock.get();
-    let mut st = inner.state.lock();
-    if let Some(msg) = st.procs[i].settle_reactor(now, outcome) {
-        st.fatal = Some(msg);
-    }
-}
-
 /// Poll the future process at slot `key`, on the owner's thread. A body
 /// left pending must have set its process's status through a
 /// `ProcessCtx` wait; one that returned or panicked finishes the
@@ -704,8 +658,7 @@ where
     let ctx = ProcessCtx {
         route: Route::Classic(Arc::clone(inner)),
         pid,
-        baton: Ok(Arc::clone(&baton)),
-        stack_size,
+        baton: Some(Arc::clone(&baton)),
     };
     let tinner = Arc::clone(inner);
     let handle = std::thread::Builder::new()
@@ -730,28 +683,6 @@ where
     if let ProcKind::Thread { join, .. } = &mut inner.state.lock().procs[pid.index()].kind {
         *join = Some(handle);
     }
-    pid
-}
-
-/// Spawn a process the loop's owner runs itself (a reactor or a future,
-/// by `kind`), with a context whose blocking calls name that kind.
-fn spawn_inline(
-    inner: &Arc<SimInner>,
-    stack_size: usize,
-    name: String,
-    kind: &'static str,
-    body: impl FnOnce(ProcessCtx) -> ProcKind,
-) -> Pid {
-    let mut st = inner.state.lock();
-    let pid = Pid(st.procs.len() as u32);
-    let ctx = ProcessCtx {
-        route: Route::Classic(Arc::clone(inner)),
-        pid,
-        baton: Err(kind),
-        stack_size,
-    };
-    st.procs.push(ProcSlot::new(name, body(ctx)));
-    st.ready.push_back(pid.0);
     pid
 }
 
@@ -827,15 +758,6 @@ impl ProcessCtx {
     /// Blocking receive: the next mailbox message, waiting if necessary.
     pub fn recv(&self) -> Payload {
         self.blocking("recv", self.recv_async())
-    }
-
-    /// Run `fut` to completion on this process's thread: poll it, and
-    /// each time it is pending (it awaited one of this context's waits),
-    /// park until the process is ready again. The bridge from
-    /// thread-backed code to an `async` API; a future process awaits
-    /// instead, and calling this from one (or from a reactor) panics.
-    pub fn block_on<F: Future>(&self, fut: F) -> F::Output {
-        self.blocking("block_on", fut)
     }
 
     /// [`sleep`](Self::sleep), for a future process: the wait is armed at
@@ -927,10 +849,10 @@ impl ProcessCtx {
     /// parking the thread — and carrying the loop on — each time it is
     /// pending.
     fn blocking<F: Future>(&self, call: &str, fut: F) -> F::Output {
-        let baton = self.baton.as_ref().unwrap_or_else(|kind| {
+        let baton = self.baton.as_ref().unwrap_or_else(|| {
             panic!(
-                "blocking ProcessCtx::{call} called from {kind} '{}': it runs on the \
-                 scheduler's thread and has no thread to park",
+                "blocking ProcessCtx::{call} called from future process '{}': it runs on \
+                 the scheduler's thread and has no thread to park",
                 self.name()
             )
         });
@@ -1158,26 +1080,6 @@ impl ProcessCtx {
             Route::Sharded { cell, .. } => shard::ctx_gen_f64(cell),
         }
     }
-
-    /// Spawn another process from inside the simulation. It becomes
-    /// runnable at the current instant.
-    ///
-    /// Classic engine only: the sharded engine fixes the process
-    /// population before `run()` (pid assignment from concurrently
-    /// running shards could depend on thread timing) and panics here.
-    pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> Pid
-    where
-        F: FnOnce(ProcessCtx) + Send + 'static,
-    {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { .. } => panic!(
-                "dynamic spawn is not supported by the sharded engine; \
-                 spawn every process with spawn_on() before run()"
-            ),
-        };
-        spawn_process(inner, self.stack_size, name.into(), f)
-    }
 }
 
 #[cfg(test)]
@@ -1294,24 +1196,6 @@ mod tests {
         let mut sim = Simulation::new(0);
         sim.spawn("boom", |_ctx| panic!("bang"));
         let _ = sim.run();
-    }
-
-    #[test]
-    fn dynamic_spawn_runs() {
-        let mut sim = Simulation::new(0);
-        let hits = Arc::new(AtomicU64::new(0));
-        let hits2 = Arc::clone(&hits);
-        sim.spawn("parent", move |ctx| {
-            ctx.sleep(SimDelta::from_us(2));
-            let h = Arc::clone(&hits2);
-            ctx.spawn("child", move |cctx| {
-                cctx.sleep(SimDelta::from_us(1));
-                h.fetch_add(1, Ordering::SeqCst);
-            });
-        });
-        let report = sim.run().unwrap();
-        assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(report.end_time.as_us_f64(), 3.0);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! counts, error shapes. Only the OS thread that runs the body changes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use simnet::{BlockReason, Pid, ProcessCtx, SimDelta, SimError, SimTime, Simulation};
@@ -36,35 +37,50 @@ enum Kind {
 /// `(at, receiving pid, value)` of every receive, in order.
 type Log = Arc<Mutex<Vec<(SimTime, Pid, u64)>>>;
 
-/// One ping-pong side: `rounds` times, send to `peer` (the side that
-/// goes `first`) or receive, compute a value-dependent while, sleep and
-/// yield. Written once; a thread runs it through `block_on`.
-async fn side(ctx: ProcessCtx, peer: Pid, first: bool, rounds: u64, log: Log) {
-    for r in 0..2 * rounds {
-        if (r % 2 == 0) == first {
-            ctx.deliver(
-                peer,
-                SimDelta::from_ns(900),
-                Box::new(r * 10 + ctx.pid().index() as u64),
-            );
-            continue;
-        }
-        let v = *ctx.recv_async().await.downcast::<u64>().unwrap();
-        log.lock().unwrap().push((ctx.now(), ctx.pid(), v));
-        ctx.compute_async(SimDelta::from_ns(100 + v % 7 * 30)).await;
-        ctx.sleep_async(SimDelta::from_ns(50)).await;
-        ctx.yield_async().await;
+const ROUNDS: u64 = 20;
+
+/// Round `r` of a ping-pong side: true if it sends (to `peer`; the side
+/// that goes `first` sends in even rounds), false if it receives.
+fn sends(ctx: &ProcessCtx, peer: Pid, first: bool, r: u64) -> bool {
+    let sends = r.is_multiple_of(2) == first;
+    if sends {
+        let v = r * 10 + ctx.pid().index() as u64;
+        ctx.deliver(peer, SimDelta::from_ns(900), Box::new(v));
     }
+    sends
 }
 
+/// Log a receive; returns how long to compute on it.
+fn received(ctx: &ProcessCtx, log: &Log, msg: simnet::Payload) -> SimDelta {
+    let v = *msg.downcast::<u64>().unwrap();
+    log.lock().unwrap().push((ctx.now(), ctx.pid(), v));
+    SimDelta::from_ns(100 + v % 7 * 30)
+}
+
+/// One ping-pong side, `ROUNDS` times: send or receive, then compute a
+/// value-dependent while, sleep and yield — with the waits of its kind.
 fn spawn_side(sim: &mut Simulation, kind: Kind, name: &str, peer: Pid, first: bool, log: &Log) {
     let log = Arc::clone(log);
     match kind {
         Kind::Thread => sim.spawn(name, move |ctx| {
-            let c = ctx.clone();
-            c.block_on(side(ctx, peer, first, 20, log))
+            for r in 0..2 * ROUNDS {
+                if !sends(&ctx, peer, first, r) {
+                    ctx.compute(received(&ctx, &log, ctx.recv()));
+                    ctx.sleep(SimDelta::from_ns(50));
+                    ctx.yield_now();
+                }
+            }
         }),
-        Kind::Future => sim.spawn_future(name, move |ctx| side(ctx, peer, first, 20, log)),
+        Kind::Future => sim.spawn_future(name, async move |ctx| {
+            for r in 0..2 * ROUNDS {
+                if !sends(&ctx, peer, first, r) {
+                    let d = received(&ctx, &log, ctx.recv_async().await);
+                    ctx.compute_async(d).await;
+                    ctx.sleep_async(SimDelta::from_ns(50)).await;
+                    ctx.yield_async().await;
+                }
+            }
+        }),
     };
 }
 
@@ -98,14 +114,18 @@ fn yield_async_interleaves_same_instant_work() {
         let log = Arc::new(Mutex::new(Vec::new()));
         for (kind, name) in kinds.into_iter().zip(["a", "b"]) {
             let log = Arc::clone(&log);
-            let body = async move |ctx: ProcessCtx| {
-                log.lock().unwrap().push(format!("{name}1"));
-                ctx.yield_async().await;
-                log.lock().unwrap().push(format!("{name}2"));
-            };
+            let note = move |step| log.lock().unwrap().push(format!("{name}{step}"));
             match kind {
-                Kind::Future => sim.spawn_future(name, body),
-                Kind::Thread => sim.spawn(name, move |ctx| ctx.clone().block_on(body(ctx))),
+                Kind::Future => sim.spawn_future(name, async move |ctx| {
+                    note(1);
+                    ctx.yield_async().await;
+                    note(2);
+                }),
+                Kind::Thread => sim.spawn(name, move |ctx| {
+                    note(1);
+                    ctx.yield_now();
+                    note(2);
+                }),
             };
         }
         sim.run().unwrap();
@@ -129,16 +149,22 @@ fn failure(kind: Kind, how: Failure) -> String {
         if let Failure::TimeLimit = how {
             sim.set_time_limit(SimTime::ZERO + us(5));
         }
-        let body = async move |ctx: ProcessCtx| {
-            ctx.sleep_async(us(1)).await;
+        let bang = move || {
             if let Failure::Panic = how {
                 panic!("bang");
             }
-            let _ = ctx.recv_async().await; // nobody sends
         };
         match kind {
-            Kind::Future => sim.spawn_future("p", body),
-            Kind::Thread => sim.spawn("p", move |ctx| ctx.clone().block_on(body(ctx))),
+            Kind::Future => sim.spawn_future("p", async move |ctx| {
+                ctx.sleep_async(us(1)).await;
+                bang();
+                let _ = ctx.recv_async().await; // nobody sends
+            }),
+            Kind::Thread => sim.spawn("p", move |ctx| {
+                ctx.sleep(us(1));
+                bang();
+                let _ = ctx.recv(); // nobody sends
+            }),
         };
         // A well-behaved neighbour that outlives the limit.
         sim.spawn("ticker", |ctx| ctx.sleep(us(10)));
@@ -181,14 +207,70 @@ fn a_deadlock_names_a_waiting_future() {
 }
 
 #[test]
+fn a_body_that_returns_before_its_first_await_finishes_at_its_first_activation() {
+    let mut sim = Simulation::new(0);
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let (o1, o2, o3) = (Arc::clone(&order), Arc::clone(&order), Arc::clone(&order));
+    sim.spawn_future("a", async move |_| o1.lock().unwrap().push("a"));
+    let done = sim.spawn_future("done", async move |ctx| {
+        assert_eq!(ctx.name(), "done");
+        o2.lock().unwrap().push("done");
+    });
+    sim.spawn_future("b", async move |ctx| {
+        o3.lock().unwrap().push("b");
+        ctx.sleep_async(us(2)).await;
+    });
+    // A message loop that stops at its third message: it finishes at
+    // that delivery, and mail after it is counted, not queued.
+    let calls = Arc::new(AtomicU64::new(0));
+    let calls2 = Arc::clone(&calls);
+    let looper = sim.spawn_future("looper", async move |ctx| loop {
+        let n = *ctx.recv_async().await.downcast::<u64>().unwrap();
+        assert_eq!(ctx.now(), SimTime::ZERO + us(n), "woken at delivery time");
+        calls2.fetch_add(1, Ordering::SeqCst);
+        if n == 3 {
+            break;
+        }
+    });
+    sim.spawn_future("tx", async move |ctx| {
+        for n in 1..=4u64 {
+            ctx.deliver(looper, us(n), Box::new(n));
+        }
+        ctx.deliver(done, us(1), Box::new(0u8));
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(
+        *order.lock().unwrap(),
+        vec!["a", "done", "b"],
+        "spawn order"
+    );
+    assert_eq!(report.procs.len(), 5, "a future has a report entry");
+    assert_eq!(report.proc_name(done), Some("done"));
+    assert_eq!(report.procs[done.index()].finished_at, SimTime::ZERO);
+    assert_eq!(report.procs[done.index()].compute_time, SimDelta::ZERO);
+    assert_eq!(calls.load(Ordering::SeqCst), 3);
+    assert_eq!(
+        report.procs[looper.index()].finished_at,
+        SimTime::ZERO + us(3)
+    );
+    assert_eq!(report.stats.counter("simnet.deliver_to_finished"), 2);
+    // A body that panics at its first poll is named like any other.
+    let early = panic_text(|| {
+        let mut sim = Simulation::new(0);
+        sim.spawn_future("boom", async |_| panic!("early"));
+        let _ = sim.run();
+    });
+    assert_eq!(early, "simulated process 'boom' panicked: early");
+}
+
+#[test]
 fn a_blocking_call_from_a_future_panics_before_touching_state() {
     type Call = fn(&ProcessCtx);
-    let calls: [(&str, Call); 5] = [
+    let calls: [(&str, Call); 4] = [
         ("sleep", |ctx| ctx.sleep(us(1))),
         ("compute", |ctx| ctx.compute(us(1))),
         ("recv", |ctx| drop(ctx.recv())),
         ("yield_now", |ctx| ctx.yield_now()),
-        ("block_on", |ctx| ctx.block_on(async {})),
     ];
     let mut sim = Simulation::new(0);
     let seen = Arc::new(Mutex::new(Vec::new()));
@@ -207,7 +289,7 @@ fn a_blocking_call_from_a_future_panics_before_touching_state() {
     assert_eq!(report.events, 1, "only the sleep's own wake-up");
     assert_eq!(report.procs[p.index()].compute_time, SimDelta::ZERO);
     let seen = seen.lock().unwrap();
-    assert_eq!(seen.len(), 5);
+    assert_eq!(seen.len(), 4);
     for (name, text) in seen.iter() {
         assert!(
             text.starts_with(&format!(

@@ -1,7 +1,7 @@
 //! The thread hand-off: a process thread that blocks or exits takes the
 //! loop's next step itself and wakes its successor directly, and only
 //! falls back to the loop's owner (`run()`'s caller, or a shard's worker)
-//! when a reactor is next, the window or the run is over, or something
+//! when a future is next, the window or the run is over, or something
 //! failed.
 //!
 //! None of that may be visible in a result. Every case of thread-backed
@@ -10,8 +10,8 @@
 //! shim. A case is built as independent *lanes*: all in the one loop on
 //! the classic engine (so threads of different lanes follow each other
 //! directly), one shard each on the sharded engine (so four workers have
-//! work). Cases with a reactor run on the classic loop, the only one that
-//! has reactors.
+//! work). Cases with a future process run on the classic loop, the only
+//! one that has them.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -132,13 +132,13 @@ fn a_process_that_is_its_own_successor_just_carries_on() {
 #[derive(Default)]
 struct Seen {
     process_threads: HashSet<ThreadId>,
-    reactor_threads: HashSet<ThreadId>,
+    future_threads: HashSet<ThreadId>,
 }
 
-/// Per lane, a token ring thread → thread → reactor → thread on the
+/// Per lane, a token ring thread → thread → future → thread on the
 /// classic loop: `t0` starts the token, `t1` computes before forwarding
-/// it, the reactor reserves a resource, `t3` yields once. Every hand-off
-/// shape occurs: thread to thread, thread to owner (the reactor), owner
+/// it, the future reserves a resource, `t3` yields once. Every hand-off
+/// shape occurs: thread to thread, thread to owner (the future), owner
 /// to thread.
 fn mixed_ring() -> (Report, Seen) {
     const LAPS: u64 = 5;
@@ -157,17 +157,15 @@ fn mixed_ring() -> (Report, Seen) {
             let (ring2, seen2) = (Arc::clone(&ring), Arc::clone(&seen));
             let name = format!("lane{lane}.m{me}");
             let pid = if me == 2 {
-                sim.spawn_reactor(name, move |ctx| {
+                sim.spawn_future(name, async move |ctx| {
                     let nic = ctx.create_resource(format!("nic{lane}"));
-                    let mut laps = 0;
-                    Some(Box::new(move |msg| {
+                    for _ in 0..LAPS {
+                        let lap = *ctx.recv_async().await.downcast::<u64>().unwrap();
                         let id = std::thread::current().id();
-                        seen2.lock().unwrap().reactor_threads.insert(id);
+                        seen2.lock().unwrap().future_threads.insert(id);
                         ctx.reserve(nic, ns(100));
-                        forward(&ctx, &ring2, me, *msg.downcast::<u64>().unwrap());
-                        laps += 1;
-                        laps < LAPS
-                    }))
+                        forward(&ctx, &ring2, me, lap);
+                    }
                 })
             } else {
                 sim.spawn(name, move |ctx| {
@@ -214,16 +212,16 @@ fn a_mixed_ring_ends_at_its_known_time() {
 }
 
 #[test]
-fn a_reactor_is_never_entered_on_a_process_thread() {
+fn a_future_is_never_entered_on_a_process_thread() {
     let (_, seen) = mixed_ring();
     assert_eq!(seen.process_threads.len(), 3 * LANES);
     assert!(
-        seen.reactor_threads.is_disjoint(&seen.process_threads),
-        "a handler ran on a process thread"
+        seen.future_threads.is_disjoint(&seen.process_threads),
+        "a future was polled on a process thread"
     );
     // The owner is run()'s caller.
     let caller = std::thread::current().id();
-    assert_eq!(seen.reactor_threads, HashSet::from([caller]));
+    assert_eq!(seen.future_threads, HashSet::from([caller]));
 }
 
 #[test]
@@ -333,36 +331,4 @@ fn a_livelock_is_detected_while_a_process_thread_carries_the_loop() {
             other => panic!("{on:?}: expected a livelock, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn a_child_spawned_by_a_carrying_process_runs_in_ready_order() {
-    // Dynamic spawn is the classic engine's alone.
-    let mut sim = Simulation::new(0);
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let (l1, l2) = (Arc::clone(&log), Arc::clone(&log));
-    // `first` blocks at once, so every activation below is a process
-    // thread waking its successor; the owner sleeps until the end.
-    sim.spawn("first", |ctx| ctx.sleep(us(5)));
-    sim.spawn("parent", move |ctx| {
-        l1.lock().unwrap().push("parent");
-        let l3 = Arc::clone(&l1);
-        ctx.spawn("child", move |cctx| {
-            l3.lock().unwrap().push("child");
-            cctx.sleep(us(1));
-            l3.lock().unwrap().push("child.late");
-        });
-        // Behind the sibling and the child in the ready queue.
-        ctx.yield_now();
-        l1.lock().unwrap().push("parent.again");
-    });
-    sim.spawn("sibling", move |_| l2.lock().unwrap().push("sibling"));
-    let report = sim.run().unwrap();
-    assert_eq!(
-        *log.lock().unwrap(),
-        vec!["parent", "sibling", "child", "parent.again", "child.late"]
-    );
-    assert_eq!(report.end_time, SimTime::ZERO + us(5));
-    assert_eq!(report.events, 2);
-    assert_eq!(report.proc_name(Pid::from_index(3)), Some("child"));
 }

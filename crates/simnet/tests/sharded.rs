@@ -10,7 +10,7 @@
 //!    message schedules produce byte-identical results at every worker
 //!    thread count, including under the seeded yield-injection shim
 //!    (`set_chaos`) that randomly perturbs OS scheduling;
-//! 4. refusals — what only the classic loop has (inline reactors, FIFO
+//! 4. refusals — what only the classic loop has (future processes, FIFO
 //!    resources, tracing) panics with the call's name.
 
 use std::collections::BTreeMap;
@@ -241,23 +241,9 @@ fn sharded_process_panic_keeps_the_classic_message() {
 }
 
 #[test]
-#[should_panic(expected = "dynamic spawn is not supported")]
-fn sharded_dynamic_spawn_is_rejected() {
-    let mut sim = Simulation::new(0);
-    sim.spawn_on(0, "parent", |ctx| {
-        ctx.spawn("child", |_c| {});
-    });
-    let _ = sim.run();
-}
-
-#[test]
 fn the_sharded_engine_refuses_what_only_the_classic_loop_has() {
     type Build = fn(Simulation);
-    let cases: [(&str, Build); 5] = [
-        ("Simulation::spawn_reactor", |mut sim| {
-            sim.spawn_on(0, "p", |_| {});
-            sim.spawn_reactor("r", |_| None);
-        }),
+    let cases: [(&str, Build); 4] = [
         ("Simulation::spawn_future", |mut sim| {
             sim.spawn_on(0, "p", |_| {});
             sim.spawn_future("f", async |_| {});

@@ -47,27 +47,29 @@ impl<'a> A2aDriver<'a> {
         }
     }
 
-    fn start(&self) -> A2aReq {
+    async fn start(&self) -> A2aReq {
         if let Some(off) = &self.h.off {
             let g = self.group.expect("group recorded");
-            off.ctx().block_on(off.group_call(g));
+            off.group_call(g).await;
             A2aReq::Proposed(g)
         } else if let Some(blues) = &self.h.blues {
-            A2aReq::Blues(blues.ialltoall(self.sendbuf, self.recvbuf, self.block))
+            A2aReq::Blues(
+                blues
+                    .ialltoall(self.sendbuf, self.recvbuf, self.block)
+                    .await,
+            )
         } else {
             A2aReq::Intel(self.h.mpi.ialltoall(self.sendbuf, self.recvbuf, self.block))
         }
     }
 
-    fn wait(&self, r: A2aReq) {
+    async fn wait(&self, r: A2aReq) {
         match r {
-            A2aReq::Intel(r) => self.h.mpi.wait(r),
-            A2aReq::Blues(r) => self.h.blues.as_ref().expect("blues").wait(r),
+            A2aReq::Intel(r) => self.h.mpi.wait(r).await,
+            A2aReq::Blues(r) => self.h.blues.as_ref().expect("blues").wait(r).await,
             A2aReq::Proposed(g) => {
                 let off = self.h.off.as_ref().expect("off");
-                off.ctx()
-                    .block_on(off.group_wait(g))
-                    .expect("group offload failed")
+                off.group_wait(g).await.expect("group offload failed")
             }
         }
     }
@@ -101,30 +103,30 @@ pub fn ialltoall_overlap_on(
 ) -> OverlapResult {
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, runtime, move |h| {
+    run_workload(spec, seed, runtime, async move |h| {
         let driver = A2aDriver::new(h, block);
         for _ in 0..warmup {
-            driver.wait(driver.start());
+            driver.wait(driver.start().await).await;
         }
         // Pure communication latency.
         let mut pure_us = 0.0;
         for _ in 0..iters {
-            h.mpi.barrier();
+            h.mpi.barrier().await;
             let t0 = h.ctx().now();
-            driver.wait(driver.start());
-            pure_us += h.elapsed_max_us(t0);
+            driver.wait(driver.start().await).await;
+            pure_us += h.elapsed_max_us(t0).await;
         }
         pure_us /= iters as f64;
         // Overall with compute ≈ pure latency injected (OMB method).
         let compute = SimDelta::from_us_f64(pure_us);
         let mut overall_us = 0.0;
         for _ in 0..iters {
-            h.mpi.barrier();
+            h.mpi.barrier().await;
             let t0 = h.ctx().now();
-            let r = driver.start();
-            h.ctx().compute(compute);
-            driver.wait(r);
-            overall_us += h.elapsed_max_us(t0);
+            let r = driver.start().await;
+            h.ctx().compute_async(compute).await;
+            driver.wait(r).await;
+            overall_us += h.elapsed_max_us(t0).await;
         }
         overall_us /= iters as f64;
         if h.rank == 0 {
@@ -177,7 +179,7 @@ pub fn scatter_dest_time(
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
-    let report = run_workload(spec, seed, Runtime::proposed(), move |h| {
+    let report = run_workload(spec, seed, Runtime::proposed(), async move |h| {
         let off = h.off.as_ref().expect("proposed runtime");
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
@@ -189,12 +191,10 @@ pub fn scatter_dest_time(
             ScatterImpl::Group => Some(off.record_alltoall(sendbuf, recvbuf, block)),
             ScatterImpl::Simple => None,
         };
-        let one_round = || match group {
+        let one_round = async || match group {
             Some(g) => {
-                off.ctx().block_on(off.group_call(g));
-                off.ctx()
-                    .block_on(off.group_wait(g))
-                    .expect("group offload failed");
+                off.group_call(g).await;
+                off.group_wait(g).await.expect("group offload failed");
             }
             None => {
                 let mut reqs = Vec::with_capacity(2 * (p - 1));
@@ -214,18 +214,18 @@ pub fn scatter_dest_time(
                         me as u64,
                     ));
                 }
-                off.ctx().block_on(off.wait_all(&reqs));
+                off.wait_all(&reqs).await;
             }
         };
         for _ in 0..warmup {
-            one_round();
+            one_round().await;
         }
         let mut total = 0.0;
         for _ in 0..iters {
-            h.mpi.barrier();
+            h.mpi.barrier().await;
             let t0 = h.ctx().now();
-            one_round();
-            total += h.elapsed_max_us(t0);
+            one_round().await;
+            total += h.elapsed_max_us(t0).await;
         }
         if h.rank == 0 {
             collect(&out2, total / iters as f64);
@@ -302,7 +302,7 @@ pub fn iallgather_overlap(
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, runtime, move |h| {
+    run_workload(spec, seed, runtime, async move |h| {
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let p = h.size() as u64;
@@ -311,54 +311,50 @@ pub fn iallgather_overlap(
             .off
             .as_ref()
             .map(|off| off.record_allgather_ring(buf, block));
-        let run_once = |h: &Harness| {
+        let run_once = async |h: &Harness| {
             if let Some(g) = group {
                 let off = h.off.as_ref().expect("proposed");
-                off.ctx().block_on(off.group_call(g));
-                off.ctx()
-                    .block_on(off.group_wait(g))
-                    .expect("group offload failed");
+                off.group_call(g).await;
+                off.group_wait(g).await.expect("group offload failed");
             } else if let Some(blues) = &h.blues {
-                let r = blues.iallgather(buf, block);
-                blues.wait(r);
+                let r = blues.iallgather(buf, block).await;
+                blues.wait(r).await;
             } else {
                 let r = h.mpi.iallgather(buf, block);
-                h.mpi.wait(r);
+                h.mpi.wait(r).await;
             }
         };
         for _ in 0..warmup {
-            run_once(h);
+            run_once(h).await;
         }
         let mut pure_us = 0.0;
         for _ in 0..iters {
-            h.mpi.barrier();
+            h.mpi.barrier().await;
             let t0 = h.ctx().now();
-            run_once(h);
-            pure_us += h.elapsed_max_us(t0);
+            run_once(h).await;
+            pure_us += h.elapsed_max_us(t0).await;
         }
         pure_us /= iters as f64;
         let compute = SimDelta::from_us_f64(pure_us);
         let mut overall_us = 0.0;
         for _ in 0..iters {
-            h.mpi.barrier();
+            h.mpi.barrier().await;
             let t0 = h.ctx().now();
             if let Some(g) = group {
                 let off = h.off.as_ref().expect("proposed");
-                off.ctx().block_on(off.group_call(g));
-                h.ctx().compute(compute);
-                off.ctx()
-                    .block_on(off.group_wait(g))
-                    .expect("group offload failed");
+                off.group_call(g).await;
+                h.ctx().compute_async(compute).await;
+                off.group_wait(g).await.expect("group offload failed");
             } else if let Some(blues) = &h.blues {
-                let r = blues.iallgather(buf, block);
-                h.ctx().compute(compute);
-                blues.wait(r);
+                let r = blues.iallgather(buf, block).await;
+                h.ctx().compute_async(compute).await;
+                blues.wait(r).await;
             } else {
                 let r = h.mpi.iallgather(buf, block);
-                h.ctx().compute(compute);
-                h.mpi.wait(r);
+                h.ctx().compute_async(compute).await;
+                h.mpi.wait(r).await;
             }
-            overall_us += h.elapsed_max_us(t0);
+            overall_us += h.elapsed_max_us(t0).await;
         }
         overall_us /= iters as f64;
         if h.rank == 0 {

@@ -10,7 +10,6 @@
 //!   receives the engine's structured [`offload::ProtoEvent`] stream.
 
 use std::ops::AsyncFn;
-use std::sync::Arc;
 
 use offload::{Offload, OffloadConfig, OffloadError, TenantId};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
@@ -102,16 +101,15 @@ impl CheckRun {
     ) -> Result<Report, SimError> {
         let cfg = self.cfg.clone();
         let proxy_cfg = cfg.clone();
-        let body = Arc::new(body);
         self.builder().run_async(
-            move |rank, ctx, cluster| {
-                let (cfg, body) = (cfg.clone(), Arc::clone(&body));
-                offload::profile::balanced(async move {
+            async move |rank, ctx, cluster| {
+                offload::profile::balanced(async {
                     let inbox = Inbox::new();
-                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
+                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
                     body(&off).await;
                     off.finalize().await;
                 })
+                .await
             },
             Some(offload::proxy_fn(proxy_cfg)),
         )

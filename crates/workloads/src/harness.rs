@@ -14,6 +14,7 @@
 //! transfers under the proposed runtime keep using host MPI, as the paper
 //! notes for its 3DStencil results.
 
+use std::ops::AsyncFn;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -87,9 +88,9 @@ impl Harness {
 
     /// Seconds of virtual time since `t0`, agreed by max-reduction across
     /// all ranks (how MPI benchmarks report a step time).
-    pub fn elapsed_max_us(&self, t0: SimTime) -> f64 {
+    pub async fn elapsed_max_us(&self, t0: SimTime) -> f64 {
         let local = (self.ctx().now() - t0).as_us_f64();
-        self.mpi.allreduce_max_f64(local)
+        self.mpi.allreduce_max_f64(local).await
     }
 }
 
@@ -114,68 +115,55 @@ pub fn take<T>(c: &Collector<T>) -> T {
 
 /// Run `body(&harness)` on every rank of a `spec` cluster under `runtime`.
 /// Spawns DPU proxies when the runtime needs them and finalizes the
-/// offload engines afterwards.
+/// offload engines afterwards. Ranks and proxies are future processes,
+/// polled on the calling thread.
 pub fn run_workload(
     spec: ClusterSpec,
     seed: u64,
     runtime: Runtime,
-    body: impl Fn(&Harness) + Send + Sync + 'static,
+    body: impl AsyncFn(&Harness) + Send + Sync + 'static,
 ) -> Report {
     let builder = crate::observe::apply(ClusterBuilder::new(spec, seed));
-    match runtime {
-        Runtime::Intel => builder
-            .run_hosts(move |rank, ctx, cluster| {
+    let label = runtime.label();
+    let proxy_cfg = match &runtime {
+        Runtime::Intel => None,
+        Runtime::Blues(_) => Some(bluesmpi_proxy_config()),
+        Runtime::Proposed(ocfg) => Some(ocfg.clone()),
+    };
+    builder
+        .run_async(
+            async move |rank, ctx, cluster| {
                 let inbox = Inbox::new();
+                let (off, blues) = match &runtime {
+                    Runtime::Intel => (None, None),
+                    Runtime::Blues(cfg) => {
+                        let (ctx, cluster) = (ctx.clone(), cluster.clone());
+                        let blues = BluesMpi::attach(rank, ctx, cluster, &inbox, cfg.clone());
+                        (None, Some(blues))
+                    }
+                    Runtime::Proposed(cfg) => {
+                        let (ctx, cluster) = (ctx.clone(), cluster.clone());
+                        let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
+                        (Some(off), None)
+                    }
+                };
                 let h = Harness {
                     rank,
                     mpi: Mpi::attach(rank, ctx, cluster, &inbox, MpiConfig::default()),
-                    off: None,
-                    blues: None,
+                    off,
+                    blues,
                 };
-                body(&h);
-            })
-            .expect("intel run"),
-        Runtime::Blues(bcfg) => builder
-            .run(
-                move |rank, ctx, cluster| {
-                    let inbox = Inbox::new();
-                    let blues =
-                        BluesMpi::attach(rank, ctx.clone(), cluster.clone(), &inbox, bcfg.clone());
-                    let h = Harness {
-                        rank,
-                        mpi: Mpi::attach(rank, ctx, cluster, &inbox, MpiConfig::default()),
-                        off: None,
-                        blues: Some(blues),
-                    };
-                    body(&h);
-                    h.blues.as_ref().expect("blues present").finalize();
-                },
-                Some(offload::proxy_fn(bluesmpi_proxy_config())),
-            )
-            .expect("blues run"),
-        Runtime::Proposed(ocfg) => {
-            let proxy_cfg = ocfg.clone();
-            builder
-                .run(
-                    move |rank, ctx, cluster| {
-                        let inbox = Inbox::new();
-                        let off =
-                            Offload::init(rank, ctx.clone(), cluster.clone(), &inbox, ocfg.clone());
-                        let h = Harness {
-                            rank,
-                            mpi: Mpi::attach(rank, ctx, cluster, &inbox, MpiConfig::default()),
-                            off: Some(off),
-                            blues: None,
-                        };
-                        body(&h);
-                        let off = h.off.as_ref().expect("offload present");
-                        off.ctx().block_on(off.finalize());
-                    },
-                    Some(offload::proxy_fn(proxy_cfg)),
-                )
-                .expect("proposed run")
-        }
-    }
+                offload::profile::balanced(body(&h)).await;
+                if let Some(blues) = &h.blues {
+                    blues.finalize().await;
+                }
+                if let Some(off) = &h.off {
+                    off.finalize().await;
+                }
+            },
+            proxy_cfg.map(offload::proxy_fn),
+        )
+        .unwrap_or_else(|e| panic!("{label} run: {e}"))
 }
 
 #[cfg(test)]
@@ -189,8 +177,8 @@ mod tests {
             let label = rt.label();
             let c = collector::<(bool, bool)>();
             let c2 = Arc::clone(&c);
-            run_workload(ClusterSpec::new(2, 1), 1, rt, move |h| {
-                h.mpi.barrier();
+            run_workload(ClusterSpec::new(2, 1), 1, rt, async move |h| {
+                h.mpi.barrier().await;
                 if h.rank == 0 {
                     collect(&c2, (h.off.is_some(), h.blues.is_some()));
                 }
@@ -209,12 +197,13 @@ mod tests {
     fn elapsed_max_agrees_across_ranks() {
         let c = collector::<f64>();
         let c2 = Arc::clone(&c);
-        run_workload(ClusterSpec::new(2, 1), 2, Runtime::Intel, move |h| {
+        run_workload(ClusterSpec::new(2, 1), 2, Runtime::Intel, async move |h| {
             let t0 = h.ctx().now();
             // Rank 1 computes longer; both must report its time.
             h.ctx()
-                .compute(SimDelta::from_us(100 * (h.rank as u64 + 1)));
-            let us = h.elapsed_max_us(t0);
+                .compute_async(SimDelta::from_us(100 * (h.rank as u64 + 1)))
+                .await;
+            let us = h.elapsed_max_us(t0).await;
             assert!(us >= 200.0, "max time is the slower rank's: {us}");
             if h.rank == 0 {
                 collect(&c2, us);

@@ -112,7 +112,7 @@ enum Bcast {
 }
 
 /// Start the panel-chunk broadcast along this rank's process row.
-fn start_bcast(
+async fn start_bcast(
     h: &Harness,
     algo: HplAlgo,
     row: &[usize],
@@ -131,7 +131,8 @@ fn start_bcast(
             h.blues
                 .as_ref()
                 .expect("blues")
-                .ibcast_among(row, root_pos, buf, len),
+                .ibcast_among(row, root_pos, buf, len)
+                .await,
         ),
         HplAlgo::Proposed => {
             // Record the ring for this step's row and offload it whole
@@ -153,7 +154,7 @@ fn start_bcast(
                 }
             }
             off.group_end(g);
-            off.ctx().block_on(off.group_call(g));
+            off.group_call(g).await;
             Bcast::Group(g)
         }
     }
@@ -165,26 +166,24 @@ fn start_bcast(
 /// trailing matrix's columns are distributed over the `Qc` row ranks, so
 /// a rank owns `rem/(NB·Qc)` column blocks and polls that many times per
 /// update; dependent ring hops stall up to one block of compute each.
-fn overlap_update(h: &Harness, bcast: &Bcast, compute: SimDelta, local_chunks: u64) {
+async fn overlap_update(h: &Harness, bcast: &Bcast, compute: SimDelta, local_chunks: u64) {
     match bcast {
         Bcast::Mpi(r) => {
             let slice = compute / local_chunks.max(1);
-            h.mpi.compute_with_test(compute, slice, *r);
+            h.mpi.compute_with_test(compute, slice, *r).await;
         }
         // Offloaded broadcasts need no CPU intervention.
-        Bcast::Blues(_) | Bcast::Group(_) | Bcast::Done => h.ctx().compute(compute),
+        Bcast::Blues(_) | Bcast::Group(_) | Bcast::Done => h.ctx().compute_async(compute).await,
     }
 }
 
-fn wait_bcast(h: &Harness, bcast: Bcast) {
+async fn wait_bcast(h: &Harness, bcast: Bcast) {
     match bcast {
-        Bcast::Mpi(r) => h.mpi.wait(r),
-        Bcast::Blues(r) => h.blues.as_ref().expect("blues").wait(r),
+        Bcast::Mpi(r) => h.mpi.wait(r).await,
+        Bcast::Blues(r) => h.blues.as_ref().expect("blues").wait(r).await,
         Bcast::Group(g) => {
             let off = h.off.as_ref().expect("proposed");
-            off.ctx()
-                .block_on(off.group_wait(g))
-                .expect("group offload failed")
+            off.group_wait(g).await.expect("group offload failed")
         }
         Bcast::Done => {}
     }
@@ -202,7 +201,7 @@ pub fn hpl_runtime_us(
     let n = matrix_order(nodes, mem_fraction);
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, algo.runtime(), move |h| {
+    run_workload(spec, seed, algo.runtime(), async move |h| {
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let p = h.size();
@@ -215,29 +214,29 @@ pub fn hpl_runtime_us(
         // lengths differ, so registrations are per-step (as in real HPL,
         // where the panel lives at a moving offset of the matrix).
         let panel = fab.alloc(ep, n.div_ceil(pr as u64) * NB * 8 + 8);
-        h.mpi.barrier();
+        h.mpi.barrier().await;
         let t0 = h.ctx().now();
         let mut prev_update: Option<(SimDelta, u64)> = None;
         for k in 0..steps {
             let rem = n - k * NB;
             let root_col = (k as usize) % qc;
             if my_col == root_col {
-                h.ctx().compute(factor_time(rem, pr));
+                h.ctx().compute_async(factor_time(rem, pr)).await;
             }
             // Each row-rank of the owning column broadcasts its chunk of
             // the panel along its row.
             let bytes = (rem.div_ceil(pr as u64)).max(1) * NB * 8;
-            let bcast = start_bcast(h, algo, &row, root_col, panel, bytes, k);
+            let bcast = start_bcast(h, algo, &row, root_col, panel, bytes, k).await;
             if let Some((upd, chunks)) = prev_update.take() {
-                overlap_update(h, &bcast, upd, chunks);
+                overlap_update(h, &bcast, upd, chunks).await;
             }
-            wait_bcast(h, bcast);
+            wait_bcast(h, bcast).await;
             prev_update = Some((update_time(rem, p), (rem / NB) / qc as u64));
         }
         if let Some((upd, _)) = prev_update {
-            h.ctx().compute(upd);
+            h.ctx().compute_async(upd).await;
         }
-        let total = h.elapsed_max_us(t0);
+        let total = h.elapsed_max_us(t0).await;
         if h.rank == 0 {
             collect(&out2, total);
         }

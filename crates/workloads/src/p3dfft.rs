@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use rdma::{ClusterSpec, VAddr};
-use simnet::SimDelta;
+use simnet::{SimDelta, SimTime};
 
 use crate::harness::{collect, collector, run_workload, take, Harness, Runtime};
 
@@ -67,27 +67,29 @@ impl TransposeSet {
         }
     }
 
-    fn start(&self, h: &Harness) -> A2a {
+    async fn start(&self, h: &Harness) -> A2a {
         if let Some(off) = &h.off {
             let g = self.group.expect("recorded");
-            off.ctx().block_on(off.group_call(g));
+            off.group_call(g).await;
             A2a::Prop(g)
         } else if let Some(blues) = &h.blues {
-            A2a::Blues(blues.ialltoall(self.sendbuf, self.recvbuf, self.block))
+            A2a::Blues(
+                blues
+                    .ialltoall(self.sendbuf, self.recvbuf, self.block)
+                    .await,
+            )
         } else {
             A2a::Intel(h.mpi.ialltoall(self.sendbuf, self.recvbuf, self.block))
         }
     }
 
-    fn wait(&self, h: &Harness, r: A2a) {
+    async fn wait(&self, h: &Harness, r: A2a) {
         match r {
-            A2a::Intel(r) => h.mpi.wait(r),
-            A2a::Blues(r) => h.blues.as_ref().expect("blues").wait(r),
+            A2a::Intel(r) => h.mpi.wait(r).await,
+            A2a::Blues(r) => h.blues.as_ref().expect("blues").wait(r).await,
             A2a::Prop(g) => {
                 let off = h.off.as_ref().expect("off");
-                off.ctx()
-                    .block_on(off.group_wait(g))
-                    .expect("group offload failed")
+                off.group_wait(g).await.expect("group offload failed")
             }
         }
     }
@@ -106,7 +108,7 @@ pub fn p3dfft(
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<P3dfftResult>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, runtime, move |h| {
+    run_workload(spec, seed, runtime, async move |h| {
         let p = h.size() as u64;
         let (x, y, z) = grid;
         let cells = x * y * z;
@@ -119,35 +121,37 @@ pub fn p3dfft(
         let half = phase_compute.scale(0.5);
 
         let mut phase_profile: Option<(f64, f64)> = None;
-        h.mpi.barrier();
+        h.mpi.barrier().await;
         let t_run = h.ctx().now();
         for iter in 0..iters {
             // Forward and backward transform phases share the loop shape.
             for dirn in 0..2 {
                 let t_phase = h.ctx().now();
+                let since = |t0: SimTime| (h.ctx().now() - t0).as_us_f64();
                 let mut mpi_us = 0.0;
-                let mut timed = |f: &mut dyn FnMut()| {
-                    let t0 = h.ctx().now();
-                    f();
-                    mpi_us += (h.ctx().now() - t0).as_us_f64();
-                };
-                let mut r1 = None;
-                let mut r2 = None;
-                timed(&mut || r1 = Some(set_a.start(h)));
-                timed(&mut || r2 = Some(set_b.start(h)));
-                h.ctx().compute(half);
-                timed(&mut || set_a.wait(h, r1.take().expect("started")));
-                h.ctx().compute(half);
-                timed(&mut || set_b.wait(h, r2.take().expect("started")));
+                let t0 = h.ctx().now();
+                let r1 = set_a.start(h).await;
+                mpi_us += since(t0);
+                let t0 = h.ctx().now();
+                let r2 = set_b.start(h).await;
+                mpi_us += since(t0);
+                h.ctx().compute_async(half).await;
+                let t0 = h.ctx().now();
+                set_a.wait(h, r1).await;
+                mpi_us += since(t0);
+                h.ctx().compute_async(half).await;
+                let t0 = h.ctx().now();
+                set_b.wait(h, r2).await;
+                mpi_us += since(t0);
                 if iter == 0 && dirn == 0 {
                     let total = (h.ctx().now() - t_phase).as_us_f64();
-                    let mpi_max = h.mpi.allreduce_max_f64(mpi_us);
+                    let mpi_max = h.mpi.allreduce_max_f64(mpi_us).await;
                     phase_profile = Some((total - mpi_us, mpi_max));
                     let _ = total;
                 }
             }
         }
-        let total_us = h.elapsed_max_us(t_run);
+        let total_us = h.elapsed_max_us(t_run).await;
         if h.rank == 0 {
             let (pc, pm) = phase_profile.expect("first phase profiled");
             collect(

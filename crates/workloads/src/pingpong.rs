@@ -47,11 +47,14 @@ pub fn nonblocking_pingpong_us(
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
     let builder = crate::observe::apply(ClusterBuilder::new(spec, seed));
+    let off_cfg = match engine {
+        P2pEngine::Host => None,
+        P2pEngine::Staging => Some(OffloadConfig::staging()),
+        P2pEngine::Gvmi => Some(OffloadConfig::proposed()),
+    };
+    let proxy_fn = off_cfg.clone().map(offload::proxy_fn);
 
-    let body = move |rank: usize,
-                     ctx: simnet::ProcessCtx,
-                     cluster: rdma::ClusterCtx,
-                     engine: P2pEngine| {
+    let body = async move |rank: usize, ctx: simnet::ProcessCtx, cluster: rdma::ClusterCtx| {
         let inbox = Inbox::new();
         let fab = cluster.fabric().clone();
         let ep = cluster.host_ep(rank);
@@ -65,38 +68,24 @@ pub fn nonblocking_pingpong_us(
             &inbox,
             MpiConfig::default(),
         );
-        let off = match engine {
-            P2pEngine::Host => None,
-            P2pEngine::Staging => Some(Offload::init(
-                rank,
-                ctx.clone(),
-                cluster.clone(),
-                &inbox,
-                OffloadConfig::staging(),
-            )),
-            P2pEngine::Gvmi => Some(Offload::init(
-                rank,
-                ctx.clone(),
-                cluster.clone(),
-                &inbox,
-                OffloadConfig::proposed(),
-            )),
-        };
+        let off = off_cfg
+            .clone()
+            .map(|cfg| Offload::init(rank, ctx.clone(), cluster.clone(), &inbox, cfg));
         let mut total_us = 0.0;
         for i in 0..(warmup + iters) {
-            mpi.barrier();
+            mpi.barrier().await;
             let t0 = ctx.now();
             let tag = 2 * i as u64;
             match &off {
                 None => {
                     let s = mpi.isend(sbuf, size, peer, tag);
                     let r = mpi.irecv(rbuf, size, peer, tag);
-                    mpi.wait_all(&[s, r]);
+                    mpi.wait_all(&[s, r]).await;
                 }
                 Some(off) => {
                     let s = off.send_offload(sbuf, size, peer, tag);
                     let r = off.recv_offload(rbuf, size, peer, tag);
-                    off.ctx().block_on(off.wait_all(&[s, r]));
+                    off.wait_all(&[s, r]).await;
                 }
             }
             let us = (ctx.now() - t0).as_us_f64();
@@ -106,27 +95,14 @@ pub fn nonblocking_pingpong_us(
         }
         if let Some(off) = &off {
             // Quiesce before finalize: every request already waited.
-            off.ctx().block_on(off.finalize());
+            off.finalize().await;
         }
         if rank == 0 {
             collect(&out2, total_us / iters as f64);
         }
     };
 
-    let report = match engine {
-        P2pEngine::Host => {
-            builder.run_hosts(move |rank, ctx, cluster| body(rank, ctx, cluster, P2pEngine::Host))
-        }
-        P2pEngine::Staging => builder.run(
-            move |rank, ctx, cluster| body(rank, ctx, cluster, P2pEngine::Staging),
-            Some(offload::proxy_fn(OffloadConfig::staging())),
-        ),
-        P2pEngine::Gvmi => builder.run(
-            move |rank, ctx, cluster| body(rank, ctx, cluster, P2pEngine::Gvmi),
-            Some(offload::proxy_fn(OffloadConfig::proposed())),
-        ),
-    };
-    report.expect("pingpong run");
+    builder.run_async(body, proxy_fn).expect("pingpong run");
     take(&out)
 }
 

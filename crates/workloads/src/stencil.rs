@@ -115,18 +115,18 @@ fn exchange(
     reqs
 }
 
-fn wait_faces(h: &Harness, reqs: Vec<FaceReq>) {
+async fn wait_faces(h: &Harness, reqs: Vec<FaceReq>) {
     for r in reqs {
         let t0 = h.ctx().now();
         match r {
             FaceReq::Mpi(r) => {
-                h.mpi.wait(r);
+                h.mpi.wait(r).await;
                 static WAIT_MPI: StatKey = StatKey::new("stencil.wait.mpi");
                 h.ctx().stat_time(&WAIT_MPI, h.ctx().now() - t0);
             }
             FaceReq::Off(r) => {
                 let off = h.off.as_ref().expect("offload req");
-                off.ctx().block_on(off.wait(r));
+                off.wait(r).await;
                 static WAIT_OFF: StatKey = StatKey::new("stencil.wait.off");
                 h.ctx().stat_time(&WAIT_OFF, h.ctx().now() - t0);
             }
@@ -163,7 +163,7 @@ pub fn stencil3d_with_stats(
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    let report = run_workload(spec, seed, runtime, move |h| {
+    let report = run_workload(spec, seed, runtime, async move |h| {
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let (nb, cells) = neighbors(h.rank, h.size(), n);
@@ -174,28 +174,28 @@ pub fn stencil3d_with_stats(
             .collect();
         let compute = SimDelta::from_ns(cells * NS_PER_CELL);
         let mut round = 0u64;
-        let mut run_iter = |with_compute: bool, h: &Harness| -> f64 {
-            h.mpi.barrier();
+        let mut run_iter = async |with_compute: bool, h: &Harness| -> f64 {
+            h.mpi.barrier().await;
             let t0 = h.ctx().now();
             let reqs = exchange(h, &nb, &bufs, round);
             round += 1;
             if with_compute {
-                h.ctx().compute(compute);
+                h.ctx().compute_async(compute).await;
             }
-            wait_faces(h, reqs);
-            h.elapsed_max_us(t0)
+            wait_faces(h, reqs).await;
+            h.elapsed_max_us(t0).await
         };
         for _ in 0..warmup {
-            run_iter(true, h);
+            run_iter(true, h).await;
         }
         let mut pure_us = 0.0;
         for _ in 0..iters {
-            pure_us += run_iter(false, h);
+            pure_us += run_iter(false, h).await;
         }
         pure_us /= iters as f64;
         let mut overall_us = 0.0;
         for _ in 0..iters {
-            overall_us += run_iter(true, h);
+            overall_us += run_iter(true, h).await;
         }
         overall_us /= iters as f64;
         if h.rank == 0 {

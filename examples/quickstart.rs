@@ -17,7 +17,7 @@ fn main() {
     let spec = ClusterSpec::new(2, 1); // two nodes, one rank each
     let report = ClusterBuilder::new(spec, 42)
         .run_async(
-            |rank, ctx, cluster| async move {
+            async |rank, ctx, cluster| {
                 // Init_Offload()
                 let inbox = Inbox::new();
                 let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());

@@ -14,7 +14,7 @@
 
 use bluefield_offload::dpu::{DataPath, Offload, OffloadConfig};
 use bluefield_offload::mpi::{Mpi, MpiConfig};
-use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox};
+use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use bluefield_offload::sim::SimDelta;
 use std::sync::{Arc, Mutex};
 
@@ -27,33 +27,38 @@ fn run_mpi_listing1() -> (Vec<f64>, f64) {
     let arrivals = Arc::new(Mutex::new(vec![0.0f64; RANKS]));
     let a2 = Arc::clone(&arrivals);
     let report = ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 7)
-        .run_hosts(move |rank, ctx, cluster| {
-            let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
-            let fab = cluster.fabric().clone();
-            let ep = cluster.host_ep(rank);
-            let buf = fab.alloc(ep, LEN);
-            if rank == 0 {
-                fab.fill_pattern(ep, buf, LEN, 9).unwrap();
-            }
-            let right = (rank + 1) % RANKS;
-            // Listing 1: each rank drives its step with MPI_Test between
-            // compute slices.
-            if rank == 0 {
-                let s = mpi.isend(buf, LEN, right, 4);
-                mpi.compute_with_test(SimDelta::from_ms(COMPUTE_MS), SimDelta::from_us(250), s);
-                mpi.wait(s);
-            } else {
-                let r = mpi.irecv(buf, LEN, rank - 1, 4);
-                mpi.compute_with_test(SimDelta::from_ms(COMPUTE_MS), SimDelta::from_us(250), r);
-                mpi.wait(r);
-                a2.lock().unwrap()[rank] = mpi.ctx().now().as_us_f64();
-                if right != 0 {
-                    let s = mpi.isend(buf, LEN, right, 4);
-                    mpi.wait(s);
+        .run_async(
+            async move |rank, ctx, cluster| {
+                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
+                let fab = cluster.fabric().clone();
+                let ep = cluster.host_ep(rank);
+                let buf = fab.alloc(ep, LEN);
+                if rank == 0 {
+                    fab.fill_pattern(ep, buf, LEN, 9).unwrap();
                 }
-            }
-            assert!(fab.verify_pattern(ep, buf, LEN, 9).unwrap());
-        })
+                let right = (rank + 1) % RANKS;
+                // Listing 1: each rank drives its step with MPI_Test between
+                // compute slices.
+                if rank == 0 {
+                    let s = mpi.isend(buf, LEN, right, 4);
+                    mpi.compute_with_test(SimDelta::from_ms(COMPUTE_MS), SimDelta::from_us(250), s)
+                        .await;
+                    mpi.wait(s).await;
+                } else {
+                    let r = mpi.irecv(buf, LEN, rank - 1, 4);
+                    mpi.compute_with_test(SimDelta::from_ms(COMPUTE_MS), SimDelta::from_us(250), r)
+                        .await;
+                    mpi.wait(r).await;
+                    a2.lock().unwrap()[rank] = mpi.ctx().now().as_us_f64();
+                    if right != 0 {
+                        let s = mpi.isend(buf, LEN, right, 4);
+                        mpi.wait(s).await;
+                    }
+                }
+                assert!(fab.verify_pattern(ep, buf, LEN, 9).unwrap());
+            },
+            NO_PROXIES,
+        )
         .unwrap();
     let a = arrivals.lock().unwrap().clone();
     (a, report.end_time.as_us_f64())
@@ -69,41 +74,38 @@ fn run_offload(path: DataPath) -> (Vec<f64>, f64) {
     let a2 = Arc::clone(&arrivals);
     let report = ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 7)
         .run_async(
-            move |rank, ctx, cluster| {
-                let (cfg, a2) = (cfg.clone(), Arc::clone(&a2));
-                async move {
-                    let inbox = Inbox::new();
-                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
-                    let fab = off.cluster().fabric().clone();
-                    let ep = off.cluster().host_ep(rank);
-                    let buf = fab.alloc(ep, LEN);
-                    if rank == 0 {
-                        fab.fill_pattern(ep, buf, LEN, 9).unwrap();
-                    }
-                    let left = (rank + RANKS - 1) % RANKS;
-                    let right = (rank + 1) % RANKS;
-                    // Listing 5: record the whole pattern, then offload it.
-                    let g = off.group_start();
-                    if rank == 0 {
-                        off.group_send(g, buf, LEN, right, 4);
-                    } else {
-                        off.group_recv(g, buf, LEN, left, 4);
-                        off.group_barrier(g);
-                        if right != 0 {
-                            off.group_send(g, buf, LEN, right, 4);
-                        }
-                    }
-                    off.group_end(g);
-                    off.group_call(g).await;
-                    // Overlap with compute — zero CPU intervention needed.
-                    off.ctx().compute_async(SimDelta::from_ms(COMPUTE_MS)).await;
-                    off.group_wait(g).await.expect("group offload failed");
-                    if rank != 0 {
-                        a2.lock().unwrap()[rank] = off.ctx().now().as_us_f64();
-                    }
-                    assert!(fab.verify_pattern(ep, buf, LEN, 9).unwrap());
-                    off.finalize().await;
+            async move |rank, ctx, cluster| {
+                let inbox = Inbox::new();
+                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
+                let fab = off.cluster().fabric().clone();
+                let ep = off.cluster().host_ep(rank);
+                let buf = fab.alloc(ep, LEN);
+                if rank == 0 {
+                    fab.fill_pattern(ep, buf, LEN, 9).unwrap();
                 }
+                let left = (rank + RANKS - 1) % RANKS;
+                let right = (rank + 1) % RANKS;
+                // Listing 5: record the whole pattern, then offload it.
+                let g = off.group_start();
+                if rank == 0 {
+                    off.group_send(g, buf, LEN, right, 4);
+                } else {
+                    off.group_recv(g, buf, LEN, left, 4);
+                    off.group_barrier(g);
+                    if right != 0 {
+                        off.group_send(g, buf, LEN, right, 4);
+                    }
+                }
+                off.group_end(g);
+                off.group_call(g).await;
+                // Overlap with compute — zero CPU intervention needed.
+                off.ctx().compute_async(SimDelta::from_ms(COMPUTE_MS)).await;
+                off.group_wait(g).await.expect("group offload failed");
+                if rank != 0 {
+                    a2.lock().unwrap()[rank] = off.ctx().now().as_us_f64();
+                }
+                assert!(fab.verify_pattern(ep, buf, LEN, 9).unwrap());
+                off.finalize().await;
             },
             Some(bluefield_offload::dpu::proxy_fn(proxy_cfg)),
         )

@@ -18,7 +18,7 @@ fn main() {
     let spec = ClusterSpec::new(2, 2);
     let report = ClusterBuilder::new(spec, 21)
         .run_async(
-            |rank, ctx, cluster| async move {
+            async |rank, ctx, cluster| {
                 let inbox = Inbox::new();
                 let shm = Shmem::init(
                     rank,

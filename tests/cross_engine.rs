@@ -20,7 +20,7 @@ enum Engine {
 fn run_shift_exchange(engine: Engine, nodes: usize, ppn: usize, len: u64) -> f64 {
     let spec = ClusterSpec::new(nodes, ppn);
     let builder = ClusterBuilder::new(spec, 77);
-    let body = move |rank: usize, ctx: simnet::ProcessCtx, cluster: rdma::ClusterCtx| {
+    let body = async move |rank: usize, ctx: simnet::ProcessCtx, cluster: rdma::ClusterCtx| {
         let inbox = Inbox::new();
         let fab = cluster.fabric().clone();
         let ep = cluster.host_ep(rank);
@@ -44,7 +44,7 @@ fn run_shift_exchange(engine: Engine, nodes: usize, ppn: usize, len: u64) -> f64
                     reqs.push(mpi.isend(sbufs[i], len, dst, k as u64));
                     reqs.push(mpi.irecv(rbufs[i], len, src, k as u64));
                 }
-                mpi.wait_all(&reqs);
+                mpi.wait_all(&reqs).await;
             }
             Engine::Staging | Engine::Gvmi => {
                 let cfg = match engine {
@@ -59,8 +59,8 @@ fn run_shift_exchange(engine: Engine, nodes: usize, ppn: usize, len: u64) -> f64
                     reqs.push(off.send_offload(sbufs[i], len, dst, k as u64));
                     reqs.push(off.recv_offload(rbufs[i], len, src, k as u64));
                 }
-                off.ctx().block_on(off.wait_all(&reqs));
-                off.ctx().block_on(off.finalize());
+                off.wait_all(&reqs).await;
+                off.finalize().await;
             }
         }
         for (i, &k) in shifts.iter().enumerate() {
@@ -72,12 +72,14 @@ fn run_shift_exchange(engine: Engine, nodes: usize, ppn: usize, len: u64) -> f64
             );
         }
     };
-    let report = match engine {
-        Engine::HostMpi => builder.run_hosts(body),
-        Engine::Staging => builder.run(body, Some(offload::proxy_fn(OffloadConfig::staging()))),
-        Engine::Gvmi => builder.run(body, Some(offload::proxy_fn(OffloadConfig::proposed()))),
-    }
-    .expect("run completes");
+    let proxy_cfg = match engine {
+        Engine::HostMpi => None,
+        Engine::Staging => Some(OffloadConfig::staging()),
+        Engine::Gvmi => Some(OffloadConfig::proposed()),
+    };
+    let report = builder
+        .run_async(body, proxy_cfg.map(offload::proxy_fn))
+        .expect("run completes");
     report.end_time.as_us_f64()
 }
 
@@ -112,8 +114,8 @@ fn group_and_basic_primitives_agree() {
     for use_group in [false, true] {
         let spec = ClusterSpec::new(2, 2);
         ClusterBuilder::new(spec, 3)
-            .run(
-                move |rank, ctx, cluster| {
+            .run_async(
+                async move |rank, ctx, cluster| {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank,
@@ -158,10 +160,8 @@ fn group_and_basic_primitives_agree() {
                             );
                         }
                         off.group_end(g);
-                        off.ctx().block_on(off.group_call(g));
-                        off.ctx()
-                            .block_on(off.group_wait(g))
-                            .expect("group offload failed");
+                        off.group_call(g).await;
+                        off.group_wait(g).await.expect("group offload failed");
                     } else {
                         let mut reqs = Vec::new();
                         for k in 1..p {
@@ -180,7 +180,7 @@ fn group_and_basic_primitives_agree() {
                                 rank as u64,
                             ));
                         }
-                        off.ctx().block_on(off.wait_all(&reqs));
+                        off.wait_all(&reqs).await;
                     }
                     for s in 0..p {
                         if s == rank {
@@ -197,7 +197,7 @@ fn group_and_basic_primitives_agree() {
                             "group={use_group} rank {rank} from {s}"
                         );
                     }
-                    off.ctx().block_on(off.finalize());
+                    off.finalize().await;
                 },
                 Some(offload::proxy_fn(OffloadConfig::proposed())),
             )

@@ -3,22 +3,25 @@
 
 use bluefield_offload::dpu::{Offload, OffloadConfig};
 use bluefield_offload::mpi::{Mpi, MpiConfig};
-use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox};
+use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use bluefield_offload::sim::SimError;
 
 #[test]
 fn unmatched_mpi_recv_reports_deadlock() {
     let spec = ClusterSpec::new(2, 1);
-    let result = ClusterBuilder::new(spec, 1).run_hosts(|rank, ctx, cluster| {
-        let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
-        let fab = cluster.fabric().clone();
-        let ep = cluster.host_ep(rank);
-        let buf = fab.alloc(ep, 64);
-        if rank == 0 {
-            // Nobody ever sends with tag 99.
-            mpi.recv(buf, 64, 1, 99);
-        }
-    });
+    let result = ClusterBuilder::new(spec, 1).run_async(
+        async |rank, ctx, cluster| {
+            let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+            let fab = cluster.fabric().clone();
+            let ep = cluster.host_ep(rank);
+            let buf = fab.alloc(ep, 64);
+            if rank == 0 {
+                // Nobody ever sends with tag 99.
+                mpi.recv(buf, 64, 1, 99).await;
+            }
+        },
+        NO_PROXIES,
+    );
     match result {
         Err(SimError::Deadlock { blocked, .. }) => {
             assert!(blocked.iter().any(|(name, _)| name == "rank0"));
@@ -30,8 +33,8 @@ fn unmatched_mpi_recv_reports_deadlock() {
 #[test]
 fn unmatched_offload_send_reports_deadlock() {
     let spec = ClusterSpec::new(2, 1);
-    let result = ClusterBuilder::new(spec, 1).run(
-        |rank, ctx, cluster| {
+    let result = ClusterBuilder::new(spec, 1).run_async(
+        async |rank, ctx, cluster| {
             let inbox = Inbox::new();
             let off = Offload::init(rank, ctx, cluster, &inbox, OffloadConfig::proposed());
             let fab = off.cluster().fabric().clone();
@@ -39,10 +42,9 @@ fn unmatched_offload_send_reports_deadlock() {
             let buf = fab.alloc(ep, 64);
             if rank == 0 {
                 // The matching recv_offload never happens.
-                off.ctx()
-                    .block_on(off.wait(off.send_offload(buf, 64, 1, 5)));
+                off.wait(off.send_offload(buf, 64, 1, 5)).await;
             }
-            off.ctx().block_on(off.finalize());
+            off.finalize().await;
         },
         Some(offload::proxy_fn(OffloadConfig::proposed())),
     );
@@ -57,8 +59,8 @@ fn mismatched_ring_barrier_pattern_deadlocks_not_hangs() {
     // A ring where one rank forgot to forward: downstream ranks block in
     // group_wait; the engine reports exactly who is stuck.
     let spec = ClusterSpec::new(3, 1);
-    let result = ClusterBuilder::new(spec, 1).run(
-        |rank, ctx, cluster| {
+    let result = ClusterBuilder::new(spec, 1).run_async(
+        async |rank, ctx, cluster| {
             let inbox = Inbox::new();
             let off = Offload::init(
                 rank,
@@ -80,11 +82,9 @@ fn mismatched_ring_barrier_pattern_deadlocks_not_hangs() {
                 _ => off.group_recv(g, buf, 1024, 1, 0),
             }
             off.group_end(g);
-            off.ctx().block_on(off.group_call(g));
-            off.ctx()
-                .block_on(off.group_wait(g))
-                .expect("group offload failed");
-            off.ctx().block_on(off.finalize());
+            off.group_call(g).await;
+            off.group_wait(g).await.expect("group offload failed");
+            off.finalize().await;
         },
         Some(offload::proxy_fn(OffloadConfig::proposed())),
     );
@@ -100,8 +100,8 @@ fn mismatched_ring_barrier_pattern_deadlocks_not_hangs() {
 fn bad_destination_rank_panics() {
     let spec = ClusterSpec::new(2, 1);
     let result = std::panic::catch_unwind(|| {
-        let _ = ClusterBuilder::new(spec, 1).run(
-            |rank, ctx, cluster| {
+        let _ = ClusterBuilder::new(spec, 1).run_async(
+            async |rank, ctx, cluster| {
                 let inbox = Inbox::new();
                 let off = Offload::init(
                     rank,
@@ -116,7 +116,7 @@ fn bad_destination_rank_panics() {
                 if rank == 0 {
                     let _ = off.send_offload(buf, 64, 99, 0); // rank 99 does not exist
                 }
-                off.ctx().block_on(off.finalize());
+                off.finalize().await;
             },
             Some(offload::proxy_fn(OffloadConfig::proposed())),
         );
@@ -166,8 +166,11 @@ fn time_limit_catches_runaway_patterns() {
     let spec = ClusterSpec::new(2, 1);
     let result = ClusterBuilder::new(spec, 1)
         .with_time_limit(simnet::SimTime::ZERO + simnet::SimDelta::from_us(10))
-        .run_hosts(|_rank, ctx, _cluster| {
-            ctx.compute(simnet::SimDelta::from_ms(100));
-        });
+        .run_async(
+            async |_rank, ctx, _cluster| {
+                ctx.compute_async(simnet::SimDelta::from_ms(100)).await;
+            },
+            NO_PROXIES,
+        );
     assert!(matches!(result, Err(SimError::TimeLimitExceeded { .. })));
 }

@@ -9,7 +9,7 @@
 
 use bluefield_offload::dpu::{DataPath, Offload, OffloadConfig};
 use bluefield_offload::mpi::{Mpi, MpiConfig};
-use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox};
+use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use bluefield_offload::sim::SimDelta;
 use std::sync::{Arc, Mutex};
 
@@ -26,40 +26,43 @@ fn mpi_ring_completion() -> f64 {
     let last_arrival = Arc::new(Mutex::new(0.0f64));
     let la = Arc::clone(&last_arrival);
     ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 2)
-        .run_hosts(move |rank, ctx, cluster| {
-            let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
-            let fab = cluster.fabric().clone();
-            let ep = cluster.host_ep(rank);
-            let buf = fab.alloc(ep, LEN);
-            let mut remaining = COMPUTE;
-            // Listing-1 poll loop: compute a slice, test, repeat.
-            let mut poll_until = |mpi: &Mpi, r: bluefield_offload::mpi::Req| {
-                while !mpi.test(r) && remaining > simnet::SimDelta::ZERO {
-                    let slice = remaining.min(POLL);
-                    ctx.compute(slice);
-                    remaining = remaining.saturating_sub(slice);
-                }
-                mpi.wait(r);
-            };
-            if rank == 0 {
-                fab.fill_pattern(ep, buf, LEN, 1).unwrap();
-                let s = mpi.isend(buf, LEN, 1, 0);
-                poll_until(&mpi, s);
-            } else {
-                let r = mpi.irecv(buf, LEN, rank - 1, 0);
-                poll_until(&mpi, r);
-                if rank == RANKS - 1 {
-                    *la.lock().unwrap() = ctx.now().as_us_f64();
+        .run_async(
+            async move |rank, ctx, cluster| {
+                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
+                let fab = cluster.fabric().clone();
+                let ep = cluster.host_ep(rank);
+                let buf = fab.alloc(ep, LEN);
+                let mut remaining = COMPUTE;
+                // Listing-1 poll loop: compute a slice, test, repeat.
+                let mut poll_until = async |mpi: &Mpi, r: bluefield_offload::mpi::Req| {
+                    while !mpi.test(r) && remaining > simnet::SimDelta::ZERO {
+                        let slice = remaining.min(POLL);
+                        ctx.compute_async(slice).await;
+                        remaining = remaining.saturating_sub(slice);
+                    }
+                    mpi.wait(r).await;
+                };
+                if rank == 0 {
+                    fab.fill_pattern(ep, buf, LEN, 1).unwrap();
+                    let s = mpi.isend(buf, LEN, 1, 0);
+                    poll_until(&mpi, s).await;
                 } else {
-                    let s = mpi.isend(buf, LEN, rank + 1, 0);
-                    poll_until(&mpi, s);
+                    let r = mpi.irecv(buf, LEN, rank - 1, 0);
+                    poll_until(&mpi, r).await;
+                    if rank == RANKS - 1 {
+                        *la.lock().unwrap() = ctx.now().as_us_f64();
+                    } else {
+                        let s = mpi.isend(buf, LEN, rank + 1, 0);
+                        poll_until(&mpi, s).await;
+                    }
                 }
-            }
-            if remaining > simnet::SimDelta::ZERO {
-                ctx.compute(remaining);
-            }
-            assert!(fab.verify_pattern(ep, buf, LEN, 1).unwrap());
-        })
+                if remaining > simnet::SimDelta::ZERO {
+                    ctx.compute_async(remaining).await;
+                }
+                assert!(fab.verify_pattern(ep, buf, LEN, 1).unwrap());
+            },
+            NO_PROXIES,
+        )
         .unwrap();
     let v = *last_arrival.lock().unwrap();
     v
@@ -75,8 +78,8 @@ fn offload_ring_completion(path: DataPath) -> f64 {
     let last_arrival = Arc::new(Mutex::new(0.0f64));
     let la = Arc::clone(&last_arrival);
     ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 2)
-        .run(
-            move |rank, ctx, cluster| {
+        .run_async(
+            async move |rank, ctx, cluster| {
                 let inbox = Inbox::new();
                 let off = Offload::init(rank, ctx, cluster.clone(), &inbox, cfg.clone());
                 let fab = cluster.fabric().clone();
@@ -96,26 +99,24 @@ fn offload_ring_completion(path: DataPath) -> f64 {
                     }
                 }
                 off.group_end(g);
-                off.ctx().block_on(off.group_call(g));
+                off.group_call(g).await;
                 // Observe completion with fine-grained polling so the
                 // arrival time is visible (the DPU needs none of this).
                 let mut remaining = COMPUTE;
                 while !off.group_test(g) && remaining > SimDelta::ZERO {
                     let slice = remaining.min(SimDelta::from_us(20));
-                    off.ctx().compute(slice);
+                    off.ctx().compute_async(slice).await;
                     remaining = remaining.saturating_sub(slice);
                 }
-                off.ctx()
-                    .block_on(off.group_wait(g))
-                    .expect("group offload failed");
+                off.group_wait(g).await.expect("group offload failed");
                 if rank == RANKS - 1 {
                     *la.lock().unwrap() = off.ctx().now().as_us_f64();
                 }
                 if remaining > SimDelta::ZERO {
-                    off.ctx().compute(remaining);
+                    off.ctx().compute_async(remaining).await;
                 }
                 assert!(fab.verify_pattern(ep, buf, LEN, 1).unwrap());
-                off.ctx().block_on(off.finalize());
+                off.finalize().await;
             },
             Some(offload::proxy_fn(proxy_cfg)),
         )

@@ -111,7 +111,7 @@ fn malformed_ctrl_at_proxy_is_counted_not_fatal() {
     let report = ClusterBuilder::new(ClusterSpec::new(2, 1), 33)
         .with_event_sink(m.sink())
         .run_async(
-            |rank, ctx, cluster| async move {
+            async |rank, ctx, cluster| {
                 let inbox = Inbox::new();
                 let off = Offload::init(
                     rank,

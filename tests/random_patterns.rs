@@ -88,49 +88,46 @@ fn execute_graph(edges: Vec<Edge>, ranks: usize, path: DataPath) {
     ClusterBuilder::new(spec, 1234)
         .with_event_sink(metrics.sink())
         .run_async(
-            move |rank, ctx, cluster| {
-                let (cfg, edges) = (cfg.clone(), Arc::clone(&edges));
-                async move {
-                    let inbox = Inbox::new();
-                    let off = Offload::init(rank, ctx, cluster.clone(), &inbox, cfg);
-                    let fab = cluster.fabric().clone();
-                    let ep = cluster.host_ep(rank);
-                    // Rank indices above `ranks` idle (world is padded to fill
-                    // nodes evenly).
-                    let mut sends = Vec::new();
-                    let mut recvs = Vec::new();
-                    for (tag, e) in edges.iter().enumerate() {
-                        if e.src == rank {
-                            let buf = fab.alloc(ep, e.len);
-                            fab.fill_pattern(ep, buf, e.len, tag as u64 * 31 + 7)
-                                .unwrap();
-                            sends.push((tag as u64, buf, e.len, e.dst));
-                        }
-                        if e.dst == rank {
-                            let buf = fab.alloc(ep, e.len);
-                            recvs.push((tag as u64, buf, e.len, e.src));
-                        }
+            async move |rank, ctx, cluster| {
+                let inbox = Inbox::new();
+                let off = Offload::init(rank, ctx, cluster.clone(), &inbox, cfg.clone());
+                let fab = cluster.fabric().clone();
+                let ep = cluster.host_ep(rank);
+                // Rank indices above `ranks` idle (world is padded to fill
+                // nodes evenly).
+                let mut sends = Vec::new();
+                let mut recvs = Vec::new();
+                for (tag, e) in edges.iter().enumerate() {
+                    if e.src == rank {
+                        let buf = fab.alloc(ep, e.len);
+                        fab.fill_pattern(ep, buf, e.len, tag as u64 * 31 + 7)
+                            .unwrap();
+                        sends.push((tag as u64, buf, e.len, e.dst));
                     }
-                    if !sends.is_empty() || !recvs.is_empty() {
-                        let g = off.group_start();
-                        for &(tag, buf, len, dst) in &sends {
-                            off.group_send(g, buf, len, dst, tag);
-                        }
-                        for &(tag, buf, len, src) in &recvs {
-                            off.group_recv(g, buf, len, src, tag);
-                        }
-                        off.group_end(g);
-                        off.group_call(g).await;
-                        off.group_wait(g).await.expect("group offload failed");
+                    if e.dst == rank {
+                        let buf = fab.alloc(ep, e.len);
+                        recvs.push((tag as u64, buf, e.len, e.src));
                     }
-                    for &(tag, buf, len, _src) in &recvs {
-                        assert!(
-                            fab.verify_pattern(ep, buf, len, tag * 31 + 7).unwrap(),
-                            "edge {tag} payload corrupt at rank {rank} ({path:?})"
-                        );
-                    }
-                    off.finalize().await;
                 }
+                if !sends.is_empty() || !recvs.is_empty() {
+                    let g = off.group_start();
+                    for &(tag, buf, len, dst) in &sends {
+                        off.group_send(g, buf, len, dst, tag);
+                    }
+                    for &(tag, buf, len, src) in &recvs {
+                        off.group_recv(g, buf, len, src, tag);
+                    }
+                    off.group_end(g);
+                    off.group_call(g).await;
+                    off.group_wait(g).await.expect("group offload failed");
+                }
+                for &(tag, buf, len, _src) in &recvs {
+                    assert!(
+                        fab.verify_pattern(ep, buf, len, tag * 31 + 7).unwrap(),
+                        "edge {tag} payload corrupt at rank {rank} ({path:?})"
+                    );
+                }
+                off.finalize().await;
             },
             Some(offload::proxy_fn(proxy_cfg)),
         )
@@ -185,9 +182,7 @@ proptest! {
         ClusterBuilder::new(ClusterSpec::new(2, 2), 777)
             .with_event_sink(metrics.sink())
             .run_async(
-                move |rank, ctx, cluster| {
-let edges = Arc::clone(&edges);
-async move {
+                async move |rank, ctx, cluster| {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank, ctx, cluster.clone(), &inbox, OffloadConfig::proposed(),
@@ -207,8 +202,7 @@ async move {
                     }
                     off.wait_all(&reqs).await;
                     off.finalize().await;
-                }
-},
+                },
                 Some(offload::proxy_fn(OffloadConfig::proposed())),
             )
             .unwrap();
@@ -243,9 +237,7 @@ async move {
         let spec = ClusterSpec::new(2, 2);
         ClusterBuilder::new(spec, 9)
             .run_async(
-                move |rank, ctx, cluster| {
-let path = Arc::clone(&path);
-async move {
+                async move |rank, ctx, cluster| {
                     let inbox = Inbox::new();
                     let off = Offload::init(
                         rank, ctx, cluster.clone(), &inbox, OffloadConfig::proposed(),
@@ -286,8 +278,7 @@ async move {
                         }
                     }
                     off.finalize().await;
-                }
-},
+                },
                 Some(offload::proxy_fn(OffloadConfig::proposed())),
             )
             .unwrap();

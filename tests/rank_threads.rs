@@ -1,35 +1,20 @@
-//! An offload cluster runs on the thread that calls `run()`: future ranks
-//! are polled and proxy reactors called there, so the protocol path makes
+//! An offload cluster runs on the thread that calls `run()`: ranks and
+//! proxies are future processes polled there, so the protocol path makes
 //! no thread hand-off at all.
 //!
 //! One test, alone in its binary: it counts the OS threads of the whole
 //! process, which a neighbouring test would disturb.
 
-use std::sync::{Arc, Mutex};
-use std::thread::{self, ThreadId};
+mod common;
+
+use std::future::{poll_fn, Future};
+use std::pin::pin;
+use std::sync::Arc;
 
 use bluefield_offload::dpu::{proxy_fn, Offload, OffloadConfig};
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox};
-use bluefield_offload::sim::{ProcessCtx, Reactor, SimDelta};
-
-/// OS threads of this process right now.
-fn os_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .expect("a Threads: line");
-    line.trim().parse().expect("a thread count")
-}
-
-/// Where each body ran: `(who, thread, OS threads in the process then)`.
-type Seen = Arc<Mutex<Vec<(String, ThreadId, usize)>>>;
-
-fn note(seen: &Seen, who: String) {
-    seen.lock()
-        .unwrap()
-        .push((who, thread::current().id(), os_threads()));
-}
+use bluefield_offload::sim::{ProcessCtx, SimDelta};
+use common::{all_ran_on_the_caller, note, os_threads, Seen};
 
 #[test]
 fn a_basic_short_stencil_runs_every_rank_and_proxy_on_the_caller() {
@@ -45,57 +30,46 @@ fn a_basic_short_stencil_runs_every_rank_and_proxy_on_the_caller() {
     let before = os_threads();
     ClusterBuilder::new(spec, 1)
         .run_async(
-            move |rank, ctx, cluster| {
-                let (cfg, seen) = (cfg.clone(), Arc::clone(&ranks_seen));
-                async move {
-                    let inbox = Inbox::new();
-                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg);
-                    let fab = off.cluster().fabric().clone();
-                    let ep = off.cluster().host_ep(rank);
-                    let p = off.size();
-                    let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
-                    let bufs: Vec<_> = (0..4).map(|_| fab.alloc(ep, FACE)).collect();
-                    for round in 0..ROUNDS {
-                        let reqs = [
-                            off.send_offload(bufs[0], FACE, right, round * 4),
-                            off.send_offload(bufs[1], FACE, left, round * 4 + 1),
-                            off.recv_offload(bufs[2], FACE, left, round * 4),
-                            off.recv_offload(bufs[3], FACE, right, round * 4 + 1),
-                        ];
-                        off.ctx().compute_async(SimDelta::from_us(5)).await;
-                        off.wait_all(&reqs).await;
-                        note(&seen, format!("rank{rank}"));
-                    }
-                    off.finalize().await;
+            async move |rank, ctx, cluster| {
+                let inbox = Inbox::new();
+                let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
+                let fab = off.cluster().fabric().clone();
+                let ep = off.cluster().host_ep(rank);
+                let p = off.size();
+                let (right, left) = ((rank + 1) % p, (rank + p - 1) % p);
+                let bufs: Vec<_> = (0..4).map(|_| fab.alloc(ep, FACE)).collect();
+                for round in 0..ROUNDS {
+                    let reqs = [
+                        off.send_offload(bufs[0], FACE, right, round * 4),
+                        off.send_offload(bufs[1], FACE, left, round * 4 + 1),
+                        off.recv_offload(bufs[2], FACE, left, round * 4),
+                        off.recv_offload(bufs[3], FACE, right, round * 4 + 1),
+                    ];
+                    off.ctx().compute_async(SimDelta::from_us(5)).await;
+                    off.wait_all(&reqs).await;
+                    note(&ranks_seen, format!("rank{rank}"));
                 }
+                off.finalize().await;
             },
-            Some(
-                move |node: usize, idx: usize, ctx: ProcessCtx, cluster| -> Option<Reactor> {
-                    let seen = Arc::clone(&proxies_seen);
-                    let mut inner = proxy(node, idx, ctx, cluster)?;
-                    Some(Box::new(move |msg| {
-                        note(&seen, format!("proxy{node}.{idx}"));
-                        inner(msg)
-                    }))
-                },
-            ),
+            Some(async move |node, idx, ctx: ProcessCtx, cluster| {
+                // The proxy's own body, noted at every poll.
+                let mut body = pin!(proxy(node, idx, ctx, cluster));
+                poll_fn(|cx| {
+                    note(&proxies_seen, format!("proxy{node}.{idx}"));
+                    body.as_mut().poll(cx)
+                })
+                .await
+            }),
         )
         .expect("clean run");
-    let me = thread::current().id();
-    let seen = seen.lock().unwrap();
-    for who in ["rank0", "rank1", "rank2", "rank3", "proxy0.0", "proxy1.0"] {
-        let mine: Vec<_> = seen.iter().filter(|(w, ..)| w == who).collect();
-        assert!(!mine.is_empty(), "{who} never ran");
-        for (_, thread, threads) in mine {
-            assert_eq!(*thread, me, "{who} ran off the caller's thread");
-            assert_eq!(
-                *threads, before,
-                "{who} ran while the run had spawned a thread"
-            );
-        }
-    }
+    let who = ["rank0", "rank1", "rank2", "rank3", "proxy0.0", "proxy1.0"];
+    all_ran_on_the_caller(&seen, &who, before, "basic_short");
     assert_eq!(
-        seen.iter().filter(|(w, ..)| w == "rank0").count(),
+        seen.lock()
+            .unwrap()
+            .iter()
+            .filter(|(w, ..)| w == "rank0")
+            .count(),
         ROUNDS as usize
     );
 }

@@ -14,7 +14,7 @@ fn traced_pingpong(seed: u64) -> Report {
     ClusterBuilder::new(ClusterSpec::new(2, 1), seed)
         .with_trace()
         .run_async(
-            |rank, ctx, cluster| async move {
+            async |rank, ctx, cluster| {
                 let inbox = Inbox::new();
                 let off = Offload::init(
                     rank,
