@@ -6,7 +6,7 @@
 # correctness gate, then the benchmark artifact gates: schema validation, the
 # bench-diff regression comparison of a fresh deterministic --quick run
 # against the committed baselines, and the continuous self-profiling
-# gates (overhead bound, snapshot determinism, profile/v1 schema).
+# gates (overhead bound, profile/v1 schema).
 # Run from the repo root; fails fast.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -147,12 +147,12 @@ if ! SOAK_LONG="${SOAK_LONG:-}" \
     exit 1
 fi
 
-# The two steps below that read wall clock on a single-worker run (the
-# engine_speed artifact, the profiling-overhead gate) want a settled box.
-# Measured here (EXPERIMENTS.md, "Thread hand-off"): for 10-15 s after
-# anything that kept both vCPUs busy - a build, a 4-worker run - waking
-# a thread onto the other, idle vCPU costs ~15 us instead of ~1, and an
-# unpinned 7 ms sample reads 70-110 ms.
+# The two steps below that read wall clock (the engine_speed artifact,
+# the profiling-overhead gate) want a settled box. Measured here
+# (EXPERIMENTS.md, "Thread hand-off"): for 10-15 s after anything that
+# kept both vCPUs busy - a build, a parallel test run - waking a thread
+# onto the other, idle vCPU costs ~15 us instead of ~1, and an unpinned
+# 7 ms sample reads 70-110 ms.
 settle() { sleep 15; }
 
 echo "== bench artifacts (fresh --quick run into target/bench-scratch)"
@@ -169,64 +169,17 @@ for bin in engine_speed ext_allgather ext_bluefield3 ext_proxy_count \
         >/dev/null
 done
 
-echo "== sharded-engine byte equivalence (threads 1 vs 4, --quick)"
-# The sharded runtime's acceptance property at CI scale: the scale
-# benches, its only users, rerun at 1 and 4 worker threads with wall-clock keys suppressed (BENCH_NO_WALL=1)
-# must write byte-identical metrics documents. SCALE_LONG=1 repeats the
-# check at the full 1024-rank shape (minutes on one CPU).
-rm -rf target/equiv-t1 target/equiv-t4
-equiv_scales=(--quick)
-if [ -n "${SCALE_LONG:-}" ]; then equiv_scales+=(""); fi
-for scale in "${equiv_scales[@]}"; do
-    for bin in ext_scale_alltoall ext_scale_stencil; do
-        for t in 1 4; do
-            # shellcheck disable=SC2086  # $scale is intentionally word-split
-            BENCH_OUT_DIR="target/equiv-t$t" BENCH_NO_WALL=1 \
-                cargo run --release --quiet -p bench-harness --bin "$bin" -- \
-                --threads "$t" $scale >/dev/null
-        done
-    done
-done
-for doc in target/equiv-t1/*.metrics.json; do
-    if ! cmp "$doc" "target/equiv-t4/$(basename "$doc")"; then
-        echo "sharded engine diverged from the classic engine: $doc"
-        exit 1
-    fi
-done
-echo "scale artifacts byte-identical at 1 and 4 worker threads"
-
 echo "== continuous self-profiling (BENCH_PROFILE=1, overhead gate)"
-# The engine self-benchmark reruns its spec with the span profiler, the
-# per-shard engine attribution and the telemetry bus armed, interleaving
-# unprofiled and profiled repetitions; the binary exits nonzero if the
-# profiled best-of-N exceeds the unprofiled one by more than the gate.
+# The engine self-benchmark reruns its spec with the span profiler and
+# the telemetry bus armed, interleaving unprofiled and profiled
+# repetitions; the binary exits nonzero if the profiled best-of-N
+# exceeds the unprofiled one by more than the gate.
 rm -rf target/profile target/profile-run
 settle
 BENCH_OUT_DIR=target/profile-run BENCH_PROFILE=1 BENCH_PROFILE_GATE_PCT=5 \
     cargo run --release --quiet -p bench-harness --bin engine_speed -- --quick \
     >/dev/null
 echo "profiling overhead within the 5% gate"
-
-echo "== profile determinism (snapshots byte-identical, threads 1 vs 4)"
-# Like the metrics equivalence above: with wall-clock keys suppressed a
-# profile/v1 document is a pure function of the deterministic event
-# stream and the telemetry interval, so the 1- and 4-worker documents
-# must be byte-identical (the engine section is wall-gated precisely
-# because shard topology follows the thread count).
-rm -rf target/profile-equiv-t1 target/profile-equiv-t4
-for t in 1 4; do
-    BENCH_OUT_DIR=target/profile-run BENCH_PROFILE_DIR="target/profile-equiv-t$t" \
-        BENCH_PROFILE=1 BENCH_NO_WALL=1 SIMNET_THREADS="$t" \
-        cargo run --release --quiet -p bench-harness --bin engine_speed -- --quick \
-        >/dev/null
-done
-for doc in target/profile-equiv-t1/*.profile.json; do
-    if ! cmp "$doc" "target/profile-equiv-t4/$(basename "$doc")"; then
-        echo "profile document depends on the worker thread count: $doc"
-        exit 1
-    fi
-done
-echo "profile artifacts byte-identical at 1 and 4 worker threads"
 
 echo "== profile schema (bluefield-offload/profile/v1) + self-time table"
 cargo xtask validate-metrics target/profile/*.profile.json

@@ -11,9 +11,9 @@
 //!   in sync: every declared scope has a producer, every error variant
 //!   is both constructed and asserted. (Protocol events and metrics
 //!   counters are declared once in `core` and enforced by rustc.)
-//! * **Parallel readiness** ([`rules::parallel`]) — ROADMAP items 1/5
-//!   (sharded simnet, hot-path rework) need the engine free of ambient
-//!   concurrency: no `std::sync` locking primitives outside `simnet`,
+//! * **Parallel readiness** ([`rules::parallel`]) — written for a
+//!   sharded simnet (since deleted) and the hot-path rework, which
+//!   needed the engine free of ambient concurrency: no `std::sync` locking primitives outside `simnet`,
 //!   no `thread::spawn`, no `static mut`; `parking_lot` lock
 //!   acquisition orders form no cycles; and the proxy/host hot paths
 //!   hold no unbaselined panic sites (`unwrap`/`expect`/indexing).

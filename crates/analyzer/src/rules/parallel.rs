@@ -1,5 +1,6 @@
-//! Parallel-readiness audit for ROADMAP items 1 (sharded simnet) and 5
-//! (hot-path rework).
+//! Parallel-readiness audit, written for a sharded simnet (since
+//! deleted: every process now runs on one loop; ROADMAP item 3 retires
+//! these rules) and the hot-path rework.
 //!
 //! Sharding the simulator across OS threads only keeps determinism if
 //! the engine code has no ambient concurrency of its own:

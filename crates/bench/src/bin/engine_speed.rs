@@ -1,36 +1,26 @@
-//! The engine self-benchmark: one fixed alltoall spec run at 1, 2 and 4
-//! worker threads.
+//! The engine self-benchmark: one fixed alltoall spec, timed.
 //!
-//! Two jobs in one binary:
-//!
-//! 1. **Equivalence.** The three runs must produce identical
-//!    [`workloads::ScaleRun`]s — same fingerprint, event count and
-//!    virtual time. Any divergence aborts the bench: worker threads are
-//!    a speed knob, never an observable.
-//! 2. **Speed.** Wall time and simulated events/sec per thread count go
-//!    into the `"engine"` section of the artifact, which bench-diff
-//!    holds to the wall tolerance band (exact counters stay exact).
-//!    Speedups are honest measurements: on a single-CPU machine they
-//!    hover around 1.0 and the synchronization overhead is visible —
-//!    see EXPERIMENTS.md.
+//! Wall time and simulated events/sec go into the `"engine"` section of
+//! the artifact, which bench-diff holds to the wall tolerance band
+//! (exact counters stay exact). With `BENCH_PROFILE=1` the spec reruns
+//! with the span profiler and the telemetry bus attached; the profiled
+//! run must equal the plain one, and `BENCH_PROFILE_GATE_PCT` bounds its
+//! wall-time overhead.
 //!
 //! Scales: `--quick` 64 ranks (the committed CI baseline), default
 //! 1024 ranks, `--full` 4096 ranks.
 
 use workloads::{scale_alltoall, scale_alltoall_with, ScaleObs, ScaleRun, ScaleSpec};
 
-const THREAD_STEPS: [usize; 3] = [1, 2, 4];
-
 /// Interleaved best-of-N timing for the profiling-overhead gate: wall
 /// noise on shared CI machines dwarfs a 5% bound on single samples
-/// (the --quick spec runs for tens of milliseconds), so both sides are
+/// (the --quick spec runs for about a millisecond), so both sides are
 /// measured `reps` times, alternating, and the minima compared.
 const OVERHEAD_REPS: usize = 5;
 
 /// Outputs of the `BENCH_PROFILE=1` leg.
 struct ProfiledLeg {
     run: ScaleRun,
-    engine: Option<simnet::EngineProfile>,
     report: offload::ProfileReport,
     snapshots: Vec<obs::TelemetrySnapshot>,
     best_plain_ms: f64,
@@ -54,11 +44,10 @@ fn run_profiled(spec: &ScaleSpec) -> ProfiledLeg {
         offload::profile::set_enabled(true);
         let bus = obs::TelemetryBus::new(bench_harness::telemetry_interval_ps());
         let stop = bench_harness::wall_timer();
-        let (prof, engine) = scale_alltoall_with(
+        let prof = scale_alltoall_with(
             spec,
             ScaleObs {
                 sink: Some(bus.sink()),
-                profile: true,
             },
         );
         best_prof_ms = best_prof_ms.min(stop());
@@ -69,12 +58,11 @@ fn run_profiled(spec: &ScaleSpec) -> ProfiledLeg {
             "profiling perturbed the run — BENCH_PROFILE must be observation only"
         );
         let (_, snapshots) = bus.finish();
-        outputs = Some((prof, engine, report, snapshots));
+        outputs = Some((prof, report, snapshots));
     }
-    let (run, engine, report, snapshots) = outputs.expect("at least one overhead rep");
+    let (run, report, snapshots) = outputs.expect("at least one overhead rep");
     ProfiledLeg {
         run,
-        engine,
         report,
         snapshots,
         best_plain_ms,
@@ -91,7 +79,7 @@ fn main() {
     } else {
         32
     });
-    let base_spec = ScaleSpec {
+    let spec = ScaleSpec {
         nodes,
         ppn: args.pick_ppn(64, 32, 8),
         iters: args.pick_iters(1, 1),
@@ -99,88 +87,28 @@ fn main() {
         threads: 1,
     };
 
-    let mut rows = Vec::new();
-    let mut walls: Vec<(usize, f64)> = Vec::new();
-    let mut base: Option<ScaleRun> = None;
-    for &threads in &THREAD_STEPS {
-        let spec = ScaleSpec {
-            threads,
-            ..base_spec
-        };
-        let stop = bench_harness::wall_timer();
-        let run = scale_alltoall(&spec);
-        let wall_ms = stop();
-        match &base {
-            None => base = Some(run),
-            Some(b) => assert_eq!(
-                *b, run,
-                "engine produced different results at {threads} threads — \
-                 worker count must never be observable"
-            ),
-        }
-        rows.push(vec![
-            threads.to_string(),
+    let stop = bench_harness::wall_timer();
+    let run = scale_alltoall(&spec);
+    let wall_ms = stop();
+    bench_harness::print_table(
+        &format!("engine self-benchmark: {}-rank alltoall", spec.ranks()),
+        &["events", "wall", "events/sec"],
+        &[vec![
             run.events.to_string(),
             bench_harness::us(wall_ms * 1e3),
             bench_harness::fmt_f64(run.events as f64 / (wall_ms / 1e3).max(1e-9)),
-        ]);
-        walls.push((threads, wall_ms));
-    }
-    let run = base.expect("at least one thread step ran");
-
-    bench_harness::print_table(
-        &format!(
-            "engine self-benchmark: {}-rank alltoall, identical results required",
-            base_spec.ranks()
-        ),
-        &["threads", "events", "wall", "events/sec"],
-        &rows,
+        ]],
     );
 
-    let mut keys = vec![
-        ("events".into(), run.events.to_string()),
-        ("virtual_ns".into(), run.virtual_ns.to_string()),
-        ("shards".into(), run.shards.to_string()),
-        ("windows".into(), run.windows.to_string()),
-        ("xshard_events".into(), run.xshard_events.to_string()),
-    ];
-    if bench_harness::wall_enabled() {
-        let t1_wall = walls[0].1;
-        for &(threads, wall_ms) in &walls {
-            keys.push((
-                format!("t{threads}_wall_ms"),
-                bench_harness::fmt_f64(wall_ms),
-            ));
-            keys.push((
-                format!("t{threads}_events_per_sec"),
-                bench_harness::fmt_f64(run.events as f64 / (wall_ms / 1e3).max(1e-9)),
-            ));
-            if threads > 1 {
-                keys.push((
-                    format!("t{threads}_speedup"),
-                    bench_harness::fmt_f64(t1_wall / wall_ms.max(1e-9)),
-                ));
-            }
-        }
-    }
-
-    let name = bench_harness::scale_artifact_name("engine_speed", &args, base_spec.ranks());
-    let mut sections = vec![
-        bench_harness::scale_section(&base_spec, &run),
-        ("engine", keys),
-    ];
+    let (section, mut keys) = bench_harness::engine_section(&run, wall_ms);
+    keys.insert(1, ("virtual_ns".into(), run.virtual_ns.to_string()));
+    let name = bench_harness::scale_artifact_name("engine_speed", &args, spec.ranks());
+    let mut sections = vec![bench_harness::scale_section(&spec, &run), (section, keys)];
 
     let mut gate_failure = None;
     if bench_harness::profile_enabled() {
-        let spec = ScaleSpec {
-            threads: args.pick_threads(),
-            ..base_spec
-        };
         let leg = run_profiled(&spec);
-        assert_eq!(
-            run, leg.run,
-            "profiled run diverged from the unprofiled thread sweep"
-        );
+        assert_eq!(run, leg.run, "profiled run diverged from the timed run");
         let overhead_pct =
             ((leg.best_prof_ms - leg.best_plain_ms) / leg.best_plain_ms.max(1e-9) * 100.0).max(0.0);
 
@@ -204,23 +132,11 @@ fn main() {
         let doc = obs::render_profile(&obs::ProfileDoc {
             bench: &name,
             report: &leg.report,
-            engine: leg.engine.as_ref(),
             snapshots: &leg.snapshots,
             wall: bench_harness::wall_enabled(),
         });
         bench_harness::write_profile(&name, &doc, &leg.report.collapsed_stack());
 
-        if let Some(engine) = &leg.engine {
-            bench_harness::print_table(
-                "engine time attribution (profiled re-run)",
-                &["bucket", "ns"],
-                &engine
-                    .buckets()
-                    .iter()
-                    .map(|(k, v)| vec![k.to_string(), v.to_string()])
-                    .collect::<Vec<_>>(),
-            );
-        }
         println!(
             "\nprofiling overhead: {} -> {} ({}%, best of {OVERHEAD_REPS})",
             bench_harness::fmt_f64(leg.best_plain_ms),

@@ -1,14 +1,15 @@
-//! Extension: dense alltoall at 1k–4k ranks on the sharded engine.
+//! Extension: dense alltoall at 1k–4k ranks, each rank a future
+//! process on the engine's one loop.
 //!
 //! Not a paper figure — an engine-scale demonstration: every rank sends
 //! to every other rank each round (~1M deliveries per round at 1k
-//! ranks), one shard per node, and the run's fingerprint/virtual-time
-//! observables must be identical at every worker thread count.
+//! ranks), with one jitter RNG stream per node, and the run's
+//! fingerprint/virtual-time observables are exact-compared against the
+//! committed baseline.
 //!
 //! Scales: `--quick` 8x8 (64 ranks, the committed CI baseline),
-//! default 32x32 (1024 ranks), `--full` 64x64 (4096 ranks). `--threads`
-//! or `SIMNET_THREADS` picks the worker count (default 2); the artifact
-//! name carries the rank count outside `--quick`.
+//! default 32x32 (1024 ranks), `--full` 64x64 (4096 ranks). The
+//! artifact name carries the rank count outside `--quick`.
 
 use workloads::{scale_alltoall, ScaleSpec};
 
@@ -26,31 +27,20 @@ fn main() {
         ppn: args.pick_ppn(64, 32, 8),
         iters: args.pick_iters(1, 1),
         seed: 42,
-        threads: args.pick_threads(),
+        threads: 1,
     };
     let stop = bench_harness::wall_timer();
     let run = scale_alltoall(&spec);
     let wall_ms = stop();
 
     bench_harness::print_table(
-        "ext: sharded-engine alltoall scale",
-        &[
-            "ranks",
-            "nodes",
-            "threads",
-            "events",
-            "virt",
-            "windows",
-            "xshard",
-            "fingerprint",
-        ],
+        "ext: alltoall scale",
+        &["ranks", "nodes", "events", "virt", "xnode", "fingerprint"],
         &[vec![
             spec.ranks().to_string(),
             spec.nodes.to_string(),
-            spec.threads.to_string(),
             run.events.to_string(),
             bench_harness::us(run.virtual_ns as f64 / 1e3),
-            run.windows.to_string(),
             run.xshard_events.to_string(),
             format!("{:#x}", run.fingerprint),
         ]],
@@ -67,7 +57,7 @@ fn main() {
         &offload::MetricsReport::default(),
         &[
             bench_harness::scale_section(&spec, &run),
-            bench_harness::engine_section(&run, spec.threads, wall_ms),
+            bench_harness::engine_section(&run, wall_ms),
         ],
     );
 }

@@ -1,10 +1,9 @@
-//! Extension: 3-D halo-exchange stencil at 1k–4k ranks on the sharded
-//! engine.
+//! Extension: 3-D halo-exchange stencil at 1k–4k ranks, each rank a
+//! future process on the engine's one loop.
 //!
 //! The low-message-density complement to `ext_scale_alltoall`: six
 //! neighbour exchanges plus a compute phase per iteration, so the run
-//! is dominated by synchronization windows rather than deliveries —
-//! the worst case for conservative-lookahead overhead.
+//! spends its events on many instants with little work each.
 //!
 //! Scales: `--quick` 8x8 (64 ranks, the committed CI baseline),
 //! default 32x32 (1024 ranks), `--full` 64x64 (4096 ranks).
@@ -25,32 +24,21 @@ fn main() {
         ppn: args.pick_ppn(64, 32, 8),
         iters: args.pick_iters(4, 2),
         seed: 42,
-        threads: args.pick_threads(),
+        threads: 1,
     };
     let stop = bench_harness::wall_timer();
     let run = scale_stencil(&spec);
     let wall_ms = stop();
 
     bench_harness::print_table(
-        "ext: sharded-engine stencil scale",
-        &[
-            "ranks",
-            "nodes",
-            "threads",
-            "iters",
-            "events",
-            "virt",
-            "windows",
-            "fingerprint",
-        ],
+        "ext: stencil scale",
+        &["ranks", "nodes", "iters", "events", "virt", "fingerprint"],
         &[vec![
             spec.ranks().to_string(),
             spec.nodes.to_string(),
-            spec.threads.to_string(),
             spec.iters.to_string(),
             run.events.to_string(),
             bench_harness::us(run.virtual_ns as f64 / 1e3),
-            run.windows.to_string(),
             format!("{:#x}", run.fingerprint),
         ]],
     );
@@ -66,7 +54,7 @@ fn main() {
         &offload::MetricsReport::default(),
         &[
             bench_harness::scale_section(&spec, &run),
-            bench_harness::engine_section(&run, spec.threads, wall_ms),
+            bench_harness::engine_section(&run, wall_ms),
         ],
     );
 }

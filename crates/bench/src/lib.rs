@@ -24,8 +24,6 @@ pub struct Args {
     pub ppn: Option<usize>,
     /// Override measured iterations.
     pub iters: Option<u32>,
-    /// Override engine worker threads (`ext_scale_*`/`engine_speed`).
-    pub threads: Option<usize>,
 }
 
 impl Args {
@@ -34,7 +32,7 @@ impl Args {
     pub fn parse() -> Args {
         fn die(msg: &str) -> ! {
             eprintln!("error: {msg}");
-            eprintln!("options: --full | --quick | --nodes N | --ppn N | --iters N | --threads N");
+            eprintln!("options: --full | --quick | --nodes N | --ppn N | --iters N");
             std::process::exit(2);
         }
         fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
@@ -54,11 +52,8 @@ impl Args {
                 "--nodes" => out.nodes = Some(value(&mut it, "--nodes")),
                 "--ppn" => out.ppn = Some(value(&mut it, "--ppn")),
                 "--iters" => out.iters = Some(value(&mut it, "--iters")),
-                "--threads" => out.threads = Some(value(&mut it, "--threads")),
                 "--help" | "-h" => {
-                    eprintln!(
-                        "options: --full | --quick | --nodes N | --ppn N | --iters N | --threads N"
-                    );
+                    eprintln!("options: --full | --quick | --nodes N | --ppn N | --iters N");
                     std::process::exit(0);
                 }
                 other => die(&format!("unknown argument '{other}'")),
@@ -70,24 +65,7 @@ impl Args {
         if out.nodes == Some(0) || out.ppn == Some(0) || out.iters == Some(0) {
             die("--nodes/--ppn/--iters must be positive");
         }
-        if out.threads == Some(0) {
-            die("--threads must be positive");
-        }
         out
-    }
-
-    /// Engine worker threads for the scale benches: `--threads` wins,
-    /// then the `SIMNET_THREADS` environment knob, then a fixed default
-    /// of 2 so committed baselines don't depend on the machine.
-    pub fn pick_threads(&self) -> usize {
-        self.threads
-            .or_else(|| {
-                std::env::var(simnet::SIMNET_THREADS_ENV)
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok())
-            })
-            .filter(|&t| t >= 1)
-            .unwrap_or(2)
     }
 
     /// Pick a processes-per-node value: the paper's value under `--full`,
@@ -189,10 +167,10 @@ pub fn write_metrics_with(
     }
 }
 
-/// Whether wall-clock members (`wall_ms`, `events_per_sec`, `speedup`,
-/// `threads`) go into engine sections. `BENCH_NO_WALL=1` omits them so
-/// two runs of the same spec — e.g. `SIMNET_THREADS=1` vs `=4` in the
-/// CI equivalence step — produce byte-identical documents.
+/// Whether wall-clock members (`wall_ms`, `events_per_sec`, and the
+/// profile section's timings) go into bench artifacts. `BENCH_NO_WALL=1`
+/// omits them so two runs of the same spec produce byte-identical
+/// documents.
 pub fn wall_enabled() -> bool {
     std::env::var_os("BENCH_NO_WALL").is_none()
 }
@@ -278,18 +256,18 @@ pub fn scale_section(spec: &workloads::ScaleSpec, run: &workloads::ScaleRun) -> 
     )
 }
 
-/// The `"engine"` section of a scale-bench artifact: the engine's
-/// deterministic counters, plus — unless [`wall_enabled`] is off — the
-/// self-benchmark numbers bench-diff holds to the wall tolerance band.
-pub fn engine_section(run: &workloads::ScaleRun, threads: usize, wall_ms: f64) -> MetricsSection {
+/// The `"engine"` section of a scale-bench artifact: the run's
+/// deterministic counters (`shards` is the node count, `xshard_events`
+/// the cross-node deliveries), plus — unless [`wall_enabled`] is off —
+/// the self-benchmark numbers bench-diff holds to the wall tolerance
+/// band.
+pub fn engine_section(run: &workloads::ScaleRun, wall_ms: f64) -> MetricsSection {
     let mut keys = vec![
         ("events".into(), run.events.to_string()),
         ("shards".into(), run.shards.to_string()),
-        ("windows".into(), run.windows.to_string()),
         ("xshard_events".into(), run.xshard_events.to_string()),
     ];
     if wall_enabled() {
-        keys.push(("threads".into(), threads.to_string()));
         keys.push(("wall_ms".into(), fmt_f64(wall_ms)));
         keys.push((
             "events_per_sec".into(),
@@ -356,7 +334,6 @@ pub fn run_with_observability(name: &str, f: impl FnOnce()) {
         let doc = obs::render_profile(&obs::ProfileDoc {
             bench: name,
             report: &report,
-            engine: None,
             snapshots: &snaps,
             wall: wall_enabled(),
         });

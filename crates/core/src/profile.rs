@@ -376,8 +376,8 @@ pub fn take_report() -> ProfileReport {
 /// Entry counts per scope path currently visible to this thread (its
 /// own tree plus the registry), without draining anything. The
 /// telemetry bus samples this between windows; counts are deterministic
-/// wherever the sampling thread and the sampled scopes coincide (the
-/// classic engine runs everything on one thread).
+/// wherever the sampling thread and the sampled scopes coincide (a
+/// cluster's processes all run on `run()`'s thread).
 pub fn scope_counts() -> Vec<(String, u64)> {
     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
     for (p, a) in REGISTRY.lock().iter() {

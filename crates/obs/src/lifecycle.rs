@@ -195,8 +195,8 @@ impl Histogram {
     }
 
     /// Fold another histogram into this one. Merging is commutative and
-    /// associative, so per-shard histograms fold into the same totals
-    /// in any order.
+    /// associative, so partial histograms fold into the same totals in
+    /// any order.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;

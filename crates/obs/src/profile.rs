@@ -1,22 +1,18 @@
 //! Renderer for `bluefield-offload/profile/v1` self-profiling reports.
 //!
-//! Joins the three self-profiling sources into one versioned JSON
-//! document: the hot-path span tree from [`offload::profile`], the
-//! per-shard engine accounting from [`simnet::EngineProfile`], and the
+//! Joins the two self-profiling sources into one versioned JSON
+//! document: the hot-path span tree from [`offload::profile`] and the
 //! telemetry snapshot ring from [`crate::TelemetryBus`]. Scope
 //! histograms reuse [`crate::Histogram`]'s log2 machinery for the
 //! p50/p99 estimates.
 //!
-//! Wall-clock quantities (every `*_ns` field and the engine section)
-//! are emitted only when `wall` is set; with it off — the
-//! `BENCH_NO_WALL=1` regime — the document is a pure function of the
-//! deterministic event stream and scope-entry counts, so two runs of a
-//! scale bench at different worker-thread counts render byte-identical
-//! reports (the engine section is per-shard and shard topology follows
-//! the thread count, which is why it sits behind the gate too).
+//! Wall-clock quantities (every `*_ns` field) are emitted only when
+//! `wall` is set; with it off — the `BENCH_NO_WALL=1` regime — the
+//! document is a pure function of the deterministic event stream and
+//! scope-entry counts, so two runs of one spec render byte-identical
+//! reports.
 
 use offload::ProfileReport;
-use simnet::EngineProfile;
 
 use crate::json::Json;
 use crate::lifecycle::Histogram;
@@ -29,13 +25,10 @@ pub struct ProfileDoc<'a> {
     pub bench: &'a str,
     /// Hot-path span tree (scope paths, counts, histograms).
     pub report: &'a ProfileReport,
-    /// Sharded-engine accounting, when the run used the sharded engine
-    /// with profiling armed.
-    pub engine: Option<&'a EngineProfile>,
     /// Telemetry snapshot ring.
     pub snapshots: &'a [TelemetrySnapshot],
-    /// Include wall-clock durations (self/total/max/p50/p99 and the
-    /// engine section). Pass `bench`'s wall gate here.
+    /// Include wall-clock durations (self/total/max/p50/p99). Pass
+    /// `bench`'s wall gate here.
     pub wall: bool,
 }
 
@@ -67,31 +60,6 @@ pub fn render_profile(doc: &ProfileDoc) -> String {
         scopes.push(Json::Obj(s));
     }
     top.push(("scopes".into(), Json::Arr(scopes)));
-    if doc.wall {
-        if let Some(ep) = doc.engine {
-            let shards = ep
-                .shards
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("shard".into(), num(s.shard as u64)),
-                        ("windows".into(), num(s.windows)),
-                        ("events".into(), num(s.events)),
-                        ("exec_ns".into(), num(s.exec_ns)),
-                        ("barrier_wait_ns".into(), num(s.barrier_wait_ns)),
-                    ])
-                })
-                .collect();
-            top.push(("engine".into(), Json::Arr(shards)));
-            let mut totals: Vec<(String, Json)> = ep
-                .buckets()
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), num(v)))
-                .collect();
-            totals.push(("windows".into(), num(ep.windows)));
-            top.push(("engine_totals".into(), Json::Obj(totals)));
-        }
-    }
     let snaps = doc
         .snapshots
         .iter()
@@ -147,33 +115,14 @@ mod tests {
     fn rendered_doc_validates() {
         let snaps = sample_snaps();
         let report = sample_report();
-        let engine = EngineProfile {
-            shards: vec![simnet::ShardStats {
-                shard: 0,
-                windows: 5,
-                events: 40,
-                exec_ns: 1000,
-                barrier_wait_ns: 10,
-            }],
-            emit_merge_ns: 7,
-            coordinator_ns: 9,
-            windows: 5,
-            threads: 1,
-        };
         for wall in [false, true] {
             let doc = render_profile(&ProfileDoc {
                 bench: "unit",
                 report: &report,
-                engine: Some(&engine),
                 snapshots: &snaps,
                 wall,
             });
             let v = validate_profile(&doc).unwrap();
-            assert_eq!(
-                v.get("engine").is_some(),
-                wall,
-                "engine section is wall-gated"
-            );
             let scope = v.get("scopes").unwrap().as_arr().unwrap()[0].clone();
             assert_eq!(scope.get("self_ns").is_some(), wall);
         }
@@ -194,7 +143,6 @@ mod tests {
             render_profile(&ProfileDoc {
                 bench: "unit",
                 report: r,
-                engine: None,
                 snapshots: &snaps,
                 wall: false,
             })
@@ -209,7 +157,6 @@ mod tests {
         let doc = render_profile(&ProfileDoc {
             bench: "unit",
             report: &r,
-            engine: None,
             snapshots: &[],
             wall: false,
         });

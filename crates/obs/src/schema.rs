@@ -33,8 +33,8 @@ const EXT_SECTIONS: &[&str] = &["engine", "scale", "profile"];
 pub const PROFILE_SCHEMA_ID: &str = "bluefield-offload/profile/v1";
 
 /// Every scope name a `profile/v1` report may carry. Scope names are
-/// string literals at their `profile_scope!` / engine-accounting call
-/// sites in `core`/`simnet`, which no type ties to this list, so the
+/// string literals at their `profile_scope!` call sites in `core`,
+/// which no type ties to this list, so the
 /// analyzer's schema-drift rule does: a name listed here that no
 /// producer enters fails `cargo xtask analyze`.
 pub const PROFILE_SCOPES: &[&str] = &[
@@ -45,10 +45,6 @@ pub const PROFILE_SCOPES: &[&str] = &[
     "journal_truncate",
     "cache_lookup",
     "cq_poll",
-    "engine_exec",
-    "engine_barrier_wait",
-    "engine_emit_merge",
-    "engine_coordinator",
 ];
 
 fn counter(obj: &Json, key: &str, at: &str) -> Result<u64, String> {
@@ -259,39 +255,6 @@ pub fn validate_profile(doc: &str) -> Result<Json, String> {
                     Json::Num(n) if *n >= 0.0 => {}
                     _ => return Err(format!("{at}: \"{k}\" is not a non-negative number")),
                 }
-            }
-        }
-    }
-    if let Some(totals) = v.get("engine_totals") {
-        let Json::Obj(members) = totals else {
-            return Err("\"engine_totals\" is present but not an object".into());
-        };
-        for (k, val) in members {
-            match val {
-                Json::Num(n) if *n >= 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "engine_totals: \"{k}\" is not a non-negative number"
-                    ))
-                }
-            }
-        }
-    }
-    if let Some(engine) = v.get("engine") {
-        let shards = engine
-            .as_arr()
-            .ok_or("\"engine\" is present but not an array")?;
-        for (i, s) in shards.iter().enumerate() {
-            let at = format!("engine[{i}]");
-            if let Json::Obj(members) = s {
-                for (k, val) in members {
-                    match val {
-                        Json::Num(n) if *n >= 0.0 => {}
-                        _ => return Err(format!("{at}: \"{k}\" is not a non-negative number")),
-                    }
-                }
-            } else {
-                return Err(format!("{at} is not an object"));
             }
         }
     }

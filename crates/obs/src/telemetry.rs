@@ -13,12 +13,11 @@
 //! ## Determinism contract
 //!
 //! Snapshots are a pure function of the protocol-event stream and the
-//! configured interval. The classic loop delivers that stream in
-//! execution order, and the sharded runtime of the scale benches in
-//! canonical `(time, shard, seq)` order at any worker-thread count, so
-//! the snapshot sequence — boundaries, ordering, and every delta value —
-//! is byte-identical across thread counts (asserted by `ci.sh` on the
-//! scale benches). No wall-clock quantity ever enters a snapshot.
+//! configured interval. The engine delivers that stream in execution
+//! order, which is a pure function of the seed, so the snapshot
+//! sequence — boundaries, ordering, and every delta value — is
+//! byte-identical from run to run. No wall-clock quantity ever enters a
+//! snapshot.
 //!
 //! Optional profiler sampling ([`TelemetryBus::sample_profile`]) adds
 //! `profile.<path>` scope-count deltas. Those counts come from

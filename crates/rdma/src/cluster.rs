@@ -11,10 +11,9 @@
 //! DPU proxy is a loop on its next message, so neither needs a thread of
 //! its own.
 //!
-//! A cluster runs on simnet's classic loop. It cannot be split by node:
-//! the fabric arbitrates same-QP FIFO order, per-endpoint CPU timelines
-//! and the payload-fault RNG under one lock. The sharded runtime runs the
-//! scale workloads (`workloads::scale_alltoall` / `scale_stencil`).
+//! A cluster runs on simnet's one loop, on the thread that calls
+//! `run_async`: the fabric arbitrates same-QP FIFO order, per-endpoint
+//! CPU timelines and the payload-fault RNG under one lock.
 
 use std::future::Ready;
 use std::ops::AsyncFn;
@@ -174,16 +173,15 @@ impl ClusterBuilder {
         self
     }
 
-    /// Accepts only `1` and changes nothing: a cluster runs on the
-    /// classic loop (see the module docs). Kept as a signature because the
+    /// Accepts only `1` and changes nothing: a cluster runs on simnet's
+    /// one loop (see the module docs). Kept as a signature because the
     /// benchmark package names it; it goes with that package's re-base
     /// (ROADMAP item 6).
     pub fn with_threads(self, threads: usize) -> Self {
         assert_eq!(
             threads, 1,
-            "ClusterBuilder::with_threads accepts only 1: a cluster runs on the classic \
-             loop; worker threads are for the scale workloads (workloads::scale_alltoall / \
-             scale_stencil)"
+            "ClusterBuilder::with_threads accepts only 1: a simulation runs on one loop, \
+             on the thread that calls run, and has no worker threads"
         );
         self
     }

@@ -3,7 +3,7 @@
 //!
 //! A sink is called once per slice of emissions, not once per event, so
 //! an observer that keeps its state behind a lock takes that lock once
-//! per [`EMIT_BATCH`] events. Both engines deliver through
+//! per [`EMIT_BATCH`] events. The engine delivers through
 //! [`deliver_batched`]: every emission exactly once, in emission order,
 //! with the time and pid it was emitted at, and never an empty slice.
 
@@ -13,8 +13,8 @@ use std::sync::Arc;
 use crate::process::Pid;
 use crate::time::SimTime;
 
-/// Most emissions one sink call receives. The classic engine buffers up
-/// to this many before handing them over.
+/// Most emissions one sink call receives. The engine buffers up to this
+/// many before handing them over.
 pub const EMIT_BATCH: usize = 64;
 
 /// One emission as a sink sees it.
@@ -89,7 +89,7 @@ impl<E: Any + Send> Pending for Batch<E> {
     }
 }
 
-/// The classic engine's emit buffer, kept inside the locked simulation
+/// The engine's emit buffer, kept inside the locked simulation
 /// state: the batch being filled, typed by its first emission.
 #[derive(Default)]
 pub(crate) struct EmitBuffer {

@@ -1,17 +1,8 @@
 //! The pending-event queue.
 //!
-//! Events are ordered by the **canonical key** `(time, source shard,
-//! source sequence)`. The single-threaded engine always stamps source
-//! shard 0 and a queue-local insertion counter, which reduces the key to
-//! the historical `(time, sequence)` pair — ties in virtual time break
-//! by insertion order and the whole simulation is deterministic.
-//!
-//! The sharded engine stamps each event with the id of the shard that
-//! *created* it and that shard's private monotone counter. Because a
-//! shard's execution between synchronization windows is sequential and
-//! deterministic, the key is a pure function of virtual time and the
-//! event's causal origin — never of OS thread scheduling — which is what
-//! makes cross-shard delivery order reproducible at any thread count.
+//! Events are ordered by `(time, sequence)`, the sequence being the
+//! queue's insertion counter: ties in virtual time break by insertion
+//! order, so the whole simulation is deterministic.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -30,18 +21,15 @@ pub(crate) enum EventKind {
 
 pub(crate) struct QueuedEvent {
     pub(crate) at: SimTime,
-    /// Shard that created the event (0 for the single-threaded engine).
-    pub(crate) src: u32,
-    /// Monotone counter of the creating shard (queue-local insertion
-    /// order for the single-threaded engine).
+    /// The queue's insertion counter at the push.
     pub(crate) seq: u64,
     pub(crate) kind: EventKind,
 }
 
 impl QueuedEvent {
-    /// The canonical ordering key.
-    fn key(&self) -> (SimTime, u32, u64) {
-        (self.at, self.src, self.seq)
+    /// The ordering key.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
     }
 }
 
@@ -81,24 +69,11 @@ impl EventQueue {
         }
     }
 
-    /// Push with the queue's own insertion counter as the key (source
-    /// shard 0) — the single-threaded engine's path.
+    /// Push, keyed by the queue's own insertion counter.
     pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(QueuedEvent {
-            at,
-            src: 0,
-            seq,
-            kind,
-        });
-    }
-
-    /// Push with an explicit canonical key — the sharded engine's path.
-    /// `(src, seq)` must be globally unique (each shard stamps its own id
-    /// and a private monotone counter).
-    pub(crate) fn push_keyed(&mut self, at: SimTime, src: u32, seq: u64, kind: EventKind) {
-        self.heap.push(QueuedEvent { at, src, seq, kind });
+        self.heap.push(QueuedEvent { at, seq, kind });
     }
 
     pub(crate) fn pop(&mut self) -> Option<QueuedEvent> {
@@ -155,20 +130,6 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| pid_of(&e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn keyed_ties_break_by_shard_then_seq() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_ps(5);
-        // Insert deliberately out of canonical order.
-        q.push_keyed(t, 2, 0, wake(4));
-        q.push_keyed(t, 0, 9, wake(1));
-        q.push_keyed(t, 1, 3, wake(2));
-        q.push_keyed(t, 1, 7, wake(3));
-        q.push_keyed(t, 0, 2, wake(0));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|e| pid_of(&e)).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -2,14 +2,15 @@
 //!
 //! `simnet` is the substrate under the whole repository: a sequential,
 //! bit-for-bit reproducible discrete-event simulator with a virtual clock
-//! in integer picoseconds. A "process" comes in two kinds: an `async`
-//! body the scheduler polls on its own thread
-//! ([`Simulation::spawn_future`]), which is what every process of a
-//! simulated cluster is; or an ordinary Rust closure on a dedicated OS
+//! in integer picoseconds, run by one loop on the thread that calls
+//! [`Simulation::run`]. A "process" comes in two kinds: an `async` body
+//! the scheduler polls on that thread ([`Simulation::spawn_future`]),
+//! which is what every process of a simulated cluster and every rank of
+//! the scale workloads is; or an ordinary Rust closure on a dedicated OS
 //! thread ([`Simulation::spawn`]), where a per-process baton guarantees
 //! that at most one thread executes at a time, so simulated code can use
-//! natural blocking control flow (the scale workloads on the sharded
-//! engine).
+//! natural blocking control flow (the engine's own kernel tests and the
+//! thread-hand-off rungs of the protocol benchmark).
 //!
 //! The crates above this one model an HPC cluster: `rdma` adds verbs-style
 //! NICs, memory registration and GVMI keys; `minimpi` adds an MPI-like
@@ -41,7 +42,6 @@ mod event;
 mod process;
 mod resource;
 mod rng;
-mod shard;
 mod sim;
 mod stats;
 mod time;
@@ -51,10 +51,6 @@ pub use emit::{deliver_batched, Emitted, EventSink, EMIT_BATCH};
 pub use process::{BlockReason, Payload, Pid, ProcStatus};
 pub use resource::ResourceId;
 pub use rng::SimRng;
-pub use shard::{
-    EngineProfile, ShardStats, SCOPE_ENGINE_BARRIER_WAIT, SCOPE_ENGINE_COORDINATOR,
-    SCOPE_ENGINE_EMIT_MERGE, SCOPE_ENGINE_EXEC,
-};
 pub use sim::{
     engine_events, OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation,
     SIMNET_THREADS_ENV,

@@ -3,23 +3,23 @@
 //! A simulated process comes in two kinds. Both have a pid, a name, a
 //! mailbox and a report entry, and both are scheduled by the same loop
 //! (pop a ready process, else pop an event), which has an **owner**: the
-//! thread that called `run()`, or a shard's worker.
+//! thread that called `run()`.
 //!
 //! * A **future** process is an `async` body with no thread, stack or
 //!   baton: where a thread would be handed the baton, the owner polls it
 //!   instead, and it runs until its next `.await` on a [`ProcessCtx`]
 //!   wait (`recv_async`, `sleep_async`, `compute_async`, `yield_async`).
-//!   The kind for every process of a cluster: host ranks, whose one wait
-//!   is their next message, and DPU proxies, which loop on `recv_async`.
+//!   The kind for every process of a cluster (host ranks, whose one wait
+//!   is their next message, and DPU proxies, which loop on `recv_async`)
+//!   and for the ranks of the scale workloads.
 //! * A **thread-backed** process is an OS thread running a user closure
 //!   against a [`ProcessCtx`]. Execution is strictly sequential: every
 //!   thread has a [`Baton`] to park on, and control moves by waking
 //!   exactly one parked thread, so at any moment at most one thread of a
 //!   loop is running. A process thread that blocks or exits takes the
 //!   next step itself and wakes its successor directly ([`hand_off`]);
-//!   the owner sleeps until a step needs it ([`drive`]). The only kind
-//!   the sharded engine runs (the scale workloads). Its blocking calls
-//!   are the future kind's waits, polled on its own thread.
+//!   the owner sleeps until a step needs it ([`drive`]). Its blocking
+//!   calls are the future kind's waits, polled on its own thread.
 //!
 //! A thread carrying the loop leaves a future's step to the owner
 //! ([`Step::Owner`]).
@@ -27,7 +27,7 @@
 //! [`ProcessCtx`]: crate::ProcessCtx
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -121,8 +121,7 @@ enum Signal {
 struct Cancelled;
 
 /// One thread's parking spot. Every thread-backed process has one, and so
-/// does the thread that owns a loop (`run()`'s caller on the classic
-/// engine, the shard's worker on the sharded one). Control moves by
+/// does the thread that owns the loop (`run()`'s caller). Control moves by
 /// posting [`Signal::Go`] on the next thread's baton and parking on one's
 /// own; a signal posted before its thread has parked is found waiting.
 pub(crate) struct Baton {
@@ -178,13 +177,13 @@ pub(crate) enum Step {
     /// init closure on its first activation. Only the owner is ever
     /// handed one, so future bodies always run on the owner's thread.
     Poll(u32, Option<FutureInit>),
-    /// Only the owner can go on: a future is next, the window or the run
-    /// is over, or an error or a panic is pending.
+    /// Only the owner can go on: a future is next, the run is over, or an
+    /// error or a panic is pending.
     Owner,
 }
 
 /// What a step reads and writes, borrowed from the engine's own state
-/// (`sim::SimState`, one shard's `shard::ShardState`) under its lock.
+/// (`sim::SimState`) under its lock.
 pub(crate) struct LoopState<'a> {
     pub(crate) clock: &'a Clock,
     pub(crate) queue: &'a mut EventQueue,
@@ -200,20 +199,9 @@ pub(crate) struct LoopState<'a> {
     /// A process panic is waiting to be re-raised.
     pub(crate) panicked: bool,
     pub(crate) time_limit: Option<SimTime>,
-    /// End of the shard's window: events at or after it wait. `None` on
-    /// the classic loop, which has no windows.
-    pub(crate) w_end: Option<SimTime>,
-    /// Pid (raw) -> slot index on a shard; `None` where they are equal.
-    pub(crate) local: Option<&'a BTreeMap<u32, u32>>,
 }
 
 impl LoopState<'_> {
-    fn slot_of(&self, pid: Pid) -> u32 {
-        self.local.map_or(pid.0, |local| {
-            *local.get(&pid.0).expect("event routed to the wrong shard")
-        })
-    }
-
     /// The loop's next step, taken by whichever thread has control: the
     /// first ready process, else events until one readies a process. Only
     /// the `owner` pops a future; a process thread leaves it queued and
@@ -243,14 +231,11 @@ impl LoopState<'_> {
                 *self.execs += 1;
                 return next;
             }
-            // Phase 2: advance to the next event (inside the window).
+            // Phase 2: advance to the next event.
             let Some(at) = self.queue.peek_at() else {
                 return Step::Owner;
             };
             debug_assert!(at >= self.clock.get(), "event in the past");
-            if self.w_end.is_some_and(|w_end| at >= w_end) {
-                return Step::Owner;
-            }
             if let Some(limit) = self.time_limit.filter(|&limit| at > limit) {
                 *self.error = Some(SimError::TimeLimitExceeded { limit });
                 return Step::Owner;
@@ -263,14 +248,14 @@ impl LoopState<'_> {
             *self.events += 1;
             match ev.kind {
                 EventKind::Wake(pid) => {
-                    let key = self.slot_of(pid);
+                    let key = pid.0;
                     let slot = &mut self.slots[key as usize];
                     debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
                     slot.status = ProcStatus::Ready;
                     self.ready.push_back(key);
                 }
                 EventKind::Deliver(pid, payload) => {
-                    let key = self.slot_of(pid);
+                    let key = pid.0;
                     let slot = &mut self.slots[key as usize];
                     if slot.status == ProcStatus::Finished {
                         static DELIVER_TO_FINISHED: StatKey =

@@ -50,19 +50,17 @@ use crate::process::{
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
-use crate::shard;
 use crate::stats::{StatKey, StatTable, Stats};
 use crate::time::{Clock, SimDelta, SimTime};
 use crate::trace::Trace;
 
-/// Process-global count of simulated events handled by completed runs,
-/// on either engine. The engine self-benchmarks read this to report
-/// simulated-events-per-second without threading a handle through every
-/// layer.
+/// Process-global count of simulated events handled by completed runs.
+/// The engine self-benchmarks read this to report simulated events per
+/// second without threading a handle through every layer.
 static ENGINE_EVENTS: AtomicU64 = AtomicU64::new(0);
 
 /// Total simulated events handled by every completed [`Simulation::run`]
-/// in this process so far (monotone; both engines contribute).
+/// in this process so far (monotone).
 pub fn engine_events() -> u64 {
     ENGINE_EVENTS.load(Ordering::Relaxed)
 }
@@ -71,22 +69,11 @@ fn record_engine_events(n: u64) {
     ENGINE_EVENTS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Name of the environment variable the scale benches read for their
-/// worker-thread count (`bench-harness`'s `--threads` fallback). The
-/// engine itself reads no environment: [`Simulation::set_threads`] is
-/// the only way to set a sharded simulation's worker count.
+/// Name of a worker-thread environment variable that launchers may
+/// still set (the protocol benchmark pins it to 1 for its children).
+/// Nothing reads it: a simulation has one loop, run on the thread that
+/// calls [`Simulation::run`], so there is no worker count to choose.
 pub const SIMNET_THREADS_ENV: &str = "SIMNET_THREADS";
-
-/// Refuse `call`, which only the classic loop supports. The sharded
-/// runtime runs the scale workloads (`workloads::scale_alltoall` /
-/// `scale_stencil`): thread-backed processes, deliveries, emits, stats
-/// and RNG, nothing more.
-fn sharded_refuses(call: &str) -> ! {
-    panic!(
-        "{call} is not supported by the sharded engine, which runs only the scale \
-         workloads; build this simulation with spawn() on the classic loop"
-    )
-}
 
 /// Errors surfaced by [`Simulation::run`].
 #[derive(Debug)]
@@ -163,12 +150,6 @@ pub struct Report {
     pub events: u64,
     /// Per-resource utilization: `(name, total busy time, reservations)`.
     pub resources: Vec<(String, SimDelta, u64)>,
-    /// Engine wall-clock self-profile, present only when
-    /// [`Simulation::set_profile`] enabled it on a sharded run (the
-    /// classic engine has no windows or barriers to attribute, so it
-    /// always reports `None`). Durations are wall-clock and
-    /// nondeterministic; the shard/window/event counts inside are not.
-    pub profile: Option<shard::EngineProfile>,
 }
 
 impl Report {
@@ -231,20 +212,6 @@ pub(crate) struct SimInner {
 /// ```
 pub struct Simulation {
     inner: Arc<SimInner>,
-    stack_size: usize,
-    seed: u64,
-    /// Worker threads for the sharded engine.
-    threads: usize,
-    /// Yield-injection seed for the sharded engine (off when `None`).
-    chaos: Option<u64>,
-    /// Lookahead map used when the simulation is sharded.
-    lookahead: shard::LookaheadCfg,
-    /// Present once `spawn_on` has been called: the simulation runs on
-    /// the sharded conservative-lookahead engine.
-    sharded: Option<Arc<shard::ShardedRt>>,
-    /// Collect [`shard::EngineProfile`] wall-clock buckets (sharded
-    /// engine only; off by default).
-    profile: bool,
     /// Installed by [`set_event_sink`](Self::set_event_sink); sealed into
     /// the engine by `run()`.
     sink: Option<EventSink>,
@@ -263,24 +230,13 @@ pub struct OpenSpan {
     name: String,
 }
 
-/// Which engine a [`ProcessCtx`] talks to.
-#[derive(Clone)]
-pub(crate) enum Route {
-    /// The classic single-queue engine.
-    Classic(Arc<SimInner>),
-    /// The sharded engine: the shared runtime plus this process's own
-    /// shard cell and local slot index.
-    Sharded {
-        rt: Arc<shard::ShardedRt>,
-        cell: Arc<shard::ShardCell>,
-        idx: u32,
-    },
-}
+/// Stack size of a process thread.
+const STACK_SIZE: usize = 1 << 20;
 
 /// Handle given to each simulated process. Cheap to clone.
 #[derive(Clone)]
 pub struct ProcessCtx {
-    pub(crate) route: Route,
+    pub(crate) inner: Arc<SimInner>,
     pub(crate) pid: Pid,
     /// The baton a thread-backed process parks on; `None` for a future
     /// process, which runs on the loop owner's thread.
@@ -312,23 +268,12 @@ impl Simulation {
                 owner: Baton::new(),
                 sink: OnceLock::new(),
             }),
-            stack_size: 1 << 20,
-            seed,
-            threads: 1,
-            chaos: None,
-            lookahead: shard::LookaheadCfg::new(SimDelta::from_us(1)),
-            sharded: None,
-            profile: false,
             sink: None,
         }
     }
 
     /// Enable trace collection (off by default; it allocates per record).
-    /// Classic loop only: a sharded simulation refuses it.
     pub fn enable_trace(&mut self) {
-        if self.sharded.is_some() {
-            sharded_refuses("Simulation::enable_trace");
-        }
         self.inner.state.lock().trace = Some(Trace::default());
         self.inner.traced.store(true, Ordering::Relaxed);
     }
@@ -339,11 +284,6 @@ impl Simulation {
         self.inner.state.lock().time_limit = Some(limit);
     }
 
-    /// Stack size for process threads (default 1 MiB).
-    pub fn set_stack_size(&mut self, bytes: usize) {
-        self.stack_size = bytes;
-    }
-
     /// Install an observer for [`ProcessCtx::emit`] events (e.g. a protocol
     /// conformance checker). At most one sink; later calls replace it.
     pub fn set_event_sink(&mut self, sink: EventSink) {
@@ -351,38 +291,12 @@ impl Simulation {
     }
 
     /// Spawn a thread-backed process: `f` runs on an OS thread of its own
-    /// and waits in blocking calls. It becomes runnable at time zero. In
-    /// a sharded simulation (one where [`spawn_on`](Self::spawn_on) has
-    /// been used), the process lands on shard 0.
+    /// and waits in blocking calls. It becomes runnable at time zero.
     pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(ProcessCtx) + Send + 'static,
     {
-        if let Some(rt) = &self.sharded {
-            return shard::spawn_on_shard(rt, self.stack_size, 0, name.into(), f);
-        }
-        spawn_process(&self.inner, self.stack_size, name.into(), f)
-    }
-
-    /// Spawn a simulated process onto `shard`, switching the simulation to
-    /// the **sharded conservative-lookahead engine** (see [`crate::shard`]'s
-    /// module docs reflected in DESIGN.md §16).
-    ///
-    /// Each shard runs on its own event queue; a cross-shard
-    /// [`ProcessCtx::deliver`] must carry a delay of at least the link
-    /// lookahead (see [`set_lookahead`](Self::set_lookahead)). Results are
-    /// bit-for-bit identical at every worker-thread count.
-    ///
-    /// The first `spawn_on` must come before any plain [`spawn`](Self::spawn)
-    /// (later plain spawns land on shard 0).
-    /// The engine runs the scale workloads and refuses what they do not
-    /// use: future processes, FIFO resources and tracing.
-    pub fn spawn_on<F>(&mut self, shard_id: usize, name: impl Into<String>, f: F) -> Pid
-    where
-        F: FnOnce(ProcessCtx) + Send + 'static,
-    {
-        let stack_size = self.stack_size;
-        shard::spawn_on_shard(self.sharded_rt(), stack_size, shard_id, name.into(), f)
+        spawn_process(&self.inner, name.into(), f)
     }
 
     /// Spawn a **future process**: a pid, a name, a mailbox and a
@@ -392,19 +306,16 @@ impl Simulation {
     /// wherever it would hand a thread the baton. The body waits only by
     /// awaiting the `ProcessCtx` `*_async` waits (pending on anything
     /// else is reported as a panic of the process); the blocking calls
-    /// panic. Classic loop only: a sharded simulation refuses it.
+    /// panic.
     pub fn spawn_future<I, F>(&mut self, name: impl Into<String>, f: I) -> Pid
     where
         I: FnOnce(ProcessCtx) -> F + Send + 'static,
         F: Future<Output = ()> + 'static,
     {
-        if self.sharded.is_some() {
-            sharded_refuses("Simulation::spawn_future");
-        }
         let mut st = self.inner.state.lock();
         let pid = Pid(st.procs.len() as u32);
         let ctx = ProcessCtx {
-            route: Route::Classic(Arc::clone(&self.inner)),
+            inner: Arc::clone(&self.inner),
             pid,
             baton: None,
         };
@@ -415,75 +326,8 @@ impl Simulation {
         pid
     }
 
-    /// The sharded runtime, switching the simulation over to it on first
-    /// use.
-    fn sharded_rt(&mut self) -> &Arc<shard::ShardedRt> {
-        if self.sharded.is_none() {
-            if self.inner.traced.load(Ordering::Relaxed) {
-                sharded_refuses("Simulation::enable_trace");
-            }
-            let classic = self.inner.state.lock().procs.len();
-            assert_eq!(
-                classic, 0,
-                "spawn_on must come before any plain spawn ({classic} processes \
-                 were already spawned on the classic engine)"
-            );
-        }
-        self.sharded
-            .get_or_insert_with(|| Arc::new(shard::ShardedRt::new()))
-    }
-
-    /// Default per-link lookahead for the sharded engine: the minimum
-    /// cross-shard delivery delay the model guarantees (default 1 µs).
-    /// Must be positive. Larger lookahead means longer synchronization
-    /// windows and less coordination overhead; every cross-shard
-    /// delivery must have `delay >= lookahead`.
-    pub fn set_lookahead(&mut self, la: SimDelta) {
-        assert!(la > SimDelta::ZERO, "lookahead must be positive");
-        self.lookahead.default = la;
-    }
-
-    /// Override the lookahead of one directed shard link `from -> to`.
-    pub fn set_link_lookahead(&mut self, from: usize, to: usize, la: SimDelta) {
-        assert!(la > SimDelta::ZERO, "lookahead must be positive");
-        self.lookahead.links.insert((from as u32, to as u32), la);
-    }
-
-    /// Worker threads for the sharded engine (default 1). Purely a
-    /// speed knob: results are identical at any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "thread count must be at least 1");
-        self.threads = threads;
-    }
-
-    /// Seed the sharded engine's OS-level yield-injection shim (tests
-    /// only). Workers randomly yield between events to stress that
-    /// thread interleaving cannot affect results.
-    pub fn set_chaos(&mut self, seed: u64) {
-        self.chaos = Some(seed);
-    }
-
-    /// Collect the sharded engine's wall-clock self-profile into
-    /// [`Report::profile`]: per-shard event-execute and barrier-wait
-    /// buckets plus coordinator flush/horizon time. Off by default —
-    /// when off, the engine takes no timestamps at all. Profiling never
-    /// affects virtual-time results; only the run's wall speed (bounded
-    /// overhead, gated in CI).
-    pub fn set_profile(&mut self, on: bool) {
-        self.profile = on;
-    }
-
-    /// Number of shards (0 for a classic, unsharded simulation).
-    pub fn shards(&self) -> usize {
-        self.sharded.as_ref().map_or(0, |rt| rt.num_shards())
-    }
-
-    /// Create a FIFO resource (see [`crate::ResourceId`]). Classic loop
-    /// only: a sharded simulation refuses it.
+    /// Create a FIFO resource (see [`crate::ResourceId`]).
     pub fn create_resource(&mut self, name: impl Into<String>) -> ResourceId {
-        if self.sharded.is_some() {
-            sharded_refuses("Simulation::create_resource");
-        }
         new_resource(&self.inner, name.into())
     }
 
@@ -491,23 +335,6 @@ impl Simulation {
     /// deadlock / livelock / time-limit overrun. Panics raised inside a
     /// simulated process are re-raised here with the process name attached.
     pub fn run(self) -> Result<Report, SimError> {
-        if let Some(rt) = &self.sharded {
-            let time_limit = self.inner.state.lock().time_limit;
-            let report = shard::run_sharded(
-                rt,
-                shard::RunOpts {
-                    seed: self.seed,
-                    threads: self.threads,
-                    time_limit,
-                    sink: self.sink.clone(),
-                    lookahead: self.lookahead.clone(),
-                    chaos: self.chaos,
-                    profile: self.profile,
-                },
-            )?;
-            record_engine_events(report.events);
-            return Ok(report);
-        }
         let inner = self.inner;
         if let Some(sink) = self.sink {
             // `run` consumes the simulation: this is the only seal.
@@ -573,7 +400,6 @@ impl Simulation {
                 .iter()
                 .map(|r| (r.name.clone(), r.busy_total, r.reservations))
                 .collect(),
-            profile: None,
         };
         drop(st);
         record_engine_events(report.events);
@@ -590,7 +416,7 @@ fn flush_emits(inner: &SimInner) {
     }
 }
 
-/// The classic loop's next step ([`LoopState::step`], with no window).
+/// The loop's next step ([`LoopState::step`]).
 fn step(inner: &SimInner, owner: bool) -> Step {
     let mut guard = inner.state.lock();
     let st = &mut *guard;
@@ -605,8 +431,6 @@ fn step(inner: &SimInner, owner: bool) -> Step {
         error: &mut st.error,
         panicked: st.fatal.is_some(),
         time_limit: st.time_limit,
-        w_end: None,
-        local: None,
     };
     view.step(owner)
 }
@@ -639,7 +463,7 @@ fn poll_future(inner: &SimInner, futures: &mut Futures, key: u32, init: Option<F
     }
 }
 
-fn spawn_process<F>(inner: &Arc<SimInner>, stack_size: usize, name: String, f: F) -> Pid
+fn spawn_process<F>(inner: &Arc<SimInner>, name: String, f: F) -> Pid
 where
     F: FnOnce(ProcessCtx) + Send + 'static,
 {
@@ -656,14 +480,14 @@ where
         pid
     };
     let ctx = ProcessCtx {
-        route: Route::Classic(Arc::clone(inner)),
+        inner: Arc::clone(inner),
         pid,
         baton: Some(Arc::clone(&baton)),
     };
     let tinner = Arc::clone(inner);
     let handle = std::thread::Builder::new()
         .name(name)
-        .stack_size(stack_size)
+        .stack_size(STACK_SIZE)
         .spawn(move || {
             process_thread(
                 &baton,
@@ -686,7 +510,7 @@ where
     pid
 }
 
-/// A new FIFO resource on the classic engine.
+/// A new FIFO resource.
 fn new_resource(inner: &SimInner, name: String) -> ResourceId {
     let mut st = inner.state.lock();
     let id = ResourceId(st.resources.len() as u32);
@@ -700,40 +524,23 @@ impl ProcessCtx {
         self.pid
     }
 
-    /// Current virtual time (of this process's shard, on the sharded
-    /// engine — shards are loosely synchronized within one lookahead
-    /// window).
+    /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.route {
-            Route::Classic(inner) => inner.clock.get(),
-            Route::Sharded { cell, .. } => cell.clock.get(),
-        }
+        self.inner.clock.get()
     }
 
-    /// The classic engine behind this context, for `call`, which only
-    /// the classic loop supports: a sharded process panics here.
-    fn classic(&self, call: &str) -> &Arc<SimInner> {
-        match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { .. } => sharded_refuses(call),
-        }
-    }
-
-    /// The classic engine behind this context if this run records a
-    /// trace (fixed before `run()` starts; a sharded run never does).
+    /// The engine behind this context if this run records a trace (fixed
+    /// before `run()` starts).
     fn traced(&self) -> Option<&SimInner> {
-        match &self.route {
-            Route::Classic(inner) => inner.traced.load(Ordering::Relaxed).then_some(&**inner),
-            Route::Sharded { .. } => None,
-        }
+        self.inner
+            .traced
+            .load(Ordering::Relaxed)
+            .then_some(&*self.inner)
     }
 
     /// Name this process was spawned with.
     pub fn name(&self) -> String {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().procs[self.pid.index()].name.clone(),
-            Route::Sharded { cell, idx, .. } => shard::ctx_name(cell, *idx),
-        }
+        self.inner.state.lock().procs[self.pid.index()].name.clone()
     }
 
     /// Block for `d` of virtual time.
@@ -748,9 +555,7 @@ impl ProcessCtx {
     }
 
     /// Let every other ready process and same-instant event run, then
-    /// continue. Time does not advance. (On the sharded engine, "every
-    /// other" means this shard's processes; other shards run their own
-    /// schedules.)
+    /// continue. Time does not advance.
     pub fn yield_now(&self) {
         self.blocking("yield_now", self.yield_async());
     }
@@ -779,14 +584,9 @@ impl ProcessCtx {
                 return Poll::Ready(());
             }
             yielded = true;
-            match &self.route {
-                Route::Classic(inner) => {
-                    let mut st = inner.state.lock();
-                    st.procs[self.pid.index()].status = ProcStatus::Ready;
-                    st.ready.push_back(self.pid.0);
-                }
-                Route::Sharded { cell, idx, .. } => shard::ctx_ready_again(cell, *idx),
-            }
+            let mut st = self.inner.state.lock();
+            st.procs[self.pid.index()].status = ProcStatus::Ready;
+            st.ready.push_back(self.pid.0);
             Poll::Pending
         })
     }
@@ -794,19 +594,16 @@ impl ProcessCtx {
     /// [`recv`](Self::recv), for a future process: the next mailbox
     /// message.
     pub fn recv_async(&self) -> impl Future<Output = Payload> + '_ {
-        poll_fn(move |_| match &self.route {
-            Route::Classic(inner) => {
-                let mut st = inner.state.lock();
-                let slot = &mut st.procs[self.pid.index()];
-                match slot.mailbox.pop_front() {
-                    Some(msg) => Poll::Ready(msg),
-                    None => {
-                        slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
-                        Poll::Pending
-                    }
+        poll_fn(move |_| {
+            let mut st = self.inner.state.lock();
+            let slot = &mut st.procs[self.pid.index()];
+            match slot.mailbox.pop_front() {
+                Some(msg) => Poll::Ready(msg),
+                None => {
+                    slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
+                    Poll::Pending
                 }
             }
-            Route::Sharded { cell, idx, .. } => shard::ctx_poll_recv(cell, *idx),
         })
     }
 
@@ -818,19 +615,12 @@ impl ProcessCtx {
             let Some(start) = start else {
                 let now = self.now();
                 start = Some(now);
-                match &self.route {
-                    Route::Classic(inner) => {
-                        let mut st = inner.state.lock();
-                        st.queue.push(now + d, EventKind::Wake(self.pid));
-                        let slot = &mut st.procs[self.pid.index()];
-                        slot.status = ProcStatus::Blocked(BlockReason::Sleep);
-                        if is_compute {
-                            slot.compute_time += d;
-                        }
-                    }
-                    Route::Sharded { cell, idx, .. } => {
-                        shard::ctx_arm_wake(cell, *idx, self.pid, d, is_compute)
-                    }
+                let mut st = self.inner.state.lock();
+                st.queue.push(now + d, EventKind::Wake(self.pid));
+                let slot = &mut st.procs[self.pid.index()];
+                slot.status = ProcStatus::Blocked(BlockReason::Sleep);
+                if is_compute {
+                    slot.compute_time += d;
                 }
                 return Poll::Pending;
             };
@@ -862,52 +652,32 @@ impl ProcessCtx {
             if let Poll::Ready(out) = fut.as_mut().poll(&mut cx) {
                 return out;
             }
-            match &self.route {
-                Route::Classic(inner) => {
-                    debug_assert_ne!(
-                        inner.state.lock().procs[self.pid.index()].status,
-                        ProcStatus::Running,
-                        "ProcessCtx::{call}: pending on something other than a ProcessCtx wait"
-                    );
-                    carry(inner, Some(baton));
-                }
-                Route::Sharded { cell, .. } => shard::carry(cell, Some(baton)),
-            }
+            debug_assert_ne!(
+                self.inner.state.lock().procs[self.pid.index()].status,
+                ProcStatus::Running,
+                "ProcessCtx::{call}: pending on something other than a ProcessCtx wait"
+            );
+            carry(&self.inner, Some(baton));
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Payload> {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().procs[self.pid.index()]
-                .mailbox
-                .pop_front(),
-            Route::Sharded { cell, idx, .. } => shard::ctx_try_recv(cell, *idx),
-        }
+        self.inner.state.lock().procs[self.pid.index()]
+            .mailbox
+            .pop_front()
     }
 
     /// Number of messages currently queued.
     pub fn mailbox_len(&self) -> usize {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().procs[self.pid.index()].mailbox.len(),
-            Route::Sharded { cell, idx, .. } => shard::ctx_mailbox_len(cell, *idx),
-        }
+        self.inner.state.lock().procs[self.pid.index()]
+            .mailbox
+            .len()
     }
 
     /// Deliver `payload` to `to` after `delay` of virtual time.
-    ///
-    /// On the sharded engine a delivery to a process on another shard
-    /// must have `delay >= ` the link lookahead (the model's minimum
-    /// cross-node latency) — the engine asserts this, because it is
-    /// exactly what makes speculation-free parallel execution safe.
     pub fn deliver(&self, to: Pid, delay: SimDelta, payload: Payload) {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { rt, cell, .. } => {
-                shard::ctx_deliver(rt, cell, to, delay, payload);
-                return;
-            }
-        };
+        let inner = &self.inner;
         let at = inner.clock.get() + delay;
         inner
             .state
@@ -926,15 +696,8 @@ impl ProcessCtx {
     }
 
     /// Deliver `payload` to `to` at absolute time `at` (clamped to now).
-    /// Cross-shard deliveries must satisfy `at >= now + lookahead`.
     pub fn deliver_at(&self, to: Pid, at: SimTime, payload: Payload) {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { rt, cell, .. } => {
-                shard::ctx_deliver_at(rt, cell, to, at, payload);
-                return;
-            }
-        };
+        let inner = &self.inner;
         let at = at.max(inner.clock.get());
         inner
             .state
@@ -943,16 +706,15 @@ impl ProcessCtx {
             .push(at, EventKind::Deliver(to, payload));
     }
 
-    /// Create a FIFO resource at runtime. Classic loop only: a process
-    /// on the sharded engine panics here.
+    /// Create a FIFO resource at runtime.
     pub fn create_resource(&self, name: impl Into<String>) -> ResourceId {
-        new_resource(self.classic("ProcessCtx::create_resource"), name.into())
+        new_resource(&self.inner, name.into())
     }
 
     /// Reserve `res` for `dur`, starting no earlier than now. Returns the
     /// granted `(start, end)` window. Does not block the caller.
     pub fn reserve(&self, res: ResourceId, dur: SimDelta) -> (SimTime, SimTime) {
-        let inner = self.classic("ProcessCtx::reserve");
+        let inner = &self.inner;
         let now = inner.clock.get();
         inner.state.lock().resources[res.0 as usize].reserve(now, dur)
     }
@@ -965,7 +727,7 @@ impl ProcessCtx {
         earliest: SimTime,
         dur: SimDelta,
     ) -> (SimTime, SimTime) {
-        let inner = self.classic("ProcessCtx::reserve_from");
+        let inner = &self.inner;
         let from = earliest.max(inner.clock.get());
         inner.state.lock().resources[res.0 as usize].reserve(from, dur)
     }
@@ -1008,24 +770,12 @@ impl ProcessCtx {
     ///
     /// Delivery is batched, in emission order, and complete by the time
     /// `run()` returns. Without a sink an emit is a no-op that takes no
-    /// lock. On the classic engine the event is cloned into a buffer in
-    /// the simulation state; a batch goes to the sink, with the state
-    /// unlocked, when it holds [`EMIT_BATCH`](crate::EMIT_BATCH) events,
-    /// when an event of another type arrives, and at the end of the run.
-    /// On the sharded engine the event is boxed into the shard's buffer
-    /// and the sink runs on the coordinator thread between windows, in
-    /// canonical `(time, shard, sequence)` order — identical at every
-    /// thread count.
+    /// lock. The event is cloned into a buffer in the simulation state;
+    /// a batch goes to the sink, with the state unlocked, when it holds
+    /// [`EMIT_BATCH`](crate::EMIT_BATCH) events, when an event of another
+    /// type arrives, and at the end of the run.
     pub fn emit<E: Any + Clone + Send>(&self, event: &E) {
-        let inner = match &self.route {
-            Route::Classic(inner) => inner,
-            Route::Sharded { rt, cell, .. } => {
-                if shard::sink_installed(rt) {
-                    shard::ctx_emit(cell, self.pid, Box::new(event.clone()));
-                }
-                return;
-            }
-        };
+        let inner = &self.inner;
         let Some(sink) = inner.sink.get() else { return };
         let now = inner.clock.get();
         let full = {
@@ -1038,12 +788,9 @@ impl ProcessCtx {
         }
     }
 
-    /// The run's counter table (this shard's, on the sharded engine).
+    /// The run's counter table.
     fn stats(&self) -> &StatTable {
-        match &self.route {
-            Route::Classic(inner) => &inner.stats,
-            Route::Sharded { cell, .. } => &cell.stats,
-        }
+        &self.inner.stats
     }
 
     /// Add `n` to `key`'s counter. Takes no lock: the report's
@@ -1058,27 +805,22 @@ impl ProcessCtx {
         self.stats().add_time(key, d);
     }
 
-    /// Read `key`'s counter so far (mainly for tests). Sharded engine:
-    /// reads this shard's slice of the counter only.
+    /// Read `key`'s counter so far (mainly for tests).
     pub fn stat_counter(&self, key: &StatKey) -> u64 {
         self.stats().counter(key)
     }
 
-    /// Uniform random value in `[0, bound)` from the simulation's RNG
-    /// (this shard's private stream, on the sharded engine).
+    /// Uniform random value in `[0, bound)` from the simulation's one
+    /// RNG stream, seeded by [`Simulation::new`] and shared by every
+    /// process in draw order. A model that wants a stream per node (as
+    /// the scale workloads do) keeps its own [`SimRng`]s.
     pub fn gen_range(&self, bound: u64) -> u64 {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().rng.gen_range(bound),
-            Route::Sharded { cell, .. } => shard::ctx_gen_range(cell, bound),
-        }
+        self.inner.state.lock().rng.gen_range(bound)
     }
 
     /// Uniform random f64 in `[0, 1)` from the simulation's RNG.
     pub fn gen_f64(&self) -> f64 {
-        match &self.route {
-            Route::Classic(inner) => inner.state.lock().rng.gen_f64(),
-            Route::Sharded { cell, .. } => shard::ctx_gen_f64(cell),
-        }
+        self.inner.state.lock().rng.gen_f64()
     }
 }
 

@@ -115,18 +115,18 @@ struct Slot {
 }
 
 /// Ids below `1 << FIRST_SHIFT` live in the first segment; each later
-/// segment is twice the size of the one before. Small, because the
-/// sharded engine keeps one table per shard and a shard often bumps
-/// only a key or two.
+/// segment is twice the size of the one before. Small, because a run
+/// that bumps only a key or two should not pay for a large first
+/// segment.
 const FIRST_SHIFT: u32 = 3;
 /// Enough segments for every `u32` id.
 const SEGMENTS: usize = (u32::BITS + 1 - FIRST_SHIFT) as usize;
 
 /// One run's counters, indexed by [`StatKey`] id. It grows by segments
 /// allocated on first touch, and an allocated segment never moves, so a
-/// bump needs no lock. Only one simulated process runs at a time per
-/// table (one per classic simulation, one per shard), so the atomics are
-/// never contended; they make the table `Sync`, not a rendezvous.
+/// bump needs no lock. Only one simulated process of a simulation runs
+/// at a time, so the atomics are never contended; they make the table
+/// `Sync`, not a rendezvous.
 pub(crate) struct StatTable {
     segs: [OnceLock<Box<[Slot]>>; SEGMENTS],
 }

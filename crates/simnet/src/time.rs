@@ -74,14 +74,14 @@ impl SimTime {
     }
 }
 
-/// An engine's clock (the classic loop's, or one shard's), kept outside
+/// The engine's clock, kept outside
 /// its locked state so that [`ProcessCtx::now`](crate::ProcessCtx::now)
 /// is one load.
 ///
 /// Relaxed is enough. Only the thread that has control of the loop sets
 /// the clock (in the loop's step, under the state lock) or reads it, and
-/// control only changes hands through a mutex: a baton, the shard gate,
-/// or the state lock itself. That hand-off orders every earlier set
+/// control only changes hands through a mutex: a baton or the state lock
+/// itself. That hand-off orders every earlier set
 /// before every later read.
 pub(crate) struct Clock(AtomicU64);
 

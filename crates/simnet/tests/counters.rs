@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Barrier};
 
-use simnet::{Pid, ProcessCtx, SimDelta, Simulation, StatKey, Stats};
+use simnet::{Pid, SimDelta, Simulation, StatKey, Stats};
 
 /// Names out of name order, with prefixes of one another, so the report's
 /// order is the assembly's doing, not the declaration's.
@@ -143,20 +143,19 @@ fn simulations_running_at_once_keep_separate_counts() {
     assert_eq!(b.join().unwrap(), 20);
 }
 
-/// A token ring over four processes: each hop bumps the hop counter and
-/// a zero counter, the last lap leaves a late message to a finished
-/// process. `place` spawns process `i`.
-fn ring(
-    sim: &mut Simulation,
-    place: impl Fn(&mut Simulation, usize, Box<dyn FnOnce(ProcessCtx) + Send>) -> Pid,
-) {
+#[test]
+fn a_ring_run_reports_its_counters_and_times() {
+    // A token ring over four processes: each hop bumps the hop counter
+    // and a zero counter, the last lap leaves a late message to a
+    // finished process.
     static HOPS: StatKey = StatKey::new("counters.ring.hops");
     static WAIT: StatKey = StatKey::new("counters.ring.wait");
     static NOTHING: StatKey = StatKey::new("counters.ring.nothing");
     const N: usize = 4;
     const LAPS: u64 = 5;
+    let mut sim = Simulation::new(7);
     for i in 0..N {
-        let body = Box::new(move |ctx: ProcessCtx| {
+        sim.spawn(format!("r{i}"), move |ctx| {
             let next = Pid::from_index((i + 1) % N);
             if i == 0 {
                 ctx.deliver(next, SimDelta::from_us(1), Box::new(0u64));
@@ -173,42 +172,13 @@ fn ring(
                 }
             }
         });
-        assert_eq!(place(sim, i, body), Pid::from_index(i));
     }
-}
-
-#[test]
-fn a_sharded_run_merges_to_the_classic_runs_stats() {
-    let mut classic = Simulation::new(7);
-    ring(&mut classic, |sim, i, body| {
-        sim.spawn(format!("r{i}"), body)
-    });
-    let classic = classic.run().unwrap().stats;
-
-    let mut sharded = Simulation::new(7);
-    sharded.set_threads(4);
-    sharded.set_lookahead(SimDelta::from_us(1));
-    ring(&mut sharded, |sim, i, body| {
-        sim.spawn_on(i, format!("r{i}"), body)
-    });
-    let sharded = sharded.run().unwrap().stats;
-
-    assert_eq!(sharded.counter("simnet.sharded.shards"), 4);
-    let mut bare = Stats::new();
-    for (k, v) in sharded.counters() {
-        if !k.starts_with("simnet.sharded.") {
-            bare.incr(k, v);
-        }
-    }
-    for (k, v) in sharded.times() {
-        bare.add_time(k, v);
-    }
-    assert_eq!(counters(&bare), counters(&classic));
-    assert_eq!(times(&bare), times(&classic));
-    assert_eq!(classic.counter("counters.ring.hops"), 20);
-    assert_eq!(classic.counter("simnet.deliver_to_finished"), 1);
-    assert_eq!(classic.counter("counters.ring.nothing"), 0);
-    assert!(counters(&classic)
+    let stats = sim.run().unwrap().stats;
+    assert_eq!(stats.counter("counters.ring.hops"), 20);
+    assert_eq!(stats.counter("simnet.deliver_to_finished"), 1);
+    assert_eq!(stats.counter("counters.ring.nothing"), 0);
+    assert!(counters(&stats)
         .iter()
         .any(|(k, _)| k == "counters.ring.nothing"));
+    assert!(times(&stats).iter().any(|(k, _)| k == "counters.ring.wait"));
 }

@@ -166,31 +166,3 @@ fn a_process_panic_flushes_before_it_is_re_raised() {
     assert!(msg.contains("'boom' panicked: bang"), "{msg}");
     assert_eq!(rec.seen(), zeros(5));
 }
-
-#[test]
-fn sharded_windows_deliver_in_slices_and_flush_before_a_panic() {
-    let rec = Recorder::default();
-    let mut sim = Simulation::new(0);
-    sim.set_event_sink(rec.sink());
-    sim.set_threads(2);
-    sim.set_lookahead(SimDelta::from_us(1));
-    // More than a batch inside one window, then a second window.
-    let burst = EMIT_BATCH as u64 + 3;
-    sim.spawn_on(0, "burst", move |ctx| {
-        (0..burst).for_each(|v| ctx.emit(&v));
-        ctx.sleep(SimDelta::from_us(5));
-        ctx.emit(&burst);
-    });
-    sim.spawn_on(1, "boom", |ctx| {
-        ctx.sleep(SimDelta::from_us(5));
-        ctx.emit(&"last words");
-        panic!("bang");
-    });
-    let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("the panic surfaces");
-    assert!(err.downcast_ref::<String>().is_some());
-    let mut want = zeros(burst);
-    want.push((5_000_000, 0, burst.to_string()));
-    want.push((5_000_000, 1, "s:last words".into()));
-    assert_eq!(rec.seen(), want);
-    assert_eq!(rec.slices(), vec![EMIT_BATCH, 3, 2]);
-}

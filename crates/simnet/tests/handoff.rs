@@ -1,17 +1,11 @@
 //! The thread hand-off: a process thread that blocks or exits takes the
 //! loop's next step itself and wakes its successor directly, and only
-//! falls back to the loop's owner (`run()`'s caller, or a shard's worker)
-//! when a future is next, the window or the run is over, or something
-//! failed.
+//! falls back to the loop's owner (`run()`'s caller) when a future is
+//! next, the run is over, or something failed.
 //!
-//! None of that may be visible in a result. Every case of thread-backed
-//! processes runs on the classic loop and on the sharded one at 1 and 4
-//! workers, the latter once more under the `set_chaos` yield-injection
-//! shim. A case is built as independent *lanes*: all in the one loop on
-//! the classic engine (so threads of different lanes follow each other
-//! directly), one shard each on the sharded engine (so four workers have
-//! work). Cases with a future process run on the classic loop, the only
-//! one that has them.
+//! None of that may be visible in a result. A case is built as
+//! independent *lanes* of processes, all in the one loop, so threads of
+//! different lanes follow each other directly.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,54 +16,7 @@ use simnet::{
     BlockReason, Pid, ProcessCtx, Report, SimDelta, SimError, SimTime, Simulation, StatKey,
 };
 
-/// Which scheduler loop a case runs on.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Loop {
-    Classic,
-    Sharded { workers: usize, chaos: bool },
-}
-
-const LOOPS: [Loop; 4] = [
-    Loop::Classic,
-    Loop::Sharded {
-        workers: 1,
-        chaos: false,
-    },
-    Loop::Sharded {
-        workers: 4,
-        chaos: false,
-    },
-    Loop::Sharded {
-        workers: 4,
-        chaos: true,
-    },
-];
-
 const LANES: usize = 4;
-
-fn new_sim(on: Loop) -> Simulation {
-    let mut sim = Simulation::new(3);
-    if let Loop::Sharded { workers, chaos } = on {
-        sim.set_threads(workers);
-        if chaos {
-            sim.set_chaos(0xC4A05);
-        }
-    }
-    sim
-}
-
-fn spawn_thread(
-    sim: &mut Simulation,
-    on: Loop,
-    lane: usize,
-    name: String,
-    f: impl FnOnce(ProcessCtx) + Send + 'static,
-) -> Pid {
-    match on {
-        Loop::Classic => sim.spawn(name, f),
-        Loop::Sharded { .. } => sim.spawn_on(lane, name, f),
-    }
-}
 
 fn ns(n: u64) -> SimDelta {
     SimDelta::from_ns(n)
@@ -93,39 +40,31 @@ fn panic_text(f: impl FnOnce()) -> String {
 
 #[test]
 fn a_process_that_is_its_own_successor_just_carries_on() {
-    for on in LOOPS {
-        // One process per loop: whenever it blocks, it is next.
-        let lanes = if on == Loop::Classic { 1 } else { LANES };
-        let mut sim = new_sim(on);
-        for lane in 0..lanes {
-            spawn_thread(&mut sim, on, lane, format!("yielder{lane}"), |ctx| {
-                for _ in 0..3 {
-                    ctx.yield_now();
-                }
-            });
+    // One process in the loop: whenever it blocks, it is next.
+    let mut sim = Simulation::new(3);
+    sim.spawn("yielder", |ctx| {
+        for _ in 0..3 {
+            ctx.yield_now();
         }
-        let report = sim.run().unwrap();
-        assert_eq!(report.end_time, SimTime::ZERO, "{on:?}");
-        assert_eq!(report.events, 0, "{on:?}");
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(report.end_time, SimTime::ZERO);
+    assert_eq!(report.events, 0);
 
-        let mut sim = new_sim(on);
-        for lane in 0..lanes {
-            spawn_thread(&mut sim, on, lane, format!("sleeper{lane}"), |ctx| {
-                for i in 1..=3 {
-                    ctx.sleep(ns(300));
-                    assert_eq!(ctx.now(), SimTime::ZERO + ns(300 * i));
-                }
-                ctx.compute(ns(100));
-            });
+    let mut sim = Simulation::new(3);
+    sim.spawn("sleeper", |ctx| {
+        for i in 1..=3 {
+            ctx.sleep(ns(300));
+            assert_eq!(ctx.now(), SimTime::ZERO + ns(300 * i));
         }
-        let report = sim.run().unwrap();
-        assert_eq!(report.end_time, SimTime::ZERO + us(1), "{on:?}");
-        assert_eq!(report.events, 4 * lanes as u64, "{on:?}");
-        for p in &report.procs {
-            assert_eq!(p.compute_time, ns(100), "{on:?}");
-            assert_eq!(p.finished_at, SimTime::ZERO + us(1), "{on:?}");
-        }
-    }
+        ctx.compute(ns(100));
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(report.end_time, SimTime::ZERO + us(1));
+    assert_eq!(report.events, 4);
+    let p = &report.procs[0];
+    assert_eq!(p.compute_time, ns(100));
+    assert_eq!(p.finished_at, SimTime::ZERO + us(1));
 }
 
 /// Thread ids seen by a [`mixed_ring`] run.
@@ -135,8 +74,8 @@ struct Seen {
     future_threads: HashSet<ThreadId>,
 }
 
-/// Per lane, a token ring thread → thread → future → thread on the
-/// classic loop: `t0` starts the token, `t1` computes before forwarding
+/// Per lane, a token ring thread → thread → future → thread in one
+/// loop: `t0` starts the token, `t1` computes before forwarding
 /// it, the future reserves a resource, `t3` yields once. Every hand-off
 /// shape occurs: thread to thread, thread to owner (the future), owner
 /// to thread.
@@ -226,109 +165,100 @@ fn a_future_is_never_entered_on_a_process_thread() {
 
 #[test]
 fn a_panic_in_a_process_woken_by_another_process_thread_is_reraised() {
-    for on in LOOPS {
-        let text = panic_text(|| {
-            let mut sim = new_sim(on);
-            for lane in 0..LANES {
-                // `boom` blocks first, so `waker`'s first activation comes
-                // from boom's thread; waker then blocks and its own thread
-                // pops the delivery and wakes boom, which panics with the
-                // owner asleep throughout.
-                let boom = spawn_thread(&mut sim, on, lane, format!("boom{lane}"), |ctx| {
-                    let _ = ctx.recv();
-                    panic!("bang");
-                });
-                spawn_thread(&mut sim, on, lane, format!("waker{lane}"), move |ctx| {
-                    ctx.deliver(boom, us(1), Box::new(0u8));
-                    let _ = ctx.recv();
-                });
-            }
-            let _ = sim.run();
-        });
-        assert_eq!(text, "simulated process 'boom0' panicked: bang", "{on:?}");
-    }
+    let text = panic_text(|| {
+        let mut sim = Simulation::new(3);
+        for lane in 0..LANES {
+            // `boom` blocks first, so `waker`'s first activation comes
+            // from boom's thread; waker then blocks and its own thread
+            // pops the delivery and wakes boom, which panics with the
+            // owner asleep throughout.
+            let boom = sim.spawn(format!("boom{lane}"), |ctx| {
+                let _ = ctx.recv();
+                panic!("bang");
+            });
+            sim.spawn(format!("waker{lane}"), move |ctx| {
+                ctx.deliver(boom, us(1), Box::new(0u8));
+                let _ = ctx.recv();
+            });
+        }
+        let _ = sim.run();
+    });
+    assert_eq!(text, "simulated process 'boom0' panicked: bang");
 }
 
 #[test]
 fn a_deadlock_is_detected_while_a_process_thread_carries_the_loop() {
-    for on in LOOPS {
-        let mut sim = new_sim(on);
-        for lane in 0..LANES {
-            spawn_thread(&mut sim, on, lane, format!("a{lane}"), |ctx| {
-                ctx.sleep(us(2));
-                let _ = ctx.recv();
-            });
-            spawn_thread(&mut sim, on, lane, format!("b{lane}"), |ctx| {
-                let _ = ctx.recv();
-            });
+    let mut sim = Simulation::new(3);
+    for lane in 0..LANES {
+        sim.spawn(format!("a{lane}"), |ctx| {
+            ctx.sleep(us(2));
+            let _ = ctx.recv();
+        });
+        sim.spawn(format!("b{lane}"), |ctx| {
+            let _ = ctx.recv();
+        });
+    }
+    // The last thing to happen is a's thread finding the queue empty.
+    match sim.run() {
+        Err(SimError::Deadlock { now, blocked }) => {
+            assert_eq!(now, SimTime::ZERO + us(2));
+            assert_eq!(blocked.len(), 2 * LANES);
+            assert_eq!(
+                blocked[..2],
+                [
+                    ("a0".to_string(), BlockReason::WaitMessage),
+                    ("b0".to_string(), BlockReason::WaitMessage)
+                ]
+            );
         }
-        // The last thing to happen is a's thread finding the queue empty.
-        match sim.run() {
-            Err(SimError::Deadlock { now, blocked }) => {
-                assert_eq!(now, SimTime::ZERO + us(2), "{on:?}");
-                assert_eq!(blocked.len(), 2 * LANES, "{on:?}");
-                assert_eq!(
-                    blocked[..2],
-                    [
-                        ("a0".to_string(), BlockReason::WaitMessage),
-                        ("b0".to_string(), BlockReason::WaitMessage)
-                    ],
-                    "{on:?}"
-                );
-            }
-            other => panic!("{on:?}: expected deadlock, got {other:?}"),
-        }
+        other => panic!("expected deadlock, got {other:?}"),
     }
 }
 
 #[test]
 fn the_time_limit_is_enforced_while_a_process_thread_carries_the_loop() {
-    for on in LOOPS {
-        let mut sim = new_sim(on);
-        let limit = SimTime::ZERO + ns(700);
-        sim.set_time_limit(limit);
-        for lane in 0..LANES {
-            // The third wake-up lies past the limit; the sleeper's own
-            // thread is the one that looks at it.
-            spawn_thread(&mut sim, on, lane, format!("sleeper{lane}"), |ctx| loop {
-                ctx.sleep(ns(300));
-            });
-        }
-        match sim.run() {
-            Err(SimError::TimeLimitExceeded { limit: l }) => assert_eq!(l, limit, "{on:?}"),
-            other => panic!("{on:?}: expected the time limit, got {other:?}"),
-        }
+    let mut sim = Simulation::new(3);
+    let limit = SimTime::ZERO + ns(700);
+    sim.set_time_limit(limit);
+    for lane in 0..LANES {
+        // The third wake-up lies past the limit; the sleeper's own
+        // thread is the one that looks at it.
+        sim.spawn(format!("sleeper{lane}"), |ctx| loop {
+            ctx.sleep(ns(300));
+        });
+    }
+    match sim.run() {
+        Err(SimError::TimeLimitExceeded { limit: l }) => assert_eq!(l, limit),
+        other => panic!("expected the time limit, got {other:?}"),
     }
 }
 
 /// The livelock bound is a constant, 50 million executions: seconds of
-/// zero-switch yields per loop in a release build, a minute in a debug one.
-/// `ci.sh` runs this case with `--release -- --ignored`; the classic loop's
+/// zero-switch yields in a release build, a minute in a debug one.
+/// `ci.sh` runs this case with `--release -- --ignored`; the loop's
 /// detection path is also covered, with the counter pre-wound, by
 /// `sim::tests::a_livelock_is_detected_by_a_carrying_process_thread`.
 #[test]
-#[ignore = "spins to the 50 M livelock bound on each loop; ci.sh runs it in release"]
+#[ignore = "spins to the 50 M livelock bound; ci.sh runs it in release"]
 fn a_livelock_is_detected_while_a_process_thread_carries_the_loop() {
-    for on in LOOPS {
-        let mut sim = new_sim(on);
-        for lane in 0..LANES {
-            spawn_thread(&mut sim, on, lane, format!("passer-by{lane}"), |ctx| {
-                ctx.sleep(us(1));
-                ctx.yield_now();
-            });
-        }
-        // Always ready and, once its neighbour has gone, always its own
-        // successor: the clock cannot move and the owner never gets a
-        // look in.
-        spawn_thread(&mut sim, on, 0, "spinner".to_string(), |ctx| {
+    let mut sim = Simulation::new(3);
+    for lane in 0..LANES {
+        sim.spawn(format!("passer-by{lane}"), |ctx| {
             ctx.sleep(us(1));
-            loop {
-                ctx.yield_now();
-            }
+            ctx.yield_now();
         });
-        match sim.run() {
-            Err(SimError::Livelock { now }) => assert_eq!(now, SimTime::ZERO + us(1), "{on:?}"),
-            other => panic!("{on:?}: expected a livelock, got {other:?}"),
+    }
+    // Always ready and, once its neighbours have gone, always its own
+    // successor: the clock cannot move and the owner never gets a look
+    // in.
+    sim.spawn("spinner", |ctx| {
+        ctx.sleep(us(1));
+        loop {
+            ctx.yield_now();
         }
+    });
+    match sim.run() {
+        Err(SimError::Livelock { now }) => assert_eq!(now, SimTime::ZERO + us(1)),
+        other => panic!("expected a livelock, got {other:?}"),
     }
 }

@@ -34,15 +34,12 @@ fn assert_threads(want: usize, what: &str) {
     assert_eq!(os_threads(), want, "{what}");
 }
 
-/// Four processes on two shards (or the classic loop when `workers` is
-/// `None`): two wait for mail that never comes, two sleep in a loop.
-fn stuck_sim(workers: Option<usize>) -> Simulation {
+/// Four processes: two wait for mail that never comes, two sleep in a
+/// loop.
+fn stuck_sim() -> Simulation {
     let mut sim = Simulation::new(0);
-    if let Some(w) = workers {
-        sim.set_threads(w);
-    }
     for i in 0..4usize {
-        let f = move |ctx: simnet::ProcessCtx| {
+        sim.spawn(format!("p{i}"), move |ctx| {
             if i % 2 == 0 {
                 let _ = ctx.recv();
             } else {
@@ -53,11 +50,7 @@ fn stuck_sim(workers: Option<usize>) -> Simulation {
                     let _ = ctx.recv();
                 }
             }
-        };
-        match workers {
-            None => sim.spawn(format!("p{i}"), f),
-            Some(_) => sim.spawn_on(i / 2, format!("p{i}"), f),
-        };
+        });
     }
     sim
 }
@@ -65,26 +58,20 @@ fn stuck_sim(workers: Option<usize>) -> Simulation {
 #[test]
 fn failed_runs_leave_no_thread_behind() {
     let before = os_threads();
-    for workers in [None, Some(1), Some(2)] {
-        for _ in 0..50 {
-            let sim = stuck_sim(workers);
-            assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
-            assert_threads(before, &format!("deadlock, {workers:?}"));
+    for _ in 0..50 {
+        let sim = stuck_sim();
+        assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+        assert_threads(before, "deadlock");
 
-            let mut sim = stuck_sim(workers);
-            sim.set_time_limit(SimTime::ZERO + SimDelta::from_ns(1500));
-            assert!(matches!(sim.run(), Err(SimError::TimeLimitExceeded { .. })));
-            assert_threads(before, &format!("time limit, {workers:?}"));
-        }
-        // The rarer way out, once: a panic (where the run has no result
-        // to return at all).
-        let mut sim = stuck_sim(workers);
-        let boom = |_: simnet::ProcessCtx| panic!("bang");
-        match workers {
-            None => sim.spawn("boom", boom),
-            Some(_) => sim.spawn_on(1, "boom", boom),
-        };
-        assert!(catch_unwind(AssertUnwindSafe(|| sim.run())).is_err());
-        assert_threads(before, &format!("panic, {workers:?}"));
+        let mut sim = stuck_sim();
+        sim.set_time_limit(SimTime::ZERO + SimDelta::from_ns(1500));
+        assert!(matches!(sim.run(), Err(SimError::TimeLimitExceeded { .. })));
+        assert_threads(before, "time limit");
     }
+    // The rarer way out, once: a panic (where the run has no result to
+    // return at all).
+    let mut sim = stuck_sim();
+    sim.spawn("boom", |_| panic!("bang"));
+    assert!(catch_unwind(AssertUnwindSafe(|| sim.run())).is_err());
+    assert_threads(before, "panic");
 }

@@ -41,7 +41,7 @@ pub struct CheckRun {
     /// Move real bytes through the fabric so drivers can fill and verify
     /// payload patterns (default: timing-only, no byte movement).
     pub move_bytes: bool,
-    /// `None` or `Some(1)`: a cluster runs on the classic loop, and
+    /// `None` or `Some(1)`: a cluster runs on simnet's one loop, and
     /// anything else panics (see [`rdma::ClusterBuilder::with_threads`]).
     /// Kept as a field because the benchmark package sets it; it goes
     /// with that package's re-base (ROADMAP item 6).

@@ -234,13 +234,6 @@ fn profile_table(doc: &obs::Json, top_k: usize) -> Result<String, String> {
             out.push('\n');
         }
     }
-    if let Some(Json::Obj(totals)) = doc.get("engine_totals") {
-        let parts: Vec<String> = totals
-            .iter()
-            .map(|(k, v)| format!("{k}={}", v.as_u64().unwrap_or(0)))
-            .collect();
-        out.push_str(&format!("engine: {}\n", parts.join(" ")));
-    }
     Ok(out)
 }
 

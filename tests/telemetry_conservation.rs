@@ -108,7 +108,6 @@ fn snapshot_stream_renders_as_valid_profile_v1() {
         let doc = render_profile(&ProfileDoc {
             bench: "telemetry_conservation",
             report: &report,
-            engine: None,
             snapshots: &snaps,
             wall,
         });
