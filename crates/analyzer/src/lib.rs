@@ -177,7 +177,9 @@ pub struct Config {
     /// Roots whose `parking_lot` lock acquisitions feed the lock-order
     /// graph.
     pub lock_roots: Vec<String>,
-    /// Hot-path files audited for panic sites against the baseline.
+    /// Hot-path files audited for panic sites against the baseline: a
+    /// path audits every file it is a prefix of (a directory ending in
+    /// `/` audits the whole tree under it).
     pub panic_files: Vec<String>,
 }
 
@@ -211,7 +213,7 @@ impl Config {
                 "crates/workloads/src",
                 "crates/minimpi/src",
             ]),
-            panic_files: s(&["crates/core/src/proxy.rs", "crates/core/src/host.rs"]),
+            panic_files: s(&["crates/core/src/proxy/", "crates/core/src/host.rs"]),
         }
     }
 }
@@ -245,6 +247,7 @@ pub fn analyze(tree: &Tree, cfg: &Config, baseline_text: &str) -> Analysis {
     findings.extend(rules::drift::error_drift(&set, cfg));
     findings.extend(rules::parallel::concurrency_ban(&set, cfg));
     findings.extend(rules::parallel::lock_order(&set, cfg));
+    findings.extend(rules::parallel::panic_scope_gaps(&set, cfg));
     let hits = rules::parallel::panic_hits(&set, cfg);
     let resolved = baseline::apply(&hits, baseline_text);
     findings.extend(resolved.findings);

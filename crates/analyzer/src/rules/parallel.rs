@@ -19,7 +19,9 @@
 //! * [`panic_hits`] — `unwrap()`, `expect()` and index expressions on
 //!   the proxy/host hot paths, diffed against a committed baseline by
 //!   [`crate::baseline`]: the existing debt is pinned, new panic sites
-//!   fail the gate.
+//!   fail the gate. [`panic_scope_gaps`] fails it too when an audited
+//!   path matches no file, so a rename or a split cannot end the audit
+//!   in silence.
 //!
 //! The lock-guard tracking is deliberately conservative and syntactic:
 //! a `let g = x.lock()` guard lives to the end of its enclosing block
@@ -395,12 +397,29 @@ const NONINDEX_KEYWORDS: &[&str] = &[
     "struct", "enum", "trait", "unsafe", "dyn", "box", "await",
 ];
 
+/// Audited hot paths that match no file.
+pub fn panic_scope_gaps(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
+    let unmatched = |p: &&String| set.under(std::slice::from_ref(*p)).next().is_none();
+    cfg.panic_files
+        .iter()
+        .filter(unmatched)
+        .map(|p| Finding {
+            rule: PANIC_PATH,
+            path: p.clone(),
+            line: 1,
+            msg: format!(
+                "audited hot path `{p}` matches no file; point the panic audit's \
+                 `panic_files` at where that code lives now"
+            ),
+        })
+        .collect()
+}
+
 /// Collect the raw panic-site hits on the configured hot-path files.
 /// Baseline subtraction happens in [`crate::baseline::apply`].
 pub fn panic_hits(set: &SourceSet, cfg: &Config) -> Vec<PanicHit> {
     let mut out = Vec::new();
-    for path in &cfg.panic_files {
-        let Some(file) = set.get(path) else { continue };
+    for file in set.under(&cfg.panic_files) {
         let toks = &file.lexed.toks;
         for i in 0..toks.len() {
             if !file.live(i) {

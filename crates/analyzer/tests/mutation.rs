@@ -181,6 +181,36 @@ fn new_hot_path_unwrap_is_caught() {
 }
 
 #[test]
+fn new_unwrap_in_the_group_engine_is_caught() {
+    // The proxy is a directory of files; every one of them is audited.
+    let mut tree = repo_tree();
+    tree.edit("crates/core/src/proxy/group.rs", |s| {
+        format!("{s}\nfn seeded_panic_site() -> String {{ std::env::args().next().unwrap() }}\n")
+    });
+    let hits = findings_for(&tree, "panic-path");
+    assert!(
+        hits.iter()
+            .any(|f| { f.path == "crates/core/src/proxy/group.rs" && f.msg.contains("unwrap") }),
+        "unbaselined unwrap in the group engine must be caught: {hits:?}"
+    );
+}
+
+#[test]
+fn audited_path_that_matches_no_file_is_caught() {
+    // A split or rename that leaves the audit pointing at a gone file
+    // must fail the gate, not quietly audit nothing.
+    let mut cfg = Config::repo();
+    cfg.panic_files.push("crates/core/src/gone.rs".into());
+    let findings = analyze(&repo_tree(), &cfg, &panic_baseline()).findings;
+    assert!(
+        findings.iter().any(|f| f.rule == "panic-path"
+            && f.path == "crates/core/src/gone.rs"
+            && f.msg.contains("matches no file")),
+        "an audited path with no file must be caught: {findings:?}"
+    );
+}
+
+#[test]
 fn banned_primitive_is_caught() {
     let mut tree = repo_tree();
     tree.insert(

@@ -311,7 +311,7 @@ mod tests {
             h.breaker_probes, h.breaker_half_opens,
             "every half-open admits exactly one probe"
         );
-        let window = offload::HealthConfig::armed().window as u64;
+        let window = offload::HealthConfig::WINDOW as u64;
         assert!(
             report.fallback_staging <= h.breaker_probes + window,
             "fallback round-trips ({}) must collapse to the probe cadence \
@@ -367,7 +367,7 @@ mod tests {
     #[test]
     fn brownout_sheds_typed_and_surfaces_exactly_once() {
         // A total data-plane brownout with the health engine armed: the
-        // per-peer retry budget (smaller than data_retx_max) runs dry
+        // per-peer retry budget (smaller than `OffloadConfig::DATA_RETX_MAX`) runs dry
         // first, both ends surface a typed RetryBudgetExhausted (the
         // driver asserts the variant), every shed pairs with a
         // ReqFailed (invariant 18), and the retransmission budget never

@@ -2,10 +2,12 @@
 //! called out in DESIGN.md and the fault-injection plan consumed by the
 //! reliability layer (DESIGN.md §13).
 
+use std::collections::BTreeMap;
 use std::fmt;
 
+use simnet::SimDelta;
+
 use crate::health::HealthConfig;
-use crate::reliable::RetryKnobs;
 
 /// Identity of one tenant (job) sharing the offload plane. Ranks map to
 /// tenants round-robin (`rank % tenants.len()`); tenant 0 is the
@@ -65,7 +67,9 @@ impl TenantSpec {
 }
 
 /// One tenant's effective limits: its [`TenantSpec`] resolved against
-/// the roster by [`OffloadConfig::quota`]. A 0 limit is unarmed.
+/// the roster by [`OffloadConfig::quota`]. A 0 limit is unarmed. Both
+/// ends decide admission from it alone: the host with
+/// [`TenantQuota::verdict`], the proxy with [`TenantQuota::free_slots`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TenantQuota {
     /// Credit window: admitted-unfinished basic posts per rank before
@@ -75,6 +79,56 @@ pub struct TenantQuota {
     pub hard: usize,
     /// Slots of the proxy descriptor pool the tenant may hold.
     pub share: usize,
+    /// The descriptor pool of one proxy ([`OffloadConfig::queue_cap`]),
+    /// which is also the credit window a rank holds per target.
+    pub cap: usize,
+}
+
+/// The host's verdict on one basic post ([`TenantQuota::verdict`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Verdict {
+    /// Ship it now, charging the target one credit.
+    Admit,
+    /// Park it until a credit frees up.
+    Defer,
+    /// Fail it with [`crate::OffloadError::QuotaExceeded`].
+    Shed,
+}
+
+impl TenantQuota {
+    /// The host's verdict on a post to endpoint `target`: shed when the
+    /// rank's `live` basic posts (this one included) are over the hard
+    /// quota; defer when the target already holds `cap` of the rank's
+    /// credits or the rank's `window` holds `soft` in total; admit
+    /// otherwise. `window` is the rank's credits per target endpoint.
+    pub(crate) fn verdict(
+        &self,
+        live: usize,
+        window: &BTreeMap<usize, usize>,
+        target: usize,
+    ) -> Verdict {
+        if self.hard > 0 && live > self.hard {
+            return Verdict::Shed;
+        }
+        let at_target = || window.get(&target).copied().unwrap_or(0);
+        if (self.cap > 0 && at_target() >= self.cap)
+            || (self.soft > 0 && window.values().sum::<usize>() >= self.soft)
+        {
+            return Verdict::Defer;
+        }
+        Verdict::Admit
+    }
+
+    /// Descriptors the tenant may still queue at a proxy whose pool
+    /// holds `pool` descriptors, `held` of them the tenant's: both sides
+    /// count against one pool, the paper's worker's single descriptor
+    /// pool, and each tenant against its weighted share of it (one
+    /// tenant's share is the whole pool), so a flooding tenant fills
+    /// only its own share. 0 while the pool is unbounded.
+    pub(crate) fn free_slots(&self, pool: usize, held: usize) -> usize {
+        let free = self.cap.saturating_sub(pool);
+        free.min(self.share.saturating_sub(held))
+    }
 }
 
 /// Which mechanism moves the payload (paper Fig. 6).
@@ -330,12 +384,6 @@ pub struct OffloadConfig {
     /// Use the group-request metadata caches (paper §VII-D). Off = full
     /// metadata exchange on every `Group_Offload_call` (ablation 3).
     pub use_group_cache: bool,
-    /// Modelled wire size of one control message (RTS/RTR/FIN/EXEC).
-    pub ctrl_bytes: u64,
-    /// Modelled wire size of one group-packet entry.
-    pub entry_bytes: u64,
-    /// ARM time the proxy spends interpreting one queue/packet entry.
-    pub proxy_entry_overhead: simnet::SimDelta,
     /// Bound on the proxy's pending send+recv descriptor queues
     /// (0 = unbounded, the PR-4-identical default). When armed, hosts
     /// run credit-based admission: at most this many un-FINned basic
@@ -368,17 +416,6 @@ pub struct OffloadConfig {
     pub tenants: Vec<TenantSpec>,
     /// Fault plan (checker validation and fault-soak only).
     pub fault: FaultPlan,
-    /// Ctrl-plane retransmission backoff floor (PR 10 lifted the former
-    /// `RETX_BASE` const; also paces data-path and backpressure retries).
-    pub retx_base: simnet::SimDelta,
-    /// Retransmission backoff ceiling (former `RETX_CAP` const).
-    pub retx_cap: simnet::SimDelta,
-    /// Ctrl-plane send attempts (original + retransmits) before a
-    /// message is abandoned (former `MAX_ATTEMPTS` const).
-    pub ctrl_max_attempts: u32,
-    /// Data-path delivery attempts before a transfer fails integrity
-    /// permanently (former `DATA_RETX_MAX` const in `proxy.rs`).
-    pub data_retx_max: u32,
     /// Fabric health engine: per-(peer, path) circuit breakers and
     /// retry budgets (DESIGN.md §19). Disabled by default — clean runs
     /// stay counter-identical to the pre-health engine.
@@ -391,25 +428,28 @@ impl Default for OffloadConfig {
             data_path: DataPath::Gvmi,
             use_gvmi_cache: true,
             use_group_cache: true,
-            ctrl_bytes: 64,
-            entry_bytes: 48,
-            proxy_entry_overhead: simnet::SimDelta::from_ns(120),
             queue_cap: 0,
             staging_cap: 0,
             journal_cap: 0,
             cache_budget: 0,
             tenants: Vec::new(),
             fault: FaultPlan::none(),
-            retx_base: crate::reliable::DEFAULT_RETX_BASE,
-            retx_cap: crate::reliable::DEFAULT_RETX_CAP,
-            ctrl_max_attempts: crate::reliable::DEFAULT_CTRL_MAX_ATTEMPTS,
-            data_retx_max: 8,
             health: HealthConfig::default(),
         }
     }
 }
 
 impl OffloadConfig {
+    /// Modelled wire size of one control message (RTS/RTR/FIN/EXEC).
+    pub const CTRL_BYTES: u64 = 64;
+    /// Modelled wire size of one group-packet entry.
+    pub const ENTRY_BYTES: u64 = 48;
+    /// ARM time the proxy spends interpreting one queue/packet entry.
+    pub const PROXY_ENTRY_OVERHEAD: SimDelta = SimDelta::from_ns(120);
+    /// Data-path delivery attempts before a transfer fails integrity
+    /// permanently.
+    pub const DATA_RETX_MAX: u32 = 8;
+
     /// The paper's proposed configuration (GVMI + both caches).
     pub fn proposed() -> Self {
         Self::default()
@@ -479,40 +519,6 @@ impl OffloadConfig {
         self
     }
 
-    /// Tune the retry pacing knobs (backoff floor/ceiling, ctrl and
-    /// data attempt bounds) lifted from the former compile-time consts.
-    pub fn with_retry_tuning(
-        mut self,
-        base: simnet::SimDelta,
-        cap: simnet::SimDelta,
-        ctrl_max_attempts: u32,
-        data_retx_max: u32,
-    ) -> Self {
-        self.retx_base = base;
-        self.retx_cap = cap;
-        self.ctrl_max_attempts = ctrl_max_attempts;
-        self.data_retx_max = data_retx_max;
-        self
-    }
-
-    /// The [`RetryKnobs`] a [`crate::reliable::ReliableLink`] should run
-    /// with. `with_budget` arms the per-peer ctrl retry budget — hosts
-    /// pass true; proxies pass false (a budget-shed proxy FIN could
-    /// wedge a completion, so the proxy side stays attempt-bounded
-    /// only). The budget arms only when the health engine is enabled.
-    pub(crate) fn ctrl_knobs(&self, with_budget: bool) -> RetryKnobs {
-        RetryKnobs {
-            base: self.retx_base,
-            cap: self.retx_cap,
-            max_attempts: self.ctrl_max_attempts,
-            budget: if with_budget && self.health.enabled {
-                Some((self.health.ctrl_budget, self.health.ctrl_refill))
-            } else {
-                None
-            },
-        }
-    }
-
     /// Whether per-tenant admission is armed (two or more tenants).
     pub fn multi_tenant(&self) -> bool {
         self.tenants.len() > 1
@@ -542,6 +548,7 @@ impl OffloadConfig {
                 soft: 0,
                 hard: 0,
                 share: cap,
+                cap,
             };
         }
         let spec = |t: TenantId| self.tenants.get(t).copied().unwrap_or_default();
@@ -557,6 +564,7 @@ impl OffloadConfig {
             hard: own.hard_quota,
             // `min` keeps an unarmed pool at no share.
             share: (cap * weight / total).max(1).min(cap),
+            cap,
         }
     }
 }
@@ -716,6 +724,96 @@ mod tests {
         assert_eq!(c.tenant_of(3), 1);
     }
 
+    /// The admission code [`TenantQuota::verdict`] and
+    /// [`TenantQuota::free_slots`] replace, copied as the oracle: the
+    /// host's hard-quota check, then `blocked` gated by `credit_armed`
+    /// (a flush never shed), and the proxy's `free_slots`.
+    fn old_verdict(
+        cfg: &OffloadConfig,
+        q: TenantQuota,
+        live: usize,
+        window: &BTreeMap<usize, usize>,
+        to: usize,
+        flush: bool,
+    ) -> Verdict {
+        if !flush && q.hard > 0 && live > q.hard {
+            return Verdict::Shed;
+        }
+        let credit_armed = cfg.queue_cap > 0 || q.soft > 0;
+        let used = window.get(&to).copied().unwrap_or(0);
+        let blocked = (cfg.queue_cap > 0 && used >= cfg.queue_cap)
+            || (q.soft > 0 && window.values().sum::<usize>() >= q.soft);
+        if credit_armed && blocked {
+            Verdict::Defer
+        } else {
+            Verdict::Admit
+        }
+    }
+
+    fn old_free_slots(cfg: &OffloadConfig, tenant: TenantId, len: usize, held: usize) -> usize {
+        let pool = cfg.queue_cap.saturating_sub(len);
+        pool.min(cfg.quota(tenant).share.saturating_sub(held))
+    }
+
+    #[test]
+    fn one_verdict_and_free_slots_match_the_code_they_replace() {
+        let spec = |soft, hard, w| {
+            TenantSpec::inherit()
+                .with_soft_quota(soft)
+                .with_hard_quota(hard)
+                .with_weight(w)
+        };
+        let rosters: Vec<Vec<TenantSpec>> = [(0, 0), (2, 0), (0, 3), (2, 3)]
+            .into_iter()
+            .flat_map(|(soft, hard)| {
+                [
+                    vec![spec(soft, hard, 0)],
+                    vec![spec(soft, hard, 1), spec(0, 0, 3)],
+                    vec![spec(0, hard, 2), spec(soft, 0, 1), spec(soft, hard, 5)],
+                ]
+            })
+            .collect();
+        // Credit windows over targets 0 and 1 (target 2 holds none).
+        let levels = [0, 1, 2, 7, 8, 9];
+        let windows: Vec<BTreeMap<usize, usize>> = levels
+            .iter()
+            .flat_map(|&a| {
+                levels
+                    .iter()
+                    .map(move |&b| BTreeMap::from([(0, a), (1, b)]))
+            })
+            .collect();
+        for cap in [0, 1, 8] {
+            for roster in &rosters {
+                let cfg = OffloadConfig::proposed()
+                    .with_queue_cap(cap)
+                    .with_tenants(roster.clone());
+                for tenant in 0..=roster.len() {
+                    let q = cfg.quota(tenant);
+                    for (window, live, to) in windows.iter().flat_map(|w| {
+                        [0, 1, 3, 4, 9]
+                            .into_iter()
+                            .flat_map(move |l| (0..3).map(move |t| (w, l, t)))
+                    }) {
+                        let what = format!("cap {cap} {roster:?} t{tenant} {window:?} {live} {to}");
+                        let want = old_verdict(&cfg, q, live, window, to, false);
+                        assert_eq!(q.verdict(live, window, to), want, "post: {what}");
+                        let want = old_verdict(&cfg, q, live, window, to, true);
+                        assert_eq!(q.verdict(0, window, to), want, "flush: {what}");
+                    }
+                    for (len, held) in (0..=10).flat_map(|n| (0..=n).map(move |h| (n, h))) {
+                        let want = old_free_slots(&cfg, tenant, len, held);
+                        assert_eq!(
+                            q.free_slots(len, held),
+                            want,
+                            "cap {cap} t{tenant} {len}/{held}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn quotas_apply_the_roster_rules() {
         let roster = |cap: usize, specs: &[TenantSpec]| {
@@ -723,7 +821,12 @@ mod tests {
                 .with_queue_cap(cap)
                 .with_tenants(specs.to_vec())
         };
-        let q = |soft, hard, share| TenantQuota { soft, hard, share };
+        let q = |soft, hard, share| TenantQuota {
+            soft,
+            hard,
+            share,
+            cap: 0,
+        };
         let inherit = TenantSpec::inherit();
         let overrides = [inherit, inherit.with_soft_quota(2).with_hard_quota(4)];
         let weighted = [inherit.with_weight(3), inherit];
@@ -756,6 +859,10 @@ mod tests {
             ("uncapped, no pool", roster(0, &overrides), 1, q(2, 4, 0)),
         ];
         for (what, cfg, tenant, want) in rows {
+            let want = TenantQuota {
+                cap: cfg.queue_cap,
+                ..want
+            };
             assert_eq!(cfg.quota(tenant), want, "{what}: tenant {tenant}");
         }
     }

@@ -13,9 +13,9 @@
 //!   bounded sliding window of per-path outcomes (cross-registration
 //!   results, staged-hop completions, payload-CRC verdicts). A breaker
 //!   trips `Closed → Open` when the window's failure rate crosses
-//!   [`HealthConfig::trip_permille`]; while open, posts are routed
+//!   [`HealthConfig::TRIP_PERMILLE`]; while open, posts are routed
 //!   around the sick path without probing it (cross-GVMI → staging,
-//!   staging → host-direct). After [`HealthConfig::probe_cooldown`]
+//!   staging → host-direct). After [`HealthConfig::PROBE_COOLDOWN`]
 //!   rerouted posts (plus seeded deterministic jitter) the breaker goes
 //!   `Open → HalfOpen` and admits exactly one probe; the probe's result
 //!   closes or re-opens it.
@@ -43,90 +43,45 @@ use std::collections::BTreeMap;
 use crate::events::HealthPath;
 use crate::reliable::FaultRng;
 
-/// Health-engine knobs ([`crate::OffloadConfig::health`]). The default
+/// Health-engine switch ([`crate::OffloadConfig::health`]). The default
 /// is **disabled** — breakers and budgets only arm when a run opts in
-/// via [`HealthConfig::armed`] or the builder methods.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// via [`HealthConfig::armed`]. Their tuning is the associated
+/// constants.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct HealthConfig {
     /// Master switch. Off by default: clean runs stay byte-identical to
     /// the pre-health protocol.
     pub enabled: bool,
-    /// Sliding-window length (outcomes) per `(peer, path)` breaker.
-    pub window: usize,
-    /// Failure-rate trip threshold, in permille of the window.
-    pub trip_permille: u32,
-    /// Minimum outcomes in the window before the breaker may trip (a
-    /// single early failure must not open a breaker).
-    pub min_samples: usize,
-    /// Rerouted posts an open breaker absorbs before transitioning to
-    /// half-open and admitting its single probe. Seeded jitter of up to
-    /// a quarter of this value is added per episode.
-    pub probe_cooldown: u32,
-    /// Ctrl-plane retry-budget bucket capacity (tokens per peer; one
-    /// token per retransmission). Zero disables the ctrl budget even
-    /// when the engine is enabled.
-    pub ctrl_budget: u32,
-    /// Tokens returned to a peer's ctrl bucket per acknowledged
-    /// delivery, capped at `ctrl_budget`.
-    pub ctrl_refill: u32,
-    /// Data-plane retry-budget bucket capacity (tokens per peer; one
-    /// token per payload retransmit). Zero disables the data budget.
-    pub data_budget: u32,
-    /// Tokens returned to a peer's data bucket per recovered payload,
-    /// capped at `data_budget`.
-    pub data_refill: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            enabled: false,
-            window: 16,
-            trip_permille: 500,
-            min_samples: 4,
-            probe_cooldown: 8,
-            ctrl_budget: 6,
-            ctrl_refill: 2,
-            data_budget: 4,
-            data_refill: 2,
-        }
-    }
 }
 
 impl HealthConfig {
-    /// The default knob set with the engine switched on.
+    /// Sliding-window length (outcomes) per `(peer, path)` breaker.
+    pub const WINDOW: usize = 16;
+    /// Failure-rate trip threshold, in permille of the window.
+    pub const TRIP_PERMILLE: u32 = 500;
+    /// Minimum outcomes in the window before the breaker may trip (a
+    /// single early failure must not open a breaker).
+    pub const MIN_SAMPLES: usize = 4;
+    /// Rerouted posts an open breaker absorbs before transitioning to
+    /// half-open and admitting its single probe. Seeded jitter of up to
+    /// a quarter of this value is added per episode.
+    pub const PROBE_COOLDOWN: u32 = 8;
+    /// Ctrl-plane retry-budget bucket capacity (tokens per peer; one
+    /// token per retransmission).
+    pub const CTRL_BUDGET: u32 = 6;
+    /// Tokens returned to a peer's ctrl bucket per acknowledged
+    /// delivery, capped at [`Self::CTRL_BUDGET`].
+    pub const CTRL_REFILL: u32 = 2;
+    /// Data-plane retry-budget bucket capacity (tokens per peer; one
+    /// token per payload retransmit).
+    pub const DATA_BUDGET: u32 = 4;
+    /// Tokens returned to a peer's data bucket per recovered payload,
+    /// capped at [`Self::DATA_BUDGET`].
+    pub const DATA_REFILL: u32 = 2;
+
+    /// The engine switched on.
     pub fn armed() -> HealthConfig {
-        HealthConfig {
-            enabled: true,
-            ..HealthConfig::default()
-        }
-    }
-
-    /// Override the breaker trip threshold (permille of the window).
-    pub fn with_trip_permille(mut self, pm: u32) -> HealthConfig {
-        self.trip_permille = pm;
-        self
-    }
-
-    /// Override the open-state cooldown (rerouted posts before the
-    /// half-open probe).
-    pub fn with_probe_cooldown(mut self, posts: u32) -> HealthConfig {
-        self.probe_cooldown = posts;
-        self
-    }
-
-    /// Override the ctrl-plane retry budget `(capacity, refill-per-ack)`.
-    pub fn with_ctrl_budget(mut self, cap: u32, refill: u32) -> HealthConfig {
-        self.ctrl_budget = cap;
-        self.ctrl_refill = refill;
-        self
-    }
-
-    /// Override the data-plane retry budget `(capacity, refill)`.
-    pub fn with_data_budget(mut self, cap: u32, refill: u32) -> HealthConfig {
-        self.data_budget = cap;
-        self.data_refill = refill;
-        self
+        HealthConfig { enabled: true }
     }
 }
 
@@ -169,7 +124,7 @@ pub(crate) enum BreakerEvent {
 #[derive(Debug)]
 struct Breaker {
     state: BreakerState,
-    /// Outcome ring (true = failure), bounded at `cfg.window`.
+    /// Outcome ring (true = failure), bounded at [`HealthConfig::WINDOW`].
     ring: Vec<bool>,
     ring_at: usize,
     fails: usize,
@@ -191,10 +146,8 @@ impl Breaker {
         }
     }
 
-    fn push_outcome(&mut self, window: usize, failed: bool) {
-        if window == 0 {
-            return;
-        }
+    fn push_outcome(&mut self, failed: bool) {
+        let window = HealthConfig::WINDOW;
         if self.ring.len() < window {
             self.ring.push(failed);
         } else {
@@ -209,9 +162,10 @@ impl Breaker {
         }
     }
 
-    fn over_threshold(&self, cfg: &HealthConfig) -> bool {
-        self.ring.len() >= cfg.min_samples.max(1)
-            && (self.fails as u64) * 1000 >= u64::from(cfg.trip_permille) * self.ring.len() as u64
+    fn over_threshold(&self) -> bool {
+        let trip = u64::from(HealthConfig::TRIP_PERMILLE);
+        self.ring.len() >= HealthConfig::MIN_SAMPLES
+            && (self.fails as u64) * 1000 >= trip * self.ring.len() as u64
     }
 
     fn clear_window(&mut self) {
@@ -222,7 +176,7 @@ impl Breaker {
 }
 
 /// Token bucket: starts full, spends one per retry, refills (capped) on
-/// success. `cap == 0` means unlimited — the budget is disarmed.
+/// success.
 #[derive(Debug)]
 pub(crate) struct TokenBucket {
     cap: u32,
@@ -241,9 +195,6 @@ impl TokenBucket {
 
     /// Take one token; false when the bucket is empty (shed the retry).
     pub(crate) fn try_spend(&mut self) -> bool {
-        if self.cap == 0 {
-            return true;
-        }
         if self.tokens == 0 {
             return false;
         }
@@ -253,9 +204,7 @@ impl TokenBucket {
 
     /// Return `refill` tokens, capped at the bucket's capacity.
     pub(crate) fn credit(&mut self) {
-        if self.cap > 0 {
-            self.tokens = (self.tokens + self.refill).min(self.cap);
-        }
+        self.tokens = (self.tokens + self.refill).min(self.cap);
     }
 
     /// Refill to capacity (recovery reset).
@@ -273,7 +222,7 @@ impl TokenBucket {
 /// retry-budget buckets keyed by peer. One lives in each proxy's state;
 /// hosts interact with the ctrl-plane budget through `ReliableLink`.
 pub(crate) struct HealthEngine {
-    cfg: HealthConfig,
+    enabled: bool,
     rng: FaultRng,
     breakers: BTreeMap<(usize, HealthPath), Breaker>,
     data_buckets: BTreeMap<usize, TokenBucket>,
@@ -282,7 +231,7 @@ pub(crate) struct HealthEngine {
 impl HealthEngine {
     pub(crate) fn new(cfg: HealthConfig, seed: u64, salt: u64) -> HealthEngine {
         HealthEngine {
-            cfg,
+            enabled: cfg.enabled,
             rng: FaultRng::new(seed, salt),
             breakers: BTreeMap::new(),
             data_buckets: BTreeMap::new(),
@@ -290,14 +239,14 @@ impl HealthEngine {
     }
 
     pub(crate) fn enabled(&self) -> bool {
-        self.cfg.enabled
+        self.enabled
     }
 
-    /// Open-state cooldown for one episode: the configured base plus
+    /// Open-state cooldown for one episode: [`HealthConfig::PROBE_COOLDOWN`] plus
     /// seeded jitter of up to a quarter of it (deterministic per engine
     /// instance; no wall clock).
     fn episode_cooldown(&mut self) -> u32 {
-        let base = self.cfg.probe_cooldown.max(1);
+        let base = HealthConfig::PROBE_COOLDOWN;
         base + (self.rng.next_u64() % (u64::from(base / 4) + 1)) as u32
     }
 
@@ -307,7 +256,7 @@ impl HealthEngine {
     /// cooldown expires, at which point the breaker half-opens and this
     /// post becomes the single admitted [`Route::Probe`].
     pub(crate) fn route(&mut self, peer: usize, path: HealthPath) -> Route {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return Route::Primary;
         }
         let Some(b) = self.breakers.get_mut(&(peer, path)) else {
@@ -346,18 +295,17 @@ impl HealthEngine {
         path: HealthPath,
         ok: bool,
     ) -> Option<BreakerEvent> {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return None;
         }
-        let cfg = self.cfg;
         let b = self
             .breakers
             .entry((peer, path))
             .or_insert_with(Breaker::new);
         match b.state {
             BreakerState::Closed => {
-                b.push_outcome(cfg.window, !ok);
-                if b.over_threshold(&cfg) {
+                b.push_outcome(!ok);
+                if b.over_threshold() {
                     b.state = BreakerState::Open;
                     b.clear_window();
                     b.cooldown = 0; // set below, needs &mut self.rng
@@ -379,7 +327,7 @@ impl HealthEngine {
             // completing after the trip) keep the window warm but cannot
             // transition the breaker.
             _ => {
-                b.push_outcome(cfg.window, !ok);
+                b.push_outcome(!ok);
                 return None;
             }
         }
@@ -409,13 +357,13 @@ impl HealthEngine {
     /// Spend one data-plane retry token for `peer`; false sheds the
     /// retry. Buckets start full and are created on first use.
     pub(crate) fn try_spend_data(&mut self, peer: usize) -> bool {
-        if !self.cfg.enabled {
+        if !self.enabled {
             return true;
         }
-        let cfg = self.cfg;
+        let (cap, refill) = (HealthConfig::DATA_BUDGET, HealthConfig::DATA_REFILL);
         self.data_buckets
             .entry(peer)
-            .or_insert_with(|| TokenBucket::new(cfg.data_budget, cfg.data_refill))
+            .or_insert_with(|| TokenBucket::new(cap, refill))
             .try_spend()
     }
 
@@ -467,9 +415,9 @@ mod tests {
     #[test]
     fn breaker_trips_reroutes_probes_and_recovers() {
         let mut e = HealthEngine::new(armed(), 7, 1);
-        // Sustained failures trip the breaker once min_samples is met.
+        // Sustained failures trip the breaker once `MIN_SAMPLES` is met.
         let mut tripped = false;
-        for _ in 0..armed().min_samples {
+        for _ in 0..HealthConfig::MIN_SAMPLES {
             tripped = matches!(
                 e.on_outcome(3, HealthPath::CrossGvmi, false),
                 Some(BreakerEvent::Tripped)
@@ -509,7 +457,7 @@ mod tests {
     #[test]
     fn failed_probe_reopens() {
         let mut e = HealthEngine::new(armed(), 7, 2);
-        for _ in 0..armed().min_samples {
+        for _ in 0..HealthConfig::MIN_SAMPLES {
             e.on_outcome(1, HealthPath::Staging, false);
         }
         while e.route(1, HealthPath::Staging) != Route::Probe {}
@@ -541,7 +489,7 @@ mod tests {
     #[test]
     fn reset_half_open_probes_every_tracked_breaker() {
         let mut e = HealthEngine::new(armed(), 7, 4);
-        for _ in 0..armed().min_samples {
+        for _ in 0..HealthConfig::MIN_SAMPLES {
             e.on_outcome(2, HealthPath::CrossGvmi, false);
         }
         assert_eq!(e.state(2, HealthPath::CrossGvmi), BreakerState::Open);
@@ -557,13 +505,19 @@ mod tests {
 
     #[test]
     fn data_budget_sheds_then_refills_on_recovery() {
-        let cfg = armed().with_data_budget(2, 1);
-        let mut e = HealthEngine::new(cfg, 7, 5);
-        assert!(e.try_spend_data(4));
-        assert!(e.try_spend_data(4));
+        let mut e = HealthEngine::new(armed(), 7, 5);
+        for _ in 0..HealthConfig::DATA_BUDGET {
+            assert!(e.try_spend_data(4));
+        }
         assert!(!e.try_spend_data(4), "empty bucket sheds");
         e.credit_data(4);
-        assert!(e.try_spend_data(4), "recovery refills");
+        for _ in 0..HealthConfig::DATA_REFILL {
+            assert!(e.try_spend_data(4), "recovery refills");
+        }
+        assert!(
+            !e.try_spend_data(4),
+            "a recovery refills DATA_REFILL tokens"
+        );
         // Peers have independent buckets.
         assert!(e.try_spend_data(5));
     }
@@ -572,7 +526,7 @@ mod tests {
     fn same_seed_same_cooldowns() {
         let mk = || {
             let mut e = HealthEngine::new(armed(), 11, 6);
-            for _ in 0..armed().min_samples {
+            for _ in 0..HealthConfig::MIN_SAMPLES {
                 e.on_outcome(0, HealthPath::CrossGvmi, false);
             }
             let mut fastpaths = 0u32;

@@ -28,15 +28,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
 use simnet::{ProcessCtx, SimDelta, StatKey};
 
-use crate::config::{DataPath, OffloadConfig, TenantId, TenantQuota};
+use crate::config::{DataPath, OffloadConfig, TenantId, TenantQuota, Verdict};
 use crate::events::{
     CacheOutcome, CacheSide, CtrlKind, HealthPath, HostCacheKind, ProtoEvent, ReqDir,
 };
-use crate::messages::{CtrlMsg, GroupKey, WireEntry, WRID_MASK, WRID_OFF_HOST};
+use crate::health::HealthConfig;
+use crate::messages::{CtrlMsg, GroupKey, RtrInfo, RtsInfo, WireEntry, WRID_MASK, WRID_OFF_HOST};
 use crate::reg_cache::RankAddrCache;
-use crate::reliable::{
-    backoff_delay_from, Inbound, OffloadError, ReliableLink, ReqOrigin, TickOutcome,
-};
+use crate::reliable::{backoff_delay, Inbound, OffloadError, ReliableLink, ReqOrigin, TickOutcome};
 
 /// Handle of a Basic-primitive transfer (`OffloadRequest` in the paper).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -111,14 +110,13 @@ struct ReqSlot {
     /// Destination and ctrl message kept for replay after a proxy
     /// restart. Populated only when the fault plan can crash proxies.
     replay: Option<(EpId, CtrlMsg)>,
-    /// Endpoint the request was posted to (cancel routing). `None`
-    /// while the post is still deferred by the credit window.
+    /// Endpoint the request was posted to and holds one credit at
+    /// (cancel routing). `None` while the post is deferred, and once
+    /// the credit is returned.
     target: Option<EpId>,
     /// Original post kept for deferred admission and `QueueFull`
-    /// re-posts. Populated only when the queue cap is armed.
+    /// re-posts.
     post: Option<(EpId, CtrlMsg)>,
-    /// Endpoint index currently charged one credit for this request.
-    window_ep: Option<usize>,
     /// Backpressure re-post attempts (paces the retry backoff).
     attempts: u32,
     /// GVMI-cache entry pinned while this request is in flight
@@ -186,9 +184,8 @@ struct HostState {
     /// Last restart epoch observed per proxy endpoint index; a higher
     /// epoch in a `ProxyRestarted` notice triggers recovery.
     proxy_epochs: BTreeMap<usize, u64>,
-    /// Outstanding admitted basic posts per target endpoint index
-    /// (credit window; maintained when the queue cap or this rank's
-    /// tenant soft quota is armed).
+    /// Outstanding admitted basic posts per target endpoint index (the
+    /// credit windows [`TenantQuota::verdict`] reads).
     window: BTreeMap<usize, usize>,
     /// Request slots waiting for a credit, oldest first. A rank defers
     /// only its own tenant's posts, so one FIFO is the whole schedule.
@@ -218,8 +215,8 @@ impl HostState {
 
     /// Return the credit `req` holds, if any.
     fn release_window(&mut self, req: usize) {
-        let ep = self.reqs.get_mut(req).and_then(|s| s.window_ep.take());
-        if let Some(w) = ep.and_then(|ep| self.window.get_mut(&ep)) {
+        let ep = self.reqs.get_mut(req).and_then(|s| s.target.take());
+        if let Some(w) = ep.and_then(|ep| self.window.get_mut(&ep.index())) {
             *w = w.saturating_sub(1);
         }
     }
@@ -278,11 +275,13 @@ impl Offload {
         let proxy_ep = cluster.proxy_for_rank(rank);
         let proxy_idx = rank % cluster.proxies_per_dpu();
         let n_proxies = cluster.proxies_per_dpu();
-        let (fault, ctrl_bytes) = (cfg.fault, cfg.ctrl_bytes);
-        // Hosts arm the ctrl retry budget (shed-and-surface is a typed
-        // request failure here); proxies never do — see
-        // [`OffloadConfig::ctrl_knobs`].
-        let knobs = cfg.ctrl_knobs(true);
+        let fault = cfg.fault;
+        // Hosts arm the ctrl retry budget with the health engine
+        // (shed-and-surface is a typed request failure here); proxies
+        // never do, since a budget-shed proxy FIN could wedge a
+        // completion.
+        let budget = (HealthConfig::CTRL_BUDGET, HealthConfig::CTRL_REFILL);
+        let budget = cfg.health.enabled.then_some(budget);
         let cache_budget = cfg.cache_budget;
         // Arm the fabric's data-plane fault stream (set-once: the first
         // rank's plan wins, later inits are no-ops). Unarmed plans leave
@@ -318,7 +317,7 @@ impl Offload {
                 ib_cache: RankAddrCache::new(1),
                 groups: Vec::new(),
                 metas_from: BTreeMap::new(),
-                rel: ReliableLink::new(fault, knobs, ctrl_bytes, false, ep),
+                rel: ReliableLink::new(fault, budget, false, ep),
                 proxy_epochs: BTreeMap::new(),
                 window: BTreeMap::new(),
                 deferred: VecDeque::new(),
@@ -372,7 +371,7 @@ impl Offload {
     /// a proxy restart replays and an abandonment fails.
     pub(crate) fn send_ctrl_to_proxy(&self, msg: CtrlMsg, req: usize) {
         let origin = ReqOrigin::Basic(req);
-        self.post_ctrl(self.proxy_ep, self.cfg.ctrl_bytes, msg, origin);
+        self.post_ctrl(self.proxy_ep, OffloadConfig::CTRL_BYTES, msg, origin);
         static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
         self.ctx.stat_incr(&HOST_DPU, 1);
     }
@@ -405,31 +404,16 @@ impl Offload {
         })
     }
 
-    /// Completion horizon piggybacked on RTS/RTR (0 unless the journal
-    /// cap is armed).
-    fn horizon(&self) -> u64 {
-        if self.cfg.journal_cap == 0 {
-            0
-        } else {
-            self.st.borrow().ack_horizon
-        }
-    }
-
-    /// Whether host-side admission control is live: the global queue
-    /// cap, or this rank's tenant soft quota. Off on uncapped runs
-    /// without one (byte-identical to the pre-credit engine).
-    fn credit_armed(&self) -> bool {
-        self.cfg.queue_cap > 0 || self.quota.soft > 0
-    }
-
-    /// Post a basic request through the admission policy: shed
-    /// immediately when the tenant is over its hard quota, deferred to
-    /// the back of the FIFO when the post is [`Self::blocked`], admitted
-    /// otherwise.
+    /// Post a basic request through the admission policy, this rank's
+    /// [`TenantQuota::verdict`]: shed immediately when the tenant is
+    /// over its hard quota, deferred to the back of the FIFO when a
+    /// credit window is full, admitted otherwise.
     fn post_basic(&self, req: usize, msg_id: u64, to: EpId, mut msg: CtrlMsg) {
-        let hard = self.quota.hard;
+        let mut st = self.st.borrow_mut();
         // `live_basic` already counts this request's slot.
-        if hard > 0 && self.st.borrow().live_basic > hard {
+        let verdict = self.quota.verdict(st.live_basic, &st.window, to.index());
+        if verdict == Verdict::Shed {
+            drop(st);
             static SHEDS: StatKey = StatKey::new("offload.quota.sheds");
             self.ctx.stat_incr(&SHEDS, 1);
             self.ctx.emit(&ProtoEvent::QuotaShed {
@@ -447,57 +431,39 @@ impl Offload {
             );
             return;
         }
-        {
-            let mut st = self.st.borrow_mut();
-            if self.credit_armed() {
-                if let Some(slot) = st.reqs.get_mut(req) {
-                    slot.post = Some((to, msg.clone()));
-                }
-                if self.blocked(&st.window, to) {
-                    st.deferred.push_back(req);
-                    drop(st);
-                    static DEFERRALS: StatKey = StatKey::new("offload.credit.deferrals");
-                    self.ctx.stat_incr(&DEFERRALS, 1);
-                    self.ctx.emit(&ProtoEvent::CreditDeferred {
-                        rank: self.rank,
-                        msg_id,
-                    });
-                    return;
-                }
-            }
-            self.admit(&mut st, req, to, &mut msg);
+        // Kept for a deferred admission and a `QueueFull` re-post.
+        if let Some(slot) = st.reqs.get_mut(req) {
+            slot.post = Some((to, msg.clone()));
         }
+        if verdict == Verdict::Defer {
+            st.deferred.push_back(req);
+            drop(st);
+            static DEFERRALS: StatKey = StatKey::new("offload.credit.deferrals");
+            self.ctx.stat_incr(&DEFERRALS, 1);
+            self.ctx.emit(&ProtoEvent::CreditDeferred {
+                rank: self.rank,
+                msg_id,
+            });
+            return;
+        }
+        self.admit(&mut st, req, to, &mut msg);
+        drop(st);
         self.ship(req, to, msg);
     }
 
-    /// The one admission check: would a post to `to` bust the target's
-    /// credit window (the queue cap) or this rank's tenant soft quota?
-    fn blocked(&self, window: &BTreeMap<usize, usize>, to: EpId) -> bool {
-        let used = window.get(&to.index()).copied().unwrap_or(0);
-        let soft = self.quota.soft;
-        (self.cfg.queue_cap > 0 && used >= self.cfg.queue_cap)
-            || (soft > 0 && window.values().sum::<usize>() >= soft)
-    }
-
-    /// Admit one basic post: refresh the completion horizon it
-    /// piggybacks (a deferred post may have waited through many
+    /// Admit one basic post: set the completion horizon it piggybacks
+    /// to the current one (a deferred post may have waited through many
     /// completions, and the proxy's journal truncation must track
-    /// reality, not the build instant), charge the target a credit when
-    /// admission is armed, and record the target for cancel routing.
+    /// reality, not the build instant), charge the target a credit,
+    /// and record the target for cancel routing.
     fn admit(&self, st: &mut HostState, req: usize, to: EpId, msg: &mut CtrlMsg) {
         if self.cfg.journal_cap > 0 {
             if let CtrlMsg::Rts { ack_horizon, .. } | CtrlMsg::Rtr { ack_horizon, .. } = msg {
                 *ack_horizon = st.ack_horizon;
             }
         }
-        let armed = self.credit_armed();
-        if armed {
-            *st.window.entry(to.index()).or_insert(0) += 1;
-        }
+        *st.window.entry(to.index()).or_insert(0) += 1;
         if let Some(slot) = st.reqs.get_mut(req) {
-            if armed {
-                slot.window_ep = Some(to.index());
-            }
             slot.target = Some(to);
         }
     }
@@ -505,19 +471,17 @@ impl Offload {
     /// Ship an admitted basic post.
     fn ship(&self, req: usize, to: EpId, msg: CtrlMsg) {
         crate::profile_scope!("credit_admission");
-        self.post_ctrl(to, self.cfg.ctrl_bytes, msg, ReqOrigin::Basic(req));
+        self.post_ctrl(to, OffloadConfig::CTRL_BYTES, msg, ReqOrigin::Basic(req));
         static HOST_DPU: StatKey = StatKey::new("offload.ctrl.host_dpu");
         self.ctx.stat_incr(&HOST_DPU, 1);
     }
 
     /// Admit up to `limit` deferred posts, oldest first: a settled head
-    /// is dropped for free, and a head that is still [`Self::blocked`]
-    /// stops the flush. On a multi-tenant run each admission also emits
-    /// a `DrrGrant`.
+    /// is dropped for free, and a head the verdict still defers stops
+    /// the flush. A deferred post passed the hard quota when it was
+    /// posted, so the flush asks with no live posts and never sheds. On
+    /// a multi-tenant run each admission also emits a `DrrGrant`.
     fn flush_deferred(&self, limit: usize) {
-        if !self.credit_armed() {
-            return;
-        }
         // Admission happens under one state borrow, so the credit check
         // sees each earlier grant; the granted posts ship after it ends —
         // post_ctrl re-borrows state for replay and the reliable link.
@@ -533,7 +497,7 @@ impl Offload {
                 if let Some((msg_id, (to, mut msg))) =
                     live.and_then(|s| Some((s.msg_id, s.post.clone()?)))
                 {
-                    if self.blocked(&st.window, to) {
+                    if self.quota.verdict(0, &st.window, to.index()) == Verdict::Defer {
                         break;
                     }
                     self.admit(st, req, to, &mut msg);
@@ -608,20 +572,23 @@ impl Offload {
         if mkey.is_some() {
             self.pin_gvmi(req, addr, len);
         }
-        let msg = CtrlMsg::Rts {
+        let rts = RtsInfo {
             src_rank: self.rank,
-            dst_rank: dst,
             tag,
             addr,
             len,
             mkey,
             src_rkey,
             src_req: req,
-            src_pid: self.ctx.pid(),
             msg_id,
             crc: self.payload_crc(addr, len),
-            ack_horizon: self.horizon(),
             tenant: self.tenant,
+        };
+        let msg = CtrlMsg::Rts {
+            rts,
+            dst_rank: dst,
+            src_pid: self.ctx.pid(),
+            ack_horizon: 0, // set by `admit`
         };
         self.post_basic(req, msg_id, self.proxy_ep, msg);
         OffloadReq(req)
@@ -643,18 +610,21 @@ impl Offload {
         });
         let rkey = self.cached_reg(HostCacheKind::Ib, addr, len);
         let src_proxy = self.cluster.proxy_for_rank(src);
-        let msg = CtrlMsg::Rtr {
-            src_rank: src,
+        let rtr = RtrInfo {
             dst_rank: self.rank,
-            tag,
             addr,
             len,
             rkey,
             dst_req: req,
-            dst_pid: self.ctx.pid(),
             msg_id,
-            ack_horizon: self.horizon(),
             tenant: self.tenant,
+        };
+        let msg = CtrlMsg::Rtr {
+            rtr,
+            src_rank: src,
+            tag,
+            dst_pid: self.ctx.pid(),
+            ack_horizon: 0, // set by `admit`
         };
         self.post_basic(req, msg_id, src_proxy, msg);
         OffloadReq(req)
@@ -742,7 +712,7 @@ impl Offload {
         }
         self.post_ctrl(
             self.proxy_ep,
-            self.cfg.ctrl_bytes,
+            OffloadConfig::CTRL_BYTES,
             CtrlMsg::Shutdown { rank: self.rank },
             ReqOrigin::Free,
         );
@@ -941,7 +911,6 @@ impl Offload {
             replay: None,
             target: None,
             post: None,
-            window_ep: None,
             attempts: 0,
             pin: None,
         });
@@ -1070,7 +1039,7 @@ impl Offload {
             let n = entries.len() as u64;
             self.post_ctrl(
                 self.cluster.host_ep(src),
-                self.cfg.ctrl_bytes + self.cfg.entry_bytes * n,
+                OffloadConfig::CTRL_BYTES + OffloadConfig::ENTRY_BYTES * n,
                 CtrlMsg::RecvMeta {
                     dst_rank: self.rank,
                     dst_req_id: req.0,
@@ -1160,7 +1129,7 @@ impl Offload {
         let n = entries.len() as u64;
         self.post_ctrl(
             self.proxy_ep,
-            self.cfg.ctrl_bytes + self.cfg.entry_bytes * n,
+            OffloadConfig::CTRL_BYTES + OffloadConfig::ENTRY_BYTES * n,
             CtrlMsg::GroupPacket {
                 key: GroupKey {
                     host_rank: self.rank,
@@ -1185,7 +1154,7 @@ impl Offload {
     fn send_group_exec(&self, req: GroupRequest, gen: u64) {
         self.post_ctrl(
             self.proxy_ep,
-            self.cfg.ctrl_bytes,
+            OffloadConfig::CTRL_BYTES,
             CtrlMsg::GroupExec {
                 key: GroupKey {
                     host_rank: self.rank,
@@ -1278,7 +1247,7 @@ impl Offload {
         let mut finished_msg = None;
         match body {
             // Host-side timers: no wakeup either.
-            CtrlMsg::BackpressureTick => return self.flush_deferred(self.cfg.queue_cap.max(1)),
+            CtrlMsg::BackpressureTick => return self.flush_deferred(self.quota.cap.max(1)),
             CtrlMsg::DeadlineTick { req } => return self.on_deadline(req),
             CtrlMsg::FinSend { req, credit, .. } | CtrlMsg::FinRecv { req, credit, .. } => {
                 finished_msg = self.settle(req, Ok(())).map(|(msg_id, _)| msg_id);
@@ -1364,7 +1333,6 @@ impl Offload {
                         st.release_window(req);
                         st.deferred.push_back(req);
                         let slot = st.reqs.get_mut(req)?;
-                        slot.target = None;
                         slot.attempts += 1;
                         Some(slot.attempts)
                     })
@@ -1373,7 +1341,7 @@ impl Offload {
                     static NACKS: StatKey = StatKey::new("offload.credit.nacks");
                     self.ctx.stat_incr(&NACKS, 1);
                     self.ctx.deliver_self(
-                        backoff_delay_from(self.cfg.retx_base, self.cfg.retx_cap, attempt),
+                        backoff_delay(attempt),
                         Box::new(NetMsg::Notify(Box::new(CtrlMsg::BackpressureTick))),
                     );
                 }
@@ -1389,7 +1357,7 @@ impl Offload {
                 // A shed transfer was dropped by the proxy's per-peer data
                 // retry budget (the proxy already emitted
                 // `RetryBudgetExhausted`); an exhausted one burned the full
-                // `data_retx_max` allowance.
+                // `OffloadConfig::DATA_RETX_MAX` allowance.
                 let err = if shed {
                     OffloadError::RetryBudgetExhausted { msg_id, attempts }
                 } else {
@@ -1553,7 +1521,7 @@ impl Offload {
         if let Some(to) = target {
             self.post_ctrl(
                 to,
-                self.cfg.ctrl_bytes,
+                OffloadConfig::CTRL_BYTES,
                 CtrlMsg::Cancel { msg_id },
                 ReqOrigin::Free,
             );
@@ -1636,7 +1604,7 @@ impl Offload {
                 rank: self.rank,
                 msg_id,
             });
-            self.post_ctrl(proxy, self.cfg.ctrl_bytes, msg, ReqOrigin::Basic(req));
+            self.post_ctrl(proxy, OffloadConfig::CTRL_BYTES, msg, ReqOrigin::Basic(req));
         }
         // Re-ship in-flight group generations: the proxy's instances and
         // metadata cache died with it, so send the full packet again
@@ -1677,7 +1645,6 @@ mod tests {
             replay: None,
             target: None,
             post: None,
-            window_ep: None,
             attempts: 0,
             pin: None,
         }

@@ -8,6 +8,7 @@
 use rdma::{EpId, MrKey, VAddr};
 use simnet::Pid;
 
+use crate::config::TenantId;
 use crate::events::CtrlKind;
 
 /// Work-request namespace of host-posted offload operations (staging
@@ -24,6 +25,47 @@ pub(crate) const WRID_MASK: u64 = 0xFF00_0000_0000_0000;
 pub(crate) struct GroupKey {
     pub host_rank: usize,
     pub req_id: usize,
+}
+
+/// The send side of a basic transfer: what an RTS carries and the
+/// proxy queues until its receive side arrives.
+#[derive(Clone, Debug)]
+pub(crate) struct RtsInfo {
+    pub src_rank: usize,
+    pub tag: u64,
+    pub addr: VAddr,
+    pub len: u64,
+    /// GVMI mkey (GVMI path).
+    pub mkey: Option<MrKey>,
+    /// IB rkey of the source buffer (staging path: the proxy pulls the
+    /// payload with an RDMA READ).
+    pub src_rkey: Option<MrKey>,
+    pub src_req: usize,
+    /// Stable per-transfer id of the send side.
+    pub msg_id: u64,
+    /// CRC32 of the payload at post time (end-to-end integrity; `None`
+    /// unless the run arms payload faults), carried through so every
+    /// hop can be verified.
+    pub crc: Option<u32>,
+    /// Tenant of the posting rank (0 in single-tenant runs). The proxy
+    /// partitions its descriptor pool, staging pool and journal by it.
+    pub tenant: TenantId,
+}
+
+/// The receive side of a basic transfer: what an RTR carries and the
+/// proxy queues until its send side arrives.
+#[derive(Clone, Debug)]
+pub(crate) struct RtrInfo {
+    pub dst_rank: usize,
+    pub addr: VAddr,
+    pub len: u64,
+    pub rkey: MrKey,
+    /// `usize::MAX` for a one-sided put, which has no receive request.
+    pub dst_req: usize,
+    /// Stable per-transfer id of the receive side.
+    pub msg_id: u64,
+    /// Tenant of the posting rank (see [`RtsInfo::tenant`]).
+    pub tenant: TenantId,
 }
 
 /// A group-packet entry as shipped to the proxy (paper Fig. 9).
@@ -71,49 +113,25 @@ pub(crate) enum WireEntry {
 #[allow(dead_code)]
 pub(crate) enum CtrlMsg {
     // ---- Basic primitives (paper Figs. 7-8) ----
-    /// Ready-to-send: source host → source-side proxy.
+    /// Ready-to-send: source host → source-side proxy. `rts` is the
+    /// descriptor the proxy queues as it arrived.
     Rts {
-        src_rank: usize,
+        rts: RtsInfo,
         dst_rank: usize,
-        tag: u64,
-        addr: VAddr,
-        len: u64,
-        /// GVMI mkey (GVMI path).
-        mkey: Option<MrKey>,
-        /// IB rkey of the source buffer (staging path: the proxy pulls the
-        /// payload with an RDMA READ).
-        src_rkey: Option<MrKey>,
-        src_req: usize,
         src_pid: Pid,
-        /// Stable per-transfer id of the send side.
-        msg_id: u64,
-        /// CRC32 of the payload at post time (end-to-end integrity;
-        /// `None` unless the run arms payload faults).
-        crc: Option<u32>,
         /// Highest seq this host has contiguously completed (FIN-journal
         /// truncation horizon; 0 unless the journal cap is armed).
         ack_horizon: u64,
-        /// Tenant of the posting rank (0 in single-tenant runs). The
-        /// proxy partitions its descriptor pool, staging pool and
-        /// journal by this id.
-        tenant: usize,
     },
-    /// Ready-to-receive: destination host → source-side proxy.
+    /// Ready-to-receive: destination host → source-side proxy. `rtr` is
+    /// the descriptor the proxy queues as it arrived.
     Rtr {
+        rtr: RtrInfo,
         src_rank: usize,
-        dst_rank: usize,
         tag: u64,
-        addr: VAddr,
-        len: u64,
-        rkey: MrKey,
-        dst_req: usize,
         dst_pid: Pid,
-        /// Stable per-transfer id of the receive side.
-        msg_id: u64,
         /// Completion horizon of the receiving host (see `Rts`).
         ack_horizon: u64,
-        /// Tenant of the posting rank (see `Rts`).
-        tenant: usize,
     },
     /// Completion to the source host.
     FinSend {
@@ -145,7 +163,7 @@ pub(crate) enum CtrlMsg {
         msg_id: u64,
         attempts: u32,
         /// True when the transfer was shed by the per-peer data retry
-        /// budget rather than exhausting `data_retx_max`; the host maps
+        /// budget rather than exhausting `OffloadConfig::DATA_RETX_MAX`; the host maps
         /// this onto [`OffloadError::RetryBudgetExhausted`].
         ///
         /// [`OffloadError::RetryBudgetExhausted`]: crate::OffloadError::RetryBudgetExhausted
@@ -327,8 +345,14 @@ impl CtrlMsg {
     /// otherwise). Used to attribute drops/retransmits to a transfer.
     pub(crate) fn msg_id_hint(&self) -> u64 {
         match self {
-            CtrlMsg::Rts { msg_id, .. }
-            | CtrlMsg::Rtr { msg_id, .. }
+            CtrlMsg::Rts {
+                rts: RtsInfo { msg_id, .. },
+                ..
+            }
+            | CtrlMsg::Rtr {
+                rtr: RtrInfo { msg_id, .. },
+                ..
+            }
             | CtrlMsg::FinSend { msg_id, .. }
             | CtrlMsg::FinRecv { msg_id, .. }
             | CtrlMsg::Put { msg_id, .. }

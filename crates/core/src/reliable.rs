@@ -21,45 +21,21 @@ use std::fmt;
 use rdma::{EpId, Fabric, NetMsg, Packet};
 use simnet::{Pid, ProcessCtx, SimDelta, StatKey};
 
-use crate::config::FaultPlan;
+use crate::config::{FaultPlan, OffloadConfig};
 use crate::events::{CtrlKind, ProtoEvent};
 use crate::health::TokenBucket;
 use crate::messages::CtrlMsg;
 
-/// Default retransmission backoff floor (PR 10 lifted the former
-/// `RETX_BASE` const into [`OffloadConfig::retx_base`]).
-pub(crate) const DEFAULT_RETX_BASE: SimDelta = SimDelta::from_us(20);
-/// Default retransmission backoff ceiling (former `RETX_CAP`).
-pub(crate) const DEFAULT_RETX_CAP: SimDelta = SimDelta::from_us(200);
-/// Default send attempts (original + retransmits) before a message is
-/// abandoned (former `MAX_ATTEMPTS`). At a 10% injected drop rate the
-/// chance of losing all attempts is 1e-12 — abandonment in practice
-/// means the peer is gone, not the link lossy.
-pub(crate) const DEFAULT_CTRL_MAX_ATTEMPTS: u32 = 12;
-
-/// Retry pacing and budget knobs for one [`ReliableLink`], derived from
-/// [`OffloadConfig`] so fault-soak sweeps can tune them without
-/// recompiling. `budget` arms the per-peer retry token bucket
-/// (capacity, refill-per-ack); `None` keeps the pre-health unbounded
-/// `max_attempts`-only behavior.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct RetryKnobs {
-    pub(crate) base: SimDelta,
-    pub(crate) cap: SimDelta,
-    pub(crate) max_attempts: u32,
-    pub(crate) budget: Option<(u32, u32)>,
-}
-
-impl Default for RetryKnobs {
-    fn default() -> Self {
-        RetryKnobs {
-            base: DEFAULT_RETX_BASE,
-            cap: DEFAULT_RETX_CAP,
-            max_attempts: DEFAULT_CTRL_MAX_ATTEMPTS,
-            budget: None,
-        }
-    }
-}
+/// Retransmission backoff floor; also paces data-path and backpressure
+/// retries.
+pub const RETX_BASE: SimDelta = SimDelta::from_us(20);
+/// Retransmission backoff ceiling.
+pub const RETX_CAP: SimDelta = SimDelta::from_us(200);
+/// Send attempts (original + retransmits) before a ctrl message is
+/// abandoned. At a 10% injected drop rate the chance of losing all
+/// attempts is 1e-12 — abandonment in practice means the peer is gone,
+/// not the link lossy.
+pub const CTRL_MAX_ATTEMPTS: u32 = 12;
 
 /// Typed failure surfaced by the offload engine when a posted request
 /// cannot complete (instead of hanging forever).
@@ -231,10 +207,10 @@ pub(crate) enum ReqOrigin {
 struct Pending {
     to: EpId,
     msg: CtrlMsg,
-    /// Modelled wire size (metadata-bearing messages exceed ctrl_bytes).
+    /// Modelled wire size (metadata-bearing messages exceed `OffloadConfig::CTRL_BYTES`).
     bytes: u64,
+    /// Transmissions so far; the next timer waits `backoff_delay` of it.
     attempts: u32,
-    backoff: SimDelta,
     /// What to fail if the message is abandoned.
     origin: ReqOrigin,
 }
@@ -274,14 +250,13 @@ pub(crate) enum TickOutcome {
 }
 
 /// Exponential ctrl-plane backoff for delivery attempt `attempt`
-/// (1-based): `base * 2^(attempt-1)` capped at `cap`. Shared with the
-/// data-path retransmission and backpressure-retry timers so every
-/// retry loop in the engine paces identically; callers thread
-/// [`OffloadConfig::retx_base`]/[`OffloadConfig::retx_cap`] through.
-pub(crate) fn backoff_delay_from(base: SimDelta, cap: SimDelta, attempt: u32) -> SimDelta {
-    let mut d = base;
+/// (1-based): [`RETX_BASE`] `* 2^(attempt-1)` capped at [`RETX_CAP`].
+/// Shared with the data-path retransmission and backpressure-retry
+/// timers so every retry loop in the engine paces identically.
+pub(crate) fn backoff_delay(attempt: u32) -> SimDelta {
+    let mut d = RETX_BASE;
     for _ in 1..attempt {
-        d = (d * 2).min(cap);
+        d = (d * 2).min(RETX_CAP);
     }
     d
 }
@@ -291,39 +266,37 @@ pub(crate) fn backoff_delay_from(base: SimDelta, cap: SimDelta, attempt: u32) ->
 /// (ack generation + dedup window) in one.
 pub(crate) struct ReliableLink {
     plan: FaultPlan,
-    knobs: RetryKnobs,
+    /// Per-peer retry budget `(capacity, refill per ack)`; `None` keeps
+    /// the unbounded, [`CTRL_MAX_ATTEMPTS`]-only behavior.
+    budget: Option<(u32, u32)>,
     rng: FaultRng,
     /// True on proxies (event attribution).
     at_proxy: bool,
     /// Endpoint the envelopes (and acks) are sent from.
     from_ep: EpId,
-    /// Modelled wire size of one ctrl message.
-    ctrl_bytes: u64,
     /// Restart epoch carried in outgoing envelopes.
     epoch: u64,
     next_seq: u64,
     pending: BTreeMap<u64, Pending>,
     dedup: DedupWindow,
     /// Per-destination retry budgets (keyed by endpoint index), created
-    /// lazily at full capacity. Empty when `knobs.budget` is `None`.
+    /// lazily at full capacity. Empty when `budget` is `None`.
     buckets: BTreeMap<u64, TokenBucket>,
 }
 
 impl ReliableLink {
     pub(crate) fn new(
         plan: FaultPlan,
-        knobs: RetryKnobs,
-        ctrl_bytes: u64,
+        budget: Option<(u32, u32)>,
         at_proxy: bool,
         from_ep: EpId,
     ) -> Self {
         ReliableLink {
             plan,
-            knobs,
+            budget,
             rng: FaultRng::new(plan.seed, from_ep.index() as u64 + 1),
             at_proxy,
             from_ep,
-            ctrl_bytes,
             epoch: 0,
             next_seq: 0,
             pending: BTreeMap::new(),
@@ -370,7 +343,6 @@ impl ReliableLink {
                 msg,
                 bytes,
                 attempts: 1,
-                backoff: self.knobs.base,
                 origin,
             },
         );
@@ -379,10 +351,11 @@ impl ReliableLink {
 
     /// Put one attempt of pending message `seq` on the wire, applying the
     /// plan's drop/delay/duplicate faults, and arm the retransmission
-    /// timer at the entry's current backoff.
+    /// timer at the backoff of its attempt count.
     fn transmit(&mut self, ctx: &ProcessCtx, fab: &Fabric, seq: u64) {
         let p = &self.pending[&seq];
-        let (to, kind, msg_id, backoff) = (p.to, p.msg.kind(), p.msg.msg_id_hint(), p.backoff);
+        let (to, kind, msg_id) = (p.to, p.msg.kind(), p.msg.msg_id_hint());
+        let backoff = backoff_delay(p.attempts);
         let bytes = p.bytes;
         let (msg, from, from_ep, epoch) = (p.msg.clone(), ctx.pid(), self.from_ep, self.epoch);
         let envelope = move || CtrlMsg::Seq {
@@ -477,7 +450,7 @@ impl ReliableLink {
                 ctx,
                 self.from_ep,
                 from_ep,
-                self.ctrl_bytes,
+                OffloadConfig::CTRL_BYTES,
                 Box::new(CtrlMsg::Ack { seq }),
             )
             .expect("reliable ctrl ack");
@@ -500,7 +473,7 @@ impl ReliableLink {
         let Some(p) = self.pending.get_mut(&seq) else {
             return TickOutcome::Idle;
         };
-        if p.attempts >= self.knobs.max_attempts {
+        if p.attempts >= CTRL_MAX_ATTEMPTS {
             let p = self.pending.remove(&seq).expect("entry just found");
             let (kind, msg_id) = (p.msg.kind(), p.msg.msg_id_hint());
             static ABANDONED: StatKey = StatKey::new("offload.reliable.abandoned");
@@ -519,7 +492,7 @@ impl ReliableLink {
         // Health-armed links pay one budget token per retransmit toward
         // a peer; an empty bucket sheds the message instead of feeding
         // a correlated storm (DESIGN.md §19). Acks refill the bucket.
-        if let Some((cap, refill)) = self.knobs.budget {
+        if let Some((cap, refill)) = self.budget {
             let to = p.to.index() as u64;
             let bucket = self
                 .buckets
@@ -539,7 +512,6 @@ impl ReliableLink {
         let p = self.pending.get_mut(&seq).expect("entry just found");
         p.attempts += 1;
         let attempt = p.attempts - 1;
-        p.backoff = (p.backoff * 2).min(self.knobs.cap);
         let (kind, msg_id) = (p.msg.kind(), p.msg.msg_id_hint());
         static RETRANSMITS: StatKey = StatKey::new("offload.reliable.retransmits");
         ctx.stat_incr(&RETRANSMITS, 1);

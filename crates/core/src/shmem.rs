@@ -97,7 +97,7 @@ impl Shmem {
                 off.ctx(),
                 ep,
                 off.cluster().host_ep(peer),
-                cfg.ctrl_bytes,
+                OffloadConfig::CTRL_BYTES,
                 Box::new(CtrlMsg::ShmemHello {
                     rank,
                     heap_base,

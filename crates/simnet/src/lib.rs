@@ -51,10 +51,7 @@ pub use emit::{deliver_batched, Emitted, EventSink, EMIT_BATCH};
 pub use process::{BlockReason, Payload, Pid, ProcStatus};
 pub use resource::ResourceId;
 pub use rng::SimRng;
-pub use sim::{
-    engine_events, OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation,
-    SIMNET_THREADS_ENV,
-};
+pub use sim::{OpenSpan, ProcReport, ProcessCtx, Report, SimError, Simulation, SIMNET_THREADS_ENV};
 pub use stats::{StatKey, Stats};
 pub use time::{SimDelta, SimTime};
 pub use trace::{SpanRecord, Trace, TraceRecord};

@@ -36,7 +36,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::pin::pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Waker};
 
@@ -53,21 +53,6 @@ use crate::rng::SimRng;
 use crate::stats::{StatKey, StatTable, Stats};
 use crate::time::{Clock, SimDelta, SimTime};
 use crate::trace::Trace;
-
-/// Process-global count of simulated events handled by completed runs.
-/// The engine self-benchmarks read this to report simulated events per
-/// second without threading a handle through every layer.
-static ENGINE_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Total simulated events handled by every completed [`Simulation::run`]
-/// in this process so far (monotone).
-pub fn engine_events() -> u64 {
-    ENGINE_EVENTS.load(Ordering::Relaxed)
-}
-
-fn record_engine_events(n: u64) {
-    ENGINE_EVENTS.fetch_add(n, Ordering::Relaxed);
-}
 
 /// Name of a worker-thread environment variable that launchers may
 /// still set (the protocol benchmark pins it to 1 for its children).
@@ -402,7 +387,6 @@ impl Simulation {
                 .collect(),
         };
         drop(st);
-        record_engine_events(report.events);
         Ok(report)
     }
 }

@@ -578,9 +578,13 @@ pub fn drive_data_integrity(run: &CheckRun, bytes: u64) -> Result<Report, SimErr
     })
 }
 
+// The data retry budget must be the binding limit for `drive_brownout`,
+// or its shed degenerates to `DataIntegrity`.
+const _: () = assert!(offload::HealthConfig::DATA_BUDGET < OffloadConfig::DATA_RETX_MAX);
+
 /// Data-plane brownout under an armed health engine: every payload is
 /// dropped (`data_drop_pm: 1000`, real byte movement) and the per-peer
-/// data retry budget — smaller than `data_retx_max` and never refilled,
+/// data retry budget — smaller than `OffloadConfig::DATA_RETX_MAX` and never refilled,
 /// since refills ride recovered payloads — runs dry first. Both ends of
 /// the matched pair must shed with a typed
 /// [`OffloadError::RetryBudgetExhausted`]: the budget converts an
@@ -599,10 +603,6 @@ pub fn drive_brownout(run: &CheckRun, bytes: u64) -> Result<Report, SimError> {
         run.cfg.fault.data_drop_pm, 1000,
         "drive_brownout needs a total payload brownout (data_drop_pm: 1000) — \
          partial drops let recovered payloads refill the budget"
-    );
-    assert!(
-        run.cfg.health.data_budget < run.cfg.data_retx_max,
-        "the budget must be the binding limit, or the shed degenerates to DataIntegrity"
     );
     run.run_offload(async move |off| {
         if off.size() < 2 {
