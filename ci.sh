@@ -174,14 +174,16 @@ echo "== continuous self-profiling (BENCH_PROFILE=1, overhead gate)"
 # the telemetry bus armed, interleaving unprofiled and profiled
 # repetitions; the binary exits nonzero if the profiled best-of-N
 # exceeds the unprofiled one by more than the gate. The gate times a
-# 256-rank spec (--nodes 32, ~65 k events, 25-40 ms a run), not the
+# 320-rank spec (--nodes 40, ~102 k events, 25-40 ms a run), not the
 # 64-rank --quick one: at 1-2 ms the 5 % bound was 55-80 us, inside the
-# spread of the best of 5. On a busy shared host the larger spec can
+# spread of the best of 5. The spec grows with the engine's speed: the
+# instant-bucketed event queue took --nodes 32 to 21-23 ms (EXPERIMENTS.md,
+# "Instant-bucketed event queue"). On a busy shared host the spec can
 # still read over 5 % (EXPERIMENTS.md, "Proxy split").
 rm -rf target/profile target/profile-run
 settle
 BENCH_OUT_DIR=target/profile-run BENCH_PROFILE=1 BENCH_PROFILE_GATE_PCT=5 \
-    cargo run --release --quiet -p bench-harness --bin engine_speed -- --quick --nodes 32 \
+    cargo run --release --quiet -p bench-harness --bin engine_speed -- --quick --nodes 40 \
     >/dev/null
 echo "profiling overhead within the 5% gate"
 

@@ -365,3 +365,21 @@ impl CtrlMsg {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ctrl_msg_stays_120_bytes() {
+        // Every ctrl message is boxed at the size of the largest variant.
+        assert_eq!(
+            std::mem::size_of::<CtrlMsg>(),
+            120,
+            "CtrlMsg changed size: growing it to ~160 bytes cost basic_short \
+             10.6 % msgs_per_sec although that workload sends none of the large \
+             variants (EXPERIMENTS.md, \"Proxy split\"); box or split the variant \
+             that grew instead"
+        );
+    }
+}

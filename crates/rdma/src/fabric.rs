@@ -16,7 +16,6 @@
 //! times. This matches how the upper layers use RDMA (nothing reads a
 //! destination buffer before a completion/counter says it is there).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -35,6 +34,11 @@ struct Endpoint {
     /// End of the last CPU-charged operation on this endpoint (posting,
     /// registration, protocol handling). New charges chain after it.
     cpu_busy: SimTime,
+    /// Latest packet delivery from this endpoint, indexed by destination
+    /// endpoint; grown on the first send to a destination. Two-sided
+    /// packets between one pair share a QP and must never overtake each
+    /// other, even when the control-lane/bulk-lane split would allow it.
+    pair_order: Vec<SimTime>,
 }
 
 enum MrKind {
@@ -84,10 +88,6 @@ struct World {
     /// `valid`).
     mrs: Vec<MrEntry>,
     next_gvmi: u32,
-    /// Latest packet delivery per `(from, to)` endpoint pair. Two-sided
-    /// packets between one pair share a QP and must never overtake each
-    /// other, even when the control-lane/bulk-lane split would allow it.
-    pair_order: BTreeMap<(EpId, EpId), SimTime>,
     /// Extra per-transfer delivery delay, drawn uniformly from
     /// `[0, delivery_jitter]`. Used by the schedule explorer to perturb
     /// event interleavings; the same-QP FIFO clamp in `send_packet` runs
@@ -203,7 +203,6 @@ impl Fabric {
                 nodes,
                 mrs: Vec::new(),
                 next_gvmi: 1,
-                pair_order: BTreeMap::new(),
                 delivery_jitter: SimDelta::ZERO,
                 payload: PayloadFaults::new(PayloadFaultPlan::default()),
             })),
@@ -232,6 +231,7 @@ impl Fabric {
             mem: AddressSpace::new(),
             gvmi,
             cpu_busy: SimTime::ZERO,
+            pair_order: Vec::new(),
         });
         id
     }
@@ -650,7 +650,11 @@ impl Fabric {
             let mut deliver = execute_plan(ctx, &plan, post_end, w.delivery_jitter);
             // Same-QP FIFO: a later packet between the same endpoints can
             // never arrive before an earlier one.
-            let last = w.pair_order.entry((from, to)).or_insert(SimTime::ZERO);
+            let order = &mut w.eps[from.index()].pair_order;
+            if order.len() <= to.index() {
+                order.resize(to.index() + 1, SimTime::ZERO);
+            }
+            let last = &mut order[to.index()];
             if deliver <= *last {
                 deliver = *last + SimDelta::from_ps(1);
             }
