@@ -213,7 +213,7 @@ impl Config {
                 "crates/workloads/src",
                 "crates/minimpi/src",
             ]),
-            panic_files: s(&["crates/core/src/proxy/", "crates/core/src/host.rs"]),
+            panic_files: s(&["crates/core/src/proxy/", "crates/core/src/host/"]),
         }
     }
 }

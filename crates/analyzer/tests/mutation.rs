@@ -63,7 +63,7 @@ fn real_workspace_is_clean() {
 #[test]
 fn unconstructed_budget_shed_error_is_caught() {
     let mut tree = repo_tree();
-    tree.edit("crates/core/src/host.rs", |s| {
+    tree.edit("crates/core/src/host/mod.rs", |s| {
         s.replace(
             "OffloadError::RetryBudgetExhausted",
             "OffloadError::DataIntegrity",
@@ -80,7 +80,7 @@ fn unconstructed_budget_shed_error_is_caught() {
 #[test]
 fn unconstructed_quota_exceeded_is_caught() {
     let mut tree = repo_tree();
-    tree.edit("crates/core/src/host.rs", |s| {
+    tree.edit("crates/core/src/host/admission.rs", |s| {
         s.replace("OffloadError::QuotaExceeded", "OffloadError::DataIntegrity")
     });
     let hits = findings_for(&tree, "error-drift");
@@ -167,7 +167,7 @@ fn seeded_lock_order_cycle_is_caught() {
 #[test]
 fn new_hot_path_unwrap_is_caught() {
     let mut tree = repo_tree();
-    tree.edit("crates/core/src/host.rs", |s| {
+    tree.edit("crates/core/src/host/mod.rs", |s| {
         format!(
             "{s}\npub fn seeded_panic_site() -> String {{ std::env::args().next().unwrap() }}\n"
         )
@@ -175,7 +175,7 @@ fn new_hot_path_unwrap_is_caught() {
     let hits = findings_for(&tree, "panic-path");
     assert!(
         hits.iter()
-            .any(|f| { f.path == "crates/core/src/host.rs" && f.msg.contains("unwrap") }),
+            .any(|f| { f.path == "crates/core/src/host/mod.rs" && f.msg.contains("unwrap") }),
         "unbaselined hot-path unwrap must be caught: {hits:?}"
     );
 }

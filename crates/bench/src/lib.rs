@@ -289,20 +289,10 @@ pub fn scale_artifact_name(base: &str, args: &Args, ranks: usize) -> String {
     }
 }
 
-/// Run a figure body with a [`offload::Metrics`] observer installed (via
-/// [`workloads::with_metrics`]) and persist the folded report under
-/// `name`. Figures whose sweeps never start an offload engine still emit
-/// a schema-valid all-zero document, so CI can validate every binary
-/// uniformly.
-pub fn run_with_metrics(name: &str, f: impl FnOnce()) {
-    let ((), report) = workloads::with_metrics(f);
-    write_metrics(name, &report);
-}
-
 /// Run a figure body with the full observability stack: aggregate
-/// metrics (always persisted, as in [`run_with_metrics`]) plus a causal
-/// lifecycle trace ([`obs::LifecycleRecorder`]) fed from the same event
-/// stream via [`workloads::fanout`]. The lifecycle document
+/// metrics (always persisted) plus a causal lifecycle trace
+/// ([`obs::LifecycleRecorder`]) fed from the same event stream via
+/// [`workloads::fanout`]. The lifecycle document
 /// (`<name>.lifecycle.json`, schema `bluefield-offload/lifecycle/v1`)
 /// is written only when `BENCH_LIFECYCLE` is set — it is per-transfer
 /// data, much bigger than the metrics totals, and not a committed

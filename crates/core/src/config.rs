@@ -14,54 +14,30 @@ use crate::health::HealthConfig;
 /// implicit identity of every rank in a single-tenant run.
 pub type TenantId = usize;
 
-/// Per-tenant overload policy and pool-share weight (DESIGN.md §18).
+/// Per-tenant overload policy (DESIGN.md §18).
 ///
-/// All-zero (the [`Default`]) means "inherit the global knobs": soft
-/// quota falls back to [`OffloadConfig::queue_cap`], the hard quota is
-/// unbounded, and the weight is 1. A config whose `tenants` list
-/// holds zero or one specs behaves byte-identically to the
-/// pre-multi-tenant engine.
+/// All-zero (the [`Default`]) means "inherit": the hard quota is
+/// unbounded. Every tenant of a roster shares the same soft quota,
+/// [`OffloadConfig::queue_cap`], and an equal slice of the proxy
+/// descriptor pool. A config whose `tenants` list holds zero or one
+/// specs behaves byte-identically to the pre-multi-tenant engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TenantSpec {
-    /// Soft quota: the tenant's credit window — admitted-but-unfinished
-    /// basic descriptors a rank of this tenant may have in flight before
-    /// further posts are deferred (`CreditDeferred`). 0 = inherit the
-    /// global `queue_cap`.
-    pub soft_quota: usize,
     /// Hard quota: total live basic posts (admitted + deferred) a rank
     /// of this tenant may hold before new posts are shed with a typed
     /// [`crate::OffloadError::QuotaExceeded`]. 0 = never shed.
     pub hard_quota: usize,
-    /// The tenant's weight in the split of the proxy descriptor pool
-    /// (its share is proportional). 0 = weight 1.
-    pub weight: usize,
 }
 
 impl TenantSpec {
     /// The inherit-everything spec (see the type-level docs).
     pub const fn inherit() -> TenantSpec {
-        TenantSpec {
-            soft_quota: 0,
-            hard_quota: 0,
-            weight: 0,
-        }
-    }
-
-    /// Builder: set the soft quota.
-    pub const fn with_soft_quota(mut self, q: usize) -> TenantSpec {
-        self.soft_quota = q;
-        self
+        TenantSpec { hard_quota: 0 }
     }
 
     /// Builder: set the hard quota.
     pub const fn with_hard_quota(mut self, q: usize) -> TenantSpec {
         self.hard_quota = q;
-        self
-    }
-
-    /// Builder: set the pool-share weight.
-    pub const fn with_weight(mut self, w: usize) -> TenantSpec {
-        self.weight = w;
         self
     }
 }
@@ -122,8 +98,8 @@ impl TenantQuota {
     /// Descriptors the tenant may still queue at a proxy whose pool
     /// holds `pool` descriptors, `held` of them the tenant's: both sides
     /// count against one pool, the paper's worker's single descriptor
-    /// pool, and each tenant against its weighted share of it (one
-    /// tenant's share is the whole pool), so a flooding tenant fills
+    /// pool, and each tenant against its share of it (one tenant's
+    /// share is the whole pool), so a flooding tenant fills
     /// only its own share. 0 while the pool is unbounded.
     pub(crate) fn free_slots(&self, pool: usize, held: usize) -> usize {
         let free = self.cap.saturating_sub(pool);
@@ -410,9 +386,9 @@ pub struct OffloadConfig {
     /// engine is byte-identical to the pre-multi-tenant protocol. Two
     /// or more specs arm per-tenant admission: ranks map to tenants
     /// round-robin, each tenant gets its own GVMI cross-registration
-    /// namespace, staging pool and journal partition at the proxy, a
-    /// weighted share of the proxy descriptor pool, and the host
-    /// enforces the per-tenant soft/hard quotas.
+    /// namespace, staging pool and journal partition at the proxy, an
+    /// equal share of the proxy descriptor pool, and the host enforces
+    /// the soft quota (`queue_cap`) and the per-tenant hard quotas.
     pub tenants: Vec<TenantSpec>,
     /// Fault plan (checker validation and fault-soak only).
     pub fault: FaultPlan,
@@ -536,11 +512,11 @@ impl OffloadConfig {
 
     /// What `tenant` may hold, with the roster rules applied here and
     /// nowhere else. A roster of zero or one specs is the one-tenant
-    /// quota: no soft or hard quota, and the whole descriptor pool. In a roster of two or more, a spec field of 0 inherits: the
-    /// soft quota becomes `queue_cap`, the hard quota stays unbounded
-    /// and the weight becomes 1; `queue_cap` is split by weight into
-    /// shares of at least one slot. A tenant outside the roster
-    /// inherits everything.
+    /// quota: no soft or hard quota, and the whole descriptor pool. In a
+    /// roster of two or more, the soft quota is `queue_cap`, a hard
+    /// quota of 0 stays unbounded, and each tenant's share is
+    /// `queue_cap / tenants`, at least one slot. A tenant outside the
+    /// roster inherits everything.
     pub fn quota(&self, tenant: TenantId) -> TenantQuota {
         let cap = self.queue_cap;
         if !self.multi_tenant() {
@@ -551,19 +527,12 @@ impl OffloadConfig {
                 cap,
             };
         }
-        let spec = |t: TenantId| self.tenants.get(t).copied().unwrap_or_default();
-        let weight = |t: TenantId| spec(t).weight.max(1);
-        let total: usize = (0..self.tenants.len()).map(weight).sum();
-        let (own, weight) = (spec(tenant), weight(tenant));
+        let own = self.tenants.get(tenant).copied().unwrap_or_default();
         TenantQuota {
-            soft: if own.soft_quota == 0 {
-                cap
-            } else {
-                own.soft_quota
-            },
+            soft: cap,
             hard: own.hard_quota,
             // `min` keeps an unarmed pool at no share.
-            share: (cap * weight / total).max(1).min(cap),
+            share: (cap / self.tenants.len()).max(1).min(cap),
             cap,
         }
     }
@@ -757,19 +726,14 @@ mod tests {
 
     #[test]
     fn one_verdict_and_free_slots_match_the_code_they_replace() {
-        let spec = |soft, hard, w| {
-            TenantSpec::inherit()
-                .with_soft_quota(soft)
-                .with_hard_quota(hard)
-                .with_weight(w)
-        };
-        let rosters: Vec<Vec<TenantSpec>> = [(0, 0), (2, 0), (0, 3), (2, 3)]
+        let spec = |hard| TenantSpec::inherit().with_hard_quota(hard);
+        let rosters: Vec<Vec<TenantSpec>> = [0, 3]
             .into_iter()
-            .flat_map(|(soft, hard)| {
+            .flat_map(|hard| {
                 [
-                    vec![spec(soft, hard, 0)],
-                    vec![spec(soft, hard, 1), spec(0, 0, 3)],
-                    vec![spec(0, hard, 2), spec(soft, 0, 1), spec(soft, hard, 5)],
+                    vec![spec(hard)],
+                    vec![spec(hard), spec(0)],
+                    vec![spec(0), spec(hard), spec(hard)],
                 ]
             })
             .collect();
@@ -828,15 +792,13 @@ mod tests {
             cap: 0,
         };
         let inherit = TenantSpec::inherit();
-        let overrides = [inherit, inherit.with_soft_quota(2).with_hard_quota(4)];
-        let weighted = [inherit.with_weight(3), inherit];
-        let lopsided = [inherit.with_weight(100), inherit];
+        let overrides = [inherit, inherit.with_hard_quota(4)];
         let rows = [
             ("no roster", roster(0, &[]), 0, q(0, 0, 0)),
             ("no roster, capped", roster(4, &[]), 0, q(0, 0, 4)),
             (
                 "a single spec is ignored",
-                roster(6, &[inherit.with_soft_quota(2).with_hard_quota(1)]),
+                roster(6, &[inherit.with_hard_quota(1)]),
                 0,
                 q(0, 0, 6),
             ),
@@ -846,17 +808,26 @@ mod tests {
                 0,
                 q(6, 0, 3),
             ),
-            ("set fields override", roster(6, &overrides), 1, q(2, 4, 3)),
+            (
+                "a set hard quota holds",
+                roster(6, &overrides),
+                1,
+                q(6, 4, 3),
+            ),
             ("outside the roster", roster(6, &overrides), 9, q(6, 0, 3)),
-            ("shares follow weight", roster(8, &weighted), 0, q(8, 0, 6)),
-            ("shares follow weight", roster(8, &weighted), 1, q(8, 0, 2)),
+            (
+                "two tenants halve the pool",
+                roster(8, &[inherit; 2]),
+                1,
+                q(8, 0, 4),
+            ),
             (
                 "a share keeps one slot",
-                roster(4, &lopsided),
+                roster(1, &overrides),
                 1,
-                q(4, 0, 1),
+                q(1, 4, 1),
             ),
-            ("uncapped, no pool", roster(0, &overrides), 1, q(2, 4, 0)),
+            ("uncapped, no pool", roster(0, &overrides), 1, q(0, 4, 0)),
         ];
         for (what, cfg, tenant, want) in rows {
             let want = TenantQuota {

@@ -292,10 +292,10 @@ pub(crate) enum CtrlMsg {
     /// Self-delivered data-path retransmission timer (proxy): re-post the
     /// payload write tracked under `token` (CRC verification failed).
     DataRetxTick { token: u64 },
-    /// Self-delivered deadline timer (host): if request `req` is still in
-    /// flight when it fires, the request fails with a typed timeout and a
-    /// [`CtrlMsg::Cancel`] is sent to the proxy.
-    DeadlineTick { req: usize },
+    /// Self-delivered deadline timer (host): if `target` is still in
+    /// flight when it fires, it fails with a typed timeout, and a basic
+    /// request's proxy is sent a [`CtrlMsg::Cancel`].
+    DeadlineTick { target: DeadlineTarget },
     /// Self-delivered backpressure retry timer (host): attempt to flush
     /// credit-deferred posts.
     BackpressureTick,
@@ -308,6 +308,15 @@ pub(crate) enum CtrlMsg {
         /// Its post-restart epoch (monotonically increasing).
         epoch: u64,
     },
+}
+
+/// What a [`CtrlMsg::DeadlineTick`] expires.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum DeadlineTarget {
+    /// A basic request slot.
+    Basic(usize),
+    /// The in-flight generation of a group request id.
+    Group(usize),
 }
 
 impl CtrlMsg {

@@ -145,22 +145,6 @@ impl Offload {
         self.group_end(g);
         g
     }
-
-    /// Record a near-neighbour halo exchange: for each `(peer, sbuf, rbuf,
-    /// bytes, tag_pair)` in `faces`, a send of `sbuf` and a receive into
-    /// `rbuf`. Used by stencil-style workloads.
-    pub fn record_halo_exchange(
-        &self,
-        faces: &[(usize, VAddr, VAddr, u64, u64, u64)],
-    ) -> GroupRequest {
-        let g = self.group_start();
-        for &(peer, sbuf, rbuf, bytes, stag, rtag) in faces {
-            self.group_send(g, sbuf, bytes, peer, stag);
-            self.group_recv(g, rbuf, bytes, peer, rtag);
-        }
-        self.group_end(g);
-        g
-    }
 }
 
 #[cfg(test)]

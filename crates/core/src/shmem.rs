@@ -279,14 +279,6 @@ impl Shmem {
             .heap_rkey
     }
 
-    /// Keep the map of peers accessible for diagnostics.
-    pub fn peer_heap_base(&self, pe: usize) -> VAddr {
-        self.st.borrow().peers[pe]
-            .as_ref()
-            .expect("peer known")
-            .heap_base
-    }
-
     /// Unused-field silencer with documentation value: the endpoint is the
     /// rank's host endpoint.
     pub fn endpoint(&self) -> EpId {

@@ -402,13 +402,6 @@ impl Mpi {
         self.st.borrow().reqs[req.0]
     }
 
-    /// Have all of `reqs` completed? Drives progress.
-    pub fn test_all(&self, reqs: &[Req]) -> bool {
-        self.progress();
-        let st = self.st.borrow();
-        reqs.iter().all(|r| st.reqs[r.0])
-    }
-
     /// Wait until `req` completes (like `MPI_Wait`).
     pub async fn wait(&self, req: Req) {
         self.progress();

@@ -96,11 +96,6 @@ impl ClusterCtx {
         self.inner.proxies[node][idx].1
     }
 
-    /// Pid of proxy `idx` on `node`.
-    pub fn proxy_pid(&self, node: usize, idx: usize) -> Pid {
-        self.inner.proxies[node][idx].0
-    }
-
     /// The proxy endpoint serving `rank`, using the paper's mapping
     /// `proxy_local_rank = host_rank % num_proxies_per_dpu` on the rank's
     /// own node.

@@ -273,16 +273,6 @@ impl Fabric {
         self.inner.lock().eps[ep.index()].pid
     }
 
-    /// Node hosting `ep`.
-    pub fn node_of(&self, ep: EpId) -> usize {
-        self.inner.lock().eps[ep.index()].node
-    }
-
-    /// Device class of `ep`.
-    pub fn class_of(&self, ep: EpId) -> DeviceClass {
-        self.inner.lock().eps[ep.index()].class
-    }
-
     /// GVMI-ID of a DPU endpoint.
     pub fn gvmi_of(&self, ep: EpId) -> Option<GvmiId> {
         self.inner.lock().eps[ep.index()].gvmi

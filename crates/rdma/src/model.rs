@@ -208,11 +208,6 @@ impl ClusterSpec {
     pub fn node_of_rank(&self, rank: usize) -> usize {
         rank / self.ppn
     }
-
-    /// Local index of `rank` on its node.
-    pub fn local_rank(&self, rank: usize) -> usize {
-        rank % self.ppn
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +245,6 @@ mod tests {
         assert_eq!(spec.node_of_rank(0), 0);
         assert_eq!(spec.node_of_rank(7), 0);
         assert_eq!(spec.node_of_rank(8), 1);
-        assert_eq!(spec.local_rank(9), 1);
         assert_eq!(spec.proxies_per_dpu, 1);
         assert_eq!(ClusterSpec::new(2, 32).proxies_per_dpu, 4);
     }

@@ -652,13 +652,6 @@ impl ProcessCtx {
             .pop_front()
     }
 
-    /// Number of messages currently queued.
-    pub fn mailbox_len(&self) -> usize {
-        self.inner.state.lock().procs[self.pid.index()]
-            .mailbox
-            .len()
-    }
-
     /// Deliver `payload` to `to` after `delay` of virtual time.
     pub fn deliver(&self, to: Pid, delay: SimDelta, payload: Payload) {
         let inner = &self.inner;

@@ -77,13 +77,6 @@ impl Trace {
         &self.spans
     }
 
-    /// Records whose label starts with `prefix`.
-    pub fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a TraceRecord> {
-        self.records
-            .iter()
-            .filter(move |r| r.label.starts_with(prefix))
-    }
-
     /// Render as lines of `time pid label` (stable across runs).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -125,14 +118,5 @@ mod tests {
         assert_eq!(s.start, SimTime::from_ps(10));
         assert_eq!(s.end, SimTime::from_ps(30));
         assert_eq!(s.cat, "compute");
-    }
-
-    #[test]
-    fn prefix_filter() {
-        let mut t = Trace::default();
-        t.push(SimTime::ZERO, Pid(0), "send.start".into());
-        t.push(SimTime::ZERO, Pid(0), "recv.start".into());
-        t.push(SimTime::ZERO, Pid(0), "send.end".into());
-        assert_eq!(t.with_prefix("send.").count(), 2);
     }
 }
