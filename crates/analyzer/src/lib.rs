@@ -4,13 +4,11 @@
 //! [`lex`]) instead of line regexes, so neither comments, string
 //! literals, nor inline `#[cfg(test)]` modules can confuse them:
 //!
-//! * **Cross-layer drift** ([`rules::drift`]) — two contracts are
-//!   spelled in several places with no type tying them together: the
-//!   `profile/v1` scope list against its `profile_scope!` call sites,
-//!   and the typed `OffloadError` surface. These rules prove they stay
-//!   in sync: every declared scope has a producer, every error variant
-//!   is both constructed and asserted. (Protocol events and metrics
-//!   counters are declared once in `core` and enforced by rustc.)
+//! * **Cross-layer drift** ([`rules::drift`]) — the typed
+//!   `OffloadError` surface is spelled in several places with no type
+//!   tying them together; this rule proves every variant is both
+//!   constructed and asserted. (Protocol events, metrics counters and
+//!   profile scopes are declared once in `core` and enforced by rustc.)
 //! * **Parallel readiness** ([`rules::parallel`]) — written for a
 //!   sharded simnet (since deleted) and the hot-path rework, which
 //!   needed the engine free of ambient concurrency: no `std::sync` locking primitives outside `simnet`,
@@ -30,7 +28,6 @@ use std::fmt;
 
 pub mod baseline;
 pub mod lex;
-pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod tree;
@@ -152,16 +149,6 @@ impl SourceSet {
 /// workspace; tests build custom configs over fixture trees.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// File declaring the `profile/v1` scope list.
-    pub schema_file: String,
-    /// `const NAME: &[&str]` arrays in that file holding `profile/v1`
-    /// scope names.
-    pub profile_consts: Vec<String>,
-    /// Roots whose non-test code must enter every profile scope — a
-    /// `profile_scope!("name")` string literal or an engine scope
-    /// const. A declared scope nothing enters is a profiler row that
-    /// can never appear.
-    pub profile_roots: Vec<String>,
     /// File declaring the typed error enum.
     pub errors_file: String,
     /// Name of the typed error enum.
@@ -188,9 +175,6 @@ impl Config {
     pub fn repo() -> Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         Config {
-            schema_file: "crates/obs/src/schema.rs".into(),
-            profile_consts: s(&["PROFILE_SCOPES"]),
-            profile_roots: s(&["crates/core/src", "crates/simnet/src"]),
             errors_file: "crates/core/src/reliable.rs".into(),
             error_enum: "OffloadError".into(),
             error_construct_roots: s(&["crates/core/src"]),
@@ -238,12 +222,19 @@ impl Analysis {
     }
 }
 
+/// Every rule [`analyze`] runs.
+pub const RULES: &[&str] = &[
+    rules::drift::ERROR_DRIFT,
+    rules::parallel::CONCURRENCY_BAN,
+    rules::parallel::LOCK_ORDER,
+    rules::parallel::PANIC_PATH,
+];
+
 /// Run every analyzer rule over `tree`. `baseline` is the committed
 /// panic-path allowlist text (empty string = empty baseline).
 pub fn analyze(tree: &Tree, cfg: &Config, baseline_text: &str) -> Analysis {
     let set = SourceSet::build(tree);
     let mut findings = Vec::new();
-    findings.extend(rules::drift::schema_drift(&set, cfg));
     findings.extend(rules::drift::error_drift(&set, cfg));
     findings.extend(rules::parallel::concurrency_ban(&set, cfg));
     findings.extend(rules::parallel::lock_order(&set, cfg));

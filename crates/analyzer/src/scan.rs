@@ -1,8 +1,8 @@
 //! Lightweight item scanning over the token stream: test-region
-//! marking, enum-variant and const-array extraction, path lookups, and
-//! delimiter matching. This is deliberately *not* a parser — it
-//! recognizes just enough structure for the rules, and degrades to
-//! "no match" (never a panic) on code it does not understand.
+//! marking, enum-variant extraction, and delimiter matching. This is
+//! deliberately *not* a parser — it recognizes just enough structure for
+//! the rules, and degrades to "no match" (never a panic) on code it does
+//! not understand.
 
 use crate::lex::{Lexed, Tok, TokKind};
 
@@ -163,55 +163,6 @@ pub fn enum_variants(lexed: &Lexed, name: &str) -> Vec<(String, u32)> {
     out
 }
 
-/// The string elements of `const <name>: … = &[ "…", … ];` with their
-/// lines. Empty when the const is not found or has no array literal.
-pub fn const_str_array(lexed: &Lexed, name: &str) -> Vec<(String, u32)> {
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    let Some(at) = toks
-        .windows(2)
-        .position(|w| w[0].is_ident("const") && w[1].is_ident(name))
-    else {
-        return out;
-    };
-    let Some(eq) = (at..toks.len()).find(|&j| toks[j].is_punct("=")) else {
-        return out;
-    };
-    let Some(open) = (eq..toks.len()).find(|&j| toks[j].is_punct("[")) else {
-        return out;
-    };
-    let Some(close) = delim_close(toks, open, "[", "]") else {
-        return out;
-    };
-    for t in &toks[open + 1..close] {
-        if t.kind == TokKind::Str {
-            out.push((t.text.clone(), t.line));
-        }
-    }
-    out
-}
-
-/// Lines on which the path `a::b` occurs (as exactly two segments —
-/// `x::a::b` also matches since the scan is windowed on `a :: b`).
-pub fn path2_lines(lexed: &Lexed, a: &str, b: &str) -> Vec<u32> {
-    lexed
-        .toks
-        .windows(3)
-        .filter(|w| w[0].is_ident(a) && w[1].is_punct("::") && w[2].is_ident(b))
-        .map(|w| w[2].line)
-        .collect()
-}
-
-/// Lines on which the identifier `s` occurs.
-pub fn ident_lines(lexed: &Lexed, s: &str) -> Vec<u32> {
-    lexed
-        .toks
-        .iter()
-        .filter(|t| t.is_ident(s))
-        .map(|t| t.line)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,14 +174,6 @@ mod tests {
         let vars = enum_variants(&lex(src), "E");
         let names: Vec<_> = vars.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["A", "B", "C"]);
-    }
-
-    #[test]
-    fn const_array_extraction() {
-        let src = "const KEYS: &[&str] = &[\n \"one\",\n \"two\",\n];\nconst OTHER: u8 = 3;";
-        let keys = const_str_array(&lex(src), "KEYS");
-        assert_eq!(keys, [("one".to_string(), 2), ("two".to_string(), 3)]);
-        assert!(const_str_array(&lex(src), "MISSING").is_empty());
     }
 
     #[test]
@@ -268,12 +211,5 @@ mod tests {
             .map(|(t, _)| t.text.clone())
             .collect();
         assert_eq!(live, ["fn", "live"]);
-    }
-
-    #[test]
-    fn path_lookup() {
-        let lexed = lex("use a::b;\nmatch x { Foo::Bar => 1, _ => 2 }\nlet s = \"Bar\";");
-        assert_eq!(path2_lines(&lexed, "Foo", "Bar"), [2]);
-        assert!(path2_lines(&lexed, "Foo", "Baz").is_empty());
     }
 }

@@ -25,9 +25,6 @@ fn tree(name: &str, variant: &str) -> Tree {
 fn cfg() -> Config {
     let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     Config {
-        schema_file: "src/schema.rs".into(),
-        profile_consts: s(&["SCOPES"]),
-        profile_roots: s(&["src"]),
         errors_file: "src/errors.rs".into(),
         error_enum: "Fail".into(),
         error_construct_roots: s(&["src"]),
@@ -36,16 +33,6 @@ fn cfg() -> Config {
         lock_roots: s(&["src"]),
         panic_files: s(&["src/hot.rs"]),
     }
-}
-
-#[test]
-fn schema_drift_fixtures() {
-    let clean = SourceSet::build(&tree("drift-schema", "clean"));
-    assert!(drift::schema_drift(&clean, &cfg()).is_empty());
-    let bad = SourceSet::build(&tree("drift-schema", "bad"));
-    let findings = drift::schema_drift(&bad, &cfg());
-    assert_eq!(findings.len(), 1, "exactly the seeded orphan: {findings:?}");
-    assert!(findings[0].msg.contains("engine_stop"));
 }
 
 #[test]

@@ -92,26 +92,6 @@ fn unconstructed_quota_exceeded_is_caught() {
 }
 
 #[test]
-fn orphaned_profile_scope_is_caught() {
-    let mut tree = repo_tree();
-    tree.edit("crates/obs/src/schema.rs", |s| {
-        s.replace(
-            "pub const PROFILE_SCOPES: &[&str] = &[",
-            "pub const PROFILE_SCOPES: &[&str] = &[\n    \"orphan_scope\",",
-        )
-    });
-    let hits = findings_for(&tree, "schema-drift");
-    assert!(
-        hits.iter().any(|f| {
-            f.path == "crates/obs/src/schema.rs"
-                && f.msg.contains("orphan_scope")
-                && f.msg.contains("PROFILE_SCOPES")
-        }),
-        "declared-but-never-entered profile scope must be caught: {hits:?}"
-    );
-}
-
-#[test]
 fn unconstructed_error_variant_is_caught() {
     let mut tree = repo_tree();
     tree.edit("crates/core/src/reliable.rs", |s| {

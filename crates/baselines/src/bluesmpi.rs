@@ -14,7 +14,7 @@
 //!   performance ... for the first several iterations" when benchmarks
 //!   don't warm up (§VIII-D, Fig. 16c). We model the worker bring-up /
 //!   staging-pool population cost as a per-pattern penalty on the first
-//!   `cold_start_calls` invocations.
+//!   [`COLD_START_CALLS`] invocations.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,27 +23,15 @@ use offload::{GroupRequest, Offload, OffloadConfig};
 use rdma::{ClusterCtx, Inbox, VAddr};
 use simnet::{ProcessCtx, SimDelta, StatKey};
 
-/// Cold-start model parameters.
-#[derive(Clone, Debug)]
-pub struct BluesConfig {
-    /// How many invocations of each distinct collective pattern pay the
-    /// bring-up penalty.
-    pub cold_start_calls: u64,
-    /// Penalty per cold invocation (worker launch, staging pool growth).
-    pub cold_start_penalty: SimDelta,
-}
+/// How many invocations of each collective kind pay the bring-up
+/// penalty.
+const COLD_START_CALLS: u64 = 3;
 
-impl Default for BluesConfig {
-    fn default() -> Self {
-        BluesConfig {
-            cold_start_calls: 3,
-            // The paper measured "a lot of degradation ... for the first
-            // several iterations" at application level — large enough to
-            // make unwarmed BluesMPI the slowest library in P3DFFT.
-            cold_start_penalty: SimDelta::from_ms(2),
-        }
-    }
-}
+/// Penalty per cold invocation (worker launch, staging pool growth). The
+/// paper measured "a lot of degradation ... for the first several
+/// iterations" at application level — large enough to make unwarmed
+/// BluesMPI the slowest library in P3DFFT.
+const COLD_START_PENALTY: SimDelta = SimDelta::from_ms(2);
 
 /// The offload configuration BluesMPI's workers must be launched with.
 pub fn bluesmpi_proxy_config() -> OffloadConfig {
@@ -57,7 +45,6 @@ pub struct BluesReq(GroupRequest);
 /// BluesMPI library instance for one rank.
 pub struct BluesMpi {
     off: Offload,
-    cfg: BluesConfig,
     /// Group request per distinct pattern signature.
     patterns: RefCell<HashMap<PatternKey, GroupRequest>>,
     /// Invocation counts per collective *kind* (cold-start accounting:
@@ -100,16 +87,9 @@ fn members_hash(members: &[usize]) -> u64 {
 impl BluesMpi {
     /// Attach to the inbox. The cluster's proxies must run
     /// [`bluesmpi_proxy_config`].
-    pub fn attach(
-        rank: usize,
-        ctx: ProcessCtx,
-        cluster: ClusterCtx,
-        inbox: &Inbox,
-        cfg: BluesConfig,
-    ) -> Self {
+    pub fn attach(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx, inbox: &Inbox) -> Self {
         BluesMpi {
             off: Offload::init(rank, ctx, cluster, inbox, bluesmpi_proxy_config()),
-            cfg,
             patterns: RefCell::new(HashMap::new()),
             kind_calls: RefCell::new(HashMap::new()),
         }
@@ -132,14 +112,11 @@ impl BluesMpi {
             *c += 1;
             *c
         };
-        let cold = calls <= self.cfg.cold_start_calls;
+        let cold = calls <= COLD_START_CALLS;
         if cold {
             static COLD_CALLS: StatKey = StatKey::new("bluesmpi.cold_calls");
             self.off.ctx().stat_incr(&COLD_CALLS, 1);
-            self.off
-                .ctx()
-                .sleep_async(self.cfg.cold_start_penalty)
-                .await;
+            self.off.ctx().sleep_async(COLD_START_PENALTY).await;
         }
         cold
     }

@@ -7,7 +7,7 @@
 //! harnesses can name the library and so algorithm choices are pinned in
 //! one place.
 
-use minimpi::{Mpi, MpiConfig, Req};
+use minimpi::{Mpi, Req};
 use rdma::{ClusterCtx, Inbox, VAddr};
 use simnet::ProcessCtx;
 
@@ -20,14 +20,14 @@ impl IntelMpi {
     /// Attach to the given inbox (coexists with other engines).
     pub fn attach(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx, inbox: &Inbox) -> Self {
         IntelMpi {
-            mpi: Mpi::attach(rank, ctx, cluster, inbox, MpiConfig::default()),
+            mpi: Mpi::attach(rank, ctx, cluster, inbox),
         }
     }
 
     /// Standalone instance with a private inbox.
     pub fn new(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx) -> Self {
         IntelMpi {
-            mpi: Mpi::new(rank, ctx, cluster, MpiConfig::default()),
+            mpi: Mpi::new(rank, ctx, cluster),
         }
     }
 

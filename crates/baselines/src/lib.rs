@@ -14,5 +14,5 @@
 mod bluesmpi;
 mod intelmpi;
 
-pub use bluesmpi::{bluesmpi_proxy_config, BluesConfig, BluesMpi, BluesReq};
+pub use bluesmpi::{bluesmpi_proxy_config, BluesMpi, BluesReq};
 pub use intelmpi::IntelMpi;

@@ -1,13 +1,12 @@
 //! Baseline correctness and characteristic behaviour.
 
-use baselines::{bluesmpi_proxy_config, BluesConfig, BluesMpi, IntelMpi};
+use baselines::{bluesmpi_proxy_config, BluesMpi, IntelMpi};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use simnet::SimDelta;
 
 fn run_blues(
     nodes: usize,
     ppn: usize,
-    cfg: BluesConfig,
     f: impl AsyncFn(&BluesMpi) + Send + Sync + 'static,
 ) -> simnet::Report {
     let spec = ClusterSpec::new(nodes, ppn);
@@ -15,7 +14,7 @@ fn run_blues(
         .run_async(
             async move |rank, ctx, cluster| {
                 let inbox = Inbox::new();
-                let blues = BluesMpi::attach(rank, ctx, cluster, &inbox, cfg.clone());
+                let blues = BluesMpi::attach(rank, ctx, cluster, &inbox);
                 f(&blues).await;
                 blues.finalize().await;
             },
@@ -26,7 +25,7 @@ fn run_blues(
 
 #[test]
 fn bluesmpi_ialltoall_is_correct() {
-    run_blues(2, 2, BluesConfig::default(), async |blues| {
+    run_blues(2, 2, async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -63,7 +62,7 @@ fn bluesmpi_ialltoall_is_correct() {
 
 #[test]
 fn bluesmpi_ibcast_is_correct() {
-    run_blues(3, 1, BluesConfig::default(), async |blues| {
+    run_blues(3, 1, async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let ep = off.cluster().host_ep(off.rank());
@@ -80,7 +79,7 @@ fn bluesmpi_ibcast_is_correct() {
 
 #[test]
 fn bluesmpi_iallgather_is_correct() {
-    run_blues(2, 2, BluesConfig::default(), async |blues| {
+    run_blues(2, 2, async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -106,7 +105,7 @@ fn bluesmpi_cold_start_fades_with_warmup() {
     use std::sync::Mutex;
     let times: std::sync::Arc<Mutex<Vec<f64>>> = Default::default();
     let t2 = std::sync::Arc::clone(&times);
-    let report = run_blues(2, 1, BluesConfig::default(), async move |blues| {
+    let report = run_blues(2, 1, async move |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();
@@ -138,7 +137,7 @@ fn bluesmpi_cold_start_fades_with_warmup() {
 
 #[test]
 fn bluesmpi_uses_staging_mechanism() {
-    let report = run_blues(2, 1, BluesConfig::default(), async |blues| {
+    let report = run_blues(2, 1, async |blues| {
         let off = blues.offload();
         let fab = off.cluster().fabric().clone();
         let p = off.size();

@@ -18,7 +18,7 @@ fn run(args: Args) {
     let mut rows = Vec::new();
     for &size in &sizes {
         let intel = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::Intel, 71);
-        let blues = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::blues(), 71);
+        let blues = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::Blues, 71);
         let prop = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::proposed(), 71);
         rows.push(vec![
             bytes(size),

@@ -19,7 +19,7 @@ fn run(args: Args) {
     for &size in &sizes {
         let mut cells = vec![bytes(size)];
         for model in [NicModel::bluefield2(), NicModel::bluefield3()] {
-            for rt in [Runtime::blues(), Runtime::proposed()] {
+            for rt in [Runtime::Blues, Runtime::proposed()] {
                 let spec = ClusterSpec::new(nodes, ppn)
                     .with_model(model.clone())
                     .without_byte_movement();

@@ -18,7 +18,7 @@ fn run(args: Args) {
     for &nodes in &node_counts {
         let mut rows = Vec::new();
         for &size in &sizes {
-            let blues = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::blues(), 41);
+            let blues = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::Blues, 41);
             let prop = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::proposed(), 41);
             let intel = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::Intel, 41);
             rows.push(vec![

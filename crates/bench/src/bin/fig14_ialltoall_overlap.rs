@@ -16,7 +16,7 @@ fn run(args: Args) {
     for &nodes in &node_counts {
         let mut rows = Vec::new();
         for &size in &sizes {
-            let blues = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::blues(), 43);
+            let blues = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::Blues, 43);
             let prop = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::proposed(), 43);
             let intel = ialltoall_overlap(nodes, ppn, size, iters, 4, Runtime::Intel, 43);
             rows.push(vec![

@@ -10,7 +10,7 @@ fn run_set(nodes: usize, ppn: usize, xy: u64, zs: &[u64], iters: u32, tag: &str)
     let mut profile_rows = Vec::new();
     for &z in zs {
         let intel = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::Intel, 53);
-        let blues = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::blues(), 53);
+        let blues = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::Blues, 53);
         let prop = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::proposed(), 53);
         rows.push(vec![
             format!("{xy}x{xy}x{z}"),

@@ -89,29 +89,11 @@ impl Args {
 
 /// Directory receiving machine-readable benchmark artifacts
 /// (`<bench>.metrics.json` files). `BENCH_OUT_DIR` overrides the
-/// default `bench_results/` at the workspace root; `BENCH_RESULTS_DIR`
-/// is honoured as a fallback for older scripts.
+/// default `bench_results/` at the workspace root.
 pub fn bench_results_dir() -> std::path::PathBuf {
-    match std::env::var_os("BENCH_OUT_DIR").or_else(|| std::env::var_os("BENCH_RESULTS_DIR")) {
+    match std::env::var_os("BENCH_OUT_DIR") {
         Some(d) => d.into(),
         None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results"),
-    }
-}
-
-/// Write a metrics report as `bench_results/<name>.metrics.json`
-/// (schema `bluefield-offload/metrics/v1`). Benchmarks keep running if
-/// the filesystem refuses; the table on stdout is still the primary
-/// output.
-pub fn write_metrics(name: &str, report: &offload::MetricsReport) {
-    let dir = bench_results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("metrics: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.metrics.json"));
-    match std::fs::write(&path, report.to_json(name)) {
-        Ok(()) => eprintln!("metrics: wrote {}", path.display()),
-        Err(e) => eprintln!("metrics: failed to write {}: {e}", path.display()),
     }
 }
 
@@ -149,7 +131,10 @@ pub fn render_metrics_with(
     o
 }
 
-/// Like [`write_metrics`], with extension sections.
+/// Write a metrics report, with extension sections, as
+/// `bench_results/<name>.metrics.json` (schema
+/// `bluefield-offload/metrics/v1`). Benchmarks keep running if the
+/// filesystem refuses; the table on stdout is still the primary output.
 pub fn write_metrics_with(
     name: &str,
     report: &offload::MetricsReport,
@@ -316,7 +301,7 @@ pub fn run_with_observability(name: &str, f: impl FnOnce()) {
         trace: false,
     };
     workloads::with_observer(observer, f);
-    write_metrics(name, &metrics.report());
+    write_metrics_with(name, &metrics.report(), &[]);
     if let Some(bus) = bus {
         offload::profile::set_enabled(false);
         let report = offload::profile::take_report();

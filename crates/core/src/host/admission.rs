@@ -85,7 +85,7 @@ impl Offload {
     /// Ship basic request `req`'s stored post. Only a shipped post is
     /// replayed after a proxy restart.
     pub(super) fn ship(&self, req: usize) {
-        crate::profile_scope!("credit_admission");
+        crate::profile::profile_scope!(CreditAdmission);
         let post = self.st.borrow_mut().reqs.get_mut(req).and_then(|slot| {
             slot.shipped = true;
             slot.post.clone()

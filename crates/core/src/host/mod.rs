@@ -280,7 +280,7 @@ impl Offload {
     /// Ship one ctrl message through the link, which sends it bare on a
     /// plan that does not arm reliability.
     fn post_ctrl(&self, to: EpId, bytes: u64, msg: CtrlMsg, origin: ReqOrigin) {
-        crate::profile_scope!("ctrl_encode");
+        crate::profile::profile_scope!(CtrlEncode);
         let mut st = self.st.borrow_mut();
         let fab = self.cluster.fabric();
         st.rel.send(&self.ctx, fab, to, bytes, msg, origin);

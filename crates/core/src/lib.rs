@@ -96,7 +96,7 @@ pub use metrics::{
     CacheCounters, HealthMetrics, Metrics, MetricsReport, ProxyMetrics, RankMetrics, TenantMetrics,
     WindowMetrics, CACHE_KEYS, HEALTH_KEYS, TENANT_KEYS, TOTAL_KEYS,
 };
-pub use profile::{ProfileReport, ScopeAgg};
+pub use profile::{ProfileReport, ScopeAgg, PROFILE_SCOPES};
 pub use proxy::proxy_fn;
 pub use reg_cache::RankAddrCache;
 pub use reliable::OffloadError;

@@ -1,4 +1,4 @@
-//! Zero-dependency hot-path span profiler (`profile_scope!`).
+//! Zero-dependency hot-path span profiler.
 //!
 //! The offload framework's ARM-side hot path must stay cheap for the
 //! paper's crossover argument to hold, and optimizing it needs
@@ -6,11 +6,15 @@
 //! encode/decode, CRC verification, credit admission, journal
 //! truncation, registration-cache lookups, CQ polling? This module
 //! answers that with thread-local enter/exit timestamps aggregated into
-//! a self/total-time call tree over named scopes.
+//! a self/total-time call tree over named scopes. Those scopes are
+//! declared once, in one table below: a crate-private `Scope` enum for
+//! the `profile_scope!` call sites and [`PROFILE_SCOPES`] for the
+//! `profile/v1` schema. The enum denies dead code, so a declared scope
+//! that nothing enters fails the build.
 //!
 //! # Design constraints
 //!
-//! * **Off by default, free when off.** [`profile_scope!`] consults a
+//! * **Off by default, free when off.** `profile_scope!` consults a
 //!   thread-local cache of the enabled flag; when disabled it takes no
 //!   timestamp, allocates nothing, and touches no lock.
 //! * **Virtual-time safe.** Wall-clock reads happen strictly outside
@@ -185,17 +189,55 @@ fn bucket(v: u64) -> usize {
     }
 }
 
-/// RAII guard closing a profiled scope; created by [`profile_scope!`].
-#[must_use = "binding the guard keeps the scope open until end of block"]
-pub struct ScopeGuard {
-    _priv: (),
+/// Generates the two spellings of the profiled stages from one table:
+/// the [`Scope`] enum [`profile_scope!`] takes, and [`PROFILE_SCOPES`],
+/// built from the same literals (not from the variants) so it stays a
+/// plain `&[&str]` constant.
+macro_rules! scopes {
+    ($($variant:ident => $name:literal,)*) => {
+        /// A profiled hot-path stage. `dead_code` is denied: a variant
+        /// nothing constructs is a declared scope no producer enters,
+        /// a `profile/v1` row that could never appear.
+        #[deny(dead_code)]
+        pub(crate) enum Scope {
+            $($variant,)*
+        }
+
+        impl Scope {
+            /// The scope's name in profile reports.
+            pub(crate) const fn name(self) -> &'static str {
+                match self {
+                    $(Scope::$variant => $name,)*
+                }
+            }
+        }
+
+        /// Every scope name a `profile/v1` report may carry, in
+        /// declaration order. `obs` validates scope paths against it and
+        /// `benchmark/` names its `core.<scope>.*` keys from it.
+        pub const PROFILE_SCOPES: &[&str] = &[$($name,)*];
+    };
 }
+
+scopes! {
+    CtrlEncode => "ctrl_encode",
+    CtrlDecode => "ctrl_decode",
+    CrcVerify => "crc_verify",
+    CreditAdmission => "credit_admission",
+    JournalTruncate => "journal_truncate",
+    CacheLookup => "cache_lookup",
+    CqPoll => "cq_poll",
+}
+
+/// RAII guard closing a profiled scope; created by `profile_scope!`.
+#[must_use = "binding the guard keeps the scope open until end of block"]
+pub(crate) struct ScopeGuard;
 
 /// Open a profiled scope named `name` on this thread's call tree.
 /// Returns `None` (no timestamp taken) when profiling is disabled —
 /// [`profile_scope!`] binds the result either way so the guard drops at
 /// end of scope.
-pub fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
+pub(crate) fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
     if !enabled() {
         return None;
     }
@@ -225,7 +267,7 @@ pub fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
             child_ns: 0,
         });
     });
-    Some(ScopeGuard { _priv: () })
+    Some(ScopeGuard)
 }
 
 impl Drop for ScopeGuard {
@@ -249,22 +291,15 @@ impl Drop for ScopeGuard {
     }
 }
 
-/// Profile the enclosing scope under a string-literal name. Expands to
-/// an RAII guard binding; when profiling is disabled the guard is
-/// `None` and the whole thing costs one thread-local flag read.
-///
-/// ```
-/// fn hot_path() {
-///     offload::profile_scope!("ctrl_decode");
-///     // ... work measured under "ctrl_decode" ...
-/// }
-/// ```
-#[macro_export]
+/// Profile the enclosing block as a [`Scope`] variant. Expands to an
+/// RAII guard binding; when profiling is disabled the guard is `None`
+/// and the whole thing costs one thread-local flag read.
 macro_rules! profile_scope {
-    ($name:literal) => {
-        let _profile_guard = $crate::profile::scope_guard($name);
+    ($scope:ident) => {
+        let _profile_guard = $crate::profile::scope_guard($crate::profile::Scope::$scope.name());
     };
 }
+pub(crate) use profile_scope;
 
 /// Wrap a rank's body so that, in debug builds, every poll must leave
 /// the thread's scope stack at the depth it found it: future ranks take
@@ -406,10 +441,10 @@ mod tests {
     fn scopes_nest_and_report_self_vs_total() {
         set_enabled(true);
         {
-            crate::profile_scope!("outer_test_scope");
+            let _g = scope_guard("outer_test_scope");
             std::thread::sleep(std::time::Duration::from_millis(2)); // lint:allow(wall-clock)
             {
-                crate::profile_scope!("inner_test_scope");
+                let _g = scope_guard("inner_test_scope");
                 std::thread::sleep(std::time::Duration::from_millis(1)); // lint:allow(wall-clock)
             }
         }
@@ -435,7 +470,7 @@ mod tests {
     fn disabled_profiler_collects_nothing() {
         set_enabled(false);
         {
-            crate::profile_scope!("never_recorded_scope");
+            let _g = scope_guard("never_recorded_scope");
         }
         let report = take_report();
         assert!(!report.scopes.contains_key("never_recorded_scope"));
@@ -445,7 +480,7 @@ mod tests {
     fn worker_thread_samples_survive_thread_exit() {
         set_enabled(true);
         std::thread::spawn(|| {
-            crate::profile_scope!("thread_exit_scope");
+            let _g = scope_guard("thread_exit_scope");
         })
         .join()
         .expect("profiled thread");
@@ -468,11 +503,11 @@ mod tests {
         });
         let mut fut = std::pin::pin!(balanced(async move {
             if scope_across_await {
-                crate::profile_scope!("held_scope");
+                let _g = scope_guard("held_scope");
                 wait.await;
             } else {
                 {
-                    crate::profile_scope!("closed_scope");
+                    let _g = scope_guard("closed_scope");
                 }
                 wait.await;
             }
@@ -497,6 +532,24 @@ mod tests {
     #[should_panic(expected = "a profile scope spans an .await")]
     fn a_scope_held_across_an_await_is_caught() {
         poll_twice(true);
+    }
+
+    /// `benchmark/` names its `core.<scope>.*` keys by iterating this
+    /// list, so its names and their order are part of that contract.
+    #[test]
+    fn profile_scopes_are_the_seven_hot_path_stages_in_order() {
+        assert_eq!(
+            PROFILE_SCOPES,
+            [
+                "ctrl_encode",
+                "ctrl_decode",
+                "crc_verify",
+                "credit_admission",
+                "journal_truncate",
+                "cache_lookup",
+                "cq_poll",
+            ]
+        );
     }
 
     #[test]

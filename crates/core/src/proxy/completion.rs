@@ -159,7 +159,7 @@ impl Proxy<'_> {
     }
 
     pub(super) fn on_cqe(&self, st: &mut ProxyState, wrid: u64) {
-        crate::profile_scope!("cq_poll");
+        crate::profile::profile_scope!(CqPoll);
         let Some(completion) = st.inflight.remove(&wrid) else {
             // CQE of a write posted before a crash: the restarted proxy
             // does not know it. The transfer itself is re-driven by the
@@ -177,7 +177,7 @@ impl Proxy<'_> {
         // completion. A mismatch schedules a bounded retransmission
         // instead — no FIN, no staging forward, no barrier progress.
         if let Some(op) = st.inflight_ctx.remove(&wrid) {
-            crate::profile_scope!("crc_verify");
+            crate::profile::profile_scope!(CrcVerify);
             let (ep, addr, _) = if op.is_read { op.local } else { op.remote };
             let got = self
                 .cluster

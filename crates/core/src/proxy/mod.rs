@@ -49,7 +49,7 @@ use path::fresh_cross_cache;
 /// foreign message is surfaced as `None` so the caller can count and skip
 /// it instead of taking the whole simulation down.
 fn decode_ctrl(body: Payload) -> Option<CtrlMsg> {
-    crate::profile_scope!("ctrl_decode");
+    crate::profile::profile_scope!(CtrlDecode);
     body.downcast::<CtrlMsg>().ok().map(|b| *b)
 }
 
@@ -458,7 +458,7 @@ impl Proxy<'_> {
     /// Send a ctrl message to host endpoint `to` through the link, which
     /// sends it bare on a plan that does not arm reliability.
     fn send_ctrl(&self, st: &mut ProxyState, to: EpId, msg: CtrlMsg) {
-        crate::profile_scope!("ctrl_encode");
+        crate::profile::profile_scope!(CtrlEncode);
         let fab = self.cluster.fabric();
         st.rel.send(
             self.ctx,
@@ -607,7 +607,7 @@ impl Proxy<'_> {
         if cap == 0 {
             return;
         }
-        crate::profile_scope!("journal_truncate");
+        crate::profile::profile_scope!(JournalTruncate);
         // No tenant's share can exceed the cap while the whole journal fits.
         if st.completed_msgs.len() > cap {
             let owner = |mid: &u64| (mid >> 32) as usize;

@@ -99,7 +99,7 @@ impl<V> RankAddrCache<V> {
         size: u64,
         valid: impl FnOnce(&V) -> bool,
     ) -> Option<&V> {
-        crate::profile_scope!("cache_lookup");
+        crate::profile::profile_scope!(CacheLookup);
         let entry_ok = match self.per_rank[rank].get(&(addr, size)) {
             Some(v) => valid(v),
             None => false,

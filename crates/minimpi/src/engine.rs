@@ -13,7 +13,15 @@ use std::collections::{BTreeMap, VecDeque};
 use rdma::{Channel, ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
 use simnet::{Pid, ProcessCtx, StatKey};
 
-use crate::config::MpiConfig;
+/// Messages up to this size (bytes) use the eager protocol: the payload
+/// rides inside the control packet and the send completes locally.
+/// Larger messages use rendezvous (RTS → CTS → RDMA write → FIN), which
+/// requires the *receiver's CPU* to be inside an MPI call to reply CTS —
+/// the host-progress limitation the paper's Fig. 1 illustrates.
+const EAGER_THRESHOLD: u64 = 16 * 1024;
+
+/// Modelled wire size of a control packet (RTS/CTS and eager header).
+const CTRL_BYTES: u64 = 64;
 
 /// Matches any source rank.
 pub const ANY_SOURCE: usize = usize::MAX;
@@ -220,7 +228,6 @@ pub struct Mpi {
     pub(crate) cluster: ClusterCtx,
     pub(crate) rank: usize,
     pub(crate) ep: EpId,
-    pub(crate) cfg: MpiConfig,
     pub(crate) chan: Channel,
     pub(crate) st: RefCell<Engine>,
     /// Reentrancy guard: posting ops from inside `advance_nbcs` re-enters
@@ -235,13 +242,7 @@ pub struct Mpi {
 impl Mpi {
     /// Attach an MPI engine for `rank` to an existing per-process [`Inbox`]
     /// (use this when the process also runs other engines, e.g. offload).
-    pub fn attach(
-        rank: usize,
-        ctx: ProcessCtx,
-        cluster: ClusterCtx,
-        inbox: &Inbox,
-        cfg: MpiConfig,
-    ) -> Mpi {
+    pub fn attach(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx, inbox: &Inbox) -> Mpi {
         let chan = inbox.channel(|m| match m {
             NetMsg::Packet(p) => p.body.is::<MpiMsg>(),
             NetMsg::Notify(p) => p.is::<MpiMsg>(),
@@ -253,7 +254,6 @@ impl Mpi {
             cluster,
             rank,
             ep,
-            cfg,
             chan,
             st: RefCell::new(Engine::new()),
             in_advance: Cell::new(false),
@@ -263,9 +263,9 @@ impl Mpi {
 
     /// Create an MPI engine with its own private inbox (processes that only
     /// run MPI).
-    pub fn new(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx, cfg: MpiConfig) -> Mpi {
+    pub fn new(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx) -> Mpi {
         let inbox = Inbox::new();
-        Mpi::attach(rank, ctx, cluster, &inbox, cfg)
+        Mpi::attach(rank, ctx, cluster, &inbox)
     }
 
     /// This rank.
@@ -301,7 +301,7 @@ impl Mpi {
         self.progress();
         let req = self.st.borrow_mut().new_req();
         let fab = self.cluster.fabric();
-        if len <= self.cfg.eager_threshold {
+        if len <= EAGER_THRESHOLD {
             // Eager payloads always carry real bytes, even in timing-only
             // runs: they are small, and scalar reductions ride on them.
             let data = fab
@@ -311,7 +311,7 @@ impl Mpi {
                 &self.ctx,
                 self.ep,
                 self.cluster.host_ep(dst),
-                len + self.cfg.ctrl_bytes,
+                len + CTRL_BYTES,
                 Box::new(MpiMsg::Eager {
                     src_rank: self.rank,
                     tag,
@@ -333,7 +333,7 @@ impl Mpi {
                 &self.ctx,
                 self.ep,
                 self.cluster.host_ep(dst),
-                self.cfg.ctrl_bytes,
+                CTRL_BYTES,
                 Box::new(MpiMsg::Rts {
                     src_rank: self.rank,
                     tag,
@@ -498,7 +498,7 @@ impl Mpi {
                 &self.ctx,
                 self.ep,
                 self.cluster.host_ep(src_rank),
-                self.cfg.ctrl_bytes,
+                CTRL_BYTES,
                 Box::new(MpiMsg::Cts {
                     recv_rank: self.rank,
                     recv_pid: self.ctx.pid(),

@@ -27,8 +27,6 @@
 #![warn(missing_docs)]
 
 mod collectives;
-mod config;
 mod engine;
 
-pub use config::MpiConfig;
 pub use engine::{Mpi, Req, ANY_SOURCE, ANY_TAG};

@@ -1,6 +1,6 @@
 //! Collective correctness across odd/even sizes and multi-node layouts.
 
-use minimpi::{Mpi, MpiConfig};
+use minimpi::Mpi;
 use rdma::{ClusterBuilder, ClusterSpec, NO_PROXIES};
 
 fn run_world(nodes: usize, ppn: usize, f: impl AsyncFn(&Mpi) + Send + Sync + 'static) {
@@ -8,7 +8,7 @@ fn run_world(nodes: usize, ppn: usize, f: impl AsyncFn(&Mpi) + Send + Sync + 'st
     ClusterBuilder::new(spec, 99)
         .run_async(
             async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster, MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster);
                 f(&mpi).await;
             },
             NO_PROXIES,
@@ -38,7 +38,7 @@ fn check_bcast(nodes: usize, ppn: usize, len: u64, ring: bool) {
     ClusterBuilder::new(spec, 5)
         .run_async(
             async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let buf = fab.alloc(ep, len);

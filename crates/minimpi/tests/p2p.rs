@@ -1,7 +1,7 @@
 //! Point-to-point protocol tests: eager, rendezvous, matching, wildcards,
 //! ordering, and the host-progress stall that motivates the paper.
 
-use minimpi::{Mpi, MpiConfig, ANY_SOURCE, ANY_TAG};
+use minimpi::{Mpi, ANY_SOURCE, ANY_TAG};
 use rdma::{ClusterBuilder, ClusterSpec, NO_PROXIES};
 use simnet::SimDelta;
 
@@ -10,7 +10,7 @@ fn run_pair(f: impl AsyncFn(&Mpi) + Send + Sync + 'static) {
     ClusterBuilder::new(spec, 42)
         .run_async(
             async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster, MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster);
                 f(&mpi).await;
             },
             NO_PROXIES,
@@ -121,7 +121,7 @@ fn wildcard_source_and_tag() {
     ClusterBuilder::new(spec, 7)
         .run_async(
             async |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster, MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster);
                 let fab = mpi.cluster().fabric().clone();
                 let ep = mpi.cluster().host_ep(rank);
                 let buf = fab.alloc(ep, 16);
@@ -165,7 +165,7 @@ fn rendezvous_stalls_while_receiver_computes() {
     let report = ClusterBuilder::new(spec, 1)
         .run_async(
             async |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let len = 1 << 20;
@@ -197,7 +197,7 @@ fn registration_cache_hits_on_buffer_reuse() {
     let report = ClusterBuilder::new(spec, 3)
         .run_async(
             async |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let len = 128 * 1024;

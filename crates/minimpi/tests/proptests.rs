@@ -2,7 +2,7 @@
 //! with sizes straddling the eager/rendezvous boundary must always match
 //! correctly and deliver intact payloads.
 
-use minimpi::{Mpi, MpiConfig};
+use minimpi::Mpi;
 use proptest::prelude::*;
 use rdma::{ClusterBuilder, ClusterSpec, NO_PROXIES};
 use std::sync::Arc;
@@ -46,7 +46,7 @@ fn run_schedule(msgs: Vec<Msg>, ranks: usize) {
     ClusterBuilder::new(spec, 2024)
         .run_async(
             async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let mut reqs = Vec::new();
@@ -105,7 +105,7 @@ proptest! {
         let spec = ClusterSpec::new(3, 1);
         ClusterBuilder::new(spec, 11)
             .run_async(async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let mut reqs = Vec::new();
@@ -138,7 +138,7 @@ proptest! {
         let spec = ClusterSpec::new(2, 2);
         ClusterBuilder::new(spec, 5)
             .run_async(async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx, cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let p = cluster.world_size();

@@ -15,6 +15,9 @@ use crate::json::{parse, Json};
 // `health` object, present only when the health engine acted).
 use offload::{CACHE_KEYS, TOTAL_KEYS};
 pub use offload::{HEALTH_KEYS, TENANT_KEYS};
+// The `profile/v1` scope names are declared with the `Scope` enum that
+// `core`'s call sites enter, so an unentered name fails the build.
+pub use offload::PROFILE_SCOPES;
 
 /// Schema identifier every conforming document carries.
 pub const SCHEMA_ID: &str = "bluefield-offload/metrics/v1";
@@ -31,21 +34,6 @@ const EXT_SECTIONS: &[&str] = &["engine", "scale", "profile"];
 
 /// Schema identifier of self-profiling reports (`profile/v1`).
 pub const PROFILE_SCHEMA_ID: &str = "bluefield-offload/profile/v1";
-
-/// Every scope name a `profile/v1` report may carry. Scope names are
-/// string literals at their `profile_scope!` call sites in `core`,
-/// which no type ties to this list, so the
-/// analyzer's schema-drift rule does: a name listed here that no
-/// producer enters fails `cargo xtask analyze`.
-pub const PROFILE_SCOPES: &[&str] = &[
-    "ctrl_encode",
-    "ctrl_decode",
-    "crc_verify",
-    "credit_admission",
-    "journal_truncate",
-    "cache_lookup",
-    "cq_poll",
-];
 
 fn counter(obj: &Json, key: &str, at: &str) -> Result<u64, String> {
     obj.get(key)

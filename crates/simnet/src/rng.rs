@@ -80,11 +80,6 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Derive an independent child generator (for per-process streams).
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -145,14 +140,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::new(99);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..16).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert!(same < 4);
     }
 }

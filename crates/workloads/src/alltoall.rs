@@ -240,7 +240,7 @@ mod tests {
 
     #[test]
     fn proposed_beats_blues_on_latency_and_both_overlap() {
-        let blues = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::blues(), 7);
+        let blues = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::Blues, 7);
         let prop = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::proposed(), 7);
         let intel = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::Intel, 7);
         // Paper Fig. 13: proposed < BluesMPI on overall time; Fig. 14:
@@ -382,7 +382,7 @@ mod allgather_tests {
         // Warm-up count exceeds BluesMPI's cold-start call count.
         let intel = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::Intel, 3);
         let prop = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::proposed(), 3);
-        let blues = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::blues(), 3);
+        let blues = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::Blues, 3);
         assert!(prop.overlap_pct() > 90.0, "proposed {}", prop.overlap_pct());
         assert!(blues.overlap_pct() > 90.0, "blues {}", blues.overlap_pct());
         assert!(

@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use baselines::{bluesmpi_proxy_config, BluesConfig, BluesMpi};
-use minimpi::{Mpi, MpiConfig};
+use baselines::{bluesmpi_proxy_config, BluesMpi};
+use minimpi::Mpi;
 use offload::{Offload, OffloadConfig};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 use simnet::{Report, SimTime};
@@ -31,7 +31,7 @@ pub enum Runtime {
     /// Host-based MPI (the Intel MPI stand-in).
     Intel,
     /// BluesMPI staging offload (collectives only).
-    Blues(BluesConfig),
+    Blues,
     /// The paper's framework with the given configuration.
     Proposed(OffloadConfig),
 }
@@ -42,16 +42,11 @@ impl Runtime {
         Runtime::Proposed(OffloadConfig::proposed())
     }
 
-    /// BluesMPI with default cold-start parameters.
-    pub fn blues() -> Runtime {
-        Runtime::Blues(BluesConfig::default())
-    }
-
     /// Short label for tables.
     pub fn label(&self) -> &'static str {
         match self {
             Runtime::Intel => "IntelMPI",
-            Runtime::Blues(_) => "BluesMPI",
+            Runtime::Blues => "BluesMPI",
             Runtime::Proposed(c) if c.data_path == offload::DataPath::Staging => "Staging",
             Runtime::Proposed(_) => "Proposed",
         }
@@ -127,7 +122,7 @@ pub fn run_workload(
     let label = runtime.label();
     let proxy_cfg = match &runtime {
         Runtime::Intel => None,
-        Runtime::Blues(_) => Some(bluesmpi_proxy_config()),
+        Runtime::Blues => Some(bluesmpi_proxy_config()),
         Runtime::Proposed(ocfg) => Some(ocfg.clone()),
     };
     builder
@@ -136,10 +131,9 @@ pub fn run_workload(
                 let inbox = Inbox::new();
                 let (off, blues) = match &runtime {
                     Runtime::Intel => (None, None),
-                    Runtime::Blues(cfg) => {
+                    Runtime::Blues => {
                         let (ctx, cluster) = (ctx.clone(), cluster.clone());
-                        let blues = BluesMpi::attach(rank, ctx, cluster, &inbox, cfg.clone());
-                        (None, Some(blues))
+                        (None, Some(BluesMpi::attach(rank, ctx, cluster, &inbox)))
                     }
                     Runtime::Proposed(cfg) => {
                         let (ctx, cluster) = (ctx.clone(), cluster.clone());
@@ -149,7 +143,7 @@ pub fn run_workload(
                 };
                 let h = Harness {
                     rank,
-                    mpi: Mpi::attach(rank, ctx, cluster, &inbox, MpiConfig::default()),
+                    mpi: Mpi::attach(rank, ctx, cluster, &inbox),
                     off,
                     blues,
                 };
@@ -173,7 +167,7 @@ mod tests {
 
     #[test]
     fn all_runtimes_bring_up_their_engines() {
-        for rt in [Runtime::Intel, Runtime::blues(), Runtime::proposed()] {
+        for rt in [Runtime::Intel, Runtime::Blues, Runtime::proposed()] {
             let label = rt.label();
             let c = collector::<(bool, bool)>();
             let c2 = Arc::clone(&c);

@@ -59,7 +59,7 @@ impl HplAlgo {
     fn runtime(self) -> Runtime {
         match self {
             HplAlgo::Ring1 | HplAlgo::IntelIbcast => Runtime::Intel,
-            HplAlgo::Blues => Runtime::blues(),
+            HplAlgo::Blues => Runtime::Blues,
             HplAlgo::Proposed => Runtime::proposed(),
         }
     }

@@ -176,7 +176,7 @@ mod tests {
         // Paper Fig. 16: without warm-up, BluesMPI's cold start makes it
         // the slowest; the proposed framework beats both.
         let intel = p3dfft(2, 2, (64, 64, 128), 2, Runtime::Intel, 21);
-        let blues = p3dfft(2, 2, (64, 64, 128), 2, Runtime::blues(), 21);
+        let blues = p3dfft(2, 2, (64, 64, 128), 2, Runtime::Blues, 21);
         let prop = p3dfft(2, 2, (64, 64, 128), 2, Runtime::proposed(), 21);
         assert!(
             prop.total_us < intel.total_us,

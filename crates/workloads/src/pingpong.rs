@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use minimpi::{Mpi, MpiConfig};
+use minimpi::Mpi;
 use offload::{Offload, OffloadConfig};
 use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 
@@ -61,13 +61,7 @@ pub fn nonblocking_pingpong_us(
         let sbuf = fab.alloc(ep, size);
         let rbuf = fab.alloc(ep, size);
         let peer = 1 - rank;
-        let mpi = Mpi::attach(
-            rank,
-            ctx.clone(),
-            cluster.clone(),
-            &inbox,
-            MpiConfig::default(),
-        );
+        let mpi = Mpi::attach(rank, ctx.clone(), cluster.clone(), &inbox);
         let off = off_cfg
             .clone()
             .map(|cfg| Offload::init(rank, ctx.clone(), cluster.clone(), &inbox, cfg));

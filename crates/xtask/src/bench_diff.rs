@@ -107,44 +107,6 @@ impl DiffReport {
     pub fn ok(&self) -> bool {
         self.regressions.is_empty()
     }
-
-    /// The report as a machine-readable JSON document
-    /// (`bluefield-offload/bench-diff/v1`), for `--json` mode. Rendering
-    /// is deterministic: members keep insertion order and regressions
-    /// keep discovery order.
-    pub fn to_json(&self, opts: &DiffOptions) -> Json {
-        let opt_num = |v: Option<f64>| match v {
-            Some(v) => Json::Num(v),
-            None => Json::Null,
-        };
-        let regressions = self
-            .regressions
-            .iter()
-            .map(|r| {
-                Json::Obj(vec![
-                    ("file".into(), Json::Str(r.file.clone())),
-                    ("counter".into(), Json::Str(r.counter.clone())),
-                    ("old".into(), opt_num(r.old)),
-                    ("new".into(), opt_num(r.new)),
-                    ("why".into(), Json::Str(r.why.to_string())),
-                ])
-            })
-            .collect();
-        let notes = self.notes.iter().map(|n| Json::Str(n.clone())).collect();
-        Json::Obj(vec![
-            (
-                "schema".into(),
-                Json::Str("bluefield-offload/bench-diff/v1".into()),
-            ),
-            ("ok".into(), Json::Bool(self.ok())),
-            ("tol_pct".into(), Json::Num(opts.tol_pct)),
-            ("wall_tol_pct".into(), Json::Num(opts.wall_tol_pct)),
-            ("files".into(), Json::Num(self.files as f64)),
-            ("counters".into(), Json::Num(self.counters as f64)),
-            ("regressions".into(), Json::Arr(regressions)),
-            ("notes".into(), Json::Arr(notes)),
-        ])
-    }
 }
 
 /// Flatten every numeric leaf of a metrics document into dotted paths.
@@ -631,67 +593,20 @@ mod tests {
     }
 
     #[test]
-    fn json_report_round_trips_and_carries_regressions() {
+    fn drift_and_disappearance_regress_together() {
         let new = BASE
             .replace("\"events\": 100", "\"events\": 103")
             .replace("\"fin_send\": 4, ", "");
         let mut r = DiffReport::default();
         diff_docs("f", &doc(BASE), &doc(&new), &DiffOptions::default(), &mut r);
         assert_eq!(r.regressions.len(), 2);
-
-        let rendered = r
-            .to_json(&DiffOptions {
-                tol_pct: 0.0,
-                ..Default::default()
-            })
-            .render();
-        let parsed = obs::parse(&rendered).expect("report JSON parses back");
-        assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some("bluefield-offload/bench-diff/v1")
-        );
-        assert_eq!(parsed.get("ok"), Some(&Json::Bool(false)));
-        assert_eq!(parsed.get("counters").and_then(Json::as_u64), Some(5));
-        let regs = parsed
-            .get("regressions")
-            .and_then(Json::as_arr)
-            .expect("regressions array");
-        assert_eq!(regs.len(), 2);
-        // The vanished counter serializes its missing side as null.
-        let gone = regs
+        assert_eq!(r.counters, 5);
+        let gone = r
+            .regressions
             .iter()
-            .find(|r| r.get("why").and_then(Json::as_str) == Some("counter disappeared"))
+            .find(|reg| reg.why == "counter disappeared")
             .expect("disappearance regression present");
-        assert_eq!(gone.get("new"), Some(&Json::Null));
-        assert_eq!(gone.get("old").and_then(Json::as_u64), Some(4));
-
-        // A clean self-compare reports ok with an empty regression list.
-        let mut clean = DiffReport::default();
-        diff_docs(
-            "f",
-            &doc(BASE),
-            &doc(BASE),
-            &DiffOptions::default(),
-            &mut clean,
-        );
-        let parsed = obs::parse(
-            &clean
-                .to_json(&DiffOptions {
-                    tol_pct: 2.5,
-                    ..Default::default()
-                })
-                .render(),
-        )
-        .unwrap();
-        assert_eq!(parsed.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(parsed.get("tol_pct").and_then(Json::as_num), Some(2.5));
-        assert_eq!(
-            parsed
-                .get("regressions")
-                .and_then(Json::as_arr)
-                .map(<[Json]>::len),
-            Some(0)
-        );
+        assert_eq!((gone.old, gone.new), (Some(4.0), None));
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //!   `decode-unwrap`, `notify-under-lock`), running on the [`analyzer`]
 //!   crate's comment/string-aware token engine. See
 //!   [`analyzer::rules::lint`] for the rules and their rationale.
-//! * `analyze` — the profile-scope / typed-error drift and
-//!   parallel-readiness gates ([`analyzer::rules::drift`],
-//!   [`analyzer::rules::parallel`]); protocol events and metrics keys
-//!   are declared once in `core` and need no gate.
-//!   Writes a `bluefield-offload/analyzer/v1` report to
-//!   `target/analyze/report.json`; `--json` prints it to stdout;
-//!   `--update-baseline` refreshes the committed panic-path baseline.
+//! * `analyze` — the typed-error drift and parallel-readiness gates
+//!   ([`analyzer::rules::drift`], [`analyzer::rules::parallel`]);
+//!   protocol events, metrics keys and profile scopes are declared once
+//!   in `core` and need no gate. `--update-baseline` refreshes the
+//!   committed panic-path baseline.
 //! * `profile` — top-K self-time tables from `bluefield-offload/profile/v1`
 //!   self-profiling reports (`BENCH_PROFILE=1` bench runs).
 //! * `validate-metrics` — schema check for benchmark metrics artifacts;
@@ -31,8 +29,6 @@ use analyzer::{Config, Tree};
 
 /// Committed panic-path allowlist (see [`analyzer::baseline`]).
 const BASELINE_PATH: &str = "crates/analyzer/panic-baseline.tsv";
-/// Where `analyze` writes its machine-readable report.
-const REPORT_PATH: &str = "target/analyze/report.json";
 
 fn repo_root() -> PathBuf {
     // crates/xtask/ -> repo root.
@@ -80,10 +76,9 @@ fn cmd_lint() -> ExitCode {
     }
 }
 
-/// `cargo xtask analyze [--json] [--update-baseline]`: scope/error
-/// drift + parallel-readiness gates.
+/// `cargo xtask analyze [--update-baseline]`: typed-error drift +
+/// parallel-readiness gates.
 fn cmd_analyze(args: &[String]) -> ExitCode {
-    let json = args.iter().any(|a| a == "--json");
     let update = args.iter().any(|a| a == "--update-baseline");
     let repo = repo_root();
     let tree = match load_tree(&repo) {
@@ -107,25 +102,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     }
     let baseline = fs::read_to_string(&baseline_path).unwrap_or_default();
     let analysis = analyzer::analyze(&tree, &cfg, &baseline);
-    let doc = analyzer::report::render(&analysis);
-    let report_path = repo.join(REPORT_PATH);
-    if let Some(dir) = report_path.parent() {
-        let _ = fs::create_dir_all(dir);
-    }
-    if let Err(e) = fs::write(&report_path, &doc) {
-        println!("xtask analyze: writing {REPORT_PATH}: {e}");
-        return ExitCode::from(2);
-    }
-    if json {
-        // Machine-readable mode: the report document on stdout, nothing
-        // else. The exit code still carries the gate verdict.
-        print!("{doc}");
-        return if analysis.clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
     for f in &analysis.findings {
         println!("{f}");
     }
@@ -136,9 +112,9 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     }
     if analysis.clean() {
         println!(
-            "xtask analyze: clean ({} files, {} rules, {} baselined panic site(s)) -> {REPORT_PATH}",
+            "xtask analyze: clean ({} files, {} rules, {} baselined panic site(s))",
             analysis.files_scanned,
-            analyzer::report::RULES.len(),
+            analyzer::RULES.len(),
             analysis.baselined
         );
         ExitCode::SUCCESS
@@ -235,81 +211,6 @@ fn profile_table(doc: &obs::Json, top_k: usize) -> Result<String, String> {
         }
     }
     Ok(out)
-}
-
-/// Render the human-readable per-tenant fairness summary of a metrics
-/// document's `tenants` section: one row per tenant plus a headline
-/// naming who holds the deferral/shed load. `None` for single-tenant
-/// documents (no `tenants` section), which is every pre-tenant
-/// baseline.
-fn tenant_fairness(doc: &obs::Json) -> Option<String> {
-    use obs::Json;
-    let tenants = doc.get("tenants").and_then(Json::as_arr)?;
-    if tenants.is_empty() {
-        return None;
-    }
-    let get = |t: &Json, k: &str| t.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let total_deferrals: u64 = tenants.iter().map(|t| get(t, "credit_deferrals")).sum();
-    let total_sheds: u64 = tenants.iter().map(|t| get(t, "quota_sheds")).sum();
-    let pct = |part: u64, whole: u64| (part * 100).checked_div(whole).unwrap_or(0);
-    let mut out = format!("  fairness: {} tenant(s)\n", tenants.len());
-    let mut busiest: Option<(u64, u64)> = None;
-    for t in tenants {
-        let id = get(t, "tenant");
-        let ranks = get(t, "ranks").max(1);
-        let deferrals = get(t, "credit_deferrals");
-        out.push_str(&format!(
-            "    tenant {id}: ranks={ranks} fin_send={} deferrals={deferrals} ({}%) \
-             drr_grants={} sheds={} wakeups/rank={}\n",
-            get(t, "fin_send"),
-            pct(deferrals, total_deferrals),
-            get(t, "drr_grants"),
-            get(t, "quota_sheds"),
-            get(t, "wakeups") / ranks,
-        ));
-        if busiest.is_none_or(|(_, d)| deferrals > d) {
-            busiest = Some((id, deferrals));
-        }
-    }
-    match busiest {
-        Some((id, d)) if total_deferrals > 0 => out.push_str(&format!(
-            "    headline: tenant {id} holds {}% of credit deferrals; {} hard shed(s) total\n",
-            pct(d, total_deferrals),
-            total_sheds
-        )),
-        _ => out.push_str("    headline: no credit pressure recorded\n"),
-    }
-    Some(out)
-}
-
-/// Render the breaker/budget summary of a metrics document's optional
-/// `health` section. `None` for documents without one, which is every
-/// run with the health engine left at its disabled default.
-fn breaker_health(doc: &obs::Json) -> Option<String> {
-    use obs::Json;
-    let health = doc.get("health")?;
-    let get = |k: &str| health.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let trips = get("breaker_trips");
-    let closes = get("breaker_closes");
-    let sheds = get("retry_budget_sheds");
-    let mut out = format!(
-        "  health: trips={trips} half_opens={} closes={closes} probes={} \
-         fastpaths={} budget_sheds={sheds}\n",
-        get("breaker_half_opens"),
-        get("breaker_probes"),
-        get("breaker_fastpaths"),
-    );
-    let headline = if trips > 0 && closes == trips && sheds == 0 {
-        "every tripped breaker recovered; no retry budget exhausted".to_string()
-    } else if trips > closes {
-        format!("{} breaker(s) still open at end of run", trips - closes)
-    } else if sheds > 0 {
-        format!("{sheds} request(s) shed by retry budgets")
-    } else {
-        "degraded-mode machinery fired without residual damage".to_string()
-    };
-    out.push_str(&format!("    headline: {headline}\n"));
-    Some(out)
 }
 
 /// `cargo xtask profile [<file.profile.json>...] [--top K]`: validate
@@ -409,22 +310,12 @@ fn main() -> ExitCode {
                 // Dispatch on the artifact flavour: self-profiling
                 // reports carry their own schema and validator.
                 let verdict = if path.ends_with(".profile.json") {
-                    obs::validate_profile(&doc).map(|_| None)
+                    obs::validate_profile(&doc)
                 } else {
-                    obs::validate_metrics(&doc).map(|d| {
-                        let mut s = String::new();
-                        s.push_str(&tenant_fairness(&d).unwrap_or_default());
-                        s.push_str(&breaker_health(&d).unwrap_or_default());
-                        (!s.is_empty()).then_some(s)
-                    })
+                    obs::validate_metrics(&doc)
                 };
                 match verdict {
-                    Ok(fairness) => {
-                        println!("{path}: ok");
-                        if let Some(summary) = fairness {
-                            print!("{summary}");
-                        }
-                    }
+                    Ok(_) => println!("{path}: ok"),
                     Err(e) => {
                         println!("{path}: INVALID: {e}");
                         bad += 1;
@@ -441,7 +332,6 @@ fn main() -> ExitCode {
         }
         Some("bench-diff") => {
             let mut opts = bench_diff::DiffOptions::default();
-            let mut json = false;
             let mut paths: Vec<&String> = Vec::new();
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
@@ -461,31 +351,16 @@ fn main() -> ExitCode {
                             return ExitCode::from(2);
                         }
                     }
-                } else if a == "--json" {
-                    json = true;
                 } else {
                     paths.push(a);
                 }
             }
             let [old, new] = paths[..] else {
-                println!(
-                    "usage: cargo xtask bench-diff <old> <new> [--tol PCT] [--wall-tol PCT] [--json]"
-                );
+                println!("usage: cargo xtask bench-diff <old> <new> [--tol PCT] [--wall-tol PCT]");
                 return ExitCode::from(2);
             };
             match bench_diff::diff_trees(Path::new(old), Path::new(new), &opts) {
                 Ok(report) => {
-                    if json {
-                        // Machine-readable mode: the whole report as one
-                        // JSON document on stdout, nothing else. The exit
-                        // code still carries the gate verdict.
-                        println!("{}", report.to_json(&opts).render());
-                        return if report.ok() {
-                            ExitCode::SUCCESS
-                        } else {
-                            ExitCode::FAILURE
-                        };
-                    }
                     for note in &report.notes {
                         println!("note: {note}");
                     }
@@ -515,10 +390,10 @@ fn main() -> ExitCode {
         }
         _ => {
             println!(
-                "usage: cargo xtask lint | analyze [--json] [--update-baseline] | \
+                "usage: cargo xtask lint | analyze [--update-baseline] | \
                  profile [<file.profile.json>...] [--top K] | \
                  validate-metrics <file.json>... | bench-diff <old> <new> [--tol PCT] \
-                 [--wall-tol PCT] [--json]"
+                 [--wall-tol PCT]"
             );
             ExitCode::from(2)
         }
@@ -689,90 +564,6 @@ mod tests {
         let table = profile_table(&doc, 1).expect("renders");
         assert!(table.contains("crc_verify"), "{table}");
         assert!(!table.contains("cq_poll "), "{table}");
-    }
-
-    const TENANT_DOC: &str = r#"{
-        "schema": "bluefield-offload/metrics/v1",
-        "bench": "unit",
-        "totals": {"events": 10},
-        "tenants": [
-            {"tenant": 0, "ranks": 2, "wakeups": 12, "interventions": 0, "fin_send": 8,
-             "fin_recv": 8, "fin_group": 4, "credit_deferrals": 0, "quota_sheds": 0, "drr_grants": 0},
-            {"tenant": 1, "ranks": 2, "wakeups": 40, "interventions": 0, "fin_send": 48,
-             "fin_recv": 48, "fin_group": 0, "credit_deferrals": 37, "quota_sheds": 1, "drr_grants": 37}
-        ]
-    }"#;
-
-    #[test]
-    fn tenant_fairness_names_the_noisy_tenant() {
-        let doc = obs::parse(TENANT_DOC).expect("fixture parses");
-        let summary = tenant_fairness(&doc).expect("two-tenant doc summarizes");
-        assert!(summary.contains("fairness: 2 tenant(s)"), "{summary}");
-        assert!(
-            summary.contains("tenant 1: ranks=2 fin_send=48 deferrals=37 (100%)"),
-            "{summary}"
-        );
-        assert!(summary.contains("wakeups/rank=20"), "{summary}");
-        assert!(
-            summary.contains("headline: tenant 1 holds 100% of credit deferrals; 1 hard shed(s)"),
-            "{summary}"
-        );
-    }
-
-    #[test]
-    fn tenant_fairness_is_silent_on_single_tenant_docs() {
-        let doc = obs::parse(r#"{"totals": {"events": 3}}"#).expect("parses");
-        assert!(tenant_fairness(&doc).is_none());
-        // No pressure: the headline says so instead of dividing by zero.
-        let calm = TENANT_DOC
-            .replace("\"credit_deferrals\": 37", "\"credit_deferrals\": 0")
-            .replace("\"quota_sheds\": 1", "\"quota_sheds\": 0");
-        let doc = obs::parse(&calm).expect("parses");
-        let summary = tenant_fairness(&doc).expect("still two tenants");
-        assert!(summary.contains("no credit pressure"), "{summary}");
-    }
-
-    const HEALTH_DOC: &str = r#"{
-        "schema": "bluefield-offload/metrics/v1",
-        "bench": "unit",
-        "totals": {"events": 10},
-        "health": {"breaker_trips": 2, "breaker_half_opens": 2, "breaker_closes": 2,
-                   "breaker_probes": 2, "breaker_fastpaths": 9, "retry_budget_sheds": 0}
-    }"#;
-
-    #[test]
-    fn breaker_health_headlines_full_recovery() {
-        let doc = obs::parse(HEALTH_DOC).expect("fixture parses");
-        let summary = breaker_health(&doc).expect("health doc summarizes");
-        assert!(
-            summary.contains("health: trips=2 half_opens=2 closes=2 probes=2 fastpaths=9"),
-            "{summary}"
-        );
-        assert!(
-            summary.contains("every tripped breaker recovered"),
-            "{summary}"
-        );
-    }
-
-    #[test]
-    fn breaker_health_names_open_breakers_and_sheds() {
-        let open = HEALTH_DOC.replace("\"breaker_closes\": 2", "\"breaker_closes\": 1");
-        let doc = obs::parse(&open).expect("parses");
-        let summary = breaker_health(&doc).expect("summarizes");
-        assert!(summary.contains("1 breaker(s) still open"), "{summary}");
-        let shed = HEALTH_DOC.replace("\"retry_budget_sheds\": 0", "\"retry_budget_sheds\": 3");
-        let doc = obs::parse(&shed).expect("parses");
-        let summary = breaker_health(&doc).expect("summarizes");
-        assert!(
-            summary.contains("3 request(s) shed by retry budgets"),
-            "{summary}"
-        );
-    }
-
-    #[test]
-    fn breaker_health_is_silent_without_a_health_section() {
-        let doc = obs::parse(r#"{"totals": {"events": 3}}"#).expect("parses");
-        assert!(breaker_health(&doc).is_none());
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn main() {
         "{:>9} {:>12} {:>12} {:>9}",
         "runtime", "pure comm", "overall", "overlap"
     );
-    for rt in [Runtime::Intel, Runtime::blues(), Runtime::proposed()] {
+    for rt in [Runtime::Intel, Runtime::Blues, Runtime::proposed()] {
         let label = rt.label();
         let r = ialltoall_overlap(nodes, ppn, block, 2, 4, rt, 29);
         println!(

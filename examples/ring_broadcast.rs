@@ -13,7 +13,7 @@
 //! ```
 
 use bluefield_offload::dpu::{DataPath, Offload, OffloadConfig};
-use bluefield_offload::mpi::{Mpi, MpiConfig};
+use bluefield_offload::mpi::Mpi;
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use bluefield_offload::sim::SimDelta;
 use std::sync::{Arc, Mutex};
@@ -29,7 +29,7 @@ fn run_mpi_listing1() -> (Vec<f64>, f64) {
     let report = ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 7)
         .run_async(
             async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let buf = fab.alloc(ep, LEN);

@@ -3,7 +3,7 @@
 //! byte-identical results.
 
 use bluefield_offload::dpu::{Offload, OffloadConfig};
-use bluefield_offload::mpi::{Mpi, MpiConfig};
+use bluefield_offload::mpi::Mpi;
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox};
 
 /// Engines under test.
@@ -36,7 +36,7 @@ fn run_shift_exchange(engine: Engine, nodes: usize, ppn: usize, len: u64) -> f64
         }
         match engine {
             Engine::HostMpi => {
-                let mpi = Mpi::attach(rank, ctx, cluster.clone(), &inbox, MpiConfig::default());
+                let mpi = Mpi::attach(rank, ctx, cluster.clone(), &inbox);
                 let mut reqs = Vec::new();
                 for (i, &k) in shifts.iter().enumerate() {
                     let dst = (rank + k % p) % p;

@@ -2,7 +2,7 @@
 //! patterns (deadlocks), not hang; misuse of the APIs must fail loudly.
 
 use bluefield_offload::dpu::{Offload, OffloadConfig};
-use bluefield_offload::mpi::{Mpi, MpiConfig};
+use bluefield_offload::mpi::Mpi;
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use bluefield_offload::sim::SimError;
 
@@ -11,7 +11,7 @@ fn unmatched_mpi_recv_reports_deadlock() {
     let spec = ClusterSpec::new(2, 1);
     let result = ClusterBuilder::new(spec, 1).run_async(
         async |rank, ctx, cluster| {
-            let mpi = Mpi::new(rank, ctx, cluster.clone(), MpiConfig::default());
+            let mpi = Mpi::new(rank, ctx, cluster.clone());
             let fab = cluster.fabric().clone();
             let ep = cluster.host_ep(rank);
             let buf = fab.alloc(ep, 64);

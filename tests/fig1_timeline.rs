@@ -8,7 +8,7 @@
 //!    transfer speed.
 
 use bluefield_offload::dpu::{DataPath, Offload, OffloadConfig};
-use bluefield_offload::mpi::{Mpi, MpiConfig};
+use bluefield_offload::mpi::Mpi;
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
 use bluefield_offload::sim::SimDelta;
 use std::sync::{Arc, Mutex};
@@ -28,7 +28,7 @@ fn mpi_ring_completion() -> f64 {
     ClusterBuilder::new(ClusterSpec::new(RANKS, 1), 2)
         .run_async(
             async move |rank, ctx, cluster| {
-                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone(), MpiConfig::default());
+                let mpi = Mpi::new(rank, ctx.clone(), cluster.clone());
                 let fab = cluster.fabric().clone();
                 let ep = cluster.host_ep(rank);
                 let buf = fab.alloc(ep, LEN);

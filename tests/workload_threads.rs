@@ -23,7 +23,7 @@ fn a_workload_runs_every_rank_and_proxy_on_the_caller_under_every_runtime() {
     // batch is delivered on the thread of the body whose emit filled it
     // (or, for the last one, of run()'s caller).
     const BLOCK: u64 = 4096;
-    for runtime in [Runtime::Intel, Runtime::blues(), Runtime::proposed()] {
+    for runtime in [Runtime::Intel, Runtime::Blues, Runtime::proposed()] {
         let label = runtime.label();
         let seen: Seen = Arc::default();
         let ranks_seen = Arc::clone(&seen);
