@@ -46,6 +46,13 @@ pub(super) struct GroupState {
     pub(super) error: Option<OffloadError>,
 }
 
+impl GroupState {
+    /// The latest generation has not finished.
+    pub(super) fn in_flight(&self) -> bool {
+        self.fin_gen < self.gen
+    }
+}
+
 /// One receive-metadata entry: `(tag, buffer, rkey)`.
 pub(super) type MetaEntry = (u64, VAddr, MrKey);
 
@@ -123,11 +130,14 @@ impl Offload {
         let gen = {
             let mut st = self.st.borrow_mut();
             let g = st.group(req);
+            let was = g.in_flight();
             g.gen += 1;
             // A fresh generation gets a fresh verdict; the previous
             // generation's failure was surfaced by its `group_wait`.
             g.error = None;
-            g.gen
+            let (gen, opened) = (g.gen, !was && g.in_flight());
+            st.groups_in_flight += usize::from(opened);
+            gen
         };
         let need_build = self.st.borrow_mut().group(req).wire.is_none();
         if need_build {
@@ -378,13 +388,15 @@ impl Offload {
             let mut st = self.st.borrow_mut();
             let g = st.group(GroupRequest(req_id));
             let first_fin = g.fin_gen == 0 && gen > 0;
+            let was = g.in_flight();
             // `max` keeps duplicate group FINs idempotent.
             g.fin_gen = g.fin_gen.max(gen);
+            let landed = was && !g.in_flight();
             // Group wire entries share the msg-id namespace with
             // basic requests but never enter the proxies' FIN
             // journals; fold them into the ack horizon on the
             // first completion so it can advance past them.
-            if first_fin && self.cfg.journal_cap > 0 {
+            let ids = if first_fin && self.cfg.journal_cap > 0 {
                 g.wire
                     .iter()
                     .flatten()
@@ -395,7 +407,9 @@ impl Offload {
                     .collect()
             } else {
                 Vec::new()
-            }
+            };
+            st.groups_in_flight -= usize::from(landed);
+            ids
         };
         for id in ids {
             self.note_settled(id);
@@ -424,5 +438,70 @@ impl Offload {
             gen,
         });
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdma::{ClusterBuilder, ClusterSpec, Inbox};
+
+    /// The count of groups in flight that `handle` reads equals the
+    /// scan it replaced, through overlapping calls, waits, a generation
+    /// failed by its deadline and the late FIN of that generation.
+    #[test]
+    fn groups_in_flight_equals_the_scan() {
+        fn in_flight(off: &Offload) -> usize {
+            let st = off.st.borrow();
+            let scan = st.groups.iter().filter(|g| g.in_flight()).count();
+            assert_eq!(st.groups_in_flight, scan);
+            scan
+        }
+        let cfg = OffloadConfig::proposed();
+        let proxy_cfg = cfg.clone();
+        ClusterBuilder::new(ClusterSpec::new(2, 1), 7)
+            .run_async(
+                async move |rank, ctx, cluster| {
+                    let inbox = Inbox::new();
+                    let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
+                    let fab = off.cluster().fabric().clone();
+                    let ep = off.cluster().host_ep(rank);
+                    let peer = 1 - rank;
+                    let groups: Vec<GroupRequest> = (0..2)
+                        .map(|tag| {
+                            let (sbuf, rbuf) = (fab.alloc(ep, 64), fab.alloc(ep, 64));
+                            let g = off.group_start();
+                            off.group_send(g, sbuf, 64, peer, tag);
+                            off.group_recv(g, rbuf, 64, peer, tag);
+                            off.group_end(g);
+                            g
+                        })
+                        .collect();
+                    assert_eq!(in_flight(&off), 0);
+                    for round in 0..2 {
+                        off.group_call(groups[0]).await;
+                        assert_eq!(in_flight(&off), 1);
+                        off.group_call(groups[1]).await;
+                        assert_eq!(in_flight(&off), 2);
+                        off.group_wait(groups[1]).await.expect("second group");
+                        assert!(in_flight(&off) <= 1, "round {round}");
+                        off.group_wait(groups[0]).await.expect("first group");
+                        assert_eq!(in_flight(&off), 0);
+                    }
+                    // A deadline that expires first fails the generation;
+                    // it stays in flight until its FIN lands, which may
+                    // come after this rank's shutdown.
+                    off.group_call(groups[0]).await;
+                    let late = off
+                        .group_wait_timeout(groups[0], SimDelta::from_ps(1))
+                        .await;
+                    assert!(late.is_err(), "a 1 ps deadline expires first");
+                    assert_eq!(in_flight(&off), 1);
+                    off.finalize().await;
+                    assert!(in_flight(&off) <= 1);
+                },
+                Some(crate::proxy_fn(proxy_cfg)),
+            )
+            .expect("clean run");
     }
 }

@@ -74,6 +74,9 @@ struct HostState {
     /// Host-side IB cache (receive buffers).
     ib_cache: RankAddrCache<MrKey>,
     groups: Vec<GroupState>,
+    /// Groups whose latest generation has not finished (`fin_gen <
+    /// gen`), kept where either moves.
+    groups_in_flight: usize,
     /// Metadata received from each receiving host, consumed FIFO per
     /// source: `(dst_req_id, entries)`. Order-stable on purpose: message
     /// matching must never depend on hash-iteration order (see `xtask
@@ -217,6 +220,7 @@ impl Offload {
                 },
                 ib_cache: RankAddrCache::new(1),
                 groups: Vec::new(),
+                groups_in_flight: 0,
                 metas_from: BTreeMap::new(),
                 rel: ReliableLink::new(fault, budget, false, ep),
                 proxy_epochs: BTreeMap::new(),
@@ -729,7 +733,11 @@ impl Offload {
         // terminal completion notice is a plain wakeup.
         let outstanding = {
             let st = self.st.borrow();
-            !st.reqs.slots.is_empty() || st.groups.iter().any(|g| g.fin_gen < g.gen)
+            debug_assert_eq!(
+                st.groups_in_flight,
+                st.groups.iter().filter(|g| g.in_flight()).count()
+            );
+            !st.reqs.slots.is_empty() || st.groups_in_flight > 0
         };
         static WAKEUPS: StatKey = StatKey::new("offload.host.wakeups");
         self.ctx.stat_incr(&WAKEUPS, 1);

@@ -5,6 +5,7 @@
 use rdma::{EpId, MrKey, NetMsg, VAddr};
 use simnet::{Payload, Pid, StatKey};
 
+use super::ends::Ends;
 use super::{End, Proxy, ProxyState};
 use crate::config::OffloadConfig;
 use crate::events::{FinKind, HealthPath, PathKind, ProtoEvent};
@@ -51,6 +52,23 @@ pub(super) enum Completion {
         gen: u64,
         entry_idx: usize,
     },
+}
+
+impl Ends {
+    /// Count `completion` in (`add`) or out of `inflight` and
+    /// `data_retx`, at each end it settles (none for group work).
+    pub(super) fn count_posted(&mut self, completion: &Completion, add: bool) {
+        let ends = match completion {
+            Completion::Basic { src, dst, .. } => [Some(src.msg_id), dst.map(|d| d.msg_id)],
+            Completion::StagingRead { pair, .. } => [Some(pair.0.msg_id), Some(pair.1.msg_id)],
+            _ => [None, None],
+        };
+        for msg_id in ends.into_iter().flatten() {
+            self.edit(msg_id, |s| {
+                s.posted = if add { s.posted + 1 } else { s.posted - 1 }
+            });
+        }
+    }
 }
 
 /// `(endpoint, address, key)` of one side of an RDMA operation.
@@ -110,6 +128,7 @@ impl Proxy<'_> {
     /// post-restart replay re-drives the transfer.
     pub(super) fn on_retx_tick(&self, st: &mut ProxyState, token: u64) {
         if let Some((op, completion)) = st.data_retx.remove(&token) {
+            st.ends.count_posted(&completion, false);
             self.post(st, op, completion);
         }
     }
@@ -147,6 +166,7 @@ impl Proxy<'_> {
                 op.path, op.msg_id
             );
         }
+        st.ends.count_posted(&completion, true);
         st.inflight.insert(wrid, completion);
         if op.crc.is_some() {
             st.inflight_ctx.insert(wrid, op);
@@ -171,6 +191,7 @@ impl Proxy<'_> {
             self.ctx.emit(&ProtoEvent::StaleCqe { wrid });
             return;
         };
+        st.ends.count_posted(&completion, false);
         self.ctx.emit(&ProtoEvent::WriteCompleted { wrid });
         // End-to-end integrity gate (payload-fault plans only): verify
         // the landed bytes against the sender's CRC before acting on the
@@ -215,9 +236,9 @@ impl Proxy<'_> {
                 // precedes the (losable) FIN sends: write-ahead, so a
                 // replay after a crash at any point from here on resolves
                 // to a FIN resend.
-                st.completed_msgs.insert(src.msg_id, wrid);
+                st.ends.journal(src.msg_id, wrid);
                 if let Some(dst) = dst {
-                    st.completed_msgs.insert(dst.msg_id, wrid);
+                    st.ends.journal(dst.msg_id, wrid);
                 }
                 self.truncate_journal(st);
                 let fin = |kind| Notice::Fin { kind, wrid };
@@ -312,6 +333,7 @@ impl Proxy<'_> {
         op.attempt += 1;
         st.next_retx_token += 1;
         let token = st.next_retx_token;
+        st.ends.count_posted(&completion, true);
         st.data_retx.insert(token, (op, completion));
         static INTEGRITY_RETRANSMITS: StatKey = StatKey::new("offload.integrity.retransmits");
         self.ctx.stat_incr(&INTEGRITY_RETRANSMITS, 1);

@@ -13,6 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use simnet::StatKey;
 
+use super::ends::Ends;
 use super::{End, Proxy, ProxyState};
 use crate::config::{TenantId, TenantQuota};
 use crate::events::{CtrlKind, FinKind, ProtoEvent};
@@ -90,9 +91,9 @@ pub(super) fn at_proxy(key: MatchKey, msg_id: u64, rts: bool) -> ProtoEvent {
 /// RTR descriptors, FIFO per [`MatchKey`], with their counts. A key
 /// holds one side only, since a descriptor whose partner is queued
 /// matches instead of queueing, and a key goes with its last
-/// descriptor: applications use fresh tags every round, and the
-/// duplicate check walks every queue. The counts always equal the
-/// contents; tenant ids are [`OffloadConfig::tenant_of`] values, so
+/// descriptor: applications use fresh tags every round. The counts,
+/// and each end's queued count in the [`Ends`] passed in, always equal
+/// the contents; tenant ids are [`OffloadConfig::tenant_of`] values, so
 /// always inside the roster the table was sized for.
 pub(super) struct Descriptors {
     queues: BTreeMap<MatchKey, VecDeque<Desc>>,
@@ -120,14 +121,14 @@ impl Descriptors {
 
     /// Match `d` against the oldest partner queued under `key`, or queue
     /// it; the matched pair, if any.
-    fn offer(&mut self, key: MatchKey, d: Desc) -> Option<(RtsInfo, RtrInfo)> {
-        let partner = self.take_partner(key, d.is_rts());
+    fn offer(&mut self, key: MatchKey, d: Desc, ends: &mut Ends) -> Option<(RtsInfo, RtrInfo)> {
+        let partner = self.take_partner(key, d.is_rts(), ends);
         match (d, partner) {
             (Desc::Rts(rts), Some(Desc::Rtr(rtr))) | (Desc::Rtr(rtr), Some(Desc::Rts(rts))) => {
                 Some((rts, rtr))
             }
             (d, _) => {
-                self.count(&d, true);
+                self.count(&d, true, ends);
                 // Fresh tags every round: a key rarely queues a second
                 // descriptor, so room for one is the right first size.
                 let q = self.queues.entry(key);
@@ -138,7 +139,7 @@ impl Descriptors {
     }
 
     /// Pop the oldest descriptor under `key` if it is the other side.
-    fn take_partner(&mut self, key: MatchKey, rts: bool) -> Option<Desc> {
+    fn take_partner(&mut self, key: MatchKey, rts: bool, ends: &mut Ends) -> Option<Desc> {
         let Entry::Occupied(mut slot) = self.queues.entry(key) else {
             return None;
         };
@@ -150,14 +151,14 @@ impl Descriptors {
             slot.remove();
         }
         if let Some(p) = &partner {
-            self.count(p, false);
+            self.count(p, false, ends);
         }
         partner
     }
 
     /// Drop every descriptor of transfer `msg_id`, from both sides; how
     /// many there were.
-    fn reap(&mut self, msg_id: u64) -> usize {
+    fn reap(&mut self, msg_id: u64, ends: &mut Ends) -> usize {
         let mut reaped = Vec::new();
         for q in self.queues.values_mut() {
             let (gone, kept): (VecDeque<Desc>, _) =
@@ -167,15 +168,9 @@ impl Descriptors {
         }
         self.queues.retain(|_, q| !q.is_empty());
         for d in &reaped {
-            self.count(d, false);
+            self.count(d, false, ends);
         }
         reaped.len()
-    }
-
-    /// Is a descriptor of transfer `msg_id` queued?
-    pub(super) fn holds(&self, msg_id: u64) -> bool {
-        let mut queued = self.queues.values().flatten();
-        queued.any(|d| d.owner().0.msg_id == msg_id)
     }
 
     pub(super) fn len(&self) -> usize {
@@ -196,14 +191,18 @@ impl Descriptors {
         *self = Descriptors::new(self.per_tenant.len());
     }
 
-    /// Count `d` in (`add`) or out.
-    fn count(&mut self, d: &Desc, add: bool) {
+    /// Count `d` in (`add`) or out, here and at its end.
+    fn count(&mut self, d: &Desc, add: bool, ends: &mut Ends) {
+        let (end, tenant) = d.owner();
+        ends.edit(end.msg_id, |s| {
+            s.queued = if add { s.queued + 1 } else { s.queued - 1 }
+        });
         let side = if d.is_rts() {
             &mut self.depths.0
         } else {
             &mut self.depths.1
         };
-        for n in std::iter::once(side).chain(self.per_tenant.get_mut(d.owner().1)) {
+        for n in std::iter::once(side).chain(self.per_tenant.get_mut(tenant)) {
             *n = if add { *n + 1 } else { *n - 1 };
         }
     }
@@ -215,8 +214,8 @@ impl Proxy<'_> {
     /// has already failed the request; completing it now would hand
     /// bytes to a caller that gave up on them.
     pub(super) fn on_cancel(&self, st: &mut ProxyState, msg_id: u64) {
-        st.cancelled.insert(msg_id);
-        let reaped = st.descriptors.reap(msg_id);
+        st.ends.edit(msg_id, |s| s.cancelled = true);
+        let reaped = st.descriptors.reap(msg_id, &mut st.ends);
         if reaped > 0 {
             static REAPED: StatKey = StatKey::new("offload.cancel.reaped");
             self.ctx.stat_incr(&REAPED, reaped as u64);
@@ -251,7 +250,7 @@ impl Proxy<'_> {
         self.charge_entries(1);
         self.ctx.stat_incr(stat, 1);
         self.ctx.emit(&at_proxy(key, end.msg_id, d.is_rts()));
-        match st.descriptors.offer(key, d) {
+        match st.descriptors.offer(key, d, &mut st.ends) {
             Some((rts, rtr)) => self.pair_matched(st, rts, rtr),
             // Right after an enqueue, so a sink tracking high-water
             // marks sees every local maximum.
@@ -347,14 +346,21 @@ mod tests {
             Offer(c, rtr(1, 11, 0), Some((10, 11))),
         ];
         let mut table = Descriptors::new(2);
+        let mut ends = Ends::default();
         for (i, op) in steps.into_iter().enumerate() {
             match op {
                 Offer(key, d, want) => {
-                    let got = table.offer(key, d).map(|(s, r)| (s.msg_id, r.msg_id));
+                    let got = table.offer(key, d, &mut ends);
+                    let got = got.map(|(s, r)| (s.msg_id, r.msg_id));
                     assert_eq!(got, want, "step {i}: offer");
                 }
-                Reap(msg_id, want) => assert_eq!(table.reap(msg_id), want, "step {i}: reap"),
-                Clear => table.clear(),
+                Reap(msg_id, want) => {
+                    assert_eq!(table.reap(msg_id, &mut ends), want, "step {i}: reap");
+                }
+                Clear => {
+                    table.clear();
+                    ends.crash();
+                }
             }
             let queued: Vec<&Desc> = table.queues.values().flatten().collect();
             assert!(table.queues.values().all(|q| !q.is_empty()), "step {i}");
@@ -364,6 +370,14 @@ mod tests {
             for t in 0..2 {
                 let n = queued.iter().filter(|d| d.owner().1 == t).count();
                 assert_eq!(table.tenant_len(t), n, "step {i}: tenant {t}");
+            }
+            for msg_id in 0..12 {
+                let n = queued
+                    .iter()
+                    .filter(|d| d.owner().0.msg_id == msg_id)
+                    .count();
+                let queued = ends.get(msg_id).queued;
+                assert_eq!(usize::from(queued), n, "step {i}: end {msg_id}");
             }
         }
         assert_eq!(table.len(), 0);

@@ -23,6 +23,7 @@
 
 mod completion;
 mod descriptors;
+mod ends;
 mod group;
 mod path;
 
@@ -42,6 +43,7 @@ use crate::reliable::{FaultRng, Inbound, ReliableLink, ReqOrigin};
 
 use completion::{Completion, DataOp, Notice};
 use descriptors::{at_proxy, Desc, Descriptors};
+use ends::Ends;
 use group::{ArrivalSet, CachedGroup, Instance};
 use path::fresh_cross_cache;
 
@@ -103,11 +105,14 @@ struct ProxyState {
     /// the link's drop/dup/delay RNG so the two fault streams don't
     /// perturb each other across plans.
     xreg_rng: FaultRng,
-    /// Completion journal: transfer msg_id → completed wrid, written at
-    /// FIN time. Survives a crash (modelled as write-ahead metadata in
-    /// host-visible memory) so a replayed, already-completed transfer is
-    /// answered with a FIN resend instead of a second data write.
-    completed_msgs: BTreeMap<u64, u64>,
+    /// Every basic transfer end the proxy knows of, one slot each: the
+    /// completion journal (msg_id → completed wrid, written at FIN time)
+    /// and the cancelled mark survive a crash, modelled as write-ahead
+    /// metadata in host-visible memory, so a replayed, already-completed
+    /// transfer is answered with a FIN resend instead of a second data
+    /// write, and a cancelled request never completes. The queued and
+    /// posted counts die with the queues and completions they count.
+    ends: Ends,
     /// Highest finished generation per group — the group-side completion
     /// journal. Survives a crash for the same reason.
     fin_gens: BTreeMap<GroupKey, u64>,
@@ -121,10 +126,6 @@ struct ProxyState {
     /// token.
     data_retx: BTreeMap<u64, (DataOp, Completion)>,
     next_retx_token: u64,
-    /// Transfer ids cancelled by their host (deadline expiry or explicit
-    /// cancel). Survives a crash — a cancelled request must never
-    /// complete, even through a post-restart replay.
-    cancelled: BTreeSet<u64>,
     /// Bounded staging free pool, keyed by `(tenant, buffer length)`
     /// (armed by `staging_cap`; empty and unused otherwise). The
     /// tenant key partitions the pool so one tenant's churn cannot
@@ -250,14 +251,13 @@ impl ProxyState {
             fin_dropped: false,
             rel: ReliableLink::new(cfg.fault, None, true, my_ep),
             xreg_rng: FaultRng::new(cfg.fault.seed, my_ep.index() as u64 + 0x1000),
-            completed_msgs: BTreeMap::new(),
+            ends: Ends::default(),
             fin_gens: BTreeMap::new(),
             steps: 0,
             crashed: false,
             inflight_ctx: BTreeMap::new(),
             data_retx: BTreeMap::new(),
             next_retx_token: 0,
-            cancelled: BTreeSet::new(),
             stage_free: BTreeMap::new(),
             ack_horizons: BTreeMap::new(),
             health: HealthEngine::new(cfg.health, cfg.fault.seed, my_ep.index() as u64 + 0x2000),
@@ -481,19 +481,23 @@ impl Proxy<'_> {
     /// duplicate of one queued or in flight, is counted and dropped.
     fn stale_basic(&self, st: &mut ProxyState, end: End, fin: FinKind, kind: CtrlKind) -> bool {
         let msg_id = end.msg_id;
-        if let Some(&wrid) = st.completed_msgs.get(&msg_id) {
+        let slot = st.ends.get(msg_id);
+        if let Some(wrid) = slot.journaled() {
             self.notify_end(st, end, Notice::Fin { kind: fin, wrid });
             static FIN_RESENDS: StatKey = StatKey::new("offload.reliable.fin_resends");
             self.ctx.stat_incr(&FIN_RESENDS, 1);
             return true;
         }
-        if st.cancelled.contains(&msg_id) {
+        if slot.cancelled {
             static REAPED: StatKey = StatKey::new("offload.cancel.reaped");
             self.ctx.stat_incr(&REAPED, 1);
             self.ctx.emit(&ProtoEvent::ReqReaped { msg_id });
             return true;
         }
-        if !self.basic_active(st, msg_id) {
+        // Queued or in flight (posted, or parked for a payload
+        // retransmission): a retransmitted Rts/Rtr racing the host's
+        // post-restart replay of the same request.
+        if slot.queued == 0 && slot.posted == 0 {
             return false;
         }
         self.drop_duplicate(kind, msg_id);
@@ -562,24 +566,6 @@ impl Proxy<'_> {
         }
     }
 
-    /// Is a basic transfer with this msg_id already queued or in flight
-    /// (posted, or parked for a payload retransmission)? Guards against a
-    /// retransmitted Rts/Rtr racing the host's post-restart replay of the
-    /// same request.
-    fn basic_active(&self, st: &ProxyState, msg_id: u64) -> bool {
-        let parked = st.data_retx.values().map(|(_, c)| c);
-        st.descriptors.holds(msg_id)
-            || st.inflight.values().chain(parked).any(|c| match c {
-                Completion::Basic { src, dst, .. } => {
-                    src.msg_id == msg_id || dst.is_some_and(|d| d.msg_id == msg_id)
-                }
-                Completion::StagingRead { pair, .. } => {
-                    pair.0.msg_id == msg_id || pair.1.msg_id == msg_id
-                }
-                _ => false,
-            })
-    }
-
     /// Record the completion horizon a host piggybacked on its ctrl
     /// message (journal truncation; inert unless the cap is armed).
     fn note_horizon(&self, st: &mut ProxyState, rank: usize, ack_horizon: u64) {
@@ -609,26 +595,19 @@ impl Proxy<'_> {
         }
         crate::profile::profile_scope!(JournalTruncate);
         // No tenant's share can exceed the cap while the whole journal fits.
-        if st.completed_msgs.len() > cap {
-            let owner = |mid: &u64| (mid >> 32) as usize;
+        if st.ends.journal_len() > cap {
             let mut per_tenant: BTreeMap<TenantId, usize> = BTreeMap::new();
-            for mid in st.completed_msgs.keys() {
-                let tenant = self.cfg.tenant_of(owner(mid));
-                *per_tenant.entry(tenant).or_insert(0) += 1;
+            for (rank, n) in st.ends.journaled_per_rank() {
+                *per_tenant.entry(self.cfg.tenant_of(rank)).or_insert(0) += n;
             }
-            let over: BTreeSet<TenantId> = per_tenant
-                .into_iter()
-                .filter(|&(_, n)| n > cap)
-                .map(|(t, _)| t)
-                .collect();
+            let over = |rank| {
+                per_tenant
+                    .get(&self.cfg.tenant_of(rank))
+                    .is_some_and(|&n| n > cap)
+            };
             let horizons = &st.ack_horizons;
-            let before = st.completed_msgs.len();
-            st.completed_msgs.retain(|mid, _| {
-                let rank = owner(mid);
-                !over.contains(&self.cfg.tenant_of(rank))
-                    || (mid & 0xFFFF_FFFF) > horizons.get(&rank).copied().unwrap_or(0)
-            });
-            let dropped = (before - st.completed_msgs.len()) as u64;
+            let horizon = |rank| horizons.get(&rank).copied().unwrap_or(0);
+            let dropped = st.ends.truncate(|rank| over(rank).then(|| horizon(rank))) as u64;
             if dropped > 0 {
                 static TRUNCATIONS: StatKey = StatKey::new("offload.journal.truncations");
                 self.ctx.stat_incr(&TRUNCATIONS, 1);
@@ -636,7 +615,7 @@ impl Proxy<'_> {
             }
         }
         self.ctx.emit(&ProtoEvent::JournalSize {
-            len: st.completed_msgs.len() as u64,
+            len: st.ends.journal_len() as u64,
         });
     }
 
@@ -651,6 +630,7 @@ impl Proxy<'_> {
     fn crash_restart(&self, st: &mut ProxyState) {
         self.report_cache_stats(st);
         st.descriptors.clear();
+        st.ends.crash();
         st.stage_assign.clear();
         st.inflight.clear();
         st.cross_caches =
@@ -662,7 +642,7 @@ impl Proxy<'_> {
         }
         st.woken.clear();
         // The retx table and staging pool are volatile; the cancelled
-        // set and advertised horizons are durable (a cancelled request
+        // marks and advertised horizons are durable (a cancelled request
         // must stay dead across a restart, and a stale horizon only
         // delays truncation — never loses a needed journal entry).
         st.inflight_ctx.clear();
@@ -714,7 +694,9 @@ mod tests {
     /// A stencil uses fresh tags every round. Neither end may keep
     /// per-request residue that a per-message path then walks: the
     /// proxy's descriptor table must hold live descriptors only, and the
-    /// host's request table only the slots not yet completed.
+    /// host's request table only the slots not yet completed. At exit no
+    /// transfer end may still count a descriptor or a completion, and
+    /// the FIN journal holds the two ends of each completed transfer.
     #[test]
     fn a_long_stencil_leaves_no_per_request_residue() {
         const ROUNDS: u64 = 200;
@@ -722,7 +704,8 @@ mod tests {
         let cfg = OffloadConfig::proposed();
         let (host_cfg, proxy_cfg) = (cfg.clone(), cfg);
         // Per proxy: (most descriptors the table ever held, descriptors
-        // left at exit).
+        // left at exit, journal entries, ends still counted, cancelled
+        // ends).
         let peaks = Arc::new(Mutex::new(Vec::new()));
         let peaks2 = Arc::clone(&peaks);
         ClusterBuilder::new(ClusterSpec::new(2, 2).without_byte_movement(), 5)
@@ -762,18 +745,36 @@ mod tests {
                             most = most.max(proc.st.descriptors.len());
                         }
                         let held = proc.st.descriptors.len();
-                        peaks2
-                            .lock()
-                            .expect("peaks lock")
-                            .push((most.max(held), held));
+                        let ends = &proc.st.ends;
+                        let counted = ends.slots().filter(|s| s.queued + s.posted > 0).count();
+                        let cancelled = ends.slots().filter(|s| s.cancelled).count();
+                        let journal = ends.journal_len();
+                        assert_eq!(
+                            journal,
+                            ends.slots().filter(|s| s.journaled().is_some()).count()
+                        );
+                        peaks2.lock().expect("peaks lock").push((
+                            most.max(held),
+                            held,
+                            journal,
+                            counted,
+                            cancelled,
+                        ));
                     },
                 ),
             )
             .expect("clean run");
         let peaks = peaks.lock().expect("peaks lock");
         assert_eq!(peaks.len(), 2, "one entry per proxy");
-        for &(most, left) in peaks.iter() {
+        // Four ranks each send one face a round: every transfer ends in
+        // one journal entry per end. Only orphans are cancelled (a proxy
+        // whose own ranks finished first never sees a late one).
+        let journal: usize = peaks.iter().map(|p| p.2).sum();
+        assert_eq!(journal, 2 * 4 * ROUNDS as usize);
+        assert!((1..=4).contains(&peaks.iter().map(|p| p.4).sum::<usize>()));
+        for &(most, left, _, counted, _) in peaks.iter() {
             assert_eq!(left, 0, "the descriptor table must be empty at exit");
+            assert_eq!(counted, 0, "no end may count a descriptor or completion");
             // Two ranks per proxy, each a round ahead at most, two
             // descriptors per rank and round.
             assert!((1..=8).contains(&most), "held {most} descriptors at once");

@@ -22,7 +22,10 @@
 //!   under a `profile` section, which is wall-derived overhead data)
 //!   are held to their own `--wall-tol` band (default 900%) instead of
 //!   the exact gate: host time varies with machine and load, simulated
-//!   counters never do.
+//!   counters never do. The band is one-sided where the key says which
+//!   way is slower: a `wall_ms` regresses when new/old exceeds 1 + band,
+//!   an `events_per_sec` when old/new does, and a speed-up never does.
+//!   The rest of a `profile` section is held to the band both ways.
 //! * New-only counters are fine (instrumentation grows).
 //! * Files only in the old tree are reported but do not fail the gate
 //!   (benches can be retired); files only in the new tree are ignored.
@@ -38,7 +41,7 @@ use obs::Json;
 pub struct DiffOptions {
     /// Allowed relative drift per counter, in percent.
     pub tol_pct: f64,
-    /// Allowed relative drift for wall-clock counters (`wall_ms`,
+    /// Allowed relative slowdown for wall-clock counters (`wall_ms`,
     /// `events_per_sec` suffixes), in percent. Wall numbers
     /// come from the engine self-benchmark and vary with machine and
     /// load, so they get their own generous band while every simulated
@@ -155,6 +158,39 @@ fn is_wall_counter(counter: &str) -> bool {
     last.ends_with("wall_ms") || last.ends_with("events_per_sec")
 }
 
+/// How far `new` lies from `old`, in percent of `old`.
+fn drift_pct(old: f64, new: f64) -> f64 {
+    if old == 0.0 {
+        if new == 0.0 {
+            0.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        ((new - old) / old).abs() * 100.0
+    }
+}
+
+/// How much slower a wall counter reads, in percent: a `wall_ms` is
+/// slower when it grows (new/old), an `events_per_sec` when it shrinks
+/// (old/new), and a speed-up reads 0. Other `profile` keys say nothing
+/// of direction, so they read their drift either way.
+fn wall_slowdown_pct(counter: &str, old: f64, new: f64) -> f64 {
+    let last = counter.rsplit('.').next().unwrap_or(counter);
+    let (fast, slow) = if last.ends_with("wall_ms") {
+        (old, new)
+    } else if last.ends_with("events_per_sec") {
+        (new, old)
+    } else {
+        return drift_pct(old, new);
+    };
+    if slow <= fast {
+        0.0
+    } else {
+        drift_pct(fast, slow)
+    }
+}
+
 /// Diff two parsed documents under `file`, appending to `report`.
 pub fn diff_docs(file: &str, old: &Json, new: &Json, opts: &DiffOptions, report: &mut DiffReport) {
     let mut old_counters = Vec::new();
@@ -175,22 +211,18 @@ pub fn diff_docs(file: &str, old: &Json, new: &Json, opts: &DiffOptions, report:
             });
             continue;
         };
-        let drift_pct = if *old_v == 0.0 {
-            if new_v == 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            ((new_v - old_v) / old_v).abs() * 100.0
-        };
-        let (tol, why) = if is_wall_counter(counter) {
+        let (drift_pct, tol, why) = if is_wall_counter(counter) {
             (
+                wall_slowdown_pct(counter, *old_v, new_v),
                 opts.tol_pct.max(opts.wall_tol_pct),
                 "drift beyond wall-clock tolerance",
             )
         } else {
-            (opts.tol_pct, "drift beyond tolerance")
+            (
+                drift_pct(*old_v, new_v),
+                opts.tol_pct,
+                "drift beyond tolerance",
+            )
         };
         if increase_is_always_bad(counter) && new_v > *old_v {
             report.regressions.push(Regression {
@@ -386,6 +418,38 @@ mod tests {
         );
         assert_eq!(r.regressions.len(), 1);
         assert_eq!(r.regressions[0].why, "counter disappeared");
+    }
+
+    #[test]
+    fn the_wall_band_is_one_sided() {
+        let opts = DiffOptions {
+            wall_tol_pct: 100.0,
+            ..DiffOptions::default()
+        };
+        let run = |wall_ms: &str, events_per_sec: &str| {
+            let new = WALL_BASE
+                .replace("\"wall_ms\": 20.0", &format!("\"wall_ms\": {wall_ms}"))
+                .replace(
+                    "\"events_per_sec\": 201600.0",
+                    &format!("\"events_per_sec\": {events_per_sec}"),
+                );
+            let mut r = DiffReport::default();
+            diff_docs("f", &doc(WALL_BASE), &doc(&new), &opts, &mut r);
+            let mut keys: Vec<String> = r.regressions.into_iter().map(|g| g.counter).collect();
+            keys.sort();
+            keys
+        };
+        // 2x faster passes on both keys, although each drifted 100 % or
+        // more of its old value.
+        assert!(run("10.0", "403200.0").is_empty());
+        // 2.5x slower fails on both: +150 % on wall_ms, and old/new =
+        // 2.5 on events_per_sec (a symmetric band read -60 % there).
+        assert_eq!(
+            run("50.0", "80640.0"),
+            ["engine.events_per_sec", "engine.wall_ms"]
+        );
+        // 2x slower is exactly the band, which still passes.
+        assert!(run("40.0", "100800.0").is_empty());
     }
 
     const PROFILE_BASE: &str = r#"{
