@@ -1,6 +1,6 @@
 //! The panic-path baseline: a committed allowlist pinning the panic
 //! sites that already exist on the proxy/host hot paths, so the gate
-//! only fails on *new* ones while ROADMAP item 5 pays the debt down.
+//! only fails on *new* ones while later hot-path work pays the debt down.
 //!
 //! Format (one entry per line, tab-separated):
 //!

@@ -12,7 +12,7 @@
 //! `ProtoEvent` and its flight codec expand from one table
 //! (`core/src/events.rs`), the hand-written consumers match it without a
 //! wildcard arm, the `metrics/v1` key lists expand from the structs they
-//! name (`core/src/metrics.rs`), and the `profile/v1` scope list expands
+//! name (`core/src/metrics.rs`), and the profile scope list expands
 //! with a crate-private `Scope` enum that denies dead code
 //! (`core/src/profile.rs`), so rustc rejects an unhandled variant, an
 //! unproduced counter or an unentered scope.

@@ -60,7 +60,7 @@ pub const WHY: &[(&str, &str)] = &[
 ];
 
 /// Roots patrolled for `HashMap`/`HashSet`: the deterministic matching
-/// and scheduling crates, plus the bench harnesses that replay them.
+/// and scheduling crates, plus the bench harness that replays them.
 fn hash_roots() -> Vec<String> {
     to_owned(&[
         "crates/core/src",
@@ -68,7 +68,6 @@ fn hash_roots() -> Vec<String> {
         "crates/obs/src",
         "crates/minimpi/src",
         "crates/bench/src",
-        "crates/bench/benches",
     ])
 }
 
@@ -83,7 +82,6 @@ fn clock_roots() -> Vec<String> {
         "crates/obs/src",
         "crates/minimpi/src",
         "crates/bench/src",
-        "crates/bench/benches",
     ])
 }
 

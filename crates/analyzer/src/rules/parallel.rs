@@ -1,6 +1,6 @@
 //! Parallel-readiness audit, written for a sharded simnet (since
-//! deleted: every process now runs on one loop; ROADMAP item 3 retires
-//! these rules) and the hot-path rework.
+//! deleted: every process now runs on one loop; these rules go once the
+//! engine drops its locks) and the hot-path rework.
 //!
 //! Sharding the simulator across OS threads only keeps determinism if
 //! the engine code has no ambient concurrency of its own:

@@ -152,10 +152,9 @@ pub fn write_metrics_with(
     }
 }
 
-/// Whether wall-clock members (`wall_ms`, `events_per_sec`, and the
-/// profile section's timings) go into bench artifacts. `BENCH_NO_WALL=1`
-/// omits them so two runs of the same spec produce byte-identical
-/// documents.
+/// Whether wall-clock members (`wall_ms`, `events_per_sec`) go into
+/// bench artifacts. `BENCH_NO_WALL=1` omits them so two runs of the
+/// same spec produce byte-identical documents.
 pub fn wall_enabled() -> bool {
     std::env::var_os("BENCH_NO_WALL").is_none()
 }
@@ -167,55 +166,6 @@ pub fn wall_enabled() -> bool {
 pub fn wall_timer() -> impl FnOnce() -> f64 {
     let t0 = std::time::Instant::now(); // lint:allow(wall-clock)
     move || t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Whether continuous self-profiling is armed (`BENCH_PROFILE=1`):
-/// benches re-run with the span profiler + telemetry bus attached and
-/// emit `profile/v1` artifacts. Off by default — profiling must cost
-/// nothing unless asked for.
-pub fn profile_enabled() -> bool {
-    std::env::var(offload::profile::BENCH_PROFILE_ENV).is_ok_and(|v| v == "1")
-}
-
-/// Telemetry snapshot interval in picoseconds of virtual time
-/// (`BENCH_TELEMETRY_PS` overrides; default 1 µs — a handful of
-/// windows even on the `--quick` specs).
-pub fn telemetry_interval_ps() -> u64 {
-    std::env::var("BENCH_TELEMETRY_PS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(1_000_000)
-}
-
-/// Directory receiving `profile/v1` artifacts (`<name>.profile.json`
-/// plus the flamegraph-ready `<name>.collapsed.txt`). `BENCH_PROFILE_DIR`
-/// overrides the default `target/profile/` at the workspace root.
-pub fn profile_out_dir() -> std::path::PathBuf {
-    match std::env::var_os("BENCH_PROFILE_DIR") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/profile"),
-    }
-}
-
-/// Write one `profile/v1` document and its collapsed-stack sibling into
-/// [`profile_out_dir`]. Like the metrics writers, filesystem refusal is
-/// non-fatal.
-pub fn write_profile(name: &str, doc_json: &str, collapsed: &str) {
-    let dir = profile_out_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("profile: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.profile.json"));
-    match std::fs::write(&path, doc_json) {
-        Ok(()) => eprintln!("profile: wrote {}", path.display()),
-        Err(e) => eprintln!("profile: failed to write {}: {e}", path.display()),
-    }
-    let path = dir.join(format!("{name}.collapsed.txt"));
-    if let Err(e) = std::fs::write(&path, collapsed) {
-        eprintln!("profile: failed to write {}: {e}", path.display());
-    }
 }
 
 /// Render a float with fixed three-decimal precision (deterministic).
@@ -282,38 +232,15 @@ pub fn scale_artifact_name(base: &str, args: &Args, ranks: usize) -> String {
 /// is written only when `BENCH_LIFECYCLE` is set — it is per-transfer
 /// data, much bigger than the metrics totals, and not a committed
 /// baseline.
-/// With `BENCH_PROFILE=1` the run additionally arms the hot-path span
-/// profiler and attaches a telemetry bus to the same fanned-out event
-/// stream, then writes `<name>.profile.json` (+ collapsed stack) under
-/// [`profile_out_dir`].
 pub fn run_with_observability(name: &str, f: impl FnOnce()) {
     let metrics = offload::Metrics::new();
     let lifecycle = obs::LifecycleRecorder::new();
-    let mut sinks = vec![metrics.sink(), lifecycle.sink()];
-    let bus = profile_enabled().then(|| {
-        offload::profile::set_enabled(true);
-        let bus = obs::TelemetryBus::new(telemetry_interval_ps());
-        sinks.push(bus.sink());
-        bus
-    });
     let observer = workloads::Observer {
-        sink: Some(workloads::fanout(sinks)),
+        sink: Some(workloads::fanout(vec![metrics.sink(), lifecycle.sink()])),
         trace: false,
     };
     workloads::with_observer(observer, f);
     write_metrics_with(name, &metrics.report(), &[]);
-    if let Some(bus) = bus {
-        offload::profile::set_enabled(false);
-        let report = offload::profile::take_report();
-        let (_, snaps) = bus.finish();
-        let doc = obs::render_profile(&obs::ProfileDoc {
-            bench: name,
-            report: &report,
-            snapshots: &snaps,
-            wall: wall_enabled(),
-        });
-        write_profile(name, &doc, &report.collapsed_stack());
-    }
     if std::env::var_os("BENCH_LIFECYCLE").is_some() {
         let dir = bench_results_dir();
         if let Err(e) = std::fs::create_dir_all(&dir) {

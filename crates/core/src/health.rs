@@ -6,8 +6,8 @@
 //! registration-fail → `FallbackToStaging` round-trip on *every* post,
 //! and a browned-out peer can drive correlated retransmission storms
 //! bounded only by `MAX_ATTEMPTS` per message. This module adds the
-//! degradation layer between those mechanisms and the adaptive policy
-//! engine of ROADMAP item 4:
+//! degradation layer between those mechanisms and an adaptive offload
+//! policy (not built):
 //!
 //! * **Circuit breakers**, one per `(peer, path-class)`, fed by a
 //!   bounded sliding window of per-path outcomes (cross-registration

@@ -6,96 +6,60 @@
 //! encode/decode, CRC verification, credit admission, journal
 //! truncation, registration-cache lookups, CQ polling? This module
 //! answers that with thread-local enter/exit timestamps aggregated into
-//! a self/total-time call tree over named scopes. Those scopes are
-//! declared once, in one table below: a crate-private `Scope` enum for
-//! the `profile_scope!` call sites and [`PROFILE_SCOPES`] for the
-//! `profile/v1` schema. The enum denies dead code, so a declared scope
-//! that nothing enters fails the build.
+//! a self-time call tree over named scopes. Those scopes are declared
+//! once, in one table below: a crate-private `Scope` enum for the
+//! `profile_scope!` call sites and [`PROFILE_SCOPES`], from which
+//! `benchmark/` names its `core.<scope>.*` keys. The enum denies dead
+//! code, so a declared scope that nothing enters fails the build.
 //!
 //! # Design constraints
 //!
-//! * **Off by default, free when off.** `profile_scope!` consults a
-//!   thread-local cache of the enabled flag; when disabled it takes no
-//!   timestamp, allocates nothing, and touches no lock.
+//! * **Off by default, free when off.** `profile_scope!` reads one
+//!   thread-local flag; when it is off it takes no timestamp and
+//!   allocates nothing.
 //! * **Virtual-time safe.** Wall-clock reads happen strictly outside
 //!   simulated decision-making: samples flow one way, out of the run,
 //!   into the final report. Nothing in the simulation ever reads them
-//!   back, so enabling the profiler cannot change results (asserted by
-//!   the `engine_speed` bench, which compares profiled and unprofiled
-//!   runs for exact equality).
+//!   back, so enabling the profiler cannot change results
+//!   (`tests/determinism.rs` runs a stencil both ways and compares
+//!   events, end time and every counter).
 //! * **Deterministic aggregation.** Scopes are keyed by their
 //!   `;`-joined call path in a `BTreeMap`, so report ordering is a
-//!   function of the scope names alone, never of thread timing.
-//!   Durations, of course, are wall-clock and vary run to run.
+//!   function of the scope names alone. Durations, of course, are
+//!   wall-clock and vary run to run.
 //!
 //! # Lifecycle
 //!
-//! Each thread accumulates into its own tree. When a thread exits (both
-//! simnet engines join their threads before `run()` returns), the tree
-//! is folded into a process-global registry; future ranks and proxies
-//! sample into the tree of the thread that called `run()`.
-//! Because many ranks share that thread, a scope must never stay open
-//! across an `.await` ([`balanced`] checks it in debug builds);
-//! [`take_report`] merges the calling thread's data with the registry
-//! and drains both. Export as collapsed-stack text
-//! ([`ProfileReport::collapsed_stack`], flamegraph-compatible) or as a
-//! `bluefield-offload/profile/v1` JSON document via `obs`.
+//! The enabled flag and the call tree belong to the calling thread.
+//! Every rank and proxy of a simulation is a future polled on the
+//! thread that calls `run()`, so that thread's [`set_enabled`] and
+//! [`take_report`] bracket the whole run; the thread-backed processes
+//! left (simnet's kernel tests, `benchmark/`'s simnet and rdma rungs)
+//! enter no scope. Because many ranks share that thread, a scope must
+//! never stay open across an `.await` ([`balanced`] checks it in debug
+//! builds).
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::future::{poll_fn, Future};
 
-use parking_lot::Mutex;
-
-/// Environment knob that arms the profiler on first use (`BENCH_PROFILE=1`).
-/// [`set_enabled`] overrides it either way.
-pub const BENCH_PROFILE_ENV: &str = "BENCH_PROFILE";
-
-/// Histogram bucket count: bucket `b` holds durations in
-/// `[2^(b-1), 2^b)` nanoseconds (bucket 0 holds zero), matching
-/// `obs::lifecycle`'s mergeable log2 histograms.
-pub const PROFILE_BUCKETS: usize = 65;
-
 /// Sentinel parent index for root scopes.
 const ROOT: usize = usize::MAX;
 
-/// Process-global enabled flag. `None` until first consulted, then
-/// latched from [`BENCH_PROFILE_ENV`] unless [`set_enabled`] set it
-/// first.
-static ENABLED: Mutex<Option<bool>> = Mutex::new(None);
-
-/// Completed per-thread trees, folded in at thread exit or report time.
-static REGISTRY: Mutex<BTreeMap<String, ScopeAgg>> = Mutex::new(BTreeMap::new());
-
-/// Whether the profiler is collecting. The fast path reads a
-/// thread-local cache; the global flag is consulted (and latched from
-/// the environment) only on each thread's first call.
-pub fn enabled() -> bool {
-    ENABLED_CACHE.with(|c| match c.get() {
-        Some(v) => v,
-        None => {
-            let v = *ENABLED
-                .lock()
-                .get_or_insert_with(|| std::env::var(BENCH_PROFILE_ENV).is_ok_and(|v| v == "1"));
-            c.set(Some(v));
-            v
-        }
-    })
-}
-
-/// Turn collection on or off, overriding [`BENCH_PROFILE_ENV`].
-///
-/// Affects the calling thread immediately and any thread that has not
-/// yet taken its first sample; call it before spawning the simulation
-/// (benches do) and every thread agrees.
-pub fn set_enabled(on: bool) {
-    *ENABLED.lock() = Some(on);
-    ENABLED_CACHE.with(|c| c.set(Some(on)));
-}
-
 thread_local! {
-    static ENABLED_CACHE: Cell<Option<bool>> = const { Cell::new(None) };
-    static TLS: TlsSlot = TlsSlot(RefCell::new(ThreadProfile::default()));
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static TREE: RefCell<ThreadProfile> = const {
+        RefCell::new(ThreadProfile {
+            nodes: Vec::new(),
+            index: BTreeMap::new(),
+            stack: Vec::new(),
+        })
+    };
+}
+
+/// Turn collection on or off for the calling thread.
+pub fn set_enabled(on: bool) {
+    ENABLED.with(|c| c.set(on));
 }
 
 /// One scope node in a thread's call tree.
@@ -104,9 +68,6 @@ struct Node {
     parent: usize,
     count: u64,
     self_ns: u64,
-    total_ns: u64,
-    max_ns: u64,
-    buckets: [u64; PROFILE_BUCKETS],
 }
 
 /// An open scope on the thread's stack.
@@ -116,7 +77,6 @@ struct Frame {
     child_ns: u64,
 }
 
-#[derive(Default)]
 struct ThreadProfile {
     nodes: Vec<Node>,
     /// `(parent index, name)` -> node index.
@@ -124,17 +84,7 @@ struct ThreadProfile {
     stack: Vec<Frame>,
 }
 
-/// Wrapper whose `Drop` folds the thread's tree into the registry when
-/// the thread exits, so worker-thread samples survive into the report.
-struct TlsSlot(RefCell<ThreadProfile>);
-
-impl Drop for TlsSlot {
-    fn drop(&mut self) {
-        merge_into_registry(&mut self.0.borrow_mut());
-    }
-}
-
-/// `;`-joined path of node `i` (collapsed-stack convention).
+/// `;`-joined path of node `i`.
 fn path_of(tp: &ThreadProfile, mut i: usize) -> String {
     let mut parts = Vec::new();
     loop {
@@ -148,47 +98,6 @@ fn path_of(tp: &ThreadProfile, mut i: usize) -> String {
     parts.join(";")
 }
 
-/// Fold a thread's tree into [`REGISTRY`] and zero it in place (indices
-/// stay valid for any still-open frames).
-fn merge_into_registry(tp: &mut ThreadProfile) {
-    if tp.nodes.iter().all(|n| n.count == 0) {
-        return;
-    }
-    let mut reg = REGISTRY.lock();
-    for i in 0..tp.nodes.len() {
-        if tp.nodes[i].count == 0 {
-            continue;
-        }
-        let path = path_of(tp, i);
-        let agg = reg.entry(path).or_default();
-        let n = &tp.nodes[i];
-        agg.count += n.count;
-        agg.self_ns += n.self_ns;
-        agg.total_ns += n.total_ns;
-        agg.max_ns = agg.max_ns.max(n.max_ns);
-        for (dst, src) in agg.buckets.iter_mut().zip(n.buckets.iter()) {
-            *dst += src;
-        }
-    }
-    for n in &mut tp.nodes {
-        n.count = 0;
-        n.self_ns = 0;
-        n.total_ns = 0;
-        n.max_ns = 0;
-        n.buckets = [0; PROFILE_BUCKETS];
-    }
-}
-
-/// Log2 bucket index of a nanosecond duration (bucket 0 = zero),
-/// mirroring `obs::lifecycle::Histogram`.
-fn bucket(v: u64) -> usize {
-    if v == 0 {
-        0
-    } else {
-        (64 - v.leading_zeros()) as usize
-    }
-}
-
 /// Generates the two spellings of the profiled stages from one table:
 /// the [`Scope`] enum [`profile_scope!`] takes, and [`PROFILE_SCOPES`],
 /// built from the same literals (not from the variants) so it stays a
@@ -197,7 +106,7 @@ macro_rules! scopes {
     ($($variant:ident => $name:literal,)*) => {
         /// A profiled hot-path stage. `dead_code` is denied: a variant
         /// nothing constructs is a declared scope no producer enters,
-        /// a `profile/v1` row that could never appear.
+        /// a report row that could never appear.
         #[deny(dead_code)]
         pub(crate) enum Scope {
             $($variant,)*
@@ -212,9 +121,9 @@ macro_rules! scopes {
             }
         }
 
-        /// Every scope name a `profile/v1` report may carry, in
-        /// declaration order. `obs` validates scope paths against it and
-        /// `benchmark/` names its `core.<scope>.*` keys from it.
+        /// Every scope name a [`ProfileReport`] path may carry, in
+        /// declaration order. `benchmark/` names its `core.<scope>.*`
+        /// keys from it.
         pub const PROFILE_SCOPES: &[&str] = &[$($name,)*];
     };
 }
@@ -238,11 +147,10 @@ pub(crate) struct ScopeGuard;
 /// [`profile_scope!`] binds the result either way so the guard drops at
 /// end of scope.
 pub(crate) fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
-    if !enabled() {
+    if !ENABLED.with(Cell::get) {
         return None;
     }
-    TLS.with(|slot| {
-        let mut tp = slot.0.borrow_mut();
+    TREE.with_borrow_mut(|tp| {
         let parent = tp.stack.last().map(|f| f.idx).unwrap_or(ROOT);
         let idx = match tp.index.get(&(parent, name)) {
             Some(&i) => i,
@@ -253,9 +161,6 @@ pub(crate) fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
                     parent,
                     count: 0,
                     self_ns: 0,
-                    total_ns: 0,
-                    max_ns: 0,
-                    buckets: [0; PROFILE_BUCKETS],
                 });
                 tp.index.insert((parent, name), i);
                 i
@@ -272,18 +177,12 @@ pub(crate) fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        TLS.with(|slot| {
-            let mut tp = slot.0.borrow_mut();
+        TREE.with_borrow_mut(|tp| {
             let frame = tp.stack.pop().expect("profile scope stack underflow");
             let dur = frame.start.elapsed().as_nanos() as u64;
-            let self_ns = dur.saturating_sub(frame.child_ns);
-            let b = bucket(dur);
             let node = &mut tp.nodes[frame.idx];
             node.count += 1;
-            node.self_ns += self_ns;
-            node.total_ns += dur;
-            node.max_ns = node.max_ns.max(dur);
-            node.buckets[b] += 1;
+            node.self_ns += dur.saturating_sub(frame.child_ns);
             if let Some(pf) = tp.stack.last_mut() {
                 pf.child_ns += dur;
             }
@@ -306,7 +205,7 @@ pub(crate) use profile_scope;
 /// turns on one thread, and a scope held across an `.await` would file
 /// the next rank's scopes under it.
 pub fn balanced<F: Future>(fut: F) -> impl Future<Output = F::Output> {
-    let depth = || TLS.with(|slot| slot.0.borrow().stack.len());
+    let depth = || TREE.with_borrow(|tp| tp.stack.len());
     let mut fut = Box::pin(fut);
     poll_fn(move |cx| {
         let before = cfg!(debug_assertions).then(depth);
@@ -321,124 +220,53 @@ pub fn balanced<F: Future>(fut: F) -> impl Future<Output = F::Output> {
 }
 
 /// Aggregated samples for one scope path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScopeAgg {
     /// Enter/exit pairs observed.
     pub count: u64,
     /// Wall nanoseconds excluding child scopes.
     pub self_ns: u64,
-    /// Wall nanoseconds including child scopes.
-    pub total_ns: u64,
-    /// Longest single span.
-    pub max_ns: u64,
-    /// Log2 duration histogram of span totals (bucket `b` holds
-    /// durations in `[2^(b-1), 2^b)` ns; bucket 0 holds zero).
-    pub buckets: [u64; PROFILE_BUCKETS],
 }
 
-impl ScopeAgg {
-    /// An empty aggregate.
-    pub fn new() -> ScopeAgg {
-        ScopeAgg {
-            count: 0,
-            self_ns: 0,
-            total_ns: 0,
-            max_ns: 0,
-            buckets: [0; PROFILE_BUCKETS],
-        }
-    }
-}
-
-impl Default for ScopeAgg {
-    fn default() -> Self {
-        ScopeAgg::new()
-    }
-}
-
-/// A merged self/total-time call tree keyed by `;`-joined scope path.
+/// A self-time call tree keyed by `;`-joined scope path.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileReport {
     /// Path -> aggregate, in path order (deterministic).
     pub scopes: BTreeMap<String, ScopeAgg>,
 }
 
-impl ProfileReport {
-    /// Whether any scope recorded a sample.
-    pub fn is_empty(&self) -> bool {
-        self.scopes.is_empty()
-    }
-
-    /// Collapsed-stack text: one `path;to;scope self_ns` line per
-    /// scope, directly consumable by flamegraph tooling.
-    pub fn collapsed_stack(&self) -> String {
-        let mut out = String::new();
-        for (path, agg) in &self.scopes {
-            out.push_str(path);
-            out.push(' ');
-            out.push_str(&agg.self_ns.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Fold `other` into `self` (reports from separate runs merge the
-    /// same way per-thread trees do).
-    pub fn merge(&mut self, other: &ProfileReport) {
-        for (path, src) in &other.scopes {
-            let agg = self.scopes.entry(path.clone()).or_default();
-            agg.count += src.count;
-            agg.self_ns += src.self_ns;
-            agg.total_ns += src.total_ns;
-            agg.max_ns = agg.max_ns.max(src.max_ns);
-            for (d, s) in agg.buckets.iter_mut().zip(src.buckets.iter()) {
-                *d += s;
-            }
-        }
-    }
-}
-
-/// Drain everything collected so far — the calling thread's tree plus
-/// every exited thread's contribution in the global registry — into one
-/// merged report. Scopes still open on other live threads appear once
-/// those threads exit (simnet joins its threads before `run()`
-/// returns, so bench callers see complete data).
+/// Drain the calling thread's tree into a report. Nodes are zeroed in
+/// place, so a scope still open keeps a valid index and lands in the
+/// next report.
 pub fn take_report() -> ProfileReport {
-    TLS.with(|slot| merge_into_registry(&mut slot.0.borrow_mut()));
-    let scopes = std::mem::take(&mut *REGISTRY.lock());
-    ProfileReport { scopes }
-}
-
-/// Entry counts per scope path currently visible to this thread (its
-/// own tree plus the registry), without draining anything. The
-/// telemetry bus samples this between windows; counts are deterministic
-/// wherever the sampling thread and the sampled scopes coincide (a
-/// cluster's processes all run on `run()`'s thread).
-pub fn scope_counts() -> Vec<(String, u64)> {
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for (p, a) in REGISTRY.lock().iter() {
-        if a.count > 0 {
-            *counts.entry(p.clone()).or_default() += a.count;
-        }
-    }
-    TLS.with(|slot| {
-        let tp = slot.0.borrow();
+    TREE.with_borrow_mut(|tp| {
+        let mut scopes = BTreeMap::new();
         for i in 0..tp.nodes.len() {
-            if tp.nodes[i].count > 0 {
-                *counts.entry(path_of(&tp, i)).or_default() += tp.nodes[i].count;
+            let n = &tp.nodes[i];
+            if n.count > 0 {
+                let agg = ScopeAgg {
+                    count: n.count,
+                    self_ns: n.self_ns,
+                };
+                scopes.insert(path_of(tp, i), agg);
             }
         }
-    });
-    counts.into_iter().collect()
+        for n in &mut tp.nodes {
+            n.count = 0;
+            n.self_ns = 0;
+        }
+        ProfileReport { scopes }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The profiler is process-global state shared by parallel tests,
-    /// so assertions here are containment-style, never exact-drain.
+    // Each test runs on its own thread, and so has its own profiler.
+
     #[test]
-    fn scopes_nest_and_report_self_vs_total() {
+    fn scopes_nest_and_report_self_time() {
         set_enabled(true);
         {
             let _g = scope_guard("outer_test_scope");
@@ -448,45 +276,39 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(1)); // lint:allow(wall-clock)
             }
         }
-        let report = take_report();
         set_enabled(false);
-        let outer = report.scopes.get("outer_test_scope").expect("outer scope");
-        let inner = report
-            .scopes
-            .get("outer_test_scope;inner_test_scope")
-            .expect("inner scope nests under outer");
-        assert!(outer.count >= 1);
-        assert!(inner.count >= 1);
-        assert!(
-            outer.total_ns >= outer.self_ns + inner.total_ns,
-            "outer total covers inner total plus own self time"
+        let report = take_report();
+        let paths: Vec<&str> = report.scopes.keys().map(String::as_str).collect();
+        assert_eq!(
+            paths,
+            ["outer_test_scope", "outer_test_scope;inner_test_scope"]
         );
-        assert!(inner.self_ns > 0);
-        let collapsed = report.collapsed_stack();
-        assert!(collapsed.contains("outer_test_scope;inner_test_scope "));
+        let outer = &report.scopes["outer_test_scope"];
+        let inner = &report.scopes["outer_test_scope;inner_test_scope"];
+        assert_eq!((outer.count, inner.count), (1, 1));
+        assert!(inner.self_ns >= 1_000_000, "inner slept 1 ms");
+        assert!(outer.self_ns >= 2_000_000, "outer slept 2 ms itself");
+        assert!(take_report().scopes.is_empty(), "a report drains the tree");
     }
 
     #[test]
     fn disabled_profiler_collects_nothing() {
-        set_enabled(false);
         {
             let _g = scope_guard("never_recorded_scope");
         }
-        let report = take_report();
-        assert!(!report.scopes.contains_key("never_recorded_scope"));
+        assert!(take_report().scopes.is_empty());
     }
 
     #[test]
-    fn worker_thread_samples_survive_thread_exit() {
+    fn the_flag_belongs_to_the_calling_thread() {
         set_enabled(true);
         std::thread::spawn(|| {
-            let _g = scope_guard("thread_exit_scope");
+            let _g = scope_guard("other_thread_scope");
         })
         .join()
-        .expect("profiled thread");
-        let report = take_report();
+        .expect("unprofiled thread");
         set_enabled(false);
-        assert!(report.scopes.contains_key("thread_exit_scope"));
+        assert!(take_report().scopes.is_empty());
     }
 
     /// Poll `fut` twice on this thread, as the scheduler would: the
@@ -550,36 +372,5 @@ mod tests {
                 "cq_poll",
             ]
         );
-    }
-
-    #[test]
-    fn merge_accumulates_counts_and_buckets() {
-        let mut a = ProfileReport::default();
-        let mut agg = ScopeAgg::new();
-        agg.count = 2;
-        agg.self_ns = 100;
-        agg.total_ns = 150;
-        agg.max_ns = 90;
-        agg.buckets[bucket(90)] = 2;
-        a.scopes.insert("x".into(), agg.clone());
-        let mut b = ProfileReport::default();
-        agg.max_ns = 200;
-        b.scopes.insert("x".into(), agg);
-        a.merge(&b);
-        let x = &a.scopes["x"];
-        assert_eq!(x.count, 4);
-        assert_eq!(x.self_ns, 200);
-        assert_eq!(x.max_ns, 200);
-        assert_eq!(x.buckets[bucket(90)], 4);
-    }
-
-    #[test]
-    fn log2_bucket_matches_lifecycle_convention() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 1);
-        assert_eq!(bucket(2), 2);
-        assert_eq!(bucket(3), 2);
-        assert_eq!(bucket(1024), 11);
-        assert_eq!(bucket(u64::MAX), 64);
     }
 }

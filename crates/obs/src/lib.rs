@@ -13,14 +13,19 @@
 //! The [`lifecycle`] module reconstructs per-transfer timelines and
 //! group-window critical paths from the engine's causally-tagged
 //! event stream (see `offload::ProtoEvent`'s `msg_id` fields), with
-//! mergeable log-scaled phase histograms.
+//! mergeable log-scaled phase histograms. The [`telemetry`] bus slices
+//! that stream into windows of counter deltas.
+//!
+//! Wall-clock attribution is not here: `core`'s span profiler
+//! (`offload::profile`) counts scope entries and self time, and
+//! `benchmark/` reports them as `core.<scope>.*` keys, named from the
+//! [`PROFILE_SCOPES`] re-exported below.
 
 #![warn(missing_docs)]
 
 mod chrome;
 pub mod json;
 pub mod lifecycle;
-pub mod profile;
 mod schema;
 pub mod telemetry;
 
@@ -30,9 +35,6 @@ pub use lifecycle::{
     reconstruct, BreakerTimeline, Histogram, LifecycleRecorder, LifecycleReport, MsgTimeline,
     Phase, Residence, Segment, WindowPath, LIFECYCLE_SCHEMA_ID, PHASES,
 };
-pub use profile::{render_profile, ProfileDoc};
-pub use schema::{
-    validate_metrics, validate_profile, HEALTH_KEYS, PROFILE_SCHEMA_ID, PROFILE_SCOPES, SCHEMA_ID,
-    TENANT_KEYS,
-};
+pub use offload::PROFILE_SCOPES;
+pub use schema::{validate_metrics, HEALTH_KEYS, SCHEMA_ID, TENANT_KEYS};
 pub use telemetry::{TelemetryBus, TelemetrySink, TelemetrySnapshot};

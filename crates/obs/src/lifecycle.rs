@@ -152,22 +152,6 @@ impl Histogram {
         }
     }
 
-    /// Rehydrate a histogram from raw log2 bucket counts plus the exact
-    /// maximum — the inverse of repeated [`record`](Histogram::record)
-    /// calls for producers (like `offload::profile`) that bucket at the
-    /// sample site and only later cross into `obs` for quantiles.
-    /// Buckets beyond index 64 are ignored; shorter slices are
-    /// zero-padded.
-    pub fn from_log2_counts(counts: &[u64], max: u64) -> Histogram {
-        let mut h = Histogram::new();
-        for (b, &c) in counts.iter().take(h.counts.len()).enumerate() {
-            h.counts[b] = c;
-            h.total += c;
-        }
-        h.max = max;
-        h
-    }
-
     fn bucket(value: u64) -> usize {
         if value == 0 {
             0

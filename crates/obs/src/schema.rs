@@ -15,9 +15,6 @@ use crate::json::{parse, Json};
 // `health` object, present only when the health engine acted).
 use offload::{CACHE_KEYS, TOTAL_KEYS};
 pub use offload::{HEALTH_KEYS, TENANT_KEYS};
-// The `profile/v1` scope names are declared with the `Scope` enum that
-// `core`'s call sites enter, so an unentered name fails the build.
-pub use offload::PROFILE_SCOPES;
 
 /// Schema identifier every conforming document carries.
 pub const SCHEMA_ID: &str = "bluefield-offload/metrics/v1";
@@ -26,14 +23,9 @@ const CACHES: &[&str] = &["host_gvmi", "host_ib", "dpu_cross"];
 
 /// Optional extension sections: flat all-numeric objects appended by
 /// the scale benches (`"engine"` carries the self-benchmark counters,
-/// `"scale"` the workload spec and fingerprint, `"profile"` the
-/// measured profiling-overhead figures under `BENCH_PROFILE=1`).
-/// Absent in documents from the protocol benches; validated when
-/// present.
-const EXT_SECTIONS: &[&str] = &["engine", "scale", "profile"];
-
-/// Schema identifier of self-profiling reports (`profile/v1`).
-pub const PROFILE_SCHEMA_ID: &str = "bluefield-offload/profile/v1";
+/// `"scale"` the workload spec and fingerprint). Absent in documents
+/// from the protocol benches; validated when present.
+const EXT_SECTIONS: &[&str] = &["engine", "scale"];
 
 fn counter(obj: &Json, key: &str, at: &str) -> Result<u64, String> {
     obj.get(key)
@@ -192,87 +184,6 @@ pub fn validate_metrics(doc: &str) -> Result<Json, String> {
         .unwrap_or(0);
     if meta_total != counter(totals, "recv_meta_total", "totals")? {
         return Err("recv_meta counts do not sum to totals.recv_meta_total".into());
-    }
-    Ok(v)
-}
-
-/// Validate a self-profiling document against the `profile/v1` schema.
-///
-/// Checks the schema id, that every `;`-separated segment of every
-/// scope path is a declared [`PROFILE_SCOPES`] name, that counts and
-/// durations are non-negative, and that telemetry snapshots carry
-/// strictly increasing sequence numbers with non-negative counter
-/// deltas. Duration fields are optional (producers omit them under
-/// `BENCH_NO_WALL=1` so documents stay byte-comparable across thread
-/// counts); when present they must be non-negative numbers.
-pub fn validate_profile(doc: &str) -> Result<Json, String> {
-    let v = parse(doc).map_err(|e| format!("not valid JSON: {e}"))?;
-    if !v.is_obj() {
-        return Err("top level is not an object".into());
-    }
-    match v.get("schema").and_then(Json::as_str) {
-        Some(PROFILE_SCHEMA_ID) => {}
-        Some(other) => return Err(format!("unknown schema \"{other}\"")),
-        None => return Err("missing \"schema\"".into()),
-    }
-    if v.get("bench").and_then(Json::as_str).is_none() {
-        return Err("missing string \"bench\"".into());
-    }
-    let scopes = v
-        .get("scopes")
-        .and_then(Json::as_arr)
-        .ok_or("missing array \"scopes\"")?;
-    for (i, s) in scopes.iter().enumerate() {
-        let at = format!("scopes[{i}]");
-        let path = s
-            .get("path")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{at}: missing string \"path\""))?;
-        for seg in path.split(';') {
-            if !PROFILE_SCOPES.contains(&seg) {
-                return Err(format!("{at}: undeclared scope name \"{seg}\""));
-            }
-        }
-        counter(s, "count", &at)?;
-        if let Json::Obj(members) = s {
-            for (k, val) in members {
-                if k == "path" {
-                    continue;
-                }
-                match val {
-                    Json::Num(n) if *n >= 0.0 => {}
-                    _ => return Err(format!("{at}: \"{k}\" is not a non-negative number")),
-                }
-            }
-        }
-    }
-    let snaps = v
-        .get("snapshots")
-        .and_then(Json::as_arr)
-        .ok_or("missing array \"snapshots\"")?;
-    let mut prev_seq: Option<u64> = None;
-    for (i, s) in snaps.iter().enumerate() {
-        let at = format!("snapshots[{i}]");
-        let seq = counter(s, "seq", &at)?;
-        counter(s, "upto_ps", &at)?;
-        if let Some(p) = prev_seq {
-            if seq <= p {
-                return Err(format!("{at}: seq {seq} not increasing (prev {p})"));
-            }
-        }
-        prev_seq = Some(seq);
-        let deltas = s
-            .get("deltas")
-            .filter(|d| d.is_obj())
-            .ok_or_else(|| format!("{at}: missing object \"deltas\""))?;
-        if let Json::Obj(members) = deltas {
-            for (k, val) in members {
-                match val {
-                    Json::Num(n) if *n >= 0.0 => {}
-                    _ => return Err(format!("{at}: delta \"{k}\" is not a non-negative number")),
-                }
-            }
-        }
     }
     Ok(v)
 }

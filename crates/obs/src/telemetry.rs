@@ -1,8 +1,8 @@
 //! Streaming telemetry bus: periodic counter-delta snapshots.
 //!
-//! ROADMAP item 4 (an adaptive offload policy) needs a *runtime* view
-//! of the protocol — not a single frozen [`offload::MetricsReport`] at
-//! the end, but a stream of "what changed in the last N microseconds of
+//! An adaptive offload policy would need a *runtime* view of the
+//! protocol — not a single frozen [`offload::MetricsReport`] at the
+//! end, but a stream of "what changed in the last N microseconds of
 //! virtual time". [`TelemetryBus`] provides that: it wraps a private
 //! metrics accumulator behind an [`simnet::EventSink`], slices virtual
 //! time into fixed windows, and at each boundary publishes a
@@ -18,19 +18,6 @@
 //! sequence — boundaries, ordering, and every delta value — is
 //! byte-identical from run to run. No wall-clock quantity ever enters a
 //! snapshot.
-//!
-//! Optional profiler sampling ([`TelemetryBus::sample_profile`]) adds
-//! `profile.<path>` scope-count deltas. Those counts come from
-//! [`offload::profile`]'s thread-local trees, so only samples already
-//! folded into the global registry (exited threads) plus the snapshot
-//! thread's own tree are visible — cross-thread visibility is
-//! best-effort and the totals only settle once the run's threads have
-//! exited. The snapshot thread is whichever engine thread delivers the
-//! batch holding the first event past a boundary, up to
-//! `simnet::EMIT_BATCH` events after that event was emitted, so the
-//! counts may also include work done just past the boundary. They are
-//! advisory for policy consumers, excluded from the determinism
-//! contract, and off by default.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -55,8 +42,8 @@ pub struct TelemetrySnapshot {
     pub upto_ps: u64,
     /// Counters that moved during the window, as `(key, increase)`:
     /// `"bus_events"` (raw events the sink saw, protocol or not) first,
-    /// then the fixed `MetricsReport::totals()` key order, then any
-    /// `profile.<path>` keys in path order. Zero deltas are omitted.
+    /// then the fixed `MetricsReport::totals()` key order. Zero deltas
+    /// are omitted.
     pub deltas: Vec<(String, u64)>,
 }
 
@@ -90,9 +77,6 @@ struct BusInner {
     prev_events_seen: u64,
     /// Totals at the last publication, in `totals()` order.
     prev: Vec<(&'static str, u64)>,
-    /// Profiler scope counts at the last publication (sampling only).
-    prev_profile: Vec<(String, u64)>,
-    sample_profile: bool,
     ring: VecDeque<TelemetrySnapshot>,
     cap: usize,
     sinks: Vec<Box<dyn TelemetrySink>>,
@@ -117,21 +101,6 @@ impl BusInner {
             }
         }
         self.prev = now;
-        if self.sample_profile {
-            let counts = offload::profile::scope_counts();
-            for (path, c) in &counts {
-                let before = self
-                    .prev_profile
-                    .iter()
-                    .find(|(p, _)| p == path)
-                    .map(|&(_, v)| v)
-                    .unwrap_or(0);
-                if *c > before {
-                    deltas.push((format!("profile.{path}"), c - before));
-                }
-            }
-            self.prev_profile = counts;
-        }
         self.seq += 1;
         let snap = TelemetrySnapshot {
             seq: self.seq,
@@ -174,8 +143,6 @@ impl TelemetryBus {
                 events_seen: 0,
                 prev_events_seen: 0,
                 prev: Vec::new(),
-                prev_profile: Vec::new(),
-                sample_profile: false,
                 ring: VecDeque::new(),
                 cap: DEFAULT_RING_CAP,
                 sinks: Vec::new(),
@@ -188,13 +155,6 @@ impl TelemetryBus {
     pub fn with_ring_cap(self, cap: usize) -> TelemetryBus {
         assert!(cap >= 1, "ring cap must be nonzero");
         self.inner.lock().cap = cap;
-        self
-    }
-
-    /// Also sample `profile.<path>` scope-count deltas at each boundary
-    /// (advisory — see the module docs for the visibility caveat).
-    pub fn sample_profile(self, on: bool) -> TelemetryBus {
-        self.inner.lock().sample_profile = on;
         self
     }
 

@@ -170,8 +170,7 @@ impl ClusterBuilder {
 
     /// Accepts only `1` and changes nothing: a cluster runs on simnet's
     /// one loop (see the module docs). Kept as a signature because the
-    /// benchmark package names it; it goes with that package's re-base
-    /// (ROADMAP item 6).
+    /// benchmark package names it; it goes with that package's re-base.
     pub fn with_threads(self, threads: usize) -> Self {
         assert_eq!(
             threads, 1,
@@ -208,7 +207,7 @@ impl ClusterBuilder {
     /// Host ranks only, each a closure on an OS thread of its own that
     /// waits in blocking `ctx` calls. Kept as a signature because the
     /// benchmark package names it (its L1 `rdma_writes` rung); it goes
-    /// with that package's re-base (ROADMAP item 6). Everything else
+    /// with that package's re-base. Everything else
     /// runs its ranks as futures with [`run_async`](Self::run_async).
     pub fn run_hosts<H>(self, host_fn: H) -> Result<Report, SimError>
     where

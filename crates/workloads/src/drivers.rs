@@ -44,7 +44,7 @@ pub struct CheckRun {
     /// `None` or `Some(1)`: a cluster runs on simnet's one loop, and
     /// anything else panics (see [`rdma::ClusterBuilder::with_threads`]).
     /// Kept as a field because the benchmark package sets it; it goes
-    /// with that package's re-base (ROADMAP item 6).
+    /// with that package's re-base.
     pub threads: Option<usize>,
 }
 

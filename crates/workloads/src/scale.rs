@@ -176,9 +176,8 @@ pub fn scale_alltoall(spec: &ScaleSpec) -> ScaleRun {
 }
 
 /// [`scale_alltoall`] with observability hooks. The [`ScaleRun`] is
-/// identical to the plain variant's at any hook setting (emitting
-/// events never advances virtual time or consumes RNG), which is how
-/// the benches assert that profiling cannot perturb results.
+/// identical to the plain variant's at any hook setting: emitting
+/// events never advances virtual time or consumes RNG.
 pub fn scale_alltoall_with(spec: &ScaleSpec, obs: ScaleObs) -> ScaleRun {
     let observed = obs.sink.is_some();
     let (mut sim, rngs) = build_sim(spec, obs);
@@ -341,12 +340,17 @@ mod tests {
 
     #[test]
     fn a_sink_does_not_perturb_the_run() {
-        let sink: EventSink = Arc::new(|_| {});
-        let observed = scale_stencil_with(
-            &ScaleSpec { iters: 2, ..SPEC },
-            ScaleObs { sink: Some(sink) },
-        );
-        assert_eq!(observed, scale_stencil(&ScaleSpec { iters: 2, ..SPEC }));
+        let spec = ScaleSpec { iters: 2, ..SPEC };
+        type Workload = fn(&ScaleSpec, ScaleObs) -> ScaleRun;
+        let workloads: [(&str, Workload); 2] = [
+            ("stencil", scale_stencil_with),
+            ("alltoall", scale_alltoall_with),
+        ];
+        for (name, run) in workloads {
+            let sink: EventSink = Arc::new(|_| {});
+            let observed = run(&spec, ScaleObs { sink: Some(sink) });
+            assert_eq!(observed, run(&spec, ScaleObs::default()), "{name}");
+        }
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //!   is that warm windows need zero host interventions, and no
 //!   tolerance buys that back.
 //! * Wall-clock counters (`wall_ms`, `events_per_sec` path suffixes —
-//!   the engine self-benchmark numbers — plus everything
-//!   under a `profile` section, which is wall-derived overhead data)
-//!   are held to their own `--wall-tol` band (default 900%) instead of
-//!   the exact gate: host time varies with machine and load, simulated
-//!   counters never do. The band is one-sided where the key says which
-//!   way is slower: a `wall_ms` regresses when new/old exceeds 1 + band,
-//!   an `events_per_sec` when old/new does, and a speed-up never does.
-//!   The rest of a `profile` section is held to the band both ways.
+//!   the engine self-benchmark numbers) are held to their own
+//!   `--wall-tol` band (default 900%) instead of the exact gate: host
+//!   time varies with machine and load, simulated counters never do.
+//!   The band is one-sided: a `wall_ms` regresses when new/old exceeds
+//!   1 + band, an `events_per_sec` when old/new does, and a speed-up
+//!   never does.
 //! * New-only counters are fine (instrumentation grows).
 //! * Files only in the old tree are reported but do not fail the gate
 //!   (benches can be retired); files only in the new tree are ignored.
@@ -146,14 +144,8 @@ fn increase_is_always_bad(counter: &str) -> bool {
 
 /// Wall-clock counters: host-time measurements from the engine
 /// self-benchmark, compared under `wall_tol_pct` instead of `tol_pct`.
-/// Matched by the suffix of the last path segment, so prefixed variants
-/// (`profile.baseline_wall_ms`) land in the band too. Everything under a `profile` section (the `BENCH_PROFILE=1` ext
-/// section: overhead ratios, profiled wall times) is wall-derived by
-/// construction and lands in the band wholesale.
+/// Matched by the suffix of the last path segment.
 fn is_wall_counter(counter: &str) -> bool {
-    if counter.split('.').any(|seg| seg == "profile") {
-        return true;
-    }
     let last = counter.rsplit('.').next().unwrap_or(counter);
     last.ends_with("wall_ms") || last.ends_with("events_per_sec")
 }
@@ -173,16 +165,12 @@ fn drift_pct(old: f64, new: f64) -> f64 {
 
 /// How much slower a wall counter reads, in percent: a `wall_ms` is
 /// slower when it grows (new/old), an `events_per_sec` when it shrinks
-/// (old/new), and a speed-up reads 0. Other `profile` keys say nothing
-/// of direction, so they read their drift either way.
+/// (old/new), and a speed-up reads 0.
 fn wall_slowdown_pct(counter: &str, old: f64, new: f64) -> f64 {
-    let last = counter.rsplit('.').next().unwrap_or(counter);
-    let (fast, slow) = if last.ends_with("wall_ms") {
+    let (fast, slow) = if counter.ends_with("wall_ms") {
         (old, new)
-    } else if last.ends_with("events_per_sec") {
-        (new, old)
     } else {
-        return drift_pct(old, new);
+        (new, old)
     };
     if slow <= fast {
         0.0
@@ -450,53 +438,6 @@ mod tests {
         );
         // 2x slower is exactly the band, which still passes.
         assert!(run("40.0", "100800.0").is_empty());
-    }
-
-    const PROFILE_BASE: &str = r#"{
-        "schema": "bluefield-offload/metrics/v1",
-        "bench": "fixture",
-        "totals": {"events": 100},
-        "profile": {"snapshots": 2, "scopes": 11, "overhead_pct": 0.4}
-    }"#;
-
-    #[test]
-    fn profile_section_lands_in_the_wall_band() {
-        // A profiling-overhead swing inside the wall band passes at
-        // zero exact tolerance...
-        let new = PROFILE_BASE.replace("\"overhead_pct\": 0.4", "\"overhead_pct\": 3.1");
-        let mut r = DiffReport::default();
-        diff_docs(
-            "f",
-            &doc(PROFILE_BASE),
-            &doc(&new),
-            &DiffOptions::default(),
-            &mut r,
-        );
-        assert!(r.ok(), "{:?}", r.regressions);
-        // ...a swing beyond it fails with the wall-band reason...
-        let new = PROFILE_BASE.replace("\"overhead_pct\": 0.4", "\"overhead_pct\": 40.4");
-        let mut r = DiffReport::default();
-        diff_docs(
-            "f",
-            &doc(PROFILE_BASE),
-            &doc(&new),
-            &DiffOptions::default(),
-            &mut r,
-        );
-        assert_eq!(r.regressions.len(), 1);
-        assert_eq!(r.regressions[0].why, "drift beyond wall-clock tolerance");
-        // ...and a vanished profile counter is still a regression.
-        let new = PROFILE_BASE.replace("\"snapshots\": 2, ", "");
-        let mut r = DiffReport::default();
-        diff_docs(
-            "f",
-            &doc(PROFILE_BASE),
-            &doc(&new),
-            &DiffOptions::default(),
-            &mut r,
-        );
-        assert_eq!(r.regressions.len(), 1);
-        assert_eq!(r.regressions[0].why, "counter disappeared");
     }
 
     #[test]

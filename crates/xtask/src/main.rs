@@ -10,10 +10,7 @@
 //!   protocol events, metrics keys and profile scopes are declared once
 //!   in `core` and need no gate. `--update-baseline` refreshes the
 //!   committed panic-path baseline.
-//! * `profile` — top-K self-time tables from `bluefield-offload/profile/v1`
-//!   self-profiling reports (`BENCH_PROFILE=1` bench runs).
-//! * `validate-metrics` — schema check for benchmark metrics artifacts;
-//!   `*.profile.json` files validate against the profile schema.
+//! * `validate-metrics` — schema check for benchmark metrics artifacts.
 //! * `bench-diff` — the benchmark regression gate (see [`bench_diff`]).
 //!
 //! Escapes for both lint and analyze: a `lint:allow(<rule>)` or
@@ -124,178 +121,11 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     }
 }
 
-/// Render the top-K self-time table of a parsed `profile/v1` document.
-/// Scopes sort by `self_ns` when the document carries wall durations;
-/// in the `BENCH_NO_WALL=1` regime (durations omitted by design) the
-/// fallback order is scope-entry count.
-fn profile_table(doc: &obs::Json, top_k: usize) -> Result<String, String> {
-    use obs::Json;
-    let bench = doc.get("bench").and_then(Json::as_str).unwrap_or("?");
-    let scopes = doc
-        .get("scopes")
-        .and_then(Json::as_arr)
-        .ok_or("profile document has no scopes array")?;
-    let snapshots = doc
-        .get("snapshots")
-        .and_then(Json::as_arr)
-        .map_or(0, <[Json]>::len);
-    let mut rows: Vec<(String, u64, Option<[u64; 4]>)> = scopes
-        .iter()
-        .map(|s| {
-            let path = s.get("path").and_then(Json::as_str).unwrap_or("?");
-            let count = s.get("count").and_then(Json::as_u64).unwrap_or(0);
-            let get = |k: &str| s.get(k).and_then(Json::as_u64).unwrap_or(0);
-            let wall = s
-                .get("self_ns")
-                .and_then(Json::as_u64)
-                .map(|self_ns| [self_ns, get("total_ns"), get("p50_ns"), get("p99_ns")]);
-            (path.to_string(), count, wall)
-        })
-        .collect();
-    let has_wall = rows.iter().any(|r| r.2.is_some());
-    if has_wall {
-        rows.sort_by(|a, b| {
-            let key = |r: &(String, u64, Option<[u64; 4]>)| r.2.map_or(0, |w| w[0]);
-            key(b).cmp(&key(a)).then_with(|| a.0.cmp(&b.0))
-        });
-    } else {
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    }
-    let total = rows.len();
-    rows.truncate(top_k);
-
-    let mut table: Vec<Vec<String>> = Vec::new();
-    let header: &[&str] = if has_wall {
-        &["scope", "count", "self_ns", "total_ns", "p50_ns", "p99_ns"]
-    } else {
-        &["scope", "count"]
-    };
-    table.push(header.iter().map(|h| (*h).to_string()).collect());
-    for (path, count, wall) in &rows {
-        let mut row = vec![path.clone(), count.to_string()];
-        if has_wall {
-            let w = wall.unwrap_or([0; 4]);
-            row.extend(w.iter().map(u64::to_string));
-        }
-        table.push(row);
-    }
-    let widths: Vec<usize> = (0..header.len())
-        .map(|c| table.iter().map(|r| r[c].len()).max().unwrap_or(0))
-        .collect();
-    let mut out = format!(
-        "profile: {bench} — top {} of {} scope(s) by {}, {} snapshot(s)\n",
-        rows.len(),
-        total,
-        if has_wall { "self time" } else { "entry count" },
-        snapshots
-    );
-    for (i, row) in table.iter().enumerate() {
-        let line: Vec<String> = row
-            .iter()
-            .zip(&widths)
-            .enumerate()
-            .map(|(c, (cell, w))| {
-                if c == 0 {
-                    format!("{cell:<w$}")
-                } else {
-                    format!("{cell:>w$}")
-                }
-            })
-            .collect();
-        out.push_str(line.join("  ").trim_end());
-        out.push('\n');
-        if i == 0 {
-            let rule: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-            out.push_str(&rule.join("  "));
-            out.push('\n');
-        }
-    }
-    Ok(out)
-}
-
-/// `cargo xtask profile [<file.profile.json>...] [--top K]`: validate
-/// `profile/v1` report(s) and render their top-K self-time tables. With
-/// no paths, scans `target/profile/` for `*.profile.json`.
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let mut top_k = 10usize;
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--top" {
-            match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => top_k = v,
-                None => {
-                    println!("profile: --top expects a count");
-                    return ExitCode::from(2);
-                }
-            }
-        } else {
-            paths.push(PathBuf::from(a));
-        }
-    }
-    if paths.is_empty() {
-        let dir = repo_root().join("target/profile");
-        if let Ok(entries) = fs::read_dir(&dir) {
-            paths = entries
-                .flatten()
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.ends_with(".profile.json"))
-                })
-                .collect();
-            paths.sort();
-        }
-        if paths.is_empty() {
-            println!(
-                "profile: no *.profile.json under {} — run a bench with BENCH_PROFILE=1 \
-                 or pass report paths explicitly",
-                dir.display()
-            );
-            return ExitCode::from(2);
-        }
-    }
-    let mut bad = 0usize;
-    for path in &paths {
-        let shown = path.display();
-        let doc = match fs::read_to_string(path) {
-            Ok(text) => match obs::validate_profile(&text) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    println!("{shown}: INVALID: {e}");
-                    bad += 1;
-                    continue;
-                }
-            },
-            Err(e) => {
-                println!("{shown}: unreadable: {e}");
-                bad += 1;
-                continue;
-            }
-        };
-        match profile_table(&doc, top_k) {
-            Ok(table) => print!("{table}"),
-            Err(e) => {
-                println!("{shown}: {e}");
-                bad += 1;
-            }
-        }
-    }
-    if bad == 0 {
-        ExitCode::SUCCESS
-    } else {
-        println!("xtask profile: {bad} bad file(s)");
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => cmd_lint(),
         Some("analyze") => cmd_analyze(&args[1..]),
-        Some("profile") => cmd_profile(&args[1..]),
         Some("validate-metrics") if args.len() > 1 => {
             let mut bad = 0usize;
             for path in &args[1..] {
@@ -307,14 +137,7 @@ fn main() -> ExitCode {
                         continue;
                     }
                 };
-                // Dispatch on the artifact flavour: self-profiling
-                // reports carry their own schema and validator.
-                let verdict = if path.ends_with(".profile.json") {
-                    obs::validate_profile(&doc)
-                } else {
-                    obs::validate_metrics(&doc)
-                };
-                match verdict {
+                match obs::validate_metrics(&doc) {
                     Ok(_) => println!("{path}: ok"),
                     Err(e) => {
                         println!("{path}: INVALID: {e}");
@@ -391,7 +214,6 @@ fn main() -> ExitCode {
         _ => {
             println!(
                 "usage: cargo xtask lint | analyze [--update-baseline] | \
-                 profile [<file.profile.json>...] [--top K] | \
                  validate-metrics <file.json>... | bench-diff <old> <new> [--tol PCT] \
                  [--wall-tol PCT]"
             );
@@ -518,52 +340,6 @@ mod tests {
     fn token_matching_is_word_bounded() {
         assert!(lint_str("struct InstantaneousRate;\n").is_empty());
         assert_eq!(lint_str("let t = Instant::now();\n"), vec!["wall-clock"]);
-    }
-
-    const PROFILE_DOC: &str = r#"{
-        "schema": "bluefield-offload/profile/v1",
-        "bench": "unit",
-        "scopes": [
-            {"path": "cq_poll", "count": 4, "self_ns": 100, "total_ns": 400, "max_ns": 90, "p50_ns": 25, "p99_ns": 90},
-            {"path": "cq_poll;crc_verify", "count": 9, "self_ns": 300, "total_ns": 300, "max_ns": 80, "p50_ns": 33, "p99_ns": 80}
-        ],
-        "snapshots": [{"seq": 1, "upto_ps": 1000, "deltas": {"bus_events": 3}}]
-    }"#;
-
-    #[test]
-    fn profile_table_sorts_by_self_time_when_wall_present() {
-        let doc = obs::validate_profile(PROFILE_DOC).expect("fixture validates");
-        let table = profile_table(&doc, 10).expect("renders");
-        let crc = table.find("crc_verify").expect("crc row present");
-        let poll = table.find("cq_poll ").expect("cq_poll row present");
-        assert!(crc < poll, "300ns self must sort above 100ns:\n{table}");
-        assert!(table.contains("self_ns"), "{table}");
-        assert!(table.contains("1 snapshot(s)"), "{table}");
-    }
-
-    #[test]
-    fn profile_table_falls_back_to_counts_without_wall() {
-        // The BENCH_NO_WALL regime: no duration fields at all.
-        let doc = PROFILE_DOC
-            .replace(
-                ", \"self_ns\": 100, \"total_ns\": 400, \"max_ns\": 90, \"p50_ns\": 25, \"p99_ns\": 90",
-                "",
-            )
-            .replace(
-                ", \"self_ns\": 300, \"total_ns\": 300, \"max_ns\": 80, \"p50_ns\": 33, \"p99_ns\": 80",
-                "",
-            );
-        let doc = obs::validate_profile(&doc).expect("no-wall fixture validates");
-        let table = profile_table(&doc, 10).expect("renders");
-        assert!(!table.contains("self_ns"), "{table}");
-        assert!(table.contains("entry count"), "{table}");
-        let crc = table.find("crc_verify").expect("crc row present");
-        let poll = table.find("cq_poll ").expect("cq_poll row present");
-        assert!(crc < poll, "count 9 must sort above count 4:\n{table}");
-        // Top-K truncation keeps only the heaviest scope.
-        let table = profile_table(&doc, 1).expect("renders");
-        assert!(table.contains("crc_verify"), "{table}");
-        assert!(!table.contains("cq_poll "), "{table}");
     }
 
     #[test]

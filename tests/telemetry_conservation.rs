@@ -8,7 +8,7 @@
 
 use bluefield_offload::apps::{drive_stencil, fanout, CheckRun};
 use bluefield_offload::dpu::Metrics;
-use obs::{render_profile, validate_profile, ProfileDoc, TelemetryBus, TelemetrySnapshot};
+use obs::{TelemetryBus, TelemetrySnapshot};
 use proptest::prelude::*;
 
 /// Telemetry window width. Small enough that a 4-rank stencil run
@@ -98,19 +98,8 @@ proptest! {
 }
 
 #[test]
-fn snapshot_stream_renders_as_valid_profile_v1() {
-    let snaps = check_conservation(99, 1);
-    // A profile/v1 document built from the stream (no span scopes: the
-    // profiler was not armed here) must pass its own validator in both
-    // wall regimes.
-    let report = bluefield_offload::dpu::ProfileReport::default();
-    for wall in [false, true] {
-        let doc = render_profile(&ProfileDoc {
-            bench: "telemetry_conservation",
-            report: &report,
-            snapshots: &snaps,
-            wall,
-        });
-        validate_profile(&doc).expect("rendered document validates");
-    }
+fn snapshot_stream_is_deterministic() {
+    // Snapshots are a pure function of the seed's event stream: the same
+    // run twice publishes the same windows with the same deltas.
+    assert_eq!(check_conservation(99, 1), check_conservation(99, 1));
 }
