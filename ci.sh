@@ -77,13 +77,6 @@ echo "== observer memory (release, ignored in tier-1)"
 # needed ~60). Alone in its test binary, so nothing else moves its VmHWM.
 cargo test --release -q --test observer_memory -- --ignored
 
-echo "== observer overhead (release, ignored in tier-1; prints, gates nothing)"
-# sinks_cost_in_situ runs the basic_short shape with no sink, each of the
-# four observer sinks alone and all four, interleaved, and prints µs per
-# transfer for each (EXPERIMENTS.md, "Batched event delivery"). Wall
-# clock on a CI box is not evidence, so no number here fails the build.
-cargo test --release -q --test observer_overhead -- --ignored --nocapture
-
 echo "== fingerprints (release, ignored in tier-1; the whole matrix)"
 # Every checker scenario (driver x config overlay x fault plan x 1/2
 # proxies x 2 seeds, ~1 900 rows) reduced to one line and compared with
@@ -166,9 +159,8 @@ settle
 for bin in engine_speed ext_allgather ext_bluefield3 ext_proxy_count \
     ext_scale_alltoall ext_scale_stencil \
     fig02_rdma_latency fig03_rdma_bandwidth fig04_pingpong_staging \
-    fig05_registration fig11_stencil_time fig12_stencil_overlap \
-    fig13_ialltoall_time fig14_ialltoall_overlap fig15_scatter_dest \
-    fig16_p3dfft fig17_hpl; do
+    fig05_registration fig11_12_stencil fig13_14_ialltoall \
+    fig15_scatter_dest fig16_p3dfft fig17_hpl; do
     BENCH_OUT_DIR=target/bench-scratch "${pin[@]}" \
         cargo run --release --quiet -p bench-harness --bin "$bin" -- --quick \
         >/dev/null

@@ -41,7 +41,7 @@ fn main() {
 
     let (section, mut keys) = bench_harness::engine_section(&run, wall_ms);
     keys.insert(1, ("virtual_ns".into(), run.virtual_ns.to_string()));
-    let name = bench_harness::scale_artifact_name("engine_speed", &args, spec.ranks());
+    let name = args.artifact_name("engine_speed", Some(spec.ranks()));
     bench_harness::write_metrics_with(
         &name,
         &offload::MetricsReport::default(),

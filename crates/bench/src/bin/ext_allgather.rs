@@ -17,9 +17,9 @@ fn run(args: Args) {
     };
     let mut rows = Vec::new();
     for &size in &sizes {
-        let intel = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::Intel, 71);
-        let blues = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::Blues, 71);
-        let prop = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::proposed(), 71);
+        let intel = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::Intel);
+        let blues = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::Blues);
+        let prop = iallgather_overlap(nodes, ppn, size, iters, 4, Runtime::proposed());
         rows.push(vec![
             bytes(size),
             us(intel.overall_us),
@@ -47,6 +47,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("ext_allgather", || run(args));
+    bench_harness::run_with_observability("ext_allgather", Args::parse(), run);
 }

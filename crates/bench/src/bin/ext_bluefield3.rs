@@ -23,7 +23,7 @@ fn run(args: Args) {
                 let spec = ClusterSpec::new(nodes, ppn)
                     .with_model(model.clone())
                     .without_byte_movement();
-                let r = ialltoall_overlap_on(spec, size, iters, 4, rt, 61);
+                let r = ialltoall_overlap_on(spec, size, iters, 4, rt);
                 cells.push(us(r.overall_us));
             }
         }
@@ -38,6 +38,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("ext_bluefield3", || run(args));
+    bench_harness::run_with_observability("ext_bluefield3", Args::parse(), run);
 }

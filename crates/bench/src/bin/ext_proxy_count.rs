@@ -19,7 +19,7 @@ fn run(args: Args) {
         let spec = ClusterSpec::new(nodes, ppn)
             .with_proxies(proxies)
             .without_byte_movement();
-        let r = ialltoall_overlap_on(spec, size, iters, 4, Runtime::proposed(), 67);
+        let r = ialltoall_overlap_on(spec, size, iters, 4, Runtime::proposed());
         rows.push(vec![
             proxies.to_string(),
             us(r.pure_us),
@@ -36,6 +36,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("ext_proxy_count", || run(args));
+    bench_harness::run_with_observability("ext_proxy_count", Args::parse(), run);
 }

@@ -48,7 +48,7 @@ fn main() {
         bench_harness::fmt_f64(run.events as f64 / (wall_ms / 1e3).max(1e-9)),
     );
 
-    let name = bench_harness::scale_artifact_name("ext_scale_stencil", &args, spec.ranks());
+    let name = args.artifact_name("ext_scale_stencil", Some(spec.ranks()));
     bench_harness::write_metrics_with(
         &name,
         &offload::MetricsReport::default(),

@@ -87,6 +87,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig02_rdma_latency", || run(args));
+    bench_harness::run_with_observability("fig02_rdma_latency", Args::parse(), run);
 }

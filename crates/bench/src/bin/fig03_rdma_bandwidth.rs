@@ -95,6 +95,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig03_rdma_bandwidth", || run(args));
+    bench_harness::run_with_observability("fig03_rdma_bandwidth", Args::parse(), run);
 }

@@ -11,9 +11,9 @@ fn run(args: Args) {
     let sizes: Vec<u64> = (12..=20).map(|p| 1u64 << p).collect(); // 4 KiB .. 1 MiB
     let mut rows = Vec::new();
     for &size in &sizes {
-        let host = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Host, 11);
-        let staging = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Staging, 11);
-        let gvmi = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Gvmi, 11);
+        let host = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Host);
+        let staging = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Staging);
+        let gvmi = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Gvmi);
         rows.push(vec![
             bytes(size),
             us(host),
@@ -31,6 +31,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig04_pingpong_staging", || run(args));
+    bench_harness::run_with_observability("fig04_pingpong_staging", Args::parse(), run);
 }

@@ -51,6 +51,5 @@ fn run(_args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig05_registration", || run(args));
+    bench_harness::run_with_observability("fig05_registration", Args::parse(), run);
 }

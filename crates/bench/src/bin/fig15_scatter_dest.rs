@@ -18,9 +18,9 @@ fn run(args: Args) {
     let mut rows = Vec::new();
     for &size in &sizes {
         let (simple_us, simple_msgs) =
-            scatter_dest_time(nodes, ppn, size, iters, 1, ScatterImpl::Simple, 47);
+            scatter_dest_time(nodes, ppn, size, iters, 1, ScatterImpl::Simple);
         let (group_us, group_msgs) =
-            scatter_dest_time(nodes, ppn, size, iters, 1, ScatterImpl::Group, 47);
+            scatter_dest_time(nodes, ppn, size, iters, 1, ScatterImpl::Group);
         rows.push(vec![
             bytes(size),
             us(simple_us),
@@ -48,6 +48,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig15_scatter_dest", || run(args));
+    bench_harness::run_with_observability("fig15_scatter_dest", Args::parse(), run);
 }

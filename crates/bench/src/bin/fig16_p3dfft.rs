@@ -9,9 +9,9 @@ fn run_set(nodes: usize, ppn: usize, xy: u64, zs: &[u64], iters: u32, tag: &str)
     let mut rows = Vec::new();
     let mut profile_rows = Vec::new();
     for &z in zs {
-        let intel = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::Intel, 53);
-        let blues = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::Blues, 53);
-        let prop = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::proposed(), 53);
+        let intel = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::Intel);
+        let blues = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::Blues);
+        let prop = p3dfft(nodes, ppn, (xy, xy, z), iters, Runtime::proposed());
         rows.push(vec![
             format!("{xy}x{xy}x{z}"),
             format!("{:.3}", 1.0),
@@ -73,6 +73,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig16_p3dfft", || run(args));
+    bench_harness::run_with_observability("fig16_p3dfft", Args::parse(), run);
 }

@@ -23,7 +23,7 @@ fn run(args: Args) {
         let n = matrix_order(nodes, frac);
         let times: Vec<f64> = algos
             .iter()
-            .map(|&a| hpl_runtime_us(nodes, ppn, frac, a, 59))
+            .map(|&a| hpl_runtime_us(nodes, ppn, frac, a))
             .collect();
         let base = times[0];
         rows.push(vec![
@@ -53,6 +53,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    let args = Args::parse();
-    bench_harness::run_with_observability("fig17_hpl", || run(args));
+    bench_harness::run_with_observability("fig17_hpl", Args::parse(), run);
 }

@@ -85,15 +85,38 @@ impl Args {
         self.iters
             .unwrap_or(if self.quick { quick } else { normal })
     }
+
+    /// Name of this run's artifacts: `base` under `--quick` (the
+    /// committed baseline CI regenerates and diffs), else suffixed with
+    /// the scale, so a longer run never overwrites that baseline: a
+    /// scale bench's rank count (`engine_speed_1024r`), or `full` or
+    /// `default` for a figure (`ranks` = `None`).
+    pub fn artifact_name(&self, base: &str, ranks: Option<usize>) -> String {
+        match ranks {
+            _ if self.quick => base.to_string(),
+            Some(r) => format!("{base}_{r}r"),
+            None if self.full => format!("{base}_full"),
+            None => format!("{base}_default"),
+        }
+    }
 }
 
-/// Directory receiving machine-readable benchmark artifacts
-/// (`<bench>.metrics.json` files). `BENCH_OUT_DIR` overrides the
-/// default `bench_results/` at the workspace root.
+/// Directory receiving machine-readable benchmark artifacts:
+/// `BENCH_OUT_DIR`, or `bench_results/` under the current directory
+/// (the repository root under `cargo run`).
 pub fn bench_results_dir() -> std::path::PathBuf {
-    match std::env::var_os("BENCH_OUT_DIR") {
-        Some(d) => d.into(),
-        None => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results"),
+    std::env::var_os("BENCH_OUT_DIR").map_or_else(|| "bench_results".into(), Into::into)
+}
+
+/// Write `contents` as `file` in [`bench_results_dir`]. Benchmarks keep
+/// running if the filesystem refuses; the table on stdout is still the
+/// primary output.
+fn write_artifact(file: &str, contents: &str) {
+    let dir = bench_results_dir();
+    let path = dir.join(file);
+    match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, contents)) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
     }
 }
 
@@ -132,24 +155,16 @@ pub fn render_metrics_with(
 }
 
 /// Write a metrics report, with extension sections, as
-/// `bench_results/<name>.metrics.json` (schema
-/// `bluefield-offload/metrics/v1`). Benchmarks keep running if the
-/// filesystem refuses; the table on stdout is still the primary output.
+/// `<name>.metrics.json` (schema `bluefield-offload/metrics/v1`).
 pub fn write_metrics_with(
     name: &str,
     report: &offload::MetricsReport,
     sections: &[MetricsSection],
 ) {
-    let dir = bench_results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("metrics: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.metrics.json"));
-    match std::fs::write(&path, render_metrics_with(report, name, sections)) {
-        Ok(()) => eprintln!("metrics: wrote {}", path.display()),
-        Err(e) => eprintln!("metrics: failed to write {}: {e}", path.display()),
-    }
+    write_artifact(
+        &format!("{name}.metrics.json"),
+        &render_metrics_with(report, name, sections),
+    );
 }
 
 /// Whether wall-clock members (`wall_ms`, `events_per_sec`) go into
@@ -212,46 +227,33 @@ pub fn engine_section(run: &workloads::ScaleRun, wall_ms: f64) -> MetricsSection
     ("engine", keys)
 }
 
-/// Artifact name for a scale bench: the bare name under `--quick` (the
-/// committed baseline CI regenerates and diffs), a rank-suffixed name
-/// otherwise (committed once as scale evidence; old-only files are a
-/// non-fatal bench-diff note).
-pub fn scale_artifact_name(base: &str, args: &Args, ranks: usize) -> String {
-    if args.quick {
-        base.to_string()
-    } else {
-        format!("{base}_{ranks}r")
-    }
-}
-
-/// Run a figure body with the full observability stack: aggregate
-/// metrics (always persisted) plus a causal lifecycle trace
-/// ([`obs::LifecycleRecorder`]) fed from the same event stream via
-/// [`workloads::fanout`]. The lifecycle document
-/// (`<name>.lifecycle.json`, schema `bluefield-offload/lifecycle/v1`)
-/// is written only when `BENCH_LIFECYCLE` is set — it is per-transfer
-/// data, much bigger than the metrics totals, and not a committed
-/// baseline.
-pub fn run_with_observability(name: &str, f: impl FnOnce()) {
+/// Run a figure body, `f(args)`, under an aggregate metrics collector and
+/// write its report as the `base` artifact ([`Args::artifact_name`]).
+/// With `BENCH_LIFECYCLE` set, a causal lifecycle trace
+/// ([`obs::LifecycleRecorder`]) is fed from the same event stream via
+/// [`workloads::fanout`] and written as `<name>.lifecycle.json` (schema
+/// `bluefield-offload/lifecycle/v1`): per-transfer data, much bigger than
+/// the metrics totals, and not a committed baseline. Without it, nothing
+/// folds the lifecycle.
+pub fn run_with_observability(base: &str, args: Args, f: impl FnOnce(Args)) {
+    let name = args.artifact_name(base, None);
     let metrics = offload::Metrics::new();
-    let lifecycle = obs::LifecycleRecorder::new();
+    let lifecycle = std::env::var_os("BENCH_LIFECYCLE").map(|_| obs::LifecycleRecorder::new());
+    let sink = match &lifecycle {
+        Some(l) => workloads::fanout(vec![metrics.sink(), l.sink()]),
+        None => metrics.sink(),
+    };
     let observer = workloads::Observer {
-        sink: Some(workloads::fanout(vec![metrics.sink(), lifecycle.sink()])),
+        sink: Some(sink),
         trace: false,
     };
-    workloads::with_observer(observer, f);
-    write_metrics_with(name, &metrics.report(), &[]);
-    if std::env::var_os("BENCH_LIFECYCLE").is_some() {
-        let dir = bench_results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("lifecycle: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let path = dir.join(format!("{name}.lifecycle.json"));
-        match std::fs::write(&path, lifecycle.report().to_json().render()) {
-            Ok(()) => eprintln!("lifecycle: wrote {}", path.display()),
-            Err(e) => eprintln!("lifecycle: failed to write {}: {e}", path.display()),
-        }
+    workloads::with_observer(observer, || f(args));
+    write_metrics_with(&name, &metrics.report(), &[]);
+    if let Some(lifecycle) = lifecycle {
+        write_artifact(
+            &format!("{name}.lifecycle.json"),
+            &lifecycle.report().to_json().render(),
+        );
     }
 }
 
@@ -336,5 +338,37 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(a.pick_ppn(32, 16, 4), 8);
+    }
+
+    #[test]
+    fn only_a_quick_run_takes_the_baseline_name() {
+        let quick = Args {
+            quick: true,
+            nodes: Some(4),
+            ..Default::default()
+        };
+        let full = Args {
+            full: true,
+            ..Default::default()
+        };
+        let default = Args::default();
+        assert_eq!(quick.artifact_name("fig17_hpl", None), "fig17_hpl");
+        assert_eq!(
+            default.artifact_name("fig17_hpl", None),
+            "fig17_hpl_default"
+        );
+        assert_eq!(full.artifact_name("fig17_hpl", None), "fig17_hpl_full");
+        assert_eq!(
+            quick.artifact_name("engine_speed", Some(64)),
+            "engine_speed"
+        );
+        assert_eq!(
+            default.artifact_name("engine_speed", Some(1024)),
+            "engine_speed_1024r"
+        );
+        assert_eq!(
+            full.artifact_name("engine_speed", Some(4096)),
+            "engine_speed_4096r"
+        );
     }
 }

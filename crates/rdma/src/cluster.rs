@@ -337,6 +337,52 @@ mod tests {
             .unwrap();
     }
 
+    /// End time, event count and every counter and timer of a 2×2
+    /// all-to-all packet exchange, four rounds.
+    fn exchange(seed: u64, jitter: Option<SimDelta>) -> (SimTime, u64, String) {
+        let mut b = ClusterBuilder::new(ClusterSpec::new(2, 2), seed);
+        if let Some(j) = jitter {
+            b = b.with_delivery_jitter(j);
+        }
+        let report = b
+            .run_async(
+                async |rank, ctx, cluster| {
+                    let world = cluster.world_size();
+                    for _ in 0..4 {
+                        for peer in (0..world).filter(|&p| p != rank) {
+                            let (from, to) = (cluster.host_ep(rank), cluster.host_ep(peer));
+                            cluster
+                                .fabric()
+                                .send_packet(&ctx, from, to, 4096, Box::new(()))
+                                .unwrap();
+                        }
+                        for _ in 1..world {
+                            ctx.recv_async().await;
+                        }
+                    }
+                },
+                NO_PROXIES,
+            )
+            .unwrap();
+        let stats = &report.stats;
+        let folded = format!(
+            "{:?} {:?}",
+            stats.counters().collect::<Vec<_>>(),
+            stats.times().collect::<Vec<_>>()
+        );
+        (report.end_time, report.events, folded)
+    }
+
+    /// The simulation RNG is drawn only for delivery jitter, so without
+    /// it the seed moves nothing: the figure workloads, which never set
+    /// jitter, build every cluster with one fixed seed.
+    #[test]
+    fn the_seed_moves_a_run_only_through_delivery_jitter() {
+        assert_eq!(exchange(1, None), exchange(2, None));
+        let jitter = Some(SimDelta::from_us(1));
+        assert_ne!(exchange(1, jitter).0, exchange(2, jitter).0);
+    }
+
     #[test]
     #[should_panic(expected = "ClusterBuilder::with_threads accepts only 1")]
     fn more_than_one_worker_thread_is_refused() {

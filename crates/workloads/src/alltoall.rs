@@ -85,10 +85,9 @@ pub fn ialltoall_overlap(
     iters: u32,
     warmup: u32,
     runtime: Runtime,
-    seed: u64,
 ) -> OverlapResult {
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
-    ialltoall_overlap_on(spec, block, iters, warmup, runtime, seed)
+    ialltoall_overlap_on(spec, block, iters, warmup, runtime)
 }
 
 /// As [`ialltoall_overlap`], on a caller-prepared [`ClusterSpec`] — used
@@ -99,11 +98,10 @@ pub fn ialltoall_overlap_on(
     iters: u32,
     warmup: u32,
     runtime: Runtime,
-    seed: u64,
 ) -> OverlapResult {
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, runtime, async move |h| {
+    run_workload(spec, runtime, async move |h| {
         let driver = A2aDriver::new(h, block);
         for _ in 0..warmup {
             driver.wait(driver.start().await).await;
@@ -174,12 +172,11 @@ pub fn scatter_dest_time(
     iters: u32,
     warmup: u32,
     which: ScatterImpl,
-    seed: u64,
 ) -> (f64, u64) {
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
-    let report = run_workload(spec, seed, Runtime::proposed(), async move |h| {
+    let report = run_workload(spec, Runtime::proposed(), async move |h| {
         let off = h.off.as_ref().expect("proposed runtime");
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
@@ -240,9 +237,9 @@ mod tests {
 
     #[test]
     fn proposed_beats_blues_on_latency_and_both_overlap() {
-        let blues = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::Blues, 7);
-        let prop = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::proposed(), 7);
-        let intel = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::Intel, 7);
+        let blues = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::Blues);
+        let prop = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::proposed());
+        let intel = ialltoall_overlap(2, 4, 32 * 1024, 2, 2, Runtime::Intel);
         // Paper Fig. 13: proposed < BluesMPI on overall time; Fig. 14:
         // both offloads overlap nearly fully, Intel does not.
         assert!(
@@ -272,9 +269,8 @@ mod tests {
     #[test]
     fn group_beats_simple_for_dense_patterns() {
         let (simple_us, simple_msgs) =
-            scatter_dest_time(2, 4, 16 * 1024, 2, 2, ScatterImpl::Simple, 9);
-        let (group_us, group_msgs) =
-            scatter_dest_time(2, 4, 16 * 1024, 2, 2, ScatterImpl::Group, 9);
+            scatter_dest_time(2, 4, 16 * 1024, 2, 2, ScatterImpl::Simple);
+        let (group_us, group_msgs) = scatter_dest_time(2, 4, 16 * 1024, 2, 2, ScatterImpl::Group);
         assert!(
             group_us < simple_us,
             "group ({group_us}us) should beat simple ({simple_us}us) — paper Fig. 15"
@@ -297,12 +293,11 @@ pub fn iallgather_overlap(
     iters: u32,
     warmup: u32,
     runtime: Runtime,
-    seed: u64,
 ) -> OverlapResult {
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, runtime, async move |h| {
+    run_workload(spec, runtime, async move |h| {
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let p = h.size() as u64;
@@ -380,9 +375,9 @@ mod allgather_tests {
         // The ring allgather is the worst case for host progress: every
         // step depends on the previous one.
         // Warm-up count exceeds BluesMPI's cold-start call count.
-        let intel = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::Intel, 3);
-        let prop = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::proposed(), 3);
-        let blues = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::Blues, 3);
+        let intel = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::Intel);
+        let prop = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::proposed());
+        let blues = iallgather_overlap(2, 2, 64 * 1024, 1, 4, Runtime::Blues);
         assert!(prop.overlap_pct() > 90.0, "proposed {}", prop.overlap_pct());
         assert!(blues.overlap_pct() > 90.0, "blues {}", blues.overlap_pct());
         assert!(

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use baselines::{bluesmpi_proxy_config, BluesMpi};
 use minimpi::Mpi;
 use offload::{Offload, OffloadConfig};
-use rdma::{ClusterBuilder, ClusterSpec, Inbox};
+use rdma::{ClusterSpec, Inbox};
 use simnet::{Report, SimTime};
 
 /// Which communication runtime a benchmark run uses.
@@ -114,11 +114,10 @@ pub fn take<T>(c: &Collector<T>) -> T {
 /// polled on the calling thread.
 pub fn run_workload(
     spec: ClusterSpec,
-    seed: u64,
     runtime: Runtime,
     body: impl AsyncFn(&Harness) + Send + Sync + 'static,
 ) -> Report {
-    let builder = crate::observe::apply(ClusterBuilder::new(spec, seed));
+    let builder = crate::observe::builder(spec);
     let label = runtime.label();
     let proxy_cfg = match &runtime {
         Runtime::Intel => None,
@@ -171,7 +170,7 @@ mod tests {
             let label = rt.label();
             let c = collector::<(bool, bool)>();
             let c2 = Arc::clone(&c);
-            run_workload(ClusterSpec::new(2, 1), 1, rt, async move |h| {
+            run_workload(ClusterSpec::new(2, 1), rt, async move |h| {
                 h.mpi.barrier().await;
                 if h.rank == 0 {
                     collect(&c2, (h.off.is_some(), h.blues.is_some()));
@@ -191,7 +190,7 @@ mod tests {
     fn elapsed_max_agrees_across_ranks() {
         let c = collector::<f64>();
         let c2 = Arc::clone(&c);
-        run_workload(ClusterSpec::new(2, 1), 2, Runtime::Intel, async move |h| {
+        run_workload(ClusterSpec::new(2, 1), Runtime::Intel, async move |h| {
             let t0 = h.ctx().now();
             // Rank 1 computes longer; both must report its time.
             h.ctx()

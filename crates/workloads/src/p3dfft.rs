@@ -103,12 +103,11 @@ pub fn p3dfft(
     grid: (u64, u64, u64),
     iters: u32,
     runtime: Runtime,
-    seed: u64,
 ) -> P3dfftResult {
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<P3dfftResult>();
     let out2 = Arc::clone(&out);
-    run_workload(spec, seed, runtime, async move |h| {
+    run_workload(spec, runtime, async move |h| {
         let p = h.size() as u64;
         let (x, y, z) = grid;
         let cells = x * y * z;
@@ -175,9 +174,9 @@ mod tests {
     fn proposed_beats_blues_without_warmup() {
         // Paper Fig. 16: without warm-up, BluesMPI's cold start makes it
         // the slowest; the proposed framework beats both.
-        let intel = p3dfft(2, 2, (64, 64, 128), 2, Runtime::Intel, 21);
-        let blues = p3dfft(2, 2, (64, 64, 128), 2, Runtime::Blues, 21);
-        let prop = p3dfft(2, 2, (64, 64, 128), 2, Runtime::proposed(), 21);
+        let intel = p3dfft(2, 2, (64, 64, 128), 2, Runtime::Intel);
+        let blues = p3dfft(2, 2, (64, 64, 128), 2, Runtime::Blues);
+        let prop = p3dfft(2, 2, (64, 64, 128), 2, Runtime::proposed());
         assert!(
             prop.total_us < intel.total_us,
             "proposed {} vs intel {}",

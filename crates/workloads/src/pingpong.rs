@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use minimpi::Mpi;
 use offload::{Offload, OffloadConfig};
-use rdma::{ClusterBuilder, ClusterSpec, Inbox};
+use rdma::{ClusterSpec, Inbox};
 
 use crate::harness::{collect, collector, take};
 
@@ -36,17 +36,11 @@ impl P2pEngine {
 /// Average one-way latency (µs) of a concurrent two-way non-blocking
 /// exchange of `size` bytes, measured over `iters` iterations after
 /// `warmup` warm-up iterations.
-pub fn nonblocking_pingpong_us(
-    size: u64,
-    iters: u32,
-    warmup: u32,
-    engine: P2pEngine,
-    seed: u64,
-) -> f64 {
+pub fn nonblocking_pingpong_us(size: u64, iters: u32, warmup: u32, engine: P2pEngine) -> f64 {
     let spec = ClusterSpec::new(2, 1);
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
-    let builder = crate::observe::apply(ClusterBuilder::new(spec, seed));
+    let builder = crate::observe::builder(spec);
     let off_cfg = match engine {
         P2pEngine::Host => None,
         P2pEngine::Staging => Some(OffloadConfig::staging()),
@@ -106,9 +100,9 @@ mod tests {
 
     #[test]
     fn staging_is_slowest_for_large_messages() {
-        let host = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Host, 5);
-        let gvmi = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Gvmi, 5);
-        let staging = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Staging, 5);
+        let host = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Host);
+        let gvmi = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Gvmi);
+        let staging = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Staging);
         assert!(
             staging > host * 1.3,
             "staging {staging}us should clearly exceed host {host}us (paper Fig. 4)"
@@ -121,8 +115,8 @@ mod tests {
 
     #[test]
     fn latencies_are_positive_and_ordered_by_size() {
-        let small = nonblocking_pingpong_us(1024, 3, 1, P2pEngine::Host, 6);
-        let large = nonblocking_pingpong_us(1 << 20, 3, 1, P2pEngine::Host, 6);
+        let small = nonblocking_pingpong_us(1024, 3, 1, P2pEngine::Host);
+        let large = nonblocking_pingpong_us(1 << 20, 3, 1, P2pEngine::Host);
         assert!(small > 0.0 && large > small);
     }
 }

@@ -144,9 +144,8 @@ pub fn stencil3d(
     iters: u32,
     warmup: u32,
     runtime: Runtime,
-    seed: u64,
 ) -> OverlapResult {
-    stencil3d_with_stats(nodes, ppn, n, iters, warmup, runtime, seed).0
+    stencil3d_with_stats(nodes, ppn, n, iters, warmup, runtime).0
 }
 
 /// As [`stencil3d`], also returning the run's statistics (wait-time
@@ -158,12 +157,11 @@ pub fn stencil3d_with_stats(
     iters: u32,
     warmup: u32,
     runtime: Runtime,
-    seed: u64,
 ) -> (OverlapResult, simnet::Stats) {
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    let report = run_workload(spec, seed, runtime, async move |h| {
+    let report = run_workload(spec, runtime, async move |h| {
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let (nb, cells) = neighbors(h.rank, h.size(), n);
@@ -247,8 +245,8 @@ mod tests {
 
     #[test]
     fn proposed_overlaps_better_than_intel() {
-        let intel = stencil3d(2, 4, 128, 2, 1, Runtime::Intel, 3);
-        let prop = stencil3d(2, 4, 128, 2, 1, Runtime::proposed(), 3);
+        let intel = stencil3d(2, 4, 128, 2, 1, Runtime::Intel);
+        let prop = stencil3d(2, 4, 128, 2, 1, Runtime::proposed());
         assert!(
             prop.overlap_pct() > intel.overlap_pct(),
             "proposed {} <= intel {}",

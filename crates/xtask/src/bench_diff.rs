@@ -60,7 +60,7 @@ impl Default for DiffOptions {
 /// One counter that regressed.
 #[derive(Clone, Debug)]
 pub struct Regression {
-    /// Artifact file (relative name, e.g. `fig11_stencil_time`).
+    /// Artifact file (relative name, e.g. `fig11_12_stencil`).
     pub file: String,
     /// Dotted counter path, e.g. `totals.warm_window_interventions`.
     pub counter: String,

@@ -19,7 +19,7 @@ fn main() {
     );
     for rt in [Runtime::Intel, Runtime::Blues, Runtime::proposed()] {
         let label = rt.label();
-        let r = ialltoall_overlap(nodes, ppn, block, 2, 4, rt, 29);
+        let r = ialltoall_overlap(nodes, ppn, block, 2, 4, rt);
         println!(
             "{label:>9} {:>10.1}us {:>10.1}us {:>8.1}%",
             r.pure_us,

@@ -13,7 +13,7 @@ fn main() {
     println!("3DStencil: {grid}^3 grid on {nodes} nodes x {ppn} ppn\n");
     for rt in [Runtime::Intel, Runtime::proposed()] {
         let label = rt.label();
-        let r = stencil3d(nodes, ppn, grid, 3, 1, rt, 17);
+        let r = stencil3d(nodes, ppn, grid, 3, 1, rt);
         println!(
             "{label:>9}: pure comm {:>8.1}us | compute {:>8.1}us | overall {:>8.1}us | overlap {:>5.1}%",
             r.pure_us,

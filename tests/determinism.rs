@@ -11,12 +11,12 @@ use bluefield_offload::sim::Report;
 
 #[test]
 fn benchmark_results_are_reproducible() {
-    let a = ialltoall_overlap(2, 2, 16 * 1024, 1, 1, Runtime::proposed(), 9);
-    let b = ialltoall_overlap(2, 2, 16 * 1024, 1, 1, Runtime::proposed(), 9);
+    let a = ialltoall_overlap(2, 2, 16 * 1024, 1, 1, Runtime::proposed());
+    let b = ialltoall_overlap(2, 2, 16 * 1024, 1, 1, Runtime::proposed());
     assert_eq!(a.pure_us, b.pure_us);
     assert_eq!(a.overall_us, b.overall_us);
-    let s1 = stencil3d(2, 2, 64, 1, 1, Runtime::Intel, 4);
-    let s2 = stencil3d(2, 2, 64, 1, 1, Runtime::Intel, 4);
+    let s1 = stencil3d(2, 2, 64, 1, 1, Runtime::Intel);
+    let s2 = stencil3d(2, 2, 64, 1, 1, Runtime::Intel);
     assert_eq!(s1.overall_us, s2.overall_us);
     assert_eq!(s1.pure_us, s2.pure_us);
 }

@@ -41,7 +41,7 @@ fn a_workload_runs_every_rank_and_proxy_on_the_caller_under_every_runtime() {
         let before = os_threads();
         let report = with_observer(observer, || {
             let spec = ClusterSpec::new(2, 2).without_byte_movement();
-            run_workload(spec, 1, runtime, async move |h: &Harness| {
+            run_workload(spec, runtime, async move |h: &Harness| {
                 note(&ranks_seen, format!("rank{}", h.rank));
                 h.mpi.barrier().await;
                 let fab = h.cluster().fabric().clone();
