@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# The full gate: formatting, clippy deny-wall, the repo-specific lint
-# wall, the workspace analyzer (error drift + parallel-readiness rules;
-# event, metrics-key and profile-scope coverage is rustc's job), build
-# + tests, the protocol benchmark package's own tests and --quick
-# correctness gate, then the benchmark artifact gates: schema validation and
-# the bench-diff regression comparison of a fresh deterministic --quick run
-# against the committed baselines. The span profiler's overhead is the
-# benchmark's trace.overhead_pct; no step here times it.
-# Run from the repo root; fails fast.
+# The full gate: formatting, clippy deny-wall, the workspace analyzer,
+# build + tests, the benchmark package's tests and --quick gate, then
+# schema validation and bench-diff of a fresh deterministic --quick run
+# against the committed baselines. Clippy carries the old token rules:
+# hash-iteration-order, wall-clock and concurrency-ban are
+# clippy::disallowed_{types,methods} (clippy.toml); panic-path's
+# unwrap/expect half is clippy::{unwrap_used, expect_used,
+# indexing_slicing, panic, unreachable}, denied in core's host/ and
+# proxy/ with one #[expect] per site. error-drift is
+# crates/workloads/tests/typed_errors.rs. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -17,10 +18,7 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo xtask lint"
-cargo xtask lint
-
-echo "== cargo xtask analyze (error drift + parallel-readiness gates)"
+echo "== cargo xtask analyze (decode-unwrap, notify-under-lock, lock-order, panic-path)"
 cargo xtask analyze
 
 echo "== bench_results hygiene (committed baselines only)"

@@ -10,8 +10,8 @@
 //!   of `#` guards — their *contents* become a single [`TokKind::Str`] /
 //!   [`TokKind::Char`] token, never punctuation or identifiers;
 //! * line (`//`) and block (`/* */`, nested) comments — skipped
-//!   entirely, except that `lint:allow(rule)` / `analyzer:allow(rule)`
-//!   directives inside them are collected per line;
+//!   entirely, except that `analyzer:allow(rule)` directives inside
+//!   them are collected per line;
 //! * the multi-char punctuation the item scanner cares about (`::`,
 //!   `=>`, `->`); everything else is a single-char [`TokKind::Punct`].
 //!
@@ -61,12 +61,11 @@ impl Tok {
     }
 }
 
-/// An `allow` directive found in a comment: the rule name it waives and
-/// the line the comment sits on. Both `lint:allow(rule)` and
-/// `analyzer:allow(rule)` spellings are recognized.
+/// An `analyzer:allow(rule)` directive found in a comment: the rule name
+/// it waives and the line the comment sits on.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Allow {
-    /// The waived rule name, e.g. `hash-iteration-order`.
+    /// The waived rule name, e.g. `decode-unwrap`.
     pub rule: String,
     /// 1-based line of the directive.
     pub line: u32,
@@ -101,23 +100,18 @@ fn is_ident_continue(c: char) -> bool {
     c == '_' || c.is_alphanumeric()
 }
 
-/// Scan a comment's text for `allow(...)` directives.
+/// Scan a comment's text for `analyzer:allow(...)` directives.
 fn collect_allows(text: &str, line: u32, out: &mut Vec<Allow>) {
-    for marker in ["lint:allow(", "analyzer:allow("] {
-        let mut rest = text;
-        while let Some(pos) = rest.find(marker) {
-            let after = &rest[pos + marker.len()..];
-            match after.find(')') {
-                Some(end) => {
-                    out.push(Allow {
-                        rule: after[..end].trim().to_string(),
-                        line,
-                    });
-                    rest = &after[end..];
-                }
-                None => break,
-            }
-        }
+    const MARKER: &str = "analyzer:allow(";
+    let mut rest = text;
+    while let Some(pos) = rest.find(MARKER) {
+        let after = &rest[pos + MARKER.len()..];
+        let Some(end) = after.find(')') else { break };
+        out.push(Allow {
+            rule: after[..end].trim().to_string(),
+            line,
+        });
+        rest = &after[end..];
     }
 }
 
@@ -466,14 +460,14 @@ mod tests {
 
     #[test]
     fn allow_directives_are_collected() {
-        let l = lex("let a = 1; // lint:allow(wall-clock)\n// analyzer:allow(lock-order)\n");
-        assert!(l.allowed("wall-clock", 1));
+        let l = lex("let a = 1; // analyzer:allow(panic-path)\n// analyzer:allow(lock-order)\n");
+        assert!(l.allowed("panic-path", 1));
         assert!(l.allowed("lock-order", 2));
         // A directive also covers the line directly below it — the
         // usual spelling when the offending line has no room.
-        assert!(l.allowed("wall-clock", 2));
+        assert!(l.allowed("panic-path", 2));
         assert!(l.allowed("lock-order", 3));
-        assert!(!l.allowed("wall-clock", 3));
+        assert!(!l.allowed("panic-path", 3));
         assert!(!l.allowed("lock-order", 1));
     }
 

@@ -1,32 +1,26 @@
-//! Workspace static analysis for the offload engine.
+//! Workspace static analysis for the rules the compiler cannot check.
 //!
-//! Two rule families run over a comment/string-aware token stream (see
-//! [`lex`]) instead of line regexes, so neither comments, string
-//! literals, nor inline `#[cfg(test)]` modules can confuse them:
+//! The rules run over a comment/string-aware token stream (see [`lex`])
+//! instead of line regexes, so neither comments, string literals, nor
+//! inline `#[cfg(test)]` modules can confuse them:
 //!
-//! * **Cross-layer drift** ([`rules::drift`]) — the typed
-//!   `OffloadError` surface is spelled in several places with no type
-//!   tying them together; this rule proves every variant is both
-//!   constructed and asserted. (Protocol events, metrics counters and
-//!   profile scopes are declared once in `core` and enforced by rustc.)
-//! * **Parallel readiness** ([`rules::parallel`]) — written for a
-//!   sharded simnet (since deleted) and the hot-path rework, which
-//!   needed the engine free of ambient concurrency: no `std::sync` locking primitives outside `simnet`,
-//!   no `thread::spawn`, no `static mut`; `parking_lot` lock
-//!   acquisition orders form no cycles; and the proxy/host hot paths
-//!   hold no unbaselined panic sites (`unwrap`/`expect`/indexing).
+//! * [`rules::lint`] — `decode-unwrap` (no panicking `downcast` decode)
+//!   and `notify-under-lock` (no condvar notify under a live guard);
+//! * [`rules::parallel`] — `lock-order` (`parking_lot` acquisition
+//!   orders form no cycles) and `panic-path` (no `x[i]` on the proxy and
+//!   host hot paths, which catches the `BTreeMap`/`VecDeque` indexing
+//!   that `clippy::indexing_slicing` does not see).
 //!
-//! The lint wall (`hash-iteration-order`, `wall-clock`, `decode-unwrap`,
-//! `notify-under-lock`) runs on this engine too ([`rules::lint`]).
+//! Everything clippy can carry lives in the workspace `clippy.toml` and
+//! in `#![deny]`/`#[expect]` attributes instead: the hash-container,
+//! host-clock and concurrency bans, and the hot paths' `unwrap`,
+//! `expect`, `panic!` and `unreachable!` audit.
 //!
-//! Escapes: a `lint:allow(rule)` or `analyzer:allow(rule)` comment on
-//! the offending line waives that rule for the line; the panic-path
-//! audit additionally accepts a committed baseline (see [`baseline`]).
+//! Escape: an `analyzer:allow(rule)` comment on the offending line (or
+//! the line above) waives that rule there.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-pub mod baseline;
 pub mod lex;
 pub mod rules;
 pub mod scan;
@@ -67,7 +61,7 @@ pub struct FileScan {
     pub mask: Vec<bool>,
     /// The file is test code by location (`tests/` directory).
     pub is_test: bool,
-    /// Raw source lines (for baseline snippets).
+    /// Raw source lines (for finding context).
     pub lines: Vec<String>,
 }
 
@@ -83,7 +77,7 @@ impl FileScan {
     }
 
     /// The trimmed source text of 1-based `line` (empty when out of
-    /// range), for baseline snippets and finding context.
+    /// range), for finding context.
     pub fn line_text(&self, line: u32) -> &str {
         self.lines
             .get(line.saturating_sub(1) as usize)
@@ -94,54 +88,35 @@ impl FileScan {
 
 /// Every file of a [`Tree`], lexed once and shared by all rules.
 pub struct SourceSet {
-    files: BTreeMap<String, FileScan>,
+    /// Scans in path order.
+    files: Vec<FileScan>,
 }
 
 impl SourceSet {
     /// Lex and annotate every file of `tree`.
     pub fn build(tree: &Tree) -> SourceSet {
-        let mut files = BTreeMap::new();
-        for (path, src) in tree.iter() {
-            let lexed = lex::lex(src);
-            let mask = scan::test_mask(&lexed);
-            files.insert(
-                path.to_string(),
+        let files = tree
+            .iter()
+            .map(|(path, src)| {
+                let lexed = lex::lex(src);
+                let mask = scan::test_mask(&lexed);
                 FileScan {
                     path: path.to_string(),
                     lexed,
                     mask,
                     is_test: tree::is_test_path(path),
                     lines: src.lines().map(str::to_string).collect(),
-                },
-            );
-        }
+                }
+            })
+            .collect();
         SourceSet { files }
-    }
-
-    /// The scan of `path`, if the tree holds it.
-    pub fn get(&self, path: &str) -> Option<&FileScan> {
-        self.files.get(path)
-    }
-
-    /// All scans in path order.
-    pub fn iter(&self) -> impl Iterator<Item = &FileScan> {
-        self.files.values()
     }
 
     /// Scans whose path starts with any of `prefixes`, in path order.
     pub fn under<'a>(&'a self, prefixes: &'a [String]) -> impl Iterator<Item = &'a FileScan> + 'a {
-        self.iter()
+        self.files
+            .iter()
             .filter(move |f| prefixes.iter().any(|p| f.path.starts_with(p.as_str())))
-    }
-
-    /// Number of files.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// `true` when no files were loaded.
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
     }
 }
 
@@ -149,24 +124,16 @@ impl SourceSet {
 /// workspace; tests build custom configs over fixture trees.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// File declaring the typed error enum.
-    pub errors_file: String,
-    /// Name of the typed error enum.
-    pub error_enum: String,
-    /// Roots whose non-test code must construct every error variant
-    /// (the declaring file itself never counts).
-    pub error_construct_roots: Vec<String>,
-    /// Non-test files that count as test harness for the "asserted in a
-    /// test" half of the error rule (checker drivers).
-    pub error_harness_files: Vec<String>,
-    /// Roots patrolled for banned concurrency primitives.
-    pub concurrency_roots: Vec<String>,
+    /// Roots patrolled for panicking `downcast` decode.
+    pub decode_roots: Vec<String>,
+    /// Roots patrolled for condvar notifies under a live guard.
+    pub notify_roots: Vec<String>,
     /// Roots whose `parking_lot` lock acquisitions feed the lock-order
     /// graph.
     pub lock_roots: Vec<String>,
-    /// Hot-path files audited for panic sites against the baseline: a
-    /// path audits every file it is a prefix of (a directory ending in
-    /// `/` audits the whole tree under it).
+    /// Hot-path files audited for index expressions: a path audits
+    /// every file it is a prefix of (a directory ending in `/` audits
+    /// the whole tree under it).
     pub panic_files: Vec<String>,
 }
 
@@ -175,19 +142,8 @@ impl Config {
     pub fn repo() -> Config {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         Config {
-            errors_file: "crates/core/src/reliable.rs".into(),
-            error_enum: "OffloadError".into(),
-            error_construct_roots: s(&["crates/core/src"]),
-            error_harness_files: s(&["crates/workloads/src/drivers.rs"]),
-            concurrency_roots: s(&[
-                "crates/core/src",
-                "crates/rdma/src",
-                "crates/obs/src",
-                "crates/checker/src",
-                "crates/workloads/src",
-                "crates/minimpi/src",
-                "crates/baselines/src",
-            ]),
+            decode_roots: s(&["crates/core/src", "crates/rdma/src"]),
+            notify_roots: s(&["crates/"]),
             lock_roots: s(&[
                 "crates/simnet/src",
                 "crates/core/src",
@@ -202,69 +158,37 @@ impl Config {
     }
 }
 
-/// Result of one analysis run.
-pub struct Analysis {
-    /// Findings that fail the gate, ordered by (rule, file, line).
-    pub findings: Vec<Finding>,
-    /// Panic-path hits absorbed by the committed baseline.
-    pub baselined: usize,
-    /// Baseline entries no longer matched by any hit (stale; refresh
-    /// with `--update-baseline`). Notes, not failures.
-    pub stale_baseline: Vec<String>,
-    /// Files scanned.
-    pub files_scanned: usize,
-}
-
-impl Analysis {
-    /// `true` when the gate passes.
-    pub fn clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
-/// Every rule [`analyze`] runs.
-pub const RULES: &[&str] = &[
-    rules::drift::ERROR_DRIFT,
-    rules::parallel::CONCURRENCY_BAN,
-    rules::parallel::LOCK_ORDER,
-    rules::parallel::PANIC_PATH,
+/// Every rule [`analyze`] runs, with the note printed when it fires.
+pub const RULES: &[(&str, &str)] = &[
+    (
+        rules::lint::DECODE_UNWRAP,
+        "cross-rank message decode must not panic on unexpected payloads; \
+         drop and count a stat instead",
+    ),
+    (
+        rules::lint::NOTIFY_UNDER_LOCK,
+        "this Condvar does not requeue: the woken thread blocks on the mutex \
+         at once; drop the guard (end its block) before notifying",
+    ),
+    (
+        rules::parallel::LOCK_ORDER,
+        "threads taking these locks in different orders deadlock",
+    ),
+    (
+        rules::parallel::PANIC_PATH,
+        "an index panics on a miss and takes a rank down; use get() and \
+         handle the miss",
+    ),
 ];
 
-/// Run every analyzer rule over `tree`. `baseline` is the committed
-/// panic-path allowlist text (empty string = empty baseline).
-pub fn analyze(tree: &Tree, cfg: &Config, baseline_text: &str) -> Analysis {
+/// Run every rule over `tree`. Returns findings ordered by (rule, file,
+/// line).
+pub fn analyze(tree: &Tree, cfg: &Config) -> Vec<Finding> {
     let set = SourceSet::build(tree);
-    let mut findings = Vec::new();
-    findings.extend(rules::drift::error_drift(&set, cfg));
-    findings.extend(rules::parallel::concurrency_ban(&set, cfg));
+    let mut findings = rules::lint::run(&set, cfg);
     findings.extend(rules::parallel::lock_order(&set, cfg));
-    findings.extend(rules::parallel::panic_scope_gaps(&set, cfg));
-    let hits = rules::parallel::panic_hits(&set, cfg);
-    let resolved = baseline::apply(&hits, baseline_text);
-    findings.extend(resolved.findings);
-    findings
-        .sort_by(|a, b| (a.rule, &a.path, a.line, &a.msg).cmp(&(b.rule, &b.path, b.line, &b.msg)));
-    Analysis {
-        findings,
-        baselined: resolved.baselined,
-        stale_baseline: resolved.stale,
-        files_scanned: set.len(),
-    }
-}
-
-/// Run the lint wall (see [`rules::lint`]) over `tree`. Returns findings
-/// ordered by (rule, file, line).
-pub fn lint(tree: &Tree) -> Vec<Finding> {
-    let set = SourceSet::build(tree);
-    let mut findings = rules::lint::run(&set);
+    findings.extend(rules::parallel::panic_path(&set, cfg));
     findings
         .sort_by(|a, b| (a.rule, &a.path, a.line, &a.msg).cmp(&(b.rule, &b.path, b.line, &b.msg)));
     findings
-}
-
-/// The panic-path hits of `tree` rendered in baseline format — what
-/// `cargo xtask analyze --update-baseline` writes.
-pub fn render_baseline(tree: &Tree, cfg: &Config) -> String {
-    let set = SourceSet::build(tree);
-    baseline::render(&rules::parallel::panic_hits(&set, cfg))
 }

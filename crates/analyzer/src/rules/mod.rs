@@ -2,6 +2,5 @@
 //! [`crate::SourceSet`] (plus [`crate::Config`]) to [`crate::Finding`]s;
 //! nothing here touches the filesystem.
 
-pub mod drift;
 pub mod lint;
 pub mod parallel;

@@ -1,27 +1,15 @@
-//! Parallel-readiness audit, written for a sharded simnet (since
-//! deleted: every process now runs on one loop; these rules go once the
-//! engine drops its locks) and the hot-path rework.
+//! Lock-order and hot-path index audits.
 //!
-//! Sharding the simulator across OS threads only keeps determinism if
-//! the engine code has no ambient concurrency of its own:
-//!
-//! * [`concurrency_ban`] — `std::sync` blocking/ordering primitives
-//!   (`Mutex`, `RwLock`, `Condvar`, `Barrier`, `mpsc`, atomics),
-//!   `thread::spawn` / `std::thread`, and `static mut` are banned
-//!   outside `simnet` (which owns the threading story). `Arc`/`Weak`
-//!   and the init-once types remain fine; shared mutable state goes
-//!   through `parking_lot` so the lock-order rule can see it.
 //! * [`lock_order`] — every `X.lock()` under the lock roots feeds a
 //!   lock-acquisition-order graph: an edge A→B is recorded when lock B
 //!   is taken while a guard of A is provably alive (same-file, textual
 //!   scopes). Cycles — including re-acquiring a lock already held —
-//!   are deadlocks-in-waiting once the schedulers go parallel.
-//! * [`panic_hits`] — `unwrap()`, `expect()` and index expressions on
-//!   the proxy/host hot paths, diffed against a committed baseline by
-//!   [`crate::baseline`]: the existing debt is pinned, new panic sites
-//!   fail the gate. [`panic_scope_gaps`] fails it too when an audited
-//!   path matches no file, so a rename or a split cannot end the audit
-//!   in silence.
+//!   are deadlocks-in-waiting.
+//! * [`panic_path`] — index expressions on the proxy/host hot paths.
+//!   `clippy::indexing_slicing`, denied there, sees slices and arrays
+//!   but not `BTreeMap`/`VecDeque` indexing; this rule sees every `x[i]`.
+//!   It also fails when an audited path matches no file, so a rename or
+//!   a split cannot end the audit in silence.
 //!
 //! The lock-guard tracking is deliberately conservative and syntactic:
 //! a `let g = x.lock()` guard lives to the end of its enclosing block
@@ -35,103 +23,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::lex::TokKind;
 use crate::{Config, FileScan, Finding, SourceSet};
 
-/// Rule name for the concurrency-primitive ban.
-pub const CONCURRENCY_BAN: &str = "concurrency-ban";
 /// Rule name for lock-acquisition-order cycles.
 pub const LOCK_ORDER: &str = "lock-order";
-/// Rule name for the hot-path panic audit.
+/// Rule name for the hot-path index audit.
 pub const PANIC_PATH: &str = "panic-path";
-
-/// `std::sync` members that are banned outside `simnet`.
-const BANNED_SYNC: &[&str] = &["Mutex", "RwLock", "Condvar", "Barrier", "mpsc", "atomic"];
-
-/// Banned concurrency primitives outside the simulator.
-pub fn concurrency_ban(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for file in set.under(&cfg.concurrency_roots) {
-        let toks = &file.lexed.toks;
-        for i in 0..toks.len() {
-            if !file.live(i) {
-                continue;
-            }
-            let line = toks[i].line;
-            let allowed = |f: &FileScan| f.allowed(CONCURRENCY_BAN, line);
-            // `static mut`
-            if toks[i].is_ident("static")
-                && toks.get(i + 1).is_some_and(|t| t.is_ident("mut"))
-                && !allowed(file)
-            {
-                out.push(Finding {
-                    rule: CONCURRENCY_BAN,
-                    path: file.path.clone(),
-                    line,
-                    msg: "`static mut` is unsynchronized shared state; it cannot survive \
-                          the parallel-simnet refactor"
-                        .into(),
-                });
-            }
-            // `thread::spawn` / `std::thread`
-            let spawn = toks[i].is_ident("thread")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident("spawn"));
-            let std_thread = toks[i].is_ident("std")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident("thread"));
-            if (spawn || std_thread) && !allowed(file) {
-                out.push(Finding {
-                    rule: CONCURRENCY_BAN,
-                    path: file.path.clone(),
-                    line,
-                    msg: "thread management belongs to simnet; engine code must stay \
-                          schedulable on any thread"
-                        .into(),
-                });
-            }
-            // `std::sync::X` (direct path or a `use …::{…}` group).
-            if toks[i].is_ident("std")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-                && toks.get(i + 2).is_some_and(|t| t.is_ident("sync"))
-                && toks.get(i + 3).is_some_and(|t| t.is_punct("::"))
-            {
-                match toks.get(i + 4) {
-                    Some(t)
-                        if t.kind == TokKind::Ident
-                            && BANNED_SYNC.contains(&t.text.as_str())
-                            && !file.allowed(CONCURRENCY_BAN, t.line) =>
-                    {
-                        out.push(banned_sync_finding(file, t.line, &t.text));
-                    }
-                    Some(t) if t.is_punct("{") => {
-                        if let Some(close) = crate::scan::delim_close(toks, i + 4, "{", "}") {
-                            for t in &toks[i + 5..close] {
-                                if t.kind == TokKind::Ident
-                                    && BANNED_SYNC.contains(&t.text.as_str())
-                                    && !file.allowed(CONCURRENCY_BAN, t.line)
-                                {
-                                    out.push(banned_sync_finding(file, t.line, &t.text));
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    out
-}
-
-fn banned_sync_finding(file: &FileScan, line: u32, name: &str) -> Finding {
-    Finding {
-        rule: CONCURRENCY_BAN,
-        path: file.path.clone(),
-        line,
-        msg: format!(
-            "std::sync::{name} is banned outside simnet — use parking_lot (visible to \
-             the lock-order rule) or restructure; waive with `analyzer:allow({CONCURRENCY_BAN})`"
-        ),
-    }
-}
 
 /// One tracked lock acquisition within a file.
 pub(crate) struct Acq {
@@ -374,20 +269,6 @@ pub fn lock_order(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
     out
 }
 
-/// One raw panic-site hit on a hot-path file (pre-baseline).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PanicHit {
-    /// Workspace-relative file.
-    pub path: String,
-    /// `unwrap`, `expect`, or `index`.
-    pub kind: &'static str,
-    /// 1-based line.
-    pub line: u32,
-    /// Trimmed source text of the line (the baseline key, so entries
-    /// survive line-number drift).
-    pub snippet: String,
-}
-
 /// Keywords that can directly precede `[` without forming an index
 /// expression (slice patterns, array types/literals after `=`/`(` are
 /// excluded by the previous-token kinds already).
@@ -397,74 +278,45 @@ const NONINDEX_KEYWORDS: &[&str] = &[
     "struct", "enum", "trait", "unsafe", "dyn", "box", "await",
 ];
 
-/// Audited hot paths that match no file.
-pub fn panic_scope_gaps(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
-    let unmatched = |p: &&String| set.under(std::slice::from_ref(*p)).next().is_none();
-    cfg.panic_files
-        .iter()
-        .filter(unmatched)
-        .map(|p| Finding {
-            rule: PANIC_PATH,
-            path: p.clone(),
-            line: 1,
-            msg: format!(
-                "audited hot path `{p}` matches no file; point the panic audit's \
-                 `panic_files` at where that code lives now"
-            ),
-        })
-        .collect()
-}
-
-/// Collect the raw panic-site hits on the configured hot-path files.
-/// Baseline subtraction happens in [`crate::baseline::apply`].
-pub fn panic_hits(set: &SourceSet, cfg: &Config) -> Vec<PanicHit> {
+/// Index expressions in the live code of the configured hot-path files,
+/// and every audited path that matches no file.
+pub fn panic_path(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
+    for p in &cfg.panic_files {
+        if set.under(std::slice::from_ref(p)).next().is_none() {
+            out.push(Finding {
+                rule: PANIC_PATH,
+                path: p.clone(),
+                line: 1,
+                msg: format!(
+                    "audited hot path `{p}` matches no file; point the panic audit's \
+                     `panic_files` at where that code lives now"
+                ),
+            });
+        }
+    }
     for file in set.under(&cfg.panic_files) {
         let toks = &file.lexed.toks;
-        for i in 0..toks.len() {
-            if !file.live(i) {
-                continue;
-            }
+        for i in 1..toks.len() {
             let line = toks[i].line;
-            if file.allowed(PANIC_PATH, line) {
+            if !file.live(i) || !toks[i].is_punct("[") || file.allowed(PANIC_PATH, line) {
                 continue;
             }
-            // `.unwrap(` / `.expect(`
-            if toks[i].is_punct(".")
-                && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|t| t.is_ident("unwrap") || t.is_ident("expect"))
-            {
-                let kind = if toks[i + 1].is_ident("unwrap") {
-                    "unwrap"
-                } else {
-                    "expect"
-                };
-                out.push(PanicHit {
+            // `[` directly after an expression-ending token (identifier
+            // that is not a keyword, `)`, or `]`).
+            let prev = &toks[i - 1];
+            let indexes = match prev.kind {
+                TokKind::Ident => !NONINDEX_KEYWORDS.contains(&prev.text.as_str()),
+                TokKind::Punct => prev.is_punct(")") || prev.is_punct("]"),
+                _ => false,
+            };
+            if indexes {
+                out.push(Finding {
+                    rule: PANIC_PATH,
                     path: file.path.clone(),
-                    kind,
-                    line: toks[i + 1].line,
-                    snippet: file.line_text(toks[i + 1].line).to_string(),
+                    line,
+                    msg: format!("index on a hot path: `{}`", file.line_text(line)),
                 });
-            }
-            // Index expressions: `[` directly after an expression-ending
-            // token (identifier that is not a keyword, `)`, or `]`).
-            if toks[i].is_punct("[") && i > 0 {
-                let prev = &toks[i - 1];
-                let indexes = match prev.kind {
-                    TokKind::Ident => !NONINDEX_KEYWORDS.contains(&prev.text.as_str()),
-                    TokKind::Punct => prev.is_punct(")") || prev.is_punct("]"),
-                    _ => false,
-                };
-                if indexes {
-                    out.push(PanicHit {
-                        path: file.path.clone(),
-                        kind: "index",
-                        line,
-                        snippet: file.line_text(line).to_string(),
-                    });
-                }
             }
         }
     }

@@ -1,10 +1,9 @@
 //! Lightweight item scanning over the token stream: test-region
-//! marking, enum-variant extraction, and delimiter matching. This is
-//! deliberately *not* a parser — it recognizes just enough structure for
-//! the rules, and degrades to "no match" (never a panic) on code it does
-//! not understand.
+//! marking and delimiter matching. This is deliberately *not* a parser
+//! — it recognizes just enough structure for the rules, and degrades to
+//! "no match" (never a panic) on code it does not understand.
 
-use crate::lex::{Lexed, Tok, TokKind};
+use crate::lex::{Lexed, Tok};
 
 /// Per-token `true` when the token sits inside test-only code: an item
 /// annotated `#[cfg(test)]` or `#[test]` (attributes included). A
@@ -109,72 +108,10 @@ pub fn delim_close(toks: &[Tok], at: usize, open: &str, close: &str) -> Option<u
     None
 }
 
-/// The variants of `enum <name>`: `(variant, line)` pairs in
-/// declaration order. Empty when the enum is not found.
-pub fn enum_variants(lexed: &Lexed, name: &str) -> Vec<(String, u32)> {
-    let toks = &lexed.toks;
-    let mut out = Vec::new();
-    let Some(at) = toks
-        .windows(2)
-        .position(|w| w[0].is_ident("enum") && w[1].is_ident(name))
-    else {
-        return out;
-    };
-    // Find the `{` opening the body (skipping generics / where clauses).
-    let Some(open) = (at..toks.len()).find(|&j| toks[j].is_punct("{")) else {
-        return out;
-    };
-    let Some(close) = delim_close(toks, open, "{", "}") else {
-        return out;
-    };
-    let mut j = open + 1;
-    while j < close {
-        // Skip attributes on the variant.
-        while toks[j].is_punct("#") {
-            match delim_close(toks, j + 1, "[", "]") {
-                Some(c) => j = c + 1,
-                None => return out,
-            }
-        }
-        if toks[j].kind == TokKind::Ident {
-            out.push((toks[j].text.clone(), toks[j].line));
-        }
-        // Skip to the `,` separating variants (or the body's end),
-        // stepping over nested `{…}` / `(…)` field lists.
-        while j < close {
-            if toks[j].is_punct("{") || toks[j].is_punct("(") || toks[j].is_punct("[") {
-                let (o, c) = match toks[j].text.as_str() {
-                    "{" => ("{", "}"),
-                    "(" => ("(", ")"),
-                    _ => ("[", "]"),
-                };
-                match delim_close(toks, j, o, c) {
-                    Some(end) => j = end + 1,
-                    None => return out,
-                }
-            } else if toks[j].is_punct(",") {
-                j += 1;
-                break;
-            } else {
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lex::lex;
-
-    #[test]
-    fn enum_extraction() {
-        let src = "/// Doc.\npub enum E {\n    /// a\n    A { x: u8 },\n    #[allow(dead_code)]\n    B(u32),\n    C,\n}\n";
-        let vars = enum_variants(&lex(src), "E");
-        let names: Vec<_> = vars.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["A", "B", "C"]);
-    }
+    use crate::lex::{lex, TokKind};
 
     #[test]
     fn test_region_masking() {

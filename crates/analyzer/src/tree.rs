@@ -4,8 +4,8 @@
 //! Keeping the tree as plain data (instead of re-reading the filesystem
 //! inside every rule) is what makes the mutation self-tests possible:
 //! a test loads the real repository, performs string surgery on one
-//! file — deleting a conformance arm, inserting an orphan schema
-//! counter — and asserts the gate fails, without touching disk.
+//! file — seeding a lock cycle, a map index on a hot path — and asserts
+//! the gate fails, without touching disk.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -70,11 +70,6 @@ impl Tree {
         self.files.insert(path.to_string(), src.to_string());
     }
 
-    /// Remove one file, returning its previous contents.
-    pub fn remove(&mut self, path: &str) -> Option<String> {
-        self.files.remove(path)
-    }
-
     /// The source of `path`, if present.
     pub fn get(&self, path: &str) -> Option<&str> {
         self.files.get(path).map(String::as_str)
@@ -97,16 +92,6 @@ impl Tree {
         self.files.iter().map(|(p, s)| (p.as_str(), s.as_str()))
     }
 
-    /// The `(path, source)` pairs whose path starts with any of the
-    /// given prefixes, in path order.
-    pub fn under<'a>(
-        &'a self,
-        prefixes: &'a [String],
-    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        self.iter()
-            .filter(move |(p, _)| prefixes.iter().any(|pre| p.starts_with(pre.as_str())))
-    }
-
     /// Number of files in the tree.
     pub fn len(&self) -> usize {
         self.files.len()
@@ -119,8 +104,7 @@ impl Tree {
 }
 
 /// `true` when `path` is test code by location: under a `tests/`
-/// directory (integration tests). `benches/` stays live on purpose —
-/// the determinism rules patrol the bench harnesses too.
+/// directory (integration tests).
 pub fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/")
 }
@@ -136,11 +120,8 @@ mod tests {
         t.insert("crates/b/src/lib.rs", "fn b() {}");
         t.edit("crates/a/src/lib.rs", |s| s.replace("a", "c"));
         assert_eq!(t.get("crates/a/src/lib.rs"), Some("fn c() {}"));
-        let under: Vec<_> = t
-            .under(&["crates/a".to_string()])
-            .map(|(p, _)| p.to_string())
-            .collect();
-        assert_eq!(under, ["crates/a/src/lib.rs"]);
+        let paths: Vec<_> = t.iter().map(|(p, _)| p).collect();
+        assert_eq!(paths, ["crates/a/src/lib.rs", "crates/b/src/lib.rs"]);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Per-rule fixture trees: each rule is run against a minimal on-disk
-//! tree in `fixtures/<rule>/{clean,bad}/` — the clean variant must pass,
-//! the bad variant (one seeded violation) must fail with a finding that
-//! names the seeded defect. Loading goes through [`Tree::load`] exactly
+//! tree in `fixtures/<rule>/{clean,bad}/` (or one built in memory) — the
+//! clean variant must pass, the bad variant (one seeded violation) must
+//! fail with a finding that names the seeded defect. Loading goes through [`Tree::load`] exactly
 //! like the real gate, so path normalization is covered too.
 
 use std::path::Path;
 
-use analyzer::rules::{drift, lint, parallel};
-use analyzer::{baseline, Config, SourceSet, Tree};
+use analyzer::rules::{lint, parallel};
+use analyzer::{Config, SourceSet, Tree};
 
 /// Load `fixtures/<name>/<variant>` as a tree rooted at `src/`.
 fn tree(name: &str, variant: &str) -> Tree {
@@ -25,34 +25,11 @@ fn tree(name: &str, variant: &str) -> Tree {
 fn cfg() -> Config {
     let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     Config {
-        errors_file: "src/errors.rs".into(),
-        error_enum: "Fail".into(),
-        error_construct_roots: s(&["src"]),
-        error_harness_files: s(&["src/harness.rs"]),
-        concurrency_roots: s(&["src"]),
+        decode_roots: s(&["src"]),
+        notify_roots: s(&["crates/"]),
         lock_roots: s(&["src"]),
         panic_files: s(&["src/hot.rs"]),
     }
-}
-
-#[test]
-fn error_drift_fixtures() {
-    let clean = SourceSet::build(&tree("drift-error", "clean"));
-    assert!(drift::error_drift(&clean, &cfg()).is_empty());
-    let bad = SourceSet::build(&tree("drift-error", "bad"));
-    let findings = drift::error_drift(&bad, &cfg());
-    assert_eq!(findings.len(), 1, "only the assertion half: {findings:?}");
-    assert!(findings[0].msg.contains("asserted by no test"));
-}
-
-#[test]
-fn concurrency_ban_fixtures() {
-    let clean = SourceSet::build(&tree("parallel-concurrency", "clean"));
-    assert!(parallel::concurrency_ban(&clean, &cfg()).is_empty());
-    let bad = SourceSet::build(&tree("parallel-concurrency", "bad"));
-    let findings = parallel::concurrency_ban(&bad, &cfg());
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].msg.contains("std::sync::Mutex"));
 }
 
 #[test]
@@ -70,24 +47,9 @@ fn lock_order_fixtures() {
 }
 
 #[test]
-fn panic_path_fixtures() {
-    let clean = SourceSet::build(&tree("panic", "clean"));
-    assert!(parallel::panic_hits(&clean, &cfg()).is_empty());
-    let bad = SourceSet::build(&tree("panic", "bad"));
-    let hits = parallel::panic_hits(&bad, &cfg());
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert_eq!(hits[0].kind, "unwrap");
-    // Against an empty baseline the hit is a finding; against its own
-    // rendering it is absorbed.
-    assert_eq!(baseline::apply(&hits, "").findings.len(), 1);
-    assert!(baseline::apply(&hits, &baseline::render(&hits))
-        .findings
-        .is_empty());
-}
-
-#[test]
 fn notify_under_lock_fixtures() {
-    // The lint wall patrols `crates/`, so these trees are rooted there.
+    // The notify rule patrols `crates/` in the workspace; these trees
+    // are rooted there too.
     let load = |variant: &str| {
         let base = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures/notify-under-lock")
@@ -99,8 +61,8 @@ fn notify_under_lock_fixtures() {
         );
         SourceSet::build(&t)
     };
-    assert_eq!(lint::run(&load("clean")), vec![]);
-    let findings = lint::run(&load("bad"));
+    assert_eq!(lint::run(&load("clean"), &cfg()), vec![]);
+    let findings = lint::run(&load("bad"), &cfg());
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, lint::NOTIFY_UNDER_LOCK);
     assert_eq!(findings[0].line, 14);
@@ -111,16 +73,17 @@ fn notify_under_lock_fixtures() {
 }
 
 #[test]
-fn lint_rules_fire_on_fixture_paths() {
-    // The lint wall carries its own roots (crates/...); a tree keyed
-    // with a patrolled path exercises them without touching disk state.
+fn panic_path_sees_map_indexing() {
+    // clippy::indexing_slicing skips `BTreeMap` indexing; this rule
+    // must not. Test code and waived lines stay exempt.
     let mut t = Tree::new();
     t.insert(
-        "crates/core/src/bad.rs",
-        "use std::collections::HashMap;\nfn t() { let _ = std::time::Instant::now(); }\n",
+        "src/hot.rs",
+        "fn f(m: &BTreeMap<u8, u8>) -> u8 {\n    m[&1]\n}\n\
+         fn g(m: &BTreeMap<u8, u8>) -> u8 {\n    m[&2] // analyzer:allow(panic-path)\n}\n\
+         #[cfg(test)]\nmod tests {\n    fn t(v: &[u8]) -> u8 { v[0] }\n}\n",
     );
-    let set = SourceSet::build(&t);
-    let rules: Vec<&str> = lint::run(&set).into_iter().map(|f| f.rule).collect();
-    assert!(rules.contains(&"hash-iteration-order"));
-    assert!(rules.contains(&"wall-clock"));
+    let findings = parallel::panic_path(&SourceSet::build(&t), &cfg());
+    let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, [2], "{findings:?}");
 }

@@ -17,7 +17,7 @@
 //!   [`COLD_START_CALLS`] invocations.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use offload::{GroupRequest, Offload, OffloadConfig};
 use rdma::{ClusterCtx, Inbox, VAddr};
@@ -46,14 +46,14 @@ pub struct BluesReq(GroupRequest);
 pub struct BluesMpi {
     off: Offload,
     /// Group request per distinct pattern signature.
-    patterns: RefCell<HashMap<PatternKey, GroupRequest>>,
+    patterns: RefCell<BTreeMap<PatternKey, GroupRequest>>,
     /// Invocation counts per collective *kind* (cold-start accounting:
     /// worker bring-up and staging-pool growth happen per collective type,
     /// not per buffer set).
-    kind_calls: RefCell<HashMap<&'static str, u64>>,
+    kind_calls: RefCell<BTreeMap<&'static str, u64>>,
 }
 
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
+#[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy)]
 enum PatternKey {
     Alltoall {
         sendbuf: u64,
@@ -90,8 +90,8 @@ impl BluesMpi {
     pub fn attach(rank: usize, ctx: ProcessCtx, cluster: ClusterCtx, inbox: &Inbox) -> Self {
         BluesMpi {
             off: Offload::init(rank, ctx, cluster, inbox, bluesmpi_proxy_config()),
-            patterns: RefCell::new(HashMap::new()),
-            kind_calls: RefCell::new(HashMap::new()),
+            patterns: RefCell::new(BTreeMap::new()),
+            kind_calls: RefCell::new(BTreeMap::new()),
         }
     }
 

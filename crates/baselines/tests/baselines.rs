@@ -100,6 +100,10 @@ fn bluesmpi_iallgather_is_correct() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: ranks hand their call times out of the run"
+)]
 fn bluesmpi_cold_start_fades_with_warmup() {
     // First calls pay the bring-up penalty; warmed-up calls don't.
     use std::sync::Mutex;

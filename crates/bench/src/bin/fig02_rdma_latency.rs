@@ -8,12 +8,16 @@
 use bench_harness::{bytes, print_table, us, Args};
 use rdma::{ClusterSpec, DeviceClass, Fabric, NetMsg};
 use simnet::Simulation;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "a future process body must be Send; the lock only carries its result out of run()"
+)]
 fn one_way_latency_us(dst_is_dpu: bool, size: u64, iters: u32) -> f64 {
     let mut sim = Simulation::new(2);
     let fabric = Fabric::new(&mut sim, ClusterSpec::new(2, 1));
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(std::sync::Mutex::new(0.0f64));
     let out2 = Arc::clone(&out);
     let fab = fabric.clone();
     sim.spawn_future("driver", async move |ctx| {
@@ -87,5 +91,9 @@ fn run(args: Args) {
 }
 
 fn main() {
-    bench_harness::run_with_observability("fig02_rdma_latency", Args::parse(), run);
+    bench_harness::run_with_observability(
+        "fig02_rdma_latency",
+        Args::parse_except(&["--nodes", "--ppn"]),
+        run,
+    );
 }

@@ -9,14 +9,18 @@
 use bench_harness::{bytes, print_table, Args};
 use rdma::{ClusterSpec, DeviceClass, Fabric, NetMsg};
 use simnet::Simulation;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const WINDOW: u32 = 64;
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "a future process body must be Send; the lock only carries its result out of run()"
+)]
 fn bandwidth_gbs(dst_is_dpu: bool, size: u64, windows: u32) -> f64 {
     let mut sim = Simulation::new(3);
     let fabric = Fabric::new(&mut sim, ClusterSpec::new(2, 1));
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Arc::new(std::sync::Mutex::new(0.0f64));
     let out2 = Arc::clone(&out);
     let fab = fabric.clone();
     sim.spawn_future("driver", async move |ctx| {
@@ -95,5 +99,9 @@ fn run(args: Args) {
 }
 
 fn main() {
-    bench_harness::run_with_observability("fig03_rdma_bandwidth", Args::parse(), run);
+    bench_harness::run_with_observability(
+        "fig03_rdma_bandwidth",
+        Args::parse_except(&["--nodes", "--ppn"]),
+        run,
+    );
 }

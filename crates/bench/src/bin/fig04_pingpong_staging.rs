@@ -31,5 +31,9 @@ fn run(args: Args) {
 }
 
 fn main() {
-    bench_harness::run_with_observability("fig04_pingpong_staging", Args::parse(), run);
+    bench_harness::run_with_observability(
+        "fig04_pingpong_staging",
+        Args::parse_except(&["--nodes", "--ppn"]),
+        run,
+    );
 }

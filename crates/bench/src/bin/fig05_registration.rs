@@ -6,12 +6,16 @@
 use bench_harness::{bytes, print_table, us, Args};
 use rdma::{ClusterSpec, DeviceClass, Fabric};
 use simnet::Simulation;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "a future process body must be Send; the lock only carries its result out of run()"
+)]
 fn reg_costs_us(size: u64) -> (f64, f64) {
     let mut sim = Simulation::new(5);
     let fabric = Fabric::new(&mut sim, ClusterSpec::new(1, 1));
-    let out = Arc::new(Mutex::new((0.0f64, 0.0f64)));
+    let out = Arc::new(std::sync::Mutex::new((0.0f64, 0.0f64)));
     let out2 = Arc::clone(&out);
     let fab = fabric.clone();
     sim.spawn_future("driver", async move |ctx| {
@@ -51,5 +55,9 @@ fn run(_args: Args) {
 }
 
 fn main() {
-    bench_harness::run_with_observability("fig05_registration", Args::parse(), run);
+    bench_harness::run_with_observability(
+        "fig05_registration",
+        Args::parse_except(&["--nodes", "--ppn", "--iters"]),
+        run,
+    );
 }

@@ -73,5 +73,5 @@ fn run(args: Args) {
 }
 
 fn main() {
-    bench_harness::run_with_observability("fig16_p3dfft", Args::parse(), run);
+    bench_harness::run_with_observability("fig16_p3dfft", Args::parse_except(&["--nodes"]), run);
 }

@@ -6,7 +6,8 @@
 //!   the paper used 32). The default runs a reduced-PPN configuration that
 //!   preserves every qualitative shape while finishing in minutes.
 //! * `--quick` — tiny smoke-test scale (seconds).
-//! * `--nodes N`, `--ppn N`, `--iters N` — explicit overrides.
+//! * `--nodes N`, `--ppn N`, `--iters N` — explicit overrides. A binary
+//!   that fixes one of them rejects it ([`Args::parse_except`]).
 //!
 //! Output is aligned text tables, one per paper figure, with the measured
 //! series the figure plots.
@@ -30,42 +31,66 @@ impl Args {
     /// Parse from `std::env::args`. Prints a clean error and exits with
     /// status 2 on invalid input.
     pub fn parse() -> Args {
-        fn die(msg: &str) -> ! {
-            eprintln!("error: {msg}");
-            eprintln!("options: --full | --quick | --nodes N | --ppn N | --iters N");
-            std::process::exit(2);
-        }
-        fn value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-            match it.next() {
-                Some(v) => v.parse().unwrap_or_else(|_| {
-                    die(&format!("{flag} expects a positive number, got '{v}'"))
-                }),
-                None => die(&format!("{flag} requires a value")),
+        Args::parse_except(&[])
+    }
+
+    /// [`Args::parse`] for a binary that does not read the flags in
+    /// `unread` (a figure with a fixed node count, say): naming one is a
+    /// usage error, as an unknown argument is, never a silent no-op.
+    pub fn parse_except(unread: &[&str]) -> Args {
+        let usage = usage(unread);
+        match Args::from_args(std::env::args().skip(1), unread) {
+            Ok(Some(args)) => args,
+            Ok(None) => {
+                eprintln!("{usage}");
+                std::process::exit(0);
+            }
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                eprintln!("{usage}");
+                std::process::exit(2);
             }
         }
+    }
+
+    /// Parse `args` (program name excluded); `Ok(None)` asks for help.
+    fn from_args(
+        args: impl IntoIterator<Item = String>,
+        unread: &[&str],
+    ) -> Result<Option<Args>, String> {
+        fn value<T: std::str::FromStr>(
+            it: &mut impl Iterator<Item = String>,
+            flag: &str,
+        ) -> Result<T, String> {
+            let v = it
+                .next()
+                .ok_or_else(|| format!("{flag} requires a value"))?;
+            v.parse()
+                .map_err(|_| format!("{flag} expects a positive number, got '{v}'"))
+        }
         let mut out = Args::default();
-        let mut it = std::env::args().skip(1);
+        let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            if unread.contains(&a.as_str()) {
+                return Err(format!("this binary does not read '{a}'"));
+            }
             match a.as_str() {
                 "--full" => out.full = true,
                 "--quick" => out.quick = true,
-                "--nodes" => out.nodes = Some(value(&mut it, "--nodes")),
-                "--ppn" => out.ppn = Some(value(&mut it, "--ppn")),
-                "--iters" => out.iters = Some(value(&mut it, "--iters")),
-                "--help" | "-h" => {
-                    eprintln!("options: --full | --quick | --nodes N | --ppn N | --iters N");
-                    std::process::exit(0);
-                }
-                other => die(&format!("unknown argument '{other}'")),
+                "--nodes" => out.nodes = Some(value(&mut it, "--nodes")?),
+                "--ppn" => out.ppn = Some(value(&mut it, "--ppn")?),
+                "--iters" => out.iters = Some(value(&mut it, "--iters")?),
+                "--help" | "-h" => return Ok(None),
+                other => return Err(format!("unknown argument '{other}'")),
             }
         }
         if out.full && out.quick {
-            die("--full and --quick are exclusive");
+            return Err("--full and --quick are exclusive".into());
         }
         if out.nodes == Some(0) || out.ppn == Some(0) || out.iters == Some(0) {
-            die("--nodes/--ppn/--iters must be positive");
+            return Err("--nodes/--ppn/--iters must be positive".into());
         }
-        out
+        Ok(Some(out))
     }
 
     /// Pick a processes-per-node value: the paper's value under `--full`,
@@ -99,6 +124,16 @@ impl Args {
             None => format!("{base}_default"),
         }
     }
+}
+
+/// The options line printed for `--help` and after a usage error,
+/// without the flags in `unread`.
+fn usage(unread: &[&str]) -> String {
+    let opts: Vec<&str> = ["--full", "--quick", "--nodes N", "--ppn N", "--iters N"]
+        .into_iter()
+        .filter(|o| !unread.iter().any(|u| o.split(' ').next() == Some(*u)))
+        .collect();
+    format!("options: {}", opts.join(" | "))
 }
 
 /// Directory receiving machine-readable benchmark artifacts:
@@ -177,9 +212,14 @@ pub fn wall_enabled() -> bool {
 /// Start a wall-clock timer; the returned closure yields elapsed
 /// milliseconds. Host time is confined to the engine self-benchmark
 /// numbers (the `wall_ms` band in bench-diff) and never feeds back into
-/// simulated time, which is why the lint waiver below is sound.
+/// simulated time, which is why the clock ban is waived here.
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the engine self-benchmark's wall_ms; never feeds simulated time"
+)]
 pub fn wall_timer() -> impl FnOnce() -> f64 {
-    let t0 = std::time::Instant::now(); // lint:allow(wall-clock)
+    let t0 = std::time::Instant::now();
     move || t0.elapsed().as_secs_f64() * 1e3
 }
 
@@ -338,6 +378,34 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(a.pick_ppn(32, 16, 4), 8);
+    }
+
+    #[test]
+    fn a_flag_the_binary_does_not_read_is_a_usage_error() {
+        let parse = |args: &[&str], unread: &[&str]| {
+            Args::from_args(args.iter().map(|a| a.to_string()), unread)
+        };
+        let fixed = ["--nodes", "--ppn"];
+        let read = parse(&["--quick", "--iters", "3"], &fixed)
+            .unwrap()
+            .unwrap();
+        assert_eq!((read.quick, read.iters), (true, Some(3)));
+        assert_eq!(
+            parse(&["--quick", "--nodes", "2"], &fixed).unwrap_err(),
+            "this binary does not read '--nodes'"
+        );
+        assert!(parse(&["--ppn", "2"], &fixed).is_err());
+        assert!(parse(&["--nodes", "2"], &[]).unwrap().is_some());
+        assert_eq!(
+            parse(&["--bogus"], &[]).unwrap_err(),
+            "unknown argument '--bogus'"
+        );
+        assert!(parse(&["--help"], &fixed).unwrap().is_none());
+        assert_eq!(usage(&fixed), "options: --full | --quick | --iters N");
+        assert_eq!(
+            usage(&[]),
+            "options: --full | --quick | --nodes N | --ppn N | --iters N"
+        );
     }
 
     #[test]

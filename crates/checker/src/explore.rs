@@ -602,7 +602,6 @@ pub fn run_scenario_recorded(
 }
 
 fn classify(
-    // The `catch_unwind` result alias, not actual threading. analyzer:allow(concurrency-ban)
     result: std::thread::Result<Result<Report, SimError>>,
     checker: &Conformance,
 ) -> (Outcome, Option<Report>) {

@@ -58,6 +58,10 @@ pub(super) type MetaEntry = (u64, VAddr, MrKey);
 
 impl HostState {
     /// The group `req` names.
+    #[expect(
+        clippy::expect_used,
+        reason = "a GroupRequest is minted by this engine and indexes its own table"
+    )]
     pub(super) fn group(&mut self, req: GroupRequest) -> &mut GroupState {
         self.groups
             .get_mut(req.0)
@@ -240,15 +244,12 @@ impl Offload {
         // Send my receive metadata to each source rank (sorted by rank so
         // posting order — and therefore timing — is deterministic).
         let mut per_src: BTreeMap<usize, Vec<MetaEntry>> = BTreeMap::new();
-        let mut rk = 0usize;
-        for op in &ops {
-            if let GroupOp::Recv { addr, src, tag, .. } = op {
-                per_src
-                    .entry(*src)
-                    .or_default()
-                    .push((*tag, *addr, recv_keys[rk]));
-                rk += 1;
-            }
+        let recvs = ops.iter().filter_map(|op| match op {
+            GroupOp::Recv { addr, src, tag, .. } => Some((*src, *tag, *addr)),
+            _ => None,
+        });
+        for ((src, tag, addr), &rkey) in recvs.zip(&recv_keys) {
+            per_src.entry(src).or_default().push((tag, addr, rkey));
         }
         for (src, entries) in per_src {
             let n = entries.len() as u64;
@@ -291,7 +292,7 @@ impl Offload {
         // Match each send with the destination's next receive entry of the
         // same tag (paper: "matched ... based on destination rank, tag").
         let mut wire = Vec::with_capacity(ops.len());
-        for (sk, op) in ops.iter().enumerate() {
+        for (op, &(mkey, src_rkey)) in ops.iter().zip(&send_keys) {
             match op {
                 GroupOp::Send {
                     addr,
@@ -299,13 +300,21 @@ impl Offload {
                     dst,
                     tag,
                 } => {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "metadata was gathered above from every destination of a send"
+                    )]
                     let (dst_req_id, entries) = metas.get_mut(dst).expect("meta gathered");
+                    #[expect(
+                        clippy::panic,
+                        reason = "a peer that grants no receive for a send's tag broke the group contract; there is nothing to recover"
+                    )]
                     let pos = entries
                         .iter()
                         .position(|(t, _, _)| t == tag)
                         .unwrap_or_else(|| panic!("no matching recv at {dst} for tag {tag}"));
+                    #[expect(clippy::expect_used, reason = "`pos` was just found in `entries`")]
                     let (_, dst_addr, dst_rkey) = entries.remove(pos).expect("present");
-                    let (mkey, src_rkey) = send_keys[sk];
                     wire.push(WireEntry::Send {
                         addr: *addr,
                         len: *len,
@@ -334,6 +343,10 @@ impl Offload {
 
     pub(super) fn send_group_packet(&self, req: GroupRequest, gen: u64) {
         let wire = self.st.borrow_mut().group(req).wire.clone();
+        #[expect(
+            clippy::expect_used,
+            reason = "a group packet is sent only after build_wire stored the wire"
+        )]
         let entries = wire.expect("wire built");
         let n = entries.len() as u64;
         self.post_ctrl(

@@ -25,6 +25,14 @@
 //! This file holds the engine, registration, the Basic primitives and
 //! ctrl I/O; each submodule adds its concern's methods to [`Offload`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod admission;
 mod group;
 mod reqs;
@@ -79,8 +87,8 @@ struct HostState {
     groups_in_flight: usize,
     /// Metadata received from each receiving host, consumed FIFO per
     /// source: `(dst_req_id, entries)`. Order-stable on purpose: message
-    /// matching must never depend on hash-iteration order (see `xtask
-    /// lint`).
+    /// matching must never depend on hash-iteration order (`clippy.toml`
+    /// bans `HashMap`).
     metas_from: BTreeMap<usize, VecDeque<(usize, Vec<MetaEntry>)>>,
     /// Reliable ctrl-plane endpoint (seq/ack/retransmit/dedup). Inert
     /// unless the fault plan arms it.
@@ -112,6 +120,10 @@ impl HostState {
     fn outcome(&self, req: OffloadReq) -> Option<Result<(), OffloadError>> {
         match self.reqs.get(req.0) {
             Some(slot) if !slot.done => slot.error.map(Err),
+            #[expect(
+                clippy::panic,
+                reason = "an OffloadReq this engine never minted is a caller bug"
+            )]
             None if req.0 >= self.reqs.base => panic!("unknown request {}", req.0),
             _ => Some(Ok(())),
         }
@@ -292,6 +304,10 @@ impl Offload {
 
     /// CRC32 of a posted payload, computed only when the run injects
     /// payload faults (clean runs skip the checksum entirely).
+    #[expect(
+        clippy::expect_used,
+        reason = "the buffer was allocated on this endpoint when the request was posted"
+    )]
     fn payload_crc(&self, addr: VAddr, len: u64) -> Option<u32> {
         self.cfg.fault.payload_faults().then(|| {
             self.cluster
@@ -369,8 +385,16 @@ impl Offload {
             self.ctx.stat_incr(miss_stat, 1);
         }
         let fab = self.cluster.fabric();
+        #[expect(
+            clippy::expect_used,
+            reason = "the caller registers its own valid buffer; a refusal is a protocol bug"
+        )]
         let key = match kind {
             HostCacheKind::Gvmi => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every proxy endpoint is a DPU endpoint, which has a GVMI"
+                )]
                 let gvmi = fab.gvmi_of(self.proxy_ep).expect("proxy has a GVMI");
                 fab.reg_mr_gvmi(&self.ctx, self.ep, addr, len, gvmi)
             }
@@ -722,6 +746,10 @@ impl Offload {
             CtrlMsg::GroupDataError { req_id, gen, .. } => {
                 self.fail_group(req_id, gen);
             }
+            #[expect(
+                clippy::panic,
+                reason = "the host's ctrl channel carries host-bound messages only; anything else is a protocol bug"
+            )]
             other => panic!(
                 "unexpected control message on host {}: {other:?}",
                 self.rank

@@ -73,7 +73,11 @@ struct Node {
 /// An open scope on the thread's stack.
 struct Frame {
     idx: usize,
-    start: std::time::Instant, // lint:allow(wall-clock)
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the span profiler measures wall time and never feeds simulated time"
+    )]
+    start: std::time::Instant,
     child_ns: u64,
 }
 
@@ -166,9 +170,14 @@ pub(crate) fn scope_guard(name: &'static str) -> Option<ScopeGuard> {
                 i
             }
         };
+        #[allow(
+            clippy::disallowed_types,
+            clippy::disallowed_methods,
+            reason = "the span profiler measures wall time and never feeds simulated time"
+        )]
         tp.stack.push(Frame {
             idx,
-            start: std::time::Instant::now(), // lint:allow(wall-clock)
+            start: std::time::Instant::now(),
             child_ns: 0,
         });
     });
@@ -266,14 +275,18 @@ mod tests {
     // Each test runs on its own thread, and so has its own profiler.
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "test code: sleeps so that each scope has wall time to report"
+    )]
     fn scopes_nest_and_report_self_time() {
         set_enabled(true);
         {
             let _g = scope_guard("outer_test_scope");
-            std::thread::sleep(std::time::Duration::from_millis(2)); // lint:allow(wall-clock)
+            std::thread::sleep(std::time::Duration::from_millis(2));
             {
                 let _g = scope_guard("inner_test_scope");
-                std::thread::sleep(std::time::Duration::from_millis(1)); // lint:allow(wall-clock)
+                std::thread::sleep(std::time::Duration::from_millis(1));
             }
         }
         set_enabled(false);
@@ -300,6 +313,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "test code: a second thread must not see this thread's flag"
+    )]
     fn the_flag_belongs_to_the_calling_thread() {
         set_enabled(true);
         std::thread::spawn(|| {

@@ -157,6 +157,10 @@ impl Proxy<'_> {
             let notify = notify.map(|(pid, msg)| (pid, Box::new(msg) as Payload));
             fab.rdma_write(ctx, me, op.local, op.remote, op.len, Some(wrid), notify)
         };
+        #[expect(
+            clippy::panic,
+            reason = "a refused post is a protocol bug that the skip_cross_reg checker fault provokes on purpose"
+        )]
         if let Err(e) = posted {
             // A refused post (bad key or range) is a protocol bug, not a
             // fault to recover from: the `skip_cross_reg` checker fault
@@ -200,6 +204,10 @@ impl Proxy<'_> {
         if let Some(op) = st.inflight_ctx.remove(&wrid) {
             crate::profile::profile_scope!(CrcVerify);
             let (ep, addr, _) = if op.is_read { op.local } else { op.remote };
+            #[expect(
+                clippy::expect_used,
+                reason = "the landing range was registered when the op was posted"
+            )]
             let got = self
                 .cluster
                 .fabric()

@@ -361,6 +361,10 @@ impl Proxy<'_> {
     }
 
     pub(super) fn start_instance(&self, st: &mut ProxyState, key: GroupKey, gen: u64) {
+        #[expect(
+            clippy::panic,
+            reason = "both callers install the group, or check that it is installed, first"
+        )]
         let Some(group) = st.groups.get(&key).map(Arc::clone) else {
             panic!("exec for unknown group {key:?}");
         };
@@ -555,6 +559,7 @@ impl Proxy<'_> {
                     inst.send_set.insert((dst_rank, dst_req_id));
                     inst.cursor += 1;
                 }
+                #[expect(clippy::unreachable, reason = "install resolves every send entry")]
                 (WireEntry::Send { .. }, None) => unreachable!("install resolves every send"),
                 (WireEntry::Recv { .. }, _) => inst.cursor += 1,
                 (WireEntry::Barrier, _) => {
@@ -569,6 +574,10 @@ impl Proxy<'_> {
                         let value = inst.barriers;
                         for (dst_rank, dst_req_id) in std::mem::take(&mut inst.send_set) {
                             let dst_proxy = self.cluster.proxy_for_rank(dst_rank);
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "every rank has a proxy endpoint that a packet can reach"
+                            )]
                             self.cluster
                                 .fabric()
                                 .send_packet(

@@ -21,6 +21,14 @@
 //! This file holds the process, its state, the message dispatch and
 //! crash recovery; each submodule adds its concern's methods to [`Proxy`].
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod completion;
 mod descriptors;
 mod ends;
@@ -68,7 +76,7 @@ struct End {
 /// `BTreeSet`): the event loop iterates some of them, and hash-order
 /// iteration would make message-matching order depend on the hasher —
 /// the exact nondeterminism the schedule explorer exists to rule out
-/// (and that `xtask lint` bans from these paths).
+/// (and that the workspace `clippy.toml` bans).
 struct ProxyState {
     /// Unmatched RTS and RTR descriptors: the one pool that queue-cap
     /// admission and the descriptor shares count against.
@@ -451,6 +459,10 @@ impl Proxy<'_> {
             }
             CtrlMsg::Cancel { msg_id } => self.on_cancel(st, msg_id),
             CtrlMsg::DataRetxTick { token } => self.on_retx_tick(st, token),
+            #[expect(
+                clippy::panic,
+                reason = "the proxy's ctrl channel carries proxy-bound messages only; anything else is a protocol bug"
+            )]
             other => panic!("unexpected control message at proxy: {other:?}"),
         }
     }
@@ -689,7 +701,6 @@ mod tests {
     use super::*;
     use crate::Offload;
     use rdma::{ClusterBuilder, ClusterSpec, Inbox};
-    use std::sync::Mutex;
 
     /// A stencil uses fresh tags every round. Neither end may keep
     /// per-request residue that a per-message path then walks: the
@@ -698,7 +709,12 @@ mod tests {
     /// transfer end may still count a descriptor or a completion, and
     /// the FIN journal holds the two ends of each completed transfer.
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "test code: each proxy hands its table sizes out of the run"
+    )]
     fn a_long_stencil_leaves_no_per_request_residue() {
+        use std::sync::Mutex;
         const ROUNDS: u64 = 200;
         const FACE: u64 = 256;
         let cfg = OffloadConfig::proposed();

@@ -139,6 +139,10 @@ impl Proxy<'_> {
     pub(super) fn fresh_staging(&self, len: u64) -> (VAddr, MrKey) {
         let fab = self.cluster.fabric();
         let buf = fab.alloc(self.my_ep, len);
+        #[expect(
+            clippy::expect_used,
+            reason = "the proxy registers a buffer it has just allocated"
+        )]
         let key = fab
             .reg_mr(self.ctx, self.my_ep, buf, len)
             .expect("staging buffer registration");
@@ -294,6 +298,10 @@ impl Proxy<'_> {
     /// into DPU staging with an RDMA READ (the BluesMPI worker-read).
     fn post_staging_read(&self, st: &mut ProxyState, rts: RtsInfo, rtr: RtrInfo) {
         let (buf, key) = self.staging_buffer_for(st, rts.src_rank, rts.addr, rts.len);
+        #[expect(
+            clippy::expect_used,
+            reason = "the host attaches an rkey to every RTS it sends on the staging path"
+        )]
         let src_rkey = rts.src_rkey.expect("staging RTS carries an rkey");
         let len = rts.len.min(rtr.len);
         let src = (self.cluster.host_ep(rts.src_rank), rts.addr, src_rkey);
@@ -383,6 +391,10 @@ impl Proxy<'_> {
 
     /// Infallible cross-registration (one-sided gets, which have no
     /// staging fallback — a documented exemption).
+    #[expect(
+        clippy::expect_used,
+        reason = "cross_reg fails only when may_fail is set"
+    )]
     pub(super) fn cross_reg_cached(
         &self,
         st: &mut ProxyState,
@@ -444,7 +456,15 @@ impl Proxy<'_> {
         if may_fail && st.xreg_rng.chance(self.cfg.fault.xreg_fail_pm) {
             return None;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a proxy endpoint is a DPU endpoint, which has a GVMI"
+        )]
         let gvmi = fab.gvmi_of(self.my_ep).expect("proxy endpoint has a GVMI");
+        #[expect(
+            clippy::expect_used,
+            reason = "the host registered this range for the proxy's GVMI before sending its mkey"
+        )]
         let mkey2 = fab
             .cross_reg(self.ctx, self.my_ep, addr, len, mkey, gvmi)
             .expect("cross registration");

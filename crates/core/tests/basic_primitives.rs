@@ -64,6 +64,10 @@ fn staging_pingpong_moves_data() {
 }
 
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: ranks hand their latencies out of the run"
+)]
 fn gvmi_beats_staging_latency() {
     // Paper Fig. 4 / Fig. 6: the staging hop costs extra latency.
     fn measure(cfg: OffloadConfig) -> f64 {

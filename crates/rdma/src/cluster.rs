@@ -297,10 +297,14 @@ impl ClusterBuilder {
 mod tests {
     use super::*;
     use simnet::SimDelta;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "test code: counters shared with the spawned process bodies"
+    )]
     fn spawns_ranks_and_proxies() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let spec = ClusterSpec::new(2, 4).with_proxies(2);
         let ranks = Arc::new(AtomicUsize::new(0));
         let proxies = Arc::new(AtomicUsize::new(0));

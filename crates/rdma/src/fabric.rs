@@ -981,7 +981,6 @@ mod tests {
     use super::*;
     use crate::mem::MemError;
     use crate::model::NicModel;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Two nodes, 1 rank + 1 proxy each; run `f` as a single driver process
     /// that owns every endpoint (fine for fabric-level unit tests).
@@ -1177,7 +1176,12 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "test code: the receiver hands the body out of the run"
+    )]
     fn packet_delivery_carries_body() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let spec = ClusterSpec::new(2, 1);
         let mut sim = Simulation::new(3);
         let fabric = Fabric::new(&mut sim, spec);

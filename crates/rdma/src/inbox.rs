@@ -143,7 +143,6 @@ mod tests {
     use super::*;
     use crate::types::{Cqe, NetMsg};
     use simnet::{SimDelta, Simulation};
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn cqe(wrid: u64) -> Box<NetMsg> {
@@ -151,7 +150,12 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_types,
+        reason = "test code: the receiver reports what it saw out of the run"
+    )]
     fn messages_route_to_matching_channel() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let mut sim = Simulation::new(0);
         let seen = Arc::new(AtomicU64::new(0));
         let seen2 = Arc::clone(&seen);

@@ -571,6 +571,11 @@ mod tests {
     /// release mode.
     #[test]
     #[ignore = "timing; release mode only"]
+    #[allow(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "test code: times the kernels against their reference loops"
+    )]
     fn kernels_are_table_speed() {
         use std::hint::black_box;
         use std::time::{Duration, Instant};

@@ -4,6 +4,11 @@
 //! `mem.rs`, where the references live), registration/key invariants, and
 //! transfer-timing sanity.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test code: a HashMap model of the address space, and locks that carry results out of runs"
+)]
+
 use proptest::prelude::*;
 use rdma::{AddressSpace, ClusterSpec, DeviceClass, Fabric, MemError, NetMsg, VAddr};
 use simnet::Simulation;

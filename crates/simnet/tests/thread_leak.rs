@@ -24,6 +24,10 @@ fn os_threads() -> usize {
 /// when a thread has signalled its exit, a moment before the kernel takes
 /// it off the process's books, so give stragglers a second; a leaked
 /// thread is parked for good and no wait would hide it.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code: gives cancelled threads wall time to exit"
+)]
 fn assert_threads(want: usize, what: &str) {
     for _ in 0..1000 {
         if os_threads() == want {

@@ -47,4 +47,4 @@ pub use scale::{
     scale_alltoall, scale_alltoall_with, scale_stencil, scale_stencil_with, ScaleObs, ScaleRun,
     ScaleSpec,
 };
-pub use stencil::{dims3, stencil3d, stencil3d_with_stats, NS_PER_CELL};
+pub use stencil::{dims3, stencil3d, NS_PER_CELL};

@@ -145,23 +145,10 @@ pub fn stencil3d(
     warmup: u32,
     runtime: Runtime,
 ) -> OverlapResult {
-    stencil3d_with_stats(nodes, ppn, n, iters, warmup, runtime).0
-}
-
-/// As [`stencil3d`], also returning the run's statistics (wait-time
-/// breakdowns, cache counters) for diagnostics.
-pub fn stencil3d_with_stats(
-    nodes: usize,
-    ppn: usize,
-    n: u64,
-    iters: u32,
-    warmup: u32,
-    runtime: Runtime,
-) -> (OverlapResult, simnet::Stats) {
     let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
-    let report = run_workload(spec, runtime, async move |h| {
+    run_workload(spec, runtime, async move |h| {
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let (nb, cells) = neighbors(h.rank, h.size(), n);
@@ -207,7 +194,7 @@ pub fn stencil3d_with_stats(
             );
         }
     });
-    (take(&out), report.stats)
+    take(&out)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-// Lint fixture: regression for the line-regex scanner bug where a
+// Analyzer fixture: regression for the line-regex scanner bug where a
 // column-0 `#[cfg(test)]` stopped the scan for the whole remainder of
 // the file, exempting any live code declared after the test module.
 // Not compiled — scanned by xtask's unit tests.
@@ -6,15 +6,11 @@ fn live_before() {}
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashMap; // test code: exempt
-
-    fn _t() -> HashMap<u8, u8> {
-        HashMap::new()
+    fn _t(body: Payload) -> u8 {
+        *body.downcast::<u8>().unwrap() // test code: exempt
     }
 }
 
-use std::collections::HashMap; // live code after the module: must fire
-
-fn live_after() -> HashMap<u8, u8> {
-    HashMap::new()
+fn live_after(body: Payload) -> u8 {
+    *body.downcast::<u8>().unwrap() // live code after the module: must fire
 }

@@ -12,6 +12,11 @@
 //! cargo run --release --example ring_broadcast
 //! ```
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the example's ranks hand their arrival times out of the run"
+)]
+
 use bluefield_offload::dpu::{DataPath, Offload, OffloadConfig};
 use bluefield_offload::mpi::Mpi;
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};

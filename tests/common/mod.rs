@@ -2,6 +2,11 @@
 //! whole process had then. A test using this sits alone in its binary, so
 //! no neighbouring test's threads disturb the count.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test code: process bodies record the thread they ran on"
+)]
+
 use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
 

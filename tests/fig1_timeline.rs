@@ -7,6 +7,11 @@
 //! 3. the proposed GVMI offload progresses without the CPU at host-level
 //!    transfer speed.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "test code: ranks hand their arrival times out of the run"
+)]
+
 use bluefield_offload::dpu::{DataPath, Offload, OffloadConfig};
 use bluefield_offload::mpi::Mpi;
 use bluefield_offload::net::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};

@@ -26,6 +26,12 @@
 //! move is intended, the same command with `UPDATE_GOLDEN=1` rewrites the
 //! file, and its diff names the scenarios that moved.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "test code: sinks hand rows out of the run, and the whole matrix prints its wall time"
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
 use std::path::PathBuf;

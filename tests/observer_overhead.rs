@@ -3,7 +3,6 @@
 //! events. What the sinks cost a run is the benchmark's `observed`
 //! workload and its per-sink `*.ns_per_event` keys.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bluefield_offload::apps::{drive_stencil, CheckRun};
@@ -13,7 +12,12 @@ use bluefield_offload::sim::{EventSink, EMIT_BATCH};
 const FACE: u64 = 256;
 
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: the sink counts its calls across the run"
+)]
 fn a_sink_is_called_once_per_batch() {
+    use std::sync::atomic::{AtomicU64, Ordering};
     let calls = Arc::new(AtomicU64::new(0));
     let events = Arc::new(AtomicU64::new(0));
     let (c, e) = (Arc::clone(&calls), Arc::clone(&events));

@@ -7,7 +7,7 @@
 
 mod common;
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, ThreadId};
 
 use bluefield_offload::apps::{run_workload, with_observer, Harness, Observer, Runtime};
@@ -16,6 +16,10 @@ use bluefield_offload::sim::{Emitted, EventSink, Pid};
 use common::{all_ran_on_the_caller, note, os_threads, Seen};
 
 #[test]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test code: the sink records the thread each event came from"
+)]
 fn a_workload_runs_every_rank_and_proxy_on_the_caller_under_every_runtime() {
     // An all-to-all on a 2x2 cluster through each runtime's own engine:
     // host MPI, BluesMPI's staged group, the framework's group. Ranks note
@@ -27,7 +31,7 @@ fn a_workload_runs_every_rank_and_proxy_on_the_caller_under_every_runtime() {
         let label = runtime.label();
         let seen: Seen = Arc::default();
         let ranks_seen = Arc::clone(&seen);
-        let emitted: Arc<Mutex<Vec<(Pid, ThreadId, usize)>>> = Arc::default();
+        let emitted: Arc<std::sync::Mutex<Vec<(Pid, ThreadId, usize)>>> = Arc::default();
         let sink_seen = Arc::clone(&emitted);
         let sink: EventSink = Arc::new(move |batch: &[Emitted]| {
             let (thread, threads) = (thread::current().id(), os_threads());
