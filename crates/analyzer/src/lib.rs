@@ -9,7 +9,8 @@
 //! * [`rules::parallel`] — `lock-order` (`parking_lot` acquisition
 //!   orders form no cycles) and `panic-path` (no `x[i]` on the proxy and
 //!   host hot paths, which catches the `BTreeMap`/`VecDeque` indexing
-//!   that `clippy::indexing_slicing` does not see).
+//!   that `clippy::indexing_slicing` does not see; a statement under
+//!   `#[expect(clippy::indexing_slicing)]` is waived by that attribute).
 //!
 //! Everything clippy can carry lives in the workspace `clippy.toml` and
 //! in `#![deny]`/`#[expect]` attributes instead: the hash-container,

@@ -7,9 +7,13 @@
 //!   are deadlocks-in-waiting.
 //! * [`panic_path`] — index expressions on the proxy/host hot paths.
 //!   `clippy::indexing_slicing`, denied there, sees slices and arrays
-//!   but not `BTreeMap`/`VecDeque` indexing; this rule sees every `x[i]`.
-//!   It also fails when an audited path matches no file, so a rename or
-//!   a split cannot end the audit in silence.
+//!   but not `BTreeMap`/`VecDeque` indexing; this rule sees every `x[i]`
+//!   outside a statement that carries clippy's own waiver,
+//!   `#[expect(clippy::indexing_slicing, reason = …)]`, so a justified
+//!   slice index is waived once. An expectation over a map index alone
+//!   fulfils nothing and fails clippy. The rule also fails when an
+//!   audited path matches no file, so a rename or a split cannot end the
+//!   audit in silence.
 //!
 //! The lock-guard tracking is deliberately conservative and syntactic:
 //! a `let g = x.lock()` guard lives to the end of its enclosing block
@@ -21,7 +25,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lex::TokKind;
-use crate::{Config, FileScan, Finding, SourceSet};
+use crate::{scan, Config, FileScan, Finding, SourceSet};
 
 /// Rule name for lock-acquisition-order cycles.
 pub const LOCK_ORDER: &str = "lock-order";
@@ -278,8 +282,9 @@ const NONINDEX_KEYWORDS: &[&str] = &[
     "struct", "enum", "trait", "unsafe", "dyn", "box", "await",
 ];
 
-/// Index expressions in the live code of the configured hot-path files,
-/// and every audited path that matches no file.
+/// Index expressions in the live code of the configured hot-path files
+/// that no `#[expect(clippy::indexing_slicing)]` covers, and every
+/// audited path that matches no file.
 pub fn panic_path(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     for p in &cfg.panic_files {
@@ -297,9 +302,14 @@ pub fn panic_path(set: &SourceSet, cfg: &Config) -> Vec<Finding> {
     }
     for file in set.under(&cfg.panic_files) {
         let toks = &file.lexed.toks;
+        let expected = scan::expect_mask(&file.lexed, "indexing_slicing");
         for i in 1..toks.len() {
             let line = toks[i].line;
-            if !file.live(i) || !toks[i].is_punct("[") || file.allowed(PANIC_PATH, line) {
+            if !file.live(i)
+                || !toks[i].is_punct("[")
+                || expected[i]
+                || file.allowed(PANIC_PATH, line)
+            {
                 continue;
             }
             // `[` directly after an expression-ending token (identifier

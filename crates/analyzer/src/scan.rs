@@ -1,7 +1,7 @@
-//! Lightweight item scanning over the token stream: test-region
-//! marking and delimiter matching. This is deliberately *not* a parser
-//! — it recognizes just enough structure for the rules, and degrades to
-//! "no match" (never a panic) on code it does not understand.
+//! Lightweight item scanning over the token stream: test-region and
+//! waiver marking, and delimiter matching. This is deliberately *not* a
+//! parser — it recognizes just enough structure for the rules, and
+//! degrades to "no match" (never a panic) on code it does not understand.
 
 use crate::lex::{Lexed, Tok};
 
@@ -9,6 +9,26 @@ use crate::lex::{Lexed, Tok};
 /// annotated `#[cfg(test)]` or `#[test]` (attributes included). A
 /// file-level `#![cfg(test)]` marks the whole file.
 pub fn test_mask(lexed: &Lexed) -> Vec<bool> {
+    attr_mask(lexed, attr_is_test)
+}
+
+/// Per-token `true` when the token sits under an
+/// `#[expect(clippy::<lint>, …)]`: the attribute and the statement or
+/// item it is on (a file-level `#![expect(…)]` marks the whole file).
+/// Clippy fails a stale expectation, so the mark is a waiver that
+/// cannot outlive the code it waives.
+pub fn expect_mask(lexed: &Lexed, lint: &str) -> Vec<bool> {
+    attr_mask(lexed, |body| {
+        body.first().is_some_and(|t| t.is_ident("expect"))
+            && body
+                .windows(3)
+                .any(|w| w[0].is_ident("clippy") && w[1].is_punct("::") && w[2].is_ident(lint))
+    })
+}
+
+/// Per-token `true` for every attribute whose body (between `[` and
+/// `]`) satisfies `marks`, with the item or statement it annotates.
+fn attr_mask(lexed: &Lexed, marks: impl Fn(&[Tok]) -> bool) -> Vec<bool> {
     let toks = &lexed.toks;
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
@@ -20,7 +40,7 @@ pub fn test_mask(lexed: &Lexed) -> Vec<bool> {
         // Inner attribute `#![cfg(test)]` — whole file is test code.
         if toks.get(i + 1).is_some_and(|t| t.is_punct("!")) {
             if let Some(close) = delim_close(toks, i + 2, "[", "]") {
-                if attr_is_test(&toks[i + 3..close]) {
+                if marks(&toks[i + 3..close]) {
                     mask.iter_mut().for_each(|m| *m = true);
                     return mask;
                 }
@@ -32,7 +52,7 @@ pub fn test_mask(lexed: &Lexed) -> Vec<bool> {
             i += 1;
             continue;
         };
-        if !attr_is_test(&toks[i + 2..close]) {
+        if !marks(&toks[i + 2..close]) {
             i = close + 1;
             continue;
         }
@@ -133,6 +153,38 @@ mod tests {
         let src = "#[cfg(not(test))]\nfn shipping() {}\n";
         let lexed = lex(src);
         assert!(test_mask(&lexed).iter().all(|m| !m));
+    }
+
+    #[test]
+    fn expect_marks_only_its_statement_and_only_its_lint() {
+        let src = "fn f(v: &[u8]) -> u8 {\n\
+                   \x20   #[expect(clippy::indexing_slicing, reason = \"checked\")]\n\
+                   \x20   let a = v[0];\n\
+                   \x20   #[expect(clippy::expect_used)]\n\
+                   \x20   let b = v[1];\n\
+                   \x20   let c = v[2];\n\
+                   \x20   a + b + c\n}\n";
+        let lexed = lex(src);
+        let mask = expect_mask(&lexed, "indexing_slicing");
+        let marked: Vec<_> = lexed
+            .toks
+            .iter()
+            .zip(&mask)
+            .filter(|(t, m)| t.kind == TokKind::Ident && **m)
+            .map(|(t, _)| t.text.clone())
+            .collect();
+        assert_eq!(
+            marked,
+            [
+                "expect",
+                "clippy",
+                "indexing_slicing",
+                "reason",
+                "let",
+                "a",
+                "v"
+            ]
+        );
     }
 
     #[test]

@@ -92,6 +92,35 @@ fn new_map_index_in_the_proxy_is_caught() {
 }
 
 #[test]
+fn the_clippy_expectation_waives_a_slice_index_and_nothing_else() {
+    // One waiver per justified slice index: the `#[expect]` clippy
+    // already demands covers the statement for this rule too, while a
+    // map index clippy cannot see still fails.
+    let mut tree = repo_tree();
+    tree.edit("crates/core/src/proxy/group.rs", |s| {
+        format!(
+            "{s}\nfn seeded_waived_slice(v: &[u64]) -> u64 {{\n\
+             \x20   #[expect(clippy::indexing_slicing, reason = \"callers pass one entry\")]\n\
+             \x20   let first = v[0];\n\
+             \x20   first\n}}\n\
+             fn seeded_map_index(m: &BTreeMap<u64, u64>, k: u64) -> u64 {{ m[&k] }}\n"
+        )
+    });
+    let hits: Vec<Finding> = findings_for(&tree, "panic-path")
+        .into_iter()
+        .filter(|f| f.path == "crates/core/src/proxy/group.rs")
+        .collect();
+    assert!(
+        hits.iter().any(|f| f.msg.contains("m[&k]")),
+        "an unwaived map index must be caught: {hits:?}"
+    );
+    assert!(
+        !hits.iter().any(|f| f.msg.contains("v[0]")),
+        "a slice index under its clippy expectation must pass: {hits:?}"
+    );
+}
+
+#[test]
 fn audited_path_that_matches_no_file_is_caught() {
     // A split or rename that leaves the audit pointing at a gone file
     // must fail the gate, not quietly audit nothing.

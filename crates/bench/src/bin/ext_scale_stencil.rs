@@ -54,7 +54,7 @@ fn main() {
         &offload::MetricsReport::default(),
         &[
             bench_harness::scale_section(&spec, &run),
-            bench_harness::engine_section(&run, wall_ms),
+            bench_harness::engine_section(&run),
         ],
     );
 }

@@ -112,10 +112,11 @@ impl Args {
     }
 
     /// Name of this run's artifacts: `base` under `--quick` (the
-    /// committed baseline CI regenerates and diffs), else suffixed with
-    /// the scale, so a longer run never overwrites that baseline: a
-    /// scale bench's rank count (`engine_speed_1024r`), or `full` or
-    /// `default` for a figure (`ranks` = `None`).
+    /// committed baseline CI regenerates and compares byte for byte),
+    /// else suffixed with the scale, so a longer run never overwrites
+    /// that baseline: a scale bench's rank count
+    /// (`ext_scale_alltoall_1024r`), or `full` or `default` for a figure
+    /// (`ranks` = `None`).
     pub fn artifact_name(&self, base: &str, ranks: Option<usize>) -> String {
         match ranks {
             _ if self.quick => base.to_string(),
@@ -158,7 +159,7 @@ fn write_artifact(file: &str, contents: &str) {
 /// One numeric extension section appended to a metrics/v1 document:
 /// `(section name, [(key, rendered number)])`. The schema validator
 /// accepts `"engine"` and `"scale"` sections whose members are all
-/// numbers; `cargo xtask bench-diff` flattens them like any counter.
+/// numbers.
 pub type MetricsSection = (&'static str, Vec<(String, String)>);
 
 /// Render a metrics report with extra numeric sections spliced in ahead
@@ -202,21 +203,14 @@ pub fn write_metrics_with(
     );
 }
 
-/// Whether wall-clock members (`wall_ms`, `events_per_sec`) go into
-/// bench artifacts. `BENCH_NO_WALL=1` omits them so two runs of the
-/// same spec produce byte-identical documents.
-pub fn wall_enabled() -> bool {
-    std::env::var_os("BENCH_NO_WALL").is_none()
-}
-
 /// Start a wall-clock timer; the returned closure yields elapsed
-/// milliseconds. Host time is confined to the engine self-benchmark
-/// numbers (the `wall_ms` band in bench-diff) and never feeds back into
-/// simulated time, which is why the clock ban is waived here.
+/// milliseconds. Host time goes only to the scale benches' `wall:`
+/// line on stdout, never into an artifact or simulated time, which is
+/// why the clock ban is waived here.
 #[allow(
     clippy::disallowed_types,
     clippy::disallowed_methods,
-    reason = "the engine self-benchmark's wall_ms; never feeds simulated time"
+    reason = "the scale benches' printed wall line; never feeds an artifact or simulated time"
 )]
 pub fn wall_timer() -> impl FnOnce() -> f64 {
     let t0 = std::time::Instant::now();
@@ -229,8 +223,7 @@ pub fn fmt_f64(v: f64) -> String {
 }
 
 /// The `"scale"` section of a scale-bench artifact: the spec and the
-/// run's deterministic observables. Everything here is exact-compared
-/// by bench-diff.
+/// run's deterministic observables.
 pub fn scale_section(spec: &workloads::ScaleSpec, run: &workloads::ScaleRun) -> MetricsSection {
     (
         "scale",
@@ -248,23 +241,17 @@ pub fn scale_section(spec: &workloads::ScaleSpec, run: &workloads::ScaleRun) -> 
 
 /// The `"engine"` section of a scale-bench artifact: the run's
 /// deterministic counters (`shards` is the node count, `xshard_events`
-/// the cross-node deliveries), plus — unless [`wall_enabled`] is off —
-/// the self-benchmark numbers bench-diff holds to the wall tolerance
-/// band.
-pub fn engine_section(run: &workloads::ScaleRun, wall_ms: f64) -> MetricsSection {
-    let mut keys = vec![
-        ("events".into(), run.events.to_string()),
-        ("shards".into(), run.shards.to_string()),
-        ("xshard_events".into(), run.xshard_events.to_string()),
-    ];
-    if wall_enabled() {
-        keys.push(("wall_ms".into(), fmt_f64(wall_ms)));
-        keys.push((
-            "events_per_sec".into(),
-            fmt_f64(run.events as f64 / (wall_ms / 1e3).max(1e-9)),
-        ));
-    }
-    ("engine", keys)
+/// the cross-node deliveries). No wall-clock number goes in, so a
+/// rerun of the same spec writes the same bytes.
+pub fn engine_section(run: &workloads::ScaleRun) -> MetricsSection {
+    (
+        "engine",
+        vec![
+            ("events".into(), run.events.to_string()),
+            ("shards".into(), run.shards.to_string()),
+            ("xshard_events".into(), run.xshard_events.to_string()),
+        ],
+    )
 }
 
 /// Run a figure body, `f(args)`, under an aggregate metrics collector and
@@ -427,16 +414,16 @@ mod tests {
         );
         assert_eq!(full.artifact_name("fig17_hpl", None), "fig17_hpl_full");
         assert_eq!(
-            quick.artifact_name("engine_speed", Some(64)),
-            "engine_speed"
+            quick.artifact_name("ext_scale_alltoall", Some(64)),
+            "ext_scale_alltoall"
         );
         assert_eq!(
-            default.artifact_name("engine_speed", Some(1024)),
-            "engine_speed_1024r"
+            default.artifact_name("ext_scale_alltoall", Some(1024)),
+            "ext_scale_alltoall_1024r"
         );
         assert_eq!(
-            full.artifact_name("engine_speed", Some(4096)),
-            "engine_speed_4096r"
+            full.artifact_name("ext_scale_alltoall", Some(4096)),
+            "ext_scale_alltoall_4096r"
         );
     }
 }

@@ -9,13 +9,13 @@
 //! rank has passed `Finalize_Offload`, and
 //! [`MetricsReport::to_json`] renders the stable machine-readable form
 //! benchmarks drop into `bench_results/` (schema
-//! `bluefield-offload/metrics/v1`, validated by `cargo xtask
-//! validate-metrics`).
+//! `bluefield-offload/metrics/v1`, validated by
+//! `obs::validate_metrics`).
 //!
 //! The aggregation is deterministic: every container is a `BTreeMap`, so
 //! two same-seed runs serialize to byte-identical JSON (asserted in
-//! `tests/determinism.rs`; it is what lets `bench-diff` hold a fresh run
-//! to the committed `bench_results/`).
+//! `tests/determinism.rs`; it is what lets `ci.sh` `cmp` a fresh run
+//! with the committed `bench_results/`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

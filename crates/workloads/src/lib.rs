@@ -39,7 +39,7 @@ pub use drivers::{
 };
 pub use harness::{collect, collector, run_workload, take, Collector, Harness, Runtime};
 pub use hpl::{hpl_runtime_us, matrix_order, HplAlgo, MODEL_MEM_PER_NODE, NB};
-pub use observe::{fanout, with_metrics, with_observer, with_tenant_metrics, Observer};
+pub use observe::{fanout, with_metrics, with_observer, Observer};
 pub use overlap::{omb_overlap_pct, OverlapResult};
 pub use p3dfft::{p3dfft, P3dfftResult, NS_PER_POINT};
 pub use pingpong::{nonblocking_pingpong_us, P2pEngine};

@@ -14,7 +14,7 @@
 
 use std::cell::RefCell;
 
-use offload::{Metrics, MetricsReport, OffloadConfig};
+use offload::{Metrics, MetricsReport};
 use rdma::{ClusterBuilder, ClusterSpec};
 use simnet::EventSink;
 
@@ -52,29 +52,6 @@ pub fn with_observer<T>(obs: Observer, f: impl FnOnce() -> T) -> T {
 /// starts, and return `f`'s value alongside the folded report.
 pub fn with_metrics<T>(f: impl FnOnce() -> T) -> (T, MetricsReport) {
     let metrics = Metrics::new();
-    let obs = Observer {
-        sink: Some(metrics.sink()),
-        trace: false,
-    };
-    let out = with_observer(obs, f);
-    (out, metrics.report())
-}
-
-/// [`with_metrics`] with tenant attribution: when `cfg` carries a
-/// multi-tenant roster, the collector is seeded with the rank→tenant
-/// map of a `world`-rank run, so the folded report grows a per-tenant
-/// section (see [`offload::TenantMetrics`]). On a single-tenant config
-/// this is exactly [`with_metrics`] — no map, no tenants section,
-/// byte-identical reports.
-pub fn with_tenant_metrics<T>(
-    cfg: &OffloadConfig,
-    world: usize,
-    f: impl FnOnce() -> T,
-) -> (T, MetricsReport) {
-    let metrics = Metrics::new();
-    if cfg.multi_tenant() {
-        metrics.set_tenant_map((0..world).map(|r| (r, cfg.tenant_of(r))).collect());
-    }
     let obs = Observer {
         sink: Some(metrics.sink()),
         trace: false,

@@ -1,16 +1,15 @@
-//! Workspace automation, run as `cargo xtask <cmd>` (see
-//! `.cargo/config.toml` for the alias) and from `ci.sh`:
+//! Workspace automation, run as `cargo xtask analyze` (see
+//! `.cargo/config.toml` for the alias) and from `ci.sh`: the
+//! [`analyzer`] rules clippy cannot carry (`decode-unwrap`,
+//! `notify-under-lock`, `lock-order`, `panic-path`), on its
+//! comment/string-aware token engine. Escape: an
+//! `analyzer:allow(<rule>)` comment on the offending line.
 //!
-//! * `analyze` — the [`analyzer`] rules clippy cannot carry
-//!   (`decode-unwrap`, `notify-under-lock`, `lock-order`, `panic-path`),
-//!   on its comment/string-aware token engine. Escape: an
-//!   `analyzer:allow(<rule>)` comment on the offending line.
-//! * `validate-metrics` — schema check for benchmark metrics artifacts.
-//! * `bench-diff` — the benchmark regression gate (see [`bench_diff`]).
+//! The bench artifacts need no tool here: each is a pure function of
+//! the simulation, so `ci.sh` compares a fresh run with the committed
+//! `bench_results/` by `cmp`, and `tests/bench_baselines.rs` checks the
+//! committed files' schema.
 
-mod bench_diff;
-
-use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -54,98 +53,10 @@ fn cmd_analyze() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("analyze") => cmd_analyze(),
-        Some("validate-metrics") if args.len() > 1 => {
-            let mut bad = 0usize;
-            for path in &args[1..] {
-                let doc = match fs::read_to_string(path) {
-                    Ok(doc) => doc,
-                    Err(e) => {
-                        println!("{path}: unreadable: {e}");
-                        bad += 1;
-                        continue;
-                    }
-                };
-                match obs::validate_metrics(&doc) {
-                    Ok(_) => println!("{path}: ok"),
-                    Err(e) => {
-                        println!("{path}: INVALID: {e}");
-                        bad += 1;
-                    }
-                }
-            }
-            if bad == 0 {
-                println!("xtask validate-metrics: {} file(s) ok", args.len() - 1);
-                ExitCode::SUCCESS
-            } else {
-                println!("xtask validate-metrics: {bad} invalid file(s)");
-                ExitCode::FAILURE
-            }
-        }
-        Some("bench-diff") => {
-            let mut opts = bench_diff::DiffOptions::default();
-            let mut paths: Vec<&String> = Vec::new();
-            let mut it = args[1..].iter();
-            while let Some(a) = it.next() {
-                if a == "--tol" {
-                    match it.next().and_then(|v| v.parse().ok()) {
-                        Some(v) => opts.tol_pct = v,
-                        None => {
-                            println!("bench-diff: --tol expects a percentage");
-                            return ExitCode::from(2);
-                        }
-                    }
-                } else if a == "--wall-tol" {
-                    match it.next().and_then(|v| v.parse().ok()) {
-                        Some(v) => opts.wall_tol_pct = v,
-                        None => {
-                            println!("bench-diff: --wall-tol expects a percentage");
-                            return ExitCode::from(2);
-                        }
-                    }
-                } else {
-                    paths.push(a);
-                }
-            }
-            let [old, new] = paths[..] else {
-                println!("usage: cargo xtask bench-diff <old> <new> [--tol PCT] [--wall-tol PCT]");
-                return ExitCode::from(2);
-            };
-            match bench_diff::diff_trees(Path::new(old), Path::new(new), &opts) {
-                Ok(report) => {
-                    for note in &report.notes {
-                        println!("note: {note}");
-                    }
-                    for r in &report.regressions {
-                        println!("REGRESSION: {r}");
-                    }
-                    if report.ok() {
-                        println!(
-                            "xtask bench-diff: ok ({} file(s), {} counter(s), tol {}%, wall tol {}%)",
-                            report.files, report.counters, opts.tol_pct, opts.wall_tol_pct
-                        );
-                        ExitCode::SUCCESS
-                    } else {
-                        println!(
-                            "xtask bench-diff: {} regression(s) across {} file(s)",
-                            report.regressions.len(),
-                            report.files
-                        );
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    println!("bench-diff: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
+    match args.as_slice() {
+        [cmd] if cmd == "analyze" => cmd_analyze(),
         _ => {
-            println!(
-                "usage: cargo xtask analyze | validate-metrics <file.json>... | \
-                 bench-diff <old> <new> [--tol PCT] [--wall-tol PCT]"
-            );
+            println!("usage: cargo xtask analyze");
             ExitCode::from(2)
         }
     }
@@ -178,7 +89,7 @@ mod tests {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("fixtures")
             .join(name);
-        fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
     }
 
     /// The 1-based line of `src` that contains `needle`.
