@@ -191,7 +191,8 @@ pub fn render_metrics_with(
 }
 
 /// Write a metrics report, with extension sections, as
-/// `<name>.metrics.json` (schema `bluefield-offload/metrics/v1`).
+/// `<name>.metrics.json` (schema `bluefield-offload/metrics/v1`), and the
+/// tables [`print_table`] has printed so far as `<name>.table.tsv`.
 pub fn write_metrics_with(
     name: &str,
     report: &offload::MetricsReport,
@@ -201,6 +202,13 @@ pub fn write_metrics_with(
         &format!("{name}.metrics.json"),
         &render_metrics_with(report, name, sections),
     );
+    write_artifact(&format!("{name}.table.tsv"), &TABLES.take());
+}
+
+thread_local! {
+    /// Every cell [`print_table`] has printed, one `title\tx\tseries\tcell`
+    /// line each, until [`write_metrics_with`] takes them.
+    static TABLES: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
 }
 
 /// Start a wall-clock timer; the returned closure yields elapsed
@@ -284,8 +292,18 @@ pub fn run_with_observability(base: &str, args: Args, f: impl FnOnce(Args)) {
     }
 }
 
-/// Print an aligned table: a title line, a header row, then rows.
+/// Print an aligned table: a title line, a header row, then rows. Each
+/// cell after a row's first is also recorded for the `.table.tsv`
+/// artifact, keyed by the title, the row's first cell and its column's
+/// header.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    TABLES.with_borrow_mut(|tsv| {
+        for row in rows {
+            for (series, cell) in headers.iter().zip(row).skip(1) {
+                tsv.push_str(&format!("{title}\t{}\t{series}\t{cell}\n", row[0]));
+            }
+        }
+    });
     println!("\n## {title}");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -1,9 +1,10 @@
 //! The committed bench baselines are exact outputs of the simulation:
 //! `ci.sh` reruns every bench and compares each fresh artifact with its
 //! twin in `bench_results/` by `cmp`. This test checks the committed
-//! side on its own: the directory holds only metrics/v1 documents, and
-//! none carries a wall-clock key, which no rerun could reproduce byte
-//! for byte.
+//! side on its own: the directory holds only metrics/v1 documents and
+//! the tables the benches print (`*.table.tsv`, four tab-separated
+//! fields a line), and no document carries a wall-clock key, which no
+//! rerun could reproduce byte for byte.
 
 use std::path::PathBuf;
 
@@ -46,8 +47,11 @@ fn committed_baselines_are_wall_free_metrics_documents() {
     assert!(!names.is_empty(), "bench_results/ holds no baseline");
     let mut bad = Vec::new();
     for name in &names {
-        if !name.ends_with(".metrics.json") {
-            bad.push(format!("{name}: only *.metrics.json belongs here"));
+        let is_table = name.ends_with(".table.tsv");
+        if !is_table && !name.ends_with(".metrics.json") {
+            bad.push(format!(
+                "{name}: only *.metrics.json and *.table.tsv belong here"
+            ));
             continue;
         }
         let doc = match std::fs::read_to_string(dir.join(name)) {
@@ -57,6 +61,14 @@ fn committed_baselines_are_wall_free_metrics_documents() {
                 continue;
             }
         };
+        if is_table {
+            for (i, line) in doc.lines().enumerate() {
+                if line.split('\t').count() != 4 {
+                    bad.push(format!("{name}:{}: not title\\tx\\tseries\\tcell", i + 1));
+                }
+            }
+            continue;
+        }
         let v = match obs::validate_metrics(&doc) {
             Ok(v) => v,
             Err(e) => {
