@@ -121,11 +121,11 @@ if ! SOAK_LONG="${SOAK_LONG:-}" \
 fi
 
 echo "== bench artifacts (fresh runs compared byte for byte with bench_results/)"
-# Every committed baseline is a pure function of the simulation (no
-# wall-clock key; tests/bench_baselines.rs checks the committed side), so
-# a fresh run must rewrite it byte for byte: the --quick suite writes the
-# bare names, default-scale ext_scale_alltoall and ext_scale_stencil the
-# _1024r twins. A changed, missing or extra file fails with its diff. No
+# Every committed baseline (metrics and printed tables) is a pure
+# function of the simulation (no wall-clock key; tests/bench_baselines.rs
+# checks the committed side), so a fresh run must rewrite it byte for
+# byte: every bench at --quick writes the bare names, default-scale
+# ext_scale_alltoall and ext_scale_stencil the _1024r twins. A changed, missing or extra file fails with its diff. No
 # wall number is compared, so nothing is pinned or waited for.
 cargo build --release --quiet -p bench-harness
 rm -rf target/bench-scratch
@@ -133,12 +133,8 @@ bench() {
     BENCH_OUT_DIR=target/bench-scratch \
         cargo run --release --quiet -p bench-harness --bin "$@" >/dev/null
 }
-for bin in ext_allgather ext_bluefield3 ext_proxy_count \
-    ext_scale_alltoall ext_scale_stencil \
-    fig02_rdma_latency fig03_rdma_bandwidth fig04_pingpong_staging \
-    fig05_registration fig11_12_stencil fig13_14_ialltoall \
-    fig15_scatter_dest fig16_p3dfft fig17_hpl; do
-    bench "$bin" -- --quick
+for src in crates/bench/src/bin/*.rs; do
+    bench "$(basename "$src" .rs)" -- --quick
 done
 bench ext_scale_alltoall
 bench ext_scale_stencil

@@ -1,7 +1,8 @@
 //! # baselines — the systems the paper compares against
 //!
-//! * [`IntelMpi`] — a tuned host-progress MPI (the `minimpi` crate used
-//!   directly): non-blocking collectives advance only inside MPI calls.
+//! * IntelMPI — a tuned host-progress MPI. It has no type here: it is
+//!   the `minimpi` crate's `Mpi` used directly, whose non-blocking
+//!   collectives advance only inside MPI calls.
 //! * [`BluesMpi`] — staging-based DPU offload of `Ialltoall` / `Ibcast` /
 //!   `Iallgather` only, with the cold-start behaviour the paper observed
 //!   at application level (§VIII-D).
@@ -12,7 +13,5 @@
 #![warn(missing_docs)]
 
 mod bluesmpi;
-mod intelmpi;
 
 pub use bluesmpi::{bluesmpi_proxy_config, BluesMpi, BluesReq};
-pub use intelmpi::IntelMpi;

@@ -1,8 +1,7 @@
 //! Baseline correctness and characteristic behaviour.
 
-use baselines::{bluesmpi_proxy_config, BluesMpi, IntelMpi};
-use rdma::{ClusterBuilder, ClusterSpec, Inbox, NO_PROXIES};
-use simnet::SimDelta;
+use baselines::{bluesmpi_proxy_config, BluesMpi};
+use rdma::{ClusterBuilder, ClusterSpec, Inbox};
 
 fn run_blues(
     nodes: usize,
@@ -164,30 +163,4 @@ fn bluesmpi_uses_staging_mechanism() {
         0,
         "no cross-GVMI in staging"
     );
-}
-
-#[test]
-fn intelmpi_collectives_delegate_correctly() {
-    let spec = ClusterSpec::new(2, 2);
-    ClusterBuilder::new(spec, 33)
-        .run_async(
-            async |rank, ctx, cluster| {
-                let impi = IntelMpi::new(rank, ctx, cluster.clone());
-                let fab = cluster.fabric().clone();
-                let ep = cluster.host_ep(rank);
-                let len = 16 * 1024;
-                let buf = fab.alloc(ep, len);
-                if rank == 0 {
-                    fab.fill_pattern(ep, buf, len, 12).unwrap();
-                }
-                let r = impi.ibcast(0, buf, len);
-                // Poll with compute slices, Listing-1 style.
-                while !impi.test(r) {
-                    impi.mpi().ctx().compute_async(SimDelta::from_us(5)).await;
-                }
-                assert!(fab.verify_pattern(ep, buf, len, 12).unwrap());
-            },
-            NO_PROXIES,
-        )
-        .unwrap();
 }

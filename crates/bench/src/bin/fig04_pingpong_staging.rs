@@ -3,7 +3,8 @@
 //! offload design, plus the proposed GVMI path for reference.
 
 use bench_harness::{bytes, print_table, us, Args};
-use workloads::{nonblocking_pingpong_us, P2pEngine};
+use offload::OffloadConfig;
+use workloads::{nonblocking_pingpong_us, Runtime};
 
 fn run(args: Args) {
     let iters = args.pick_iters(20, 3);
@@ -11,9 +12,10 @@ fn run(args: Args) {
     let sizes: Vec<u64> = (12..=20).map(|p| 1u64 << p).collect(); // 4 KiB .. 1 MiB
     let mut rows = Vec::new();
     for &size in &sizes {
-        let host = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Host);
-        let staging = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Staging);
-        let gvmi = nonblocking_pingpong_us(size, iters, warmup, P2pEngine::Gvmi);
+        let at = |rt| nonblocking_pingpong_us(size, iters, warmup, rt);
+        let host = at(Runtime::Intel);
+        let staging = at(Runtime::Proposed(OffloadConfig::staging()));
+        let gvmi = at(Runtime::proposed());
         rows.push(vec![
             bytes(size),
             us(host),

@@ -2,6 +2,7 @@
 
 use minimpi::Mpi;
 use rdma::{ClusterBuilder, ClusterSpec, NO_PROXIES};
+use simnet::SimDelta;
 
 fn run_world(nodes: usize, ppn: usize, f: impl AsyncFn(&Mpi) + Send + Sync + 'static) {
     let spec = ClusterSpec::new(nodes, ppn);
@@ -33,7 +34,17 @@ fn barrier_synchronizes() {
     });
 }
 
-fn check_bcast(nodes: usize, ppn: usize, len: u64, ring: bool) {
+/// How [`check_bcast`] broadcasts.
+#[derive(Clone, Copy)]
+enum Bcast {
+    Binomial,
+    Ring,
+    /// A binomial `ibcast` polled with `test` between compute slices
+    /// (the paper's Listing 1 pattern).
+    PolledIbcast,
+}
+
+fn check_bcast(nodes: usize, ppn: usize, len: u64, how: Bcast) {
     let spec = ClusterSpec::new(nodes, ppn);
     ClusterBuilder::new(spec, 5)
         .run_async(
@@ -46,10 +57,15 @@ fn check_bcast(nodes: usize, ppn: usize, len: u64, ring: bool) {
                 if rank == root {
                     fab.fill_pattern(ep, buf, len, 77).unwrap();
                 }
-                if ring {
-                    mpi.ring_bcast(root, buf, len).await;
-                } else {
-                    mpi.bcast(root, buf, len).await;
+                match how {
+                    Bcast::Binomial => mpi.bcast(root, buf, len).await,
+                    Bcast::Ring => mpi.ring_bcast(root, buf, len).await,
+                    Bcast::PolledIbcast => {
+                        let r = mpi.ibcast(root, buf, len);
+                        while !mpi.test(r) {
+                            mpi.ctx().compute_async(SimDelta::from_us(5)).await;
+                        }
+                    }
                 }
                 assert!(
                     fab.verify_pattern(ep, buf, len, 77).unwrap(),
@@ -63,17 +79,22 @@ fn check_bcast(nodes: usize, ppn: usize, len: u64, ring: bool) {
 
 #[test]
 fn binomial_bcast_small() {
-    check_bcast(2, 2, 512, false);
+    check_bcast(2, 2, 512, Bcast::Binomial);
 }
 
 #[test]
 fn binomial_bcast_large_odd_world() {
-    check_bcast(3, 3, 128 * 1024, false);
+    check_bcast(3, 3, 128 * 1024, Bcast::Binomial);
 }
 
 #[test]
 fn ring_bcast_delivers_everywhere() {
-    check_bcast(2, 3, 64 * 1024, true);
+    check_bcast(2, 3, 64 * 1024, Bcast::Ring);
+}
+
+#[test]
+fn polled_ibcast_delivers_everywhere() {
+    check_bcast(2, 2, 16 * 1024, Bcast::PolledIbcast);
 }
 
 #[test]

@@ -1,79 +1,16 @@
-//! OMB-style `MPI_Ialltoall` overlap benchmark (paper Figs. 13–14) and the
-//! scatter-destination Simple-vs-Group comparison (paper Fig. 15).
+//! OMB-style `MPI_Ialltoall` overlap benchmark (paper Figs. 13–14), its
+//! `MPI_Iallgather` twin (an extension), and the scatter-destination
+//! Simple-vs-Group comparison (paper Fig. 15).
 
 use std::sync::Arc;
 
-use rdma::{ClusterSpec, VAddr};
+use rdma::ClusterSpec;
 use simnet::SimDelta;
 
-use crate::harness::{collect, collector, run_workload, take, Harness, Runtime};
+use crate::harness::{
+    collect, collector, run_workload, take, Collective, Engine, Persistent, Runtime,
+};
 use crate::overlap::OverlapResult;
-
-/// A started non-blocking all-to-all under any runtime.
-enum A2aReq {
-    Intel(minimpi::Req),
-    Blues(baselines::BluesReq),
-    Proposed(offload::GroupRequest),
-}
-
-/// Per-rank all-to-all driver that hides the runtime differences.
-struct A2aDriver<'a> {
-    h: &'a Harness,
-    sendbuf: VAddr,
-    recvbuf: VAddr,
-    block: u64,
-    group: Option<offload::GroupRequest>,
-}
-
-impl<'a> A2aDriver<'a> {
-    fn new(h: &'a Harness, block: u64) -> Self {
-        let fab = h.cluster().fabric().clone();
-        let ep = h.cluster().host_ep(h.rank);
-        let p = h.size() as u64;
-        let sendbuf = fab.alloc(ep, block * p);
-        let recvbuf = fab.alloc(ep, block * p);
-        // Record the scatter-destination pattern once; later calls hit
-        // the metadata caches (paper §VII-D).
-        let group = h
-            .off
-            .as_ref()
-            .map(|off| off.record_alltoall(sendbuf, recvbuf, block));
-        A2aDriver {
-            h,
-            sendbuf,
-            recvbuf,
-            block,
-            group,
-        }
-    }
-
-    async fn start(&self) -> A2aReq {
-        if let Some(off) = &self.h.off {
-            let g = self.group.expect("group recorded");
-            off.group_call(g).await;
-            A2aReq::Proposed(g)
-        } else if let Some(blues) = &self.h.blues {
-            A2aReq::Blues(
-                blues
-                    .ialltoall(self.sendbuf, self.recvbuf, self.block)
-                    .await,
-            )
-        } else {
-            A2aReq::Intel(self.h.mpi.ialltoall(self.sendbuf, self.recvbuf, self.block))
-        }
-    }
-
-    async fn wait(&self, r: A2aReq) {
-        match r {
-            A2aReq::Intel(r) => self.h.mpi.wait(r).await,
-            A2aReq::Blues(r) => self.h.blues.as_ref().expect("blues").wait(r).await,
-            A2aReq::Proposed(g) => {
-                let off = self.h.off.as_ref().expect("off");
-                off.group_wait(g).await.expect("group offload failed")
-            }
-        }
-    }
-}
 
 /// Fig. 13/14 data point: pure latency, overall time with overlapped
 /// compute, and the OMB overlap percentage for one `(runtime, scale,
@@ -99,19 +36,50 @@ pub fn ialltoall_overlap_on(
     warmup: u32,
     runtime: Runtime,
 ) -> OverlapResult {
+    omb_overlap(spec, Collective::Alltoall, block, iters, warmup, runtime)
+}
+
+/// Extension data point: `MPI_Iallgather` overlap under the three
+/// runtimes (the second collective BluesMPI's authors offloaded, in their
+/// HiPC'21 follow-up, reference \[9\]). Layout: one buffer of `size()`
+/// blocks of `block` bytes, own block pre-filled.
+pub fn iallgather_overlap(
+    nodes: usize,
+    ppn: usize,
+    block: u64,
+    iters: u32,
+    warmup: u32,
+    runtime: Runtime,
+) -> OverlapResult {
+    let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
+    omb_overlap(spec, Collective::Allgather, block, iters, warmup, runtime)
+}
+
+/// The OMB non-blocking-collective measurement of `op`: `warmup`
+/// untimed calls, `iters` timed calls alone (pure latency), then `iters`
+/// timed calls with compute equal to the pure latency between start and
+/// wait (overall time).
+fn omb_overlap(
+    spec: ClusterSpec,
+    op: Collective,
+    block: u64,
+    iters: u32,
+    warmup: u32,
+    runtime: Runtime,
+) -> OverlapResult {
     let out = collector::<OverlapResult>();
     let out2 = Arc::clone(&out);
     run_workload(spec, runtime, async move |h| {
-        let driver = A2aDriver::new(h, block);
+        let coll = Persistent::new(h, op, block);
         for _ in 0..warmup {
-            driver.wait(driver.start().await).await;
+            h.wait(coll.start(h).await).await;
         }
         // Pure communication latency.
         let mut pure_us = 0.0;
         for _ in 0..iters {
             h.mpi.barrier().await;
             let t0 = h.ctx().now();
-            driver.wait(driver.start().await).await;
+            h.wait(coll.start(h).await).await;
             pure_us += h.elapsed_max_us(t0).await;
         }
         pure_us /= iters as f64;
@@ -121,9 +89,9 @@ pub fn ialltoall_overlap_on(
         for _ in 0..iters {
             h.mpi.barrier().await;
             let t0 = h.ctx().now();
-            let r = driver.start().await;
+            let r = coll.start(h).await;
             h.ctx().compute_async(compute).await;
-            driver.wait(r).await;
+            h.wait(r).await;
             overall_us += h.elapsed_max_us(t0).await;
         }
         overall_us /= iters as f64;
@@ -177,7 +145,9 @@ pub fn scatter_dest_time(
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
     let report = run_workload(spec, Runtime::proposed(), async move |h| {
-        let off = h.off.as_ref().expect("proposed runtime");
+        let Engine::Proposed(off) = &h.engine else {
+            panic!("scatter_dest_time runs the proposed runtime")
+        };
         let fab = h.cluster().fabric().clone();
         let ep = h.cluster().host_ep(h.rank);
         let p = h.size();
@@ -280,90 +250,6 @@ mod tests {
             "group sends far fewer host-DPU control messages ({group_msgs} vs {simple_msgs})"
         );
     }
-}
-
-/// Extension data point: `MPI_Iallgather` overlap under the three
-/// runtimes (the second collective BluesMPI's authors offloaded, in their
-/// HiPC'21 follow-up, reference \[9\]). Layout: `buf` holds `size()` blocks of `block`
-/// bytes, own block pre-filled.
-pub fn iallgather_overlap(
-    nodes: usize,
-    ppn: usize,
-    block: u64,
-    iters: u32,
-    warmup: u32,
-    runtime: Runtime,
-) -> OverlapResult {
-    let spec = ClusterSpec::new(nodes, ppn).without_byte_movement();
-    let out = collector::<OverlapResult>();
-    let out2 = Arc::clone(&out);
-    run_workload(spec, runtime, async move |h| {
-        let fab = h.cluster().fabric().clone();
-        let ep = h.cluster().host_ep(h.rank);
-        let p = h.size() as u64;
-        let buf = fab.alloc(ep, block * p);
-        let group = h
-            .off
-            .as_ref()
-            .map(|off| off.record_allgather_ring(buf, block));
-        let run_once = async |h: &Harness| {
-            if let Some(g) = group {
-                let off = h.off.as_ref().expect("proposed");
-                off.group_call(g).await;
-                off.group_wait(g).await.expect("group offload failed");
-            } else if let Some(blues) = &h.blues {
-                let r = blues.iallgather(buf, block).await;
-                blues.wait(r).await;
-            } else {
-                let r = h.mpi.iallgather(buf, block);
-                h.mpi.wait(r).await;
-            }
-        };
-        for _ in 0..warmup {
-            run_once(h).await;
-        }
-        let mut pure_us = 0.0;
-        for _ in 0..iters {
-            h.mpi.barrier().await;
-            let t0 = h.ctx().now();
-            run_once(h).await;
-            pure_us += h.elapsed_max_us(t0).await;
-        }
-        pure_us /= iters as f64;
-        let compute = SimDelta::from_us_f64(pure_us);
-        let mut overall_us = 0.0;
-        for _ in 0..iters {
-            h.mpi.barrier().await;
-            let t0 = h.ctx().now();
-            if let Some(g) = group {
-                let off = h.off.as_ref().expect("proposed");
-                off.group_call(g).await;
-                h.ctx().compute_async(compute).await;
-                off.group_wait(g).await.expect("group offload failed");
-            } else if let Some(blues) = &h.blues {
-                let r = blues.iallgather(buf, block).await;
-                h.ctx().compute_async(compute).await;
-                blues.wait(r).await;
-            } else {
-                let r = h.mpi.iallgather(buf, block);
-                h.ctx().compute_async(compute).await;
-                h.mpi.wait(r).await;
-            }
-            overall_us += h.elapsed_max_us(t0).await;
-        }
-        overall_us /= iters as f64;
-        if h.rank == 0 {
-            collect(
-                &out2,
-                OverlapResult {
-                    pure_us,
-                    overall_us,
-                    compute_us: pure_us,
-                },
-            );
-        }
-    });
-    take(&out)
 }
 
 #[cfg(test)]

@@ -13,16 +13,21 @@
 //! barriers and timing reductions (as real apps do), and intra-node
 //! transfers under the proposed runtime keep using host MPI, as the paper
 //! notes for its 3DStencil results.
+//!
+//! This module is the one place that knows which engine a rank's runtime
+//! adds: a workload starts an operation as a [`Pending`] and hands it
+//! back to [`Harness::wait`], and [`Persistent`] is the one non-blocking
+//! all-to-all / allgather set-up every collective workload shares.
 
 use std::ops::AsyncFn;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use baselines::{bluesmpi_proxy_config, BluesMpi};
+use baselines::{bluesmpi_proxy_config, BluesMpi, BluesReq};
 use minimpi::Mpi;
-use offload::{Offload, OffloadConfig};
-use rdma::{ClusterSpec, Inbox};
+use offload::{GroupRequest, Offload, OffloadConfig, OffloadReq};
+use rdma::{ClusterSpec, Inbox, VAddr};
 use simnet::{Report, SimTime};
 
 /// Which communication runtime a benchmark run uses.
@@ -53,16 +58,40 @@ impl Runtime {
     }
 }
 
+/// The engine a runtime adds beside host MPI, one per [`Runtime`].
+pub enum Engine {
+    /// IntelMPI: host MPI alone.
+    Intel,
+    /// BluesMPI's staged collectives.
+    Blues(BluesMpi),
+    /// The paper's framework.
+    Proposed(Offload),
+}
+
+/// An operation in flight under any runtime, finished by
+/// [`Harness::wait`].
+#[derive(Clone, Copy, Debug)]
+pub enum Pending {
+    /// A host MPI request.
+    Mpi(minimpi::Req),
+    /// A Basic-primitive offload transfer.
+    Off(OffloadReq),
+    /// A BluesMPI collective.
+    Blues(BluesReq),
+    /// A called group of the proposed framework.
+    Group(GroupRequest),
+    /// Nothing in flight (a one-rank broadcast, say).
+    Done,
+}
+
 /// Everything one rank has at its disposal during a benchmark.
 pub struct Harness {
     /// This rank.
     pub rank: usize,
     /// Host MPI engine (always available).
     pub mpi: Mpi,
-    /// The proposed framework, when the runtime is `Proposed`.
-    pub off: Option<Offload>,
-    /// BluesMPI, when the runtime is `Blues`.
-    pub blues: Option<BluesMpi>,
+    /// The runtime's own engine.
+    pub engine: Engine,
 }
 
 impl Harness {
@@ -86,6 +115,97 @@ impl Harness {
     pub async fn elapsed_max_us(&self, t0: SimTime) -> f64 {
         let local = (self.ctx().now() - t0).as_us_f64();
         self.mpi.allreduce_max_f64(local).await
+    }
+
+    /// Wait for `p` to complete on the engine that started it.
+    pub async fn wait(&self, p: Pending) {
+        match (p, &self.engine) {
+            (Pending::Mpi(r), _) => self.mpi.wait(r).await,
+            (Pending::Off(r), Engine::Proposed(off)) => off.wait(r).await,
+            (Pending::Group(g), Engine::Proposed(off)) => {
+                off.group_wait(g).await.expect("group offload failed")
+            }
+            (Pending::Blues(r), Engine::Blues(blues)) => blues.wait(r).await,
+            (Pending::Done, _) => {}
+            (p, _) => panic!("{p:?} waited on rank {} of another runtime", self.rank),
+        }
+    }
+}
+
+/// Which collective a [`Persistent`] runs.
+#[derive(Clone, Copy)]
+pub(crate) enum Collective {
+    /// `MPI_Ialltoall` of `size()` blocks from a send into a receive
+    /// buffer.
+    Alltoall,
+    /// `MPI_Iallgather` in one buffer of `size()` blocks, own block
+    /// pre-filled.
+    Allgather,
+}
+
+/// A non-blocking collective on buffers allocated once, started any
+/// number of times. The proposed runtime records its group pattern at
+/// set-up, so later calls hit the metadata caches (paper §VII-D).
+pub(crate) struct Persistent {
+    op: Collective,
+    sendbuf: VAddr,
+    recvbuf: VAddr,
+    block: u64,
+    group: Option<GroupRequest>,
+}
+
+impl Persistent {
+    /// Allocate `h`'s buffers for `op` with `block`-byte blocks and record
+    /// the group when the runtime is the proposed one.
+    pub(crate) fn new(h: &Harness, op: Collective, block: u64) -> Persistent {
+        let fab = h.cluster().fabric().clone();
+        let ep = h.cluster().host_ep(h.rank);
+        let bytes = block * h.size() as u64;
+        let sendbuf = fab.alloc(ep, bytes);
+        let recvbuf = match op {
+            Collective::Alltoall => fab.alloc(ep, bytes),
+            Collective::Allgather => sendbuf,
+        };
+        let group = match (&h.engine, op) {
+            (Engine::Proposed(off), Collective::Alltoall) => {
+                Some(off.record_alltoall(sendbuf, recvbuf, block))
+            }
+            (Engine::Proposed(off), Collective::Allgather) => {
+                Some(off.record_allgather_ring(sendbuf, block))
+            }
+            _ => None,
+        };
+        Persistent {
+            op,
+            sendbuf,
+            recvbuf,
+            block,
+            group,
+        }
+    }
+
+    /// Start one call of the collective.
+    pub(crate) async fn start(&self, h: &Harness) -> Pending {
+        let (sendbuf, recvbuf, block) = (self.sendbuf, self.recvbuf, self.block);
+        match (&h.engine, self.op) {
+            (Engine::Proposed(off), _) => {
+                let g = self.group.expect("recorded at set-up");
+                off.group_call(g).await;
+                Pending::Group(g)
+            }
+            (Engine::Blues(blues), Collective::Alltoall) => {
+                Pending::Blues(blues.ialltoall(sendbuf, recvbuf, block).await)
+            }
+            (Engine::Blues(blues), Collective::Allgather) => {
+                Pending::Blues(blues.iallgather(sendbuf, block).await)
+            }
+            (Engine::Intel, Collective::Alltoall) => {
+                Pending::Mpi(h.mpi.ialltoall(sendbuf, recvbuf, block))
+            }
+            (Engine::Intel, Collective::Allgather) => {
+                Pending::Mpi(h.mpi.iallgather(sendbuf, block))
+            }
+        }
     }
 }
 
@@ -128,30 +248,27 @@ pub fn run_workload(
         .run_async(
             async move |rank, ctx, cluster| {
                 let inbox = Inbox::new();
-                let (off, blues) = match &runtime {
-                    Runtime::Intel => (None, None),
+                let engine = match &runtime {
+                    Runtime::Intel => Engine::Intel,
                     Runtime::Blues => {
                         let (ctx, cluster) = (ctx.clone(), cluster.clone());
-                        (None, Some(BluesMpi::attach(rank, ctx, cluster, &inbox)))
+                        Engine::Blues(BluesMpi::attach(rank, ctx, cluster, &inbox))
                     }
                     Runtime::Proposed(cfg) => {
                         let (ctx, cluster) = (ctx.clone(), cluster.clone());
-                        let off = Offload::init(rank, ctx, cluster, &inbox, cfg.clone());
-                        (Some(off), None)
+                        Engine::Proposed(Offload::init(rank, ctx, cluster, &inbox, cfg.clone()))
                     }
                 };
                 let h = Harness {
                     rank,
                     mpi: Mpi::attach(rank, ctx, cluster, &inbox),
-                    off,
-                    blues,
+                    engine,
                 };
                 offload::profile::balanced(body(&h)).await;
-                if let Some(blues) = &h.blues {
-                    blues.finalize().await;
-                }
-                if let Some(off) = &h.off {
-                    off.finalize().await;
+                match &h.engine {
+                    Engine::Intel => {}
+                    Engine::Blues(blues) => blues.finalize().await,
+                    Engine::Proposed(off) => off.finalize().await,
                 }
             },
             proxy_cfg.map(offload::proxy_fn),
@@ -173,7 +290,8 @@ mod tests {
             run_workload(ClusterSpec::new(2, 1), rt, async move |h| {
                 h.mpi.barrier().await;
                 if h.rank == 0 {
-                    collect(&c2, (h.off.is_some(), h.blues.is_some()));
+                    let has_off = matches!(h.engine, Engine::Proposed(_));
+                    collect(&c2, (has_off, matches!(h.engine, Engine::Blues(_))));
                 }
             });
             let (has_off, has_blues) = take(&c);

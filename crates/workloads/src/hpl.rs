@@ -30,7 +30,7 @@ use std::sync::Arc;
 use rdma::ClusterSpec;
 use simnet::SimDelta;
 
-use crate::harness::{collect, collector, run_workload, take, Harness, Runtime};
+use crate::harness::{collect, collector, run_workload, take, Engine, Harness, Pending, Runtime};
 
 /// Broadcast algorithm under test.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,14 +103,6 @@ fn update_time(rem: u64, ranks: usize) -> SimDelta {
     SimDelta::from_us_f64(flops / UPDATE_FLOPS * 1e6)
 }
 
-enum Bcast {
-    Mpi(minimpi::Req),
-    Blues(baselines::BluesReq),
-    Group(offload::GroupRequest),
-    /// Root-only or single-rank cases where nothing is in flight.
-    Done,
-}
-
 /// Start the panel-chunk broadcast along this rank's process row.
 async fn start_bcast(
     h: &Harness,
@@ -120,24 +112,19 @@ async fn start_bcast(
     buf: rdma::VAddr,
     len: u64,
     step: u64,
-) -> Bcast {
+) -> Pending {
     if row.len() == 1 {
-        return Bcast::Done;
+        return Pending::Done;
     }
-    match algo {
-        HplAlgo::Ring1 => Bcast::Mpi(h.mpi.iring_bcast_among(row, root_pos, buf, len)),
-        HplAlgo::IntelIbcast => Bcast::Mpi(h.mpi.ibcast_among(row, root_pos, buf, len)),
-        HplAlgo::Blues => Bcast::Blues(
-            h.blues
-                .as_ref()
-                .expect("blues")
-                .ibcast_among(row, root_pos, buf, len)
-                .await,
-        ),
-        HplAlgo::Proposed => {
+    match &h.engine {
+        Engine::Intel if algo == HplAlgo::Ring1 => {
+            Pending::Mpi(h.mpi.iring_bcast_among(row, root_pos, buf, len))
+        }
+        Engine::Intel => Pending::Mpi(h.mpi.ibcast_among(row, root_pos, buf, len)),
+        Engine::Blues(blues) => Pending::Blues(blues.ibcast_among(row, root_pos, buf, len).await),
+        Engine::Proposed(off) => {
             // Record the ring for this step's row and offload it whole
             // (paper Listing 5).
-            let off = h.off.as_ref().expect("proposed");
             let q = row.len();
             let me_pos = row.iter().position(|&r| r == h.rank).expect("in row");
             let root = row[root_pos];
@@ -155,7 +142,7 @@ async fn start_bcast(
             }
             off.group_end(g);
             off.group_call(g).await;
-            Bcast::Group(g)
+            Pending::Group(g)
         }
     }
 }
@@ -166,26 +153,14 @@ async fn start_bcast(
 /// trailing matrix's columns are distributed over the `Qc` row ranks, so
 /// a rank owns `rem/(NB·Qc)` column blocks and polls that many times per
 /// update; dependent ring hops stall up to one block of compute each.
-async fn overlap_update(h: &Harness, bcast: &Bcast, compute: SimDelta, local_chunks: u64) {
+async fn overlap_update(h: &Harness, bcast: Pending, compute: SimDelta, local_chunks: u64) {
     match bcast {
-        Bcast::Mpi(r) => {
+        Pending::Mpi(r) => {
             let slice = compute / local_chunks.max(1);
-            h.mpi.compute_with_test(compute, slice, *r).await;
+            h.mpi.compute_with_test(compute, slice, r).await;
         }
         // Offloaded broadcasts need no CPU intervention.
-        Bcast::Blues(_) | Bcast::Group(_) | Bcast::Done => h.ctx().compute_async(compute).await,
-    }
-}
-
-async fn wait_bcast(h: &Harness, bcast: Bcast) {
-    match bcast {
-        Bcast::Mpi(r) => h.mpi.wait(r).await,
-        Bcast::Blues(r) => h.blues.as_ref().expect("blues").wait(r).await,
-        Bcast::Group(g) => {
-            let off = h.off.as_ref().expect("proposed");
-            off.group_wait(g).await.expect("group offload failed")
-        }
-        Bcast::Done => {}
+        _ => h.ctx().compute_async(compute).await,
     }
 }
 
@@ -222,9 +197,9 @@ pub fn hpl_runtime_us(nodes: usize, ppn: usize, mem_fraction: f64, algo: HplAlgo
             let bytes = (rem.div_ceil(pr as u64)).max(1) * NB * 8;
             let bcast = start_bcast(h, algo, &row, root_col, panel, bytes, k).await;
             if let Some((upd, chunks)) = prev_update.take() {
-                overlap_update(h, &bcast, upd, chunks).await;
+                overlap_update(h, bcast, upd, chunks).await;
             }
-            wait_bcast(h, bcast).await;
+            h.wait(bcast).await;
             prev_update = Some((update_time(rem, p), (rem / NB) / qc as u64));
         }
         if let Some((upd, _)) = prev_update {

@@ -12,10 +12,10 @@
 
 use std::sync::Arc;
 
-use rdma::{ClusterSpec, VAddr};
+use rdma::ClusterSpec;
 use simnet::{SimDelta, SimTime};
 
-use crate::harness::{collect, collector, run_workload, take, Harness, Runtime};
+use crate::harness::{collect, collector, run_workload, take, Collective, Persistent, Runtime};
 
 /// Modelled FFT compute cost per grid point per transform phase.
 pub const NS_PER_POINT: f64 = 4.0;
@@ -35,66 +35,6 @@ pub struct P3dfftResult {
     pub phase_mpi_us: f64,
 }
 
-enum A2a {
-    Intel(minimpi::Req),
-    Blues(baselines::BluesReq),
-    Prop(offload::GroupRequest),
-}
-
-struct TransposeSet {
-    sendbuf: VAddr,
-    recvbuf: VAddr,
-    block: u64,
-    group: Option<offload::GroupRequest>,
-}
-
-impl TransposeSet {
-    fn new(h: &Harness, block: u64) -> Self {
-        let fab = h.cluster().fabric().clone();
-        let ep = h.cluster().host_ep(h.rank);
-        let p = h.size() as u64;
-        let sendbuf = fab.alloc(ep, block * p);
-        let recvbuf = fab.alloc(ep, block * p);
-        let group = h
-            .off
-            .as_ref()
-            .map(|off| off.record_alltoall(sendbuf, recvbuf, block));
-        TransposeSet {
-            sendbuf,
-            recvbuf,
-            block,
-            group,
-        }
-    }
-
-    async fn start(&self, h: &Harness) -> A2a {
-        if let Some(off) = &h.off {
-            let g = self.group.expect("recorded");
-            off.group_call(g).await;
-            A2a::Prop(g)
-        } else if let Some(blues) = &h.blues {
-            A2a::Blues(
-                blues
-                    .ialltoall(self.sendbuf, self.recvbuf, self.block)
-                    .await,
-            )
-        } else {
-            A2a::Intel(h.mpi.ialltoall(self.sendbuf, self.recvbuf, self.block))
-        }
-    }
-
-    async fn wait(&self, h: &Harness, r: A2a) {
-        match r {
-            A2a::Intel(r) => h.mpi.wait(r).await,
-            A2a::Blues(r) => h.blues.as_ref().expect("blues").wait(r).await,
-            A2a::Prop(g) => {
-                let off = h.off.as_ref().expect("off");
-                off.group_wait(g).await.expect("group offload failed")
-            }
-        }
-    }
-}
-
 /// Run the P3DFFT skeleton (`iters` forward+backward iterations, no
 /// warm-up) and report run time plus the first-forward-phase profile.
 pub fn p3dfft(
@@ -112,8 +52,8 @@ pub fn p3dfft(
         let (x, y, z) = grid;
         let cells = x * y * z;
         let block = (cells * ELEM / (p * p)).max(1024);
-        let set_a = TransposeSet::new(h, block);
-        let set_b = TransposeSet::new(h, block);
+        let set_a = Persistent::new(h, Collective::Alltoall, block);
+        let set_b = Persistent::new(h, Collective::Alltoall, block);
         let max_dim = x.max(y).max(z) as f64;
         let phase_compute =
             SimDelta::from_us_f64((cells / p) as f64 * NS_PER_POINT * max_dim.log2() / 1000.0);
@@ -136,17 +76,16 @@ pub fn p3dfft(
                 mpi_us += since(t0);
                 h.ctx().compute_async(half).await;
                 let t0 = h.ctx().now();
-                set_a.wait(h, r1).await;
+                h.wait(r1).await;
                 mpi_us += since(t0);
                 h.ctx().compute_async(half).await;
                 let t0 = h.ctx().now();
-                set_b.wait(h, r2).await;
+                h.wait(r2).await;
                 mpi_us += since(t0);
                 if iter == 0 && dirn == 0 {
                     let total = (h.ctx().now() - t_phase).as_us_f64();
                     let mpi_max = h.mpi.allreduce_max_f64(mpi_us).await;
                     phase_profile = Some((total - mpi_us, mpi_max));
-                    let _ = total;
                 }
             }
         }

@@ -5,92 +5,52 @@
 
 use std::sync::Arc;
 
-use minimpi::Mpi;
-use offload::{Offload, OffloadConfig};
-use rdma::{ClusterSpec, Inbox};
+use rdma::ClusterSpec;
 
-use crate::harness::{collect, collector, take};
-
-/// Which engine carries the ping-pong payload.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum P2pEngine {
-    /// Host MPI (eager/rendezvous; paper's "Host" bars).
-    Host,
-    /// Offload framework, staging data path (paper's "Staging" bars).
-    Staging,
-    /// Offload framework, cross-GVMI data path (the proposed mechanism).
-    Gvmi,
-}
-
-impl P2pEngine {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            P2pEngine::Host => "Host",
-            P2pEngine::Staging => "Staging",
-            P2pEngine::Gvmi => "GVMI",
-        }
-    }
-}
+use crate::harness::{collect, collector, run_workload, take, Engine, Pending, Runtime};
 
 /// Average one-way latency (µs) of a concurrent two-way non-blocking
 /// exchange of `size` bytes, measured over `iters` iterations after
-/// `warmup` warm-up iterations.
-pub fn nonblocking_pingpong_us(size: u64, iters: u32, warmup: u32, engine: P2pEngine) -> f64 {
-    let spec = ClusterSpec::new(2, 1);
+/// `warmup` warm-up iterations. The payload rides the framework's Basic
+/// primitives under [`Runtime::Proposed`] (the paper's "Staging" bars
+/// with [`offload::OffloadConfig::staging`], GVMI with
+/// [`Runtime::proposed`]) and host MPI otherwise (the "Host" bars).
+pub fn nonblocking_pingpong_us(size: u64, iters: u32, warmup: u32, runtime: Runtime) -> f64 {
     let out = collector::<f64>();
     let out2 = Arc::clone(&out);
-    let builder = crate::observe::builder(spec);
-    let off_cfg = match engine {
-        P2pEngine::Host => None,
-        P2pEngine::Staging => Some(OffloadConfig::staging()),
-        P2pEngine::Gvmi => Some(OffloadConfig::proposed()),
-    };
-    let proxy_fn = off_cfg.clone().map(offload::proxy_fn);
-
-    let body = async move |rank: usize, ctx: simnet::ProcessCtx, cluster: rdma::ClusterCtx| {
-        let inbox = Inbox::new();
-        let fab = cluster.fabric().clone();
-        let ep = cluster.host_ep(rank);
+    run_workload(ClusterSpec::new(2, 1), runtime, async move |h| {
+        let fab = h.cluster().fabric().clone();
+        let ep = h.cluster().host_ep(h.rank);
         let sbuf = fab.alloc(ep, size);
         let rbuf = fab.alloc(ep, size);
-        let peer = 1 - rank;
-        let mpi = Mpi::attach(rank, ctx.clone(), cluster.clone(), &inbox);
-        let off = off_cfg
-            .clone()
-            .map(|cfg| Offload::init(rank, ctx.clone(), cluster.clone(), &inbox, cfg));
+        let peer = 1 - h.rank;
         let mut total_us = 0.0;
         for i in 0..(warmup + iters) {
-            mpi.barrier().await;
-            let t0 = ctx.now();
+            h.mpi.barrier().await;
+            let t0 = h.ctx().now();
             let tag = 2 * i as u64;
-            match &off {
-                None => {
-                    let s = mpi.isend(sbuf, size, peer, tag);
-                    let r = mpi.irecv(rbuf, size, peer, tag);
-                    mpi.wait_all(&[s, r]).await;
-                }
-                Some(off) => {
-                    let s = off.send_offload(sbuf, size, peer, tag);
-                    let r = off.recv_offload(rbuf, size, peer, tag);
-                    off.wait_all(&[s, r]).await;
-                }
+            let reqs = match &h.engine {
+                Engine::Proposed(off) => [
+                    Pending::Off(off.send_offload(sbuf, size, peer, tag)),
+                    Pending::Off(off.recv_offload(rbuf, size, peer, tag)),
+                ],
+                _ => [
+                    Pending::Mpi(h.mpi.isend(sbuf, size, peer, tag)),
+                    Pending::Mpi(h.mpi.irecv(rbuf, size, peer, tag)),
+                ],
+            };
+            for r in reqs {
+                h.wait(r).await;
             }
-            let us = (ctx.now() - t0).as_us_f64();
+            let us = (h.ctx().now() - t0).as_us_f64();
             if i >= warmup {
                 total_us += us;
             }
         }
-        if let Some(off) = &off {
-            // Quiesce before finalize: every request already waited.
-            off.finalize().await;
-        }
-        if rank == 0 {
+        if h.rank == 0 {
             collect(&out2, total_us / iters as f64);
         }
-    };
-
-    builder.run_async(body, proxy_fn).expect("pingpong run");
+    });
     take(&out)
 }
 
@@ -100,9 +60,14 @@ mod tests {
 
     #[test]
     fn staging_is_slowest_for_large_messages() {
-        let host = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Host);
-        let gvmi = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Gvmi);
-        let staging = nonblocking_pingpong_us(256 * 1024, 3, 2, P2pEngine::Staging);
+        let host = nonblocking_pingpong_us(256 * 1024, 3, 2, Runtime::Intel);
+        let gvmi = nonblocking_pingpong_us(256 * 1024, 3, 2, Runtime::proposed());
+        let staging = nonblocking_pingpong_us(
+            256 * 1024,
+            3,
+            2,
+            Runtime::Proposed(offload::OffloadConfig::staging()),
+        );
         assert!(
             staging > host * 1.3,
             "staging {staging}us should clearly exceed host {host}us (paper Fig. 4)"
@@ -115,8 +80,8 @@ mod tests {
 
     #[test]
     fn latencies_are_positive_and_ordered_by_size() {
-        let small = nonblocking_pingpong_us(1024, 3, 1, P2pEngine::Host);
-        let large = nonblocking_pingpong_us(1 << 20, 3, 1, P2pEngine::Host);
+        let small = nonblocking_pingpong_us(1024, 3, 1, Runtime::Intel);
+        let large = nonblocking_pingpong_us(1 << 20, 3, 1, Runtime::Intel);
         assert!(small > 0.0 && large > small);
     }
 }

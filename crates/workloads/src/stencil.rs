@@ -11,9 +11,9 @@
 use std::sync::Arc;
 
 use rdma::ClusterSpec;
-use simnet::{SimDelta, StatKey};
+use simnet::SimDelta;
 
-use crate::harness::{collect, collector, run_workload, take, Harness, Runtime};
+use crate::harness::{collect, collector, run_workload, take, Engine, Harness, Pending, Runtime};
 use crate::overlap::OverlapResult;
 
 /// Near-cubic factorization of `p` into three factors, largest spread
@@ -82,56 +82,33 @@ fn opposite(dir: u64) -> u64 {
     dir ^ 1
 }
 
-enum FaceReq {
-    Mpi(minimpi::Req),
-    Off(offload::OffloadReq),
-}
-
 fn exchange(
     h: &Harness,
     nb: &Neighbors,
     bufs: &[(rdma::VAddr, rdma::VAddr)],
     round: u64,
-) -> Vec<FaceReq> {
+) -> Vec<Pending> {
     let my_node = h.cluster().spec().node_of_rank(h.rank);
     let mut reqs = Vec::with_capacity(nb.faces.len() * 2);
     for (i, &(peer, bytes, dir)) in nb.faces.iter().enumerate() {
         let (sbuf, rbuf) = bufs[i];
         let peer_node = h.cluster().spec().node_of_rank(peer);
-        // Proposed runtime: offload inter-node faces; intra-node stays on
-        // host MPI (paper §VIII-A).
-        let use_off = h.off.is_some() && peer_node != my_node;
         let stag = round * 16 + dir;
         let rtag = round * 16 + opposite(dir);
-        if use_off {
-            let off = h.off.as_ref().expect("checked");
-            reqs.push(FaceReq::Off(off.send_offload(sbuf, bytes, peer, stag)));
-            reqs.push(FaceReq::Off(off.recv_offload(rbuf, bytes, peer, rtag)));
-        } else {
-            reqs.push(FaceReq::Mpi(h.mpi.isend(sbuf, bytes, peer, stag)));
-            reqs.push(FaceReq::Mpi(h.mpi.irecv(rbuf, bytes, peer, rtag)));
-        }
+        reqs.extend(match &h.engine {
+            // Proposed runtime: offload inter-node faces; intra-node stays
+            // on host MPI (paper §VIII-A).
+            Engine::Proposed(off) if peer_node != my_node => [
+                Pending::Off(off.send_offload(sbuf, bytes, peer, stag)),
+                Pending::Off(off.recv_offload(rbuf, bytes, peer, rtag)),
+            ],
+            _ => [
+                Pending::Mpi(h.mpi.isend(sbuf, bytes, peer, stag)),
+                Pending::Mpi(h.mpi.irecv(rbuf, bytes, peer, rtag)),
+            ],
+        });
     }
     reqs
-}
-
-async fn wait_faces(h: &Harness, reqs: Vec<FaceReq>) {
-    for r in reqs {
-        let t0 = h.ctx().now();
-        match r {
-            FaceReq::Mpi(r) => {
-                h.mpi.wait(r).await;
-                static WAIT_MPI: StatKey = StatKey::new("stencil.wait.mpi");
-                h.ctx().stat_time(&WAIT_MPI, h.ctx().now() - t0);
-            }
-            FaceReq::Off(r) => {
-                let off = h.off.as_ref().expect("offload req");
-                off.wait(r).await;
-                static WAIT_OFF: StatKey = StatKey::new("stencil.wait.off");
-                h.ctx().stat_time(&WAIT_OFF, h.ctx().now() - t0);
-            }
-        }
-    }
 }
 
 /// Run the 3-D stencil benchmark: `n³` grid on `nodes × ppn` ranks for
@@ -167,7 +144,9 @@ pub fn stencil3d(
             if with_compute {
                 h.ctx().compute_async(compute).await;
             }
-            wait_faces(h, reqs).await;
+            for r in reqs {
+                h.wait(r).await;
+            }
             h.elapsed_max_us(t0).await
         };
         for _ in 0..warmup {

@@ -10,7 +10,7 @@ mod common;
 use std::sync::Arc;
 use std::thread::{self, ThreadId};
 
-use bluefield_offload::apps::{run_workload, with_observer, Harness, Observer, Runtime};
+use bluefield_offload::apps::{run_workload, with_observer, Engine, Harness, Observer, Runtime};
 use bluefield_offload::net::ClusterSpec;
 use bluefield_offload::sim::{Emitted, EventSink, Pid};
 use common::{all_ran_on_the_caller, note, os_threads, Seen};
@@ -52,15 +52,17 @@ fn a_workload_runs_every_rank_and_proxy_on_the_caller_under_every_runtime() {
                 let ep = h.cluster().host_ep(h.rank);
                 let p = h.size() as u64;
                 let (sendbuf, recvbuf) = (fab.alloc(ep, BLOCK * p), fab.alloc(ep, BLOCK * p));
-                if let Some(off) = &h.off {
-                    let g = off.record_alltoall(sendbuf, recvbuf, BLOCK);
-                    off.group_call(g).await;
-                    off.group_wait(g).await.expect("group offload failed");
-                } else if let Some(blues) = &h.blues {
-                    let r = blues.ialltoall(sendbuf, recvbuf, BLOCK).await;
-                    blues.wait(r).await;
-                } else {
-                    h.mpi.alltoall(sendbuf, recvbuf, BLOCK).await;
+                match &h.engine {
+                    Engine::Proposed(off) => {
+                        let g = off.record_alltoall(sendbuf, recvbuf, BLOCK);
+                        off.group_call(g).await;
+                        off.group_wait(g).await.expect("group offload failed");
+                    }
+                    Engine::Blues(blues) => {
+                        let r = blues.ialltoall(sendbuf, recvbuf, BLOCK).await;
+                        blues.wait(r).await;
+                    }
+                    Engine::Intel => h.mpi.alltoall(sendbuf, recvbuf, BLOCK).await,
                 }
                 note(&ranks_seen, format!("rank{}", h.rank));
             })
