@@ -36,7 +36,7 @@ fn barrier_synchronizes() {
 
 /// How [`check_bcast`] broadcasts.
 #[derive(Clone, Copy)]
-enum Bcast {
+enum BcastKind {
     Binomial,
     Ring,
     /// A binomial `ibcast` polled with `test` between compute slices
@@ -44,7 +44,7 @@ enum Bcast {
     PolledIbcast,
 }
 
-fn check_bcast(nodes: usize, ppn: usize, len: u64, how: Bcast) {
+fn check_bcast(nodes: usize, ppn: usize, len: u64, how: BcastKind) {
     let spec = ClusterSpec::new(nodes, ppn);
     ClusterBuilder::new(spec, 5)
         .run_async(
@@ -58,9 +58,9 @@ fn check_bcast(nodes: usize, ppn: usize, len: u64, how: Bcast) {
                     fab.fill_pattern(ep, buf, len, 77).unwrap();
                 }
                 match how {
-                    Bcast::Binomial => mpi.bcast(root, buf, len).await,
-                    Bcast::Ring => mpi.ring_bcast(root, buf, len).await,
-                    Bcast::PolledIbcast => {
+                    BcastKind::Binomial => mpi.bcast(root, buf, len).await,
+                    BcastKind::Ring => mpi.ring_bcast(root, buf, len).await,
+                    BcastKind::PolledIbcast => {
                         let r = mpi.ibcast(root, buf, len);
                         while !mpi.test(r) {
                             mpi.ctx().compute_async(SimDelta::from_us(5)).await;
@@ -79,22 +79,22 @@ fn check_bcast(nodes: usize, ppn: usize, len: u64, how: Bcast) {
 
 #[test]
 fn binomial_bcast_small() {
-    check_bcast(2, 2, 512, Bcast::Binomial);
+    check_bcast(2, 2, 512, BcastKind::Binomial);
 }
 
 #[test]
 fn binomial_bcast_large_odd_world() {
-    check_bcast(3, 3, 128 * 1024, Bcast::Binomial);
+    check_bcast(3, 3, 128 * 1024, BcastKind::Binomial);
 }
 
 #[test]
 fn ring_bcast_delivers_everywhere() {
-    check_bcast(2, 3, 64 * 1024, Bcast::Ring);
+    check_bcast(2, 3, 64 * 1024, BcastKind::Ring);
 }
 
 #[test]
 fn polled_ibcast_delivers_everywhere() {
-    check_bcast(2, 2, 16 * 1024, Bcast::PolledIbcast);
+    check_bcast(2, 2, 16 * 1024, BcastKind::PolledIbcast);
 }
 
 #[test]

@@ -17,7 +17,8 @@
 //! This module is the one place that knows which engine a rank's runtime
 //! adds: a workload starts an operation as a [`Pending`] and hands it
 //! back to [`Harness::wait`], and [`Persistent`] is the one non-blocking
-//! all-to-all / allgather set-up every collective workload shares.
+//! all-to-all / allgather set-up (Figs. 13–14 and 16 and the allgather
+//! extension share it).
 
 use std::ops::AsyncFn;
 use std::sync::Arc;
