@@ -208,9 +208,4 @@ impl BluesMpi {
             .await
             .expect("group offload failed");
     }
-
-    /// Non-blocking completion check.
-    pub fn test(&self, r: BluesReq) -> bool {
-        self.off.group_test(r.0)
-    }
 }

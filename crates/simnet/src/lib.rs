@@ -3,14 +3,15 @@
 //! `simnet` is the substrate under the whole repository: a sequential,
 //! bit-for-bit reproducible discrete-event simulator with a virtual clock
 //! in integer picoseconds, run by one loop on the thread that calls
-//! [`Simulation::run`]. A "process" comes in two kinds: an `async` body
-//! the scheduler polls on that thread ([`Simulation::spawn_future`]),
-//! which is what every process of a simulated cluster and every rank of
-//! the scale workloads is; or an ordinary Rust closure on a dedicated OS
-//! thread ([`Simulation::spawn`]), where a per-process baton guarantees
-//! that at most one thread executes at a time, so simulated code can use
-//! natural blocking control flow (the engine's own kernel tests and the
-//! thread-hand-off rungs of the protocol benchmark).
+//! [`Simulation::run`]. Every "process" is a future the scheduler polls
+//! on that thread. Its body is an `async` block
+//! ([`Simulation::spawn_future`]), which is what every process of a
+//! simulated cluster and every rank of the scale workloads is, or an
+//! ordinary Rust closure on a dedicated OS thread ([`Simulation::spawn`]):
+//! a poll wakes that thread and parks the scheduler's thread until the
+//! closure blocks or ends, so at most one thread executes at a time and
+//! simulated code can use natural blocking control flow (the engine's own
+//! kernel tests and the thread-hand-off rungs of the protocol benchmark).
 //!
 //! The crates above this one model an HPC cluster: `rdma` adds verbs-style
 //! NICs, memory registration and GVMI keys; `minimpi` adds an MPI-like

@@ -3,21 +3,17 @@
 //!
 //! # Execution model
 //!
-//! At most one thread runs at a time: the loop's owner (the caller of
-//! [`Simulation::run`]) or exactly one process thread. A future process
-//! ([`Simulation::spawn_future`]) has no thread: the owner polls it.
-//! Control is handed to a thread-backed process ([`Simulation::spawn`])
-//! through per-thread batons. The loop:
+//! The loop runs on the thread that calls [`Simulation::run`], and every
+//! process is a future it polls there. A thread-backed process
+//! ([`Simulation::spawn`]) is a future over its OS thread: a poll wakes
+//! the thread and parks the loop's thread until the closure blocks or
+//! ends, so at most one thread runs at a time and only the loop's thread
+//! takes a loop step. The loop:
 //!
-//! 1. runs every `Ready` process until it blocks (a future: until it is
-//!    pending),
+//! 1. polls every `Ready` process until it is pending,
 //! 2. pops the earliest pending event, advances the clock, and handles it
 //!    (which may make processes `Ready` again),
 //! 3. repeats until no events remain.
-//!
-//! A process thread that blocks takes the loop's next step itself and
-//! wakes its successor directly; the owner sleeps until a step needs it
-//! (a future is next, the run is over, something failed).
 //!
 //! If processes are still blocked when the queue drains, the run reports a
 //! **deadlock** naming them. If the clock stops advancing while processes
@@ -45,8 +41,8 @@ use parking_lot::Mutex;
 use crate::emit::{EmitBuffer, EventSink};
 use crate::event::{EventKind, EventQueue};
 use crate::process::{
-    drive, hand_off, process_thread, take_leftovers, Baton, BlockReason, FutureInit, Futures,
-    LocalFuture, LoopState, Payload, Pid, ProcKind, ProcSlot, ProcStatus, Step,
+    Batons, BlockReason, FutureInit, Futures, LocalFuture, Payload, Pid, ProcSlot, ProcStatus,
+    ThreadProc,
 };
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
@@ -165,6 +161,72 @@ pub(crate) struct SimState {
     fatal: Option<String>,
 }
 
+/// Maximum process executions without the clock advancing before the engine
+/// declares a livelock. Generous: legitimate same-instant cascades (e.g. a
+/// 512-rank barrier release) touch each process a handful of times.
+pub(crate) const LIVELOCK_LIMIT: u64 = 50_000_000;
+
+impl SimState {
+    /// The loop's next step: the first ready process, marked `Running`,
+    /// with its init closure on its first activation; else events until
+    /// one readies a process. `None` ends the loop: no event is left, or
+    /// an error or a panic is pending.
+    fn step(&mut self, clock: &Clock, stats: &StatTable) -> Option<(u32, Option<FutureInit>)> {
+        if self.fatal.is_some() || self.error.is_some() {
+            return None;
+        }
+        if self.execs > LIVELOCK_LIMIT {
+            self.error = Some(SimError::Livelock { now: clock.get() });
+            return None;
+        }
+        loop {
+            // Phase 1: the next ready process.
+            if let Some(key) = self.ready.pop_front() {
+                let slot = &mut self.procs[key as usize];
+                debug_assert_eq!(slot.status, ProcStatus::Ready);
+                slot.status = ProcStatus::Running;
+                self.execs += 1;
+                return Some((key, slot.init.take()));
+            }
+            // Phase 2: advance to the next event.
+            let at = self.queue.peek_at()?;
+            debug_assert!(at >= clock.get(), "event in the past");
+            if let Some(limit) = self.time_limit.filter(|&limit| at > limit) {
+                self.error = Some(SimError::TimeLimitExceeded { limit });
+                return None;
+            }
+            let ev = self.queue.pop().expect("peeked event");
+            if ev.at > clock.get() {
+                clock.set(ev.at);
+                self.execs = 0;
+            }
+            self.events += 1;
+            match ev.kind {
+                EventKind::Wake(pid) => {
+                    let slot = &mut self.procs[pid.index()];
+                    debug_assert_eq!(slot.status, ProcStatus::Blocked(BlockReason::Sleep));
+                    slot.status = ProcStatus::Ready;
+                    self.ready.push_back(pid.0);
+                }
+                EventKind::Deliver(pid, payload) => {
+                    let slot = &mut self.procs[pid.index()];
+                    if slot.status == ProcStatus::Finished {
+                        static DELIVER_TO_FINISHED: StatKey =
+                            StatKey::new("simnet.deliver_to_finished");
+                        stats.incr(&DELIVER_TO_FINISHED, 1);
+                    } else {
+                        slot.mailbox.push_back(payload);
+                        if slot.status == ProcStatus::Blocked(BlockReason::WaitMessage) {
+                            slot.status = ProcStatus::Ready;
+                            self.ready.push_back(pid.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 pub(crate) struct SimInner {
     state: Mutex<SimState>,
     /// The clock: set by the loop's step, read without the lock.
@@ -174,8 +236,6 @@ pub(crate) struct SimInner {
     /// Tracing is on. Set before `run()` starts and never after, so an
     /// untraced run checks it without the lock.
     traced: AtomicBool,
-    /// Where `run()`'s caller parks while process threads carry the loop.
-    owner: Baton,
     /// The event sink, sealed when `run()` starts; unset means none, so
     /// an emit without a sink takes no lock.
     sink: OnceLock<EventSink>,
@@ -215,17 +275,14 @@ pub struct OpenSpan {
     name: String,
 }
 
-/// Stack size of a process thread.
-const STACK_SIZE: usize = 1 << 20;
-
 /// Handle given to each simulated process. Cheap to clone.
 #[derive(Clone)]
 pub struct ProcessCtx {
     pub(crate) inner: Arc<SimInner>,
     pub(crate) pid: Pid,
-    /// The baton a thread-backed process parks on; `None` for a future
-    /// process, which runs on the loop owner's thread.
-    pub(crate) baton: Option<Arc<Baton>>,
+    /// What a thread-backed process's blocking calls park on; `None` for
+    /// an `async` body, which runs on `run()`'s thread.
+    pub(crate) batons: Option<Arc<Batons>>,
 }
 
 impl Simulation {
@@ -250,7 +307,6 @@ impl Simulation {
                 clock: Clock::new(),
                 stats: StatTable::new(),
                 traced: AtomicBool::new(false),
-                owner: Baton::new(),
                 sink: OnceLock::new(),
             }),
             sink: None,
@@ -276,37 +332,53 @@ impl Simulation {
     }
 
     /// Spawn a thread-backed process: `f` runs on an OS thread of its own
-    /// and waits in blocking calls. It becomes runnable at time zero.
+    /// and waits in blocking calls. It becomes runnable at time zero. The
+    /// scheduler polls it as a future over that thread.
     pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(ProcessCtx) + Send + 'static,
     {
-        spawn_process(&self.inner, name.into(), f)
+        let name = name.into();
+        let batons = Arc::new(Batons::new());
+        self.add(name.clone(), Some(Arc::clone(&batons)), |ctx| {
+            let proc = ThreadProc::spawn(name, batons, move || f(ctx));
+            Box::new(move || Box::pin(proc) as LocalFuture)
+        })
     }
 
     /// Spawn a **future process**: a pid, a name, a mailbox and a
     /// [`ProcReport`] entry like any other, but no thread. `f` runs at the
     /// first activation, on [`run`](Self::run)'s thread, and returns the
-    /// (not necessarily `Send`) body, which the scheduler then polls
-    /// wherever it would hand a thread the baton. The body waits only by
-    /// awaiting the `ProcessCtx` `*_async` waits (pending on anything
-    /// else is reported as a panic of the process); the blocking calls
-    /// panic.
+    /// (not necessarily `Send`) body, which the scheduler then polls. The
+    /// body waits only by awaiting the `ProcessCtx` `*_async` waits
+    /// (pending on anything else is reported as a panic of the process);
+    /// the blocking calls panic.
     pub fn spawn_future<I, F>(&mut self, name: impl Into<String>, f: I) -> Pid
     where
         I: FnOnce(ProcessCtx) -> F + Send + 'static,
         F: Future<Output = ()> + 'static,
     {
-        let mut st = self.inner.state.lock();
-        let pid = Pid(st.procs.len() as u32);
-        let ctx = ProcessCtx {
+        self.add(name.into(), None, |ctx| {
+            Box::new(move || Box::pin(f(ctx)) as LocalFuture)
+        })
+    }
+
+    /// Add a process, runnable at time zero, whose first poll runs the
+    /// init closure that `init` makes from its context.
+    fn add(
+        &mut self,
+        name: String,
+        batons: Option<Arc<Batons>>,
+        init: impl FnOnce(ProcessCtx) -> FutureInit,
+    ) -> Pid {
+        let pid = Pid(self.inner.state.lock().procs.len() as u32);
+        let init = init(ProcessCtx {
             inner: Arc::clone(&self.inner),
             pid,
-            baton: None,
-        };
-        let init: FutureInit = Box::new(move || Box::pin(f(ctx)) as LocalFuture);
-        st.procs
-            .push(ProcSlot::new(name.into(), ProcKind::Future(Some(init))));
+            batons,
+        });
+        let mut st = self.inner.state.lock();
+        st.procs.push(ProcSlot::new(name, init));
         st.ready.push_back(pid.0);
         pid
     }
@@ -319,28 +391,24 @@ impl Simulation {
     /// Run to completion. Returns the report, or an error describing a
     /// deadlock / livelock / time-limit overrun. Panics raised inside a
     /// simulated process are re-raised here with the process name attached.
-    pub fn run(self) -> Result<Report, SimError> {
-        let inner = self.inner;
-        if let Some(sink) = self.sink {
+    pub fn run(mut self) -> Result<Report, SimError> {
+        let inner = Arc::clone(&self.inner);
+        if let Some(sink) = self.sink.take() {
             // `run` consumes the simulation: this is the only seal.
             let _ = inner.sink.set(sink);
         }
         let mut futures = Futures::default();
-        drive(
-            &inner.owner,
-            || step(&inner, true),
-            |next| match next {
-                Step::Poll(key, init) => poll_future(&inner, &mut futures, key, init),
-                Step::Process(_) | Step::Owner => unreachable!("drive runs these itself"),
-            },
-        );
-        // The run is over, however it ended: free what still-waiting
-        // futures hold, and let no thread outlive it. Then
-        // the sink gets what is still buffered, before any error or panic
-        // surfaces.
-        let left = take_leftovers(&mut inner.state.lock().procs);
+        loop {
+            let next = inner.state.lock().step(&inner.clock, &inner.stats);
+            let Some((key, init)) = next else { break };
+            poll_future(&inner, &mut futures, key, init);
+        }
+        // The run is over, however it ended: drop every body still
+        // waiting and every process never polled (which cancels and joins
+        // their threads), so nothing outlives it. Then the sink gets what
+        // is still buffered, before any error or panic surfaces.
         drop(futures);
-        left.release();
+        drop_unstarted(&inner);
         flush_emits(&inner);
         let mut st = inner.state.lock();
         if let Some(msg) = st.fatal.take() {
@@ -400,32 +468,28 @@ fn flush_emits(inner: &SimInner) {
     }
 }
 
-/// The loop's next step ([`LoopState::step`]).
-fn step(inner: &SimInner, owner: bool) -> Step {
-    let mut guard = inner.state.lock();
-    let st = &mut *guard;
-    let view = LoopState {
-        clock: &inner.clock,
-        queue: &mut st.queue,
-        slots: &mut st.procs,
-        ready: &mut st.ready,
-        stats: &inner.stats,
-        events: &mut st.events,
-        execs: &mut st.execs,
-        error: &mut st.error,
-        panicked: st.fatal.is_some(),
-        time_limit: st.time_limit,
+impl Drop for Simulation {
+    /// A simulation dropped without [`run`](Simulation::run) still holds
+    /// its processes' init closures, whose `ProcessCtx`s point back at the
+    /// state that owns them: drop them, which frees that state and
+    /// cancels and joins every parked process thread.
+    fn drop(&mut self) {
+        drop_unstarted(&self.inner);
+    }
+}
+
+/// Drop the init closures of processes never polled, outside the state
+/// lock: a dropped closure may still make non-blocking ctx calls, and a
+/// cancelled thread's unwinding one too.
+fn drop_unstarted(inner: &SimInner) {
+    let inits: Vec<FutureInit> = {
+        let mut st = inner.state.lock();
+        st.procs.iter_mut().filter_map(|p| p.init.take()).collect()
     };
-    view.step(owner)
+    drop(inits);
 }
 
-/// A process thread whose process has just blocked (`me`) or exited
-/// (`None`) carries the loop on from here.
-fn carry(inner: &SimInner, me: Option<&Baton>) {
-    hand_off(me, &inner.owner, step(inner, false));
-}
-
-/// Poll the future process at slot `key`, on the owner's thread. A body
+/// Poll the process at slot `key`, on `run()`'s thread. A body
 /// left pending must have set its process's status through a
 /// `ProcessCtx` wait; one that returned or panicked finishes the
 /// process.
@@ -445,53 +509,6 @@ fn poll_future(inner: &SimInner, futures: &mut Futures, key: u32, init: Option<F
     if let Some(msg) = st.procs[i].exited(now, panic) {
         st.fatal = Some(msg);
     }
-}
-
-fn spawn_process<F>(inner: &Arc<SimInner>, name: String, f: F) -> Pid
-where
-    F: FnOnce(ProcessCtx) + Send + 'static,
-{
-    let baton = Arc::new(Baton::new());
-    let pid = {
-        let mut st = inner.state.lock();
-        let pid = Pid(st.procs.len() as u32);
-        let kind = ProcKind::Thread {
-            baton: Arc::clone(&baton),
-            join: None,
-        };
-        st.procs.push(ProcSlot::new(name.clone(), kind));
-        st.ready.push_back(pid.0);
-        pid
-    };
-    let ctx = ProcessCtx {
-        inner: Arc::clone(inner),
-        pid,
-        baton: Some(Arc::clone(&baton)),
-    };
-    let tinner = Arc::clone(inner);
-    let handle = std::thread::Builder::new()
-        .name(name)
-        .stack_size(STACK_SIZE)
-        .spawn(move || {
-            process_thread(
-                &baton,
-                move || f(ctx),
-                |panic| {
-                    let now = tinner.clock.get();
-                    let mut st = tinner.state.lock();
-                    if let Some(msg) = st.procs[pid.index()].exited(now, panic) {
-                        st.fatal = Some(msg);
-                    }
-                    drop(st);
-                    carry(&tinner, None);
-                },
-            )
-        })
-        .expect("failed to spawn process thread");
-    if let ProcKind::Thread { join, .. } = &mut inner.state.lock().procs[pid.index()].kind {
-        *join = Some(handle);
-    }
-    pid
 }
 
 /// A new FIFO resource.
@@ -620,10 +637,9 @@ impl ProcessCtx {
 
     /// The one check every blocking call makes before it touches any
     /// state: only a thread has somewhere to park. Then poll `fut`,
-    /// parking the thread — and carrying the loop on — each time it is
-    /// pending.
+    /// handing control back to `run()`'s thread each time it is pending.
     fn blocking<F: Future>(&self, call: &str, fut: F) -> F::Output {
-        let baton = self.baton.as_ref().unwrap_or_else(|| {
+        let batons = self.batons.as_ref().unwrap_or_else(|| {
             panic!(
                 "blocking ProcessCtx::{call} called from future process '{}': it runs on \
                  the scheduler's thread and has no thread to park",
@@ -641,7 +657,7 @@ impl ProcessCtx {
                 ProcStatus::Running,
                 "ProcessCtx::{call}: pending on something other than a ProcessCtx wait"
             );
-            carry(&self.inner, Some(baton));
+            batons.block();
         }
     }
 
@@ -894,15 +910,21 @@ mod tests {
     }
 
     #[test]
-    fn a_livelock_is_detected_by_a_carrying_process_thread() {
+    fn a_livelock_of_thread_processes_is_detected() {
         let mut sim = Simulation::new(0);
-        // Alone in the loop, the spinner is always its own successor: its
-        // thread takes every step and the owner only hears of the error.
+        // Four passers-by, parked in a sleep when the bound is hit, and a
+        // spinner that yields for ever at time zero.
+        for lane in 0..4 {
+            sim.spawn(format!("passer-by{lane}"), |ctx| {
+                ctx.sleep(SimDelta::from_us(1));
+                ctx.yield_now();
+            });
+        }
         sim.spawn("spinner", |ctx| loop {
             ctx.yield_now();
         });
         // Wind the guard forward: the real bound takes seconds to reach.
-        sim.inner.state.lock().execs = crate::process::LIVELOCK_LIMIT - 1000;
+        sim.inner.state.lock().execs = LIVELOCK_LIMIT - 1000;
         match sim.run() {
             Err(SimError::Livelock { now }) => assert_eq!(now, SimTime::ZERO),
             other => panic!("expected a livelock, got {other:?}"),

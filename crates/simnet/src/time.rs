@@ -78,11 +78,11 @@ impl SimTime {
 /// its locked state so that [`ProcessCtx::now`](crate::ProcessCtx::now)
 /// is one load.
 ///
-/// Relaxed is enough. Only the thread that has control of the loop sets
-/// the clock (in the loop's step, under the state lock) or reads it, and
-/// control only changes hands through a mutex: a baton or the state lock
-/// itself. That hand-off orders every earlier set
-/// before every later read.
+/// Relaxed is enough. Only `run()`'s thread sets the clock (in the
+/// loop's step, under the state lock), only the thread that has control
+/// reads it, and control only changes hands through a mutex: a baton or
+/// the state lock itself. That hand-off orders every earlier set before
+/// every later read.
 pub(crate) struct Clock(AtomicU64);
 
 impl Clock {

@@ -1,9 +1,9 @@
 //! Future processes (`Simulation::spawn_future`), a classic-loop feature.
 //!
-//! The owner polls a future exactly where it would hand a thread the
-//! baton, so swapping a thread-backed process for a future one must
-//! change nothing the engine reports: delivery order, times, event
-//! counts, error shapes. Only the OS thread that runs the body changes.
+//! `run()`'s thread polls an `async` body exactly where it would poll a
+//! thread-backed process, so swapping one for the other must change
+//! nothing the engine reports: delivery order, times, event counts,
+//! error shapes. Only the OS thread that runs the body changes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

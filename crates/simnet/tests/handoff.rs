@@ -1,11 +1,11 @@
-//! The thread hand-off: a process thread that blocks or exits takes the
-//! loop's next step itself and wakes its successor directly, and only
-//! falls back to the loop's owner (`run()`'s caller) when a future is
-//! next, the run is over, or something failed.
+//! Thread-backed processes beside futures. A thread process is a future
+//! over its OS thread: a poll wakes the thread and parks `run()`'s thread
+//! until the closure blocks or ends, so every loop step, and every poll
+//! of an `async` body, happens on `run()`'s thread.
 //!
 //! None of that may be visible in a result. A case is built as
-//! independent *lanes* of processes, all in the one loop, so threads of
-//! different lanes follow each other directly.
+//! independent *lanes* of processes, all in the one loop, so the threads
+//! of different lanes take turns.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,7 +39,7 @@ fn panic_text(f: impl FnOnce()) -> String {
 }
 
 #[test]
-fn a_process_that_is_its_own_successor_just_carries_on() {
+fn a_lone_thread_process_waits_and_ends_at_its_known_time() {
     // One process in the loop: whenever it blocks, it is next.
     let mut sim = Simulation::new(3);
     sim.spawn("yielder", |ctx| {
@@ -76,9 +76,8 @@ struct Seen {
 
 /// Per lane, a token ring thread → thread → future → thread in one
 /// loop: `t0` starts the token, `t1` computes before forwarding
-/// it, the future reserves a resource, `t3` yields once. Every hand-off
-/// shape occurs: thread to thread, thread to owner (the future), owner
-/// to thread.
+/// it, the future reserves a resource, `t3` yields once. A thread's
+/// turn follows a thread's and a future's, and a future's a thread's.
 fn mixed_ring() -> (Report, Seen) {
     const LAPS: u64 = 5;
     let mut sim = Simulation::new(3);
@@ -158,7 +157,6 @@ fn a_future_is_never_entered_on_a_process_thread() {
         seen.future_threads.is_disjoint(&seen.process_threads),
         "a future was polled on a process thread"
     );
-    // The owner is run()'s caller.
     let caller = std::thread::current().id();
     assert_eq!(seen.future_threads, HashSet::from([caller]));
 }
@@ -168,10 +166,9 @@ fn a_panic_in_a_process_woken_by_another_process_thread_is_reraised() {
     let text = panic_text(|| {
         let mut sim = Simulation::new(3);
         for lane in 0..LANES {
-            // `boom` blocks first, so `waker`'s first activation comes
-            // from boom's thread; waker then blocks and its own thread
-            // pops the delivery and wakes boom, which panics with the
-            // owner asleep throughout.
+            // `boom` blocks first; `waker`'s delivery readies it a
+            // microsecond later, and its thread panics while `run()`'s
+            // thread is parked in the poll.
             let boom = sim.spawn(format!("boom{lane}"), |ctx| {
                 let _ = ctx.recv();
                 panic!("bang");
@@ -187,7 +184,7 @@ fn a_panic_in_a_process_woken_by_another_process_thread_is_reraised() {
 }
 
 #[test]
-fn a_deadlock_is_detected_while_a_process_thread_carries_the_loop() {
+fn a_deadlock_of_thread_processes_is_detected() {
     let mut sim = Simulation::new(3);
     for lane in 0..LANES {
         sim.spawn(format!("a{lane}"), |ctx| {
@@ -198,7 +195,7 @@ fn a_deadlock_is_detected_while_a_process_thread_carries_the_loop() {
             let _ = ctx.recv();
         });
     }
-    // The last thing to happen is a's thread finding the queue empty.
+    // The last event is each `a`'s wake-up; then the queue is empty.
     match sim.run() {
         Err(SimError::Deadlock { now, blocked }) => {
             assert_eq!(now, SimTime::ZERO + us(2));
@@ -216,13 +213,12 @@ fn a_deadlock_is_detected_while_a_process_thread_carries_the_loop() {
 }
 
 #[test]
-fn the_time_limit_is_enforced_while_a_process_thread_carries_the_loop() {
+fn the_time_limit_is_enforced_on_thread_processes() {
     let mut sim = Simulation::new(3);
     let limit = SimTime::ZERO + ns(700);
     sim.set_time_limit(limit);
     for lane in 0..LANES {
-        // The third wake-up lies past the limit; the sleeper's own
-        // thread is the one that looks at it.
+        // The third wake-up lies past the limit.
         sim.spawn(format!("sleeper{lane}"), |ctx| loop {
             ctx.sleep(ns(300));
         });
@@ -234,13 +230,14 @@ fn the_time_limit_is_enforced_while_a_process_thread_carries_the_loop() {
 }
 
 /// The livelock bound is a constant, 50 million executions: seconds of
-/// zero-switch yields in a release build, a minute in a debug one.
-/// `ci.sh` runs this case with `--release -- --ignored`; the loop's
-/// detection path is also covered, with the counter pre-wound, by
-/// `sim::tests::a_livelock_is_detected_by_a_carrying_process_thread`.
+/// `yield_async` polls in a release build, minutes in a debug one.
+/// `ci.sh` runs this case with `--release -- --ignored`. The spinner is a
+/// future, which yields without a thread switch; a thread spinner pays two
+/// per yield, so `sim::tests::a_livelock_of_thread_processes_is_detected`
+/// checks one with the counter pre-wound.
 #[test]
 #[ignore = "spins to the 50 M livelock bound; ci.sh runs it in release"]
-fn a_livelock_is_detected_while_a_process_thread_carries_the_loop() {
+fn a_livelock_is_detected_at_the_real_bound() {
     let mut sim = Simulation::new(3);
     for lane in 0..LANES {
         sim.spawn(format!("passer-by{lane}"), |ctx| {
@@ -248,13 +245,11 @@ fn a_livelock_is_detected_while_a_process_thread_carries_the_loop() {
             ctx.yield_now();
         });
     }
-    // Always ready and, once its neighbours have gone, always its own
-    // successor: the clock cannot move and the owner never gets a look
-    // in.
-    sim.spawn("spinner", |ctx| {
-        ctx.sleep(us(1));
+    // Always ready once its neighbours have gone: the clock cannot move.
+    sim.spawn_future("spinner", async |ctx| {
+        ctx.sleep_async(us(1)).await;
         loop {
-            ctx.yield_now();
+            ctx.yield_async().await;
         }
     });
     match sim.run() {

@@ -1,7 +1,9 @@
 //! A run that fails — deadlock, time limit, a process panic — ends with
 //! process threads still parked inside blocking calls. `run()` must cancel
 //! and join them: the checker's explorer and the fault soak produce such
-//! runs by the thousand.
+//! runs by the thousand. A simulation dropped without `run()` has every
+//! process thread parked before its first instruction; dropping it must
+//! cancel and join those.
 //!
 //! One test, alone in its binary: it counts the OS threads of the whole
 //! process, which a neighbouring test would disturb.
@@ -60,8 +62,12 @@ fn stuck_sim() -> Simulation {
 }
 
 #[test]
-fn failed_runs_leave_no_thread_behind() {
+fn no_simulation_leaves_a_thread_behind() {
     let before = os_threads();
+    for _ in 0..20 {
+        drop(stuck_sim());
+    }
+    assert_threads(before, "dropped without run()");
     for _ in 0..50 {
         let sim = stuck_sim();
         assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));

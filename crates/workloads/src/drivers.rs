@@ -121,34 +121,7 @@ impl CheckRun {
 /// iterations. Exercises RTS/RTR matching, cross-registration, the GVMI
 /// caches and FIN delivery on both intra- and inter-node paths.
 pub fn drive_stencil(run: &CheckRun, face_bytes: u64, rounds: u64) -> Result<Report, SimError> {
-    run.run_offload(async move |off| {
-        let p = off.size();
-        if p < 2 {
-            return;
-        }
-        let fab = off.cluster().fabric().clone();
-        let ep = off.cluster().host_ep(off.rank());
-        let me = off.rank();
-        let right = (me + 1) % p;
-        let left = (me + p - 1) % p;
-        let sbuf_r = fab.alloc(ep, face_bytes);
-        let sbuf_l = fab.alloc(ep, face_bytes);
-        let rbuf_r = fab.alloc(ep, face_bytes);
-        let rbuf_l = fab.alloc(ep, face_bytes);
-        for round in 0..rounds {
-            // Tags encode (round, direction); matching is (src, dst, tag).
-            let t_right = round * 4;
-            let t_left = round * 4 + 1;
-            let reqs = [
-                off.send_offload(sbuf_r, face_bytes, right, t_right),
-                off.send_offload(sbuf_l, face_bytes, left, t_left),
-                off.recv_offload(rbuf_l, face_bytes, left, t_right),
-                off.recv_offload(rbuf_r, face_bytes, right, t_left),
-            ];
-            off.ctx().compute_async(SimDelta::from_us(5)).await;
-            off.wait_all(&reqs).await;
-        }
-    })
+    ring_stencil(run, face_bytes, rounds, false)
 }
 
 /// The stencil of [`drive_stencil`] with payload verification: every
@@ -168,6 +141,17 @@ pub fn drive_verified_stencil(
         run.move_bytes,
         "drive_verified_stencil needs move_bytes: timing-only runs carry no payloads"
     );
+    ring_stencil(run, face_bytes, rounds, true)
+}
+
+/// The ring exchange of both stencil drivers, filling and checking the
+/// payload patterns only when `verify`.
+fn ring_stencil(
+    run: &CheckRun,
+    face_bytes: u64,
+    rounds: u64,
+    verify: bool,
+) -> Result<Report, SimError> {
     run.run_offload(async move |off| {
         let p = off.size();
         if p < 2 {
@@ -186,10 +170,13 @@ pub fn drive_verified_stencil(
         let rbuf_r = fab.alloc(ep, face_bytes);
         let rbuf_l = fab.alloc(ep, face_bytes);
         for round in 0..rounds {
-            fab.fill_pattern(ep, sbuf_r, face_bytes, pat(me, round, 0))
-                .expect("fill send-right");
-            fab.fill_pattern(ep, sbuf_l, face_bytes, pat(me, round, 1))
-                .expect("fill send-left");
+            if verify {
+                fab.fill_pattern(ep, sbuf_r, face_bytes, pat(me, round, 0))
+                    .expect("fill send-right");
+                fab.fill_pattern(ep, sbuf_l, face_bytes, pat(me, round, 1))
+                    .expect("fill send-left");
+            }
+            // Tags encode (round, direction); matching is (src, dst, tag).
             let t_right = round * 4;
             let t_left = round * 4 + 1;
             let reqs = [
@@ -200,6 +187,9 @@ pub fn drive_verified_stencil(
             ];
             off.ctx().compute_async(SimDelta::from_us(5)).await;
             off.wait_all(&reqs).await;
+            if !verify {
+                continue;
+            }
             // My left neighbour sent its "right" face; my right
             // neighbour sent its "left" face.
             let ok_l = fab

@@ -118,6 +118,30 @@ impl Harness {
         self.mpi.allreduce_max_f64(local).await
     }
 
+    /// Start a send of `bytes` from `sbuf` to `peer` and a receive of
+    /// `bytes` into `rbuf` from it, tagged `(send, recv)`: a
+    /// `send_offload`/`recv_offload` pair under [`Engine::Proposed`] if
+    /// `offload` holds, else host `isend`/`irecv`.
+    pub fn isendrecv(
+        &self,
+        (sbuf, rbuf): (rdma::VAddr, rdma::VAddr),
+        bytes: u64,
+        peer: usize,
+        (send, recv): (u64, u64),
+        offload: bool,
+    ) -> [Pending; 2] {
+        match &self.engine {
+            Engine::Proposed(off) if offload => [
+                Pending::Off(off.send_offload(sbuf, bytes, peer, send)),
+                Pending::Off(off.recv_offload(rbuf, bytes, peer, recv)),
+            ],
+            _ => [
+                Pending::Mpi(self.mpi.isend(sbuf, bytes, peer, send)),
+                Pending::Mpi(self.mpi.irecv(rbuf, bytes, peer, recv)),
+            ],
+        }
+    }
+
     /// Wait for `p` to complete on the engine that started it.
     pub async fn wait(&self, p: Pending) {
         match (p, &self.engine) {

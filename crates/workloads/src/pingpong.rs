@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use rdma::ClusterSpec;
 
-use crate::harness::{collect, collector, run_workload, take, Engine, Pending, Runtime};
+use crate::harness::{collect, collector, run_workload, take, Runtime};
 
 /// Average one-way latency (µs) of a concurrent two-way non-blocking
 /// exchange of `size` bytes, measured over `iters` iterations after
@@ -29,17 +29,7 @@ pub fn nonblocking_pingpong_us(size: u64, iters: u32, warmup: u32, runtime: Runt
             h.mpi.barrier().await;
             let t0 = h.ctx().now();
             let tag = 2 * i as u64;
-            let reqs = match &h.engine {
-                Engine::Proposed(off) => [
-                    Pending::Off(off.send_offload(sbuf, size, peer, tag)),
-                    Pending::Off(off.recv_offload(rbuf, size, peer, tag)),
-                ],
-                _ => [
-                    Pending::Mpi(h.mpi.isend(sbuf, size, peer, tag)),
-                    Pending::Mpi(h.mpi.irecv(rbuf, size, peer, tag)),
-                ],
-            };
-            for r in reqs {
+            for r in h.isendrecv((sbuf, rbuf), size, peer, (tag, tag), true) {
                 h.wait(r).await;
             }
             let us = (h.ctx().now() - t0).as_us_f64();

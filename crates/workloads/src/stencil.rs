@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rdma::ClusterSpec;
 use simnet::SimDelta;
 
-use crate::harness::{collect, collector, run_workload, take, Engine, Harness, Pending, Runtime};
+use crate::harness::{collect, collector, run_workload, take, Harness, Pending, Runtime};
 use crate::overlap::OverlapResult;
 
 /// Near-cubic factorization of `p` into three factors, largest spread
@@ -91,22 +91,11 @@ fn exchange(
     let my_node = h.cluster().spec().node_of_rank(h.rank);
     let mut reqs = Vec::with_capacity(nb.faces.len() * 2);
     for (i, &(peer, bytes, dir)) in nb.faces.iter().enumerate() {
-        let (sbuf, rbuf) = bufs[i];
-        let peer_node = h.cluster().spec().node_of_rank(peer);
-        let stag = round * 16 + dir;
-        let rtag = round * 16 + opposite(dir);
-        reqs.extend(match &h.engine {
-            // Proposed runtime: offload inter-node faces; intra-node stays
-            // on host MPI (paper §VIII-A).
-            Engine::Proposed(off) if peer_node != my_node => [
-                Pending::Off(off.send_offload(sbuf, bytes, peer, stag)),
-                Pending::Off(off.recv_offload(rbuf, bytes, peer, rtag)),
-            ],
-            _ => [
-                Pending::Mpi(h.mpi.isend(sbuf, bytes, peer, stag)),
-                Pending::Mpi(h.mpi.irecv(rbuf, bytes, peer, rtag)),
-            ],
-        });
+        let tags = (round * 16 + dir, round * 16 + opposite(dir));
+        // The proposed runtime offloads inter-node faces; intra-node
+        // stays on host MPI (paper §VIII-A).
+        let inter_node = h.cluster().spec().node_of_rank(peer) != my_node;
+        reqs.extend(h.isendrecv(bufs[i], bytes, peer, tags, inter_node));
     }
     reqs
 }
